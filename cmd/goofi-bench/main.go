@@ -73,7 +73,7 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per configuration")
 	boards := flag.Int("boards", 1, "simulated boards")
 	seed := flag.Int64("seed", 1, "campaign seed")
-	mode := flag.String("mode", "forwarding", "comparison: forwarding, robustness, telemetry, service, shard, proc, or forward (placement x fastpath)")
+	mode := flag.String("mode", "forwarding", "comparison: forwarding, robustness, telemetry, service, shard, or forward (placement x fastpath)")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 	var err error
@@ -90,8 +90,6 @@ func main() {
 		err = runService(*n, *reps, *boards, *seed, *out)
 	case "shard":
 		err = runShard(*n, *reps, *boards, *seed, *out)
-	case "proc":
-		err = runProc(*n, *reps, *boards, *seed, *out)
 	default:
 		err = fmt.Errorf("unknown -mode %q", *mode)
 	}

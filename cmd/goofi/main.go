@@ -47,7 +47,7 @@ import (
 	// Registered target systems. Blank imports run each package's
 	// RegisterTarget init; the CLI reaches them only via the registry.
 	_ "goofi/internal/pinlevel"
-	_ "goofi/internal/proctarget"
+	"goofi/internal/proctarget"
 	_ "goofi/internal/scifi"
 	_ "goofi/internal/swifi"
 )
@@ -778,6 +778,14 @@ func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSin
 		// the hash so same-seed reruns can be checked for plan identity.
 		fmt.Printf("  fault plan %s (nondeterministic target: plan is seed-stable, outcomes are statistical)\n",
 			sum.PlanHash)
+	}
+	if ts := proctarget.ReadTriggerStats(); ts.Experiments > 0 {
+		// What reaching the injection points cost: counted breakpoint
+		// stops along the victim's prefix trace, single-steps (recording
+		// the trace included), and experiments that had to be stepped.
+		n := float64(ts.Experiments)
+		fmt.Printf("  trigger: %.1f breakpoint stops and %.2f single-steps per experiment, %d fallbacks to stepping\n",
+			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Fallbacks)
 	}
 	if sum.Forwarded > 0 {
 		fmt.Printf("  fast-forwarded %d experiments: %d cycles emulated, %d saved by checkpoint restore\n",

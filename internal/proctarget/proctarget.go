@@ -1,10 +1,12 @@
 // Package proctarget implements fault injection into live OS processes,
 // in the style of ZOFI: the victim program is forked as a real child
 // process, stopped at a seeded injection point with Linux ptrace
-// (breakpoint at the workload symbol, then a single-step budget drawn
-// from the campaign's random window), a register or memory bit is
-// flipped, execution resumes, and the termination is classified into
-// the ZOFI outcome taxonomy — masked, sdc, crash, hang.
+// (breakpoint at the workload symbol, then an instruction count drawn
+// from the campaign's random window, reached by counting breakpoint
+// hits along a recorded fault-free prefix trace — prefix.go), a
+// register or memory bit is flipped, execution resumes, and the
+// termination is classified into the ZOFI outcome taxonomy — masked,
+// sdc, crash, hang.
 //
 // proctarget is the first GOOFI target whose outcomes are not
 // byte-reproducible: a live process is subject to OS scheduling and
@@ -99,17 +101,24 @@ func regSlotOf(off int) (slot int, valueBit int) {
 	return off / 64, 63 - off%64
 }
 
-// victimInfo is the parsed ELF metadata of one victim binary: the
-// breakpoint address and the writable main.* object symbols forming
-// the memory chain.
+// victimInfo is the parsed ELF metadata of one victim binary — the
+// breakpoint address, the extent of the workload function and the
+// writable main.* object symbols forming the memory chain — plus what
+// is memoised per binary from fault-free runs: the reference stdout and
+// the prefix trace.
 type victimInfo struct {
-	path      string
-	workload  uint64
-	memMap    scanchain.Map
-	symAddrs  map[string]uint64 // location name -> virtual address
-	refStdout []byte            // fault-free stdout, filled lazily
-	refOnce   sync.Once
-	refErr    error
+	path        string
+	workload    uint64
+	workloadEnd uint64 // workload + symbol size: [workload, workloadEnd) is plantable
+	memMap      scanchain.Map
+	symAddrs    map[string]uint64 // location name -> virtual address
+	refStdout   []byte            // fault-free stdout, filled lazily
+	refOnce     sync.Once
+	refErr      error
+
+	traceMu  sync.Mutex
+	trace    *prefixTrace // nil until recorded, and while stepOnly
+	stepOnly bool         // two recordings disagreed: single-step this victim
 }
 
 var victimCache = struct {
@@ -154,7 +163,7 @@ func loadVictim(path string) (*victimInfo, error) {
 	var mems []memSym
 	for _, s := range syms {
 		if s.Name == WorkloadSymbol && elf.ST_TYPE(s.Info) == elf.STT_FUNC {
-			vi.workload = s.Value
+			vi.workload, vi.workloadEnd = s.Value, s.Value+s.Size
 			continue
 		}
 		if elf.ST_TYPE(s.Info) != elf.STT_OBJECT || !strings.HasPrefix(s.Name, "main.") {
@@ -289,10 +298,9 @@ type Target struct {
 
 	// Per-experiment state, reset by InitTestCard.
 	vi               *victimInfo
+	trace            *prefixTrace // nil: reach the injection point by stepping
 	tr               *tracer
-	watchdog         *time.Timer
-	mu               sync.Mutex
-	timedOut         bool
+	watchdog         *watchdog
 	locked           bool
 	atInjectionPoint bool
 	steps            uint64
@@ -322,6 +330,9 @@ type exitInfo struct {
 	signal   string
 }
 
+// watchdogKill is how a child the watchdog killed terminated.
+func watchdogKill() *exitInfo { return &exitInfo{signaled: true, signal: "SIGKILL"} }
+
 func (e *exitInfo) mechanism() string {
 	if e.signaled {
 		return "signal:" + e.signal
@@ -345,12 +356,10 @@ func timeoutOf(ex *core.Experiment) time.Duration {
 func (t *Target) InitTestCard(ex *core.Experiment) error {
 	t.cleanup()
 	t.vi = nil
+	t.trace = nil
 	t.atInjectionPoint = false
 	t.steps = 0
 	t.exit = nil
-	t.mu.Lock()
-	t.timedOut = false
-	t.mu.Unlock()
 	return nil
 }
 
@@ -360,7 +369,7 @@ func (t *Target) InitTestCard(ex *core.Experiment) error {
 // when a previous experiment errored out mid-algorithm.
 func (t *Target) cleanup() {
 	if t.watchdog != nil {
-		t.watchdog.Stop()
+		t.watchdog.stop()
 		t.watchdog = nil
 	}
 	if t.tr != nil {
@@ -376,7 +385,11 @@ func (t *Target) cleanup() {
 // LoadWorkload resolves the victim binary from the campaign's workload
 // source and validates the experiment against the proc fault model: a
 // live process supports transient faults only — persistent models need
-// a reassertion hook the OS does not provide.
+// a reassertion hook the OS does not provide. It also fetches the
+// victim's prefix trace, recording it if this is the first experiment
+// to need it (in a campaign that is the reference run): here no
+// watchdog is armed yet, so recording cannot eat an experiment's
+// deadline.
 func (t *Target) LoadWorkload(ex *core.Experiment) error {
 	victim := ex.Campaign.Workload.Source
 	if victim == "" {
@@ -396,7 +409,12 @@ func (t *Target) LoadWorkload(ex *core.Experiment) error {
 		return err
 	}
 	t.vi = vi
-	return nil
+	want := ex.Campaign.RandomWindow[1]
+	if ex.Trigger.Cycle > want {
+		want = ex.Trigger.Cycle
+	}
+	t.trace, err = vi.prefix(want, timeoutOf(ex))
+	return err
 }
 
 // WriteMemory is a no-op: exec loads the victim's image, there is
@@ -413,60 +431,104 @@ func (t *Target) RunWorkload(ex *core.Experiment) error {
 	}
 	lockThread()
 	t.locked = true
+	mExperiments.Inc()
+	// One deadline covers the whole experiment: breakpoint wait, the
+	// way to the injection point (a respawn after an arrival mismatch
+	// included), and the post-injection run.
+	t.watchdog = startWatchdog(timeoutOf(ex))
+	return t.spawn(!ex.IsReference())
+}
+
+// spawn forks a fresh traced child, replacing (and reaping) the current
+// one, and points the watchdog at it.
+func (t *Target) spawn(breakAtWorkload bool) error {
+	if t.tr != nil {
+		t.watchdog.watch(0)
+		t.tr.Shutdown()
+		t.tr = nil
+	}
 	tr, err := startTraced(t.vi.path)
 	if err != nil {
 		return err
 	}
 	t.tr = tr
 	t.lastPID = tr.PID()
-	mExperiments.Inc()
-	if !ex.IsReference() {
-		if err := tr.SetBreakpoint(t.vi.workload); err != nil {
-			return err
-		}
+	t.watchdog.watch(tr.PID())
+	if breakAtWorkload {
+		return tr.SetBreakpoint(t.vi.workload)
 	}
-	// One deadline covers the whole experiment: breakpoint wait,
-	// stepping, and the post-injection run. The timer goroutine only
-	// sends SIGKILL — thread-agnostic — and the tracer's wait unblocks
-	// with the death.
-	pid := tr.PID()
-	t.watchdog = time.AfterFunc(timeoutOf(ex), func() {
-		t.mu.Lock()
-		t.timedOut = true
-		t.mu.Unlock()
-		killProcess(pid)
-	})
 	return nil
 }
 
 // hangFired reports whether the watchdog killed the child.
-func (t *Target) hangFired() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.timedOut
+func (t *Target) hangFired() bool { return t.watchdog.fired() }
+
+// watchdog SIGKILLs the child it watches once its deadline has passed.
+// The timer goroutine does nothing else — a signal is thread-agnostic,
+// unlike every ptrace request — and the tracer's wait unblocks with the
+// death.
+type watchdog struct {
+	mu       sync.Mutex
+	pid      int // 0: no child to kill
+	expired  bool
+	deadline *time.Timer
+}
+
+func startWatchdog(d time.Duration) *watchdog {
+	w := &watchdog{}
+	w.deadline = time.AfterFunc(d, func() {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.expired = true
+		if w.pid != 0 {
+			killProcess(w.pid)
+		}
+	})
+	return w
+}
+
+// watch names the child to kill; one handed over after the deadline is
+// killed at once, so the verdict stands whichever child it catches.
+// watch(0) must come before a watched child is reaped: a reaped pid can
+// be recycled, and a late firing must not signal a stranger.
+func (w *watchdog) watch(pid int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.pid = pid
+	if w.expired && pid != 0 {
+		killProcess(pid)
+	}
+}
+
+func (w *watchdog) stop() {
+	w.deadline.Stop()
+	w.watch(0)
+}
+
+func (w *watchdog) fired() bool {
+	if w == nil {
+		return false
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.expired
 }
 
 // WaitForBreakpoint continues to the workload breakpoint and then
-// single-steps the seeded instruction budget (ex.Trigger.Cycle, drawn
-// from the campaign's random window). If the victim terminates before
-// the injection point is reached, the fault's time point never
-// occurred: the experiment proceeds to termination uninjected.
+// advances the seeded instruction budget (ex.Trigger.Cycle, drawn from
+// the campaign's random window): along the victim's prefix trace by
+// counted breakpoint hits as far as the trace reaches, by single-steps
+// for the rest — all of it when the victim has no usable trace, or when
+// the guided arrival fails its check and the experiment is redone on a
+// fresh child. If the victim terminates before the injection point is
+// reached, the fault's time point never occurred: the experiment
+// proceeds to termination uninjected.
 func (t *Target) WaitForBreakpoint(ex *core.Experiment) error {
 	if t.tr == nil {
 		return fmt.Errorf("proctarget: WaitForBreakpoint before RunWorkload")
 	}
-	hit, ei, err := t.tr.ContToBreakpoint()
-	if err != nil {
-		return t.tracerErr(err)
-	}
-	if !hit {
-		t.exit = ei
-		return nil
-	}
-	budget := ex.Trigger.Cycle
-	steps, ei, err := t.tr.Step(budget)
+	steps, ei, err := t.toInjectionPoint(ex.Trigger.Cycle)
 	t.steps = steps
-	mSteps.Add(steps)
 	if err != nil {
 		return t.tracerErr(err)
 	}
@@ -475,8 +537,44 @@ func (t *Target) WaitForBreakpoint(ex *core.Experiment) error {
 		return nil
 	}
 	t.atInjectionPoint = true
-	ex.InjectionCycle = budget
+	ex.InjectionCycle = ex.Trigger.Cycle
 	return nil
+}
+
+// toInjectionPoint runs the child from exec to budget instructions past
+// the workload breakpoint. It returns how many of them were executed
+// and, when the child terminated first, how.
+func (t *Target) toInjectionPoint(budget uint64) (steps uint64, ei *exitInfo, err error) {
+	hit, ei, err := t.tr.ContToBreakpoint()
+	if err != nil || !hit {
+		return 0, ei, err
+	}
+	var done uint64
+	if t.trace.usable() {
+		var arrived bool
+		if done, arrived, err = t.guide(budget); err != nil {
+			return done, nil, err
+		}
+		if !arrived {
+			if t.hangFired() {
+				return done, watchdogKill(), nil
+			}
+			// The child is not where the recording says it should be:
+			// discard it and redo the experiment by stepping.
+			mFallbackMismatch.Inc()
+			if err := t.spawn(true); err != nil {
+				return 0, nil, err
+			}
+			done = 0
+			if hit, ei, err = t.tr.ContToBreakpoint(); err != nil || !hit {
+				return 0, ei, err
+			}
+		}
+	} else if t.trace == nil {
+		mFallbackNondeterministic.Inc()
+	}
+	steps, ei, err = t.tr.Step(budget - done)
+	return done + steps, ei, err
 }
 
 // tracerErr classifies a ptrace failure: if the watchdog killed the
@@ -485,7 +583,7 @@ func (t *Target) WaitForBreakpoint(ex *core.Experiment) error {
 // transient harness fault.
 func (t *Target) tracerErr(err error) error {
 	if t.hangFired() {
-		t.exit = &exitInfo{signaled: true, signal: "SIGKILL"}
+		t.exit = watchdogKill()
 		return nil
 	}
 	return &procError{class: core.Transient, err: err}
@@ -568,7 +666,7 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 		resumed, err := t.tr.Resume()
 		if err != nil {
 			if t.hangFired() {
-				ei = &exitInfo{signaled: true, signal: "SIGKILL"}
+				ei = watchdogKill()
 			} else {
 				return &procError{class: core.Transient, err: err}
 			}

@@ -187,13 +187,28 @@ func TestProcCrash(t *testing.T) {
 // TestProcHangWatchdogNoLeaks is the hang-path contract: a victim
 // whose loop bound is flipped to an astronomically large value must be
 // reaped by the watchdog, classified hang with Attempts recorded, and
-// must leak neither the child process nor a tracer goroutine.
+// must leak neither a child process nor a tracer goroutine. The
+// experiment is made to spawn every kind of child there is: the victim
+// is a private copy, so its prefix is recorded here (two children), and
+// the recording is then falsified at the injection point, so the guided
+// child is discarded and the experiment redone on a respawned one.
 func TestProcHangWatchdogNoLeaks(t *testing.T) {
-	bin := victimBin(t, "loop")
+	bin := privateVictim(t, "loop")
 	tgt, _ := New(core.TargetConfig{})
 	camp := procCampaign(bin, MemoryChainName, 200_000) // 200ms watchdog
 
 	before := runtime.NumGoroutine()
+	vi, err := loadVictim(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := vi.prefix(3, time.Second)
+	if err != nil || !trace.usable() {
+		t.Fatalf("recording the loop victim's prefix: %v", err)
+	}
+	trace.regs[3][0] ^= 1 << 40
+	mismatches := mFallbackMismatch.Value()
+
 	// Bit 1 of the 64-bit bound is value bit 62: gEnd jumps from 4096
 	// to 2^62+4096, an effectively infinite loop (bit 0 would flip the
 	// sign and end the loop immediately).
@@ -213,14 +228,17 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("hang took %v to reap; the watchdog should fire at ~200ms", elapsed)
 	}
-	// The child must be gone: /proc/<pid> either absent or a zombie we
-	// did not leave behind (the tracer reaps synchronously, so absent).
-	pid := tgt.LastPID()
-	if pid == 0 {
+	if got := mFallbackMismatch.Value() - mismatches; got != 1 {
+		t.Fatalf("%d arrival mismatches, want the forced one", got)
+	}
+	// Every child must be gone — recorders, the discarded child, the
+	// respawned one: the tracer reaps synchronously, so not even a
+	// zombie is left.
+	if tgt.LastPID() == 0 {
 		t.Fatal("no child pid recorded")
 	}
-	if _, err := os.Stat(fmt.Sprintf("/proc/%d", pid)); err == nil {
-		t.Fatalf("child pid %d still present after hang reap", pid)
+	if kids := childPIDs(t); len(kids) != 0 {
+		t.Fatalf("children %v still present after hang reap", kids)
 	}
 	// No stuck tracer goroutine: allow brief settling, then require the
 	// count back near the baseline.

@@ -13,10 +13,11 @@ import (
 	"goofi/internal/core"
 )
 
-// The tracer drives one traced child through the ZOFI state machine:
-//
-//	fork (stopped) → cont to int3 at main.workload → restore byte,
-//	rewind rip → SINGLESTEP × budget → flip bits → CONT → reap.
+// The tracer holds the ptrace primitives one traced child is driven
+// with: fork (stopped), plant an int3 and continue to it (byte restored,
+// rip rewound on arrival), single-step, read and flip registers and
+// memory, continue to termination, reap. The Target composes them into
+// the injection state machine (proctarget.go).
 //
 // Linux delivers ptrace stop events only to the tracing thread, so the
 // Target locks its goroutine to one OS thread (lockThread) for the
@@ -193,23 +194,43 @@ func singleStepSig(pid, sig int) error {
 	return nil
 }
 
-// Step single-steps up to budget instructions. It returns early (with
-// the exit info) if the child terminates first.
+// Step single-steps budget instructions. It returns early (with the
+// exit info) if the child terminates first. Only SIGTRAP stops count: a
+// stop on any other signal is a signal-delivery stop at which no
+// instruction retired, and the signal is forwarded with the next
+// request.
 func (t *tracer) Step(budget uint64) (steps uint64, ei *exitInfo, err error) {
+	var requests uint64
+	defer func() { mSteps.Add(requests) }()
 	sig := 0
 	for steps < budget {
+		requests++
 		ws, ei, err := t.waitStop(singleStepSig, sig)
 		if err != nil || ei != nil {
 			return steps, ei, err
 		}
-		steps++
 		if ws.StopSignal() == syscall.SIGTRAP {
+			steps++
 			sig = 0
 		} else {
 			sig = int(ws.StopSignal())
 		}
 	}
 	return steps, nil, nil
+}
+
+// Regs reads the stopped child's register file in chain-slot order.
+func (t *tracer) Regs() (regFile, error) {
+	var regs syscall.PtraceRegs
+	var rf regFile
+	if err := syscall.PtraceGetRegs(t.pid, &regs); err != nil {
+		return rf, fmt.Errorf("proctarget: getregs: %w", err)
+	}
+	for slot := range rf {
+		reg, _ := regSlot(&regs, slot) // every slot of a regFile is a chain slot
+		rf[slot] = *reg
+	}
+	return rf, nil
 }
 
 // regSlot returns a pointer to the register at the fixed chain index

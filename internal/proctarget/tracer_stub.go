@@ -29,6 +29,7 @@ func (t *tracer) ContToBreakpoint() (bool, *exitInfo, error) {
 	return false, nil, errUnavailable
 }
 func (t *tracer) Step(uint64) (uint64, *exitInfo, error) { return 0, nil, errUnavailable }
+func (t *tracer) Regs() (regFile, error)                 { return regFile{}, errUnavailable }
 func (t *tracer) FlipRegisterBits([][2]int) error        { return errUnavailable }
 func (t *tracer) FlipMemoryBit(uint64, byte) error       { return errUnavailable }
 func (t *tracer) Resume() (*exitInfo, error)             { return nil, errUnavailable }
