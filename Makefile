@@ -19,6 +19,9 @@ FUZZTIME ?= 15s
 # arrival differential and campaign conformance, the fallbacks, the
 # trace cap, the leak test — fresh: its tests fork and ptrace real
 # children, and skip themselves where ptrace is not permitted.
+# The pruning line is the def-use soundness pin: the recorder's unit and
+# property tests, and every differential against the forwarding-off
+# oracle — the campaign matrix, the random programs, resume and shards.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./internal/core/ ./internal/thor/
@@ -31,6 +34,7 @@ tier1:
 	$(GO) test -race ./internal/shard/ ./internal/core/ . -run 'Shard|Partition|Coalesce' -count 1
 	$(GO) test -race ./internal/shard/ ./internal/chaos/ -run 'NetChaos|NetRoundTripper|NetMaxFaults|NetDeterministic|Transport|Unauthorized|Delivery|Churn' -count 1
 	$(GO) test -race ./internal/proctarget/ ./internal/core/ -run 'Proc|Framework|TargetRegistry|TargetDeterministic' -count 1
+	$(GO) test -race . ./internal/thor/ ./internal/core/ ./internal/shard/ -run 'Prune|Pruning|DefUse|RegUses' -count 1
 	$(GO) test -race ./...
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume

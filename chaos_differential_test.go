@@ -159,7 +159,11 @@ func (g *gatedTarget) SetForwardSet(set *core.ForwardSet) {
 // healthy boards complete the campaign with records identical to a
 // healthy single-board run.
 func TestChaosQuarantine(t *testing.T) {
-	mkCamp := func() *campaign.Campaign { return sortCampaign("chaos-quar", 9, 31, []string{"cpu"}) }
+	// Forwarding and pruning stay on, as in any default run, and pruned
+	// experiments never reach a board: the campaign is large enough (4 of
+	// its 24 experiments are emulated) that each of the three boards still
+	// gets one — the gate below waits for that — the broken one included.
+	mkCamp := func() *campaign.Campaign { return sortCampaign("chaos-quar", 24, 31, []string{"cpu"}) }
 
 	_, healthyRep, healthyRows := chaosRun(t, mkCamp(), 1, healthyFactory)
 
@@ -184,6 +188,9 @@ func TestChaosQuarantine(t *testing.T) {
 			BackoffBase:           time.Microsecond,
 		}))
 
+	if emulated := sum.Experiments - sum.Pruned.Total(); sum.Pruned.Total() == 0 || emulated < 3 {
+		t.Errorf("%d pruned, %d emulated: want both pruning and a board each", sum.Pruned.Total(), emulated)
+	}
 	if sum.QuarantinedBoards != 1 {
 		t.Errorf("quarantined boards = %d, want 1", sum.QuarantinedBoards)
 	}

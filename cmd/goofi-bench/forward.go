@@ -34,6 +34,11 @@ type forwardSample struct {
 	Forwarded      int     `json:"forwarded"`
 	PredictedDelta uint64  `json:"predicted_delta_cycles"`
 	AchievedDelta  uint64  `json:"achieved_delta_cycles"`
+	// PrunedLatent and PrunedOverwritten count the experiments logged
+	// from the reference run's def-use table without being emulated;
+	// CyclesEmulated covers the others and the reference run.
+	PrunedLatent      int `json:"pruned_latent"`
+	PrunedOverwritten int `json:"pruned_overwritten"`
 }
 
 // forwardResult is the BENCH_PR8 blob. The top-level cycle counts are
@@ -50,6 +55,11 @@ type forwardResult struct {
 	// cycle counts of the two placements, fast path on.
 	CyclesEmulatedInterval uint64 `json:"cycles_emulated_interval"`
 	CyclesEmulatedOptimal  uint64 `json:"cycles_emulated_optimal"`
+	// PrunedLatent and PrunedOverwritten are the interval cell's pruned
+	// counts — as deterministic as the cycle counts, and independent of
+	// placement and execution mode. CI's prune-smoke job pins all three.
+	PrunedLatent      int `json:"pruned_latent"`
+	PrunedOverwritten int `json:"pruned_overwritten"`
 	// AchievedVsOptimal is the optimal plan's achieved re-emulation
 	// delta over its model prediction — 1.0 means the campaign realised
 	// exactly the planner's optimum (values slightly below 1.0 are
@@ -135,6 +145,9 @@ func runForwardOnce(n int, boards int, seed int64, placement string, fastpath bo
 		Forwarded:      sum.Forwarded,
 		PredictedDelta: sum.ForwardPredictedDelta,
 		AchievedDelta:  sum.ForwardDeltaCycles,
+
+		PrunedLatent:      sum.Pruned.Latent,
+		PrunedOverwritten: sum.Pruned.Overwritten,
 	}, nil
 }
 
@@ -300,6 +313,7 @@ func runForward(n, reps, boards int, seed int64, out string) error {
 	optimal := medOf("optimal/fastpath")
 	res.CyclesEmulatedInterval = interval.CyclesEmulated
 	res.CyclesEmulatedOptimal = optimal.CyclesEmulated
+	res.PrunedLatent, res.PrunedOverwritten = interval.PrunedLatent, interval.PrunedOverwritten
 	if optimal.PredictedDelta > 0 {
 		res.AchievedVsOptimal = float64(optimal.AchievedDelta) / float64(optimal.PredictedDelta)
 	}
@@ -323,8 +337,9 @@ func runForward(n, reps, boards int, seed int64, out string) error {
 		_, err = os.Stdout.Write(blob)
 		return err
 	}
-	fmt.Printf("placement: interval %d cycles emulated, optimal %d (achieved/optimal %.3f); fastpath wall %.2fx, thor loop %.2fx, reference %.2fx (%s)\n",
+	fmt.Printf("placement: interval %d cycles emulated, optimal %d (achieved/optimal %.3f), %d latent + %d overwritten pruned; fastpath wall %.2fx, thor loop %.2fx, reference %.2fx (%s)\n",
 		res.CyclesEmulatedInterval, res.CyclesEmulatedOptimal, res.AchievedVsOptimal,
+		res.PrunedLatent, res.PrunedOverwritten,
 		res.FastpathWallSpeedup, res.ThorLoopSpeedup, res.ReferenceWallSpeedup, out)
 	return os.WriteFile(out, blob, 0o644)
 }

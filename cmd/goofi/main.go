@@ -791,6 +791,10 @@ func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSin
 		fmt.Printf("  fast-forwarded %d experiments: %d cycles emulated, %d saved by checkpoint restore\n",
 			sum.Forwarded, sum.CyclesEmulated, sum.CyclesSaved)
 	}
+	if n := sum.Pruned.Total(); n > 0 {
+		fmt.Printf("  pruned: %d experiments not emulated (%d latent, %d overwritten), rows synthesized from the reference run's def-use table\n",
+			n, sum.Pruned.Latent, sum.Pruned.Overwritten)
+	}
 	if sum.ForwardPlacement != "" {
 		fmt.Printf("  checkpoint placement %q: predicted re-emulation %d cycles, achieved %d\n",
 			sum.ForwardPlacement, sum.ForwardPredictedDelta, sum.ForwardDeltaCycles)

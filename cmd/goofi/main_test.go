@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -362,18 +363,21 @@ func TestRunWithChaosAndRetries(t *testing.T) {
 }
 
 // TestResumeRetryInvalid: a campaign run against an unrecoverable chaos
-// harness records every experiment as an invalid run; goofi resume
-// -retry-invalid against a healthy harness re-attempts exactly those and
-// completes them.
+// harness records every experiment that reaches a board as an invalid
+// run; goofi resume -retry-invalid against a healthy harness re-attempts
+// exactly those and completes them.
 func TestResumeRetryInvalid(t *testing.T) {
+	const planned, wantInvalid = 16, 5
 	db := dbPath(t)
 	steps := [][]string{
 		{"configure", "-db", db},
 		{"setup", "-db", db, "-campaign", "sick", "-workload", "sort16",
-			"-window", "10:1600", "-experiments", "4", "-timeout", "100000"},
+			"-window", "10:1600", "-experiments", strconv.Itoa(planned), "-timeout", "100000"},
 		// Every DR write exchange fails. The reference run never writes
-		// the scan chain, so it completes; every injected experiment
-		// burns its one retry and is recorded invalid.
+		// the scan chain, so it completes; the provable no-ops are logged
+		// from it without touching the harness (11 of this plan's 16), and
+		// every experiment that does need a board burns its one retry and
+		// is recorded invalid.
 		{"run", "-db", db, "-campaign", "sick", "-quiet",
 			"-chaos-scan-write", "1", "-max-retries", "1"},
 	}
@@ -382,28 +386,37 @@ func TestResumeRetryInvalid(t *testing.T) {
 			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
 		}
 	}
-	st, sdb, err := openStore(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	invalid := 0
-	recs, err := st.Experiments("sick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun {
-			invalid++
+	// countInvalid returns the stored records and how many are invalid.
+	countInvalid := func() (total, invalid int) {
+		st, sdb, err := openStore(db)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer sdb.Close()
+		recs, err := st.Experiments("sick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun {
+				invalid++
+			}
+		}
+		return len(recs), invalid
 	}
-	sdb.Close()
-	if invalid != 4 {
-		t.Fatalf("%d invalid runs recorded, want 4", invalid)
+	// Conservation: planned = accepted + invalid, the pruned among the
+	// accepted.
+	if total, invalid := countInvalid(); total != planned+1 || invalid != wantInvalid {
+		t.Fatalf("%d records, %d invalid; want %d (reference + %d) and %d",
+			total, invalid, planned+1, planned, wantInvalid)
 	}
 
 	// A plain resume has nothing to do: invalid slots are final.
 	if err := runCmd(t, "resume", "-db", db, "-campaign", "sick", "-quiet"); err != nil {
 		t.Fatalf("plain resume: %v", err)
+	}
+	if _, invalid := countInvalid(); invalid != wantInvalid {
+		t.Fatalf("%d invalid after a plain resume, want %d", invalid, wantInvalid)
 	}
 
 	// Opting in re-attempts them against the now-healthy harness.
@@ -411,21 +424,7 @@ func TestResumeRetryInvalid(t *testing.T) {
 		"-retry-invalid", "-max-retries", "2"); err != nil {
 		t.Fatalf("resume -retry-invalid: %v", err)
 	}
-	st, sdb, err = openStore(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sdb.Close()
-	recs, err = st.Experiments("sick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 5 { // reference + 4
-		t.Fatalf("store holds %d records after retry, want 5", len(recs))
-	}
-	for _, rec := range recs {
-		if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun {
-			t.Errorf("%s still invalid after -retry-invalid", rec.Name)
-		}
+	if total, invalid := countInvalid(); total != planned+1 || invalid != 0 {
+		t.Fatalf("%d records, %d invalid after -retry-invalid; want %d and 0", total, invalid, planned+1)
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,6 +28,65 @@ type Checkpoint struct {
 	// Completed holds the sequence numbers of experiments whose end
 	// records are durable, sorted ascending.
 	Completed []int `json:"completed"`
+}
+
+// checkpointJSON is the stored form of a Checkpoint. A campaign
+// completes its plan mostly in order, so the completed set is written as
+// ascending inclusive [lo, hi] runs — a few numbers where the flat list
+// grew by one per experiment and was rewritten at every cursor save.
+// Completed is the flat list of cursors stored before that; it is read,
+// never written.
+type checkpointJSON struct {
+	Campaign    string   `json:"campaign"`
+	PlanHash    string   `json:"planHash"`
+	Seed        int64    `json:"seed"`
+	Experiments int      `json:"experiments"`
+	Reference   bool     `json:"reference"`
+	Completed   []int    `json:"completed,omitempty"`
+	Ranges      [][2]int `json:"completedRanges"`
+}
+
+// MarshalJSON writes Completed — sorted ascending, as documented — as
+// ranges. (An unsorted list still reads back as the same set, in more
+// ranges than it needs.)
+func (cp Checkpoint) MarshalJSON() ([]byte, error) {
+	ranges := [][2]int{}
+	for _, seq := range cp.Completed {
+		if n := len(ranges); n > 0 && (seq == ranges[n-1][1] || seq == ranges[n-1][1]+1) {
+			ranges[n-1][1] = seq
+			continue
+		}
+		ranges = append(ranges, [2]int{seq, seq})
+	}
+	return json.Marshal(checkpointJSON{Campaign: cp.Campaign, PlanHash: cp.PlanHash, Seed: cp.Seed,
+		Experiments: cp.Experiments, Reference: cp.Reference, Ranges: ranges})
+}
+
+// UnmarshalJSON reads either form back into the sorted flat list. The
+// ranges must lie inside the plan and together name no more entries than
+// it has: the blob comes from the database, and a range is expanded one
+// entry per sequence number, so its bounds — unlike a flat list's length
+// — are all that limits the allocation.
+func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
+	var w checkpointJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	seqs := w.Completed
+	for _, r := range w.Ranges {
+		if r[0] < 0 || r[1] < r[0] || r[1] >= w.Experiments ||
+			len(seqs)-len(w.Completed)+(r[1]-r[0]+1) > w.Experiments {
+			return fmt.Errorf("campaign: checkpoint %q: bad completed range [%d, %d] in a plan of %d",
+				w.Campaign, r[0], r[1], w.Experiments)
+		}
+		for seq := r[0]; seq <= r[1]; seq++ {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	*cp = Checkpoint{Campaign: w.Campaign, PlanHash: w.PlanHash, Seed: w.Seed,
+		Experiments: w.Experiments, Reference: w.Reference, Completed: slices.Compact(seqs)}
+	return nil
 }
 
 // Done reports whether sequence number seq is already completed.

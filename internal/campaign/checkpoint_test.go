@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -263,5 +264,94 @@ func TestSinkPropagatesWALFailure(t *testing.T) {
 	}
 	if err := s.Close(); err == nil {
 		t.Error("poisoned sink closed without error")
+	}
+}
+
+// TestCheckpointStoredAsRanges: the cursor blob holds one [lo, hi] pair
+// per run of completed sequence numbers and reads back as the sorted
+// flat list — even from a list that was handed over unsorted.
+func TestCheckpointStoredAsRanges(t *testing.T) {
+	cp := testCheckpoint()
+	cp.Completed = []int{0, 1, 2, 2, 4, 7, 8, 9}
+	blob, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"completedRanges":[[0,2],[4,4],[7,9]]`; !strings.Contains(string(blob), want) {
+		t.Fatalf("blob %s lacks %s", blob, want)
+	}
+	var back Checkpoint
+	for _, completed := range [][]int{cp.Completed, {7, 0, 1, 2, 9, 8, 2, 4}} {
+		cp.Completed = completed
+		if blob, err = json.Marshal(cp); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(back.Completed), "[0 1 2 4 7 8 9]"; got != want {
+			t.Errorf("%v read back as %s, want %s", completed, got, want)
+		}
+	}
+	back.Completed = nil
+	cp.Completed = nil
+	if fmt.Sprint(back) != fmt.Sprint(*cp) {
+		t.Errorf("identity fields: read back %+v, want %+v", back, *cp)
+	}
+
+	// A finished 60,000-experiment campaign is one run, not 60,000 numbers.
+	cp.Experiments = 60_000
+	cp.Completed = make([]int, 60_000)
+	for i := range cp.Completed {
+		cp.Completed[i] = i
+	}
+	if blob, err = json.Marshal(cp); err != nil || len(blob) > 200 {
+		t.Errorf("cursor of a contiguous plan is %d bytes (err %v)", len(blob), err)
+	}
+	if err := json.Unmarshal(blob, &back); err != nil || len(back.Completed) != 60_000 || !back.Done(59_999) {
+		t.Errorf("contiguous cursor read back %d entries (err %v)", len(back.Completed), err)
+	}
+
+	for _, bad := range []string{
+		`{"campaign":"c","experiments":10,"completedRanges":[[3,2]]}`,
+		`{"campaign":"c","experiments":10,"completedRanges":[[-1,2]]}`,
+		// Past the end of the plan: expanding it would allocate whatever
+		// the blob says.
+		`{"campaign":"c","experiments":10,"completedRanges":[[0,10]]}`,
+		`{"campaign":"c","experiments":10,"completedRanges":[[0,1099511627776]]}`,
+		`{"campaign":"c","completedRanges":[[0,0]]}`,
+		`{"campaign":"c","experiments":10,"completedRanges":[[0,9],[0,9]]}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("%s was accepted", bad)
+		}
+	}
+}
+
+// TestCheckpointReadsFlatListCursor: a cursor row stored before ranges —
+// the flat "completed" list — still loads, alone or next to ranges.
+func TestCheckpointReadsFlatListCursor(t *testing.T) {
+	st := sinkFixture(t)
+	if err := st.SaveCheckpoint(testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	const old = `{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true,"completed":[0,2,5]}`
+	if _, err := st.DB().Exec(`UPDATE CampaignCheckpoint SET cursor = ? WHERE campaignName = ?`,
+		sqldb.Blob([]byte(old)), sqldb.Text("camp-1")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.GetCheckpoint("camp-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := testCheckpoint(); fmt.Sprint(*got) != fmt.Sprint(*want) {
+		t.Errorf("flat-list cursor read as %+v, want %+v", *got, *want)
+	}
+	var mixed Checkpoint
+	if err := json.Unmarshal([]byte(`{"experiments":6,"completed":[5,1],"completedRanges":[[1,3]]}`), &mixed); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(mixed.Completed); got != "[1 2 3 5]" {
+		t.Errorf("mixed cursor read as %s", got)
 	}
 }

@@ -25,8 +25,10 @@ type ForwardConfig struct {
 	// Interval is the cycle spacing between planned checkpoints; 0 picks
 	// a spacing that spreads MaxCheckpoints over the injection window.
 	Interval uint64
-	// MaxCheckpoints caps how many checkpoints the planner emits
-	// (<= 0 selects DefaultMaxForwardCheckpoints).
+	// MaxCheckpoints caps how many checkpoints the experiments restore
+	// from (<= 0 selects DefaultMaxForwardCheckpoints). Optimal placement
+	// records up to twice as many candidates during the reference run
+	// and keeps this many.
 	MaxCheckpoints int
 	// MaxBytes caps the memory the checkpoint set may hold, counting
 	// only fresh bytes (pages identical to the previous checkpoint are
@@ -38,9 +40,11 @@ type ForwardConfig struct {
 	// PlacementInterval (the default; evenly spaced over the injection
 	// window) or PlacementOptimal (dynamic programming over the drawn
 	// plan's injection-cycle histogram, minimising expected re-emulated
-	// cycles under the MaxCheckpoints budget). Optimal placement needs
-	// every planned trigger to watch the cycle counter; otherwise the
-	// planner silently falls back to interval placement.
+	// cycles under the MaxCheckpoints budget, then — once the reference
+	// run has shown which experiments will be emulated at all — keeping
+	// the recorded checkpoints that serve those best). Optimal placement
+	// needs every planned trigger to watch the cycle counter; otherwise
+	// the planner silently falls back to interval placement.
 	Placement string
 	// SnapshotCostCycles is the optimal planner's estimate of what one
 	// checkpoint costs (capture during the reference run plus restores),
@@ -129,14 +133,23 @@ type ForwardCheckpoint struct {
 	State   any
 }
 
-// ForwardSet is the complete checkpoint set recorded during a campaign's
-// reference run. Checkpoints are immutable after recording and ascending
-// by cycle, so one set may be shared read-only by every board worker.
+// ForwardSet is everything a campaign's reference run recorded for the
+// experiments that follow: the checkpoint set and, for fault-space
+// pruning (prune.go), the run's def-use table and result. All of it is
+// immutable after recording — checkpoints ascend by cycle — so one set
+// may be shared read-only by every board worker, and carried by a shard
+// worker from one lease to the next. A set may hold no checkpoints.
 type ForwardSet struct {
 	Campaign    string
 	Checkpoints []*ForwardCheckpoint
-	// Bytes is the total fresh-byte footprint after page sharing.
+	// Bytes is the total fresh-byte footprint after page sharing, plus
+	// the def-use table's.
 	Bytes int
+	// DefUse is the reference run's access trace; nil when the target
+	// records none.
+	DefUse DefUseTable
+	// Reference is the reference run's result, filled in by the runner.
+	Reference *Result
 }
 
 // Nearest returns the last checkpoint whose counter (cycle, or instret
@@ -169,7 +182,8 @@ type Forwarder interface {
 	// the plan's cycles during the next reference run.
 	ArmForwardRecording(plan *ForwardPlan)
 	// TakeForwardSet returns the set recorded since ArmForwardRecording
-	// and disarms recording; nil when nothing was recorded.
+	// and disarms recording; nil when nothing was recorded. A set with a
+	// def-use table but no checkpoint is something.
 	TakeForwardSet() *ForwardSet
 	// SetForwardSet installs a recorded set for use by subsequent
 	// experiments on this target.
@@ -189,8 +203,10 @@ type ForwardCalibrator interface {
 // and the drawn injection plan, or nil when forwarding cannot apply:
 // disabled by config, detail-mode logging (per-instruction traces must
 // cover the whole run), or a trigger whose firing depends on the
-// execution prefix rather than a counter. calib prices checkpoints for
-// the optimal planner; it may be nil.
+// execution prefix rather than a counter. A plan may name no cycle at
+// all (no checkpoint would pay): the reference run is still recorded,
+// for its def-use table. calib prices checkpoints for the optimal
+// planner; it may be nil.
 func (r *Runner) forwardPlan(planned []plannedExperiment, calib ForwardCalibrator) *ForwardPlan {
 	if r.fw.Disabled {
 		return nil
@@ -201,10 +217,7 @@ func (r *Runner) forwardPlan(planned []plannedExperiment, calib ForwardCalibrato
 	if !r.camp.Trigger.CycleMonotonic() {
 		return nil
 	}
-	maxCp := r.fw.MaxCheckpoints
-	if maxCp <= 0 {
-		maxCp = DefaultMaxForwardCheckpoints
-	}
+	maxCp := r.maxForwardCheckpoints()
 	maxBytes := r.fw.MaxBytes
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxForwardBytes
@@ -227,7 +240,27 @@ func (r *Runner) forwardPlan(planned []plannedExperiment, calib ForwardCalibrato
 		// Fall through to interval placement: the drawn plan has
 		// triggers the DP cannot model (instret-watching or mixed).
 	}
-	plan := &ForwardPlan{Campaign: r.camp.Name, MaxBytes: maxBytes, Placement: PlacementInterval}
+	plan := &ForwardPlan{Campaign: r.camp.Name, MaxBytes: maxBytes, Placement: PlacementInterval,
+		Cycles: r.intervalForwardCycles(maxCp)}
+	if hist, ok := forwardHistogramOf(planned); ok {
+		plan.PredictedDelta = forwardPredictedDelta(plan.Cycles, hist)
+	}
+	return plan
+}
+
+// maxForwardCheckpoints is the campaign's checkpoint budget.
+func (r *Runner) maxForwardCheckpoints() int {
+	if r.fw.MaxCheckpoints > 0 {
+		return r.fw.MaxCheckpoints
+	}
+	return DefaultMaxForwardCheckpoints
+}
+
+// intervalForwardCycles is interval placement: at most maxCp capture
+// cycles, evenly spaced over the injection window, or one just before a
+// fixed trigger point.
+func (r *Runner) intervalForwardCycles(maxCp int) []uint64 {
+	var cycles []uint64
 	if r.camp.RandomWindow[1] > 0 && r.camp.Trigger.Kind == "cycle" {
 		// Windowed injection times: spread checkpoints across the window
 		// so every drawn injection cycle has a nearby restore point.
@@ -243,26 +276,18 @@ func (r *Runner) forwardPlan(planned []plannedExperiment, calib ForwardCalibrato
 		if lo > forwardMargin {
 			start = lo - forwardMargin
 		}
-		for c := start; c < hi && len(plan.Cycles) < maxCp; c += interval {
-			plan.Cycles = append(plan.Cycles, c)
+		for c := start; c < hi && len(cycles) < maxCp; c += interval {
+			cycles = append(cycles, c)
 		}
 	} else {
 		// Fixed trigger point: one checkpoint just before it. For
 		// instret triggers the margin still guarantees usability, since
 		// instret never exceeds the cycle count.
-		at, _, ok := r.camp.Trigger.ForwardPoint()
-		if !ok || at <= forwardMargin {
-			return nil
+		if at, _, _ := r.camp.Trigger.ForwardPoint(); at > forwardMargin {
+			cycles = []uint64{at - forwardMargin}
 		}
-		plan.Cycles = []uint64{at - forwardMargin}
 	}
-	if len(plan.Cycles) == 0 {
-		return nil
-	}
-	if hist, ok := forwardHistogramOf(planned); ok {
-		plan.PredictedDelta = forwardPredictedDelta(plan.Cycles, hist)
-	}
-	return plan
+	return cycles
 }
 
 // forwardHistogram is the drawn plan's injection-cycle distribution,
@@ -444,4 +469,116 @@ func forwardPredictedDelta(cycles []uint64, h forwardHistogram) uint64 {
 		}
 	}
 	return total
+}
+
+// Optimal placement plans before the reference run, over every drawn
+// injection point; which of them will be emulated at all is known only
+// after it, from the def-use table the same run records (prune.go). A
+// plan that is optimal for all the points can be worse than interval
+// placement on the ones that are left. So the reference run of an
+// optimally placed campaign records candidates — the DP's cycles and
+// interval placement's — and the runner then keeps, within the same
+// checkpoint budget, the recorded checkpoints that save the most over
+// the experiments that will run. Interval placement's set is one of the
+// choices, which makes "optimal never emulates more cycles than
+// interval" hold for the emulated cycles themselves, not only under the
+// planner's model — as long as the byte budget does not cut recording
+// short.
+
+// forwardCandidates widens an optimal plan to the candidate cycles the
+// reference run records at.
+func (r *Runner) forwardCandidates(plan *ForwardPlan) *ForwardPlan {
+	wide := *plan
+	wide.Cycles = mergeCycles(plan.Cycles, r.intervalForwardCycles(r.maxForwardCheckpoints()))
+	return &wide
+}
+
+// mergeCycles merges two strictly ascending cycle lists into one.
+func mergeCycles(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
+			out, a = append(out, a[0]), a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return out
+}
+
+// emulatedForwardPoints lists, ascending, the injection cycles of the
+// planned experiments the pruner cannot answer. It covers the whole
+// plan, not one shard's range, so every worker of a sharded campaign
+// keeps the same checkpoints.
+func emulatedForwardPoints(planned []plannedExperiment, prune *pruner) []uint64 {
+	var points []uint64
+	for i := range planned {
+		at, byInstret, ok := planned[i].trig.ForwardPoint()
+		if !ok || byInstret {
+			continue
+		}
+		if class, _, _ := prune.classify(&planned[i]); class == NotPruned {
+			points = append(points, at)
+		}
+	}
+	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
+	return points
+}
+
+// keepBestCheckpoints returns the at most keep checkpoints of cps
+// (ascending by cycle) that maximise the cycles saved over points (the
+// ascending injection cycles of the experiments to emulate), under the
+// runtime rule that an experiment restores the last kept checkpoint at or
+// before its injection cycle. With c_i the capture cycles and P(i) the
+// number of points at or after c_i, a kept set i_1 < … < i_k saves
+// Σ c_ij · (P(i_j) − P(i_j+1)); the DP runs from the right over "i is
+// the first kept checkpoint, j more may follow".
+func keepBestCheckpoints(cps []*ForwardCheckpoint, points []uint64, keep int) []*ForwardCheckpoint {
+	m := len(cps)
+	if m <= keep {
+		return cps
+	}
+	if keep <= 0 {
+		return nil
+	}
+	// after[i] = P(i); after[m] = 0.
+	after := make([]uint64, m+1)
+	for i, cp := range cps {
+		first := sort.Search(len(points), func(k int) bool { return points[k] >= cp.Cycle })
+		after[i] = uint64(len(points) - first)
+	}
+	// best[j][i]: most cycles saved over the points at or after c_i when
+	// i is kept and at most j checkpoints after i are; next[j][i] is the
+	// following kept index, or m for none.
+	best := make([][]uint64, keep)
+	next := make([][]int, keep)
+	for j := 0; j < keep; j++ {
+		best[j] = make([]uint64, m)
+		next[j] = make([]int, m)
+		for i := m - 1; i >= 0; i-- {
+			best[j][i], next[j][i] = cps[i].Cycle*after[i], m
+			if j == 0 {
+				continue
+			}
+			for n := i + 1; n < m; n++ {
+				if v := cps[i].Cycle*(after[i]-after[n]) + best[j-1][n]; v > best[j][i] {
+					best[j][i], next[j][i] = v, n
+				}
+			}
+		}
+	}
+	first := 0
+	for i := 1; i < m; i++ {
+		if best[keep-1][i] > best[keep-1][first] {
+			first = i
+		}
+	}
+	kept := make([]*ForwardCheckpoint, 0, keep)
+	for i, j := first, keep-1; i < m; i, j = next[j][i], j-1 {
+		kept = append(kept, cps[i])
+	}
+	return kept
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"goofi/internal/trigger"
@@ -201,5 +203,78 @@ func TestForwardMarginBoundary(t *testing.T) {
 				t.Fatalf("checkpoint at %d cannot serve any planned point", c)
 			}
 		}
+	}
+}
+
+// savedBy scores a kept checkpoint set the way the runtime uses it: each
+// point restores the last checkpoint at or before it.
+func savedBy(kept []*ForwardCheckpoint, points []uint64) uint64 {
+	set := &ForwardSet{Checkpoints: kept}
+	var saved uint64
+	for _, at := range points {
+		if cp := set.Nearest(at, false); cp != nil {
+			saved += cp.Cycle
+		}
+	}
+	return saved
+}
+
+// TestKeepBestCheckpointsIsExhaustiveOptimum: on small random instances
+// the kept set saves exactly as much as the best of all subsets within
+// the budget — so in particular never less than any one of them, such as
+// interval placement's share of the recorded candidates.
+func TestKeepBestCheckpointsIsExhaustiveOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + rng.Intn(10)
+		cps := make([]*ForwardCheckpoint, 0, m)
+		for c := uint64(0); len(cps) < m; {
+			c += uint64(1 + rng.Intn(500))
+			cps = append(cps, &ForwardCheckpoint{Cycle: c})
+		}
+		points := make([]uint64, rng.Intn(30))
+		for i := range points {
+			points[i] = uint64(rng.Intn(5500))
+		}
+		sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
+		keep := rng.Intn(m + 2)
+
+		kept := keepBestCheckpoints(cps, points, keep)
+		if len(kept) > keep {
+			t.Fatalf("trial %d: kept %d checkpoints, budget %d", trial, len(kept), keep)
+		}
+		for i := 1; i < len(kept); i++ {
+			if kept[i].Cycle <= kept[i-1].Cycle {
+				t.Fatalf("trial %d: kept set not ascending", trial)
+			}
+		}
+		var want uint64
+		for mask := 0; mask < 1<<m; mask++ {
+			var sub []*ForwardCheckpoint
+			for i := 0; i < m; i++ {
+				if mask&(1<<i) != 0 {
+					sub = append(sub, cps[i])
+				}
+			}
+			if len(sub) <= keep {
+				want = max(want, savedBy(sub, points))
+			}
+		}
+		if got := savedBy(kept, points); got != want {
+			t.Fatalf("trial %d (m=%d keep=%d, %d points): kept set saves %d, best subset %d",
+				trial, m, keep, len(points), got, want)
+		}
+	}
+}
+
+// TestMergeCycles: the candidate list is the ascending union.
+func TestMergeCycles(t *testing.T) {
+	got := mergeCycles([]uint64{5, 20, 30}, []uint64{1, 20, 25, 40})
+	want := []uint64{1, 5, 20, 25, 30, 40}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
+	}
+	if got := mergeCycles(nil, []uint64{3}); !reflect.DeepEqual(got, []uint64{3}) {
+		t.Fatalf("merged %v, want [3]", got)
 	}
 }

@@ -33,12 +33,21 @@ var (
 	mForwardPredicted = telemetry.NewGauge("goofi_scheduler_forward_predicted_delta_cycles",
 		"The checkpoint plan's predicted re-emulation cycles under the placement cost model.")
 
+	mPruned = telemetry.NewCounterVec("goofi_experiments_pruned_total",
+		"Experiments whose rows were synthesized from the reference run's def-use table instead of being emulated, by class.", "class")
+
 	mRetries = telemetry.NewCounterVec("goofi_robust_retries_total",
 		"Experiment attempts retried, by harness failure class.", "class")
 	mWatchdogFires = telemetry.NewCounter("goofi_robust_watchdog_fires_total",
 		"Attempts killed by the wall-clock watchdog or the emulated-cycle cap.")
 	mBackoffNS = telemetry.NewCounter("goofi_robust_backoff_ns_total",
 		"Nanoseconds spent in retry backoff sleeps.")
+)
+
+// Prune-class children resolved once, so an unpruned run exports zeros.
+var (
+	mPrunedLatent      = mPruned.With(PrunedLatent.String())
+	mPrunedOverwritten = mPruned.With(PrunedOverwritten.String())
 )
 
 // Retry-class children resolved once so the retry path stays off the

@@ -1,0 +1,171 @@
+package core
+
+import (
+	"goofi/internal/campaign"
+	"goofi/internal/faultmodel"
+)
+
+// Def-use fault-space pruning. A transient fault is a set of scan-chain
+// bits flipped once, at the instruction boundary where the trigger stops
+// the workload. If, in the fault-free reference run, nothing reads any
+// of those bits from that boundary on, the faulty run *is* the reference
+// run: same instructions, same outputs, same end. A bit that is never
+// touched again is still flipped in the final scan (latent); a bit that
+// is overwritten first is not (overwritten). Either way the experiment's
+// row is known without running it. The runner asks the reference run's
+// def-use table at dispatch, synthesizes the rows it can prove — byte
+// for byte what emulation would have logged — and leases a board only
+// for the rest. DESIGN.md §14 has the soundness argument per field kind
+// and the list of what is never pruned.
+
+// Access is the kind of the first access a DefUseTable finds.
+type Access uint8
+
+// Access kinds. Anything a table cannot prove is AccessRead.
+const (
+	AccessNone  Access = iota // never touched again: the flip stays
+	AccessRead                // read first: the experiment must run
+	AccessWrite               // overwritten first: the flip is gone
+)
+
+// DefUseTable is a reference run's access trace over the bits of one
+// scan chain, recorded by the target next to the forwarding checkpoints
+// and carried in the ForwardSet.
+type DefUseTable interface {
+	// Chain names the scan chain whose bit offsets the table indexes.
+	Chain() string
+	// InjectionPoint maps a counter trigger's threshold (a cycle count,
+	// or a retired-instruction count when byInstret) to the instruction
+	// boundary at which it stops the workload: the boundary's index and
+	// its cycle count. ok is false when the reference run ended before
+	// the trigger would fire.
+	InjectionPoint(at uint64, byInstret bool) (idx int, cycle uint64, ok bool)
+	// NextAccess reports what first touches chain bit `bit` when the
+	// reference run continues from boundary idx.
+	NextAccess(bit, idx int) Access
+}
+
+// PruneClass says how an experiment's row came to be.
+type PruneClass int
+
+// Prune classes.
+const (
+	// NotPruned: the experiment ran on a board.
+	NotPruned PruneClass = iota
+	// PrunedLatent: no flipped bit is read again and at least one is
+	// never overwritten, so the final scan differs from the reference's
+	// in exactly those bits.
+	PrunedLatent
+	// PrunedOverwritten: every flipped bit is overwritten before any
+	// read; the row equals the reference's.
+	PrunedOverwritten
+)
+
+// String names the class as telemetry labels it.
+func (c PruneClass) String() string {
+	switch c {
+	case PrunedLatent:
+		return "latent"
+	case PrunedOverwritten:
+		return "overwritten"
+	}
+	return "emulated"
+}
+
+// PrunedCounts splits Summary.Pruned by class.
+type PrunedCounts struct {
+	Latent      int
+	Overwritten int
+}
+
+// Total is the number of experiments that never leased a board.
+func (p PrunedCounts) Total() int { return p.Latent + p.Overwritten }
+
+// pruner decides, per planned experiment, whether its row can be
+// synthesized from the reference run.
+type pruner struct {
+	r   *Runner
+	set *ForwardSet
+}
+
+// newPruner returns the campaign's pruner, or nil when nothing may be
+// pruned: no recorded set (forwarding off, a resumed run, a target that
+// records nothing), detail-mode logging (the per-instruction trace has
+// to be produced), an algorithm other than SCIFI (the synthesized row is
+// SCIFI's: run to termination, read memory, read the scan chain), or a
+// table over a different chain than the one the campaign injects into.
+func (r *Runner) newPruner(set *ForwardSet) *pruner {
+	if set == nil || set.DefUse == nil || set.Reference == nil || set.Reference.FinalScan == nil ||
+		set.Campaign != r.camp.Name || r.camp.LogMode == campaign.LogDetail || r.alg.Name != SCIFI.Name {
+		return nil
+	}
+	if _, m, err := r.space(); err != nil || m.Chain != set.DefUse.Chain() {
+		return nil
+	}
+	return &pruner{r: r, set: set}
+}
+
+// classify decides whether pe is a provable no-op. It returns NotPruned
+// when the experiment has to run: a persistent fault (reasserted for the
+// rest of the run), a trigger that is not a counter threshold, an
+// injection point the reference run never reached, or any flipped bit
+// that is read before it is overwritten. Otherwise it returns the class,
+// the cycle of the injection boundary and the bits that stay flipped. A
+// nil pruner prunes nothing.
+func (p *pruner) classify(pe *plannedExperiment) (class PruneClass, cycle uint64, latent []int) {
+	if p == nil || pe.fault.Kind != faultmodel.Transient {
+		return NotPruned, 0, nil
+	}
+	at, byInstret, ok := pe.trig.ForwardPoint()
+	if !ok {
+		return NotPruned, 0, nil
+	}
+	if pe.fault.Validate(p.set.Reference.FinalScan.Len()) != nil {
+		return NotPruned, 0, nil // let InjectFault report it
+	}
+	idx, cycle, ok := p.set.DefUse.InjectionPoint(at, byInstret)
+	if !ok {
+		return NotPruned, 0, nil
+	}
+	for _, b := range pe.fault.Bits {
+		switch p.set.DefUse.NextAccess(b, idx) {
+		case AccessRead:
+			return NotPruned, 0, nil
+		case AccessNone:
+			latent = append(latent, b)
+		}
+	}
+	if len(latent) > 0 {
+		return PrunedLatent, cycle, latent
+	}
+	return PrunedOverwritten, cycle, nil
+}
+
+// try returns the finished experiment and its class when pe is a
+// provable no-op, or (nil, NotPruned) when it has to run.
+func (p *pruner) try(pe *plannedExperiment) (*Experiment, PruneClass) {
+	class, cycle, latent := p.classify(pe)
+	if class == NotPruned {
+		return nil, NotPruned
+	}
+	ref := p.set.Reference
+	scan := ref.FinalScan
+	if len(latent) > 0 {
+		scan = scan.Clone()
+		for _, b := range latent {
+			scan.Flip(b)
+		}
+	}
+	return &Experiment{
+		Campaign:       p.r.camp,
+		Seq:            pe.seq,
+		Name:           campaign.ExperimentName(p.r.camp.Name, pe.seq),
+		Fault:          &pe.fault,
+		Trigger:        pe.trig,
+		InjectionCycle: cycle,
+		Injected:       true,
+		// Memory and Outputs are shared with the reference result and
+		// every other pruned row; records are never mutated.
+		Result: Result{Outcome: ref.Outcome, FinalScan: scan, Memory: ref.Memory, Outputs: ref.Outputs},
+	}, class
+}

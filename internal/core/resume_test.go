@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -181,6 +182,76 @@ func TestResumeReproducesFullRun(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResumeFromFlatListCursor: a campaign interrupted by a build that
+// stored its cursor as the flat "completed" list resumes under this one,
+// which stores ranges, to the same database as an uninterrupted run.
+func TestResumeFromFlatListCursor(t *testing.T) {
+	const n = 10
+	full := storeWithCampaign(t, fakeCampaign(n))
+	r, err := NewRunner(newFakeTarget(), SCIFI, fakeCampaign(n), fakeTSD(), WithSink(full), WithCheckpoints(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	camp := fakeCampaign(n)
+	st := storeWithCampaign(t, camp)
+	var r1 *Runner
+	r1, err = NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(st), WithCheckpoints(1),
+		WithProgress(func(ev ProgressEvent) {
+			if ev.Phase == "experiment" && ev.Done == 4 {
+				r1.Stop()
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r1.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := st.GetCheckpoint("fc")
+	if err != nil || stored == nil || len(stored.Completed) != 4 {
+		t.Fatalf("stored cursor %+v, %v", stored, err)
+	}
+	flat, err := json.Marshal(stored.Completed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`{"campaign":"fc","planHash":%q,"seed":%d,"experiments":%d,"reference":true,"completed":%s}`,
+		stored.PlanHash, stored.Seed, stored.Experiments, flat)
+	if _, err := st.DB().Exec(`UPDATE CampaignCheckpoint SET cursor = ? WHERE campaignName = ?`,
+		sqldb.Blob([]byte(old)), sqldb.Text("fc")); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := st.RecoverCursor("fc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(cp.Completed) != fmt.Sprint(stored.Completed) || cp.PlanHash != stored.PlanHash {
+		t.Fatalf("recovered %+v from the flat-list cursor, stored was %+v", cp, stored)
+	}
+	r2, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(st), WithCheckpoints(1), WithResume(cp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := r2.Run(context.Background()); err != nil || sum.Experiments != n-4 {
+		t.Fatalf("resume ran %d experiments (err %v), want %d", sum.Experiments, err, n-4)
+	}
+	if got, want := dumpLoggedState(t, st, "fc"), dumpLoggedState(t, full, "fc"); got != want {
+		t.Error("database after resuming from a flat-list cursor differs from a full run")
+	}
+	// The cursor the resumed run left behind is in the range form.
+	r3, err := st.DB().Query(`SELECT cursor FROM CampaignCheckpoint WHERE campaignName = ?`, sqldb.Text("fc"))
+	if err != nil || len(r3.Rows) != 1 {
+		t.Fatalf("cursor row: %v, %v", r3, err)
+	}
+	if blob := string(r3.Rows[0][0].B); !strings.Contains(blob, `"completedRanges":[[0,9]]`) {
+		t.Errorf("final cursor %s", blob)
 	}
 }
 

@@ -57,6 +57,11 @@ type Summary struct {
 	ForwardPlacement      string
 	ForwardPredictedDelta uint64
 	ForwardDeltaCycles    uint64
+	// Pruned counts the experiments — included in Experiments, Injected
+	// and ByStatus like any other — whose rows were synthesized from the
+	// reference run's def-use table instead of being emulated (prune.go).
+	// Conservation reads planned = accepted + invalid, pruned ⊆ accepted.
+	Pruned PrunedCounts
 	// Retried counts failed experiment attempts that were re-executed
 	// under the retry policy; InvalidRuns counts experiments that
 	// exhausted their attempts and were recorded as OutcomeInvalidRun;

@@ -306,6 +306,7 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 			items = append(items, queuedExperiment{plannedExperiment: pe})
 		}
 		q = newExpQueue(items)
+		prune := r.newPruner(fwSet)
 		r.progress.SetPhase("experiment")
 
 		// A pause is a checkpoint of its own: the sink is flushed by
@@ -345,6 +346,83 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 				Done:     resumed + done,
 				Total:    r.camp.NumExperiments,
 			}, snap
+		}
+
+		// logged folds one experiment whose row reached the sink — emulated
+		// on a board, or synthesized by the pruner (board -1) — into the
+		// summary, telemetry, progress and cursor.
+		logged := func(seq int, ex *Experiment, class PruneClass, boardID int, expNS int64) {
+			st := ex.Result.Outcome.Status
+			span := telemetry.SpanRecord{Phase: "pruned", Board: -1, Seq: seq, WallNS: expNS}
+			var emulated, saved, delta uint64
+			if class == NotPruned {
+				span = telemetry.SpanRecord{Phase: "experiment", Board: boardID, Seq: seq,
+					StartCycle: ex.ForwardedFrom, EndCycle: ex.Result.Outcome.Cycles, WallNS: expNS}
+				emulated = ex.Result.Outcome.Cycles
+				if ex.Forwarded {
+					saved = ex.ForwardedFrom
+					emulated -= saved
+				}
+				// Achieved forwarding delta: for an injected experiment
+				// with a cycle-threshold trigger, the cycles re-emulated
+				// between the restore point (cycle 0 when cold) and the
+				// injection cycle — the quantity the placement planner
+				// minimises.
+				if at, byInstret, ok := ex.Trigger.ForwardPoint(); ok && !byInstret && ex.Injected {
+					delta = at
+					if ex.Forwarded && saved < at {
+						delta = at - saved
+					}
+				}
+			}
+			ev, snap := account(seq, func() {
+				sum.Experiments++
+				if ex.Injected {
+					sum.Injected++
+				}
+				sum.ByStatus[st]++
+				if st == campaign.OutcomeDetected {
+					sum.ByMechanism[ex.Result.Outcome.Mechanism]++
+				}
+				if ex.Forwarded {
+					sum.Forwarded++
+					sum.CyclesSaved += saved
+				}
+				switch class {
+				case PrunedLatent:
+					sum.Pruned.Latent++
+				case PrunedOverwritten:
+					sum.Pruned.Overwritten++
+				}
+				sum.CyclesEmulated += emulated
+				sum.ForwardDeltaCycles += delta
+			})
+			mCompleted.Inc()
+			mCyclesEmulated.Add(emulated)
+			mCyclesSaved.Add(saved)
+			mForwardDelta.Add(delta)
+			if ex.Forwarded {
+				mForwarded.Inc()
+				r.progress.Forwarded()
+			}
+			switch class {
+			case PrunedLatent:
+				mPrunedLatent.Inc()
+			case PrunedOverwritten:
+				mPrunedOverwritten.Inc()
+			}
+			r.progress.Done()
+			r.tracer.Record(span)
+			ev.Experiment = ex.Name
+			ev.Outcome = st
+			r.emit(ev)
+			if snap != nil {
+				// The cursor write flushes the sink first, so it happens
+				// outside the progress lock.
+				if err := r.saveCursor(ckpt, hash, true, snap); err != nil {
+					failErr(err)
+				}
+			}
 		}
 
 		// Workers blocked in a fleet Acquire are woken by queue progress on
@@ -419,10 +497,26 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 				if !ok {
 					return
 				}
+				expStart := time.Now()
 				if lease != nil && handle.ShouldYield() {
 					// Over the fair-share entitlement with another campaign
-					// waiting: hand the board back between experiments.
+					// waiting: hand the board back between experiments —
+					// before a pruned one too, or a worker synthesizing a
+					// long run of rows would sit on a board it is not using.
 					release()
+				}
+				if ex, class := prune.try(&qe.plannedExperiment); ex != nil {
+					// A provable no-op: its row is known from the reference
+					// run, so it takes the logging path without a board.
+					if err := r.logResult(ex, ""); err != nil {
+						failErr(fmt.Errorf("core: campaign %q %s: %w", r.camp.Name, ex.Name, err))
+						q.finish()
+						q.halt()
+						return
+					}
+					logged(qe.seq, ex, class, -1, time.Since(expStart).Nanoseconds())
+					q.finish()
+					continue
 				}
 				if lease == nil {
 					var lerr error
@@ -449,7 +543,6 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 				}
 				mDispatched.Inc()
 				r.progress.BoardRunning(boardID, qe.seq)
-				expStart := time.Now()
 				// Attempt loop for the in-hand experiment: each attempt
 				// rebuilds the experiment from its per-sequence seed, so a
 				// retried run is bit-identical to a first-try run.
@@ -471,68 +564,7 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 						consecFails = 0
 						expNS := time.Since(expStart).Nanoseconds()
 						busyNS.Add(uint64(expNS))
-						st := ex.Result.Outcome.Status
-						emulated := ex.Result.Outcome.Cycles
-						saved := uint64(0)
-						if ex.Forwarded {
-							saved = ex.ForwardedFrom
-							emulated -= saved
-						}
-						// Achieved forwarding delta: for an injected
-						// experiment with a cycle-threshold trigger, the
-						// cycles re-emulated between the restore point
-						// (cycle 0 when cold) and the injection cycle —
-						// the quantity the placement planner minimises.
-						delta := uint64(0)
-						if at, byInstret, ok := qe.trig.ForwardPoint(); ok && !byInstret && ex.Injected {
-							delta = at
-							if ex.Forwarded && saved < at {
-								delta = at - saved
-							}
-						}
-						ev, snap := account(qe.seq, func() {
-							sum.Experiments++
-							if ex.Injected {
-								sum.Injected++
-							}
-							sum.ByStatus[st]++
-							if st == campaign.OutcomeDetected {
-								sum.ByMechanism[ex.Result.Outcome.Mechanism]++
-							}
-							if ex.Forwarded {
-								sum.Forwarded++
-								sum.CyclesSaved += saved
-							}
-							sum.CyclesEmulated += emulated
-							sum.ForwardDeltaCycles += delta
-						})
-						mCompleted.Inc()
-						mCyclesEmulated.Add(emulated)
-						mCyclesSaved.Add(saved)
-						mForwardDelta.Add(delta)
-						if ex.Forwarded {
-							mForwarded.Inc()
-							r.progress.Forwarded()
-						}
-						r.progress.Done()
-						r.tracer.Record(telemetry.SpanRecord{
-							Phase:      "experiment",
-							Board:      boardID,
-							Seq:        qe.seq,
-							StartCycle: ex.ForwardedFrom,
-							EndCycle:   ex.Result.Outcome.Cycles,
-							WallNS:     expNS,
-						})
-						ev.Experiment = ex.Name
-						ev.Outcome = st
-						r.emit(ev)
-						if snap != nil {
-							// The cursor write flushes the sink first, so it
-							// happens outside the progress lock.
-							if err := r.saveCursor(ckpt, hash, true, snap); err != nil {
-								failErr(err)
-							}
-						}
+						logged(qe.seq, ex, NotPruned, boardID, expNS)
 						q.finish()
 						break
 					}
@@ -734,10 +766,16 @@ func (r *Runner) referenceRun(ctx context.Context, sum *Summary, planned []plann
 		calib, _ := refTarget.(ForwardCalibrator)
 		fwPlan = r.forwardPlan(planned, calib)
 	}
+	optimal := false
 	if fwPlan != nil {
 		sum.ForwardPlacement = fwPlan.Placement
 		sum.ForwardPredictedDelta = fwPlan.PredictedDelta
 		mForwardPredicted.Set(int64(fwPlan.PredictedDelta))
+		// An optimal plan was made without knowing which experiments the
+		// pruner will answer: record candidates, choose after the run.
+		if optimal = fwPlan.Placement == PlacementOptimal; optimal {
+			fwPlan = r.forwardCandidates(fwPlan)
+		}
 	}
 	for attempt := 1; ; attempt++ {
 		ref := r.newExperiment(-1, nil, trigger.Spec{})
@@ -760,10 +798,18 @@ func (r *Runner) referenceRun(ctx context.Context, sum *Summary, planned []plann
 		}
 		if err == nil {
 			sum.CyclesEmulated += ref.Result.Outcome.Cycles
-			if canForward {
-				return fwTarget.TakeForwardSet(), nil
+			if !canForward {
+				return nil, nil
 			}
-			return nil, nil
+			set := fwTarget.TakeForwardSet()
+			if set != nil {
+				set.Reference = &ref.Result
+				if optimal {
+					set.Checkpoints = keepBestCheckpoints(set.Checkpoints,
+						emulatedForwardPoints(planned, r.newPruner(set)), r.maxForwardCheckpoints())
+				}
+			}
+			return set, nil
 		}
 		wrapped := fmt.Errorf("core: campaign %q %s: %w", r.camp.Name, ref.Name, err)
 		if !r.retry.enabled() || attempt >= r.retry.maxAttempts() || ctx.Err() != nil {

@@ -13,6 +13,7 @@ package preinject
 
 import (
 	"fmt"
+	"sort"
 
 	"goofi/internal/asm"
 	"goofi/internal/campaign"
@@ -22,52 +23,14 @@ import (
 	"goofi/internal/trigger"
 )
 
-// access is one register access in the reference trace.
-type access struct {
-	cycle uint64
-	read  bool
-}
-
-// Analysis is the liveness result over the reference execution.
+// Analysis is the liveness result over the reference execution: thor's
+// def-use table of the run, asked about the register file.
 type Analysis struct {
-	accesses   [thor.NumRegs][]access
+	uses       *thor.DefUse
 	EndCycle   uint64
 	Instrs     uint64
 	regFields  [thor.NumRegs]thor.ScanField
 	haveFields bool
-}
-
-// regUses classifies an instruction's register reads and writes.
-func regUses(in thor.Instr) (reads, writes []int) {
-	switch in.Op {
-	case thor.OpMOV, thor.OpNOT:
-		return []int{int(in.Rs1)}, []int{int(in.Rd)}
-	case thor.OpLDI, thor.OpLUI, thor.OpIN:
-		return nil, []int{int(in.Rd)}
-	case thor.OpORI, thor.OpADDI, thor.OpSUBI, thor.OpSHLI, thor.OpSHRI, thor.OpLD:
-		return []int{int(in.Rs1)}, []int{int(in.Rd)}
-	case thor.OpST:
-		return []int{int(in.Rs1), int(in.Rd)}, nil
-	case thor.OpADD, thor.OpSUB, thor.OpMUL, thor.OpDIV, thor.OpMOD,
-		thor.OpAND, thor.OpOR, thor.OpXOR, thor.OpSHL, thor.OpSHR:
-		return []int{int(in.Rs1), int(in.Rs2)}, []int{int(in.Rd)}
-	case thor.OpCMP:
-		return []int{int(in.Rs1), int(in.Rs2)}, nil
-	case thor.OpCMPI:
-		return []int{int(in.Rs1)}, nil
-	case thor.OpCALL:
-		return nil, []int{thor.RegLR}
-	case thor.OpJR:
-		return []int{int(in.Rs1)}, nil
-	case thor.OpPUSH:
-		return []int{int(in.Rs1), thor.RegSP}, []int{thor.RegSP}
-	case thor.OpPOP:
-		return []int{thor.RegSP}, []int{int(in.Rd), thor.RegSP}
-	case thor.OpOUT:
-		return []int{int(in.Rd)}, nil
-	default: // NOP, HALT, TRAP, KICK, branches
-		return nil, nil
-	}
 }
 
 // AnalyzeWorkload runs the fault-free workload on a fresh THOR-S and
@@ -101,28 +64,21 @@ func AnalyzeWorkload(cfg thor.Config, camp *campaign.Campaign) (*Analysis, error
 
 	a := &Analysis{}
 	a.initFields()
+	// done closes the recording: every instruction executed is one
+	// boundary of the table.
+	done := func() (*Analysis, error) {
+		a.uses = cpu.TakeDefUse()
+		a.Instrs = uint64(len(a.uses.Boundaries))
+		a.EndCycle = cpu.Cycle()
+		return a, nil
+	}
+	cpu.RecordDefUse(0)
 	iterations := 0
 	term := camp.Termination
 	for cpu.Cycle() < term.TimeoutCycles {
 		switch cpu.Status() {
 		case thor.StatusRunning:
-			w, err := cpu.ReadWord32(cpu.PC)
-			if err != nil {
-				// Fetch will fault; let the CPU report it.
-				cpu.Step()
-				continue
-			}
-			in := thor.Decode(w)
-			reads, writes := regUses(in)
-			c := cpu.Cycle()
-			for _, r := range reads {
-				a.accesses[r] = append(a.accesses[r], access{cycle: c, read: true})
-			}
-			for _, r := range writes {
-				a.accesses[r] = append(a.accesses[r], access{cycle: c, read: false})
-			}
 			cpu.Step()
-			a.Instrs++
 		case thor.StatusIterationEnd:
 			outs := cpu.Ports().DrainOutput(camp.Workload.OutputPort)
 			if sim != nil {
@@ -130,23 +86,20 @@ func AnalyzeWorkload(cfg thor.Config, camp *campaign.Campaign) (*Analysis, error
 			}
 			iterations++
 			if term.MaxIterations > 0 && iterations >= term.MaxIterations {
-				a.EndCycle = cpu.Cycle()
-				return a, nil
+				return done()
 			}
 			if err := cpu.ResumeIteration(); err != nil {
 				return nil, err
 			}
 		case thor.StatusHalted:
-			a.EndCycle = cpu.Cycle()
-			return a, nil
+			return done()
 		case thor.StatusDetected:
 			return nil, fmt.Errorf("preinject: reference run detected an error: %+v", cpu.Detection())
 		default:
 			return nil, fmt.Errorf("preinject: unexpected status %v", cpu.Status())
 		}
 	}
-	a.EndCycle = cpu.Cycle()
-	return a, nil
+	return done()
 }
 
 func (a *Analysis) initFields() {
@@ -167,12 +120,9 @@ func (a *Analysis) LiveAt(reg int, cycle uint64) bool {
 	if reg < 0 || reg >= thor.NumRegs {
 		return false
 	}
-	for _, acc := range a.accesses[reg] {
-		if acc.cycle > cycle {
-			return acc.read
-		}
-	}
-	return false
+	b := a.uses.Boundaries
+	next := sort.Search(len(b), func(i int) bool { return b[i] > cycle })
+	return a.uses.Next(a.regFields[reg].Offset, next) == thor.AccessRead
 }
 
 // BitLive maps an internal-scan-chain bit offset to liveness at a cycle.

@@ -31,44 +31,6 @@ func sortCampaign(name string, n int, seed int64) *campaign.Campaign {
 	}
 }
 
-func TestRegUsesClassification(t *testing.T) {
-	tests := []struct {
-		in     thor.Instr
-		reads  []int
-		writes []int
-	}{
-		{thor.Instr{Op: thor.OpADD, Rd: 1, Rs1: 2, Rs2: 3}, []int{2, 3}, []int{1}},
-		{thor.Instr{Op: thor.OpLDI, Rd: 4}, nil, []int{4}},
-		{thor.Instr{Op: thor.OpST, Rd: 5, Rs1: 6}, []int{6, 5}, nil},
-		{thor.Instr{Op: thor.OpLD, Rd: 5, Rs1: 6}, []int{6}, []int{5}},
-		{thor.Instr{Op: thor.OpCALL}, nil, []int{thor.RegLR}},
-		{thor.Instr{Op: thor.OpPUSH, Rs1: 3}, []int{3, thor.RegSP}, []int{thor.RegSP}},
-		{thor.Instr{Op: thor.OpPOP, Rd: 3}, []int{thor.RegSP}, []int{3, thor.RegSP}},
-		{thor.Instr{Op: thor.OpBEQ}, nil, nil},
-		{thor.Instr{Op: thor.OpHALT}, nil, nil},
-		{thor.Instr{Op: thor.OpOUT, Rd: 2}, []int{2}, nil},
-		{thor.Instr{Op: thor.OpIN, Rd: 2}, nil, []int{2}},
-	}
-	for _, tt := range tests {
-		r, w := regUses(tt.in)
-		if !equalInts(r, tt.reads) || !equalInts(w, tt.writes) {
-			t.Errorf("%v: reads=%v writes=%v, want %v %v", tt.in, r, w, tt.reads, tt.writes)
-		}
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestAnalyzeSortWorkload(t *testing.T) {
 	camp := sortCampaign("pa", 1, 1)
 	a, err := AnalyzeWorkload(thor.DefaultConfig(), camp)

@@ -17,6 +17,11 @@ import (
 // fault-free prefix of a faulty experiment is identical to the reference
 // run (the fault is applied only at the injection point), so a restored
 // run is bit-exact with a cold one.
+//
+// The same reference run records thor's def-use table (thor/defuse.go)
+// over the internal chain. It travels in the set with the checkpoints, so
+// the runner can tell which planned injections provably change nothing
+// and log those rows without a board (core/prune.go).
 
 // boardState is the target-private payload of a core.ForwardCheckpoint.
 // All fields are immutable after capture; CPU memory pages may be shared
@@ -62,12 +67,40 @@ func (t *Target) ArmForwardRecording(plan *core.ForwardPlan) {
 	t.fwRec = &fwRecorder{plan: plan, set: &core.ForwardSet{Campaign: plan.Campaign}}
 }
 
+// defUse presents thor's def-use table, indexed by internal-chain bit
+// like the campaign's faults, as the core.DefUseTable the pruner asks.
+type defUse struct{ d *thor.DefUse }
+
+func (u defUse) Chain() string { return ChainMap().Chain }
+
+func (u defUse) InjectionPoint(at uint64, byInstret bool) (idx int, cycle uint64, ok bool) {
+	if idx, ok = u.d.Boundary(at, byInstret); ok {
+		cycle = u.d.Boundaries[idx]
+	}
+	return idx, cycle, ok
+}
+
+func (u defUse) NextAccess(bit, idx int) core.Access {
+	switch u.d.Next(bit, idx) {
+	case thor.AccessNone:
+		return core.AccessNone
+	case thor.AccessWrite:
+		return core.AccessWrite
+	}
+	return core.AccessRead
+}
+
 // TakeForwardSet implements core.Forwarder.
 func (t *Target) TakeForwardSet() *core.ForwardSet {
 	rec := t.fwRec
 	t.fwRec = nil
+	du := t.cpu.TakeDefUse()
 	if rec == nil {
 		return nil
+	}
+	if du != nil {
+		rec.set.DefUse = defUse{du}
+		rec.set.Bytes += du.Bytes()
 	}
 	// The reference run ended with plan points still pending: promote the
 	// horizon guard so injections beyond the recording horizon restore
@@ -85,7 +118,7 @@ func (t *Target) TakeForwardSet() *core.ForwardSet {
 			mFwRecorded.Inc()
 		}
 	}
-	if len(rec.set.Checkpoints) == 0 {
+	if len(rec.set.Checkpoints) == 0 && rec.set.DefUse == nil {
 		return nil
 	}
 	return rec.set

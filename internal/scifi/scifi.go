@@ -235,6 +235,11 @@ func (t *Target) WriteMemory(ex *core.Experiment) error {
 // detail-mode trace hook installed. On the simulated board execution is
 // demand-driven, so "starting" the workload means arming it.
 func (t *Target) RunWorkload(ex *core.Experiment) error {
+	if ex.IsReference() && t.fwRec != nil {
+		// A recording reference run also records its def-use table, from
+		// the first instruction on, under the set's byte budget.
+		t.cpu.RecordDefUse(t.fwRec.plan.MaxBytes)
+	}
 	if !ex.IsReference() {
 		trig, err := ex.Trigger.Build()
 		if err != nil {

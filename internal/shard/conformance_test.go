@@ -27,6 +27,7 @@ import (
 	"goofi/internal/server"
 	"goofi/internal/shard"
 	"goofi/internal/sqldb"
+	"goofi/internal/telemetry"
 	"goofi/internal/thor"
 	"goofi/internal/trigger"
 	"goofi/internal/workload"
@@ -51,9 +52,8 @@ func conformanceCampaign(name string, n int) *campaign.Campaign {
 	}
 }
 
-// soloRun executes camp exactly the way `goofi run` does and returns the
-// store holding the ground-truth results.
-func soloRun(t *testing.T, camp *campaign.Campaign) *campaign.Store {
+// soloStore opens a fresh file-backed store holding camp's definition.
+func soloStore(t *testing.T, camp *campaign.Campaign) *campaign.Store {
 	t.Helper()
 	db, err := sqldb.OpenAt(filepath.Join(t.TempDir(), "solo.db"), sqldb.SyncBarrier)
 	if err != nil {
@@ -64,28 +64,46 @@ func soloRun(t *testing.T, camp *campaign.Campaign) *campaign.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsd := scifi.TargetSystemData(camp.TargetName)
-	if err := st.PutTargetSystem(tsd); err != nil {
+	if err := st.PutTargetSystem(scifi.TargetSystemData(camp.TargetName)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutCampaign(camp); err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// soloRunInto executes camp on st exactly the way `goofi run` (or, with
+// core.WithResume among opts, `goofi resume`) does.
+func soloRunInto(t *testing.T, st *campaign.Store, camp *campaign.Campaign, opts ...core.RunnerOption) *core.Summary {
+	t.Helper()
 	factory := func() core.TargetSystem { return scifi.New(thor.DefaultConfig()) }
 	sink := campaign.NewBatchingSink(st, 0)
-	r, err := core.NewRunner(factory(), core.SCIFI, camp, tsd,
-		core.WithSink(sink),
-		core.WithBoards(2, factory),
-		core.WithCheckpoints(core.DefaultCheckpointInterval))
+	r, err := core.NewRunner(factory(), core.SCIFI, camp, scifi.TargetSystemData(camp.TargetName),
+		append([]core.RunnerOption{
+			core.WithSink(sink),
+			core.WithBoards(2, factory),
+			core.WithCheckpoints(core.DefaultCheckpointInterval),
+		}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(context.Background()); err != nil {
+	sum, err := r.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return sum
+}
+
+// soloRun executes camp exactly the way `goofi run` does and returns the
+// store holding the ground-truth results.
+func soloRun(t *testing.T, camp *campaign.Campaign, opts ...core.RunnerOption) *campaign.Store {
+	t.Helper()
+	st := soloStore(t, camp)
+	soloRunInto(t, st, camp, opts...)
 	if err := st.DeleteCheckpoint(camp.Name); err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +253,138 @@ func TestShardConformanceCounts(t *testing.T) {
 			assertIdentical(t, tenantStore(t, dir, "alice"), "conf", wantRecs, wantReport)
 		})
 	}
+}
+
+// prunedTotal reads the process-wide count of experiments logged from
+// the def-use table instead of a board.
+func prunedTotal() float64 {
+	snap := telemetry.Default.Snapshot()
+	return snap[`goofi_experiments_pruned_total{class="latent"}`] +
+		snap[`goofi_experiments_pruned_total{class="overwritten"}`]
+}
+
+// TestShardConformancePruning is the execution-mode half of the pruning
+// differential. The oracle is a solo run with forwarding off — nothing
+// recorded, nothing pruned, every experiment emulated. Against it: the
+// pruning solo run; a run stopped mid-campaign and resumed (the resumed
+// half has no recorded set and emulates everything, the first half
+// pruned); and two shards leased one after the other by a single worker,
+// whose second lease skips the reference run and must prune from the set
+// it carried over.
+func TestShardConformancePruning(t *testing.T) {
+	const n = 120
+	camp := conformanceCampaign("confprune", n)
+	oracle := soloRun(t, camp, core.WithForwarding(core.ForwardConfig{Disabled: true}))
+	wantRecs := recordBytes(t, oracle, "confprune")
+	wantReport := reportText(t, oracle, "confprune")
+
+	t.Run("solo", func(t *testing.T) {
+		st := soloStore(t, camp)
+		sum := soloRunInto(t, st, camp)
+		if sum.Pruned.Latent == 0 || sum.Pruned.Overwritten == 0 {
+			t.Fatalf("pruned %+v: want both classes, or the table proves nothing", sum.Pruned)
+		}
+		assertIdentical(t, st, "confprune", wantRecs, wantReport)
+	})
+
+	t.Run("resumed", func(t *testing.T) {
+		st := soloStore(t, camp)
+		factory := func() core.TargetSystem { return scifi.New(thor.DefaultConfig()) }
+		sink := campaign.NewBatchingSink(st, 0)
+		var r *core.Runner
+		r, err := core.NewRunner(factory(), core.SCIFI, camp, scifi.TargetSystemData(camp.TargetName),
+			core.WithSink(sink), core.WithBoards(1, factory), core.WithCheckpoints(4),
+			core.WithProgress(func(ev core.ProgressEvent) {
+				if ev.Phase == "experiment" && ev.Done == n/2 {
+					r.Stop()
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if first.Experiments != n/2 || first.Pruned.Total() == 0 {
+			t.Fatalf("first half: %d experiments, pruned %+v", first.Experiments, first.Pruned)
+		}
+		cp, err := st.RecoverCursor("confprune")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := soloRunInto(t, st, camp, core.WithResume(cp))
+		if rest.Experiments != n-n/2 || rest.Pruned.Total() != 0 {
+			t.Fatalf("resumed half: %d experiments, pruned %+v (no set was recorded: want 0)",
+				rest.Experiments, rest.Pruned)
+		}
+		assertIdentical(t, st, "confprune", wantRecs, wantReport)
+	})
+
+	t.Run("one-worker-two-leases", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := server.New(server.Config{DataDir: dir, Boards: 2, MaxConcurrent: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, body := postJSON(t, ts.URL+"/api/v1/campaigns", server.SubmitRequest{
+			Tenant: "alice", Campaign: camp, Shards: 2, ExternalWorkers: true,
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+		}
+		// The worker's hook sees every row it logs, pruned ones included:
+		// the first row from the other half of the plan marks the start
+		// of its second lease.
+		var mu sync.Mutex
+		firstHalf, leases, references := false, 0, 0
+		var atSecondLease float64
+		w, err := shard.NewWorker(shard.WorkerConfig{
+			Name: "w0", Dir: filepath.Join(t.TempDir(), "w0"), Boards: 1,
+			Transport: &shard.HTTPTransport{Base: ts.URL, Tenant: "alice", Campaign: "confprune"},
+			Poll:      10 * time.Millisecond,
+			OnRecord: func(rec *campaign.ExperimentRecord) {
+				mu.Lock()
+				defer mu.Unlock()
+				if rec.Data.Seq < 0 {
+					references++
+					return
+				}
+				if half := rec.Data.Seq < n/2; leases == 0 || half != firstHalf {
+					if leases++; leases == 2 {
+						atSecondLease = prunedTotal()
+					}
+					firstHalf = half
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		if err := w.Run(ctx); err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		if st := waitState(t, ts.URL, "alice", "confprune"); st.State != server.StateDone {
+			t.Fatalf("state = %s (err %q)", st.State, st.Error)
+		}
+		shutdownServer(t, s)
+		mu.Lock()
+		defer mu.Unlock()
+		if leases != 2 || references != 1 {
+			t.Fatalf("worker logged rows of %d leases and %d reference runs, want 2 and 1", leases, references)
+		}
+		if got := prunedTotal() - atSecondLease; got <= 0 {
+			t.Errorf("the second lease pruned %v experiments: the carried set lost its def-use table", got)
+		}
+		assertIdentical(t, tenantStore(t, dir, "alice"), "confprune", wantRecs, wantReport)
+	})
 }
 
 // traceBytes renders every detail-mode trace row, grouped under its

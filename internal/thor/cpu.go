@@ -218,6 +218,10 @@ type CPU struct {
 	// analysis attach here.
 	TraceHook func(c *CPU)
 
+	// du, when non-nil, is the armed def-use recorder (defuse.go): Step
+	// logs through it, and the fast path hands over to Step.
+	du *DefUse
+
 	// RunHook, when non-nil, is called once at every Run entry before
 	// any instruction executes. The chaos harness attaches here to
 	// simulate a wedged board: a hook that blocks stalls the run exactly
@@ -400,16 +404,29 @@ func (c *CPU) detect(m EDM, info string) {
 
 // fetch reads the instruction word at PC through the instruction cache.
 func (c *CPU) fetch() (uint32, bool) {
-	if c.PC%4 != 0 {
-		c.detect(EDMMisaligned, fmt.Sprintf("instruction fetch at %#x", c.PC))
-		return 0, false
-	}
-	if uint64(c.PC)+4 > uint64(len(c.mem)) {
-		c.detect(EDMMemRange, fmt.Sprintf("instruction fetch at %#x", c.PC))
+	if !c.wordInMemory(c.PC) {
+		c.detectBadAddress("instruction fetch", c.PC)
 		return 0, false
 	}
 	w, ok := c.cachedRead(&c.icache, c.PC, EDMParityI)
 	return w, ok
+}
+
+// wordInMemory is the alignment and range check fetch, dataRead and
+// dataWrite make before they touch a cache — and the def-use recorder
+// (defuse.go) before it logs what they will touch.
+func (c *CPU) wordInMemory(addr uint32) bool {
+	return addr%4 == 0 && uint64(addr)+4 <= uint64(len(c.mem))
+}
+
+// detectBadAddress raises the EDM for an access that failed wordInMemory:
+// misalignment is checked first.
+func (c *CPU) detectBadAddress(what string, addr uint32) {
+	edm := EDMMemRange
+	if addr%4 != 0 {
+		edm = EDMMisaligned
+	}
+	c.detect(edm, fmt.Sprintf("%s at %#x", what, addr))
 }
 
 // cachedRead reads a word through the given cache, raising parityEDM on a
@@ -462,7 +479,7 @@ func (c *CPU) busRead(addr uint32) uint32 {
 		addr = addr&^c.force.AddrMask | c.force.AddrVal&c.force.AddrMask
 	}
 	var w uint32
-	if uint64(addr)+4 <= uint64(len(c.mem)) && addr%4 == 0 {
+	if c.wordInMemory(addr) {
 		w = c.memWord(addr)
 	}
 	if c.force.Active {
@@ -481,12 +498,8 @@ func (c *CPU) sampleReadPins(addr, w uint32) {
 
 // dataRead reads a data word with EDM checks and pin forcing.
 func (c *CPU) dataRead(addr uint32) (uint32, bool) {
-	if addr%4 != 0 {
-		c.detect(EDMMisaligned, fmt.Sprintf("load at %#x", addr))
-		return 0, false
-	}
-	if uint64(addr)+4 > uint64(len(c.mem)) {
-		c.detect(EDMMemRange, fmt.Sprintf("load at %#x", addr))
+	if !c.wordInMemory(addr) {
+		c.detectBadAddress("load", addr)
 		return 0, false
 	}
 	if c.force.Active {
@@ -498,12 +511,8 @@ func (c *CPU) dataRead(addr uint32) (uint32, bool) {
 
 // dataWrite writes a data word with EDM checks (write-through).
 func (c *CPU) dataWrite(addr, w uint32) bool {
-	if addr%4 != 0 {
-		c.detect(EDMMisaligned, fmt.Sprintf("store at %#x", addr))
-		return false
-	}
-	if uint64(addr)+4 > uint64(len(c.mem)) {
-		c.detect(EDMMemRange, fmt.Sprintf("store at %#x", addr))
+	if !c.wordInMemory(addr) {
+		c.detectBadAddress("store", addr)
 		return false
 	}
 	c.memSetWord(addr, w)
@@ -549,6 +558,9 @@ func (c *CPU) Step() Status {
 	if c.cfg.WatchdogLimit > 0 && c.cycle-c.lastKick > c.cfg.WatchdogLimit {
 		c.detect(EDMWatchdog, fmt.Sprintf("no kick for %d cycles", c.cycle-c.lastKick))
 		return c.status
+	}
+	if c.du != nil {
+		return c.stepRecorded()
 	}
 	w, ok := c.fetch()
 	if !ok {

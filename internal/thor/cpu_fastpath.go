@@ -100,7 +100,7 @@ func (c *CPU) fetchPredecoded() (Instr, bool) {
 		return Instr{}, false
 	}
 	pc := c.PC
-	if pc%4 != 0 || uint64(pc)+4 > uint64(len(c.mem)) {
+	if !c.wordInMemory(pc) {
 		return Instr{}, false
 	}
 	li, wi, tag := c.icache.index(pc)
@@ -138,6 +138,9 @@ func (c *CPU) fetchPredecoded() (Instr, bool) {
 // stepFast in place of Step. Byte-identical outcomes are pinned by
 // TestFastPathDifferential*.
 func (c *CPU) RunFast(cycleBudget uint64) Status {
+	if c.du != nil {
+		return c.Run(cycleBudget) // only the cycle-accurate path records
+	}
 	if c.RunHook != nil {
 		c.RunHook(c)
 	}
@@ -168,6 +171,15 @@ func (c *CPU) RunFast(cycleBudget uint64) Status {
 // owns the budget/trigger policy.
 func (c *CPU) StepBurst(cycleBudget uint64) Status {
 	start := c.cycle
+	if c.du != nil {
+		// Only the step path records. Its own loop, not a step function
+		// picked once: the indirect call cost the burst 10% (275 against
+		// 245 Mcycles/s on the PID kernel).
+		for c.status == StatusRunning && c.cycle-start < cycleBudget {
+			c.Step()
+		}
+		return c.status
+	}
 	for c.status == StatusRunning && c.cycle-start < cycleBudget {
 		c.stepFast()
 	}

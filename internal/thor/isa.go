@@ -128,49 +128,95 @@ type opInfo struct {
 	name   string
 	cycles uint64 // base cost, excluding cache-miss penalties
 	valid  bool
+	use    regUse // registers execDecoded reads and writes
+}
+
+// regUse names which registers an instruction reads and writes, in terms
+// of its operand fields and the two implicit registers. It must follow
+// execDecoded exactly: the def-use recorder (defuse.go) and, through it,
+// fault-space pruning and the pre-injection analysis trust it.
+type regUse uint8
+
+const (
+	rRs1 regUse = 1 << iota
+	rRs2
+	rRd
+	rSP
+	wRd
+	wLR
+	wSP
+)
+
+// regUses resolves the instruction's register reads and writes to
+// bitmasks over r0..r15. Invalid opcodes use nothing: they stop at the
+// illegal-opcode EDM.
+func regUses(in Instr) (reads, writes uint16) {
+	u := opTable[in.Op].use
+	if u&rRs1 != 0 {
+		reads |= 1 << in.Rs1
+	}
+	if u&rRs2 != 0 {
+		reads |= 1 << in.Rs2
+	}
+	if u&rRd != 0 {
+		reads |= 1 << in.Rd
+	}
+	if u&rSP != 0 {
+		reads |= 1 << RegSP
+	}
+	if u&wRd != 0 {
+		writes |= 1 << in.Rd
+	}
+	if u&wLR != 0 {
+		writes |= 1 << RegLR
+	}
+	if u&wSP != 0 {
+		writes |= 1 << RegSP
+	}
+	return reads, writes
 }
 
 var opTable = [256]opInfo{
-	OpNOP:  {"NOP", 1, true},
-	OpHALT: {"HALT", 1, true},
-	OpMOV:  {"MOV", 1, true},
-	OpLDI:  {"LDI", 1, true},
-	OpLUI:  {"LUI", 1, true},
-	OpORI:  {"ORI", 1, true},
-	OpLD:   {"LD", 2, true},
-	OpST:   {"ST", 2, true},
-	OpADD:  {"ADD", 1, true},
-	OpADDI: {"ADDI", 1, true},
-	OpSUB:  {"SUB", 1, true},
-	OpSUBI: {"SUBI", 1, true},
-	OpMUL:  {"MUL", 4, true},
-	OpDIV:  {"DIV", 12, true},
-	OpMOD:  {"MOD", 12, true},
-	OpAND:  {"AND", 1, true},
-	OpOR:   {"OR", 1, true},
-	OpXOR:  {"XOR", 1, true},
-	OpNOT:  {"NOT", 1, true},
-	OpSHL:  {"SHL", 1, true},
-	OpSHR:  {"SHR", 1, true},
-	OpSHLI: {"SHLI", 1, true},
-	OpSHRI: {"SHRI", 1, true},
-	OpCMP:  {"CMP", 1, true},
-	OpCMPI: {"CMPI", 1, true},
-	OpBEQ:  {"BEQ", 2, true},
-	OpBNE:  {"BNE", 2, true},
-	OpBLT:  {"BLT", 2, true},
-	OpBGE:  {"BGE", 2, true},
-	OpBGT:  {"BGT", 2, true},
-	OpBLE:  {"BLE", 2, true},
-	OpBRA:  {"BRA", 2, true},
-	OpCALL: {"CALL", 2, true},
-	OpJR:   {"JR", 2, true},
-	OpPUSH: {"PUSH", 2, true},
-	OpPOP:  {"POP", 2, true},
-	OpIN:   {"IN", 2, true},
-	OpOUT:  {"OUT", 2, true},
-	OpTRAP: {"TRAP", 2, true},
-	OpKICK: {"KICK", 1, true},
+	OpNOP:  {"NOP", 1, true, 0},
+	OpHALT: {"HALT", 1, true, 0},
+	OpMOV:  {"MOV", 1, true, rRs1 | wRd},
+	OpLDI:  {"LDI", 1, true, wRd},
+	OpLUI:  {"LUI", 1, true, wRd},
+	OpORI:  {"ORI", 1, true, rRs1 | wRd},
+	OpLD:   {"LD", 2, true, rRs1 | wRd},
+	OpST:   {"ST", 2, true, rRs1 | rRd},
+	OpADD:  {"ADD", 1, true, rRs1 | rRs2 | wRd},
+	OpADDI: {"ADDI", 1, true, rRs1 | wRd},
+	OpSUB:  {"SUB", 1, true, rRs1 | rRs2 | wRd},
+	OpSUBI: {"SUBI", 1, true, rRs1 | wRd},
+	OpMUL:  {"MUL", 4, true, rRs1 | rRs2 | wRd},
+	OpDIV:  {"DIV", 12, true, rRs1 | rRs2 | wRd},
+	OpMOD:  {"MOD", 12, true, rRs1 | rRs2 | wRd},
+	OpAND:  {"AND", 1, true, rRs1 | rRs2 | wRd},
+	OpOR:   {"OR", 1, true, rRs1 | rRs2 | wRd},
+	OpXOR:  {"XOR", 1, true, rRs1 | rRs2 | wRd},
+	OpNOT:  {"NOT", 1, true, rRs1 | wRd},
+	OpSHL:  {"SHL", 1, true, rRs1 | rRs2 | wRd},
+	OpSHR:  {"SHR", 1, true, rRs1 | rRs2 | wRd},
+	OpSHLI: {"SHLI", 1, true, rRs1 | wRd},
+	OpSHRI: {"SHRI", 1, true, rRs1 | wRd},
+	OpCMP:  {"CMP", 1, true, rRs1 | rRs2},
+	OpCMPI: {"CMPI", 1, true, rRs1},
+	OpBEQ:  {"BEQ", 2, true, 0},
+	OpBNE:  {"BNE", 2, true, 0},
+	OpBLT:  {"BLT", 2, true, 0},
+	OpBGE:  {"BGE", 2, true, 0},
+	OpBGT:  {"BGT", 2, true, 0},
+	OpBLE:  {"BLE", 2, true, 0},
+	OpBRA:  {"BRA", 2, true, 0},
+	OpCALL: {"CALL", 2, true, wLR},
+	OpJR:   {"JR", 2, true, rRs1},
+	OpPUSH: {"PUSH", 2, true, rRs1 | rSP | wSP},
+	OpPOP:  {"POP", 2, true, rSP | wRd | wSP},
+	OpIN:   {"IN", 2, true, wRd},
+	OpOUT:  {"OUT", 2, true, rRd},
+	OpTRAP: {"TRAP", 2, true, 0},
+	OpKICK: {"KICK", 1, true, 0},
 }
 
 // Valid reports whether op is a defined THOR-S opcode.
