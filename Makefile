@@ -39,8 +39,13 @@ tier1:
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
 # equivalence tests, the golden end-to-end report, plus a short fuzz
-# smoke of the SQL front end.
+# smoke of the SQL front end and of the two byte formats recovery reads.
+# The -race line runs the group-commit durability cases fresh: cursor
+# saves are commits in the sink's queue, applied by another goroutine,
+# and these are the tests that kill a campaign between any two of them,
+# lose a queued save's error, or damage the snapshot image.
 tier2:
+	$(GO) test -race ./internal/sqldb/ ./internal/campaign/ ./internal/core/ -run 'Snapshot|CheckpointFailing|HostileSizes|Sink|SeqRanges|EveryLogCut|ResumeReproduces' -count 1
 	$(GO) test ./internal/sqldb/ -run 'WAL|Crash|Checkpoint|Stale|OpenAt|Replay' -count 1
 	$(GO) test ./internal/campaign/ -run 'Checkpoint|RecoverCursor|Sink' -count 1
 	$(GO) test ./internal/core/ -run 'Resume|Pause' -count 1
@@ -93,3 +98,5 @@ bench:
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)

@@ -28,6 +28,42 @@ type Checkpoint struct {
 	// Completed holds the sequence numbers of experiments whose end
 	// records are durable, sorted ascending.
 	Completed []int `json:"completed"`
+	// Ranges, when non-nil, is the completed set as runs and is stored in
+	// Completed's place: a writer that keeps runs (the scheduler, at every
+	// cursor save) hands them over instead of one entry per experiment.
+	// A cursor read back always has Completed filled and Ranges nil.
+	Ranges SeqRanges `json:"-"`
+}
+
+// SeqRanges is a set of sequence numbers kept as ascending inclusive
+// [lo, hi] runs that neither overlap nor touch — the stored form of a
+// cursor's completed set.
+type SeqRanges [][2]int
+
+// Add returns the set with seq in it. A campaign completes its plan mostly
+// in order, so the common case extends the last run in place.
+func (r SeqRanges) Add(seq int) SeqRanges {
+	// i is the first run that ends at or after seq-1. seq lies in it,
+	// extends it at either end (upwards perhaps into the run after it), or
+	// stands alone before it; every earlier run ends too far below.
+	i := sort.Search(len(r), func(i int) bool { return r[i][1] >= seq-1 })
+	switch {
+	case i == len(r):
+		return append(r, [2]int{seq, seq})
+	case seq >= r[i][0] && seq <= r[i][1]:
+		return r
+	case seq == r[i][1]+1:
+		r[i][1] = seq
+		if i+1 < len(r) && r[i+1][0] == seq+1 {
+			r[i][1] = r[i+1][1]
+			r = slices.Delete(r, i+1, i+2)
+		}
+		return r
+	case seq == r[i][0]-1:
+		r[i][0] = seq
+		return r
+	}
+	return slices.Insert(r, i, [2]int{seq, seq})
 }
 
 // checkpointJSON is the stored form of a Checkpoint. A campaign
@@ -46,17 +82,15 @@ type checkpointJSON struct {
 	Ranges      [][2]int `json:"completedRanges"`
 }
 
-// MarshalJSON writes Completed — sorted ascending, as documented — as
-// ranges. (An unsorted list still reads back as the same set, in more
-// ranges than it needs.)
+// MarshalJSON writes the completed set — Ranges, or else Completed — as
+// ranges.
 func (cp Checkpoint) MarshalJSON() ([]byte, error) {
-	ranges := [][2]int{}
-	for _, seq := range cp.Completed {
-		if n := len(ranges); n > 0 && (seq == ranges[n-1][1] || seq == ranges[n-1][1]+1) {
-			ranges[n-1][1] = seq
-			continue
+	ranges := cp.Ranges
+	if ranges == nil {
+		ranges = SeqRanges{}
+		for _, seq := range cp.Completed {
+			ranges = ranges.Add(seq)
 		}
-		ranges = append(ranges, [2]int{seq, seq})
 	}
 	return json.Marshal(checkpointJSON{Campaign: cp.Campaign, PlanHash: cp.PlanHash, Seed: cp.Seed,
 		Experiments: cp.Experiments, Reference: cp.Reference, Ranges: ranges})
@@ -104,11 +138,19 @@ const checkpointDDL = `CREATE TABLE IF NOT EXISTS CampaignCheckpoint (
 	)`
 
 // SaveCheckpoint stores the campaign cursor and raises a durability
-// barrier, so a checkpoint on disk always implies its experiments are on
-// disk too. Callers that buffer records (BatchingSink) must flush before
-// saving; Store writes synchronously, so the ordering holds by
-// construction.
+// barrier before it returns, so a checkpoint on disk always implies its
+// experiments are on disk too: Store writes synchronously, and the rows
+// the cursor names were written before it. (BatchingSink keeps the same
+// order in its queue, and shares one barrier among the cursors queued.)
 func (s *Store) SaveCheckpoint(cp *Checkpoint) error {
+	if err := s.putCheckpoint(cp); err != nil {
+		return err
+	}
+	return s.db.Barrier()
+}
+
+// putCheckpoint writes the cursor row, without the barrier.
+func (s *Store) putCheckpoint(cp *Checkpoint) error {
 	blob, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("campaign: marshal checkpoint %q: %w", cp.Campaign, err)
@@ -124,7 +166,7 @@ func (s *Store) SaveCheckpoint(cp *Checkpoint) error {
 			return err
 		}
 	}
-	return s.db.Barrier()
+	return nil
 }
 
 // GetCheckpoint loads the stored cursor of a campaign, or nil when the

@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -200,10 +202,13 @@ func TestRecoverCursorPrunesOrphanTraces(t *testing.T) {
 }
 
 // TestBatchingSinkSaveCheckpointFlushesFirst checks the crash-safety
-// invariant: by the time the cursor row exists, every record queued
-// before it is durable in the store.
+// invariant at the sink's durability point: SaveCheckpoint only queues the
+// cursor behind the records logged before it, and once Flush has returned
+// both are in the store — the records first, which the log's order shows.
 func TestBatchingSinkSaveCheckpointFlushesFirst(t *testing.T) {
 	st := sinkFixture(t)
+	var log bytes.Buffer
+	st.db.AttachWAL(sqldb.NewWAL(&log, sqldb.SyncAlways))
 	s := NewBatchingSink(st, 1000) // batch never fills on its own
 	defer s.Close()
 	for i := 0; i < 5; i++ {
@@ -216,16 +221,24 @@ func TestBatchingSinkSaveCheckpointFlushesFirst(t *testing.T) {
 	if err := s.SaveCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	recs, err := st.Experiments("camp-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 5 {
-		t.Errorf("cursor saved with %d durable records, want 5", len(recs))
+		t.Errorf("cursor flushed with %d durable records, want 5", len(recs))
 	}
 	got, err := st.GetCheckpoint("camp-1")
 	if err != nil || got == nil {
-		t.Fatalf("checkpoint missing after SaveCheckpoint: %+v, %v", got, err)
+		t.Fatalf("checkpoint missing after Flush: %+v, %v", got, err)
+	}
+	rows := bytes.Index(log.Bytes(), []byte("INSERT INTO LoggedSystemState"))
+	cursor := bytes.Index(log.Bytes(), []byte("CampaignCheckpoint"))
+	if rows < 0 || cursor < rows {
+		t.Errorf("log has the rows at byte %d and the cursor at byte %d; the rows must come first", rows, cursor)
 	}
 }
 
@@ -240,7 +253,7 @@ func (brokenDisk) Write(p []byte) (int, error) {
 // TestSinkPropagatesWALFailure drives a write failure from the bottom of
 // the stack (the WAL's writer) up through the batching sink: the flush
 // fails with a useful error, the sink stays poisoned, and SaveCheckpoint
-// refuses to write a cursor that would claim durability it doesn't have.
+// refuses to queue a cursor that would claim durability it doesn't have.
 func TestSinkPropagatesWALFailure(t *testing.T) {
 	st := sinkFixture(t) // schema + fixtures written before the disk "fails"
 	st.db.AttachWAL(sqldb.NewWAL(brokenDisk{}, sqldb.SyncAlways))
@@ -257,13 +270,94 @@ func TestSinkPropagatesWALFailure(t *testing.T) {
 		}
 	}
 	if err := s.SaveCheckpoint(testCheckpoint()); err == nil {
-		t.Error("SaveCheckpoint wrote a cursor through a poisoned sink")
+		t.Error("SaveCheckpoint queued a cursor through a poisoned sink")
 	}
 	if err := s.LogExperiment(sinkRecord(2)); err == nil {
 		t.Error("poisoned sink accepted another record")
 	}
 	if err := s.Close(); err == nil {
 		t.Error("poisoned sink closed without error")
+	}
+}
+
+// TestSinkKeepsQueuedCheckpointError: a cursor save returns before its
+// write is attempted, so a write that then fails must come back from every
+// later call — and the cursor whose rows failed must not have been stored.
+func TestSinkKeepsQueuedCheckpointError(t *testing.T) {
+	for _, next := range []string{"LogExperiment", "SaveCheckpoint", "Flush", "Close"} {
+		st := sinkFixture(t)
+		s := NewBatchingSink(st, 1000)
+		if err := s.LogExperiment(sinkRecord(0)); err != nil {
+			t.Fatal(err)
+		}
+		st.db.AttachWAL(sqldb.NewWAL(brokenDisk{}, sqldb.SyncAlways))
+		if err := s.SaveCheckpoint(testCheckpoint()); err != nil {
+			t.Fatalf("queueing the cursor: %v", err)
+		}
+		// Wait for the writer without going through the sink's own calls.
+		s.mu.Lock()
+		for s.pending > 0 {
+			s.cond.Wait()
+		}
+		s.mu.Unlock()
+		var err error
+		switch next {
+		case "LogExperiment":
+			err = s.LogExperiment(sinkRecord(1))
+		case "SaveCheckpoint":
+			err = s.SaveCheckpoint(testCheckpoint())
+		case "Flush":
+			err = s.Flush()
+		case "Close":
+			err = s.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("%s after a failed queued save returned %v", next, err)
+		}
+		if cerr := s.Close(); cerr == nil {
+			t.Errorf("Close after %s lost the error", next)
+		}
+		if cp, _ := st.GetCheckpoint("camp-1"); cp != nil {
+			t.Errorf("cursor %+v stored although its rows' write failed", cp)
+		}
+	}
+}
+
+// TestSeqRangesAdd: whatever order sequence numbers arrive in, the runs are
+// the ones the sorted list collapses to, and a cursor holding them is
+// stored as the same bytes as one holding the list.
+func TestSeqRangesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		var r SeqRanges
+		in := make(map[int]bool)
+		for i := 0; i < n; i++ {
+			seq := rng.Intn(50)
+			r = r.Add(seq)
+			in[seq] = true
+		}
+		var want SeqRanges
+		var sorted []int
+		for seq := 0; seq < 50; seq++ {
+			if !in[seq] {
+				continue
+			}
+			sorted = append(sorted, seq)
+			if k := len(want); k > 0 && want[k-1][1] == seq-1 {
+				want[k-1][1] = seq
+			} else {
+				want = append(want, [2]int{seq, seq})
+			}
+		}
+		if fmt.Sprint(r) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: got %v, want %v", trial, r, want)
+		}
+		asList, err1 := json.Marshal(Checkpoint{Campaign: "c", Experiments: 50, Completed: sorted})
+		asRuns, err2 := json.Marshal(Checkpoint{Campaign: "c", Experiments: 50, Ranges: r})
+		if err1 != nil || err2 != nil || !bytes.Equal(asList, asRuns) {
+			t.Fatalf("trial %d: stored as %s from the list, %s from the runs", trial, asList, asRuns)
+		}
 	}
 }
 

@@ -7,13 +7,22 @@ import (
 
 // BatchingSink decouples experiment execution from storage latency: result
 // records accumulate in memory and a background goroutine writes them to
-// the Store in transaction-sized multi-row INSERT batches. The scheduler
-// flushes at checkpoints and on termination, so a pause or a finished
-// campaign is always durable.
+// the Store in transaction-sized multi-row INSERT batches. Cursor saves
+// travel the same way, so a board never waits for a durability barrier.
 //
-// A failed batch poisons the sink: the first error is retained and
-// returned by every later LogExperiment/Flush call, which is how an
-// asynchronous write failure reaches the campaign's error path.
+// The durability contract: rows and cursors reach the store in the order
+// they were handed to the sink, a cursor behind the rows it names in one
+// commit, so a stored cursor always implies its experiments' rows. Flush
+// and Close return once everything handed over before them is stored and,
+// where a cursor was among it, past a barrier; the scheduler saves the
+// cursor and then flushes on pause and on termination. A crash in between
+// loses at most the commits still queued, which resume re-runs.
+//
+// A failed write poisons the sink: the first error is retained, nothing
+// queued behind it is written (a cursor must not outlive rows that failed),
+// and every later LogExperiment/SaveCheckpoint/Flush/Close returns it,
+// which is how an asynchronous write failure reaches the campaign's error
+// path.
 type BatchingSink struct {
 	store     *Store
 	batchSize int
@@ -21,17 +30,29 @@ type BatchingSink struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	buf     []*ExperimentRecord
-	pending int // batches handed to the writer, not yet durable
+	work    []commit // queued for the writer, in hand-over order
+	pending int      // commits queued or being written
 	err     error
 	closed  bool
 
-	work chan []*ExperimentRecord
 	done chan struct{}
+}
+
+// commit is one unit of work for the writer: a batch of rows and, when a
+// cursor save closed the batch, the cursor that names them.
+type commit struct {
+	rows   []*ExperimentRecord
+	cursor *Checkpoint
 }
 
 // DefaultBatchSize is how many LoggedSystemState rows a BatchingSink
 // groups into one INSERT unless configured otherwise.
 const DefaultBatchSize = 64
+
+// workDepth is how many commits may wait for the writer before the boards
+// block: with as many again in the writer's hands, the bound on what a
+// crash can lose.
+const workDepth = 4
 
 // NewBatchingSink starts a sink over the store. batchSize <= 0 selects
 // DefaultBatchSize. Close (or at least Flush) the sink before reading the
@@ -40,79 +61,126 @@ func NewBatchingSink(store *Store, batchSize int) *BatchingSink {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	s := &BatchingSink{
-		store:     store,
-		batchSize: batchSize,
-		work:      make(chan []*ExperimentRecord, 4),
-		done:      make(chan struct{}),
-	}
+	s := &BatchingSink{store: store, batchSize: batchSize, done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	go s.writer()
 	return s
 }
 
+// writer applies everything queued as one group: each commit's statements
+// in order, exactly as a synchronous caller would issue them, then a single
+// barrier for all the group's cursors — a slow fsync makes the groups
+// longer instead of the boards slower.
 func (s *BatchingSink) writer() {
 	defer close(s.done)
-	for batch := range s.work {
-		err := s.store.LogExperimentBatch(batch)
-		s.mu.Lock()
-		if err != nil && s.err == nil {
-			s.err = err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.work) == 0 && !s.closed {
+			s.cond.Wait()
 		}
-		s.pending--
-		s.cond.Broadcast()
+		if len(s.work) == 0 {
+			return
+		}
+		group, err := s.work, s.err
+		s.work = nil
+		s.cond.Broadcast() // room for the boards
 		s.mu.Unlock()
+		barrier := false
+		for _, c := range group {
+			if err == nil {
+				err = s.store.LogExperimentBatch(c.rows)
+			}
+			if err == nil && c.cursor != nil {
+				err = s.store.putCheckpoint(c.cursor)
+				barrier = true
+			}
+		}
+		if err == nil && barrier {
+			err = s.store.db.Barrier()
+		}
+		s.mu.Lock()
+		s.err = err
+		s.pending -= len(group)
+		s.cond.Broadcast()
 	}
+}
+
+// submit queues the buffered rows, closed by cursor when one is given, as
+// one commit. Waiting for room comes before taking the rows: once taken
+// they are queued in the same critical section, so commits enter the queue
+// in the order their rows entered the buffer. Callers hold s.mu.
+func (s *BatchingSink) submit(cursor *Checkpoint) {
+	for len(s.work) >= workDepth {
+		s.cond.Wait()
+	}
+	if len(s.buf) == 0 && cursor == nil {
+		return
+	}
+	if len(s.buf) > 0 {
+		mSinkBatches.Inc()
+	}
+	s.work = append(s.work, commit{rows: s.buf, cursor: cursor})
+	s.buf = nil
+	s.pending++
+	s.cond.Broadcast()
+}
+
+// usable reports why the sink takes no more work, if it does not. Callers
+// hold s.mu.
+func (s *BatchingSink) usable() error {
+	if s.err == nil && s.closed {
+		return fmt.Errorf("campaign: sink is closed")
+	}
+	return s.err
 }
 
 // LogExperiment queues one record. The write happens in the background;
-// an error reported here is a prior batch's failure.
+// an error reported here is a prior write's failure.
 func (s *BatchingSink) LogExperiment(r *ExperimentRecord) error {
 	s.mu.Lock()
-	if s.err != nil {
-		err := s.err
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if err := s.usable(); err != nil {
 		return err
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("campaign: sink is closed")
 	}
 	s.buf = append(s.buf, r)
 	mSinkRecords.Inc()
-	if len(s.buf) < s.batchSize {
-		s.mu.Unlock()
-		return nil
+	if len(s.buf) >= s.batchSize {
+		s.submit(nil)
 	}
-	batch := s.buf
-	s.buf = nil
-	s.pending++
-	s.mu.Unlock()
-	mSinkBatches.Inc()
-	s.work <- batch
 	return nil
 }
 
-// Flush submits the partial batch and blocks until every queued record is
-// durable (or a write failed).
+// SaveCheckpoint queues the campaign cursor behind every record logged
+// before it and returns without waiting for either: the writer stores the
+// rows, then the cursor, then raises a barrier. The ordering is the
+// crash-safety invariant — a durable cursor always implies its experiments
+// are durable, so resume never skips an experiment that was lost in
+// flight. An error reported here is a prior write's failure; this save's
+// own comes back from a later call, Flush and Close at the latest. The
+// sink keeps cp: the caller must not change it afterwards.
+func (s *BatchingSink) SaveCheckpoint(cp *Checkpoint) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.usable(); err != nil {
+		return err
+	}
+	s.submit(cp)
+	return nil
+}
+
+// Flush submits the partial batch and blocks until everything handed to
+// the sink so far is stored (or a write failed) — the point at which a
+// cursor saved before it is durable.
 func (s *BatchingSink) Flush() error {
 	mSinkFlushes.Inc()
 	s.mu.Lock()
-	if len(s.buf) > 0 && !s.closed {
-		batch := s.buf
-		s.buf = nil
-		s.pending++
-		s.mu.Unlock()
-		mSinkBatches.Inc()
-		s.work <- batch
-		s.mu.Lock()
-	}
+	defer s.mu.Unlock()
+	s.submit(nil)
 	for s.pending > 0 {
 		s.cond.Wait()
 	}
-	err := s.err
-	s.mu.Unlock()
-	return err
+	return s.err
 }
 
 // GetExperiment reads a record through the store, flushing first so the
@@ -124,29 +192,14 @@ func (s *BatchingSink) GetExperiment(name string) (*ExperimentRecord, error) {
 	return s.store.GetExperiment(name)
 }
 
-// SaveCheckpoint flushes every queued record and then stores the
-// campaign cursor. The ordering is the crash-safety invariant: a durable
-// cursor always implies its experiments are durable, so resume never
-// skips an experiment that was lost in flight.
-func (s *BatchingSink) SaveCheckpoint(cp *Checkpoint) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	return s.store.SaveCheckpoint(cp)
-}
-
 // Close flushes outstanding records and stops the writer goroutine. The
 // sink rejects further records after Close.
 func (s *BatchingSink) Close() error {
 	err := s.Flush()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return err
-	}
 	s.closed = true
+	s.cond.Broadcast()
 	s.mu.Unlock()
-	close(s.work)
 	<-s.done
 	return err
 }

@@ -108,7 +108,14 @@ func fakeCampaign(n int) *campaign.Campaign {
 
 func storeWithCampaign(t *testing.T, c *campaign.Campaign) *campaign.Store {
 	t.Helper()
-	st, err := campaign.NewStore(sqldb.Open())
+	return storeOn(t, sqldb.Open(), c)
+}
+
+// storeOn sets the campaign store up on db — schema, target system and
+// campaign, each only where db does not hold it yet.
+func storeOn(t *testing.T, db *sqldb.DB, c *campaign.Campaign) *campaign.Store {
+	t.Helper()
+	st, err := campaign.NewStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}

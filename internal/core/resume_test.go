@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,17 +25,7 @@ func openCampaignStore(t *testing.T, path string, camp *campaign.Campaign) (*sql
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	st, err := campaign.NewStore(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutTargetSystem(fakeTSD()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutCampaign(camp); err != nil {
-		t.Fatal(err)
-	}
-	return db, st
+	return db, storeOn(t, db, camp)
 }
 
 // dumpLoggedState renders every LoggedSystemState row of a campaign in a
@@ -66,11 +57,23 @@ func boardOpts(boards int) []RunnerOption {
 	return []RunnerOption{WithBoards(boards, func() TargetSystem { return newFakeTarget() })}
 }
 
+// batchingSink is the sink the CLI, the daemon and the shard worker run
+// campaigns through, with batches short enough that a dozen experiments
+// fill some and leave one partial, so cursor saves close both kinds.
+func batchingSink(t *testing.T, st *campaign.Store) *campaign.BatchingSink {
+	t.Helper()
+	sink := campaign.NewBatchingSink(st, 3)
+	t.Cleanup(func() { sink.Close() })
+	return sink
+}
+
 // TestResumeReproducesFullRun is the paper's crash-recovery acceptance
 // check: a campaign stopped after k experiments and resumed from its
 // recovered cursor must leave the database — and the analysis report
 // derived from it — byte-identical to an uninterrupted run, for several
-// stop points and board counts.
+// stop points and board counts. The uninterrupted run writes straight to
+// the store; the interrupted and the resumed one go through batching
+// sinks, whose cursor saves are queued commits, not barriers.
 func TestResumeReproducesFullRun(t *testing.T) {
 	const n = 12
 	// The uninterrupted run everything is measured against.
@@ -108,7 +111,7 @@ func TestResumeReproducesFullRun(t *testing.T) {
 				var r1 *Runner
 				r1, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
 					append(boardOpts(boards),
-						WithSink(st), WithCheckpoints(2),
+						WithSink(batchingSink(t, st)), WithCheckpoints(2),
 						WithProgress(func(ev ProgressEvent) {
 							if ev.Phase != "experiment" {
 								return
@@ -136,8 +139,9 @@ func TestResumeReproducesFullRun(t *testing.T) {
 					t.Logf("stop at %d lost the race (%d ran); resume becomes a no-op check",
 						k, sum1.Experiments)
 				}
-				// Simulate the kill: no db.Checkpoint, no graceful close —
-				// reopen from the snapshot + write-ahead log alone.
+				// Simulate the kill: no db.Checkpoint, no graceful close, the
+				// sink left as Run's termination flush left it — reopen from
+				// the snapshot + write-ahead log alone.
 				db.Close()
 				db2, st2 := openCampaignStore(t, path, camp)
 				_ = db2
@@ -154,14 +158,18 @@ func TestResumeReproducesFullRun(t *testing.T) {
 					t.Fatalf("recovered %d completed experiments, first run logged %d",
 						len(cp.Completed), sum1.Experiments)
 				}
+				sink2 := batchingSink(t, st2)
 				r2, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
 					append(boardOpts(boards),
-						WithSink(st2), WithCheckpoints(2), WithResume(cp))...)
+						WithSink(sink2), WithCheckpoints(2), WithResume(cp))...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sum2, err := r2.Run(context.Background())
 				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sink2.Close(); err != nil {
 					t.Fatal(err)
 				}
 				if got := len(cp.Completed) + sum2.Experiments; got != n {
@@ -361,5 +369,116 @@ func TestPauseWritesCursor(t *testing.T) {
 	}
 	if !sawCursor {
 		t.Error("paused campaign had no durable cursor covering completed experiments")
+	}
+}
+
+// cutLog is the device under a write-ahead log that remembers where every
+// write to it ended: the points at which a kill leaves a log made of whole
+// records, or of whole records and a torn one.
+type cutLog struct {
+	mu   sync.Mutex
+	img  []byte
+	cuts []int
+}
+
+func (l *cutLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.img = append(l.img, p...)
+	l.cuts = append(l.cuts, len(l.img))
+	return len(p), nil
+}
+
+// TestResumeFromEveryLogCut kills a two-board campaign, run through a
+// batching sink so that cursor saves are commits in the writer's queue, at
+// every point its log could have ended. Whatever the cut, the recovered
+// store must hold the rows of every experiment its cursor names, and
+// resuming from it must reproduce the uninterrupted run's rows and report.
+func TestResumeFromEveryLogCut(t *testing.T) {
+	const n = 12
+	full := storeWithCampaign(t, fakeCampaign(n))
+	r, err := NewRunner(newFakeTarget(), SCIFI, fakeCampaign(n), fakeTSD(), WithSink(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantState := dumpLoggedState(t, full, "fc")
+	wantReport, err := analysis.AnalyzeAndStore(full, "fc")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The run whose log is cut. The log is attached before the store is
+	// set up, so schema and fixtures are in it too.
+	log := &cutLog{}
+	db := sqldb.Open()
+	db.AttachWAL(sqldb.NewWAL(log, sqldb.SyncAlways))
+	st := storeOn(t, db, fakeCampaign(n))
+	sink := campaign.NewBatchingSink(st, 3)
+	r, err = NewRunner(newFakeTarget(), SCIFI, fakeCampaign(n), fakeTSD(),
+		append(boardOpts(2), WithSink(sink), WithCheckpoints(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cursors := 0
+	for _, cut := range log.cuts {
+		db := sqldb.Open()
+		if _, err := db.ReplayWAL(bytes.NewReader(log.img[:cut])); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		st := storeOn(t, db, fakeCampaign(n))
+		stored, err := st.GetCheckpoint("fc")
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if stored != nil {
+			cursors++
+			if _, err := st.GetExperiment(campaign.ReferenceName("fc")); stored.Reference && err != nil {
+				t.Errorf("cut %d: cursor names the reference run: %v", cut, err)
+			}
+			for _, seq := range stored.Completed {
+				if _, err := st.GetExperiment(campaign.ExperimentName("fc", seq)); err != nil {
+					t.Errorf("cut %d: cursor names experiment %d: %v", cut, seq, err)
+				}
+			}
+		}
+		cp, err := st.RecoverCursor("fc")
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		sink := campaign.NewBatchingSink(st, 3)
+		r, err := NewRunner(newFakeTarget(), SCIFI, fakeCampaign(n), fakeTSD(),
+			append(boardOpts(2), WithSink(sink), WithCheckpoints(2), WithResume(cp))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(context.Background()); err != nil {
+			t.Fatalf("cut %d: resume: %v", cut, err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if got := dumpLoggedState(t, st, "fc"); got != wantState {
+			t.Errorf("cut %d: logged state after resume differs from the full run", cut)
+		}
+		rep, err := analysis.AnalyzeAndStore(st, "fc")
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if rep.Render() != wantReport.Render() {
+			t.Errorf("cut %d: analysis report after resume differs from the full run", cut)
+		}
+	}
+	if cursors < n/2 {
+		t.Errorf("only %d of %d cuts had a stored cursor; the harness is not cutting between commits", cursors, len(log.cuts))
 	}
 }

@@ -177,11 +177,13 @@ const DefaultCheckpointInterval = 16
 // WithCheckpoints enables durable campaign checkpoints: after the
 // reference run, every `every` completed experiments (<= 0 selects
 // DefaultCheckpointInterval), on pause, and at termination, the runner
-// flushes the sink and persists the campaign cursor through the sink's
-// SaveCheckpoint. Run fails if the configured sink is not a
-// CheckpointSink. A process killed between checkpoints loses at most the
-// experiments since the last cursor — and not even those when their
-// records reached the store's write-ahead log.
+// hands the campaign cursor to the sink's SaveCheckpoint; on pause and at
+// termination it then flushes the sink, which is when that cursor is
+// certainly durable. Run fails if the configured sink is not a
+// CheckpointSink. A process killed in between loses at most the
+// experiments since the last durable cursor — for a batching sink, the
+// cursor saves still in its queue — and not even those when their records
+// reached the store's write-ahead log.
 func WithCheckpoints(every int) RunnerOption {
 	if every <= 0 {
 		every = DefaultCheckpointInterval
@@ -309,21 +311,21 @@ func (r *Runner) Stop() {
 func (r *Runner) ForwardSet() *ForwardSet { return r.capturedFw }
 
 // checkpoint blocks while paused; it reports false when the campaign
-// should stop (Stop called or context cancelled). On pause the sink is
-// flushed — a checkpointed campaign is durable — and the paused progress
-// event is emitted outside the lock so a callback may call Resume or
-// Stop synchronously.
+// should stop (Stop called or context cancelled). On pause the cursor is
+// saved and the sink flushed behind it — a checkpointed campaign is
+// durable — and the paused progress event is emitted outside the lock so
+// a callback may call Resume or Stop synchronously.
 func (r *Runner) checkpoint(ctx context.Context) bool {
 	r.mu.Lock()
 	pausedNow := r.paused && !r.stopped
 	r.mu.Unlock()
 	if pausedNow {
+		if r.onPause != nil {
+			r.onPause() // save the campaign cursor (durable checkpointing)
+		}
 		// A flush error will poison an asynchronous sink and resurface
 		// from the termination flush; pausing itself need not fail.
 		_ = r.flushSink()
-		if r.onPause != nil {
-			r.onPause() // persist the campaign cursor (durable checkpointing)
-		}
 		r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "paused"})
 	}
 	r.mu.Lock()
@@ -390,6 +392,25 @@ func expSeed(campaignSeed int64, seq int) int64 {
 	return campaignSeed ^ (int64(seq+2) * mix)
 }
 
+// lazySource is the math/rand source of seed, seeded at the first draw: only
+// intermittent faults draw from an experiment's RNG, and seeding (607 words)
+// costs more than a pruned experiment's whole row.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) seeded() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.seeded().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.seeded().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+
 // newExperiment builds the experiment context for sequence number seq.
 func (r *Runner) newExperiment(seq int, fault *faultmodel.Fault, trig trigger.Spec) *Experiment {
 	name := campaign.ExperimentName(r.camp.Name, seq)
@@ -402,7 +423,7 @@ func (r *Runner) newExperiment(seq int, fault *faultmodel.Fault, trig trigger.Sp
 		Name:     name,
 		Fault:    fault,
 		Trigger:  trig,
-		RNG:      rand.New(rand.NewSource(expSeed(r.camp.Seed, seq))),
+		RNG:      rand.New(&lazySource{seed: expSeed(r.camp.Seed, seq)}),
 	}
 	if r.camp.LogMode == campaign.LogDetail && r.sink != nil {
 		parent := name

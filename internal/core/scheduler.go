@@ -7,7 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -81,17 +81,16 @@ func (r *Runner) planHashOf(planned []plannedExperiment) string {
 }
 
 // saveCursor persists the campaign cursor through the checkpoint sink.
-// seqs is the caller's snapshot of completed sequence numbers; it is
-// sorted in place.
-func (r *Runner) saveCursor(ckpt CheckpointSink, hash string, ref bool, seqs []int) error {
-	sort.Ints(seqs)
+// done is the caller's own copy of the completed set, which the sink may
+// keep.
+func (r *Runner) saveCursor(ckpt CheckpointSink, hash string, ref bool, done campaign.SeqRanges) error {
 	return ckpt.SaveCheckpoint(&campaign.Checkpoint{
 		Campaign:    r.camp.Name,
 		PlanHash:    hash,
 		Seed:        r.camp.Seed,
 		Experiments: r.camp.NumExperiments,
 		Reference:   ref,
-		Completed:   seqs,
+		Ranges:      done,
 	})
 }
 
@@ -192,7 +191,9 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 		ckpt = cs
 	}
 	doneSet := make(map[int]bool)
-	var completedSeqs []int
+	// completed is the cursor's set, kept as runs so that a snapshot of it
+	// costs a few numbers however long the campaign has run.
+	completed := campaign.SeqRanges{}
 	resumed := 0
 	haveRef := false
 	if r.resume != nil {
@@ -203,10 +204,10 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 		for _, seq := range r.resume.Completed {
 			if seq >= 0 && seq < r.camp.NumExperiments && !doneSet[seq] {
 				doneSet[seq] = true
-				completedSeqs = append(completedSeqs, seq)
+				completed = completed.Add(seq)
+				resumed++
 			}
 		}
-		resumed = len(completedSeqs)
 		haveRef = r.resume.Reference
 	}
 	r.progress.AddDone(resumed)
@@ -279,7 +280,7 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 			haveRef = true
 			if ckpt != nil {
 				// First durable cursor: the reference is in, nothing else.
-				if err := r.saveCursor(ckpt, hash, true, append([]int(nil), completedSeqs...)); err != nil {
+				if err := r.saveCursor(ckpt, hash, true, slices.Clone(completed)); err != nil {
 					failErr(err)
 				}
 			}
@@ -309,13 +310,13 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 		prune := r.newPruner(fwSet)
 		r.progress.SetPhase("experiment")
 
-		// A pause is a checkpoint of its own: the sink is flushed by
-		// Runner.checkpoint, then this hook persists the cursor, so
-		// killing a paused campaign is always recoverable.
+		// A pause is a checkpoint of its own: this hook saves the cursor,
+		// then Runner.checkpoint flushes the sink, so killing a paused
+		// campaign is always recoverable.
 		if ckpt != nil {
 			r.onPause = func() {
 				mu.Lock()
-				snap := append([]int(nil), completedSeqs...)
+				snap := slices.Clone(completed)
 				mu.Unlock()
 				_ = r.saveCursor(ckpt, hash, true, snap)
 			}
@@ -326,18 +327,18 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 		// into the summary and returns the progress event plus, when a
 		// durable checkpoint is due, a cursor snapshot. Callers emit and
 		// persist outside the lock.
-		account := func(seq int, update func()) (ProgressEvent, []int) {
+		account := func(seq int, update func()) (ProgressEvent, campaign.SeqRanges) {
 			mu.Lock()
 			defer mu.Unlock()
 			update()
 			done++
-			completedSeqs = append(completedSeqs, seq)
-			var snap []int
+			completed = completed.Add(seq)
+			var snap campaign.SeqRanges
 			if ckpt != nil {
 				sinceCkpt++
 				if sinceCkpt >= r.ckptEvery {
 					sinceCkpt = 0
-					snap = append([]int(nil), completedSeqs...)
+					snap = slices.Clone(completed)
 				}
 			}
 			return ProgressEvent{
@@ -417,8 +418,8 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 			ev.Outcome = st
 			r.emit(ev)
 			if snap != nil {
-				// The cursor write flushes the sink first, so it happens
-				// outside the progress lock.
+				// The cursor save can wait for room in the sink's queue,
+				// so it happens outside the progress lock.
 				if err := r.saveCursor(ckpt, hash, true, snap); err != nil {
 					failErr(err)
 				}
@@ -696,22 +697,23 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 		}
 	}
 
-	// Termination flush: whatever the boards logged must be durable before
-	// the campaign reports its outcome — even (especially) on error, so a
-	// failed campaign keeps every completed result.
-	if ferr := r.flushSink(); ferr != nil && firstErr == nil {
-		firstErr = ferr
-	}
 	// Termination cursor: a stop (or error) leaves a resumable
 	// checkpoint behind; on full completion it records the finished
 	// state until the caller clears it.
 	if ckpt != nil && haveRef {
 		mu.Lock()
-		snap := append([]int(nil), completedSeqs...)
+		snap := slices.Clone(completed)
 		mu.Unlock()
 		if cerr := r.saveCursor(ckpt, hash, haveRef, snap); cerr != nil && firstErr == nil {
 			firstErr = cerr
 		}
+	}
+	// Termination flush, after the cursor so that it covers it: whatever
+	// the boards logged must be durable before the campaign reports its
+	// outcome — even (especially) on error, so a failed campaign keeps
+	// every completed result.
+	if ferr := r.flushSink(); ferr != nil && firstErr == nil {
+		firstErr = ferr
 	}
 	if firstErr != nil {
 		// The partial summary still describes everything that completed

@@ -9,8 +9,9 @@ import "goofi/internal/campaign"
 // without the execution layer knowing.
 //
 // LogExperiment may be called from several board goroutines concurrently.
-// Flush blocks until everything logged so far is durable; the scheduler
-// calls it at pause checkpoints and on termination. GetExperiment must
+// Flush blocks until everything handed to the sink so far — records and,
+// for a CheckpointSink, cursors — is durable; the scheduler calls it at
+// pause checkpoints and on termination, after saving the cursor. GetExperiment must
 // observe records previously passed to LogExperiment (read-your-writes);
 // Rerun depends on it.
 type ResultSink interface {
@@ -20,10 +21,12 @@ type ResultSink interface {
 }
 
 // CheckpointSink is a ResultSink that can persist a campaign cursor
-// durably. SaveCheckpoint must flush every record logged before it and
-// raise a durability barrier before the cursor is considered saved, so
-// that a stored checkpoint always implies its experiments survived too.
-// Both *campaign.Store and *campaign.BatchingSink satisfy it.
+// durably. SaveCheckpoint must store the cursor behind every record logged
+// before it, so that a stored checkpoint always implies its experiments
+// survived too; it need not be durable when SaveCheckpoint returns, only
+// once a later Flush has (*campaign.Store raises the barrier at once,
+// *campaign.BatchingSink queues the cursor behind the records and lets its
+// writer raise one barrier for all it finds queued).
 type CheckpointSink interface {
 	ResultSink
 	SaveCheckpoint(*campaign.Checkpoint) error

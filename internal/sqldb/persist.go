@@ -2,43 +2,50 @@ package sqldb
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
-// fileFormat is the persisted database image. Only exported DTO types go
-// through gob, so the in-memory representation can evolve independently.
-type fileFormat struct {
-	Magic   string
-	Version int
-	// Epoch counts checkpoints. A WAL whose epoch record differs from
-	// the snapshot's epoch predates (or postdates) the snapshot and is
-	// never replayed onto it. Images written before WAL support decode
-	// with Epoch 0, matching a fresh log.
-	Epoch  uint64
-	Tables []tableDTO
-}
-
-type tableDTO struct {
-	Name    string
-	Cols    []Column
-	PKCols  []string
-	FKs     []ForeignKey
-	Indexes []indexDTO // definitions only; contents rebuild on load
-	Rows    [][]Value
-}
-
-type indexDTO struct {
-	Name string
-	Cols []string
-}
-
+// The database image is a sequence of the write-ahead log's CRC frames
+// (wal.go), each payload opening with a kind byte and built from the log's
+// value codec:
+//
+//	header   imgHeader, "GOOFI-SQLDB", uvarint version, uvarint epoch,
+//	         uvarint tables, then per table: name, columns (name, kind
+//	         byte, flag byte), primary key columns, foreign keys (columns,
+//	         referenced table, referenced columns), index definitions
+//	         (name, columns) — contents rebuild on load
+//	rows     imgRows, uvarint table number, uint32 LE rows, then the rows'
+//	         values, one per column; as many frames per table as its rows
+//	         need at about imageChunk bytes each
+//	trailer  imgTrailer, uvarint tables, then each table's row count
+//
+// Strings and name lists are uvarint-length-prefixed. The epoch counts
+// checkpoints: a WAL whose epoch record differs from the snapshot's
+// predates (or postdates) the snapshot and is never replayed onto it. An
+// image without its trailer, or whose row counts differ from it, was cut
+// short and does not load. Version 1 images are one gob value
+// (persist_v1.go), read only.
 const (
 	fileMagic   = "GOOFI-SQLDB"
-	fileVersion = 1
+	fileVersion = 2
+
+	imgHeader  byte = 0x10
+	imgRows    byte = 0x11
+	imgTrailer byte = 0x12
+	// imageMagic opens the header frame's payload; Load tells the two
+	// image versions apart by it.
+	imageMagic = string(imgHeader) + fileMagic
+
+	// imageChunk is the payload size at which a rows frame is closed: big
+	// enough to amortise the frame header and the write call, small enough
+	// that save and load hold a sliver of a table at a time.
+	imageChunk = 64 << 10
 )
 
 // Save writes the whole database to w. This is the snapshot half of
@@ -50,52 +57,114 @@ func (db *DB) Save(w io.Writer) error {
 	return db.saveLocked(w, db.epoch)
 }
 
-// saveLocked writes the snapshot with the given epoch. Callers hold
-// db.mu (read or write).
+// saveLocked streams the snapshot with the given epoch to w, frame by
+// frame through one reused payload buffer. Callers hold db.mu (read or
+// write).
 func (db *DB) saveLocked(w io.Writer, epoch uint64) error {
-	ff := fileFormat{Magic: fileMagic, Version: fileVersion, Epoch: epoch}
+	bw := bufio.NewWriterSize(w, imageChunk)
+	b := append(make([]byte, 0, imageChunk+4096), imageMagic...)
+	b = binary.AppendUvarint(b, fileVersion)
+	b = binary.AppendUvarint(b, epoch)
+	b = binary.AppendUvarint(b, uint64(len(db.order)))
 	for _, name := range db.order {
-		t := db.tables[name]
-		td := tableDTO{
-			Name:   t.Name,
-			Cols:   t.Cols,
-			PKCols: t.PKCols,
-			FKs:    t.FKs,
-			Rows:   t.Rows,
-		}
-		for _, ix := range t.Indexes {
-			td.Indexes = append(td.Indexes, indexDTO{Name: ix.Name, Cols: ix.Cols})
-		}
-		ff.Tables = append(ff.Tables, td)
+		b = appendSchema(b, db.tables[name])
 	}
-	if err := gob.NewEncoder(w).Encode(&ff); err != nil {
+	err := writeFrame(bw, b)
+	for ti, name := range db.order {
+		rows := db.tables[name].Rows
+		for len(rows) > 0 && err == nil {
+			b = binary.AppendUvarint(append(b[:0], imgRows), uint64(ti))
+			count := len(b) // the row count goes here once it is known
+			b = append(b, 0, 0, 0, 0)
+			n := 0
+			for ; n < len(rows) && len(b) < imageChunk; n++ {
+				for _, v := range rows[n] {
+					b = appendValue(b, v)
+				}
+			}
+			binary.LittleEndian.PutUint32(b[count:], uint32(n))
+			rows = rows[n:]
+			err = writeFrame(bw, b)
+		}
+	}
+	if err == nil {
+		b = binary.AppendUvarint(append(b[:0], imgTrailer), uint64(len(db.order)))
+		for _, name := range db.order {
+			b = binary.AppendUvarint(b, uint64(len(db.tables[name].Rows)))
+		}
+		err = writeFrame(bw, b)
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		return fmt.Errorf("sqldb: save: %w", err)
 	}
 	return nil
 }
 
+func appendSchema(b []byte, t *Table) []byte {
+	b = appendString(b, t.Name)
+	b = binary.AppendUvarint(b, uint64(len(t.Cols)))
+	for _, c := range t.Cols {
+		b = appendString(b, c.Name)
+		var flags byte
+		if c.NotNull {
+			flags |= 1
+		}
+		if c.Unique {
+			flags |= 2
+		}
+		b = append(b, byte(c.Type), flags)
+	}
+	b = appendStrings(b, t.PKCols)
+	b = binary.AppendUvarint(b, uint64(len(t.FKs)))
+	for _, fk := range t.FKs {
+		b = appendStrings(b, fk.Cols)
+		b = appendString(b, fk.RefTable)
+		b = appendStrings(b, fk.RefCols)
+	}
+	b = binary.AppendUvarint(b, uint64(len(t.Indexes)))
+	for _, ix := range t.Indexes {
+		b = appendString(b, ix.Name)
+		b = appendStrings(b, ix.Cols)
+	}
+	return b
+}
+
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
 // Load reads a database image produced by Save, replacing all contents.
+// A version 1 (gob) image, which does not open with a header frame, is
+// still read.
 func (db *DB) Load(r io.Reader) error {
-	var ff fileFormat
-	if err := gob.NewDecoder(r).Decode(&ff); err != nil {
+	br := bufio.NewReaderSize(r, 2*imageChunk) // holds a rows frame whole
+	var (
+		epoch  uint64
+		tables []tableDTO
+		err    error
+	)
+	if head, _ := br.Peek(walFrameHeader + len(imageMagic)); bytes.HasSuffix(head, []byte(imageMagic)) {
+		epoch, tables, err = readImage(br)
+	} else {
+		epoch, tables, err = readImageV1(br)
+	}
+	if err != nil {
 		return fmt.Errorf("sqldb: load: %w", err)
 	}
-	if ff.Magic != fileMagic {
-		return fmt.Errorf("sqldb: load: bad magic %q", ff.Magic)
-	}
-	if ff.Version != fileVersion {
-		return fmt.Errorf("sqldb: load: unsupported version %d", ff.Version)
-	}
-	tables := make(map[string]*Table, len(ff.Tables))
-	var order []string
-	for _, td := range ff.Tables {
-		t := &Table{
-			Name:   td.Name,
-			Cols:   td.Cols,
-			PKCols: td.PKCols,
-			FKs:    td.FKs,
-			Rows:   td.Rows,
+	byName := make(map[string]*Table, len(tables))
+	order := make([]string, 0, len(tables))
+	for _, td := range tables {
+		if byName[td.Name] != nil {
+			return fmt.Errorf("sqldb: load: table %s appears twice", td.Name)
 		}
+		t := &Table{Name: td.Name, Cols: td.Cols, PKCols: td.PKCols, FKs: td.FKs}
 		for _, ixd := range td.Indexes {
 			if err := t.addIndex(ixd.Name, ixd.Cols); err != nil {
 				return fmt.Errorf("sqldb: load table %s: %w", td.Name, err)
@@ -106,24 +175,197 @@ func (db *DB) Load(r io.Reader) error {
 		if err := t.ensureFKIndexes(); err != nil {
 			return fmt.Errorf("sqldb: load table %s: %w", td.Name, err)
 		}
+		// The rows go in after the definitions, so every index is
+		// populated once, by rebuildIndex.
+		t.Rows = td.Rows
 		if err := t.rebuildIndex(); err != nil {
 			return fmt.Errorf("sqldb: load table %s: %w", td.Name, err)
 		}
-		tables[td.Name] = t
+		byName[td.Name] = t
 		order = append(order, td.Name)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.tables = tables
+	db.tables = byName
 	db.order = order
-	db.epoch = ff.Epoch
+	db.epoch = epoch
 	return nil
+}
+
+// readImage decodes a version 2 image. The rows of a frame are views into
+// one flat value slice, sized by the frame's row count only after that
+// count is known to fit the frame's payload — what is allocated follows
+// the input read so far, never a number the input claims.
+func readImage(r *bufio.Reader) (epoch uint64, tables []tableDTO, err error) {
+	p, _, err := readFrame(r)
+	if err != nil {
+		return 0, nil, fmt.Errorf("header: %w", err)
+	}
+	p, ok := bytes.CutPrefix(p, []byte(imageMagic))
+	if !ok {
+		return 0, nil, errBadRecord("magic")
+	}
+	version, sz := binary.Uvarint(p)
+	if sz <= 0 || version != fileVersion {
+		return 0, nil, fmt.Errorf("unsupported version %d", version)
+	}
+	p = p[sz:]
+	epoch, sz = binary.Uvarint(p)
+	if sz <= 0 {
+		return 0, nil, errBadRecord("epoch")
+	}
+	n, p, err := readCount(p[sz:])
+	if err != nil {
+		return 0, nil, err
+	}
+	tables = make([]tableDTO, n)
+	for i := range tables {
+		if tables[i], p, err = readSchema(p); err != nil {
+			return 0, nil, err
+		}
+	}
+	if len(p) != 0 {
+		return 0, nil, errBadRecord("header: trailing bytes")
+	}
+	for {
+		p, _, err := readFrame(r)
+		if err != nil {
+			return 0, nil, fmt.Errorf("image cut short: %w", err)
+		}
+		if len(p) > 0 && p[0] == imgTrailer {
+			if err := checkTrailer(p[1:], tables); err != nil {
+				return 0, nil, err
+			}
+			break
+		}
+		if len(p) == 0 || p[0] != imgRows {
+			return 0, nil, errBadRecord("frame kind")
+		}
+		ti, sz := binary.Uvarint(p[1:])
+		if sz <= 0 || ti >= uint64(len(tables)) {
+			return 0, nil, errBadRecord("table number")
+		}
+		p = p[1+sz:]
+		ncols := len(tables[ti].Cols)
+		if len(p) < 4 || uint64(binary.LittleEndian.Uint32(p))*uint64(ncols) > uint64(len(p)-4) {
+			return 0, nil, errBadRecord("row count")
+		}
+		nrows := int(binary.LittleEndian.Uint32(p))
+		p = p[4:]
+		vals := make([]Value, nrows*ncols)
+		for i := range vals {
+			if vals[i], p, err = readValue(p); err != nil {
+				return 0, nil, err
+			}
+		}
+		if len(p) != 0 {
+			return 0, nil, errBadRecord("rows frame: trailing bytes")
+		}
+		for ; len(vals) > 0; vals = vals[ncols:] {
+			tables[ti].Rows = append(tables[ti].Rows, vals[:ncols:ncols])
+		}
+	}
+	return epoch, tables, nil
+}
+
+// checkTrailer compares the trailer's row counts with the rows decoded.
+func checkTrailer(p []byte, tables []tableDTO) error {
+	n, p, err := readCount(p)
+	if err != nil || n != len(tables) {
+		return errBadRecord("trailer")
+	}
+	for ti := range tables {
+		want, sz := binary.Uvarint(p)
+		if sz <= 0 {
+			return errBadRecord("trailer")
+		}
+		p = p[sz:]
+		if got := len(tables[ti].Rows); uint64(got) != want {
+			return fmt.Errorf("table %s has %d rows, its trailer says %d", tables[ti].Name, got, want)
+		}
+	}
+	if len(p) != 0 {
+		return errBadRecord("trailer: trailing bytes")
+	}
+	return nil
+}
+
+func readSchema(p []byte) (td tableDTO, rest []byte, err error) {
+	if td.Name, p, err = readString(p); err != nil {
+		return td, nil, err
+	}
+	n, p, err := readCount(p)
+	if err != nil {
+		return td, nil, err
+	}
+	if n == 0 {
+		return td, nil, fmt.Errorf("table %s has no columns", td.Name)
+	}
+	td.Cols = make([]Column, n)
+	for i := range td.Cols {
+		c := &td.Cols[i]
+		if c.Name, p, err = readString(p); err != nil {
+			return td, nil, err
+		}
+		if len(p) < 2 || Kind(p[0]) > KBlob || p[1] > 3 {
+			return td, nil, errBadRecord("column")
+		}
+		c.Type, c.NotNull, c.Unique = Kind(p[0]), p[1]&1 != 0, p[1]&2 != 0
+		p = p[2:]
+	}
+	if td.PKCols, p, err = readStrings(p); err != nil {
+		return td, nil, err
+	}
+	if n, p, err = readCount(p); err != nil {
+		return td, nil, err
+	}
+	td.FKs = make([]ForeignKey, n)
+	for i := range td.FKs {
+		fk := &td.FKs[i]
+		if fk.Cols, p, err = readStrings(p); err != nil {
+			return td, nil, err
+		}
+		if fk.RefTable, p, err = readString(p); err != nil {
+			return td, nil, err
+		}
+		if fk.RefCols, p, err = readStrings(p); err != nil {
+			return td, nil, err
+		}
+	}
+	if n, p, err = readCount(p); err != nil {
+		return td, nil, err
+	}
+	td.Indexes = make([]indexDTO, n)
+	for i := range td.Indexes {
+		ix := &td.Indexes[i]
+		if ix.Name, p, err = readString(p); err != nil {
+			return td, nil, err
+		}
+		if ix.Cols, p, err = readStrings(p); err != nil {
+			return td, nil, err
+		}
+	}
+	return td, p, nil
+}
+
+func readStrings(p []byte) ([]string, []byte, error) {
+	n, p, err := readCount(p)
+	if err != nil || n == 0 {
+		return nil, p, err
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		if ss[i], p, err = readString(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return ss, p, nil
 }
 
 // SaveFile writes the database to a file, atomically via a temp file in
 // the same directory.
 func (db *DB) SaveFile(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".sqldb-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".sqldb-*")
 	if err != nil {
 		return fmt.Errorf("sqldb: save file: %w", err)
 	}
@@ -168,6 +410,7 @@ func OpenAt(path string, policy SyncPolicy) (*DB, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("sqldb: open %s: %w", path, err)
 	}
+	_, statErr := os.Stat(WALPath(path))
 	f, err := os.OpenFile(WALPath(path), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sqldb: open wal: %w", err)
@@ -192,6 +435,13 @@ func OpenAt(path string, policy SyncPolicy) (*DB, error) {
 		// Empty or stale log: start a fresh one for the current epoch.
 		wal.writeFrame(encodeEpochPayload(nil, db.epoch))
 		wal.syncLocked()
+		// A log file this open created is durable once its directory
+		// entry is, under the same policy as its contents.
+		if wal.err == nil && errors.Is(statErr, os.ErrNotExist) && policy != SyncNever {
+			if err := syncDir(filepath.Dir(path)); err != nil {
+				wal.err = fmt.Errorf("sqldb: open wal: %w", err)
+			}
+		}
 		if wal.err != nil {
 			f.Close()
 			return nil, wal.err
@@ -208,11 +458,14 @@ func OpenAt(path string, policy SyncPolicy) (*DB, error) {
 }
 
 // Checkpoint compacts the log into the snapshot: the full image is
-// written atomically (temp file + fsync + rename) with the next epoch,
-// then the log is reset to that epoch. A crash between the two steps is
-// safe — the snapshot's epoch no longer matches the old log, so recovery
-// loads the snapshot (which already contains every logged record) and
-// discards the log.
+// written atomically (temp file + fsync + rename + directory fsync) with
+// the next epoch, then the log is reset to that epoch. A crash between the
+// two steps is safe — the snapshot's epoch no longer matches the old log,
+// so recovery loads the snapshot (which already contains every logged
+// record) and discards the log. The directory fsync keeps the steps in
+// that order on disk: a log reset that outlived a lost rename would stand
+// beside the previous snapshot, whose epoch it does not match either, and
+// recovery would drop it with nothing holding its records.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -220,7 +473,7 @@ func (db *DB) Checkpoint() error {
 		return fmt.Errorf("sqldb: checkpoint: database has no backing file (use OpenAt)")
 	}
 	next := db.epoch + 1
-	tmp, err := os.CreateTemp(dirOf(db.snapPath), ".sqldb-*")
+	tmp, err := os.CreateTemp(filepath.Dir(db.snapPath), ".sqldb-*")
 	if err != nil {
 		return fmt.Errorf("sqldb: checkpoint: %w", err)
 	}
@@ -237,6 +490,9 @@ func (db *DB) Checkpoint() error {
 		return fmt.Errorf("sqldb: checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), db.snapPath); err != nil {
+		return fmt.Errorf("sqldb: checkpoint: %w", err)
+	}
+	if err := syncDir(filepath.Dir(db.snapPath)); err != nil {
 		return fmt.Errorf("sqldb: checkpoint: %w", err)
 	}
 	if err := db.wal.Reset(next); err != nil {
@@ -271,11 +527,13 @@ func (db *DB) Close() error {
 	return w.Close()
 }
 
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
+// syncDir fsyncs a directory, which is what makes a file created in it or
+// renamed into it survive a power cut.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return "."
+	defer d.Close()
+	return d.Sync()
 }

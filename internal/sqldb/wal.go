@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -28,7 +29,8 @@ const (
 	SyncNever
 )
 
-// WAL record framing: every record is
+// Framing, shared by the log and the snapshot image (persist.go): every
+// record is
 //
 //	uint32 LE payload length | uint32 LE CRC32-IEEE of payload | payload
 //
@@ -151,19 +153,28 @@ func (w *WAL) writeFrame(payload []byte) {
 	if w.err != nil {
 		return
 	}
-	var hdr [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		w.err = fmt.Errorf("sqldb: wal append: %w", err)
-		return
-	}
-	if _, err := w.bw.Write(payload); err != nil {
+	if err := writeFrame(w.bw, payload); err != nil {
 		w.err = fmt.Errorf("sqldb: wal append: %w", err)
 		return
 	}
 	mWALRecords.Inc()
 	mWALBytes.Add(uint64(walFrameHeader + len(payload)))
+}
+
+// writeFrame writes one frame. A payload readFrame would refuse is an
+// error here, not an unreadable record later.
+func writeFrame(w io.Writer, payload []byte) error {
+	if len(payload) > maxWALRecord {
+		return fmt.Errorf("record of %d bytes exceeds the %d-byte frame limit", len(payload), maxWALRecord)
+	}
+	var hdr [walFrameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 func (w *WAL) syncLocked() {
@@ -189,100 +200,134 @@ func encodeEpochPayload(b []byte, epoch uint64) []byte {
 }
 
 // encodeStmtPayload appends a statement record payload: the SQL text and
-// its parameter values. Values use the same kinds as the engine: a kind
-// byte followed by varint (INTEGER), 8-byte LE float bits (REAL), or a
-// uvarint-length-prefixed byte string (TEXT, BLOB); NULL is bare.
+// its parameter values.
 func encodeStmtPayload(b []byte, sql string, args []Value) []byte {
 	b = append(b, recStmt)
-	b = binary.AppendUvarint(b, uint64(len(sql)))
-	b = append(b, sql...)
+	b = appendString(b, sql)
 	b = binary.AppendUvarint(b, uint64(len(args)))
 	for _, v := range args {
-		b = append(b, byte(v.K))
-		switch v.K {
-		case KInt:
-			b = binary.AppendVarint(b, v.I)
-		case KReal:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.R))
-		case KText:
-			b = binary.AppendUvarint(b, uint64(len(v.S)))
-			b = append(b, v.S...)
-		case KBlob:
-			b = binary.AppendUvarint(b, uint64(len(v.B)))
-			b = append(b, v.B...)
-		}
+		b = appendValue(b, v)
 	}
 	return b
 }
 
 func decodeStmtPayload(p []byte) (sql string, args []Value, err error) {
-	bad := func(what string) (string, []Value, error) {
-		return "", nil, fmt.Errorf("sqldb: wal record: bad %s", what)
-	}
 	if len(p) == 0 || p[0] != recStmt {
-		return bad("kind")
+		return "", nil, errBadRecord("kind")
 	}
-	p = p[1:]
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 || uint64(len(p)-sz) < n {
-		return bad("sql length")
+	sql, p, err = readString(p[1:])
+	if err != nil {
+		return "", nil, err
 	}
-	sql = string(p[sz : sz+int(n)])
-	p = p[sz+int(n):]
-	nargs, sz := binary.Uvarint(p)
-	if sz <= 0 || nargs > uint64(len(p)) {
-		return bad("arg count")
+	nargs, p, err := readCount(p)
+	if err != nil {
+		return "", nil, err
 	}
-	p = p[sz:]
-	args = make([]Value, 0, nargs)
-	for i := uint64(0); i < nargs; i++ {
-		if len(p) == 0 {
-			return bad("arg kind")
-		}
-		k := Kind(p[0])
-		p = p[1:]
-		switch k {
-		case KNull:
-			args = append(args, Null())
-		case KInt:
-			iv, sz := binary.Varint(p)
-			if sz <= 0 {
-				return bad("int arg")
-			}
-			p = p[sz:]
-			args = append(args, Int(iv))
-		case KReal:
-			if len(p) < 8 {
-				return bad("real arg")
-			}
-			args = append(args, Real(math.Float64frombits(binary.LittleEndian.Uint64(p))))
-			p = p[8:]
-		case KText, KBlob:
-			n, sz := binary.Uvarint(p)
-			if sz <= 0 || uint64(len(p)-sz) < n {
-				return bad("bytes arg")
-			}
-			data := p[sz : sz+int(n)]
-			p = p[sz+int(n):]
-			if k == KText {
-				args = append(args, Text(string(data)))
-			} else {
-				args = append(args, Blob(append([]byte(nil), data...)))
-			}
-		default:
-			return bad("arg kind")
+	args = make([]Value, nargs)
+	for i := range args {
+		if args[i], p, err = readValue(p); err != nil {
+			return "", nil, err
 		}
 	}
 	if len(p) != 0 {
-		return bad("trailing bytes")
+		return "", nil, errBadRecord("trailing bytes")
 	}
 	return sql, args, nil
 }
 
-// readFrame reads one frame from r. A clean EOF at a frame boundary
-// returns io.EOF; any truncation, oversize length or CRC mismatch
-// returns errTornFrame — both end replay, silently truncating the tail.
-func readFrame(r io.Reader, buf []byte) (payload []byte, frameLen int64, err error) {
+// appendValue and readValue are the one value codec of the log and the
+// snapshot image. Values use the same kinds as the engine: a kind byte
+// followed by varint (INTEGER), 8-byte LE float bits (REAL), or a
+// uvarint-length-prefixed byte string (TEXT, BLOB); NULL is bare.
+func appendValue(b []byte, v Value) []byte {
+	b = append(b, byte(v.K))
+	switch v.K {
+	case KInt:
+		b = binary.AppendVarint(b, v.I)
+	case KReal:
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.R))
+	case KText:
+		b = appendString(b, v.S)
+	case KBlob:
+		b = binary.AppendUvarint(b, uint64(len(v.B)))
+		b = append(b, v.B...)
+	}
+	return b
+}
+
+// readValue decodes one value from the front of p and returns the rest.
+// A BLOB aliases p, capacity clipped, instead of copying it: the caller
+// must hand over a payload it will not reuse.
+func readValue(p []byte) (Value, []byte, error) {
+	if len(p) == 0 {
+		return Value{}, nil, errBadRecord("value kind")
+	}
+	k := Kind(p[0])
+	p = p[1:]
+	switch k {
+	case KNull:
+		return Null(), p, nil
+	case KInt:
+		iv, sz := binary.Varint(p)
+		if sz <= 0 {
+			return Value{}, nil, errBadRecord("integer")
+		}
+		return Int(iv), p[sz:], nil
+	case KReal:
+		if len(p) < 8 {
+			return Value{}, nil, errBadRecord("real")
+		}
+		return Real(math.Float64frombits(binary.LittleEndian.Uint64(p))), p[8:], nil
+	case KText, KBlob:
+		data, rest, err := readBytes(p)
+		if err != nil {
+			return Value{}, nil, err
+		}
+		if k == KText {
+			return Text(string(data)), rest, nil
+		}
+		return Blob(data[:len(data):len(data)]), rest, nil
+	}
+	return Value{}, nil, errBadRecord("value kind")
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func readBytes(p []byte) (data, rest []byte, err error) {
+	n, sz := binary.Uvarint(p)
+	if sz <= 0 || uint64(len(p)-sz) < n {
+		return nil, nil, errBadRecord("byte string length")
+	}
+	return p[sz : sz+int(n)], p[sz+int(n):], nil
+}
+
+func readString(p []byte) (string, []byte, error) {
+	data, rest, err := readBytes(p)
+	return string(data), rest, err
+}
+
+// readCount reads the uvarint count of items that follow it in p. Every
+// item takes at least one byte, so a count beyond what is left of p is
+// corrupt — and what is allocated for the items stays bounded by the
+// input, whatever the count claims.
+func readCount(p []byte) (int, []byte, error) {
+	n, sz := binary.Uvarint(p)
+	if sz <= 0 || n > uint64(len(p)-sz) {
+		return 0, nil, errBadRecord("count")
+	}
+	return int(n), p[sz:], nil
+}
+
+func errBadRecord(what string) error { return fmt.Errorf("sqldb: corrupt record: bad %s", what) }
+
+// readFrame reads one frame from r into a payload of its own (decoded
+// BLOBs alias it). A clean EOF at a frame boundary returns io.EOF; any
+// truncation, oversize length or CRC mismatch returns errTornFrame — both
+// end replay, silently truncating the tail.
+func readFrame(r *bufio.Reader) (payload []byte, frameLen int64, err error) {
 	var hdr [walFrameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -294,11 +339,21 @@ func readFrame(r io.Reader, buf []byte) (payload []byte, frameLen int64, err err
 	if n > maxWALRecord {
 		return nil, 0, errTornFrame
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
+	// A frame the reader's buffer holds is copied out of it, which unlike
+	// reading into a new slice clears nothing first. A longer one is read
+	// as it arrives, so a corrupt length field costs no more memory than
+	// the input behind it.
+	var buf []byte
+	if int(n) <= r.Size() {
+		var view []byte
+		if view, err = r.Peek(int(n)); err == nil {
+			buf = bytes.Clone(view)
+			_, err = r.Discard(int(n))
+		}
+	} else {
+		buf, err = io.ReadAll(io.LimitReader(r, int64(n)))
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err != nil || uint32(len(buf)) != n {
 		return nil, 0, errTornFrame
 	}
 	if crc32.ChecksumIEEE(buf) != binary.LittleEndian.Uint32(hdr[4:8]) {
@@ -323,8 +378,7 @@ var errTornFrame = fmt.Errorf("sqldb: wal: torn or corrupt frame")
 // the effects of statements that errored midway.
 func (db *DB) replayWAL(r io.Reader) (applied int, good int64, err error) {
 	br := bufio.NewReader(r)
-	var buf []byte
-	payload, frameLen, ferr := readFrame(br, buf)
+	payload, frameLen, ferr := readFrame(br)
 	if ferr != nil {
 		return 0, 0, nil // empty or unreadable header: start a fresh log
 	}
@@ -337,11 +391,10 @@ func (db *DB) replayWAL(r io.Reader) (applied int, good int64, err error) {
 	}
 	good = frameLen
 	for {
-		payload, frameLen, ferr = readFrame(br, buf)
+		payload, frameLen, ferr = readFrame(br)
 		if ferr != nil {
 			return applied, good, nil // clean EOF or torn tail
 		}
-		buf = payload[:0]
 		sql, args, derr := decodeStmtPayload(payload)
 		if derr != nil {
 			return applied, good, nil // undecodable despite CRC: treat as tail

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -197,11 +198,11 @@ func TestStaleWALDiscardedByEpoch(t *testing.T) {
 // WAL image, starting after the epoch header.
 func frameBoundaries(t *testing.T, img []byte) []int64 {
 	t.Helper()
-	r := bytes.NewReader(img)
+	r := bufio.NewReader(bytes.NewReader(img))
 	var bounds []int64
 	off := int64(0)
 	for {
-		_, n, err := readFrame(r, nil)
+		_, n, err := readFrame(r)
 		if err != nil {
 			if err != io.EOF {
 				t.Fatalf("unexpected frame error at %d: %v", off, err)
