@@ -31,7 +31,7 @@ tier1:
 	$(GO) test -race ./internal/core/ ./internal/chaos/ . -run 'Chaos|Retry|Quarantine|Watchdog|Panic|InvalidRun|DrainsAndFlushes' -count 1
 	$(GO) test -race ./internal/telemetry/ . -run 'Telemetry|Registry|Prometheus|Handler|Progress' -count 1
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/campaign/ -run 'Differential|Fleet|Tenant|Admission|Cancel|Submit' -count 1
-	$(GO) test -race ./internal/shard/ ./internal/core/ . -run 'Shard|Partition|Coalesce' -count 1
+	$(GO) test -race ./internal/shard/ ./internal/core/ . -run 'Shard|Partition|Coalesce|Lease|ReportFrame|Protocol|PlanHash' -count 1
 	$(GO) test -race ./internal/shard/ ./internal/chaos/ -run 'NetChaos|NetRoundTripper|NetMaxFaults|NetDeterministic|Transport|Unauthorized|Delivery|Churn' -count 1
 	$(GO) test -race ./internal/proctarget/ ./internal/core/ -run 'Proc|Framework|TargetRegistry|TargetDeterministic' -count 1
 	$(GO) test -race . ./internal/thor/ ./internal/core/ ./internal/shard/ -run 'Prune|Pruning|DefUse|RegUses' -count 1
@@ -39,7 +39,8 @@ tier1:
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
 # equivalence tests, the golden end-to-end report, plus a short fuzz
-# smoke of the SQL front end and of the two byte formats recovery reads.
+# smoke of the SQL front end, the two byte formats recovery reads and the
+# one the coordinator reads off the network.
 # The -race line runs the group-commit durability cases fresh: cursor
 # saves are commits in the sink's queue, applied by another goroutine,
 # and these are the tests that kill a campaign between any two of them,
@@ -93,10 +94,14 @@ bench:
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
 # FUZZTIME=1m etc.). New corpus entries land in the build cache;
-# crashers land in internal/sqldb/testdata/fuzz and should be committed
-# alongside the fix.
+# crashers land in the package's testdata/fuzz and should be committed
+# alongside the fix. FuzzDecodeReport is the shard report frame, the one
+# byte format that arrives over the network: its inputs are a kilobyte of
+# checksummed bytes nothing can be cut out of, so the minimizer gets 2s
+# per new input, not its default 60 — or a short run is all minimizing.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) -fuzzminimizetime 2s

@@ -221,7 +221,7 @@ func cmdShardWorker(args []string) error {
 	workerName := fs.String("name", "", "worker name reported to the coordinator (default host-scoped)")
 	dir := fs.String("dir", "", "shard database directory (required)")
 	boards := fs.Int("boards", 1, "boards in this worker's private pool")
-	poll := fs.Duration("poll", 100*time.Millisecond, "lease poll / retry base interval")
+	poll := fs.Duration("poll", 100*time.Millisecond, "first wait before retrying a call the daemon failed to answer, doubling to 2s (a worker with nothing to run waits in the daemon's lease call, never here)")
 	token := fs.String("token", "", "bearer token for a goofid running with -shard-token")
 	callTimeout := fs.Duration("call-timeout", 0, "per-call deadline for lease/heartbeat/hello (0 = built-in default)")
 	reportTimeout := fs.Duration("report-timeout", 0, "per-call deadline for record reports (0 = built-in default)")

@@ -216,9 +216,34 @@ func (s *Store) MergeCampaigns(newName string, sources ...string) (*Campaign, er
 	return &merged, nil
 }
 
-// encodeExperimentRow flattens a record into the six LoggedSystemState
-// column values.
-func encodeExperimentRow(r *ExperimentRecord, out []sqldb.Value) ([]sqldb.Value, error) {
+// Row is one LoggedSystemState row in stored form: the six column values
+// in schema order (experimentName, parentExperiment, campaignName, step,
+// experimentData, stateVector), the two BLOBs already encoded. A row is
+// encoded once, by EncodeRow, and every store it reaches afterwards — the
+// shard worker's own and, through a report, the coordinator's — inserts
+// these same bytes. Seq is the sequence number of an end-of-experiment row
+// (negative for the reference run), which the merge filters on without
+// opening experimentData; on a detail-mode step row it means nothing, the
+// row travels with its parent.
+type Row struct {
+	Seq  int
+	Cols [6]sqldb.Value
+}
+
+// Name returns the experimentName column.
+func (r *Row) Name() string { return r.Cols[0].S }
+
+// Parent returns the parentExperiment column, "" for NULL.
+func (r *Row) Parent() string { return r.Cols[1].S }
+
+// Campaign returns the campaignName column.
+func (r *Row) Campaign() string { return r.Cols[2].S }
+
+// Step returns the step column: -1 for an end-of-experiment row.
+func (r *Row) Step() int { return int(r.Cols[3].I) }
+
+// EncodeRow flattens a record into its stored form.
+func EncodeRow(r *ExperimentRecord) Row {
 	// One allocation for both blobs; the full-capacity slice expression
 	// keeps a state append from clobbering data's backing array.
 	buf := r.Data.appendJSON(make([]byte, 0, 512))
@@ -229,50 +254,57 @@ func encodeExperimentRow(r *ExperimentRecord, out []sqldb.Value) ([]sqldb.Value,
 	if r.Parent != "" {
 		parent = sqldb.Text(r.Parent)
 	}
-	return append(out,
+	return Row{Seq: r.Data.Seq, Cols: [6]sqldb.Value{
 		sqldb.Text(r.Name), parent, sqldb.Text(r.Campaign), sqldb.Int(int64(r.Step)),
-		sqldb.Blob(data), sqldb.Blob(state)), nil
+		sqldb.Blob(data), sqldb.Blob(state)}}
+}
+
+// encodeRows flattens a batch of records.
+func encodeRows(recs []*ExperimentRecord) []Row {
+	rows := make([]Row, len(recs))
+	for i, r := range recs {
+		rows[i] = EncodeRow(r)
+	}
+	return rows
+}
+
+// InsertRows stores LoggedSystemState rows as they are, without encoding
+// anything: one row through the prepared INSERT, more with one multi-row
+// INSERT — one parse, one lock acquisition, one constraint pass per batch.
+// This is the storage hot path for high-throughput campaigns.
+func (s *Store) InsertRows(rows []Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	var err error
+	start := time.Now()
+	if len(rows) == 1 {
+		_, err = s.insertExp.Exec(rows[0].Cols[:]...)
+	} else {
+		var sb strings.Builder
+		sb.WriteString(`INSERT INTO LoggedSystemState VALUES `)
+		args := make([]sqldb.Value, 0, len(rows)*6)
+		for i := range rows {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(`(?, ?, ?, ?, ?, ?)`)
+			args = append(args, rows[i].Cols[:]...)
+		}
+		_, err = s.db.Exec(sb.String(), args...)
+	}
+	mInsertSeconds.Observe(time.Since(start).Seconds())
+	return err
 }
 
 // LogExperiment stores one LoggedSystemState row.
 func (s *Store) LogExperiment(r *ExperimentRecord) error {
-	args, err := encodeExperimentRow(r, make([]sqldb.Value, 0, 6))
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	_, err = s.insertExp.Exec(args...)
-	mInsertSeconds.Observe(time.Since(start).Seconds())
-	return err
+	return s.InsertRows([]Row{EncodeRow(r)})
 }
 
-// LogExperimentBatch stores many LoggedSystemState rows with one
-// multi-row INSERT — one parse, one lock acquisition, one constraint pass
-// per batch. This is the storage hot path for high-throughput campaigns.
+// LogExperimentBatch encodes and stores many LoggedSystemState rows.
 func (s *Store) LogExperimentBatch(recs []*ExperimentRecord) error {
-	switch len(recs) {
-	case 0:
-		return nil
-	case 1:
-		return s.LogExperiment(recs[0])
-	}
-	var sb strings.Builder
-	sb.WriteString(`INSERT INTO LoggedSystemState VALUES `)
-	args := make([]sqldb.Value, 0, len(recs)*6)
-	var err error
-	for i, r := range recs {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(`(?, ?, ?, ?, ?, ?)`)
-		if args, err = encodeExperimentRow(r, args); err != nil {
-			return err
-		}
-	}
-	start := time.Now()
-	_, err = s.db.Exec(sb.String(), args...)
-	mInsertSeconds.Observe(time.Since(start).Seconds())
-	return err
+	return s.InsertRows(encodeRows(recs))
 }
 
 // Flush makes Store satisfy core.ResultSink. Writes are synchronous, so
@@ -328,6 +360,33 @@ func (s *Store) Trace(experimentName string) ([]*ExperimentRecord, error) {
 			return nil, err
 		}
 		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// StoredGroup returns the rows of the named experiment as they are stored
+// — nothing is decoded — in the order a run logs them: with trace set its
+// detail-mode step rows in step order, then its end row, all stamped with
+// seq. An experiment the store has no end row for yields no rows.
+func (s *Store) StoredGroup(name string, seq int, trace bool) ([]Row, error) {
+	const cols = `SELECT experimentName, parentExperiment, campaignName, step, experimentData, stateVector
+		FROM LoggedSystemState WHERE `
+	end, err := s.db.Query(cols+`experimentName = ?`, sqldb.Text(name))
+	if err != nil || len(end.Rows) == 0 {
+		return nil, err
+	}
+	rows := end.Rows
+	if trace {
+		steps, err := s.db.Query(cols+`parentExperiment = ? AND step >= 0 ORDER BY step`, sqldb.Text(name))
+		if err != nil {
+			return nil, err
+		}
+		rows = append(steps.Rows, rows...)
+	}
+	out := make([]Row, len(rows))
+	for i, vals := range rows {
+		out[i].Seq = seq
+		copy(out[i].Cols[:], vals)
 	}
 	return out, nil
 }

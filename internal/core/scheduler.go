@@ -74,10 +74,47 @@ func (r *Runner) planHashOf(planned []plannedExperiment) string {
 	h := sha256.New()
 	cfg, _ := json.Marshal(r.camp)
 	h.Write(cfg)
-	for _, pe := range planned {
-		fmt.Fprintf(h, "%d|%+v|%+v\n", pe.seq, pe.fault, pe.trig)
+	line := make([]byte, 0, 256)
+	for i := range planned {
+		line = appendPlanLine(line[:0], &planned[i])
+		h.Write(line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendPlanLine appends one plan entry as the hash has always read it:
+// the bytes of fmt.Sprintf("%d|%+v|%+v\n", pe.seq, pe.fault, pe.trig).
+// Durable cursors hold hashes of these bytes, so the format is frozen;
+// only the formatting is by hand, because every process that plans —
+// each shard worker included — hashes the whole plan.
+func appendPlanLine(b []byte, pe *plannedExperiment) []byte {
+	b = strconv.AppendInt(b, int64(pe.seq), 10)
+	b = append(b, "|{Kind:"...)
+	b = append(b, pe.fault.Kind...)
+	b = append(b, " Bits:["...)
+	for i, bit := range pe.fault.Bits {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(bit), 10)
+	}
+	b = append(b, "] ActiveProb:"...)
+	b = strconv.AppendFloat(b, pe.fault.ActiveProb, 'g', -1, 64)
+	b = append(b, "}|{Kind:"...)
+	b = append(b, pe.trig.Kind...)
+	b = append(b, " Cycle:"...)
+	b = strconv.AppendUint(b, pe.trig.Cycle, 10)
+	b = append(b, " Count:"...)
+	b = strconv.AppendUint(b, pe.trig.Count, 10)
+	b = append(b, " Addr:"...)
+	b = strconv.AppendUint(b, uint64(pe.trig.Addr), 10)
+	b = append(b, " Occurrence:"...)
+	b = strconv.AppendInt(b, int64(pe.trig.Occurrence), 10)
+	b = append(b, " Write:"...)
+	b = strconv.AppendBool(b, pe.trig.Write)
+	b = append(b, " Period:"...)
+	b = strconv.AppendUint(b, pe.trig.Period, 10)
+	return append(b, "}\n"...)
 }
 
 // saveCursor persists the campaign cursor through the checkpoint sink.

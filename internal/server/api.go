@@ -1,13 +1,15 @@
 package server
 
 // The campaign-lifecycle HTTP API plus the merged telemetry endpoints.
-// Everything speaks JSON; errors come back as {"error": "..."} with a
-// meaningful status code (400 bad plan, 404 unknown campaign, 409 bad
-// state transition, 429 queue full).
+// Everything speaks JSON, bar the body of a shard report; errors come
+// back as {"error": "..."} with a meaningful status code (400 bad plan,
+// 404 unknown campaign, 409 bad state transition, 429 queue full).
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -350,7 +352,13 @@ func (s *Server) handleShardHello(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad hello: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, coord.Hello(req))
+	resp, err := coord.Hello(req)
+	if err != nil {
+		// Only a protocol mismatch fails a hello.
+		writeErr(w, http.StatusUpgradeRequired, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // shardCoord resolves the live coordinator of a sharded job, or answers
@@ -384,7 +392,9 @@ func (s *Server) handleShardLease(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, coord.Lease(req))
+	// The coordinator may hold the request until it has an answer worth
+	// sending; a worker that hangs up frees it through the context.
+	writeJSON(w, http.StatusOK, coord.Lease(r.Context(), req))
 }
 
 func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -409,22 +419,34 @@ func (s *Server) handleShardReport(w http.ResponseWriter, r *http.Request) {
 	if coord == nil {
 		return
 	}
-	// Reports carry record batches; give them real headroom.
-	var req shard.ReportRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
+	if ct := r.Header.Get("Content-Type"); ct != shard.FrameContentType {
+		// A JSON body is a worker from before protocol version 2.
+		writeErr(w, http.StatusUnsupportedMediaType,
+			"report bodies are %s frames (shard protocol version %d), not %q — run the same goofi build on both sides",
+			shard.FrameContentType, shard.ProtocolVersion, ct)
+		return
+	}
+	// Reports carry row batches; give them real headroom. The buffer
+	// starts at the declared length, which saves a megabyte-sized body
+	// its doublings, but a declaration buys at most that much up front.
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), 1<<20)+bytes.MinRead))
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 64<<20)); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad report: %v", err)
 		return
 	}
-	resp, err := coord.Report(req)
-	if err == shard.ErrBadLease {
+	resp, err := coord.ReportFrame(body.Bytes())
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, resp)
+	case errors.Is(err, shard.ErrBadLease):
 		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	if err != nil {
+	case errors.Is(err, shard.ErrProtocol):
+		writeErr(w, http.StatusUnsupportedMediaType, "%v", err)
+	case errors.Is(err, shard.ErrBadFrame):
+		writeErr(w, http.StatusBadRequest, "%v", err)
+	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleProgress keeps the PR 5 contract: with ?tenant=&campaign= it

@@ -143,7 +143,6 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 				Dir:       filepath.Join(s.shardDir(spec.Tenant, name), fmt.Sprintf("w%d", i)),
 				Boards:    spec.Boards,
 				Transport: shard.Direct{C: coord},
-				Poll:      20 * time.Millisecond,
 			})
 			if err != nil {
 				fail(err)

@@ -16,7 +16,7 @@ import (
 
 type batcher struct {
 	store *campaign.Store
-	ch    chan []*campaign.ExperimentRecord
+	ch    chan []campaign.Row
 	flush chan chan error
 	quit  chan struct{} // closed by Close: writer drains and exits
 	done  chan struct{} // closed when the writer has exited
@@ -33,7 +33,7 @@ func newBatcher(store *campaign.Store, depth int) *batcher {
 	}
 	b := &batcher{
 		store: store,
-		ch:    make(chan []*campaign.ExperimentRecord, depth),
+		ch:    make(chan []campaign.Row, depth),
 		flush: make(chan chan error),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -46,8 +46,8 @@ func (b *batcher) writer() {
 	defer close(b.done)
 	for {
 		select {
-		case recs := <-b.ch:
-			b.write(recs)
+		case rows := <-b.ch:
+			b.write(rows)
 		case ack := <-b.flush:
 			// Drain everything queued ahead of the flush request, then
 			// raise a durability barrier so the accepted sequences
@@ -64,19 +64,19 @@ func (b *batcher) writer() {
 func (b *batcher) drain() {
 	for {
 		select {
-		case recs := <-b.ch:
-			b.write(recs)
+		case rows := <-b.ch:
+			b.write(rows)
 		default:
 			return
 		}
 	}
 }
 
-func (b *batcher) write(recs []*campaign.ExperimentRecord) {
-	if len(recs) == 0 || b.firstErr() != nil {
+func (b *batcher) write(rows []campaign.Row) {
+	if len(rows) == 0 || b.firstErr() != nil {
 		return
 	}
-	if err := b.store.LogExperimentBatch(recs); err != nil {
+	if err := b.store.InsertRows(rows); err != nil {
 		b.setErr(err)
 	}
 }
@@ -107,12 +107,12 @@ func (b *batcher) firstErr() error {
 
 // submit queues a batch for the writer, blocking when the queue is full.
 // This block is the protocol's backpressure point.
-func (b *batcher) submit(recs []*campaign.ExperimentRecord) error {
+func (b *batcher) submit(rows []campaign.Row) error {
 	if err := b.firstErr(); err != nil {
 		return err
 	}
 	select {
-	case b.ch <- recs:
+	case b.ch <- rows:
 		return nil
 	case <-b.done:
 		return fmt.Errorf("shard: ingest batcher closed")

@@ -455,7 +455,14 @@ func TestShardConformanceDetailTrace(t *testing.T) {
 	}
 	st := tenantStore(t, dir, "alice")
 	assertIdentical(t, st, "confdet", wantRecs, wantReport)
-	gotTrace := traceBytes(t, st, "confdet")
+	assertTraceIdentical(t, st, "confdet", wantTrace)
+}
+
+// assertTraceIdentical fails unless st's detail-mode trace rows match the
+// solo ground truth byte for byte.
+func assertTraceIdentical(t *testing.T, st *campaign.Store, name string, wantTrace []string) {
+	t.Helper()
+	gotTrace := traceBytes(t, st, name)
 	if len(gotTrace) != len(wantTrace) {
 		t.Fatalf("sharded run has %d trace rows, solo run has %d", len(gotTrace), len(wantTrace))
 	}

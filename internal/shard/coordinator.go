@@ -11,6 +11,10 @@ package shard
 //	      |                   | heartbeat lapse (Sweep)
 //	      +---- requeue <-----+
 //
+// A Lease that finds nothing pending waits inside the coordinator for the
+// next transition of this machine instead of sending the worker away to
+// poll.
+//
 // A requeued lease re-enters pending as the coalesced runs of its
 // still-unaccepted sequences, so work already merged from non-final
 // reports is never redone. Acceptance is tracked per sequence number;
@@ -18,6 +22,7 @@ package shard
 // covered it, which is what the partition property test pins.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -115,6 +120,10 @@ type Coordinator struct {
 	closed   bool
 	doneCh   chan struct{}
 	stopCh   chan struct{}
+	// wake is closed, and replaced, whenever a parked Lease could now be
+	// answered: a range went pending, the campaign completed, or the
+	// coordinator closed.
+	wake chan struct{}
 
 	// deliveries caches the acknowledgement of every keyed report batch
 	// (FIFO-evicted at maxDeliveries) so a retried delivery is re-acked,
@@ -174,6 +183,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		deliveries: make(map[string]ReportResponse),
 		doneCh:     make(chan struct{}),
 		stopCh:     make(chan struct{}),
+		wake:       make(chan struct{}),
 	}
 	for _, seq := range cp.Completed {
 		c.accepted[seq] = true
@@ -243,14 +253,24 @@ func (c *Coordinator) touchWorker(name string, now time.Time) *workerInfo {
 // Registration is advisory for the lease protocol but it is the call on
 // which an external worker discovers a bad token, and it makes the
 // fleet visible in /progress from the first connection.
-func (c *Coordinator) Hello(req HelloRequest) HelloResponse {
+//
+// A worker of another protocol version is refused with ErrProtocol and
+// retired like a quarantined one: a build that ignores the refusal and
+// leases anyway is told there is no work for it, instead of being handed
+// a range whose reports the coordinator could not read.
+func (c *Coordinator) Hello(req HelloRequest) (HelloResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.touchWorker(req.Worker, c.cfg.NowFunc())
 	if req.Host != "" {
 		w.host = req.Host
 	}
-	return HelloResponse{Status: "ok", Workers: len(c.workers)}
+	if req.Protocol != ProtocolVersion {
+		c.quarant[req.Worker] = true
+		return HelloResponse{}, fmt.Errorf("%w: worker %q speaks version %d, this coordinator %d — run the same goofi build on both sides",
+			ErrProtocol, req.Worker, req.Protocol, ProtocolVersion)
+	}
+	return HelloResponse{Status: "ok", Workers: len(c.workers), Protocol: ProtocolVersion}, nil
 }
 
 // WorkerStatus is one fleet member's view in Fleet().
@@ -289,13 +309,51 @@ func (c *Coordinator) Fleet() []WorkerStatus {
 	return out
 }
 
-// Lease grants the next pending range to a worker.
-func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touchWorker(req.Worker, c.cfg.NowFunc())
-	c.sweepLocked(c.cfg.NowFunc())
-	if c.closed || c.quarant[req.Worker] {
+// Lease grants the next pending range to a worker. When every range is
+// leased out and the campaign is not complete, the call parks until a
+// range goes pending (a final report's remainder, a sweep's requeue), the
+// campaign completes or the coordinator closes, and answers that; it gives
+// up with LeaseWait when ctx ends or after parkLimit, which keeps a parked
+// HTTP request far inside the worker's call timeout. The worker asks again
+// at once, so no completion ever waits out a poll interval.
+func (c *Coordinator) Lease(ctx context.Context, req LeaseRequest) LeaseResponse {
+	var limit *time.Timer
+	for {
+		c.mu.Lock()
+		now := c.cfg.NowFunc()
+		c.touchWorker(req.Worker, now)
+		c.sweepLocked(now)
+		resp := c.grantLocked(req.Worker, now)
+		wake := c.wake
+		c.mu.Unlock()
+		if resp.Status != LeaseWait {
+			return resp
+		}
+		if limit == nil {
+			limit = time.NewTimer(c.parkLimit())
+			defer limit.Stop()
+			defer func(start time.Time) { mLeaseParked.Observe(time.Since(start).Seconds()) }(time.Now())
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return resp
+		case <-limit.C:
+			return resp
+		}
+	}
+}
+
+// parkLimit bounds how long a Lease waits for work: a heartbeat period,
+// and never more than half the transport's default call timeout.
+func (c *Coordinator) parkLimit() time.Duration {
+	return min(c.cfg.HeartbeatEvery, DefaultCallTimeout/2)
+}
+
+// grantLocked answers a lease request from the current state, without
+// waiting. Callers hold c.mu.
+func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
+	if c.closed || c.quarant[worker] {
 		// A quarantined worker is retired exactly like a failed board:
 		// it gets no more work, the fleet shrinks by one.
 		return LeaseResponse{Status: LeaseDone}
@@ -311,9 +369,9 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	c.leaseSeq++
 	l := &lease{
 		id:      fmt.Sprintf("l%04d", c.leaseSeq),
-		worker:  req.Worker,
+		worker:  worker,
 		rng:     rng,
-		expires: c.cfg.NowFunc().Add(c.cfg.LeaseTTL),
+		expires: now.Add(c.cfg.LeaseTTL),
 	}
 	c.leases[l.id] = l
 	return LeaseResponse{
@@ -329,6 +387,13 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		Checkpoint:     c.cfg.Checkpoint,
 		HeartbeatEvery: c.cfg.HeartbeatEvery,
 	}
+}
+
+// wakeLocked releases every parked Lease to look at the state again.
+// Callers hold c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Heartbeat extends a lease; ErrBadLease tells the worker its lease is
@@ -347,12 +412,26 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) error {
 	return nil
 }
 
-// Report merges a batch of records for a lease. Only records the lease
-// covers and that have not been merged before are accepted: end records
-// by sequence number, the reference once per campaign, and detail-mode
-// trace rows with their parent. The write happens through the batcher;
-// a final report flushes it so retiring a range implies durability.
+// ReportFrame is Report for a frame off the wire (frame.go); body is
+// handed over, the merged rows alias it. A frame that does not decode is
+// ErrBadFrame, or ErrProtocol when it is another version's.
+func (c *Coordinator) ReportFrame(body []byte) (ReportResponse, error) {
+	req, err := DecodeReport(body)
+	if err != nil {
+		return ReportResponse{}, err
+	}
+	mReportBytes.Add(uint64(len(body)))
+	return c.Report(*req)
+}
+
+// Report merges a batch of rows for a lease. Only rows the lease covers
+// and that have not been merged before are accepted: end rows by sequence
+// number, the reference once per campaign, and detail-mode trace rows
+// with their parent. Accepted rows go to the store as they came — the
+// worker's bytes, not a re-encoding — through the batcher; a final report
+// flushes it so retiring a range implies durability.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
+	mReportRows.Add(uint64(len(req.Rows)))
 	c.mu.Lock()
 	now := c.cfg.NowFunc()
 	c.touchWorker(req.Worker, now)
@@ -380,34 +459,34 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	l.expires = now.Add(c.cfg.LeaseTTL) // a report is a heartbeat
 	name := c.cfg.Campaign.Name
 	refName := campaign.ReferenceName(name)
-	// takenNames are end records accepted from this batch; trace rows
-	// ride along with their parent. Two passes, so a batch may carry a
-	// group's trace rows before or after its end record.
+	// taken are end rows accepted from this batch; trace rows ride along
+	// with their parent. Two passes, so a batch may carry a group's trace
+	// rows before or after its end row.
 	taken := make(map[string]bool)
-	var ingest []*campaign.ExperimentRecord
-	for _, rec := range req.Records {
-		if rec == nil || rec.Campaign != name || rec.Step >= 0 {
+	ingest := make([]campaign.Row, 0, len(req.Rows))
+	for i := range req.Rows {
+		row := &req.Rows[i]
+		if row.Campaign() != name || row.Step() >= 0 {
 			continue
 		}
-		if rec.Name == refName {
+		if row.Name() == refName {
 			if !c.haveRef {
 				c.haveRef = true
-				taken[rec.Name] = true
-				ingest = append(ingest, rec)
+				taken[refName] = true
+				ingest = append(ingest, *row)
 			}
 			continue
 		}
-		seq := rec.Data.Seq
-		if seq < l.rng.Lo || seq >= l.rng.Hi || c.accepted[seq] {
+		if row.Seq < l.rng.Lo || row.Seq >= l.rng.Hi || c.accepted[row.Seq] {
 			continue
 		}
-		c.accepted[seq] = true
-		taken[rec.Name] = true
-		ingest = append(ingest, rec)
+		c.accepted[row.Seq] = true
+		taken[row.Name()] = true
+		ingest = append(ingest, *row)
 	}
-	for _, rec := range req.Records {
-		if rec != nil && rec.Campaign == name && rec.Step >= 0 && taken[rec.Parent] {
-			ingest = append(ingest, rec)
+	for i := range req.Rows {
+		if row := &req.Rows[i]; row.Campaign() == name && row.Step() >= 0 && taken[row.Parent()] {
+			ingest = append(ingest, *row)
 		}
 	}
 	final := req.Final
@@ -415,6 +494,9 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		delete(c.leases, req.LeaseID)
 		// Anything the range did not deliver goes back in the queue.
 		c.requeueLocked(l)
+		// Either there is a range to hand out now or the plan may be
+		// covered: a worker parked in Lease gets its answer.
+		c.wakeLocked()
 	}
 	done := final && c.complete()
 	c.mu.Unlock()
@@ -494,10 +576,12 @@ func (c *Coordinator) Sweep() {
 }
 
 func (c *Coordinator) sweepLocked(now time.Time) {
+	expired := false
 	for id, l := range c.leases {
 		if now.Before(l.expires) {
 			continue
 		}
+		expired = true
 		delete(c.leases, id)
 		c.requeueLocked(l)
 		c.failures[l.worker]++
@@ -505,9 +589,12 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			c.quarant[l.worker] = true
 		}
 	}
+	if expired {
+		c.wakeLocked()
+	}
 }
 
-// finish flushes the batcher and signals Done exactly once.
+// finish signals Done exactly once.
 func (c *Coordinator) finish() {
 	c.mu.Lock()
 	if c.closed {
@@ -521,6 +608,7 @@ func (c *Coordinator) finish() {
 	default:
 	}
 	close(c.doneCh)
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 
@@ -553,6 +641,7 @@ func (c *Coordinator) Close() error {
 	if !c.closed {
 		c.closed = true
 		close(c.stopCh)
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 	c.sweeper.Wait()

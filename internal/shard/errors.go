@@ -4,9 +4,10 @@ package shard
 // talking to its coordinator falls into one of two buckets:
 //
 //   - terminal: the protocol itself rejected the call. ErrBadLease
-//     (409/404 — the lease expired or predates a coordinator restart)
-//     and ErrUnauthorized (401 — the worker's token is wrong) cannot be
-//     fixed by resending the same request, so the retry loop returns
+//     (409/404 — the lease expired or predates a coordinator restart),
+//     ErrUnauthorized (401 — the worker's token is wrong) and
+//     ErrProtocol (426/415 — the two sides are different builds) cannot
+//     be fixed by resending the same request, so the retry loop returns
 //     them immediately and the worker changes behaviour (abandon the
 //     range, or exit).
 //   - retryable: the network or the daemon hiccuped. Timeouts,
@@ -85,7 +86,7 @@ func (e *TransportError) Unwrap() error { return e.Err }
 func (e *TransportError) Timeout() bool { return e.Class == ClassTimeout }
 
 // Retryable classifies any transport error: terminal protocol errors
-// (ErrBadLease, ErrUnauthorized, context cancellation) are not, a
+// (ErrBadLease, ErrUnauthorized, ErrProtocol, context cancellation) are not, a
 // TransportError answers for itself, and anything else — an unknown
 // wrapper around a network failure — defaults to retryable, matching
 // the worker's historical treat-unknown-as-transient behaviour.
@@ -93,7 +94,7 @@ func Retryable(err error) bool {
 	switch {
 	case err == nil:
 		return false
-	case errors.Is(err, ErrBadLease), errors.Is(err, ErrUnauthorized):
+	case errors.Is(err, ErrBadLease), errors.Is(err, ErrUnauthorized), errors.Is(err, ErrProtocol):
 		return false
 	case errors.Is(err, context.Canceled):
 		return false
@@ -131,6 +132,10 @@ func classifyStatus(op string, status int, snippet string) error {
 		// The daemon maps ErrBadLease (and a job it no longer tracks)
 		// onto these: the worker must abandon, not retry.
 		return ErrBadLease
+	case status == http.StatusUpgradeRequired || status == http.StatusUnsupportedMediaType:
+		// The daemon refused this build's hello (426) or the shape of its
+		// report body (415); its sentence says which versions met.
+		return fmt.Errorf("%w: %s: %s", ErrProtocol, op, snippet)
 	case status >= 500:
 		return &TransportError{Op: op, Status: status, Class: ClassStatus,
 			Retryable: true, Snippet: snippet}

@@ -33,3 +33,21 @@ var mTimeouts = telemetry.NewCounter("goofi_shard_transport_timeouts_total",
 
 var mDelivDeduped = telemetry.NewCounter("goofi_shard_report_deliveries_deduped_total",
 	"Retried report deliveries acknowledged from the coordinator's idempotency cache instead of re-merged.")
+
+// The report and lease path, as the coordinator sees it.
+var (
+	mLeaseParked = telemetry.NewHistogram("goofi_shard_lease_parked_seconds",
+		"Time lease requests spent parked in the coordinator waiting for a range, the campaign's end or the park limit.",
+		telemetry.DurationBuckets)
+	mReportBytes = telemetry.NewCounter("goofi_shard_report_bytes_total",
+		"Bytes of report frames the coordinator decoded.")
+	mReportRows = telemetry.NewCounter("goofi_shard_report_rows_total",
+		"Rows delivered to the coordinator in reports, before the exactly-once filter.")
+)
+
+// mFinalScanRows counts, on the worker, the rows a range had to read back
+// from its shard database to report them: the experiments a recovered
+// cursor made the runner skip. A range that starts on a clean store adds
+// nothing.
+var mFinalScanRows = telemetry.NewCounter("goofi_shard_final_scan_rows_total",
+	"Rows a worker read back from its shard database to re-report after a resume.")

@@ -8,6 +8,7 @@ package shard
 // that poisons the coordinator's ingest path and fails the test.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -127,9 +128,9 @@ func (c *simClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// simRecord fabricates the end record of sequence seq (or the reference
+// simRecord fabricates the end row of sequence seq (or the reference
 // for seq < 0) with just enough shape for the merge path.
-func simRecord(name string, seq int) *campaign.ExperimentRecord {
+func simRecord(name string, seq int) campaign.Row {
 	rec := &campaign.ExperimentRecord{
 		Campaign: name,
 		Step:     -1,
@@ -140,7 +141,7 @@ func simRecord(name string, seq int) *campaign.ExperimentRecord {
 	} else {
 		rec.Name = campaign.ExperimentName(name, seq)
 	}
-	return rec
+	return campaign.EncodeRow(rec)
 }
 
 // TestShardExactlyOnceUnderChurn drives a coordinator through seeded
@@ -201,6 +202,11 @@ func TestShardExactlyOnceUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer coord.Close()
+			// The simulation is one goroutine on a fake clock: nobody else
+			// could wake a parked Lease, so it asks with a finished context
+			// and gets the coordinator's answer of the moment.
+			noWait, cancel := context.WithCancel(context.Background())
+			cancel()
 
 			type liveLease struct {
 				resp   *LeaseResponse
@@ -224,7 +230,7 @@ func TestShardExactlyOnceUnderChurn(t *testing.T) {
 				w := workers[rng.Intn(len(workers))]
 				l := held[w]
 				if l == nil {
-					resp := coord.Lease(LeaseRequest{Worker: w})
+					resp := coord.Lease(noWait, LeaseRequest{Worker: w})
 					if resp.Status == LeaseRange {
 						held[w] = &liveLease{resp: &resp, cursor: resp.Range.Lo}
 					} else if resp.Status == LeaseWait {
@@ -245,7 +251,7 @@ func TestShardExactlyOnceUnderChurn(t *testing.T) {
 						delete(held, k)
 					}
 				case 2, 3: // final report, possibly with an unfinished tail
-					var recs []*campaign.ExperimentRecord
+					var recs []campaign.Row
 					if !sentRef {
 						recs = append(recs, simRecord(name, -1))
 						sentRef = true
@@ -258,7 +264,7 @@ func TestShardExactlyOnceUnderChurn(t *testing.T) {
 						recs = append(recs, simRecord(name, s))
 					}
 					req := ReportRequest{
-						Worker: w, LeaseID: l.resp.LeaseID, Records: recs, Final: true,
+						Worker: w, LeaseID: l.resp.LeaseID, Rows: recs, Final: true,
 						Delivery: fmt.Sprintf("%s/%s/%d", w, l.resp.LeaseID, iter),
 					}
 					ack, err := coord.Report(req)
@@ -289,7 +295,7 @@ func TestShardExactlyOnceUnderChurn(t *testing.T) {
 					if hi > l.resp.Range.Hi {
 						hi = l.resp.Range.Hi
 					}
-					var recs []*campaign.ExperimentRecord
+					var recs []campaign.Row
 					if !sentRef || rng.Intn(8) == 0 {
 						recs = append(recs, simRecord(name, -1))
 						sentRef = true
@@ -298,7 +304,7 @@ func TestShardExactlyOnceUnderChurn(t *testing.T) {
 						recs = append(recs, simRecord(name, s))
 					}
 					req := ReportRequest{
-						Worker: w, LeaseID: l.resp.LeaseID, Records: recs,
+						Worker: w, LeaseID: l.resp.LeaseID, Rows: recs,
 						Delivery: fmt.Sprintf("%s/%s/%d", w, l.resp.LeaseID, iter),
 					}
 					ack, err := coord.Report(req)

@@ -1,9 +1,10 @@
 package shard
 
-// The coordinator/worker wire protocol. Everything is JSON over the
-// daemon's HTTP surface (POST /api/v1/shards/{tenant}/{name}/...), and
-// the same request/response structs drive the in-process Direct
-// transport, so a worker cannot tell one from the other.
+// The coordinator/worker wire protocol over the daemon's HTTP surface
+// (POST /api/v1/shards/{tenant}/{name}/...): hello, lease and heartbeat
+// are JSON, a report is one binary frame (frame.go). The same
+// request/response structs drive the in-process Direct transport, so a
+// worker cannot tell one from the other.
 
 import (
 	"errors"
@@ -12,12 +13,23 @@ import (
 	"goofi/internal/campaign"
 )
 
+// ProtocolVersion is the wire protocol both sides must speak. Version 2
+// replaced the JSON report body of records with a binary frame of stored
+// rows; hello carries the number so a mixed fleet fails on its first call
+// with a sentence, not on its first report with a decode error.
+const ProtocolVersion = 2
+
+// ErrProtocol rejects a peer that speaks another protocol version. It is
+// terminal: the same binary will say the same thing again.
+var ErrProtocol = errors.New("shard: protocol version mismatch")
+
 // Lease outcomes.
 const (
 	// LeaseRange hands the worker a range to execute.
 	LeaseRange = "range"
-	// LeaseWait means no range is free right now (all leased out), but
-	// the campaign is not finished — poll again.
+	// LeaseWait means no range came free while the coordinator held the
+	// request (all leased out), but the campaign is not finished — ask
+	// again at once; the coordinator does the waiting.
 	LeaseWait = "wait"
 	// LeaseDone means no work remains for this worker: the campaign is
 	// complete, or the worker has been quarantined.
@@ -39,6 +51,8 @@ type HelloRequest struct {
 	Worker string `json:"worker"`
 	// Host is the worker's self-reported host, for fleet display.
 	Host string `json:"host,omitempty"`
+	// Protocol is the worker's ProtocolVersion.
+	Protocol int `json:"protocol"`
 }
 
 // HelloResponse acknowledges a registration.
@@ -46,6 +60,8 @@ type HelloResponse struct {
 	Status string `json:"status"`
 	// Workers is how many workers the coordinator currently knows.
 	Workers int `json:"workers"`
+	// Protocol is the coordinator's ProtocolVersion.
+	Protocol int `json:"protocol"`
 }
 
 // LeaseRequest asks for a range on behalf of a named worker.
@@ -86,14 +102,15 @@ type HeartbeatRequest struct {
 	LeaseID string `json:"leaseId"`
 }
 
-// ReportRequest delivers a batch of logged records for a lease. Final
-// marks the last batch of the range; the coordinator flushes its ingest
-// queue and retires the lease on it.
+// ReportRequest delivers a batch of logged rows for a lease, in the
+// stored form the worker's own shard database holds. Final marks the last
+// batch of the range; the coordinator flushes its ingest queue and retires
+// the lease on it.
 type ReportRequest struct {
-	Worker  string                       `json:"worker"`
-	LeaseID string                       `json:"leaseId"`
-	Records []*campaign.ExperimentRecord `json:"records"`
-	Final   bool                         `json:"final"`
+	Worker  string
+	LeaseID string
+	Rows    []campaign.Row
+	Final   bool
 	// Delivery is the batch's idempotency key. The coordinator's merge
 	// was always idempotent (the two-pass filter drops already-accepted
 	// sequences); the key makes the *acknowledgement* idempotent too: a
@@ -101,10 +118,10 @@ type ReportRequest struct {
 	// to a timeout, reset, or asymmetric partition — is answered from
 	// the coordinator's delivery cache instead of re-processed, so the
 	// worker stops re-sending. Empty keys skip the cache.
-	Delivery string `json:"delivery,omitempty"`
+	Delivery string
 }
 
-// ReportResponse acknowledges a batch. Accepted counts the records
+// ReportResponse acknowledges a batch. Accepted counts the rows
 // actually ingested; duplicates of already-merged sequences (requeue
 // races, repeated references) are dropped silently.
 type ReportResponse struct {

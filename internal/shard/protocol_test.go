@@ -1,0 +1,68 @@
+package shard
+
+// The protocol version handshake: two builds that disagree about the wire
+// format find out on hello, in a sentence, and the worker exits — no
+// lease, no report that can never land, no retry loop.
+
+import (
+	"context"
+	"errors"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+func TestHelloRefusesOtherProtocolVersion(t *testing.T) {
+	coord, _, _ := simCoordinator(t, 6, 1)
+	resp, err := coord.Hello(HelloRequest{Worker: "new", Protocol: ProtocolVersion})
+	if err != nil || resp.Protocol != ProtocolVersion {
+		t.Fatalf("hello at version %d = %+v, %v", ProtocolVersion, resp, err)
+	}
+	// A worker from before the version field says 0.
+	_, err = coord.Hello(HelloRequest{Worker: "old"})
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "version 0") {
+		t.Fatalf("hello at version 0 = %v, want ErrProtocol naming the versions", err)
+	}
+	if Retryable(err) {
+		t.Fatal("a protocol mismatch must not be retried")
+	}
+	// Should it lease regardless, it is sent home, not handed a range.
+	if resp := coord.Lease(context.Background(), LeaseRequest{Worker: "old"}); resp.Status != LeaseDone {
+		t.Fatalf("lease for a refused worker = %q, want %q", resp.Status, LeaseDone)
+	}
+	if resp := coord.Lease(context.Background(), LeaseRequest{Worker: "new"}); resp.Status != LeaseRange {
+		t.Fatalf("lease for the accepted worker = %q, want %q", resp.Status, LeaseRange)
+	}
+}
+
+// oldCoordinator answers hello the way a build without the version field
+// does and fails the test on anything further.
+type oldCoordinator struct {
+	Transport
+	t *testing.T
+}
+
+func (o oldCoordinator) Hello(context.Context, HelloRequest) (*HelloResponse, error) {
+	return &HelloResponse{Status: "ok", Workers: 1}, nil
+}
+
+func (o oldCoordinator) Lease(context.Context, LeaseRequest) (*LeaseResponse, error) {
+	o.t.Error("the worker leased from a coordinator of another protocol version")
+	return &LeaseResponse{Status: LeaseDone}, nil
+}
+
+func TestWorkerRefusesOtherProtocolVersion(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{
+		Name: "w", Dir: filepath.Join(t.TempDir(), "w"), Transport: oldCoordinator{t: t},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = w.Run(ctx)
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "version 0") {
+		t.Fatalf("worker against an old coordinator = %v, want ErrProtocol naming the versions", err)
+	}
+}

@@ -42,12 +42,15 @@ type Direct struct {
 }
 
 func (d Direct) Hello(_ context.Context, req HelloRequest) (*HelloResponse, error) {
-	resp := d.C.Hello(req)
+	resp, err := d.C.Hello(req)
+	if err != nil {
+		return nil, err
+	}
 	return &resp, nil
 }
 
-func (d Direct) Lease(_ context.Context, req LeaseRequest) (*LeaseResponse, error) {
-	resp := d.C.Lease(req)
+func (d Direct) Lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
+	resp := d.C.Lease(ctx, req)
 	return &resp, nil
 }
 
@@ -66,9 +69,10 @@ func (d Direct) Report(_ context.Context, req ReportRequest) (*ReportResponse, e
 // Client deadlines and limits.
 const (
 	// DefaultCallTimeout bounds lease, heartbeat and hello calls — small
-	// JSON round trips that either answer quickly or not at all.
+	// JSON round trips that answer quickly or not at all; a lease the
+	// coordinator parks is answered within half of it at the latest.
 	DefaultCallTimeout = 10 * time.Second
-	// DefaultReportTimeout bounds report calls, which carry record
+	// DefaultReportTimeout bounds report calls, which carry row
 	// batches and may legitimately stall in the coordinator's ingest
 	// backpressure while the merge catches up.
 	DefaultReportTimeout = 60 * time.Second
@@ -194,20 +198,32 @@ func (t *HTTPTransport) timeout(action string) time.Duration {
 	return DefaultCallTimeout
 }
 
-// post performs one protocol call with deadline, classification and
-// retry. The request body is marshaled once and replayed byte-identical
-// on every attempt — for reports that keeps the idempotency key stable,
-// which is what lets the coordinator dedupe a delivery whose first
-// acknowledgement was lost.
+// Content types of the protocol's request bodies.
+const (
+	jsonContentType = "application/json"
+	// FrameContentType marks a report body as a frame (frame.go).
+	FrameContentType = "application/vnd.goofi.shard-report"
+)
+
+// post performs one JSON protocol call.
 func (t *HTTPTransport) post(ctx context.Context, action string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
+	return t.call(ctx, action, jsonContentType, body, resp)
+}
+
+// call performs one protocol call with deadline, classification and
+// retry. The request body is encoded once and replayed byte-identical
+// on every attempt — for reports that keeps the idempotency key stable,
+// which is what lets the coordinator dedupe a delivery whose first
+// acknowledgement was lost.
+func (t *HTTPTransport) call(ctx context.Context, action, contentType string, body []byte, resp any) error {
 	url := fmt.Sprintf("%s/api/v1/shards/%s/%s/%s", t.Base, t.Tenant, t.Campaign, action)
 	attempts := t.Retry.maxAttempts()
 	for attempt := 1; ; attempt++ {
-		err := t.once(ctx, action, url, body, resp)
+		err := t.once(ctx, action, url, contentType, body, resp)
 		if err == nil {
 			return nil
 		}
@@ -229,14 +245,14 @@ func (t *HTTPTransport) post(ctx context.Context, action string, req, resp any) 
 }
 
 // once is a single attempt: one request, one classified outcome.
-func (t *HTTPTransport) once(ctx context.Context, action, url string, body []byte, resp any) error {
+func (t *HTTPTransport) once(ctx context.Context, action, url, contentType string, body []byte, resp any) error {
 	callCtx, cancel := context.WithTimeout(ctx, t.timeout(action))
 	defer cancel()
 	hr, err := http.NewRequestWithContext(callCtx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("Content-Type", contentType)
 	if t.Token != "" {
 		hr.Header.Set("Authorization", "Bearer "+t.Token)
 	}
@@ -311,7 +327,7 @@ func (t *HTTPTransport) Heartbeat(ctx context.Context, req HeartbeatRequest) err
 
 func (t *HTTPTransport) Report(ctx context.Context, req ReportRequest) (*ReportResponse, error) {
 	var resp ReportResponse
-	if err := t.post(ctx, "report", req, &resp); err != nil {
+	if err := t.call(ctx, "report", FrameContentType, EncodeReport(&req), &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -61,6 +61,10 @@ func TestTransportErrorClassification(t *testing.T) {
 			wantErrIs: ErrBadLease, wantCalls: 1},
 		{name: "400-terminal", status: []int{400}, body: `{"error":"bad plan"}`, retries: 3,
 			wantClass: ClassStatus, wantCalls: 1},
+		{name: "426-protocol", status: []int{426}, body: `{"error":"worker speaks version 1"}`, retries: 3,
+			wantErrIs: ErrProtocol, wantCalls: 1},
+		{name: "415-protocol", status: []int{415}, body: `{"error":"report bodies are frames"}`, retries: 3,
+			wantErrIs: ErrProtocol, wantCalls: 1},
 		{name: "500-retry-then-success", status: []int{500, 500, 200}, retries: 3,
 			wantOK: true, wantCalls: 3},
 		{name: "500-exhausted", status: []int{500}, retries: 2,
@@ -127,7 +131,7 @@ func TestTransportTimeoutClassified(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	defer close(release) // unblock the handler before Close waits on it
+	defer close(release)            // unblock the handler before Close waits on it
 	tr := fastTransport(ts.URL, -1) // no retries: one classified attempt
 	tr.CallTimeout = 20 * time.Millisecond
 	_, err := tr.Lease(context.Background(), LeaseRequest{Worker: "w"})
@@ -204,6 +208,13 @@ func TestTransportBearerToken(t *testing.T) {
 // protocol-level tests that fabricate records.
 func simCoordinator(t *testing.T, n, shards int) (*Coordinator, *campaign.Store, string) {
 	t.Helper()
+	return simCoordinatorWith(t, n, shards, func(*CoordinatorConfig) {})
+}
+
+// simCoordinatorWith is simCoordinator with the rest of the config (the
+// cadence, the clock) left to tune.
+func simCoordinatorWith(t *testing.T, n, shards int, tune func(*CoordinatorConfig)) (*Coordinator, *campaign.Store, string) {
+	t.Helper()
 	name := "deliv"
 	db, err := sqldb.OpenAt(filepath.Join(t.TempDir(), "deliv.db"), sqldb.SyncNever)
 	if err != nil {
@@ -235,9 +246,9 @@ func simCoordinator(t *testing.T, n, shards int) (*Coordinator, *campaign.Store,
 	if err := st.PutCampaign(camp); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Store: st, Campaign: camp, Target: tsd, Shards: shards,
-	})
+	cfg := CoordinatorConfig{Store: st, Campaign: camp, Target: tsd, Shards: shards}
+	tune(&cfg)
+	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +263,14 @@ func simCoordinator(t *testing.T, n, shards int) (*Coordinator, *campaign.Store,
 func TestReportDeliveryIdempotent(t *testing.T) {
 	const n = 6
 	coord, st, name := simCoordinator(t, n, 1)
-	lease := coord.Lease(LeaseRequest{Worker: "w"})
+	lease := coord.Lease(context.Background(), LeaseRequest{Worker: "w"})
 	if lease.Status != LeaseRange {
 		t.Fatalf("lease status = %q", lease.Status)
 	}
 
 	stream := ReportRequest{
 		Worker: "w", LeaseID: lease.LeaseID, Delivery: "w/l/1",
-		Records: []*campaign.ExperimentRecord{
+		Rows: []campaign.Row{
 			simRecord(name, -1), simRecord(name, 0), simRecord(name, 1),
 		},
 	}
@@ -296,7 +307,7 @@ func TestReportDeliveryIdempotent(t *testing.T) {
 
 	final := ReportRequest{
 		Worker: "w", LeaseID: lease.LeaseID, Final: true, Delivery: "w/l/2",
-		Records: []*campaign.ExperimentRecord{
+		Rows: []campaign.Row{
 			simRecord(name, 2), simRecord(name, 3), simRecord(name, 4), simRecord(name, 5),
 		},
 	}

@@ -12,6 +12,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -31,10 +32,15 @@ import (
 	_ "goofi/internal/swifi"
 )
 
-// reportBatch is how many records a report carries at most; experiment
-// groups (end record plus its trace rows) are never split across
-// batches, so the coordinator can accept trace rows with their parent.
+// reportBatch is how many ready rows wake the streaming pump; a report
+// carries up to four times as many. Experiment groups (an end row plus
+// its trace rows) are never split across reports, so the coordinator can
+// accept trace rows with their parent.
 const reportBatch = 64
+
+// maxRetryWait caps the doubling wait between attempts at a coordinator
+// that does not answer.
+const maxRetryWait = 2 * time.Second
 
 // WorkerConfig wires one shard worker.
 type WorkerConfig struct {
@@ -46,7 +52,10 @@ type WorkerConfig struct {
 	Boards int
 	// Transport reaches the coordinator.
 	Transport Transport
-	// Poll is the wait-state backoff (default 200ms).
+	// Poll is the first wait before retrying a coordinator that failed to
+	// answer, doubling up to maxRetryWait (default 200ms). Nothing on the
+	// healthy path sleeps it: a worker with no range to run waits inside
+	// the coordinator's Lease.
 	Poll time.Duration
 	// OnRecord, when set, observes every record the worker's runs log
 	// (test hook: conformance kills a worker mid-range from it).
@@ -118,66 +127,68 @@ func targetFactory(lease *LeaseResponse) (func() core.TargetSystem, error) {
 }
 
 // hookSink forwards to the worker's batching sink and mirrors every
-// record to the range's streaming reporter and the OnRecord test hook.
+// record to the OnRecord test hook.
 type hookSink struct {
 	*campaign.BatchingSink
-	rep  *reporter
 	hook func(*campaign.ExperimentRecord)
 }
 
 func (h *hookSink) LogExperiment(rec *campaign.ExperimentRecord) error {
-	err := h.BatchingSink.LogExperiment(rec)
-	if err != nil {
+	if err := h.BatchingSink.LogExperiment(rec); err != nil {
 		return err
 	}
-	h.rep.observe(rec)
-	if h.hook != nil {
-		h.hook(rec)
-	}
-	return err
+	h.hook(rec)
+	return nil
 }
 
-// reporter accumulates a range run's records and streams them to the
-// coordinator in complete experiment groups — an end record together
-// with the detail-trace rows logged before it — so the merge advances
-// while the range is still running and a dead shard loses at most the
-// in-flight tail. Streamed record names are remembered so the final
-// store scan does not resend them.
+// reporter holds the rows of one range that the coordinator has not
+// acknowledged yet. Rows arrive in stored form from the sink's tap, once
+// the worker's own shard database has them, and leave in complete
+// experiment groups — the detail-trace rows of an experiment and then its
+// end row — so the merge advances while the range is still running and a
+// dead shard loses at most the in-flight tail. Nothing is dropped before
+// it is acknowledged: at the end of the range what is left here is all
+// that is left to report, and the shard database is not read again.
 type reporter struct {
 	mu sync.Mutex
-	// trace buffers detail rows until their parent's end record lands.
-	trace map[string][]*campaign.ExperimentRecord
-	// ready holds complete groups awaiting a report, in arrival order.
-	// Group boundaries survive so take never splits one across reports.
-	ready [][]*campaign.ExperimentRecord
-	n     int // records across ready
-	// acked maps end-record names the coordinator has accepted a
-	// report for (its trace rows travelled in the same batch).
-	acked map[string]bool
+	// trace buffers detail rows until their parent's end row lands.
+	trace map[string][]campaign.Row
+	// ready holds complete groups in arrival order, each ending in its
+	// end row; take cuts only behind one.
+	ready []campaign.Row
 	// kick wakes the pump early once a full batch is ready.
 	kick chan struct{}
+
+	// unacked is the report whose acknowledgement has not arrived: a
+	// transient failure leaves it here to go out again as it is, delivery
+	// key included, so the coordinator can tell a repeat from news. Only
+	// one goroutine delivers at a time — the pump, then the final drain.
+	unacked *ReportRequest
 }
 
 func newReporter() *reporter {
 	return &reporter{
-		trace: make(map[string][]*campaign.ExperimentRecord),
-		acked: make(map[string]bool),
+		trace: make(map[string][]campaign.Row),
 		kick:  make(chan struct{}, 1),
 	}
 }
 
-func (p *reporter) observe(rec *campaign.ExperimentRecord) {
+// add queues rows, trace rows of an experiment before its end row.
+func (p *reporter) add(rows []campaign.Row) {
 	p.mu.Lock()
-	if rec.Step >= 0 {
-		p.trace[rec.Parent] = append(p.trace[rec.Parent], rec)
-		p.mu.Unlock()
-		return
+	for i := range rows {
+		row := &rows[i]
+		if row.Step() >= 0 {
+			p.trace[row.Parent()] = append(p.trace[row.Parent()], *row)
+			continue
+		}
+		if steps, ok := p.trace[row.Name()]; ok {
+			p.ready = append(p.ready, steps...)
+			delete(p.trace, row.Name())
+		}
+		p.ready = append(p.ready, *row)
 	}
-	group := append(p.trace[rec.Name], rec)
-	delete(p.trace, rec.Name)
-	p.ready = append(p.ready, group)
-	p.n += len(group)
-	full := p.n >= reportBatch
+	full := len(p.ready) >= reportBatch
 	p.mu.Unlock()
 	if full {
 		select {
@@ -187,34 +198,23 @@ func (p *reporter) observe(rec *campaign.ExperimentRecord) {
 	}
 }
 
-// take pops complete groups, flattened, up to roughly max records (at
-// least one whole group, so a group larger than max still moves).
-func (p *reporter) take(max int) []*campaign.ExperimentRecord {
+// take pops complete groups up to max rows — or one whole group, so that
+// a group larger than max still moves — and reports whether that emptied
+// the queue.
+func (p *reporter) take(max int) (rows []campaign.Row, empty bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []*campaign.ExperimentRecord
-	for len(p.ready) > 0 && (len(out) == 0 || len(out)+len(p.ready[0]) <= max) {
-		out = append(out, p.ready[0]...)
-		p.n -= len(p.ready[0])
-		p.ready = p.ready[1:]
-	}
-	return out
-}
-
-func (p *reporter) markAcked(recs []*campaign.ExperimentRecord) {
-	p.mu.Lock()
-	for _, rec := range recs {
-		if rec.Step < 0 {
-			p.acked[rec.Name] = true
+	n := len(p.ready)
+	if n > max {
+		for n = max; n > 0 && p.ready[n-1].Step() >= 0; n-- {
+		}
+		if n == 0 {
+			for n = max + 1; p.ready[n-1].Step() >= 0; n++ {
+			}
 		}
 	}
-	p.mu.Unlock()
-}
-
-func (p *reporter) isAcked(name string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.acked[name]
+	rows, p.ready = p.ready[:n:n], p.ready[n:]
+	return rows, len(p.ready) == 0
 }
 
 // Run leases and executes ranges until the coordinator reports the
@@ -227,46 +227,37 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	defer tenants.Close()
-	// Register with the fleet. Registration is advisory (the coordinator
-	// learns of us at lease time regardless) so transient failures are
-	// ignored — but a 401 is terminal: the token is wrong and every
-	// later call would bounce the same way.
-	host, _ := os.Hostname()
-	if _, err := w.cfg.Transport.Hello(ctx, HelloRequest{Worker: w.cfg.Name, Host: host}); err == ErrUnauthorized {
+	if err := w.register(ctx); err != nil {
 		return err
 	}
-	backoff := w.cfg.Poll
+	wait := w.cfg.Poll
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		resp, err := w.cfg.Transport.Lease(ctx, LeaseRequest{Worker: w.cfg.Name})
-		if err == ErrUnauthorized {
-			return err
-		}
 		if err != nil {
-			// The coordinator may be restarting; keep knocking.
-			if !sleep(ctx, backoff) {
-				return ctx.Err()
+			if terminal(err) {
+				return err
 			}
-			if backoff < 2*time.Second {
-				backoff *= 2
+			// The coordinator may be restarting; keep knocking.
+			if !retryWait(ctx, &wait) {
+				return ctx.Err()
 			}
 			continue
 		}
-		backoff = w.cfg.Poll
+		wait = w.cfg.Poll
 		switch resp.Status {
 		case LeaseDone:
 			return nil
 		case LeaseWait:
-			if !sleep(ctx, w.cfg.Poll) {
-				return ctx.Err()
-			}
+			// The coordinator held the request for as long as it cared to
+			// and has nothing yet: ask again, it does the waiting.
 		case LeaseRange:
 			err := w.runRange(ctx, tenants, resp)
 			switch {
 			case err == nil:
-			case err == ErrBadLease:
+			case errors.Is(err, ErrBadLease):
 				// Abandoned: the coordinator already requeued the rest.
 			case ctx.Err() != nil:
 				return ctx.Err()
@@ -279,16 +270,55 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-func sleep(ctx context.Context, d time.Duration) bool {
+// register says hello until the coordinator answers. The answer settles
+// two things before any work is leased: a bad token (401) and a
+// coordinator of another protocol version both end the worker with the
+// reason, instead of surfacing later as reports that can never land. It
+// also makes the fleet visible in /progress from the first connection.
+func (w *Worker) register(ctx context.Context) error {
+	host, _ := os.Hostname() // display only
+	wait := w.cfg.Poll
+	for {
+		resp, err := w.cfg.Transport.Hello(ctx, HelloRequest{
+			Worker: w.cfg.Name, Host: host, Protocol: ProtocolVersion,
+		})
+		switch {
+		case err == nil && resp.Protocol == ProtocolVersion:
+			return nil
+		case err == nil:
+			return fmt.Errorf("%w: coordinator speaks version %d, this worker %d — run the same goofi build on both sides",
+				ErrProtocol, resp.Protocol, ProtocolVersion)
+		case terminal(err):
+			return err
+		}
+		// Not there yet, restarting, or unreachable: keep knocking.
+		if !retryWait(ctx, &wait) {
+			return ctx.Err()
+		}
+	}
+}
+
+// terminal reports whether err ends the worker: no later call with the
+// same credentials and the same build can fare better.
+func terminal(err error) bool {
+	return errors.Is(err, ErrUnauthorized) || errors.Is(err, ErrProtocol)
+}
+
+// retryWait sleeps *wait and doubles it up to maxRetryWait; false means
+// ctx ended first.
+func retryWait(ctx context.Context, wait *time.Duration) bool {
+	t := time.NewTimer(*wait)
+	defer t.Stop()
+	*wait = min(2**wait, maxRetryWait)
 	select {
 	case <-ctx.Done():
 		return false
-	case <-time.After(d):
+	case <-t.C:
 		return true
 	}
 }
 
-// runRange executes one leased range and reports its records.
+// runRange executes one leased range and reports its rows.
 func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, lease *LeaseResponse) error {
 	camp := lease.Campaign
 	if camp == nil || lease.Target == nil {
@@ -303,16 +333,17 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 	// stalling. The streaming pump reports complete experiment groups as
 	// they accumulate — it may stall in the coordinator's ingest queue
 	// for as long as the merge needs, the heartbeats keep the lease alive
-	// meanwhile. A rejected beat or report means the lease is gone: stop
-	// the run and abandon the range.
+	// meanwhile. A rejected beat or report means the lease is gone (or
+	// the worker is not welcome at all): stop the run and abandon the
+	// range with that verdict.
 	rep := newReporter()
 	rctx, rcancel := context.WithCancel(ctx)
 	var pumps sync.WaitGroup
-	lost := make(chan struct{})
-	var lostOnce sync.Once
-	loseLease := func() {
-		lostOnce.Do(func() {
-			close(lost)
+	var abandonOnce sync.Once
+	var verdict error // written once before rcancel, read after pumps.Wait
+	abandon := func(err error) {
+		abandonOnce.Do(func() {
+			verdict = err
 			rcancel()
 		})
 	}
@@ -335,8 +366,8 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 			err := w.cfg.Transport.Heartbeat(ctx, HeartbeatRequest{
 				Worker: w.cfg.Name, LeaseID: lease.LeaseID,
 			})
-			if err == ErrBadLease || err == ErrUnauthorized {
-				loseLease()
+			if errors.Is(err, ErrBadLease) || terminal(err) {
+				abandon(err)
 				return
 			}
 			// Transient transport errors ride: the coordinator will
@@ -354,25 +385,9 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 			case <-rep.kick:
 			case <-t.C:
 			}
-			for {
-				recs := rep.take(4 * reportBatch)
-				if len(recs) == 0 {
-					break
-				}
-				_, err := w.cfg.Transport.Report(ctx, ReportRequest{
-					Worker: w.cfg.Name, LeaseID: lease.LeaseID, Records: recs,
-					Delivery: w.delivery(lease.LeaseID),
-				})
-				if err == ErrBadLease || err == ErrUnauthorized {
-					loseLease()
-					return
-				}
-				if err != nil {
-					// Transient: the unacked records re-report in the
-					// final store scan.
-					break
-				}
-				rep.markAcked(recs)
+			if err := w.deliver(ctx, lease.LeaseID, rep, false); err != nil {
+				abandon(err)
+				return
 			}
 		}
 	}()
@@ -402,6 +417,9 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 	if err != nil {
 		return err
 	}
+	if err := requeueSkipped(st, lease, cp, rep); err != nil {
+		return err
+	}
 	alg, ok := core.Algorithms()[lease.Technique]
 	if !ok {
 		return fmt.Errorf("shard: unknown technique %q", lease.Technique)
@@ -411,8 +429,13 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 		return err
 	}
 	sink := campaign.NewBatchingSink(st, 0)
+	sink.Tap(rep.add)
+	var runSink core.CheckpointSink = sink
+	if w.cfg.OnRecord != nil {
+		runSink = &hookSink{BatchingSink: sink, hook: w.cfg.OnRecord}
+	}
 	opts := []core.RunnerOption{
-		core.WithSink(&hookSink{BatchingSink: sink, rep: rep, hook: w.cfg.OnRecord}),
+		core.WithSink(runSink),
 		core.WithBoards(w.cfg.Boards, factory),
 		core.WithShardRange(lease.Range.Lo, lease.Range.Hi),
 		core.WithForwardSet(w.carried),
@@ -436,14 +459,13 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 	stopPumps()
 	w.carried = r.ForwardSet()
 	// Make the range durable locally whatever happens next; a worker
-	// killed after this point resumes without re-running anything.
+	// killed after this point resumes without re-running anything. The
+	// close also hands the reporter the last rows the sink was holding.
 	if err := sink.Close(); err != nil {
 		return err
 	}
-	select {
-	case <-lost:
-		return ErrBadLease
-	default:
+	if verdict != nil {
+		return verdict
 	}
 	if ctx.Err() != nil {
 		return ctx.Err()
@@ -451,7 +473,7 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 	if runErr != nil {
 		return runErr
 	}
-	return w.report(ctx, st, lease, rep)
+	return w.deliver(ctx, lease.LeaseID, rep, true)
 }
 
 func heartbeatEvery(lease *LeaseResponse) time.Duration {
@@ -461,87 +483,91 @@ func heartbeatEvery(lease *LeaseResponse) time.Duration {
 	return DefaultHeartbeat
 }
 
-// report closes out the range: the streamed-but-unacked tail plus every
-// in-range record the shard database holds from earlier interrupted
-// attempts (which the runner skipped rather than re-ran), in batches,
-// the last one marked final.
-func (w *Worker) report(ctx context.Context, st *campaign.Store, lease *LeaseResponse, rep *reporter) error {
+// requeueSkipped hands the reporter the rows this range will not produce
+// because the shard database already holds them: the in-range experiments
+// (and the reference run) that the recovered cursor makes the runner
+// skip, left by an attempt that was killed or lost its lease before they
+// were acknowledged. They are read by primary key, as stored; the step
+// rows of each only in a detail-mode campaign, the only kind that has
+// any. cp names exactly the end rows the store holds plus what its cursor
+// vouches for, and the runner logs every other in-range experiment
+// through the sink, so skipped rows and tapped rows together cover the
+// range without a scan — and a range that starts on a clean store reads
+// nothing at all.
+func requeueSkipped(st *campaign.Store, lease *LeaseResponse, cp *campaign.Checkpoint, rep *reporter) error {
 	name := lease.Campaign.Name
-	recs, err := st.Experiments(name)
-	if err != nil {
-		return err
-	}
-	// Anything still queued in the reporter is durable in the store by
-	// now (the sink closed before this call), so the scan below is the
-	// single source: every in-range group not already streamed.
-	for len(rep.take(1<<30)) > 0 {
-	}
-	// groups keeps each experiment's records contiguous.
-	var groups [][]*campaign.ExperimentRecord
-	for _, rec := range recs {
-		inRange := !rec.IsReference() &&
-			rec.Data.Seq >= lease.Range.Lo && rec.Data.Seq < lease.Range.Hi
-		if !rec.IsReference() && !inRange {
-			continue
-		}
-		if rep.isAcked(rec.Name) {
-			continue // already streamed mid-range
-		}
-		group := []*campaign.ExperimentRecord{rec}
-		trace, err := st.Trace(rec.Name)
+	detail := lease.Campaign.LogMode == campaign.LogDetail
+	requeue := func(experiment string, seq int) error {
+		group, err := st.StoredGroup(experiment, seq, detail)
 		if err != nil {
 			return err
 		}
-		group = append(group, trace...)
-		if rec.IsReference() {
-			// Reference first: the coordinator needs it before analysis.
-			groups = append([][]*campaign.ExperimentRecord{group}, groups...)
-		} else {
-			groups = append(groups, group)
+		if len(group) == 0 {
+			return fmt.Errorf("shard: the cursor of %s calls %s logged, but its shard database has no such row", name, experiment)
+		}
+		mFinalScanRows.Add(uint64(len(group)))
+		rep.add(group)
+		return nil
+	}
+	if cp.Reference {
+		if err := requeue(campaign.ReferenceName(name), -1); err != nil {
+			return err
 		}
 	}
-	var batch []*campaign.ExperimentRecord
-	send := func(final bool) error {
-		// One idempotency key per batch, minted before the retry loop:
-		// every retry of this batch replays the same key, so a delivery
-		// whose first acknowledgement was lost is re-acked, not re-merged.
-		req := ReportRequest{
-			Worker: w.cfg.Name, LeaseID: lease.LeaseID,
-			Records: batch, Final: final,
-			Delivery: w.delivery(lease.LeaseID),
+	for _, seq := range cp.Completed {
+		if seq < lease.Range.Lo || seq >= lease.Range.Hi {
+			continue
 		}
-		backoff := w.cfg.Poll
-		for {
-			_, err := w.cfg.Transport.Report(ctx, req)
-			if err == nil {
-				batch = batch[:0]
+		if err := requeue(campaign.ExperimentName(name, seq), seq); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// deliver reports what the reporter holds, the unacknowledged report
+// first and under its original key. The streaming pump calls it with
+// final unset: it sends until the queue is empty and leaves a report that
+// failed in transit for its next turn. The end of the range calls it with
+// final set: it retries until the coordinator has given a verdict on
+// every report, and marks the one that empties the queue — an empty one
+// if need be — as the range's last. The errors it returns are verdicts:
+// ErrBadLease, or one that ends the worker.
+func (w *Worker) deliver(ctx context.Context, leaseID string, rep *reporter, final bool) error {
+	wait := w.cfg.Poll
+	for {
+		req := rep.unacked
+		if req == nil {
+			rows, empty := rep.take(4 * reportBatch)
+			if len(rows) == 0 && !final {
 				return nil
 			}
-			if err == ErrUnauthorized {
-				return err
+			req = &ReportRequest{
+				Worker: w.cfg.Name, LeaseID: leaseID, Rows: rows,
+				Final: final && empty, Delivery: w.delivery(leaseID),
 			}
-			if err == ErrBadLease || ctx.Err() != nil {
-				return ErrBadLease
+			rep.unacked = req
+		}
+		_, err := w.cfg.Transport.Report(ctx, *req)
+		switch {
+		case err == nil:
+			rep.unacked = nil
+			if req.Final {
+				return nil
 			}
+			wait = w.cfg.Poll
+		case errors.Is(err, ErrBadLease), !Retryable(err) && ctx.Err() == nil:
+			return err
+		case !final:
+			return nil
+		default:
 			// The coordinator may be mid-restart: retry until the lease
 			// verdict is in.
-			if !sleep(ctx, backoff) {
+			if !retryWait(ctx, &wait) {
 				return ErrBadLease
 			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
 		}
 	}
-	for _, group := range groups {
-		if len(batch) > 0 && len(batch)+len(group) > reportBatch {
-			if err := send(false); err != nil {
-				return err
-			}
-		}
-		batch = append(batch, group...)
-	}
-	return send(true)
 }
 
 // sameDefinition compares two campaign definitions structurally.

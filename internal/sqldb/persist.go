@@ -79,7 +79,7 @@ func (db *DB) saveLocked(w io.Writer, epoch uint64) error {
 			n := 0
 			for ; n < len(rows) && len(b) < imageChunk; n++ {
 				for _, v := range rows[n] {
-					b = appendValue(b, v)
+					b = AppendValue(b, v)
 				}
 			}
 			binary.LittleEndian.PutUint32(b[count:], uint32(n))
@@ -254,7 +254,7 @@ func readImage(r *bufio.Reader) (epoch uint64, tables []tableDTO, err error) {
 		p = p[4:]
 		vals := make([]Value, nrows*ncols)
 		for i := range vals {
-			if vals[i], p, err = readValue(p); err != nil {
+			if vals[i], p, err = ReadValue(p); err != nil {
 				return 0, nil, err
 			}
 		}

@@ -206,7 +206,7 @@ func encodeStmtPayload(b []byte, sql string, args []Value) []byte {
 	b = appendString(b, sql)
 	b = binary.AppendUvarint(b, uint64(len(args)))
 	for _, v := range args {
-		b = appendValue(b, v)
+		b = AppendValue(b, v)
 	}
 	return b
 }
@@ -225,7 +225,7 @@ func decodeStmtPayload(p []byte) (sql string, args []Value, err error) {
 	}
 	args = make([]Value, nargs)
 	for i := range args {
-		if args[i], p, err = readValue(p); err != nil {
+		if args[i], p, err = ReadValue(p); err != nil {
 			return "", nil, err
 		}
 	}
@@ -235,11 +235,12 @@ func decodeStmtPayload(p []byte) (sql string, args []Value, err error) {
 	return sql, args, nil
 }
 
-// appendValue and readValue are the one value codec of the log and the
-// snapshot image. Values use the same kinds as the engine: a kind byte
-// followed by varint (INTEGER), 8-byte LE float bits (REAL), or a
-// uvarint-length-prefixed byte string (TEXT, BLOB); NULL is bare.
-func appendValue(b []byte, v Value) []byte {
+// AppendValue and ReadValue are the one value codec of the log, the
+// snapshot image and the shard report frame. Values use the same kinds as
+// the engine: a kind byte followed by varint (INTEGER), 8-byte LE float
+// bits (REAL), or a uvarint-length-prefixed byte string (TEXT, BLOB);
+// NULL is bare.
+func AppendValue(b []byte, v Value) []byte {
 	b = append(b, byte(v.K))
 	switch v.K {
 	case KInt:
@@ -255,10 +256,10 @@ func appendValue(b []byte, v Value) []byte {
 	return b
 }
 
-// readValue decodes one value from the front of p and returns the rest.
+// ReadValue decodes one value from the front of p and returns the rest.
 // A BLOB aliases p, capacity clipped, instead of copying it: the caller
 // must hand over a payload it will not reuse.
-func readValue(p []byte) (Value, []byte, error) {
+func ReadValue(p []byte) (Value, []byte, error) {
 	if len(p) == 0 {
 		return Value{}, nil, errBadRecord("value kind")
 	}
