@@ -22,12 +22,16 @@ FUZZTIME ?= 15s
 # The pruning line is the def-use soundness pin: the recorder's unit and
 # property tests, and every differential against the forwarding-off
 # oracle — the campaign matrix, the random programs, resume and shards.
+# bench/ is a module of its own that `./...` skips, and it compiles
+# against core's exported surface: build and vet it here (its tests are
+# the benchmark-only PR's, ROADMAP item 5).
 tier1:
 	$(GO) build ./...
+	$(GO) build -C bench -o /dev/null ./... && $(GO) vet -C bench ./...
 	$(GO) vet ./internal/core/ ./internal/thor/
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/ ./internal/thor/ ./internal/scifi/ . -run 'Snapshot|Forward' -count 1
-	$(GO) test -race ./internal/thor/ ./internal/trigger/ . -run 'FastPath|RunUntilFast|StepBurst|Placement' -count 1
+	$(GO) test -race ./internal/thor/ ./internal/trigger/ . -run 'FastPath|RunUntilFast|StepBurst' -count 1
 	$(GO) test -race ./internal/core/ ./internal/chaos/ . -run 'Chaos|Retry|Quarantine|Watchdog|Panic|InvalidRun|DrainsAndFlushes' -count 1
 	$(GO) test -race ./internal/telemetry/ . -run 'Telemetry|Registry|Prometheus|Handler|Progress' -count 1
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/campaign/ -run 'Differential|Fleet|Tenant|Admission|Cancel|Submit' -count 1
@@ -66,31 +70,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the microbenchmark numbers, runs the campaign
-# benchmarks three times for stable medians, and emits the comparison
-# blobs: checkpoint fast-forwarding (on vs off) into BENCH_PR3.json, the
-# fault-tolerance layer's healthy-path overhead into BENCH_PR4.json,
-# the fully-observed campaign's instrumentation overhead into
-# BENCH_PR5.json (acceptance: overhead_ratio <= 1.05), the goofid
-# service comparison (four concurrent tenant campaigns vs four
-# sequential CLI runs, plus per-submit API latency) into BENCH_PR6.json,
-# and the sharded-vs-solo comparison into BENCH_PR7.json (acceptance:
-# overhead_ratio <= 1.10 on one CPU, where no speedup is possible).
-# BENCH_PR8.json crosses checkpoint placement {interval, optimal} with
-# thor execution {fastpath, steppath} on the PID campaign (acceptance:
-# cycles_emulated_optimal <= cycles_emulated_interval — a deterministic
-# cycle count, never a wall-clock comparison).
-# The live-process (ptrace) target is measured by the proc-matmul
-# workload of the campaign benchmark (sh bench/run.sh), not here.
+# bench runs the Go microbenchmarks, and the PID campaign three times for
+# stable medians. The campaign benchmark — end-to-end and per-layer
+# metrics through the real binaries, what every performance claim is
+# judged on — is `sh bench/run.sh` (BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test . -run xxx -bench . -benchtime 1x
 	$(GO) test . -run xxx -bench BenchmarkCampaignPID -benchtime 1x -count 3
-	$(GO) run ./cmd/goofi-bench -reps 3 -o BENCH_PR3.json
-	$(GO) run ./cmd/goofi-bench -mode robustness -reps 5 -o BENCH_PR4.json
-	$(GO) run ./cmd/goofi-bench -mode telemetry -reps 5 -o BENCH_PR5.json
-	$(GO) run ./cmd/goofi-bench -mode service -n 400 -reps 3 -o BENCH_PR6.json
-	$(GO) run ./cmd/goofi-bench -mode shard -n 2000 -reps 5 -o BENCH_PR7.json
-	$(GO) run ./cmd/goofi-bench -mode forward -reps 5 -o BENCH_PR8.json
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
 # FUZZTIME=1m etc.). New corpus entries land in the build cache;

@@ -97,9 +97,9 @@ func run(args []string) error {
 	case "merge":
 		return cmdMerge(rest)
 	case "run":
-		return cmdRun(rest)
+		return cmdCampaign(rest, false)
 	case "resume":
-		return cmdResume(rest)
+		return cmdCampaign(rest, true)
 	case "analyze":
 		return cmdAnalyze(rest)
 	case "list":
@@ -377,48 +377,6 @@ func (p paramFlags) Set(s string) error {
 	return nil
 }
 
-// resolveTarget turns the -target / -technique flag pair into a
-// registry entry and an algorithm. Either flag alone is enough: a bare
-// technique selects the like-named target (the historical CLI
-// contract), a bare target runs its default algorithm.
-func resolveTarget(kind, technique string, params map[string]string) (core.TargetInfo, core.TargetConfig, core.Algorithm, error) {
-	if kind == "" {
-		kind = technique
-	}
-	if kind == "" {
-		kind = "scifi"
-	}
-	info, ok := core.LookupTarget(kind)
-	if !ok {
-		return core.TargetInfo{}, core.TargetConfig{}, core.Algorithm{},
-			fmt.Errorf("unknown target %q (see 'goofi targets')", kind)
-	}
-	algName := technique
-	if algName == "" {
-		algName = info.Algorithm
-	}
-	alg, ok := core.Algorithms()[algName]
-	if !ok {
-		return core.TargetInfo{}, core.TargetConfig{}, core.Algorithm{},
-			fmt.Errorf("unknown technique %q", algName)
-	}
-	return info, core.TargetConfig{Params: params}, alg, nil
-}
-
-// registryFactory builds the board factory from a registry entry. The
-// first construction is validated eagerly by the caller; later ones
-// reuse the same config, so a failure there is a programming error the
-// runner's recovery layer converts to a wedge.
-func registryFactory(info core.TargetInfo, cfg core.TargetConfig) func() core.TargetSystem {
-	return func() core.TargetSystem {
-		ts, err := info.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
-		}
-		return ts
-	}
-}
-
 func cmdTargets(args []string) error {
 	fs := flag.NewFlagSet("targets", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
@@ -473,16 +431,13 @@ func addRobustFlags(fs *flag.FlagSet) *robustFlags {
 	}
 }
 
-// options returns the scheduler options the flag values ask for.
-func (rf *robustFlags) options() []core.RunnerOption {
-	if *rf.maxRetries == 0 && *rf.boardThreshold == 0 && *rf.watchdog == 0 {
-		return nil
-	}
-	return []core.RunnerOption{core.WithRetryPolicy(core.RetryPolicy{
+// policy returns the retry policy the flag values ask for.
+func (rf *robustFlags) policy() core.RetryPolicy {
+	return core.RetryPolicy{
 		MaxRetries:            *rf.maxRetries,
 		BoardFailureThreshold: *rf.boardThreshold,
 		WatchdogTimeout:       *rf.watchdog,
-	})}
+	}
 }
 
 // wrapFactory layers the chaos fault model over a target factory when
@@ -587,42 +542,50 @@ func (tf *telemetryFlags) start(boards int) (tr *telemetry.Tracer, prog *telemet
 	return tr, prog, stop, nil
 }
 
-// storeSpans drains the tracer into the CampaignTelemetry table so the
-// analysis phase can break campaign time down offline.
-func storeSpans(st *campaign.Store, name string, tr *telemetry.Tracer) error {
-	if tr == nil {
-		return nil
+// cmdCampaign is `goofi run` and, with resume set, `goofi resume`: one
+// flag set and one body over core.Assemble, which is also what goofid and
+// the shard worker run — so the three cannot drift apart. A resumed
+// campaign continues from its durable cursor: already-logged experiments
+// are skipped and the rest of the same plan runs, producing results
+// byte-identical to an uninterrupted run. It must be given the flags that
+// shape the plan (-pre-injection) as the interrupted run had them.
+func cmdCampaign(args []string, resume bool) error {
+	verb := "run"
+	if resume {
+		verb = "resume"
 	}
-	return st.LogTelemetry(name, tr.Drain())
-}
-
-func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs := flag.NewFlagSet(verb, flag.ContinueOnError)
 	dbPath := fs.String("db", "goofi.db", "GOOFI database file")
-	name := fs.String("campaign", "", "campaign to run (required)")
+	name := fs.String("campaign", "", "campaign name (or pass it as the positional argument)")
 	technique := fs.String("technique", "", "fault injection algorithm: scifi, swifi-preruntime, swifi-runtime, pin-level (default: the target's own)")
 	targetKind := fs.String("target", "", "target system kind (see 'goofi targets'; default: derived from -technique, else scifi)")
 	params := paramFlags{}
-	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable)")
-	rerun := fs.String("rerun", "", "re-run one experiment by name (detail mode), recording parentExperiment")
-	preFilter := fs.Bool("pre-injection", false, "enable pre-injection liveness filtering")
+	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable; fastpath=off runs thor's cycle-accurate step path)")
+	preFilter := fs.Bool("pre-injection", false, "enable pre-injection liveness filtering (a resumed campaign needs it as the interrupted run had it)")
 	boards := fs.Int("boards", 1, "number of simulated boards to run in parallel")
 	ckpt := fs.Int("checkpoint", core.DefaultCheckpointInterval,
 		"experiments between durable checkpoints (0 disables crash recovery)")
 	noFwd := fs.Bool("no-checkpoints", false,
 		"disable checkpoint fast-forwarding (every experiment replays the full fault-free prefix)")
-	placement := fs.String("forward-placement", core.PlacementInterval,
-		"checkpoint placement strategy: interval (evenly spaced over the injection window) or optimal (minimises expected re-emulation over the drawn injection plan)")
-	noFast := fs.Bool("no-fastpath", false,
-		"run every cycle through the cycle-accurate step path instead of thor's batched fast path (outcomes are identical either way; scifi technique only)")
 	quiet := fs.Bool("quiet", false, "suppress the progress line")
+	// The two flags that belong to one verb only.
+	rerun, retryInvalid := new(string), new(bool)
+	if resume {
+		fs.BoolVar(retryInvalid, "retry-invalid", false,
+			"delete invalid-run records and re-attempt those experiments")
+	} else {
+		fs.StringVar(rerun, "rerun", "", "re-run one experiment by name (detail mode), recording parentExperiment")
+	}
 	rf := addRobustFlags(fs)
 	tf := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *name == "" && fs.NArg() > 0 {
+		*name = fs.Arg(0)
+	}
 	if *name == "" {
-		return fmt.Errorf("run: -campaign is required")
+		return fmt.Errorf("%s: a campaign name is required (-campaign)", verb)
 	}
 	st, db, err := openStore(*dbPath)
 	if err != nil {
@@ -637,66 +600,45 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *noFast {
-		params["fastpath"] = "off"
-	}
-	info, tcfg, alg, err := resolveTarget(*targetKind, *technique, params)
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	// Build one board eagerly so a bad target configuration fails here
-	// with a real error instead of panicking inside the board pool.
-	if _, err := info.New(tcfg); err != nil {
-		return fmt.Errorf("run: target %q: %w", info.Kind, err)
-	}
-	factory := rf.wrapFactory(registryFactory(info, tcfg))
-	// Batch LoggedSystemState writes: the scheduler flushes the sink at
-	// checkpoints and on termination, and Close drains it before save.
-	sink := campaign.NewBatchingSink(st, 0)
-	defer sink.Close()
 	tr, prog, stopTelemetry, err := tf.start(*boards)
 	if err != nil {
 		return err
 	}
 	defer stopTelemetry()
-	opts := []core.RunnerOption{
-		core.WithSink(sink),
-		core.WithBoards(*boards, factory),
-		core.WithTelemetry(tr, prog),
-	}
-	opts = append(opts, rf.options()...)
-	if *ckpt > 0 {
-		opts = append(opts, core.WithCheckpoints(*ckpt))
-	}
-	switch {
-	case *noFwd:
-		opts = append(opts, core.WithForwarding(core.ForwardConfig{Disabled: true}))
-	case *placement == core.PlacementOptimal:
-		opts = append(opts, core.WithForwarding(core.ForwardConfig{Placement: core.PlacementOptimal}))
-	case *placement != core.PlacementInterval:
-		return fmt.Errorf("run: unknown -forward-placement %q (want %q or %q)",
-			*placement, core.PlacementInterval, core.PlacementOptimal)
+	spec := core.RunSpec{
+		Store: st, Campaign: camp, Target: tsd,
+		TargetKind: *targetKind, Technique: *technique, TargetParams: params,
+		WrapFactory: rf.wrapFactory,
+		Boards:      *boards,
+		Checkpoint:  *ckpt,
+		NoForward:   *noFwd,
+		Retry:       rf.policy(),
+		Resume:      resume,
+		Tracer:      tr,
+		Progress:    prog,
 	}
 	if !*quiet {
-		opts = append(opts, core.WithProgress(progressLine))
+		spec.OnProgress = progressLine
 	}
 	if *preFilter {
 		a, err := preinject.AnalyzeWorkload(thor.DefaultConfig(), camp)
 		if err != nil {
-			return fmt.Errorf("run: pre-injection analysis: %w", err)
+			return fmt.Errorf("%s: pre-injection analysis: %w", verb, err)
 		}
-		opts = append(opts, core.WithInjectionFilter(a.Filter()))
+		spec.Filter = a.Filter()
 	}
-	r, err := core.NewRunner(factory(), alg, camp, tsd, opts...)
+	cr, err := core.Assemble(spec)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", verb, err)
 	}
-	if *rerun != "" {
-		ex, err := r.Rerun(*rerun, true)
+	defer cr.Close()
+	switch {
+	case *rerun != "":
+		ex, err := cr.Runner.Rerun(*rerun, true)
 		if err != nil {
 			return err
 		}
-		if err := sink.Close(); err != nil {
+		if err := cr.Close(); err != nil {
 			return err
 		}
 		if err := db.Checkpoint(); err != nil {
@@ -704,52 +646,63 @@ func cmdRun(args []string) error {
 		}
 		fmt.Printf("\nre-ran %s as %s (outcome: %s)\n", *rerun, ex.Name, ex.Result.Outcome.Status)
 		return nil
+	case resume && cr.Cursor == nil:
+		return fmt.Errorf("resume: campaign %q has no checkpoint or logged experiments ('goofi run' starts it)", camp.Name)
+	case *retryInvalid:
+		if err := dropInvalidRuns(st, cr.Cursor); err != nil {
+			return err
+		}
 	}
-	// A fresh run starts from a clean slate: previous results, phase
-	// spans, and any stale resume cursor go.
-	if err := st.DeleteCheckpoint(camp.Name); err != nil {
-		return err
+	if resume {
+		fmt.Printf("resuming %s: %d/%d experiments already durable\n",
+			camp.Name, cr.Resumed(), camp.NumExperiments)
 	}
-	if err := st.DeleteExperiments(camp.Name); err != nil {
-		return err
-	}
-	if err := st.DeleteTelemetry(camp.Name); err != nil {
-		return err
-	}
-	sum, err := r.Run(context.Background())
+	sum, err := cr.Run(context.Background())
 	if err != nil {
 		return err
 	}
 	stopTelemetry()
-	if err := storeSpans(st, camp.Name, tr); err != nil {
+	if _, err := cr.Finish(sum); err != nil {
 		return err
-	}
-	return finishCampaign(st, db, sink, camp.Name, sum, 0, prog)
-}
-
-// finishCampaign drains the sink, clears the resume cursor of a fully
-// completed campaign, compacts the WAL into the snapshot, and prints the
-// summary. resumed is how many experiments an earlier interrupted run
-// had already contributed. The wall-clock and throughput lines come
-// from the telemetry Progress tracker so the summary and the /progress
-// endpoint can't drift.
-func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSink,
-	name string, sum *core.Summary, resumed int, prog *telemetry.Progress) error {
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	camp, err := st.GetCampaign(name)
-	if err != nil {
-		return err
-	}
-	if resumed+sum.Experiments >= camp.NumExperiments {
-		if err := st.DeleteCheckpoint(name); err != nil {
-			return err
-		}
 	}
 	if err := db.Checkpoint(); err != nil {
 		return err
 	}
+	printSummary(sum, cr.Resumed(), prog)
+	return nil
+}
+
+// dropInvalidRuns is `goofi resume -retry-invalid`. Invalid runs are
+// final by default — a resumed campaign skips them like any completed
+// slot. Opting in deletes their records and drops them from the cursor so
+// the scheduler re-attempts them under this run's retry policy.
+func dropInvalidRuns(st *campaign.Store, cp *campaign.Checkpoint) error {
+	kept := cp.Completed[:0]
+	dropped := 0
+	for _, seq := range cp.Completed {
+		rec, err := st.GetExperiment(campaign.ExperimentName(cp.Campaign, seq))
+		if err != nil {
+			return err
+		}
+		if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun {
+			if err := st.DeleteExperiment(rec.Name); err != nil {
+				return err
+			}
+			dropped++
+			continue
+		}
+		kept = append(kept, seq)
+	}
+	cp.Completed = kept
+	fmt.Printf("re-attempting %d invalid run(s)\n", dropped)
+	return nil
+}
+
+// printSummary prints the campaign summary. resumed is how many
+// experiments an earlier interrupted run had already contributed. The
+// wall-clock and throughput lines come from the telemetry Progress
+// tracker so the summary and the /progress endpoint can't drift.
+func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 	if resumed > 0 {
 		fmt.Printf("\ncampaign %s finished: %d experiments this run (%d restored from checkpoint), %d injected, %d skipped by pre-injection filter\n",
 			sum.Campaign, sum.Experiments, resumed, sum.Injected, sum.Skipped)
@@ -757,13 +710,10 @@ func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSin
 		fmt.Printf("\ncampaign %s finished: %d experiments, %d injected, %d skipped by pre-injection filter\n",
 			sum.Campaign, sum.Experiments, sum.Injected, sum.Skipped)
 	}
-	if prog != nil {
-		s := prog.Snapshot()
-		if s.ElapsedSeconds > 0 {
-			fmt.Printf("  wall clock: %v (%.1f records/sec)\n",
-				time.Duration(s.ElapsedSeconds*float64(time.Second)).Round(time.Millisecond),
-				s.RecordsPerSecond)
-		}
+	if s := prog.Snapshot(); s.ElapsedSeconds > 0 {
+		fmt.Printf("  wall clock: %v (%.1f records/sec)\n",
+			time.Duration(s.ElapsedSeconds*float64(time.Second)).Round(time.Millisecond),
+			s.RecordsPerSecond)
 	}
 	statuses := make([]string, 0, len(sum.ByStatus))
 	for status := range sum.ByStatus {
@@ -795,132 +745,10 @@ func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSin
 		fmt.Printf("  pruned: %d experiments not emulated (%d latent, %d overwritten), rows synthesized from the reference run's def-use table\n",
 			n, sum.Pruned.Latent, sum.Pruned.Overwritten)
 	}
-	if sum.ForwardPlacement != "" {
-		fmt.Printf("  checkpoint placement %q: predicted re-emulation %d cycles, achieved %d\n",
-			sum.ForwardPlacement, sum.ForwardPredictedDelta, sum.ForwardDeltaCycles)
-	}
 	if sum.Retried > 0 || sum.InvalidRuns > 0 || sum.QuarantinedBoards > 0 {
 		fmt.Printf("  harness recovery: %d retries, %d invalid runs, %d boards quarantined\n",
 			sum.Retried, sum.InvalidRuns, sum.QuarantinedBoards)
 	}
-	return nil
-}
-
-// cmdResume continues an interrupted campaign from its durable cursor:
-// already-logged experiments are skipped and the rest of the same plan
-// runs, producing results byte-identical to an uninterrupted run.
-func cmdResume(args []string) error {
-	fs := flag.NewFlagSet("resume", flag.ContinueOnError)
-	dbPath := fs.String("db", "goofi.db", "GOOFI database file")
-	name := fs.String("campaign", "", "campaign to resume (or pass it as the positional argument)")
-	technique := fs.String("technique", "", "fault injection algorithm: scifi, swifi-preruntime, swifi-runtime, pin-level (default: the target's own)")
-	targetKind := fs.String("target", "", "target system kind (see 'goofi targets'; default: derived from -technique, else scifi)")
-	params := paramFlags{}
-	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable)")
-	boards := fs.Int("boards", 1, "number of simulated boards to run in parallel")
-	ckpt := fs.Int("checkpoint", core.DefaultCheckpointInterval,
-		"experiments between durable checkpoints (0 disables crash recovery)")
-	quiet := fs.Bool("quiet", false, "suppress the progress line")
-	retryInvalid := fs.Bool("retry-invalid", false,
-		"delete invalid-run records and re-attempt those experiments")
-	rf := addRobustFlags(fs)
-	tf := addTelemetryFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *name == "" && fs.NArg() > 0 {
-		*name = fs.Arg(0)
-	}
-	if *name == "" {
-		return fmt.Errorf("resume: a campaign name is required")
-	}
-	st, db, err := openStore(*dbPath)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	camp, err := st.GetCampaign(*name)
-	if err != nil {
-		return err
-	}
-	tsd, err := st.GetTargetSystem(camp.TargetName)
-	if err != nil {
-		return err
-	}
-	cp, err := st.RecoverCursor(camp.Name)
-	if err != nil {
-		return err
-	}
-	if !cp.Reference && len(cp.Completed) == 0 {
-		return fmt.Errorf("resume: campaign %q has no checkpoint or logged experiments ('goofi run' starts it)", camp.Name)
-	}
-	if *retryInvalid {
-		// Invalid runs are final by default — a resumed campaign skips
-		// them like any completed slot. Opting in deletes their records
-		// and drops them from the cursor so the scheduler re-attempts
-		// them under this run's retry policy.
-		kept := cp.Completed[:0]
-		dropped := 0
-		for _, seq := range cp.Completed {
-			rec, err := st.GetExperiment(campaign.ExperimentName(camp.Name, seq))
-			if err != nil {
-				return err
-			}
-			if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun {
-				if err := st.DeleteExperiment(rec.Name); err != nil {
-					return err
-				}
-				dropped++
-				continue
-			}
-			kept = append(kept, seq)
-		}
-		cp.Completed = kept
-		fmt.Printf("re-attempting %d invalid run(s)\n", dropped)
-	}
-	info, tcfg, alg, err := resolveTarget(*targetKind, *technique, params)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if _, err := info.New(tcfg); err != nil {
-		return fmt.Errorf("resume: target %q: %w", info.Kind, err)
-	}
-	factory := rf.wrapFactory(registryFactory(info, tcfg))
-	sink := campaign.NewBatchingSink(st, 0)
-	defer sink.Close()
-	tr, prog, stopTelemetry, err := tf.start(*boards)
-	if err != nil {
-		return err
-	}
-	defer stopTelemetry()
-	opts := []core.RunnerOption{
-		core.WithSink(sink),
-		core.WithBoards(*boards, factory),
-		core.WithResume(cp),
-		core.WithTelemetry(tr, prog),
-	}
-	opts = append(opts, rf.options()...)
-	if *ckpt > 0 {
-		opts = append(opts, core.WithCheckpoints(*ckpt))
-	}
-	if !*quiet {
-		opts = append(opts, core.WithProgress(progressLine))
-	}
-	r, err := core.NewRunner(factory(), alg, camp, tsd, opts...)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("resuming %s: %d/%d experiments already durable\n",
-		camp.Name, len(cp.Completed), camp.NumExperiments)
-	sum, err := r.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	stopTelemetry()
-	if err := storeSpans(st, camp.Name, tr); err != nil {
-		return err
-	}
-	return finishCampaign(st, db, sink, camp.Name, sum, len(cp.Completed), prog)
 }
 
 // progressLine renders the Fig 7 progress window on one terminal line.

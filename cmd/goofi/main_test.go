@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 
 	"goofi/internal/campaign"
 	"goofi/internal/core"
+	"goofi/internal/preinject"
 	"goofi/internal/scifi"
 	"goofi/internal/sqldb"
 	"goofi/internal/thor"
@@ -120,100 +123,163 @@ func TestRerunCommand(t *testing.T) {
 // TestResumeCommand interrupts a checkpointed campaign mid-run,
 // abandons the database file the way a killed process would (no
 // compaction, no graceful close), and checks that `goofi resume`
-// finishes the campaign and clears the cursor.
+// finishes the campaign and clears the cursor. The pre-injection case
+// does the same to a filtered campaign: the filter shapes the plan the
+// cursor's hash covers, so resume needs the flag the run had — without
+// it the refusal says so, with it the rows equal an uninterrupted run's.
 func TestResumeCommand(t *testing.T) {
-	db := dbPath(t)
-	for _, step := range [][]string{
-		{"configure", "-db", db},
-		{"setup", "-db", db, "-campaign", "res", "-workload", "sort16",
-			"-window", "10:1600", "-experiments", "10", "-timeout", "100000"},
+	for _, tc := range []struct {
+		name      string
+		locations string
+		filtered  bool
+	}{
+		{name: "plain", locations: "cpu"},
+		{name: "pre-injection", locations: "cpu.r1,cpu.r2,cpu.r8", filtered: true},
 	} {
-		if err := runCmd(t, step...); err != nil {
-			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
-		}
-	}
-
-	// The interrupted run: stop after 3 experiments, then walk away from
-	// the open database. Recovery must work from the snapshot and
-	// write-ahead log alone.
-	sdb, err := sqldb.OpenAt(db, sqldb.SyncBarrier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := campaign.NewStore(sdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp, err := st.GetCampaign("res")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsd, err := st.GetTargetSystem(camp.TargetName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		r    *core.Runner
-		mu   sync.Mutex
-		seen int
-	)
-	r, err = core.NewRunner(scifi.New(thor.DefaultConfig()), core.SCIFI, camp, tsd,
-		core.WithSink(st), core.WithCheckpoints(2),
-		core.WithProgress(func(ev core.ProgressEvent) {
-			if ev.Phase != "experiment" {
-				return
+		t.Run(tc.name, func(t *testing.T) {
+			db := dbPath(t)
+			setup := func(db string) {
+				t.Helper()
+				for _, step := range [][]string{
+					{"configure", "-db", db},
+					{"setup", "-db", db, "-campaign", "res", "-workload", "sort16", "-locations", tc.locations,
+						"-window", "10:1600", "-experiments", "10", "-timeout", "100000"},
+				} {
+					if err := runCmd(t, step...); err != nil {
+						t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
+					}
+				}
 			}
-			mu.Lock()
-			seen++
-			stop := seen == 3
-			mu.Unlock()
-			if stop {
-				r.Stop()
+			setup(db)
+			var flags []string
+			if tc.filtered {
+				flags = []string{"-pre-injection"}
 			}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Experiments >= camp.NumExperiments {
-		t.Fatalf("interruption failed: %d experiments ran", sum.Experiments)
-	}
 
-	if err := runCmd(t, "resume", "-db", db, "-campaign", "res", "-quiet"); err != nil {
-		t.Fatalf("goofi resume: %v", err)
-	}
+			// The interrupted run: stop after 3 experiments, then walk away
+			// from the open database. Recovery must work from the snapshot
+			// and write-ahead log alone.
+			sdb, err := sqldb.OpenAt(db, sqldb.SyncBarrier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := campaign.NewStore(sdb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			camp, err := st.GetCampaign("res")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tsd, err := st.GetTargetSystem(camp.TargetName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				r    *core.Runner
+				mu   sync.Mutex
+				seen int
+			)
+			opts := []core.RunnerOption{core.WithSink(st), core.WithCheckpoints(2),
+				core.WithProgress(func(ev core.ProgressEvent) {
+					if ev.Phase != "experiment" {
+						return
+					}
+					mu.Lock()
+					seen++
+					stop := seen == 3
+					mu.Unlock()
+					if stop {
+						r.Stop()
+					}
+				})}
+			if tc.filtered {
+				a, err := preinject.AnalyzeWorkload(thor.DefaultConfig(), camp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts = append(opts, core.WithInjectionFilter(a.Filter()))
+			}
+			r, err = core.NewRunner(scifi.New(thor.DefaultConfig()), core.SCIFI, camp, tsd, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := r.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Experiments >= camp.NumExperiments {
+				t.Fatalf("interruption failed: %d experiments ran", sum.Experiments)
+			}
+			if tc.filtered {
+				// The case proves nothing unless the filter redrew something.
+				if sum.Skipped == 0 {
+					t.Fatal("the pre-injection filter rejected no draw: filtered and unfiltered plans are the same")
+				}
+				err := runCmd(t, "resume", "-db", db, "-campaign", "res", "-quiet")
+				if err == nil || !strings.Contains(err.Error(), "plan hash mismatch") ||
+					!strings.Contains(err.Error(), "pre-injection filter") {
+					t.Fatalf("resume without -pre-injection: %v, want a plan hash mismatch naming the filter", err)
+				}
+			}
 
-	sdb2, err := sqldb.OpenAt(db, sqldb.SyncBarrier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sdb2.Close()
-	st2, err := campaign.NewStore(sdb2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := st2.Experiments("res")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != camp.NumExperiments+1 { // + reference run
-		t.Errorf("after resume: %d logged records, want %d", len(recs), camp.NumExperiments+1)
-	}
-	cp, err := st2.GetCheckpoint("res")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != nil {
-		t.Errorf("completed campaign still has a cursor: %+v", cp)
-	}
-	sdb2.Close()
+			resume := append([]string{"resume", "-db", db, "-campaign", "res", "-quiet"}, flags...)
+			if err := runCmd(t, resume...); err != nil {
+				t.Fatalf("goofi %s: %v", strings.Join(resume, " "), err)
+			}
 
-	// The resumed data feeds the analysis phase like any other.
-	if err := runCmd(t, "analyze", "-db", db, "-campaign", "res"); err != nil {
-		t.Fatalf("goofi analyze after resume: %v", err)
+			rows := func(db string) []string {
+				t.Helper()
+				sdb, err := sqldb.OpenAt(db, sqldb.SyncBarrier)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sdb.Close()
+				st, err := campaign.NewStore(sdb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := st.Experiments("res")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cp, err := st.GetCheckpoint("res"); err != nil {
+					t.Fatal(err)
+				} else if cp != nil {
+					t.Errorf("completed campaign still has a cursor: %+v", cp)
+				}
+				out := make([]string, len(recs))
+				for i, rec := range recs {
+					b, err := json.Marshal(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i] = string(b)
+				}
+				return out
+			}
+			resumed := rows(db)
+			if len(resumed) != camp.NumExperiments+1 { // + reference run
+				t.Errorf("after resume: %d logged records, want %d", len(resumed), camp.NumExperiments+1)
+			}
+
+			// The same definition run without interruption logs the same rows.
+			solo := dbPath(t)
+			setup(solo)
+			run := append([]string{"run", "-db", solo, "-campaign", "res", "-quiet"}, flags...)
+			if err := runCmd(t, run...); err != nil {
+				t.Fatalf("goofi %s: %v", strings.Join(run, " "), err)
+			}
+			if want := rows(solo); !slices.Equal(resumed, want) {
+				t.Errorf("resumed campaign's rows differ from the uninterrupted run's (%d vs %d rows)",
+					len(resumed), len(want))
+			}
+
+			// The resumed data feeds the analysis phase like any other.
+			if err := runCmd(t, "analyze", "-db", db, "-campaign", "res"); err != nil {
+				t.Fatalf("goofi analyze after resume: %v", err)
+			}
+		})
 	}
 }
 

@@ -407,6 +407,19 @@ func (s *Store) DeleteExperiments(campaignName string) error {
 	return err
 }
 
+// DeleteRun removes everything an earlier run of the campaign left in the
+// store — its resume cursor, its logged state and its phase spans — so
+// the next run starts from a clean slate. The definition stays.
+func (s *Store) DeleteRun(campaignName string) error {
+	if err := s.DeleteCheckpoint(campaignName); err != nil {
+		return err
+	}
+	if err := s.DeleteExperiments(campaignName); err != nil {
+		return err
+	}
+	return s.DeleteTelemetry(campaignName)
+}
+
 // DeleteExperiment removes one experiment's logged state (and any
 // detail-mode trace rows parented to it) so the experiment can be
 // re-attempted — `goofi resume -retry-invalid` uses this to clear

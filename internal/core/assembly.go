@@ -1,0 +1,202 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"goofi/internal/campaign"
+	"goofi/internal/faultmodel"
+	"goofi/internal/telemetry"
+	"goofi/internal/trigger"
+)
+
+// The one assembly. `goofi run`/`goofi resume`, goofid's job executor and
+// the shard worker all turn a stored campaign into a running Runner the
+// same way — resolve the target, put a batching sink in front of the
+// store, wire the options, start from a clean slate or from the durable
+// cursor, and finish in one order — so they do it here, once, and a
+// campaign submitted to the daemon or split over workers is the CLI's
+// campaign by construction, not by parallel maintenance. NewRunner and
+// the RunnerOptions stay the library constructor for callers that bring
+// their own target and sink (tests, examples, goofi-experiments, bench/).
+
+// RunSpec describes one run of a stored campaign.
+type RunSpec struct {
+	// Store holds the campaign; rows, cursors and spans go to it.
+	Store    *campaign.Store
+	Campaign *campaign.Campaign
+	Target   *campaign.TargetSystemData
+
+	// TargetKind and Technique select the registered target system and the
+	// algorithm (ResolveTarget's rule); TargetParams configure the target.
+	TargetKind   string
+	Technique    string
+	TargetParams map[string]string
+	// WrapFactory, when set, decorates the board factory (the CLI's chaos
+	// harness).
+	WrapFactory func(func() TargetSystem) func() TargetSystem
+
+	// Boards is the campaign's board budget; Fleet, when set, is the
+	// shared pool the boards are leased from.
+	Boards int
+	Fleet  *Fleet
+	// Checkpoint is the number of experiments between durable cursors;
+	// <= 0 turns durable checkpointing off.
+	Checkpoint int
+	// NoForward runs every experiment cold (and so prunes nothing).
+	NoForward bool
+	// Retry is the fault-tolerance policy; the zero value aborts on the
+	// first harness error.
+	Retry RetryPolicy
+	// Resume continues from whatever an interrupted run left durable in
+	// the store (CampaignRun.Cursor) instead of deleting it first.
+	Resume bool
+	// ShardLo/ShardHi restrict the run to a range of the plan (hi 0 = all
+	// of it); ForwardSet carries an earlier range's recorded set.
+	ShardLo, ShardHi int
+	ForwardSet       *ForwardSet
+
+	Tracer     *telemetry.Tracer
+	Progress   *telemetry.Progress
+	OnProgress func(ProgressEvent)
+	// Filter is the pre-injection filter. It shapes the plan, so a resumed
+	// run must pass the one the interrupted run had.
+	Filter func(faultmodel.Fault, trigger.Spec) bool
+
+	// Tap observes the row batches the store accepted, in stored form;
+	// WrapSink decorates the sink the runner logs through. Both are the
+	// shard worker's: it reports the tapped rows to its coordinator.
+	Tap      func([]campaign.Row)
+	WrapSink func(CheckpointSink) CheckpointSink
+}
+
+// CampaignRun is an assembled run: Run it, then Finish it; Close it on
+// every path.
+type CampaignRun struct {
+	Runner *Runner
+	// Cursor is what a resumed run continues from: the recovered durable
+	// cursor, or nil when there is none (Resume unset, or nothing durable
+	// yet). The runner reads it when Run starts, so a caller may still
+	// drop entries from Completed to have them re-attempted.
+	Cursor *campaign.Checkpoint
+
+	spec RunSpec
+	sink *campaign.BatchingSink
+}
+
+// Assemble builds the run a spec describes. It changes nothing in the
+// store beyond what RecoverCursor prunes (step rows of experiments that
+// died mid-run); a fresh run's deletes wait for Run.
+func Assemble(spec RunSpec) (*CampaignRun, error) {
+	info, alg, err := ResolveTarget(spec.TargetKind, spec.Technique)
+	if err != nil {
+		return nil, err
+	}
+	// Build one board eagerly so a bad target configuration fails here
+	// with a real error. Later constructions reuse the same config, so a
+	// failure there is a programming error, which the runner's recovery
+	// layer converts to a wedge.
+	cfg := TargetConfig{Params: spec.TargetParams}
+	if _, err := info.New(cfg); err != nil {
+		return nil, fmt.Errorf("target %q: %w", info.Kind, err)
+	}
+	factory := func() TargetSystem {
+		ts, err := info.New(cfg)
+		if err != nil {
+			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
+		}
+		return ts
+	}
+	if spec.WrapFactory != nil {
+		factory = spec.WrapFactory(factory)
+	}
+
+	cr := &CampaignRun{spec: spec}
+	name := spec.Campaign.Name
+	if spec.Resume {
+		cp, err := spec.Store.RecoverCursor(name)
+		if err != nil {
+			return nil, err
+		}
+		if cp.Reference || len(cp.Completed) > 0 {
+			cr.Cursor = cp
+		}
+	}
+
+	// Batch LoggedSystemState writes: the scheduler flushes the sink at
+	// pauses and on termination, and Close drains it.
+	cr.sink = campaign.NewBatchingSink(spec.Store, 0)
+	if spec.Tap != nil {
+		cr.sink.Tap(spec.Tap)
+	}
+	var sink CheckpointSink = cr.sink
+	if spec.WrapSink != nil {
+		sink = spec.WrapSink(sink)
+	}
+	opts := []RunnerOption{
+		WithSink(sink),
+		WithBoards(spec.Boards, factory),
+		WithFleet(spec.Fleet),
+		WithForwarding(ForwardConfig{Disabled: spec.NoForward}),
+		WithRetryPolicy(spec.Retry),
+		WithResume(cr.Cursor),
+		WithShardRange(spec.ShardLo, spec.ShardHi),
+		WithForwardSet(spec.ForwardSet),
+		WithTelemetry(spec.Tracer, spec.Progress),
+		WithProgress(spec.OnProgress),
+		WithInjectionFilter(spec.Filter),
+	}
+	if spec.Checkpoint > 0 {
+		opts = append(opts, WithCheckpoints(spec.Checkpoint))
+	}
+	cr.Runner, err = NewRunner(factory(), alg, spec.Campaign, spec.Target, opts...)
+	if err != nil {
+		cr.sink.Close()
+		return nil, err
+	}
+	return cr, nil
+}
+
+// Resumed is how many experiments the interrupted run had already made
+// durable.
+func (cr *CampaignRun) Resumed() int {
+	if cr.Cursor == nil {
+		return 0
+	}
+	return len(cr.Cursor.Completed)
+}
+
+// Run executes the campaign. A run that does not resume first clears the
+// slate: the previous results, phase spans and any stale cursor go.
+func (cr *CampaignRun) Run(ctx context.Context) (*Summary, error) {
+	if !cr.spec.Resume {
+		if err := cr.spec.Store.DeleteRun(cr.spec.Campaign.Name); err != nil {
+			return nil, err
+		}
+	}
+	return cr.Runner.Run(ctx)
+}
+
+// Finish is the clean teardown of a run that returned without error:
+// drain the sink, store the phase spans, and clear the cursor once the
+// campaign is complete (a stopped one keeps it, for resume). It reports
+// whether the campaign is complete. Compacting the database is left to
+// whoever opened it.
+func (cr *CampaignRun) Finish(sum *Summary) (complete bool, err error) {
+	if err := cr.sink.Close(); err != nil {
+		return false, err
+	}
+	st, name := cr.spec.Store, cr.spec.Campaign.Name
+	if err := st.LogTelemetry(name, cr.spec.Tracer.Drain()); err != nil {
+		return false, err
+	}
+	complete = cr.Resumed()+sum.Experiments >= cr.spec.Campaign.NumExperiments
+	if complete {
+		err = st.DeleteCheckpoint(name)
+	}
+	return complete, err
+}
+
+// Close drains the sink, making everything the run logged durable in the
+// store. It is idempotent and safe after Finish.
+func (cr *CampaignRun) Close() error { return cr.sink.Close() }

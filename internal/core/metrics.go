@@ -28,10 +28,6 @@ var (
 		"Target cycles actually emulated across reference runs and experiments.")
 	mCyclesSaved = telemetry.NewCounter("goofi_scheduler_cycles_saved_total",
 		"Target cycles skipped by checkpoint fast-forwarding.")
-	mForwardDelta = telemetry.NewCounter("goofi_scheduler_forward_delta_cycles_total",
-		"Achieved checkpoint-to-injection re-emulation cycles, summed over injected experiments.")
-	mForwardPredicted = telemetry.NewGauge("goofi_scheduler_forward_predicted_delta_cycles",
-		"The checkpoint plan's predicted re-emulation cycles under the placement cost model.")
 
 	mPruned = telemetry.NewCounterVec("goofi_experiments_pruned_total",
 		"Experiments whose rows were synthesized from the reference run's def-use table instead of being emulated, by class.", "class")

@@ -87,6 +87,32 @@ func LookupTarget(kind string) (TargetInfo, bool) {
 	return info, ok
 }
 
+// ResolveTarget turns a (target kind, technique) pair, either of which
+// may be empty, into a registry entry and an algorithm. It is the one
+// defaulting rule every front end shares: a bare technique selects the
+// like-named target (the historical -technique contract), a bare kind —
+// or alias — runs its own default algorithm, and both empty means scifi.
+func ResolveTarget(kind, technique string) (TargetInfo, Algorithm, error) {
+	if kind == "" {
+		kind = technique
+	}
+	if kind == "" {
+		kind = SCIFI.Name
+	}
+	info, ok := LookupTarget(kind)
+	if !ok {
+		return TargetInfo{}, Algorithm{}, fmt.Errorf("unknown target kind %q (see 'goofi targets')", kind)
+	}
+	if technique == "" {
+		technique = info.Algorithm
+	}
+	alg, ok := Algorithms()[technique]
+	if !ok {
+		return TargetInfo{}, Algorithm{}, fmt.Errorf("unknown technique %q", technique)
+	}
+	return info, alg, nil
+}
+
 // Targets lists the registered target kinds sorted by kind (aliases are
 // folded into their canonical entry).
 func Targets() []TargetInfo {

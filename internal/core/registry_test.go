@@ -83,3 +83,52 @@ func (*detTrue) Deterministic() bool { return true }
 type detFalse struct{ Framework }
 
 func (*detFalse) Deterministic() bool { return false }
+
+// TestTargetRegistryResolve pins the one kind ← technique ← scifi defaulting
+// rule every front end goes through. The core test binary links no
+// target package, so the kinds the table names are registered here.
+func TestTargetRegistryResolve(t *testing.T) {
+	reg := func(kind, algorithm string, aliases ...string) {
+		info := regTestInfo(kind, aliases...)
+		info.Algorithm = algorithm
+		RegisterTarget(info)
+	}
+	reg("scifi", SCIFI.Name)
+	reg("swifi-runtime", RuntimeSWIFI.Name)
+	reg("pin-level", PinLevel.Name, "pinlevel")
+	reg("resolve-proc", RuntimeSWIFI.Name)
+	reg("resolve-no-algorithm", "telepathy")
+
+	for _, tc := range []struct {
+		name            string
+		kind, technique string
+		wantKind        string
+		wantAlg         string
+		wantErr         bool
+	}{
+		{name: "kind given", kind: "resolve-proc", wantKind: "resolve-proc", wantAlg: RuntimeSWIFI.Name},
+		{name: "kind from technique", technique: "swifi-runtime", wantKind: "swifi-runtime", wantAlg: RuntimeSWIFI.Name},
+		{name: "both empty", wantKind: "scifi", wantAlg: SCIFI.Name},
+		{name: "alias", kind: "pinlevel", wantKind: "pin-level", wantAlg: PinLevel.Name},
+		{name: "unknown kind", kind: "alien", wantErr: true},
+		{name: "unknown technique", kind: "scifi", technique: "telepathy", wantErr: true},
+		{name: "kind whose default algorithm is unknown", kind: "resolve-no-algorithm", wantErr: true},
+		{name: "technique overrides the kind's default", kind: "resolve-proc", technique: SCIFI.Name,
+			wantKind: "resolve-proc", wantAlg: SCIFI.Name},
+	} {
+		info, alg, err := ResolveTarget(tc.kind, tc.technique)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s: resolved to %q/%q, want an error", tc.name, info.Kind, alg.Name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if info.Kind != tc.wantKind || alg.Name != tc.wantAlg {
+			t.Errorf("%s: resolved to %q/%q, want %q/%q", tc.name, info.Kind, alg.Name, tc.wantKind, tc.wantAlg)
+		}
+	}
+}

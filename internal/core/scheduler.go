@@ -117,20 +117,6 @@ func appendPlanLine(b []byte, pe *plannedExperiment) []byte {
 	return append(b, "}\n"...)
 }
 
-// saveCursor persists the campaign cursor through the checkpoint sink.
-// done is the caller's own copy of the completed set, which the sink may
-// keep.
-func (r *Runner) saveCursor(ckpt CheckpointSink, hash string, ref bool, done campaign.SeqRanges) error {
-	return ckpt.SaveCheckpoint(&campaign.Checkpoint{
-		Campaign:    r.camp.Name,
-		PlanHash:    hash,
-		Seed:        r.camp.Seed,
-		Experiments: r.camp.NumExperiments,
-		Reference:   ref,
-		Ranges:      done,
-	})
-}
-
 // boardTarget returns the target system a board should drive: a fresh one
 // from the factory when configured (required above one board), otherwise
 // the runner's own target.
@@ -139,6 +125,101 @@ func (r *Runner) boardTarget() TargetSystem {
 		return r.factory()
 	}
 	return r.target
+}
+
+// installForwardSet hands the reference run's checkpoint set to a board
+// target that supports forwarding.
+func installForwardSet(target TargetSystem, set *ForwardSet) {
+	if set == nil {
+		return
+	}
+	if fwTarget, ok := target.(Forwarder); ok {
+		fwTarget.SetForwardSet(set)
+	}
+}
+
+// run is the state of one Runner.Run call. The stages fill it in order —
+// plan, resumeFilter, reference, enqueue, dispatch, finalize — and the
+// board workers share it during dispatch.
+type run struct {
+	r      *Runner
+	ctx    context.Context
+	fleet  *Fleet
+	handle *FleetHandle
+	// stopCh mirrors Stop into a channel for the duration of this run, so
+	// a worker blocked in a fleet Acquire (possibly waiting on boards held
+	// by other campaigns) is woken by Stop, not only by queue progress.
+	stopCh chan struct{}
+
+	planned []plannedExperiment
+	hash    string
+	// ckpt is the sink's cursor side, nil when checkpointing is off.
+	ckpt CheckpointSink
+	sum  *Summary
+	// doneSet marks experiments whose results are already stored from an
+	// earlier (interrupted) run; they are skipped at dispatch, so a
+	// resumed campaign replays exactly the missing remainder of the same
+	// plan. Read-only after resumeFilter.
+	doneSet map[int]bool
+	resumed int
+	haveRef bool
+	// fwSet is what the reference run recorded (or the preset); prune
+	// answers from its def-use table.
+	fwSet *ForwardSet
+	prune *pruner
+	q     *expQueue
+	// runCtx cancels workers parked in a fleet Acquire once the queue
+	// drains or the user stops the campaign.
+	runCtx context.Context
+
+	mu        sync.Mutex // guards the fields below and sum during dispatch
+	firstErr  error
+	done      int
+	sinceCkpt int
+	// completed is the cursor's set, kept as runs so that a snapshot of it
+	// costs a few numbers however long the campaign has run.
+	completed campaign.SeqRanges
+}
+
+func (rs *run) fail(err error) {
+	rs.mu.Lock()
+	if rs.firstErr == nil {
+		rs.firstErr = err
+	}
+	rs.mu.Unlock()
+}
+
+func (rs *run) failed() bool {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.firstErr != nil
+}
+
+// expErr wraps a harness error with the campaign and experiment it hit.
+func (rs *run) expErr(ex *Experiment, err error) error {
+	return fmt.Errorf("core: campaign %q %s: %w", rs.r.camp.Name, ex.Name, err)
+}
+
+// saveCursor persists the campaign cursor through the checkpoint sink;
+// cursors are only saved once the reference run is logged. done is the
+// caller's own copy of the completed set, which the sink may keep. The
+// save can wait for room in the sink's queue, so callers hold no lock.
+func (rs *run) saveCursor(done campaign.SeqRanges) error {
+	return rs.ckpt.SaveCheckpoint(&campaign.Checkpoint{
+		Campaign:    rs.r.camp.Name,
+		PlanHash:    rs.hash,
+		Seed:        rs.r.camp.Seed,
+		Experiments: rs.r.camp.NumExperiments,
+		Reference:   true,
+		Ranges:      done,
+	})
+}
+
+// snapshotCompleted copies the completed set for a cursor save.
+func (rs *run) snapshotCompleted() campaign.SeqRanges {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return slices.Clone(rs.completed)
 }
 
 // Run executes the campaign: one planning pass, the reference run, then
@@ -172,15 +253,12 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 	})
 	defer cancelWatch()
 
-	// stopCh mirrors Stop into a channel for the duration of this run, so
-	// a worker blocked in a fleet Acquire (possibly waiting on boards held
-	// by other campaigns) is woken by Stop, not only by queue progress.
-	stopCh := make(chan struct{})
+	rs := &run{r: r, ctx: ctx, stopCh: make(chan struct{}), doneSet: make(map[int]bool)}
 	r.mu.Lock()
 	if r.stopped {
-		close(stopCh)
+		close(rs.stopCh)
 	} else {
-		r.stopNotify = stopCh
+		r.stopNotify = rs.stopCh
 	}
 	r.mu.Unlock()
 	defer func() {
@@ -191,689 +269,645 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 
 	// Board ownership lives in a Fleet. A shared fleet (WithFleet) is
 	// contended by other campaigns; the private fallback is this
-	// campaign's own boards and reproduces the legacy behaviour (a lease
-	// is always granted immediately and never yielded).
-	fleet := r.extFleet
-	if fleet == nil {
-		var ferr error
-		fleet, ferr = NewFleet(r.boards)
-		if ferr != nil {
-			return nil, ferr
+	// campaign's own boards (a lease is always granted immediately and
+	// never yielded).
+	if rs.fleet = r.extFleet; rs.fleet == nil {
+		var err error
+		if rs.fleet, err = NewFleet(r.boards); err != nil {
+			return nil, err
 		}
 	}
-	handle := fleet.Register(r.camp.Name)
-	defer handle.Close()
+	rs.handle = rs.fleet.Register(r.camp.Name)
+	defer rs.handle.Close()
 
-	r.progress.Start(r.camp.Name, r.camp.NumExperiments)
-	r.progress.SetPhase("plan")
-	planStart := time.Now()
-	planned, skipped, err := r.plan()
-	if err != nil {
+	if err := rs.plan(); err != nil {
 		return nil, err
 	}
-	hash := r.planHashOf(planned)
+	if err := rs.resumeFilter(); err != nil {
+		return nil, err
+	}
+	if !rs.haveRef {
+		rs.reference()
+	}
+	// Whatever set this run ended up with is observable after Run, so a
+	// shard worker can reuse it for later ranges of the same campaign.
+	r.capturedFw = rs.fwSet
+	if !rs.failed() {
+		rs.enqueue()
+		rs.dispatch()
+	}
+	return rs.finalize()
+}
+
+// plan is stage one: draw the whole injection plan, fingerprint it, and
+// open the summary.
+func (rs *run) plan() error {
+	r := rs.r
+	r.progress.Start(r.camp.Name, r.camp.NumExperiments)
+	r.progress.SetPhase("plan")
+	start := time.Now()
+	planned, skipped, err := r.plan()
+	if err != nil {
+		return err
+	}
+	rs.planned = planned
+	rs.hash = r.planHashOf(planned)
 	r.tracer.Record(telemetry.SpanRecord{Phase: "plan", Board: -1, Seq: -1,
-		WallNS: time.Since(planStart).Nanoseconds()})
-
-	// Durable checkpointing and resume state. doneSet marks experiments
-	// whose results are already stored from an earlier (interrupted)
-	// run; they are skipped at dispatch, so a resumed campaign replays
-	// exactly the missing remainder of the same plan.
-	var ckpt CheckpointSink
-	if r.ckptEvery > 0 {
-		cs, ok := r.sink.(CheckpointSink)
-		if !ok {
-			return nil, fmt.Errorf("core: checkpoints need a sink with SaveCheckpoint, got %T", r.sink)
-		}
-		ckpt = cs
-	}
-	doneSet := make(map[int]bool)
-	// completed is the cursor's set, kept as runs so that a snapshot of it
-	// costs a few numbers however long the campaign has run.
-	completed := campaign.SeqRanges{}
-	resumed := 0
-	haveRef := false
-	if r.resume != nil {
-		if r.resume.PlanHash != "" && r.resume.PlanHash != hash {
-			return nil, fmt.Errorf("core: campaign %q: plan hash mismatch (checkpoint %.12s…, current %.12s…): campaign definition changed since the checkpoint",
-				r.camp.Name, r.resume.PlanHash, hash)
-		}
-		for _, seq := range r.resume.Completed {
-			if seq >= 0 && seq < r.camp.NumExperiments && !doneSet[seq] {
-				doneSet[seq] = true
-				completed = completed.Add(seq)
-				resumed++
-			}
-		}
-		haveRef = r.resume.Reference
-	}
-	r.progress.AddDone(resumed)
-
-	sum := &Summary{
+		WallNS: time.Since(start).Nanoseconds()})
+	rs.sum = &Summary{
 		Campaign:      r.camp.Name,
 		Skipped:       skipped,
-		PlanHash:      hash,
+		PlanHash:      rs.hash,
 		Deterministic: TargetDeterministic(r.target),
 		ByStatus:      make(map[campaign.OutcomeStatus]int),
 		ByMechanism:   make(map[string]int),
 	}
+	return nil
+}
 
-	// makeReferenceRun (paper Fig 2): fault-free execution whose logged
-	// state anchors the analysis phase. It runs on one board before the
-	// pool fans out — unless an earlier run already logged it. When the
-	// target supports checkpoint forwarding, the reference run doubles as
-	// the recording pass: the resulting ForwardSet is handed to every
-	// board worker so faulty experiments can skip the fault-free prefix.
-	// A resumed campaign skips the reference and runs everything cold.
-	policyOn := r.retry.enabled()
-	var (
-		mu        sync.Mutex
-		firstErr  error
-		done      int
-		sinceCkpt int
-	)
-	failErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+// resumeFilter is stage two: bind the checkpoint sink and fold a resume
+// cursor (WithResume) into the done set, refusing a cursor that belongs
+// to a different plan.
+func (rs *run) resumeFilter() error {
+	r := rs.r
+	if r.ckptEvery > 0 {
+		cs, ok := r.sink.(CheckpointSink)
+		if !ok {
+			return fmt.Errorf("core: checkpoints need a sink with SaveCheckpoint, got %T", r.sink)
 		}
-		mu.Unlock()
+		rs.ckpt = cs
 	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
+	rs.completed = campaign.SeqRanges{}
+	rs.fwSet = r.presetFw
+	if r.resume == nil {
+		return nil
 	}
-	// inShard reports whether a sequence number falls inside this
-	// runner's shard range (the whole plan when no range is set).
-	inShard := func(seq int) bool {
-		return r.shardHi == 0 || (seq >= r.shardLo && seq < r.shardHi)
-	}
-
-	fwSet := r.presetFw
-	if !haveRef {
-		r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "reference", Total: r.camp.NumExperiments})
-		r.progress.SetPhase("reference")
-		refStart := time.Now()
-		// The reference occupies a board like any experiment, so on a
-		// shared fleet it queues behind other campaigns' leases.
-		var refErr error
-		if refLease, lerr := handle.Acquire(ctx); lerr != nil {
-			refErr = fmt.Errorf("core: campaign %q reference: %w", r.camp.Name, lerr)
-		} else {
-			var recorded *ForwardSet
-			recorded, refErr = r.referenceRun(ctx, sum, planned)
-			if recorded != nil {
-				// A freshly recorded set supersedes any preset one.
-				fwSet = recorded
-			}
-			refLease.Release()
+	if r.resume.PlanHash != "" && r.resume.PlanHash != rs.hash {
+		hint := ""
+		if r.filter == nil {
+			hint = " (a campaign started with a pre-injection filter must be resumed with it: the filter shapes the plan)"
 		}
-		r.tracer.Record(telemetry.SpanRecord{Phase: "reference", Board: -1, Seq: -1,
-			EndCycle: sum.CyclesEmulated, WallNS: time.Since(refStart).Nanoseconds()})
-		if refErr != nil {
-			failErr(refErr)
-		} else {
-			haveRef = true
-			if ckpt != nil {
-				// First durable cursor: the reference is in, nothing else.
-				if err := r.saveCursor(ckpt, hash, true, slices.Clone(completed)); err != nil {
-					failErr(err)
-				}
-			}
+		return fmt.Errorf("core: campaign %q: plan hash mismatch (checkpoint %.12s…, current %.12s…): campaign definition changed since the checkpoint%s",
+			r.camp.Name, r.resume.PlanHash, rs.hash, hint)
+	}
+	for _, seq := range r.resume.Completed {
+		if seq >= 0 && seq < r.camp.NumExperiments && !rs.doneSet[seq] {
+			rs.doneSet[seq] = true
+			rs.completed = rs.completed.Add(seq)
+			rs.resumed++
 		}
 	}
+	rs.haveRef = r.resume.Reference
+	r.progress.AddDone(rs.resumed)
+	return nil
+}
 
-	// Whatever set this run ended up with is observable after Run, so a
-	// shard worker can reuse it for later ranges of the same campaign.
-	r.capturedFw = fwSet
-
-	// The pull queue replaces a pushed work channel: a worker that must
-	// give an experiment back (its board got quarantined) can requeue it
-	// for the surviving boards, which a closed channel cannot express.
-	var q *expQueue
-	if !failed() {
-		items := make([]queuedExperiment, 0, len(planned))
-		for _, pe := range planned {
-			if doneSet[pe.seq] {
-				continue // already durable from the interrupted run
-			}
-			if !inShard(pe.seq) {
-				continue // another shard's slice of the plan
-			}
-			items = append(items, queuedExperiment{plannedExperiment: pe})
+// reference is stage three, makeReferenceRun of paper Fig 2: the
+// fault-free execution whose logged state anchors the analysis phase. It
+// runs on one board before the pool fans out — unless an earlier run
+// already logged it (a resumed campaign skips it and runs everything
+// cold, or from a preset forward set). When the target supports
+// checkpoint forwarding the reference run doubles as the recording pass:
+// the resulting ForwardSet, def-use table included, is handed to every
+// board worker so faulty experiments can skip the fault-free prefix or
+// the board altogether.
+func (rs *run) reference() {
+	r := rs.r
+	r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "reference", Total: r.camp.NumExperiments})
+	r.progress.SetPhase("reference")
+	start := time.Now()
+	// The reference occupies a board like any experiment, so on a shared
+	// fleet it queues behind other campaigns' leases.
+	var err error
+	if lease, lerr := rs.handle.Acquire(rs.ctx); lerr != nil {
+		err = fmt.Errorf("core: campaign %q reference: %w", r.camp.Name, lerr)
+	} else {
+		var recorded *ForwardSet
+		if recorded, err = rs.referenceRun(); recorded != nil {
+			// A freshly recorded set supersedes any preset one.
+			rs.fwSet = recorded
 		}
-		q = newExpQueue(items)
-		prune := r.newPruner(fwSet)
-		r.progress.SetPhase("experiment")
-
-		// A pause is a checkpoint of its own: this hook saves the cursor,
-		// then Runner.checkpoint flushes the sink, so killing a paused
-		// campaign is always recoverable.
-		if ckpt != nil {
-			r.onPause = func() {
-				mu.Lock()
-				snap := slices.Clone(completed)
-				mu.Unlock()
-				_ = r.saveCursor(ckpt, hash, true, snap)
-			}
-			defer func() { r.onPause = nil }()
+		lease.Release()
+	}
+	r.tracer.Record(telemetry.SpanRecord{Phase: "reference", Board: -1, Seq: -1,
+		EndCycle: rs.sum.CyclesEmulated, WallNS: time.Since(start).Nanoseconds()})
+	if err != nil {
+		rs.fail(err)
+		return
+	}
+	rs.haveRef = true
+	if rs.ckpt != nil {
+		// First durable cursor: the reference is in, nothing else.
+		if err := rs.saveCursor(rs.snapshotCompleted()); err != nil {
+			rs.fail(err)
 		}
+	}
+}
 
-		// account folds one resolved experiment (successful or invalid)
-		// into the summary and returns the progress event plus, when a
-		// durable checkpoint is due, a cursor snapshot. Callers emit and
-		// persist outside the lock.
-		account := func(seq int, update func()) (ProgressEvent, campaign.SeqRanges) {
-			mu.Lock()
-			defer mu.Unlock()
-			update()
-			done++
-			completed = completed.Add(seq)
-			var snap campaign.SeqRanges
-			if ckpt != nil {
-				sinceCkpt++
-				if sinceCkpt >= r.ckptEvery {
-					sinceCkpt = 0
-					snap = slices.Clone(completed)
-				}
-			}
-			return ProgressEvent{
-				Campaign: r.camp.Name,
-				Phase:    "experiment",
-				Done:     resumed + done,
-				Total:    r.camp.NumExperiments,
-			}, snap
-		}
-
-		// logged folds one experiment whose row reached the sink — emulated
-		// on a board, or synthesized by the pruner (board -1) — into the
-		// summary, telemetry, progress and cursor.
-		logged := func(seq int, ex *Experiment, class PruneClass, boardID int, expNS int64) {
-			st := ex.Result.Outcome.Status
-			span := telemetry.SpanRecord{Phase: "pruned", Board: -1, Seq: seq, WallNS: expNS}
-			var emulated, saved, delta uint64
-			if class == NotPruned {
-				span = telemetry.SpanRecord{Phase: "experiment", Board: boardID, Seq: seq,
-					StartCycle: ex.ForwardedFrom, EndCycle: ex.Result.Outcome.Cycles, WallNS: expNS}
-				emulated = ex.Result.Outcome.Cycles
-				if ex.Forwarded {
-					saved = ex.ForwardedFrom
-					emulated -= saved
-				}
-				// Achieved forwarding delta: for an injected experiment
-				// with a cycle-threshold trigger, the cycles re-emulated
-				// between the restore point (cycle 0 when cold) and the
-				// injection cycle — the quantity the placement planner
-				// minimises.
-				if at, byInstret, ok := ex.Trigger.ForwardPoint(); ok && !byInstret && ex.Injected {
-					delta = at
-					if ex.Forwarded && saved < at {
-						delta = at - saved
-					}
-				}
-			}
-			ev, snap := account(seq, func() {
-				sum.Experiments++
-				if ex.Injected {
-					sum.Injected++
-				}
-				sum.ByStatus[st]++
-				if st == campaign.OutcomeDetected {
-					sum.ByMechanism[ex.Result.Outcome.Mechanism]++
-				}
-				if ex.Forwarded {
-					sum.Forwarded++
-					sum.CyclesSaved += saved
-				}
-				switch class {
-				case PrunedLatent:
-					sum.Pruned.Latent++
-				case PrunedOverwritten:
-					sum.Pruned.Overwritten++
-				}
-				sum.CyclesEmulated += emulated
-				sum.ForwardDeltaCycles += delta
-			})
-			mCompleted.Inc()
-			mCyclesEmulated.Add(emulated)
-			mCyclesSaved.Add(saved)
-			mForwardDelta.Add(delta)
-			if ex.Forwarded {
-				mForwarded.Inc()
-				r.progress.Forwarded()
-			}
-			switch class {
-			case PrunedLatent:
-				mPrunedLatent.Inc()
-			case PrunedOverwritten:
-				mPrunedOverwritten.Inc()
-			}
-			r.progress.Done()
-			r.tracer.Record(span)
-			ev.Experiment = ex.Name
-			ev.Outcome = st
-			r.emit(ev)
-			if snap != nil {
-				// The cursor save can wait for room in the sink's queue,
-				// so it happens outside the progress lock.
-				if err := r.saveCursor(ckpt, hash, true, snap); err != nil {
-					failErr(err)
+// referenceRun climbs the attempt ladder with the reference experiment,
+// with the same watchdog/retry protection as the experiments when the
+// policy is on, and returns the recorded forward set (nil when the target
+// does not forward or recording was off).
+func (rs *run) referenceRun() (*ForwardSet, error) {
+	r := rs.r
+	b := &board{id: -1, target: r.boardTarget(),
+		jitter: rand.New(rand.NewSource(expSeed(r.camp.Seed, -2)))}
+	// The checkpoint plan is computed once, before the ladder: a retried
+	// reference must record at the same cycles the first attempt would
+	// have, so a retry stays observationally equivalent. Re-arming on
+	// every attempt resets any partial recording from a failed one.
+	if _, ok := b.target.(Forwarder); ok {
+		if fwPlan := r.forwardPlan(); fwPlan != nil {
+			b.arm = func(t TargetSystem) {
+				if fw, ok := t.(Forwarder); ok {
+					fw.ArmForwardRecording(fwPlan)
 				}
 			}
 		}
+	}
+	qe := queuedExperiment{plannedExperiment: plannedExperiment{seq: -1}}
+	ref, verdict, err := rs.climb(b, &qe)
+	if verdict != ladderLogged {
+		// Spent, or a wedged board with no factory to power-cycle a
+		// replacement from: without a reference there is no campaign.
+		return nil, rs.expErr(ref, err)
+	}
+	rs.sum.CyclesEmulated += ref.Result.Outcome.Cycles
+	fwTarget, ok := b.target.(Forwarder)
+	if !ok {
+		return nil, nil
+	}
+	set := fwTarget.TakeForwardSet()
+	if set != nil {
+		set.Reference = &ref.Result
+	}
+	return set, nil
+}
 
-		// Workers blocked in a fleet Acquire are woken by queue progress on
-		// their own campaign only indirectly (another campaign releasing a
-		// board); runCtx cancels them when the queue drains or the user
-		// stops the campaign, so no worker waits for a board it can never
-		// use.
-		runCtx, cancelRun := context.WithCancel(ctx)
-		defer cancelRun()
+// enqueue is stage four: the plan minus what is already durable and what
+// belongs to other shards becomes the work queue, and the pruner is armed
+// from the reference run's def-use table. The pull queue replaces a
+// pushed work channel: a worker that must give an experiment back (its
+// board got quarantined) can requeue it for the surviving boards, which a
+// closed channel cannot express.
+func (rs *run) enqueue() {
+	r := rs.r
+	items := make([]queuedExperiment, 0, len(rs.planned))
+	for _, pe := range rs.planned {
+		if rs.doneSet[pe.seq] {
+			continue // already durable from the interrupted run
+		}
+		if r.shardHi != 0 && (pe.seq < r.shardLo || pe.seq >= r.shardHi) {
+			continue // another shard's slice of the plan
+		}
+		items = append(items, queuedExperiment{plannedExperiment: pe})
+	}
+	rs.q = newExpQueue(items)
+	rs.prune = r.newPruner(rs.fwSet)
+}
+
+// dispatch is stage five: the board workers drain the queue. Worker
+// parallelism is this campaign's board budget, capped by what the fleet
+// could ever grant.
+func (rs *run) dispatch() {
+	r := rs.r
+	r.progress.SetPhase("experiment")
+	// A pause is a checkpoint of its own: this hook saves the cursor, then
+	// Runner.checkpoint flushes the sink, so killing a paused campaign is
+	// always recoverable.
+	if rs.ckpt != nil {
+		r.onPause = func() { _ = rs.saveCursor(rs.snapshotCompleted()) }
+		defer func() { r.onPause = nil }()
+	}
+	// Workers blocked in a fleet Acquire are woken by queue progress on
+	// their own campaign only indirectly (another campaign releasing a
+	// board); runCtx cancels them when the queue drains or the user stops
+	// the campaign, so no worker waits for a board it can never use.
+	runCtx, cancelRun := context.WithCancel(rs.ctx)
+	defer cancelRun()
+	rs.runCtx = runCtx
+	go func() {
+		select {
+		case <-rs.q.drained():
+		case <-rs.stopCh:
+		case <-runCtx.Done():
+		}
+		cancelRun()
+	}()
+
+	var wg sync.WaitGroup
+	for w := min(r.boards, rs.fleet.Capacity()); w > 0; w-- {
+		wg.Add(1)
 		go func() {
-			select {
-			case <-q.drained():
-			case <-stopCh:
-			case <-runCtx.Done():
-			}
-			cancelRun()
+			defer wg.Done()
+			rs.worker()
 		}()
+	}
+	wg.Wait()
 
-		// A worker is a goroutine, not a board: it leases a board from the
-		// fleet while it has work and the fair-share policy lets it keep
-		// one. All per-board state (target, jitter stream, busy counter)
-		// is derived from the lease, so outcomes stay keyed to the plan,
-		// never to scheduling.
-		worker := func() {
-			var (
-				lease       *Lease
-				target      TargetSystem
-				jitter      *rand.Rand
-				consecFails int
-				busyNS      *telemetry.Counter
-				boardID     = -1
-			)
-			release := func() {
-				if lease != nil {
-					r.progress.BoardIdle(boardID)
-					lease.Release()
-					lease = nil
-				}
-			}
-			defer release()
-			quarantine := func() {
-				mu.Lock()
-				sum.QuarantinedBoards++
-				mu.Unlock()
-				mQuarantined.Inc()
-				r.progress.BoardQuarantined(boardID)
-				lease.Quarantine()
-				lease = nil
-			}
-			for {
-				if !r.checkpoint(ctx) {
-					q.halt()
-					return
-				}
-				if failed() {
-					q.halt()
-					return
-				}
-				if lease != nil {
-					r.progress.BoardIdle(boardID)
-				}
-				qe, ok, mustWait := q.tryPop()
-				if mustWait {
-					// The queue is empty but other workers still hold
-					// experiments that may come back (requeue after a
-					// quarantine). Give the board up before blocking: the
-					// requeued experiment may need this very board — or
-					// another campaign may.
-					release()
-					qe, ok = q.pop()
-				}
-				if !ok {
-					return
-				}
-				expStart := time.Now()
-				if lease != nil && handle.ShouldYield() {
-					// Over the fair-share entitlement with another campaign
-					// waiting: hand the board back between experiments —
-					// before a pruned one too, or a worker synthesizing a
-					// long run of rows would sit on a board it is not using.
-					release()
-				}
-				if ex, class := prune.try(&qe.plannedExperiment); ex != nil {
-					// A provable no-op: its row is known from the reference
-					// run, so it takes the logging path without a board.
-					if err := r.logResult(ex, ""); err != nil {
-						failErr(fmt.Errorf("core: campaign %q %s: %w", r.camp.Name, ex.Name, err))
-						q.finish()
-						q.halt()
-						return
-					}
-					logged(qe.seq, ex, class, -1, time.Since(expStart).Nanoseconds())
-					q.finish()
-					continue
-				}
-				if lease == nil {
-					var lerr error
-					lease, lerr = handle.Acquire(runCtx)
-					if lerr != nil {
-						// Fleet exhausted, stop, or cancellation: give the
-						// experiment back and retire. The leftover check
-						// after the pool drains reports exhaustion;
-						// stop/cancel report themselves.
-						q.requeue(qe)
-						return
-					}
-					boardID = lease.Board()
-					target = r.boardTarget()
-					installForwardSet(target, fwSet)
-					// Per-board seeded jitter keeps retry timing
-					// deterministic in tests without coupling it to the
-					// experiment RNG streams.
-					jitter = rand.New(rand.NewSource(expSeed(r.camp.Seed, -3-boardID)))
-					consecFails = 0
-					// The busy-time child is resolved once per lease so the
-					// hot loop never touches the family's mutex.
-					busyNS = mBoardBusyNS.With(strconv.Itoa(boardID))
-				}
-				mDispatched.Inc()
-				r.progress.BoardRunning(boardID, qe.seq)
-				// Attempt loop for the in-hand experiment: each attempt
-				// rebuilds the experiment from its per-sequence seed, so a
-				// retried run is bit-identical to a first-try run.
-				for {
-					attempt := qe.attempts + 1
-					ex := r.newExperiment(qe.seq, &qe.fault, qe.trig)
-					var flushDetail func() error
-					if policyOn {
-						flushDetail = r.bufferDetail(ex)
-					}
-					err := r.execAttempt(ctx, target, ex, attempt)
-					if err == nil && flushDetail != nil {
-						err = flushDetail()
-					}
-					if err == nil {
-						err = r.logResult(ex, "")
-					}
-					if err == nil {
-						consecFails = 0
-						expNS := time.Since(expStart).Nanoseconds()
-						busyNS.Add(uint64(expNS))
-						logged(qe.seq, ex, NotPruned, boardID, expNS)
-						q.finish()
-						break
-					}
-					// Harness failure. Without a retry policy, the first
-					// error ends dispatch — but through the common
-					// drain/flush path below, not an early return.
-					qe.attempts = attempt
-					class := ClassifyError(err)
-					wrapped := fmt.Errorf("core: campaign %q %s: %w", r.camp.Name, ex.Name, err)
-					if !policyOn || ctx.Err() != nil {
-						failErr(wrapped)
-						q.finish()
-						q.halt()
-						return
-					}
-					consecFails++
-					if qe.attempts >= r.retry.maxAttempts() {
-						// Retries exhausted: record the invalid run so the
-						// plan slot is accounted for, and move on. Analysis
-						// excludes it from every effectiveness ratio.
-						if serr := r.sinkLog(r.invalidRecord(ex, qe.attempts, err)); serr != nil {
-							failErr(serr)
-							q.finish()
-							q.halt()
-							return
-						}
-						ev, snap := account(qe.seq, func() {
-							sum.Experiments++
-							sum.InvalidRuns++
-							sum.ByStatus[campaign.OutcomeInvalidRun]++
-						})
-						expNS := time.Since(expStart).Nanoseconds()
-						busyNS.Add(uint64(expNS))
-						mInvalidRuns.Inc()
-						r.progress.Invalid()
-						r.progress.Done()
-						r.tracer.Record(telemetry.SpanRecord{Phase: "invalid", Board: boardID,
-							Seq: qe.seq, WallNS: expNS})
-						ev.Experiment = ex.Name
-						ev.Outcome = campaign.OutcomeInvalidRun
-						r.emit(ev)
-						if snap != nil {
-							if err := r.saveCursor(ckpt, hash, true, snap); err != nil {
-								failErr(err)
-							}
-						}
-						if th := r.retry.BoardFailureThreshold; th > 0 && consecFails >= th {
-							quarantine()
-						}
-						q.finish()
-						break
-					}
-					mu.Lock()
-					sum.Retried++
-					mu.Unlock()
-					retryCounter(class).Inc()
-					r.progress.Retried()
-					// Circuit breaker: after too many consecutive failures
-					// the board is suspect — hand the experiment back and
-					// quarantine the board fleet-wide. The failures are
-					// attributed to the board, so the requeued experiment
-					// gets its retry budget back; the worker itself
-					// survives and may lease a healthy replacement.
-					if th := r.retry.BoardFailureThreshold; th > 0 && consecFails >= th {
-						qe.attempts = 0
-						q.requeue(qe)
-						quarantine()
-						break
-					}
-					if class == Wedged && r.factory == nil {
-						// The wedged attempt may still be driving this
-						// target; without a factory there is no replacement
-						// board, so the board is quarantined with its work
-						// requeued (and the campaign fails cleanly if it
-						// was the last one).
-						q.requeue(qe)
-						quarantine()
-						break
-					}
-					if class != Persistent {
-						d := r.retry.backoff(attempt+1, jitter)
-						mBackoffNS.Add(uint64(d))
-						if !sleepCtx(ctx, d) {
-							failErr(wrapped)
-							q.finish()
-							q.halt()
-							return
-						}
-					}
-					if class != Transient && r.factory != nil {
-						// Power cycle: a fresh target from the factory is
-						// the simulated equivalent of cycling the board's
-						// power before the retry (every algorithm re-runs
-						// InitTestCard regardless).
-						target = r.factory()
-						installForwardSet(target, fwSet)
-					}
-				}
-			}
-		}
-
-		// Worker parallelism is this campaign's board budget, capped by
-		// what the fleet could ever grant.
-		workers := r.boards
-		if c := fleet.Capacity(); c < workers {
-			workers = c
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-
-		// Workers all gone with work left over: every board was
-		// quarantined before the plan finished (a user stop or a fatal
-		// error also leaves work behind, but those report themselves).
-		if n := q.leftover(); n > 0 && !failed() && ctx.Err() == nil {
-			r.mu.Lock()
-			stopped := r.stopped
-			r.mu.Unlock()
-			if !stopped {
-				failErr(fmt.Errorf("core: campaign %q: %d experiments unexecuted: all boards quarantined",
-					r.camp.Name, n))
-			}
+	// Workers all gone with work left over: every board was quarantined
+	// before the plan finished (a user stop or a fatal error also leaves
+	// work behind, but those report themselves).
+	if n := rs.q.leftover(); n > 0 && !rs.failed() && rs.ctx.Err() == nil {
+		r.mu.Lock()
+		stopped := r.stopped
+		r.mu.Unlock()
+		if !stopped {
+			rs.fail(fmt.Errorf("core: campaign %q: %d experiments unexecuted: all boards quarantined",
+				r.camp.Name, n))
 		}
 	}
+}
 
-	// Termination cursor: a stop (or error) leaves a resumable
-	// checkpoint behind; on full completion it records the finished
-	// state until the caller clears it.
-	if ckpt != nil && haveRef {
-		mu.Lock()
-		snap := slices.Clone(completed)
-		mu.Unlock()
-		if cerr := r.saveCursor(ckpt, hash, haveRef, snap); cerr != nil && firstErr == nil {
-			firstErr = cerr
+// finalize is the last stage: termination cursor, termination flush,
+// final phase and progress event.
+func (rs *run) finalize() (*Summary, error) {
+	r := rs.r
+	// Termination cursor: a stop (or error) leaves a resumable checkpoint
+	// behind; on full completion it records the finished state until the
+	// caller clears it.
+	if rs.ckpt != nil && rs.haveRef {
+		if err := rs.saveCursor(rs.snapshotCompleted()); err != nil {
+			rs.fail(err)
 		}
 	}
 	// Termination flush, after the cursor so that it covers it: whatever
 	// the boards logged must be durable before the campaign reports its
 	// outcome — even (especially) on error, so a failed campaign keeps
 	// every completed result.
-	if ferr := r.flushSink(); ferr != nil && firstErr == nil {
-		firstErr = ferr
+	if err := r.flushSink(); err != nil {
+		rs.fail(err)
 	}
-	if firstErr != nil {
+	if rs.firstErr != nil {
 		// The partial summary still describes everything that completed
 		// and was flushed above.
 		r.progress.SetPhase("failed")
-		return sum, firstErr
+		return rs.sum, rs.firstErr
 	}
-	total := resumed + sum.Experiments
-	if ctx.Err() != nil {
-		r.progress.SetPhase("stopped")
-		r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "stopped",
-			Done: total, Total: r.camp.NumExperiments})
-		return sum, ctx.Err()
-	}
+	total := rs.resumed + rs.sum.Experiments
 	phase := "done"
-	if total < r.camp.NumExperiments {
+	if rs.ctx.Err() != nil || total < r.camp.NumExperiments {
 		phase = "stopped"
 	}
 	r.progress.SetPhase(phase)
 	r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: phase,
 		Done: total, Total: r.camp.NumExperiments})
-	return sum, nil
+	return rs.sum, rs.ctx.Err()
 }
 
-// installForwardSet hands the reference run's checkpoint set to a board
-// target that supports forwarding.
-func installForwardSet(target TargetSystem, set *ForwardSet) {
-	if set == nil {
-		return
-	}
-	if fwTarget, ok := target.(Forwarder); ok {
-		fwTarget.SetForwardSet(set)
-	}
+// board is what a worker drives while it holds a lease, and what the
+// attempt ladder climbs on: the target plus the retry state that belongs
+// to the board rather than to the experiment. The reference run builds a
+// lease-less one.
+type board struct {
+	lease  *Lease
+	id     int
+	target TargetSystem
+	// jitter is the board's seeded backoff stream: it keeps retry timing
+	// deterministic in tests without coupling it to the experiment RNG
+	// streams.
+	jitter *rand.Rand
+	// fails counts consecutive harness failures; at breaker (0 = never)
+	// the board is suspect.
+	fails, breaker int
+	// fw is installed on every fresh target the ladder power-cycles to;
+	// arm, when set, runs on the target before every attempt (the
+	// reference run arms checkpoint recording with it).
+	fw  *ForwardSet
+	arm func(TargetSystem)
+	// busyNS is the board's busy-time child, resolved once per lease so
+	// the hot loop never touches the family's mutex.
+	busyNS *telemetry.Counter
 }
 
-// referenceRun executes the campaign's fault-free reference run, with the
-// same watchdog/retry protection as the experiments when the policy is
-// on, and returns the recorded forward set (nil when the target does not
-// forward or recording was off). planned is the drawn injection plan,
-// which the optimal placement planner mines for its cycle histogram.
-func (r *Runner) referenceRun(ctx context.Context, sum *Summary, planned []plannedExperiment) (*ForwardSet, error) {
-	refTarget := r.boardTarget()
-	jitter := rand.New(rand.NewSource(expSeed(r.camp.Seed, -2)))
-	// The checkpoint plan is computed once, before the attempt loop: a
-	// retried reference must record at the same cycles the first attempt
-	// would have, so a retry stays observationally equivalent. The first
-	// target prices the snapshot cost when it can (the recorded state
-	// itself is placement-independent, so a calibration that varies with
-	// wall-clock speed never changes any logged byte).
-	var fwPlan *ForwardPlan
-	if _, ok := refTarget.(Forwarder); ok {
-		calib, _ := refTarget.(ForwardCalibrator)
-		fwPlan = r.forwardPlan(planned, calib)
-	}
-	optimal := false
-	if fwPlan != nil {
-		sum.ForwardPlacement = fwPlan.Placement
-		sum.ForwardPredictedDelta = fwPlan.PredictedDelta
-		mForwardPredicted.Set(int64(fwPlan.PredictedDelta))
-		// An optimal plan was made without knowing which experiments the
-		// pruner will answer: record candidates, choose after the run.
-		if optimal = fwPlan.Placement == PlacementOptimal; optimal {
-			fwPlan = r.forwardCandidates(fwPlan)
+// ladderVerdict is how a climb of the attempt ladder ended.
+type ladderVerdict int
+
+const (
+	// ladderLogged: an attempt succeeded and its record reached the sink.
+	ladderLogged ladderVerdict = iota
+	// ladderSpent: the retry budget is exhausted; the error is the last
+	// attempt's.
+	ladderSpent
+	// ladderSuspect: the board cannot be trusted with another attempt —
+	// the circuit breaker tripped, or it wedged with no factory to build
+	// a replacement from. The experiment is to be given back.
+	ladderSuspect
+	// ladderFatal: the error ends the campaign — no retry policy, a
+	// cancelled context, or a failed sink write.
+	ladderFatal
+)
+
+// climb is the one attempt ladder, shared by the reference run and the
+// experiments: execute, and on a harness failure classify, count, back
+// off, power-cycle and try again until the policy says stop. Each attempt
+// rebuilds the experiment from its per-sequence seed, so a retried run is
+// bit-identical to a first-try run. It returns the last attempt's
+// experiment and, unless that was logged, its unwrapped error.
+func (rs *run) climb(b *board, qe *queuedExperiment) (*Experiment, ladderVerdict, error) {
+	r := rs.r
+	policyOn := r.retry.enabled()
+	for {
+		qe.attempts++
+		var fault *faultmodel.Fault
+		if qe.seq >= 0 {
+			fault = &qe.fault
 		}
-	}
-	for attempt := 1; ; attempt++ {
-		ref := r.newExperiment(-1, nil, trigger.Spec{})
+		ex := r.newExperiment(qe.seq, fault, qe.trig)
 		var flushDetail func() error
-		if r.retry.enabled() {
-			flushDetail = r.bufferDetail(ref)
+		if policyOn {
+			flushDetail = r.bufferDetail(ex)
 		}
-		fwTarget, canForward := refTarget.(Forwarder)
-		if canForward && fwPlan != nil {
-			// Re-arming on every attempt resets any partial recording
-			// from a failed one.
-			fwTarget.ArmForwardRecording(fwPlan)
+		if b.arm != nil {
+			b.arm(b.target)
 		}
-		err := r.execAttempt(ctx, refTarget, ref, attempt)
+		err := r.execAttempt(rs.ctx, b.target, ex, qe.attempts)
 		if err == nil && flushDetail != nil {
 			err = flushDetail()
 		}
 		if err == nil {
-			err = r.logResult(ref, "")
+			err = r.logResult(ex, "")
 		}
 		if err == nil {
-			sum.CyclesEmulated += ref.Result.Outcome.Cycles
-			if !canForward {
-				return nil, nil
-			}
-			set := fwTarget.TakeForwardSet()
-			if set != nil {
-				set.Reference = &ref.Result
-				if optimal {
-					set.Checkpoints = keepBestCheckpoints(set.Checkpoints,
-						emulatedForwardPoints(planned, r.newPruner(set)), r.maxForwardCheckpoints())
-				}
-			}
-			return set, nil
+			b.fails = 0
+			return ex, ladderLogged, nil
 		}
-		wrapped := fmt.Errorf("core: campaign %q %s: %w", r.camp.Name, ref.Name, err)
-		if !r.retry.enabled() || attempt >= r.retry.maxAttempts() || ctx.Err() != nil {
-			return nil, wrapped
+		// Harness failure. Without a retry policy the first error ends
+		// dispatch — through the common drain/flush path, not an early
+		// return.
+		if !policyOn || rs.ctx.Err() != nil {
+			return ex, ladderFatal, err
 		}
-		sum.Retried++
+		b.fails++
+		if qe.attempts >= r.retry.maxAttempts() {
+			return ex, ladderSpent, err
+		}
 		class := ClassifyError(err)
+		rs.mu.Lock()
+		rs.sum.Retried++
+		rs.mu.Unlock()
 		retryCounter(class).Inc()
 		r.progress.Retried()
+		if b.breaker > 0 && b.fails >= b.breaker {
+			// Circuit breaker: the failures are attributed to the board,
+			// so the experiment gets its retry budget back.
+			qe.attempts = 0
+			return ex, ladderSuspect, err
+		}
 		if class == Wedged && r.factory == nil {
 			// The wedged attempt may still be driving this target, and
 			// there is no factory to power-cycle a replacement from.
-			return nil, wrapped
+			return ex, ladderSuspect, err
 		}
 		if class != Persistent {
-			d := r.retry.backoff(attempt+1, jitter)
+			d := r.retry.backoff(qe.attempts+1, b.jitter)
 			mBackoffNS.Add(uint64(d))
-			if !sleepCtx(ctx, d) {
-				return nil, wrapped
+			if !sleepCtx(rs.ctx, d) {
+				return ex, ladderFatal, err
 			}
 		}
 		if class != Transient && r.factory != nil {
-			refTarget = r.factory()
+			// Power cycle: a fresh target from the factory is the
+			// simulated equivalent of cycling the board's power before
+			// the retry (every algorithm re-runs InitTestCard regardless).
+			b.target = r.factory()
+			installForwardSet(b.target, b.fw)
 		}
 	}
+}
+
+// resolve folds one resolved plan slot into the run: summary, always-on
+// counters, progress, span, progress event and — when one is due — the
+// durable cursor. A slot resolves in one of three ways: its row was
+// emulated on a board (class NotPruned), synthesized by the pruner
+// (board -1), or, with valid false, recorded as an invalid run after the
+// ladder was spent.
+func (rs *run) resolve(ex *Experiment, class PruneClass, valid bool, boardID int, wallNS int64) {
+	r, sum := rs.r, rs.sum
+	st := campaign.OutcomeInvalidRun
+	span := telemetry.SpanRecord{Phase: "invalid", Board: boardID, Seq: ex.Seq, WallNS: wallNS}
+	var emulated, saved uint64
+	switch {
+	case !valid:
+	case class != NotPruned:
+		st, span.Phase = ex.Result.Outcome.Status, "pruned"
+	default:
+		st, span.Phase = ex.Result.Outcome.Status, "experiment"
+		span.StartCycle, span.EndCycle = ex.ForwardedFrom, ex.Result.Outcome.Cycles
+		emulated = ex.Result.Outcome.Cycles
+		if ex.Forwarded {
+			saved = ex.ForwardedFrom
+			emulated -= saved
+		}
+	}
+	forwarded := valid && ex.Forwarded
+
+	rs.mu.Lock()
+	sum.Experiments++
+	sum.ByStatus[st]++
+	if !valid {
+		sum.InvalidRuns++
+	} else {
+		if ex.Injected {
+			sum.Injected++
+		}
+		if st == campaign.OutcomeDetected {
+			sum.ByMechanism[ex.Result.Outcome.Mechanism]++
+		}
+		if forwarded {
+			sum.Forwarded++
+			sum.CyclesSaved += saved
+		}
+		sum.CyclesEmulated += emulated
+	}
+	switch class {
+	case PrunedLatent:
+		sum.Pruned.Latent++
+	case PrunedOverwritten:
+		sum.Pruned.Overwritten++
+	}
+	rs.done++
+	rs.completed = rs.completed.Add(ex.Seq)
+	var snap campaign.SeqRanges
+	if rs.ckpt != nil {
+		if rs.sinceCkpt++; rs.sinceCkpt >= r.ckptEvery {
+			rs.sinceCkpt = 0
+			snap = slices.Clone(rs.completed)
+		}
+	}
+	ev := ProgressEvent{Campaign: r.camp.Name, Phase: "experiment", Done: rs.resumed + rs.done,
+		Total: r.camp.NumExperiments, Experiment: ex.Name, Outcome: st}
+	rs.mu.Unlock()
+
+	if valid {
+		mCompleted.Inc()
+		mCyclesEmulated.Add(emulated)
+		mCyclesSaved.Add(saved)
+	} else {
+		mInvalidRuns.Inc()
+		r.progress.Invalid()
+	}
+	if forwarded {
+		mForwarded.Inc()
+		r.progress.Forwarded()
+	}
+	switch class {
+	case PrunedLatent:
+		mPrunedLatent.Inc()
+	case PrunedOverwritten:
+		mPrunedOverwritten.Inc()
+	}
+	r.progress.Done()
+	r.tracer.Record(span)
+	r.emit(ev)
+	if snap != nil {
+		if err := rs.saveCursor(snap); err != nil {
+			rs.fail(err)
+		}
+	}
+}
+
+// release hands the worker's board back to the fleet, if it holds one.
+func (rs *run) release(b *board) {
+	if b.lease != nil {
+		rs.r.progress.BoardIdle(b.id)
+		b.lease.Release()
+		b.lease = nil
+	}
+}
+
+// quarantine removes the worker's board from the fleet for good; the
+// worker itself survives and may lease a healthy replacement.
+func (rs *run) quarantine(b *board) {
+	rs.mu.Lock()
+	rs.sum.QuarantinedBoards++
+	rs.mu.Unlock()
+	mQuarantined.Inc()
+	rs.r.progress.BoardQuarantined(b.id)
+	b.lease.Quarantine()
+	b.lease = nil
+}
+
+// acquire leases a board for the worker and derives all per-board state
+// (target, jitter stream, busy counter) from the lease, so outcomes stay
+// keyed to the plan, never to scheduling. False means the fleet is
+// exhausted, the campaign stopped, or the context ended.
+func (rs *run) acquire(b *board) bool {
+	r := rs.r
+	lease, err := rs.handle.Acquire(rs.runCtx)
+	if err != nil {
+		return false
+	}
+	*b = board{lease: lease, id: lease.Board(), target: r.boardTarget(), fw: rs.fwSet,
+		breaker: r.retry.BoardFailureThreshold,
+		jitter:  rand.New(rand.NewSource(expSeed(r.camp.Seed, -3-lease.Board()))),
+		busyNS:  mBoardBusyNS.With(strconv.Itoa(lease.Board()))}
+	installForwardSet(b.target, b.fw)
+	return true
+}
+
+// haltWith ends dispatch on a fatal error: the in-hand experiment is
+// finished (not requeued) and the queue halted for every worker.
+func (rs *run) haltWith(err error) {
+	rs.fail(err)
+	rs.q.finish()
+	rs.q.halt()
+}
+
+// worker is one board worker. A worker is a goroutine, not a board: it
+// leases a board from the fleet while it has work that needs one and the
+// fair-share policy lets it keep it.
+func (rs *run) worker() {
+	r, q := rs.r, rs.q
+	b := &board{id: -1}
+	defer rs.release(b)
+	for {
+		if !r.checkpoint(rs.ctx) || rs.failed() {
+			q.halt()
+			return
+		}
+		if b.lease != nil {
+			r.progress.BoardIdle(b.id)
+		}
+		qe, ok, mustWait := q.tryPop()
+		if mustWait {
+			// The queue is empty but other workers still hold experiments
+			// that may come back (requeue after a quarantine). Give the
+			// board up before blocking: the requeued experiment may need
+			// this very board — or another campaign may.
+			rs.release(b)
+			qe, ok = q.pop()
+		}
+		if !ok {
+			return
+		}
+		start := time.Now()
+		if b.lease != nil && rs.handle.ShouldYield() {
+			// Over the fair-share entitlement with another campaign
+			// waiting: hand the board back between experiments — before a
+			// pruned one too, or a worker synthesizing a long run of rows
+			// would sit on a board it is not using.
+			rs.release(b)
+		}
+		if ex, class := rs.prune.try(&qe.plannedExperiment); ex != nil {
+			// A provable no-op: its row is known from the reference run,
+			// so it takes the logging path without a board.
+			if err := r.logResult(ex, ""); err != nil {
+				rs.haltWith(rs.expErr(ex, err))
+				return
+			}
+			rs.resolve(ex, class, true, -1, time.Since(start).Nanoseconds())
+			q.finish()
+			continue
+		}
+		if b.lease == nil && !rs.acquire(b) {
+			// Give the experiment back and retire. The leftover check
+			// after the pool drains reports exhaustion; stop/cancel report
+			// themselves.
+			q.requeue(qe)
+			return
+		}
+		mDispatched.Inc()
+		r.progress.BoardRunning(b.id, qe.seq)
+		if !rs.runOnBoard(b, qe, start) {
+			return
+		}
+	}
+}
+
+// runOnBoard climbs the ladder with one experiment on the worker's board
+// and settles the verdict; false retires the worker.
+func (rs *run) runOnBoard(b *board, qe queuedExperiment, start time.Time) bool {
+	r, q := rs.r, rs.q
+	ex, verdict, err := rs.climb(b, &qe)
+	switch verdict {
+	case ladderFatal:
+		rs.haltWith(rs.expErr(ex, err))
+		return false
+	case ladderSuspect:
+		// Hand the experiment back for the surviving boards and
+		// quarantine this one fleet-wide (the campaign fails cleanly if
+		// it was the last).
+		q.requeue(qe)
+		rs.quarantine(b)
+		return true
+	case ladderSpent:
+		// Retries exhausted: record the invalid run so the plan slot is
+		// accounted for, and move on. Analysis excludes it from every
+		// effectiveness ratio.
+		if serr := r.sinkLog(r.invalidRecord(ex, qe.attempts, err)); serr != nil {
+			rs.haltWith(serr)
+			return false
+		}
+	}
+	wallNS := time.Since(start).Nanoseconds()
+	b.busyNS.Add(uint64(wallNS))
+	rs.resolve(ex, NotPruned, verdict == ladderLogged, b.id, wallNS)
+	if verdict == ladderSpent && b.breaker > 0 && b.fails >= b.breaker {
+		rs.quarantine(b)
+	}
+	q.finish()
+	return true
 }
 
 // queuedExperiment is one plan entry in the work queue, carrying its
@@ -925,6 +959,10 @@ func (q *expQueue) maybeDoneLocked() {
 func (q *expQueue) tryPop() (qe queuedExperiment, ok, mustWait bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.takeLocked()
+}
+
+func (q *expQueue) takeLocked() (qe queuedExperiment, ok, mustWait bool) {
 	if q.halted {
 		return queuedExperiment{}, false, false
 	}
@@ -935,10 +973,7 @@ func (q *expQueue) tryPop() (qe queuedExperiment, ok, mustWait bool) {
 		mQueueDepth.Set(int64(len(q.items)))
 		return qe, true, false
 	}
-	if q.inFlight == 0 {
-		return queuedExperiment{}, false, false
-	}
-	return queuedExperiment{}, false, true
+	return queuedExperiment{}, false, q.inFlight > 0
 }
 
 // pop hands the next experiment to a worker. It blocks while the queue is
@@ -949,18 +984,9 @@ func (q *expQueue) pop() (queuedExperiment, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.halted {
-			return queuedExperiment{}, false
-		}
-		if len(q.items) > 0 {
-			qe := q.items[0]
-			q.items = q.items[1:]
-			q.inFlight++
-			mQueueDepth.Set(int64(len(q.items)))
-			return qe, true
-		}
-		if q.inFlight == 0 {
-			return queuedExperiment{}, false
+		qe, ok, mustWait := q.takeLocked()
+		if !mustWait {
+			return qe, ok
 		}
 		q.cond.Wait()
 	}

@@ -66,22 +66,13 @@ type SubmitRequest struct {
 	ExternalWorkers bool `json:"externalWorkers,omitempty"`
 }
 
-// normalize fills the defaulted fields in place. Either of TargetKind
-// and Technique alone is enough: a bare technique selects the
-// like-named target (the historical API contract), a bare target kind
-// runs its default algorithm, and both empty means scifi.
+// normalize fills the defaulted fields in place. Target kind and
+// technique default through core.ResolveTarget, the rule the CLI uses; a
+// pair it cannot resolve is left for validate to reject.
 func (sr *SubmitRequest) normalize() {
-	if sr.TargetKind == "" {
-		sr.TargetKind = sr.Technique
-	}
-	if sr.TargetKind == "" {
-		sr.TargetKind = "scifi"
-	}
-	if info, ok := core.LookupTarget(sr.TargetKind); ok {
+	if info, alg, err := core.ResolveTarget(sr.TargetKind, sr.Technique); err == nil {
 		sr.TargetKind = info.Kind // canonicalize aliases
-		if sr.Technique == "" {
-			sr.Technique = info.Algorithm
-		}
+		sr.Technique = alg.Name
 	}
 	if sr.ImageBytes <= 0 {
 		sr.ImageBytes = 4096
@@ -117,11 +108,8 @@ func (sr *SubmitRequest) validate() error {
 	if err := sr.Campaign.Validate(); err != nil {
 		return err
 	}
-	if _, ok := core.Algorithms()[sr.Technique]; !ok {
-		return fmt.Errorf("unknown technique %q", sr.Technique)
-	}
-	if _, ok := core.LookupTarget(sr.TargetKind); !ok {
-		return fmt.Errorf("unknown target kind %q", sr.TargetKind)
+	if _, _, err := core.ResolveTarget(sr.TargetKind, sr.Technique); err != nil {
+		return err
 	}
 	if sr.Shards < 0 {
 		return fmt.Errorf("negative shard count %d", sr.Shards)
@@ -148,22 +136,6 @@ func (sr *SubmitRequest) targetData() (*campaign.TargetSystemData, error) {
 		return nil, fmt.Errorf("unknown target kind %q", sr.TargetKind)
 	}
 	return info.SystemData(sr.Campaign.TargetName, sr.targetConfig())
-}
-
-// factory builds fresh target systems from the registry — the same
-// construction path as the goofi CLI. validate has already confirmed
-// the kind exists; a construction failure afterwards is a programming
-// error the runner's recovery layer converts to a wedge.
-func (sr *SubmitRequest) factory() func() core.TargetSystem {
-	info, _ := core.LookupTarget(sr.TargetKind)
-	cfg := sr.targetConfig()
-	return func() core.TargetSystem {
-		ts, err := info.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
-		}
-		return ts
-	}
 }
 
 // Job lifecycle states. Pending and running jobs become pending again
@@ -299,10 +271,10 @@ func pendingJobRows(db *sqldb.DB) ([]*SubmitRequest, error) {
 	return out, nil
 }
 
-// execute runs one campaign end to end, mirroring `goofi run` (and
-// `goofi resume` for recovered jobs) exactly: same sink, same option
-// set, same fresh-run deletes, same teardown order. That parity is what
-// the byte-identity differential tests pin.
+// execute runs one campaign end to end through core.Assemble — the
+// assembly `goofi run` and `goofi resume` (for recovered jobs) use — and
+// keeps what is the daemon's own: the job state machine, the cancel race
+// and the compaction of the tenant database.
 func (s *Server) execute(ctx context.Context, j *job) {
 	spec := &j.spec
 	name := spec.Campaign.Name
@@ -339,84 +311,39 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		fail(err)
 		return
 	}
-	alg := core.Algorithms()[spec.Technique]
-	factory := spec.factory()
-
+	prog := telemetry.NewProgress(s.fleet.Capacity())
 	// A recovered job resumes from whatever the interrupted run made
 	// durable; a fresh submission starts from a clean slate.
-	var resume *campaign.Checkpoint
-	if j.recover {
-		cp, err := st.RecoverCursor(name)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if cp.Reference || len(cp.Completed) > 0 {
-			resume = cp
-		}
-	}
-
-	sink := campaign.NewBatchingSink(st, 0)
-	defer sink.Close()
-	prog := telemetry.NewProgress(s.fleet.Capacity())
-	tr := telemetry.NewTracer()
-	opts := []core.RunnerOption{
-		core.WithSink(sink),
-		core.WithBoards(spec.Boards, factory),
-		core.WithFleet(s.fleet),
-		core.WithTelemetry(tr, prog),
-	}
-	if spec.Checkpoint > 0 {
-		opts = append(opts, core.WithCheckpoints(spec.Checkpoint))
-	}
-	if spec.NoForward {
-		opts = append(opts, core.WithForwarding(core.ForwardConfig{Disabled: true}))
-	}
-	if spec.MaxRetries > 0 || spec.BoardFailureThreshold > 0 {
-		opts = append(opts, core.WithRetryPolicy(core.RetryPolicy{
-			MaxRetries:            spec.MaxRetries,
-			BoardFailureThreshold: spec.BoardFailureThreshold,
-		}))
-	}
-	if resume != nil {
-		opts = append(opts, core.WithResume(resume))
-	}
-	r, err := core.NewRunner(factory(), alg, camp, tsd, opts...)
+	cr, err := core.Assemble(core.RunSpec{
+		Store: st, Campaign: camp, Target: tsd,
+		TargetKind: spec.TargetKind, Technique: spec.Technique,
+		TargetParams: spec.targetConfig().Params,
+		Boards:       spec.Boards,
+		Fleet:        s.fleet,
+		Checkpoint:   spec.Checkpoint,
+		NoForward:    spec.NoForward,
+		Retry: core.RetryPolicy{MaxRetries: spec.MaxRetries,
+			BoardFailureThreshold: spec.BoardFailureThreshold},
+		Resume:   j.recover,
+		Tracer:   telemetry.NewTracer(),
+		Progress: prog,
+	})
 	if err != nil {
 		fail(err)
 		return
 	}
+	defer cr.Close()
 	j.mu.Lock()
-	j.runner = r
+	j.runner = cr.Runner
 	j.prog = prog
 	j.state = StateRunning
 	if j.cancelled {
 		// Cancel raced the startup: the handler had no runner to stop.
-		r.Stop()
+		cr.Runner.Stop()
 	}
 	j.mu.Unlock()
 
-	resumed := 0
-	if resume != nil {
-		resumed = len(resume.Completed)
-	} else {
-		// Fresh run: previous results, phase spans, and any stale
-		// cursor go — exactly what `goofi run` deletes.
-		if err := st.DeleteCheckpoint(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteExperiments(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteTelemetry(name); err != nil {
-			fail(err)
-			return
-		}
-	}
-
-	sum, runErr := r.Run(ctx)
+	sum, runErr := cr.Run(ctx)
 	j.mu.Lock()
 	j.summary = sum
 	cancelled := j.cancelled
@@ -433,27 +360,11 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		fail(runErr)
 		return
 	}
-	// Clean teardown in `goofi run` order: drain the sink, persist the
-	// phase spans, clear the cursor of a complete campaign, compact.
-	if err := sink.Close(); err != nil {
-		fail(err)
-		return
+	complete, err := cr.Finish(sum)
+	if err == nil {
+		err = db.Checkpoint()
 	}
-	if tr.Len() > 0 {
-		if err := st.LogTelemetry(name, tr.Drain()); err != nil {
-			fail(err)
-			return
-		}
-	}
-	total := resumed + sum.Experiments
-	complete := total >= camp.NumExperiments
-	if complete {
-		if err := st.DeleteCheckpoint(name); err != nil {
-			fail(err)
-			return
-		}
-	}
-	if err := db.Checkpoint(); err != nil {
+	if err != nil {
 		fail(err)
 		return
 	}

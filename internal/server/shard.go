@@ -4,7 +4,8 @@ package server
 // the daemon builds a shard.Coordinator over the tenant's store and lets
 // workers — in-process goroutines by default, external `goofi
 // shard-worker` processes on request — lease ranges and report records
-// through it. Teardown and state transitions mirror execute() so a
+// through it; each worker runs its ranges through core.Assemble, the
+// assembly execute() uses. State transitions follow execute()'s, so a
 // sharded job is indistinguishable from a solo one at the API, and its
 // merged results are byte-identical (the shard conformance suite pins
 // both).
@@ -63,15 +64,7 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 	if !j.recover {
 		// Fresh submission: same clean slate as execute(), plus the
 		// worker shard databases of any earlier run of this campaign.
-		if err := st.DeleteCheckpoint(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteExperiments(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteTelemetry(name); err != nil {
+		if err := st.DeleteRun(name); err != nil {
 			fail(err)
 			return
 		}
@@ -81,17 +74,20 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 		}
 	}
 	coord, err := shard.NewCoordinator(shard.CoordinatorConfig{
-		Store:          st,
-		Campaign:       camp,
-		Target:         tsd,
-		Technique:      spec.Technique,
-		TargetKind:     spec.TargetKind,
-		TargetParams:   spec.TargetParams,
-		ImageBytes:     spec.ImageBytes,
-		Shards:         spec.Shards,
-		Checkpoint:     spec.Checkpoint,
-		HeartbeatEvery: s.cfg.ShardHeartbeat,
-		LeaseTTL:       s.cfg.ShardLeaseTTL,
+		Store:                 st,
+		Campaign:              camp,
+		Target:                tsd,
+		Technique:             spec.Technique,
+		TargetKind:            spec.TargetKind,
+		TargetParams:          spec.TargetParams,
+		ImageBytes:            spec.ImageBytes,
+		Shards:                spec.Shards,
+		Checkpoint:            spec.Checkpoint,
+		NoForward:             spec.NoForward,
+		MaxRetries:            spec.MaxRetries,
+		BoardFailureThreshold: spec.BoardFailureThreshold,
+		HeartbeatEvery:        s.cfg.ShardHeartbeat,
+		LeaseTTL:              s.cfg.ShardLeaseTTL,
 	})
 	if err != nil {
 		fail(err)

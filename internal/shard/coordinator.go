@@ -51,10 +51,10 @@ type CoordinatorConfig struct {
 	Store    *campaign.Store
 	Campaign *campaign.Campaign
 	Target   *campaign.TargetSystemData
-	// Technique selects the injection algorithm workers run.
-	Technique string
-	// TargetKind names the registered target system workers construct
-	// (empty: derived from Technique).
+	// Technique selects the injection algorithm workers run and
+	// TargetKind the registered target system they construct; either may
+	// be empty (core.ResolveTarget's rule, applied by the worker).
+	Technique  string
 	TargetKind string
 	// TargetParams carries target-specific key=value configuration
 	// handed out with every lease.
@@ -66,6 +66,11 @@ type CoordinatorConfig struct {
 	// Checkpoint is the worker durable-cursor interval handed out with
 	// every lease (0 defaults worker-side, -1 disables).
 	Checkpoint int
+	// NoForward, MaxRetries and BoardFailureThreshold are the
+	// submission's run options, handed out with every lease.
+	NoForward             bool
+	MaxRetries            int
+	BoardFailureThreshold int
 	// HeartbeatEvery is the lease liveness cadence (default
 	// DefaultHeartbeat); a lease expires after LeaseTTL without a beat
 	// (default 3×HeartbeatEvery).
@@ -145,9 +150,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", cfg.Shards)
-	}
-	if cfg.Technique == "" {
-		cfg.Technique = "scifi"
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeat
@@ -375,17 +377,20 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
 	}
 	c.leases[l.id] = l
 	return LeaseResponse{
-		Status:         LeaseRange,
-		LeaseID:        l.id,
-		Range:          rng,
-		Campaign:       c.cfg.Campaign,
-		Target:         c.cfg.Target,
-		Technique:      c.cfg.Technique,
-		TargetKind:     c.cfg.TargetKind,
-		TargetParams:   c.cfg.TargetParams,
-		ImageBytes:     c.cfg.ImageBytes,
-		Checkpoint:     c.cfg.Checkpoint,
-		HeartbeatEvery: c.cfg.HeartbeatEvery,
+		Status:                LeaseRange,
+		LeaseID:               l.id,
+		Range:                 rng,
+		Campaign:              c.cfg.Campaign,
+		Target:                c.cfg.Target,
+		Technique:             c.cfg.Technique,
+		TargetKind:            c.cfg.TargetKind,
+		TargetParams:          c.cfg.TargetParams,
+		ImageBytes:            c.cfg.ImageBytes,
+		Checkpoint:            c.cfg.Checkpoint,
+		NoForward:             c.cfg.NoForward,
+		MaxRetries:            c.cfg.MaxRetries,
+		BoardFailureThreshold: c.cfg.BoardFailureThreshold,
+		HeartbeatEvery:        c.cfg.HeartbeatEvery,
 	}
 }
 

@@ -81,8 +81,8 @@ type LeaseResponse struct {
 	Campaign  *campaign.Campaign         `json:"campaign,omitempty"`
 	Target    *campaign.TargetSystemData `json:"target,omitempty"`
 	Technique string                     `json:"technique,omitempty"`
-	// TargetKind names the registered target system workers construct
-	// (empty: derived from Technique, the historical contract).
+	// TargetKind names the registered target system workers construct.
+	// It or Technique may be empty: core.ResolveTarget defaults them.
 	TargetKind string `json:"targetKind,omitempty"`
 	// TargetParams carries target-specific key=value configuration.
 	TargetParams map[string]string `json:"targetParams,omitempty"`
@@ -91,6 +91,12 @@ type LeaseResponse struct {
 	// Checkpoint is the worker-side durable-cursor interval in
 	// experiments (0 keeps the worker's default, -1 disables).
 	Checkpoint int `json:"checkpoint,omitempty"`
+	// NoForward, MaxRetries and BoardFailureThreshold are the submission's
+	// run options, applied to every range as the solo path applies them
+	// to the whole campaign. A worker that predates them ignores them.
+	NoForward             bool `json:"noForward,omitempty"`
+	MaxRetries            int  `json:"maxRetries,omitempty"`
+	BoardFailureThreshold int  `json:"boardFailureThreshold,omitempty"`
 	// HeartbeatEvery is how often the worker must prove liveness while
 	// it holds the lease.
 	HeartbeatEvery time.Duration `json:"heartbeatEvery,omitempty"`

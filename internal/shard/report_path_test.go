@@ -28,7 +28,8 @@ import (
 
 // directCoordinator builds a coordinator for camp over a fresh merged
 // store, for workers that reach it through shard.Direct.
-func directCoordinator(t *testing.T, camp *campaign.Campaign, shards int, hb time.Duration) (*shard.Coordinator, *campaign.Store) {
+func directCoordinator(t *testing.T, camp *campaign.Campaign, shards int, hb time.Duration,
+	tune ...func(*shard.CoordinatorConfig)) (*shard.Coordinator, *campaign.Store) {
 	t.Helper()
 	db, err := sqldb.OpenAt(filepath.Join(t.TempDir(), "merged.db"), sqldb.SyncNever)
 	if err != nil {
@@ -46,9 +47,11 @@ func directCoordinator(t *testing.T, camp *campaign.Campaign, shards int, hb tim
 	if err := st.PutCampaign(camp); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := shard.NewCoordinator(shard.CoordinatorConfig{
-		Store: st, Campaign: camp, Target: tsd, Shards: shards, HeartbeatEvery: hb,
-	})
+	cfg := shard.CoordinatorConfig{Store: st, Campaign: camp, Target: tsd, Shards: shards, HeartbeatEvery: hb}
+	for _, fn := range tune {
+		fn(&cfg)
+	}
+	coord, err := shard.NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

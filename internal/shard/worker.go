@@ -90,51 +90,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{cfg: cfg}, nil
 }
 
-// targetFactory resolves the lease's target through the core registry
-// so a worker builds the same target systems the solo run would. An
-// empty TargetKind falls back to the technique name — the historical
-// lease contract, which keeps mixed-version fleets working.
-func targetFactory(lease *LeaseResponse) (func() core.TargetSystem, error) {
-	kind := lease.TargetKind
-	if kind == "" {
-		kind = lease.Technique
-	}
-	if kind == "" {
-		kind = "scifi"
-	}
-	info, ok := core.LookupTarget(kind)
-	if !ok {
-		return nil, fmt.Errorf("shard: unknown target kind %q", kind)
-	}
-	params := make(map[string]string, len(lease.TargetParams)+1)
-	for k, v := range lease.TargetParams {
-		params[k] = v
-	}
-	if _, ok := params["image-bytes"]; !ok && lease.ImageBytes > 0 {
-		params["image-bytes"] = strconv.Itoa(lease.ImageBytes)
-	}
-	cfg := core.TargetConfig{Params: params}
-	if _, err := info.New(cfg); err != nil {
-		return nil, fmt.Errorf("shard: target %q: %w", info.Kind, err)
-	}
-	return func() core.TargetSystem {
-		ts, err := info.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
-		}
-		return ts
-	}, nil
-}
-
-// hookSink forwards to the worker's batching sink and mirrors every
-// record to the OnRecord test hook.
+// hookSink forwards to the run's sink and mirrors every record to the
+// OnRecord test hook.
 type hookSink struct {
-	*campaign.BatchingSink
+	core.CheckpointSink
 	hook func(*campaign.ExperimentRecord)
 }
 
 func (h *hookSink) LogExperiment(rec *campaign.ExperimentRecord) error {
-	if err := h.BatchingSink.LogExperiment(rec); err != nil {
+	if err := h.CheckpointSink.LogExperiment(rec); err != nil {
 		return err
 	}
 	h.hook(rec)
@@ -400,10 +364,7 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 	// A stale shard database from an earlier run of a different campaign
 	// definition under the same name would resume the wrong plan: wipe it.
 	if prev, err := st.GetCampaign(camp.Name); err == nil && !sameDefinition(prev, camp) {
-		if err := st.DeleteCheckpoint(camp.Name); err != nil {
-			return err
-		}
-		if err := st.DeleteExperiments(camp.Name); err != nil {
+		if err := st.DeleteRun(camp.Name); err != nil {
 			return err
 		}
 	}
@@ -413,55 +374,49 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 	if err := st.PutCampaign(camp); err != nil {
 		return err
 	}
-	cp, err := st.RecoverCursor(camp.Name)
-	if err != nil {
-		return err
+	params := make(map[string]string, len(lease.TargetParams)+1)
+	for k, v := range lease.TargetParams {
+		params[k] = v
 	}
-	if err := requeueSkipped(st, lease, cp, rep); err != nil {
-		return err
+	if _, ok := params["image-bytes"]; !ok && lease.ImageBytes > 0 {
+		params["image-bytes"] = strconv.Itoa(lease.ImageBytes)
 	}
-	alg, ok := core.Algorithms()[lease.Technique]
-	if !ok {
-		return fmt.Errorf("shard: unknown technique %q", lease.Technique)
+	spec := core.RunSpec{
+		Store: st, Campaign: camp, Target: lease.Target,
+		TargetKind: lease.TargetKind, Technique: lease.Technique, TargetParams: params,
+		Boards:     w.cfg.Boards,
+		Checkpoint: lease.Checkpoint,
+		NoForward:  lease.NoForward,
+		Retry: core.RetryPolicy{MaxRetries: lease.MaxRetries,
+			BoardFailureThreshold: lease.BoardFailureThreshold},
+		Resume:  true,
+		ShardLo: lease.Range.Lo, ShardHi: lease.Range.Hi,
+		ForwardSet: w.carried,
+		Tap:        rep.add,
 	}
-	factory, err := targetFactory(lease)
-	if err != nil {
-		return err
+	if spec.Checkpoint == 0 {
+		spec.Checkpoint = core.DefaultCheckpointInterval
 	}
-	sink := campaign.NewBatchingSink(st, 0)
-	sink.Tap(rep.add)
-	var runSink core.CheckpointSink = sink
 	if w.cfg.OnRecord != nil {
-		runSink = &hookSink{BatchingSink: sink, hook: w.cfg.OnRecord}
-	}
-	opts := []core.RunnerOption{
-		core.WithSink(runSink),
-		core.WithBoards(w.cfg.Boards, factory),
-		core.WithShardRange(lease.Range.Lo, lease.Range.Hi),
-		core.WithForwardSet(w.carried),
-	}
-	if lease.Checkpoint >= 0 {
-		iv := lease.Checkpoint
-		if iv == 0 {
-			iv = core.DefaultCheckpointInterval
+		spec.WrapSink = func(sink core.CheckpointSink) core.CheckpointSink {
+			return &hookSink{CheckpointSink: sink, hook: w.cfg.OnRecord}
 		}
-		opts = append(opts, core.WithCheckpoints(iv))
 	}
-	if cp.Reference || len(cp.Completed) > 0 {
-		opts = append(opts, core.WithResume(cp))
-	}
-	r, err := core.NewRunner(factory(), alg, camp, lease.Target, opts...)
+	cr, err := core.Assemble(spec)
 	if err != nil {
-		sink.Close()
+		return fmt.Errorf("shard: %w", err)
+	}
+	defer cr.Close()
+	if err := requeueSkipped(st, lease, cr.Cursor, rep); err != nil {
 		return err
 	}
-	_, runErr := r.Run(rctx)
+	_, runErr := cr.Run(rctx)
 	stopPumps()
-	w.carried = r.ForwardSet()
+	w.carried = cr.Runner.ForwardSet()
 	// Make the range durable locally whatever happens next; a worker
 	// killed after this point resumes without re-running anything. The
 	// close also hands the reporter the last rows the sink was holding.
-	if err := sink.Close(); err != nil {
+	if err := cr.Close(); err != nil {
 		return err
 	}
 	if verdict != nil {
@@ -495,6 +450,9 @@ func heartbeatEvery(lease *LeaseResponse) time.Duration {
 // range without a scan — and a range that starts on a clean store reads
 // nothing at all.
 func requeueSkipped(st *campaign.Store, lease *LeaseResponse, cp *campaign.Checkpoint, rep *reporter) error {
+	if cp == nil {
+		return nil // a fresh range: the store holds nothing of it
+	}
 	name := lease.Campaign.Name
 	detail := lease.Campaign.LogMode == campaign.LogDetail
 	requeue := func(experiment string, seq int) error {

@@ -118,10 +118,6 @@ func TestPruneDifferential(t *testing.T) {
 				c.FaultModel.Multiplicity = 3
 				return c
 			}},
-		{name: "optimal-placement", prunes: true,
-			camp: func() *campaign.Campaign { return pidCampaign("opt", 60, 9) },
-			opts: []core.RunnerOption{core.WithForwarding(core.ForwardConfig{
-				Placement: core.PlacementOptimal, SnapshotCostCycles: core.DefaultSnapshotCostCycles})}},
 		{name: "instret-trigger", prunes: true,
 			camp: func() *campaign.Campaign {
 				c := sortCampaign("instret", 80, 3, []string{"cpu", "dcache"})
@@ -258,5 +254,32 @@ func TestPruneNeverOnPinForce(t *testing.T) {
 	assertSameCampaign(t, oracle, got)
 	if n := got.sum.Pruned.Total(); n != 0 {
 		t.Errorf("pruned %d pin-force experiments", n)
+	}
+}
+
+// TestPruneE1ExactCounters pins what the E1 PID campaign (the definition
+// BenchmarkCampaignPID runs; seed 1, one board, defaults) prunes and
+// emulates. All three are counts the program makes of its own
+// deterministic execution, so a change in any of them is a change in
+// what gets emulated — in the planner's checkpoint cycles, the def-use
+// table or the pruner — and has to be meant.
+func TestPruneE1ExactCounters(t *testing.T) {
+	for _, tc := range []struct {
+		n                   int
+		latent, overwritten int
+		cyclesEmulated      uint64
+	}{
+		{n: 200, latent: 83, overwritten: 1, cyclesEmulated: 187_759},
+		{n: 40, latent: 14, overwritten: 0, cyclesEmulated: 40_277},
+	} {
+		st, tsd := benchStore(t)
+		sum, _ := runCampaign(t, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI,
+			pidCampaign("bench-e1", tc.n, 1))
+		if sum.Pruned.Latent != tc.latent || sum.Pruned.Overwritten != tc.overwritten ||
+			sum.CyclesEmulated != tc.cyclesEmulated {
+			t.Errorf("E1 n=%d: pruned %d latent / %d overwritten, %d cycles emulated; want %d / %d / %d",
+				tc.n, sum.Pruned.Latent, sum.Pruned.Overwritten, sum.CyclesEmulated,
+				tc.latent, tc.overwritten, tc.cyclesEmulated)
+		}
 	}
 }
