@@ -210,16 +210,16 @@ func cmdResults(args []string) error {
 }
 
 // cmdShardWorker runs one external shard worker against a goofid
-// coordinator: it leases experiment ranges of the named campaign,
-// executes them against a local WAL-backed shard database, and streams
-// the logged records back until the coordinator reports the plan done.
+// coordinator: it leases experiment ranges of the named campaign, executes
+// them, and streams the logged rows back until the coordinator reports the
+// plan done. It keeps nothing on disk.
 func cmdShardWorker(args []string) error {
 	fs := flag.NewFlagSet("shard-worker", flag.ContinueOnError)
 	srvAddr := fs.String("server", "127.0.0.1:7077", "goofid address")
 	tenant := fs.String("tenant", "default", "tenant namespace")
 	name := fs.String("campaign", "", "campaign name (required)")
 	workerName := fs.String("name", "", "worker name reported to the coordinator (default host-scoped)")
-	dir := fs.String("dir", "", "shard database directory (required)")
+	dir := fs.String("dir", "", "ignored: a worker keeps nothing on disk; the directory is created when given and nothing is ever written there (the flag goes with ROADMAP item 5)")
 	boards := fs.Int("boards", 1, "boards in this worker's private pool")
 	poll := fs.Duration("poll", 100*time.Millisecond, "first wait before retrying a call the daemon failed to answer, doubling to 2s (a worker with nothing to run waits in the daemon's lease call, never here)")
 	token := fs.String("token", "", "bearer token for a goofid running with -shard-token")
@@ -239,8 +239,10 @@ func cmdShardWorker(args []string) error {
 	if *name == "" {
 		return fmt.Errorf("shard-worker: -campaign is required")
 	}
-	if *dir == "" {
-		return fmt.Errorf("shard-worker: -dir is required")
+	if *dir != "" {
+		if err := os.MkdirAll(*dir, 0o755); err != nil {
+			return fmt.Errorf("shard-worker: %w", err)
+		}
 	}
 	if *workerName == "" {
 		host, _ := os.Hostname()
@@ -272,7 +274,6 @@ func cmdShardWorker(args []string) error {
 	}
 	w, err := shard.NewWorker(shard.WorkerConfig{
 		Name:      *workerName,
-		Dir:       *dir,
 		Boards:    *boards,
 		Transport: transport,
 		Poll:      *poll,

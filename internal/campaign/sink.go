@@ -34,7 +34,6 @@ type BatchingSink struct {
 	pending int      // commits queued or being written
 	err     error
 	closed  bool
-	tap     func([]Row)
 
 	done chan struct{}
 }
@@ -83,18 +82,14 @@ func (s *BatchingSink) writer() {
 		if len(s.work) == 0 {
 			return
 		}
-		group, err, tap := s.work, s.err, s.tap
+		group, err := s.work, s.err
 		s.work = nil
 		s.cond.Broadcast() // room for the boards
 		s.mu.Unlock()
 		barrier := false
 		for _, c := range group {
 			if err == nil && len(c.rows) > 0 {
-				rows := encodeRows(c.rows)
-				err = s.store.InsertRows(rows)
-				if err == nil && tap != nil {
-					tap(rows)
-				}
+				err = s.store.InsertRows(encodeRows(c.rows))
 			}
 			if err == nil && c.cursor != nil {
 				err = s.store.putCheckpoint(c.cursor)
@@ -109,18 +104,6 @@ func (s *BatchingSink) writer() {
 		s.pending -= len(group)
 		s.cond.Broadcast()
 	}
-}
-
-// Tap hands fn every batch of rows the store has accepted, in the stored
-// form the store now holds — a shard worker reports those same bytes to
-// its coordinator instead of encoding the records a second time. fn runs
-// on the writer goroutine, in write order; Flush and Close return after
-// it has seen everything logged before them. Call Tap before the first
-// LogExperiment.
-func (s *BatchingSink) Tap(fn func([]Row)) {
-	s.mu.Lock()
-	s.tap = fn
-	s.mu.Unlock()
 }
 
 // submit queues the buffered rows, closed by cursor when one is given, as

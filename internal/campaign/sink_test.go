@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -114,72 +113,5 @@ func TestBatchingSinkConcurrentProducers(t *testing.T) {
 	}
 	if len(recs) != 200 {
 		t.Errorf("stored %d records, want 200", len(recs))
-	}
-}
-
-// TestBatchingSinkTapSeesStoredRows: the tap is handed every row exactly
-// once, in log order, by the time Flush returns, and what it is handed is
-// what the store holds — inserted into a second store with InsertRows and
-// read back with StoredGroup, the rows are the first store's, byte for
-// byte, step rows riding in front of their end row.
-func TestBatchingSinkTapSeesStoredRows(t *testing.T) {
-	st := sinkFixture(t)
-	s := NewBatchingSink(st, 4)
-	var tapped []Row // the writer goroutine's until Flush returns
-	s.Tap(func(rows []Row) { tapped = append(tapped, rows...) })
-	var want []string
-	for i := 0; i < 10; i++ {
-		end := sinkRecord(i)
-		end.Data.Seq = i
-		end.State.Scan = []byte{byte(i), 0xfe}
-		step := &ExperimentRecord{Name: end.Name + "/step000000", Parent: end.Name, Campaign: "camp-1",
-			Step: 0, State: StateVector{Scan: []byte{byte(i)}}}
-		for _, rec := range []*ExperimentRecord{step, end} {
-			if err := s.LogExperiment(rec); err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, rec.Name)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tapped) != len(want) {
-		t.Fatalf("tap saw %d rows by the time Flush returned, want %d", len(tapped), len(want))
-	}
-	for i, name := range want {
-		if tapped[i].Name() != name {
-			t.Fatalf("tapped row %d is %s, want %s", i, tapped[i].Name(), name)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	merged := sinkFixture(t)
-	if err := merged.InsertRows(tapped); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		name := ExperimentName("camp-1", i)
-		a, err := st.StoredGroup(name, i, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := merged.StoredGroup(name, i, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != 2 || a[0].Step() != 0 || a[1].Step() != -1 || a[1].Seq != i {
-			t.Fatalf("%s stored as %d rows (steps %d.., seq %d), want its step row, then its end row", name, len(a), a[0].Step(), a[1].Seq)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s differs between the store that encoded it and the store that was handed its rows", name)
-		}
-		if !reflect.DeepEqual(a[1], tapped[2*i+1]) {
-			t.Fatalf("%s read back differs from the row the tap was handed", name)
-		}
-	}
-	if rows, err := st.StoredGroup("camp-1/none", 0, true); err != nil || rows != nil {
-		t.Fatalf("an experiment the store does not hold read back as %d rows, %v", len(rows), err)
 	}
 }

@@ -219,9 +219,9 @@ func (s *Store) MergeCampaigns(newName string, sources ...string) (*Campaign, er
 // Row is one LoggedSystemState row in stored form: the six column values
 // in schema order (experimentName, parentExperiment, campaignName, step,
 // experimentData, stateVector), the two BLOBs already encoded. A row is
-// encoded once, by EncodeRow, and every store it reaches afterwards — the
-// shard worker's own and, through a report, the coordinator's — inserts
-// these same bytes. Seq is the sequence number of an end-of-experiment row
+// encoded once, by EncodeRow — in the sink's writer, or on a shard worker,
+// which ships it in a report — and the store it reaches inserts these same
+// bytes. Seq is the sequence number of an end-of-experiment row
 // (negative for the reference run), which the merge filters on without
 // opening experimentData; on a detail-mode step row it means nothing, the
 // row travels with its parent.
@@ -360,33 +360,6 @@ func (s *Store) Trace(experimentName string) ([]*ExperimentRecord, error) {
 			return nil, err
 		}
 		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// StoredGroup returns the rows of the named experiment as they are stored
-// — nothing is decoded — in the order a run logs them: with trace set its
-// detail-mode step rows in step order, then its end row, all stamped with
-// seq. An experiment the store has no end row for yields no rows.
-func (s *Store) StoredGroup(name string, seq int, trace bool) ([]Row, error) {
-	const cols = `SELECT experimentName, parentExperiment, campaignName, step, experimentData, stateVector
-		FROM LoggedSystemState WHERE `
-	end, err := s.db.Query(cols+`experimentName = ?`, sqldb.Text(name))
-	if err != nil || len(end.Rows) == 0 {
-		return nil, err
-	}
-	rows := end.Rows
-	if trace {
-		steps, err := s.db.Query(cols+`parentExperiment = ? AND step >= 0 ORDER BY step`, sqldb.Text(name))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(steps.Rows, rows...)
-	}
-	out := make([]Row, len(rows))
-	for i, vals := range rows {
-		out[i].Seq = seq
-		copy(out[i].Cols[:], vals)
 	}
 	return out, nil
 }

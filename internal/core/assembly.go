@@ -13,17 +13,22 @@ import (
 // The one assembly. `goofi run`/`goofi resume`, goofid's job executor and
 // the shard worker all turn a stored campaign into a running Runner the
 // same way — resolve the target, put a batching sink in front of the
-// store, wire the options, start from a clean slate or from the durable
-// cursor, and finish in one order — so they do it here, once, and a
-// campaign submitted to the daemon or split over workers is the CLI's
-// campaign by construction, not by parallel maintenance. NewRunner and
+// store (or take the caller's), wire the options, start from a clean slate
+// or from the durable cursor, and finish in one order — so they do it here,
+// once, and a campaign submitted to the daemon or split over workers is the
+// CLI's campaign by construction, not by parallel maintenance. NewRunner and
 // the RunnerOptions stay the library constructor for callers that bring
 // their own target and sink (tests, examples, goofi-experiments, bench/).
 
 // RunSpec describes one run of a stored campaign.
 type RunSpec struct {
-	// Store holds the campaign; rows, cursors and spans go to it.
+	// Store holds the campaign; rows, cursors and spans go to it. Sink, when
+	// set, receives the rows instead and Store may be nil: the run then
+	// keeps nothing — no cursor recovered or saved, nothing deleted — and
+	// what survives a crash is the caller's business (the shard worker's
+	// sink hands each row to its coordinator, whose store is the only one).
 	Store    *campaign.Store
+	Sink     ResultSink
 	Campaign *campaign.Campaign
 	Target   *campaign.TargetSystemData
 
@@ -41,7 +46,7 @@ type RunSpec struct {
 	Boards int
 	Fleet  *Fleet
 	// Checkpoint is the number of experiments between durable cursors;
-	// <= 0 turns durable checkpointing off.
+	// <= 0, or a caller's Sink, turns durable checkpointing off.
 	Checkpoint int
 	// NoForward runs every experiment cold (and so prunes nothing).
 	NoForward bool
@@ -49,7 +54,9 @@ type RunSpec struct {
 	// first harness error.
 	Retry RetryPolicy
 	// Resume continues from whatever an interrupted run left durable in
-	// the store (CampaignRun.Cursor) instead of deleting it first.
+	// the store (CampaignRun.Cursor) instead of deleting it first. With a
+	// caller's Sink there is no store to ask: Resume then says the
+	// reference run is already logged, and the run skips it.
 	Resume bool
 	// ShardLo/ShardHi restrict the run to a range of the plan (hi 0 = all
 	// of it); ForwardSet carries an earlier range's recorded set.
@@ -62,12 +69,6 @@ type RunSpec struct {
 	// Filter is the pre-injection filter. It shapes the plan, so a resumed
 	// run must pass the one the interrupted run had.
 	Filter func(faultmodel.Fault, trigger.Spec) bool
-
-	// Tap observes the row batches the store accepted, in stored form;
-	// WrapSink decorates the sink the runner logs through. Both are the
-	// shard worker's: it reports the tapped rows to its coordinator.
-	Tap      func([]campaign.Row)
-	WrapSink func(CheckpointSink) CheckpointSink
 }
 
 // CampaignRun is an assembled run: Run it, then Finish it; Close it on
@@ -81,7 +82,7 @@ type CampaignRun struct {
 	Cursor *campaign.Checkpoint
 
 	spec RunSpec
-	sink *campaign.BatchingSink
+	sink *campaign.BatchingSink // nil when the caller brought its own
 }
 
 // Assemble builds the run a spec describes. It changes nothing in the
@@ -112,26 +113,27 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 	}
 
 	cr := &CampaignRun{spec: spec}
-	name := spec.Campaign.Name
-	if spec.Resume {
-		cp, err := spec.Store.RecoverCursor(name)
-		if err != nil {
-			return nil, err
+	sink := spec.Sink
+	if sink != nil {
+		// The caller's sink: nothing here outlives the run, so there is no
+		// cursor to recover or to save, and Resume vouches for the reference.
+		if spec.Resume {
+			cr.Cursor = &campaign.Checkpoint{Reference: true}
 		}
-		if cp.Reference || len(cp.Completed) > 0 {
-			cr.Cursor = cp
+	} else {
+		if spec.Resume {
+			cp, err := spec.Store.RecoverCursor(spec.Campaign.Name)
+			if err != nil {
+				return nil, err
+			}
+			if cp.Reference || len(cp.Completed) > 0 {
+				cr.Cursor = cp
+			}
 		}
-	}
-
-	// Batch LoggedSystemState writes: the scheduler flushes the sink at
-	// pauses and on termination, and Close drains it.
-	cr.sink = campaign.NewBatchingSink(spec.Store, 0)
-	if spec.Tap != nil {
-		cr.sink.Tap(spec.Tap)
-	}
-	var sink CheckpointSink = cr.sink
-	if spec.WrapSink != nil {
-		sink = spec.WrapSink(sink)
+		// Batch LoggedSystemState writes: the scheduler flushes the sink at
+		// pauses and on termination, and Close drains it.
+		cr.sink = campaign.NewBatchingSink(spec.Store, 0)
+		sink = cr.sink
 	}
 	opts := []RunnerOption{
 		WithSink(sink),
@@ -146,12 +148,12 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 		WithProgress(spec.OnProgress),
 		WithInjectionFilter(spec.Filter),
 	}
-	if spec.Checkpoint > 0 {
+	if cr.sink != nil && spec.Checkpoint > 0 {
 		opts = append(opts, WithCheckpoints(spec.Checkpoint))
 	}
 	cr.Runner, err = NewRunner(factory(), alg, spec.Campaign, spec.Target, opts...)
 	if err != nil {
-		cr.sink.Close()
+		cr.Close()
 		return nil, err
 	}
 	return cr, nil
@@ -166,10 +168,11 @@ func (cr *CampaignRun) Resumed() int {
 	return len(cr.Cursor.Completed)
 }
 
-// Run executes the campaign. A run that does not resume first clears the
-// slate: the previous results, phase spans and any stale cursor go.
+// Run executes the campaign. A run into the store that does not resume
+// first clears the slate: the previous results, phase spans and any stale
+// cursor go.
 func (cr *CampaignRun) Run(ctx context.Context) (*Summary, error) {
-	if !cr.spec.Resume {
+	if cr.sink != nil && !cr.spec.Resume {
 		if err := cr.spec.Store.DeleteRun(cr.spec.Campaign.Name); err != nil {
 			return nil, err
 		}
@@ -177,11 +180,11 @@ func (cr *CampaignRun) Run(ctx context.Context) (*Summary, error) {
 	return cr.Runner.Run(ctx)
 }
 
-// Finish is the clean teardown of a run that returned without error:
-// drain the sink, store the phase spans, and clear the cursor once the
-// campaign is complete (a stopped one keeps it, for resume). It reports
-// whether the campaign is complete. Compacting the database is left to
-// whoever opened it.
+// Finish is the clean teardown of a run into the store that returned
+// without error: drain the sink, store the phase spans, and clear the
+// cursor once the campaign is complete (a stopped one keeps it, for
+// resume). It reports whether the campaign is complete. Compacting the
+// database is left to whoever opened it.
 func (cr *CampaignRun) Finish(sum *Summary) (complete bool, err error) {
 	if err := cr.sink.Close(); err != nil {
 		return false, err
@@ -198,5 +201,11 @@ func (cr *CampaignRun) Finish(sum *Summary) (complete bool, err error) {
 }
 
 // Close drains the sink, making everything the run logged durable in the
-// store. It is idempotent and safe after Finish.
-func (cr *CampaignRun) Close() error { return cr.sink.Close() }
+// store; a caller's sink is the caller's to drain. It is idempotent and
+// safe after Finish.
+func (cr *CampaignRun) Close() error {
+	if cr.sink == nil {
+		return nil
+	}
+	return cr.sink.Close()
+}

@@ -13,9 +13,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,20 +20,6 @@ import (
 	"goofi/internal/shard"
 	"goofi/internal/telemetry"
 )
-
-// shardDir is a job's worker-database directory under the data dir.
-func (s *Server) shardDir(tenant, name string) string {
-	safe := strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-			return c
-		case c == '.' || c == '_' || c == '-':
-			return c
-		}
-		return '_'
-	}, tenant+"__"+name)
-	return filepath.Join(s.cfg.DataDir, "shards", safe)
-}
 
 func (s *Server) executeSharded(ctx context.Context, j *job) {
 	spec := &j.spec
@@ -62,13 +45,8 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 		return
 	}
 	if !j.recover {
-		// Fresh submission: same clean slate as execute(), plus the
-		// worker shard databases of any earlier run of this campaign.
+		// Fresh submission: same clean slate as execute().
 		if err := st.DeleteRun(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := os.RemoveAll(s.shardDir(spec.Tenant, name)); err != nil {
 			fail(err)
 			return
 		}
@@ -79,10 +57,8 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 		Target:                tsd,
 		Technique:             spec.Technique,
 		TargetKind:            spec.TargetKind,
-		TargetParams:          spec.TargetParams,
-		ImageBytes:            spec.ImageBytes,
+		TargetParams:          spec.targetConfig().Params,
 		Shards:                spec.Shards,
-		Checkpoint:            spec.Checkpoint,
 		NoForward:             spec.NoForward,
 		MaxRetries:            spec.MaxRetries,
 		BoardFailureThreshold: spec.BoardFailureThreshold,
@@ -136,7 +112,6 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 		for i := 0; i < spec.Shards; i++ {
 			w, err := shard.NewWorker(shard.WorkerConfig{
 				Name:      fmt.Sprintf("%s-w%d", spec.Tenant, i),
-				Dir:       filepath.Join(s.shardDir(spec.Tenant, name), fmt.Sprintf("w%d", i)),
 				Boards:    spec.Boards,
 				Transport: shard.Direct{C: coord},
 			})
@@ -248,8 +223,6 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 		fail(err)
 		return
 	}
-	// Done: the worker databases served their purpose.
-	_ = os.RemoveAll(s.shardDir(spec.Tenant, name))
 	j.setState(StateDone, "")
 	s.markDurable(name, spec.Tenant, StateDone)
 }

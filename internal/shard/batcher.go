@@ -27,13 +27,10 @@ type batcher struct {
 	err error // first write error; poisons subsequent submits
 }
 
-func newBatcher(store *campaign.Store, depth int) *batcher {
-	if depth <= 0 {
-		depth = 8
-	}
+func newBatcher(store *campaign.Store) *batcher {
 	b := &batcher{
 		store: store,
-		ch:    make(chan []campaign.Row, depth),
+		ch:    make(chan []campaign.Row, ingestQueueDepth),
 		flush: make(chan chan error),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),

@@ -27,6 +27,7 @@ import (
 	"goofi/internal/server"
 	"goofi/internal/shard"
 	"goofi/internal/sqldb"
+	"goofi/internal/swifi"
 	"goofi/internal/telemetry"
 	"goofi/internal/thor"
 	"goofi/internal/trigger"
@@ -219,7 +220,8 @@ func tenantStore(t *testing.T, dataDir, tenant string) *campaign.Store {
 
 // TestShardConformanceCounts is the table-driven core of the suite:
 // shards ∈ {1, 2, 4} through the daemon's sharded path (in-process
-// workers over the Direct transport) against the solo ground truth.
+// workers over the Direct transport) against the solo ground truth, and a
+// swifi campaign whose image size travels with the submission.
 func TestShardConformanceCounts(t *testing.T) {
 	const n = 40
 	camp := conformanceCampaign("conf", n)
@@ -227,32 +229,57 @@ func TestShardConformanceCounts(t *testing.T) {
 	wantRecs := recordBytes(t, solo, "conf")
 	wantReport := reportText(t, solo, "conf")
 
+	// daemonRun submits req to a fresh daemon and returns the tenant store
+	// it left behind.
+	daemonRun := func(t *testing.T, req server.SubmitRequest) *campaign.Store {
+		dir := t.TempDir()
+		s, err := server.New(server.Config{DataDir: dir, Boards: 4, MaxConcurrent: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, body := postJSON(t, ts.URL+"/api/v1/campaigns", req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+		}
+		if st := waitState(t, ts.URL, req.Tenant, req.Campaign.Name); st.State != server.StateDone {
+			t.Fatalf("state = %s (err %q)", st.State, st.Error)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return tenantStore(t, dir, req.Tenant)
+	}
+
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := server.New(server.Config{DataDir: dir, Boards: 4, MaxConcurrent: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-			resp, body := postJSON(t, ts.URL+"/api/v1/campaigns", server.SubmitRequest{
-				Tenant: "alice", Campaign: camp, Shards: shards,
-			})
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-			}
-			if st := waitState(t, ts.URL, "alice", "conf"); st.State != server.StateDone {
-				t.Fatalf("state = %s (err %q)", st.State, st.Error)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := s.Shutdown(ctx); err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, tenantStore(t, dir, "alice"), "conf", wantRecs, wantReport)
+			st := daemonRun(t, server.SubmitRequest{Tenant: "alice", Campaign: camp, Shards: shards})
+			assertIdentical(t, st, "conf", wantRecs, wantReport)
 		})
 	}
+
+	// The image size reaches the workers folded into the target parameters,
+	// as it reaches the solo executor: the ground truth is the same
+	// submission run solo.
+	t.Run("swifi-image-512", func(t *testing.T) {
+		sw := conformanceCampaign("confswifi", n)
+		sw.TargetName, sw.ChainName, sw.Locations = "thor-swifi", swifi.MemoryChainName, []string{"mem"}
+		req := server.SubmitRequest{Tenant: "alice", Campaign: sw, TargetKind: "swifi", ImageBytes: 512}
+		solo := daemonRun(t, req)
+		tsd, err := solo.GetTargetSystem("thor-swifi")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := tsd.Chains[0].Length; bits != 512*8 {
+			t.Fatalf("the submission's memory chain is %d bits, want those of a 512-byte image", bits)
+		}
+		req.Shards = 2
+		assertIdentical(t, daemonRun(t, req), "confswifi",
+			recordBytes(t, solo, "confswifi"), reportText(t, solo, "confswifi"))
+	})
 }
 
 // prunedTotal reads the process-wide count of experiments logged from
@@ -345,7 +372,7 @@ func TestShardConformancePruning(t *testing.T) {
 		firstHalf, leases, references := false, 0, 0
 		var atSecondLease float64
 		w, err := shard.NewWorker(shard.WorkerConfig{
-			Name: "w0", Dir: filepath.Join(t.TempDir(), "w0"), Boards: 1,
+			Name: "w0", Boards: 1,
 			Transport: &shard.HTTPTransport{Base: ts.URL, Tenant: "alice", Campaign: "confprune"},
 			Poll:      10 * time.Millisecond,
 			OnRecord: func(rec *campaign.ExperimentRecord) {
@@ -504,7 +531,6 @@ func TestShardConformanceWorkerKilled(t *testing.T) {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
 	}
 
-	workerDir := t.TempDir()
 	transport := func() *shard.HTTPTransport {
 		return &shard.HTTPTransport{Base: ts.URL, Tenant: "alice", Campaign: "confkill"}
 	}
@@ -517,7 +543,7 @@ func TestShardConformanceWorkerKilled(t *testing.T) {
 	var logged int
 	var loggedMu sync.Mutex
 	w0, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "w0", Dir: filepath.Join(workerDir, "w0"), Boards: 1,
+		Name: "w0", Boards: 1,
 		Transport: transport(), Poll: 10 * time.Millisecond,
 		OnRecord: func(*campaign.ExperimentRecord) {
 			loggedMu.Lock()
@@ -539,7 +565,7 @@ func TestShardConformanceWorkerKilled(t *testing.T) {
 	}()
 
 	w1, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "w1", Dir: filepath.Join(workerDir, "w1"), Boards: 1,
+		Name: "w1", Boards: 1,
 		Transport: transport(), Poll: 10 * time.Millisecond,
 	})
 	if err != nil {

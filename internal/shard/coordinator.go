@@ -35,6 +35,16 @@ import (
 // it zero; a lease lapses after three missed beats.
 const DefaultHeartbeat = 500 * time.Millisecond
 
+// minTTLRatio is the floor of LeaseTTL/HeartbeatEvery. A TTL under two
+// beats means a single delayed or dropped heartbeat expires a healthy
+// lease — a misconfiguration on any real network — so NewCoordinator
+// rejects it outright instead of letting the deployment discover it as
+// spurious requeues.
+const minTTLRatio = 2
+
+// ingestQueueDepth bounds the ingest batcher, in report batches.
+const ingestQueueDepth = 8
+
 // DefaultMaxWorkerFailures quarantines a worker after this many expired
 // leases (the PR 4 board-failure threshold lifted to shard level).
 const DefaultMaxWorkerFailures = 3
@@ -59,13 +69,8 @@ type CoordinatorConfig struct {
 	// TargetParams carries target-specific key=value configuration
 	// handed out with every lease.
 	TargetParams map[string]string
-	// ImageBytes sizes swifi workload images on the workers.
-	ImageBytes int
 	// Shards is how many ranges the plan is partitioned into.
 	Shards int
-	// Checkpoint is the worker durable-cursor interval handed out with
-	// every lease (0 defaults worker-side, -1 disables).
-	Checkpoint int
 	// NoForward, MaxRetries and BoardFailureThreshold are the
 	// submission's run options, handed out with every lease.
 	NoForward             bool
@@ -79,14 +84,6 @@ type CoordinatorConfig struct {
 	// MaxWorkerFailures quarantines a worker after this many expired
 	// leases (default DefaultMaxWorkerFailures).
 	MaxWorkerFailures int
-	// MinTTLRatio is the validated floor of LeaseTTL/HeartbeatEvery
-	// (default 2). A TTL under two beats means a single delayed or
-	// dropped heartbeat expires a healthy lease — a misconfiguration on
-	// any real network — so NewCoordinator rejects it outright instead
-	// of letting the deployment discover it as spurious requeues.
-	MinTTLRatio int
-	// QueueDepth bounds the ingest batcher (default 8 batches).
-	QueueDepth int
 	// NowFunc is the clock (test hook; default time.Now).
 	NowFunc func() time.Time
 }
@@ -154,15 +151,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeat
 	}
-	if cfg.MinTTLRatio <= 0 {
-		cfg.MinTTLRatio = 2
-	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 3 * cfg.HeartbeatEvery
 	}
-	if cfg.LeaseTTL < time.Duration(cfg.MinTTLRatio)*cfg.HeartbeatEvery {
+	if cfg.LeaseTTL < minTTLRatio*cfg.HeartbeatEvery {
 		return nil, fmt.Errorf("shard: lease TTL %v < %d heartbeats of %v — one lost beat would expire healthy leases",
-			cfg.LeaseTTL, cfg.MinTTLRatio, cfg.HeartbeatEvery)
+			cfg.LeaseTTL, minTTLRatio, cfg.HeartbeatEvery)
 	}
 	if cfg.MaxWorkerFailures <= 0 {
 		cfg.MaxWorkerFailures = DefaultMaxWorkerFailures
@@ -176,7 +170,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		bat:        newBatcher(cfg.Store, cfg.QueueDepth),
+		bat:        newBatcher(cfg.Store),
 		leases:     make(map[string]*lease),
 		accepted:   make(map[int]bool),
 		failures:   make(map[string]int),
@@ -385,8 +379,6 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
 		Technique:             c.cfg.Technique,
 		TargetKind:            c.cfg.TargetKind,
 		TargetParams:          c.cfg.TargetParams,
-		ImageBytes:            c.cfg.ImageBytes,
-		Checkpoint:            c.cfg.Checkpoint,
 		NoForward:             c.cfg.NoForward,
 		MaxRetries:            c.cfg.MaxRetries,
 		BoardFailureThreshold: c.cfg.BoardFailureThreshold,

@@ -1,10 +1,10 @@
 package shard
 
 // The report frame: the body of a `report` POST. A report moves rows the
-// worker's shard database already holds into the coordinator's store, so
-// the frame carries each row's six column values as they were inserted
-// there — the two JSON blobs are encoded once per experiment, on the
-// worker, and never parsed or rebuilt on the way to the merged store.
+// worker logged into the coordinator's store, so the frame carries each
+// row's six column values as they will be inserted there — the two JSON
+// blobs are encoded once per experiment, on the worker, and never parsed
+// or rebuilt on the way to the merged store.
 //
 //	frame   = length payload crc
 //	length  = uint32 LE, len(payload)

@@ -44,10 +44,3 @@ var (
 	mReportRows = telemetry.NewCounter("goofi_shard_report_rows_total",
 		"Rows delivered to the coordinator in reports, before the exactly-once filter.")
 )
-
-// mFinalScanRows counts, on the worker, the rows a range had to read back
-// from its shard database to report them: the experiments a recovered
-// cursor made the runner skip. A range that starts on a clean store adds
-// nothing.
-var mFinalScanRows = telemetry.NewCounter("goofi_shard_final_scan_rows_total",
-	"Rows a worker read back from its shard database to re-report after a resume.")

@@ -70,7 +70,6 @@ func chaosFleet(t *testing.T, camp *campaign.Campaign, hb, ttl time.Duration,
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	workerDir := t.TempDir()
 	for i, net := range nets {
 		var hook func(*campaign.ExperimentRecord)
 		if i < len(onRecord) {
@@ -78,7 +77,6 @@ func chaosFleet(t *testing.T, camp *campaign.Campaign, hb, ttl time.Duration,
 		}
 		w, err := shard.NewWorker(shard.WorkerConfig{
 			Name:      fmt.Sprintf("cw%d", i),
-			Dir:       filepath.Join(workerDir, fmt.Sprintf("w%d", i)),
 			Boards:    1,
 			Transport: net.Transport(shard.Direct{C: coord}),
 			Poll:      10 * time.Millisecond,
@@ -331,11 +329,10 @@ func TestShardWorkerUnauthorized(t *testing.T) {
 		t.Fatalf("tokenless lease = %d (%s), want 401", resp.StatusCode, body)
 	}
 
-	workerDir := t.TempDir()
 	// The impostor: wrong token, must exit with ErrUnauthorized instead
 	// of retrying.
 	bad, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "impostor", Dir: filepath.Join(workerDir, "bad"), Boards: 1,
+		Name: "impostor", Boards: 1,
 		Poll: 10 * time.Millisecond,
 		Transport: &shard.HTTPTransport{
 			Base: ts.URL, Tenant: "alice", Campaign: "confauth", Token: "wrong",
@@ -352,7 +349,7 @@ func TestShardWorkerUnauthorized(t *testing.T) {
 	}()
 
 	good, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "legit", Dir: filepath.Join(workerDir, "good"), Boards: 1,
+		Name: "legit", Boards: 1,
 		Poll: 10 * time.Millisecond,
 		Transport: &shard.HTTPTransport{
 			Base: ts.URL, Tenant: "alice", Campaign: "confauth", Token: "sekrit",

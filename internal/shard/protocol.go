@@ -15,9 +15,12 @@ import (
 
 // ProtocolVersion is the wire protocol both sides must speak. Version 2
 // replaced the JSON report body of records with a binary frame of stored
-// rows; hello carries the number so a mixed fleet fails on its first call
-// with a sentence, not on its first report with a decode error.
-const ProtocolVersion = 2
+// rows; version 3 folded the lease's imageBytes into its targetParams, so
+// a worker that no longer reads the one cannot be handed a lease by a
+// coordinator that still sets it. Hello carries the number so a mixed
+// fleet fails on its first call with a sentence, not on its first report
+// with a decode error or on a target built from the wrong image.
+const ProtocolVersion = 3
 
 // ErrProtocol rejects a peer that speaks another protocol version. It is
 // terminal: the same binary will say the same thing again.
@@ -71,8 +74,7 @@ type LeaseRequest struct {
 
 // LeaseResponse carries a granted range together with everything the
 // worker needs to execute it from a cold start: the campaign and target
-// definitions for its shard database, the technique, and the cadence
-// contract (heartbeat period, durable-cursor interval).
+// definitions, the technique, the run options and the heartbeat period.
 type LeaseResponse struct {
 	Status  string `json:"status"`
 	LeaseID string `json:"leaseId,omitempty"`
@@ -84,16 +86,12 @@ type LeaseResponse struct {
 	// TargetKind names the registered target system workers construct.
 	// It or Technique may be empty: core.ResolveTarget defaults them.
 	TargetKind string `json:"targetKind,omitempty"`
-	// TargetParams carries target-specific key=value configuration.
+	// TargetParams carries target-specific key=value configuration, the
+	// submission's image size folded in.
 	TargetParams map[string]string `json:"targetParams,omitempty"`
-	// ImageBytes sizes swifi workload images (the submit-time knob).
-	ImageBytes int `json:"imageBytes,omitempty"`
-	// Checkpoint is the worker-side durable-cursor interval in
-	// experiments (0 keeps the worker's default, -1 disables).
-	Checkpoint int `json:"checkpoint,omitempty"`
 	// NoForward, MaxRetries and BoardFailureThreshold are the submission's
 	// run options, applied to every range as the solo path applies them
-	// to the whole campaign. A worker that predates them ignores them.
+	// to the whole campaign.
 	NoForward             bool `json:"noForward,omitempty"`
 	MaxRetries            int  `json:"maxRetries,omitempty"`
 	BoardFailureThreshold int  `json:"boardFailureThreshold,omitempty"`
@@ -109,9 +107,9 @@ type HeartbeatRequest struct {
 }
 
 // ReportRequest delivers a batch of logged rows for a lease, in the
-// stored form the worker's own shard database holds. Final marks the last
-// batch of the range; the coordinator flushes its ingest queue and retires
-// the lease on it.
+// stored form the coordinator's store inserts as it is. Final marks the
+// last batch of the range; the coordinator flushes its ingest queue and
+// retires the lease on it.
 type ReportRequest struct {
 	Worker  string
 	LeaseID string

@@ -7,7 +7,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -54,7 +53,7 @@ func (o oldCoordinator) Lease(context.Context, LeaseRequest) (*LeaseResponse, er
 
 func TestWorkerRefusesOtherProtocolVersion(t *testing.T) {
 	w, err := NewWorker(WorkerConfig{
-		Name: "w", Dir: filepath.Join(t.TempDir(), "w"), Transport: oldCoordinator{t: t},
+		Name: "w", Transport: oldCoordinator{t: t},
 	})
 	if err != nil {
 		t.Fatal(err)

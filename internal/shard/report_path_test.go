@@ -1,10 +1,10 @@
 package shard_test
 
 // The report path end to end: a worker never sleeps a poll interval on
-// the way to the campaign's end, reads nothing back from its shard
-// database on a clean range, ships after a resume exactly the rows the
-// runner skipped, and keeps a batch — delivery key and all — until the
-// coordinator has acknowledged it.
+// the way to the campaign's end, writes no file, ships every row of a
+// range exactly once however its predecessor died, keeps the reference
+// run's rows for its later ranges, and keeps a batch — delivery key and
+// all — until the coordinator has acknowledged it.
 
 import (
 	"bytes"
@@ -12,8 +12,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,24 +65,19 @@ func counter(name string) float64 { return telemetry.Default.Snapshot()[name] }
 
 // TestShardWorkersLeaveWithoutPolling runs two workers whose Poll is an
 // hour. The one that finishes first waits in the coordinator's Lease, not
-// in a sleep, so both are gone within a second of the campaign's end —
-// and neither, starting on a clean shard database, reads a row back from
-// it to report.
+// in a sleep, so both are gone within a second of the campaign's end.
 func TestShardWorkersLeaveWithoutPolling(t *testing.T) {
 	const n = 400
 	camp := conformanceCampaign("nopoll", n)
 	solo := soloRun(t, camp)
 	coord, st := directCoordinator(t, camp, 2, 0)
-	scanned := counter("goofi_shard_final_scan_rows_total")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	workerDir := t.TempDir()
 	exits := make(chan error, 2)
 	for _, name := range []string{"w0", "w1"} {
 		w, err := shard.NewWorker(shard.WorkerConfig{
-			Name: name, Dir: filepath.Join(workerDir, name),
-			Transport: shard.Direct{C: coord}, Poll: time.Hour,
+			Name: name, Transport: shard.Direct{C: coord}, Poll: time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -103,13 +100,59 @@ func TestShardWorkersLeaveWithoutPolling(t *testing.T) {
 			t.Fatal("a worker was still around 1s after the campaign completed: it is sleeping its poll interval")
 		}
 	}
-	if d := counter("goofi_shard_final_scan_rows_total") - scanned; d != 0 {
-		t.Fatalf("clean ranges read %v rows back from their shard databases, want 0", d)
-	}
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
 	assertIdentical(t, st, "nopoll", recordBytes(t, solo, "nopoll"), reportText(t, solo, "nopoll"))
+}
+
+// TestShardWorkerWritesNothing: the coordinator's store is the campaign's
+// only copy. An external worker leaves the directory it was given empty,
+// and a job run by the daemon's in-process workers leaves no shards/ entry
+// in the data directory.
+func TestShardWorkerWritesNothing(t *testing.T) {
+	const n = 30
+	dataDir, workerDir := t.TempDir(), t.TempDir()
+	s, err := server.New(server.Config{DataDir: dataDir, Boards: 2, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, req := range []server.SubmitRequest{
+		{Tenant: "alice", Campaign: conformanceCampaign("nofile-ext", n), Shards: 2, ExternalWorkers: true},
+		{Tenant: "alice", Campaign: conformanceCampaign("nofile-in", n), Shards: 2},
+	} {
+		name := req.Campaign.Name
+		if resp, body := postJSON(t, ts.URL+"/api/v1/campaigns", req); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s = %d: %s", name, resp.StatusCode, body)
+		}
+		if req.ExternalWorkers {
+			w, err := shard.NewWorker(shard.WorkerConfig{
+				Name: "w0", Dir: workerDir, Poll: 5 * time.Millisecond,
+				Transport: &shard.HTTPTransport{Base: ts.URL, Tenant: "alice", Campaign: name},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			err = w.Run(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		}
+		if st := waitState(t, ts.URL, "alice", name); st.State != server.StateDone {
+			t.Fatalf("%s: state = %s (err %q)", name, st.State, st.Error)
+		}
+	}
+	shutdownServer(t, s)
+	if left, err := os.ReadDir(workerDir); err != nil || len(left) != 0 {
+		t.Fatalf("the worker left %d entries in its directory (%v), want none", len(left), err)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "shards")); !os.IsNotExist(err) {
+		t.Fatalf("the data directory has a shards entry (stat: %v): in-process workers wrote files", err)
+	}
 }
 
 // recordingTransport notes every report on its way to the coordinator.
@@ -137,21 +180,19 @@ func (r *recordingTransport) Report(ctx context.Context, req shard.ReportRequest
 var errNetDown = &shard.TransportError{Op: "report", Class: shard.ClassConn, Retryable: true,
 	Err: errors.New("test: network down")}
 
-// TestShardResumeShipsExactlySkipped kills a detail-mode worker mid-range
-// while none of its reports get through, then restarts it on the same
-// shard database. The second attempt must report the whole range: the
-// experiments the first one logged from the store — read by primary key,
-// step rows with their parent, and counted — and the rest from the run,
-// every row exactly once.
-func TestShardResumeShipsExactlySkipped(t *testing.T) {
+// TestShardRestartedWorkerShipsExactlyOnce kills a detail-mode worker
+// mid-range while none of its reports get through, then starts another
+// under the same name. A worker keeps nothing, so the second one runs the
+// whole requeued range — and must report every row of it exactly once,
+// step rows with their parent, byte-identical to solo.
+func TestShardRestartedWorkerShipsExactlyOnce(t *testing.T) {
 	const n = 8
-	camp := conformanceCampaign("resumeship", n)
+	camp := conformanceCampaign("restartship", n)
 	camp.LogMode = campaign.LogDetail
 	camp.RandomWindow = [2]uint64{10, 400}
 	solo := soloRun(t, camp)
-	wantTrace := traceBytes(t, solo, "resumeship")
+	wantTrace := traceBytes(t, solo, "restartship")
 	coord, st := directCoordinator(t, camp, 1, 50*time.Millisecond)
-	dir := filepath.Join(t.TempDir(), "w0")
 
 	// First attempt: the network eats every report; the worker dies after
 	// logging three experiments.
@@ -160,7 +201,7 @@ func TestShardResumeShipsExactlySkipped(t *testing.T) {
 	var mu sync.Mutex
 	logged := map[string]bool{} // end rows the first attempt logged
 	first, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "w0", Dir: dir, Poll: 5 * time.Millisecond,
+		Name: "w0", Poll: 5 * time.Millisecond,
 		Transport: &recordingTransport{Transport: shard.Direct{C: coord},
 			before: func(shard.ReportRequest) (bool, error) { return true, errNetDown }},
 		OnRecord: func(rec *campaign.ExperimentRecord) {
@@ -186,27 +227,17 @@ func TestShardResumeShipsExactlySkipped(t *testing.T) {
 		t.Fatalf("%d experiments merged through a network that was down", merged)
 	}
 
-	// Second attempt, same name and directory, on a healthy network. Its
-	// lease waits in the coordinator for the dead one's to expire.
-	scanned := counter("goofi_shard_final_scan_rows_total")
+	// Second attempt, same name, on a healthy network. Its lease waits in
+	// the coordinator for the dead one's to expire.
 	rec := &recordingTransport{Transport: shard.Direct{C: coord}}
-	second, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "w0", Dir: dir, Transport: rec, Poll: 5 * time.Millisecond,
-		OnRecord: func(rec *campaign.ExperimentRecord) {
-			mu.Lock()
-			defer mu.Unlock()
-			if rec.Step < 0 && logged[rec.Name] {
-				t.Errorf("%s ran again after the resume", rec.Name)
-			}
-		},
-	})
+	second, err := shard.NewWorker(shard.WorkerConfig{Name: "w0", Transport: rec, Poll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	if err := second.Run(ctx); err != nil {
-		t.Fatalf("resumed worker: %v", err)
+		t.Fatalf("restarted worker: %v", err)
 	}
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
@@ -227,7 +258,7 @@ func TestShardResumeShipsExactlySkipped(t *testing.T) {
 		}
 	}
 	if len(sent) != n+1 {
-		t.Fatalf("resumed worker reported %d end rows, want %d and the reference", len(sent), n)
+		t.Fatalf("restarted worker reported %d end rows, want %d and the reference", len(sent), n)
 	}
 	for name, times := range sent {
 		if times != 1 {
@@ -239,27 +270,96 @@ func TestShardResumeShipsExactlySkipped(t *testing.T) {
 			t.Errorf("step row %s reported %d times", name, times)
 		}
 	}
-	// ...and what was read back from the shard database is exactly what
-	// the first attempt left there, step rows included.
-	wantScanned := 0
+	// ...the experiments the first attempt had logged with all their step
+	// rows, like the rest.
+	if len(logged) < 4 {
+		t.Fatalf("first attempt logged %d end rows: the test is vacuous", len(logged))
+	}
 	for name := range logged {
 		trace, err := st.Trace(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if steps[name] != len(trace) {
+		if len(trace) == 0 || steps[name] != len(trace) {
 			t.Errorf("%s reported with %d step rows, the merged store holds %d", name, steps[name], len(trace))
 		}
-		wantScanned += 1 + len(trace)
 	}
-	if len(logged) < 4 || wantScanned <= len(logged) {
-		t.Fatalf("first attempt left %d end rows and %d rows in all: the test is vacuous", len(logged), wantScanned)
+	assertIdentical(t, st, "restartship", recordBytes(t, solo, "restartship"), reportText(t, solo, "restartship"))
+	assertTraceIdentical(t, st, "restartship", wantTrace)
+}
+
+// cutAfterLease partitions the network the moment a range is granted.
+type cutAfterLease struct {
+	shard.Transport
+	net  *chaos.Net
+	once sync.Once
+}
+
+func (c *cutAfterLease) Lease(ctx context.Context, req shard.LeaseRequest) (*shard.LeaseResponse, error) {
+	resp, err := c.Transport.Lease(ctx, req)
+	if err == nil && resp.Status == shard.LeaseRange {
+		c.once.Do(c.net.PartitionFull)
 	}
-	if got := counter("goofi_shard_final_scan_rows_total") - scanned; got != float64(wantScanned) {
-		t.Fatalf("resume read %v rows back, want the %d of the skipped experiments", got, wantScanned)
+	return resp, err
+}
+
+// TestShardReferenceSurvivesAbandonedLease cuts one worker off from its
+// coordinator — reports and heartbeats alike — from the grant of its first
+// lease until that lease has expired. Nothing of it was merged, so the
+// worker runs the requeued range again; it must not run the reference
+// again, and the coordinator, which never saw the reference row, must get
+// it from the worker's memory.
+func TestShardReferenceSurvivesAbandonedLease(t *testing.T) {
+	const n = 40
+	camp := conformanceCampaign("refkept", n)
+	refName := campaign.ReferenceName("refkept")
+	solo := soloRun(t, camp)
+	coord, st := directCoordinator(t, camp, 1, 20*time.Millisecond)
+	net := chaos.NewNet(chaos.NetConfig{Seed: 1})
+
+	var references atomic.Int32
+	w, err := shard.NewWorker(shard.WorkerConfig{
+		Name: "w0", Poll: 5 * time.Millisecond,
+		Transport: &cutAfterLease{Transport: net.Transport(shard.Direct{C: coord}), net: net},
+		OnRecord: func(rec *campaign.ExperimentRecord) {
+			if rec.Name == refName {
+				references.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertIdentical(t, st, "resumeship", recordBytes(t, solo, "resumeship"), reportText(t, solo, "resumeship"))
-	assertTraceIdentical(t, st, "resumeship", wantTrace)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	exit := make(chan error, 1)
+	go func() { exit <- w.Run(ctx) }()
+	for expired := false; !expired; {
+		if ctx.Err() != nil {
+			t.Fatal("the cut-off worker's lease never expired")
+		}
+		time.Sleep(5 * time.Millisecond)
+		for _, ws := range coord.Fleet() {
+			expired = expired || ws.Failures > 0
+		}
+	}
+	if merged, _ := coord.Progress(); merged != 0 || coord.Complete() {
+		t.Fatalf("%d experiments merged through a network that was down", merged)
+	}
+	net.Heal()
+	if err := <-exit; err != nil {
+		t.Fatalf("worker: %v (a worker that forgot the reference row waits for a campaign that cannot complete)", err)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := references.Load(); got != 1 {
+		t.Fatalf("the reference run was logged %d times, want once", got)
+	}
+	if _, err := st.GetExperiment(refName); err != nil {
+		t.Fatalf("the coordinator's store has no reference row: %v", err)
+	}
+	assertIdentical(t, st, "refkept", recordBytes(t, solo, "refkept"), reportText(t, solo, "refkept"))
 }
 
 // TestNetChaosUnackedBatchKeepsDeliveryKey loses the acknowledgement of
@@ -290,7 +390,7 @@ func TestNetChaosUnackedBatchKeepsDeliveryKey(t *testing.T) {
 		return true, err
 	}
 	w, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "w0", Dir: filepath.Join(t.TempDir(), "w0"), Transport: rec, Poll: 5 * time.Millisecond,
+		Name: "w0", Transport: rec, Poll: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +474,7 @@ func TestShardProtocolMismatchOverHTTP(t *testing.T) {
 	}
 
 	w, err := shard.NewWorker(shard.WorkerConfig{
-		Name: "w0", Dir: filepath.Join(t.TempDir(), "w0"),
+		Name:      "w0",
 		Transport: &shard.HTTPTransport{Base: ts.URL, Tenant: "alice", Campaign: "confproto"},
 	})
 	if err != nil {

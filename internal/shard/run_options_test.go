@@ -7,7 +7,6 @@ package shard_test
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,11 +48,10 @@ func runWorkers(t *testing.T, coord *shard.Coordinator) error {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	dir := t.TempDir()
 	exits := make(chan error, 2)
 	for _, name := range []string{"w0", "w1"} {
 		w, err := shard.NewWorker(shard.WorkerConfig{
-			Name: name, Dir: filepath.Join(dir, name), Transport: shard.Direct{C: coord},
+			Name: name, Transport: shard.Direct{C: coord},
 		})
 		if err != nil {
 			t.Fatal(err)

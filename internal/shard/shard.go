@@ -1,9 +1,9 @@
 // Package shard distributes one campaign's experiment plan across many
 // worker processes. A coordinator partitions the plan into contiguous
 // sequence ranges and leases them to workers; each worker runs its range
-// with its own board pool against its own WAL-backed shard database and
-// reports the logged records back; the coordinator merges them into the
-// canonical campaign store through a batched single-writer fan-in.
+// with its own board pool, keeps nothing, and reports the logged rows
+// back; the coordinator merges them into the canonical campaign store —
+// the only one — through a batched single-writer fan-in.
 //
 // Correctness rests on the plan-first determinism the rest of the tree
 // already pins: every experiment's seed derives only from the campaign

@@ -1,28 +1,29 @@
 package shard
 
 // The worker: leases ranges from its coordinator, executes each with a
-// core.Runner against its own WAL-backed shard database, and reports the
-// logged records back in batches. The shard database makes a worker's
-// progress durable locally — a worker that crashed mid-range resumes
-// from its own durable cursor and reports the records it already has
-// instead of re-running them — and the carried forward set keeps
-// checkpoint fast-forwarding effective after the first range, where the
-// reference run is skipped.
+// core.Runner, and reports the logged rows back in batches. It is
+// stateless: it opens no database and writes no file, and the
+// coordinator's store is the campaign's only durable copy. A worker that
+// dies mid-range loses the rows it had not been acknowledged — at most a
+// heartbeat's worth of streamed work — and the coordinator's lease expiry
+// hands them to whoever leases the requeued range, byte-identical because
+// seeds derive from (campaignSeed, seq) alone. What a worker keeps, in
+// memory and for the life of the process, is what its later ranges need of
+// its first: the reference run's rows, so the reference is neither re-run
+// nor lost, and the carried forward set, which keeps checkpoint
+// fast-forwarding and pruning effective where the reference run is skipped.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"goofi/internal/campaign"
 	"goofi/internal/core"
-	"goofi/internal/sqldb"
 
 	// Registered target systems: workers construct targets through the
 	// core registry, so each package's RegisterTarget init must run.
@@ -46,7 +47,9 @@ const maxRetryWait = 2 * time.Second
 type WorkerConfig struct {
 	// Name identifies the worker in the lease protocol.
 	Name string
-	// Dir is the worker's shard-database directory.
+	// Dir is ignored: a worker keeps nothing on disk and never writes
+	// there. The field stays only because bench/inproc.go sets it; it goes
+	// with the benchmark-only PR of ROADMAP item 5.
 	Dir string
 	// Boards sizes the worker's own board pool (default 1).
 	Boards int
@@ -66,6 +69,12 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg     WorkerConfig
 	carried *core.ForwardSet
+	// reference is the reference run as this worker logged it: its
+	// detail-mode step rows, then its end row. Every later range queues it
+	// again — the coordinator drops it when it has one, and gets it back
+	// when the first lease was abandoned before its report was
+	// acknowledged, or it restarted before its copy was durable.
+	reference []campaign.Row
 	// delivSeq numbers report deliveries so every batch gets a unique
 	// idempotency key; retries of the same batch reuse the same key.
 	delivSeq atomic.Int64
@@ -78,8 +87,8 @@ func (w *Worker) delivery(leaseID string) string {
 
 // NewWorker validates the config and builds a worker.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if cfg.Name == "" || cfg.Dir == "" || cfg.Transport == nil {
-		return nil, fmt.Errorf("shard: worker needs a name, directory and transport")
+	if cfg.Name == "" || cfg.Transport == nil {
+		return nil, fmt.Errorf("shard: worker needs a name and a transport")
 	}
 	if cfg.Boards <= 0 {
 		cfg.Boards = 1
@@ -90,29 +99,36 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{cfg: cfg}, nil
 }
 
-// hookSink forwards to the run's sink and mirrors every record to the
-// OnRecord test hook.
-type hookSink struct {
-	core.CheckpointSink
+// rowSink is the sink of one leased range: it encodes each record once and
+// hands the row to the reporter. Nothing is stored here, so there is
+// nothing to flush and nothing to read back.
+type rowSink struct {
+	rep *reporter
+	// hook is WorkerConfig.OnRecord.
 	hook func(*campaign.ExperimentRecord)
 }
 
-func (h *hookSink) LogExperiment(rec *campaign.ExperimentRecord) error {
-	if err := h.CheckpointSink.LogExperiment(rec); err != nil {
-		return err
+func (s rowSink) LogExperiment(rec *campaign.ExperimentRecord) error {
+	s.rep.add(campaign.EncodeRow(rec))
+	if s.hook != nil {
+		s.hook(rec)
 	}
-	h.hook(rec)
 	return nil
 }
 
+func (s rowSink) GetExperiment(name string) (*campaign.ExperimentRecord, error) {
+	return nil, fmt.Errorf("shard: a worker keeps no records to read %s from", name)
+}
+
+func (s rowSink) Flush() error { return nil }
+
 // reporter holds the rows of one range that the coordinator has not
-// acknowledged yet. Rows arrive in stored form from the sink's tap, once
-// the worker's own shard database has them, and leave in complete
-// experiment groups — the detail-trace rows of an experiment and then its
-// end row — so the merge advances while the range is still running and a
-// dead shard loses at most the in-flight tail. Nothing is dropped before
-// it is acknowledged: at the end of the range what is left here is all
-// that is left to report, and the shard database is not read again.
+// acknowledged yet. Rows arrive in stored form from the range's sink, as
+// the boards log them, and leave in complete experiment groups — the
+// detail-trace rows of an experiment and then its end row — so the merge
+// advances while the range is still running and a dead shard loses at most
+// the in-flight tail. Nothing is dropped before it is acknowledged: at the
+// end of the range what is left here is all that is left to report.
 type reporter struct {
 	mu sync.Mutex
 	// trace buffers detail rows until their parent's end row lands.
@@ -120,6 +136,8 @@ type reporter struct {
 	// ready holds complete groups in arrival order, each ending in its
 	// end row; take cuts only behind one.
 	ready []campaign.Row
+	// reference is the reference run's group, once its end row has landed.
+	reference []campaign.Row
 	// kick wakes the pump early once a full batch is ready.
 	kick chan struct{}
 
@@ -137,20 +155,20 @@ func newReporter() *reporter {
 	}
 }
 
-// add queues rows, trace rows of an experiment before its end row.
-func (p *reporter) add(rows []campaign.Row) {
+// add queues a row: a trace row waits for its experiment's end row, and
+// the end row releases the group.
+func (p *reporter) add(row campaign.Row) {
 	p.mu.Lock()
-	for i := range rows {
-		row := &rows[i]
-		if row.Step() >= 0 {
-			p.trace[row.Parent()] = append(p.trace[row.Parent()], *row)
-			continue
-		}
-		if steps, ok := p.trace[row.Name()]; ok {
-			p.ready = append(p.ready, steps...)
-			delete(p.trace, row.Name())
-		}
-		p.ready = append(p.ready, *row)
+	if row.Step() >= 0 {
+		p.trace[row.Parent()] = append(p.trace[row.Parent()], row)
+		p.mu.Unlock()
+		return
+	}
+	steps := p.trace[row.Name()]
+	delete(p.trace, row.Name())
+	p.ready = append(append(p.ready, steps...), row)
+	if row.Seq < 0 {
+		p.reference = append(steps, row)
 	}
 	full := len(p.ready) >= reportBatch
 	p.mu.Unlock()
@@ -186,11 +204,6 @@ func (p *reporter) take(max int) (rows []campaign.Row, empty bool) {
 // lease (heartbeat lapse, coordinator restart) abandons the range and
 // leases anew — the coordinator requeues what was not merged.
 func (w *Worker) Run(ctx context.Context) error {
-	tenants, err := campaign.NewTenantDBs(w.cfg.Dir, sqldb.SyncNever)
-	if err != nil {
-		return err
-	}
-	defer tenants.Close()
 	if err := w.register(ctx); err != nil {
 		return err
 	}
@@ -218,7 +231,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// The coordinator held the request for as long as it cared to
 			// and has nothing yet: ask again, it does the waiting.
 		case LeaseRange:
-			err := w.runRange(ctx, tenants, resp)
+			err := w.runRange(ctx, resp)
 			switch {
 			case err == nil:
 			case errors.Is(err, ErrBadLease):
@@ -283,23 +296,22 @@ func retryWait(ctx context.Context, wait *time.Duration) bool {
 }
 
 // runRange executes one leased range and reports its rows.
-func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, lease *LeaseResponse) error {
+func (w *Worker) runRange(ctx context.Context, lease *LeaseResponse) error {
 	camp := lease.Campaign
 	if camp == nil || lease.Target == nil {
 		return fmt.Errorf("shard: lease %s carries no campaign definition", lease.LeaseID)
 	}
 
 	// Two pumps for the lease's lifetime, started before any setup work —
-	// the lease clock began ticking at the grant, and recovering a large
-	// shard database or building a board pool can outlast a TTL. The
-	// heartbeat pump is pure liveness: it must never block on the merge,
-	// or backpressure would expire the very lease whose work it is
-	// stalling. The streaming pump reports complete experiment groups as
-	// they accumulate — it may stall in the coordinator's ingest queue
-	// for as long as the merge needs, the heartbeats keep the lease alive
-	// meanwhile. A rejected beat or report means the lease is gone (or
-	// the worker is not welcome at all): stop the run and abandon the
-	// range with that verdict.
+	// the lease clock began ticking at the grant, and building a board pool
+	// can outlast a TTL. The heartbeat pump is pure liveness: it must never
+	// block on the merge, or backpressure would expire the very lease whose
+	// work it is stalling. The streaming pump reports complete experiment
+	// groups as they accumulate — it may stall in the coordinator's ingest
+	// queue for as long as the merge needs, the heartbeats keep the lease
+	// alive meanwhile. A rejected beat or report means the lease is gone (or
+	// the worker is not welcome at all): stop the run and abandon the range
+	// with that verdict.
 	rep := newReporter()
 	rctx, rcancel := context.WithCancel(ctx)
 	var pumps sync.WaitGroup
@@ -356,68 +368,31 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 		}
 	}()
 
-	st, _, release, err := tenants.Acquire("shard")
-	if err != nil {
-		return err
+	// A later range of the campaign: the reference run is not repeated, its
+	// rows go out again from memory.
+	for _, row := range w.reference {
+		rep.add(row)
 	}
-	defer release()
-	// A stale shard database from an earlier run of a different campaign
-	// definition under the same name would resume the wrong plan: wipe it.
-	if prev, err := st.GetCampaign(camp.Name); err == nil && !sameDefinition(prev, camp) {
-		if err := st.DeleteRun(camp.Name); err != nil {
-			return err
-		}
-	}
-	if err := st.PutTargetSystem(lease.Target); err != nil {
-		return err
-	}
-	if err := st.PutCampaign(camp); err != nil {
-		return err
-	}
-	params := make(map[string]string, len(lease.TargetParams)+1)
-	for k, v := range lease.TargetParams {
-		params[k] = v
-	}
-	if _, ok := params["image-bytes"]; !ok && lease.ImageBytes > 0 {
-		params["image-bytes"] = strconv.Itoa(lease.ImageBytes)
-	}
-	spec := core.RunSpec{
-		Store: st, Campaign: camp, Target: lease.Target,
-		TargetKind: lease.TargetKind, Technique: lease.Technique, TargetParams: params,
-		Boards:     w.cfg.Boards,
-		Checkpoint: lease.Checkpoint,
-		NoForward:  lease.NoForward,
+	cr, err := core.Assemble(core.RunSpec{
+		Sink:     rowSink{rep: rep, hook: w.cfg.OnRecord},
+		Campaign: camp, Target: lease.Target,
+		TargetKind: lease.TargetKind, Technique: lease.Technique, TargetParams: lease.TargetParams,
+		Boards:    w.cfg.Boards,
+		NoForward: lease.NoForward,
 		Retry: core.RetryPolicy{MaxRetries: lease.MaxRetries,
 			BoardFailureThreshold: lease.BoardFailureThreshold},
-		Resume:  true,
+		Resume:  w.reference != nil,
 		ShardLo: lease.Range.Lo, ShardHi: lease.Range.Hi,
 		ForwardSet: w.carried,
-		Tap:        rep.add,
-	}
-	if spec.Checkpoint == 0 {
-		spec.Checkpoint = core.DefaultCheckpointInterval
-	}
-	if w.cfg.OnRecord != nil {
-		spec.WrapSink = func(sink core.CheckpointSink) core.CheckpointSink {
-			return &hookSink{CheckpointSink: sink, hook: w.cfg.OnRecord}
-		}
-	}
-	cr, err := core.Assemble(spec)
+	})
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
-	}
-	defer cr.Close()
-	if err := requeueSkipped(st, lease, cr.Cursor, rep); err != nil {
-		return err
 	}
 	_, runErr := cr.Run(rctx)
 	stopPumps()
 	w.carried = cr.Runner.ForwardSet()
-	// Make the range durable locally whatever happens next; a worker
-	// killed after this point resumes without re-running anything. The
-	// close also hands the reporter the last rows the sink was holding.
-	if err := cr.Close(); err != nil {
-		return err
+	if rep.reference != nil {
+		w.reference = rep.reference
 	}
 	if verdict != nil {
 		return verdict
@@ -436,51 +411,6 @@ func heartbeatEvery(lease *LeaseResponse) time.Duration {
 		return lease.HeartbeatEvery
 	}
 	return DefaultHeartbeat
-}
-
-// requeueSkipped hands the reporter the rows this range will not produce
-// because the shard database already holds them: the in-range experiments
-// (and the reference run) that the recovered cursor makes the runner
-// skip, left by an attempt that was killed or lost its lease before they
-// were acknowledged. They are read by primary key, as stored; the step
-// rows of each only in a detail-mode campaign, the only kind that has
-// any. cp names exactly the end rows the store holds plus what its cursor
-// vouches for, and the runner logs every other in-range experiment
-// through the sink, so skipped rows and tapped rows together cover the
-// range without a scan — and a range that starts on a clean store reads
-// nothing at all.
-func requeueSkipped(st *campaign.Store, lease *LeaseResponse, cp *campaign.Checkpoint, rep *reporter) error {
-	if cp == nil {
-		return nil // a fresh range: the store holds nothing of it
-	}
-	name := lease.Campaign.Name
-	detail := lease.Campaign.LogMode == campaign.LogDetail
-	requeue := func(experiment string, seq int) error {
-		group, err := st.StoredGroup(experiment, seq, detail)
-		if err != nil {
-			return err
-		}
-		if len(group) == 0 {
-			return fmt.Errorf("shard: the cursor of %s calls %s logged, but its shard database has no such row", name, experiment)
-		}
-		mFinalScanRows.Add(uint64(len(group)))
-		rep.add(group)
-		return nil
-	}
-	if cp.Reference {
-		if err := requeue(campaign.ReferenceName(name), -1); err != nil {
-			return err
-		}
-	}
-	for _, seq := range cp.Completed {
-		if seq < lease.Range.Lo || seq >= lease.Range.Hi {
-			continue
-		}
-		if err := requeue(campaign.ExperimentName(name, seq), seq); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // deliver reports what the reporter holds, the unacknowledged report
@@ -526,11 +456,4 @@ func (w *Worker) deliver(ctx context.Context, leaseID string, rep *reporter, fin
 			}
 		}
 	}
-}
-
-// sameDefinition compares two campaign definitions structurally.
-func sameDefinition(a, b *campaign.Campaign) bool {
-	ja, err1 := json.Marshal(a)
-	jb, err2 := json.Marshal(b)
-	return err1 == nil && err2 == nil && string(ja) == string(jb)
 }
