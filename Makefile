@@ -22,6 +22,10 @@ FUZZTIME ?= 15s
 # The pruning line is the def-use soundness pin: the recorder's unit and
 # property tests, and every differential against the forwarding-off
 # oracle — the campaign matrix, the random programs, resume and shards.
+# The decode line is the read side's pin: the row decoder against
+# encoding/json on canonical, mutated and hostile blobs, the streamed
+# pass's order, and the analysis against the materialise-everything
+# algorithm it replaced.
 # bench/ is a module of its own that `./...` skips, and it compiles
 # against core's exported surface: build and vet it here (its tests are
 # the benchmark-only PR's, ROADMAP item 5).
@@ -39,12 +43,13 @@ tier1:
 	$(GO) test -race ./internal/shard/ ./internal/chaos/ -run 'NetChaos|NetRoundTripper|NetMaxFaults|NetDeterministic|Transport|Unauthorized|Delivery|Churn' -count 1
 	$(GO) test -race ./internal/proctarget/ ./internal/core/ -run 'Proc|Framework|TargetRegistry|TargetDeterministic' -count 1
 	$(GO) test -race . ./internal/thor/ ./internal/core/ ./internal/shard/ -run 'Prune|Pruning|DefUse|RegUses' -count 1
+	$(GO) test -race ./internal/campaign/ ./internal/analysis/ -run 'Decode|EachExperiment|AnalysisDifferential' -count 1
 	$(GO) test -race ./...
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
 # equivalence tests, the golden end-to-end report, plus a short fuzz
-# smoke of the SQL front end, the two byte formats recovery reads and the
-# one the coordinator reads off the network.
+# smoke of the SQL front end, the two byte formats recovery reads, the
+# one the coordinator reads off the network and the stored row's blobs.
 # The -race line runs the group-commit durability cases fresh: cursor
 # saves are commits in the sink's queue, applied by another goroutine,
 # and these are the tests that kill a campaign between any two of them,
@@ -85,9 +90,12 @@ bench:
 # byte format that arrives over the network: its inputs are a kilobyte of
 # checksummed bytes nothing can be cut out of, so the minimizer gets 2s
 # per new input, not its default 60 — or a short run is all minimizing.
+# FuzzDecodeRow, the stored row's two blobs against encoding/json, is
+# seeded with kilobyte rows too and gets the same 2s.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) -fuzzminimizetime 2s

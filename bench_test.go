@@ -405,6 +405,71 @@ func BenchmarkLoggedStateInsertWAL(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeRow measures the read side of one LoggedSystemState row's
+// stateVector — what every analysis, listing and export pays per
+// experiment — on the two row shapes of the campaign benchmark: pid-long's
+// (a thousand plant outputs, ~6 KB) and sort-solo's (two result arrays,
+// ~1.2 KB), both with the full 5,412-bit scan state.
+func BenchmarkDecodeRow(b *testing.B) {
+	scan := make([]byte, 688)
+	for i := range scan {
+		scan[i] = byte(i * 37)
+	}
+	outputs := make([]uint32, 1000)
+	for i := range outputs {
+		outputs[i] = uint32(15400 + 11*i)
+	}
+	shapes := []struct {
+		name  string
+		state campaign.StateVector
+	}{
+		{"pid-long", campaign.StateVector{Scan: scan,
+			Memory:  map[string][]byte{"acc": make([]byte, 4), "last_u": make([]byte, 4)},
+			Outputs: map[uint16][]uint32{1: outputs}}},
+		{"sort", campaign.StateVector{Scan: scan,
+			Memory:  map[string][]byte{"arr": make([]byte, 64), "checksum": make([]byte, 64)},
+			Outputs: map[uint16][]uint32{1: {0x5a5a}}}},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			blob, err := sh.state.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(blob)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := campaign.DecodeStateVector(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAnalyzeCampaign measures the analysis phase on a finished
+// campaign: AnalyzeAndStore — decode every row, classify it against the
+// reference, replace the campaign's AnalysisResults — over an in-memory
+// store holding a 400-experiment PID campaign.
+func BenchmarkAnalyzeCampaign(b *testing.B) {
+	const n = 400
+	st, tsd := benchStore(b)
+	camp := pidCampaign("bench-analyze", n, 1)
+	runCampaign(b, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI, camp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := analysis.AnalyzeAndStore(st, camp.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Total != n {
+			b.Fatalf("classified %d of %d", rep.Total, n)
+		}
+	}
+}
+
 // BenchmarkTriggers is experiment E8: the cost of reaching the injection
 // point with each trigger kind (stepping with per-instruction predicates
 // vs plain cycle counting).

@@ -849,12 +849,12 @@ func cmdList(args []string) error {
 		if err != nil {
 			return err
 		}
-		recs, err := st.Experiments(c)
+		logged, err := st.CountExperiments(c)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  %-20s %4d experiments planned, %4d logged, workload %s\n",
-			c, camp.NumExperiments, len(recs), camp.Workload.Name)
+			c, camp.NumExperiments, logged, camp.Workload.Name)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -117,6 +118,61 @@ func TestRerunCommand(t *testing.T) {
 		if err := runCmd(t, step...); err != nil {
 			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
 		}
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-done
+}
+
+// TestListOutput pins `goofi list`: the logged column counts a campaign's
+// end-of-experiment rows — reference run and re-runs included, detail-mode
+// step rows not — without decoding them.
+func TestListOutput(t *testing.T) {
+	db := dbPath(t)
+	steps := [][]string{
+		{"configure", "-db", db},
+		{"setup", "-db", db, "-campaign", "idle", "-workload", "sort16",
+			"-window", "10:1600", "-experiments", "5", "-timeout", "100000"},
+		{"setup", "-db", db, "-campaign", "rr", "-workload", "sort16",
+			"-window", "10:1600", "-experiments", "3", "-timeout", "100000"},
+		{"run", "-db", db, "-campaign", "rr", "-quiet"},
+		{"run", "-db", db, "-campaign", "rr", "-rerun", "rr/exp00001", "-quiet"},
+	}
+	for _, step := range steps {
+		if err := runCmd(t, step...); err != nil {
+			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
+		}
+	}
+	got := captureStdout(t, func() {
+		if err := runCmd(t, "list", "-db", db); err != nil {
+			t.Errorf("goofi list: %v", err)
+		}
+	})
+	want := `target systems:
+  thor-board
+campaigns:
+  idle                    5 experiments planned,    0 logged, workload sort16
+  rr                      3 experiments planned,    5 logged, workload sort16
+`
+	if got != want {
+		t.Errorf("goofi list printed\n%s\nwant\n%s", got, want)
 	}
 }
 

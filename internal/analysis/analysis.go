@@ -162,7 +162,19 @@ type Analyzer struct {
 	camp  *campaign.Campaign
 	tsd   *campaign.TargetSystemData
 
-	observeMask []scanchain.Location
+	// observe has a bit set for every scan cell that takes part in the
+	// latent comparison.
+	observe *bitvec.Vector
+}
+
+// reference is the fault-free run every experiment is compared with, its
+// scan state unpacked once for the whole campaign.
+type reference struct {
+	rec  *campaign.ExperimentRecord
+	scan bitvec.Vector
+	// scanErr is what unpacking a malformed scan state failed with; the
+	// first experiment whose classification needs the scan reports it.
+	scanErr error
 }
 
 // New builds an analyzer for a stored campaign.
@@ -182,7 +194,7 @@ func New(store *campaign.Store, campaignName string) (*Analyzer, error) {
 	return a, nil
 }
 
-// resolveObserve determines which scan locations participate in the latent
+// resolveObserve determines which scan cells participate in the latent
 // comparison: the campaign's observe list, or every writable location of
 // the chain (read-only cells like cycle counters always differ between
 // runs and are excluded unless explicitly selected).
@@ -198,16 +210,21 @@ func (a *Analyzer) resolveObserve() error {
 	} else if m, err = a.tsd.Chain(chainName); err != nil {
 		return err
 	}
+	locs := m.Writable()
 	if len(a.camp.Observe) > 0 {
-		a.observeMask = m.Select(a.camp.Observe...)
-	} else {
-		a.observeMask = m.Writable()
+		locs = m.Select(a.camp.Observe...)
+	}
+	a.observe = bitvec.New(m.Length)
+	for _, l := range locs {
+		for b := max(l.Offset, 0); b < min(l.End(), m.Length); b++ {
+			a.observe.Set(b, true)
+		}
 	}
 	return nil
 }
 
 // classify applies the taxonomy to one experiment.
-func (a *Analyzer) classify(rec, ref *campaign.ExperimentRecord) (Details, error) {
+func (a *Analyzer) classify(rec *campaign.ExperimentRecord, ref *reference) (Details, error) {
 	d := Details{
 		Experiment: rec.Name,
 		Cycles:     rec.Data.Outcome.Cycles,
@@ -261,8 +278,8 @@ func (a *Analyzer) classify(rec, ref *campaign.ExperimentRecord) (Details, error
 	// can declare a tolerance and a tail window so transient deviations
 	// the controller recovers from do not count as critical failures.
 	wl := &a.camp.Workload
-	d.WrongMemory = !memoryEqual(rec.State.Memory, ref.State.Memory, wl.ResultTolerance)
-	d.WrongOutput = !outputsEqual(rec.State.Outputs, ref.State.Outputs, wl.OutputTail, wl.OutputTolerance)
+	d.WrongMemory = !memoryEqual(rec.State.Memory, ref.rec.State.Memory, wl.ResultTolerance)
+	d.WrongOutput = !outputsEqual(rec.State.Outputs, ref.rec.State.Outputs, wl.OutputTail, wl.OutputTolerance)
 	d.Timeliness = out.Status == campaign.OutcomeTimeout ||
 		(a.camp.Workload.DeadlineCycles > 0 && out.Cycles > a.camp.Workload.DeadlineCycles)
 	if d.WrongMemory || d.WrongOutput || d.Timeliness {
@@ -284,36 +301,22 @@ func (a *Analyzer) classify(rec, ref *campaign.ExperimentRecord) (Details, error
 }
 
 // scanDiff counts differing bits between the experiment's and the
-// reference's final scan state, restricted to the observed locations.
-func (a *Analyzer) scanDiff(rec, ref *campaign.ExperimentRecord) (int, error) {
-	if len(rec.State.Scan) == 0 || len(ref.State.Scan) == 0 {
+// reference's final scan state, restricted to the observed cells.
+func (a *Analyzer) scanDiff(rec *campaign.ExperimentRecord, ref *reference) (int, error) {
+	if len(rec.State.Scan) == 0 || len(ref.rec.State.Scan) == 0 {
 		return 0, nil
 	}
-	var rv, fv bitvec.Vector
+	var rv bitvec.Vector
 	if err := rv.UnmarshalBinary(rec.State.Scan); err != nil {
 		return 0, fmt.Errorf("analysis: experiment scan state: %w", err)
 	}
-	if err := fv.UnmarshalBinary(ref.State.Scan); err != nil {
-		return 0, fmt.Errorf("analysis: reference scan state: %w", err)
+	if ref.scanErr != nil {
+		return 0, fmt.Errorf("analysis: reference scan state: %w", ref.scanErr)
 	}
-	if rv.Len() != fv.Len() {
-		return 0, fmt.Errorf("analysis: scan length mismatch %d vs %d", rv.Len(), fv.Len())
+	if rv.Len() != ref.scan.Len() {
+		return 0, fmt.Errorf("analysis: scan length mismatch %d vs %d", rv.Len(), ref.scan.Len())
 	}
-	x, err := rv.Xor(&fv)
-	if err != nil {
-		return 0, err
-	}
-	ones := x.OnesPositions()
-	diff := 0
-	for _, b := range ones {
-		for _, loc := range a.observeMask {
-			if b >= loc.Offset && b < loc.End() {
-				diff++
-				break
-			}
-		}
-	}
-	return diff, nil
+	return rv.MaskedDiff(&ref.scan, a.observe)
 }
 
 func memoryEqual(a, b map[string][]byte, tolerance uint32) bool {
@@ -381,15 +384,16 @@ func absDiff32(a, b int32) uint32 {
 	return uint32(d)
 }
 
-// Run classifies every end-of-experiment record of the campaign.
+// Run classifies every end-of-experiment record of the campaign, one at a
+// time as the store decodes them.
 func (a *Analyzer) Run() (*Report, error) {
-	ref, err := a.store.GetExperiment(campaign.ReferenceName(a.camp.Name))
+	refRec, err := a.store.GetExperiment(campaign.ReferenceName(a.camp.Name))
 	if err != nil {
 		return nil, fmt.Errorf("analysis: campaign %q has no reference run: %w", a.camp.Name, err)
 	}
-	recs, err := a.store.Experiments(a.camp.Name)
-	if err != nil {
-		return nil, err
+	ref := &reference{rec: refRec}
+	if len(refRec.State.Scan) > 0 {
+		ref.scanErr = ref.scan.UnmarshalBinary(refRec.State.Scan)
 	}
 	rep := &Report{
 		Campaign:       a.camp.Name,
@@ -399,13 +403,13 @@ func (a *Analyzer) Run() (*Report, error) {
 	}
 	var latencySum uint64
 	var latencyN int
-	for _, rec := range recs {
+	err = a.store.EachExperiment(a.camp.Name, func(rec *campaign.ExperimentRecord) error {
 		if rec.IsReference() || rec.Parent != "" {
-			continue // skip the reference and re-runs
+			return nil // skip the reference and re-runs
 		}
 		d, err := a.classify(rec, ref)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep.Total++
 		if rec.Data.Injected {
@@ -434,6 +438,10 @@ func (a *Analyzer) Run() (*Report, error) {
 			}
 		}
 		rep.Details = append(rep.Details, d)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	effective := rep.Counts[ClassDetected] + rep.Counts[ClassEscaped]
 	rep.Coverage = Wilson(rep.Counts[ClassDetected], effective)

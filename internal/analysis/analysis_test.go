@@ -39,6 +39,12 @@ func runSortCampaignWithObserve(t *testing.T, name string, n int, seed int64, ob
 		Workload:       workload.Sort(),
 		LogMode:        campaign.LogNormal,
 	}
+	return runCampaign(t, camp)
+}
+
+// runCampaign executes a SCIFI campaign on a fresh in-memory store.
+func runCampaign(t *testing.T, camp *campaign.Campaign) *campaign.Store {
+	t.Helper()
 	st, err := campaign.NewStore(sqldb.Open())
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +255,9 @@ func TestGeneratedSQLQueries(t *testing.T) {
 }
 
 func TestWriteResultsReplacesOldRows(t *testing.T) {
-	st := runSortCampaign(t, "rep", 10, 5)
+	// Two full INSERT batches and a partial one.
+	const n = 2*resultsBatch + 44
+	st := runSortCampaign(t, "rep", n, 5)
 	rep, err := AnalyzeAndStore(st, "rep")
 	if err != nil {
 		t.Fatal(err)
@@ -258,13 +266,19 @@ func TestWriteResultsReplacesOldRows(t *testing.T) {
 	if err := WriteResults(st, rep); err != nil {
 		t.Fatal(err)
 	}
-	r, err := st.DB().Query(`SELECT COUNT(*) FROM AnalysisResults WHERE campaignName = ?`,
+	// Same rows, in the order of the report's details.
+	r, err := st.DB().Query(`SELECT experimentName, class FROM AnalysisResults WHERE campaignName = ?`,
 		sqldb.Text("rep"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rows[0][0].I != 10 {
-		t.Errorf("results rows = %d, want 10", r.Rows[0][0].I)
+	if len(r.Rows) != n || len(rep.Details) != n {
+		t.Fatalf("results rows = %d, details = %d, want %d", len(r.Rows), len(rep.Details), n)
+	}
+	for i, d := range rep.Details {
+		if r.Rows[i][0].S != d.Experiment || r.Rows[i][1].S != string(d.Class) {
+			t.Fatalf("row %d = %s/%s, want %s/%s", i, r.Rows[i][0].S, r.Rows[i][1].S, d.Experiment, d.Class)
+		}
 	}
 }
 

@@ -99,18 +99,9 @@ func PropagationCurve(store *campaign.Store, expName string) (*Propagation, erro
 		if ev.Len() != rv.Len() {
 			return nil, fmt.Errorf("analysis: trace state length mismatch at step %d", i)
 		}
-		x, err := ev.Xor(&rv)
+		diff, err := ev.MaskedDiff(&rv, a.observe)
 		if err != nil {
 			return nil, err
-		}
-		diff := 0
-		for _, b := range x.OnesPositions() {
-			for _, loc := range a.observeMask {
-				if b >= loc.Offset && b < loc.End() {
-					diff++
-					break
-				}
-			}
 		}
 		pt := PropagationPoint{Step: i, DiffBits: diff}
 		if havePC {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"strings"
 
 	"goofi/internal/campaign"
 	"goofi/internal/sqldb"
@@ -35,6 +36,17 @@ const ResultsDDL = `CREATE TABLE IF NOT EXISTS AnalysisResults (
 const ResultsCampaignIndex = `CREATE INDEX IF NOT EXISTS AnalysisResultsByCampaign
 	ON AnalysisResults (campaignName)`
 
+// resultsBatch is how many AnalysisResults rows one INSERT carries: the
+// statement text is the same for every full batch, so it is parsed once,
+// and each batch takes the engine lock and the write-ahead log once.
+const resultsBatch = 128
+
+// insertResultsSQL is the INSERT for n AnalysisResults rows.
+func insertResultsSQL(n int) string {
+	const row = `(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`
+	return `INSERT INTO AnalysisResults VALUES ` + row + strings.Repeat(", "+row, n-1)
+}
+
 // WriteResults materialises a report's per-experiment details into the
 // AnalysisResults table, replacing earlier results for the campaign.
 func WriteResults(store *campaign.Store, rep *Report) error {
@@ -49,18 +61,30 @@ func WriteResults(store *campaign.Store, rep *Report) error {
 		sqldb.Text(rep.Campaign)); err != nil {
 		return err
 	}
-	for _, d := range rep.Details {
-		mech := sqldb.Null()
-		if d.Mechanism != "" {
-			mech = sqldb.Text(d.Mechanism)
+	camp := sqldb.Text(rep.Campaign)
+	sql := insertResultsSQL(resultsBatch)
+	args := make([]sqldb.Value, 0, resultsBatch*11) // 11 columns a row
+	for rest := rep.Details; len(rest) > 0; {
+		batch := rest[:min(resultsBatch, len(rest))]
+		rest = rest[len(batch):]
+		if len(batch) < resultsBatch {
+			sql = insertResultsSQL(len(batch))
 		}
-		_, err := db.Exec(`INSERT INTO AnalysisResults VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
-			sqldb.Text(d.Experiment), sqldb.Text(rep.Campaign), sqldb.Text(string(d.Class)),
-			mech, sqldb.Int(int64(d.Cycles)), sqldb.Int(int64(d.Latency)),
-			sqldb.Bool(d.WrongOutput), sqldb.Bool(d.WrongMemory), sqldb.Bool(d.Timeliness),
-			sqldb.Int(int64(d.StateDiffBits)), sqldb.Int(int64(d.Recovered)))
-		if err != nil {
-			return fmt.Errorf("analysis: insert result for %s: %w", d.Experiment, err)
+		args = args[:0]
+		for i := range batch {
+			d := &batch[i]
+			mech := sqldb.Null()
+			if d.Mechanism != "" {
+				mech = sqldb.Text(d.Mechanism)
+			}
+			args = append(args, sqldb.Text(d.Experiment), camp, sqldb.Text(string(d.Class)),
+				mech, sqldb.Int(int64(d.Cycles)), sqldb.Int(int64(d.Latency)),
+				sqldb.Bool(d.WrongOutput), sqldb.Bool(d.WrongMemory), sqldb.Bool(d.Timeliness),
+				sqldb.Int(int64(d.StateDiffBits)), sqldb.Int(int64(d.Recovered)))
+		}
+		if _, err := db.Exec(sql, args...); err != nil {
+			return fmt.Errorf("analysis: insert results %s to %s: %w",
+				batch[0].Experiment, batch[len(batch)-1].Experiment, err)
 		}
 	}
 	return nil

@@ -193,6 +193,21 @@ func (v *Vector) Xor(o *Vector) (*Vector, error) {
 	return r, nil
 }
 
+// MaskedDiff returns the number of positions set in mask at which v and o
+// differ: the popcount of (v XOR o) AND mask. v and o must have the same
+// length; mask may be shorter or longer, and positions outside it do not
+// count. The analysis phase counts corrupted observed state with it.
+func (v *Vector) MaskedDiff(o, mask *Vector) (int, error) {
+	if v.n != o.n {
+		return 0, fmt.Errorf("bitvec: length mismatch: %d vs %d", v.n, o.n)
+	}
+	c := 0
+	for i := 0; i < len(v.words) && i < len(mask.words); i++ {
+		c += bits.OnesCount64((v.words[i] ^ o.words[i]) & mask.words[i])
+	}
+	return c, nil
+}
+
 // PopCount returns the number of set bits.
 func (v *Vector) PopCount() int {
 	c := 0

@@ -284,6 +284,36 @@ func TestPropertyXorPopCount(t *testing.T) {
 	}
 }
 
+// Property: MaskedDiff counts exactly the differing positions the mask
+// covers, whether the mask is shorter or longer than the vectors.
+func TestPropertyMaskedDiff(t *testing.T) {
+	f := func(seed int64, nRaw, mRaw uint8) bool {
+		n, m := int(nRaw)%300+1, int(mRaw)%400
+		rng := rand.New(rand.NewSource(seed))
+		a, b, mask := New(n), New(n), New(m)
+		for i := 0; i < m; i++ {
+			mask.Set(i, rng.Intn(2) == 1)
+		}
+		want := 0
+		for i := 0; i < n; i++ {
+			ab, bb := rng.Intn(2) == 1, rng.Intn(2) == 1
+			a.Set(i, ab)
+			b.Set(i, bb)
+			if ab != bb && i < m && mask.Get(i) {
+				want++
+			}
+		}
+		got, err := a.MaskedDiff(b, mask)
+		return err == nil && got == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if _, err := New(8).MaskedDiff(New(9), New(8)); err == nil {
+		t.Error("length mismatch accepted")
+	}
+}
+
 // Property: shifting a vector completely out and back in through ShiftIn
 // restores it (scan-chain read-modify-write with no modification).
 func TestPropertyShiftRoundTrip(t *testing.T) {

@@ -7,7 +7,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"goofi/internal/faultmodel"
@@ -302,11 +301,13 @@ func (s *StateVector) Encode() ([]byte, error) {
 	return s.appendJSON(make([]byte, 0, 256)), nil
 }
 
-// DecodeStateVector parses a stored state vector.
+// DecodeStateVector parses a stored state vector: the appender's own
+// output by the reflection-free parser in decode.go, anything else by
+// encoding/json, with the same result either way.
 func DecodeStateVector(b []byte) (*StateVector, error) {
 	var s StateVector
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("campaign: decode state vector: %w", err)
+	if err := decodeStateVector(b, &s); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }

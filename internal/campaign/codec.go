@@ -10,11 +10,16 @@ import (
 
 // This file hand-rolls the JSON encoders for the two BLOBs written on
 // every LoggedSystemState insert — experimentData and stateVector. The
-// output is plain JSON that json.Unmarshal reads back (the decode side
-// stays encoding/json), but appending directly into one buffer avoids the
-// reflection walk that dominated the insert profile. Field names and
-// omitempty behaviour must mirror the struct tags; the equivalence
-// property test in codec_test.go enforces that against encoding/json.
+// output is plain JSON that json.Unmarshal reads back, but appending
+// directly into one buffer avoids the reflection walk that dominated the
+// insert profile. Field names and omitempty behaviour must mirror the
+// struct tags; the equivalence property test in codec_test.go enforces
+// that against encoding/json. What the appenders emit is also the
+// canonical form decode.go parses without reflection — key order, no
+// whitespace, integers as strconv writes them, sorted map keys — so a
+// change to the bytes written here sends every row to that file's
+// encoding/json fallback until its parser follows
+// (TestDecodeMatchesEncodingJSON counts the fallbacks).
 
 const jsonHex = "0123456789abcdef"
 

@@ -29,8 +29,8 @@ func randExperimentData(rng *rand.Rand) *ExperimentData {
 		InjectionCycle: uint64(rng.Intn(3)) * 7919,
 		Injected:       rng.Intn(2) == 0,
 		Outcome: Outcome{
-			Status:     OutcomeStatus([]string{"detected", "escaped", "latent", ""}[rng.Intn(4)]),
-			Mechanism:  []string{"", "watchdog", `odd "name"` + "\n\ttab"}[rng.Intn(3)],
+			Status:       OutcomeStatus([]string{"detected", "escaped", "latent", ""}[rng.Intn(4)]),
+			Mechanism:    []string{"", "watchdog", `odd "name"` + "\n\ttab"}[rng.Intn(3)],
 			Cycles:       uint64(rng.Intn(1 << 30)),
 			Iterations:   rng.Intn(4),
 			Recovered:    rng.Intn(3),
@@ -39,7 +39,8 @@ func randExperimentData(rng *rand.Rand) *ExperimentData {
 		},
 	}
 	if rng.Intn(4) > 0 {
-		d.Fault.Bits = make([]int, rng.Intn(4)+1)
+		// Nil, empty and filled are three different encodings.
+		d.Fault.Bits = make([]int, rng.Intn(5))
 		for i := range d.Fault.Bits {
 			d.Fault.Bits[i] = rng.Intn(512)
 		}
@@ -65,7 +66,10 @@ func randStateVector(rng *rand.Rand) *StateVector {
 	if rng.Intn(4) > 0 {
 		s.Memory = map[string][]byte{}
 		for i := 0; i < rng.Intn(4)+1; i++ {
-			b := make([]byte, rng.Intn(16))
+			var b []byte // nil encodes as null
+			if rng.Intn(4) > 0 {
+				b = make([]byte, rng.Intn(16))
+			}
 			rng.Read(b)
 			s.Memory[[]string{"x", "result", "buf2", "z\"q"}[i%4]] = b
 		}
@@ -73,9 +77,12 @@ func randStateVector(rng *rand.Rand) *StateVector {
 	if rng.Intn(4) > 0 {
 		s.Outputs = map[uint16][]uint32{}
 		for i := 0; i < rng.Intn(3)+1; i++ {
-			vs := make([]uint32, rng.Intn(5))
+			var vs []uint32 // nil encodes as null
+			if rng.Intn(4) > 0 {
+				vs = make([]uint32, rng.Intn(5))
+			}
 			for j := range vs {
-				vs[j] = rng.Uint32()
+				vs[j] = rng.Uint32() >> uint(rng.Intn(32))
 			}
 			s.Outputs[uint16(rng.Intn(1<<16))] = vs
 		}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -324,24 +325,71 @@ func (s *Store) GetExperiment(name string) (*ExperimentRecord, error) {
 	return decodeExperimentRow(r.Rows[0])
 }
 
-// Experiments returns the end-of-experiment records of a campaign in
-// sequence order, excluding detail-mode trace steps.
-func (s *Store) Experiments(campaignName string) ([]*ExperimentRecord, error) {
+// EachExperiment calls fn with the end-of-experiment records of a campaign
+// one at a time, excluding detail-mode trace steps, in sequence order: the
+// reference run (its sequence number is negative) first, then ascending
+// Data.Seq, the experiment name breaking ties (a re-run carries the
+// sequence number of the experiment it repeats). The order is by number,
+// not by name: names pad to five digits, so exp100000 sorts before
+// exp10001. Each record is decoded just before its call and not kept, so
+// a pass over a campaign holds one of them; an error from fn ends the
+// pass and is returned.
+func (s *Store) EachExperiment(campaignName string, fn func(*ExperimentRecord) error) error {
 	r, err := s.db.Query(`SELECT experimentName, parentExperiment, campaignName, step, experimentData, stateVector
-		FROM LoggedSystemState WHERE campaignName = ? AND step = -1 ORDER BY experimentName`,
+		FROM LoggedSystemState WHERE campaignName = ? AND step = -1`,
 		sqldb.Text(campaignName))
+	if err != nil {
+		return err
+	}
+	seqs := make([]int, len(r.Rows))
+	order := make([]int, len(r.Rows))
+	for i, row := range r.Rows {
+		order[i] = i
+		if seqs[i], err = peekSeq(row[4].B); err != nil {
+			return err
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if seqs[i] != seqs[j] {
+			return seqs[i] < seqs[j]
+		}
+		return r.Rows[i][0].S < r.Rows[j][0].S
+	})
+	for _, i := range order {
+		rec, err := decodeExperimentRow(r.Rows[i])
+		if err != nil {
+			return err
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Experiments collects what EachExperiment yields.
+func (s *Store) Experiments(campaignName string) ([]*ExperimentRecord, error) {
+	out := []*ExperimentRecord{}
+	err := s.EachExperiment(campaignName, func(rec *ExperimentRecord) error {
+		out = append(out, rec)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*ExperimentRecord, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rec, err := decodeExperimentRow(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
 	return out, nil
+}
+
+// CountExperiments returns how many records EachExperiment would yield,
+// without decoding any.
+func (s *Store) CountExperiments(campaignName string) (int, error) {
+	r, err := s.db.Query(`SELECT COUNT(*) FROM LoggedSystemState WHERE campaignName = ? AND step = -1`,
+		sqldb.Text(campaignName))
+	if err != nil {
+		return 0, err
+	}
+	return int(r.Rows[0][0].I), nil
 }
 
 // Trace returns the detail-mode per-instruction records of one experiment
@@ -415,14 +463,12 @@ func decodeExperimentRow(row []sqldb.Value) (*ExperimentRecord, error) {
 	if !row[1].IsNull() {
 		rec.Parent = row[1].S
 	}
-	if err := json.Unmarshal(row[4].B, &rec.Data); err != nil {
-		return nil, fmt.Errorf("campaign: unmarshal experiment data: %w", err)
-	}
-	sv, err := DecodeStateVector(row[5].B)
-	if err != nil {
+	if err := decodeExperimentData(row[4].B, &rec.Data); err != nil {
 		return nil, err
 	}
-	rec.State = *sv
+	if err := decodeStateVector(row[5].B, &rec.State); err != nil {
+		return nil, err
+	}
 	return rec, nil
 }
 
