@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: tier1 tier2 build vet test race bench fuzz
+.PHONY: tier1 tier2 build vet test race bench fuzz count
 
 # tier1 is the gate every PR must keep green: full build, vet, and the
 # test suite under the race detector. The snapshot/forwarding tests in
@@ -26,6 +26,9 @@ FUZZTIME ?= 15s
 # encoding/json on canonical, mutated and hostile blobs, the streamed
 # pass's order, and the analysis against the materialise-everything
 # algorithm it replaced.
+# The server line includes the job state machine's table — cancel, pause,
+# graceful and hard restart, a dying store — over both row sources, solo
+# and sharded in-process.
 # bench/ is a module of its own that `./...` skips, and it compiles
 # against core's exported surface: build and vet it here (its tests are
 # the benchmark-only PR's, ROADMAP item 5).
@@ -38,7 +41,7 @@ tier1:
 	$(GO) test -race ./internal/thor/ ./internal/trigger/ . -run 'FastPath|RunUntilFast|StepBurst' -count 1
 	$(GO) test -race ./internal/core/ ./internal/chaos/ . -run 'Chaos|Retry|Quarantine|Watchdog|Panic|InvalidRun|DrainsAndFlushes' -count 1
 	$(GO) test -race ./internal/telemetry/ . -run 'Telemetry|Registry|Prometheus|Handler|Progress' -count 1
-	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/campaign/ -run 'Differential|Fleet|Tenant|Admission|Cancel|Submit' -count 1
+	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/campaign/ -run 'Differential|Fleet|Tenant|Admission|Cancel|Submit|JobLifecycle|WorkersExhausted' -count 1
 	$(GO) test -race ./internal/shard/ ./internal/core/ . -run 'Shard|Partition|Coalesce|Lease|ReportFrame|Protocol|PlanHash' -count 1
 	$(GO) test -race ./internal/shard/ ./internal/chaos/ -run 'NetChaos|NetRoundTripper|NetMaxFaults|NetDeterministic|Transport|Unauthorized|Delivery|Churn' -count 1
 	$(GO) test -race ./internal/proctarget/ ./internal/core/ -run 'Proc|Framework|TargetRegistry|TargetDeterministic' -count 1
@@ -49,7 +52,7 @@ tier1:
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
 # equivalence tests, the golden end-to-end report, plus a short fuzz
 # smoke of the SQL front end, the two byte formats recovery reads, the
-# one the coordinator reads off the network and the stored row's blobs.
+# two the coordinator reads off the network and the stored row's blobs.
 # The -race line runs the group-commit durability cases fresh: cursor
 # saves are commits in the sink's queue, applied by another goroutine,
 # and these are the tests that kill a campaign between any two of them,
@@ -91,7 +94,9 @@ bench:
 # checksummed bytes nothing can be cut out of, so the minimizer gets 2s
 # per new input, not its default 60 — or a short run is all minimizing.
 # FuzzDecodeRow, the stored row's two blobs against encoding/json, is
-# seeded with kilobyte rows too and gets the same 2s.
+# seeded with kilobyte rows too and gets the same 2s. FuzzShardJSONBodies
+# is the rest of the shard protocol — hello, lease, heartbeat — posted at a
+# live sharded job through the daemon's handler.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
@@ -99,3 +104,10 @@ fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzShardJSONBodies -fuzztime $(FUZZTIME)
+
+# count prints the two numbers a simplicity PR quotes before and after:
+# non-test Go lines under cmd/ + internal/, and flag definitions there.
+count:
+	@find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo 'non-test Go lines (cmd/ + internal/):'
+	@grep -rhE '\b(fs|flag)\.(Bool|Duration|Float64|Func|Int|Int64|String|Uint|Uint64|Var)\(' --include='*.go' --exclude='*_test.go' cmd internal | wc -l | xargs echo 'flag definitions:'

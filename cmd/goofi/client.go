@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"goofi/internal/chaos"
+	"goofi/internal/core"
 	"goofi/internal/server"
 	"goofi/internal/shard"
 )
@@ -118,19 +119,18 @@ func cmdSubmit(args []string) error {
 		params["victim"] = *cf.victim
 	}
 	req := server.SubmitRequest{
-		Tenant:                *tenant,
-		Campaign:              camp,
-		TargetKind:            *kind,
-		ImageBytes:            *imageBytes,
-		TargetParams:          params,
-		Technique:             *technique,
-		Boards:                *boards,
-		Checkpoint:            *ckpt,
-		NoForward:             *noFwd,
-		MaxRetries:            *maxRetries,
-		BoardFailureThreshold: *failThreshold,
-		Shards:                *shards,
-		ExternalWorkers:       *external,
+		Tenant:   *tenant,
+		Campaign: camp,
+		RunOptions: core.RunOptions{
+			Technique: *technique, TargetKind: *kind, TargetParams: params,
+			NoForward:  *noFwd,
+			MaxRetries: *maxRetries, BoardFailureThreshold: *failThreshold,
+		},
+		ImageBytes:      *imageBytes,
+		Boards:          *boards,
+		Checkpoint:      *ckpt,
+		Shards:          *shards,
+		ExternalWorkers: *external,
 	}
 	base := apiBase(*srvAddr)
 	var st server.JobStatus

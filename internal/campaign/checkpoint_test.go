@@ -296,7 +296,7 @@ func TestSinkKeepsQueuedCheckpointError(t *testing.T) {
 		}
 		// Wait for the writer without going through the sink's own calls.
 		s.mu.Lock()
-		for s.pending > 0 {
+		for s.written < s.queued {
 			s.cond.Wait()
 		}
 		s.mu.Unlock()

@@ -8,7 +8,10 @@ import (
 // BatchingSink decouples experiment execution from storage latency: result
 // records accumulate in memory and a background goroutine writes them to
 // the Store in transaction-sized multi-row INSERT batches. Cursor saves
-// travel the same way, so a board never waits for a durability barrier.
+// travel the same way, so a board never waits for a durability barrier, and
+// so do rows that arrive already encoded — a shard worker's report, which
+// the coordinator commits through CommitRows. It is the one queue in front
+// of a campaign's store, however the campaign is driven.
 //
 // The durability contract: rows and cursors reach the store in the order
 // they were handed to the sink, a cursor behind the rows it names in one
@@ -18,11 +21,15 @@ import (
 // cursor and then flushes on pause and on termination. A crash in between
 // loses at most the commits still queued, which resume re-runs.
 //
+// The queue is bounded (workDepth): a store that falls behind blocks the
+// boards in LogExperiment and the coordinator's reporters in CommitRows,
+// which is the backpressure of both paths.
+//
 // A failed write poisons the sink: the first error is retained, nothing
 // queued behind it is written (a cursor must not outlive rows that failed),
-// and every later LogExperiment/SaveCheckpoint/Flush/Close returns it,
-// which is how an asynchronous write failure reaches the campaign's error
-// path.
+// and every later LogExperiment/SaveCheckpoint/CommitRows/Flush/Close
+// returns it, which is how an asynchronous write failure reaches the
+// campaign's error path.
 type BatchingSink struct {
 	store     *Store
 	batchSize int
@@ -31,18 +38,23 @@ type BatchingSink struct {
 	cond    *sync.Cond
 	buf     []*ExperimentRecord
 	work    []commit // queued for the writer, in hand-over order
-	pending int      // commits queued or being written
+	queued  int      // commits ever queued
+	written int      // commits the writer is through with
 	err     error
 	closed  bool
 
 	done chan struct{}
 }
 
-// commit is one unit of work for the writer: a batch of rows and, when a
-// cursor save closed the batch, the cursor that names them.
+// commit is one unit of work for the writer: a batch of records, which it
+// encodes, then rows that came in stored form, inserted as they came, and,
+// when a cursor save closed the batch, the cursor that names them. durable
+// asks for a barrier behind the commit where no cursor does.
 type commit struct {
-	rows   []*ExperimentRecord
-	cursor *Checkpoint
+	records []*ExperimentRecord
+	rows    []Row
+	cursor  *Checkpoint
+	durable bool
 }
 
 // DefaultBatchSize is how many LoggedSystemState rows a BatchingSink
@@ -88,42 +100,55 @@ func (s *BatchingSink) writer() {
 		s.mu.Unlock()
 		barrier := false
 		for _, c := range group {
+			if err == nil && len(c.records) > 0 {
+				err = s.store.InsertRows(encodeRows(c.records))
+			}
 			if err == nil && len(c.rows) > 0 {
-				err = s.store.InsertRows(encodeRows(c.rows))
+				err = s.store.InsertRows(c.rows)
 			}
 			if err == nil && c.cursor != nil {
 				err = s.store.putCheckpoint(c.cursor)
-				barrier = true
 			}
+			barrier = barrier || c.cursor != nil || c.durable
 		}
 		if err == nil && barrier {
 			err = s.store.db.Barrier()
 		}
 		s.mu.Lock()
 		s.err = err
-		s.pending -= len(group)
+		s.written += len(group)
 		s.cond.Broadcast()
 	}
 }
 
-// submit queues the buffered rows, closed by cursor when one is given, as
-// one commit. Waiting for room comes before taking the rows: once taken
-// they are queued in the same critical section, so commits enter the queue
-// in the order their rows entered the buffer. Callers hold s.mu.
-func (s *BatchingSink) submit(cursor *Checkpoint) {
+// submit queues c, the buffered records in front of what it brought, as one
+// commit. Waiting for room comes before taking the records: once taken they
+// are queued in the same critical section, so commits enter the queue in the
+// order their rows were handed over. Callers hold s.mu.
+func (s *BatchingSink) submit(c commit) {
 	for len(s.work) >= workDepth {
 		s.cond.Wait()
 	}
-	if len(s.buf) == 0 && cursor == nil {
+	c.records, s.buf = s.buf, nil
+	if len(c.records) == 0 && len(c.rows) == 0 && c.cursor == nil && !c.durable {
 		return
 	}
-	if len(s.buf) > 0 {
+	if len(c.records) > 0 {
 		mSinkBatches.Inc()
 	}
-	s.work = append(s.work, commit{rows: s.buf, cursor: cursor})
-	s.buf = nil
-	s.pending++
+	s.work = append(s.work, c)
+	s.queued++
 	s.cond.Broadcast()
+}
+
+// settle blocks until the writer is through with everything queued so far —
+// not with what others queue meanwhile — and returns the sink's error.
+// Callers hold s.mu.
+func (s *BatchingSink) settle() error {
+	for n := s.queued; s.written < n; {
+		s.cond.Wait()
+	}
+	return s.err
 }
 
 // usable reports why the sink takes no more work, if it does not. Callers
@@ -146,7 +171,7 @@ func (s *BatchingSink) LogExperiment(r *ExperimentRecord) error {
 	s.buf = append(s.buf, r)
 	mSinkRecords.Inc()
 	if len(s.buf) >= s.batchSize {
-		s.submit(nil)
+		s.submit(commit{})
 	}
 	return nil
 }
@@ -165,8 +190,34 @@ func (s *BatchingSink) SaveCheckpoint(cp *Checkpoint) error {
 	if err := s.usable(); err != nil {
 		return err
 	}
-	s.submit(cp)
+	s.submit(commit{cursor: cp})
 	return nil
+}
+
+// CommitRows queues rows that are already in stored form as one commit,
+// behind everything handed over before it; the writer inserts them as they
+// came. With durable set it returns only once they, and everything before
+// them, are stored and a barrier is raised behind them; without, an error
+// reported here is a prior write's failure. The sink keeps rows: the caller
+// must not change them afterwards.
+func (s *BatchingSink) CommitRows(rows []Row, durable bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.usable(); err != nil {
+		return err
+	}
+	s.submit(commit{rows: rows, durable: durable})
+	if !durable {
+		return nil
+	}
+	return s.settle()
+}
+
+// Err is the sink's retained write error, if a write has failed.
+func (s *BatchingSink) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // Flush submits the partial batch and blocks until everything handed to
@@ -176,11 +227,8 @@ func (s *BatchingSink) Flush() error {
 	mSinkFlushes.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.submit(nil)
-	for s.pending > 0 {
-		s.cond.Wait()
-	}
-	return s.err
+	s.submit(commit{})
+	return s.settle()
 }
 
 // GetExperiment reads a record through the store, flushing first so the

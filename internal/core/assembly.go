@@ -71,6 +71,38 @@ type RunSpec struct {
 	Filter func(faultmodel.Fault, trigger.Spec) bool
 }
 
+// RunOptions are the run options a submission carries: declared here once,
+// embedded in goofid's SubmitRequest, the shard coordinator's config and the
+// lease it grants, and handed on whole — submission → coordinator → lease —
+// until RunSpec turns them into the run they describe. The JSON tags are the
+// submission's and the lease's wire keys, in the lease's order.
+type RunOptions struct {
+	// Technique selects the injection algorithm (scifi, swifi-preruntime,
+	// swifi-runtime, pin-level) and TargetKind the registered target system
+	// or alias; either may be empty (ResolveTarget's rule).
+	Technique  string `json:"technique,omitempty"`
+	TargetKind string `json:"targetKind,omitempty"`
+	// TargetParams carries target-specific key=value configuration (e.g.
+	// "victim" for proc targets).
+	TargetParams map[string]string `json:"targetParams,omitempty"`
+	// NoForward disables checkpoint fast-forwarding.
+	NoForward bool `json:"noForward,omitempty"`
+	// Retry policy knobs (both zero = fail-fast).
+	MaxRetries            int `json:"maxRetries,omitempty"`
+	BoardFailureThreshold int `json:"boardFailureThreshold,omitempty"`
+}
+
+// RunSpec starts the spec of a run with these options; the caller adds what
+// is its own — where the rows go, the boards, the range.
+func (o RunOptions) RunSpec() RunSpec {
+	return RunSpec{
+		TargetKind: o.TargetKind, Technique: o.Technique, TargetParams: o.TargetParams,
+		NoForward: o.NoForward,
+		Retry: RetryPolicy{MaxRetries: o.MaxRetries,
+			BoardFailureThreshold: o.BoardFailureThreshold},
+	}
+}
+
 // CampaignRun is an assembled run: Run it, then Finish it; Close it on
 // every path.
 type CampaignRun struct {

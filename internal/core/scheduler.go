@@ -541,13 +541,13 @@ func (rs *run) finalize() (*Summary, error) {
 	if rs.firstErr != nil {
 		// The partial summary still describes everything that completed
 		// and was flushed above.
-		r.progress.SetPhase("failed")
+		r.progress.SetPhase(telemetry.PhaseFailed)
 		return rs.sum, rs.firstErr
 	}
 	total := rs.resumed + rs.sum.Experiments
-	phase := "done"
+	phase := telemetry.PhaseDone
 	if rs.ctx.Err() != nil || total < r.camp.NumExperiments {
-		phase = "stopped"
+		phase = telemetry.PhaseStopped
 	}
 	r.progress.SetPhase(phase)
 	r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: phase,

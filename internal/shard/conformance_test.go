@@ -267,7 +267,8 @@ func TestShardConformanceCounts(t *testing.T) {
 	t.Run("swifi-image-512", func(t *testing.T) {
 		sw := conformanceCampaign("confswifi", n)
 		sw.TargetName, sw.ChainName, sw.Locations = "thor-swifi", swifi.MemoryChainName, []string{"mem"}
-		req := server.SubmitRequest{Tenant: "alice", Campaign: sw, TargetKind: "swifi", ImageBytes: 512}
+		req := server.SubmitRequest{Tenant: "alice", Campaign: sw, ImageBytes: 512}
+		req.TargetKind = "swifi"
 		solo := daemonRun(t, req)
 		tsd, err := solo.GetTargetSystem("thor-swifi")
 		if err != nil {

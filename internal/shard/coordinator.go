@@ -1,8 +1,8 @@
 package shard
 
 // The coordinator: owns the canonical campaign store, partitions the
-// plan, leases ranges, expires dead shards, and merges reported records
-// through the ingest batcher. It never executes an experiment itself.
+// plan, leases ranges, expires dead shards, and merges reported rows
+// through the campaign's sink. It never executes an experiment itself.
 //
 // Lease state machine (DESIGN.md §10):
 //
@@ -29,6 +29,8 @@ import (
 	"time"
 
 	"goofi/internal/campaign"
+	"goofi/internal/core"
+	"goofi/internal/telemetry"
 )
 
 // DefaultHeartbeat is the lease heartbeat period when the config leaves
@@ -41,9 +43,6 @@ const DefaultHeartbeat = 500 * time.Millisecond
 // rejects it outright instead of letting the deployment discover it as
 // spurious requeues.
 const minTTLRatio = 2
-
-// ingestQueueDepth bounds the ingest batcher, in report batches.
-const ingestQueueDepth = 8
 
 // DefaultMaxWorkerFailures quarantines a worker after this many expired
 // leases (the PR 4 board-failure threshold lifted to shard level).
@@ -61,21 +60,11 @@ type CoordinatorConfig struct {
 	Store    *campaign.Store
 	Campaign *campaign.Campaign
 	Target   *campaign.TargetSystemData
-	// Technique selects the injection algorithm workers run and
-	// TargetKind the registered target system they construct; either may
-	// be empty (core.ResolveTarget's rule, applied by the worker).
-	Technique  string
-	TargetKind string
-	// TargetParams carries target-specific key=value configuration
-	// handed out with every lease.
-	TargetParams map[string]string
+	// RunOptions are the submission's run options, handed out whole with
+	// every lease.
+	core.RunOptions
 	// Shards is how many ranges the plan is partitioned into.
 	Shards int
-	// NoForward, MaxRetries and BoardFailureThreshold are the
-	// submission's run options, handed out with every lease.
-	NoForward             bool
-	MaxRetries            int
-	BoardFailureThreshold int
 	// HeartbeatEvery is the lease liveness cadence (default
 	// DefaultHeartbeat); a lease expires after LeaseTTL without a beat
 	// (default 3×HeartbeatEvery).
@@ -108,7 +97,9 @@ type workerInfo struct {
 // safe for concurrent use.
 type Coordinator struct {
 	cfg CoordinatorConfig
-	bat *batcher
+	// sink is the write-behind queue in front of the store, the one a solo
+	// run logs through: accepted rows are committed to it in stored form.
+	sink *campaign.BatchingSink
 
 	mu       sync.Mutex
 	pending  []Range
@@ -133,7 +124,9 @@ type Coordinator struct {
 	deliveries map[string]ReportResponse
 	delivOrder []string
 
-	sweeper sync.WaitGroup
+	sweeper   sync.WaitGroup
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // NewCoordinator builds a coordinator and recovers its progress from the
@@ -170,7 +163,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		bat:        newBatcher(cfg.Store),
+		sink:       campaign.NewBatchingSink(cfg.Store, 0),
 		leases:     make(map[string]*lease),
 		accepted:   make(map[int]bool),
 		failures:   make(map[string]int),
@@ -269,20 +262,10 @@ func (c *Coordinator) Hello(req HelloRequest) (HelloResponse, error) {
 	return HelloResponse{Status: "ok", Workers: len(c.workers), Protocol: ProtocolVersion}, nil
 }
 
-// WorkerStatus is one fleet member's view in Fleet().
-type WorkerStatus struct {
-	Name        string  `json:"name"`
-	Host        string  `json:"host,omitempty"`
-	Quarantined bool    `json:"quarantined"`
-	Leases      int     `json:"leases"`
-	Failures    int     `json:"failures"`
-	LastBeatAge float64 `json:"last_beat_seconds"`
-}
-
 // Fleet reports every worker the coordinator has heard from, sorted by
 // name, with its live lease count, expiry tally and heartbeat age —
 // the membership view /progress serves for a sharded job.
-func (c *Coordinator) Fleet() []WorkerStatus {
+func (c *Coordinator) Fleet() []telemetry.WorkerStatus {
 	now := c.cfg.NowFunc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -290,9 +273,9 @@ func (c *Coordinator) Fleet() []WorkerStatus {
 	for _, l := range c.leases {
 		held[l.worker]++
 	}
-	out := make([]WorkerStatus, 0, len(c.workers))
+	out := make([]telemetry.WorkerStatus, 0, len(c.workers))
 	for name, w := range c.workers {
-		out = append(out, WorkerStatus{
+		out = append(out, telemetry.WorkerStatus{
 			Name:        name,
 			Host:        w.host,
 			Quarantined: c.quarant[name],
@@ -371,18 +354,13 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
 	}
 	c.leases[l.id] = l
 	return LeaseResponse{
-		Status:                LeaseRange,
-		LeaseID:               l.id,
-		Range:                 rng,
-		Campaign:              c.cfg.Campaign,
-		Target:                c.cfg.Target,
-		Technique:             c.cfg.Technique,
-		TargetKind:            c.cfg.TargetKind,
-		TargetParams:          c.cfg.TargetParams,
-		NoForward:             c.cfg.NoForward,
-		MaxRetries:            c.cfg.MaxRetries,
-		BoardFailureThreshold: c.cfg.BoardFailureThreshold,
-		HeartbeatEvery:        c.cfg.HeartbeatEvery,
+		Status:         LeaseRange,
+		LeaseID:        l.id,
+		Range:          rng,
+		Campaign:       c.cfg.Campaign,
+		Target:         c.cfg.Target,
+		RunOptions:     c.cfg.RunOptions,
+		HeartbeatEvery: c.cfg.HeartbeatEvery,
 	}
 }
 
@@ -425,8 +403,9 @@ func (c *Coordinator) ReportFrame(body []byte) (ReportResponse, error) {
 // and that have not been merged before are accepted: end rows by sequence
 // number, the reference once per campaign, and detail-mode trace rows
 // with their parent. Accepted rows go to the store as they came — the
-// worker's bytes, not a re-encoding — through the batcher; a final report
-// flushes it so retiring a range implies durability.
+// worker's bytes, not a re-encoding — as one commit of the sink; a final
+// report's commit is a durable one, so retiring a range implies its rows,
+// and everything reported before them, are stored and past a barrier.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	mReportRows.Add(uint64(len(req.Rows)))
 	c.mu.Lock()
@@ -498,33 +477,25 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	done := final && c.complete()
 	c.mu.Unlock()
 
-	// The batcher write happens outside the lock so backpressure stalls
+	// The commit happens outside the lock so the sink's backpressure stalls
 	// only reporters, never leases or heartbeats.
-	if err := c.bat.submit(ingest); err != nil {
+	if err := c.sink.CommitRows(ingest, final); err != nil {
 		return ReportResponse{}, err
 	}
-	if final {
-		if err := c.bat.Flush(); err != nil {
-			return ReportResponse{}, err
-		}
-	} else {
-		// The submit may have stalled on backpressure — time spent queued
-		// in the merge is the coordinator's, not the worker's, so it must
-		// not count against the lease.
-		c.mu.Lock()
-		if l := c.leases[req.LeaseID]; l != nil && l.worker == req.Worker {
-			l.expires = c.cfg.NowFunc().Add(c.cfg.LeaseTTL)
-		}
-		c.mu.Unlock()
-	}
 	resp := ReportResponse{Accepted: len(ingest)}
+	c.mu.Lock()
+	// The commit may have stalled on backpressure — time spent queued in the
+	// merge is the coordinator's, not the worker's, so it must not count
+	// against the lease (which a final report has retired already).
+	if l := c.leases[req.LeaseID]; l != nil && l.worker == req.Worker {
+		l.expires = c.cfg.NowFunc().Add(c.cfg.LeaseTTL)
+	}
 	if req.Delivery != "" {
 		// Only a fully processed (and, for final reports, durably
 		// flushed) delivery is cached; an errored one must re-process.
-		c.mu.Lock()
 		c.cacheDeliveryLocked(req.Delivery, resp)
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	if done {
 		c.finish()
 	}
@@ -613,9 +584,9 @@ func (c *Coordinator) finish() {
 // merged.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
-// Err surfaces the first merge error (store write failures poison the
-// ingest path).
-func (c *Coordinator) Err() error { return c.bat.firstErr() }
+// Err surfaces the first merge error (a store write failure poisons the
+// sink).
+func (c *Coordinator) Err() error { return c.sink.Err() }
 
 // Progress reports merged experiments out of the plan total.
 func (c *Coordinator) Progress() (done, total int) {
@@ -631,16 +602,21 @@ func (c *Coordinator) Complete() bool {
 	return c.haveRef && len(c.accepted) >= c.cfg.Campaign.NumExperiments
 }
 
-// Close stops the sweeper and drains the ingest batcher. The store stays
-// open (the coordinator never owned it).
+// Close stops the sweeper and drains the sink behind a last barrier, so
+// what non-final reports queued is durable too. The store stays open (the
+// coordinator never owned it). Closing again returns the first result.
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	if !c.closed {
+	c.closeOnce.Do(func() {
+		c.mu.Lock()
 		c.closed = true
 		close(c.stopCh)
 		c.wakeLocked()
-	}
-	c.mu.Unlock()
-	c.sweeper.Wait()
-	return c.bat.Close()
+		c.mu.Unlock()
+		c.sweeper.Wait()
+		c.closeErr = c.sink.CommitRows(nil, true)
+		if err := c.sink.Close(); c.closeErr == nil {
+			c.closeErr = err
+		}
+	})
+	return c.closeErr
 }

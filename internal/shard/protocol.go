@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"goofi/internal/campaign"
+	"goofi/internal/core"
 )
 
 // ProtocolVersion is the wire protocol both sides must speak. Version 2
@@ -80,21 +81,12 @@ type LeaseResponse struct {
 	LeaseID string `json:"leaseId,omitempty"`
 	Range   Range  `json:"range"`
 
-	Campaign  *campaign.Campaign         `json:"campaign,omitempty"`
-	Target    *campaign.TargetSystemData `json:"target,omitempty"`
-	Technique string                     `json:"technique,omitempty"`
-	// TargetKind names the registered target system workers construct.
-	// It or Technique may be empty: core.ResolveTarget defaults them.
-	TargetKind string `json:"targetKind,omitempty"`
-	// TargetParams carries target-specific key=value configuration, the
-	// submission's image size folded in.
-	TargetParams map[string]string `json:"targetParams,omitempty"`
-	// NoForward, MaxRetries and BoardFailureThreshold are the submission's
-	// run options, applied to every range as the solo path applies them
-	// to the whole campaign.
-	NoForward             bool `json:"noForward,omitempty"`
-	MaxRetries            int  `json:"maxRetries,omitempty"`
-	BoardFailureThreshold int  `json:"boardFailureThreshold,omitempty"`
+	Campaign *campaign.Campaign         `json:"campaign,omitempty"`
+	Target   *campaign.TargetSystemData `json:"target,omitempty"`
+	// RunOptions are the submission's run options (its image size folded
+	// into TargetParams), applied to every range as the solo path applies
+	// them to the whole campaign.
+	core.RunOptions
 	// HeartbeatEvery is how often the worker must prove liveness while
 	// it holds the lease.
 	HeartbeatEvery time.Duration `json:"heartbeatEvery,omitempty"`
@@ -108,8 +100,8 @@ type HeartbeatRequest struct {
 
 // ReportRequest delivers a batch of logged rows for a lease, in the
 // stored form the coordinator's store inserts as it is. Final marks the
-// last batch of the range; the coordinator flushes its ingest queue and
-// retires the lease on it.
+// last batch of the range; the coordinator commits it durably and retires
+// the lease on it.
 type ReportRequest struct {
 	Worker  string
 	LeaseID string

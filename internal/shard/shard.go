@@ -3,7 +3,7 @@
 // sequence ranges and leases them to workers; each worker runs its range
 // with its own board pool, keeps nothing, and reports the logged rows
 // back; the coordinator merges them into the canonical campaign store —
-// the only one — through a batched single-writer fan-in.
+// the only one — through the write-behind sink a solo run logs through.
 //
 // Correctness rests on the plan-first determinism the rest of the tree
 // already pins: every experiment's seed derives only from the campaign

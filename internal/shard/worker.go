@@ -307,7 +307,7 @@ func (w *Worker) runRange(ctx context.Context, lease *LeaseResponse) error {
 	// can outlast a TTL. The heartbeat pump is pure liveness: it must never
 	// block on the merge, or backpressure would expire the very lease whose
 	// work it is stalling. The streaming pump reports complete experiment
-	// groups as they accumulate — it may stall in the coordinator's ingest
+	// groups as they accumulate — it may stall in the coordinator's sink
 	// queue for as long as the merge needs, the heartbeats keep the lease
 	// alive meanwhile. A rejected beat or report means the lease is gone (or
 	// the worker is not welcome at all): stop the run and abandon the range
@@ -373,18 +373,14 @@ func (w *Worker) runRange(ctx context.Context, lease *LeaseResponse) error {
 	for _, row := range w.reference {
 		rep.add(row)
 	}
-	cr, err := core.Assemble(core.RunSpec{
-		Sink:     rowSink{rep: rep, hook: w.cfg.OnRecord},
-		Campaign: camp, Target: lease.Target,
-		TargetKind: lease.TargetKind, Technique: lease.Technique, TargetParams: lease.TargetParams,
-		Boards:    w.cfg.Boards,
-		NoForward: lease.NoForward,
-		Retry: core.RetryPolicy{MaxRetries: lease.MaxRetries,
-			BoardFailureThreshold: lease.BoardFailureThreshold},
-		Resume:  w.reference != nil,
-		ShardLo: lease.Range.Lo, ShardHi: lease.Range.Hi,
-		ForwardSet: w.carried,
-	})
+	spec := lease.RunOptions.RunSpec()
+	spec.Sink = rowSink{rep: rep, hook: w.cfg.OnRecord}
+	spec.Campaign, spec.Target = camp, lease.Target
+	spec.Boards = w.cfg.Boards
+	spec.Resume = w.reference != nil
+	spec.ShardLo, spec.ShardHi = lease.Range.Lo, lease.Range.Hi
+	spec.ForwardSet = w.carried
+	cr, err := core.Assemble(spec)
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestCounterGaugeHistogram covers the scalar instrument semantics.
@@ -217,5 +218,29 @@ func TestProgressSnapshot(t *testing.T) {
 	}
 	if s.Boards[1].State != BoardQuarantined {
 		t.Errorf("board 1 = %+v", s.Boards[1])
+	}
+}
+
+// TestProgressClockStopsAtTerminalPhase: a finished campaign's elapsed time
+// and throughput are what they were when it ended, however much later the
+// snapshot is taken; a phase that is not terminal starts the clock again.
+func TestProgressClockStopsAtTerminalPhase(t *testing.T) {
+	for _, phase := range []string{PhaseDone, PhaseStopped, PhaseFailed} {
+		p := NewProgress(1)
+		p.Start("demo", 10)
+		p.AddDone(10)
+		p.SetPhase(phase)
+		first := p.Snapshot()
+		time.Sleep(2 * time.Millisecond)
+		later := p.Snapshot()
+		if first.ElapsedSeconds <= 0 || later.ElapsedSeconds != first.ElapsedSeconds ||
+			later.RecordsPerSecond != first.RecordsPerSecond {
+			t.Errorf("phase %q: elapsed %v then %v, records/s %v then %v — the clock did not stop",
+				phase, first.ElapsedSeconds, later.ElapsedSeconds, first.RecordsPerSecond, later.RecordsPerSecond)
+		}
+		p.SetPhase("experiment")
+		if again := p.Snapshot(); again.ElapsedSeconds <= later.ElapsedSeconds {
+			t.Errorf("phase %q then a running one: elapsed %v, not past %v", phase, again.ElapsedSeconds, later.ElapsedSeconds)
+		}
 	}
 }

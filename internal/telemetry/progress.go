@@ -13,6 +13,14 @@ const (
 	BoardQuarantined = "quarantined"
 )
 
+// Terminal phases: the campaign's work has ended, and SetPhase stops the
+// clock on them.
+const (
+	PhaseDone    = "done"
+	PhaseStopped = "stopped"
+	PhaseFailed  = "failed"
+)
+
 // boardSlot is one board's live state: a state code and the sequence
 // number it is working on. Both atomic so workers update without locks.
 type boardSlot struct {
@@ -30,6 +38,7 @@ type Progress struct {
 	campaign string
 	phase    string
 	start    time.Time
+	end      time.Time // zero while the clock runs
 
 	total     atomic.Int64
 	done      atomic.Int64
@@ -64,13 +73,21 @@ func (p *Progress) Start(campaign string, total int) {
 	p.total.Store(int64(total))
 }
 
-// SetPhase records the current campaign phase. Safe on nil.
+// SetPhase records the current campaign phase; a terminal one stops the
+// clock, so a finished campaign's elapsed time and throughput stay what
+// they were when it ended. Safe on nil.
 func (p *Progress) SetPhase(phase string) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	p.phase = phase
+	switch phase {
+	case PhaseDone, PhaseStopped, PhaseFailed:
+		p.end = time.Now()
+	default:
+		p.end = time.Time{}
+	}
 	p.mu.Unlock()
 }
 
@@ -182,8 +199,11 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		return ProgressSnapshot{}
 	}
 	p.mu.Lock()
-	campaign, phase, start := p.campaign, p.phase, p.start
+	campaign, phase, start, end := p.campaign, p.phase, p.start, p.end
 	p.mu.Unlock()
+	if end.IsZero() {
+		end = time.Now()
+	}
 	s := ProgressSnapshot{
 		Campaign:    campaign,
 		Phase:       phase,
@@ -194,7 +214,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		Forwarded:   p.forwarded.Load(),
 	}
 	if !start.IsZero() {
-		s.ElapsedSeconds = time.Since(start).Seconds()
+		s.ElapsedSeconds = end.Sub(start).Seconds()
 	}
 	if s.ElapsedSeconds > 0 && s.Done > 0 {
 		s.RecordsPerSecond = float64(s.Done) / s.ElapsedSeconds
