@@ -23,9 +23,12 @@ FUZZTIME ?= 15s
 # property tests, and every differential against the forwarding-off
 # oracle — the campaign matrix, the random programs, resume and shards.
 # The decode line is the read side's pin: the row decoder against
-# encoding/json on canonical, mutated and hostile blobs, the streamed
-# pass's order, and the analysis against the materialise-everything
-# algorithm it replaced.
+# encoding/json on canonical, mutated and hostile blobs — the relative
+# form against the absolute one — the streamed pass's order, the analysis
+# against the materialise-everything algorithm it replaced, and the
+# relative rows' differential: solo, resumed, forwarding-off and sharded
+# campaigns storing the same bytes, under their size budgets, and
+# classifying as the whole states do.
 # The server line includes the job state machine's table — cancel, pause,
 # graceful and hard restart, a dying store — over both row sources, solo
 # and sharded in-process.
@@ -46,7 +49,7 @@ tier1:
 	$(GO) test -race ./internal/shard/ ./internal/chaos/ -run 'NetChaos|NetRoundTripper|NetMaxFaults|NetDeterministic|Transport|Unauthorized|Delivery|Churn' -count 1
 	$(GO) test -race ./internal/proctarget/ ./internal/core/ -run 'Proc|Framework|TargetRegistry|TargetDeterministic' -count 1
 	$(GO) test -race . ./internal/thor/ ./internal/core/ ./internal/shard/ -run 'Prune|Pruning|DefUse|RegUses' -count 1
-	$(GO) test -race ./internal/campaign/ ./internal/analysis/ -run 'Decode|EachExperiment|AnalysisDifferential' -count 1
+	$(GO) test -race ./internal/campaign/ ./internal/analysis/ -run 'Decode|EachExperiment|AnalysisDifferential|Relative|RowBytesBudget' -count 1
 	$(GO) test -race ./...
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
@@ -93,8 +96,9 @@ bench:
 # byte format that arrives over the network: its inputs are a kilobyte of
 # checksummed bytes nothing can be cut out of, so the minimizer gets 2s
 # per new input, not its default 60 — or a short run is all minimizing.
-# FuzzDecodeRow, the stored row's two blobs against encoding/json, is
-# seeded with kilobyte rows too and gets the same 2s. FuzzShardJSONBodies
+# FuzzDecodeRow, the stored row's two blobs against encoding/json and the
+# relative stateVector against the absolute one, is seeded with kilobyte
+# rows too and gets the same 2s. FuzzShardJSONBodies
 # is the rest of the shard protocol — hello, lease, heartbeat — posted at a
 # live sharded job through the daemon's handler.
 fuzz:

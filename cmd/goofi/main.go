@@ -853,8 +853,12 @@ func cmdList(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-20s %4d experiments planned, %4d logged, workload %s\n",
-			c, camp.NumExperiments, logged, camp.Workload.Name)
+		stored, err := st.StoredBytes(c)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  %-20s %4d experiments planned, %4d logged, %5d B/experiment, workload %s\n",
+			c, camp.NumExperiments, logged, stored/int64(max(logged, 1)), camp.Workload.Name)
 	}
 	return nil
 }

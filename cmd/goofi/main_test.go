@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"goofi/internal/analysis"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/preinject"
@@ -143,7 +144,8 @@ func captureStdout(t *testing.T, fn func()) string {
 
 // TestListOutput pins `goofi list`: the logged column counts a campaign's
 // end-of-experiment rows — reference run and re-runs included, detail-mode
-// step rows not — without decoding them.
+// step rows not — without decoding them, and the bytes are those rows'
+// (here a whole reference state, a whole re-run and three relative rows).
 func TestListOutput(t *testing.T) {
 	db := dbPath(t)
 	steps := [][]string{
@@ -168,8 +170,8 @@ func TestListOutput(t *testing.T) {
 	want := `target systems:
   thor-board
 campaigns:
-  idle                    5 experiments planned,    0 logged, workload sort16
-  rr                      3 experiments planned,    5 logged, workload sort16
+  idle                    5 experiments planned,    0 logged,     0 B/experiment, workload sort16
+  rr                      3 experiments planned,    5 logged,   672 B/experiment, workload sort16
 `
 	if got != want {
 		t.Errorf("goofi list printed\n%s\nwant\n%s", got, want)
@@ -548,5 +550,70 @@ func TestResumeRetryInvalid(t *testing.T) {
 	}
 	if total, invalid := countInvalid(); total != planned+1 || invalid != 0 {
 		t.Fatalf("%d records, %d invalid after -retry-invalid; want %d and 0", total, invalid, planned+1)
+	}
+}
+
+// TestResumeParentBuildStore: a store the build before relative rows wrote
+// — the quickstart campaign stopped half-way, every state whole — reads as
+// it is, and `goofi resume` finishes it with rows relative to that old
+// reference row, to the report of an uninterrupted run (the golden file of
+// golden_test.go). The store was made by the parent commit's own binaries:
+// configure, setup, and a run through core.Assemble stopped after 50
+// experiments and compacted.
+func TestResumeParentBuildStore(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "campaign", "testdata", "parent-quickstart-half.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := dbPath(t)
+	if err := os.WriteFile(db, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// report analyzes the store and counts its end rows by form.
+	report := func() (rep *analysis.Report, absolute, relative int) {
+		t.Helper()
+		sdb, err := sqldb.OpenAt(db, sqldb.SyncBarrier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sdb.Close()
+		st, err := campaign.NewStore(sdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep, err = analysis.AnalyzeAndStore(st, "quickstart"); err != nil {
+			t.Fatal(err)
+		}
+		r, err := sdb.Query(`SELECT stateVector FROM LoggedSystemState WHERE campaignName = ? AND step = -1`,
+			sqldb.Text("quickstart"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range r.Rows {
+			if row[0].B[0] == '{' {
+				absolute++
+			} else {
+				relative++
+			}
+		}
+		return rep, absolute, relative
+	}
+	if rep, absolute, relative := report(); rep.Total != 50 || absolute != 51 || relative != 0 {
+		t.Fatalf("the parent build's store: %d experiments, %d whole and %d relative rows; want 50, 51, 0",
+			rep.Total, absolute, relative)
+	}
+	if err := runCmd(t, "resume", "-db", db, "-campaign", "quickstart", "-quiet"); err != nil {
+		t.Fatal(err)
+	}
+	rep, absolute, relative := report()
+	if absolute != 51 || relative != 50 {
+		t.Errorf("after resume: %d whole and %d relative rows, want 51 and 50", absolute, relative)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "quickstart_report.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Render(); got != string(want) {
+		t.Errorf("resumed report\n%s\nwant the golden\n%s", got, want)
 	}
 }

@@ -300,11 +300,28 @@ func (a *Analyzer) classify(rec *campaign.ExperimentRecord, ref *reference) (Det
 	return d, nil
 }
 
+// scanDiffHeader is where the bits start in a marshaled scan state: the
+// eight bytes before them hold the vector's length.
+const scanDiffHeader = 64
+
 // scanDiff counts differing bits between the experiment's and the
-// reference's final scan state, restricted to the observed cells.
+// reference's final scan state, restricted to the observed cells. A row
+// stored relative to this very reference scan brings the differing
+// positions with it, and only those are looked at; any other is unpacked
+// and compared whole.
 func (a *Analyzer) scanDiff(rec *campaign.ExperimentRecord, ref *reference) (int, error) {
 	if len(rec.State.Scan) == 0 || len(ref.rec.State.Scan) == 0 {
 		return 0, nil
+	}
+	if rec.Ref != nil && ref.scanErr == nil && campaign.Aliased(rec.Ref.State.Scan, ref.rec.State.Scan) &&
+		(len(rec.ScanDiff) == 0 || rec.ScanDiff[0] >= scanDiffHeader) {
+		diff, limit := 0, min(ref.scan.Len(), a.observe.Len())
+		for _, pos := range rec.ScanDiff {
+			if bit := pos - scanDiffHeader; bit < limit && a.observe.Get(bit) {
+				diff++
+			}
+		}
+		return diff, nil
 	}
 	var rv bitvec.Vector
 	if err := rv.UnmarshalBinary(rec.State.Scan); err != nil {
@@ -327,6 +344,9 @@ func memoryEqual(a, b map[string][]byte, tolerance uint32) bool {
 		vb, ok := b[k]
 		if !ok {
 			return false
+		}
+		if campaign.Aliased(va, vb) {
+			continue
 		}
 		if tolerance == 0 {
 			if string(va) != string(vb) {
@@ -357,6 +377,9 @@ func outputsEqual(a, b map[uint16][]uint32, tail int, tolerance uint32) bool {
 		if !ok || len(va) != len(vb) {
 			return false
 		}
+		if campaign.Aliased(va, vb) {
+			continue
+		}
 		start := 0
 		if tail > 0 && len(va) > tail {
 			start = len(va) - tail
@@ -385,16 +408,13 @@ func absDiff32(a, b int32) uint32 {
 }
 
 // Run classifies every end-of-experiment record of the campaign, one at a
-// time as the store decodes them.
+// time as the store decodes them. The reference run is the pass's own
+// first record: rows stored relative to it come back sharing its unchanged
+// Memory and Outputs values, so comparing those costs nothing.
 func (a *Analyzer) Run() (*Report, error) {
-	refRec, err := a.store.GetExperiment(campaign.ReferenceName(a.camp.Name))
-	if err != nil {
-		return nil, fmt.Errorf("analysis: campaign %q has no reference run: %w", a.camp.Name, err)
-	}
-	ref := &reference{rec: refRec}
-	if len(refRec.State.Scan) > 0 {
-		ref.scanErr = ref.scan.UnmarshalBinary(refRec.State.Scan)
-	}
+	noReference := fmt.Errorf("analysis: campaign %q has no reference run", a.camp.Name)
+	refName := campaign.ReferenceName(a.camp.Name)
+	var ref *reference
 	rep := &Report{
 		Campaign:       a.camp.Name,
 		Counts:         make(map[Class]int),
@@ -403,9 +423,18 @@ func (a *Analyzer) Run() (*Report, error) {
 	}
 	var latencySum uint64
 	var latencyN int
-	err = a.store.EachExperiment(a.camp.Name, func(rec *campaign.ExperimentRecord) error {
+	err := a.store.EachExperiment(a.camp.Name, func(rec *campaign.ExperimentRecord) error {
+		if rec.Name == refName {
+			ref = &reference{rec: rec}
+			if len(rec.State.Scan) > 0 {
+				ref.scanErr = ref.scan.UnmarshalBinary(rec.State.Scan)
+			}
+		}
 		if rec.IsReference() || rec.Parent != "" {
 			return nil // skip the reference and re-runs
+		}
+		if ref == nil {
+			return noReference
 		}
 		d, err := a.classify(rec, ref)
 		if err != nil {
@@ -442,6 +471,9 @@ func (a *Analyzer) Run() (*Report, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if ref == nil {
+		return nil, noReference
 	}
 	effective := rep.Counts[ClassDetected] + rep.Counts[ClassEscaped]
 	rep.Coverage = Wilson(rep.Counts[ClassDetected], effective)

@@ -294,16 +294,16 @@ type StateVector struct {
 	Outputs map[uint16][]uint32 `json:"outputs,omitempty"`
 }
 
-// Encode serialises the state vector for storage. The output is the
-// json.Marshal encoding, produced by the hand-rolled appender in
-// codec.go (this runs once per experiment on the storage hot path).
+// Encode serialises the state vector in the absolute form. The output is
+// the json.Marshal encoding, produced by the hand-rolled appender in
+// codec.go.
 func (s *StateVector) Encode() ([]byte, error) {
 	return s.appendJSON(make([]byte, 0, 256)), nil
 }
 
-// DecodeStateVector parses a stored state vector: the appender's own
-// output by the reflection-free parser in decode.go, anything else by
-// encoding/json, with the same result either way.
+// DecodeStateVector parses a state vector in the absolute form: the
+// appender's own output by the reflection-free parser in decode.go,
+// anything else by encoding/json, with the same result either way.
 func DecodeStateVector(b []byte) (*StateVector, error) {
 	var s StateVector
 	if err := decodeStateVector(b, &s); err != nil {
@@ -329,6 +329,17 @@ type ExperimentRecord struct {
 	// Step is -1 for end-of-experiment records; detail-mode trace
 	// records use the instruction index.
 	Step int
+
+	// Ref is neither stored nor marshaled. On a record handed to a sink it
+	// is the reference state EncodeRow may store State relative to,
+	// attached by the runner to the end records of a deterministic target;
+	// nil keeps the row absolute. On a record read back it is set when the
+	// row was stored relative: State.Memory and State.Outputs then share
+	// their unchanged values with Ref.State, and ScanDiff lists the bit
+	// positions (8*byte + bit, ascending) at which State.Scan differs from
+	// Ref.State.Scan.
+	Ref      *Reference `json:"-"`
+	ScanDiff []int      `json:"-"`
 }
 
 // IsReference reports whether the record is the campaign's fault-free

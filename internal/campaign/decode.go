@@ -3,9 +3,12 @@ package campaign
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -13,18 +16,28 @@ import (
 	"goofi/internal/trigger"
 )
 
-// This file is the read side of codec.go: it parses the two BLOBs of a
-// LoggedSystemState row in the canonical form the appenders emit — keys
-// in struct order, no whitespace, escape-free strings, integers as
-// strconv writes them, map keys ascending — in one pass and without
-// reflection. It accepts nothing else: at the first byte the appenders
-// would not have written there (whitespace, an escape, an unknown,
-// reordered or repeated key, a fraction in an integer slot, an overflow,
-// "scan":"") the parse is abandoned and the whole blob goes to
-// encoding/json, which therefore still defines the accepted language, the
-// decoded value (nil versus empty included) and every error text. The
-// property, mutation and fuzz tests in decode_test.go compare the two on
-// canonical, damaged and arbitrary bytes.
+// This file is the read side of codec.go. It parses the JSON BLOBs of a
+// LoggedSystemState row — experimentData, and a stateVector in the
+// absolute form — in the canonical form the appenders emit — keys in
+// struct order, no whitespace, escape-free strings, integers as strconv
+// writes them, map keys ascending — in one pass and without reflection. It
+// accepts nothing else: at the first byte the appenders would not have
+// written there (whitespace, an escape, an unknown, reordered or repeated
+// key, a fraction in an integer slot, an overflow, "scan":"") the parse is
+// abandoned and the whole blob goes to encoding/json, which therefore still
+// defines the accepted language, the decoded value (nil versus empty
+// included) and every error text. The property, mutation and fuzz tests in
+// decode_test.go compare the two on canonical, damaged and arbitrary bytes.
+//
+// A stateVector that starts with tagRelative is in the relative form
+// (grammar in codec.go) and is parsed against the campaign's reference
+// state by parseRelative: the result is deep-equal to what the absolute
+// form of the same state decodes to, but shares every unchanged Memory and
+// Outputs value — and, when nothing in them changed, the maps — with the
+// reference instead of copying them. Nothing in it is trusted: a position
+// past the end of what it indexes, a length the remaining bytes cannot
+// hold, an unknown value mode, a cut-off varint or bytes left over are all
+// errors, and nothing is allocated from a number the blob merely claims.
 
 // decodeExperimentData parses an experimentData BLOB into d, which must
 // be the zero value.
@@ -39,8 +52,8 @@ func decodeExperimentData(b []byte, d *ExperimentData) error {
 	return nil
 }
 
-// decodeStateVector parses a stateVector BLOB into s, which must be the
-// zero value.
+// decodeStateVector parses a stateVector BLOB in the absolute form into s,
+// which must be the zero value.
 func decodeStateVector(b []byte, s *StateVector) error {
 	if parseStateVector(b, s) {
 		return nil
@@ -477,4 +490,150 @@ func parseExperimentData(b []byte, d *ExperimentData) bool {
 	}
 	return p.lit(`,"outcome":{"status":`) && p.outcome(&d.Outcome) &&
 		p.byte('}') && p.i == len(b)
+}
+
+// isRelative reports whether a stateVector BLOB is in the relative form.
+func isRelative(b []byte) bool { return len(b) > 0 && b[0] == tagRelative }
+
+// relativeHeader is the tag and the reference checksum.
+const relativeHeader = 5
+
+// uvarint consumes one unsigned varint.
+func (p *parser) uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(p.b[p.i:])
+	if n <= 0 {
+		return 0, false
+	}
+	p.i += n
+	return v, true
+}
+
+// next consumes one entry of a gap-coded list of ascending positions below
+// limit, the previous one being prev (-1 before the first): the position,
+// or done at the 0 that ends the list.
+func (p *parser) next(prev, limit int) (pos int, done, ok bool) {
+	gap, ok := p.uvarint()
+	if !ok || gap > uint64(limit-1-prev) {
+		return 0, false, false
+	}
+	return prev + int(gap), gap == 0, true
+}
+
+func (p *parser) elemByte() (byte, bool) {
+	if p.i >= len(p.b) {
+		return 0, false
+	}
+	p.i++
+	return p.b[p.i-1], true
+}
+
+func (p *parser) elemUint32() (uint32, bool) {
+	v, ok := p.uvarint()
+	return uint32(v), ok && v <= math.MaxUint32
+}
+
+// relativeValue consumes one changed value of the relative form, given the
+// reference's.
+func relativeValue[T any](p *parser, ref []T, elem func(*parser) (T, bool)) ([]T, bool) {
+	mode, ok := p.elemByte()
+	if !ok {
+		return nil, false
+	}
+	var v []T
+	switch mode {
+	case valueNil:
+	case valueWhole:
+		// Every element takes at least a byte, which bounds the claim.
+		n, ok := p.uvarint()
+		if !ok || n > uint64(len(p.b)-p.i) {
+			return nil, false
+		}
+		v = make([]T, n)
+		for i := range v {
+			if v[i], ok = elem(p); !ok {
+				return nil, false
+			}
+		}
+	case valuePatch:
+		v = slices.Clone(ref)
+		for prev := -1; ; {
+			i, done, ok := p.next(prev, len(ref))
+			if !ok {
+				return nil, false
+			}
+			if done {
+				break
+			}
+			if v[i], ok = elem(p); !ok {
+				return nil, false
+			}
+			prev = i
+		}
+	default:
+		return nil, false
+	}
+	return v, true
+}
+
+// relativeValues consumes the memory or the outputs list of the relative
+// form: base with the listed keys' values replaced or gone, base itself
+// when the list is empty — and nil, as the absolute form decodes a state
+// without any, when nothing is left.
+func relativeValues[K comparable, T any](p *parser, base map[K][]T, keys []K, elem func(*parser) (T, bool)) (map[K][]T, bool) {
+	out := base
+	for prev := -1; ; {
+		i, done, ok := p.next(prev, len(keys))
+		if !ok {
+			return nil, false
+		}
+		if done {
+			break
+		}
+		if prev < 0 {
+			out = maps.Clone(base)
+		}
+		if p.byte(valueAbsent) {
+			delete(out, keys[i])
+		} else if out[keys[i]], ok = relativeValue(p, base[keys[i]], elem); !ok {
+			return nil, false
+		}
+		prev = i
+	}
+	if len(out) == 0 {
+		return nil, true
+	}
+	return out, true
+}
+
+// parseRelative parses a stateVector BLOB in the relative form against
+// the reference it names, into s and the list of differing scan bits.
+func parseRelative(b []byte, ref *Reference, s *StateVector) (scanDiff []int, ok bool) {
+	if len(b) < relativeHeader {
+		return nil, false
+	}
+	p := parser{b: b, i: relativeHeader}
+	base := &ref.State
+	s.Scan = base.Scan
+	for prev := -1; ; {
+		pos, done, ok := p.next(prev, 8*len(base.Scan))
+		if !ok {
+			return nil, false
+		}
+		if done {
+			break
+		}
+		if prev < 0 {
+			s.Scan = bytes.Clone(base.Scan)
+		}
+		s.Scan[pos>>3] ^= 1 << (pos & 7)
+		scanDiff = append(scanDiff, pos)
+		prev = pos
+	}
+	if s.Memory, ok = relativeValues(&p, base.Memory, ref.symbols, (*parser).elemByte); !ok {
+		return nil, false
+	}
+	if s.Outputs, ok = relativeValues(&p, base.Outputs, ref.ports, (*parser).elemUint32); !ok {
+		return nil, false
+	}
+	return scanDiff, p.i == len(b)
 }

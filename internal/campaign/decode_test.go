@@ -170,29 +170,33 @@ var hostileBlobs = []string{
 }
 
 func TestDecodeHostileBlobs(t *testing.T) {
+	ref := hostileReference(t)
 	for _, s := range hostileBlobs {
 		checkStateVector(t, []byte(s))
 		checkExperimentData(t, []byte(s))
+		checkRelative(t, []byte(s), ref)
 	}
+	checkHostileRelative(t)
 }
 
-// rowSeeds returns the real rows under testdata/rows — a thor experiment,
-// a reference run, a detail-mode step, an invalid run and a live-process
-// experiment, as the parent of this decoder's first commit stored them —
-// as (experimentData, stateVector) pairs.
+// rowSeeds returns the real absolute rows under testdata/rows — a thor
+// experiment, a reference run, a detail-mode step, an invalid run and a
+// live-process experiment, as the parent of this decoder's first commit
+// stored them — as (experimentData, stateVector) pairs. relativeSeeds
+// returns the relative ones.
 func rowSeeds(t testing.TB) [][2][]byte {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join("testdata", "rows", "*.data.json"))
+	names, err := filepath.Glob(filepath.Join("testdata", "rows", "*.state.json"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no seed rows: %v", err)
 	}
 	var out [][2][]byte
 	for _, n := range names {
-		data, err := os.ReadFile(n)
+		state, err := os.ReadFile(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		state, err := os.ReadFile(strings.TrimSuffix(n, ".data.json") + ".state.json")
+		data, err := os.ReadFile(strings.TrimSuffix(n, ".state.json") + ".data.json")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,6 +216,7 @@ func TestDecodeRealRowsTakeFastPath(t *testing.T) {
 			t.Errorf("stateVector fell back to encoding/json:\n%s", seed[1])
 		}
 	}
+	checkRealRelativeRows(t)
 }
 
 // TestDecodeMutatedRows damages canonical blobs a byte at a time —
@@ -248,10 +253,13 @@ func TestDecodeMutatedRows(t *testing.T) {
 			checkStateVector(t, mutate(pair[1]))
 		}
 	}
+	checkMutatedRelativeRows(t)
 }
 
 // FuzzDecodeRow: for arbitrary bytes in either BLOB, the row decoder and
-// encoding/json both fail, with the same text, or agree on the value.
+// encoding/json both fail, with the same text, or agree on the value; and
+// whatever the relative parser makes of the state bytes against the
+// quickstart reference stands up to the absolute form.
 func FuzzDecodeRow(f *testing.F) {
 	for _, seed := range rowSeeds(f) {
 		f.Add(seed[0], seed[1])
@@ -259,9 +267,14 @@ func FuzzDecodeRow(f *testing.F) {
 	for _, s := range hostileBlobs {
 		f.Add([]byte(s), []byte(s))
 	}
+	relative, ref := relativeSeeds(f)
+	for _, seed := range relative {
+		f.Add(seed[0], seed[1])
+	}
 	f.Fuzz(func(t *testing.T, data, state []byte) {
 		checkExperimentData(t, data)
 		checkStateVector(t, state)
+		checkRelative(t, state, ref)
 	})
 }
 

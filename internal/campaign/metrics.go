@@ -3,7 +3,8 @@ package campaign
 import "goofi/internal/telemetry"
 
 // Storage-pipeline metrics: what the batching sink queued and grouped,
-// and how long the underlying INSERT statements took. The histogram is
+// what EncodeRow made of the rows — in the sink's writer, or on a shard
+// worker — and how long the underlying INSERT statements took. The histogram is
 // observed around Store.LogExperiment/LogExperimentBatch, so it measures
 // the sqldb engine (parse cache, constraint pass, WAL append) rather
 // than the sink's queueing.
@@ -14,6 +15,12 @@ var (
 		"Multi-row batches handed to the sink's writer goroutine.")
 	mSinkFlushes = telemetry.NewCounter("goofi_campaign_sink_flushes_total",
 		"Explicit sink flushes (checkpoints, pauses, termination).")
+	mRowsRelative = telemetry.NewCounter("goofi_sink_rows_relative_total",
+		"LoggedSystemState rows encoded with the state relative to the reference run.")
+	mRowsAbsolute = telemetry.NewCounter("goofi_sink_rows_absolute_total",
+		"LoggedSystemState rows encoded with the whole state.")
+	mStateBytes = telemetry.NewCounter("goofi_sink_state_bytes_total",
+		"Bytes of stateVector blobs encoded, either form.")
 	mInsertSeconds = telemetry.NewHistogram("goofi_sqldb_insert_seconds",
 		"Latency of LoggedSystemState INSERT statements (single-row and batched).",
 		telemetry.DurationBuckets)

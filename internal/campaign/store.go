@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -243,14 +244,30 @@ func (r *Row) Campaign() string { return r.Cols[2].S }
 // Step returns the step column: -1 for an end-of-experiment row.
 func (r *Row) Step() int { return int(r.Cols[3].I) }
 
-// EncodeRow flattens a record into its stored form.
+// EncodeRow flattens a record into its stored form. The state goes in
+// relative to r.Ref when there is one to go against: an end row of an
+// experiment that ran, whose state has the reference's shape. The
+// reference row itself, a detail-mode step row, an invalid run (it has no
+// state) and any record without a Ref — every row of a nondeterministic
+// target, whose shard workers' references need not agree — are stored
+// whole.
 func EncodeRow(r *ExperimentRecord) Row {
 	// One allocation for both blobs; the full-capacity slice expression
 	// keeps a state append from clobbering data's backing array.
 	buf := r.Data.appendJSON(make([]byte, 0, 512))
 	n := len(buf)
-	buf = r.State.appendJSON(buf)
+	relative := false
+	if r.Ref != nil && r.Step == -1 && r.Data.Seq >= 0 && r.Data.Outcome.Status != OutcomeInvalidRun {
+		buf, relative = r.State.appendRelative(buf, r.Ref)
+	}
+	if relative {
+		mRowsRelative.Inc()
+	} else {
+		buf = r.State.appendJSON(buf)
+		mRowsAbsolute.Inc()
+	}
 	data, state := buf[:n:n], buf[n:]
+	mStateBytes.Add(uint64(len(state)))
 	parent := sqldb.Null()
 	if r.Parent != "" {
 		parent = sqldb.Text(r.Parent)
@@ -258,6 +275,18 @@ func EncodeRow(r *ExperimentRecord) Row {
 	return Row{Seq: r.Data.Seq, Cols: [6]sqldb.Value{
 		sqldb.Text(r.Name), parent, sqldb.Text(r.Campaign), sqldb.Int(int64(r.Step)),
 		sqldb.Blob(data), sqldb.Blob(state)}}
+}
+
+// DecodeRow is EncodeRow's inverse for a row outside a store — a shard
+// worker's kept reference row. ref is the reference a relative row was
+// encoded against; nil decodes absolute rows only.
+func DecodeRow(row *Row, ref *Reference) (*ExperimentRecord, error) {
+	return decodeRow(row.Cols[:], func(campaignName string) (*Reference, error) {
+		if ref == nil {
+			return nil, fmt.Errorf("campaign: no reference run of campaign %q at hand", campaignName)
+		}
+		return ref, nil
+	})
 }
 
 // encodeRows flattens a batch of records.
@@ -312,6 +341,35 @@ func (s *Store) LogExperimentBatch(recs []*ExperimentRecord) error {
 // there is nothing to flush.
 func (s *Store) Flush() error { return nil }
 
+// readPass is one read of the store, whose rows decodeRow decodes. A row
+// stored relative needs its campaign's reference state: the pass resolves
+// it at the first such row — from the reference row, unless the pass has
+// already decoded that row itself — and keeps it for the rest.
+type readPass struct {
+	s   *Store
+	ref *Reference
+}
+
+func (p *readPass) reference(campaignName string) (*Reference, error) {
+	if p.ref != nil {
+		return p.ref, nil
+	}
+	r, err := p.s.db.Query(`SELECT stateVector FROM LoggedSystemState WHERE experimentName = ?`,
+		sqldb.Text(ReferenceName(campaignName)))
+	if err != nil {
+		return nil, err
+	}
+	if len(r.Rows) == 0 {
+		return nil, fmt.Errorf("campaign: campaign %q has no reference row", campaignName)
+	}
+	var sv StateVector
+	if err := decodeStateVector(r.Rows[0][0].B, &sv); err != nil {
+		return nil, fmt.Errorf("campaign: reference row of campaign %q: %w", campaignName, err)
+	}
+	p.ref = NewReference(&sv)
+	return p.ref, nil
+}
+
 // GetExperiment loads one LoggedSystemState row by experiment name.
 func (s *Store) GetExperiment(name string) (*ExperimentRecord, error) {
 	r, err := s.db.Query(`SELECT experimentName, parentExperiment, campaignName, step, experimentData, stateVector
@@ -322,7 +380,7 @@ func (s *Store) GetExperiment(name string) (*ExperimentRecord, error) {
 	if len(r.Rows) == 0 {
 		return nil, fmt.Errorf("campaign: no experiment %q", name)
 	}
-	return decodeExperimentRow(r.Rows[0])
+	return decodeRow(r.Rows[0], (&readPass{s: s}).reference)
 }
 
 // EachExperiment calls fn with the end-of-experiment records of a campaign
@@ -332,8 +390,10 @@ func (s *Store) GetExperiment(name string) (*ExperimentRecord, error) {
 // sequence number of the experiment it repeats). The order is by number,
 // not by name: names pad to five digits, so exp100000 sorts before
 // exp10001. Each record is decoded just before its call and not kept, so
-// a pass over a campaign holds one of them; an error from fn ends the
-// pass and is returned.
+// a pass over a campaign holds one of them — and the reference run's,
+// which the records of rows stored relative to it share their unchanged
+// Memory and Outputs values with, so nothing may change a record. An
+// error from fn ends the pass and is returned.
 func (s *Store) EachExperiment(campaignName string, fn func(*ExperimentRecord) error) error {
 	r, err := s.db.Query(`SELECT experimentName, parentExperiment, campaignName, step, experimentData, stateVector
 		FROM LoggedSystemState WHERE campaignName = ? AND step = -1`,
@@ -356,10 +416,15 @@ func (s *Store) EachExperiment(campaignName string, fn func(*ExperimentRecord) e
 		}
 		return r.Rows[i][0].S < r.Rows[j][0].S
 	})
+	pass := readPass{s: s}
+	refName := ReferenceName(campaignName)
 	for _, i := range order {
-		rec, err := decodeExperimentRow(r.Rows[i])
+		rec, err := decodeRow(r.Rows[i], pass.reference)
 		if err != nil {
 			return err
+		}
+		if rec.Name == refName {
+			pass.ref = NewReference(&rec.State)
 		}
 		if err := fn(rec); err != nil {
 			return err
@@ -392,6 +457,24 @@ func (s *Store) CountExperiments(campaignName string) (int, error) {
 	return int(r.Rows[0][0].I), nil
 }
 
+// StoredBytes returns the column bytes of the rows CountExperiments
+// counts: what a campaign's end-of-experiment rows cost to keep.
+func (s *Store) StoredBytes(campaignName string) (int64, error) {
+	r, err := s.db.Query(`SELECT experimentName, parentExperiment, campaignName, experimentData, stateVector
+		FROM LoggedSystemState WHERE campaignName = ? AND step = -1`, sqldb.Text(campaignName))
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, row := range r.Rows {
+		n += 8 // step
+		for _, v := range row {
+			n += int64(len(v.S) + len(v.B))
+		}
+	}
+	return n, nil
+}
+
 // Trace returns the detail-mode per-instruction records of one experiment
 // in step order.
 func (s *Store) Trace(experimentName string) ([]*ExperimentRecord, error) {
@@ -402,8 +485,9 @@ func (s *Store) Trace(experimentName string) ([]*ExperimentRecord, error) {
 		return nil, err
 	}
 	out := make([]*ExperimentRecord, 0, len(r.Rows))
+	pass := readPass{s: s}
 	for _, row := range r.Rows {
-		rec, err := decodeExperimentRow(row)
+		rec, err := decodeRow(row, pass.reference)
 		if err != nil {
 			return nil, err
 		}
@@ -444,17 +528,42 @@ func (s *Store) DeleteRun(campaignName string) error {
 // DeleteExperiment removes one experiment's logged state (and any
 // detail-mode trace rows parented to it) so the experiment can be
 // re-attempted — `goofi resume -retry-invalid` uses this to clear
-// invalid-run records before resuming.
+// invalid-run records before resuming. A reference row that other rows are
+// stored relative to stays: without it they could not be read. (DeleteRun
+// and DeleteExperiments remove a campaign's rows all together.)
 func (s *Store) DeleteExperiment(name string) error {
+	r, err := s.db.Query(`SELECT campaignName FROM LoggedSystemState WHERE experimentName = ?`, sqldb.Text(name))
+	if err != nil {
+		return err
+	}
+	if len(r.Rows) == 1 && name == ReferenceName(r.Rows[0][0].S) {
+		campaignName := r.Rows[0][0].S
+		if r, err = s.db.Query(`SELECT stateVector FROM LoggedSystemState WHERE campaignName = ? AND step = -1`,
+			sqldb.Text(campaignName)); err != nil {
+			return err
+		}
+		for _, row := range r.Rows {
+			if isRelative(row[0].B) {
+				return fmt.Errorf("campaign: reference run %q stays: rows of campaign %q are stored relative to it",
+					name, campaignName)
+			}
+		}
+	}
 	if _, err := s.db.Exec(`DELETE FROM LoggedSystemState WHERE parentExperiment = ?`,
 		sqldb.Text(name)); err != nil {
 		return err
 	}
-	_, err := s.db.Exec(`DELETE FROM LoggedSystemState WHERE experimentName = ?`, sqldb.Text(name))
+	_, err = s.db.Exec(`DELETE FROM LoggedSystemState WHERE experimentName = ?`, sqldb.Text(name))
 	return err
 }
 
-func decodeExperimentRow(row []sqldb.Value) (*ExperimentRecord, error) {
+// decodeRow decodes one LoggedSystemState row. reference resolves the
+// reference state of the row's campaign and is asked only for a row stored
+// relative. This is where the integrity of the relative form is stated: a
+// relative row without a reference, or encoded against another reference
+// than the one found, is an error naming the experiment and the campaign —
+// never a state put together from the wrong base.
+func decodeRow(row []sqldb.Value, reference func(campaignName string) (*Reference, error)) (*ExperimentRecord, error) {
 	rec := &ExperimentRecord{
 		Name:     row[0].S,
 		Campaign: row[2].S,
@@ -466,9 +575,30 @@ func decodeExperimentRow(row []sqldb.Value) (*ExperimentRecord, error) {
 	if err := decodeExperimentData(row[4].B, &rec.Data); err != nil {
 		return nil, err
 	}
-	if err := decodeStateVector(row[5].B, &rec.State); err != nil {
-		return nil, err
+	state := row[5].B
+	if !isRelative(state) {
+		if err := decodeStateVector(state, &rec.State); err != nil {
+			return nil, err
+		}
+		return rec, nil
 	}
+	ref, err := reference(rec.Campaign)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: experiment %q is stored relative to the reference run of campaign %q: %w",
+			rec.Name, rec.Campaign, err)
+	}
+	if len(state) >= relativeHeader {
+		if sum := binary.LittleEndian.Uint32(state[1:]); sum != ref.sum {
+			return nil, fmt.Errorf("campaign: experiment %q is stored relative to another reference run than campaign %q holds (checksum %08x, the reference row's %08x)",
+				rec.Name, rec.Campaign, sum, ref.sum)
+		}
+	}
+	var ok bool
+	if rec.ScanDiff, ok = parseRelative(state, ref, &rec.State); !ok {
+		return nil, fmt.Errorf("campaign: experiment %q of campaign %q: damaged relative state vector",
+			rec.Name, rec.Campaign)
+	}
+	rec.Ref = ref
 	return rec, nil
 }
 

@@ -439,11 +439,14 @@ func (r *Runner) runOne(target TargetSystem, ex *Experiment, parent string) erro
 	if err := r.alg.Run(target, ex); err != nil {
 		return fmt.Errorf("core: campaign %q %s: %w", r.camp.Name, ex.Name, err)
 	}
-	return r.logResult(ex, parent)
+	return r.logResult(ex, parent, nil)
 }
 
-// logResult writes an experiment's end-of-run record to the sink.
-func (r *Runner) logResult(ex *Experiment, parent string) error {
+// logResult writes an experiment's end-of-run record to the sink. ref is
+// the reference state the row may be stored relative to; it travels with
+// the record, so every sink — and whatever wraps one — encodes the same
+// bytes from it. nil stores the whole state.
+func (r *Runner) logResult(ex *Experiment, parent string, ref *campaign.Reference) error {
 	if r.sink == nil {
 		return nil
 	}
@@ -451,7 +454,7 @@ func (r *Runner) logResult(ex *Experiment, parent string) error {
 	if err != nil {
 		return err
 	}
-	rec.Parent = parent
+	rec.Parent, rec.Ref = parent, ref
 	return r.sink.LogExperiment(rec)
 }
 

@@ -163,6 +163,11 @@ type run struct {
 	doneSet map[int]bool
 	resumed int
 	haveRef bool
+	// ref is the reference run's logged state, which the experiments'
+	// rows are stored relative to; nil — a nondeterministic target, whose
+	// reference another process need not reproduce byte for byte, or no
+	// sink — stores them whole. Read-only once dispatch starts.
+	ref *campaign.Reference
 	// fwSet is what the reference run recorded (or the preset); prune
 	// answers from its def-use table.
 	fwSet *ForwardSet
@@ -288,6 +293,8 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 	}
 	if !rs.haveRef {
 		rs.reference()
+	} else if err := rs.loggedReference(); err != nil {
+		rs.fail(err)
 	}
 	// Whatever set this run ended up with is observable after Run, so a
 	// shard worker can reuse it for later ranges of the same campaign.
@@ -404,6 +411,22 @@ func (rs *run) reference() {
 	}
 }
 
+// loggedReference takes the place of the reference run where an earlier
+// run logged it — a resumed campaign, a shard worker's later range: the
+// rows of this run go relative to that one, read back through the sink.
+func (rs *run) loggedReference() error {
+	r := rs.r
+	if r.sink == nil || !rs.sum.Deterministic {
+		return nil
+	}
+	rec, err := r.sink.GetExperiment(campaign.ReferenceName(r.camp.Name))
+	if err != nil {
+		return fmt.Errorf("core: campaign %q: the logged reference run: %w", r.camp.Name, err)
+	}
+	rs.ref = campaign.NewReference(&rec.State)
+	return nil
+}
+
 // referenceRun climbs the attempt ladder with the reference experiment,
 // with the same watchdog/retry protection as the experiments when the
 // policy is on, and returns the recorded forward set (nil when the target
@@ -433,6 +456,13 @@ func (rs *run) referenceRun() (*ForwardSet, error) {
 		return nil, rs.expErr(ref, err)
 	}
 	rs.sum.CyclesEmulated += ref.Result.Outcome.Cycles
+	if r.sink != nil && rs.sum.Deterministic {
+		sv, err := ref.Result.StateVector()
+		if err != nil {
+			return nil, rs.expErr(ref, err)
+		}
+		rs.ref = campaign.NewReference(sv)
+	}
 	fwTarget, ok := b.target.(Forwarder)
 	if !ok {
 		return nil, nil
@@ -626,7 +656,7 @@ func (rs *run) climb(b *board, qe *queuedExperiment) (*Experiment, ladderVerdict
 			err = flushDetail()
 		}
 		if err == nil {
-			err = r.logResult(ex, "")
+			err = r.logResult(ex, "", rs.ref)
 		}
 		if err == nil {
 			b.fails = 0
@@ -852,7 +882,7 @@ func (rs *run) worker() {
 		if ex, class := rs.prune.try(&qe.plannedExperiment); ex != nil {
 			// A provable no-op: its row is known from the reference run,
 			// so it takes the logging path without a board.
-			if err := r.logResult(ex, ""); err != nil {
+			if err := r.logResult(ex, "", rs.ref); err != nil {
 				rs.haltWith(rs.expErr(ex, err))
 				return
 			}

@@ -21,8 +21,8 @@ import (
 func FuzzShardJSONBodies(f *testing.F) {
 	for _, seed := range []string{
 		``, `{}`, `null`, `[]`, `{"worker":`, `{"worker":7}`,
-		`{"worker":"fz","host":"h","protocol":3}`,
-		`{"worker":"fz","protocol":2}`,
+		`{"worker":"fz","host":"h","protocol":4}`,
+		`{"worker":"fz","protocol":3}`,
 		`{"worker":"fz"}`,
 		`{"worker":"fz","leaseId":"l0001"}`,
 		`{"worker":"fz","leaseId":"nope"}`,

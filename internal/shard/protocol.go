@@ -18,10 +18,12 @@ import (
 // replaced the JSON report body of records with a binary frame of stored
 // rows; version 3 folded the lease's imageBytes into its targetParams, so
 // a worker that no longer reads the one cannot be handed a lease by a
-// coordinator that still sets it. Hello carries the number so a mixed
-// fleet fails on its first call with a sentence, not on its first report
-// with a decode error or on a target built from the wrong image.
-const ProtocolVersion = 3
+// coordinator that still sets it; version 4 let a row's stateVector be
+// relative to the reference run, which a version-3 coordinator would store
+// and then fail to analyze. Hello carries the number so a mixed fleet fails
+// on its first call with a sentence, not on its first report with a decode
+// error, on a target built from the wrong image or at analysis.
+const ProtocolVersion = 4
 
 // ErrProtocol rejects a peer that speaks another protocol version. It is
 // terminal: the same binary will say the same thing again.

@@ -7,9 +7,12 @@ package shard
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"goofi/internal/campaign"
 )
 
 func TestHelloRefusesOtherProtocolVersion(t *testing.T) {
@@ -25,6 +28,12 @@ func TestHelloRefusesOtherProtocolVersion(t *testing.T) {
 	}
 	if Retryable(err) {
 		t.Fatal("a protocol mismatch must not be retried")
+	}
+	// So is the build before rows could be relative to the reference run:
+	// its coordinator would store such rows and fail to analyze them.
+	_, err = coord.Hello(HelloRequest{Worker: "absolute-only", Protocol: 3})
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("hello at version 3 = %v, want ErrProtocol naming the versions", err)
 	}
 	// Should it lease regardless, it is sent home, not handed a range.
 	if resp := coord.Lease(context.Background(), LeaseRequest{Worker: "old"}); resp.Status != LeaseDone {
@@ -63,5 +72,30 @@ func TestWorkerRefusesOtherProtocolVersion(t *testing.T) {
 	err = w.Run(ctx)
 	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "version 0") {
 		t.Fatalf("worker against an old coordinator = %v, want ErrProtocol naming the versions", err)
+	}
+}
+
+// TestRowSinkReadsOnlyTheReference: a worker keeps no records, with one
+// exception — the reference run of its first range, which the runner of a
+// later range reads back to encode that range's rows relative to it.
+func TestRowSinkReadsOnlyTheReference(t *testing.T) {
+	state := campaign.StateVector{Scan: []byte{1, 2, 3}, Memory: map[string][]byte{"m": {4}}}
+	refName := campaign.ReferenceName("c")
+	step := campaign.EncodeRow(&campaign.ExperimentRecord{Name: refName + "/step000000", Parent: refName,
+		Campaign: "c", Step: 0, State: state})
+	end := campaign.EncodeRow(&campaign.ExperimentRecord{Name: refName, Campaign: "c", Step: -1,
+		Data: campaign.ExperimentData{Seq: -1}, State: state})
+	sink := rowSink{rep: newReporter(), reference: []campaign.Row{step, end}}
+	rec, err := sink.GetExperiment(refName)
+	if err != nil || !rec.IsReference() || !reflect.DeepEqual(rec.State, state) {
+		t.Fatalf("the kept reference run read back as %+v, %v", rec, err)
+	}
+	for _, name := range []string{campaign.ExperimentName("c", 0), step.Name(), campaign.ReferenceName("d")} {
+		if _, err := sink.GetExperiment(name); err == nil {
+			t.Errorf("the sink of a worker that keeps no records read %s", name)
+		}
+	}
+	if _, err := (rowSink{rep: newReporter()}).GetExperiment(refName); err == nil {
+		t.Error("a first range's sink, with no reference kept yet, read one")
 	}
 }

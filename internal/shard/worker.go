@@ -101,9 +101,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 
 // rowSink is the sink of one leased range: it encodes each record once and
 // hands the row to the reporter. Nothing is stored here, so there is
-// nothing to flush and nothing to read back.
+// nothing to flush, and nothing to read back but the reference run the
+// worker keeps, which a later range's rows are encoded relative to.
 type rowSink struct {
 	rep *reporter
+	// reference is Worker.reference when the range began.
+	reference []campaign.Row
 	// hook is WorkerConfig.OnRecord.
 	hook func(*campaign.ExperimentRecord)
 }
@@ -117,6 +120,10 @@ func (s rowSink) LogExperiment(rec *campaign.ExperimentRecord) error {
 }
 
 func (s rowSink) GetExperiment(name string) (*campaign.ExperimentRecord, error) {
+	// The kept reference ends in the reference run's end row.
+	if n := len(s.reference); n > 0 && s.reference[n-1].Name() == name {
+		return campaign.DecodeRow(&s.reference[n-1], nil)
+	}
 	return nil, fmt.Errorf("shard: a worker keeps no records to read %s from", name)
 }
 
@@ -374,7 +381,7 @@ func (w *Worker) runRange(ctx context.Context, lease *LeaseResponse) error {
 		rep.add(row)
 	}
 	spec := lease.RunOptions.RunSpec()
-	spec.Sink = rowSink{rep: rep, hook: w.cfg.OnRecord}
+	spec.Sink = rowSink{rep: rep, reference: w.reference, hook: w.cfg.OnRecord}
 	spec.Campaign, spec.Target = camp, lease.Target
 	spec.Boards = w.cfg.Boards
 	spec.Resume = w.reference != nil
