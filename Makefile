@@ -29,6 +29,11 @@ FUZZTIME ?= 15s
 # relative rows' differential: solo, resumed, forwarding-off and sharded
 # campaigns storing the same bytes, under their size budgets, and
 # classifying as the whole states do.
+# The scan line is the scan path's pin, fresh: the streamed capture and
+# update against the layout-walking oracle (field order, widths, read-only
+# cells, zero allocations), the bit stream they ride on and the vector's
+# byte form with its hostile length headers, the TAP's transition table,
+# the controller's in-place reset and the board's reads through them.
 # The server line includes the job state machine's table — cancel, pause,
 # graceful and hard restart, a dying store — over both row sources, solo
 # and sharded in-process.
@@ -50,6 +55,7 @@ tier1:
 	$(GO) test -race ./internal/proctarget/ ./internal/core/ -run 'Proc|Framework|TargetRegistry|TargetDeterministic' -count 1
 	$(GO) test -race . ./internal/thor/ ./internal/core/ ./internal/shard/ -run 'Prune|Pruning|DefUse|RegUses' -count 1
 	$(GO) test -race ./internal/campaign/ ./internal/analysis/ -run 'Decode|EachExperiment|AnalysisDifferential|Relative|RowBytesBudget' -count 1
+	$(GO) test -race ./internal/thor/ ./internal/bitvec/ ./internal/scanchain/ ./internal/scifi/ -run 'Scan|Marshal|Stream|TAP|ControllerReset' -count 1
 	$(GO) test -race ./...
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
@@ -81,12 +87,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the Go microbenchmarks, and the PID campaign three times for
-# stable medians. The campaign benchmark — end-to-end and per-layer
-# metrics through the real binaries, what every performance claim is
-# judged on — is `sh bench/run.sh` (BENCHMARK.json, bench/README.md).
+# bench runs the Go microbenchmarks — the campaign ones at the root, the
+# scan chain's capture and update and the vector's byte form where they
+# live — and the PID campaign three times for stable medians. The campaign
+# benchmark — end-to-end and per-layer metrics through the real binaries,
+# what every performance claim is judged on — is `sh bench/run.sh`
+# (BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test . -run xxx -bench . -benchtime 1x
+	$(GO) test ./internal/thor/ ./internal/bitvec/ -run xxx -bench 'Scan|Marshal' -benchmem
 	$(GO) test . -run xxx -bench BenchmarkCampaignPID -benchtime 1x -count 3
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
@@ -100,7 +109,8 @@ bench:
 # relative stateVector against the absolute one, is seeded with kilobyte
 # rows too and gets the same 2s. FuzzShardJSONBodies
 # is the rest of the shard protocol — hello, lease, heartbeat — posted at a
-# live sharded job through the daemon's handler.
+# live sharded job through the daemon's handler. FuzzScanPack is the scan
+# chain's streamed capture and update against the walk of the layout.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
@@ -109,6 +119,7 @@ fuzz:
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzShardJSONBodies -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzScanPack -fuzztime $(FUZZTIME)
 
 # count prints the two numbers a simplicity PR quotes before and after:
 # non-test Go lines under cmd/ + internal/, and flag definitions there.

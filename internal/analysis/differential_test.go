@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -352,6 +353,12 @@ func TestAnalysisDifferential(t *testing.T) {
 	}
 }
 
+// hostileScan is a damaged absolute scan state: a length header the eight
+// bytes of body after it cannot honour.
+func hostileScan(header uint64) []byte {
+	return binary.LittleEndian.AppendUint64(make([]byte, 0, 16), header)[:16]
+}
+
 // TestAnalysisDifferentialScanErrors: a row whose scan state cannot be
 // compared with the reference's fails the analysis with the text it
 // always had — and only when classification gets as far as the scan.
@@ -368,6 +375,11 @@ func TestAnalysisDifferentialScanErrors(t *testing.T) {
 		{"length-mismatch", short, "analysis: scan length mismatch 64 vs "},
 		{"truncated-header", []byte{1, 2, 3}, "analysis: experiment scan state: bitvec: truncated header: 3 bytes"},
 		{"truncated-body", short[:12], "analysis: experiment scan state: bitvec: truncated body: want 16 bytes, have 12"},
+		// Length headers that are negative as an int: the first used to
+		// panic in make, the second to decode as a vector of -1 bits.
+		{"hostile-length-makeslice", hostileScan(0xFFFFFFFFFFFFFF80), "analysis: experiment scan state: bitvec: truncated body: header says 18446744073709551488 bits"},
+		{"hostile-length-minus-one", hostileScan(0xFFFFFFFFFFFFFFFF), "analysis: experiment scan state: bitvec: truncated body: header says 18446744073709551615 bits"},
+		{"hostile-length-sign-bit", hostileScan(1<<63 + 5), "analysis: experiment scan state: bitvec: truncated body: header says 9223372036854775813 bits"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

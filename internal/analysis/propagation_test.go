@@ -151,6 +151,36 @@ func TestPropagationRequiresDetailTraces(t *testing.T) {
 	}
 }
 
+// TestPropagationHostileScanLength: a trace step whose scan state carries
+// a length header that is negative as an int is a reported error naming
+// the step, on either side of the comparison, never a panic.
+func TestPropagationHostileScanLength(t *testing.T) {
+	for _, header := range []uint64{0xFFFFFFFFFFFFFF80, 0xFFFFFFFFFFFFFFFF, 1<<63 + 5} {
+		st := runDetailCampaign(t, "prophostile", 2, 3)
+		exp := campaign.ExperimentName("prophostile", 0)
+		damage := func(parent string) {
+			trace, err := st.Trace(parent)
+			if err != nil || len(trace) < 3 {
+				t.Fatalf("trace of %s: %d steps, %v", parent, len(trace), err)
+			}
+			replaceRecord(t, st, trace[2].Name, func(rec *campaign.ExperimentRecord) {
+				rec.State.Scan = hostileScan(header)
+			})
+		}
+		damage(exp)
+		if _, err := PropagationCurve(st, exp); err == nil ||
+			!strings.HasPrefix(err.Error(), "analysis: trace step 2: bitvec: truncated body: header says") {
+			t.Errorf("header %#x in the experiment's trace: %v", header, err)
+		}
+		damage(campaign.ReferenceName("prophostile"))
+		other := campaign.ExperimentName("prophostile", 1)
+		if _, err := PropagationCurve(st, other); err == nil ||
+			!strings.HasPrefix(err.Error(), "analysis: reference step 2: bitvec: truncated body: header says") {
+			t.Errorf("header %#x in the reference's trace: %v", header, err)
+		}
+	}
+}
+
 func TestPropagationReferenceIsZeroDiff(t *testing.T) {
 	// Comparing the reference against itself (first steps of two equal
 	// traces) must show zero corrupted bits: an uninjected experiment's

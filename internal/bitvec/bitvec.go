@@ -3,10 +3,25 @@
 // Bit vectors are the common currency of the fault injection stack: scan
 // chains shift them, fault models flip bits in them, and logged system
 // states are stored as them. The zero value is an empty vector of length 0.
+//
+// A vector is reached three ways. By position — Get, Set, Flip, Uint64,
+// SetUint64 — each call range-checked: what fault models and analyses use
+// on a handful of bits. Whole — Xor, MaskedDiff, CopyFrom, Swap,
+// MarshalBinary — a word at a time. And front to back through a Writer or a
+// Reader (stream.go), which is how a device fills a vector from its state
+// elements on capture and empties one into them on update: a field at a
+// time in chain order, each word stored or loaded once.
+//
+// The storage is private, and one invariant about it is kept here and
+// nowhere else: no bit at or past Len is ever set, so Equal, PopCount and
+// the byte form need not mask.
 package bitvec
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -289,50 +304,51 @@ func (v *Vector) Uint64Unchecked(off, n int) uint64 {
 }
 
 // MarshalBinary encodes the vector as an 8-byte little-endian length followed
-// by the packed words.
+// by the packed words, little-endian, one store per word.
 func (v *Vector) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 8+8*len(v.words))
-	putUint64(buf, uint64(v.n))
+	binary.LittleEndian.PutUint64(buf, uint64(v.n))
 	for i, w := range v.words {
-		putUint64(buf[8+8*i:], w)
+		binary.LittleEndian.PutUint64(buf[8+8*i:], w)
 	}
 	return buf, nil
 }
 
-// UnmarshalBinary decodes data produced by MarshalBinary.
+// ErrTruncated is returned (wrapped) by UnmarshalBinary when data is
+// shorter than its own length header says.
+var ErrTruncated = errors.New("bitvec: truncated")
+
+// UnmarshalBinary decodes data produced by MarshalBinary. The length
+// header is input from outside the program (a stored row's blob): it is
+// compared with len(data) in uint64, by division, before it is converted
+// or anything is allocated from it, so no header panics, overflows or
+// yields a negative Len.
 func (v *Vector) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
-		return fmt.Errorf("bitvec: truncated header: %d bytes", len(data))
+		return fmt.Errorf("%w header: %d bytes", ErrTruncated, len(data))
 	}
-	n := int(getUint64(data))
-	words := (n + 63) / 64
-	if len(data) < 8+8*words {
-		return fmt.Errorf("bitvec: truncated body: want %d bytes, have %d", 8+8*words, len(data))
+	hdr := binary.LittleEndian.Uint64(data)
+	if hdr > math.MaxInt {
+		return fmt.Errorf("%w body: header says %d bits, have %d bytes", ErrTruncated, hdr, len(data))
 	}
+	want := hdr / 64 // whole words the body must hold; at most 2^57
+	if hdr%64 != 0 {
+		want++
+	}
+	if want > uint64(len(data)-8)/8 {
+		return fmt.Errorf("%w body: want %d bytes, have %d", ErrTruncated, 8+8*want, len(data))
+	}
+	n, words := int(hdr), int(want)
 	v.n = n
 	v.words = make([]uint64, words)
 	for i := range v.words {
-		v.words[i] = getUint64(data[8+8*i:])
+		v.words[i] = binary.LittleEndian.Uint64(data[8+8*i:])
 	}
 	// Mask stray bits beyond n so Equal works on round-tripped vectors.
-	if rem := n % 64; rem != 0 && words > 0 {
+	if rem := n % 64; rem != 0 {
 		v.words[words-1] &= (1 << uint(rem)) - 1
 	}
 	return nil
-}
-
-func putUint64(b []byte, x uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(x >> uint(8*i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var x uint64
-	for i := 0; i < 8; i++ {
-		x |= uint64(b[i]) << uint(8*i)
-	}
-	return x
 }
 
 func minInt(a, b int) int {

@@ -1,6 +1,8 @@
 package bitvec
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -227,12 +229,51 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestUnmarshalTruncated(t *testing.T) {
 	var v Vector
-	if err := v.UnmarshalBinary(nil); err == nil {
-		t.Error("UnmarshalBinary(nil) did not error")
+	if err := v.UnmarshalBinary(nil); !errors.Is(err, ErrTruncated) {
+		t.Errorf("UnmarshalBinary(nil) = %v, want ErrTruncated", err)
 	}
 	good, _ := FromUint64(0xff, 8).MarshalBinary()
-	if err := v.UnmarshalBinary(good[:9]); err == nil {
-		t.Error("UnmarshalBinary(truncated body) did not error")
+	if err := v.UnmarshalBinary(good[:9]); !errors.Is(err, ErrTruncated) {
+		t.Errorf("UnmarshalBinary(truncated body) = %v, want ErrTruncated", err)
+	}
+	// A length header no body can honour: negative as an int (the first
+	// used to panic in make, the second to yield Len() == -1), one bit
+	// past what the body holds, and the largest int.
+	for _, hdr := range []uint64{
+		0xFFFFFFFFFFFFFF80, 0xFFFFFFFFFFFFFFFF, 1<<63 + 5, 1 << 63, 1<<63 - 1, 1<<63 - 64, 129,
+	} {
+		data := make([]byte, 8+16)
+		binary.LittleEndian.PutUint64(data, hdr)
+		u := *FromUint64(5, 3)
+		if err := u.UnmarshalBinary(data); !errors.Is(err, ErrTruncated) {
+			t.Errorf("header %#x over 16 bytes: error %v, want ErrTruncated", hdr, err)
+		}
+		if u.Len() != 3 || u.Uint64(0, 3) != 5 {
+			t.Errorf("header %#x: a refused decode changed the vector to %v", hdr, &u)
+		}
+	}
+	data := make([]byte, 8+16)
+	binary.LittleEndian.PutUint64(data, 128)
+	if err := v.UnmarshalBinary(data); err != nil || v.Len() != 128 {
+		t.Errorf("128 bits in 16 bytes: Len %d, error %v", v.Len(), err)
+	}
+}
+
+// Property: whatever the eight header bytes, UnmarshalBinary returns an
+// error or a vector whose length is the header's and fits the body.
+func TestPropertyUnmarshalAnyHeader(t *testing.T) {
+	f := func(hdr uint64, shift uint8, body uint8) bool {
+		hdr >>= shift % 64
+		data := make([]byte, 8+int(body))
+		binary.LittleEndian.PutUint64(data, hdr)
+		var v Vector
+		if err := v.UnmarshalBinary(data); err != nil {
+			return errors.Is(err, ErrTruncated) && v.Len() == 0
+		}
+		return v.Len() >= 0 && uint64(v.Len()) == hdr && (v.Len()+63)/64*8 <= int(body)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -371,6 +412,32 @@ func BenchmarkXor4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := v1.Xor(v2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMarshalBinary(b *testing.B) {
+	v := New(5412) // the THOR-S internal chain
+	for i := 0; i < v.Len(); i += 3 {
+		v.Set(i, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.MarshalBinary(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkUnmarshalBinary(b *testing.B) {
+	data, _ := New(5412).MarshalBinary()
+	var v Vector
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.UnmarshalBinary(data); err != nil {
 			b.Fatal(err)
 		}
 	}

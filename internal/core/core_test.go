@@ -163,6 +163,29 @@ func TestSCIFIAlgorithmStepSequence(t *testing.T) {
 	}
 }
 
+// TestStepTraceSizedOnce: the trace is allocated for the longest built-in
+// algorithm and no algorithm outgrows it.
+func TestStepTraceSizedOnce(t *testing.T) {
+	longest := 0
+	for name, alg := range Algorithms() {
+		ex := &Experiment{
+			Campaign: fakeCampaign(1), Seq: 0, Name: "fc/exp00000",
+			Fault:      &faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{5}},
+			ScanVector: bitvec.New(64),
+		}
+		if err := alg.Run(newFakeTarget(), ex); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cap(ex.StepTrace) != maxAlgorithmSteps {
+			t.Errorf("%s: trace of %d steps has capacity %d, want %d", name, len(ex.StepTrace), cap(ex.StepTrace), maxAlgorithmSteps)
+		}
+		longest = max(longest, len(ex.StepTrace))
+	}
+	if longest != maxAlgorithmSteps {
+		t.Errorf("longest algorithm takes %d steps, maxAlgorithmSteps is %d", longest, maxAlgorithmSteps)
+	}
+}
+
 func TestSCIFIReferenceRunSkipsInjection(t *testing.T) {
 	ts := newFakeTarget()
 	ex := &Experiment{Campaign: fakeCampaign(1), Seq: -1, Name: "fc/reference"}

@@ -83,8 +83,16 @@ func (ex *Experiment) Scratch(key string) (interface{}, bool) {
 	return v, ok
 }
 
+// maxAlgorithmSteps is the length of the longest built-in algorithm,
+// SCIFI's eleven abstract methods: the step trace is sized for it once
+// instead of growing there through five reallocations per experiment.
+const maxAlgorithmSteps = 11
+
 // step records one abstract-method invocation.
 func (ex *Experiment) step(name string) {
+	if ex.StepTrace == nil {
+		ex.StepTrace = make([]string, 0, maxAlgorithmSteps)
+	}
 	ex.StepTrace = append(ex.StepTrace, name)
 }
 

@@ -61,56 +61,40 @@ func (s TAPState) String() string {
 	return fmt.Sprintf("TAPState(%d)", int(s))
 }
 
-type transitionKey struct {
-	s   TAPState
-	tms bool
-}
-
-// tapTransitions is the IEEE 1149.1 state diagram.
-var tapTransitions = buildTransitions()
-
-func buildTransitions() map[transitionKey]TAPState {
-	type key = transitionKey
-	return map[key]TAPState{
-		{TestLogicReset, true}:  TestLogicReset,
-		{TestLogicReset, false}: RunTestIdle,
-		{RunTestIdle, true}:     SelectDRScan,
-		{RunTestIdle, false}:    RunTestIdle,
-		{SelectDRScan, true}:    SelectIRScan,
-		{SelectDRScan, false}:   CaptureDR,
-		{CaptureDR, true}:       Exit1DR,
-		{CaptureDR, false}:      ShiftDR,
-		{ShiftDR, true}:         Exit1DR,
-		{ShiftDR, false}:        ShiftDR,
-		{Exit1DR, true}:         UpdateDR,
-		{Exit1DR, false}:        PauseDR,
-		{PauseDR, true}:         Exit2DR,
-		{PauseDR, false}:        PauseDR,
-		{Exit2DR, true}:         UpdateDR,
-		{Exit2DR, false}:        ShiftDR,
-		{UpdateDR, true}:        SelectDRScan,
-		{UpdateDR, false}:       RunTestIdle,
-		{SelectIRScan, true}:    TestLogicReset,
-		{SelectIRScan, false}:   CaptureIR,
-		{CaptureIR, true}:       Exit1IR,
-		{CaptureIR, false}:      ShiftIR,
-		{ShiftIR, true}:         Exit1IR,
-		{ShiftIR, false}:        ShiftIR,
-		{Exit1IR, true}:         UpdateIR,
-		{Exit1IR, false}:        PauseIR,
-		{PauseIR, true}:         Exit2IR,
-		{PauseIR, false}:        PauseIR,
-		{Exit2IR, true}:         UpdateIR,
-		{Exit2IR, false}:        ShiftIR,
-		{UpdateIR, true}:        SelectDRScan,
-		{UpdateIR, false}:       RunTestIdle,
-	}
+// tapTransitions is the IEEE 1149.1 state diagram: the state after one TCK
+// rising edge, indexed by the state before it and by TMS (0 low, 1 high).
+// A controller takes about sixty edges per emulated experiment, so the
+// diagram is an array, not a map.
+var tapTransitions = [16][2]TAPState{
+	TestLogicReset: {RunTestIdle, TestLogicReset},
+	RunTestIdle:    {RunTestIdle, SelectDRScan},
+	SelectDRScan:   {CaptureDR, SelectIRScan},
+	CaptureDR:      {ShiftDR, Exit1DR},
+	ShiftDR:        {ShiftDR, Exit1DR},
+	Exit1DR:        {PauseDR, UpdateDR},
+	PauseDR:        {PauseDR, Exit2DR},
+	Exit2DR:        {ShiftDR, UpdateDR},
+	UpdateDR:       {RunTestIdle, SelectDRScan},
+	SelectIRScan:   {CaptureIR, TestLogicReset},
+	CaptureIR:      {ShiftIR, Exit1IR},
+	ShiftIR:        {ShiftIR, Exit1IR},
+	Exit1IR:        {PauseIR, UpdateIR},
+	PauseIR:        {PauseIR, Exit2IR},
+	Exit2IR:        {ShiftIR, UpdateIR},
+	UpdateIR:       {RunTestIdle, SelectDRScan},
 }
 
 // next computes the TAP state transition for one TCK rising edge with the
-// given TMS value.
+// given TMS value. A value that is none of the sixteen states goes to
+// Test-Logic-Reset.
 func (s TAPState) next(tms bool) TAPState {
-	return tapTransitions[transitionKey{s, tms}]
+	if uint(s) >= uint(len(tapTransitions)) {
+		return TestLogicReset
+	}
+	if tms {
+		return tapTransitions[s][1]
+	}
+	return tapTransitions[s][0]
 }
 
 // Instruction is a TAP instruction register code.

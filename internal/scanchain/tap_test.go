@@ -105,6 +105,17 @@ func TestTAPFiveOnesResetsFromAnywhere(t *testing.T) {
 	if tap.State() != TestLogicReset {
 		t.Errorf("state after 5×TMS=1 = %v, want Test-Logic-Reset", tap.State())
 	}
+	// The property that defines the diagram, over the whole table: five
+	// TMS-high edges from any state, and one from no state at all.
+	for s := TestLogicReset; s <= UpdateIR+1; s++ {
+		at := s
+		for i := 0; i < 5; i++ {
+			at = at.next(true)
+		}
+		if at != TestLogicReset {
+			t.Errorf("%v: state after 5×TMS=1 = %v, want Test-Logic-Reset", s, at)
+		}
+	}
 }
 
 func TestReadIDCode(t *testing.T) {

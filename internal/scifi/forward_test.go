@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"goofi/internal/asm"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/faultmodel"
@@ -179,17 +180,21 @@ func TestForwardFallsBackCold(t *testing.T) {
 	tgt.SetForwardSet(nil)
 }
 
-// TestReusedTargetMatchesFresh runs three consecutive experiments —
-// including one that installs recovery trap handlers — on a single
-// reused Target and on fresh Targets, and requires identical records:
-// InitTestCard must leave no residue (trap handlers, breakpoints, TAP
-// state, forwarding scratch) from one experiment to the next.
+// TestReusedTargetMatchesFresh runs consecutive experiments — including
+// one that installs recovery trap handlers — on a single reused Target
+// and on fresh Targets, and requires identical records: InitTestCard must
+// leave no residue (trap handlers, breakpoints, TAP state, forwarding
+// scratch) from one experiment to the next. The campaigns alternate, so
+// the program the board remembers from its last LoadWorkload is by turns
+// the right one and another campaign's.
 func TestReusedTargetMatchesFresh(t *testing.T) {
 	assertCamp := pidCampaign("reuse-assert", 3, 41)
 	assertCamp.Workload = workload.PIDAssert()
 	assertCamp.RandomWindow = [2]uint64{}
 	sortCamp := sortCampaign("reuse-sort", 3, 41)
 	sortCamp.RandomWindow = [2]uint64{}
+	pidCamp := pidCampaign("reuse-pid", 3, 41)
+	pidCamp.RandomWindow = [2]uint64{}
 
 	type exp struct {
 		camp  *campaign.Campaign
@@ -205,12 +210,23 @@ func TestReusedTargetMatchesFresh(t *testing.T) {
 			trigger.Spec{Kind: "cycle", Cycle: 400}},
 		{sortCamp, faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{260}},
 			trigger.Spec{Kind: "cycle", Cycle: 1100}},
+		// Back to the first workload, then to a third that differs from
+		// it by a few instructions, and to sort once more.
+		{assertCamp, faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{70}},
+			trigger.Spec{Kind: "cycle", Cycle: 1300}},
+		{pidCamp, faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{70}},
+			trigger.Spec{Kind: "cycle", Cycle: 1300}},
+		{sortCamp, faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{260}},
+			trigger.Spec{Kind: "cycle", Cycle: 1100}},
 	}
 
 	reused := New(thorCfg())
 	for i, e := range exps {
 		f := e.fault
 		onReused := runDirect(t, reused, e.camp, i, &f, e.trig)
+		if want, err := asm.AssembleCached(e.camp.Workload.Source); err != nil || reused.prog != want {
+			t.Fatalf("experiment %d: board ran program %p, the workload assembles to %p (%v)", i, reused.prog, want, err)
+		}
 		f2 := e.fault
 		onFresh := runDirect(t, New(thorCfg()), e.camp, i, &f2, e.trig)
 		r, fr := recordJSON(t, onReused), recordJSON(t, onFresh)

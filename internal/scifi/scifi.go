@@ -80,6 +80,12 @@ type Target struct {
 	// paths (persistent-fault reassertion, detail-mode state capture).
 	scanScratch *bitvec.Vector
 
+	// assembled is the immutable program of the last workload source this
+	// board loaded; it outlives InitTestCard, so a campaign's experiments
+	// compare one string header instead of hashing the source each.
+	assembledSource string
+	assembled       *asm.Program
+
 	// fastPath selects thor's batched execution mode for trigger waits
 	// and termination runs (byte-identical to cycle-accurate execution;
 	// see internal/thor/cpu_fastpath.go). On by default; NoFastPath
@@ -188,15 +194,20 @@ func (t *Target) InitTestCard(ex *core.Experiment) error {
 	return nil
 }
 
-// LoadWorkload assembles the campaign's workload source. Assembly output
-// is cached by source hash: every experiment of a campaign shares one
-// immutable Program, and only the memory image download is per-run.
+// LoadWorkload assembles the campaign's workload source. Every experiment
+// of a campaign shares one immutable Program, and only the memory image
+// download is per-run: the board remembers the source it assembled last,
+// and goes to the process-wide cache (a SHA-256 of the source under a
+// mutex) only when handed another.
 func (t *Target) LoadWorkload(ex *core.Experiment) error {
-	prog, err := asm.AssembleCached(ex.Campaign.Workload.Source)
-	if err != nil {
-		return fmt.Errorf("scifi: assemble workload %q: %w", ex.Campaign.Workload.Name, err)
+	if src := ex.Campaign.Workload.Source; t.assembled == nil || src != t.assembledSource {
+		prog, err := asm.AssembleCached(src)
+		if err != nil {
+			return fmt.Errorf("scifi: assemble workload %q: %w", ex.Campaign.Workload.Name, err)
+		}
+		t.assembledSource, t.assembled = src, prog
 	}
-	t.prog = prog
+	t.prog = t.assembled
 	return nil
 }
 
@@ -318,14 +329,14 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 	return t.Framework.InjectFault(ex)
 }
 
-// ReadScanChain captures the internal scan chain into the experiment.
+// ReadScanChain captures the internal scan chain into the experiment. The
+// experiment owns one vector of the chain's length: the read at the
+// injection point allocates it, the final read overwrites it.
 func (t *Target) ReadScanChain(ex *core.Experiment) error {
-	v, err := t.ctrl.ReadInternal()
-	if err != nil {
-		return err
+	if ex.ScanVector == nil || ex.ScanVector.Len() != thor.ScanLen() {
+		ex.ScanVector = bitvec.New(thor.ScanLen())
 	}
-	ex.ScanVector = v
-	return nil
+	return t.ctrl.ReadInternalInto(ex.ScanVector)
 }
 
 // WriteScanChain writes the experiment's scan vector back to the device.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"goofi/internal/bitvec"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/faultmodel"
@@ -96,6 +97,46 @@ func TestIDCodeThroughTAP(t *testing.T) {
 	}
 	if id != IDCode {
 		t.Errorf("IDCODE = %#x, want %#x", id, IDCode)
+	}
+}
+
+// TestScanReadInternalIntoDoesNotAllocate: a non-destructive read of the
+// real chain — an IR load, two captures, two updates — allocates nothing
+// once the controller and the TAP have their shift vectors, and leaves the
+// device as it found it.
+func TestScanReadInternalIntoDoesNotAllocate(t *testing.T) {
+	tgt := New(thor.DefaultConfig())
+	tgt.CPU().Regs[3] = 0xdead_beef
+	v := bitvec.New(thor.ScanLen())
+	read := func() {
+		if err := tgt.Controller().ReadInternalInto(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	if n := testing.AllocsPerRun(50, read); n != 0 {
+		t.Errorf("ReadInternalInto allocates %v times a read", n)
+	}
+	if !v.Equal(tgt.CPU().ScanRead()) || tgt.CPU().Regs[3] != 0xdead_beef {
+		t.Error("the double scan did not leave the device as it read it")
+	}
+}
+
+// TestReadScanChainOwnsOneVector: the final read of an experiment
+// overwrites the vector the read at the injection point allocated.
+func TestReadScanChainOwnsOneVector(t *testing.T) {
+	tgt := New(thor.DefaultConfig())
+	ex := &core.Experiment{Campaign: sortCampaign("own-vector", 1, 1), Seq: 0, Name: "own-vector/exp00000"}
+	if err := tgt.ReadScanChain(ex); err != nil {
+		t.Fatal(err)
+	}
+	owned := ex.ScanVector
+	tgt.CPU().Regs[3] = 7
+	if err := tgt.ReadScanChain(ex); err != nil {
+		t.Fatal(err)
+	}
+	if ex.ScanVector != owned || !owned.Equal(tgt.CPU().ScanRead()) {
+		t.Error("the second ReadScanChain did not read into the experiment's own vector")
 	}
 }
 

@@ -91,82 +91,81 @@ func (c *CPU) ScanRead() *bitvec.Vector {
 }
 
 // ScanReadInto captures the internal state into v, which must have length
-// ScanLen. It is the allocation-free variant of ScanRead for hot loops
-// (persistent-fault reassertion, detail-mode tracing) that capture the
-// chain once per slice or instruction.
+// ScanLen. It is the allocation-free variant of ScanRead and the one
+// implementation of capture: every Capture-DR of the internal chain ends
+// here (five per emulated experiment, one per slice of a persistent fault,
+// one per instruction in detail mode).
+//
+// The state is streamed in chain order through a bitvec.Writer, so each of
+// the vector's 85 words is stored once. Neighbouring scanLayout fields that
+// fit 64 bits together go in one Put — two registers, pc with ccr, a cache
+// line's valid bit with its tag, two data words, the four parity bits —
+// which makes 139 Puts of the 340 fields. This sequence and buildScanLayout
+// describe one chain twice: Flush checks on every capture that the widths
+// add up to the chain's length, and the tests hold the order, field by
+// field, against a walk of scanLayout (TestScanPackFollowsLayout,
+// TestScanPackMatchesLayoutWalk, FuzzScanPack).
 func (c *CPU) ScanReadInto(v *bitvec.Vector) error {
 	if v.Len() != ScanLen() {
 		return fmt.Errorf("thor: scan vector length %d != chain length %d", v.Len(), ScanLen())
 	}
-	i := 0
-	put := func(width int, val uint64) {
-		f := scanLayout[i]
-		if f.Width != width {
-			panic(fmt.Sprintf("thor: scan layout drift at %s: width %d != %d", f.Name, f.Width, width))
-		}
-		v.SetUint64(f.Offset, f.Width, val)
-		i++
+	w := v.Writer()
+	for r := 0; r < NumRegs; r += 2 { // cpu.r<r>, cpu.r<r+1>
+		w = w.Put(64, uint64(c.Regs[r])|uint64(c.Regs[r+1])<<32)
 	}
-	for r := 0; r < NumRegs; r++ {
-		put(32, uint64(c.Regs[r]))
-	}
-	put(32, uint64(c.PC))
-	put(flagsWidth, uint64(flagsToBits(c.Flags)))
-	for _, ca := range []*cache{&c.icache, &c.dcache} {
+	// cpu.pc, cpu.ccr
+	w = w.Put(32+flagsWidth, uint64(c.PC)|uint64(flagsToBits(c.Flags))<<32)
+	for _, ca := range [...]*cache{&c.icache, &c.dcache} {
 		for l := range ca.lines {
 			ln := &ca.lines[l]
-			put(1, boolBit(ln.valid))
-			put(tagWidth, uint64(ln.tag&(1<<tagWidth-1)))
-			for w := 0; w < CacheWordsPerLine; w++ {
-				put(32, uint64(ln.data[w]))
-			}
-			for w := 0; w < CacheWordsPerLine; w++ {
-				put(1, boolBit(ln.parity[w]))
-			}
+			// .valid, .tag: the cells hold the tag's low 16 bits
+			w = w.Put(1+tagWidth, boolBit(ln.valid)|uint64(ln.tag&(1<<tagWidth-1))<<1)
+			// .word0 to .word3
+			w = w.Put(64, uint64(ln.data[0])|uint64(ln.data[1])<<32)
+			w = w.Put(64, uint64(ln.data[2])|uint64(ln.data[3])<<32)
+			// .parity0 to .parity3
+			w = w.Put(CacheWordsPerLine, boolBit(ln.parity[0])|boolBit(ln.parity[1])<<1|
+				boolBit(ln.parity[2])<<2|boolBit(ln.parity[3])<<3)
 		}
 	}
-	put(counterWidth, c.cycle&(1<<counterWidth-1))
-	put(counterWidth, c.instret&(1<<counterWidth-1))
-	return nil
+	w = w.Put(counterWidth, c.cycle) // the cells hold the low 48 bits
+	w = w.Put(counterWidth, c.instret)
+	return w.Flush()
 }
 
 // ScanWrite applies a bit vector (usually a modified copy of ScanRead's
 // result) back to the internal state. Read-only fields (the cycle and
 // instruction counters) are ignored, modelling the read-only scan cells of
-// the paper's target. This is the writeScanChain building block.
+// the paper's target. This is the writeScanChain building block, and the
+// one implementation of update: it takes the fields off a bitvec.Reader in
+// the groups ScanReadInto puts them in, each word loaded once, and stops
+// where the read-only counters — the tail of the chain — begin.
 func (c *CPU) ScanWrite(v *bitvec.Vector) error {
 	if v.Len() != ScanLen() {
 		return fmt.Errorf("thor: scan vector length %d != chain length %d", v.Len(), ScanLen())
 	}
-	i := 0
-	get := func() uint64 {
-		f := scanLayout[i]
-		i++
-		if f.ReadOnly {
-			return 0
-		}
-		return v.Uint64(f.Offset, f.Width)
+	r := v.Reader()
+	var x uint64
+	for i := 0; i < NumRegs; i += 2 {
+		r, x = r.Get(64)
+		c.Regs[i], c.Regs[i+1] = uint32(x), uint32(x>>32)
 	}
-	for r := 0; r < NumRegs; r++ {
-		c.Regs[r] = uint32(get())
-	}
-	c.PC = uint32(get())
-	c.Flags = flagsFromBits(uint8(get()))
-	for _, ca := range []*cache{&c.icache, &c.dcache} {
+	r, x = r.Get(32 + flagsWidth)
+	c.PC, c.Flags = uint32(x), flagsFromBits(uint8(x>>32))
+	for _, ca := range [...]*cache{&c.icache, &c.dcache} {
 		for l := range ca.lines {
 			ln := &ca.lines[l]
-			ln.valid = get() != 0
-			ln.tag = uint32(get())
-			for w := 0; w < CacheWordsPerLine; w++ {
-				ln.data[w] = uint32(get())
-			}
-			for w := 0; w < CacheWordsPerLine; w++ {
-				ln.parity[w] = get() != 0
-			}
+			r, x = r.Get(1 + tagWidth)
+			ln.valid, ln.tag = x&1 != 0, uint32(x>>1)
+			r, x = r.Get(64)
+			ln.data[0], ln.data[1] = uint32(x), uint32(x>>32)
+			r, x = r.Get(64)
+			ln.data[2], ln.data[3] = uint32(x), uint32(x>>32)
+			r, x = r.Get(CacheWordsPerLine)
+			ln.parity = [CacheWordsPerLine]bool{x&1 != 0, x&2 != 0, x&4 != 0, x&8 != 0}
 		}
 	}
-	get() // cpu.cycle: read-only
-	get() // cpu.instret: read-only
+	// cpu.cycle, cpu.instret: read-only cells, not taken off the reader.
 	c.decGen++
 	return nil
 }
