@@ -34,6 +34,13 @@ FUZZTIME ?= 15s
 # cells, zero allocations), the bit stream they ride on and the vector's
 # byte form with its hostile length headers, the TAP's transition table,
 # the controller's in-place reset and the board's reads through them.
+# The closed-loop line is the control loop's pin, fresh: the list-based port
+# set against the map-based oracle (values, contents, drained windows,
+# clones), the burst's precondition from both sides with the watchdog and
+# the budget on every cycle, a closed-loop experiment's allocations at 100
+# and at 1,000 iterations, the simulators' buffer contract at the port, the
+# replay log kept only for a simulator that needs it, and the horizon
+# guard's refresh rate.
 # The server line includes the job state machine's table — cancel, pause,
 # graceful and hard restart, a dying store — over both row sources, solo
 # and sharded in-process.
@@ -56,6 +63,7 @@ tier1:
 	$(GO) test -race . ./internal/thor/ ./internal/core/ ./internal/shard/ -run 'Prune|Pruning|DefUse|RegUses' -count 1
 	$(GO) test -race ./internal/campaign/ ./internal/analysis/ -run 'Decode|EachExperiment|AnalysisDifferential|Relative|RowBytesBudget' -count 1
 	$(GO) test -race ./internal/thor/ ./internal/bitvec/ ./internal/scanchain/ ./internal/scifi/ -run 'Scan|Marshal|Stream|TAP|ControllerReset' -count 1
+	$(GO) test -race ./internal/thor/ ./internal/scifi/ ./internal/envsim/ . -run 'Port|Burst|ClosedLoop|Exchange|HorizonGuard' -count 1
 	$(GO) test -race ./...
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
@@ -89,14 +97,17 @@ race:
 
 # bench runs the Go microbenchmarks — the campaign ones at the root, the
 # scan chain's capture and update and the vector's byte form where they
-# live — and the PID campaign three times for stable medians. The campaign
-# benchmark — end-to-end and per-layer metrics through the real binaries,
-# what every performance claim is judged on — is `sh bench/run.sh`
-# (BENCHMARK.json, bench/README.md).
+# live — the PID campaign three times for stable medians, and one cold
+# closed-loop experiment on one CPU (ns/cycle beside the bare kernel's is
+# what the I/O ports and the exchange cost; allocs/op is the exchange's).
+# The campaign benchmark — end-to-end and per-layer metrics through the
+# real binaries, what every performance claim is judged on — is
+# `sh bench/run.sh` (BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test . -run xxx -bench . -benchtime 1x
 	$(GO) test ./internal/thor/ ./internal/bitvec/ -run xxx -bench 'Scan|Marshal' -benchmem
 	$(GO) test . -run xxx -bench BenchmarkCampaignPID -benchtime 1x -count 3
+	$(GO) test . -run xxx -bench BenchmarkPIDClosedLoop -cpu 1 -count 3 -benchmem
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
 # FUZZTIME=1m etc.). New corpus entries land in the build cache;
@@ -110,7 +121,10 @@ bench:
 # rows too and gets the same 2s. FuzzShardJSONBodies
 # is the rest of the shard protocol — hello, lease, heartbeat — posted at a
 # live sharded job through the daemon's handler. FuzzScanPack is the scan
-# chain's streamed capture and update against the walk of the layout.
+# chain's streamed capture and update against the walk of the layout,
+# FuzzPortSet the port set against its map-based oracle over any op
+# stream, FuzzFastPathVsStep the thor decoder against the fast path's
+# predecode mirror: any image through Run, RunFast and StepBurst.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
@@ -120,6 +134,8 @@ fuzz:
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzShardJSONBodies -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzScanPack -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzPortSet -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzFastPathVsStep -fuzztime $(FUZZTIME)
 
 # count prints the two numbers a simplicity PR quotes before and after:
 # non-test Go lines under cmd/ + internal/, and flag definitions there.

@@ -521,6 +521,65 @@ func BenchmarkScanChainExchange(b *testing.B) {
 	}
 }
 
+// closedLoopExperiment runs one cold closed-loop SCIFI experiment of
+// pid-long's definition (bench/workloads.go): 1,000 iterations of
+// pid-control against first-order-plant, a transient flip in bit i of a
+// register the controller never uses, no checkpoint to restore — every
+// cycle emulated and every iteration exchanged. It returns the cycles run.
+func closedLoopExperiment(tb testing.TB, tgt *scifi.Target, camp *campaign.Campaign, i int) uint64 {
+	tb.Helper()
+	f, err := thor.ScanFieldByName("cpu.r9")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ex := &core.Experiment{
+		Campaign: camp, Seq: 0, Name: "bench-closed-loop/exp",
+		Fault:   &faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{f.Offset + i%32}},
+		Trigger: trigger.Spec{Kind: "cycle", Cycle: 1000},
+	}
+	if err := core.SCIFI.Run(tgt, ex); err != nil {
+		tb.Fatal(err)
+	}
+	if out := ex.Result.Outcome; out.Status != campaign.OutcomeCompleted || out.Iterations != 1000 {
+		tb.Fatalf("outcome %+v, want 1,000 completed iterations", out)
+	}
+	return ex.Result.Outcome.Cycles
+}
+
+func closedLoopCampaign() *campaign.Campaign {
+	camp := pidCampaign("bench-closed-loop", 1, 1)
+	camp.Termination = campaign.Termination{TimeoutCycles: 4_000_000, MaxIterations: 1000}
+	return camp
+}
+
+// BenchmarkPIDClosedLoop measures that experiment. ns/cycle against
+// thor.kernel_mcycles_per_s (the same image with empty ports and no
+// exchange) is what the harness's model of the I/O bus costs; allocs/op is
+// the exchange's.
+func BenchmarkPIDClosedLoop(b *testing.B) {
+	camp, tgt := closedLoopCampaign(), scifi.New(thor.DefaultConfig())
+	var cycles uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycles = closedLoopExperiment(b, tgt, camp, i)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
+	b.ReportMetric(float64(cycles), "cycles/op")
+}
+
+// TestClosedLoopBenchmarkShape pins what BenchmarkPIDClosedLoop divides
+// by: the experiment is the 55,063 cycles every number quoted for it
+// (DESIGN.md §11, CHANGES.md) was measured over, on a reused board too.
+func TestClosedLoopBenchmarkShape(t *testing.T) {
+	camp, tgt := closedLoopCampaign(), scifi.New(thor.DefaultConfig())
+	for i := 0; i < 2; i++ {
+		if cycles := closedLoopExperiment(t, tgt, camp, i); cycles != 55_063 {
+			t.Errorf("run %d: %d cycles, want 55,063", i, cycles)
+		}
+	}
+}
+
 // BenchmarkCPUExecution measures raw THOR-S simulation speed.
 func BenchmarkCPUExecution(b *testing.B) {
 	img := mustAssemble(b, workload.Sort().Source)

@@ -15,6 +15,14 @@ import (
 // workload iteration with the values the workload emitted; it returns the
 // input values for the next iteration. The first call (before the first
 // iteration) receives nil.
+//
+// The slice Exchange returns is valid until the next Exchange on the same
+// instance and no longer: a simulator may hand out one buffer it owns and
+// overwrite it every step, as the built-in ones do, so that a control
+// loop's exchange allocates nothing. A caller that keeps the values copies
+// them at once — queueing them on an input port (thor.PortSet.PushInput)
+// is such a copy. outputs belongs to the caller; a simulator that keeps
+// them copies them too.
 type Simulator interface {
 	Name() string
 	// Reset prepares the simulator with campaign parameters.
@@ -76,6 +84,7 @@ type Scripted struct {
 	inputs  []uint32
 	pos     int
 	Outputs []uint32
+	buf     [1]uint32 // what Exchange returns
 }
 
 // Name implements Simulator.
@@ -97,12 +106,12 @@ func (s *Scripted) Reset(params map[string]float64) {
 // Exchange implements Simulator.
 func (s *Scripted) Exchange(outputs []uint32) []uint32 {
 	s.Outputs = append(s.Outputs, outputs...)
-	if s.pos >= len(s.inputs) {
-		return []uint32{0}
+	s.buf[0] = 0
+	if s.pos < len(s.inputs) {
+		s.buf[0] = s.inputs[s.pos]
+		s.pos++
 	}
-	v := s.inputs[s.pos]
-	s.pos++
-	return []uint32{v}
+	return s.buf[:]
 }
 
 // FirstOrderPlant is a discrete first-order system
@@ -116,6 +125,7 @@ type FirstOrderPlant struct {
 	x, tau, dt, gain float64
 	setpoint         float64
 	History          []float64
+	buf              [2]uint32 // what Exchange returns
 }
 
 // Name implements Simulator.
@@ -145,8 +155,8 @@ func (p *FirstOrderPlant) Exchange(outputs []uint32) []uint32 {
 		p.x += p.dt / p.tau * (p.gain*u - p.x)
 	}
 	p.History = append(p.History, p.x)
-	sensor := uint32(int32(p.x * 256))
-	return []uint32{sensor, uint32(p.Setpoint())}
+	p.buf = [2]uint32{uint32(int32(p.x * 256)), uint32(p.Setpoint())}
+	return p.buf[:]
 }
 
 // Engine approximates a jet-engine speed loop: a second-order plant with
@@ -159,6 +169,7 @@ type Engine struct {
 	inertia, drag float64
 	setpoint      float64
 	History       []float64
+	buf           [2]uint32 // what Exchange returns
 }
 
 // Name implements Simulator.
@@ -191,8 +202,8 @@ func (e *Engine) Exchange(outputs []uint32) []uint32 {
 		}
 	}
 	e.History = append(e.History, e.speed)
-	sensor := uint32(int32(e.speed * 256))
-	return []uint32{sensor, uint32(e.Setpoint())}
+	e.buf = [2]uint32{uint32(int32(e.speed * 256)), uint32(e.Setpoint())}
+	return e.buf[:]
 }
 
 func paramOr(params map[string]float64, key string, def float64) float64 {

@@ -2,6 +2,7 @@ package envsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -153,5 +154,40 @@ func TestPropertyPlantBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExchangeReturnsInstanceBuffer pins the contract on Simulator for the
+// built-in simulators: what Exchange returns is the instance's own buffer
+// — the next Exchange overwrites it in place, so a caller that kept the
+// slice without copying would see the new values — and two instances, or
+// an instance and one restored from its snapshot, never share one.
+func TestExchangeReturnsInstanceBuffer(t *testing.T) {
+	reg := NewRegistry()
+	for _, name := range reg.Names() {
+		t.Run(name, func(t *testing.T) {
+			a, _ := reg.New(name, map[string]float64{"x0": 3})
+			b, _ := reg.New(name, map[string]float64{"x0": 3})
+			first := a.Exchange(nil)
+			kept := append([]uint32(nil), first...)
+			other := b.Exchange(nil)
+			restored, _ := reg.New(name, nil)
+			if err := restored.(Snapshotter).RestoreState(a.(Snapshotter).SnapshotState()); err != nil {
+				t.Fatal(err)
+			}
+			second := a.Exchange([]uint32{90 << 8})
+			if &second[0] != &first[0] {
+				t.Errorf("the second exchange returned another buffer: the exchange allocates")
+			}
+			if reflect.DeepEqual(second, kept) {
+				t.Fatalf("both exchanges returned %v: nothing to tell the buffers by", kept)
+			}
+			if !reflect.DeepEqual(other, kept) {
+				t.Errorf("another instance's values %v changed with this one's exchange (were %v)", other, kept)
+			}
+			if third := restored.Exchange([]uint32{90 << 8}); &third[0] == &second[0] || !reflect.DeepEqual(third, second) {
+				t.Errorf("restored instance returned %v (own buffer: %v), the original %v", third, &third[0] != &second[0], second)
+			}
+		})
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // drive advances a simulator n steps with a deterministic command stream
-// and returns the produced inputs.
+// and returns copies of the produced inputs (what Exchange returns is only
+// good until the next Exchange).
 func drive(sim Simulator, from, n int) [][]uint32 {
 	var got [][]uint32
 	for i := from; i < from+n; i++ {
@@ -14,7 +15,7 @@ func drive(sim Simulator, from, n int) [][]uint32 {
 		if i > 0 {
 			outs = []uint32{uint32(i * 100)}
 		}
-		got = append(got, sim.Exchange(outs))
+		got = append(got, append([]uint32(nil), sim.Exchange(outs)...))
 	}
 	return got
 }

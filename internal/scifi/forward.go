@@ -31,8 +31,8 @@ type boardState struct {
 	cpu       *thor.Snapshot
 	ctrl      scanchain.ControllerState
 	iteration int
-	// outputs is the experiment's accumulated Result.Outputs at capture.
-	outputs map[uint16][]uint32
+	// outputs is the target's accumulated outputs at capture.
+	outputs []uint32
 	// simState restores a Snapshotter simulator directly; for simulators
 	// without snapshot support it is nil and exchangeLog replays the
 	// prefix's Exchange calls against a fresh instance instead.
@@ -47,8 +47,10 @@ type fwRecorder struct {
 	set  *core.ForwardSet
 	prev *thor.Snapshot // previous snapshot, for page sharing
 	// exchangeLog accumulates the outputs passed to every sim.Exchange
-	// call of the reference run, in order, for the replay fallback. Each
-	// checkpoint keeps the prefix recorded up to its capture.
+	// call of the reference run, in order, for the replay fallback — kept
+	// only for a simulator that cannot snapshot, and only while captures
+	// can still happen. Each checkpoint keeps the prefix recorded up to
+	// its capture.
 	exchangeLog [][]uint32
 	full        bool // byte budget exhausted; recording stopped
 	// tail is the provisional horizon-guard checkpoint: the newest
@@ -136,8 +138,14 @@ func (t *Target) fwRecording(ex *core.Experiment) bool {
 
 // fwLogExchange appends one sim.Exchange call's outputs to the replay
 // log. outs is deep-copied; log entries are immutable once appended.
+// Nothing is logged once recording has stopped (no capture will pin the
+// log again, and recording never restarts), nor for a simulator that
+// snapshots: fwRestore replays the log only when there is no simState.
 func (t *Target) fwLogExchange(ex *core.Experiment, outs []uint32) {
-	if t.fwRec == nil || !ex.IsReference() {
+	if !t.fwRecording(ex) {
+		return
+	}
+	if _, ok := t.sim.(envsim.Snapshotter); ok {
 		return
 	}
 	var cp []uint32
@@ -161,7 +169,9 @@ func (t *Target) fwMaybeRecord(ex *core.Experiment) {
 		// Not yet at the next planned point: refresh the horizon guard
 		// instead, in case the reference run terminates before reaching
 		// it. Only the newest guard is kept.
-		rec.tail = t.fwCapture(ex)
+		if rec.guardDue(cy) {
+			rec.tail = t.fwCapture(ex)
+		}
 		return
 	}
 	// Consume every plan point this boundary covers; one snapshot serves
@@ -181,6 +191,34 @@ func (t *Target) fwMaybeRecord(ex *core.Experiment) {
 	mFwRecorded.Inc()
 }
 
+// guardDue reports whether a loop top at cycle cy, short of the pending
+// plan point, should refresh the horizon guard: when the newest capture,
+// planned or guard, is half a plan interval old — the interval being the
+// pending point's distance from the point before it (from cycle 0 for the
+// first) — or a run slice old, whichever is less. A control loop reaches a
+// loop top every iteration, several times per interval, and a capture is
+// a 64-page compare plus a simulator snapshot: refreshed at every loop
+// top, the guard cost the reference run two captures for every planned
+// one. At this rate it costs one, midway between two planned points, and
+// the set's last checkpoint trails the run's last loop top by less than
+// half an interval, where a planned point promises an injection a whole
+// one. The run-slice bound is for a plan whose next point lies far beyond
+// the run's end (a fixed trigger the reference never reaches): loop tops
+// are at most a slice apart, so a workload without iterations never
+// refreshed its guard more often than that.
+func (rec *fwRecorder) guardDue(cy uint64) bool {
+	var prev, newest uint64
+	if rec.idx > 0 {
+		prev = rec.plan.Cycles[rec.idx-1]
+	}
+	if rec.tail != nil {
+		newest = rec.tail.Cycle
+	} else if n := len(rec.set.Checkpoints); n > 0 {
+		newest = rec.set.Checkpoints[n-1].Cycle
+	}
+	return cy-newest >= minU64((rec.plan.Cycles[rec.idx]-prev)/2, runSlice)
+}
+
 // fwCapture builds a checkpoint of the current board state. Pages are
 // shared against the previous *planned* checkpoint; the caller decides
 // whether the capture joins the set immediately (a planned point) or
@@ -192,7 +230,7 @@ func (t *Target) fwCapture(ex *core.Experiment) *core.ForwardCheckpoint {
 		cpu:         snap,
 		ctrl:        t.ctrl.StateSnapshot(),
 		iteration:   t.iteration,
-		outputs:     cloneOutputs(ex.Result.Outputs),
+		outputs:     append([]uint32(nil), t.outputs...),
 		exchangeLog: rec.exchangeLog[:len(rec.exchangeLog):len(rec.exchangeLog)],
 	}
 	if t.sim != nil {
@@ -277,22 +315,10 @@ func (t *Target) fwRestore(ex *core.Experiment) {
 	t.ctrl.RestoreState(bs.ctrl)
 	t.iteration = bs.iteration
 	t.sim = sim
-	ex.Result.Outputs = cloneOutputs(bs.outputs)
+	t.outputs = append(t.outputs[:0], bs.outputs...)
 	ex.Forwarded = true
 	ex.ForwardedFrom = cp.Cycle
 	mFwRestores.Inc()
-}
-
-// cloneOutputs deep-copies an output map; nil stays nil.
-func cloneOutputs(m map[uint16][]uint32) map[uint16][]uint32 {
-	if m == nil {
-		return nil
-	}
-	c := make(map[uint16][]uint32, len(m))
-	for port, vals := range m {
-		c[port] = append([]uint32(nil), vals...)
-	}
-	return c
 }
 
 // Interface compliance.

@@ -71,6 +71,12 @@ type Target struct {
 	recovered        int
 	detailStep       int
 	atInjectionPoint bool
+	// outputs is everything drained from the workload's output port so
+	// far, in one buffer the board keeps from experiment to experiment.
+	// finishOutcome publishes a copy as ex.Result.Outputs: a control loop
+	// drains every 55 cycles, and a map lookup, a map assign and an append
+	// to a slice held in a map each time cost more than the iteration.
+	outputs []uint32
 
 	// campaign-scoped checkpoint-forwarding state; preserved across
 	// InitTestCard, managed through the core.Forwarder methods.
@@ -191,6 +197,7 @@ func (t *Target) InitTestCard(ex *core.Experiment) error {
 	t.recovered = 0
 	t.detailStep = 0
 	t.atInjectionPoint = false
+	t.outputs = t.outputs[:0]
 	return nil
 }
 
@@ -235,7 +242,8 @@ func (t *Target) WriteMemory(ex *core.Experiment) error {
 		}
 		t.sim = sim
 		// Initial input data (paper §3.3: "the workload and initial
-		// input data is downloaded").
+		// input data is downloaded"). PushInput copies what Exchange
+		// returns, which is only good until the next Exchange.
 		t.fwLogExchange(ex, nil)
 		t.cpu.Ports().PushInput(wl.InputPort, sim.Exchange(nil)...)
 	}
@@ -347,20 +355,29 @@ func (t *Target) WriteScanChain(ex *core.Experiment) error {
 	return t.ctrl.WriteInternal(ex.ScanVector)
 }
 
+// collectOutputs drains the workload's output port onto the experiment's
+// accumulated outputs and returns what it drained.
+func (t *Target) collectOutputs(ex *core.Experiment) []uint32 {
+	outs := t.cpu.Ports().DrainOutput(ex.Campaign.Workload.OutputPort)
+	t.outputs = append(t.outputs, outs...)
+	return outs
+}
+
+// endIteration collects the outputs of the iteration that just ended.
+func (t *Target) endIteration(ex *core.Experiment) []uint32 {
+	t.iteration++
+	return t.collectOutputs(ex)
+}
+
 // exchange performs one environment-simulator data exchange at an
-// iteration boundary and resumes the CPU.
+// iteration boundary and resumes the CPU. The inputs go from the
+// simulator's buffer into the port queue at once (envsim.Simulator).
 func (t *Target) exchange(ex *core.Experiment) error {
-	wl := &ex.Campaign.Workload
-	outs := t.cpu.Ports().DrainOutput(wl.OutputPort)
-	if ex.Result.Outputs == nil {
-		ex.Result.Outputs = make(map[uint16][]uint32)
-	}
-	ex.Result.Outputs[wl.OutputPort] = append(ex.Result.Outputs[wl.OutputPort], outs...)
+	outs := t.endIteration(ex)
 	if t.sim != nil {
 		t.fwLogExchange(ex, outs)
-		t.cpu.Ports().PushInput(wl.InputPort, t.sim.Exchange(outs)...)
+		t.cpu.Ports().PushInput(ex.Campaign.Workload.InputPort, t.sim.Exchange(outs)...)
 	}
-	t.iteration++
 	return t.cpu.ResumeIteration()
 }
 
@@ -392,13 +409,7 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 		case thor.StatusIterationEnd:
 			if term.MaxIterations > 0 && t.iteration+1 >= term.MaxIterations {
 				// Final iteration completed: drain outputs and end.
-				wl := &ex.Campaign.Workload
-				outs := t.cpu.Ports().DrainOutput(wl.OutputPort)
-				if ex.Result.Outputs == nil {
-					ex.Result.Outputs = make(map[uint16][]uint32)
-				}
-				ex.Result.Outputs[wl.OutputPort] = append(ex.Result.Outputs[wl.OutputPort], outs...)
-				t.iteration++
+				t.endIteration(ex)
 				t.finishOutcome(ex, campaign.OutcomeCompleted, nil)
 				return nil
 			}
@@ -463,14 +474,14 @@ func (t *Target) finishOutcome(ex *core.Experiment, status campaign.OutcomeStatu
 			out.Recovered++
 		}
 	}
-	// Drain any outputs emitted since the last exchange.
-	wl := &ex.Campaign.Workload
-	outs := t.cpu.Ports().DrainOutput(wl.OutputPort)
-	if len(outs) > 0 {
-		if ex.Result.Outputs == nil {
-			ex.Result.Outputs = make(map[uint16][]uint32)
+	// Drain any outputs emitted since the last exchange, and publish: the
+	// port's entry exists once an iteration ended or a value was emitted —
+	// nil when iterations ended and nothing ever was — and holds a copy,
+	// because the record outlives the board's buffer.
+	if t.collectOutputs(ex); t.iteration > 0 || len(t.outputs) > 0 {
+		ex.Result.Outputs = map[uint16][]uint32{
+			ex.Campaign.Workload.OutputPort: append([]uint32(nil), t.outputs...),
 		}
-		ex.Result.Outputs[wl.OutputPort] = append(ex.Result.Outputs[wl.OutputPort], outs...)
 	}
 	ex.Result.Outcome = out
 }

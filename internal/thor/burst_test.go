@@ -1,0 +1,347 @@
+package thor_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"goofi/internal/asm"
+	"goofi/internal/thor"
+)
+
+// RunFast runs as one burst — no breakpoint lookup, no call per
+// instruction — when no breakpoint is armed and no TraceHook is installed
+// once the RunHook has returned. These tests pin that precondition from
+// both sides, and the two compares the burst may not hoist: the budget
+// and the watchdog.
+
+const burstLoopSource = `
+	ldi r1, 0
+	ldi r2, 1
+loop:
+	add r1, r1, r2
+	addi r2, r2, 1
+	kick
+	cmpi r2, 200
+	ble loop
+	halt
+`
+
+func burstLoopPair(t *testing.T) (slow, fast *thor.CPU, loop uint32) {
+	t.Helper()
+	prog, err := asm.Assemble(burstLoopSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, fast = newPair(t, thor.DefaultConfig(), prog.Image)
+	return slow, fast, prog.MustSymbol("loop")
+}
+
+// TestBurstRunHookArmsBreakpoint: a RunHook runs before the precondition
+// is read, so the breakpoint it arms at Run entry stops RunFast exactly
+// where it stops Run — including the resume over it.
+func TestBurstRunHookArmsBreakpoint(t *testing.T) {
+	slow, fast, loop := burstLoopPair(t)
+	for _, c := range []*thor.CPU{slow, fast} {
+		c.RunHook = func(cc *thor.CPU) {
+			cc.RunHook = nil
+			cc.AddBreakpoint(loop)
+		}
+	}
+	for stop := 0; stop < 5; stop++ {
+		a, b := slow.Run(100_000), fast.RunFast(100_000)
+		if a != thor.StatusBreakpoint || b != thor.StatusBreakpoint {
+			t.Fatalf("stop %d: status %v / %v, want breakpoint", stop, a, b)
+		}
+		if fast.PC != loop {
+			t.Fatalf("stop %d: RunFast stopped at %#x, breakpoint at %#x", stop, fast.PC, loop)
+		}
+		diffCPUs(t, slow, fast, fmt.Sprintf("stop %d", stop))
+	}
+}
+
+// TestBurstResumesOverClearedBreakpoint: a run resumed from a breakpoint
+// stop whose breakpoints were cleared meanwhile is a burst, and it still
+// uses up the one-shot "do not stop at this PC again" the resume set — a
+// breakpoint armed afterwards at the PC the burst ended on stops the next
+// run before it executes anything, as it does after Run.
+func TestBurstResumesOverClearedBreakpoint(t *testing.T) {
+	slow, fast, loop := burstLoopPair(t)
+	for _, c := range []*thor.CPU{slow, fast} {
+		c.AddBreakpoint(loop)
+		if st := c.Run(100_000); st != thor.StatusBreakpoint {
+			t.Fatalf("status %v, want breakpoint", st)
+		}
+		c.ClearBreakpoints()
+	}
+	// Five instructions on: one trip round the loop, back at its top.
+	if a, b := slow.Run(5), fast.RunFast(5); a != b || a != thor.StatusOutOfBudget {
+		t.Fatalf("status %v / %v, want out of budget", a, b)
+	}
+	diffCPUs(t, slow, fast, "resumed")
+	if a, b := slow.Snapshot().SkipBPOnce, fast.Snapshot().SkipBPOnce; a || b {
+		t.Fatalf("resume flag still set after the run: Run %v, RunFast %v", a, b)
+	}
+	for _, c := range []*thor.CPU{slow, fast} {
+		c.ClearOutOfBudget()
+		c.AddBreakpoint(c.PC)
+	}
+	at := fast.Instret()
+	if a, b := slow.Run(100), fast.RunFast(100); a != b || a != thor.StatusBreakpoint {
+		t.Fatalf("status %v / %v, want breakpoint", a, b)
+	}
+	if fast.Instret() != at {
+		t.Fatalf("RunFast retired %d instructions past a breakpoint at its PC", fast.Instret()-at)
+	}
+	diffCPUs(t, slow, fast, "stopped again")
+}
+
+// TestBurstTraceHookArmsBreakpoint: with a TraceHook installed RunFast
+// keeps the per-instruction breakpoint lookup, so a breakpoint the hook
+// arms in the middle of the run — at the instruction about to execute, or
+// further on — still stops it where it stops Run. An installed hook that
+// arms nothing changes nothing either.
+func TestBurstTraceHookArmsBreakpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after uint64 // the hook arms once this many instructions retired
+		next  bool   // at the PC it sees then, instead of at loop
+	}{
+		{"at-loop-top", 23, false},
+		{"at-next-instruction", 31, true},
+		{"never", 1 << 62, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slow, fast, loop := burstLoopPair(t)
+			for _, c := range []*thor.CPU{slow, fast} {
+				c.TraceHook = func(cc *thor.CPU) {
+					if cc.Instret() == tc.after {
+						if tc.next {
+							cc.AddBreakpoint(cc.PC)
+						} else {
+							cc.AddBreakpoint(loop)
+						}
+					}
+				}
+			}
+			a, b := slow.Run(100_000), fast.RunFast(100_000)
+			want := thor.StatusBreakpoint
+			if tc.after > 1<<32 {
+				want = thor.StatusHalted
+			}
+			if a != want || b != want {
+				t.Fatalf("status %v / %v, want %v", a, b, want)
+			}
+			if tc.next && fast.Instret() != tc.after {
+				t.Fatalf("RunFast retired %d instructions, armed after %d at the next one", fast.Instret(), tc.after)
+			}
+			diffCPUs(t, slow, fast, "first stop")
+			a, b = slow.Run(100_000), fast.RunFast(100_000)
+			if a != b {
+				t.Fatalf("resumed: status %v != %v", a, b)
+			}
+			diffCPUs(t, slow, fast, "resumed")
+		})
+	}
+}
+
+// TestBurstWatchdogExpiresMidBurst: the watchdog compare stays per
+// instruction inside the burst. A loop that stops kicking is detected on
+// the same cycle by Run, by RunFast and by StepBurst, whether the budget
+// ends long after the expiry or a few cycles either side of it.
+func TestBurstWatchdogExpiresMidBurst(t *testing.T) {
+	prog, err := asm.Assemble(`
+		ldi r2, 0
+	warm:
+		kick
+		addi r2, r2, 1
+		cmpi r2, 50
+		blt warm
+	spin:
+		addi r1, r1, 1
+		bra spin
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := thor.DefaultConfig()
+	cfg.WatchdogLimit = 333
+	ref := thor.New(cfg)
+	if err := ref.LoadMemory(0, prog.Image); err != nil {
+		t.Fatal(err)
+	}
+	if st := ref.Run(1_000_000); st != thor.StatusDetected || ref.Detection().Mechanism != thor.EDMWatchdog {
+		t.Fatalf("reference: status %v, detection %+v", st, ref.Detection())
+	}
+	expiry := ref.Cycle()
+	for _, budget := range []uint64{expiry - 3, expiry - 1, expiry, expiry + 1, expiry + 3, 1_000_000} {
+		slow, fast := newPair(t, cfg, prog.Image)
+		if a, b := slow.Run(budget), fast.RunFast(budget); a != b {
+			t.Fatalf("budget %d: status %v != %v", budget, a, b)
+		}
+		diffCPUs(t, slow, fast, fmt.Sprintf("RunFast, budget %d", budget))
+
+		slow, fast = newPair(t, cfg, prog.Image)
+		for slow.Status() == thor.StatusRunning && slow.Cycle() < budget {
+			slow.Step()
+		}
+		fast.StepBurst(budget)
+		diffCPUs(t, slow, fast, fmt.Sprintf("StepBurst, budget %d", budget))
+		if budget > expiry+3 && fast.Cycle() != expiry {
+			t.Fatalf("StepBurst detected the watchdog at cycle %d, Run at %d", fast.Cycle(), expiry)
+		}
+	}
+}
+
+// TestBurstBudgetAtEveryCycleOffset: the budget compare stays per
+// instruction too. Over a 40-instruction stretch of mixed costs — mirror
+// hits, a line fill every fourth fetch, multiplies, divides, stores — a
+// budget of every length from nothing to past the end stops RunFast on
+// Run's cycle, and StepBurst on the step loop's.
+func TestBurstBudgetAtEveryCycleOffset(t *testing.T) {
+	src := "\tldi r1, 3\n\tldi r2, 5\n\tla r6, buf\n"
+	for i := 0; i < 9; i++ {
+		src += "\tmul r3, r1, r2\n\tadd r1, r1, r3\n\tst [r6], r1\n\tdiv r4, r3, r2\n"
+	}
+	src += "\thalt\nbuf:\n\t.word 0\n"
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := thor.New(thor.DefaultConfig())
+	if err := ref.LoadMemory(0, prog.Image); err != nil {
+		t.Fatal(err)
+	}
+	if st := ref.Run(1_000_000); st != thor.StatusHalted || ref.Instret() != 41 {
+		t.Fatalf("reference: status %v after %d instructions, want a halt after 41", st, ref.Instret())
+	}
+	for budget := uint64(0); budget <= ref.Cycle()+2; budget++ {
+		slow, fast := newPair(t, thor.DefaultConfig(), prog.Image)
+		if a, b := slow.Run(budget), fast.RunFast(budget); a != b {
+			t.Fatalf("budget %d: status %v != %v", budget, a, b)
+		}
+		diffCPUs(t, slow, fast, fmt.Sprintf("RunFast, budget %d", budget))
+		// And on from there, so a stop in mid-stretch is resumed from.
+		if slow.Status() == thor.StatusOutOfBudget {
+			slow.ClearOutOfBudget()
+			fast.ClearOutOfBudget()
+			slow.Run(7)
+			fast.RunFast(7)
+			diffCPUs(t, slow, fast, fmt.Sprintf("RunFast, budget %d then 7", budget))
+		}
+
+		slow, fast = newPair(t, thor.DefaultConfig(), prog.Image)
+		for slow.Status() == thor.StatusRunning && slow.Cycle() < budget {
+			slow.Step()
+		}
+		fast.StepBurst(budget)
+		diffCPUs(t, slow, fast, fmt.Sprintf("StepBurst, budget %d", budget))
+	}
+}
+
+// fuzzFastPath drives one image three ways — Run, RunFast, and StepBurst
+// with the out-of-budget transition Run makes added by hand — in chunks
+// whose sizes come from knobs, with the host's port exchange at iteration
+// ends, one scan-write corruption and one snapshot/restore on the way, and
+// diffs the three machines whole after every chunk.
+func fuzzFastPath(t *testing.T, img []byte, knobs uint64) {
+	cfg := thor.DefaultConfig()
+	cfg.WatchdogLimit = 3_000
+	if len(img) > int(cfg.MemSize) {
+		img = img[:cfg.MemSize]
+	}
+	rng := rand.New(rand.NewSource(int64(knobs)))
+	slow, fast := newPair(t, cfg, img)
+	burst, _ := newPair(t, cfg, img)
+	cpus := []*thor.CPU{slow, fast, burst}
+	pushRandomInputs(rng, cpus...)
+	corruptAt, restoreAt := rng.Intn(12), rng.Intn(12)
+	for step := 0; step < 40 && slow.Cycle() < 30_000; step++ {
+		label := fmt.Sprintf("chunk %d", step)
+		if step == corruptAt {
+			bit := rng.Intn(thor.ScanLen())
+			for _, c := range cpus {
+				v := c.ScanRead()
+				v.Flip(bit)
+				if err := c.ScanWrite(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if step == restoreAt {
+			snap := slow.Snapshot()
+			for _, c := range cpus {
+				if err := c.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		chunk := uint64(1 + rng.Intn(300))
+		if rng.Intn(4) == 0 {
+			chunk = uint64(1 + rng.Intn(4)) // stops in the middle of everything
+		}
+		a, b := slow.Run(chunk), fast.RunFast(chunk)
+		if a != b {
+			t.Fatalf("%s: status %v != %v", label, a, b)
+		}
+		diffCPUs(t, slow, fast, label+", RunFast")
+		if a == thor.StatusOutOfBudget {
+			for _, c := range cpus[:2] {
+				if err := c.ClearOutOfBudget(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		burst.StepBurst(chunk)
+		diffCPUs(t, slow, burst, label+", StepBurst")
+		switch slow.Status() {
+		case thor.StatusRunning:
+		case thor.StatusIterationEnd:
+			exchangePorts(t, label, cpus...)
+			for _, c := range cpus {
+				if err := c.ResumeIteration(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		default:
+			return // halted or detected
+		}
+	}
+}
+
+// FuzzFastPathVsStep is the thor decoder against the fast path's
+// predecode mirror on any image: random bytes as instructions, random
+// chunk sizes, a corrupted scan chain and a restored snapshot in mid-run.
+func FuzzFastPathVsStep(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(300 + seed))
+		f.Add(randProgram(rng, 32+rng.Intn(96)), rng.Uint64())
+	}
+	prog, err := asm.Assemble(burstLoopSource)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(prog.Image, uint64(1))
+	f.Add([]byte{}, uint64(2))
+	garbage := make([]byte, 64)
+	binary.BigEndian.PutUint64(garbage[8:], 0x2100_0000_1F00_FFFF) // jr r0; bra -1
+	f.Add(garbage, uint64(3))
+	f.Fuzz(fuzzFastPath)
+}
+
+// TestFastPathVsStepSeeds runs the fuzz property over seeded images —
+// randProgram's, and the same with a tenth of their bytes randomised — so
+// the plain test run covers it beyond the fuzzer's few corpus entries.
+func TestFastPathVsStepSeeds(t *testing.T) {
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(900 + seed))
+		img := randProgram(rng, 32+rng.Intn(160))
+		if seed%2 == 1 {
+			for i := 0; i < len(img)/10; i++ {
+				img[rng.Intn(len(img))] = byte(rng.Intn(256))
+			}
+		}
+		fuzzFastPath(t, img, rng.Uint64())
+	}
+}

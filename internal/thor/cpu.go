@@ -788,6 +788,12 @@ func (c *CPU) Run(cycleBudget uint64) Status {
 	if c.RunHook != nil {
 		c.RunHook(c)
 	}
+	return c.run(cycleBudget)
+}
+
+// run is Run past its hook; RunFast, which has called the hook itself,
+// hands over here.
+func (c *CPU) run(cycleBudget uint64) Status {
 	if c.status == StatusBreakpoint {
 		c.status = StatusRunning
 		c.skipBPOnce = true

@@ -8,12 +8,19 @@ package thor
 // Step/Run pair. The equivalence argument, per hoisted piece of
 // bookkeeping:
 //
-//   - Breakpoint map lookup: RunFast guards the lookup with
-//     len(c.breakpoints) != 0, re-read every iteration. When the set is
-//     empty the lookup is trivially false and skipBPOnce (which only
-//     matters when a breakpoint is armed at PC) is still cleared
-//     unconditionally, so control flow is identical to Run.
-//   - Fetch, parity check, and decode: stepFast consults a predecoded
+//   - Breakpoint map lookup: RunFast reads len(c.breakpoints) and
+//     c.TraceHook once, after the RunHook has returned — the last
+//     caller-supplied code that runs before the loop. With a breakpoint
+//     armed or a hook installed it hands over to Run's own loop, as it
+//     does for the def-use recorder. Otherwise nothing can arm a
+//     breakpoint while the loop runs: AddBreakpoint is host-side, the
+//     loop calls no host code but a TraceHook (from execDecoded), and
+//     there is none; so the set is empty at every iteration Run would
+//     have tested it, the lookup is trivially false, and skipBPOnce
+//     (which only matters when a breakpoint is armed at PC) is cleared
+//     once before the loop instead of once per iteration — and only if
+//     the CPU is running, i.e. only if Run would have reached its clear.
+//   - Fetch, parity check, and decode: burst consults a predecoded
 //     mirror of the icache (idec). The mirror invariant is: a LIVE line
 //     (gen == decGen, ok, tag matches) was built from an icache line
 //     that was valid, tag-matching, fully in memory range, and parity
@@ -30,10 +37,22 @@ package thor
 //     set a misaligned PC). Every non-hit case falls back to the slow
 //     fetch() so EDM detections, miss penalties, and counters are
 //     produced by the same code as Step.
+//   - The merged loop: the mirror hit is written into burst's loop, not
+//     reached through a step function. What that hoists is one call per
+//     instruction and two loads of c.status — the step function's entry
+//     test, which repeated the loop condition with nothing in between
+//     that writes status, and the reload for a status it returned and
+//     nobody read. What it does not: the order per instruction is still
+//     status, budget, watchdog, alignment and mirror, then execDecoded or
+//     stepRefill. RunFast turns "still running when the budget ran out"
+//     into StatusOutOfBudget after the burst, on the cycle Run's compare
+//     would have caught it, because the burst's loop condition is that
+//     compare.
 //   - Everything else is NOT hoisted: the budget compare and watchdog
 //     compare stay per-instruction (hoisting them would change where
-//     StatusOutOfBudget / EDMWatchdog land), and execution itself goes
-//     through execDecoded — the same function Step uses.
+//     StatusOutOfBudget / EDMWatchdog land), every EDM is raised by the
+//     code Step raises it with, and execution itself goes through
+//     execDecoded — the same function Step uses.
 //
 // LoadMemory and dataWrite intentionally do NOT invalidate the mirror:
 // they do not update the icache either, so the mirror stays exactly as
@@ -50,31 +69,8 @@ type decLine struct {
 	ins [CacheWordsPerLine]Instr
 }
 
-// stepFast executes one instruction, using the predecoded mirror when
-// it is live and falling back to the cycle-accurate path otherwise.
-// Architecturally indistinguishable from Step.
-func (c *CPU) stepFast() Status {
-	if c.status != StatusRunning {
-		return c.status
-	}
-	if c.cfg.WatchdogLimit > 0 && c.cycle-c.lastKick > c.cfg.WatchdogLimit {
-		// Delegate to Step so the watchdog detection is formatted by
-		// exactly one piece of code.
-		return c.Step()
-	}
-	pc := c.PC
-	d := &c.idec[pc/CacheLineBytes%CacheLines]
-	if d.gen == c.decGen && d.ok && d.tag == pc/(CacheLineBytes*CacheLines) && pc%4 == 0 {
-		wi := pc / 4 % CacheWordsPerLine
-		c.icache.hits++
-		c.sampleReadPins(pc, d.ws[wi])
-		return c.execDecoded(d.ins[wi])
-	}
-	return c.stepRefill()
-}
-
-// stepRefill is the non-mirror-hit tail of stepFast: try to (re)build
-// the mirror line, else run the fully slow fetch.
+// stepRefill is one instruction whose mirror line is not live: try to
+// (re)build the line, else run the fully slow fetch.
 func (c *CPU) stepRefill() Status {
 	in, ok := c.fetchPredecoded()
 	if !ok {
@@ -133,33 +129,53 @@ func (c *CPU) fetchPredecoded() (Instr, bool) {
 	return d.ins[wi], true
 }
 
-// RunFast is Run with batched execution: identical control flow
-// (RunHook, breakpoint resume, per-instruction budget compare) with
-// stepFast in place of Step. Byte-identical outcomes are pinned by
+// burst is the one run loop of the fast path: instructions until the CPU
+// stops or cycleBudget cycles have gone by, a live mirror line executed
+// right here and anything else through stepRefill. It checks no
+// breakpoint and makes no out-of-budget transition: both are the
+// caller's. Architecturally indistinguishable from a loop of Step.
+func (c *CPU) burst(cycleBudget uint64) {
+	start := c.cycle
+	for c.status == StatusRunning && c.cycle-start < cycleBudget {
+		if c.cfg.WatchdogLimit > 0 && c.cycle-c.lastKick > c.cfg.WatchdogLimit {
+			c.Step() // the one place the watchdog detection is formatted
+			continue
+		}
+		pc := c.PC
+		d := &c.idec[pc/CacheLineBytes%CacheLines]
+		if d.gen == c.decGen && d.ok && d.tag == pc/(CacheLineBytes*CacheLines) && pc%4 == 0 {
+			wi := pc / 4 % CacheWordsPerLine
+			c.icache.hits++
+			c.sampleReadPins(pc, d.ws[wi])
+			c.execDecoded(d.ins[wi])
+		} else {
+			c.stepRefill()
+		}
+	}
+}
+
+// RunFast is Run with batched execution: the same RunHook, breakpoint
+// resume and per-instruction budget compare around one burst. A run that
+// a breakpoint could stop, that a TraceHook watches or that the def-use
+// recorder logs is Run's: only the cycle-accurate loop looks breakpoints
+// up and records. Byte-identical outcomes are pinned by
 // TestFastPathDifferential*.
 func (c *CPU) RunFast(cycleBudget uint64) Status {
-	if c.du != nil {
-		return c.Run(cycleBudget) // only the cycle-accurate path records
-	}
 	if c.RunHook != nil {
 		c.RunHook(c)
 	}
-	if c.status == StatusBreakpoint {
-		c.status = StatusRunning
-		c.skipBPOnce = true
+	if c.du != nil || len(c.breakpoints) != 0 || c.TraceHook != nil {
+		return c.run(cycleBudget)
 	}
-	start := c.cycle
-	for c.status == StatusRunning {
-		if len(c.breakpoints) != 0 && c.breakpoints[c.PC] && !c.skipBPOnce {
-			c.status = StatusBreakpoint
-			return c.status
-		}
+	if c.status == StatusBreakpoint {
+		c.status = StatusRunning // resumed, and no breakpoint left to skip
+	}
+	if c.status == StatusRunning {
 		c.skipBPOnce = false
-		if c.cycle-start >= cycleBudget {
-			c.status = StatusOutOfBudget
-			return c.status
-		}
-		c.stepFast()
+	}
+	c.burst(cycleBudget)
+	if c.status == StatusRunning {
+		c.status = StatusOutOfBudget
 	}
 	return c.status
 }
@@ -170,18 +186,16 @@ func (c *CPU) RunFast(cycleBudget uint64) Status {
 // Step) so trigger waits can burst between firing checks. The caller
 // owns the budget/trigger policy.
 func (c *CPU) StepBurst(cycleBudget uint64) Status {
-	start := c.cycle
 	if c.du != nil {
 		// Only the step path records. Its own loop, not a step function
 		// picked once: the indirect call cost the burst 10% (275 against
 		// 245 Mcycles/s on the PID kernel).
+		start := c.cycle
 		for c.status == StatusRunning && c.cycle-start < cycleBudget {
 			c.Step()
 		}
 		return c.status
 	}
-	for c.status == StatusRunning && c.cycle-start < cycleBudget {
-		c.stepFast()
-	}
+	c.burst(cycleBudget)
 	return c.status
 }

@@ -1,6 +1,7 @@
 package thor_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,8 +13,8 @@ import (
 
 // The fast path's contract is byte identity: every architecturally
 // visible bit — cycle count, instret, registers, flags, cache contents
-// and counters, pins, detections, memory — must match cycle-accurate
-// execution exactly. These tests drive random programs and targeted
+// and counters, pins, detections, memory, port queues — must match
+// cycle-accurate execution exactly. These tests drive random programs and targeted
 // corner cases through Run and RunFast in lockstep and diff the full
 // machine state.
 
@@ -67,8 +68,55 @@ func diffCPUs(t *testing.T, slow, fast *thor.CPU, label string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ma, mb) {
+	if !bytes.Equal(ma, mb) {
 		t.Fatalf("%s: memory differs", label)
+	}
+	for _, port := range diffPorts {
+		if a, b := slow.Ports().PeekInput(port), fast.Ports().PeekInput(port); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: input port %#x queues %v != %v", label, port, a, b)
+		}
+		if a, b := slow.Ports().PeekOutput(port), fast.Ports().PeekOutput(port); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: output port %#x queues %v != %v", label, port, a, b)
+		}
+	}
+}
+
+// diffPorts are the ports diffCPUs compares: the four randProgram's IN and
+// OUT address, and the far end of the port space for images that are not
+// randProgram's.
+var diffPorts = []uint16{0, 1, 2, 3, 0xFFFF}
+
+// pushRandomInputs queues the same random values on the input ports of
+// every CPU, so the INs of the drive that follows read something other
+// than an idle bus.
+func pushRandomInputs(rng *rand.Rand, cpus ...*thor.CPU) {
+	for _, port := range diffPorts {
+		vals := make([]uint32, rng.Intn(6))
+		for i := range vals {
+			vals[i] = rng.Uint32()
+		}
+		for _, c := range cpus {
+			c.Ports().PushInput(port, vals...)
+		}
+	}
+}
+
+// exchangePorts is the host's side of an iteration boundary, done to
+// every CPU alike: drain each output port — the drained values must agree
+// — and queue a value derived from them on the input port of the same
+// number.
+func exchangePorts(t *testing.T, label string, cpus ...*thor.CPU) {
+	t.Helper()
+	for _, port := range diffPorts {
+		first := cpus[0].Ports().DrainOutput(port)
+		for _, c := range cpus[1:] {
+			if outs := c.Ports().DrainOutput(port); !reflect.DeepEqual(first, outs) {
+				t.Fatalf("%s: output port %#x drained %v != %v", label, port, first, outs)
+			}
+		}
+		for _, c := range cpus {
+			c.Ports().PushInput(port, uint32(len(first))<<16^uint32(port), 7)
+		}
 	}
 }
 
@@ -173,8 +221,9 @@ func newPair(t *testing.T, cfg thor.Config, img []byte) (slow, fast *thor.CPU) {
 }
 
 // driveLockstep runs both CPUs chunk by chunk (slow via Run, fast via
-// RunFast), resuming iteration ends and budget stops identically, and
-// diffs the full state after every chunk.
+// RunFast), resuming iteration ends — after the host's exchange on the
+// ports — and budget stops identically, and diffs the full state after
+// every chunk.
 func driveLockstep(t *testing.T, slow, fast *thor.CPU, chunk, maxCycles uint64) {
 	t.Helper()
 	for step := 0; ; step++ {
@@ -189,6 +238,7 @@ func driveLockstep(t *testing.T, slow, fast *thor.CPU, chunk, maxCycles uint64) 
 		}
 		switch a {
 		case thor.StatusIterationEnd:
+			exchangePorts(t, fmt.Sprintf("chunk %d", step), slow, fast)
 			if err := slow.ResumeIteration(); err != nil {
 				t.Fatal(err)
 			}
@@ -217,6 +267,7 @@ func TestFastPathDifferentialRandomPrograms(t *testing.T) {
 			cfg := thor.DefaultConfig()
 			cfg.WatchdogLimit = 5_000 // make watchdog reachable
 			slow, fast := newPair(t, cfg, img)
+			pushRandomInputs(rng, slow, fast)
 			// Uneven chunk sizes stress the per-instruction budget compare.
 			chunk := uint64(37 + rng.Intn(400))
 			driveLockstep(t, slow, fast, chunk, 60_000)
@@ -230,6 +281,7 @@ func TestFastPathDifferentialDisabledCaches(t *testing.T) {
 	cfg := thor.DefaultConfig()
 	cfg.DisableCaches = true
 	slow, fast := newPair(t, cfg, img)
+	pushRandomInputs(rng, slow, fast)
 	driveLockstep(t, slow, fast, 211, 40_000)
 }
 
@@ -326,6 +378,7 @@ func TestFastPathDifferentialScanWriteFaults(t *testing.T) {
 				}
 			}
 			diffCPUs(t, slow, fast, "post-inject")
+			pushRandomInputs(rng, slow, fast)
 			driveLockstep(t, slow, fast, 173, 20_000)
 		})
 	}
@@ -375,6 +428,7 @@ func TestFastPathDifferentialSnapshotRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	img := randProgram(rng, 128)
 	slow, fast := newPair(t, thor.DefaultConfig(), img)
+	pushRandomInputs(rng, slow) // they reach fast through the snapshot
 	slow.Run(400)
 	snap := slow.Snapshot()
 	if err := fast.Restore(snap); err != nil {
@@ -399,6 +453,7 @@ func TestStepBurstMatchesStepLoop(t *testing.T) {
 		rng := rand.New(rand.NewSource(7000 + seed))
 		img := randProgram(rng, 96)
 		slow, fast := newPair(t, thor.DefaultConfig(), img)
+		pushRandomInputs(rng, slow, fast)
 		for burst := 0; burst < 50; burst++ {
 			budget := uint64(1 + rng.Intn(200))
 			start := slow.Cycle()
@@ -408,6 +463,7 @@ func TestStepBurstMatchesStepLoop(t *testing.T) {
 			fast.StepBurst(budget)
 			diffCPUs(t, slow, fast, fmt.Sprintf("seed %d burst %d", seed, burst))
 			if slow.Status() == thor.StatusIterationEnd {
+				exchangePorts(t, fmt.Sprintf("seed %d burst %d", seed, burst), slow, fast)
 				slow.ResumeIteration()
 				fast.ResumeIteration()
 			} else if slow.Status() != thor.StatusRunning {
@@ -470,5 +526,5 @@ func benchRun(b *testing.B, armed bool, fast bool) {
 }
 
 func BenchmarkRunEmptyBreakpointSet(b *testing.B) { benchRun(b, false, false) }
-func BenchmarkRunArmedBreakpoint(b *testing.B)   { benchRun(b, true, false) }
-func BenchmarkRunFast(b *testing.B)              { benchRun(b, false, true) }
+func BenchmarkRunArmedBreakpoint(b *testing.B)    { benchRun(b, true, false) }
+func BenchmarkRunFast(b *testing.B)               { benchRun(b, false, true) }

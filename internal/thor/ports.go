@@ -5,23 +5,106 @@ package thor
 // exchanged with a user provided environment simulator"). Input ports are
 // FIFO queues written by the host and read by IN; output ports are FIFO
 // queues written by OUT and drained by the host.
+//
+// A workload uses one or two ports, so each direction is a short list
+// searched linearly: a control loop touches its ports every iteration, and
+// a hash per IN and OUT cost more than the instruction. A port used once
+// keeps its list entry and its queue's capacity; an entry with nothing
+// queued and a port never seen are the same thing to every reader, as
+// they are to IN. The map-based set this replaced is the oracle in
+// ports_test.go.
 type PortSet struct {
-	in  map[uint16][]uint32
-	out map[uint16][]uint32
+	in  portList
+	out portList
 }
 
-// NewPortSet returns an empty port set.
-func NewPortSet() *PortSet {
-	return &PortSet{
-		in:  make(map[uint16][]uint32),
-		out: make(map[uint16][]uint32),
+// portQueue is one port's FIFO; q[head:] is what is queued. IN advances
+// head of an input queue. An output queue's head stays 0: a drain hands
+// out q whole and moves q itself past it, so nothing written later can
+// land in a drained window.
+type portQueue struct {
+	port uint16
+	head int
+	q    []uint32
+}
+
+// portBlock is the room an output queue allocates ahead of its writes when
+// it runs out behind the windows already drained: 1 KiB, a few hundred
+// iterations of a control loop.
+const portBlock = 256
+
+type portList []portQueue
+
+// find returns the port's queue, or nil when the port was never used.
+func (l portList) find(port uint16) *portQueue {
+	for i := range l {
+		if l[i].port == port {
+			return &l[i]
+		}
+	}
+	return nil
+}
+
+// findOrAdd returns the port's queue, adding an empty one at first use.
+// The pointer is good until the next findOrAdd.
+func (l *portList) findOrAdd(port uint16) *portQueue {
+	if pq := l.find(port); pq != nil {
+		return pq
+	}
+	*l = append(*l, portQueue{port: port})
+	return &(*l)[len(*l)-1]
+}
+
+// values returns what is queued, without copying; nil for a nil queue.
+func (pq *portQueue) values() []uint32 {
+	if pq == nil {
+		return nil
+	}
+	return pq.q[pq.head:]
+}
+
+// push appends copies of vals, first reclaiming the room in front of head
+// once everything queued has been read.
+func (pq *portQueue) push(vals ...uint32) {
+	if pq.head == len(pq.q) {
+		pq.head, pq.q = 0, pq.q[:0]
+	}
+	pq.q = append(pq.q, vals...)
+}
+
+// reset empties every queue and keeps its capacity — of an output queue,
+// only what lies behind the windows already drained.
+func (l portList) reset() {
+	for i := range l {
+		l[i].head, l[i].q = 0, l[i].q[:0]
 	}
 }
 
+// copyFrom makes the list's logical contents a deep copy of src's.
+func (l *portList) copyFrom(src portList) {
+	l.reset()
+	for i := range src {
+		if vals := src[i].values(); len(vals) > 0 {
+			l.findOrAdd(src[i].port).push(vals...)
+		}
+	}
+}
+
+func (l portList) queued() int {
+	n := 0
+	for i := range l {
+		n += len(l[i].values())
+	}
+	return n
+}
+
+// NewPortSet returns an empty port set.
+func NewPortSet() *PortSet { return &PortSet{} }
+
 // Reset discards all queued data.
 func (p *PortSet) Reset() {
-	p.in = make(map[uint16][]uint32)
-	p.out = make(map[uint16][]uint32)
+	p.in.reset()
+	p.out.reset()
 }
 
 // Clone returns a deep copy of the port set, for snapshots.
@@ -35,64 +118,63 @@ func (p *PortSet) Clone() *PortSet {
 // is left untouched, so a shared snapshot can be copied onto any number
 // of boards.
 func (p *PortSet) CopyFrom(src *PortSet) {
-	p.in = make(map[uint16][]uint32, len(src.in))
-	for port, q := range src.in {
-		p.in[port] = append([]uint32(nil), q...)
-	}
-	p.out = make(map[uint16][]uint32, len(src.out))
-	for port, q := range src.out {
-		p.out[port] = append([]uint32(nil), q...)
-	}
+	p.in.copyFrom(src.in)
+	p.out.copyFrom(src.out)
 }
 
 // queuedValues counts all values held in input and output queues.
-func (p *PortSet) queuedValues() int {
-	n := 0
-	for _, q := range p.in {
-		n += len(q)
-	}
-	for _, q := range p.out {
-		n += len(q)
-	}
-	return n
-}
+func (p *PortSet) queuedValues() int { return p.in.queued() + p.out.queued() }
 
-// PushInput queues values on an input port (host side).
+// PushInput queues values on an input port (host side). The values are
+// copied; vals is not retained.
 func (p *PortSet) PushInput(port uint16, vals ...uint32) {
-	p.in[port] = append(p.in[port], vals...)
+	p.in.findOrAdd(port).push(vals...)
 }
 
 // DrainOutput removes and returns all values written to an output port
-// (host side).
+// (host side); nil when there are none. The result is the caller's to
+// keep: a window of the queue's memory clipped to its own length, which
+// no later write, reset or copy touches.
 func (p *PortSet) DrainOutput(port uint16) []uint32 {
-	vals := p.out[port]
-	p.out[port] = nil
+	pq := p.out.find(port)
+	if pq == nil || len(pq.q) == 0 {
+		return nil
+	}
+	n := len(pq.q)
+	vals := pq.q[:n:n]
+	pq.q = pq.q[n:]
 	return vals
 }
 
-// PeekOutput returns the values on an output port without draining.
+// PeekOutput returns a copy of the values on an output port without
+// draining; nil when there are none.
 func (p *PortSet) PeekOutput(port uint16) []uint32 {
-	out := make([]uint32, len(p.out[port]))
-	copy(out, p.out[port])
-	return out
+	return append([]uint32(nil), p.out.find(port).values()...)
 }
 
 // InputDepth returns the number of values queued on an input port.
-func (p *PortSet) InputDepth(port uint16) int { return len(p.in[port]) }
+func (p *PortSet) InputDepth(port uint16) int { return len(p.in.find(port).values()) }
 
 // cpuRead pops one value from an input port, returning zero when empty
 // (reading an idle bus).
 func (p *PortSet) cpuRead(port uint16) uint32 {
-	q := p.in[port]
-	if len(q) == 0 {
+	pq := p.in.find(port)
+	if pq == nil || pq.head == len(pq.q) {
 		return 0
 	}
-	v := q[0]
-	p.in[port] = q[1:]
+	v := pq.q[pq.head]
+	pq.head++
 	return v
 }
 
-// cpuWrite appends one value to an output port.
+// cpuWrite appends one value to an output port. Out of room, it allocates
+// a block behind whatever is queued (as much again, for a queue nobody
+// drains) rather than leave the growth to append, which after every drain
+// would start again from a capacity of one.
 func (p *PortSet) cpuWrite(port uint16, v uint32) {
-	p.out[port] = append(p.out[port], v)
+	pq := p.out.findOrAdd(port)
+	if n := len(pq.q); n == cap(pq.q) {
+		pq.q = append(make([]uint32, 0, n+max(n, portBlock)), pq.q...)
+	}
+	pq.q = append(pq.q, v)
 }

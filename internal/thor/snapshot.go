@@ -166,11 +166,13 @@ func (c *CPU) Restore(s *Snapshot) error {
 		c.detection = &d
 	}
 	c.events = append(c.events[:0:0], s.Events...)
-	c.trapHandlers = make(map[uint16]uint32, len(s.TrapHandlers))
+	// Cleared and refilled, not remade: a campaign restores once per
+	// forwarded experiment, and the maps are the CPU's own either way.
+	clear(c.trapHandlers)
 	for k, v := range s.TrapHandlers {
 		c.trapHandlers[k] = v
 	}
-	c.breakpoints = make(map[uint32]bool, len(s.Breakpoints))
+	clear(c.breakpoints)
 	for k, v := range s.Breakpoints {
 		c.breakpoints[k] = v
 	}
