@@ -41,6 +41,12 @@ FUZZTIME ?= 15s
 # and at 1,000 iterations, the simulators' buffer contract at the port, the
 # replay log kept only for a simulator that needs it, and the horizon
 # guard's refresh rate.
+# The hand-over line is the pin of what passes between board and store,
+# fresh: the sink's bound in rows against a stalled log device (what is
+# admitted, what waits, the oversize commit, one barrier per group, a kill
+# at the bound resumed to the full run's bytes), the stalled merge behind
+# it, and a pruned experiment's record — "the reference plus these bits" —
+# against the whole state it stands for, hostile differences included.
 # The server line includes the job state machine's table — cancel, pause,
 # graceful and hard restart, a dying store — over both row sources, solo
 # and sharded in-process.
@@ -64,6 +70,7 @@ tier1:
 	$(GO) test -race ./internal/campaign/ ./internal/analysis/ -run 'Decode|EachExperiment|AnalysisDifferential|Relative|RowBytesBudget' -count 1
 	$(GO) test -race ./internal/thor/ ./internal/bitvec/ ./internal/scanchain/ ./internal/scifi/ -run 'Scan|Marshal|Stream|TAP|ControllerReset' -count 1
 	$(GO) test -race ./internal/thor/ ./internal/scifi/ ./internal/envsim/ . -run 'Port|Burst|ClosedLoop|Exchange|HorizonGuard' -count 1
+	$(GO) test -race ./internal/campaign/ ./internal/core/ ./internal/shard/ . -run 'Sink|Handover|PrunedRecord|StalledMerge' -count 1
 	$(GO) test -race ./...
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
@@ -99,7 +106,11 @@ race:
 # scan chain's capture and update and the vector's byte form where they
 # live — the PID campaign three times for stable medians, and one cold
 # closed-loop experiment on one CPU (ns/cycle beside the bare kernel's is
-# what the I/O ports and the exchange cost; allocs/op is the exchange's).
+# what the I/O ports and the exchange cost; allocs/op is the exchange's),
+# a row's way from the scheduler to the store at the default cursor cadence
+# (ns and allocations per row, a pruned experiment's and an emulated one's;
+# the barriers make the time the disk's, the allocations are the code's)
+# and the emulator on a derailed run's zeroed memory (ns/cycle).
 # The campaign benchmark — end-to-end and per-layer metrics through the
 # real binaries, what every performance claim is judged on — is
 # `sh bench/run.sh` (BENCHMARK.json, bench/README.md).
@@ -108,6 +119,8 @@ bench:
 	$(GO) test ./internal/thor/ ./internal/bitvec/ -run xxx -bench 'Scan|Marshal' -benchmem
 	$(GO) test . -run xxx -bench BenchmarkCampaignPID -benchtime 1x -count 3
 	$(GO) test . -run xxx -bench BenchmarkPIDClosedLoop -cpu 1 -count 3 -benchmem
+	$(GO) test . -run xxx -bench BenchmarkSinkHandover -benchtime 60000x -count 3 -benchmem
+	$(GO) test . -run xxx -bench BenchmarkThorNOPSled -cpu 1 -count 3
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
 # FUZZTIME=1m etc.). New corpus entries land in the build cache;

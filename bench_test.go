@@ -9,10 +9,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"goofi/internal/analysis"
 	"goofi/internal/asm"
+	"goofi/internal/bitvec"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/faultmodel"
@@ -578,6 +580,123 @@ func TestClosedLoopBenchmarkShape(t *testing.T) {
 			t.Errorf("run %d: %d cycles, want 55,063", i, cycles)
 		}
 	}
+}
+
+// BenchmarkSinkHandover measures what an experiment's row costs from the
+// scheduler's hands to the store — the record built, LogExperiment, a
+// cursor save every sixteen, the writer's encode, insert and barriers —
+// through a BatchingSink over a file-backed WAL store, per row, for the two
+// ways a row is handed over: a pruned experiment's ("the reference plus
+// these bits") and an emulated one's (the marshaled final scan, which the
+// encoder walks against the reference's). The reference is a real one,
+// thor's 5,412-bit scan state.
+func BenchmarkSinkHandover(b *testing.B) {
+	tsd := scifi.TargetSystemData("thor-board")
+	seedStore, err := campaign.NewStore(sqldb.Open())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := seedStore.PutTargetSystem(tsd); err != nil {
+		b.Fatal(err)
+	}
+	runCampaign(b, seedStore, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI, sortCampaign("handover", 1, 1, []string{"cpu"}))
+	refRec, err := seedStore.GetExperiment(campaign.ReferenceName("handover"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref := campaign.NewReference(&refRec.State)
+	var final bitvec.Vector
+	if err := final.UnmarshalBinary(ref.State.Scan); err != nil {
+		b.Fatal(err)
+	}
+	outcome := refRec.Data.Outcome
+	record := func(i int) *campaign.ExperimentRecord {
+		return &campaign.ExperimentRecord{Name: campaign.ExperimentName("handover", i), Campaign: "handover", Step: -1,
+			Data: campaign.ExperimentData{Seq: i, Fault: faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{i % final.Len()}},
+				Trigger: trigger.Spec{Kind: "cycle", Cycle: 700}, InjectionCycle: 700, Injected: true, Outcome: outcome},
+			Ref: ref}
+	}
+	for _, kind := range []struct {
+		name  string
+		build func(i int) *campaign.ExperimentRecord
+	}{
+		{"pruned", func(i int) *campaign.ExperimentRecord {
+			rec := record(i)
+			rec.ScanDiff, rec.FromRef = []int{bitvec.MarshaledHeaderBits + i%final.Len()}, true
+			return rec
+		}},
+		{"emulated", func(i int) *campaign.ExperimentRecord {
+			rec := record(i)
+			final.Flip(i % final.Len())
+			scan, err := final.MarshalBinary()
+			final.Flip(i % final.Len())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec.State = campaign.StateVector{Scan: scan, Memory: ref.State.Memory, Outputs: ref.State.Outputs}
+			return rec
+		}},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			db, err := sqldb.OpenAt(filepath.Join(b.TempDir(), "handover.db"), sqldb.SyncBarrier)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			st, err := campaign.NewStore(db)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.PutTargetSystem(tsd); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.PutCampaign(sortCampaign("handover", 1, 1, []string{"cpu"})); err != nil {
+				b.Fatal(err)
+			}
+			sink := campaign.NewBatchingSink(st, 0)
+			if err := sink.LogExperiment(refRec); err != nil {
+				b.Fatal(err)
+			}
+			var done campaign.SeqRanges
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sink.LogExperiment(kind.build(i)); err != nil {
+					b.Fatal(err)
+				}
+				done = done.Add(i)
+				if (i+1)%core.DefaultCheckpointInterval == 0 {
+					if err := sink.SaveCheckpoint(&campaign.Checkpoint{Campaign: "handover", PlanHash: "h",
+						Experiments: b.N, Reference: true, Ranges: slices.Clone(done)}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := sink.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkThorNOPSled measures the emulator on what a derailed experiment
+// runs: zeroed memory, which decodes as NOPs, from reset to the bad-address
+// detection at the end of it — 49,152 cycles, a predecode-line miss and a
+// rebuild per four instructions, no data access at all.
+func BenchmarkThorNOPSled(b *testing.B) {
+	c := thor.New(thor.DefaultConfig())
+	const cycles = 49_152
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c.Reset()
+		c.ClearMemory()
+		b.StartTimer()
+		if st := c.RunFast(1_000_000); st != thor.StatusDetected || c.Cycle() != cycles {
+			b.Fatalf("status %v after %d cycles, want a detection after %d", st, c.Cycle(), cycles)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cycles, "ns/cycle")
 }
 
 // BenchmarkCPUExecution measures raw THOR-S simulation speed.

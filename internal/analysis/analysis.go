@@ -300,10 +300,6 @@ func (a *Analyzer) classify(rec *campaign.ExperimentRecord, ref *reference) (Det
 	return d, nil
 }
 
-// scanDiffHeader is where the bits start in a marshaled scan state: the
-// eight bytes before them hold the vector's length.
-const scanDiffHeader = 64
-
 // scanDiff counts differing bits between the experiment's and the
 // reference's final scan state, restricted to the observed cells. A row
 // stored relative to this very reference scan brings the differing
@@ -314,10 +310,10 @@ func (a *Analyzer) scanDiff(rec *campaign.ExperimentRecord, ref *reference) (int
 		return 0, nil
 	}
 	if rec.Ref != nil && ref.scanErr == nil && campaign.Aliased(rec.Ref.State.Scan, ref.rec.State.Scan) &&
-		(len(rec.ScanDiff) == 0 || rec.ScanDiff[0] >= scanDiffHeader) {
+		(len(rec.ScanDiff) == 0 || rec.ScanDiff[0] >= bitvec.MarshaledHeaderBits) {
 		diff, limit := 0, min(ref.scan.Len(), a.observe.Len())
 		for _, pos := range rec.ScanDiff {
-			if bit := pos - scanDiffHeader; bit < limit && a.observe.Get(bit) {
+			if bit := pos - bitvec.MarshaledHeaderBits; bit < limit && a.observe.Get(bit) {
 				diff++
 			}
 		}

@@ -303,6 +303,11 @@ func (v *Vector) Uint64Unchecked(off, n int) uint64 {
 	return x
 }
 
+// MarshaledHeaderBits is where the bits start in the byte form: bit i of the
+// vector is bit MarshaledHeaderBits+i of it, counting each byte's least
+// significant bit first.
+const MarshaledHeaderBits = 64
+
 // MarshalBinary encodes the vector as an 8-byte little-endian length followed
 // by the packed words, little-endian, one store per word.
 func (v *Vector) MarshalBinary() ([]byte, error) {

@@ -7,7 +7,9 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 
 	"goofi/internal/faultmodel"
 	"goofi/internal/scanchain"
@@ -340,6 +342,54 @@ type ExperimentRecord struct {
 	// Ref.State.Scan.
 	Ref      *Reference `json:"-"`
 	ScanDiff []int      `json:"-"`
+	// FromRef marks a record handed to a sink that says its state instead
+	// of holding it — an experiment whose row is synthesized from the
+	// reference run (core/prune.go): State is empty and means nothing, the
+	// state is Ref.State with the ScanDiff bits of Scan flipped, and
+	// EncodeRow stores that list as it stands. WholeState spells it out.
+	FromRef bool `json:"-"`
+}
+
+// WholeState returns the state the record logs: State, or, for a record
+// that says its state as a difference from the reference (FromRef), that
+// difference applied — Memory and Outputs shared with the reference's, as
+// on a relative row read back.
+func (r *ExperimentRecord) WholeState() (*StateVector, error) {
+	if !r.FromRef {
+		return &r.State, nil
+	}
+	if err := r.checkFromRef(); err != nil {
+		return nil, err
+	}
+	sv := r.Ref.State
+	if len(r.ScanDiff) > 0 {
+		sv.Scan = bytes.Clone(sv.Scan)
+		for _, pos := range r.ScanDiff {
+			sv.Scan[pos>>3] ^= 1 << (pos & 7)
+		}
+	}
+	return &sv, nil
+}
+
+// endOfExperiment reports whether the record is the end row of an
+// experiment that ran: not a detail-mode step, not the reference run, not
+// an invalid run. Those are the rows whose state may be stored relative to
+// the reference.
+func (r *ExperimentRecord) endOfExperiment() bool {
+	return r.Step == -1 && r.Data.Seq >= 0 && r.Data.Outcome.Status != OutcomeInvalidRun
+}
+
+// checkFromRef refuses a FromRef record that cannot be stored relative to
+// its reference, the only way it can be stored: no reference, not an
+// experiment's end row, or a ScanDiff the relative form cannot hold.
+func (r *ExperimentRecord) checkFromRef() error {
+	if r.Ref == nil || !r.endOfExperiment() {
+		return fmt.Errorf("campaign: experiment %q: only an experiment's end row can give its state as a difference, and only from a reference", r.Name)
+	}
+	if err := r.Ref.checkDiff(r.ScanDiff); err != nil {
+		return fmt.Errorf("campaign: experiment %q: %w", r.Name, err)
+	}
+	return nil
 }
 
 // IsReference reports whether the record is the campaign's fault-free
@@ -350,7 +400,17 @@ func (r *ExperimentRecord) IsReference() bool { return r.Data.Seq < 0 }
 // reference run.
 func ReferenceName(campaignName string) string { return campaignName + "/reference" }
 
-// ExperimentName returns the canonical name of the i-th experiment.
+// ExperimentName returns the canonical name of the i-th experiment: what
+// fmt.Sprintf("%s/exp%05d", campaignName, i) reads, by hand for the
+// numbers experiments have — it is called once per experiment.
 func ExperimentName(campaignName string, i int) string {
-	return fmt.Sprintf("%s/exp%05d", campaignName, i)
+	if i < 0 {
+		return fmt.Sprintf("%s/exp%05d", campaignName, i)
+	}
+	var arr [64]byte
+	b := append(append(arr[:0], campaignName...), "/exp"...)
+	for lim := 10000; lim > i && lim > 1; lim /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -392,8 +394,20 @@ func TestSchemaDDLNames(t *testing.T) {
 }
 
 func TestExperimentNames(t *testing.T) {
-	if got := ExperimentName("c", 7); got != "c/exp00007" {
-		t.Errorf("ExperimentName = %q", got)
+	// The padding is five digits and gives way to longer numbers: names are
+	// primary keys in every store written so far.
+	for i, want := range map[int]string{0: "c/exp00000", 7: "c/exp00007", 99999: "c/exp99999", 100000: "c/exp100000"} {
+		if got := ExperimentName("c", i); got != want {
+			t.Errorf("ExperimentName(c, %d) = %q, want %q", i, got, want)
+		}
+	}
+	long := strings.Repeat("campaign-", 12)
+	for _, i := range []int{-12345, -1, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 12345, 1234567, math.MaxInt32} {
+		for _, name := range []string{"", "c", long} {
+			if got, want := ExperimentName(name, i), fmt.Sprintf("%s/exp%05d", name, i); got != want {
+				t.Errorf("ExperimentName(%q, %d) = %q, fmt makes it %q", name, i, got, want)
+			}
+		}
 	}
 	if got := ReferenceName("c"); got != "c/reference" {
 		t.Errorf("ReferenceName = %q", got)

@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"encoding/base64"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/bits"
 	"slices"
 	"strconv"
 
+	"goofi/internal/bitvec"
 	"goofi/internal/trigger"
 )
 
@@ -353,21 +355,54 @@ func appendValue[T comparable](buf []byte, v, ref []T, elem func([]byte, T) []by
 func appendByte(buf []byte, b byte) []byte     { return append(buf, b) }
 func appendUint32(buf []byte, v uint32) []byte { return binary.AppendUvarint(buf, uint64(v)) }
 
-// appendRelative encodes s as its difference from ref (the grammar is at
-// the top of this file). It reports false, with buf as it came, when s
-// does not fit the reference's shape — a Scan of another length, a symbol
-// or port the reference lacks — and so must be stored whole.
-func (s *StateVector) appendRelative(buf []byte, ref *Reference) ([]byte, bool) {
+// checkDiff reports whether diff can be the scan list of a state of the
+// reference's shape: strictly ascending positions, all of them bits of the
+// vector itself — behind the length header MarshalBinary writes, below the
+// length it states.
+func (ref *Reference) checkDiff(diff []int) error {
+	scan := ref.State.Scan
+	limit := bitvec.MarshaledHeaderBits
+	if len(scan) >= limit/8 {
+		limit += int(min(binary.LittleEndian.Uint64(scan), uint64(8*len(scan)-limit)))
+	}
+	prev := bitvec.MarshaledHeaderBits - 1
+	for _, pos := range diff {
+		if pos <= prev || pos >= limit {
+			return fmt.Errorf("scan difference %v is not ascending positions in [%d, %d) of the reference's scan state",
+				diff, bitvec.MarshaledHeaderBits, limit)
+		}
+		prev = pos
+	}
+	return nil
+}
+
+// appendRelative encodes r's state as its difference from r.Ref (the
+// grammar is at the top of this file). A record that says its state as a
+// difference (FromRef) has the scan list in hand and nothing else to list;
+// any other has its State walked against the reference's. It reports false,
+// with buf as it came, when State does not fit the reference's shape — a
+// Scan of another length, a symbol or port the reference lacks — and so
+// must be stored whole.
+func (r *ExperimentRecord) appendRelative(buf []byte) ([]byte, bool) {
+	ref, s := r.Ref, &r.State
 	base := &ref.State
-	if len(s.Scan) != len(base.Scan) {
+	if r.FromRef {
+		s = base
+	} else if len(s.Scan) != len(base.Scan) {
 		return buf, false
 	}
 	start := len(buf)
 	buf = binary.LittleEndian.AppendUint32(append(buf, tagRelative), ref.sum)
 	prev := -1
-	for i, b := range s.Scan {
-		for x := b ^ base.Scan[i]; x != 0; x &= x - 1 {
-			buf, prev = appendGap(buf, 8*i+bits.TrailingZeros8(x), prev)
+	if r.FromRef {
+		for _, pos := range r.ScanDiff {
+			buf, prev = appendGap(buf, pos, prev)
+		}
+	} else {
+		for i, b := range s.Scan {
+			for x := b ^ base.Scan[i]; x != 0; x &= x - 1 {
+				buf, prev = appendGap(buf, 8*i+bits.TrailingZeros8(x), prev)
+			}
 		}
 	}
 	buf = append(buf, 0)

@@ -62,7 +62,7 @@ func checkRelative(t *testing.T, b []byte, ref *Reference) bool {
 	if !reflect.DeepEqual(diff, want) {
 		t.Fatalf("scan diff %v, the scans differ at %v\n%x", diff, want, b)
 	}
-	again, fits := s.appendRelative(nil, ref)
+	again, fits := relativeBlob(&s, ref)
 	if !fits {
 		t.Fatalf("a state decoded against the reference does not encode against it\n%x", b)
 	}
@@ -202,7 +202,7 @@ func checkRealRelativeRows(t *testing.T) {
 		if rec.Ref != ref {
 			t.Error("a relative row decoded without its reference attached")
 		}
-		again := EncodeRow(rec)
+		again := mustRow(rec)
 		if !bytes.Equal(again.Cols[4].B, seed[0]) || !bytes.Equal(again.Cols[5].B, seed[1]) {
 			t.Errorf("re-encoded row differs:\n%s\n%x\nwant\n%s\n%x", again.Cols[4].B, again.Cols[5].B, seed[0], seed[1])
 		}
@@ -227,7 +227,7 @@ func checkMutatedRelativeRows(t *testing.T) {
 	for len(targets) < 40 {
 		base := randStateVector(rng)
 		ref := decodedReference(t, base)
-		if blob, ok := randVariant(rng, base).appendRelative(nil, ref); ok {
+		if blob, ok := relativeBlob(randVariant(rng, base), ref); ok {
 			targets = append(targets, target{blob, ref})
 		}
 	}
@@ -336,9 +336,9 @@ func TestRelativeRoundTripMatchesAbsolute(t *testing.T) {
 		rec := &ExperimentRecord{Name: "c/exp00001", Campaign: "c", Step: -1,
 			Data: *randExperimentData(rng), State: *randVariant(rng, base)}
 		rec.Data.Seq = rng.Intn(1000)
-		whole := EncodeRow(rec)
+		whole := mustRow(rec)
 		rec.Ref = writeRef
-		stored := EncodeRow(rec)
+		stored := mustRow(rec)
 		want, err := DecodeRow(&whole, nil)
 		if err != nil {
 			t.Errorf("absolute row: %v", err)
@@ -397,7 +397,7 @@ func TestEncodeRowKeepsAbsolute(t *testing.T) {
 		edit(r)
 		return r
 	}
-	if row := EncodeRow(rec(func(*ExperimentRecord) {})); !isRelative(row.Cols[5].B) {
+	if row := mustRow(rec(func(*ExperimentRecord) {})); !isRelative(row.Cols[5].B) {
 		t.Fatal("an end row with the reference's shape stayed whole")
 	}
 	for name, edit := range map[string]func(*ExperimentRecord){
@@ -412,7 +412,7 @@ func TestEncodeRowKeepsAbsolute(t *testing.T) {
 		"no reference":               func(r *ExperimentRecord) { r.Ref = nil },
 	} {
 		r := rec(edit)
-		row := EncodeRow(r)
+		row := mustRow(r)
 		if want := r.State.appendJSON(nil); !bytes.Equal(row.Cols[5].B, want) {
 			t.Errorf("%s: stateVector %x, want the absolute form %s", name, row.Cols[5].B, want)
 		}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // BatchingSink decouples experiment execution from storage latency: result
@@ -19,11 +20,23 @@ import (
 // and Close return once everything handed over before them is stored and,
 // where a cursor was among it, past a barrier; the scheduler saves the
 // cursor and then flushes on pause and on termination. A crash in between
-// loses at most the commits still queued, which resume re-runs.
+// loses at most what is still queued or in the writer's hands, which resume
+// re-runs.
 //
-// The queue is bounded (workDepth): a store that falls behind blocks the
-// boards in LogExperiment and the coordinator's reporters in CommitRows,
-// which is the backpressure of both paths.
+// The queue is bounded in rows (QueueRows), whatever number of commits
+// they make: a store that falls behind blocks the boards in LogExperiment
+// and SaveCheckpoint and the coordinator's reporters in CommitRows, which is
+// the backpressure of both paths, and how often the campaign saves its
+// cursor does not move the point at which it sets in. A bound in commits
+// does: a cursor save closes one, so four commits were 64 rows of window at
+// -checkpoint 16 — which pruned experiments fill in less than one fsync, so
+// the boards waited out every barrier — and 256 at -checkpoint 64 and above.
+// goofi run on sort-solo's 6,000 experiments, one board, -checkpoint 16
+// against 1024: 254–283 ms against 145–149 with the fsyncs slow and 150
+// against 114 with them fast under the commit bound, 138 against 112 under
+// this one (DESIGN.md §5 (2) has the table and what is left of the gap).
+// What a crash can lose is what waits, as much again in the writer's hands
+// and the batch being filled — whatever the cadence.
 //
 // A failed write poisons the sink: the first error is retained, nothing
 // queued behind it is written (a cursor must not outlive rows that failed),
@@ -38,6 +51,7 @@ type BatchingSink struct {
 	cond    *sync.Cond
 	buf     []*ExperimentRecord
 	work    []commit // queued for the writer, in hand-over order
+	waiting int      // rows in work
 	queued  int      // commits ever queued
 	written int      // commits the writer is through with
 	err     error
@@ -61,10 +75,12 @@ type commit struct {
 // groups into one INSERT unless configured otherwise.
 const DefaultBatchSize = 64
 
-// workDepth is how many commits may wait for the writer before the boards
-// block: with as many again in the writer's hands, the bound on what a
-// crash can lose.
-const workDepth = 4
+// QueueRows is how many rows may wait for the writer before the boards
+// block — what four full batches hold — with as many again in the writer's
+// hands. A commit that would take the queue past it waits, unless the queue
+// is empty: one commit is always admitted, however large, so a shard report
+// of more rows than this cannot wait for room that will never come.
+const QueueRows = 4 * DefaultBatchSize
 
 // NewBatchingSink starts a sink over the store. batchSize <= 0 selects
 // DefaultBatchSize. Close (or at least Flush) the sink before reading the
@@ -95,13 +111,13 @@ func (s *BatchingSink) writer() {
 			return
 		}
 		group, err := s.work, s.err
-		s.work = nil
+		s.work, s.waiting = nil, 0
 		s.cond.Broadcast() // room for the boards
 		s.mu.Unlock()
 		barrier := false
 		for _, c := range group {
 			if err == nil && len(c.records) > 0 {
-				err = s.store.InsertRows(encodeRows(c.records))
+				err = s.store.LogExperimentBatch(c.records)
 			}
 			if err == nil && len(c.rows) > 0 {
 				err = s.store.InsertRows(c.rows)
@@ -114,6 +130,8 @@ func (s *BatchingSink) writer() {
 		if err == nil && barrier {
 			err = s.store.db.Barrier()
 		}
+		mSinkGroups.Inc()
+		mSinkGroupCommits.Add(uint64(len(group)))
 		s.mu.Lock()
 		s.err = err
 		s.written += len(group)
@@ -121,13 +139,24 @@ func (s *BatchingSink) writer() {
 	}
 }
 
+// full reports whether a commit bringing rows stored rows, with the
+// buffered records in front of them, has to wait for the writer. Callers
+// hold s.mu.
+func (s *BatchingSink) full(rows int) bool {
+	return len(s.work) > 0 && s.waiting+len(s.buf)+rows > QueueRows
+}
+
 // submit queues c, the buffered records in front of what it brought, as one
 // commit. Waiting for room comes before taking the records: once taken they
 // are queued in the same critical section, so commits enter the queue in the
 // order their rows were handed over. Callers hold s.mu.
 func (s *BatchingSink) submit(c commit) {
-	for len(s.work) >= workDepth {
-		s.cond.Wait()
+	if s.full(len(c.rows)) {
+		start := time.Now()
+		for s.full(len(c.rows)) {
+			s.cond.Wait()
+		}
+		mSinkWaitNS.Add(uint64(time.Since(start)))
 	}
 	c.records, s.buf = s.buf, nil
 	if len(c.records) == 0 && len(c.rows) == 0 && c.cursor == nil && !c.durable {
@@ -137,6 +166,7 @@ func (s *BatchingSink) submit(c commit) {
 		mSinkBatches.Inc()
 	}
 	s.work = append(s.work, c)
+	s.waiting += len(c.records) + len(c.rows)
 	s.queued++
 	s.cond.Broadcast()
 }

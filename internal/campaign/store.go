@@ -245,20 +245,35 @@ func (r *Row) Campaign() string { return r.Cols[2].S }
 func (r *Row) Step() int { return int(r.Cols[3].I) }
 
 // EncodeRow flattens a record into its stored form. The state goes in
-// relative to r.Ref when there is one to go against: an end row of an
-// experiment that ran, whose state has the reference's shape. The
-// reference row itself, a detail-mode step row, an invalid run (it has no
-// state) and any record without a Ref — every row of a nondeterministic
-// target, whose shard workers' references need not agree — are stored
-// whole.
-func EncodeRow(r *ExperimentRecord) Row {
-	// One allocation for both blobs; the full-capacity slice expression
-	// keeps a state append from clobbering data's backing array.
-	buf := r.Data.appendJSON(make([]byte, 0, 512))
+// relative to r.Ref when there is one to go against: the end row of an
+// experiment that ran (endOfExperiment), whose state has the reference's
+// shape or is given as a difference from it (FromRef). The reference row
+// itself, a detail-mode step row, an invalid run (it has no state) and any
+// record without a Ref — every row of a nondeterministic target, whose
+// shard workers' references need not agree — are stored whole. A FromRef
+// record has no whole state to store: one that cannot go relative, or
+// whose difference the relative form cannot hold, is the one error.
+func EncodeRow(r *ExperimentRecord) (Row, error) {
+	_, row, err := appendRow(make([]byte, 0, 512), r)
+	return row, err
+}
+
+// appendRow appends r's two blobs to buf and returns the row that holds
+// them: windows of buf clipped to their length, so that an append to one
+// cannot reach the bytes behind it. buf may have moved; on an error it is
+// as it came.
+func appendRow(buf []byte, r *ExperimentRecord) ([]byte, Row, error) {
+	if r.FromRef {
+		if err := r.checkFromRef(); err != nil {
+			return buf, Row{}, err
+		}
+	}
+	start := len(buf)
+	buf = r.Data.appendJSON(buf)
 	n := len(buf)
 	relative := false
-	if r.Ref != nil && r.Step == -1 && r.Data.Seq >= 0 && r.Data.Outcome.Status != OutcomeInvalidRun {
-		buf, relative = r.State.appendRelative(buf, r.Ref)
+	if r.Ref != nil && r.endOfExperiment() {
+		buf, relative = r.appendRelative(buf)
 	}
 	if relative {
 		mRowsRelative.Inc()
@@ -266,15 +281,15 @@ func EncodeRow(r *ExperimentRecord) Row {
 		buf = r.State.appendJSON(buf)
 		mRowsAbsolute.Inc()
 	}
-	data, state := buf[:n:n], buf[n:]
+	data, state := buf[start:n:n], buf[n:len(buf):len(buf)]
 	mStateBytes.Add(uint64(len(state)))
 	parent := sqldb.Null()
 	if r.Parent != "" {
 		parent = sqldb.Text(r.Parent)
 	}
-	return Row{Seq: r.Data.Seq, Cols: [6]sqldb.Value{
+	return buf, Row{Seq: r.Data.Seq, Cols: [6]sqldb.Value{
 		sqldb.Text(r.Name), parent, sqldb.Text(r.Campaign), sqldb.Int(int64(r.Step)),
-		sqldb.Blob(data), sqldb.Blob(state)}}
+		sqldb.Blob(data), sqldb.Blob(state)}}, nil
 }
 
 // DecodeRow is EncodeRow's inverse for a row outside a store — a shard
@@ -289,13 +304,32 @@ func DecodeRow(row *Row, ref *Reference) (*ExperimentRecord, error) {
 	})
 }
 
-// encodeRows flattens a batch of records.
-func encodeRows(recs []*ExperimentRecord) []Row {
+// rowBytes is what the two blobs of a thor experiment's row take and a
+// little over (283–350 B measured): what encodeRows sets aside per record
+// until it has seen a larger one.
+const rowBytes = 384
+
+// encodeRows flattens a batch of records, the blobs of many rows in one
+// allocation. A fresh buffer, sized for the records left, is opened when
+// the one at hand has less room than the last row took: rows of one
+// campaign are of a size — but for the reference run's, a kilobyte and
+// more, in front of the first batch — so append seldom has to move what
+// is already there.
+func encodeRows(recs []*ExperimentRecord) ([]Row, error) {
 	rows := make([]Row, len(recs))
+	var buf []byte
+	room := rowBytes
 	for i, r := range recs {
-		rows[i] = EncodeRow(r)
+		if cap(buf)-len(buf) < room {
+			buf = make([]byte, 0, room*(len(recs)-i))
+		}
+		var err error
+		if buf, rows[i], err = appendRow(buf, r); err != nil {
+			return nil, err
+		}
+		room = max(rowBytes, len(rows[i].Cols[4].B)+len(rows[i].Cols[5].B)+rowBytes/4)
 	}
-	return rows
+	return rows, nil
 }
 
 // InsertRows stores LoggedSystemState rows as they are, without encoding
@@ -329,12 +363,20 @@ func (s *Store) InsertRows(rows []Row) error {
 
 // LogExperiment stores one LoggedSystemState row.
 func (s *Store) LogExperiment(r *ExperimentRecord) error {
-	return s.InsertRows([]Row{EncodeRow(r)})
+	row, err := EncodeRow(r)
+	if err != nil {
+		return err
+	}
+	return s.InsertRows([]Row{row})
 }
 
 // LogExperimentBatch encodes and stores many LoggedSystemState rows.
 func (s *Store) LogExperimentBatch(recs []*ExperimentRecord) error {
-	return s.InsertRows(encodeRows(recs))
+	rows, err := encodeRows(recs)
+	if err != nil {
+		return err
+	}
+	return s.InsertRows(rows)
 }
 
 // Flush makes Store satisfy core.ResultSink. Writes are synchronous, so

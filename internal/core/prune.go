@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"slices"
+
+	"goofi/internal/bitvec"
 	"goofi/internal/campaign"
 	"goofi/internal/faultmodel"
 )
@@ -86,15 +90,22 @@ func (p PrunedCounts) Total() int { return p.Latent + p.Overwritten }
 type pruner struct {
 	r   *Runner
 	set *ForwardSet
+	// ref is the reference state the synthesized rows are handed to the
+	// sink as differences from; nil when the run has no sink.
+	ref *campaign.Reference
 }
 
 // newPruner returns the campaign's pruner, or nil when nothing may be
 // pruned: no recorded set (forwarding off, a resumed run, a target that
 // records nothing), detail-mode logging (the per-instruction trace has
 // to be produced), an algorithm other than SCIFI (the synthesized row is
-// SCIFI's: run to termination, read memory, read the scan chain), or a
-// table over a different chain than the one the campaign injects into.
-func (r *Runner) newPruner(set *ForwardSet) *pruner {
+// SCIFI's: run to termination, read memory, read the scan chain), a
+// table over a different chain than the one the campaign injects into, or
+// — with a sink to log to — a reference state (ref, the one the run's rows
+// go relative to) that is not the set's reference result, which is also
+// what a target that declares itself nondeterministic comes to: it has
+// none.
+func (r *Runner) newPruner(set *ForwardSet, ref *campaign.Reference) *pruner {
 	if set == nil || set.DefUse == nil || set.Reference == nil || set.Reference.FinalScan == nil ||
 		set.Campaign != r.camp.Name || r.camp.LogMode == campaign.LogDetail || r.alg.Name != SCIFI.Name {
 		return nil
@@ -102,7 +113,21 @@ func (r *Runner) newPruner(set *ForwardSet) *pruner {
 	if _, m, err := r.space(); err != nil || m.Chain != set.DefUse.Chain() {
 		return nil
 	}
-	return &pruner{r: r, set: set}
+	if r.sink != nil {
+		if ref == nil {
+			return nil
+		}
+		sv, err := set.Reference.StateVector()
+		if err != nil {
+			return nil
+		}
+		mine, _ := sv.Encode()
+		logged, _ := ref.State.Encode()
+		if !bytes.Equal(mine, logged) {
+			return nil
+		}
+	}
+	return &pruner{r: r, set: set, ref: ref}
 }
 
 // classify decides whether pe is a provable no-op. It returns NotPruned
@@ -141,22 +166,19 @@ func (p *pruner) classify(pe *plannedExperiment) (class PruneClass, cycle uint64
 	return PrunedOverwritten, cycle, nil
 }
 
-// try returns the finished experiment and its class when pe is a
-// provable no-op, or (nil, NotPruned) when it has to run.
-func (p *pruner) try(pe *plannedExperiment) (*Experiment, PruneClass) {
+// try returns the finished experiment, its record for the sink (nil when
+// the run has none) and its class when pe is a provable no-op, or nils and
+// NotPruned when it has to run. The record says what the classification
+// found and no more: the reference state plus the bits that stay flipped,
+// as positions in the stored scan state, ascending — nothing is cloned,
+// marshaled or compared to get there.
+func (p *pruner) try(pe *plannedExperiment) (*Experiment, *campaign.ExperimentRecord, PruneClass) {
 	class, cycle, latent := p.classify(pe)
 	if class == NotPruned {
-		return nil, NotPruned
+		return nil, nil, NotPruned
 	}
 	ref := p.set.Reference
-	scan := ref.FinalScan
-	if len(latent) > 0 {
-		scan = scan.Clone()
-		for _, b := range latent {
-			scan.Flip(b)
-		}
-	}
-	return &Experiment{
+	ex := &Experiment{
 		Campaign:       p.r.camp,
 		Seq:            pe.seq,
 		Name:           campaign.ExperimentName(p.r.camp.Name, pe.seq),
@@ -164,8 +186,26 @@ func (p *pruner) try(pe *plannedExperiment) (*Experiment, PruneClass) {
 		Trigger:        pe.trig,
 		InjectionCycle: cycle,
 		Injected:       true,
-		// Memory and Outputs are shared with the reference result and
-		// every other pruned row; records are never mutated.
-		Result: Result{Outcome: ref.Outcome, FinalScan: scan, Memory: ref.Memory, Outputs: ref.Outputs},
+		// No FinalScan: the record carries the difference. Memory and
+		// Outputs are shared with the reference result; nothing changes
+		// them.
+		Result: Result{Outcome: ref.Outcome, Memory: ref.Memory, Outputs: ref.Outputs},
+	}
+	if p.ref == nil {
+		return ex, nil, class
+	}
+	slices.Sort(latent)
+	for i := range latent {
+		latent[i] += bitvec.MarshaledHeaderBits
+	}
+	return ex, &campaign.ExperimentRecord{
+		Name:     ex.Name,
+		Campaign: p.r.camp.Name,
+		Step:     -1,
+		Data: campaign.ExperimentData{Seq: pe.seq, Fault: pe.fault, Trigger: pe.trig,
+			InjectionCycle: cycle, Injected: true, Outcome: ref.Outcome},
+		Ref:      p.ref,
+		ScanDiff: latent,
+		FromRef:  true,
 	}, class
 }

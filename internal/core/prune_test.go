@@ -95,13 +95,25 @@ func planOf(t *testing.T, camp *campaign.Campaign) []plannedExperiment {
 	return planned
 }
 
+// prunerFor is the pruner of a run without a sink, which needs no
+// reference state to hand rows over against.
 func prunerFor(t *testing.T, camp *campaign.Campaign, alg Algorithm, set *ForwardSet) *pruner {
 	t.Helper()
 	r, err := NewRunner(newFakeTarget(), alg, camp, fakeTSD())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.newPruner(set)
+	return r.newPruner(set, nil)
+}
+
+// loggedState is res as the reference state a sink's rows go against.
+func loggedState(t *testing.T, res *Result) *campaign.Reference {
+	t.Helper()
+	sv, err := res.StateVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return campaign.NewReference(sv)
 }
 
 func TestPrunerClassifiesBits(t *testing.T) {
@@ -115,6 +127,7 @@ func TestPrunerClassifiesBits(t *testing.T) {
 	if p == nil {
 		t.Fatal("no pruner for a prunable campaign")
 	}
+	p.ref = loggedState(t, ref)
 	cycleAt := func(c uint64) trigger.Spec { return trigger.Spec{Kind: "cycle", Cycle: c} }
 	cases := []struct {
 		name    string
@@ -144,9 +157,9 @@ func TestPrunerClassifiesBits(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pe := plannedExperiment{seq: 3, fault: tc.fault, trig: tc.trig}
-			ex, class := p.try(&pe)
-			if class != tc.class || (ex != nil) != (tc.class != NotPruned) {
-				t.Fatalf("class %v (experiment %v), want %v", class, ex != nil, tc.class)
+			ex, rec, class := p.try(&pe)
+			if class != tc.class || (ex != nil) != (tc.class != NotPruned) || (rec != nil) != (ex != nil) {
+				t.Fatalf("class %v (experiment %v, record %v), want %v", class, ex != nil, rec != nil, tc.class)
 			}
 			if ex == nil {
 				return
@@ -161,7 +174,30 @@ func TestPrunerClassifiesBits(t *testing.T) {
 			if fmt.Sprint(ex.Result.Memory, ex.Result.Outputs) != fmt.Sprint(ref.Memory, ref.Outputs) {
 				t.Error("memory or outputs differ from the reference")
 			}
-			diff, err := ex.Result.FinalScan.Xor(ref.FinalScan)
+			// The record says the state; spelled out, it is the reference's
+			// with those bits flipped.
+			if !rec.FromRef || rec.Ref != p.ref || rec.Name != ex.Name || rec.Campaign != "fc" || rec.Step != -1 ||
+				rec.Data.Seq != 3 || !rec.Data.Injected || rec.Data.InjectionCycle != 123 ||
+				rec.Data.Outcome != ref.Outcome || rec.Data.Trigger != tc.trig ||
+				fmt.Sprint(rec.Data.Fault) != fmt.Sprint(tc.fault) {
+				t.Errorf("record %+v", rec)
+			}
+			stored := make([]int, len(tc.flipped))
+			for i, b := range tc.flipped {
+				stored[i] = bitvec.MarshaledHeaderBits + b
+			}
+			if fmt.Sprint(rec.ScanDiff) != fmt.Sprint(stored) {
+				t.Errorf("scan difference %v, want %v", rec.ScanDiff, stored)
+			}
+			whole, err := rec.WholeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scan bitvec.Vector
+			if err := scan.UnmarshalBinary(whole.Scan); err != nil {
+				t.Fatal(err)
+			}
+			diff, err := scan.Xor(ref.FinalScan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +210,7 @@ func TestPrunerClassifiesBits(t *testing.T) {
 		})
 	}
 	var none *pruner
-	if ex, class := none.try(&plannedExperiment{fault: cases[0].fault, trig: cases[0].trig}); ex != nil || class != NotPruned {
+	if ex, rec, class := none.try(&plannedExperiment{fault: cases[0].fault, trig: cases[0].trig}); ex != nil || rec != nil || class != NotPruned {
 		t.Error("a nil pruner pruned")
 	}
 }
@@ -202,6 +238,25 @@ func TestPrunerPreconditions(t *testing.T) {
 		"table other chain": prunerFor(t, fakeCampaign(1), SCIFI, &ForwardSet{Campaign: "fc", DefUse: fakeDefUse{chain: "boundary"}, Reference: refResult()}),
 	} {
 		if p != nil {
+			t.Errorf("%s: pruning stayed on", name)
+		}
+	}
+	// With a sink the rows are handed over as differences from the logged
+	// reference state, which has to be there and be the set's.
+	logging, err := NewRunner(newFakeTarget(), SCIFI, fakeCampaign(1), fakeTSD(), WithSink(plainSink{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logging.newPruner(good(), loggedState(t, refResult())) == nil {
+		t.Error("a run with a sink and the set's reference state logged does not prune")
+	}
+	other := refResult()
+	other.FinalScan.Flip(41)
+	for name, ref := range map[string]*campaign.Reference{
+		"no logged reference state":      nil,
+		"another reference state logged": loggedState(t, other),
+	} {
+		if logging.newPruner(good(), ref) != nil {
 			t.Errorf("%s: pruning stayed on", name)
 		}
 	}

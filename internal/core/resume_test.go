@@ -9,7 +9,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"goofi/internal/analysis"
 	"goofi/internal/campaign"
@@ -480,5 +482,204 @@ func TestResumeFromEveryLogCut(t *testing.T) {
 	}
 	if cursors < n/2 {
 		t.Errorf("only %d of %d cuts had a stored cursor; the harness is not cutting between commits", cursors, len(log.cuts))
+	}
+}
+
+// stallLog is a log device that keeps what reaches it and, once stall is
+// called, lets nothing more through until release.
+type stallLog struct {
+	mu      sync.Mutex
+	img     []byte
+	stalled chan struct{}
+}
+
+func (l *stallLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	stalled := l.stalled
+	l.mu.Unlock()
+	if stalled != nil {
+		<-stalled
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.img = append(l.img, p...)
+	return len(p), nil
+}
+
+// stall shuts the device; the returned function opens it again, once.
+func (l *stallLog) stall() (release func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	stalled := make(chan struct{})
+	l.stalled = stalled
+	return sync.OnceFunc(func() {
+		l.mu.Lock()
+		l.stalled = nil
+		l.mu.Unlock()
+		close(stalled)
+	})
+}
+
+func (l *stallLog) image() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return bytes.Clone(l.img)
+}
+
+// countingSink counts the records handed to the sink behind it.
+type countingSink struct {
+	CheckpointSink
+	handed atomic.Int64
+}
+
+func (s *countingSink) LogExperiment(rec *campaign.ExperimentRecord) error {
+	s.handed.Add(1)
+	return s.CheckpointSink.LogExperiment(rec)
+}
+
+// TestSinkKillAtBoundResumes kills a campaign — pruned and emulated rows
+// through a batching sink at the default cursor cadence — at the moment it
+// has the most to lose: the store's device stalled, the sink's queue filled
+// to its bound behind it, the board waiting for room. What the device holds
+// then must be a store whose cursor names only rows that are there, short
+// of the run by no more than the bound promises, and resuming from it must
+// reproduce the uninterrupted run's rows.
+func TestSinkKillAtBoundResumes(t *testing.T) {
+	const n = 4 * campaign.QueueRows
+	factory := func() TargetSystem { return &forwardingFake{fakeTarget: newFakeTarget(), table: fakeTargetUses()} }
+	full := storeWithCampaign(t, fakeCampaign(n))
+	r, err := NewRunner(factory(), SCIFI, fakeCampaign(n), fakeTSD(), WithSink(full), WithBoards(1, factory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Pruned.Total() == 0 || sum.Pruned.Total() == n {
+		t.Fatalf("%d of %d experiments pruned: want both kinds of row in the queue", sum.Pruned.Total(), n)
+	}
+	want := dumpLoggedState(t, full, "fc")
+
+	log := &stallLog{}
+	db := sqldb.Open()
+	db.AttachWAL(sqldb.NewWAL(log, sqldb.SyncAlways))
+	st := storeOn(t, db, fakeCampaign(n))
+	sink := &countingSink{CheckpointSink: campaign.NewBatchingSink(st, 0)}
+	// The board waits in its progress callback, two cursor saves into the
+	// campaign, until the device is shut.
+	underWay, shut := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	r, err = NewRunner(factory(), SCIFI, fakeCampaign(n), fakeTSD(), WithSink(sink), WithBoards(1, factory),
+		WithCheckpoints(DefaultCheckpointInterval), WithProgress(func(ev ProgressEvent) {
+			if ev.Phase == "experiment" && ev.Done >= 2*DefaultCheckpointInterval {
+				once.Do(func() {
+					close(underWay)
+					<-shut
+				})
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := make(chan error, 1)
+	go func() {
+		_, err := r.Run(context.Background())
+		finished <- err
+	}()
+	<-underWay
+	deadline := time.Now().Add(10 * time.Second)
+	for !bytes.Contains(log.image(), []byte("INSERT INTO CampaignCheckpoint")) {
+		if time.Now().After(deadline) {
+			close(shut)
+			t.Fatal("the writer never stored the first cursor")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release := log.stall()
+	close(shut)
+	// On every way out: the run stands in the sink until the device moves
+	// again.
+	defer func() {
+		release()
+		<-finished
+	}()
+
+	// The board is at the bound when it stops handing records over, with
+	// at least the bound's rows handed over since the device stalled.
+	for prev := int64(-1); ; {
+		handed := sink.handed.Load()
+		if handed == prev && handed >= campaign.QueueRows {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the campaign never came to rest behind the stalled store (%d records handed over)", handed)
+		}
+		prev = handed
+		time.Sleep(20 * time.Millisecond)
+	}
+	select {
+	case err := <-finished:
+		finished <- err
+		t.Fatalf("the campaign ran to its end (%v) with the store stalled: the queue is not bounded", err)
+	default:
+	}
+	handed := int(sink.handed.Load())
+
+	killed := sqldb.Open()
+	if _, err := killed.ReplayWAL(bytes.NewReader(log.image())); err != nil {
+		t.Fatal(err)
+	}
+	kst := storeOn(t, killed, fakeCampaign(n))
+	stored, err := kst.GetCheckpoint("fc")
+	if err != nil || stored == nil {
+		t.Fatalf("no cursor in the killed store: %v", err)
+	}
+	for _, seq := range stored.Completed {
+		if _, err := kst.GetExperiment(campaign.ExperimentName("fc", seq)); err != nil {
+			t.Errorf("the cursor names experiment %d: %v", seq, err)
+		}
+	}
+	durable, err := kst.CountExperiments("fc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What waits, as much in the writer's hands, and the batch being
+	// filled — at any cursor cadence.
+	if lost, bound := handed-durable, 2*campaign.QueueRows+campaign.DefaultBatchSize; lost <= 0 || lost > bound {
+		t.Errorf("%d records handed over, %d durable: %d lost, the bound is %d", handed, durable, lost, bound)
+	}
+
+	cp, err := kst.RecoverCursor("fc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := campaign.NewBatchingSink(kst, 0)
+	rr, err := NewRunner(factory(), SCIFI, fakeCampaign(n), fakeTSD(), WithSink(resumed), WithBoards(1, factory),
+		WithCheckpoints(DefaultCheckpointInterval), WithResume(cp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rr.Run(context.Background()); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpLoggedState(t, kst, "fc"); got != want {
+		t.Error("logged state after the kill and the resume differs from the full run")
+	}
+
+	// The run that was not killed after all finishes as if nothing had been.
+	release()
+	if err := <-finished; err != nil {
+		t.Fatal(err)
+	}
+	finished <- nil
+	if err := sink.CheckpointSink.(*campaign.BatchingSink).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpLoggedState(t, st, "fc"); got != want {
+		t.Error("logged state after the stall differs from the full run")
 	}
 }

@@ -493,7 +493,7 @@ func (rs *run) enqueue() {
 		items = append(items, queuedExperiment{plannedExperiment: pe})
 	}
 	rs.q = newExpQueue(items)
-	rs.prune = r.newPruner(rs.fwSet)
+	rs.prune = r.newPruner(rs.fwSet, rs.ref)
 }
 
 // dispatch is stage five: the board workers drain the queue. Worker
@@ -879,10 +879,10 @@ func (rs *run) worker() {
 			// would sit on a board it is not using.
 			rs.release(b)
 		}
-		if ex, class := rs.prune.try(&qe.plannedExperiment); ex != nil {
+		if ex, rec, class := rs.prune.try(&qe.plannedExperiment); ex != nil {
 			// A provable no-op: its row is known from the reference run,
 			// so it takes the logging path without a board.
-			if err := r.logResult(ex, "", rs.ref); err != nil {
+			if err := r.sinkLog(rec); err != nil {
 				rs.haltWith(rs.expErr(ex, err))
 				return
 			}

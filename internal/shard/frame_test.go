@@ -39,7 +39,7 @@ func frameFixtures() []*ReportRequest {
 	rows := func(recs ...*campaign.ExperimentRecord) []campaign.Row {
 		out := make([]campaign.Row, len(recs))
 		for i, rec := range recs {
-			out[i] = campaign.EncodeRow(rec)
+			out[i] = mustRow(rec)
 		}
 		return out
 	}

@@ -113,11 +113,17 @@ func TestFailedStoreWritePoisonsMerge(t *testing.T) {
 // and leases, which a worker needs to keep its lease alive through exactly
 // this, are answered at once.
 func TestStalledMergeBlocksOnlyReports(t *testing.T) {
-	const reports = 16 // more than the sink queues and writes at a time
+	// One-row reports, more of them than the sink lets wait and the writer
+	// holds at a time: the last cannot be taken before the store moves.
+	const reports = 2*campaign.QueueRows + 1
 	coord, st, name := simCoordinatorWith(t, 2*reports, 2, slowBeat)
 	lease := coord.Lease(context.Background(), LeaseRequest{Worker: "w0"})
 	dev := &logDevice{stalled: make(chan struct{}), entered: make(chan struct{})}
 	st.DB().AttachWAL(sqldb.NewWAL(dev, sqldb.SyncAlways))
+	// On every way out: the coordinator's cleanup closes the sink, which
+	// waits for a writer that stands in dev.Write until this runs.
+	release := sync.OnceFunc(func() { close(dev.stalled) })
+	defer release()
 
 	var acked atomic.Int32
 	reported := make(chan error, 1)
@@ -165,7 +171,7 @@ func TestStalledMergeBlocksOnlyReports(t *testing.T) {
 	default:
 	}
 
-	close(dev.stalled)
+	release()
 	select {
 	case err := <-reported:
 		if err != nil {

@@ -141,7 +141,16 @@ func simRecord(name string, seq int) campaign.Row {
 	} else {
 		rec.Name = campaign.ExperimentName(name, seq)
 	}
-	return campaign.EncodeRow(rec)
+	return mustRow(rec)
+}
+
+// mustRow is campaign.EncodeRow of a record that has to encode.
+func mustRow(rec *campaign.ExperimentRecord) campaign.Row {
+	row, err := campaign.EncodeRow(rec)
+	if err != nil {
+		panic(err)
+	}
+	return row
 }
 
 // TestShardExactlyOnceUnderChurn drives a coordinator through seeded

@@ -81,9 +81,9 @@ func TestWorkerRefusesOtherProtocolVersion(t *testing.T) {
 func TestRowSinkReadsOnlyTheReference(t *testing.T) {
 	state := campaign.StateVector{Scan: []byte{1, 2, 3}, Memory: map[string][]byte{"m": {4}}}
 	refName := campaign.ReferenceName("c")
-	step := campaign.EncodeRow(&campaign.ExperimentRecord{Name: refName + "/step000000", Parent: refName,
+	step := mustRow(&campaign.ExperimentRecord{Name: refName + "/step000000", Parent: refName,
 		Campaign: "c", Step: 0, State: state})
-	end := campaign.EncodeRow(&campaign.ExperimentRecord{Name: refName, Campaign: "c", Step: -1,
+	end := mustRow(&campaign.ExperimentRecord{Name: refName, Campaign: "c", Step: -1,
 		Data: campaign.ExperimentData{Seq: -1}, State: state})
 	sink := rowSink{rep: newReporter(), reference: []campaign.Row{step, end}}
 	rec, err := sink.GetExperiment(refName)

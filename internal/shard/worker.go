@@ -112,7 +112,11 @@ type rowSink struct {
 }
 
 func (s rowSink) LogExperiment(rec *campaign.ExperimentRecord) error {
-	s.rep.add(campaign.EncodeRow(rec))
+	row, err := campaign.EncodeRow(rec)
+	if err != nil {
+		return err
+	}
+	s.rep.add(row)
 	if s.hook != nil {
 		s.hook(rec)
 	}
