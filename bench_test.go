@@ -212,7 +212,7 @@ func BenchmarkSCIFIvsSWIFI(b *testing.B) {
 		b.ReportMetric(rep.EffectiveRate.P, "effective")
 	})
 	b.Run("swifi-preruntime", func(b *testing.B) {
-		imgSize, err := swifi.ImageSize(workload.Sort().Source)
+		imgSize, err := asm.ImageSize(workload.Sort().Source)
 		if err != nil {
 			b.Fatal(err)
 		}

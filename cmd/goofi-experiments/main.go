@@ -218,7 +218,7 @@ func e3(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	imgSize, err := swifi.ImageSize(workload.Sort().Source)
+	imgSize, err := asm.ImageSize(workload.Sort().Source)
 	if err != nil {
 		return err
 	}

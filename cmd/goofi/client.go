@@ -92,7 +92,6 @@ func cmdSubmit(args []string) error {
 	srvAddr := fs.String("server", "127.0.0.1:7077", "goofid address")
 	tenant := fs.String("tenant", "default", "tenant namespace")
 	kind := fs.String("kind", "", "target kind (see 'goofi targets'; default from technique)")
-	imageBytes := fs.Int("image-bytes", 4096, "workload image size (swifi targets)")
 	params := paramFlags{}
 	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable)")
 	technique := fs.String("technique", "", "injection algorithm: scifi, swifi-preruntime, swifi-runtime, pin-level (default: the target's own)")
@@ -126,7 +125,6 @@ func cmdSubmit(args []string) error {
 			NoForward:  *noFwd,
 			MaxRetries: *maxRetries, BoardFailureThreshold: *failThreshold,
 		},
-		ImageBytes:      *imageBytes,
 		Boards:          *boards,
 		Checkpoint:      *ckpt,
 		Shards:          *shards,

@@ -150,10 +150,9 @@ func cmdConfigure(args []string) error {
 	dbPath := fs.String("db", "goofi.db", "GOOFI database file")
 	target := fs.String("target", "thor-board", "target system name")
 	kind := fs.String("kind", "scifi", "target kind (see 'goofi targets')")
-	imageBytes := fs.Int("image-bytes", 4096, "workload image size (swifi targets)")
 	victim := fs.String("victim", "", "victim binary path (proc targets; adds the memory chain)")
 	params := paramFlags{}
-	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable)")
+	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable; swifi targets size their fault space with image-bytes=N, default 4096)")
 	tree := fs.Bool("tree", false, "print the hierarchical location list")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -163,9 +162,6 @@ func cmdConfigure(args []string) error {
 		return err
 	}
 	defer db.Close()
-	if _, ok := params["image-bytes"]; !ok {
-		params["image-bytes"] = strconv.Itoa(*imageBytes)
-	}
 	if *victim != "" {
 		params["victim"] = *victim
 	}

@@ -364,7 +364,7 @@ func TestResumeWithoutStateFails(t *testing.T) {
 func TestSWIFITechniques(t *testing.T) {
 	db := dbPath(t)
 	steps := [][]string{
-		{"configure", "-db", db, "-target", "thor-swifi", "-kind", "swifi", "-image-bytes", "512"},
+		{"configure", "-db", db, "-target", "thor-swifi", "-kind", "swifi", "-target-param", "image-bytes=512"},
 		{"setup", "-db", db, "-campaign", "sw", "-target", "thor-swifi",
 			"-chain", "memory", "-locations", "mem", "-workload", "sort16",
 			"-trigger", "cycle", "-trigger-cycle", "0",

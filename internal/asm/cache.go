@@ -40,3 +40,13 @@ func AssembleCached(source string) (*Program, error) {
 	assembleMu.Unlock()
 	return prog, nil
 }
+
+// ImageSize returns the assembled size of a workload source in bytes: what
+// a SWIFI campaign sizes its fault space with.
+func ImageSize(source string) (int, error) {
+	prog, err := AssembleCached(source)
+	if err != nil {
+		return 0, err
+	}
+	return len(prog.Image), nil
+}

@@ -50,3 +50,13 @@ func TestAssembleCachedErrorsNotCached(t *testing.T) {
 		t.Fatal("expected assembly error on second attempt")
 	}
 }
+
+func TestImageSize(t *testing.T) {
+	n, err := ImageSize("ldi r1, 42\nhalt")
+	if err != nil || n != 8 {
+		t.Errorf("ImageSize = %d, %v; want two words", n, err)
+	}
+	if _, err := ImageSize("bogus instr"); err == nil {
+		t.Error("bad source accepted")
+	}
+}

@@ -137,15 +137,18 @@ type ForwardCalibrator interface {
 
 // forwardPlan derives the checkpoint plan from the campaign definition,
 // or nil when forwarding cannot apply: disabled by config, detail-mode
-// logging (per-instruction traces must cover the whole run), or a
-// trigger whose firing depends on the execution prefix rather than a
-// counter. Placement is by interval: at most DefaultMaxForwardCheckpoints
-// capture cycles evenly spaced over the injection window, or one just
-// before a fixed trigger point. A plan may name no cycle at all (no
-// checkpoint would pay): the reference run is still recorded, for its
-// def-use table.
+// logging (per-instruction traces must cover the whole run), a trigger
+// whose firing depends on the execution prefix rather than a counter, or
+// an algorithm without a waitForBreakpoint step (pre-runtime SWIFI: the
+// fault is in before the first cycle, so no experiment shares a prefix
+// with the reference run and nothing would ever restore). Placement is
+// by interval: at most DefaultMaxForwardCheckpoints capture cycles evenly
+// spaced over the injection window, or one just before a fixed trigger
+// point. A plan may name no cycle at all (no checkpoint would pay): the
+// reference run is still recorded, for its def-use table.
 func (r *Runner) forwardPlan() *ForwardPlan {
-	if r.fw.Disabled || r.camp.LogMode == campaign.LogDetail || !r.camp.Trigger.CycleMonotonic() {
+	if r.fw.Disabled || r.camp.LogMode == campaign.LogDetail || !r.camp.Trigger.CycleMonotonic() ||
+		!r.alg.hasStep(waitForBreakpoint.name) {
 		return nil
 	}
 	plan := &ForwardPlan{Campaign: r.camp.Name, MaxBytes: DefaultMaxForwardBytes}

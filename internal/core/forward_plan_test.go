@@ -80,9 +80,17 @@ func TestForwardPlanInterval(t *testing.T) {
 		"disabled":       func(r *Runner) { r.fw.Disabled = true },
 		"detail mode":    func(r *Runner) { r.camp.LogMode = campaign.LogDetail },
 		"prefix trigger": func(r *Runner) { r.camp.Trigger = trigger.Spec{Kind: "breakpoint", Addr: 8} },
+		// The step list answers, not the name: only pre-runtime SWIFI has
+		// no waitForBreakpoint, so only its reference run records nothing.
+		"no waitForBreakpoint step": func(r *Runner) { r.alg = PreRuntimeSWIFI },
 	} {
 		if plan := planFor(t, edit); plan != nil {
 			t.Errorf("%s: got plan %+v, want none", name, plan)
+		}
+	}
+	for _, alg := range []Algorithm{RuntimeSWIFI, PinLevel} {
+		if planFor(t, func(r *Runner) { r.alg = alg }) == nil {
+			t.Errorf("%s: no plan, though it waits for a breakpoint", alg.Name)
 		}
 	}
 }

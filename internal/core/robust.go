@@ -12,8 +12,7 @@ import (
 // RetryPolicy configures the runner's fault-tolerance layer: per-attempt
 // watchdogs, retry with capped exponential backoff, and the board
 // circuit breaker. The zero value disables the layer entirely, keeping
-// the legacy semantics (first experiment error aborts dispatch); use
-// DefaultRetryPolicy for sensible production values.
+// the legacy semantics (first experiment error aborts dispatch).
 type RetryPolicy struct {
 	// MaxRetries is how many times a failed experiment is re-attempted
 	// beyond its first execution. An experiment still failing after
@@ -32,11 +31,6 @@ type RetryPolicy struct {
 	// (0 = no watchdog). Recovering from a wedge needs a board factory
 	// (WithBoards): the wedged attempt may still hold the old target.
 	WatchdogTimeout time.Duration
-	// CycleCap is the per-attempt emulated-cycle cap; a run that emulates
-	// more cycles is treated as a runaway harness and classified Wedged
-	// (0 = no cap). It complements the campaign's TimeoutCycles, which a
-	// misbehaving target could ignore.
-	CycleCap uint64
 	// BackoffBase and BackoffMax bound the exponential backoff between
 	// retry attempts: attempt n sleeps base<<(n-1), capped at max, plus
 	// up to 50% seeded jitter. Zero values select the defaults below.
@@ -55,24 +49,12 @@ const (
 	DefaultBackoffMax = 250 * time.Millisecond
 )
 
-// DefaultRetryPolicy returns the production policy used by the goofi
-// CLI: two retries, quarantine after two consecutive board failures,
-// a generous wall-clock watchdog.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxRetries:            2,
-		BoardFailureThreshold: 2,
-		WatchdogTimeout:       30 * time.Second,
-	}
-}
-
 // enabled reports whether any part of the fault-tolerance layer is on.
 // A fully zero policy preserves the legacy abort-on-first-error
 // behaviour (errors are still recover-classified so a target panic can
 // no longer kill the process).
 func (p *RetryPolicy) enabled() bool {
-	return p.MaxRetries > 0 || p.BoardFailureThreshold > 0 ||
-		p.WatchdogTimeout > 0 || p.CycleCap > 0
+	return p.MaxRetries > 0 || p.BoardFailureThreshold > 0 || p.WatchdogTimeout > 0
 }
 
 // maxAttempts is the total execution budget per experiment.
@@ -109,7 +91,7 @@ func WithRetryPolicy(p RetryPolicy) RunnerOption {
 }
 
 // execAttempt runs the algorithm once on the given target, converting
-// panics to Wedged errors and enforcing the policy's watchdogs. When the
+// panics to Wedged errors and enforcing the policy's watchdog. When the
 // wall-clock watchdog fires, the attempt's goroutine is abandoned
 // together with the target it may still be driving — exactly like a
 // wedged physical board, which only a power cycle (a fresh target from
@@ -142,15 +124,7 @@ func (r *Runner) execAttempt(ctx context.Context, target TargetSystem, ex *Exper
 			return ctx.Err()
 		}
 	}
-	if err != nil {
-		return err
-	}
-	if cc := r.retry.CycleCap; cc > 0 && ex.Result.Outcome.Cycles > cc {
-		mWatchdogFires.Inc()
-		return &ExperimentError{Class: Wedged, Experiment: ex.Name, Attempt: attempt,
-			Err: fmt.Errorf("watchdog: run emulated %d cycles, cap %d", ex.Result.Outcome.Cycles, cc)}
-	}
-	return nil
+	return err
 }
 
 // sleepCtx sleeps for d, returning false when ctx is cancelled first.

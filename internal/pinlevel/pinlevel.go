@@ -2,14 +2,15 @@
 // style of RIFLE and MESSALINE (paper §1): faults are forced onto the
 // circuit pins — here through the boundary-scan register via EXTEST, as
 // the paper's composable building blocks allow (§2.1). The fault space is
-// the data-in and address pins; a fault is forced at the trigger point and
-// held for a configurable number of cycles.
+// the data-in and address pins; a fault of any kind is forced at the
+// trigger point, held for DefaultHoldCycles and released. It is never
+// reasserted: the fault lives on the pins, not in the internal scan chain
+// the board would reassert through.
 package pinlevel
 
 import (
 	"fmt"
 
-	"goofi/internal/asm"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/scanchain"
@@ -18,40 +19,21 @@ import (
 )
 
 // DefaultHoldCycles is how long a forced pin fault stays on the pins
-// before being released, unless overridden with WithHoldCycles.
+// before being released.
 const DefaultHoldCycles = 64
 
-// Target drives THOR-S through its boundary-scan register. It reuses the
-// SCIFI target for everything except the injection path: ReadScanChain
-// samples the boundary register, InjectFault computes the forced pins, and
-// WriteScanChain drives them via EXTEST.
+// Target drives THOR-S through its boundary-scan register. It is the
+// shared board plus the pin-level injection path: ReadScanChain samples
+// the boundary register, the board's InjectFault computes the forced pins,
+// WriteScanChain drives them via EXTEST, and WaitForTermination releases
+// them after the hold.
 type Target struct {
-	*scifi.Target
-	holdCycles uint64
-	forced     bool
+	*scifi.Board
 }
 
 // New returns a pin-level target.
-func New(cfg thor.Config) *Target {
-	return &Target{Target: scifi.New(cfg), holdCycles: DefaultHoldCycles}
-}
-
-// WithHoldCycles sets how long a forced pin fault is held.
-func (t *Target) WithHoldCycles(n uint64) *Target {
-	t.holdCycles = n
-	return t
-}
-
-// dataInField locates the pin.data_in cells in the boundary register.
-func dataInField() (scanchain.Location, error) {
-	m := scifi.BoundaryMap()
-	return m.Find("pin.data_in")
-}
-
-// addrField locates the pin.addr cells.
-func addrField() (scanchain.Location, error) {
-	m := scifi.BoundaryMap()
-	return m.Find("pin.addr")
+func New(cfg thor.Config, opts ...scifi.Option) *Target {
+	return &Target{scifi.NewBoard(cfg, scifi.Technique{Name: "thor-s-board"}, opts...)}
 }
 
 // ReadScanChain samples the boundary register instead of the internal
@@ -66,7 +48,7 @@ func (t *Target) ReadScanChain(ex *core.Experiment) error {
 }
 
 // WriteScanChain drives the (mutated) boundary register onto the pins via
-// EXTEST; the force remains active until released after holdCycles.
+// EXTEST; the force remains active until WaitForTermination releases it.
 func (t *Target) WriteScanChain(ex *core.Experiment) error {
 	if ex.ScanVector == nil {
 		return fmt.Errorf("pinlevel: WriteScanChain with no boundary vector")
@@ -74,11 +56,12 @@ func (t *Target) WriteScanChain(ex *core.Experiment) error {
 	if ex.Fault == nil || !ex.Injected {
 		return nil
 	}
-	di, err := dataInField()
+	m := scifi.BoundaryMap()
+	di, err := m.Find("pin.data_in")
 	if err != nil {
 		return err
 	}
-	ad, err := addrField()
+	ad, err := m.Find("pin.addr")
 	if err != nil {
 		return err
 	}
@@ -93,36 +76,25 @@ func (t *Target) WriteScanChain(ex *core.Experiment) error {
 			return fmt.Errorf("pinlevel: fault bit %d targets a non-forceable pin", b)
 		}
 	}
-	if err := t.CPU().BoundaryWrite(ex.ScanVector, dataMask, addrMask); err != nil {
-		return err
-	}
-	t.forced = true
-	return nil
+	return t.CPU().BoundaryWrite(ex.ScanVector, dataMask, addrMask)
 }
 
-// WaitForTermination releases the pin force after holdCycles (a transient
-// pin fault), then defers to the SCIFI termination loop.
+// WaitForTermination releases the pin force after the hold (whatever the
+// fault kind: a pin fault is transient on the pins), then defers to the
+// board's termination loop.
 func (t *Target) WaitForTermination(ex *core.Experiment) error {
-	if t.forced {
-		budget := t.holdCycles
-		st := t.CPU().Run(budget)
+	if t.CPU().PinForceActive() {
+		st := t.CPU().Run(DefaultHoldCycles)
 		t.CPU().ClearBoundaryForce()
-		t.forced = false
 		if st == thor.StatusOutOfBudget {
 			if err := t.CPU().ClearOutOfBudget(); err != nil {
 				return err
 			}
 		}
 		// Other statuses (halt/detected/iteration-end) fall through to
-		// the SCIFI loop, which handles them.
+		// the board's loop, which handles them.
 	}
-	return t.Target.WaitForTermination(ex)
-}
-
-// InitTestCard resets the board and the force state.
-func (t *Target) InitTestCard(ex *core.Experiment) error {
-	t.forced = false
-	return t.Target.InitTestCard(ex)
+	return t.Board.WaitForTermination(ex)
 }
 
 // TargetSystemData returns the configuration-phase record for pin-level
@@ -142,15 +114,6 @@ func TargetSystemData(name string) *campaign.TargetSystemData {
 		Chains:       []scanchain.Map{m},
 		Description:  "THOR-S pins forced through boundary-scan EXTEST",
 	}
-}
-
-// ImageSize is a helper for campaigns: the assembled size of a workload.
-func ImageSize(source string) (int, error) {
-	prog, err := asm.AssembleCached(source)
-	if err != nil {
-		return 0, err
-	}
-	return len(prog.Image), nil
 }
 
 // Interface compliance.

@@ -3,11 +3,9 @@ package pinlevel
 import (
 	"goofi/internal/campaign"
 	"goofi/internal/core"
+	"goofi/internal/scifi"
 	"goofi/internal/thor"
 )
-
-// Deterministic: thor-backed targets keep the byte-identity guarantee.
-func (t *Target) Deterministic() bool { return true }
 
 func init() {
 	core.RegisterTarget(core.TargetInfo{
@@ -17,7 +15,7 @@ func init() {
 		Algorithm:     core.PinLevel.Name,
 		Deterministic: true,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
-			return New(thor.DefaultConfig()), nil
+			return New(thor.DefaultConfig(), scifi.TargetOptions(cfg)...), nil
 		},
 		SystemData: func(name string, cfg core.TargetConfig) (*campaign.TargetSystemData, error) {
 			return TargetSystemData(name), nil

@@ -1,0 +1,516 @@
+package scifi
+
+import (
+	"fmt"
+
+	"goofi/internal/asm"
+	"goofi/internal/bitvec"
+	"goofi/internal/campaign"
+	"goofi/internal/core"
+	"goofi/internal/envsim"
+	"goofi/internal/scanchain"
+	"goofi/internal/thor"
+	"goofi/internal/trigger"
+)
+
+// runSlice is the cycle granularity at which WaitForTermination checks
+// termination conditions and reasserts persistent faults.
+const runSlice = 4096
+
+// device adapts the THOR-S CPU to the scanchain.Device interface.
+type device struct {
+	cpu *thor.CPU
+}
+
+func (d *device) BoundaryLen() int                { return thor.BoundaryLen() }
+func (d *device) CaptureBoundary() *bitvec.Vector { return d.cpu.BoundaryRead() }
+func (d *device) InternalLen() int                { return thor.ScanLen() }
+func (d *device) CaptureInternal() *bitvec.Vector { return d.cpu.ScanRead() }
+func (d *device) IDCode() uint32                  { return IDCode }
+
+// CaptureInternalInto lets the TAP reuse its DR shift register across
+// internal scans (scanchain.InternalCapturerInto).
+func (d *device) CaptureInternalInto(v *bitvec.Vector) error { return d.cpu.ScanReadInto(v) }
+
+// UpdateBoundary is an EXTEST update that drives no pin: the pin-level
+// technique forces pins with the masks of its fault (CPU.BoundaryWrite).
+func (d *device) UpdateBoundary(v *bitvec.Vector) error { return d.cpu.BoundaryWrite(v, 0, 0) }
+
+func (d *device) UpdateInternal(v *bitvec.Vector) error { return d.cpu.ScanWrite(v) }
+
+// Technique is what an injection technique hands the board it drives, on
+// top of the abstract methods it defines itself: the two places where the
+// board's own steps depend on how the fault gets in.
+type Technique struct {
+	// Name is the target system's name.
+	Name string
+	// Image returns the bytes WriteMemory downloads to address 0; nil
+	// means the assembled program's image. SWIFI hands over its own copy,
+	// which pre-runtime injection has mutated.
+	Image func() []byte
+	// Reassert re-applies an injected persistent fault; the board calls it
+	// after every run slice and every environment exchange of the faulty
+	// remainder of the run. nil means the technique's faults are not
+	// reasserted: a pin force is released after its hold, a memory word
+	// stays as written.
+	Reassert func(ex *core.Experiment) error
+}
+
+// Board is the technique-neutral THOR-S test board: reset, workload
+// download, trigger wait, the gated injectFault, the termination loop with
+// its outcome, result read-back, the detail-mode trace and checkpoint
+// forwarding. A technique embeds it and adds its injection steps; one Board
+// drives one simulated board and is not safe for concurrent campaigns.
+type Board struct {
+	core.Framework
+
+	tech Technique
+	cpu  *thor.CPU
+	dev  *device
+	ctrl *scanchain.Controller
+	envs *envsim.Registry
+
+	// per-experiment state, reset by InitTestCard
+	prog             *asm.Program
+	trig             trigger.Trigger
+	sim              envsim.Simulator
+	iteration        int
+	detailStep       int
+	atInjectionPoint bool
+	// outputs is everything drained from the workload's output port so
+	// far, in one buffer the board keeps from experiment to experiment.
+	// finishOutcome publishes a copy as ex.Result.Outputs: a control loop
+	// drains every 55 cycles, and a map lookup, a map assign and an append
+	// to a slice held in a map each time cost more than the iteration.
+	outputs []uint32
+
+	// campaign-scoped checkpoint-forwarding state; preserved across
+	// InitTestCard, managed through the core.Forwarder methods.
+	fwRec *fwRecorder
+	fwSet *core.ForwardSet
+	// scanScratch is the reusable scan vector for the per-slice hot
+	// paths (persistent-fault reassertion, detail-mode state capture).
+	scanScratch *bitvec.Vector
+
+	// assembled is the immutable program of the last workload source this
+	// board loaded; it outlives InitTestCard, so a campaign's experiments
+	// compare one string header instead of hashing the source each.
+	assembledSource string
+	assembled       *asm.Program
+
+	// fastPath selects thor's batched execution mode for trigger waits
+	// and termination runs (byte-identical to cycle-accurate execution;
+	// see internal/thor/cpu_fastpath.go). On by default; NoFastPath
+	// turns it off for A/B benchmarking and differential suites.
+	fastPath bool
+}
+
+// Option configures a Board.
+type Option func(*Board)
+
+// NewBoard returns a fresh THOR-S board driven by the given technique.
+func NewBoard(cfg thor.Config, tech Technique, opts ...Option) *Board {
+	t := &Board{
+		Framework: core.Framework{TargetName: tech.Name},
+		tech:      tech,
+		envs:      envsim.NewRegistry(),
+		fastPath:  true,
+	}
+	for _, o := range opts {
+		o(t)
+	}
+	t.cpu = thor.New(cfg)
+	t.dev = &device{cpu: t.cpu}
+	t.ctrl = scanchain.NewController(t.dev)
+	return t
+}
+
+// WithEnvRegistry replaces the environment simulator registry.
+func WithEnvRegistry(r *envsim.Registry) Option {
+	return func(t *Board) { t.envs = r }
+}
+
+// NoFastPath disables thor's batched fast-path execution and runs every
+// cycle through the cycle-accurate Step path. Outcomes are identical
+// either way (pinned by the differential suites); this exists for A/B
+// benchmarking and belt-and-braces verification runs.
+func NoFastPath() Option {
+	return func(t *Board) { t.fastPath = false }
+}
+
+// TargetOptions reads the board options a configured target carries in its
+// target params: fastpath=off is the oracle every thor-backed kind has.
+func TargetOptions(cfg core.TargetConfig) []Option {
+	if cfg.Param("fastpath", "on") == "off" {
+		return []Option{NoFastPath()}
+	}
+	return nil
+}
+
+// Deterministic declares the simulator's full differential guarantee:
+// same plan, byte-identical records, whatever the technique. Stated
+// explicitly so the relaxation introduced for live-process targets can
+// never silently widen.
+func (t *Board) Deterministic() bool { return true }
+
+// CPU exposes the underlying processor to the techniques, to tests and to
+// the pre-injection analysis.
+func (t *Board) CPU() *thor.CPU { return t.cpu }
+
+// Controller exposes the scan-chain controller.
+func (t *Board) Controller() *scanchain.Controller { return t.ctrl }
+
+// Program returns the workload program LoadWorkload assembled.
+func (t *Board) Program() *asm.Program { return t.prog }
+
+// AtInjectionPoint reports whether WaitForBreakpoint stopped the workload
+// at the experiment's injection point (it may terminate first).
+func (t *Board) AtInjectionPoint() bool { return t.atInjectionPoint }
+
+// InitTestCard resets the board: TAP and controller reset, CPU to
+// power-on state, memory cleared, per-experiment state discarded. The
+// controller is reset in place (byte-identical to a fresh controller,
+// pinned by TestControllerResetMatchesFresh, but without reallocating
+// its multi-kilobit scratch vector on the per-experiment hot path)
+// before the CPU is reconfigured so no stale scan traffic can touch the
+// fresh CPU state, and trap handlers and breakpoints — which survive a
+// bare CPU reset — are cleared explicitly: a reused board must behave
+// identically to a fresh one.
+func (t *Board) InitTestCard(ex *core.Experiment) error {
+	t.ctrl.Reset()
+	t.cpu.Reset()
+	t.cpu.ClearMemory()
+	t.cpu.ClearTrapHandlers()
+	t.cpu.ClearBreakpoints()
+	t.cpu.TraceHook = nil
+	t.prog = nil
+	t.trig = nil
+	t.sim = nil
+	t.iteration = 0
+	t.detailStep = 0
+	t.atInjectionPoint = false
+	t.outputs = t.outputs[:0]
+	return nil
+}
+
+// LoadWorkload assembles the campaign's workload source. Every experiment
+// of a campaign shares one immutable Program, and only the memory image
+// download is per-run: the board remembers the source it assembled last,
+// and goes to the process-wide cache (a SHA-256 of the source under a
+// mutex) only when handed another.
+func (t *Board) LoadWorkload(ex *core.Experiment) error {
+	if src := ex.Campaign.Workload.Source; t.assembled == nil || src != t.assembledSource {
+		prog, err := asm.AssembleCached(src)
+		if err != nil {
+			return fmt.Errorf("scifi: assemble workload %q: %w", ex.Campaign.Workload.Name, err)
+		}
+		t.assembledSource, t.assembled = src, prog
+	}
+	t.prog = t.assembled
+	return nil
+}
+
+// WriteMemory downloads the workload image and the initial input data,
+// and installs any recovery trap handlers.
+func (t *Board) WriteMemory(ex *core.Experiment) error {
+	if t.prog == nil {
+		return fmt.Errorf("scifi: WriteMemory before LoadWorkload")
+	}
+	image := t.prog.Image
+	if t.tech.Image != nil {
+		image = t.tech.Image()
+	}
+	if err := t.cpu.LoadMemory(0, image); err != nil {
+		return err
+	}
+	wl := &ex.Campaign.Workload
+	for code, symbol := range wl.RecoveryHandlers {
+		addr, err := t.prog.Symbol(symbol)
+		if err != nil {
+			return fmt.Errorf("scifi: recovery handler: %w", err)
+		}
+		t.cpu.SetTrapHandler(code, addr)
+	}
+	if ex.Campaign.EnvSim != nil {
+		sim, err := t.envs.New(ex.Campaign.EnvSim.Name, ex.Campaign.EnvSim.Params)
+		if err != nil {
+			return err
+		}
+		t.sim = sim
+		// Initial input data (paper §3.3: "the workload and initial
+		// input data is downloaded"). PushInput copies what Exchange
+		// returns, which is only good until the next Exchange.
+		t.fwLogExchange(ex, nil)
+		t.cpu.Ports().PushInput(wl.InputPort, sim.Exchange(nil)...)
+	}
+	return nil
+}
+
+// RunWorkload arms the experiment: the injection trigger is built and the
+// detail-mode trace hook installed. On the simulated board execution is
+// demand-driven, so "starting" the workload means arming it.
+func (t *Board) RunWorkload(ex *core.Experiment) error {
+	if ex.IsReference() && t.fwRec != nil {
+		// A recording reference run also records its def-use table, from
+		// the first instruction on, under the set's byte budget.
+		t.cpu.RecordDefUse(t.fwRec.plan.MaxBytes)
+	}
+	if !ex.IsReference() {
+		trig, err := ex.Trigger.Build()
+		if err != nil {
+			return err
+		}
+		trig.Reset()
+		t.trig = trig
+	}
+	if ex.DetailSink != nil {
+		t.installDetailHook(ex)
+	}
+	return nil
+}
+
+// installDetailHook logs the observable system state after every machine
+// instruction (detail mode, paper §3.3).
+func (t *Board) installDetailHook(ex *core.Experiment) {
+	t.cpu.TraceHook = func(c *thor.CPU) {
+		sv, err := t.captureState(ex)
+		if err != nil {
+			return
+		}
+		_ = ex.DetailSink(t.detailStep, sv)
+		t.detailStep++
+	}
+}
+
+// WaitForBreakpoint runs until the injection trigger fires, exchanging
+// environment data at iteration boundaries. If the workload terminates
+// before the trigger fires, the experiment proceeds without injection
+// (the fault's time point was never reached).
+func (t *Board) WaitForBreakpoint(ex *core.Experiment) error {
+	if t.trig == nil {
+		return fmt.Errorf("scifi: WaitForBreakpoint before RunWorkload")
+	}
+	// Fast-forward over the fault-free prefix when a recorded checkpoint
+	// covers this experiment's injection point (no-op otherwise).
+	t.fwRestore(ex)
+	budget := ex.Campaign.Termination.TimeoutCycles
+	for {
+		var fired bool
+		var st thor.Status
+		if t.fastPath {
+			fired, st = trigger.RunUntilFast(t.cpu, t.trig, ex.Trigger, remaining(budget, t.cpu.Cycle()))
+		} else {
+			fired, st = trigger.RunUntil(t.cpu, t.trig, remaining(budget, t.cpu.Cycle()))
+		}
+		if fired {
+			ex.InjectionCycle = t.cpu.Cycle()
+			t.atInjectionPoint = true
+			return nil
+		}
+		switch st {
+		case thor.StatusIterationEnd:
+			if err := t.exchange(ex); err != nil {
+				return err
+			}
+		case thor.StatusRunning:
+			// Timeout budget exhausted before the trigger fired.
+			return nil
+		default:
+			// Halted or detected before the injection point.
+			return nil
+		}
+	}
+}
+
+// InjectFault applies the fault to the vector the technique's
+// readScanChain captured, but only when the injection point was actually
+// reached: if the workload terminated before the trigger fired, the
+// fault's time point never occurred and the experiment is logged as not
+// injected.
+func (t *Board) InjectFault(ex *core.Experiment) error {
+	if !t.atInjectionPoint {
+		return nil
+	}
+	return t.Framework.InjectFault(ex)
+}
+
+// collectOutputs drains the workload's output port onto the experiment's
+// accumulated outputs and returns what it drained.
+func (t *Board) collectOutputs(ex *core.Experiment) []uint32 {
+	outs := t.cpu.Ports().DrainOutput(ex.Campaign.Workload.OutputPort)
+	t.outputs = append(t.outputs, outs...)
+	return outs
+}
+
+// endIteration collects the outputs of the iteration that just ended.
+func (t *Board) endIteration(ex *core.Experiment) []uint32 {
+	t.iteration++
+	return t.collectOutputs(ex)
+}
+
+// exchange performs one environment-simulator data exchange at an
+// iteration boundary and resumes the CPU. The inputs go from the
+// simulator's buffer into the port queue at once (envsim.Simulator).
+func (t *Board) exchange(ex *core.Experiment) error {
+	outs := t.endIteration(ex)
+	if t.sim != nil {
+		t.fwLogExchange(ex, outs)
+		t.cpu.Ports().PushInput(ex.Campaign.Workload.InputPort, t.sim.Exchange(outs)...)
+	}
+	return t.cpu.ResumeIteration()
+}
+
+// WaitForTermination resumes execution until a termination condition
+// occurs: time-out, error detection, workload end, or the iteration limit
+// (paper §3.2), reasserting persistent faults and exchanging environment
+// data along the way.
+func (t *Board) WaitForTermination(ex *core.Experiment) error {
+	term := ex.Campaign.Termination
+	persistent := t.tech.Reassert != nil && ex.Fault != nil && ex.Fault.Kind.Persistent() && ex.Injected
+	for {
+		if t.cpu.Cycle() >= term.TimeoutCycles {
+			t.finishOutcome(ex, campaign.OutcomeTimeout, nil)
+			return nil
+		}
+		// At the loop top the CPU is at an instruction boundary in the
+		// Running state: the place to capture forwarding checkpoints.
+		// The slice budget is shaped so the run stops at the next
+		// planned cycle (a no-op outside a recording reference run).
+		t.fwMaybeRecord(ex)
+		st := t.runCPU(t.fwSliceBudget(ex, min(runSlice, term.TimeoutCycles-t.cpu.Cycle())))
+		switch st {
+		case thor.StatusHalted:
+			t.finishOutcome(ex, campaign.OutcomeCompleted, nil)
+			return nil
+		case thor.StatusDetected:
+			t.finishOutcome(ex, campaign.OutcomeDetected, t.cpu.Detection())
+			return nil
+		case thor.StatusIterationEnd:
+			if term.MaxIterations > 0 && t.iteration+1 >= term.MaxIterations {
+				// Final iteration completed: drain outputs and end.
+				t.endIteration(ex)
+				t.finishOutcome(ex, campaign.OutcomeCompleted, nil)
+				return nil
+			}
+			if err := t.exchange(ex); err != nil {
+				return err
+			}
+			if persistent {
+				if err := t.tech.Reassert(ex); err != nil {
+					return err
+				}
+			}
+		case thor.StatusOutOfBudget:
+			if err := t.cpu.ClearOutOfBudget(); err != nil {
+				return err
+			}
+			if persistent {
+				if err := t.tech.Reassert(ex); err != nil {
+					return err
+				}
+			}
+		case thor.StatusBreakpoint:
+			// No breakpoints are armed during termination; continue.
+		default:
+			return fmt.Errorf("scifi: unexpected status %v during termination", st)
+		}
+	}
+}
+
+// scanVectorScratch returns the board's reusable internal-chain vector.
+func (t *Board) scanVectorScratch() *bitvec.Vector {
+	if t.scanScratch == nil || t.scanScratch.Len() != thor.ScanLen() {
+		t.scanScratch = bitvec.New(thor.ScanLen())
+	}
+	return t.scanScratch
+}
+
+// finishOutcome fills the experiment outcome.
+func (t *Board) finishOutcome(ex *core.Experiment, status campaign.OutcomeStatus, det *thor.Detection) {
+	out := campaign.Outcome{
+		Status:     status,
+		Cycles:     t.cpu.Cycle(),
+		Iterations: t.iteration,
+	}
+	if det != nil {
+		out.Mechanism = det.Mechanism.String()
+		out.DetectionCycle = det.Cycle
+	}
+	for _, ev := range t.cpu.Events() {
+		if ev.Mechanism == thor.EDMAssertion && (det == nil || ev.Cycle != det.Cycle) {
+			out.Recovered++
+		}
+	}
+	// Drain any outputs emitted since the last exchange, and publish: the
+	// port's entry exists once an iteration ended or a value was emitted —
+	// nil when iterations ended and nothing ever was — and holds a copy,
+	// because the record outlives the board's buffer.
+	if t.collectOutputs(ex); t.iteration > 0 || len(t.outputs) > 0 {
+		ex.Result.Outputs = map[uint16][]uint32{
+			ex.Campaign.Workload.OutputPort: append([]uint32(nil), t.outputs...),
+		}
+	}
+	ex.Result.Outcome = out
+}
+
+// ReadMemory reads the workload's result symbols back from target memory.
+func (t *Board) ReadMemory(ex *core.Experiment) error {
+	if t.prog == nil {
+		return fmt.Errorf("scifi: ReadMemory before LoadWorkload")
+	}
+	wl := &ex.Campaign.Workload
+	words := wl.ResultWords
+	if words <= 0 {
+		words = 1
+	}
+	if ex.Result.Memory == nil {
+		ex.Result.Memory = make(map[string][]byte, len(wl.ResultSymbols))
+	}
+	for _, sym := range wl.ResultSymbols {
+		addr, err := t.prog.Symbol(sym)
+		if err != nil {
+			return fmt.Errorf("scifi: result symbol: %w", err)
+		}
+		b, err := t.cpu.ReadMemory(addr, words*4)
+		if err != nil {
+			return err
+		}
+		ex.Result.Memory[sym] = b
+	}
+	return nil
+}
+
+// captureState samples the observable system state for detail-mode
+// logging: the scan chain (host-side read so the run is not perturbed)
+// and current outputs.
+func (t *Board) captureState(ex *core.Experiment) (*campaign.StateVector, error) {
+	v := t.scanVectorScratch()
+	if err := t.cpu.ScanReadInto(v); err != nil {
+		return nil, err
+	}
+	scan, err := v.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	sv := &campaign.StateVector{Scan: scan}
+	wl := &ex.Campaign.Workload
+	if outs := t.cpu.Ports().PeekOutput(wl.OutputPort); len(outs) > 0 {
+		sv.Outputs = map[uint16][]uint32{wl.OutputPort: outs}
+	}
+	return sv, nil
+}
+
+// runCPU runs one execution slice through the selected execution mode.
+func (t *Board) runCPU(cycleBudget uint64) thor.Status {
+	if t.fastPath {
+		return t.cpu.RunFast(cycleBudget)
+	}
+	return t.cpu.Run(cycleBudget)
+}
+
+func remaining(budget, used uint64) uint64 {
+	if used >= budget {
+		return 0
+	}
+	return budget - used
+}

@@ -65,7 +65,7 @@ type fwRecorder struct {
 }
 
 // ArmForwardRecording implements core.Forwarder.
-func (t *Target) ArmForwardRecording(plan *core.ForwardPlan) {
+func (t *Board) ArmForwardRecording(plan *core.ForwardPlan) {
 	t.fwRec = &fwRecorder{plan: plan, set: &core.ForwardSet{Campaign: plan.Campaign}}
 }
 
@@ -93,7 +93,7 @@ func (u defUse) NextAccess(bit, idx int) core.Access {
 }
 
 // TakeForwardSet implements core.Forwarder.
-func (t *Target) TakeForwardSet() *core.ForwardSet {
+func (t *Board) TakeForwardSet() *core.ForwardSet {
 	rec := t.fwRec
 	t.fwRec = nil
 	du := t.cpu.TakeDefUse()
@@ -127,11 +127,11 @@ func (t *Target) TakeForwardSet() *core.ForwardSet {
 }
 
 // SetForwardSet implements core.Forwarder.
-func (t *Target) SetForwardSet(set *core.ForwardSet) { t.fwSet = set }
+func (t *Board) SetForwardSet(set *core.ForwardSet) { t.fwSet = set }
 
 // fwRecording reports whether this experiment is a recording reference
 // run with plan points left to capture.
-func (t *Target) fwRecording(ex *core.Experiment) bool {
+func (t *Board) fwRecording(ex *core.Experiment) bool {
 	return t.fwRec != nil && !t.fwRec.full && t.fwRec.idx < len(t.fwRec.plan.Cycles) &&
 		ex.IsReference()
 }
@@ -141,7 +141,7 @@ func (t *Target) fwRecording(ex *core.Experiment) bool {
 // Nothing is logged once recording has stopped (no capture will pin the
 // log again, and recording never restarts), nor for a simulator that
 // snapshots: fwRestore replays the log only when there is no simState.
-func (t *Target) fwLogExchange(ex *core.Experiment, outs []uint32) {
+func (t *Board) fwLogExchange(ex *core.Experiment, outs []uint32) {
 	if !t.fwRecording(ex) {
 		return
 	}
@@ -159,7 +159,7 @@ func (t *Target) fwLogExchange(ex *core.Experiment, outs []uint32) {
 // the next planned cycle. It is called from the top of the termination
 // loop, where the CPU is always at an instruction boundary in the Running
 // state, so a restore resumes exactly where the reference continued.
-func (t *Target) fwMaybeRecord(ex *core.Experiment) {
+func (t *Board) fwMaybeRecord(ex *core.Experiment) {
 	if !t.fwRecording(ex) {
 		return
 	}
@@ -216,14 +216,14 @@ func (rec *fwRecorder) guardDue(cy uint64) bool {
 	} else if n := len(rec.set.Checkpoints); n > 0 {
 		newest = rec.set.Checkpoints[n-1].Cycle
 	}
-	return cy-newest >= minU64((rec.plan.Cycles[rec.idx]-prev)/2, runSlice)
+	return cy-newest >= min((rec.plan.Cycles[rec.idx]-prev)/2, runSlice)
 }
 
 // fwCapture builds a checkpoint of the current board state. Pages are
 // shared against the previous *planned* checkpoint; the caller decides
 // whether the capture joins the set immediately (a planned point) or
 // provisionally (the horizon guard).
-func (t *Target) fwCapture(ex *core.Experiment) *core.ForwardCheckpoint {
+func (t *Board) fwCapture(ex *core.Experiment) *core.ForwardCheckpoint {
 	rec := t.fwRec
 	snap, fresh := t.cpu.SnapshotSharing(rec.prev)
 	bs := &boardState{
@@ -248,7 +248,7 @@ func (t *Target) fwCapture(ex *core.Experiment) *core.ForwardCheckpoint {
 
 // fwSliceBudget shrinks a run-slice budget so the reference run stops at
 // the next planned checkpoint cycle instead of overshooting it.
-func (t *Target) fwSliceBudget(ex *core.Experiment, slice uint64) uint64 {
+func (t *Board) fwSliceBudget(ex *core.Experiment, slice uint64) uint64 {
 	if !t.fwRecording(ex) {
 		return slice
 	}
@@ -265,7 +265,7 @@ func (t *Target) fwSliceBudget(ex *core.Experiment, slice uint64) uint64 {
 // non-cycle-monotonic trigger, detail-mode logging, an active pin-level
 // force, a simulator that can be neither snapshotted nor replayed — makes
 // it a silent no-op and the experiment cold-starts.
-func (t *Target) fwRestore(ex *core.Experiment) {
+func (t *Board) fwRestore(ex *core.Experiment) {
 	set := t.fwSet
 	if set == nil || ex.IsReference() || ex.DetailSink != nil ||
 		set.Campaign != ex.Campaign.Name || t.cpu.PinForceActive() {
@@ -320,6 +320,3 @@ func (t *Target) fwRestore(ex *core.Experiment) {
 	ex.ForwardedFrom = cp.Cycle
 	mFwRestores.Inc()
 }
-
-// Interface compliance.
-var _ core.Forwarder = (*Target)(nil)

@@ -6,12 +6,6 @@ import (
 	"goofi/internal/thor"
 )
 
-// Deterministic declares the simulator's full differential guarantee:
-// same plan, byte-identical records. Every thor-backed target states
-// this explicitly so the relaxation introduced for live-process targets
-// can never silently widen.
-func (t *Target) Deterministic() bool { return true }
-
 func init() {
 	core.RegisterTarget(core.TargetInfo{
 		Kind:          "scifi",
@@ -19,11 +13,7 @@ func init() {
 		Algorithm:     core.SCIFI.Name,
 		Deterministic: true,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
-			var opts []Option
-			if cfg.Param("fastpath", "on") == "off" {
-				opts = append(opts, NoFastPath())
-			}
-			return New(thor.DefaultConfig(), opts...), nil
+			return New(thor.DefaultConfig(), TargetOptions(cfg)...), nil
 		},
 		SystemData: func(name string, cfg core.TargetConfig) (*campaign.TargetSystemData, error) {
 			return TargetSystemData(name), nil

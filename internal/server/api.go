@@ -101,12 +101,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad submission: %v", err)
 		return
 	}
-	req.normalize()
 	if req.Shards == 0 {
 		// Inherit the daemon-wide scale-out default; the persisted spec
 		// carries the resolved count so recovery reruns the same way.
 		req.Shards = s.cfg.DefaultShards
 	}
+	if req.Shards > 0 && req.Checkpoint != 0 {
+		// Asked before normalize fills the default in: the interval is the
+		// solo runner's cursor cadence, and a sharded job has no runner.
+		writeErr(w, http.StatusBadRequest, "bad submission: %v", errShardedCheckpoint)
+		return
+	}
+	req.normalize()
 	if err := req.validate(); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad submission: %v", err)
 		return

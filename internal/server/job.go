@@ -3,8 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"goofi/internal/campaign"
@@ -37,13 +37,12 @@ type SubmitRequest struct {
 	// system server-side when the tenant database does not hold it yet;
 	// Technique defaults to the target kind's own algorithm.
 	core.RunOptions
-	// ImageBytes sizes swifi workload images.
-	ImageBytes int `json:"imageBytes,omitempty"`
 	// Boards caps this campaign's parallelism on the shared fleet
 	// (default 1).
 	Boards int `json:"boards,omitempty"`
-	// Checkpoint is the durable-cursor interval in experiments
-	// (default core.DefaultCheckpointInterval; -1 disables).
+	// Checkpoint is a solo job's durable-cursor interval in experiments
+	// (default core.DefaultCheckpointInterval; -1 disables). A sharded
+	// submission that sets it is rejected.
 	Checkpoint int `json:"checkpoint,omitempty"`
 	// Shards above zero runs the campaign through the sharded path,
 	// partitioned into that many ranges. Zero inherits the daemon's
@@ -55,6 +54,11 @@ type SubmitRequest struct {
 	ExternalWorkers bool `json:"externalWorkers,omitempty"`
 }
 
+// errShardedCheckpoint rejects a sharded submission that sets the cursor
+// interval: shard workers are stateless and the coordinator commits rows as
+// reports arrive, so the value would be accepted and govern nothing.
+var errShardedCheckpoint = errors.New("checkpoint set on a sharded campaign: the cursor interval applies to solo jobs only (shard workers keep no cursor)")
+
 // normalize fills the defaulted fields in place. Target kind and
 // technique default through core.ResolveTarget, the rule the CLI uses; a
 // pair it cannot resolve is left for validate to reject.
@@ -62,9 +66,6 @@ func (sr *SubmitRequest) normalize() {
 	if info, alg, err := core.ResolveTarget(sr.TargetKind, sr.Technique); err == nil {
 		sr.TargetKind = info.Kind // canonicalize aliases
 		sr.Technique = alg.Name
-	}
-	if sr.ImageBytes <= 0 {
-		sr.ImageBytes = 4096
 	}
 	if sr.Boards <= 0 {
 		sr.Boards = 1
@@ -106,25 +107,13 @@ func (sr *SubmitRequest) validate() error {
 	return nil
 }
 
-// targetConfig folds the request's target knobs into a registry config.
-func (sr *SubmitRequest) targetConfig() core.TargetConfig {
-	params := make(map[string]string, len(sr.TargetParams)+1)
-	for k, v := range sr.TargetParams {
-		params[k] = v
-	}
-	if _, ok := params["image-bytes"]; !ok {
-		params["image-bytes"] = strconv.Itoa(sr.ImageBytes)
-	}
-	return core.TargetConfig{Params: params}
-}
-
 // targetData builds the TargetSystemData for the request's target kind.
 func (sr *SubmitRequest) targetData() (*campaign.TargetSystemData, error) {
 	info, ok := core.LookupTarget(sr.TargetKind)
 	if !ok {
 		return nil, fmt.Errorf("unknown target kind %q", sr.TargetKind)
 	}
-	return info.SystemData(sr.Campaign.TargetName, sr.targetConfig())
+	return info.SystemData(sr.Campaign.TargetName, core.TargetConfig{Params: sr.TargetParams})
 }
 
 // Job lifecycle states. Pending and running jobs become pending again
@@ -303,14 +292,12 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		settle(StateFailed, err)
 		return
 	}
-	opts := spec.RunOptions
-	opts.TargetParams = spec.targetConfig().Params
 	prog := telemetry.NewProgress(s.fleet.Capacity())
 	start := s.startSolo
 	if spec.Shards > 0 {
 		start = s.startSharded
 	}
-	w, err := start(ctx, j, st, camp, tsd, opts, prog)
+	w, err := start(ctx, j, st, camp, tsd, spec.RunOptions, prog)
 	if err != nil {
 		settle(StateFailed, err)
 		return

@@ -48,10 +48,11 @@ func restartSize(t *testing.T) int {
 
 func (src rowSource) submit(t *testing.T, base, name string, n int) string {
 	t.Helper()
-	resp, body := postJSON(t, base+"/api/v1/campaigns", SubmitRequest{
-		Tenant: "alice", Campaign: testCampaign(name, n), Boards: 2, Checkpoint: 8,
-		Shards: src.shards,
-	})
+	req := SubmitRequest{Tenant: "alice", Campaign: testCampaign(name, n), Boards: 2, Shards: src.shards}
+	if src.shards == 0 {
+		req.Checkpoint = 8 // the solo runner's cursor cadence; a sharded job has none
+	}
+	resp, body := postJSON(t, base+"/api/v1/campaigns", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
 	}
@@ -207,6 +208,28 @@ func TestJobLifecycle(t *testing.T) {
 			postJSON(t, url+"/cancel", nil)
 			if st := pollState(t, ts.URL, "alice", "pr", StateCancelled); st.State != StateCancelled {
 				t.Fatalf("state after cancel = %s (err %q)", st.State, st.Error)
+			}
+		}},
+		{"explicit-checkpoint", func(t *testing.T, src rowSource) {
+			// The interval is the solo runner's: a sharded submission that
+			// sets it is refused by name, whether the shard count is its own
+			// or the daemon's default, and leaves no job behind.
+			for _, daemonShards := range []int{0, 2} {
+				s, ts := newTestServer(t, Config{Boards: 2, MaxConcurrent: 1, DefaultShards: daemonShards})
+				resp, body := postJSON(t, ts.URL+"/api/v1/campaigns", SubmitRequest{
+					Tenant: "alice", Campaign: testCampaign("ck", 20), Shards: src.shards, Checkpoint: 4})
+				if sharded := src.shards > 0 || daemonShards > 0; !sharded {
+					if resp.StatusCode != http.StatusAccepted {
+						t.Errorf("solo submission with a checkpoint = %d: %s", resp.StatusCode, body)
+					}
+					pollState(t, ts.URL, "alice", "ck", StateDone)
+				} else if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), errShardedCheckpoint.Error()) {
+					t.Errorf("sharded submission (shards %d, daemon default %d) with a checkpoint = %d: %s",
+						src.shards, daemonShards, resp.StatusCode, body)
+				} else if s.lookup("alice", "ck") != nil {
+					t.Error("the refused submission left a job")
+				}
+				shutdownServer(t, s)
 			}
 		}},
 		{"shutdown-restart", restart(shutdownServer)},

@@ -75,10 +75,10 @@ func FuzzShardJSONBodies(f *testing.F) {
 }
 
 // TestWireJSONGolden pins the JSON of a lease and of a submission — which
-// is also the stored ServerJob spec. The lease's bytes are the parent
-// commit's. The submission's keys and values are too; the six run options,
-// which the parent declared scattered among its other fields, now come
-// together, and a spec stored by the parent build still reads back the same.
+// is also the stored ServerJob spec. The six run options come together, and
+// a spec stored by an older build reads back the same but for its
+// imageBytes, the second spelling of targetParams' image-bytes that went
+// with the -image-bytes flag.
 func TestWireJSONGolden(t *testing.T) {
 	opts := core.RunOptions{
 		Technique: "scifi", TargetKind: "scifi", TargetParams: map[string]string{"b": "2", "a": "1"},
@@ -86,7 +86,7 @@ func TestWireJSONGolden(t *testing.T) {
 	}
 	lease := shard.LeaseResponse{Status: shard.LeaseRange, LeaseID: "l0001", Range: shard.Range{Lo: 3, Hi: 9},
 		RunOptions: opts, HeartbeatEvery: 500 * time.Millisecond}
-	submit := SubmitRequest{Tenant: "alice", RunOptions: opts, ImageBytes: 512, Boards: 2, Checkpoint: 8,
+	submit := SubmitRequest{Tenant: "alice", RunOptions: opts, Boards: 2, Checkpoint: 8,
 		Shards: 4, ExternalWorkers: true}
 	for _, c := range []struct {
 		name string
@@ -96,7 +96,7 @@ func TestWireJSONGolden(t *testing.T) {
 		{"lease", lease, `{"status":"range","leaseId":"l0001","range":{"lo":3,"hi":9},"technique":"scifi","targetKind":"scifi","targetParams":{"a":"1","b":"2"},"noForward":true,"maxRetries":3,"boardFailureThreshold":2,"heartbeatEvery":500000000}`},
 		{"lease-wait", shard.LeaseResponse{Status: shard.LeaseWait, HeartbeatEvery: time.Second},
 			`{"status":"wait","range":{"lo":0,"hi":0},"heartbeatEvery":1000000000}`},
-		{"submit", submit, `{"tenant":"alice","campaign":null,"technique":"scifi","targetKind":"scifi","targetParams":{"a":"1","b":"2"},"noForward":true,"maxRetries":3,"boardFailureThreshold":2,"imageBytes":512,"boards":2,"checkpoint":8,"shards":4,"externalWorkers":true}`},
+		{"submit", submit, `{"tenant":"alice","campaign":null,"technique":"scifi","targetKind":"scifi","targetParams":{"a":"1","b":"2"},"noForward":true,"maxRetries":3,"boardFailureThreshold":2,"boards":2,"checkpoint":8,"shards":4,"externalWorkers":true}`},
 		{"submit-minimal", SubmitRequest{Tenant: "alice"}, `{"tenant":"alice","campaign":null}`},
 	} {
 		got, err := json.Marshal(c.v)
@@ -116,6 +116,6 @@ func TestWireJSONGolden(t *testing.T) {
 	again, _ := json.Marshal(stored)
 	now, _ := json.Marshal(submit)
 	if !bytes.Equal(again, now) {
-		t.Errorf("a spec stored by the parent build reads back as\n %s\nwant\n %s", again, now)
+		t.Errorf("a spec stored by an older build reads back as\n %s\nwant\n %s", again, now)
 	}
 }

@@ -261,14 +261,14 @@ func TestShardConformanceCounts(t *testing.T) {
 		})
 	}
 
-	// The image size reaches the workers folded into the target parameters,
-	// as it reaches the solo executor: the ground truth is the same
-	// submission run solo.
+	// The image size reaches the workers in the target parameters, as it
+	// reaches the solo executor: the ground truth is the same submission
+	// run solo.
 	t.Run("swifi-image-512", func(t *testing.T) {
 		sw := conformanceCampaign("confswifi", n)
 		sw.TargetName, sw.ChainName, sw.Locations = "thor-swifi", swifi.MemoryChainName, []string{"mem"}
-		req := server.SubmitRequest{Tenant: "alice", Campaign: sw, ImageBytes: 512}
-		req.TargetKind = "swifi"
+		req := server.SubmitRequest{Tenant: "alice", Campaign: sw}
+		req.TargetKind, req.TargetParams = "swifi", map[string]string{"image-bytes": "512"}
 		solo := daemonRun(t, req)
 		tsd, err := solo.GetTargetSystem("thor-swifi")
 		if err != nil {
@@ -626,7 +626,7 @@ func TestShardConformanceCoordinatorRestart(t *testing.T) {
 		}
 		ts1 := httptest.NewServer(s1.Handler())
 		resp, body := postJSON(t, ts1.URL+"/api/v1/campaigns", server.SubmitRequest{
-			Tenant: "alice", Campaign: camp, Shards: 2, Checkpoint: 4,
+			Tenant: "alice", Campaign: camp, Shards: 2,
 		})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit = %d: %s", resp.StatusCode, body)

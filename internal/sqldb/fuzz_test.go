@@ -150,7 +150,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 	snapshot, _ := storeFiles(f)
 	f.Add(snapshot)
 	f.Add(snapshot[:len(snapshot)/2])
-	f.Add(saveV1(f, loggedStateFixture(f, 3), 7))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := Open()
 		if db.Load(bytes.NewReader(data)) != nil {

@@ -29,8 +29,7 @@ import (
 // checkpoints: a WAL whose epoch record differs from the snapshot's
 // predates (or postdates) the snapshot and is never replayed onto it. An
 // image without its trailer, or whose row counts differ from it, was cut
-// short and does not load. Version 1 images are one gob value
-// (persist_v1.go), read only.
+// short and does not load.
 const (
 	fileMagic   = "GOOFI-SQLDB"
 	fileVersion = 2
@@ -38,8 +37,8 @@ const (
 	imgHeader  byte = 0x10
 	imgRows    byte = 0x11
 	imgTrailer byte = 0x12
-	// imageMagic opens the header frame's payload; Load tells the two
-	// image versions apart by it.
+	// imageMagic opens the header frame's payload; Load refuses a file
+	// that does not start with it.
 	imageMagic = string(imgHeader) + fileMagic
 
 	// imageChunk is the payload size at which a rows frame is closed: big
@@ -140,21 +139,33 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
+// ErrNotImage is Load's error for a file that does not open with the
+// image's header frame: some other file, or the one-gob-value image that
+// builds before the framed one wrote and no build reads any more.
+var ErrNotImage = errors.New("not a GOOFI v2 image")
+
+// tableDTO is one table as the image holds it; Load builds the table.
+type tableDTO struct {
+	Name    string
+	Cols    []Column
+	PKCols  []string
+	FKs     []ForeignKey
+	Indexes []indexDTO // definitions only; contents rebuild on load
+	Rows    [][]Value
+}
+
+type indexDTO struct {
+	Name string
+	Cols []string
+}
+
 // Load reads a database image produced by Save, replacing all contents.
-// A version 1 (gob) image, which does not open with a header frame, is
-// still read.
 func (db *DB) Load(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 2*imageChunk) // holds a rows frame whole
-	var (
-		epoch  uint64
-		tables []tableDTO
-		err    error
-	)
-	if head, _ := br.Peek(walFrameHeader + len(imageMagic)); bytes.HasSuffix(head, []byte(imageMagic)) {
-		epoch, tables, err = readImage(br)
-	} else {
-		epoch, tables, err = readImageV1(br)
+	if head, _ := br.Peek(walFrameHeader + len(imageMagic)); !bytes.HasSuffix(head, []byte(imageMagic)) {
+		return fmt.Errorf("sqldb: load: %w", ErrNotImage)
 	}
+	epoch, tables, err := readImage(br)
 	if err != nil {
 		return fmt.Errorf("sqldb: load: %w", err)
 	}

@@ -155,16 +155,6 @@ func (t *Table) checkRow(row []Value) ([]Value, error) {
 	return row, nil
 }
 
-// hasPKRow reports whether a row with the given key tuple values (in
-// PKCols order) exists.
-func (t *Table) hasPKRow(vals []Value) bool {
-	if len(t.PKCols) == 0 {
-		return false
-	}
-	_, ok := t.pkIndex[keyString(vals)]
-	return ok
-}
-
 // findRows returns the values of the named columns for every row; used by
 // foreign key checks against non-PK column sets.
 func (t *Table) tupleSet(cols []string) (map[string]bool, error) {

@@ -123,14 +123,6 @@ func (v Value) AsText() (string, error) {
 	return v.S, nil
 }
 
-// AsBlob returns the value as bytes (BLOB only).
-func (v Value) AsBlob() ([]byte, error) {
-	if v.K != KBlob {
-		return nil, fmt.Errorf("sqldb: %s is not a blob", v.K)
-	}
-	return v.B, nil
-}
-
 // String renders the value as a SQL literal.
 func (v Value) String() string {
 	switch v.K {

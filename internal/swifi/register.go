@@ -6,26 +6,16 @@ import (
 
 	"goofi/internal/campaign"
 	"goofi/internal/core"
+	"goofi/internal/scifi"
 	"goofi/internal/thor"
 )
 
-// Deterministic: thor-backed targets keep the byte-identity guarantee.
-func (t *Target) Deterministic() bool { return true }
-
-// imageBytes reads the swifi fault-space size from target params.
-func imageBytes(cfg core.TargetConfig) (int, error) {
+// systemData sizes the fault space from the image-bytes target param.
+func systemData(name string, cfg core.TargetConfig) (*campaign.TargetSystemData, error) {
 	s := cfg.Param("image-bytes", "4096")
 	n, err := strconv.Atoi(s)
 	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("swifi: bad image-bytes %q", s)
-	}
-	return n, nil
-}
-
-func systemData(name string, cfg core.TargetConfig) (*campaign.TargetSystemData, error) {
-	n, err := imageBytes(cfg)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("swifi: bad image-bytes %q", s)
 	}
 	return TargetSystemData(name, n), nil
 }
@@ -40,7 +30,7 @@ func init() {
 		Algorithm:     core.PreRuntimeSWIFI.Name,
 		Deterministic: true,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
-			return New(thor.DefaultConfig(), PreRuntime), nil
+			return New(thor.DefaultConfig(), PreRuntime, scifi.TargetOptions(cfg)...), nil
 		},
 		SystemData: systemData,
 	})
@@ -50,7 +40,7 @@ func init() {
 		Algorithm:     core.RuntimeSWIFI.Name,
 		Deterministic: true,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
-			return New(thor.DefaultConfig(), Runtime), nil
+			return New(thor.DefaultConfig(), Runtime, scifi.TargetOptions(cfg)...), nil
 		},
 		SystemData: systemData,
 	})

@@ -3,7 +3,11 @@
 // program and data areas of the target system before it starts to execute"
 // (paper §1), and runtime SWIFI, where the workload is stopped at a
 // trigger point and the fault is applied through software (a paper §4
-// extension).
+// extension). Both drive the board SCIFI drives (scifi.Board) and define
+// only what differs: the fault space, a loadWorkload that keeps a host-side
+// copy of the image for the board to download, and injectFault. A memory
+// fault is never reasserted, whatever its kind: the word stays as written
+// until the workload overwrites it.
 //
 // Unlike SCIFI, SWIFI reaches only memory — registers, flags and cache
 // state are inaccessible. The comparison between the two fault spaces is
@@ -13,14 +17,12 @@ package swifi
 import (
 	"fmt"
 
-	"goofi/internal/asm"
 	"goofi/internal/bitvec"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
-	"goofi/internal/envsim"
 	"goofi/internal/scanchain"
+	"goofi/internal/scifi"
 	"goofi/internal/thor"
-	"goofi/internal/trigger"
 )
 
 // MemoryChainName is the pseudo scan-chain name exposing target memory as
@@ -44,47 +46,26 @@ const (
 // address 0, bit 0 being the MSB of the word at address 0 (matching the
 // big-endian memory layout exposed in MemoryMap).
 type Target struct {
-	core.Framework
+	*scifi.Board
 
-	cfg  thor.Config
 	mode Mode
-	cpu  *thor.CPU
-	envs *envsim.Registry
-
-	prog             *asm.Program
-	image            []byte
-	trig             trigger.Trigger
-	sim              envsim.Simulator
-	iteration        int
-	atInjectionPoint bool
+	// image is this experiment's host-side copy of the workload image: what
+	// pre-runtime injection mutates and what the board downloads.
+	image []byte
 }
 
 // New returns a SWIFI target in the given mode.
-func New(cfg thor.Config, mode Mode) *Target {
+func New(cfg thor.Config, mode Mode, opts ...scifi.Option) *Target {
 	name := "thor-s-swifi-preruntime"
 	if mode == Runtime {
 		name = "thor-s-swifi-runtime"
 	}
-	return &Target{
-		Framework: core.Framework{TargetName: name},
-		cfg:       cfg,
-		mode:      mode,
-		cpu:       thor.New(cfg),
-		envs:      envsim.NewRegistry(),
-	}
-}
-
-// CPU exposes the processor for tests.
-func (t *Target) CPU() *thor.CPU { return t.cpu }
-
-// ImageSize returns the assembled size of a workload source, for sizing
-// the SWIFI fault space.
-func ImageSize(source string) (int, error) {
-	prog, err := asm.AssembleCached(source)
-	if err != nil {
-		return 0, err
-	}
-	return len(prog.Image), nil
+	t := &Target{mode: mode}
+	t.Board = scifi.NewBoard(cfg, scifi.Technique{
+		Name:  name,
+		Image: func() []byte { return t.image },
+	}, opts...)
+	return t
 }
 
 // MemoryMap builds the SWIFI fault-location map over an image of the
@@ -113,29 +94,14 @@ func TargetSystemData(name string, imageBytes int) *campaign.TargetSystemData {
 	}
 }
 
-// InitTestCard resets the board and per-experiment state.
-func (t *Target) InitTestCard(ex *core.Experiment) error {
-	t.cpu.Reset()
-	t.cpu.ClearMemory()
-	t.cpu.TraceHook = nil
-	t.prog = nil
-	t.image = nil
-	t.trig = nil
-	t.sim = nil
-	t.iteration = 0
-	t.atInjectionPoint = false
-	return nil
-}
-
-// LoadWorkload assembles the workload into a host-side image.
+// LoadWorkload assembles the workload and takes a host-side copy of its
+// image (the assembled program is shared by every experiment and board),
+// into the buffer the last experiment's copy used.
 func (t *Target) LoadWorkload(ex *core.Experiment) error {
-	prog, err := asm.AssembleCached(ex.Campaign.Workload.Source)
-	if err != nil {
-		return fmt.Errorf("swifi: assemble workload: %w", err)
+	if err := t.Board.LoadWorkload(ex); err != nil {
+		return err
 	}
-	t.prog = prog
-	t.image = make([]byte, len(prog.Image))
-	copy(t.image, prog.Image)
+	t.image = append(t.image[:0], t.Program().Image...)
 	return nil
 }
 
@@ -159,21 +125,22 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 			return err
 		}
 	case Runtime:
-		if !t.atInjectionPoint {
+		if !t.AtInjectionPoint() {
 			// The workload terminated before the trigger fired; the
 			// fault's time point never occurred.
 			return nil
 		}
 		// Read-modify-write the affected words in target memory.
 		span := len(extendForFault(t.image, ex.Fault.Bits))
-		mem, err := t.cpu.ReadMemory(0, span)
+		cpu := t.CPU()
+		mem, err := cpu.ReadMemory(0, span)
 		if err != nil {
 			return err
 		}
 		if err := applyToBytes(ex, mem); err != nil {
 			return err
 		}
-		if err := t.cpu.LoadMemory(0, mem); err != nil {
+		if err := cpu.LoadMemory(0, mem); err != nil {
 			return err
 		}
 		// Keep caches coherent word by word for the touched bits, as a
@@ -185,11 +152,10 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 			if err != nil {
 				return err
 			}
-			if err := t.cpu.WriteWord32(addr, w); err != nil {
+			if err := cpu.WriteWord32(addr, w); err != nil {
 				return err
 			}
 		}
-		ex.InjectionCycle = t.cpu.Cycle()
 	}
 	ex.Injected = true
 	return nil
@@ -242,183 +208,6 @@ func wordAt(mem []byte, addr uint32) (uint32, error) {
 	}
 	return uint32(mem[addr])<<24 | uint32(mem[addr+1])<<16 |
 		uint32(mem[addr+2])<<8 | uint32(mem[addr+3]), nil
-}
-
-// WriteMemory downloads the (possibly mutated) image and initial inputs.
-func (t *Target) WriteMemory(ex *core.Experiment) error {
-	if t.image == nil {
-		return fmt.Errorf("swifi: WriteMemory before LoadWorkload")
-	}
-	if err := t.cpu.LoadMemory(0, t.image); err != nil {
-		return err
-	}
-	wl := &ex.Campaign.Workload
-	for code, symbol := range wl.RecoveryHandlers {
-		addr, err := t.prog.Symbol(symbol)
-		if err != nil {
-			return fmt.Errorf("swifi: recovery handler: %w", err)
-		}
-		t.cpu.SetTrapHandler(code, addr)
-	}
-	if ex.Campaign.EnvSim != nil {
-		sim, err := t.envs.New(ex.Campaign.EnvSim.Name, ex.Campaign.EnvSim.Params)
-		if err != nil {
-			return err
-		}
-		t.sim = sim
-		t.cpu.Ports().PushInput(wl.InputPort, sim.Exchange(nil)...)
-	}
-	return nil
-}
-
-// RunWorkload arms the trigger (runtime mode) and the detail hook.
-func (t *Target) RunWorkload(ex *core.Experiment) error {
-	if t.mode == Runtime && !ex.IsReference() {
-		trig, err := ex.Trigger.Build()
-		if err != nil {
-			return err
-		}
-		trig.Reset()
-		t.trig = trig
-	}
-	return nil
-}
-
-// WaitForBreakpoint runs to the injection point (runtime mode only).
-func (t *Target) WaitForBreakpoint(ex *core.Experiment) error {
-	if t.mode != Runtime {
-		return fmt.Errorf("swifi: WaitForBreakpoint in pre-runtime mode")
-	}
-	if t.trig == nil {
-		return fmt.Errorf("swifi: WaitForBreakpoint before RunWorkload")
-	}
-	budget := ex.Campaign.Termination.TimeoutCycles
-	for {
-		fired, st := trigger.RunUntil(t.cpu, t.trig, budget-minU64(budget, t.cpu.Cycle()))
-		if fired {
-			ex.InjectionCycle = t.cpu.Cycle()
-			t.atInjectionPoint = true
-			return nil
-		}
-		if st == thor.StatusIterationEnd {
-			if err := t.exchange(ex); err != nil {
-				return err
-			}
-			continue
-		}
-		return nil
-	}
-}
-
-func (t *Target) exchange(ex *core.Experiment) error {
-	wl := &ex.Campaign.Workload
-	outs := t.cpu.Ports().DrainOutput(wl.OutputPort)
-	if ex.Result.Outputs == nil {
-		ex.Result.Outputs = make(map[uint16][]uint32)
-	}
-	ex.Result.Outputs[wl.OutputPort] = append(ex.Result.Outputs[wl.OutputPort], outs...)
-	if t.sim != nil {
-		t.cpu.Ports().PushInput(wl.InputPort, t.sim.Exchange(outs)...)
-	}
-	t.iteration++
-	return t.cpu.ResumeIteration()
-}
-
-// WaitForTermination runs to a termination condition (paper §3.2).
-func (t *Target) WaitForTermination(ex *core.Experiment) error {
-	term := ex.Campaign.Termination
-	for {
-		if t.cpu.Cycle() >= term.TimeoutCycles {
-			t.finish(ex, campaign.OutcomeTimeout, nil)
-			return nil
-		}
-		st := t.cpu.Run(term.TimeoutCycles - t.cpu.Cycle())
-		switch st {
-		case thor.StatusHalted:
-			t.finish(ex, campaign.OutcomeCompleted, nil)
-			return nil
-		case thor.StatusDetected:
-			t.finish(ex, campaign.OutcomeDetected, t.cpu.Detection())
-			return nil
-		case thor.StatusIterationEnd:
-			if term.MaxIterations > 0 && t.iteration+1 >= term.MaxIterations {
-				wl := &ex.Campaign.Workload
-				outs := t.cpu.Ports().DrainOutput(wl.OutputPort)
-				if ex.Result.Outputs == nil {
-					ex.Result.Outputs = make(map[uint16][]uint32)
-				}
-				ex.Result.Outputs[wl.OutputPort] = append(ex.Result.Outputs[wl.OutputPort], outs...)
-				t.iteration++
-				t.finish(ex, campaign.OutcomeCompleted, nil)
-				return nil
-			}
-			if err := t.exchange(ex); err != nil {
-				return err
-			}
-		case thor.StatusOutOfBudget:
-			if err := t.cpu.ClearOutOfBudget(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("swifi: unexpected status %v", st)
-		}
-	}
-}
-
-func (t *Target) finish(ex *core.Experiment, status campaign.OutcomeStatus, det *thor.Detection) {
-	out := campaign.Outcome{Status: status, Cycles: t.cpu.Cycle(), Iterations: t.iteration}
-	if det != nil {
-		out.Mechanism = det.Mechanism.String()
-		out.DetectionCycle = det.Cycle
-	}
-	for _, ev := range t.cpu.Events() {
-		if ev.Mechanism == thor.EDMAssertion && (det == nil || ev.Cycle != det.Cycle) {
-			out.Recovered++
-		}
-	}
-	wl := &ex.Campaign.Workload
-	outs := t.cpu.Ports().DrainOutput(wl.OutputPort)
-	if len(outs) > 0 {
-		if ex.Result.Outputs == nil {
-			ex.Result.Outputs = make(map[uint16][]uint32)
-		}
-		ex.Result.Outputs[wl.OutputPort] = append(ex.Result.Outputs[wl.OutputPort], outs...)
-	}
-	ex.Result.Outcome = out
-}
-
-// ReadMemory reads back the result symbols.
-func (t *Target) ReadMemory(ex *core.Experiment) error {
-	if t.prog == nil {
-		return fmt.Errorf("swifi: ReadMemory before LoadWorkload")
-	}
-	wl := &ex.Campaign.Workload
-	words := wl.ResultWords
-	if words <= 0 {
-		words = 1
-	}
-	if ex.Result.Memory == nil {
-		ex.Result.Memory = make(map[string][]byte, len(wl.ResultSymbols))
-	}
-	for _, sym := range wl.ResultSymbols {
-		addr, err := t.prog.Symbol(sym)
-		if err != nil {
-			return fmt.Errorf("swifi: result symbol: %w", err)
-		}
-		b, err := t.cpu.ReadMemory(addr, words*4)
-		if err != nil {
-			return err
-		}
-		ex.Result.Memory[sym] = b
-	}
-	return nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Interface compliance.

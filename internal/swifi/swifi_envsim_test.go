@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"goofi/internal/asm"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/faultmodel"
@@ -41,7 +42,7 @@ func pidSwifiCampaign(t *testing.T, name string, n int, seed int64, hardened boo
 
 func runPIDSwifi(t *testing.T, camp *campaign.Campaign) (*core.Summary, *campaign.Store) {
 	t.Helper()
-	imgSize, err := ImageSize(camp.Workload.Source)
+	imgSize, err := asm.ImageSize(camp.Workload.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +110,9 @@ func TestRuntimeSWIFIRecoveryHandlers(t *testing.T) {
 }
 
 func TestImageSizeAndCPUAccessors(t *testing.T) {
-	n, err := ImageSize(workload.Sort().Source)
-	if err != nil || n == 0 {
+	n, err := asm.ImageSize(workload.Sort().Source)
+	if err != nil || n != sortImageSize(t) {
 		t.Errorf("ImageSize = %d, %v", n, err)
-	}
-	if _, err := ImageSize("garbage!"); err == nil {
-		t.Error("bad source accepted")
 	}
 	tgt := New(thor.DefaultConfig(), PreRuntime)
 	if tgt.CPU() == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"goofi/internal/analysis"
 	"goofi/internal/asm"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
@@ -194,5 +195,50 @@ func TestPreRuntimeDoesNotWaitForBreakpoint(t *testing.T) {
 	tgt := New(thor.DefaultConfig(), PreRuntime)
 	if err := tgt.WaitForBreakpoint(&core.Experiment{}); err == nil {
 		t.Error("pre-runtime WaitForBreakpoint did not error")
+	}
+}
+
+// TestDetailModeLogsTrace: on the shared board a SWIFI campaign in detail
+// mode, and a detail re-run of a SWIFI experiment, log the per-instruction
+// trace a SCIFI one does, and the propagation analysis reads it. The forked
+// driver had no trace hook: both logged zero step rows.
+func TestDetailModeLogsTrace(t *testing.T) {
+	steps := func(st *campaign.Store, name string) {
+		t.Helper()
+		trace, err := st.Trace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trace) < 100 || len(trace[0].State.Scan) == 0 {
+			t.Fatalf("%s: %d trace steps, expected hundreds with scan state", name, len(trace))
+		}
+	}
+	for _, mode := range []Mode{PreRuntime, Runtime} {
+		camp := swifiCampaign(t, "detail", 3, 5, mode == Runtime)
+		camp.LogMode = campaign.LogDetail
+		camp.Termination.TimeoutCycles = 30_000
+		_, st := runCampaign(t, mode, camp)
+		name := campaign.ExperimentName("detail", 0)
+		steps(st, name)
+		if p, err := analysis.PropagationCurve(st, name); err != nil || p.Steps == 0 {
+			t.Errorf("mode %d: propagation curve %+v, %v", mode, p, err)
+		}
+	}
+
+	camp := swifiCampaign(t, "rerun", 6, 13, true)
+	_, st := runCampaign(t, Runtime, camp)
+	r, err := core.NewRunner(New(thor.DefaultConfig(), Runtime), core.RuntimeSWIFI, camp,
+		TargetSystemData("thor-swifi", sortImageSize(t)), core.WithSink(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := campaign.ExperimentName("rerun", 2)
+	ex, err := r.Rerun(orig, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps(st, ex.Name)
+	if rec, err := st.GetExperiment(ex.Name); err != nil || rec.Parent != orig {
+		t.Errorf("detail re-run %s: parent %q, %v; want %q", ex.Name, rec.Parent, err, orig)
 	}
 }
