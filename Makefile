@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: tier1 tier2 build vet test race bench fuzz count
+.PHONY: tier1 tier2 build vet test race bench fuzz experiments count
 
 # tier1 is the gate every PR must keep green: build, vet, and the whole
 # suite under the race detector, fresh — the checkpoint, retry, sink and
@@ -94,6 +94,14 @@ fuzz:
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzScanPack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzPortSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzFastPathVsStep -fuzztime $(FUZZTIME)
+
+# experiments rewrites experiments_output.txt, the raw E1–E10 tables that
+# EXPERIMENTS.md quotes, from cmd/goofi-experiments (about a second). Every
+# line is deterministic but E2's milliseconds and factor and E7's insert
+# rate, which are the host's.
+experiments:
+	$(GO) run ./cmd/goofi-experiments > experiments_output.txt.tmp
+	mv experiments_output.txt.tmp experiments_output.txt
 
 # count prints the two numbers a simplicity PR quotes before and after:
 # non-test Go lines under cmd/ + internal/, and flag definitions there.

@@ -681,22 +681,41 @@ func BenchmarkSinkHandover(b *testing.B) {
 
 // BenchmarkThorNOPSled measures the emulator on what a derailed experiment
 // runs: zeroed memory, which decodes as NOPs, from reset to the bad-address
-// detection at the end of it — 49,152 cycles, a predecode-line miss and a
-// rebuild per four instructions, no data access at all.
+// detection at the end of it — 49,152 cycles, 4,096 icache-line misses, no
+// data access at all, so the fast path crosses line after line of zeros.
+// one-run is a single RunFast; board-slices is the board's shape, RunFast
+// of 4,096 cycles and ClearOutOfBudget until the detection, under the
+// default watchdog.
 func BenchmarkThorNOPSled(b *testing.B) {
-	c := thor.New(thor.DefaultConfig())
 	const cycles = 49_152
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c.Reset()
-		c.ClearMemory()
-		b.StartTimer()
-		if st := c.RunFast(1_000_000); st != thor.StatusDetected || c.Cycle() != cycles {
-			b.Fatalf("status %v after %d cycles, want a detection after %d", st, c.Cycle(), cycles)
-		}
+	for _, shape := range []struct {
+		name  string
+		slice uint64
+	}{
+		{"one-run", 1_000_000},
+		{"board-slices", 4096},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			c := thor.New(thor.DefaultConfig())
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c.Reset()
+				c.ClearMemory()
+				b.StartTimer()
+				st := c.RunFast(shape.slice)
+				for st == thor.StatusOutOfBudget {
+					if err := c.ClearOutOfBudget(); err != nil {
+						b.Fatal(err)
+					}
+					st = c.RunFast(shape.slice)
+				}
+				if st != thor.StatusDetected || c.Cycle() != cycles {
+					b.Fatalf("status %v after %d cycles, want a detection after %d", st, c.Cycle(), cycles)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cycles, "ns/cycle")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cycles, "ns/cycle")
 }
 
 // BenchmarkCPUExecution measures raw THOR-S simulation speed.

@@ -174,26 +174,31 @@ func (c *Controller) ReadDR() (*bitvec.Vector, error) {
 // ReadDRInto is ReadDR writing into a caller-provided vector, reusing the
 // controller's scratch shift vector so the double scan does not allocate.
 func (c *Controller) ReadDRInto(out *bitvec.Vector) error {
-	n := c.tap.drLen()
-	if c.scratch == nil || c.scratch.Len() != n {
-		c.scratch = bitvec.New(n)
-	} else {
-		c.scratch.Clear()
-	}
+	s := c.scratchDR()
+	s.Clear()
 	// First pass shifts zeros in to learn the contents...
-	if err := c.ExchangeDRInto(c.scratch, out); err != nil {
+	if err := c.ExchangeDRInto(s, out); err != nil {
 		return err
 	}
 	// ...then restores them. Real SCIFI tools do the same double scan
 	// when a read must not perturb state. The second capture lands in
 	// the scratch vector and is discarded.
-	return c.ExchangeDRInto(out, c.scratch)
+	return c.ExchangeDRInto(out, s)
 }
 
-// WriteDR replaces the active data register contents.
+// scratchDR returns the controller's scratch shift vector, sized for the
+// active data register.
+func (c *Controller) scratchDR() *bitvec.Vector {
+	if n := c.tap.drLen(); c.scratch == nil || c.scratch.Len() != n {
+		c.scratch = bitvec.New(n)
+	}
+	return c.scratch
+}
+
+// WriteDR replaces the active data register contents. The capture the
+// exchange makes lands in the scratch vector and is discarded.
 func (c *Controller) WriteDR(v *bitvec.Vector) error {
-	_, err := c.ExchangeDR(v)
-	return err
+	return c.ExchangeDRInto(v, c.scratchDR())
 }
 
 // ReadIDCode reads the device identification register.

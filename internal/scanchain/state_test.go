@@ -45,6 +45,100 @@ func (d *fakeDevInto) CaptureInternalInto(v *bitvec.Vector) error {
 	return nil
 }
 
+// UpdateInternal copies in place, so a scan through fakeDevInto allocates
+// only what the controller and its TAP do.
+func (d *fakeDevInto) UpdateInternal(v *bitvec.Vector) error {
+	return d.internal.CopyFrom(v)
+}
+
+// TestResetAndRestoreKeepScanRegister: Reset and RestoreState drop the
+// data register's contents but keep its storage, and WriteDR's capture
+// lands in the scratch vector. A controller that went through either
+// still reads the same bits, leaves the device in the same state, counts
+// the same TCKs and snapshots the same state as a fresh one making the same
+// scans — and a write and a read of the internal chain after it allocate
+// nothing.
+func TestResetAndRestoreKeepScanRegister(t *testing.T) {
+	const start, pattern = 0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210
+	for _, how := range []string{"reset", "restore"} {
+		t.Run(how, func(t *testing.T) {
+			dev := newFakeDevInto()
+			c := NewController(dev)
+			parked := c.StateSnapshot()
+			// Dirty everything a campaign touches: the SCANREG register,
+			// the scratch vector, another instruction's register, a TAP
+			// left outside Run-Test/Idle.
+			out := bitvec.New(64)
+			if err := c.WriteInternal(bitvec.FromUint64(start, 64)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReadInternalInto(out); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.SampleBoundary(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReadInternalInto(out); err != nil {
+				t.Fatal(err)
+			}
+			c.tap.Clock(true, false)
+			again := func() {
+				if how == "reset" {
+					c.Reset()
+				} else {
+					c.RestoreState(parked)
+				}
+			}
+			again()
+			if c.tap.dr != nil {
+				t.Fatalf("%s left shift data in the data register", how)
+			}
+
+			freshDev := newFakeDevInto()
+			freshDev.internal = bitvec.FromUint64(start, 64)
+			fresh := NewController(freshDev)
+			for i, drive := range []func(*Controller) error{
+				func(c *Controller) error { return c.ReadInternalInto(out) },
+				func(c *Controller) error { return c.WriteInternal(bitvec.FromUint64(pattern, 64)) },
+				func(c *Controller) error { return c.ReadInternalInto(out) },
+			} {
+				if err := drive(c); err != nil {
+					t.Fatal(err)
+				}
+				got := out.Clone()
+				if err := drive(fresh); err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(out) {
+					t.Fatalf("scan %d: read %v after %s, %v fresh", i, got, how, out)
+				}
+				if !dev.internal.Equal(freshDev.internal) {
+					t.Fatalf("scan %d: device holds %v after %s, %v fresh", i, dev.internal, how, freshDev.internal)
+				}
+				if a, b := c.StateSnapshot(), fresh.StateSnapshot(); a != b {
+					t.Fatalf("scan %d: state %+v after %s, %+v fresh", i, a, how, b)
+				}
+			}
+			if out.Uint64(0, 64) != pattern {
+				t.Fatalf("read back %#x, wrote %#x", out.Uint64(0, 64), uint64(pattern))
+			}
+
+			in := bitvec.FromUint64(pattern, 64)
+			if n := testing.AllocsPerRun(20, func() {
+				again()
+				if err := c.WriteInternal(in); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ReadInternalInto(out); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("%s, write and read allocate %.1f times, want 0", how, n)
+			}
+		})
+	}
+}
+
 func TestControllerStateSnapshotRestore(t *testing.T) {
 	c := NewController(newFakeDev())
 	c.LoadInstruction(InstrScanReg)

@@ -179,6 +179,10 @@ type TAP struct {
 	irShift uint8          // IR shift register
 	dr      *bitvec.Vector // DR shift register for the active instruction
 	clocks  uint64
+	// scanReg is the storage of the SCANREG register, which a capture into
+	// it fills whole. Reset and RestoreState drop dr but keep this, so the
+	// first capture after them does not allocate a multi-kilobit vector.
+	scanReg *bitvec.Vector
 }
 
 // NewTAP returns a TAP in Test-Logic-Reset with IDCODE selected, as the
@@ -305,9 +309,10 @@ func (t *TAP) captureDR() {
 		t.dr = t.dev.CaptureBoundary()
 	case InstrScanReg:
 		if ci, ok := t.dev.(InternalCapturerInto); ok {
-			if t.dr == nil || t.dr.Len() != t.dev.InternalLen() {
-				t.dr = bitvec.New(t.dev.InternalLen())
+			if t.scanReg == nil || t.scanReg.Len() != t.dev.InternalLen() {
+				t.scanReg = bitvec.New(t.dev.InternalLen())
 			}
+			t.dr = t.scanReg
 			if err := ci.CaptureInternalInto(t.dr); err != nil {
 				panic(fmt.Sprintf("scanchain: SCANREG capture failed: %v", err))
 			}

@@ -327,13 +327,43 @@ func FuzzFastPathVsStep(f *testing.F) {
 	garbage := make([]byte, 64)
 	binary.BigEndian.PutUint64(garbage[8:], 0x2100_0000_1F00_FFFF) // jr r0; bra -1
 	f.Add(garbage, uint64(3))
+	for i, d := range derailSeeds {
+		f.Add(derailImage(f, d.pad, d.target), uint64(i))
+	}
 	f.Fuzz(fuzzFastPath)
 }
 
+// derailSeeds are runs a flipped PC sends into zeroed memory: to a line
+// start, into a line, and off word alignment. The NOPs there run until
+// fuzzFastPath's 3,000-cycle watchdog expires, and the pad instructions
+// between the kick and the jump move that expiry across the four fetches
+// of a line the fast path would cross.
+var derailSeeds = []struct {
+	pad    int
+	target uint32
+}{
+	{0, 0x2000}, {1, 0x2004}, {2, 0x2008}, {3, 0x200C}, {2, 0x2000}, {3, 0x2004}, {0, 0x2002},
+}
+
+func derailImage(tb testing.TB, pad int, target uint32) []byte {
+	tb.Helper()
+	prog, err := asm.Assemble(jumpTo(pad, target))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog.Image
+}
+
 // TestFastPathVsStepSeeds runs the fuzz property over seeded images —
-// randProgram's, and the same with a tenth of their bytes randomised — so
-// the plain test run covers it beyond the fuzzer's few corpus entries.
+// randProgram's, the same with a tenth of their bytes randomised, and the
+// derailed runs under several chunkings — so the plain test run covers it
+// beyond the fuzzer's few corpus entries.
 func TestFastPathVsStepSeeds(t *testing.T) {
+	for i, d := range derailSeeds {
+		for k := uint64(0); k < 8; k++ {
+			fuzzFastPath(t, derailImage(t, d.pad, d.target), uint64(i)<<8|k)
+		}
+	}
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(900 + seed))
 		img := randProgram(rng, 32+rng.Intn(160))

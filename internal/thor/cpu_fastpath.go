@@ -27,7 +27,11 @@ package thor
 //     clean in EVERY word — and none of that can have changed since,
 //     because every operation that can alter icache contents either
 //     bumps decGen (Reset, Restore, ScanWrite, WriteWord32) or clears
-//     the line's ok bit (a cachedRead line fill). A mirror hit is
+//     the line's ok bit (a cachedRead line fill, a crossed zero line).
+//     fetchPredecoded builds a line only if all of it lies in memory: one
+//     that runs past the end, when MemSize is not a multiple of the line
+//     size, stays dead, so its words past the end raise the memory-range
+//     EDM as the slow fetch does. A mirror hit is
 //     therefore provably the clean-hit branch of the slow fetch, and
 //     replicates that branch's exact side effects (icache hit counter,
 //     read-pin sample) while skipping the re-proof: no validity/tag
@@ -48,11 +52,27 @@ package thor
 //     into StatusOutOfBudget after the burst, on the cycle Run's compare
 //     would have caught it, because the burst's loop condition is that
 //     compare.
-//   - Everything else is NOT hoisted: the budget compare and watchdog
-//     compare stay per-instruction (hoisting them would change where
-//     StatusOutOfBudget / EDMWatchdog land), every EDM is raised by the
-//     code Step raises it with, and execution itself goes through
-//     execDecoded — the same function Step uses.
+//   - Zero lines: a run a fault derailed into zeroed memory executes NOPs
+//     (word 0 decodes as one) to the memory-range EDM, and burst crosses
+//     such a line in one step (crossZeroLines) when PC is at its start,
+//     all sixteen bytes lie in memory and are zero, the icache misses,
+//     caches are on and no TraceHook would see the four instructions.
+//     Four Steps there make one miss and a fill of four zeros (even
+//     parity), four hits, 8 + 4×1 cycles, four retired NOPs and PC + 16,
+//     and leave the read pins at the last word with data 0 — the crossing
+//     makes exactly these. A NOP touches nothing else, and the budget and
+//     watchdog compares grow with the cycle, so of the four fetches' the
+//     fourth's (11 cycles in) is the strictest: if it cannot fire, none
+//     can, and the line is crossed; if it can, stepRefill takes the line
+//     and the compares stay per instruction. The mirror line is left
+//     dead, as the fill in cachedRead leaves it — not rebuilt as the fast
+//     path's own second fetch would have done — which the invariant allows:
+//     a dead line only sends the next fetch of it to the slow path.
+//   - Everything else is NOT hoisted: outside a crossed zero line the
+//     budget compare and watchdog compare stay per-instruction (hoisting
+//     them would change where StatusOutOfBudget / EDMWatchdog land),
+//     every EDM is raised by the code Step raises it with, and execution
+//     itself goes through execDecoded — the same function Step uses.
 //
 // LoadMemory and dataWrite intentionally do NOT invalidate the mirror:
 // they do not update the icache either, so the mirror stays exactly as
@@ -115,9 +135,10 @@ func (c *CPU) fetchPredecoded() (Instr, bool) {
 	}
 	c.icache.hits++
 	c.sampleReadPins(pc, ln.data[wi])
-	if !allClean {
-		// Some other word in the line is corrupt: a later fetch of it
-		// must still raise the parity EDM, so the mirror stays dead.
+	if !allClean || uint64(pc|(CacheLineBytes-1)) >= uint64(len(c.mem)) {
+		// Some other word in the line is corrupt, or past the end of
+		// memory: a later fetch of it must still raise the parity or
+		// memory-range EDM, so the mirror stays dead.
 		return Decode(ln.data[wi]), true
 	}
 	d := &c.idec[li]
@@ -131,7 +152,8 @@ func (c *CPU) fetchPredecoded() (Instr, bool) {
 
 // burst is the one run loop of the fast path: instructions until the CPU
 // stops or cycleBudget cycles have gone by, a live mirror line executed
-// right here and anything else through stepRefill. It checks no
+// right here, all-zero lines crossed by crossZeroLines and anything else
+// through stepRefill. It checks no
 // breakpoint and makes no out-of-budget transition: both are the
 // caller's. Architecturally indistinguishable from a loop of Step.
 func (c *CPU) burst(cycleBudget uint64) {
@@ -148,9 +170,54 @@ func (c *CPU) burst(cycleBudget uint64) {
 			c.icache.hits++
 			c.sampleReadPins(pc, d.ws[wi])
 			c.execDecoded(d.ins[wi])
-		} else {
+		} else if pc%CacheLineBytes != 0 || !c.crossZeroLines(start, cycleBudget) {
 			c.stepRefill()
 		}
+	}
+}
+
+// crossZeroLines retires, line after line from PC on, the four NOPs of an
+// all-zero icache line that a loop of Step would fetch through a miss,
+// each line as one step with the side effects of the four, and reports
+// whether it crossed any. It stops in front of the first line that is not
+// such a line or on which the budget or watchdog compare of burst could
+// fire; that line is stepRefill's. PC must be at a line start.
+func (c *CPU) crossZeroLines(start, cycleBudget uint64) bool {
+	if c.cfg.DisableCaches || c.TraceHook != nil {
+		return false
+	}
+	nop := opTable[OpNOP].cycles
+	last := CacheMissPenalty + (CacheWordsPerLine-1)*nop // the fourth fetch's cycle offset
+	wl := c.cfg.WatchdogLimit
+	crossed := false
+	for {
+		pc := c.PC
+		if uint64(pc)+CacheLineBytes > uint64(len(c.mem)) ||
+			[CacheLineBytes]byte(c.mem[pc:pc+CacheLineBytes]) != [CacheLineBytes]byte{} {
+			return crossed
+		}
+		// burst's two compares as the fourth fetch would make them, last
+		// cycles on; the watchdog's is written so that nothing wraps.
+		if c.cycle+last-start >= cycleBudget ||
+			wl > 0 && (c.cycle-c.lastKick > wl || wl-(c.cycle-c.lastKick) < last) {
+			return crossed
+		}
+		li, _, tag := c.icache.index(pc)
+		ln := &c.icache.lines[li]
+		if ln.valid && ln.tag == tag {
+			return crossed // a hit: the line holds what it holds, not memory's zeros
+		}
+		c.icache.misses++
+		// What fill leaves for four zero words, without its four parity
+		// computations (zero has even parity).
+		*ln = cacheLine{tag: tag, valid: true}
+		c.idec[li].ok = false
+		c.icache.hits += CacheWordsPerLine
+		c.sampleReadPins(pc+CacheLineBytes-4, 0)
+		c.cycle += last + nop
+		c.instret += CacheWordsPerLine
+		c.PC = pc + CacheLineBytes
+		crossed = true
 	}
 }
 
