@@ -10,12 +10,16 @@ FUZZTIME ?= 15s
 # themselves where ptrace is not permitted. bench/ is a module of its own
 # that `./...` skips, and it compiles against core's exported surface: build
 # and vet it here (its tests are the benchmark-only PR's, ROADMAP item 1).
-# It ends with the two numbers a simplicity PR quotes.
+# The hand-over stage's tests run five times more under the race detector:
+# the stage, the boards and the sink's writer are three goroutines whose
+# interleavings one run samples once. It ends with the two numbers a
+# simplicity PR quotes.
 tier1:
 	$(GO) build ./...
 	$(GO) build -C bench -o /dev/null ./... && $(GO) vet -C bench ./...
 	$(GO) vet ./...
 	$(GO) test -race -count 1 ./...
+	$(GO) test -race -count 5 ./internal/core/ -run 'HandOver|PrunedStreakYieldsBoard|PrunedDispatch|Quarantine|PauseResumeStop|ResumeFromEveryLogCut'
 	@$(MAKE) --no-print-directory count
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume

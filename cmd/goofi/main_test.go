@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -615,5 +616,70 @@ func TestResumeParentBuildStore(t *testing.T) {
 	}
 	if got := rep.Render(); got != string(want) {
 		t.Errorf("resumed report\n%s\nwant the golden\n%s", got, want)
+	}
+}
+
+// TestRunBoardCountWritesSameFiles: a campaign run on one board or on three
+// leaves the same database and log, byte for byte — rows, cursor saves and
+// their order — for sort16 and for the PID loop against its plant. The
+// hand-over stage gives rows and cursors to the store in plan order
+// whichever board ran an experiment.
+func TestRunBoardCountWritesSameFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		define []string
+	}{
+		{"sort16", []string{"-workload", "sort16", "-locations", "cpu", "-window", "10:1600",
+			"-timeout", "100000", "-experiments", "600", "-seed", "1001"}},
+		{"pid", []string{"-workload", "pid-control", "-envsim", "first-order-plant",
+			"-locations", "cpu,icache,dcache", "-window", "200:8000", "-timeout", "4000000",
+			"-max-iterations", "200", "-experiments", "400", "-seed", "7"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := filepath.Join(dir, "base.db")
+			if err := runCmd(t, "configure", "-db", base, "-target", "thor-board"); err != nil {
+				t.Fatal(err)
+			}
+			if err := runCmd(t, append([]string{"setup", "-db", base, "-campaign", "c"}, tc.define...)...); err != nil {
+				t.Fatal(err)
+			}
+			var first map[string][]byte
+			for _, boards := range []int{1, 3} {
+				db := filepath.Join(dir, "b"+strconv.Itoa(boards)+".db")
+				files := map[string][]byte{}
+				for _, ext := range []string{"", ".wal"} {
+					b, err := os.ReadFile(base + ext)
+					if err != nil && !os.IsNotExist(err) {
+						t.Fatal(err)
+					}
+					if err == nil {
+						if err := os.WriteFile(db+ext, b, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := runCmd(t, "run", "-db", db, "-campaign", "c", "-boards", strconv.Itoa(boards), "-quiet"); err != nil {
+					t.Fatal(err)
+				}
+				for _, ext := range []string{"", ".wal"} {
+					b, err := os.ReadFile(db + ext)
+					if err != nil && !os.IsNotExist(err) {
+						t.Fatal(err)
+					}
+					files[ext] = b
+				}
+				if first == nil {
+					first = files
+					continue
+				}
+				for ext, b := range files {
+					if !bytes.Equal(b, first[ext]) {
+						t.Errorf("-boards %d: %s%s differs from -boards 1's (%d bytes against %d)",
+							boards, filepath.Base(db), ext, len(b), len(first[ext]))
+					}
+				}
+			}
+		})
 	}
 }

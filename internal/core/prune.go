@@ -91,7 +91,8 @@ type pruner struct {
 	r   *Runner
 	set *ForwardSet
 	// ref is the reference state the synthesized rows are handed to the
-	// sink as differences from; nil when the run has no sink.
+	// sink as differences from; nil when the run has no sink, whose rows
+	// are only resolved.
 	ref *campaign.Reference
 }
 
@@ -166,44 +167,27 @@ func (p *pruner) classify(pe *plannedExperiment) (class PruneClass, cycle uint64
 	return PrunedOverwritten, cycle, nil
 }
 
-// try returns the finished experiment, its record for the sink (nil when
-// the run has none) and its class when pe is a provable no-op, or nils and
-// NotPruned when it has to run. The record says what the classification
-// found and no more: the reference state plus the bits that stay flipped,
-// as positions in the stored scan state, ascending — nothing is cloned,
-// marshaled or compared to get there.
-func (p *pruner) try(pe *plannedExperiment) (*Experiment, *campaign.ExperimentRecord, PruneClass) {
+// try returns pe's row and its class when pe is a provable no-op, or nil
+// and NotPruned when it has to run. The row says what the classification
+// found and no more: the reference's outcome, and its state plus the bits
+// that stay flipped, as positions in the stored scan state, ascending —
+// nothing is cloned, marshaled or compared to get there, and no Experiment
+// is built: the hand-over stage resolves the slot from the row.
+func (p *pruner) try(pe *plannedExperiment) (*campaign.ExperimentRecord, PruneClass) {
 	class, cycle, latent := p.classify(pe)
 	if class == NotPruned {
-		return nil, nil, NotPruned
-	}
-	ref := p.set.Reference
-	ex := &Experiment{
-		Campaign:       p.r.camp,
-		Seq:            pe.seq,
-		Name:           campaign.ExperimentName(p.r.camp.Name, pe.seq),
-		Fault:          &pe.fault,
-		Trigger:        pe.trig,
-		InjectionCycle: cycle,
-		Injected:       true,
-		// No FinalScan: the record carries the difference. Memory and
-		// Outputs are shared with the reference result; nothing changes
-		// them.
-		Result: Result{Outcome: ref.Outcome, Memory: ref.Memory, Outputs: ref.Outputs},
-	}
-	if p.ref == nil {
-		return ex, nil, class
+		return nil, NotPruned
 	}
 	slices.Sort(latent)
 	for i := range latent {
 		latent[i] += bitvec.MarshaledHeaderBits
 	}
-	return ex, &campaign.ExperimentRecord{
-		Name:     ex.Name,
+	return &campaign.ExperimentRecord{
+		Name:     campaign.ExperimentName(p.r.camp.Name, pe.seq),
 		Campaign: p.r.camp.Name,
 		Step:     -1,
 		Data: campaign.ExperimentData{Seq: pe.seq, Fault: pe.fault, Trigger: pe.trig,
-			InjectionCycle: cycle, Injected: true, Outcome: ref.Outcome},
+			InjectionCycle: cycle, Injected: true, Outcome: p.set.Reference.Outcome},
 		Ref:      p.ref,
 		ScanDiff: latent,
 		FromRef:  true,

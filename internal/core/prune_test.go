@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,26 +156,16 @@ func TestPrunerClassifiesBits(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pe := plannedExperiment{seq: 3, fault: tc.fault, trig: tc.trig}
-			ex, rec, class := p.try(&pe)
-			if class != tc.class || (ex != nil) != (tc.class != NotPruned) || (rec != nil) != (ex != nil) {
-				t.Fatalf("class %v (experiment %v, record %v), want %v", class, ex != nil, rec != nil, tc.class)
+			rec, class := p.try(&pe)
+			if class != tc.class || (rec != nil) != (tc.class != NotPruned) {
+				t.Fatalf("class %v (record %v), want %v", class, rec != nil, tc.class)
 			}
-			if ex == nil {
+			if rec == nil {
 				return
 			}
-			if ex.Name != "fc/exp00003" || ex.Seq != 3 || !ex.Injected || ex.InjectionCycle != 123 ||
-				ex.Fault != &pe.fault || ex.Trigger != tc.trig || ex.Forwarded {
-				t.Errorf("experiment %+v", ex)
-			}
-			if ex.Result.Outcome != ref.Outcome {
-				t.Errorf("outcome %+v, reference %+v", ex.Result.Outcome, ref.Outcome)
-			}
-			if fmt.Sprint(ex.Result.Memory, ex.Result.Outputs) != fmt.Sprint(ref.Memory, ref.Outputs) {
-				t.Error("memory or outputs differ from the reference")
-			}
 			// The record says the state; spelled out, it is the reference's
-			// with those bits flipped.
-			if !rec.FromRef || rec.Ref != p.ref || rec.Name != ex.Name || rec.Campaign != "fc" || rec.Step != -1 ||
+			// with those bits flipped, and the reference's outcome.
+			if !rec.FromRef || rec.Ref != p.ref || rec.Name != "fc/exp00003" || rec.Campaign != "fc" || rec.Step != -1 ||
 				rec.Data.Seq != 3 || !rec.Data.Injected || rec.Data.InjectionCycle != 123 ||
 				rec.Data.Outcome != ref.Outcome || rec.Data.Trigger != tc.trig ||
 				fmt.Sprint(rec.Data.Fault) != fmt.Sprint(tc.fault) {
@@ -210,7 +199,7 @@ func TestPrunerClassifiesBits(t *testing.T) {
 		})
 	}
 	var none *pruner
-	if ex, rec, class := none.try(&plannedExperiment{fault: cases[0].fault, trig: cases[0].trig}); ex != nil || rec != nil || class != NotPruned {
+	if rec, class := none.try(&plannedExperiment{fault: cases[0].fault, trig: cases[0].trig}); rec != nil || class != NotPruned {
 		t.Error("a nil pruner pruned")
 	}
 }
@@ -370,20 +359,30 @@ func TestPrunedDispatch(t *testing.T) {
 	}
 }
 
-// switchedDefUse calls every bit read until all is set and every bit
-// never touched again from then on, so a test can turn the rest of a plan
-// into pruned experiments at a moment of its choosing. (Not a sound
-// table: only scheduling is looked at, never rows.)
-type switchedDefUse struct {
+// headDefUse calls every bit read for the first emulated classifications
+// and never touched again after them, so the plan's first items run on
+// boards and all the rest are pruned. The classifier asks InjectionPoint
+// once per item, in plan order, on one goroutine. (Not a sound table: only
+// scheduling is looked at, never rows.)
+type headDefUse struct {
 	fakeDefUse
-	all *atomic.Bool
+	emulated int
+	asked    *int
 }
 
-func (d switchedDefUse) NextAccess(int, int) Access {
-	if d.all.Load() {
-		return AccessNone
+func (d headDefUse) InjectionPoint(uint64, bool) (int, uint64, bool) {
+	*d.asked++
+	if *d.asked <= d.emulated {
+		return 9, 123, true
 	}
-	return AccessRead
+	return 10, 123, true
+}
+
+func (d headDefUse) NextAccess(_, idx int) Access {
+	if idx == 9 {
+		return AccessRead
+	}
+	return AccessNone
 }
 
 // gatedFake holds its board's first experiment at InitTestCard until the
@@ -431,29 +430,32 @@ func (s *heldSink) LogExperiment(rec *campaign.ExperimentRecord) error {
 	return s.ResultSink.LogExperiment(rec)
 }
 
-// TestPrunedStreakYieldsBoard: a campaign holding both boards of a shared
-// fleet, over its fair share once another campaign waits, hands one back
-// at the next experiment even when that experiment — and every one after
-// it — is pruned and needs no board.
+// TestPrunedStreakYieldsBoard: while only pruned slots remain, a campaign
+// holds no lease. Its two workers hold both boards of a shared fleet, each
+// stopped in one of the plan's two emulated experiments, and another
+// campaign waits for a board; once those two are done, the campaign hands
+// its pruned rows over — with the classifier still a window short of the
+// plan's end — holding neither board.
 func TestPrunedStreakYieldsBoard(t *testing.T) {
-	const n = 60
+	const n = 2*campaign.QueueRows + 10
 	fleet, err := NewFleet(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := fleet.Register("other")
 	defer other.Close()
+	leased := func() int64 {
+		fleet.mu.Lock()
+		defer fleet.mu.Unlock()
+		return fleet.leasedLocked()
+	}
 
-	var (
-		pruneAll atomic.Bool
-		onBoard  sync.Map
-	)
+	var onBoard sync.Map
 	started, gate, served := make(chan struct{}, 2), make(chan struct{}), make(chan struct{})
-	table := fakeTargetUses()
-	table.end = 1 << 62
+	table := headDefUse{fakeDefUse: fakeDefUse{chain: "internal"}, emulated: 2, asked: new(int)}
 	factory := func() TargetSystem {
 		return &gatedFake{started: started, gate: gate, onBoard: &onBoard, forwardingFake: &forwardingFake{
-			fakeTarget: newFakeTarget(), table: switchedDefUse{table, &pruneAll}}}
+			fakeTarget: newFakeTarget(), table: table}}
 	}
 	camp := fakeCampaign(n)
 	sink := &heldSink{ResultSink: storeWithCampaign(t, camp), onBoard: &onBoard,
@@ -464,7 +466,7 @@ func TestPrunedStreakYieldsBoard(t *testing.T) {
 	}
 
 	go func() {
-		// Both workers hold a board, each stopped in its first experiment.
+		// Both workers hold a board, each stopped in its emulated experiment.
 		<-started
 		<-started
 		waits := mFleetWaits.Value()
@@ -474,13 +476,22 @@ func TestPrunedStreakYieldsBoard(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			defer lease.Release()
+			// The sink holds the first pruned row until served: only pruned
+			// rows remain, and the other campaign's lease is the only one.
+			deadline := time.Now().Add(5 * time.Second)
+			for leased() != 1 {
+				if time.Now().After(deadline) {
+					t.Errorf("%d boards leased while only pruned rows remain, want the other campaign's one", leased())
+					break
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
 			close(served)
-			lease.Release()
 		}()
 		for mFleetWaits.Value() == waits {
 			time.Sleep(100 * time.Microsecond) // until the other campaign waits
 		}
-		pruneAll.Store(true)
 		close(gate)
 	}()
 	sum, err := r.Run(context.Background())
@@ -490,11 +501,9 @@ func TestPrunedStreakYieldsBoard(t *testing.T) {
 	if sum.Pruned.Total() != n-2 {
 		t.Fatalf("pruned %d of %d, want all but the two gated ones", sum.Pruned.Total(), n)
 	}
-	// No pruned row is logged before the other campaign has its board:
-	// without the yield that is when a worker retires, the plan finished.
 	select {
 	case <-sink.gaveUp:
-		t.Error("the campaign sat on both boards through its pruned experiments")
+		t.Error("the campaign sat on its boards through its pruned rows")
 	default:
 	}
 }

@@ -22,8 +22,24 @@ func regTestInfo(kind string, aliases ...string) TargetInfo {
 	}
 }
 
+// registerForTest registers info for the test's duration. The registry is
+// process-wide, and `go test -count N` runs every test N times in one
+// process: a registration that outlived its test panicked the second run
+// as a duplicate.
+func registerForTest(t *testing.T, info TargetInfo) {
+	t.Helper()
+	RegisterTarget(info)
+	t.Cleanup(func() {
+		targetReg.Lock()
+		defer targetReg.Unlock()
+		for _, name := range append([]string{info.Kind}, info.Aliases...) {
+			delete(targetReg.m, name)
+		}
+	})
+}
+
 func TestTargetRegistryLookupAndAliases(t *testing.T) {
-	RegisterTarget(regTestInfo("registry-test-kind", "registry-test-alias"))
+	registerForTest(t, regTestInfo("registry-test-kind", "registry-test-alias"))
 	if _, ok := LookupTarget("registry-test-kind"); !ok {
 		t.Fatal("registered kind not found")
 	}
@@ -55,7 +71,7 @@ func TestTargetRegistryLookupAndAliases(t *testing.T) {
 }
 
 func TestTargetRegistryDuplicatePanics(t *testing.T) {
-	RegisterTarget(regTestInfo("registry-dup-kind"))
+	registerForTest(t, regTestInfo("registry-dup-kind"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
@@ -91,7 +107,7 @@ func TestTargetRegistryResolve(t *testing.T) {
 	reg := func(kind, algorithm string, aliases ...string) {
 		info := regTestInfo(kind, aliases...)
 		info.Algorithm = algorithm
-		RegisterTarget(info)
+		registerForTest(t, info)
 	}
 	reg("scifi", SCIFI.Name)
 	reg("swifi-runtime", RuntimeSWIFI.Name)

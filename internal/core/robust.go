@@ -144,11 +144,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // bufferDetail reroutes an experiment's detail-mode sink into an
 // in-memory buffer, so a retried attempt's partial instruction trace is
-// discarded instead of colliding with the successful attempt's rows.
-// flush writes the buffered trace to the real sink.
+// discarded instead of colliding with the successful attempt's rows, and
+// the trace reaches the sink in plan order, in front of its end row. flush
+// writes the buffered trace to the real sink; nil without a trace.
 func (r *Runner) bufferDetail(ex *Experiment) (flush func() error) {
 	if ex.DetailSink == nil {
-		return func() error { return nil }
+		return nil
 	}
 	var buf []*campaign.ExperimentRecord
 	parent := ex.Name

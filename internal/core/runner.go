@@ -154,7 +154,9 @@ func WithBoards(boards int, factory func() TargetSystem) RunnerOption {
 }
 
 // WithProgress installs a progress callback. It is invoked synchronously
-// from the campaign goroutine; keep it fast.
+// from one goroutine — Run's, whose hand-over stage emits the experiment
+// events in plan order — for any board count; keep it fast: the next row
+// waits for it.
 func WithProgress(fn func(ProgressEvent)) RunnerOption {
 	return func(r *Runner) { r.onProgress = fn }
 }
@@ -303,12 +305,19 @@ func (r *Runner) ForwardSet() *ForwardSet { return r.capturedFw }
 // should stop (Stop called or context cancelled). On pause the cursor is
 // saved and the sink flushed behind it — a checkpointed campaign is
 // durable — and the paused progress event is emitted outside the lock so
-// a callback may call Resume or Stop synchronously.
+// a callback may call Resume or Stop synchronously. The pause is read and
+// waited out under one hold of the lock: a Pause from another goroutine
+// that lands in between is announced, never waited out unannounced.
 func (r *Runner) checkpoint(ctx context.Context) bool {
 	r.mu.Lock()
-	pausedNow := r.paused && !r.stopped
-	r.mu.Unlock()
-	if pausedNow {
+	defer r.mu.Unlock()
+	for announced := false; r.paused && !r.stopped && ctx.Err() == nil; {
+		if announced {
+			r.cond.Wait()
+			continue
+		}
+		announced = true
+		r.mu.Unlock()
 		if r.onPause != nil {
 			r.onPause() // save the campaign cursor (durable checkpointing)
 		}
@@ -316,11 +325,7 @@ func (r *Runner) checkpoint(ctx context.Context) bool {
 		// from the termination flush; pausing itself need not fail.
 		_ = r.flushSink()
 		r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "paused"})
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.paused && !r.stopped && ctx.Err() == nil {
-		r.cond.Wait()
+		r.mu.Lock()
 	}
 	return !r.stopped && ctx.Err() == nil
 }

@@ -147,8 +147,7 @@ type run struct {
 	fleet  *Fleet
 	handle *FleetHandle
 	// stopCh mirrors Stop into a channel for the duration of this run, so
-	// a worker blocked in a fleet Acquire (possibly waiting on boards held
-	// by other campaigns) is woken by Stop, not only by queue progress.
+	// the hand-over stage waiting for a board's delivery is woken by Stop.
 	stopCh chan struct{}
 
 	planned []plannedExperiment
@@ -172,9 +171,16 @@ type run struct {
 	// answers from its def-use table.
 	fwSet *ForwardSet
 	prune *pruner
-	q     *expQueue
-	// runCtx cancels workers parked in a fleet Acquire once the queue
-	// drains or the user stops the campaign.
+	// items is what this run executes: the plan minus what is durable and
+	// what belongs to other shards, in plan order. The hand-over stage owns
+	// window, a ring of slots items[h : h+len(window)] map into, and
+	// receives what the boards deliver on delivered.
+	items     []queuedExperiment
+	window    []slot
+	delivered chan delivery
+	q         *expQueue
+	// runCtx cancels workers parked in a fleet Acquire once the hand-over
+	// stage is done with the run.
 	runCtx context.Context
 
 	mu        sync.Mutex // guards the fields below and sum during dispatch
@@ -200,9 +206,9 @@ func (rs *run) failed() bool {
 	return rs.firstErr != nil
 }
 
-// expErr wraps a harness error with the campaign and experiment it hit.
-func (rs *run) expErr(ex *Experiment, err error) error {
-	return fmt.Errorf("core: campaign %q %s: %w", rs.r.camp.Name, ex.Name, err)
+// expErr wraps an error with the campaign and the experiment it hit.
+func (rs *run) expErr(name string, err error) error {
+	return fmt.Errorf("core: campaign %q %s: %w", rs.r.camp.Name, name, err)
 }
 
 // saveCursor persists the campaign cursor through the checkpoint sink;
@@ -228,17 +234,16 @@ func (rs *run) snapshotCompleted() campaign.SeqRanges {
 }
 
 // Run executes the campaign: one planning pass, the reference run, then
-// the experiment loop of paper Fig 2 dispatched over a pool of board
-// workers. One board is the degenerate case — the single worker consumes
-// the plan in sequence order, making execution equivalent to a sequential
-// loop. Experiment outcomes are identical for every board count (each
-// experiment is fully re-initialised on whichever board runs it); only
-// wall-clock time changes.
+// the experiment loop of paper Fig 2, dispatched over a pool of board
+// workers by one hand-over stage that walks the plan in sequence order.
+// Rows, cursor saves and progress events leave in plan order, so what a
+// campaign stores is the same bytes for every board count (each experiment
+// is fully re-initialised on whichever board runs it); only wall-clock time
+// changes.
 //
-// With more than one board the progress callback is invoked from multiple
-// goroutines and must be safe for concurrent use. Pause/Resume/Stop act at
-// the dispatch checkpoint between experiments; the sink is flushed on
-// pause and on termination.
+// The progress callback runs on one goroutine, the hand-over stage's, for
+// any board count. Pause/Resume/Stop act at the checkpoint before each row
+// is handed over; the sink is flushed on pause and on termination.
 func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 	if r.boards < 1 {
 		return nil, fmt.Errorf("core: board count %d < 1", r.boards)
@@ -449,17 +454,22 @@ func (rs *run) referenceRun() (*ForwardSet, error) {
 		}
 	}
 	qe := queuedExperiment{plannedExperiment: plannedExperiment{seq: -1}}
-	ref, verdict, err := rs.climb(b, &qe)
-	if verdict != ladderLogged {
+	d := rs.climb(b, &qe)
+	ref := d.ex
+	if d.verdict != ladderDone {
 		// Spent, or a wedged board with no factory to power-cycle a
 		// replacement from: without a reference there is no campaign.
-		return nil, rs.expErr(ref, err)
+		return nil, rs.expErr(ref.Name, d.err)
+	}
+	// The reference run logs itself: nothing is handed over before it.
+	if err := rs.logEmulated(&d); err != nil {
+		return nil, rs.expErr(ref.Name, err)
 	}
 	rs.sum.CyclesEmulated += ref.Result.Outcome.Cycles
 	if r.sink != nil && rs.sum.Deterministic {
 		sv, err := ref.Result.StateVector()
 		if err != nil {
-			return nil, rs.expErr(ref, err)
+			return nil, rs.expErr(ref.Name, err)
 		}
 		rs.ref = campaign.NewReference(sv)
 	}
@@ -475,14 +485,11 @@ func (rs *run) referenceRun() (*ForwardSet, error) {
 }
 
 // enqueue is stage four: the plan minus what is already durable and what
-// belongs to other shards becomes the work queue, and the pruner is armed
-// from the reference run's def-use table. The pull queue replaces a
-// pushed work channel: a worker that must give an experiment back (its
-// board got quarantined) can requeue it for the surviving boards, which a
-// closed channel cannot express.
+// belongs to other shards becomes the run's items, and the pruner is armed
+// from the reference run's def-use table.
 func (rs *run) enqueue() {
 	r := rs.r
-	items := make([]queuedExperiment, 0, len(rs.planned))
+	rs.items = make([]queuedExperiment, 0, len(rs.planned))
 	for _, pe := range rs.planned {
 		if rs.doneSet[pe.seq] {
 			continue // already durable from the interrupted run
@@ -490,15 +497,14 @@ func (rs *run) enqueue() {
 		if r.shardHi != 0 && (pe.seq < r.shardLo || pe.seq >= r.shardHi) {
 			continue // another shard's slice of the plan
 		}
-		items = append(items, queuedExperiment{plannedExperiment: pe})
+		rs.items = append(rs.items, queuedExperiment{plannedExperiment: pe, idx: len(rs.items)})
 	}
-	rs.q = newExpQueue(items)
 	rs.prune = r.newPruner(rs.fwSet, rs.ref)
 }
 
-// dispatch is stage five: the board workers drain the queue. Worker
-// parallelism is this campaign's board budget, capped by what the fleet
-// could ever grant.
+// dispatch is stage five: the hand-over stage walks the items while the
+// board workers run what it gives them. Worker parallelism is this
+// campaign's board budget, capped by what the fleet could ever grant.
 func (rs *run) dispatch() {
 	r := rs.r
 	r.progress.SetPhase("experiment")
@@ -509,22 +515,15 @@ func (rs *run) dispatch() {
 		r.onPause = func() { _ = rs.saveCursor(rs.snapshotCompleted()) }
 		defer func() { r.onPause = nil }()
 	}
-	// Workers blocked in a fleet Acquire are woken by queue progress on
-	// their own campaign only indirectly (another campaign releasing a
-	// board); runCtx cancels them when the queue drains or the user stops
-	// the campaign, so no worker waits for a board it can never use.
+	rs.q = newExpQueue()
+	rs.window = make([]slot, campaign.QueueRows)
+	// A board delivers each item it is given once, and the stage gives out
+	// no item a window ahead of the hand-over: a send never blocks, whether
+	// or not the stage is still receiving.
+	rs.delivered = make(chan delivery, len(rs.window))
+	// runCtx wakes workers parked in a fleet Acquire once the stage is done.
 	runCtx, cancelRun := context.WithCancel(rs.ctx)
-	defer cancelRun()
 	rs.runCtx = runCtx
-	go func() {
-		select {
-		case <-rs.q.drained():
-		case <-rs.stopCh:
-		case <-runCtx.Done():
-		}
-		cancelRun()
-	}()
-
 	var wg sync.WaitGroup
 	for w := min(r.boards, rs.fleet.Capacity()); w > 0; w-- {
 		wg.Add(1)
@@ -533,12 +532,20 @@ func (rs *run) dispatch() {
 			rs.worker()
 		}()
 	}
-	wg.Wait()
+	idle := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(idle)
+	}()
+	rs.handOver(idle)
+	cancelRun()
+	rs.q.halt()
+	<-idle
 
-	// Workers all gone with work left over: every board was quarantined
-	// before the plan finished (a user stop or a fatal error also leaves
-	// work behind, but those report themselves).
-	if n := rs.q.leftover(); n > 0 && !rs.failed() && rs.ctx.Err() == nil {
+	// Rows left unhanded: every board was quarantined before the plan
+	// finished (a user stop or a fatal error also leaves work behind, but
+	// those report themselves).
+	if n := len(rs.items) - rs.done; n > 0 && !rs.failed() && rs.ctx.Err() == nil {
 		r.mu.Lock()
 		stopped := r.stopped
 		r.mu.Unlock()
@@ -547,6 +554,130 @@ func (rs *run) dispatch() {
 				r.camp.Name, n))
 		}
 	}
+}
+
+// slot is one item between the classifier and the sink: the row the
+// classifier synthesized for a pruned item, or what a board delivered for
+// an emulated one.
+type slot struct {
+	delivery
+	class PruneClass
+	ready bool
+}
+
+// delivery is what a board hands back for one item: the last attempt's
+// experiment and detail-trace flush, how its climb of the ladder ended —
+// spent, with the invalid-run row — and where and how long it ran.
+type delivery struct {
+	idx     int
+	ex      *Experiment
+	flush   func() error
+	verdict ladderVerdict
+	err     error
+	// rec is the row handed over as it stands: a pruned item's or an
+	// invalid run's.
+	rec    *campaign.ExperimentRecord
+	board  int
+	wallNS int64
+}
+
+// handOver is the hand-over stage: the one goroutine between the plan and
+// the sink. It walks the items in plan order with two cursors. The
+// classifier runs at most a window ahead: it synthesizes the rows the
+// pruner can prove and pushes every other item to the boards. Behind it,
+// each slot is handed over once it and every slot before it are settled:
+// its rows to the sink, then resolve with its progress event and cursor
+// save. So rows, cursors and spans leave in plan order for any board
+// count, and the boards only emulate.
+func (rs *run) handOver(idle <-chan struct{}) {
+	next := 0
+	for h := range rs.items {
+		if !rs.r.checkpoint(rs.ctx) || rs.failed() {
+			return
+		}
+		for ; next < len(rs.items) && next < h+len(rs.window); next++ {
+			rs.classify(&rs.items[next])
+		}
+		s := &rs.window[h%len(rs.window)]
+		if !rs.await(s, idle) || !rs.settle(s) {
+			return
+		}
+	}
+}
+
+// classify fills the item's slot with its synthesized row when the pruner
+// proves it a no-op, and otherwise clears the slot for a board's delivery
+// and queues the item.
+func (rs *run) classify(qe *queuedExperiment) {
+	s := &rs.window[qe.idx%len(rs.window)]
+	if rec, class := rs.prune.try(&qe.plannedExperiment); class != NotPruned {
+		*s = slot{delivery: delivery{rec: rec, board: -1}, class: class, ready: true}
+		return
+	}
+	*s = slot{}
+	rs.q.push(*qe)
+}
+
+// await receives deliveries until s is ready. False when it will not be:
+// the campaign was stopped or cancelled, or every worker retired — the
+// fleet has no healthy board left — with s unrun.
+func (rs *run) await(s *slot, idle <-chan struct{}) bool {
+	for !s.ready {
+		select {
+		case d := <-rs.delivered:
+			rs.window[d.idx%len(rs.window)] = slot{delivery: d, ready: true}
+		case <-idle:
+			// No worker is left to send: what they delivered is buffered.
+			for len(rs.delivered) > 0 {
+				d := <-rs.delivered
+				rs.window[d.idx%len(rs.window)] = slot{delivery: d, ready: true}
+			}
+			return s.ready
+		case <-rs.stopCh:
+			return false
+		case <-rs.ctx.Done():
+			return false
+		}
+	}
+	return true
+}
+
+// settle hands a ready slot's rows to the sink and resolves it. A fatal
+// verdict or a failed sink write fails the run instead: false.
+func (rs *run) settle(s *slot) bool {
+	var (
+		name string
+		err  error
+	)
+	switch {
+	case s.verdict == ladderFatal:
+		name, err = s.ex.Name, s.err
+	case s.class != NotPruned:
+		start := time.Now()
+		name, err = s.rec.Name, rs.r.sinkLog(s.rec)
+		s.wallNS = time.Since(start).Nanoseconds()
+	case s.verdict == ladderSpent:
+		name, err = s.rec.Name, rs.r.sinkLog(s.rec)
+	default:
+		name, err = s.ex.Name, rs.logEmulated(&s.delivery)
+	}
+	if err != nil {
+		rs.fail(rs.expErr(name, err))
+		return false
+	}
+	rs.resolve(s)
+	return true
+}
+
+// logEmulated hands an emulated experiment's rows to the sink: its
+// detail-mode trace, then its end row, stored relative to the reference.
+func (rs *run) logEmulated(d *delivery) error {
+	if d.flush != nil {
+		if err := d.flush(); err != nil {
+			return err
+		}
+	}
+	return rs.r.logResult(d.ex, "", rs.ref)
 }
 
 // finalize is the last stage: termination cursor, termination flush,
@@ -614,8 +745,8 @@ type board struct {
 type ladderVerdict int
 
 const (
-	// ladderLogged: an attempt succeeded and its record reached the sink.
-	ladderLogged ladderVerdict = iota
+	// ladderDone: an attempt succeeded.
+	ladderDone ladderVerdict = iota
 	// ladderSpent: the retry budget is exhausted; the error is the last
 	// attempt's.
 	ladderSpent
@@ -623,8 +754,8 @@ const (
 	// the circuit breaker tripped, or it wedged with no factory to build
 	// a replacement from. The experiment is to be given back.
 	ladderSuspect
-	// ladderFatal: the error ends the campaign — no retry policy, a
-	// cancelled context, or a failed sink write.
+	// ladderFatal: the error ends the campaign — no retry policy, or a
+	// cancelled context.
 	ladderFatal
 )
 
@@ -632,9 +763,11 @@ const (
 // experiments: execute, and on a harness failure classify, count, back
 // off, power-cycle and try again until the policy says stop. Each attempt
 // rebuilds the experiment from its per-sequence seed, so a retried run is
-// bit-identical to a first-try run. It returns the last attempt's
-// experiment and, unless that was logged, its unwrapped error.
-func (rs *run) climb(b *board, qe *queuedExperiment) (*Experiment, ladderVerdict, error) {
+// bit-identical to a first-try run, and buffers its detail-mode trace, so a
+// failed attempt's partial trace is dropped with it. It returns the last
+// attempt's experiment, the flush of its trace and the verdict — unless
+// done, with the attempt's unwrapped error. Nothing reaches the sink here.
+func (rs *run) climb(b *board, qe *queuedExperiment) delivery {
 	r := rs.r
 	policyOn := r.retry.enabled()
 	for {
@@ -644,33 +777,24 @@ func (rs *run) climb(b *board, qe *queuedExperiment) (*Experiment, ladderVerdict
 			fault = &qe.fault
 		}
 		ex := r.newExperiment(qe.seq, fault, qe.trig)
-		var flushDetail func() error
-		if policyOn {
-			flushDetail = r.bufferDetail(ex)
-		}
+		flush := r.bufferDetail(ex)
 		if b.arm != nil {
 			b.arm(b.target)
 		}
 		err := r.execAttempt(rs.ctx, b.target, ex, qe.attempts)
-		if err == nil && flushDetail != nil {
-			err = flushDetail()
-		}
-		if err == nil {
-			err = r.logResult(ex, "", rs.ref)
-		}
 		if err == nil {
 			b.fails = 0
-			return ex, ladderLogged, nil
+			return delivery{ex: ex, flush: flush}
 		}
 		// Harness failure. Without a retry policy the first error ends
 		// dispatch — through the common drain/flush path, not an early
 		// return.
 		if !policyOn || rs.ctx.Err() != nil {
-			return ex, ladderFatal, err
+			return delivery{ex: ex, verdict: ladderFatal, err: err}
 		}
 		b.fails++
 		if qe.attempts >= r.retry.maxAttempts() {
-			return ex, ladderSpent, err
+			return delivery{ex: ex, verdict: ladderSpent, err: err}
 		}
 		class := ClassifyError(err)
 		rs.mu.Lock()
@@ -682,18 +806,18 @@ func (rs *run) climb(b *board, qe *queuedExperiment) (*Experiment, ladderVerdict
 			// Circuit breaker: the failures are attributed to the board,
 			// so the experiment gets its retry budget back.
 			qe.attempts = 0
-			return ex, ladderSuspect, err
+			return delivery{ex: ex, verdict: ladderSuspect, err: err}
 		}
 		if class == Wedged && r.factory == nil {
 			// The wedged attempt may still be driving this target, and
 			// there is no factory to power-cycle a replacement from.
-			return ex, ladderSuspect, err
+			return delivery{ex: ex, verdict: ladderSuspect, err: err}
 		}
 		if class != Persistent {
 			d := r.retry.backoff(qe.attempts+1, b.jitter)
 			mBackoffNS.Add(uint64(d))
 			if !sleepCtx(rs.ctx, d) {
-				return ex, ladderFatal, err
+				return delivery{ex: ex, verdict: ladderFatal, err: err}
 			}
 		}
 		if class != Transient && r.factory != nil {
@@ -706,31 +830,44 @@ func (rs *run) climb(b *board, qe *queuedExperiment) (*Experiment, ladderVerdict
 	}
 }
 
-// resolve folds one resolved plan slot into the run: summary, always-on
+// resolve folds one handed-over slot into the run: summary, always-on
 // counters, progress, span, progress event and — when one is due — the
 // durable cursor. A slot resolves in one of three ways: its row was
-// emulated on a board (class NotPruned), synthesized by the pruner
-// (board -1), or, with valid false, recorded as an invalid run after the
-// ladder was spent.
-func (rs *run) resolve(ex *Experiment, class PruneClass, valid bool, boardID int, wallNS int64) {
+// emulated on a board, synthesized by the classifier (board -1, the
+// reference's outcome), or recorded as an invalid run after the ladder was
+// spent. The last two read all they need off the row.
+func (rs *run) resolve(s *slot) {
 	r, sum := rs.r, rs.sum
-	st := campaign.OutcomeInvalidRun
-	span := telemetry.SpanRecord{Phase: "invalid", Board: boardID, Seq: ex.Seq, WallNS: wallNS}
-	var emulated, saved uint64
+	valid := s.verdict == ladderDone
+	span := telemetry.SpanRecord{Phase: "invalid", Board: s.board, WallNS: s.wallNS}
+	var (
+		name            string
+		out             *campaign.Outcome
+		injected        bool
+		forwarded       bool
+		emulated, saved uint64
+	)
 	switch {
 	case !valid:
-	case class != NotPruned:
-		st, span.Phase = ex.Result.Outcome.Status, "pruned"
+		span.Seq, name = s.rec.Data.Seq, s.rec.Name
+	case s.class != NotPruned:
+		span.Seq, name, out, injected = s.rec.Data.Seq, s.rec.Name, &s.rec.Data.Outcome, true
+		span.Phase = "pruned"
 	default:
-		st, span.Phase = ex.Result.Outcome.Status, "experiment"
-		span.StartCycle, span.EndCycle = ex.ForwardedFrom, ex.Result.Outcome.Cycles
-		emulated = ex.Result.Outcome.Cycles
-		if ex.Forwarded {
+		ex := s.ex
+		span.Seq, name, out, injected = ex.Seq, ex.Name, &ex.Result.Outcome, ex.Injected
+		span.Phase = "experiment"
+		span.StartCycle, span.EndCycle = ex.ForwardedFrom, out.Cycles
+		emulated = out.Cycles
+		if forwarded = ex.Forwarded; forwarded {
 			saved = ex.ForwardedFrom
 			emulated -= saved
 		}
 	}
-	forwarded := valid && ex.Forwarded
+	st := campaign.OutcomeInvalidRun
+	if valid {
+		st = out.Status
+	}
 
 	rs.mu.Lock()
 	sum.Experiments++
@@ -738,11 +875,11 @@ func (rs *run) resolve(ex *Experiment, class PruneClass, valid bool, boardID int
 	if !valid {
 		sum.InvalidRuns++
 	} else {
-		if ex.Injected {
+		if injected {
 			sum.Injected++
 		}
 		if st == campaign.OutcomeDetected {
-			sum.ByMechanism[ex.Result.Outcome.Mechanism]++
+			sum.ByMechanism[out.Mechanism]++
 		}
 		if forwarded {
 			sum.Forwarded++
@@ -750,14 +887,14 @@ func (rs *run) resolve(ex *Experiment, class PruneClass, valid bool, boardID int
 		}
 		sum.CyclesEmulated += emulated
 	}
-	switch class {
+	switch s.class {
 	case PrunedLatent:
 		sum.Pruned.Latent++
 	case PrunedOverwritten:
 		sum.Pruned.Overwritten++
 	}
 	rs.done++
-	rs.completed = rs.completed.Add(ex.Seq)
+	rs.completed = rs.completed.Add(span.Seq)
 	var snap campaign.SeqRanges
 	if rs.ckpt != nil {
 		if rs.sinceCkpt++; rs.sinceCkpt >= r.ckptEvery {
@@ -766,7 +903,7 @@ func (rs *run) resolve(ex *Experiment, class PruneClass, valid bool, boardID int
 		}
 	}
 	ev := ProgressEvent{Campaign: r.camp.Name, Phase: "experiment", Done: rs.resumed + rs.done,
-		Total: r.camp.NumExperiments, Experiment: ex.Name, Outcome: st}
+		Total: r.camp.NumExperiments, Experiment: name, Outcome: st}
 	rs.mu.Unlock()
 
 	if valid {
@@ -781,7 +918,7 @@ func (rs *run) resolve(ex *Experiment, class PruneClass, valid bool, boardID int
 		mForwarded.Inc()
 		r.progress.Forwarded()
 	}
-	switch class {
+	switch s.class {
 	case PrunedLatent:
 		mPrunedLatent.Inc()
 	case PrunedOverwritten:
@@ -815,56 +952,54 @@ func (rs *run) quarantine(b *board) {
 	mQuarantined.Inc()
 	rs.r.progress.BoardQuarantined(b.id)
 	b.lease.Quarantine()
-	b.lease = nil
+	b.lease, b.target = nil, nil
 }
 
-// acquire leases a board for the worker and derives all per-board state
-// (target, jitter stream, busy counter) from the lease, so outcomes stay
-// keyed to the plan, never to scheduling. False means the fleet is
-// exhausted, the campaign stopped, or the context ended.
+// acquire leases a board for the worker and derives the per-board retry
+// state (jitter stream, busy counter) from the lease, so outcomes stay
+// keyed to the plan, never to scheduling. The worker keeps its target
+// across a release — every experiment re-initialises it — and takes a
+// fresh one from the factory only at first and after a quarantine. False
+// means the fleet is exhausted, the campaign stopped, or the context ended.
 func (rs *run) acquire(b *board) bool {
 	r := rs.r
 	lease, err := rs.handle.Acquire(rs.runCtx)
 	if err != nil {
 		return false
 	}
-	*b = board{lease: lease, id: lease.Board(), target: r.boardTarget(), fw: rs.fwSet,
+	target := b.target
+	if target == nil {
+		target = r.boardTarget()
+		installForwardSet(target, rs.fwSet)
+	}
+	*b = board{lease: lease, id: lease.Board(), target: target, fw: rs.fwSet,
 		breaker: r.retry.BoardFailureThreshold,
 		jitter:  rand.New(rand.NewSource(expSeed(r.camp.Seed, -3-lease.Board()))),
 		busyNS:  mBoardBusyNS.With(strconv.Itoa(lease.Board()))}
-	installForwardSet(b.target, b.fw)
 	return true
-}
-
-// haltWith ends dispatch on a fatal error: the in-hand experiment is
-// finished (not requeued) and the queue halted for every worker.
-func (rs *run) haltWith(err error) {
-	rs.fail(err)
-	rs.q.finish()
-	rs.q.halt()
 }
 
 // worker is one board worker. A worker is a goroutine, not a board: it
 // leases a board from the fleet while it has work that needs one and the
-// fair-share policy lets it keep it.
+// fair-share policy lets it keep it. Pause, Stop and cancellation reach it
+// through the hand-over stage, which stops giving out work: a paused
+// campaign's boards finish what they were given — at most a window — and
+// wait without a lease.
 func (rs *run) worker() {
 	r, q := rs.r, rs.q
 	b := &board{id: -1}
 	defer rs.release(b)
 	for {
-		if !r.checkpoint(rs.ctx) || rs.failed() {
-			q.halt()
-			return
-		}
 		if b.lease != nil {
 			r.progress.BoardIdle(b.id)
 		}
 		qe, ok, mustWait := q.tryPop()
 		if mustWait {
-			// The queue is empty but other workers still hold experiments
-			// that may come back (requeue after a quarantine). Give the
-			// board up before blocking: the requeued experiment may need
-			// this very board — or another campaign may.
+			// Nothing to run until the stage classifies more or a
+			// quarantined board gives an experiment back. Give the board up
+			// before blocking: while only pruned rows are left this campaign
+			// needs none, and the requeued experiment may need this very
+			// board — or another campaign may.
 			rs.release(b)
 			qe, ok = q.pop()
 		}
@@ -874,118 +1009,86 @@ func (rs *run) worker() {
 		start := time.Now()
 		if b.lease != nil && rs.handle.ShouldYield() {
 			// Over the fair-share entitlement with another campaign
-			// waiting: hand the board back between experiments — before a
-			// pruned one too, or a worker synthesizing a long run of rows
-			// would sit on a board it is not using.
+			// waiting: hand the board back between experiments.
 			rs.release(b)
-		}
-		if ex, rec, class := rs.prune.try(&qe.plannedExperiment); ex != nil {
-			// A provable no-op: its row is known from the reference run,
-			// so it takes the logging path without a board.
-			if err := r.sinkLog(rec); err != nil {
-				rs.haltWith(rs.expErr(ex, err))
-				return
-			}
-			rs.resolve(ex, class, true, -1, time.Since(start).Nanoseconds())
-			q.finish()
-			continue
 		}
 		if b.lease == nil && !rs.acquire(b) {
 			// Give the experiment back and retire. The leftover check
-			// after the pool drains reports exhaustion; stop/cancel report
+			// after the stage reports exhaustion; stop/cancel report
 			// themselves.
-			q.requeue(qe)
+			q.push(qe)
 			return
 		}
 		mDispatched.Inc()
 		r.progress.BoardRunning(b.id, qe.seq)
-		if !rs.runOnBoard(b, qe, start) {
-			return
-		}
+		rs.runOnBoard(b, qe, start)
 	}
 }
 
 // runOnBoard climbs the ladder with one experiment on the worker's board
-// and settles the verdict; false retires the worker.
-func (rs *run) runOnBoard(b *board, qe queuedExperiment, start time.Time) bool {
-	r, q := rs.r, rs.q
-	ex, verdict, err := rs.climb(b, &qe)
-	switch verdict {
-	case ladderFatal:
-		rs.haltWith(rs.expErr(ex, err))
-		return false
-	case ladderSuspect:
+// and delivers how it ended to the hand-over stage — or, the board being
+// suspect, gives the experiment back and quarantines the board.
+func (rs *run) runOnBoard(b *board, qe queuedExperiment, start time.Time) {
+	d := rs.climb(b, &qe)
+	if d.verdict == ladderSuspect {
 		// Hand the experiment back for the surviving boards and
 		// quarantine this one fleet-wide (the campaign fails cleanly if
 		// it was the last).
-		q.requeue(qe)
+		rs.q.push(qe)
 		rs.quarantine(b)
-		return true
-	case ladderSpent:
-		// Retries exhausted: record the invalid run so the plan slot is
-		// accounted for, and move on. Analysis excludes it from every
-		// effectiveness ratio.
-		if serr := r.sinkLog(r.invalidRecord(ex, qe.attempts, err)); serr != nil {
-			rs.haltWith(serr)
-			return false
-		}
+		return
 	}
-	wallNS := time.Since(start).Nanoseconds()
-	b.busyNS.Add(uint64(wallNS))
-	rs.resolve(ex, NotPruned, verdict == ladderLogged, b.id, wallNS)
-	if verdict == ladderSpent && b.breaker > 0 && b.fails >= b.breaker {
+	if d.verdict == ladderSpent {
+		// Retries exhausted: the invalid run accounts for the plan slot.
+		// Analysis excludes it from every effectiveness ratio.
+		d.rec = rs.r.invalidRecord(d.ex, qe.attempts, d.err)
+	}
+	d.idx, d.board = qe.idx, b.id
+	d.wallNS = time.Since(start).Nanoseconds()
+	b.busyNS.Add(uint64(d.wallNS))
+	rs.delivered <- d
+	if d.verdict == ladderSpent && b.breaker > 0 && b.fails >= b.breaker {
 		rs.quarantine(b)
 	}
-	q.finish()
-	return true
 }
 
-// queuedExperiment is one plan entry in the work queue, carrying its
-// accumulated attempt count across requeues.
+// queuedExperiment is one item of the run: a plan entry, its index among
+// the run's items, and its attempt count, carried across requeues.
 type queuedExperiment struct {
 	plannedExperiment
+	idx      int
 	attempts int
 }
 
-// expQueue is the pull-based work queue shared by the board workers.
-// Unlike a closed channel, it supports giving work back: a quarantined
-// board requeues its in-hand experiment for the healthy boards.
+// expQueue is the pull-based work queue between the hand-over stage and
+// the board workers. The stage pushes the items that need a board; a
+// quarantined board pushes its in-hand experiment back for the healthy
+// ones. It stays open until the stage halts it.
 type expQueue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    []queuedExperiment
-	inFlight int
-	halted   bool
-	done     chan struct{}
-	doneSet  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	items  []queuedExperiment
+	halted bool
 }
 
-func newExpQueue(items []queuedExperiment) *expQueue {
-	q := &expQueue{items: items, done: make(chan struct{})}
+func newExpQueue() *expQueue {
+	q := &expQueue{}
 	q.cond = sync.NewCond(&q.mu)
-	mQueueDepth.Set(int64(len(items)))
-	q.mu.Lock()
-	q.maybeDoneLocked()
-	q.mu.Unlock()
 	return q
 }
 
-// drained returns a channel closed once no work remains or the queue is
-// halted — the signal that cancels workers parked in a fleet Acquire
-// which no remaining work could ever use.
-func (q *expQueue) drained() <-chan struct{} { return q.done }
-
-func (q *expQueue) maybeDoneLocked() {
-	if !q.doneSet && (q.halted || (len(q.items) == 0 && q.inFlight == 0)) {
-		q.doneSet = true
-		close(q.done)
-	}
+// push queues an item for the boards.
+func (q *expQueue) push(qe queuedExperiment) {
+	q.mu.Lock()
+	q.items = append(q.items, qe)
+	mQueueDepth.Set(int64(len(q.items)))
+	q.mu.Unlock()
+	q.cond.Signal()
 }
 
-// tryPop is the non-blocking pop: ok reports work handed out, mustWait
-// reports an empty queue with experiments still in flight (a failing
-// worker may requeue one) — the caller should release its board before
-// falling back to the blocking pop.
+// tryPop is the non-blocking pop: ok reports work handed out, mustWait an
+// empty queue that is not halted — the caller should release its board
+// before falling back to the blocking pop.
 func (q *expQueue) tryPop() (qe queuedExperiment, ok, mustWait bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -999,17 +1102,14 @@ func (q *expQueue) takeLocked() (qe queuedExperiment, ok, mustWait bool) {
 	if len(q.items) > 0 {
 		qe = q.items[0]
 		q.items = q.items[1:]
-		q.inFlight++
 		mQueueDepth.Set(int64(len(q.items)))
 		return qe, true, false
 	}
-	return queuedExperiment{}, false, q.inFlight > 0
+	return queuedExperiment{}, false, true
 }
 
 // pop hands the next experiment to a worker. It blocks while the queue is
-// empty but other work is still in flight — a failing worker may requeue
-// its experiment — and returns false when the queue is halted or fully
-// drained.
+// empty and returns false once the queue is halted.
 func (q *expQueue) pop() (queuedExperiment, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -1022,37 +1122,10 @@ func (q *expQueue) pop() (queuedExperiment, bool) {
 	}
 }
 
-// finish marks a popped experiment resolved (logged or recorded invalid).
-func (q *expQueue) finish() {
-	q.mu.Lock()
-	q.inFlight--
-	q.maybeDoneLocked()
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// requeue returns an unresolved in-hand experiment to the queue.
-func (q *expQueue) requeue(qe queuedExperiment) {
-	q.mu.Lock()
-	q.items = append(q.items, qe)
-	q.inFlight--
-	mQueueDepth.Set(int64(len(q.items)))
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
 // halt makes every current and future pop return false.
 func (q *expQueue) halt() {
 	q.mu.Lock()
 	q.halted = true
-	q.maybeDoneLocked()
 	q.mu.Unlock()
 	q.cond.Broadcast()
-}
-
-// leftover reports how many experiments were never resolved.
-func (q *expQueue) leftover() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
 }

@@ -1,6 +1,7 @@
 package thor_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -271,9 +272,21 @@ func fuzzFastPath(t *testing.T, img []byte, knobs uint64) {
 		}
 		if step == restoreAt {
 			snap := slow.Snapshot()
+			// burst takes the board's way in: reset, memory cleared and the
+			// image reloaded, so its restore lands on other pages than the
+			// other two's.
+			burst.Reset()
+			burst.ClearMemory()
+			if err := burst.LoadMemory(0, img); err != nil {
+				t.Fatal(err)
+			}
+			want := bytes.Join(snap.MemPages, nil)
 			for _, c := range cpus {
 				if err := c.Restore(snap); err != nil {
 					t.Fatal(err)
+				}
+				if got, _ := c.ReadMemory(0, len(want)); !bytes.Equal(got, want) {
+					t.Fatalf("%s: restored memory differs from the snapshot's", label)
 				}
 			}
 		}
@@ -330,8 +343,38 @@ func FuzzFastPathVsStep(f *testing.F) {
 	for i, d := range derailSeeds {
 		f.Add(derailImage(f, d.pad, d.target), uint64(i))
 	}
+	pages, err := asm.Assemble(pageStoreSource)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, k := range pageStoreKnobs {
+		f.Add(pages.Image, k)
+	}
 	f.Fuzz(fuzzFastPath)
 }
+
+// pageStoreSource stores one word every 0x1F0 bytes across 26 KiB of
+// memory, pass after pass, alternately 0x5A5A and zero: a snapshot in
+// mid-run holds pages written non-zero, pages written back to zero and
+// pages never written, and the clear before burst's restore meets them.
+const pageStoreSource = `
+	ldi r4, 0x5A5A
+	ldi r6, 0x5A5A
+outer:
+	ldi r2, 0x400
+loop:
+	st [r2], r4
+	addi r2, r2, 0x1F0
+	kick
+	cmpi r2, 0x7000
+	blt loop
+	xor r4, r4, r6
+	bra outer
+`
+
+// pageStoreKnobs seed fuzzFastPath's chunking and restore point for
+// pageStoreSource: each restores after a different number of chunks.
+var pageStoreKnobs = []uint64{11, 12, 17, 23, 42, 77}
 
 // derailSeeds are runs a flipped PC sends into zeroed memory: to a line
 // start, into a line, and off word alignment. The NOPs there run until
@@ -363,6 +406,13 @@ func TestFastPathVsStepSeeds(t *testing.T) {
 		for k := uint64(0); k < 8; k++ {
 			fuzzFastPath(t, derailImage(t, d.pad, d.target), uint64(i)<<8|k)
 		}
+	}
+	pages, err := asm.Assemble(pageStoreSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range pageStoreKnobs {
+		fuzzFastPath(t, pages.Image, k)
 	}
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(900 + seed))

@@ -3,6 +3,7 @@ package thor
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Status is the execution state reported by Step and Run.
@@ -184,7 +185,15 @@ type CPU struct {
 	PC    uint32
 	Flags Flags
 
-	mem    []byte
+	mem []byte
+	// dirty has a bit per SnapshotPageBytes page of mem that may hold a
+	// non-zero byte: every write to mem sets its page's (memSetWord,
+	// LoadMemory, Restore), and only ClearMemory and a restore of a zero
+	// page clear one. So ClearMemory clears only marked pages, and a
+	// snapshot and a restore pass unmarked ones by (snapshot.go): a
+	// campaign's reset and restore cost the pages its workload wrote, not
+	// the whole memory.
+	dirty  []uint64
 	icache cache
 	dcache cache
 
@@ -235,9 +244,11 @@ func New(cfg Config) *CPU {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = DefaultConfig().MemSize
 	}
+	pages := (int(cfg.MemSize) + SnapshotPageBytes - 1) / SnapshotPageBytes
 	c := &CPU{
 		cfg:          cfg,
 		mem:          make([]byte, cfg.MemSize),
+		dirty:        make([]uint64, (pages+63)/64),
 		trapHandlers: make(map[uint16]uint32),
 		breakpoints:  make(map[uint32]bool),
 		ports:        NewPortSet(),
@@ -272,12 +283,32 @@ func (c *CPU) Reset() {
 	c.decGen++
 }
 
-// ClearMemory zeroes all physical memory.
+// ClearMemory zeroes all physical memory: the pages that may hold a
+// non-zero byte, the others being zero already.
 func (c *CPU) ClearMemory() {
-	for i := range c.mem {
-		c.mem[i] = 0
+	for w, m := range c.dirty {
+		for ; m != 0; m &= m - 1 {
+			clear(c.page(w*64 + bits.TrailingZeros64(m)))
+		}
+		c.dirty[w] = 0
 	}
 }
+
+// page is memory page p; the last may be short.
+func (c *CPU) page(p int) []byte {
+	lo := p * SnapshotPageBytes
+	return c.mem[lo:min(lo+SnapshotPageBytes, len(c.mem))]
+}
+
+// markDirty marks the pages bytes [lo, hi) of memory lie in, hi > lo.
+func (c *CPU) markDirty(lo, hi uint32) {
+	for p := lo / SnapshotPageBytes; p <= (hi-1)/SnapshotPageBytes; p++ {
+		c.dirty[p/64] |= 1 << (p % 64)
+	}
+}
+
+// isDirty reports whether page p is marked.
+func (c *CPU) isDirty(p int) bool { return c.dirty[p/64]&(1<<(p%64)) != 0 }
 
 // Cycle returns the number of cycles elapsed since reset.
 func (c *CPU) Cycle() uint64 { return c.cycle }
@@ -341,7 +372,10 @@ func (c *CPU) LoadMemory(addr uint32, data []byte) error {
 		return fmt.Errorf("thor: load of %d bytes at %#x exceeds memory size %#x: %w",
 			len(data), addr, len(c.mem), errOutOfRange)
 	}
-	copy(c.mem[addr:], data)
+	if len(data) > 0 {
+		copy(c.mem[addr:], data)
+		c.markDirty(addr, addr+uint32(len(data)))
+	}
 	return nil
 }
 
@@ -387,11 +421,15 @@ func (c *CPU) memWord(addr uint32) uint32 {
 		uint32(c.mem[addr+2])<<8 | uint32(c.mem[addr+3])
 }
 
+// memSetWord writes a raw word to physical memory and marks its page. addr
+// must be aligned and in range, so the word lies in one page.
 func (c *CPU) memSetWord(addr, w uint32) {
 	c.mem[addr] = byte(w >> 24)
 	c.mem[addr+1] = byte(w >> 16)
 	c.mem[addr+2] = byte(w >> 8)
 	c.mem[addr+3] = byte(w)
+	p := addr / SnapshotPageBytes
+	c.dirty[p/64] |= 1 << (p % 64)
 }
 
 // detect stops the CPU with a detected error.

@@ -7,9 +7,17 @@ import (
 
 // SnapshotPageBytes is the page granularity at which snapshot memory is
 // stored. Consecutive snapshots of the same run share the pages that did
-// not change between them (copy-on-write), so a campaign checkpoint set
-// costs roughly one full memory image plus the written working set.
+// not change between them (copy-on-write), and every all-zero page is one
+// shared zero page, so a campaign checkpoint set costs roughly the
+// workload's non-zero pages once plus the written working set.
 const SnapshotPageBytes = 1024
+
+// zeroPage is the one immutable all-zero page every snapshot shares; a
+// restore recognises it by address.
+var zeroPage [SnapshotPageBytes]byte
+
+// isZeroPage reports whether a snapshot page is (a prefix of) zeroPage.
+func isZeroPage(p []byte) bool { return len(p) > 0 && &p[0] == &zeroPage[0] }
 
 // Snapshot captures the complete system state for exact restoration:
 // architectural state, memory, caches (including hit/miss statistics),
@@ -76,7 +84,8 @@ func (c *CPU) Snapshot() *Snapshot {
 // with prev instead of copied. It returns the snapshot and the number of
 // bytes that had to be freshly allocated (page data plus bookkeeping) —
 // the marginal cost of keeping this snapshot alongside prev. prev may be
-// nil, in which case every page is fresh.
+// nil, in which case every non-zero page is fresh. An all-zero page is the
+// shared zero page, fresh in no snapshot.
 func (c *CPU) SnapshotSharing(prev *Snapshot) (*Snapshot, int) {
 	iH, iM := c.icache.stats()
 	dH, dM := c.dcache.stats()
@@ -117,20 +126,19 @@ func (c *CPU) SnapshotSharing(prev *Snapshot) (*Snapshot, int) {
 	s.MemPages = make([][]byte, nPages)
 	fresh := 0
 	for i := 0; i < nPages; i++ {
-		lo := i * SnapshotPageBytes
-		hi := lo + SnapshotPageBytes
-		if hi > len(c.mem) {
-			hi = len(c.mem)
-		}
-		cur := c.mem[lo:hi]
-		if prev != nil && i < len(prev.MemPages) && bytes.Equal(prev.MemPages[i], cur) {
+		cur := c.page(i)
+		zero := zeroPage[:len(cur)]
+		switch {
+		case !c.isDirty(i):
+			s.MemPages[i] = zero
+		case prev != nil && i < len(prev.MemPages) && bytes.Equal(prev.MemPages[i], cur):
 			s.MemPages[i] = prev.MemPages[i]
-			continue
+		case bytes.Equal(cur, zero):
+			s.MemPages[i] = zero
+		default:
+			s.MemPages[i] = bytes.Clone(cur)
+			fresh += len(cur)
 		}
-		page := make([]byte, hi-lo)
-		copy(page, cur)
-		s.MemPages[i] = page
-		fresh += len(page)
 	}
 	return s, fresh + snapshotFixedBytes(s)
 }
@@ -138,7 +146,9 @@ func (c *CPU) SnapshotSharing(prev *Snapshot) (*Snapshot, int) {
 // Restore overwrites the CPU state with a snapshot taken from a CPU of
 // the same configuration. The snapshot itself is not aliased: maps, port
 // queues and memory pages are copied, so a snapshot can be restored onto
-// any number of boards (even concurrently) without interference.
+// any number of boards (even concurrently) without interference. A page
+// that is the zero page in the snapshot and unmarked in the CPU is zero
+// on both sides and not copied.
 func (c *CPU) Restore(s *Snapshot) error {
 	if s.MemLen != len(c.mem) {
 		return fmt.Errorf("thor: snapshot memory size %d != CPU memory size %d",
@@ -148,8 +158,16 @@ func (c *CPU) Restore(s *Snapshot) error {
 	c.PC = s.PC
 	c.Flags = s.Flags
 	off := 0
-	for _, page := range s.MemPages {
-		copy(c.mem[off:], page)
+	for i, page := range s.MemPages {
+		zero := isZeroPage(page)
+		if !zero || c.isDirty(i) {
+			copy(c.mem[off:], page)
+			if zero {
+				c.dirty[i/64] &^= 1 << (i % 64)
+			} else {
+				c.markDirty(uint32(off), uint32(off+len(page)))
+			}
+		}
 		off += len(page)
 	}
 	c.icache.lines = s.ICache

@@ -156,8 +156,17 @@ func TestSnapshotImmutableWhileCPUAdvances(t *testing.T) {
 	}
 }
 
+// TestSnapshotSharingSharesUnchangedPages: a snapshot's fresh bytes are its
+// non-zero pages — every all-zero page is one zero page shared by every
+// snapshot — and a later snapshot of the same run shares each page that did
+// not change with the earlier one.
 func TestSnapshotSharingSharesUnchangedPages(t *testing.T) {
+	const page = thor.SnapshotPageBytes
 	c, _ := load(t, thor.DefaultConfig(), snapshotWorkload)
+	// A second non-zero page, which the workload never writes.
+	if err := c.LoadMemory(8*page, []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
 	if st := c.Run(40); st != thor.StatusOutOfBudget {
 		t.Fatalf("status = %v", st)
 	}
@@ -165,11 +174,11 @@ func TestSnapshotSharingSharesUnchangedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, firstBytes := c.SnapshotSharing(nil)
-	if firstBytes <= 0 {
-		t.Fatalf("first snapshot reports %d fresh bytes", firstBytes)
+	if firstBytes <= 2*page || firstBytes >= 3*page {
+		t.Fatalf("first snapshot reports %d fresh bytes, want two pages and the bookkeeping", firstBytes)
 	}
 
-	// A few more instructions touch at most a page or two of memory.
+	// A few more instructions store into the program's page only.
 	if st := c.Run(40); st != thor.StatusOutOfBudget {
 		t.Fatalf("status = %v", st)
 	}
@@ -177,26 +186,47 @@ func TestSnapshotSharingSharesUnchangedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	second, secondBytes := c.SnapshotSharing(first)
-	if secondBytes >= firstBytes {
-		t.Errorf("second snapshot fresh bytes %d >= first %d: no page sharing", secondBytes, firstBytes)
+	if secondBytes >= firstBytes-page/2 {
+		t.Errorf("second snapshot fresh bytes %d, first %d: the unchanged page was not shared", secondBytes, firstBytes)
 	}
-	shared := 0
-	for i := range second.MemPages {
-		if i < len(first.MemPages) && len(first.MemPages[i]) > 0 &&
-			len(second.MemPages[i]) > 0 && &first.MemPages[i][0] == &second.MemPages[i][0] {
-			shared++
+	same := func(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+	if same(first.MemPages[0], second.MemPages[0]) {
+		t.Error("the page the workload wrote is shared")
+	}
+	if !same(first.MemPages[8], second.MemPages[8]) {
+		t.Error("the unchanged non-zero page is not shared")
+	}
+	other := thor.New(thor.DefaultConfig()).Snapshot()
+	for i := 1; i < len(second.MemPages); i++ {
+		if i != 8 && !(same(first.MemPages[i], second.MemPages[i]) && same(second.MemPages[i], other.MemPages[0])) {
+			t.Fatalf("all-zero page %d is not the shared zero page", i)
 		}
 	}
-	if shared == 0 {
-		t.Error("no memory pages shared between consecutive snapshots")
-	}
 
-	// Shared pages must still restore the first snapshot exactly.
-	cA := thor.New(thor.DefaultConfig())
-	if err := cA.Restore(first); err != nil {
-		t.Fatal(err)
+	// Shared pages must still restore the first snapshot exactly, onto a
+	// fresh board and onto one whose memory holds something else.
+	want := bytes.Join(first.MemPages, nil)
+	for _, cA := range []*thor.CPU{thor.New(thor.DefaultConfig()), scribbled(t), c} {
+		if err := cA.Restore(first); err != nil {
+			t.Fatal(err)
+		}
+		if cA.Cycle() != first.Cycle {
+			t.Errorf("restored cycle %d != snapshot cycle %d", cA.Cycle(), first.Cycle)
+		}
+		if got, _ := cA.ReadMemory(0, len(want)); !bytes.Equal(got, want) {
+			t.Error("restored memory differs from the snapshot's")
+		}
 	}
-	if cA.Cycle() != first.Cycle {
-		t.Errorf("restored cycle %d != snapshot cycle %d", cA.Cycle(), first.Cycle)
+}
+
+// scribbled is a fresh CPU with a non-zero byte in every page.
+func scribbled(t *testing.T) *thor.CPU {
+	t.Helper()
+	c := thor.New(thor.DefaultConfig())
+	for a := uint32(0); a < c.Config().MemSize; a += thor.SnapshotPageBytes / 2 {
+		if err := c.WriteWord32(a, 0xdeadbeef); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return c
 }
