@@ -87,6 +87,8 @@ bench:
 # FuzzPortSet the port set against its map-based oracle over any op
 # stream, FuzzFastPathVsStep the thor decoder against the fast path's
 # predecode mirror: any image through Run, RunFast and StepBurst.
+# FuzzRejoinVsFull is the convergence cut-off against full emulation: any
+# transient flip in the PID loop logs the same row either way.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
@@ -98,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzScanPack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzPortSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzFastPathVsStep -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scifi/ -run '^$$' -fuzz FuzzRejoinVsFull -fuzztime $(FUZZTIME)
 
 # experiments rewrites experiments_output.txt, the raw E1–E10 tables that
 # EXPERIMENTS.md quotes, from cmd/goofi-experiments (about a second). Every

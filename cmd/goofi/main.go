@@ -737,6 +737,10 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 		fmt.Printf("  fast-forwarded %d experiments: %d cycles emulated, %d saved by checkpoint restore\n",
 			sum.Forwarded, sum.CyclesEmulated, sum.CyclesSaved)
 	}
+	if sum.Converged > 0 {
+		fmt.Printf("  converged: %d experiments re-joined the reference run, %d cycles not emulated\n",
+			sum.Converged, sum.CyclesConverged)
+	}
 	if n := sum.Pruned.Total(); n > 0 {
 		fmt.Printf("  pruned: %d experiments not emulated (%d latent, %d overwritten), rows synthesized from the reference run's def-use table\n",
 			n, sum.Pruned.Latent, sum.Pruned.Overwritten)

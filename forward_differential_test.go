@@ -56,11 +56,15 @@ func runDifferential(t *testing.T, camp *campaign.Campaign, boards int,
 // forwarding: across board counts, persistent and transient fault
 // models, and workloads with and without an environment simulator, a
 // forwarded campaign logs exactly the same records and analysis report
-// as a cold one — while emulating measurably fewer cycles.
+// as a cold one — while emulating measurably fewer cycles. Where a
+// faulty run re-joins the reference run it ends there (scifi's rejoin).
 func TestForwardingDifferential(t *testing.T) {
 	cases := []struct {
 		name string
 		camp func(name string) *campaign.Campaign
+		// converges: some experiment re-joins the reference run. A
+		// persistent fault never lets one.
+		converges bool
 	}{
 		{"pid-envsim-transient", func(name string) *campaign.Campaign {
 			// PID with the first-order plant: exercises the environment-
@@ -68,14 +72,30 @@ func TestForwardingDifferential(t *testing.T) {
 			c := pidCampaign(name, 12, 17)
 			c.RandomWindow = [2]uint64{200, 4000}
 			return c
-		}},
+		}, false},
+		{"pid-envsim-converges", func(name string) *campaign.Campaign {
+			// The PID loop run long enough for flushed-out faults to
+			// re-join the reference: the join points, the shifted end
+			// state and the splice of outputs and events.
+			c := pidCampaign(name, 300, 1001)
+			c.Termination.MaxIterations = 300
+			return c
+		}, true},
 		{"sort-stuckat1-persistent", func(name string) *campaign.Campaign {
 			// Sort without a simulator, persistent stuck-at faults:
 			// exercises reassertion after a forwarded restore.
 			c := sortCampaign(name, 12, 23, []string{"cpu"})
 			c.FaultModel = faultmodel.Spec{Kind: faultmodel.StuckAt1}
 			return c
-		}},
+		}, false},
+		{"pid-stuckat1-persistent", func(name string) *campaign.Campaign {
+			// The PID loop under persistent stuck-at faults: reasserted
+			// after every exchange, a run is never the reference's again.
+			c := pidCampaign(name, 40, 1001)
+			c.Locations = []string{"cpu"}
+			c.FaultModel = faultmodel.Spec{Kind: faultmodel.StuckAt1}
+			return c
+		}, false},
 	}
 	for _, tc := range cases {
 		for _, boards := range []int{1, 3} {
@@ -98,6 +118,12 @@ func TestForwardingDifferential(t *testing.T) {
 					t.Errorf("warm run emulated %d cycles, cold %d — no reduction",
 						warmSum.CyclesEmulated, coldSum.CyclesEmulated)
 				}
+				if coldSum.Converged != 0 || coldSum.CyclesConverged != 0 {
+					t.Errorf("cold run reports %d converged runs, %d cycles", coldSum.Converged, coldSum.CyclesConverged)
+				}
+				if tc.converges != (warmSum.Converged > 0) {
+					t.Errorf("warm run: %d converged runs, want some = %v", warmSum.Converged, tc.converges)
+				}
 
 				if len(coldRecs) != len(warmRecs) {
 					t.Fatalf("record counts differ: cold %d, warm %d", len(coldRecs), len(warmRecs))
@@ -110,9 +136,9 @@ func TestForwardingDifferential(t *testing.T) {
 				if !reflect.DeepEqual(coldRep, warmRep) {
 					t.Errorf("analysis reports differ\ncold %+v\nwarm %+v", coldRep, warmRep)
 				}
-				t.Logf("forwarded %d/%d, cycles emulated %d (cold %d), saved %d",
-					warmSum.Forwarded, len(warmRecs)-1,
-					warmSum.CyclesEmulated, coldSum.CyclesEmulated, warmSum.CyclesSaved)
+				t.Logf("forwarded %d/%d, converged %d, cycles emulated %d (cold %d), saved %d, converged %d",
+					warmSum.Forwarded, len(warmRecs)-1, warmSum.Converged,
+					warmSum.CyclesEmulated, coldSum.CyclesEmulated, warmSum.CyclesSaved, warmSum.CyclesConverged)
 			})
 		}
 	}

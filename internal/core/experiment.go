@@ -46,6 +46,13 @@ type Experiment struct {
 	// experiment record is byte-identical to a cold run's.
 	Forwarded     bool
 	ForwardedFrom uint64
+	// Converged reports that the run's board state came back to the
+	// reference run's at an iteration boundary, at cycle ConvergedAt, up to
+	// a constant shift of its counters, and the target ended it there on
+	// the reference's end state instead of emulating the rest. Runtime
+	// statistics too: the record is the fully emulated run's.
+	Converged   bool
+	ConvergedAt uint64
 
 	// Result accumulates the experiment's observations.
 	Result Result

@@ -78,12 +78,18 @@ type ForwardCheckpoint struct {
 type ForwardSet struct {
 	Campaign    string
 	Checkpoints []*ForwardCheckpoint
-	// Bytes is the total fresh-byte footprint after page sharing, plus
-	// the def-use table's.
+	// Bytes is the total fresh-byte footprint after page sharing, the
+	// rejoin record's included, plus the def-use table's.
 	Bytes int
 	// DefUse is the reference run's access trace; nil when the target
 	// records none.
 	DefUse DefUseTable
+	// Rejoin is the target-private record of the reference run's iteration
+	// boundaries and its end, opaque to core: a faulty run whose board
+	// state comes back to the reference's at an iteration boundary ends
+	// there, on the reference's end state (Experiment.Converged). nil when
+	// the target records none.
+	Rejoin any
 	// Reference is the reference run's result, filled in by the runner.
 	Reference *Result
 }

@@ -42,10 +42,15 @@ type Summary struct {
 	Forwarded int
 	// CyclesEmulated is the total cycles actually emulated across the
 	// reference run and all experiments; CyclesSaved is the total cycles
-	// skipped by checkpoint restores. Cold execution of the same plan
-	// emulates CyclesEmulated + CyclesSaved.
-	CyclesEmulated uint64
-	CyclesSaved    uint64
+	// skipped by checkpoint restores, CyclesConverged the total skipped by
+	// ending converged runs early. Cold execution of the same plan emulates
+	// CyclesEmulated + CyclesSaved + CyclesConverged.
+	CyclesEmulated  uint64
+	CyclesSaved     uint64
+	CyclesConverged uint64
+	// Converged counts experiments that re-joined the reference run and
+	// were ended there (Experiment.Converged).
+	Converged int
 	// Pruned counts the experiments — included in Experiments, Injected
 	// and ByStatus like any other — whose rows were synthesized from the
 	// reference run's def-use table instead of being emulated (prune.go).

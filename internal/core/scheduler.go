@@ -841,11 +841,11 @@ func (rs *run) resolve(s *slot) {
 	valid := s.verdict == ladderDone
 	span := telemetry.SpanRecord{Phase: "invalid", Board: s.board, WallNS: s.wallNS}
 	var (
-		name            string
-		out             *campaign.Outcome
-		injected        bool
-		forwarded       bool
-		emulated, saved uint64
+		name                       string
+		out                        *campaign.Outcome
+		injected                   bool
+		forwarded, converged       bool
+		emulated, saved, convSaved uint64
 	)
 	switch {
 	case !valid:
@@ -858,7 +858,11 @@ func (rs *run) resolve(s *slot) {
 		span.Seq, name, out, injected = ex.Seq, ex.Name, &ex.Result.Outcome, ex.Injected
 		span.Phase = "experiment"
 		span.StartCycle, span.EndCycle = ex.ForwardedFrom, out.Cycles
-		emulated = out.Cycles
+		if converged = ex.Converged; converged {
+			span.EndCycle = ex.ConvergedAt
+			convSaved = out.Cycles - ex.ConvergedAt
+		}
+		emulated = span.EndCycle
 		if forwarded = ex.Forwarded; forwarded {
 			saved = ex.ForwardedFrom
 			emulated -= saved
@@ -884,6 +888,10 @@ func (rs *run) resolve(s *slot) {
 		if forwarded {
 			sum.Forwarded++
 			sum.CyclesSaved += saved
+		}
+		if converged {
+			sum.Converged++
+			sum.CyclesConverged += convSaved
 		}
 		sum.CyclesEmulated += emulated
 	}

@@ -124,7 +124,6 @@ func (s *Scripted) Exchange(outputs []uint32) []uint32 {
 type FirstOrderPlant struct {
 	x, tau, dt, gain float64
 	setpoint         float64
-	History          []float64
 	buf              [2]uint32 // what Exchange returns
 }
 
@@ -138,7 +137,6 @@ func (p *FirstOrderPlant) Reset(params map[string]float64) {
 	p.gain = paramOr(params, "gain", 1)
 	p.setpoint = paramOr(params, "setpoint", 100)
 	p.x = paramOr(params, "x0", 0)
-	p.History = nil
 }
 
 // Setpoint returns the commanded setpoint in sensor counts (Q8.8).
@@ -154,7 +152,6 @@ func (p *FirstOrderPlant) Exchange(outputs []uint32) []uint32 {
 		u := float64(int32(outputs[len(outputs)-1])) / 256
 		p.x += p.dt / p.tau * (p.gain*u - p.x)
 	}
-	p.History = append(p.History, p.x)
 	p.buf = [2]uint32{uint32(int32(p.x * 256)), uint32(p.Setpoint())}
 	return p.buf[:]
 }
@@ -168,7 +165,6 @@ type Engine struct {
 	speed, accel  float64
 	inertia, drag float64
 	setpoint      float64
-	History       []float64
 	buf           [2]uint32 // what Exchange returns
 }
 
@@ -182,7 +178,6 @@ func (e *Engine) Reset(params map[string]float64) {
 	e.setpoint = paramOr(params, "setpoint", 120)
 	e.speed = paramOr(params, "x0", 0)
 	e.accel = 0
-	e.History = nil
 }
 
 // Setpoint returns the commanded setpoint in sensor counts (Q8.8).
@@ -201,7 +196,6 @@ func (e *Engine) Exchange(outputs []uint32) []uint32 {
 			e.speed = 0
 		}
 	}
-	e.History = append(e.History, e.speed)
 	e.buf = [2]uint32{uint32(int32(e.speed * 256)), uint32(e.Setpoint())}
 	return e.buf[:]
 }

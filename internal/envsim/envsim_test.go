@@ -81,8 +81,14 @@ func TestFirstOrderPlantConvergesUnderIdealControl(t *testing.T) {
 	if math.Abs(sensor-50) > 1 {
 		t.Errorf("plant settled at %.2f, want ~50", sensor)
 	}
-	if len(p.History) != 101 {
-		t.Errorf("history length = %d", len(p.History))
+	// Each of the 100 exchanges with a command advanced the plant exactly
+	// one step of its recurrence, and the first, without one, none.
+	want := 0.0
+	for i := 0; i < 100; i++ {
+		want += 1.0 / 8 * (float64(p.Setpoint())/256 - want)
+	}
+	if p.State() != want {
+		t.Errorf("plant state %v after 100 commanded exchanges, want %v", p.State(), want)
 	}
 }
 

@@ -45,7 +45,6 @@ func (s *Scripted) RestoreState(state any) error {
 // SnapshotState implements Snapshotter.
 func (p *FirstOrderPlant) SnapshotState() any {
 	c := *p
-	c.History = append([]float64(nil), p.History...)
 	return &c
 }
 
@@ -56,14 +55,12 @@ func (p *FirstOrderPlant) RestoreState(state any) error {
 		return fmt.Errorf("envsim: first-order-plant restore from %T", state)
 	}
 	*p = *o
-	p.History = append([]float64(nil), o.History...)
 	return nil
 }
 
 // SnapshotState implements Snapshotter.
 func (e *Engine) SnapshotState() any {
 	c := *e
-	c.History = append([]float64(nil), e.History...)
 	return &c
 }
 
@@ -74,6 +71,5 @@ func (e *Engine) RestoreState(state any) error {
 		return fmt.Errorf("envsim: engine restore from %T", state)
 	}
 	*e = *o
-	e.History = append([]float64(nil), o.History...)
 	return nil
 }

@@ -367,6 +367,7 @@ func (t *Board) exchange(ex *core.Experiment) error {
 func (t *Board) WaitForTermination(ex *core.Experiment) error {
 	term := ex.Campaign.Termination
 	persistent := t.tech.Reassert != nil && ex.Fault != nil && ex.Fault.Kind.Persistent() && ex.Injected
+	join := t.rejoinFor(ex, persistent)
 	for {
 		if t.cpu.Cycle() >= term.TimeoutCycles {
 			t.finishOutcome(ex, campaign.OutcomeTimeout, nil)
@@ -397,6 +398,14 @@ func (t *Board) WaitForTermination(ex *core.Experiment) error {
 			}
 			if persistent {
 				if err := t.tech.Reassert(ex); err != nil {
+					return err
+				}
+			}
+			// The reference records a join point here; a faulty run back
+			// in the reference's state ends here (rejoin.go).
+			t.fwRecordJoin(ex)
+			if join != nil {
+				if done, err := t.fwRejoin(ex, join); done || err != nil {
 					return err
 				}
 			}
@@ -451,6 +460,7 @@ func (t *Board) finishOutcome(ex *core.Experiment, status campaign.OutcomeStatus
 		}
 	}
 	ex.Result.Outcome = out
+	t.fwRecordEnd(ex, status)
 }
 
 // ReadMemory reads the workload's result symbols back from target memory.

@@ -23,8 +23,8 @@ func closedLoopCampaign(name string, iterations int) *campaign.Campaign {
 
 // TestClosedLoopAllocsIndependentOfIterations: what a closed-loop
 // experiment allocates does not grow with its iterations, beyond the
-// growth steps of the slices that hold a value per iteration (the plant's
-// history, the published outputs). It used to be three allocations per
+// growth steps of the slice that holds a value per iteration (the
+// published outputs). It used to be three allocations per
 // iteration: the drained outputs, the simulator's inputs, the input queue.
 func TestClosedLoopAllocsIndependentOfIterations(t *testing.T) {
 	tgt := New(thorCfg())
@@ -96,7 +96,8 @@ func (s *plainPlant) Reset(params map[string]float64)    { s.p.Reset(params) }
 func (s *plainPlant) Exchange(outputs []uint32) []uint32 { return s.p.Exchange(outputs) }
 
 // countingPlant is the first-order plant counting its snapshots — one per
-// capture the recorder makes, planned point or horizon guard.
+// capture the recorder makes, planned point or horizon guard, and one per
+// join point (rejoin.go).
 type countingPlant struct {
 	envsim.FirstOrderPlant
 	snapshots *int
@@ -230,6 +231,9 @@ func TestHorizonGuardRefreshedOncePerInterval(t *testing.T) {
 	tgt := New(thorCfg(), WithEnvRegistry(reg))
 	// Under 3,500 cycles of run, points planned to 8,000: 8 are reached.
 	set := recordReference(t, tgt, camp, interval, 8000)
+	// The join points snapshot the simulator at every iteration boundary
+	// on purpose; the checkpoints' captures are the rest.
+	captures -= len(set.Rejoin.(*rejoin).points)
 	end := runDirect(t, tgt, camp, -1, nil, trigger.Spec{}).Result.Outcome.Cycles
 	planned, iterationCycles := int(end/interval), end/iterations
 	if len(set.Checkpoints) != planned+1 {

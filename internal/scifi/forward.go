@@ -62,11 +62,13 @@ type fwRecorder struct {
 	// horizon restore from just before it instead of from the last
 	// planned point that happened to fit.
 	tail *core.ForwardCheckpoint
+	// join is the rejoin record the run is building (rejoin.go).
+	join *rejoin
 }
 
 // ArmForwardRecording implements core.Forwarder.
 func (t *Board) ArmForwardRecording(plan *core.ForwardPlan) {
-	t.fwRec = &fwRecorder{plan: plan, set: &core.ForwardSet{Campaign: plan.Campaign}}
+	t.fwRec = &fwRecorder{plan: plan, set: &core.ForwardSet{Campaign: plan.Campaign}, join: &rejoin{}}
 }
 
 // defUse presents thor's def-use table, indexed by internal-chain bit
@@ -120,7 +122,10 @@ func (t *Board) TakeForwardSet() *core.ForwardSet {
 			mFwRecorded.Inc()
 		}
 	}
-	if len(rec.set.Checkpoints) == 0 && rec.set.DefUse == nil {
+	if rec.join.end != nil {
+		rec.set.Rejoin = rec.join
+	}
+	if len(rec.set.Checkpoints) == 0 && rec.set.DefUse == nil && rec.set.Rejoin == nil {
 		return nil
 	}
 	return rec.set

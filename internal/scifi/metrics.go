@@ -10,4 +10,6 @@ var (
 		"Board snapshots captured during reference runs for checkpoint forwarding.")
 	mFwRestores = telemetry.NewCounter("goofi_scifi_forward_restores_total",
 		"Experiments that restored a forward checkpoint instead of cold-starting.")
+	mFwConverged = telemetry.NewCounter("goofi_scifi_forward_converged_total",
+		"Experiments ended on the reference run's end state after re-joining it at an iteration boundary.")
 )

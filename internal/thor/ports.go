@@ -1,5 +1,7 @@
 package thor
 
+import "slices"
+
 // PortSet models the memory-mapped I/O ports through which the workload
 // exchanges data with the environment simulator (paper §3.2: "data may be
 // exchanged with a user provided environment simulator"). Input ports are
@@ -120,6 +122,25 @@ func (p *PortSet) Clone() *PortSet {
 func (p *PortSet) CopyFrom(src *PortSet) {
 	p.in.copyFrom(src.in)
 	p.out.copyFrom(src.out)
+}
+
+// equal reports whether the two sets hold the same values queued on every
+// port, a port never used being one with nothing queued.
+func (p *PortSet) equal(q *PortSet) bool {
+	if q == nil {
+		return p.queuedValues() == 0
+	}
+	return p.in.sameAs(q.in) && q.in.sameAs(p.in) && p.out.sameAs(q.out) && q.out.sameAs(p.out)
+}
+
+// sameAs reports whether every port of l has what o has queued on it.
+func (l portList) sameAs(o portList) bool {
+	for i := range l {
+		if !slices.Equal(l[i].values(), o.find(l[i].port).values()) {
+			return false
+		}
+	}
+	return true
 }
 
 // queuedValues counts all values held in input and output queues.

@@ -267,24 +267,31 @@ func TestPruneNeverOnPinForce(t *testing.T) {
 // beyond the horizon restore the promoted horizon guard, and when the
 // guard went from refreshed at every loop top to once per plan interval
 // (scifi.guardDue) it came to lie up to an interval, not an iteration,
-// short of the end: 187,759 → 191,143 and 40,277 → 40,961.
+// short of the end: 187,759 → 191,143 and 40,277 → 40,961. And once more
+// when a run that re-joins the reference came to end there (scifi's
+// rejoin): one experiment of both plans does, 605 cycles before its end,
+// so 191,143 → 190,538 and 40,961 → 40,356 emulated, the 605 counted as
+// converged instead.
 func TestPruneE1ExactCounters(t *testing.T) {
 	for _, tc := range []struct {
 		n                   int
 		latent, overwritten int
 		cyclesEmulated      uint64
+		converged           int
+		cyclesConverged     uint64
 	}{
-		{n: 200, latent: 83, overwritten: 1, cyclesEmulated: 191_143},
-		{n: 40, latent: 14, overwritten: 0, cyclesEmulated: 40_961},
+		{n: 200, latent: 83, overwritten: 1, cyclesEmulated: 190_538, converged: 1, cyclesConverged: 605},
+		{n: 40, latent: 14, overwritten: 0, cyclesEmulated: 40_356, converged: 1, cyclesConverged: 605},
 	} {
 		st, tsd := benchStore(t)
 		sum, _ := runCampaign(t, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI,
 			pidCampaign("bench-e1", tc.n, 1))
 		if sum.Pruned.Latent != tc.latent || sum.Pruned.Overwritten != tc.overwritten ||
-			sum.CyclesEmulated != tc.cyclesEmulated {
-			t.Errorf("E1 n=%d: pruned %d latent / %d overwritten, %d cycles emulated; want %d / %d / %d",
-				tc.n, sum.Pruned.Latent, sum.Pruned.Overwritten, sum.CyclesEmulated,
-				tc.latent, tc.overwritten, tc.cyclesEmulated)
+			sum.CyclesEmulated != tc.cyclesEmulated ||
+			sum.Converged != tc.converged || sum.CyclesConverged != tc.cyclesConverged {
+			t.Errorf("E1 n=%d: pruned %d latent / %d overwritten, %d cycles emulated, %d converged (%d cycles); want %d / %d / %d, %d (%d)",
+				tc.n, sum.Pruned.Latent, sum.Pruned.Overwritten, sum.CyclesEmulated, sum.Converged, sum.CyclesConverged,
+				tc.latent, tc.overwritten, tc.cyclesEmulated, tc.converged, tc.cyclesConverged)
 		}
 	}
 }

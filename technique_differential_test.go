@@ -139,10 +139,14 @@ func TestTechniqueRowPins(t *testing.T) {
 			if tc.forwards != (warm.Forwarded > 0) {
 				t.Errorf("forwarded %d experiments, want forwarding = %v", warm.Forwarded, tc.forwards)
 			}
-			if c, w := cold.CyclesEmulated+cold.CyclesSaved, warm.CyclesEmulated+warm.CyclesSaved; c != w {
-				t.Errorf("cycles emulated + saved: cold %d, forwarded %d", c, w)
+			if cold.Converged != 0 || cold.CyclesConverged != 0 {
+				t.Errorf("cold run reports converged runs: %d converged, %d cycles", cold.Converged, cold.CyclesConverged)
 			}
-			t.Logf("forwarded %d, cycles emulated %d (cold %d)", warm.Forwarded, warm.CyclesEmulated, cold.CyclesEmulated)
+			if c, w := cold.CyclesEmulated+cold.CyclesSaved, warm.CyclesEmulated+warm.CyclesSaved+warm.CyclesConverged; c != w {
+				t.Errorf("cycles emulated + saved + converged: cold %d, forwarded %d", c, w)
+			}
+			t.Logf("forwarded %d, converged %d, cycles emulated %d (cold %d)",
+				warm.Forwarded, warm.Converged, warm.CyclesEmulated, cold.CyclesEmulated)
 		})
 	}
 }
