@@ -728,10 +728,13 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 	if ts := proctarget.ReadTriggerStats(); ts.Experiments > 0 {
 		// What reaching the injection points cost: counted breakpoint
 		// stops along the victim's prefix trace, single-steps (recording
-		// the trace included), and experiments that had to be stepped.
+		// the trace included), and experiments that had to be stepped;
+		// then how the victims were started: forked from a board's
+		// zygote, or exec'd (zygotes, prefix recordings, the reference
+		// output), over how many experiment runs.
 		n := float64(ts.Experiments)
-		fmt.Printf("  trigger: %.1f breakpoint stops and %.2f single-steps per experiment, %d fallbacks to stepping\n",
-			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Fallbacks)
+		fmt.Printf("  trigger: %.1f breakpoint stops and %.2f single-steps per experiment, %d fallbacks to stepping; %d forks, %d execs over %d runs\n",
+			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Fallbacks, ts.Forks, ts.Execs, ts.Experiments)
 	}
 	if sum.Forwarded > 0 {
 		fmt.Printf("  fast-forwarded %d experiments: %d cycles emulated, %d saved by checkpoint restore\n",

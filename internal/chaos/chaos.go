@@ -16,6 +16,7 @@ package chaos
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
@@ -136,6 +137,15 @@ func (t *Target) class() core.ErrorClass {
 
 // Name implements core.TargetSystem.
 func (t *Target) Name() string { return t.inner.Name() }
+
+// Close closes the inner target if it is an io.Closer, so a wrapped board
+// still gives back what it holds when it retires.
+func (t *Target) Close() error {
+	if c, ok := t.inner.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
 
 // InitTestCard passes through untouched: it is the recovery path (the
 // board power-cycle before a retry), and a harness that cannot even be

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -125,6 +126,18 @@ func (r *Runner) boardTarget() TargetSystem {
 		return r.factory()
 	}
 	return r.target
+}
+
+// retire closes a board's target if it is an io.Closer: a target that
+// holds host resources between experiments — a proc board's zygote and
+// the thread tracing it — gives them back when its board retires, is
+// power-cycled or is quarantined. A wedged attempt may still be driving
+// a power-cycled target, so Close must not wait on it without bound.
+// Closing is not an experiment's failure, so its error goes nowhere.
+func retire(target TargetSystem) {
+	if c, ok := target.(io.Closer); ok {
+		_ = c.Close()
+	}
 }
 
 // installForwardSet hands the reference run's checkpoint set to a board
@@ -440,6 +453,8 @@ func (rs *run) referenceRun() (*ForwardSet, error) {
 	r := rs.r
 	b := &board{id: -1, target: r.boardTarget(),
 		jitter: rand.New(rand.NewSource(expSeed(r.camp.Seed, -2)))}
+	// The reference's board retires with the reference.
+	defer func() { retire(b.target) }()
 	// The checkpoint plan is computed once, before the ladder: a retried
 	// reference must record at the same cycles the first attempt would
 	// have, so a retry stays observationally equivalent. Re-arming on
@@ -824,6 +839,7 @@ func (rs *run) climb(b *board, qe *queuedExperiment) delivery {
 			// Power cycle: a fresh target from the factory is the
 			// simulated equivalent of cycling the board's power before
 			// the retry (every algorithm re-runs InitTestCard regardless).
+			retire(b.target)
 			b.target = r.factory()
 			installForwardSet(b.target, b.fw)
 		}
@@ -960,6 +976,7 @@ func (rs *run) quarantine(b *board) {
 	mQuarantined.Inc()
 	rs.r.progress.BoardQuarantined(b.id)
 	b.lease.Quarantine()
+	retire(b.target)
 	b.lease, b.target = nil, nil
 }
 
@@ -996,7 +1013,10 @@ func (rs *run) acquire(b *board) bool {
 func (rs *run) worker() {
 	r, q := rs.r, rs.q
 	b := &board{id: -1}
-	defer rs.release(b)
+	defer func() {
+		retire(b.target)
+		rs.release(b)
+	}()
 	for {
 		if b.lease != nil {
 			r.progress.BoardIdle(b.id)

@@ -2,13 +2,19 @@ package proctarget
 
 import "goofi/internal/telemetry"
 
-// Telemetry for live-process campaigns: experiment volume, the outcome
-// class histogram (the ZOFI taxonomy is the headline result of a proc
-// campaign) and what reaching the injection points cost in ptrace
-// stops, by kind.
+// Telemetry for live-process campaigns: experiment volume, how the
+// victims were started, the outcome class histogram (the ZOFI taxonomy is
+// the headline result of a proc campaign) and what reaching the injection
+// points cost in ptrace stops, by kind.
 var (
 	mExperiments = telemetry.NewCounter("goofi_proc_experiments_total",
-		"Live-process experiments started (victims forked under ptrace).")
+		"Live-process experiments started (victims run under ptrace).")
+	mSpawns = telemetry.NewCounterVec("goofi_proc_spawns_total",
+		"Victim processes started, by how: exec (zygotes, prefix recordings, the reference-output capture) or fork (an experiment's child, from its board's zygote).", "how")
+	mExecs            = mSpawns.With("exec")
+	mForks            = mSpawns.With("fork")
+	mZygotesDiscarded = telemetry.NewCounter("goofi_proc_zygotes_discarded_total",
+		"Zygotes exec'd and killed before forking any child because their registers at main.workload were not the recorded ones.")
 	mOutcomes = telemetry.NewCounterVec("goofi_proc_outcomes_total",
 		"Live-process experiment outcomes by class.", "class")
 	mSteps = telemetry.NewCounter("goofi_proc_singlesteps_total",
@@ -26,10 +32,12 @@ var (
 // TriggerStats is what reaching the injection points has cost this
 // process so far, for the run summary.
 type TriggerStats struct {
-	Experiments uint64 // victims forked for experiments (reference runs included)
+	Experiments uint64 // victims run for experiments (reference runs included)
 	Stops       uint64 // breakpoint stops along prefix traces
 	SingleSteps uint64 // PTRACE_SINGLESTEP requests, recording included
 	Fallbacks   uint64 // experiments single-stepped for want of a usable trace
+	Forks       uint64 // children forked from zygotes
+	Execs       uint64 // victims exec'd: zygotes, prefix recordings, reference-output captures
 }
 
 // ReadTriggerStats snapshots the trigger counters.
@@ -39,5 +47,7 @@ func ReadTriggerStats() TriggerStats {
 		Stops:       mStops.Value(),
 		SingleSteps: mSteps.Value(),
 		Fallbacks:   mFallbackNondeterministic.Value() + mFallbackMismatch.Value(),
+		Forks:       mForks.Value(),
+		Execs:       mExecs.Value(),
 	}
 }

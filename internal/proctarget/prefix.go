@@ -149,10 +149,7 @@ func (vi *victimInfo) record(want uint64, timeout time.Duration) (*prefixTrace, 
 		}
 		return nil, &procError{class: core.Transient, err: err}
 	}
-	if err := tr.SetBreakpoint(vi.workload); err != nil {
-		return fail(err)
-	}
-	hit, _, err := tr.ContToBreakpoint()
+	hit, _, err := tr.toWorkload(vi)
 	if err != nil {
 		return fail(err)
 	}
@@ -176,6 +173,24 @@ func (vi *victimInfo) record(want uint64, timeout time.Duration) (*prefixTrace, 
 		return fail(nil)
 	}
 	return pt, nil
+}
+
+// maxZygoteTries bounds the execs spent on getting a zygote that stands
+// where the recording stood (standsAtStart). The last one is kept
+// regardless, and its children are checked on arrival like any other.
+const maxZygoteTries = 3
+
+// standsAtStart reports whether the zygote's registers at main.workload
+// are the recording's step 0 (true without a usable recording). Some
+// registers the two recordings agreed on hold stale values that another
+// exec can disagree on; a zygote that does would pass that to every
+// child, each of which would fail its arrival check.
+func (z *zygote) standsAtStart(trace *prefixTrace) bool {
+	if !trace.usable() {
+		return true
+	}
+	rf, err := z.tr.Regs()
+	return err == nil && trace.matches(0, &rf)
 }
 
 // plantable reports whether an int3 may be planted at pc: only inside

@@ -1,12 +1,12 @@
 // Package proctarget implements fault injection into live OS processes,
-// in the style of ZOFI: the victim program is forked as a real child
-// process, stopped at a seeded injection point with Linux ptrace
-// (breakpoint at the workload symbol, then an instruction count drawn
-// from the campaign's random window, reached by counting breakpoint
-// hits along a recorded fault-free prefix trace — prefix.go), a
-// register or memory bit is flipped, execution resumes, and the
-// termination is classified into the ZOFI outcome taxonomy — masked,
-// sdc, crash, hang.
+// in the style of ZOFI: each experiment's victim is a real child process
+// — forked, under Linux ptrace, from a copy of the victim its board
+// exec'd once and stopped at the workload symbol — that is stopped at a
+// seeded injection point (an instruction count drawn from the campaign's
+// random window, reached by counting breakpoint hits along a recorded
+// fault-free prefix trace — prefix.go), a register or memory bit is
+// flipped, execution resumes, and the termination is classified into the
+// ZOFI outcome taxonomy — masked, sdc, crash, hang.
 //
 // proctarget is the first GOOFI target whose outcomes are not
 // byte-reproducible: a live process is subject to OS scheduling and
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -102,14 +103,15 @@ func regSlotOf(off int) (slot int, valueBit int) {
 }
 
 // victimInfo is the parsed ELF metadata of one victim binary — the
-// breakpoint address, the extent of the workload function and the
-// writable main.* object symbols forming the memory chain — plus what
-// is memoised per binary from fault-free runs: the reference stdout and
-// the prefix trace.
+// breakpoint address, the extent of the workload function, a syscall
+// instruction to fork a zygote with and the writable main.* object
+// symbols forming the memory chain — plus what is memoised per binary
+// from fault-free runs: the reference stdout and the prefix trace.
 type victimInfo struct {
 	path        string
 	workload    uint64
 	workloadEnd uint64 // workload + symbol size: [workload, workloadEnd) is plantable
+	syscallInsn uint64 // address of the bytes 0f 05 (syscall) in the text
 	memMap      scanchain.Map
 	symAddrs    map[string]uint64 // location name -> virtual address
 	refStdout   []byte            // fault-free stdout, filled lazily
@@ -184,6 +186,20 @@ func loadVictim(path string) (*victimInfo, error) {
 		return nil, &procError{class: core.Persistent,
 			err: fmt.Errorf("proctarget: victim %q has no %s function (mark the kernel //go:noinline)", path, WorkloadSymbol)}
 	}
+	// Decoding starts wherever rip points, so any 0f 05 in executable
+	// memory is a syscall instruction, on an instruction boundary of the
+	// program's own or not.
+	if text := f.Section(".text"); text != nil {
+		if code, err := text.Data(); err == nil {
+			if i := bytes.Index(code, []byte{0x0f, 0x05}); i >= 0 {
+				vi.syscallInsn = text.Addr + uint64(i)
+			}
+		}
+	}
+	if vi.syscallInsn == 0 {
+		return nil, &procError{class: core.Persistent,
+			err: fmt.Errorf("proctarget: victim %q has no syscall instruction in its text", path)}
+	}
 	sort.Slice(mems, func(i, j int) bool {
 		if mems[i].addr != mems[j].addr {
 			return mems[i].addr < mems[j].addr
@@ -228,6 +244,7 @@ func (vi *victimInfo) referenceStdout(timeout time.Duration) ([]byte, error) {
 			vi.refErr = fmt.Errorf("proctarget: reference run: %w", err)
 			return
 		}
+		mExecs.Inc()
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
 		select {
@@ -293,15 +310,31 @@ func SystemData(name string, cfg core.TargetConfig) (*campaign.TargetSystemData,
 // template stubs: a live process has no scan chain, and selecting a
 // scan-chain algorithm (scifi) against it must yield the precise
 // NotImplementedError naming the missing method (paper Fig 3).
+//
+// A Target is one board. It execs its victim once, runs it to
+// main.workload and keeps it stopped there as the board's zygote; every
+// experiment's child is forked from it. The zygote and its children are
+// traced from one OS thread the Target owns, started by InitTestCard and
+// ended by Close, so the Target may be driven from any goroutine (the
+// reference run and the experiments come from different ones).
 type Target struct {
 	core.Framework
+	// exec: every child is exec'd and run to main.workload, the way the
+	// prefix recordings are, never forked (the other half of the
+	// fork-vs-exec conformance test).
+	exec bool
 
+	mu sync.Mutex
+	th *thread // nil until InitTestCard, and after Close
+
+	// The board's zygote, owned by th; nil until the first experiment
+	// and after it died.
+	z *zygote
 	// Per-experiment state, reset by InitTestCard.
 	vi               *victimInfo
 	trace            *prefixTrace // nil: reach the injection point by stepping
 	tr               *tracer
 	watchdog         *watchdog
-	locked           bool
 	atInjectionPoint bool
 	steps            uint64
 	exit             *exitInfo // termination observed before WaitForTermination
@@ -310,8 +343,11 @@ type Target struct {
 
 // New builds a proc target. The victim binary is taken per experiment
 // from the campaign's Workload.Source, so one target serves any victim.
+// A target dropped without Close is closed when it is collected.
 func New(core.TargetConfig) (*Target, error) {
-	return &Target{Framework: core.Framework{TargetName: "proc"}}, nil
+	t := &Target{Framework: core.Framework{TargetName: "proc"}}
+	runtime.SetFinalizer(t, (*Target).Close)
+	return t, nil
 }
 
 // Deterministic declares the relaxation: proc outcomes are statistical,
@@ -321,6 +357,37 @@ func (t *Target) Deterministic() bool { return false }
 // LastPID reports the pid of the most recently traced child, for leak
 // tests ( /proc/<pid> liveness ).
 func (t *Target) LastPID() int { return t.lastPID }
+
+// Close kills and reaps the board's zygote and any child left, and ends
+// the thread that traced them. The target stays usable: the next
+// experiment starts a new thread and execs a new zygote.
+func (t *Target) Close() error {
+	t.mu.Lock()
+	th := t.th
+	t.th = nil
+	t.mu.Unlock()
+	if th == nil {
+		return nil
+	}
+	th.do(func() {
+		t.cleanup()
+		t.dropZygote()
+	})
+	th.stop()
+	return nil
+}
+
+// on runs f on the target's thread.
+func (t *Target) on(f func() error) error {
+	t.mu.Lock()
+	th := t.th
+	t.mu.Unlock()
+	var err error
+	if th == nil || !th.do(func() { err = f() }) {
+		return fmt.Errorf("proctarget: target closed")
+	}
+	return err
+}
 
 // exitInfo is how the traced child terminated.
 type exitInfo struct {
@@ -351,10 +418,20 @@ func timeoutOf(ex *core.Experiment) time.Duration {
 	return time.Duration(tc) * time.Microsecond
 }
 
-// InitTestCard resets per-experiment state, reaping any child a failed
-// previous experiment left behind.
+// InitTestCard starts the target's thread if it has none and resets
+// per-experiment state, reaping any child a failed previous experiment
+// left behind. The zygote stays.
 func (t *Target) InitTestCard(ex *core.Experiment) error {
-	t.cleanup()
+	t.mu.Lock()
+	if t.th == nil {
+		t.th = startThread()
+	}
+	t.mu.Unlock()
+	if t.tr != nil || t.watchdog != nil {
+		if err := t.on(func() error { t.cleanup(); return nil }); err != nil {
+			return err
+		}
+	}
 	t.vi = nil
 	t.trace = nil
 	t.atInjectionPoint = false
@@ -363,10 +440,10 @@ func (t *Target) InitTestCard(ex *core.Experiment) error {
 	return nil
 }
 
-// cleanup tears one traced session down: watchdog disarmed, child
-// killed and reaped, stdout reader joined, OS thread unlocked. It is
-// idempotent and runs both at normal termination and from InitTestCard
-// when a previous experiment errored out mid-algorithm.
+// cleanup tears one experiment's session down on the target's thread:
+// watchdog disarmed, child killed and reaped. It is idempotent and runs
+// both at normal termination and from InitTestCard when a previous
+// experiment errored out mid-algorithm.
 func (t *Target) cleanup() {
 	if t.watchdog != nil {
 		t.watchdog.stop()
@@ -375,10 +452,6 @@ func (t *Target) cleanup() {
 	if t.tr != nil {
 		t.tr.Shutdown()
 		t.tr = nil
-	}
-	if t.locked {
-		t.locked = false
-		unlockThread()
 	}
 }
 
@@ -417,47 +490,87 @@ func (t *Target) LoadWorkload(ex *core.Experiment) error {
 	return err
 }
 
-// WriteMemory is a no-op: exec loads the victim's image, there is
+// WriteMemory is a no-op: the zygote holds the victim's image, there is
 // nothing to download.
 func (t *Target) WriteMemory(ex *core.Experiment) error { return nil }
 
-// RunWorkload forks the victim under ptrace, stopped before its first
-// instruction, plants the workload breakpoint (injection runs only)
-// and arms the hang watchdog. From here to cleanup every ptrace
-// request must come from this OS thread.
+// RunWorkload arms the hang watchdog and makes the experiment's child,
+// stopped at main.workload: from here to cleanup every ptrace request
+// comes from the target's thread.
 func (t *Target) RunWorkload(ex *core.Experiment) error {
 	if t.vi == nil {
 		return fmt.Errorf("proctarget: RunWorkload before LoadWorkload")
 	}
-	lockThread()
-	t.locked = true
 	mExperiments.Inc()
-	// One deadline covers the whole experiment: breakpoint wait, the
-	// way to the injection point (a respawn after an arrival mismatch
-	// included), and the post-injection run.
-	t.watchdog = startWatchdog(timeoutOf(ex))
-	return t.spawn(!ex.IsReference())
+	return t.on(func() error {
+		// One deadline covers the whole experiment: a zygote built for
+		// it, breakpoint hits, the way to the injection point (a respawn
+		// after an arrival mismatch included), and the post-injection run.
+		t.watchdog = startWatchdog(timeoutOf(ex))
+		return t.spawn()
+	})
 }
 
-// spawn forks a fresh traced child, replacing (and reaping) the current
-// one, and points the watchdog at it.
-func (t *Target) spawn(breakAtWorkload bool) error {
+// spawn replaces the current child (killing and reaping it) with a new
+// one stopped at main.workload and points the watchdog at it. A child
+// that terminated before main.workload is kept as the experiment's
+// child, with t.exit saying how it ended.
+func (t *Target) spawn() error {
 	if t.tr != nil {
 		t.watchdog.watch(0)
 		t.tr.Shutdown()
 		t.tr = nil
 	}
-	tr, err := startTraced(t.vi.path)
-	if err != nil {
+	if t.exec {
+		tr, err := startTraced(t.vi.path)
+		if err != nil {
+			return err
+		}
+		t.tr, t.lastPID = tr, tr.PID()
+		t.watchdog.watch(tr.PID())
+		hit, ei, err := tr.toWorkload(t.vi)
+		if !hit {
+			t.exit = ei
+		}
 		return err
 	}
-	t.tr = tr
-	t.lastPID = tr.PID()
-	t.watchdog.watch(tr.PID())
-	if breakAtWorkload {
-		return tr.SetBreakpoint(t.vi.workload)
+	if t.z != nil && t.z.stale(t.vi) {
+		t.dropZygote()
 	}
+	for tries := 1; t.z == nil; tries++ {
+		z, ended, err := newZygote(t.vi, t.watchdog)
+		if err != nil {
+			return err
+		}
+		if ended != nil {
+			t.tr, t.lastPID, t.exit = ended, ended.PID(), ended.lastState
+			return nil
+		}
+		if tries < maxZygoteTries && !z.standsAtStart(t.trace) {
+			// Every child of this zygote would fail its arrival check.
+			mZygotesDiscarded.Inc()
+			z.tr.Shutdown()
+			continue
+		}
+		t.z = z
+	}
+	tr, err := t.z.fork()
+	if err != nil {
+		// The zygote is dead or wedged: the next attempt execs another.
+		t.dropZygote()
+		return &procError{class: core.Transient, err: fmt.Errorf("proctarget: forking from the zygote of %q: %w", t.vi.path, err)}
+	}
+	t.tr, t.lastPID = tr, tr.PID()
+	t.watchdog.watch(tr.PID())
 	return nil
+}
+
+// dropZygote kills and reaps the board's zygote, if it has one.
+func (t *Target) dropZygote() {
+	if t.z != nil {
+		t.z.tr.Shutdown()
+		t.z = nil
+	}
 }
 
 // hangFired reports whether the watchdog killed the child.
@@ -514,41 +627,42 @@ func (w *watchdog) fired() bool {
 	return w.expired
 }
 
-// WaitForBreakpoint continues to the workload breakpoint and then
-// advances the seeded instruction budget (ex.Trigger.Cycle, drawn from
-// the campaign's random window): along the victim's prefix trace by
-// counted breakpoint hits as far as the trace reaches, by single-steps
-// for the rest — all of it when the victim has no usable trace, or when
-// the guided arrival fails its check and the experiment is redone on a
-// fresh child. If the victim terminates before the injection point is
-// reached, the fault's time point never occurred: the experiment
-// proceeds to termination uninjected.
+// WaitForBreakpoint advances the child, standing at main.workload, by
+// the seeded instruction budget (ex.Trigger.Cycle, drawn from the
+// campaign's random window): along the victim's prefix trace by counted
+// breakpoint hits as far as the trace reaches, by single-steps for the
+// rest — all of it when the victim has no usable trace, or when the
+// guided arrival fails its check and the experiment is redone on a fresh
+// child. If the victim terminates before the injection point is reached,
+// the fault's time point never occurred: the experiment proceeds to
+// termination uninjected.
 func (t *Target) WaitForBreakpoint(ex *core.Experiment) error {
-	if t.tr == nil {
-		return fmt.Errorf("proctarget: WaitForBreakpoint before RunWorkload")
-	}
-	steps, ei, err := t.toInjectionPoint(ex.Trigger.Cycle)
-	t.steps = steps
-	if err != nil {
-		return t.tracerErr(err)
-	}
-	if ei != nil {
-		t.exit = ei
+	return t.on(func() error {
+		if t.tr == nil {
+			return fmt.Errorf("proctarget: WaitForBreakpoint before RunWorkload")
+		}
+		if t.exit != nil {
+			return nil // ended before main.workload
+		}
+		steps, ei, err := t.toInjectionPoint(ex.Trigger.Cycle)
+		t.steps = steps
+		if err != nil {
+			return t.tracerErr(err)
+		}
+		if ei != nil {
+			t.exit = ei
+			return nil
+		}
+		t.atInjectionPoint = true
+		ex.InjectionCycle = ex.Trigger.Cycle
 		return nil
-	}
-	t.atInjectionPoint = true
-	ex.InjectionCycle = ex.Trigger.Cycle
-	return nil
+	})
 }
 
-// toInjectionPoint runs the child from exec to budget instructions past
-// the workload breakpoint. It returns how many of them were executed
-// and, when the child terminated first, how.
+// toInjectionPoint runs the child from main.workload to budget
+// instructions past it. It returns how many of them were executed and,
+// when the child terminated first, how.
 func (t *Target) toInjectionPoint(budget uint64) (steps uint64, ei *exitInfo, err error) {
-	hit, ei, err := t.tr.ContToBreakpoint()
-	if err != nil || !hit {
-		return 0, ei, err
-	}
 	var done uint64
 	if t.trace.usable() {
 		var arrived bool
@@ -560,15 +674,17 @@ func (t *Target) toInjectionPoint(budget uint64) (steps uint64, ei *exitInfo, er
 				return done, watchdogKill(), nil
 			}
 			// The child is not where the recording says it should be:
-			// discard it and redo the experiment by stepping.
+			// discard it and redo the experiment by stepping. Its zygote
+			// goes too: a register the recordings agreed on (a stale
+			// value that follows where the runtime put the main
+			// goroutine's stack) can hold another value in one exec of
+			// the victim, and then does in every child forked from it.
 			mFallbackMismatch.Inc()
-			if err := t.spawn(true); err != nil {
-				return 0, nil, err
+			t.dropZygote()
+			if err := t.spawn(); err != nil || t.exit != nil {
+				return 0, t.exit, err
 			}
 			done = 0
-			if hit, ei, err = t.tr.ContToBreakpoint(); err != nil || !hit {
-				return 0, ei, err
-			}
 		}
 	} else if t.trace == nil {
 		mFallbackNondeterministic.Inc()
@@ -603,6 +719,17 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 		// runtime SWIFI): nothing to inject.
 		return nil
 	}
+	if err := t.on(func() error { return t.inject(ex) }); err != nil {
+		return err
+	}
+	if t.exit == nil {
+		ex.Injected = true
+	}
+	return nil
+}
+
+// inject flips the fault's bits, on the target's thread.
+func (t *Target) inject(ex *core.Experiment) error {
 	switch ex.Campaign.ChainName {
 	case RegisterChainName:
 		m := RegisterMap()
@@ -646,9 +773,6 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 		return &procError{class: core.Persistent,
 			err: fmt.Errorf("proctarget: unknown chain %q (have %q, %q)", ex.Campaign.ChainName, RegisterChainName, MemoryChainName)}
 	}
-	if t.exit == nil {
-		ex.Injected = true
-	}
 	return nil
 }
 
@@ -658,31 +782,40 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 // different output → sdc. The reference run itself must exit 0 and is
 // recorded as completed.
 func (t *Target) WaitForTermination(ex *core.Experiment) error {
-	if t.tr == nil {
-		return fmt.Errorf("proctarget: WaitForTermination before RunWorkload")
-	}
-	ei := t.exit
-	if ei == nil {
-		resumed, err := t.tr.Resume()
-		if err != nil {
-			if t.hangFired() {
+	var (
+		ei     *exitInfo
+		stdout []byte
+		hang   bool
+	)
+	err := t.on(func() error {
+		if t.tr == nil {
+			return fmt.Errorf("proctarget: WaitForTermination before RunWorkload")
+		}
+		if ei = t.exit; ei == nil {
+			resumed, err := t.tr.Resume()
+			switch {
+			case err == nil:
+				ei = resumed
+			case t.hangFired():
 				ei = watchdogKill()
-			} else {
+			default:
 				return &procError{class: core.Transient, err: err}
 			}
-		} else {
-			ei = resumed
 		}
-	}
-	stdout := t.tr.Stdout()
-	if len(stdout) > maxStdout {
-		stdout = stdout[:maxStdout]
+		t.watchdog.stop()
+		t.tr.kill()
+		stdout, hang = t.tr.Stdout(), t.hangFired()
+		t.cleanup()
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	ex.PutScratch("proc.stdout", stdout)
 
 	out := campaign.Outcome{Cycles: t.steps, Attempts: 1}
 	switch {
-	case t.hangFired():
+	case hang:
 		out.Status = campaign.OutcomeHang
 		out.Mechanism = "watchdog"
 	case ei.signaled || ei.code != 0:
@@ -707,7 +840,6 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 	}
 	ex.Result.Outcome = out
 	mOutcomes.With(string(out.Status)).Inc()
-	t.cleanup()
 	return nil
 }
 

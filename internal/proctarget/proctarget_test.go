@@ -64,6 +64,18 @@ func victimBin(t *testing.T, name string) string {
 	return bin
 }
 
+// newTarget builds a proc target that is closed when the test ends, so
+// no zygote of one test is left for another test's /proc scan to find.
+func newTarget(t *testing.T) *Target {
+	t.Helper()
+	tgt, err := New(core.TargetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tgt.Close() })
+	return tgt
+}
+
 // procCampaign builds a minimal campaign for direct algorithm runs.
 func procCampaign(victim, chain string, timeoutUS uint64) *campaign.Campaign {
 	return &campaign.Campaign{
@@ -113,10 +125,7 @@ func memBit(t *testing.T, victim, loc string, bit int) int {
 // exit 0 and captures the victim's output.
 func TestProcReferenceRun(t *testing.T) {
 	bin := victimBin(t, "matmul")
-	tgt, err := New(core.TargetConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := newTarget(t)
 	camp := procCampaign(bin, RegisterChainName, 2_000_000)
 	ex := runExperiment(t, tgt, camp, -1, nil, 0)
 	if got := ex.Result.Outcome.Status; got != campaign.OutcomeCompleted {
@@ -132,7 +141,7 @@ func TestProcReferenceRun(t *testing.T) {
 // overwritten by the computation — deterministically masked.
 func TestProcMasked(t *testing.T) {
 	bin := victimBin(t, "matmul")
-	tgt, _ := New(core.TargetConfig{})
+	tgt := newTarget(t)
 	camp := procCampaign(bin, MemoryChainName, 2_000_000)
 	fault := &faultmodel.Fault{Kind: faultmodel.Transient,
 		Bits: []int{memBit(t, bin, "g.main.gC", 7)}}
@@ -149,7 +158,7 @@ func TestProcMasked(t *testing.T) {
 // deterministic silent data corruption.
 func TestProcSDC(t *testing.T) {
 	bin := victimBin(t, "matmul")
-	tgt, _ := New(core.TargetConfig{})
+	tgt := newTarget(t)
 	camp := procCampaign(bin, MemoryChainName, 2_000_000)
 	fault := &faultmodel.Fault{Kind: faultmodel.Transient,
 		Bits: []int{memBit(t, bin, "g.main.gA", 20)}}
@@ -166,7 +175,7 @@ func TestProcSDC(t *testing.T) {
 // stack access fault — a crash via signal or non-zero exit either way.
 func TestProcCrash(t *testing.T) {
 	bin := victimBin(t, "matmul")
-	tgt, _ := New(core.TargetConfig{})
+	tgt := newTarget(t)
 	camp := procCampaign(bin, RegisterChainName, 2_000_000)
 	m := RegisterMap()
 	loc, err := m.Find("special.rsp")
@@ -194,7 +203,7 @@ func TestProcCrash(t *testing.T) {
 // child is discarded and the experiment redone on a respawned one.
 func TestProcHangWatchdogNoLeaks(t *testing.T) {
 	bin := privateVictim(t, "loop")
-	tgt, _ := New(core.TargetConfig{})
+	tgt := newTarget(t)
 	camp := procCampaign(bin, MemoryChainName, 200_000) // 200ms watchdog
 
 	before := runtime.NumGoroutine()
@@ -237,6 +246,7 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 	if tgt.LastPID() == 0 {
 		t.Fatal("no child pid recorded")
 	}
+	tgt.Close() // the board retires: its zygote goes too
 	if kids := childPIDs(t); len(kids) != 0 {
 		t.Fatalf("children %v still present after hang reap", kids)
 	}
@@ -259,6 +269,169 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 	if got := ex2.Result.Outcome.Status; got != campaign.OutcomeCompleted {
 		t.Fatalf("follow-up reference outcome = %s, want completed", got)
 	}
+	tgt.Close()
+
+	// A zygote lives as long as its board. However the campaign ends —
+	// at its end, stopped, with boards power-cycled and quarantined, with
+	// a zygote killed under it — no child, no zombie and no tracer thread
+	// outlives Run.
+	mm := victimBin(t, "matmul")
+	t.Run("campaign-ends", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		c0 := readCounters()
+		f0, e0 := spawns()
+		r0 := mExperiments.Value()
+		_, sum, err := procRun(t, mm, 5, 40, 0, procBoard)
+		if err != nil || sum.Experiments != 40 {
+			t.Fatalf("campaign: %v, %+v", err, sum)
+		}
+		f1, e1 := spawns()
+		// One fork per run; the execs are per board and per victim (two
+		// zygotes, at most two recordings and a reference capture),
+		// however many experiments there are. An arrival mismatch adds a
+		// fork for its redo and an exec for the zygote that replaces the
+		// one it came from.
+		m := readCounters().since(c0).mismatch
+		if runs := mExperiments.Value() - r0; f1-f0 != runs+m || e1-e0 > 5+m {
+			t.Fatalf("%d runs, %d mismatches: %d forks, %d execs", runs, m, f1-f0, e1-e0)
+		}
+		noLeaks(t, before)
+	})
+	t.Run("campaign-stopped", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		outcomes, sum, err := procRun(t, mm, 6, 200, 5, procBoard)
+		if err != nil || sum.Experiments >= 200 || len(outcomes) < 5 {
+			t.Fatalf("stopped campaign: %v, %d experiments", err, sum.Experiments)
+		}
+		noLeaks(t, before)
+	})
+	for _, boards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("power-cycled-quarantined/boards%d", boards), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			// Experiment 7 fails twice with its child forked: a power
+			// cycle, then the breaker. With one board the campaign has
+			// none left.
+			var mu sync.Mutex
+			failures := 2
+			board := func() core.TargetSystem {
+				return &failingBoard{Target: procBoard().(*Target), fail: func(ex *core.Experiment) error {
+					mu.Lock()
+					defer mu.Unlock()
+					if ex.Seq != 7 || failures == 0 {
+						return nil
+					}
+					failures--
+					return &procError{class: core.Persistent, err: errors.New("board failure on cue")}
+				}}
+			}
+			_, sum, err := procRun(t, mm, 7, 30, 0, board, core.WithBoards(boards, board),
+				core.WithRetryPolicy(core.RetryPolicy{MaxRetries: 3, BoardFailureThreshold: 2}))
+			if boards == 1 && (err == nil || !strings.Contains(err.Error(), "quarantined")) {
+				t.Fatalf("one board, quarantined: err = %v", err)
+			}
+			if boards > 1 && (err != nil || sum.Experiments != 30) {
+				t.Fatalf("three boards, one quarantined: %v, %d experiments", err, sum.Experiments)
+			}
+			if sum.QuarantinedBoards != 1 || sum.Retried != 2 {
+				t.Fatalf("%d boards quarantined, %d retries; want 1 and 2", sum.QuarantinedBoards, sum.Retried)
+			}
+			noLeaks(t, before)
+		})
+	}
+	t.Run("zygote-killed", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		undisturbed, _, err := procRun(t, mm, 8, 20, 0, procBoard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, e0 := spawns()
+		c0 := readCounters()
+		killed := false
+		board := func() core.TargetSystem {
+			return &killingBoard{Target: procBoard().(*Target), at: 9, killed: &killed}
+		}
+		outcomes, sum, err := procRun(t, mm, 8, 20, 0, board,
+			core.WithRetryPolicy(core.RetryPolicy{MaxRetries: 2}))
+		if err != nil || !killed {
+			t.Fatalf("campaign: %v (zygote killed: %v)", err, killed)
+		}
+		_, e1 := spawns()
+		// Two boards' zygotes and the rebuilt one, through a Transient
+		// retry (and one more zygote per arrival mismatch).
+		m := readCounters().since(c0).mismatch
+		if sum.Retried != 1 || sum.InvalidRuns != 0 || e1-e0 != 3+m {
+			t.Fatalf("%d retries, %d invalid runs, %d execs; want 1, 0, %d", sum.Retried, sum.InvalidRuns, e1-e0, 3+m)
+		}
+		for name, o := range undisturbed {
+			if outcomes[name] != o {
+				t.Errorf("%s: %s with the zygote killed, %s undisturbed", name, outcomes[name], o)
+			}
+		}
+		noLeaks(t, before)
+	})
+}
+
+// zygotePID is the pid of the target's zygote, 0 when it has none.
+func (t *Target) zygotePID() (pid int) {
+	t.on(func() error {
+		if t.z != nil {
+			pid = t.z.tr.pid
+		}
+		return nil
+	})
+	return pid
+}
+
+// failingBoard is a proc board whose experiments fail on cue, after the
+// failing attempt has forked its child.
+type failingBoard struct {
+	*Target
+	fail func(ex *core.Experiment) error
+}
+
+func (b *failingBoard) WaitForBreakpoint(ex *core.Experiment) error {
+	if err := b.Target.WaitForBreakpoint(ex); err != nil {
+		return err
+	}
+	return b.fail(ex)
+}
+
+// killingBoard SIGKILLs its zygote once, between two experiments.
+type killingBoard struct {
+	*Target
+	at     int
+	killed *bool
+}
+
+func (b *killingBoard) InitTestCard(ex *core.Experiment) error {
+	if err := b.Target.InitTestCard(ex); err != nil {
+		return err
+	}
+	if ex.Seq == b.at && !*b.killed {
+		pid := b.zygotePID()
+		if pid == 0 {
+			return errors.New("no zygote to kill")
+		}
+		*b.killed = true
+		killProcess(pid)
+	}
+	return nil
+}
+
+// noLeaks fails unless every child of this process has been reaped and
+// the goroutine count is back near before.
+func noLeaks(t *testing.T, before int) {
+	t.Helper()
+	if kids := childPIDs(t); len(kids) != 0 {
+		t.Fatalf("children %v outlived the campaign", kids)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: before=%d after=%d; a tracer thread leaked", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestProcScanChainAlgorithmPreciseError: proctarget deliberately skips
@@ -267,7 +440,7 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 // aborted experiment must not leak its child.
 func TestProcScanChainAlgorithmPreciseError(t *testing.T) {
 	bin := victimBin(t, "matmul")
-	tgt, _ := New(core.TargetConfig{})
+	tgt := newTarget(t)
 	camp := procCampaign(bin, RegisterChainName, 2_000_000)
 	ex := &core.Experiment{
 		Campaign: camp,
@@ -307,7 +480,7 @@ func TestProcScanChainAlgorithmPreciseError(t *testing.T) {
 // persistent (non-retryable) classification.
 func TestProcRejectsPersistentFaults(t *testing.T) {
 	bin := victimBin(t, "matmul")
-	tgt, _ := New(core.TargetConfig{})
+	tgt := newTarget(t)
 	camp := procCampaign(bin, RegisterChainName, 2_000_000)
 	ex := &core.Experiment{
 		Campaign: camp,
@@ -331,7 +504,7 @@ func TestProcRejectsPersistentFaults(t *testing.T) {
 // completes uninjected (the runtime-SWIFI contract).
 func TestProcEarlyExitIsNotInjected(t *testing.T) {
 	bin := victimBin(t, "loop")
-	tgt, _ := New(core.TargetConfig{})
+	tgt := newTarget(t)
 	camp := procCampaign(bin, MemoryChainName, 5_000_000)
 	fault := &faultmodel.Fault{Kind: faultmodel.Transient,
 		Bits: []int{memBit(t, bin, "g.main.gEnd", 1)}}

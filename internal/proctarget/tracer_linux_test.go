@@ -20,10 +20,7 @@ func atWorkload(t *testing.T, bin string) *tracer {
 		t.Fatal(err)
 	}
 	t.Cleanup(tr.Shutdown)
-	if err := tr.SetBreakpoint(vi.workload); err != nil {
-		t.Fatal(err)
-	}
-	if hit, ei, err := tr.ContToBreakpoint(); err != nil || !hit {
+	if hit, ei, err := tr.toWorkload(vi); err != nil || !hit {
 		t.Fatalf("victim did not reach main.workload: %+v, %v", ei, err)
 	}
 	return tr
