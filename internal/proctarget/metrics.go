@@ -10,11 +10,9 @@ var (
 	mExperiments = telemetry.NewCounter("goofi_proc_experiments_total",
 		"Live-process experiments started (victims run under ptrace).")
 	mSpawns = telemetry.NewCounterVec("goofi_proc_spawns_total",
-		"Victim processes started, by how: exec (zygotes, prefix recordings, the reference-output capture) or fork (an experiment's child, from its board's zygote).", "how")
-	mExecs            = mSpawns.With("exec")
-	mForks            = mSpawns.With("fork")
-	mZygotesDiscarded = telemetry.NewCounter("goofi_proc_zygotes_discarded_total",
-		"Zygotes exec'd and killed before forking any child because their registers at main.workload were not the recorded ones.")
+		"Victim processes started, by how: exec (zygotes, prefix recordings, the reference-output capture, every child of a victim that cannot be forked) or fork (an experiment's child, from its board's zygote).", "how")
+	mExecs    = mSpawns.With("exec")
+	mForks    = mSpawns.With("fork")
 	mOutcomes = telemetry.NewCounterVec("goofi_proc_outcomes_total",
 		"Live-process experiment outcomes by class.", "class")
 	mSteps = telemetry.NewCounter("goofi_proc_singlesteps_total",

@@ -44,6 +44,12 @@ type prefixTrace struct {
 	// an address-space-randomised mapping, say. Such a register cannot
 	// be held against any one recording and is left out of the check.
 	loose []uint32
+	// held[s] is the first step at which slot s no longer holds what it
+	// held at main.workload, in either recording (len(regs) if it never
+	// changes). Before that step the register still carries a value the
+	// workload has not written: whatever the runtime left there, which one
+	// exec of the victim can leave differently from another.
+	held [len(regFile{})]int
 	// ended: the victim terminated after the last recorded step, so
 	// there is nothing beyond it to record.
 	ended bool
@@ -82,13 +88,40 @@ func (tr *prefixTrace) agree(o *prefixTrace) bool {
 		}
 		tr.loose[i] = diffRegs(&tr.regs[i], &o.regs[i])
 	}
+	for s := range tr.held {
+		tr.held[s] = min(tr.held[s], o.held[s])
+	}
 	return true
 }
 
-// matches is the arrival check at step i: every register the recordings
-// agreed on holds its recorded value.
-func (tr *prefixTrace) matches(i int, now *regFile) bool {
-	return diffRegs(&tr.regs[i], now)&^tr.loose[i] == 0
+// noteHeld fills in held from the recorded steps.
+func (tr *prefixTrace) noteHeld() {
+	for s := range tr.held {
+		i := 1
+		for i < len(tr.regs) && tr.regs[i][s] == tr.regs[0][s] {
+			i++
+		}
+		tr.held[s] = i
+	}
+}
+
+// matches is the arrival check at step i of a child whose registers at
+// main.workload were start. A register the recordings have not changed by
+// step i must still hold the child's own start value; every other one the
+// recordings agreed on must hold its recorded value. A child stepped from
+// the same start stands there too: the Go ABI preserves no register across
+// a call, so a value nothing in the workload has written is never read.
+func (tr *prefixTrace) matches(i int, start, now *regFile) bool {
+	differing := diffRegs(&tr.regs[i], now) &^ tr.loose[i]
+	for s, v := range now {
+		if i < tr.held[s] {
+			differing &^= 1 << s
+			if v != start[s] {
+				differing |= 1 << s
+			}
+		}
+	}
+	return differing == 0
 }
 
 // prefix returns the victim's prefix trace covering want steps (capped
@@ -172,25 +205,8 @@ func (vi *victimInfo) record(want uint64, timeout time.Duration) (*prefixTrace, 
 	if deadline.fired() {
 		return fail(nil)
 	}
+	pt.noteHeld()
 	return pt, nil
-}
-
-// maxZygoteTries bounds the execs spent on getting a zygote that stands
-// where the recording stood (standsAtStart). The last one is kept
-// regardless, and its children are checked on arrival like any other.
-const maxZygoteTries = 3
-
-// standsAtStart reports whether the zygote's registers at main.workload
-// are the recording's step 0 (true without a usable recording). Some
-// registers the two recordings agreed on hold stale values that another
-// exec can disagree on; a zygote that does would pass that to every
-// child, each of which would fail its arrival check.
-func (z *zygote) standsAtStart(trace *prefixTrace) bool {
-	if !trace.usable() {
-		return true
-	}
-	rf, err := z.tr.Regs()
-	return err == nil && trace.matches(0, &rf)
 }
 
 // plantable reports whether an int3 may be planted at pc: only inside
@@ -249,5 +265,5 @@ func (t *Target) guide(budget uint64) (done uint64, arrived bool, err error) {
 	if err != nil {
 		return uint64(goal), false, err
 	}
-	return uint64(goal), tr.matches(goal, &now), nil
+	return uint64(goal), tr.matches(goal, &t.start, &now), nil
 }

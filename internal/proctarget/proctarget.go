@@ -38,6 +38,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"goofi/internal/campaign"
@@ -121,6 +122,10 @@ type victimInfo struct {
 	traceMu  sync.Mutex
 	trace    *prefixTrace // nil until recorded, and while stepOnly
 	stepOnly bool         // two recordings disagreed: single-step this victim
+	// noFork: a fault-free child forked from a zygote of this victim
+	// failed where an exec'd run exited 0 (Target.forkFailed). Every
+	// child of it is exec'd from then on.
+	noFork atomic.Bool
 }
 
 var victimCache = struct {
@@ -316,7 +321,12 @@ func SystemData(name string, cfg core.TargetConfig) (*campaign.TargetSystemData,
 // experiment's child is forked from it. The zygote and its children are
 // traced from one OS thread the Target owns, started by InitTestCard and
 // ended by Close, so the Target may be driven from any goroutine (the
-// reference run and the experiments come from different ones).
+// reference run and the experiments come from different ones). Each visit
+// to that thread is a hand-over between two parked threads, so an
+// experiment makes two: WaitForBreakpoint makes the child and takes it to
+// the injection point, WaitForTermination flips the bits InjectFault
+// planned and runs the child to its end. The reference run, which does not
+// stop on the way, makes one.
 type Target struct {
 	core.Framework
 	// exec: every child is exec'd and run to main.workload, the way the
@@ -332,12 +342,16 @@ type Target struct {
 	z *zygote
 	// Per-experiment state, reset by InitTestCard.
 	vi               *victimInfo
-	trace            *prefixTrace // nil: reach the injection point by stepping
+	trace            *prefixTrace  // nil: reach the injection point by stepping
+	deadline         time.Duration // set by RunWorkload: the child is due
 	tr               *tracer
+	forked           bool    // tr is a child of the zygote, not an exec
+	start            regFile // tr's registers at main.workload
 	watchdog         *watchdog
 	atInjectionPoint bool
 	steps            uint64
-	exit             *exitInfo // termination observed before WaitForTermination
+	flip             func() error // the fault InjectFault planned, flipped as the child resumes
+	exit             *exitInfo    // termination observed before WaitForTermination
 	lastPID          int
 }
 
@@ -434,8 +448,10 @@ func (t *Target) InitTestCard(ex *core.Experiment) error {
 	}
 	t.vi = nil
 	t.trace = nil
+	t.deadline = 0
 	t.atInjectionPoint = false
 	t.steps = 0
+	t.flip = nil
 	t.exit = nil
 	return nil
 }
@@ -494,21 +510,38 @@ func (t *Target) LoadWorkload(ex *core.Experiment) error {
 // nothing to download.
 func (t *Target) WriteMemory(ex *core.Experiment) error { return nil }
 
-// RunWorkload arms the hang watchdog and makes the experiment's child,
-// stopped at main.workload: from here to cleanup every ptrace request
-// comes from the target's thread.
+// RunWorkload arms the experiment. Its child is made at the first visit
+// to the target's thread (child), with the way to the injection point
+// or, on the reference run, with the run to the end.
 func (t *Target) RunWorkload(ex *core.Experiment) error {
 	if t.vi == nil {
 		return fmt.Errorf("proctarget: RunWorkload before LoadWorkload")
 	}
 	mExperiments.Inc()
-	return t.on(func() error {
-		// One deadline covers the whole experiment: a zygote built for
-		// it, breakpoint hits, the way to the injection point (a respawn
-		// after an arrival mismatch included), and the post-injection run.
-		t.watchdog = startWatchdog(timeoutOf(ex))
-		return t.spawn()
-	})
+	t.deadline = timeoutOf(ex)
+	return nil
+}
+
+// child arms the hang watchdog and makes the experiment's child, stopped
+// at main.workload, unless that is done: from here to cleanup every ptrace
+// request comes from the target's thread. One deadline covers the whole
+// experiment: a zygote built for it, breakpoint hits, the way to the
+// injection point (a respawn after an arrival mismatch included), and the
+// post-injection run.
+func (t *Target) child() error {
+	if t.deadline == 0 {
+		return fmt.Errorf("proctarget: the child is needed before RunWorkload")
+	}
+	if t.watchdog == nil {
+		t.watchdog = startWatchdog(t.deadline)
+		if err := t.spawn(); err != nil {
+			return err
+		}
+	}
+	if t.tr == nil {
+		return fmt.Errorf("proctarget: the experiment has no child")
+	}
+	return nil
 }
 
 // spawn replaces the current child (killing and reaping it) with a new
@@ -521,36 +554,33 @@ func (t *Target) spawn() error {
 		t.tr.Shutdown()
 		t.tr = nil
 	}
-	if t.exec {
+	if t.exec || t.vi.noFork.Load() {
+		t.dropZygote()
 		tr, err := startTraced(t.vi.path)
 		if err != nil {
 			return err
 		}
-		t.tr, t.lastPID = tr, tr.PID()
+		t.tr, t.lastPID, t.forked = tr, tr.PID(), false
 		t.watchdog.watch(tr.PID())
 		hit, ei, err := tr.toWorkload(t.vi)
 		if !hit {
 			t.exit = ei
+		} else if err == nil {
+			t.start, err = tr.Regs()
 		}
 		return err
 	}
 	if t.z != nil && t.z.stale(t.vi) {
 		t.dropZygote()
 	}
-	for tries := 1; t.z == nil; tries++ {
+	if t.z == nil {
 		z, ended, err := newZygote(t.vi, t.watchdog)
 		if err != nil {
 			return err
 		}
 		if ended != nil {
-			t.tr, t.lastPID, t.exit = ended, ended.PID(), ended.lastState
+			t.tr, t.lastPID, t.forked, t.exit = ended, ended.PID(), false, ended.lastState
 			return nil
-		}
-		if tries < maxZygoteTries && !z.standsAtStart(t.trace) {
-			// Every child of this zygote would fail its arrival check.
-			mZygotesDiscarded.Inc()
-			z.tr.Shutdown()
-			continue
 		}
 		t.z = z
 	}
@@ -560,7 +590,7 @@ func (t *Target) spawn() error {
 		t.dropZygote()
 		return &procError{class: core.Transient, err: fmt.Errorf("proctarget: forking from the zygote of %q: %w", t.vi.path, err)}
 	}
-	t.tr, t.lastPID = tr, tr.PID()
+	t.tr, t.lastPID, t.forked, t.start = tr, tr.PID(), true, t.z.start
 	t.watchdog.watch(tr.PID())
 	return nil
 }
@@ -627,19 +657,19 @@ func (w *watchdog) fired() bool {
 	return w.expired
 }
 
-// WaitForBreakpoint advances the child, standing at main.workload, by
-// the seeded instruction budget (ex.Trigger.Cycle, drawn from the
-// campaign's random window): along the victim's prefix trace by counted
-// breakpoint hits as far as the trace reaches, by single-steps for the
-// rest — all of it when the victim has no usable trace, or when the
+// WaitForBreakpoint makes the experiment's child and advances it from
+// main.workload by the seeded instruction budget (ex.Trigger.Cycle, drawn
+// from the campaign's random window): along the victim's prefix trace by
+// counted breakpoint hits as far as the trace reaches, by single-steps for
+// the rest — all of it when the victim has no usable trace, or when the
 // guided arrival fails its check and the experiment is redone on a fresh
 // child. If the victim terminates before the injection point is reached,
 // the fault's time point never occurred: the experiment proceeds to
 // termination uninjected.
 func (t *Target) WaitForBreakpoint(ex *core.Experiment) error {
 	return t.on(func() error {
-		if t.tr == nil {
-			return fmt.Errorf("proctarget: WaitForBreakpoint before RunWorkload")
+		if err := t.child(); err != nil {
+			return err
 		}
 		if t.exit != nil {
 			return nil // ended before main.workload
@@ -675,10 +705,8 @@ func (t *Target) toInjectionPoint(budget uint64) (steps uint64, ei *exitInfo, er
 			}
 			// The child is not where the recording says it should be:
 			// discard it and redo the experiment by stepping. Its zygote
-			// goes too: a register the recordings agreed on (a stale
-			// value that follows where the runtime put the main
-			// goroutine's stack) can hold another value in one exec of
-			// the victim, and then does in every child forked from it.
+			// goes too: whatever made this child differ from both
+			// recordings, every other child of that zygote inherits it.
 			mFallbackMismatch.Inc()
 			t.dropZygote()
 			if err := t.spawn(); err != nil || t.exit != nil {
@@ -705,11 +733,13 @@ func (t *Target) tracerErr(err error) error {
 	return &procError{class: core.Transient, err: err}
 }
 
-// InjectFault flips the planned bits in the stopped victim. The fault's
-// bit offsets index the campaign's selected chain: register bits go
-// through GETREGS/SETREGS, memory bits through PEEK/POKEDATA at the
-// symbol's address. Bit numbering is MSB-first within each 64-bit word
-// on both chains.
+// InjectFault plans the flip of the fault's bits in the stopped victim;
+// WaitForTermination makes it on the target's thread just before the
+// child resumes, and the child stands still in between. The fault's bit
+// offsets index the campaign's selected chain: register bits go through
+// GETREGS/SETREGS, memory bits through PEEK/POKEDATA at the symbol's
+// address. Bit numbering is MSB-first within each 64-bit word on both
+// chains.
 func (t *Target) InjectFault(ex *core.Experiment) error {
 	if ex.Fault == nil {
 		return nil
@@ -719,43 +749,47 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 		// runtime SWIFI): nothing to inject.
 		return nil
 	}
-	if err := t.on(func() error { return t.inject(ex) }); err != nil {
+	flip, err := t.planFlip(ex)
+	if err != nil {
 		return err
 	}
-	if t.exit == nil {
-		ex.Injected = true
-	}
+	t.flip = flip
+	ex.Injected = true
 	return nil
 }
 
-// inject flips the fault's bits, on the target's thread.
-func (t *Target) inject(ex *core.Experiment) error {
+// planFlip validates the fault against the chain and returns the flip of
+// its bits, to be run on the target's thread.
+func (t *Target) planFlip(ex *core.Experiment) (func() error, error) {
 	switch ex.Campaign.ChainName {
 	case RegisterChainName:
 		m := RegisterMap()
 		if err := ex.Fault.Validate(m.Length); err != nil {
-			return err
+			return nil, err
 		}
 		slots := make([][2]int, 0, len(ex.Fault.Bits))
 		for _, b := range ex.Fault.Bits {
 			slot, valueBit := regSlotOf(b)
 			slots = append(slots, [2]int{slot, valueBit})
 		}
-		if err := t.tr.FlipRegisterBits(slots); err != nil {
-			return t.tracerErr(err)
-		}
+		return func() error { return t.tr.FlipRegisterBits(slots) }, nil
 	case MemoryChainName:
 		if t.vi == nil || len(t.vi.memMap.Locations) == 0 {
-			return &procError{class: core.Persistent,
+			return nil, &procError{class: core.Persistent,
 				err: fmt.Errorf("proctarget: victim %q exposes no memory chain", ex.Campaign.Workload.Source)}
 		}
 		if err := ex.Fault.Validate(t.vi.memMap.Length); err != nil {
-			return err
+			return nil, err
 		}
+		type bit struct {
+			addr uint64
+			mask byte
+		}
+		bits := make([]bit, 0, len(ex.Fault.Bits))
 		for _, b := range ex.Fault.Bits {
 			loc, ok := t.vi.memMap.LocationAt(b)
 			if !ok {
-				return fmt.Errorf("proctarget: fault bit %d outside memory chain", b)
+				return nil, fmt.Errorf("proctarget: fault bit %d outside memory chain", b)
 			}
 			// Word-based MSB-first layout: within each aligned 64-bit
 			// word of the object, chain bit 0 is value bit 63. On
@@ -763,24 +797,31 @@ func (t *Target) inject(ex *core.Experiment) error {
 			rel := b - loc.Offset
 			word := rel / 64
 			valueBit := 63 - rel%64
-			addr := t.vi.symAddrs[loc.Name] + uint64(word*8) + uint64(valueBit/8)
-			mask := byte(1) << (valueBit % 8)
-			if err := t.tr.FlipMemoryBit(addr, mask); err != nil {
-				return t.tracerErr(err)
-			}
+			bits = append(bits, bit{
+				addr: t.vi.symAddrs[loc.Name] + uint64(word*8) + uint64(valueBit/8),
+				mask: byte(1) << (valueBit % 8),
+			})
 		}
+		return func() error {
+			for _, b := range bits {
+				if err := t.tr.FlipMemoryBit(b.addr, b.mask); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, nil
 	default:
-		return &procError{class: core.Persistent,
+		return nil, &procError{class: core.Persistent,
 			err: fmt.Errorf("proctarget: unknown chain %q (have %q, %q)", ex.Campaign.ChainName, RegisterChainName, MemoryChainName)}
 	}
-	return nil
 }
 
-// WaitForTermination resumes the victim and classifies how it ends
-// (ZOFI taxonomy): watchdog kill → hang; signal or non-zero exit →
-// crash; exit 0 with reference-identical output → masked; exit 0 with
-// different output → sdc. The reference run itself must exit 0 and is
-// recorded as completed.
+// WaitForTermination flips the planned bits, resumes the victim and
+// classifies how it ends (ZOFI taxonomy): watchdog kill → hang; signal or
+// non-zero exit → crash; exit 0 with reference-identical output → masked;
+// exit 0 with different output → sdc. The reference run itself must exit
+// 0 and is recorded as completed; a forked one that does not is redone
+// exec'd first (forkFailed).
 func (t *Target) WaitForTermination(ex *core.Experiment) error {
 	var (
 		ei     *exitInfo
@@ -788,22 +829,31 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 		hang   bool
 	)
 	err := t.on(func() error {
-		if t.tr == nil {
-			return fmt.Errorf("proctarget: WaitForTermination before RunWorkload")
+		if err := t.child(); err != nil {
+			return err
 		}
-		if ei = t.exit; ei == nil {
-			resumed, err := t.tr.Resume()
-			switch {
-			case err == nil:
-				ei = resumed
-			case t.hangFired():
-				ei = watchdogKill()
-			default:
-				return &procError{class: core.Transient, err: err}
+		if t.flip != nil && t.exit == nil {
+			if err := t.flip(); err != nil {
+				if err = t.tracerErr(err); err != nil {
+					return err
+				}
+				ex.Injected = false // the watchdog killed the child first
 			}
 		}
-		t.watchdog.stop()
-		t.tr.kill()
+		var err error
+		if ei, err = t.finish(); err != nil {
+			return err
+		}
+		if t.forkFailed(ex, ei) {
+			t.cleanup()
+			t.exit = nil
+			if err := t.child(); err != nil {
+				return err
+			}
+			if ei, err = t.finish(); err != nil {
+				return err
+			}
+		}
 		stdout, hang = t.tr.Stdout(), t.hangFired()
 		t.cleanup()
 		return nil
@@ -841,6 +891,44 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 	ex.Result.Outcome = out
 	mOutcomes.With(string(out.Status)).Inc()
 	return nil
+}
+
+// finish runs the child to its end, unless it has ended, and reaps it.
+func (t *Target) finish() (*exitInfo, error) {
+	ei := t.exit
+	if ei == nil {
+		resumed, err := t.tr.Resume()
+		switch {
+		case err == nil:
+			ei = resumed
+		case t.hangFired():
+			ei = watchdogKill()
+		default:
+			return nil, &procError{class: core.Transient, err: err}
+		}
+	}
+	t.watchdog.stop()
+	t.tr.kill()
+	return ei, nil
+}
+
+// forkFailed reports whether ex is the reference run, its child was
+// forked, and it failed — hung, crashed or exited non-zero — where an
+// exec'd run of the victim exits 0. Then the victim is marked noFork and
+// the reference is to be redone on an exec'd child. A forked child has
+// only the thread that was traced: a victim that parks a goroutine locked
+// to that thread (runtime.LockOSThread), in a sleep, a channel receive or
+// a collection, hands its P to a thread the child does not have and never
+// gets it back. An exec'd run of the same victim completes.
+func (t *Target) forkFailed(ex *core.Experiment, ei *exitInfo) bool {
+	if !ex.IsReference() || !t.forked || !t.hangFired() && !ei.signaled && ei.code == 0 {
+		return false
+	}
+	if _, err := t.vi.referenceStdout(timeoutOf(ex)); err != nil {
+		return false // the victim fails exec'd too
+	}
+	t.vi.noFork.Store(true)
+	return true
 }
 
 // ReadMemory stores the captured stdout as the experiment's observed

@@ -240,16 +240,14 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 	if got := mFallbackMismatch.Value() - mismatches; got != 1 {
 		t.Fatalf("%d arrival mismatches, want the forced one", got)
 	}
-	// Every child must be gone — recorders, the discarded child, the
-	// respawned one: the tracer reaps synchronously, so not even a
-	// zombie is left.
+	// Every child but the board's zygote must be gone — recorders, the
+	// discarded child and its zygote, the respawned one: the tracer reaps
+	// synchronously, so not even a zombie is left. The board retiring
+	// takes the zygote.
 	if tgt.LastPID() == 0 {
 		t.Fatal("no child pid recorded")
 	}
-	tgt.Close() // the board retires: its zygote goes too
-	if kids := childPIDs(t); len(kids) != 0 {
-		t.Fatalf("children %v still present after hang reap", kids)
-	}
+	onlyZygote(t, tgt)
 	// No stuck tracer goroutine: allow brief settling, then require the
 	// count back near the baseline.
 	deadline := time.Now().Add(2 * time.Second)
@@ -369,6 +367,20 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 		}
 		noLeaks(t, before)
 	})
+}
+
+// onlyZygote fails unless the one child of this process left is tgt's
+// zygote; then it closes tgt, and fails unless that took the zygote.
+func onlyZygote(t *testing.T, tgt *Target) {
+	t.Helper()
+	z := tgt.zygotePID()
+	if kids := childPIDs(t); z == 0 || len(kids) != 1 || kids[0] != z {
+		t.Fatalf("children %v, want the zygote %d alone", kids, z)
+	}
+	tgt.Close()
+	if kids := childPIDs(t); len(kids) != 0 {
+		t.Fatalf("children %v outlived the board's Close", kids)
+	}
 }
 
 // zygotePID is the pid of the target's zygote, 0 when it has none.

@@ -42,7 +42,12 @@ import (
 // A victim runs with GOMAXPROCS=1 and async preemption off so its main
 // goroutine stays on the traced thread and SIGURG noise does not perturb
 // the step budget; one that blocks in a system call before or in its
-// workload must also lock the goroutine to that thread in an init.
+// workload must also lock the goroutine to that thread in an init. A
+// forked child has that thread alone: a locked goroutine that parks there
+// (a sleep, a channel, a collection) hands its P to a thread the child
+// does not have and hangs, where an exec'd child completes. A victim
+// whose fault-free forked run fails so is exec'd instead
+// (Target.forkFailed).
 //
 // A child's stdout and stderr go to an O_APPEND memory file, never a
 // pipe: a child never blocks on a reader, and once it is reaped all it
@@ -79,6 +84,14 @@ const (
 // last garbage collection the zygote's sysmon queues a forced one, which
 // every child forked afterwards would inherit and run.
 const zygoteMaxAge = time.Minute
+
+// spinWait is how long wait polls for the child's next stop before it
+// blocks. A stop on the way to the injection point — a breakpoint hit, a
+// single-step, a fork event — comes microseconds after the request, and
+// a tracer that slept through that would wait for the scheduler to wake
+// it at every stop. A run to the end takes longer and is waited for
+// blocked, after the same short poll.
+const spinWait = 50 * time.Microsecond
 
 func lockThread()   { runtime.LockOSThread() }
 func unlockThread() { runtime.UnlockOSThread() }
@@ -217,17 +230,25 @@ func (t *tracer) SetBreakpoint(addr uint64) error {
 }
 
 // wait waits for the child's next stop, returning (nil, exitInfo) when it
-// terminated instead.
+// terminated instead: polling for spinWait, then blocked.
 func (t *tracer) wait() (*syscall.WaitStatus, *exitInfo, error) {
 	var ws syscall.WaitStatus
+	spinUntil := time.Now().Add(spinWait)
 	for {
-		if _, err := syscall.Wait4(t.pid, &ws, 0, nil); err != nil {
+		flags := syscall.WNOHANG
+		if time.Now().After(spinUntil) {
+			flags = 0
+		}
+		pid, err := syscall.Wait4(t.pid, &ws, flags, nil)
+		if err != nil {
 			if err == syscall.EINTR {
 				continue
 			}
 			return nil, nil, fmt.Errorf("proctarget: wait: %w", err)
 		}
-		break
+		if pid != 0 {
+			break
+		}
 	}
 	if ws.Exited() {
 		t.reaped = true
@@ -330,15 +351,19 @@ func (t *tracer) Step(budget uint64) (steps uint64, ei *exitInfo, err error) {
 // Regs reads the stopped child's register file in chain-slot order.
 func (t *tracer) Regs() (regFile, error) {
 	var regs syscall.PtraceRegs
-	var rf regFile
 	if err := syscall.PtraceGetRegs(t.pid, &regs); err != nil {
-		return rf, fmt.Errorf("proctarget: getregs: %w", err)
+		return regFile{}, fmt.Errorf("proctarget: getregs: %w", err)
 	}
+	return regFileOf(&regs), nil
+}
+
+// regFileOf lays a register set out in chain-slot order.
+func regFileOf(regs *syscall.PtraceRegs) (rf regFile) {
 	for slot := range rf {
-		reg, _ := regSlot(&regs, slot) // every slot of a regFile is a chain slot
+		reg, _ := regSlot(regs, slot) // every slot of a regFile is a chain slot
 		rf[slot] = *reg
 	}
-	return rf, nil
+	return rf
 }
 
 // regSlot returns a pointer to the register at the fixed chain index
@@ -480,9 +505,10 @@ func (t *tracer) Shutdown() {
 // zygote is a victim exec'd once and stopped at main.workload, which
 // every child of its board is forked from.
 type zygote struct {
-	vi   *victimInfo
-	tr   *tracer
-	regs syscall.PtraceRegs // at main.workload
+	vi    *victimInfo
+	tr    *tracer
+	regs  syscall.PtraceRegs // at main.workload
+	start regFile            // regs, in chain-slot order: where every child starts
 	// gHead is the start of the main goroutine's g as it reached
 	// main.workload, written back into every child; nil when sysmon had
 	// already asked for preemption by then.
@@ -516,6 +542,7 @@ func newZygote(vi *victimInfo, w *watchdog) (z *zygote, ended *tracer, err error
 	if err := syscall.PtraceGetRegs(tr.pid, &z.regs); err != nil {
 		return fail(err)
 	}
+	z.start = regFileOf(&z.regs)
 	// Only the zygote reports its forks: a child is given plain options
 	// before it runs, so whatever a victim forks is never traced.
 	if err := syscall.PtraceSetOptions(tr.pid, ptraceOptExitKill|syscall.PTRACE_O_TRACEFORK); err != nil {

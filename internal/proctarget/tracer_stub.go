@@ -43,7 +43,10 @@ func (t *tracer) Stdout() []byte                         { return nil }
 func (t *tracer) kill()                                  {}
 func (t *tracer) Shutdown()                              {}
 
-type zygote struct{ tr *tracer }
+type zygote struct {
+	tr    *tracer
+	start regFile
+}
 
 func newZygote(*victimInfo, *watchdog) (*zygote, *tracer, error) {
 	return nil, nil, errUnavailable

@@ -14,11 +14,9 @@ import (
 	"goofi/internal/faultmodel"
 )
 
-// spawns snapshots the spawn counters. Zygotes discarded for not
-// standing where the recording stood are not counted among the execs:
-// how many there are depends on the host, not on the campaign.
+// spawns snapshots the spawn counters.
 func spawns() (forks, execs uint64) {
-	return mForks.Value(), mExecs.Value() - mZygotesDiscarded.Value()
+	return mForks.Value(), mExecs.Value()
 }
 
 // TestProcForkExecConformance: children forked from a board's zygote
@@ -52,7 +50,7 @@ func TestProcForkExecConformance(t *testing.T) {
 	before := readCounters()
 	f0, e0 := spawns()
 	r0 := mExperiments.Value()
-	conformingRuns(t, "exec'd", bin, execBoard, "forked", bin, forkBoard)
+	conformingRuns(t, conformanceSeeds, 120, "exec'd", bin, execBoard, "forked", bin, forkBoard)
 	f1, e1 := spawns()
 	forks, execs, runs := f1-f0, e1-e0, mExperiments.Value()-r0
 	// Three seeds, each run once a side. A run is one spawn: an exec on
@@ -157,40 +155,71 @@ func TestProcVictimThatForks(t *testing.T) {
 			t.Fatalf("seq %d: outcome %q", seq, ex.Result.Outcome.Status)
 		}
 	}
-	tgt.Close()
-	if kids := childPIDs(t); len(kids) != 0 {
-		t.Fatalf("children left behind: %v", kids)
-	}
+	onlyZygote(t, tgt)
 }
 
-// TestProcZygoteMustStandAtTheRecordedStart: a zygote whose registers at
-// main.workload are not the recording's step 0 is discarded before it
-// forks anything, and another is exec'd; after maxZygoteTries the last is
-// kept, and its children are checked on arrival like any other.
-func TestProcZygoteMustStandAtTheRecordedStart(t *testing.T) {
+// TestProcArrivalCheckTakesTheChildsOwnStart: a register the workload has
+// not written yet holds whatever the runtime left in it, and one exec of
+// the victim can leave another value there than the recordings saw. A
+// zygote that did stands where a stepped child of it would, so its
+// children arrive guided, no mismatch; a child that does not hold its own
+// start value in such a register still mismatches.
+func TestProcArrivalCheckTakesTheChildsOwnStart(t *testing.T) {
 	bin := privateVictim(t, "matmul")
 	tgt := newTarget(t)
 	camp := procCampaign(bin, MemoryChainName, 2_000_000)
 	camp.RandomWindow = [2]uint64{1, 200}
 	arrive(t, tgt, camp, 1) // records the trace
-	tgt.Close()
-
-	rax := tgt.trace.regs[0][0]
-	tgt.trace.regs[0][0] ^= 1 << 40 // no exec of the victim stands there now
-	d0, m0 := mZygotesDiscarded.Value(), mFallbackMismatch.Value()
-	ex := runExperiment(t, tgt, camp, 0, nil, 5)
-	if d := mZygotesDiscarded.Value() - d0; d != maxZygoteTries-1 {
-		t.Fatalf("%d zygotes discarded, want %d", d, maxZygoteTries-1)
+	// A register matmul's workload never writes within the window.
+	slot := -1
+	for s := range gprNames {
+		if tgt.trace.held[s] == len(tgt.trace.regs) {
+			slot = s
+			break
+		}
 	}
-	if st := ex.Result.Outcome.Status; st != campaign.OutcomeMasked || mFallbackMismatch.Value() != m0 {
-		t.Fatalf("outcome %s, %d mismatches; want a guided masked run", st, mFallbackMismatch.Value()-m0)
+	if slot < 0 {
+		t.Fatal("matmul's workload writes every register within 200 steps")
 	}
+	// The recordings now claim another stale value there than the zygote
+	// holds, at every step.
+	for i := range tgt.trace.regs {
+		tgt.trace.regs[i][slot] ^= 1 << 40
+	}
+	before := readCounters()
+	for n := uint64(1); n <= 150; n += 37 {
+		arrive(t, tgt, camp, n)
+	}
+	if d := readCounters().since(before); d.mismatch != 0 || d.steps != 0 {
+		t.Fatalf("%d mismatches, %d single-steps; want guided arrivals", d.mismatch, d.steps)
+	}
+	// The child's own start is what is held against it.
+	tgt.z.start[slot] ^= 1 << 41
+	before = readCounters()
+	arrive(t, tgt, camp, 100)
+	if d := readCounters().since(before); d.mismatch != 1 {
+		t.Fatalf("%d mismatches for a child off its own start; want 1", d.mismatch)
+	}
+}
 
-	tgt.trace.regs[0][0] = rax
-	tgt.Close()
-	d0 = mZygotesDiscarded.Value()
-	runExperiment(t, tgt, camp, 1, nil, 5)
-	if d := mZygotesDiscarded.Value() - d0; d != 0 {
-		t.Fatalf("%d zygotes discarded standing at the recorded start", d)
+// TestProcLockedVictimThatParks: sleeper locks its main goroutine to its
+// thread and sleeps after its workload. Forked, it would hand its P to a
+// thread the child does not have and hang; its forked reference run fails
+// where the exec'd one exits 0, so its children are exec'd. The campaign
+// then gives the outcome classes of one whose children are all exec'd.
+func TestProcLockedVictimThatParks(t *testing.T) {
+	forked, exec := privateVictim(t, "sleeper"), privateVictim(t, "sleeper")
+	execBoard := func() core.TargetSystem {
+		tgt, _ := New(core.TargetConfig{})
+		tgt.exec = true
+		return tgt
+	}
+	conformingRuns(t, []int64{3, 404}, 30, "exec'd", exec, execBoard, "forked", forked, procBoard)
+	vi, err := loadVictim(forked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vi.noFork.Load() {
+		t.Fatal("the locked victim's children were still forked")
 	}
 }
