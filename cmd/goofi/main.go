@@ -731,10 +731,18 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 		// the trace included), and experiments that had to be stepped;
 		// then how the victims were started: forked from a board's
 		// zygote, or exec'd (zygotes, prefix recordings, the reference
-		// output), over how many experiment runs.
+		// output), over how many experiment runs, and how many spares
+		// were forked for an experiment that never took them.
 		n := float64(ts.Experiments)
-		fmt.Printf("  trigger: %.1f breakpoint stops and %.2f single-steps per experiment, %d fallbacks to stepping; %d forks, %d execs over %d runs\n",
-			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Fallbacks, ts.Forks, ts.Execs, ts.Experiments)
+		fmt.Printf("  trigger: %.1f breakpoint stops and %.2f single-steps per experiment, %d fallbacks to stepping; %d forks, %d execs over %d runs; %d spares unused\n",
+			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Fallbacks, ts.Forks, ts.Execs, ts.Experiments, ts.SparesUnused)
+		// Where a run's time went: the mean from resume to reap, by class.
+		classes := make([]string, 0, len(ts.Run))
+		for class, d := range ts.Run {
+			classes = append(classes, fmt.Sprintf("%s %.2f ms", class, float64(d)/float64(time.Millisecond)))
+		}
+		sort.Strings(classes)
+		fmt.Printf("  run: %s (mean from resume to reap)\n", strings.Join(classes, ", "))
 	}
 	if sum.Forwarded > 0 {
 		fmt.Printf("  fast-forwarded %d experiments: %d cycles emulated, %d saved by checkpoint restore\n",

@@ -1,20 +1,42 @@
 package proctarget
 
-import "goofi/internal/telemetry"
+import (
+	"time"
+
+	"goofi/internal/campaign"
+	"goofi/internal/telemetry"
+)
 
 // Telemetry for live-process campaigns: experiment volume, how the
 // victims were started, the outcome class histogram (the ZOFI taxonomy is
-// the headline result of a proc campaign) and what reaching the injection
-// points cost in ptrace stops, by kind.
+// the headline result of a proc campaign), where a run's time goes by
+// class, and what reaching the injection points cost in ptrace stops, by
+// kind.
 var (
 	mExperiments = telemetry.NewCounter("goofi_proc_experiments_total",
 		"Live-process experiments started (victims run under ptrace).")
 	mSpawns = telemetry.NewCounterVec("goofi_proc_spawns_total",
-		"Victim processes started, by how: exec (zygotes, prefix recordings, the reference-output capture, every child of a victim that cannot be forked) or fork (an experiment's child, from its board's zygote).", "how")
-	mExecs    = mSpawns.With("exec")
-	mForks    = mSpawns.With("fork")
-	mOutcomes = telemetry.NewCounterVec("goofi_proc_outcomes_total",
+		"Victim processes started, by how: exec (zygotes, prefix recordings, the reference-output capture, every child of a victim that cannot be forked) or fork (an experiment's child or a board's spare, from the board's zygote).", "how")
+	mExecs  = mSpawns.With("exec")
+	mForks  = mSpawns.With("fork")
+	mSpares = telemetry.NewCounterVec("goofi_proc_spares_total",
+		"Children forked from a board's zygote while the previous experiment's child ran, by fate: used (an experiment's child) or unused (dropped with their zygote, or when the board closed).", "fate")
+	mSparesUsed   = mSpares.With("used")
+	mSparesUnused = mSpares.With("unused")
+	mOutcomes     = telemetry.NewCounterVec("goofi_proc_outcomes_total",
 		"Live-process experiment outcomes by class.", "class")
+	mRunNSVec = telemetry.NewCounterVec("goofi_proc_run_ns_total",
+		"Nanoseconds from resuming a victim to reaping it, by outcome class.", "class")
+	// mRunNS holds a child per class from the start, so that the
+	// experiment path does no label lookup.
+	mRunNS = func() map[campaign.OutcomeStatus]*telemetry.Counter {
+		m := make(map[campaign.OutcomeStatus]*telemetry.Counter)
+		for _, c := range []campaign.OutcomeStatus{campaign.OutcomeCompleted, campaign.OutcomeMasked,
+			campaign.OutcomeSDC, campaign.OutcomeCrash, campaign.OutcomeHang} {
+			m[c] = mRunNSVec.With(string(c))
+		}
+		return m
+	}()
 	mSteps = telemetry.NewCounter("goofi_proc_singlesteps_total",
 		"PTRACE_SINGLESTEP requests issued: recording prefix traces, and reaching injection points where no trace guides there.")
 	mStops = telemetry.NewCounter("goofi_proc_trigger_stops_total",
@@ -34,18 +56,33 @@ type TriggerStats struct {
 	Stops       uint64 // breakpoint stops along prefix traces
 	SingleSteps uint64 // PTRACE_SINGLESTEP requests, recording included
 	Fallbacks   uint64 // experiments single-stepped for want of a usable trace
-	Forks       uint64 // children forked from zygotes
+	Forks       uint64 // children forked from zygotes, spares included
 	Execs       uint64 // victims exec'd: zygotes, prefix recordings, reference-output captures
+	// SparesUnused counts spares dropped without serving an experiment:
+	// at most one per board, unless zygotes were dropped mid-campaign.
+	SparesUnused uint64
+	// Run is the mean time from resume to reap, by the outcome classes
+	// that occurred.
+	Run map[campaign.OutcomeStatus]time.Duration
 }
 
 // ReadTriggerStats snapshots the trigger counters.
 func ReadTriggerStats() TriggerStats {
-	return TriggerStats{
-		Experiments: mExperiments.Value(),
-		Stops:       mStops.Value(),
-		SingleSteps: mSteps.Value(),
-		Fallbacks:   mFallbackNondeterministic.Value() + mFallbackMismatch.Value(),
-		Forks:       mForks.Value(),
-		Execs:       mExecs.Value(),
+	ts := TriggerStats{
+		Experiments:  mExperiments.Value(),
+		Stops:        mStops.Value(),
+		SingleSteps:  mSteps.Value(),
+		Fallbacks:    mFallbackNondeterministic.Value() + mFallbackMismatch.Value(),
+		Forks:        mForks.Value(),
+		Execs:        mExecs.Value(),
+		SparesUnused: mSparesUnused.Value(),
+		Run:          make(map[campaign.OutcomeStatus]time.Duration),
 	}
+	for class, ns := range mRunNS {
+		// A class with time has runs, so its outcome counter exists.
+		if ns.Value() > 0 {
+			ts.Run[class] = time.Duration(ns.Value() / mOutcomes.With(string(class)).Value())
+		}
+	}
+	return ts
 }

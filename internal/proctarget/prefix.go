@@ -41,8 +41,10 @@ type prefixTrace struct {
 	regs []regFile
 	// loose[i] has bit s set when slot s at step i differed between the
 	// two recordings beyond what diffRegs allows — a stale pointer into
-	// an address-space-randomised mapping, say. Such a register cannot
-	// be held against any one recording and is left out of the check.
+	// an address-space-randomised mapping, say — after the workload
+	// changed it. Such a register cannot be held against any one
+	// recording and is left out of the check. One still held (below) is
+	// checked against the child's own start, so it is never loose.
 	loose []uint32
 	// held[s] is the first step at which slot s no longer holds what it
 	// held at main.workload, in either recording (len(regs) if it never
@@ -81,15 +83,21 @@ func (tr *prefixTrace) agree(o *prefixTrace) bool {
 	if len(tr.regs) != len(o.regs) || tr.ended != o.ended {
 		return false
 	}
+	for s := range tr.held {
+		tr.held[s] = min(tr.held[s], o.held[s])
+	}
 	tr.loose = make([]uint32, len(tr.regs))
 	for i := range tr.regs {
 		if tr.pc(i) != o.pc(i) {
 			return false
 		}
-		tr.loose[i] = diffRegs(&tr.regs[i], &o.regs[i])
-	}
-	for s := range tr.held {
-		tr.held[s] = min(tr.held[s], o.held[s])
+		var held uint32
+		for s, h := range tr.held {
+			if i < h {
+				held |= 1 << s
+			}
+		}
+		tr.loose[i] = diffRegs(&tr.regs[i], &o.regs[i]) &^ held
 	}
 	return true
 }

@@ -246,9 +246,10 @@ func TestProcNondeterministicPrefixIsStepped(t *testing.T) {
 
 // TestProcArrivalMismatchIsRedoneByStepping: when the child guided to
 // the injection point does not carry the recorded registers, it is
-// discarded with its zygote and the experiment redone by stepping on a
-// child of a new zygote; the record is a normal classified one, first
-// attempt.
+// discarded with its zygote and whatever that zygote forked, the spare
+// the child was taken as included, and the experiment redone by stepping
+// on a child of a new zygote; the record is a normal classified one,
+// first attempt.
 func TestProcArrivalMismatchIsRedoneByStepping(t *testing.T) {
 	const n = 120
 	bin := privateVictim(t, "matmul")
@@ -264,15 +265,25 @@ func TestProcArrivalMismatchIsRedoneByStepping(t *testing.T) {
 	if _, err := vi.referenceStdout(time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	// An experiment that arrives where the recording says leaves a spare
+	// of the first zygote for the next.
+	runExperiment(t, tgt, camp, 0, fault, n-1)
+	z0, spare0, _ := tgt.boardPIDs()
+	if z0 == 0 || spare0 == 0 {
+		t.Fatalf("zygote %d, spare %d after an experiment; want both", z0, spare0)
+	}
 	before := readCounters()
 	f0, e0 := spawns()
-	ex := runExperiment(t, tgt, camp, 0, fault, n)
+	ex := runExperiment(t, tgt, camp, 1, fault, n)
 	d := readCounters().since(before)
 	if d.mismatch != 1 || d.nondet != 0 || d.steps != n || d.stops == 0 {
 		t.Fatalf("mismatch=%d nondet=%d single-steps=%d stops=%d; want 1, 0, %d, >0", d.mismatch, d.nondet, d.steps, d.stops, n)
 	}
+	if tgt.LastPID() == spare0 {
+		t.Fatal("the redo ran on the first zygote's spare")
+	}
 	// The redo is forked from a new zygote: the old one's children would
-	// all stand where this one did.
+	// all stand where this one did. The new zygote forks the next spare.
 	if f1, e1 := spawns(); f1-f0 != 2 || e1-e0 != 1 {
 		t.Fatalf("%d forks and %d execs for a mismatched arrival; want 2 and 1", f1-f0, e1-e0)
 	}
@@ -280,13 +291,20 @@ func TestProcArrivalMismatchIsRedoneByStepping(t *testing.T) {
 	if !ex.Injected || out.Status != campaign.OutcomeSDC || out.Attempts != 1 || out.Cycles != n {
 		t.Fatalf("redone experiment: injected=%v outcome=%+v, want an injected sdc on attempt 1", ex.Injected, out)
 	}
-	// Nothing is left but the board's zygote, and closing the board kills
-	// that too; the next experiment execs another.
-	onlyZygote(t, tgt)
+	// Nothing is left but the new zygote and its spare — not the first
+	// zygote, not its spare — and closing the board kills them too; the
+	// next experiment execs another.
+	if z, spare, _ := tgt.boardPIDs(); z == z0 || spare == 0 || spare == spare0 {
+		t.Fatalf("zygote %d and spare %d after the mismatch; the first were %d and %d", z, spare, z0, spare0)
+	}
+	if kids := childPIDs(t); anyIn([]int{z0, spare0}, kids) {
+		t.Fatalf("children %v: the first zygote %d or its spare %d outlived the mismatch", kids, z0, spare0)
+	}
+	onlyZygote(t, tgt, true)
 
 	// One bad arrival condemns nothing: the next experiment is guided.
 	before = readCounters()
-	runExperiment(t, tgt, camp, 1, fault, n-1)
+	runExperiment(t, tgt, camp, 2, fault, n-1)
 	if d := readCounters().since(before); d.steps != 0 || d.mismatch != 0 {
 		t.Fatalf("after a mismatch: %d single-steps, %d mismatches; want a guided arrival", d.steps, d.mismatch)
 	}

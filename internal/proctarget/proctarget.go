@@ -233,15 +233,29 @@ func loadVictim(path string) (*victimInfo, error) {
 	return vi, nil
 }
 
+// victimEnv is the environment of every process started from a victim:
+// the zygotes and the children they fork, exec'd children, the prefix
+// recordings, the reference-output capture and Probe. One P and no
+// asynchronous preemption keep the main goroutine on the traced thread;
+// dontfreezetheworld spares a fatal panic the runtime's ≥2 ms of sleeps
+// while it preempts goroutines (one 1 ms sleep remains); GOTRACEBACK=single
+// keeps a crash's output the default traceback. These replace whatever
+// the operator has set: exec.Cmd keeps the last of duplicate variables.
+func victimEnv() []string {
+	return append(os.Environ(), "GOMAXPROCS=1",
+		"GODEBUG=asyncpreemptoff=1,dontfreezetheworld=1", "GOTRACEBACK=single")
+}
+
 // referenceStdout returns the victim's fault-free output, captured
-// once per binary by running it plain (untraced). masked-vs-sdc
-// classification compares against this capture.
+// once per binary by running it untraced in victimEnv, as every traced
+// run is. masked-vs-sdc classification compares against this capture.
 func (vi *victimInfo) referenceStdout(timeout time.Duration) ([]byte, error) {
 	vi.refOnce.Do(func() {
 		if timeout < time.Second {
 			timeout = time.Second
 		}
 		cmd := exec.Command(vi.path)
+		cmd.Env = victimEnv()
 		var out bytes.Buffer
 		cmd.Stdout = &out
 		cmd.Stderr = &out
@@ -318,10 +332,13 @@ func SystemData(name string, cfg core.TargetConfig) (*campaign.TargetSystemData,
 //
 // A Target is one board. It execs its victim once, runs it to
 // main.workload and keeps it stopped there as the board's zygote; every
-// experiment's child is forked from it. The zygote and its children are
-// traced from one OS thread the Target owns, started by InitTestCard and
-// ended by Close, so the Target may be driven from any goroutine (the
-// reference run and the experiments come from different ones). Each visit
+// experiment's child is forked from it. While an experiment's child runs
+// to its end, the board forks a spare child for the next experiment, so
+// that fork overlaps the run instead of preceding the next one. The
+// zygote and its children are traced from one OS thread the Target owns,
+// started by InitTestCard and ended by Close, so the Target may be driven
+// from any goroutine (the reference run and the experiments come from
+// different ones). Each visit
 // to that thread is a hand-over between two parked threads, so an
 // experiment makes two: WaitForBreakpoint makes the child and takes it to
 // the injection point, WaitForTermination flips the bits InjectFault
@@ -340,6 +357,10 @@ type Target struct {
 	// The board's zygote, owned by th; nil until the first experiment
 	// and after it died.
 	z *zygote
+	// spare is a child of z forked while the last experiment's child ran,
+	// stopped at main.workload; the next experiment takes it instead of
+	// forking. It goes wherever z goes.
+	spare *tracer
 	// Per-experiment state, reset by InitTestCard.
 	vi               *victimInfo
 	trace            *prefixTrace  // nil: reach the injection point by stepping
@@ -350,8 +371,9 @@ type Target struct {
 	watchdog         *watchdog
 	atInjectionPoint bool
 	steps            uint64
-	flip             func() error // the fault InjectFault planned, flipped as the child resumes
-	exit             *exitInfo    // termination observed before WaitForTermination
+	flip             func() error  // the fault InjectFault planned, flipped as the child resumes
+	exit             *exitInfo     // termination observed before WaitForTermination
+	ran              time.Duration // from resume to reap
 	lastPID          int
 }
 
@@ -453,6 +475,7 @@ func (t *Target) InitTestCard(ex *core.Experiment) error {
 	t.steps = 0
 	t.flip = nil
 	t.exit = nil
+	t.ran = 0
 	return nil
 }
 
@@ -584,19 +607,46 @@ func (t *Target) spawn() error {
 		}
 		t.z = z
 	}
-	tr, err := t.z.fork()
-	if err != nil {
-		// The zygote is dead or wedged: the next attempt execs another.
-		t.dropZygote()
-		return &procError{class: core.Transient, err: fmt.Errorf("proctarget: forking from the zygote of %q: %w", t.vi.path, err)}
+	tr := t.spare
+	if tr != nil {
+		t.spare = nil
+		mSparesUsed.Inc()
+	} else {
+		var err error
+		if tr, err = t.z.fork(); err != nil {
+			// The zygote is dead or wedged: the next attempt execs another.
+			t.dropZygote()
+			return &procError{class: core.Transient, err: fmt.Errorf("proctarget: forking from the zygote of %q: %w", t.vi.path, err)}
+		}
 	}
+	// Emptied here, not at the fork: a spare is forked while the previous
+	// child may still be writing.
+	tr.out.reset()
 	t.tr, t.lastPID, t.forked, t.start = tr, tr.PID(), true, t.z.start
 	t.watchdog.watch(tr.PID())
 	return nil
 }
 
-// dropZygote kills and reaps the board's zygote, if it has one.
+// forkSpare forks the next experiment's child while this one runs. A
+// zygote that cannot fork is dropped, and the next experiment execs
+// another; the running child keeps its verdict and its output.
+func (t *Target) forkSpare() {
+	tr, err := t.z.fork()
+	if err != nil {
+		t.dropZygote()
+		return
+	}
+	t.spare = tr
+}
+
+// dropZygote kills and reaps the board's zygote and its spare, if it has
+// them.
 func (t *Target) dropZygote() {
+	if t.spare != nil {
+		t.spare.Shutdown()
+		t.spare = nil
+		mSparesUnused.Inc()
+	}
 	if t.z != nil {
 		t.z.tr.Shutdown()
 		t.z = nil
@@ -821,7 +871,8 @@ func (t *Target) planFlip(ex *core.Experiment) (func() error, error) {
 // non-zero exit → crash; exit 0 with reference-identical output → masked;
 // exit 0 with different output → sdc. The reference run itself must exit
 // 0 and is recorded as completed; a forked one that does not is redone
-// exec'd first (forkFailed).
+// exec'd first (forkFailed). While an experiment's forked child runs, the
+// board forks the next one's (forkSpare); the reference run forks none.
 func (t *Target) WaitForTermination(ex *core.Experiment) error {
 	var (
 		ei     *exitInfo
@@ -841,7 +892,7 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 			}
 		}
 		var err error
-		if ei, err = t.finish(); err != nil {
+		if ei, err = t.finish(!ex.IsReference()); err != nil {
 			return err
 		}
 		if t.forkFailed(ex, ei) {
@@ -850,7 +901,7 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 			if err := t.child(); err != nil {
 				return err
 			}
-			if ei, err = t.finish(); err != nil {
+			if ei, err = t.finish(false); err != nil {
 				return err
 			}
 		}
@@ -890,14 +941,23 @@ func (t *Target) WaitForTermination(ex *core.Experiment) error {
 	}
 	ex.Result.Outcome = out
 	mOutcomes.With(string(out.Status)).Inc()
+	mRunNS[out.Status].Add(uint64(t.ran))
 	return nil
 }
 
 // finish runs the child to its end, unless it has ended, and reaps it.
-func (t *Target) finish() (*exitInfo, error) {
+// With spare, a board whose child is forked forks the next one's: while
+// the child runs, or after it if it gave the tracer no time.
+func (t *Target) finish(spare bool) (*exitInfo, error) {
+	spare = spare && t.forked && t.z != nil && t.spare == nil
+	start := time.Now()
 	ei := t.exit
 	if ei == nil {
-		resumed, err := t.tr.Resume()
+		var meanwhile func()
+		if spare {
+			meanwhile = t.forkSpare
+		}
+		resumed, err := t.tr.Resume(meanwhile)
 		switch {
 		case err == nil:
 			ei = resumed
@@ -909,6 +969,10 @@ func (t *Target) finish() (*exitInfo, error) {
 	}
 	t.watchdog.stop()
 	t.tr.kill()
+	t.ran = time.Since(start)
+	if spare && t.z != nil && t.spare == nil {
+		t.forkSpare()
+	}
 	return ei, nil
 }
 
@@ -958,7 +1022,7 @@ func Probe(victim string) error {
 		return err
 	}
 	defer tr.Shutdown()
-	if _, err := tr.Resume(); err != nil {
+	if _, err := tr.Resume(nil); err != nil {
 		return err
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -240,14 +241,14 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 	if got := mFallbackMismatch.Value() - mismatches; got != 1 {
 		t.Fatalf("%d arrival mismatches, want the forced one", got)
 	}
-	// Every child but the board's zygote must be gone — recorders, the
-	// discarded child and its zygote, the respawned one: the tracer reaps
-	// synchronously, so not even a zombie is left. The board retiring
-	// takes the zygote.
+	// Every child but the board's zygote and its spare must be gone —
+	// recorders, the discarded child and its zygote, the respawned one: the
+	// tracer reaps synchronously, so not even a zombie is left. The board
+	// retiring takes the zygote and the spare.
 	if tgt.LastPID() == 0 {
 		t.Fatal("no child pid recorded")
 	}
-	onlyZygote(t, tgt)
+	onlyZygote(t, tgt, true)
 	// No stuck tracer goroutine: allow brief settling, then require the
 	// count back near the baseline.
 	deadline := time.Now().Add(2 * time.Second)
@@ -271,33 +272,36 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 
 	// A zygote lives as long as its board. However the campaign ends —
 	// at its end, stopped, with boards power-cycled and quarantined, with
-	// a zygote killed under it — no child, no zombie and no tracer thread
-	// outlives Run.
+	// a zygote killed under it — a board has no child but its zygote, its
+	// spare and the child of an experiment it is closed in, and no child,
+	// no zombie and no tracer thread outlives Run.
 	mm := victimBin(t, "matmul")
 	t.Run("campaign-ends", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		c0 := readCounters()
 		f0, e0 := spawns()
+		u0 := mSparesUnused.Value()
 		r0 := mExperiments.Value()
-		_, sum, err := procRun(t, mm, 5, 40, 0, procBoard)
+		_, sum, err := procRun(t, mm, 5, 40, 0, checkedBoard(t, true))
 		if err != nil || sum.Experiments != 40 {
 			t.Fatalf("campaign: %v, %+v", err, sum)
 		}
 		f1, e1 := spawns()
-		// One fork per run; the execs are per board and per victim (two
-		// zygotes, at most two recordings and a reference capture),
-		// however many experiments there are. An arrival mismatch adds a
-		// fork for its redo and an exec for the zygote that replaces the
-		// one it came from.
-		m := readCounters().since(c0).mismatch
-		if runs := mExperiments.Value() - r0; f1-f0 != runs+m || e1-e0 > 5+m {
-			t.Fatalf("%d runs, %d mismatches: %d forks, %d execs", runs, m, f1-f0, e1-e0)
+		// One fork per run, and the spare the worker forked for an
+		// experiment that never came; the execs are per board and per
+		// victim (two zygotes, at most two recordings and a reference
+		// capture), however many experiments there are. An arrival
+		// mismatch adds a fork for its redo and an exec for the zygote that
+		// replaces the one it came from.
+		m, u := readCounters().since(c0).mismatch, mSparesUnused.Value()-u0
+		if runs := mExperiments.Value() - r0; u != 1 || f1-f0 != runs+m+u || e1-e0 > 5+m {
+			t.Fatalf("%d runs, %d mismatches, %d spares unused: %d forks, %d execs", runs, m, u, f1-f0, e1-e0)
 		}
 		noLeaks(t, before)
 	})
 	t.Run("campaign-stopped", func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		outcomes, sum, err := procRun(t, mm, 6, 200, 5, procBoard)
+		outcomes, sum, err := procRun(t, mm, 6, 200, 5, checkedBoard(t, true))
 		if err != nil || sum.Experiments >= 200 || len(outcomes) < 5 {
 			t.Fatalf("stopped campaign: %v, %d experiments", err, sum.Experiments)
 		}
@@ -311,8 +315,9 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 			// none left.
 			var mu sync.Mutex
 			failures := 2
+			checked := checkedBoard(t, boards == 1)
 			board := func() core.TargetSystem {
-				return &failingBoard{Target: procBoard().(*Target), fail: func(ex *core.Experiment) error {
+				return &failingBoard{closeChecked: checked().(*closeChecked), fail: func(ex *core.Experiment) error {
 					mu.Lock()
 					defer mu.Unlock()
 					if ex.Seq != 7 || failures == 0 {
@@ -344,21 +349,28 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 		}
 		_, e0 := spawns()
 		c0 := readCounters()
-		killed := false
+		kill := &zygoteKill{at: 9}
+		checked := checkedBoard(t, true)
 		board := func() core.TargetSystem {
-			return &killingBoard{Target: procBoard().(*Target), at: 9, killed: &killed}
+			return &killingBoard{closeChecked: checked().(*closeChecked), zygoteKill: kill}
 		}
 		outcomes, sum, err := procRun(t, mm, 8, 20, 0, board,
 			core.WithRetryPolicy(core.RetryPolicy{MaxRetries: 2}))
-		if err != nil || !killed {
-			t.Fatalf("campaign: %v (zygote killed: %v)", err, killed)
+		if err != nil || kill.sparePID == 0 {
+			t.Fatalf("campaign: %v (zygote killed with a spare: %v)", err, kill.sparePID != 0)
 		}
 		_, e1 := spawns()
-		// Two boards' zygotes and the rebuilt one, through a Transient
-		// retry (and one more zygote per arrival mismatch).
+		// The spare forked before the kill serves the next experiment, and
+		// the spare fork after it finds the zygote dead and drops it: the
+		// experiment after that execs a new one. Two boards' zygotes and
+		// the rebuilt one, without a retry (and one more zygote per arrival
+		// mismatch).
 		m := readCounters().since(c0).mismatch
-		if sum.Retried != 1 || sum.InvalidRuns != 0 || e1-e0 != 3+m {
-			t.Fatalf("%d retries, %d invalid runs, %d execs; want 1, 0, %d", sum.Retried, sum.InvalidRuns, e1-e0, 3+m)
+		if !kill.served || m == 0 && !kill.dropped {
+			t.Fatalf("the spare served the next experiment: %v; the zygote was dropped after it: %v", kill.served, kill.dropped)
+		}
+		if sum.Retried != 0 || sum.InvalidRuns != 0 || e1-e0 != 3+m {
+			t.Fatalf("%d retries, %d invalid runs, %d execs; want 0, 0, %d", sum.Retried, sum.InvalidRuns, e1-e0, 3+m)
 		}
 		for name, o := range undisturbed {
 			if outcomes[name] != o {
@@ -369,35 +381,89 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 	})
 }
 
-// onlyZygote fails unless the one child of this process left is tgt's
-// zygote; then it closes tgt, and fails unless that took the zygote.
-func onlyZygote(t *testing.T, tgt *Target) {
+// onlyZygote closes a board, and fails unless before that its zygote,
+// its spare and the child of an experiment it is closed in were children
+// of this process — with exact, the only ones — and after it none is.
+// It may be called from any goroutine.
+func onlyZygote(t *testing.T, tgt *Target, exact bool) {
 	t.Helper()
-	z := tgt.zygotePID()
-	if kids := childPIDs(t); z == 0 || len(kids) != 1 || kids[0] != z {
-		t.Fatalf("children %v, want the zygote %d alone", kids, z)
+	z, spare, child := tgt.boardPIDs()
+	own := []int{z}
+	for _, pid := range []int{spare, child} {
+		if pid != 0 {
+			own = append(own, pid)
+		}
+	}
+	kids := childPIDs(t)
+	if z == 0 || exact && len(kids) != len(own) || !allIn(own, kids) {
+		t.Errorf("children %v, want the zygote %d, its spare %d and child %d", kids, z, spare, child)
 	}
 	tgt.Close()
-	if kids := childPIDs(t); len(kids) != 0 {
-		t.Fatalf("children %v outlived the board's Close", kids)
+	if kids := childPIDs(t); exact && len(kids) != 0 || !exact && anyIn(own, kids) {
+		t.Errorf("children %v outlived the board's Close", kids)
 	}
 }
 
-// zygotePID is the pid of the target's zygote, 0 when it has none.
-func (t *Target) zygotePID() (pid int) {
+// boardPIDs are the pids of the target's zygote, its spare and its
+// experiment's child, 0 for those it has not.
+func (t *Target) boardPIDs() (zygote, spare, child int) {
 	t.on(func() error {
 		if t.z != nil {
-			pid = t.z.tr.pid
+			zygote = t.z.tr.pid
+		}
+		if t.spare != nil {
+			spare = t.spare.pid
+		}
+		if t.tr != nil {
+			child = t.tr.pid
 		}
 		return nil
 	})
-	return pid
+	return zygote, spare, child
+}
+
+func allIn(pids, set []int) bool {
+	for _, p := range pids {
+		if !slices.Contains(set, p) {
+			return false
+		}
+	}
+	return true
+}
+
+func anyIn(pids, set []int) bool {
+	for _, p := range pids {
+		if slices.Contains(set, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// closeChecked is a proc board whose Close is onlyZygote's check.
+type closeChecked struct {
+	*Target
+	t     *testing.T
+	exact bool
+}
+
+func (b *closeChecked) Close() error {
+	onlyZygote(b.t, b.Target, b.exact)
+	return nil
+}
+
+// checkedBoard makes closeChecked boards. exact holds in a one-board
+// campaign: there, a closing board's processes are the only children.
+func checkedBoard(t *testing.T, exact bool) func() core.TargetSystem {
+	return func() core.TargetSystem {
+		return &closeChecked{Target: procBoard().(*Target), t: t, exact: exact}
+	}
 }
 
 // failingBoard is a proc board whose experiments fail on cue, after the
 // failing attempt has forked its child.
 type failingBoard struct {
-	*Target
+	*closeChecked
 	fail func(ex *core.Experiment) error
 }
 
@@ -408,26 +474,51 @@ func (b *failingBoard) WaitForBreakpoint(ex *core.Experiment) error {
 	return b.fail(ex)
 }
 
+// zygoteKill is what a killingBoard did and saw: the spare standing when
+// it killed its zygote, whether that spare then served the experiment,
+// and whether the zygote and its spare were gone after it.
+type zygoteKill struct {
+	at              int
+	sparePID        int
+	served, dropped bool
+}
+
 // killingBoard SIGKILLs its zygote once, between two experiments.
 type killingBoard struct {
-	*Target
-	at     int
-	killed *bool
+	*closeChecked
+	*zygoteKill
 }
 
 func (b *killingBoard) InitTestCard(ex *core.Experiment) error {
 	if err := b.Target.InitTestCard(ex); err != nil {
 		return err
 	}
-	if ex.Seq == b.at && !*b.killed {
-		pid := b.zygotePID()
-		if pid == 0 {
-			return errors.New("no zygote to kill")
+	if ex.Seq == b.at && b.sparePID == 0 {
+		z, spare, _ := b.boardPIDs()
+		if z == 0 || spare == 0 {
+			return errors.New("no zygote and spare to kill the zygote under")
 		}
-		*b.killed = true
-		killProcess(pid)
+		b.sparePID = spare
+		killProcess(z)
 	}
 	return nil
+}
+
+func (b *killingBoard) WaitForBreakpoint(ex *core.Experiment) error {
+	err := b.Target.WaitForBreakpoint(ex)
+	if ex.Seq == b.at {
+		b.served = b.LastPID() == b.sparePID
+	}
+	return err
+}
+
+func (b *killingBoard) WaitForTermination(ex *core.Experiment) error {
+	err := b.Target.WaitForTermination(ex)
+	if ex.Seq == b.at {
+		z, spare, _ := b.boardPIDs()
+		b.dropped = z == 0 && spare == 0
+	}
+	return err
 }
 
 // noLeaks fails unless every child of this process has been reaped and

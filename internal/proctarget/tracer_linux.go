@@ -32,27 +32,34 @@ import (
 // is born traced, stopped, and is given the zygote's registers: it stands
 // at main.workload without having run the Go runtime's start-up.
 // CLONE_PARENT makes goofi the child's parent as well as its tracer, so
-// one wait4 reaps it.
+// one wait4 reaps it, and it outlives its zygote. A board forks the next
+// experiment's child (its spare) while the current one runs: Resume
+// continues the child and, once the child has run for spinWait without
+// stopping, forks the spare before it blocks on the child's end.
 //
 // Linux delivers ptrace stop events only to the tracing thread, and a
 // forked child's tracer is its zygote's. So every ptrace request for a
 // Target's zygote and children comes from one OS thread the Target owns
 // (thread, below); Probe and the recorder lock their caller's thread for
 // the one child they trace. Only kill/killProcess are thread-agnostic.
-// A victim runs with GOMAXPROCS=1 and async preemption off so its main
-// goroutine stays on the traced thread and SIGURG noise does not perturb
-// the step budget; one that blocks in a system call before or in its
-// workload must also lock the goroutine to that thread in an init. A
-// forked child has that thread alone: a locked goroutine that parks there
-// (a sleep, a channel, a collection) hands its P to a thread the child
-// does not have and hangs, where an exec'd child completes. A victim
-// whose fault-free forked run fails so is exec'd instead
+// Every victim process runs in victimEnv: GOMAXPROCS=1 and async
+// preemption off, so its main goroutine stays on the traced thread and
+// SIGURG noise does not perturb the step budget, and dontfreezetheworld,
+// so a fatal panic does not sleep ≥2 ms preempting goroutines a forked
+// child has no thread for. A victim that blocks in a system call before
+// or in its workload must also lock the goroutine to that thread in an
+// init. A forked child has that thread alone: a locked goroutine that
+// parks there (a sleep, a channel, a collection) hands its P to a thread
+// the child does not have and hangs, where an exec'd child completes. A
+// victim whose fault-free forked run fails so is exec'd instead
 // (Target.forkFailed).
 //
 // A child's stdout and stderr go to an O_APPEND memory file, never a
 // pipe: a child never blocks on a reader, and once it is reaped all it
 // wrote is in the file. RLIMIT_FSIZE caps the file just past maxStdout,
-// so a flood ends in EFBIG rather than in host memory.
+// so a flood ends in EFBIG rather than in host memory. A zygote's children
+// share its file, each through a descriptor of its own, so a zygote
+// dropped while a child runs leaves that child's capture whole.
 
 // ptraceOptExitKill is PTRACE_O_EXITKILL (missing from the stdlib
 // syscall package): the kernel SIGKILLs the tracee when the tracer
@@ -107,10 +114,12 @@ type tracer struct {
 	origWord []byte // byte under the planted 0xCC
 	bpSet    bool
 
-	out       *output
-	ownOut    bool // an exec'd child's own file, closed at Shutdown; a forked one borrows its zygote's
+	out       *output // closed at Shutdown
 	reaped    bool
 	lastState *exitInfo
+	// idle, if set, runs once when wait has polled in vain and would
+	// block: the tracer's thread is free until the child stops.
+	idle func()
 }
 
 // output is the memory file a child's stdout and stderr are written to.
@@ -155,6 +164,15 @@ func (o *output) take() []byte {
 
 func (o *output) reset() { o.f.Truncate(0) }
 
+// dup is another descriptor of the same file, for a forked child.
+func (o *output) dup() (*output, error) {
+	fd, _, errno := syscall.Syscall(syscall.SYS_FCNTL, o.f.Fd(), syscall.F_DUPFD_CLOEXEC, 0)
+	if errno != 0 {
+		return nil, fmt.Errorf("proctarget: dup of the output file: %w", errno)
+	}
+	return &output{f: os.NewFile(fd, o.f.Name()), prefix: o.prefix}, nil
+}
+
 // startTraced execs the victim stopped at its first instruction, its
 // output going to a memory file of its own.
 func startTraced(victim string) (*tracer, error) {
@@ -167,14 +185,14 @@ func startTraced(victim string) (*tracer, error) {
 	// goroutine inside exec that would outlive a killed experiment.
 	cmd.Stdout = out.f
 	cmd.Stderr = out.f
-	cmd.Env = append(os.Environ(), "GOMAXPROCS=1", "GODEBUG=asyncpreemptoff=1")
+	cmd.Env = victimEnv()
 	cmd.SysProcAttr = &syscall.SysProcAttr{Ptrace: true}
 	if err := cmd.Start(); err != nil {
 		out.f.Close()
 		return nil, &procError{class: core.Persistent, err: fmt.Errorf("proctarget: start victim: %w", err)}
 	}
 	mExecs.Inc()
-	t := &tracer{pid: cmd.Process.Pid, out: out, ownOut: true}
+	t := &tracer{pid: cmd.Process.Pid, out: out}
 	// The tracer waits for and reaps the child itself.
 	cmd.Process.Release()
 
@@ -230,13 +248,19 @@ func (t *tracer) SetBreakpoint(addr uint64) error {
 }
 
 // wait waits for the child's next stop, returning (nil, exitInfo) when it
-// terminated instead: polling for spinWait, then blocked.
+// terminated instead: polling for spinWait, then running idle, then
+// blocked.
 func (t *tracer) wait() (*syscall.WaitStatus, *exitInfo, error) {
 	var ws syscall.WaitStatus
 	spinUntil := time.Now().Add(spinWait)
 	for {
 		flags := syscall.WNOHANG
 		if time.Now().After(spinUntil) {
+			if idle := t.idle; idle != nil {
+				t.idle = nil
+				idle()
+				continue
+			}
 			flags = 0
 		}
 		pid, err := syscall.Wait4(t.pid, &ws, flags, nil)
@@ -444,11 +468,15 @@ func (t *tracer) FlipMemoryBit(addr uint64, mask byte) error {
 }
 
 // Resume continues the child to termination, forwarding signals, and
-// returns how it ended.
-func (t *tracer) Resume() (*exitInfo, error) {
+// returns how it ended. meanwhile, if not nil, runs at most once, the
+// first time the child runs on for longer than spinWait: a child that
+// stops at once on a fatal signal has it forwarded first.
+func (t *tracer) Resume(meanwhile func()) (*exitInfo, error) {
 	if t.reaped {
 		return t.lastState, nil
 	}
+	t.idle = meanwhile
+	defer func() { t.idle = nil }()
 	sig := 0
 	for {
 		ws, ei, err := t.waitStop(syscall.PtraceCont, sig)
@@ -492,13 +520,13 @@ func (t *tracer) kill() {
 	t.reaped = true
 }
 
-// Shutdown kills and reaps the child and closes its own output file,
+// Shutdown kills and reaps the child and closes its output descriptor,
 // guaranteeing no process or descriptor outlives the experiment.
 func (t *tracer) Shutdown() {
 	t.kill()
-	if t.ownOut {
+	if t.out != nil {
 		t.out.f.Close()
-		t.ownOut = false
+		t.out = nil
 	}
 }
 
@@ -579,8 +607,9 @@ func (z *zygote) step() (*syscall.WaitStatus, error) {
 	return ws, nil
 }
 
-// fork makes a child of the zygote standing at main.workload, stopped,
-// with its output file emptied. An error leaves the zygote unusable.
+// fork makes a child of the zygote standing at main.workload, stopped. It
+// leaves the output file as it is: an earlier child may still be writing
+// to it. An error leaves the zygote unusable.
 func (z *zygote) fork() (*tracer, error) {
 	regs := z.regs
 	regs.Rip = z.vi.syscallInsn
@@ -601,9 +630,9 @@ func (z *zygote) fork() (*tracer, error) {
 	if err != nil {
 		return nil, err
 	}
-	child := &tracer{pid: int(pid), out: z.tr.out}
+	child := &tracer{pid: int(pid)}
 	fail := func(err error) (*tracer, error) {
-		child.kill()
+		child.Shutdown()
 		return nil, err
 	}
 	// Out of the syscall, then back to main.workload.
@@ -628,6 +657,9 @@ func (z *zygote) fork() (*tracer, error) {
 	if err := syscall.PtraceSetRegs(child.pid, &z.regs); err != nil {
 		return fail(err)
 	}
+	if child.out, err = z.tr.out.dup(); err != nil {
+		return fail(err)
+	}
 	if z.gHead != nil {
 		// The child has no sysmon; undo the preemption request the
 		// zygote's sysmon made while it stood still. Left in place, it
@@ -638,7 +670,6 @@ func (z *zygote) fork() (*tracer, error) {
 			return fail(err)
 		}
 	}
-	z.tr.out.reset()
 	mForks.Inc()
 	return child, nil
 }

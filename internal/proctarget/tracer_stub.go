@@ -38,7 +38,7 @@ func (t *tracer) Step(uint64) (uint64, *exitInfo, error) { return 0, nil, errUna
 func (t *tracer) Regs() (regFile, error)                 { return regFile{}, errUnavailable }
 func (t *tracer) FlipRegisterBits([][2]int) error        { return errUnavailable }
 func (t *tracer) FlipMemoryBit(uint64, byte) error       { return errUnavailable }
-func (t *tracer) Resume() (*exitInfo, error)             { return nil, errUnavailable }
+func (t *tracer) Resume(func()) (*exitInfo, error)       { return nil, errUnavailable }
 func (t *tracer) Stdout() []byte                         { return nil }
 func (t *tracer) kill()                                  {}
 func (t *tracer) Shutdown()                              {}

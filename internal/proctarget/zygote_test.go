@@ -49,18 +49,20 @@ func TestProcForkExecConformance(t *testing.T) {
 	}
 	before := readCounters()
 	f0, e0 := spawns()
+	u0 := mSparesUnused.Value()
 	r0 := mExperiments.Value()
 	conformingRuns(t, conformanceSeeds, 120, "exec'd", bin, execBoard, "forked", bin, forkBoard)
 	f1, e1 := spawns()
 	forks, execs, runs := f1-f0, e1-e0, mExperiments.Value()-r0
 	// Three seeds, each run once a side. A run is one spawn: an exec on
 	// the exec'd side, a fork on the forked side, whose boards (reference
-	// and worker) exec one zygote each. An arrival mismatch adds its redo:
+	// and worker) exec one zygote each; each worker also forks a spare for
+	// an experiment that never comes. An arrival mismatch adds its redo:
 	// an exec, or a fork from a newly exec'd zygote.
-	half, m := runs/2, readCounters().since(before).mismatch
-	if forks < half || forks > half+m || execs != half+3*2+m {
-		t.Fatalf("%d runs, %d mismatches: %d forks, %d execs; want %d forks (+ up to %d) and %d execs",
-			runs, m, forks, execs, half, m, half+3*2+m)
+	half, m, u := runs/2, readCounters().since(before).mismatch, mSparesUnused.Value()-u0
+	if u != 3 || forks < half+u || forks > half+u+m || execs != half+3*2+m {
+		t.Fatalf("%d runs, %d mismatches, %d spares unused: %d forks, %d execs; want %d forks (+ up to %d) and %d execs",
+			runs, m, u, forks, execs, half+u, m, half+3*2+m)
 	}
 }
 
@@ -155,7 +157,7 @@ func TestProcVictimThatForks(t *testing.T) {
 			t.Fatalf("seq %d: outcome %q", seq, ex.Result.Outcome.Status)
 		}
 	}
-	onlyZygote(t, tgt)
+	onlyZygote(t, tgt, true)
 }
 
 // TestProcArrivalCheckTakesTheChildsOwnStart: a register the workload has
@@ -221,5 +223,121 @@ func TestProcLockedVictimThatParks(t *testing.T) {
 	}
 	if !vi.noFork.Load() {
 		t.Fatal("the locked victim's children were still forked")
+	}
+}
+
+// TestProcReferenceOutputIsATracedRuns: runtimeenv prints the GOMAXPROCS
+// its runtime took and the GODEBUG and GOTRACEBACK it was given. Whatever
+// the operator has set, the reference output is captured in the
+// environment every traced run has, so a fault-free forked child prints
+// it byte for byte and a campaign on the victim finds masked runs.
+func TestProcReferenceOutputIsATracedRuns(t *testing.T) {
+	bin := privateVictim(t, "runtimeenv")
+	t.Setenv("GOMAXPROCS", "3")
+	t.Setenv("GODEBUG", "gctrace=0")
+	t.Setenv("GOTRACEBACK", "all")
+	vi, err := loadVictim(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := vi.referenceStdout(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `gomaxprocs=1 godebug="asyncpreemptoff=1,dontfreezetheworld=1" gotraceback="single"`; !bytes.Contains(ref, []byte(want)) {
+		t.Fatalf("reference output %q, want it to show %s", ref, want)
+	}
+	tgt := newTarget(t)
+	camp := procCampaign(bin, RegisterChainName, 2_000_000)
+	camp.RandomWindow = [2]uint64{1, 200}
+	ex := runExperiment(t, tgt, camp, 0, nil, 50)
+	if got := ex.Result.Memory["stdout"]; !tgt.forked || !bytes.Equal(got, ref) {
+		t.Fatalf("fault-free child (forked %v) printed %q, reference %q", tgt.forked, got, ref)
+	}
+	if st := ex.Result.Outcome.Status; st != campaign.OutcomeMasked {
+		t.Fatalf("fault-free child classified %s", st)
+	}
+	outcomes, _, err := procRun(t, bin, 3, 60, 0, procBoard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := make(map[campaign.OutcomeStatus]int)
+	for _, o := range outcomes {
+		classes[o]++
+	}
+	if classes[campaign.OutcomeMasked] == 0 {
+		t.Fatalf("no run of 60 masked: %v", classes)
+	}
+}
+
+// TestProcCrashKeepsItsTraceback: a flipped top bit of rip makes the
+// next instruction fetch fault, on a forked child and an exec'd one
+// alike. The Go runtime turns that into a fatal error: exit 2, and a
+// capture that still carries the fatal line and the crashing goroutine's
+// traceback — the operator's diagnostic, in the victims' environment.
+func TestProcCrashKeepsItsTraceback(t *testing.T) {
+	bin := victimBin(t, "matmul")
+	m := RegisterMap()
+	loc, err := m.Find("special.rip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := &faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{loc.Offset}}
+	panicLine := regexp.MustCompile(`(?m)^(panic|fatal error): `)
+	traceback := regexp.MustCompile(`(?m)^goroutine \d+ (.* )?\[running\]:$`)
+	for _, exec := range []bool{false, true} {
+		tgt := newTarget(t)
+		tgt.exec = exec
+		camp := procCampaign(bin, RegisterChainName, 2_000_000)
+		camp.RandomWindow = [2]uint64{1, 200}
+		for seq := 0; seq < 3; seq++ {
+			ex := runExperiment(t, tgt, camp, seq, fault, uint64(5+40*seq))
+			out, stdout := ex.Result.Outcome, ex.Result.Memory["stdout"]
+			if tgt.forked == exec || out.Status != campaign.OutcomeCrash || out.Mechanism != "exit:2" {
+				t.Fatalf("exec'd %v, seq %d: forked %v, outcome %s (%s); want a crash, exit:2", exec, seq, tgt.forked, out.Status, out.Mechanism)
+			}
+			if !panicLine.Match(stdout) || !traceback.Match(stdout) {
+				t.Fatalf("exec'd %v, seq %d: the crash's capture lacks its panic line or traceback:\n%s", exec, seq, stdout)
+			}
+		}
+	}
+}
+
+// TestProcLockedVictimGetsNoSpare: sleeper's children are exec'd (its
+// forked reference run hangs), so its worker board never forks a spare.
+func TestProcLockedVictimGetsNoSpare(t *testing.T) {
+	bin := privateVictim(t, "sleeper")
+	used, unused := mSparesUsed.Value(), mSparesUnused.Value()
+	f0, _ := spawns()
+	outcomes, _, err := procRun(t, bin, 5, 10, 0, procBoard)
+	if err != nil || len(outcomes) != 10 {
+		t.Fatalf("campaign: %v, %d outcomes", err, len(outcomes))
+	}
+	f1, _ := spawns()
+	// The one fork is the reference run's, before its victim was found
+	// not to survive one.
+	if u, n := mSparesUsed.Value()-used, mSparesUnused.Value()-unused; u != 0 || n != 0 || f1-f0 != 1 {
+		t.Fatalf("%d spares used, %d unused, %d forks; want 0, 0, 1", u, n, f1-f0)
+	}
+}
+
+// TestProcCaptureHoldsOnlyItsChild: a child that wrote its output and
+// ended without the capture being read — an experiment that failed after
+// its child ran — leaves nothing in the next child's capture: the shared
+// output file is emptied when a child becomes an experiment's.
+func TestProcCaptureHoldsOnlyItsChild(t *testing.T) {
+	bin := victimBin(t, "chatty")
+	tgt := newTarget(t)
+	camp := procCampaign(bin, MemoryChainName, 5_000_000)
+	camp.RandomWindow = [2]uint64{1, 10}
+	arrive(t, tgt, camp, 3)
+	first := tgt.LastPID()
+	if err := tgt.on(func() error { _, err := tgt.tr.Resume(nil); return err }); err != nil {
+		t.Fatal(err)
+	}
+	ex := runExperiment(t, tgt, camp, 1, nil, 3)
+	if got := ex.Result.Memory["stdout"]; bytes.Contains(got, []byte(fmt.Sprintf("pid=%d\n", first))) ||
+		!bytes.HasPrefix(got, []byte(fmt.Sprintf("chatty begins\nchatty pid=%d\n", tgt.LastPID()))) {
+		t.Fatalf("capture of child %d after child %d: head %q", tgt.LastPID(), first, got[:min(len(got), 60)])
 	}
 }
