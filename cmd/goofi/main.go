@@ -726,16 +726,18 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 			sum.PlanHash)
 	}
 	if ts := proctarget.ReadTriggerStats(); ts.Experiments > 0 {
-		// What reaching the injection points cost: counted breakpoint
-		// stops along the victim's prefix trace, single-steps (recording
-		// the trace included), and experiments that had to be stepped;
-		// then how the victims were started: forked from a board's
-		// zygote, or exec'd (zygotes, prefix recordings, the reference
-		// output), over how many experiment runs, and how many spares
-		// were forked for an experiment that never took them.
+		// What reaching the injection points cost: breakpoint stops along
+		// the victim's prefix trace, single-steps (recording the trace
+		// included), how the guided experiments got there — counted by a
+		// hardware breakpoint or hopping int3s where the kernel refused
+		// one — and experiments that had to be stepped; then how the
+		// victims were started: forked from a board's zygote, or exec'd
+		// (zygotes, prefix recordings, the reference output), over how
+		// many experiment runs, and how many spares were forked for an
+		// experiment that never took them.
 		n := float64(ts.Experiments)
-		fmt.Printf("  trigger: %.1f breakpoint stops and %.2f single-steps per experiment, %d fallbacks to stepping; %d forks, %d execs over %d runs; %d spares unused\n",
-			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Fallbacks, ts.Forks, ts.Execs, ts.Experiments, ts.SparesUnused)
+		fmt.Printf("  trigger: %.2f breakpoint stops and %.2f single-steps per experiment, %d guides counted and %d by int3 hops, %d fallbacks to stepping; %d forks, %d execs over %d runs; %d spares unused\n",
+			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Counted, ts.Int3, ts.Fallbacks, ts.Forks, ts.Execs, ts.Experiments, ts.SparesUnused)
 		// Where a run's time went: the mean from resume to reap, by class.
 		classes := make([]string, 0, len(ts.Run))
 		for class, d := range ts.Run {

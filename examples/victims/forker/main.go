@@ -1,3 +1,5 @@
+//go:build linux && amd64
+
 // forker is a proctarget victim whose workload forks: the child exits at
 // once with status 7, and the workload waits for it. proctarget traces
 // the victim it started and nothing the victim starts, so the

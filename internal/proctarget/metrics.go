@@ -40,8 +40,14 @@ var (
 	mSteps = telemetry.NewCounter("goofi_proc_singlesteps_total",
 		"PTRACE_SINGLESTEP requests issued: recording prefix traces, and reaching injection points where no trace guides there.")
 	mStops = telemetry.NewCounter("goofi_proc_trigger_stops_total",
-		"Breakpoint stops spent reaching injection points along a prefix trace.")
-	mFallbacks = telemetry.NewCounterVec("goofi_proc_trigger_fallbacks_total",
+		"Ptrace stops at breakpoints spent reaching injection points along a prefix trace: one per counted guide (the hardware counts the hits before the last), one per hop of an int3 guide.")
+	mGuides = telemetry.NewCounterVec("goofi_proc_guides_total",
+		"Experiments guided to their injection point along a prefix trace, by how: counted (one hardware breakpoint that stops at the last of the hits) or int3 (hops from one int3 to the next, where the kernel refused the breakpoint).", "how")
+	// Both children exist from the start, so a campaign counted throughout
+	// exports a zero for int3, not an absent series.
+	mGuidesCounted = mGuides.With("counted")
+	mGuidesInt3    = mGuides.With("int3")
+	mFallbacks     = telemetry.NewCounterVec("goofi_proc_trigger_fallbacks_total",
 		"Experiments whose injection point was reached by single-stepping instead of along a prefix trace, by reason.", "reason")
 	// Both children exist from the start, so a campaign without
 	// fallbacks exports two zeros, not two absent series.
@@ -54,6 +60,8 @@ var (
 type TriggerStats struct {
 	Experiments uint64 // victims run for experiments (reference runs included)
 	Stops       uint64 // breakpoint stops along prefix traces
+	Counted     uint64 // experiments guided by a counting hardware breakpoint
+	Int3        uint64 // experiments guided by int3 hops
 	SingleSteps uint64 // PTRACE_SINGLESTEP requests, recording included
 	Fallbacks   uint64 // experiments single-stepped for want of a usable trace
 	Forks       uint64 // children forked from zygotes, spares included
@@ -71,6 +79,8 @@ func ReadTriggerStats() TriggerStats {
 	ts := TriggerStats{
 		Experiments:  mExperiments.Value(),
 		Stops:        mStops.Value(),
+		Counted:      mGuidesCounted.Value(),
+		Int3:         mGuidesInt3.Value(),
 		SingleSteps:  mSteps.Value(),
 		Fallbacks:    mFallbackNondeterministic.Value() + mFallbackMismatch.Value(),
 		Forks:        mForks.Value(),

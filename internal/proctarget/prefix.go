@@ -1,6 +1,7 @@
 package proctarget
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -13,12 +14,14 @@ import (
 // fault-free prefix of a deterministic victim is the same every time,
 // so it is recorded once per binary — program counter and register file
 // after every instruction — and an experiment reaches step N as "the
-// k-th arrival at trace[N]'s program counter": plant an int3 there,
-// continue through its k recorded occurrences, and check on arrival
-// that the registers are the recorded ones. Whether that works is
-// observed, never configured: a victim whose two recordings disagree is
-// single-stepped, and an arrival that fails its check is redone by
-// single-stepping.
+// k-th arrival at trace[N]'s program counter": a hardware breakpoint
+// there counts the k recorded occurrences and stops the child at the
+// last, and the registers there are checked against the recorded ones.
+// Where the kernel gives no counting breakpoint, int3s hop from one
+// occurrence to the next. Whether any of it works is observed, never
+// configured: a victim whose two recordings disagree is single-stepped,
+// an arrival that fails its check is redone by single-stepping, and the
+// hops are taken where the kernel refused the breakpoint.
 
 // maxTraceSteps caps the recorded prefix (time to record it twice, and
 // memory: one regFile per step). Injection points beyond it are guided
@@ -224,13 +227,18 @@ func (vi *victimInfo) plantable(pc uint64) bool {
 	return pc >= vi.workload && pc < vi.workloadEnd
 }
 
+// errEventRefused: the kernel will not give a child a counting
+// breakpoint (tracer.ContToCount).
+var errEventRefused = errors.New("proctarget: the kernel refused a counting breakpoint")
+
 // guide advances the child, stopped at the workload breakpoint, along
 // the prefix trace towards step budget: to the last recorded step at or
 // before it whose program counter is plantable (the rest — a tail
 // beyond the trace, a callee outside main.workload — is for the caller
 // to single-step). done is that step's index. arrived is false when the
 // child terminated on the way or its registers at done are not the
-// recorded ones.
+// recorded ones. The child is counted there (count), or, once the kernel
+// has refused the Target a counting breakpoint, hops there by int3s (hop).
 func (t *Target) guide(budget uint64) (done uint64, arrived bool, err error) {
 	tr := t.trace
 	goal := len(tr.regs) - 1
@@ -240,10 +248,78 @@ func (t *Target) guide(budget uint64) (done uint64, arrived bool, err error) {
 	for !t.vi.plantable(tr.pc(goal)) {
 		goal-- // ends at step 0 at the latest: the breakpoint itself
 	}
+	var cur int
+	how := mGuidesCounted
+	if !t.int3 {
+		if cur, err = t.count(goal); errors.Is(err, errEventRefused) {
+			t.int3 = true // the refusal is the host's: never ask again
+		}
+	}
+	if t.int3 {
+		how = mGuidesInt3
+		cur, err = t.hop(goal)
+	}
+	if err != nil || cur != goal {
+		return uint64(cur), false, err
+	}
+	how.Inc() // only a guide that got there counts as one
+	now, err := t.tr.Regs()
+	if err != nil {
+		return uint64(goal), false, err
+	}
+	return uint64(goal), tr.matches(goal, &t.start, &now), nil
+}
+
+// arrivals says which execution of step goal's program counter a
+// hardware breakpoint there counts step goal as: the k-th, at step first.
+// Step 0 is one of them if it is at that address: the child stands on it,
+// and the breakpoint fires before the instruction runs. A step that
+// repeats its predecessor's address is an iteration of a rep-prefixed
+// instruction, which fires the breakpoint once, at the first: so k counts
+// runs of the address, and first is where goal's run starts.
+func (tr *prefixTrace) arrivals(goal int) (k uint64, first int) {
+	target := tr.pc(goal)
+	for i := 0; i <= goal; i++ {
+		if tr.pc(i) == target && (i == 0 || tr.pc(i-1) != target) {
+			k, first = k+1, i
+		}
+	}
+	return k, first
+}
+
+// count takes the child to step goal with one ptrace stop, at the k-th
+// execution of goal's program counter (arrivals), and single-steps it
+// from there to goal. cur is how far the child is known to have got.
+func (t *Target) count(goal int) (cur int, err error) {
+	target := t.trace.pc(goal)
+	k, cur := t.trace.arrivals(goal)
+	if cur > 0 {
+		hit, _, err := t.tr.ContToCount(target, k)
+		if errors.Is(err, errEventRefused) {
+			return 0, err
+		}
+		mStops.Inc()
+		if err != nil || !hit {
+			return 0, err
+		}
+	}
+	steps, ei, err := t.tr.Step(uint64(goal - cur))
+	if err != nil || ei != nil {
+		return cur + int(steps), err
+	}
+	return goal, nil
+}
+
+// hop takes the child to step goal by int3s: it plants one on the next
+// address the recording reaches goal's by and continues to it, one ptrace
+// stop a hop, and where the child stands on goal's address already, it
+// first hops to the recorded successor. cur is how far the child got.
+func (t *Target) hop(goal int) (cur int, err error) {
+	tr := t.trace
 	target := tr.pc(goal)
 	var stops uint64
 	defer func() { mStops.Add(stops) }()
-	for cur := 0; cur < goal; {
+	for cur < goal {
 		bp, next := target, cur+1
 		if tr.pc(cur) != target {
 			for tr.pc(next) != target {
@@ -255,23 +331,19 @@ func (t *Target) guide(budget uint64) (done uint64, arrived bool, err error) {
 			// to the recorded successor's own int3 — except where the
 			// successor is the same address (rep) or not plantable.
 			if _, ei, err := t.tr.Step(1); err != nil || ei != nil {
-				return uint64(cur), false, err
+				return cur, err
 			}
 			cur = next
 			continue
 		}
 		if err := t.tr.SetBreakpoint(bp); err != nil {
-			return uint64(cur), false, err
+			return cur, err
 		}
 		stops++
 		if hit, _, err := t.tr.ContToBreakpoint(); err != nil || !hit {
-			return uint64(cur), false, err
+			return cur, err
 		}
 		cur = next
 	}
-	now, err := t.tr.Regs()
-	if err != nil {
-		return uint64(goal), false, err
-	}
-	return uint64(goal), tr.matches(goal, &t.start, &now), nil
+	return goal, nil
 }

@@ -106,26 +106,30 @@ func arrive(t *testing.T, tgt *Target, camp *campaign.Campaign, budget uint64) r
 	return rf
 }
 
-// counters snapshots the trigger counters with the fallbacks by reason.
+// counters snapshots the trigger counters: breakpoint stops,
+// single-steps, the fallbacks by reason and the guides by how.
 type counters struct {
-	stops, steps, nondet, mismatch uint64
+	stops, steps, nondet, mismatch, counted, int3 uint64
 }
 
 func readCounters() counters {
 	return counters{mStops.Value(), mSteps.Value(),
-		mFallbackNondeterministic.Value(), mFallbackMismatch.Value()}
+		mFallbackNondeterministic.Value(), mFallbackMismatch.Value(),
+		mGuidesCounted.Value(), mGuidesInt3.Value()}
 }
 
 func (c counters) since(b counters) counters {
-	return counters{c.stops - b.stops, c.steps - b.steps, c.nondet - b.nondet, c.mismatch - b.mismatch}
+	return counters{c.stops - b.stops, c.steps - b.steps, c.nondet - b.nondet, c.mismatch - b.mismatch,
+		c.counted - b.counted, c.int3 - b.int3}
 }
 
 // TestProcGuidedArrivalDifferential: for every N in the window, a child
-// guided to step N by counted breakpoint hits stands where a
-// single-stepped child stands after N instructions — same rip, same
-// registers up to the stack displacement — and got there without a
-// single-step or a fallback. The guided children are forked from a
-// zygote that stands still for the whole loop; the stepped one is exec'd.
+// guided to step N stands where a single-stepped child stands after N
+// instructions — same rip, every register the same up to the stack
+// displacement, eflags included — and got there without a single-step or
+// a fallback: counted there by a hardware breakpoint with one stop, or
+// hopped there by int3s. The guided children are forked from a zygote
+// that stands still for the whole loop; the stepped one is exec'd.
 func TestProcGuidedArrivalDifferential(t *testing.T) {
 	const window = 200
 	for _, name := range []string{"matmul", "loop"} {
@@ -146,44 +150,82 @@ func TestProcGuidedArrivalDifferential(t *testing.T) {
 			}
 			camp := procCampaign(bin, RegisterChainName, 5_000_000)
 			camp.RandomWindow = [2]uint64{1, window + 1}
-			tgt := newTarget(t)
-			arrive(t, tgt, camp, 1) // records the trace if no earlier test did
-			before := readCounters()
-			for n := uint64(1); n <= window; n++ {
-				got := arrive(t, tgt, camp, n)
-				if got[slotRIP] != stepped.pc(int(n)) {
-					t.Fatalf("N=%d: guided rip %#x, stepped rip %#x", n, got[slotRIP], stepped.pc(int(n)))
-				}
-				// Registers the victim does not reproduce between children
-				// (none on matmul) cannot be compared on a third one either.
-				diff := diffRegs(&stepped.regs[n], &got) &^ tgt.trace.loose[n]
-				// A register the stepped child has not written yet holds
-				// what the runtime left in it, and a separate exec can leave
-				// another value there: it must hold the guided child's own.
-				for s := range got {
-					if int(n) < stepped.held[s] {
-						diff &^= 1 << s
-						if got[s] != tgt.start[s] {
-							diff |= 1 << s
+			for _, guide := range []string{"counted", "int3"} {
+				int3 := guide == "int3"
+				t.Run(guide, func(t *testing.T) {
+					if !int3 {
+						skipUnlessCounting(t)
+					}
+					tgt := newTarget(t)
+					tgt.int3 = int3
+					arrive(t, tgt, camp, 1) // records the trace if no earlier test did
+					before := readCounters()
+					for n := uint64(1); n <= window; n++ {
+						got := arrive(t, tgt, camp, n)
+						if got[slotRIP] != stepped.pc(int(n)) {
+							t.Fatalf("N=%d: guided rip %#x, stepped rip %#x", n, got[slotRIP], stepped.pc(int(n)))
+						}
+						// Registers the victim does not reproduce between
+						// children (none on matmul) cannot be compared on a
+						// third one either.
+						diff := diffRegs(&stepped.regs[n], &got) &^ tgt.trace.loose[n]
+						// A register the stepped child has not written yet
+						// holds what the runtime left in it, and a separate
+						// exec can leave another value there: it must hold
+						// the guided child's own.
+						for s := range got {
+							if int(n) < stepped.held[s] {
+								diff &^= 1 << s
+								if got[s] != tgt.start[s] {
+									diff |= 1 << s
+								}
+							}
+						}
+						if diff != 0 {
+							t.Fatalf("N=%d: slots %#b differ\nguided registers  %#x\nstepped registers %#x", n, diff, got, stepped.regs[n])
+						}
+						if name == "matmul" && tgt.trace.loose[n] != 0 {
+							t.Fatalf("N=%d: matmul's recordings disagreed on slots %#b", n, tgt.trace.loose[n])
 						}
 					}
-				}
-				if diff != 0 {
-					t.Fatalf("N=%d: slots %#b differ\nguided registers  %#x\nstepped registers %#x", n, diff, got, stepped.regs[n])
-				}
-				if name == "matmul" && tgt.trace.loose[n] != 0 {
-					t.Fatalf("N=%d: matmul's recordings disagreed on slots %#b", n, tgt.trace.loose[n])
-				}
+					d := readCounters().since(before)
+					if d.steps != 0 || d.nondet != 0 || d.mismatch != 0 {
+						t.Fatalf("guided arrivals cost %d single-steps, %d+%d fallbacks; want none", d.steps, d.nondet, d.mismatch)
+					}
+					if int3 && (d.int3 != window || d.counted != 0 || d.stops < window) {
+						t.Fatalf("%d guides by int3 hops, %d counted, %d stops; want %d, none, at least one an arrival",
+							d.int3, d.counted, d.stops, window)
+					}
+					if !int3 && (d.counted != window || d.int3 != 0 || d.stops != window) {
+						t.Fatalf("%d guides counted, %d by int3 hops, %d stops; want %d, none, one an arrival",
+							d.counted, d.int3, d.stops, window)
+					}
+					t.Logf("%s, %s: %.1f breakpoint stops per arrival", name, guide, float64(d.stops)/window)
+				})
 			}
-			d := readCounters().since(before)
-			if d.steps != 0 || d.nondet != 0 || d.mismatch != 0 {
-				t.Fatalf("guided arrivals cost %d single-steps, %d+%d fallbacks; want none", d.steps, d.nondet, d.mismatch)
-			}
-			if d.stops == 0 {
-				t.Fatal("no breakpoint stops counted: the arrivals were not guided")
-			}
-			t.Logf("%s: %.1f breakpoint stops per arrival", name, float64(d.stops)/window)
 		})
+	}
+}
+
+// TestPrefixArrivals: the counting breakpoint of step goal is set for the
+// k-th execution of goal's address, step 0 included, a run of repeats of
+// one address (a rep-prefixed instruction's iterations) counting once, at
+// its first step.
+func TestPrefixArrivals(t *testing.T) {
+	const a, b, c = 0x10, 0x20, 0x30
+	pcs := []uint64{a, b, a, c, c, c, a, b, c}
+	tr := &prefixTrace{regs: make([]regFile, len(pcs))}
+	for i, pc := range pcs {
+		tr.regs[i][slotRIP] = pc
+	}
+	for _, tc := range []struct {
+		goal  int
+		k     uint64
+		first int
+	}{{0, 1, 0}, {1, 1, 1}, {2, 2, 2}, {3, 1, 3}, {5, 1, 3}, {6, 3, 6}, {7, 2, 7}, {8, 2, 8}} {
+		if k, first := tr.arrivals(tc.goal); k != tc.k || first != tc.first {
+			t.Errorf("step %d: arrival %d at step %d, want %d at step %d", tc.goal, k, first, tc.k, tc.first)
+		}
 	}
 }
 
@@ -365,34 +407,52 @@ func procBoard() core.TargetSystem {
 // 120-experiment campaigns.
 var conformanceSeeds = []int64{11, 2026, 77003}
 
-// conformingRuns runs seeded n-experiment campaigns on two kinds of board
-// and holds them to the conformance bar: every sequence number gets the
-// same outcome class, or, since a live process is not bound to repeat,
-// each class's proportions over all seeds agree within their 95% Wilson
-// intervals. It returns the two histograms.
+// seededRuns runs seeded n-experiment campaigns on one kind of board and
+// returns each campaign's outcome classes by experiment name.
+func seededRuns(t *testing.T, seeds []int64, n int, bin string, board func() core.TargetSystem) []map[string]campaign.OutcomeStatus {
+	t.Helper()
+	runs := make([]map[string]campaign.OutcomeStatus, len(seeds))
+	for i, seed := range seeds {
+		outcomes, _, err := procRun(t, bin, seed, n, 0, board)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outcomes) != n {
+			t.Fatalf("seed %d: %d outcomes, want %d", seed, len(outcomes), n)
+		}
+		runs[i] = outcomes
+	}
+	return runs
+}
+
+// conformingRuns runs seeded n-experiment campaigns on two kinds of board,
+// a seed on one and then on the other, and holds them to the conformance
+// bar (conform).
 func conformingRuns(t *testing.T, seeds []int64, n int, aName, aBin string, aBoard func() core.TargetSystem,
 	bName, bBin string, bBoard func() core.TargetSystem) (a, b map[campaign.OutcomeStatus]int) {
+	t.Helper()
+	var aRuns, bRuns []map[string]campaign.OutcomeStatus
+	for _, seed := range seeds {
+		aRuns = append(aRuns, seededRuns(t, []int64{seed}, n, aBin, aBoard)...)
+		bRuns = append(bRuns, seededRuns(t, []int64{seed}, n, bBin, bBoard)...)
+	}
+	return conform(t, seeds, aName, aRuns, bName, bRuns)
+}
+
+// conform holds two sides' runs of the same seeded campaigns to the
+// conformance bar: every sequence number gets the same outcome class, or,
+// since a live process is not bound to repeat, each class's proportions
+// over all seeds agree within their 95% Wilson intervals. It returns the
+// two histograms.
+func conform(t *testing.T, seeds []int64, aName string, aRuns []map[string]campaign.OutcomeStatus,
+	bName string, bRuns []map[string]campaign.OutcomeStatus) (a, b map[campaign.OutcomeStatus]int) {
 	t.Helper()
 	a = make(map[campaign.OutcomeStatus]int)
 	b = make(map[campaign.OutcomeStatus]int)
 	total, differing := 0, 0
-	for _, seed := range seeds {
-		var runs [2]map[string]campaign.OutcomeStatus
-		for i, side := range []struct {
-			bin   string
-			board func() core.TargetSystem
-		}{{aBin, aBoard}, {bBin, bBoard}} {
-			outcomes, _, err := procRun(t, side.bin, seed, n, 0, side.board)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(outcomes) != n {
-				t.Fatalf("seed %d: %d outcomes, want %d", seed, len(outcomes), n)
-			}
-			runs[i] = outcomes
-		}
-		for name, ao := range runs[0] {
-			bo := runs[1][name]
+	for i, seed := range seeds {
+		for name, ao := range aRuns[i] {
+			bo := bRuns[i][name]
 			total++
 			a[ao]++
 			b[bo]++
@@ -437,7 +497,14 @@ func TestProcSteppedGuidedConformance(t *testing.T) {
 		total += n
 	}
 	d := readCounters().since(before)
-	if d.mismatch != 0 || d.nondet != uint64(total) || d.stops == 0 {
-		t.Fatalf("fallbacks mismatch=%d nondet=%d (want 0, %d: the stepped half), stops=%d", d.mismatch, d.nondet, total, d.stops)
+	// The guided half is counted, or hops int3s where the kernel refuses
+	// the counting breakpoint.
+	counted, int3 := d.counted, d.int3
+	if countingRefused() != nil {
+		counted, int3 = int3, counted
+	}
+	if d.mismatch != 0 || d.nondet != uint64(total) || counted != uint64(total) || int3 != 0 {
+		t.Fatalf("fallbacks mismatch=%d nondet=%d (want 0, %d: the stepped half), guides counted %d and by int3 %d (want all %d by the host's guide)",
+			d.mismatch, d.nondet, total, d.counted, d.int3, total)
 	}
 }

@@ -3,10 +3,10 @@
 // — forked, under Linux ptrace, from a copy of the victim its board
 // exec'd once and stopped at the workload symbol — that is stopped at a
 // seeded injection point (an instruction count drawn from the campaign's
-// random window, reached by counting breakpoint hits along a recorded
-// fault-free prefix trace — prefix.go), a register or memory bit is
-// flipped, execution resumes, and the termination is classified into the
-// ZOFI outcome taxonomy — masked, sdc, crash, hang.
+// random window, reached by a hardware breakpoint that counts the hits
+// along a recorded fault-free prefix trace — prefix.go), a register or
+// memory bit is flipped, execution resumes, and the termination is
+// classified into the ZOFI outcome taxonomy — masked, sdc, crash, hang.
 //
 // proctarget is the first GOOFI target whose outcomes are not
 // byte-reproducible: a live process is subject to OS scheduling and
@@ -350,6 +350,10 @@ type Target struct {
 	// prefix recordings are, never forked (the other half of the
 	// fork-vs-exec conformance test).
 	exec bool
+	// int3: the child is guided to the injection point by int3 hops, not
+	// counted there (prefix.go's guide): the kernel refused this Target a
+	// counting breakpoint, or a test asked for the hops.
+	int3 bool
 
 	mu sync.Mutex
 	th *thread // nil until InitTestCard, and after Close

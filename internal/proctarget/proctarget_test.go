@@ -65,6 +65,16 @@ func victimBin(t *testing.T, name string) string {
 	return bin
 }
 
+// skipUnlessCounting skips a test of the counted guide where the kernel
+// refuses the counting breakpoint (perf_event_paranoid above 2, no
+// breakpoint PMU): the guide hops int3s there, and their tests still run.
+func skipUnlessCounting(t *testing.T) {
+	t.Helper()
+	if err := countingRefused(); err != nil {
+		t.Skipf("no counting breakpoint here: %v", err)
+	}
+}
+
 // newTarget builds a proc target that is closed when the test ends, so
 // no zygote of one test is left for another test's /proc scan to find.
 func newTarget(t *testing.T) *Target {

@@ -16,10 +16,11 @@ import (
 )
 
 // The tracer holds the ptrace primitives one traced child is driven
-// with: start it, plant an int3 and continue to it (byte restored, rip
-// rewound on arrival), single-step, read and flip registers and memory,
-// continue to termination, reap. The Target composes them into the
-// injection state machine (proctarget.go).
+// with: start it, continue it to the k-th execution of an address counted
+// by a hardware breakpoint, plant an int3 and continue to it (byte
+// restored, rip rewound on arrival), single-step, read and flip registers
+// and memory, continue to termination, reap. The Target composes them
+// into the injection state machine (proctarget.go).
 //
 // A child comes into being one of two ways. Exec (startTraced): the
 // victim is started under PTRACE_TRACEME and stops before its first
@@ -67,9 +68,10 @@ import (
 const ptraceOptExitKill = 0x00100000
 
 const (
-	sysMemfdCreate = 319 // memfd_create on amd64
-	mfdCloexec     = 1
-	rlimitFsize    = 1 // RLIMIT_FSIZE
+	sysMemfdCreate     = 319 // memfd_create on amd64
+	sysProcessVMWritev = 311 // process_vm_writev on amd64
+	mfdCloexec         = 1
+	rlimitFsize        = 1 // RLIMIT_FSIZE
 )
 
 // The Go runtime's view of the main goroutine at main.workload: r14 holds
@@ -295,6 +297,132 @@ func (t *tracer) waitStop(resume func(pid, sig int) error, sig int) (*syscall.Wa
 	return t.wait()
 }
 
+// The counting breakpoint is a perf event of type PERF_TYPE_BREAKPOINT on
+// the child's thread: an execution breakpoint at an address, its sample
+// period the number of executions to count. The CPU's debug registers
+// catch each execution, which costs a trip into the kernel and none to the
+// tracer; the k-th overflows the period, and the kernel sends the thread a
+// SIGTRAP (sigtrap) with si_code TRAP_PERF, which stops it for its tracer
+// before the instruction runs.
+const (
+	perfTypeBreakpoint = 5 // PERF_TYPE_BREAKPOINT
+	hwBreakpointX      = 4 // HW_BREAKPOINT_X
+	perfFlagFDCloexec  = 8 // PERF_FLAG_FD_CLOEXEC
+	// perf_event_attr's flag bits.
+	attrExcludeKernel = 1 << 5
+	attrExcludeHV     = 1 << 6
+	attrRemoveOnExec  = 1 << 36
+	attrSigtrap       = 1 << 37
+	trapPerf          = 6 // si_code of a perf event's SIGTRAP
+	// eflagsRF is the resume flag. The kernel sets it in the eflags of a
+	// thread stopped at an execution breakpoint, so that the instruction
+	// does not trap again when it runs.
+	eflagsRF = 1 << 16
+)
+
+// perfEventAttr is struct perf_event_attr as far as sig_data
+// (PERF_ATTR_SIZE_VER7, Linux 5.13, the first with sigtrap).
+type perfEventAttr struct {
+	typ          uint32
+	size         uint32
+	config       uint64
+	samplePeriod uint64
+	sampleType   uint64
+	readFormat   uint64
+	flags        uint64
+	wakeupEvents uint32
+	bpType       uint32
+	bpAddr       uint64
+	bpLen        uint64
+	_            [7]uint64 // branch_sample_type … sig_data
+}
+
+// perfEventOpen opens a counting breakpoint on thread pid at addr with
+// sample period k, counting on any CPU, in no group. It is a variable so
+// that tests can stand in for a kernel that refuses the event.
+var perfEventOpen = func(pid int, addr, k uint64) (fd int, err error) {
+	attr := perfEventAttr{
+		typ:          perfTypeBreakpoint,
+		samplePeriod: k,
+		flags:        attrExcludeKernel | attrExcludeHV | attrRemoveOnExec | attrSigtrap,
+		bpType:       hwBreakpointX,
+		bpAddr:       addr,
+		bpLen:        8, // x86 takes an execution breakpoint only of sizeof(long)
+	}
+	attr.size = uint32(unsafe.Sizeof(attr))
+	r, _, errno := syscall.Syscall6(syscall.SYS_PERF_EVENT_OPEN, uintptr(unsafe.Pointer(&attr)),
+		uintptr(pid), ^uintptr(0), ^uintptr(0), perfFlagFDCloexec, 0)
+	if errno != 0 {
+		return -1, errno
+	}
+	return int(r), nil
+}
+
+// refusal reports whether the kernel's answer to a counting breakpoint
+// says this host gives none: not permitted (perf_event_paranoid above 2,
+// a seccomp filter), no breakpoint PMU or no free debug register, no
+// perf_event_open, or a kernel older than sigtrap (EINVAL for a flag it
+// does not know).
+func refusal(err error) bool {
+	switch err {
+	case syscall.EACCES, syscall.EPERM, syscall.ENOENT, syscall.ENODEV, syscall.ENOSPC,
+		syscall.ENOSYS, syscall.EINVAL:
+		return true
+	}
+	return false
+}
+
+// ContToCount continues the child to its k-th execution of addr with one
+// ptrace stop, at the last, before the instruction runs; a hardware
+// breakpoint counts the ones before. The instruction the child stands on
+// when it is continued counts if it is at addr. The child is left with its
+// resume flag clear, as a child stopped any other way is. hit is false
+// when the child terminated first. A kernel that refuses the event gets
+// errEventRefused back, and the child has not moved.
+func (t *tracer) ContToCount(addr, k uint64) (hit bool, ei *exitInfo, err error) {
+	fd, err := perfEventOpen(t.pid, addr, k)
+	if err != nil {
+		if refusal(err) {
+			return false, nil, fmt.Errorf("%w: %w", errEventRefused, err)
+		}
+		return false, nil, fmt.Errorf("proctarget: counting breakpoint at %#x: %w", addr, err)
+	}
+	// Closed before the child runs again, so that no later execution of
+	// addr raises another SIGTRAP.
+	defer syscall.Close(fd)
+	sig := 0
+	for {
+		ws, ei, err := t.waitStop(syscall.PtraceCont, sig)
+		if err != nil || ei != nil {
+			return false, ei, err
+		}
+		if ws.StopSignal() != syscall.SIGTRAP {
+			// Forward every other signal to the child unchanged.
+			sig = int(ws.StopSignal())
+			continue
+		}
+		// No SIGTRAP is delivered: the Go runtime would die of it.
+		sig = 0
+		var info [128]byte // siginfo_t, si_code at offset 8
+		if _, _, errno := syscall.Syscall6(syscall.SYS_PTRACE, syscall.PTRACE_GETSIGINFO,
+			uintptr(t.pid), 0, uintptr(unsafe.Pointer(&info[0])), 0, 0); errno != 0 {
+			return false, nil, fmt.Errorf("proctarget: siginfo at counting breakpoint: %w", errno)
+		}
+		var regs syscall.PtraceRegs
+		if err := syscall.PtraceGetRegs(t.pid, &regs); err != nil {
+			return false, nil, fmt.Errorf("proctarget: getregs at counting breakpoint: %w", err)
+		}
+		if int32(binary.LittleEndian.Uint32(info[8:])) != trapPerf || regs.Rip != addr {
+			continue // a trap that is not ours
+		}
+		regs.Eflags &^= eflagsRF
+		if err := syscall.PtraceSetRegs(t.pid, &regs); err != nil {
+			return false, nil, fmt.Errorf("proctarget: clear the resume flag: %w", err)
+		}
+		return true, nil, nil
+	}
+}
+
 // ContToBreakpoint continues to the planted int3, restores the original
 // byte and rewinds rip. hit is false when the child terminated without
 // reaching the breakpoint.
@@ -463,6 +591,22 @@ func (t *tracer) FlipMemoryBit(addr uint64, mask byte) error {
 	b[0] ^= mask
 	if _, err := syscall.PtracePokeData(t.pid, uintptr(addr), b); err != nil {
 		return fmt.Errorf("proctarget: poke %#x: %w", addr, err)
+	}
+	return nil
+}
+
+// writeMemory writes b into the stopped child's memory at addr with one
+// system call (process_vm_writev), where PTRACE_POKEDATA takes one a word.
+func writeMemory(pid int, addr uint64, b []byte) error {
+	local := syscall.Iovec{Base: &b[0], Len: uint64(len(b))}
+	remote := [2]uint64{addr, uint64(len(b))} // an iovec of the child's
+	n, _, errno := syscall.Syscall6(sysProcessVMWritev, uintptr(pid),
+		uintptr(unsafe.Pointer(&local)), 1, uintptr(unsafe.Pointer(&remote)), 1, 0)
+	if errno != 0 {
+		return fmt.Errorf("proctarget: write %d bytes at %#x: %w", len(b), addr, errno)
+	}
+	if int(n) != len(b) {
+		return fmt.Errorf("proctarget: wrote %d of %d bytes at %#x", n, len(b), addr)
 	}
 	return nil
 }
@@ -666,7 +810,7 @@ func (z *zygote) fork() (*tracer, error) {
 		// would detour the child's first prologue through the scheduler,
 		// and a main goroutine locked to its thread would wait there for
 		// a thread that was not forked.
-		if _, err := syscall.PtracePokeData(child.pid, uintptr(z.regs.R14), z.gHead); err != nil {
+		if err := writeMemory(child.pid, z.regs.R14, z.gHead); err != nil {
 			return fail(err)
 		}
 	}

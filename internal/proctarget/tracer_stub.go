@@ -21,14 +21,22 @@ var errUnavailable = &procError{class: core.Persistent,
 
 type tracer struct {
 	pid       int
+	out       *output
 	lastState *exitInfo
 }
+
+type output struct{}
+
+func (*output) reset() {}
 
 func startTraced(string) (*tracer, error) { return nil, errUnavailable }
 
 func (t *tracer) PID() int                   { return 0 }
 func (t *tracer) SetBreakpoint(uint64) error { return errUnavailable }
 func (t *tracer) ContToBreakpoint() (bool, *exitInfo, error) {
+	return false, nil, errUnavailable
+}
+func (t *tracer) ContToCount(uint64, uint64) (bool, *exitInfo, error) {
 	return false, nil, errUnavailable
 }
 func (t *tracer) toWorkload(*victimInfo) (bool, *exitInfo, error) {
