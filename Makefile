@@ -12,14 +12,20 @@ FUZZTIME ?= 15s
 # and vet it here (its tests are the benchmark-only PR's, ROADMAP item 1).
 # The hand-over stage's tests run five times more under the race detector:
 # the stage, the boards and the sink's writer are three goroutines whose
-# interleavings one run samples once. It ends with the two numbers a
-# simplicity PR quotes.
+# interleavings one run samples once. The analysis differentials, the
+# relative-row tests and the tests of failing and of concurrent passes run
+# again at one and at four CPUs: the analysis pass decodes rows on
+# GOMAXPROCS goroutines, and only at one is it the plain serial path. Any
+# file gofmt would change fails the gate. It ends with the two numbers a simplicity PR quotes.
 tier1:
+	@unformatted=$$(gofmt -l *.go cmd internal examples bench); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) build -C bench -o /dev/null ./... && $(GO) vet -C bench ./...
 	$(GO) vet ./...
 	$(GO) test -race -count 1 ./...
 	$(GO) test -race -count 5 ./internal/core/ -run 'HandOver|PrunedStreakYieldsBoard|PrunedDispatch|Quarantine|PauseResumeStop|ResumeFromEveryLogCut'
+	$(GO) test -race -count 1 -cpu 1,4 ./internal/analysis/ ./internal/campaign/ -run 'TestAnalysisDifferential|TestRelative|TestAnalysisFailureLeavesResults|TestAnalysisConcurrentPasses|TestEachExperiment'
 	@$(MAKE) --no-print-directory count
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
@@ -58,8 +64,11 @@ race:
 # what the I/O ports and the exchange cost; allocs/op is the exchange's),
 # a row's way from the scheduler to the store at the default cursor cadence
 # (ns and allocations per row, a pruned experiment's and an emulated one's;
-# the barriers make the time the disk's, the allocations are the code's)
-# and the emulator on a derailed run's zeroed memory (ns/cycle).
+# the barriers make the time the disk's, the allocations are the code's),
+# the emulator on a derailed run's zeroed memory (ns/cycle) and the
+# analysis pass over a 6,000-experiment sort16 campaign on disk, a first
+# analysis and a repeated one, serial and on two CPUs (allocs/op over 6,000
+# is its allocations per row).
 # The campaign benchmark — end-to-end and per-layer metrics through the
 # real binaries, what every performance claim is judged on — is
 # `sh bench/run.sh` (BENCHMARK.json, bench/README.md).
@@ -70,6 +79,7 @@ bench:
 	$(GO) test . -run xxx -bench BenchmarkPIDClosedLoop -cpu 1 -count 3 -benchmem
 	$(GO) test . -run xxx -bench BenchmarkSinkHandover -benchtime 60000x -count 3 -benchmem
 	$(GO) test . -run xxx -bench BenchmarkThorNOPSled -cpu 1 -count 3
+	$(GO) test . -run xxx -bench BenchmarkAnalyzeSort6000 -cpu 1,2 -count 3 -benchmem
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
 # FUZZTIME=1m etc.). New corpus entries land in the build cache;

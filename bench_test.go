@@ -472,6 +472,78 @@ func BenchmarkAnalyzeCampaign(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeSort6000 is the analysis pass at the campaign
+// benchmark's sort-solo size: AnalyzeAndStore over a 6,000-experiment
+// sort16 campaign on an on-disk store, whose results go through the
+// write-ahead log as `goofi analyze`'s do. In first every pass is the
+// campaign's first analysis, as `goofi analyze` after `goofi run` is: the
+// results table goes, and the store is checkpointed, outside the timing.
+// In again every pass replaces the results of the one before, as each
+// request for a daemon's results does, the store checkpointed between
+// passes outside the timing. allocs/op over 6,000 is the pass's
+// allocations per row: a count, not a time, which repeats for a given
+// -cpu to within a few dozen.
+func BenchmarkAnalyzeSort6000(b *testing.B) {
+	const n = 6000
+	db, err := sqldb.OpenAt(filepath.Join(b.TempDir(), "bench.db"), sqldb.SyncBarrier)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	st, err := campaign.NewStore(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tsd := scifi.TargetSystemData("thor-board")
+	if err := st.PutTargetSystem(tsd); err != nil {
+		b.Fatal(err)
+	}
+	camp := sortCampaign("bench-analyze-sort", n, 1001, []string{"cpu"})
+	runCampaign(b, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI, camp)
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	analyze := func(b *testing.B) {
+		rep, err := analysis.AnalyzeAndStore(st, camp.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Total != n {
+			b.Fatalf("classified %d of %d", rep.Total, n)
+		}
+	}
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			analyze(b)
+			b.StopTimer()
+			if _, err := db.Exec(`DROP TABLE AnalysisResults`); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+	b.Run("again", func(b *testing.B) {
+		analyze(b)
+		if err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			analyze(b)
+			b.StopTimer()
+			if err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+}
+
 // BenchmarkTriggers is experiment E8: the cost of reaching the injection
 // point with each trigger kind (stepping with per-instruction predicates
 // vs plain cycle counting).

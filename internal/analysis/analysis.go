@@ -304,7 +304,8 @@ func (a *Analyzer) classify(rec *campaign.ExperimentRecord, ref *reference) (Det
 // reference's final scan state, restricted to the observed cells. A row
 // stored relative to this very reference scan brings the differing
 // positions with it, and only those are looked at; any other is unpacked
-// and compared whole.
+// and compared whole — a relative row's scan with its differing bits
+// applied first, since the pass yields it as the reference's.
 func (a *Analyzer) scanDiff(rec *campaign.ExperimentRecord, ref *reference) (int, error) {
 	if len(rec.State.Scan) == 0 || len(ref.rec.State.Scan) == 0 {
 		return 0, nil
@@ -320,7 +321,7 @@ func (a *Analyzer) scanDiff(rec *campaign.ExperimentRecord, ref *reference) (int
 		return diff, nil
 	}
 	var rv bitvec.Vector
-	if err := rv.UnmarshalBinary(rec.State.Scan); err != nil {
+	if err := rv.UnmarshalBinary(rec.ScanState()); err != nil {
 		return 0, fmt.Errorf("analysis: experiment scan state: %w", err)
 	}
 	if ref.scanErr != nil {
@@ -406,8 +407,14 @@ func absDiff32(a, b int32) uint32 {
 // Run classifies every end-of-experiment record of the campaign, one at a
 // time as the store decodes them. The reference run is the pass's own
 // first record: rows stored relative to it come back sharing its unchanged
-// Memory and Outputs values, so comparing those costs nothing.
-func (a *Analyzer) Run() (*Report, error) {
+// Memory and Outputs values and its scan, so comparing those costs nothing.
+func (a *Analyzer) Run() (*Report, error) { return a.run(nil) }
+
+// run is Run handing every resultsBatch details to batch as soon as they
+// are classified, the batches in order. A batch is a window of the
+// report's Details that nothing writes to again; an append that moves
+// Details on leaves it where it is.
+func (a *Analyzer) run(batch func([]Details)) (*Report, error) {
 	noReference := fmt.Errorf("analysis: campaign %q has no reference run", a.camp.Name)
 	refName := campaign.ReferenceName(a.camp.Name)
 	var ref *reference
@@ -463,6 +470,9 @@ func (a *Analyzer) Run() (*Report, error) {
 			}
 		}
 		rep.Details = append(rep.Details, d)
+		if n := len(rep.Details); batch != nil && n%resultsBatch == 0 {
+			batch(rep.Details[n-resultsBatch : n : n])
+		}
 		return nil
 	})
 	if err != nil {

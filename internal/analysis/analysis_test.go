@@ -24,7 +24,12 @@ func runSortCampaign(t *testing.T, name string, n int, seed int64) *campaign.Sto
 
 func runSortCampaignWithObserve(t *testing.T, name string, n int, seed int64, observe []string) *campaign.Store {
 	t.Helper()
-	camp := &campaign.Campaign{
+	return runCampaign(t, sortCampaign(name, n, seed, observe))
+}
+
+// sortCampaign is a SCIFI campaign over the sort16 workload.
+func sortCampaign(name string, n int, seed int64, observe []string) *campaign.Campaign {
+	return &campaign.Campaign{
 		Name:           name,
 		TargetName:     "thor-board",
 		ChainName:      "internal",
@@ -39,7 +44,6 @@ func runSortCampaignWithObserve(t *testing.T, name string, n int, seed int64, ob
 		Workload:       workload.Sort(),
 		LogMode:        campaign.LogNormal,
 	}
-	return runCampaign(t, camp)
 }
 
 // runCampaign executes a SCIFI campaign on a fresh in-memory store.
@@ -258,12 +262,12 @@ func TestWriteResultsReplacesOldRows(t *testing.T) {
 	// Two full INSERT batches and a partial one.
 	const n = 2*resultsBatch + 44
 	st := runSortCampaign(t, "rep", n, 5)
-	rep, err := AnalyzeAndStore(st, "rep")
-	if err != nil {
+	if _, err := AnalyzeAndStore(st, "rep"); err != nil {
 		t.Fatal(err)
 	}
 	// Re-analyze: must not fail on duplicate keys.
-	if err := WriteResults(st, rep); err != nil {
+	rep, err := AnalyzeAndStore(st, "rep")
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Same rows, in the order of the report's details.

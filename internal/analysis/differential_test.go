@@ -359,19 +359,20 @@ func hostileScan(header uint64) []byte {
 	return binary.LittleEndian.AppendUint64(make([]byte, 0, 16), header)[:16]
 }
 
-// TestAnalysisDifferentialScanErrors: a row whose scan state cannot be
-// compared with the reference's fails the analysis with the text it
-// always had — and only when classification gets as far as the scan.
-func TestAnalysisDifferentialScanErrors(t *testing.T) {
+// scanErrorCase is a scan state a row's classification cannot compare
+// with the reference's, and the start of the error that says so.
+type scanErrorCase struct {
+	name string
+	scan []byte
+	want string
+}
+
+func scanErrorCases(t *testing.T) []scanErrorCase {
 	short, err := bitvec.New(64).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		scan []byte
-		want string
-	}{
+	return []scanErrorCase{
 		{"length-mismatch", short, "analysis: scan length mismatch 64 vs "},
 		{"truncated-header", []byte{1, 2, 3}, "analysis: experiment scan state: bitvec: truncated header: 3 bytes"},
 		{"truncated-body", short[:12], "analysis: experiment scan state: bitvec: truncated body: want 16 bytes, have 12"},
@@ -381,7 +382,13 @@ func TestAnalysisDifferentialScanErrors(t *testing.T) {
 		{"hostile-length-minus-one", hostileScan(0xFFFFFFFFFFFFFFFF), "analysis: experiment scan state: bitvec: truncated body: header says 18446744073709551615 bits"},
 		{"hostile-length-sign-bit", hostileScan(1<<63 + 5), "analysis: experiment scan state: bitvec: truncated body: header says 9223372036854775813 bits"},
 	}
-	for _, c := range cases {
+}
+
+// TestAnalysisDifferentialScanErrors: a row whose scan state cannot be
+// compared with the reference's fails the analysis with the text it
+// always had — and only when classification gets as far as the scan.
+func TestAnalysisDifferentialScanErrors(t *testing.T) {
+	for _, c := range scanErrorCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			name := "scan-" + c.name
 			st := runSortCampaign(t, name, 10, 5)
@@ -425,7 +432,7 @@ func TestAnalysisDifferentialScanErrors(t *testing.T) {
 		rec.State.Scan = []byte{9}
 	})
 	_, wantErr := oracleAnalyze(t, st, "scan-ref")
-	_, err = AnalyzeAndStore(st, "scan-ref")
+	_, err := AnalyzeAndStore(st, "scan-ref")
 	if err == nil || wantErr == nil || err.Error() != wantErr.Error() ||
 		!strings.HasPrefix(err.Error(), "analysis: reference scan state: ") {
 		t.Errorf("damaged reference: error %v, oracle's %v", err, wantErr)

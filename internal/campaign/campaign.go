@@ -338,10 +338,15 @@ type ExperimentRecord struct {
 	// nil keeps the row absolute. On a record read back it is set when the
 	// row was stored relative: State.Memory and State.Outputs then share
 	// their unchanged values with Ref.State, and ScanDiff lists the bit
-	// positions (8*byte + bit, ascending) at which State.Scan differs from
-	// Ref.State.Scan.
+	// positions (8*byte + bit, ascending) at which the logged scan differs
+	// from Ref.State.Scan. Every read but EachExperiment applies them to a
+	// copy in State.Scan; on a record EachExperiment yields, State.Scan is
+	// still Ref.State.Scan itself, and ScanState spells the scan out.
 	Ref      *Reference `json:"-"`
 	ScanDiff []int      `json:"-"`
+	// scanShared marks a record read back whose State.Scan is still
+	// Ref.State.Scan, the ScanDiff bits not applied.
+	scanShared bool
 	// FromRef marks a record handed to a sink that says its state instead
 	// of holding it — an experiment whose row is synthesized from the
 	// reference run (core/prune.go): State is empty and means nothing, the
@@ -362,13 +367,37 @@ func (r *ExperimentRecord) WholeState() (*StateVector, error) {
 		return nil, err
 	}
 	sv := r.Ref.State
-	if len(r.ScanDiff) > 0 {
-		sv.Scan = bytes.Clone(sv.Scan)
-		for _, pos := range r.ScanDiff {
-			sv.Scan[pos>>3] ^= 1 << (pos & 7)
-		}
-	}
+	sv.Scan = flipBits(sv.Scan, r.ScanDiff)
 	return &sv, nil
+}
+
+// ScanState returns the scan state the record logs: State.Scan, or, on a
+// record EachExperiment yields from a row stored relative, the reference's
+// scan with the ScanDiff bits flipped, in a copy of its own.
+func (r *ExperimentRecord) ScanState() []byte {
+	if r.scanShared {
+		return flipBits(r.State.Scan, r.ScanDiff)
+	}
+	return r.State.Scan
+}
+
+// applyScanDiff gives a record EachExperiment yields the scan every other
+// read returns: a copy of its own with the ScanDiff bits applied.
+func (r *ExperimentRecord) applyScanDiff() {
+	r.State.Scan, r.scanShared = r.ScanState(), false
+}
+
+// flipBits returns scan with the bits at the positions diff lists flipped:
+// scan itself when there are none, a copy otherwise.
+func flipBits(scan []byte, diff []int) []byte {
+	if len(diff) == 0 {
+		return scan
+	}
+	scan = bytes.Clone(scan)
+	for _, pos := range diff {
+		scan[pos>>3] ^= 1 << (pos & 7)
+	}
+	return scan
 }
 
 // endOfExperiment reports whether the record is the end row of an

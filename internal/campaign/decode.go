@@ -31,13 +31,14 @@ import (
 //
 // A stateVector that starts with tagRelative is in the relative form
 // (grammar in codec.go) and is parsed against the campaign's reference
-// state by parseRelative: the result is deep-equal to what the absolute
-// form of the same state decodes to, but shares every unchanged Memory and
-// Outputs value — and, when nothing in them changed, the maps — with the
-// reference instead of copying them. Nothing in it is trusted: a position
-// past the end of what it indexes, a length the remaining bytes cannot
-// hold, an unknown value mode, a cut-off varint or bytes left over are all
-// errors, and nothing is allocated from a number the blob merely claims.
+// state by parseRelative: the result, once its differing scan bits are
+// applied, is deep-equal to what the absolute form of the same state
+// decodes to, but shares every unchanged Memory and Outputs value — and,
+// when nothing in them changed, the maps — with the reference instead of
+// copying them. Nothing in it is trusted: a position past the end of what
+// it indexes, a length the remaining bytes cannot hold, an unknown value
+// mode, a cut-off varint or bytes left over are all errors, and nothing is
+// allocated from a number the blob merely claims.
 
 // decodeExperimentData parses an experimentData BLOB into d, which must
 // be the zero value.
@@ -527,14 +528,26 @@ func (p *parser) elemByte() (byte, bool) {
 	return p.b[p.i-1], true
 }
 
-func (p *parser) elemUint32() (uint32, bool) {
+// An element reader consumes one element of a changed value at b[i:] and
+// returns where it ended. It takes the cursor by value: handing a parser's
+// address to a function value would move every parser to the heap.
+type elemReader[T any] func(b []byte, i int) (T, int, bool)
+
+func elemByte(b []byte, i int) (byte, int, bool) {
+	p := parser{b: b, i: i}
+	v, ok := p.elemByte()
+	return v, p.i, ok
+}
+
+func elemUint32(b []byte, i int) (uint32, int, bool) {
+	p := parser{b: b, i: i}
 	v, ok := p.uvarint()
-	return uint32(v), ok && v <= math.MaxUint32
+	return uint32(v), p.i, ok && v <= math.MaxUint32
 }
 
 // relativeValue consumes one changed value of the relative form, given the
 // reference's.
-func relativeValue[T any](p *parser, ref []T, elem func(*parser) (T, bool)) ([]T, bool) {
+func relativeValue[T any](p *parser, ref []T, elem elemReader[T]) ([]T, bool) {
 	mode, ok := p.elemByte()
 	if !ok {
 		return nil, false
@@ -550,7 +563,7 @@ func relativeValue[T any](p *parser, ref []T, elem func(*parser) (T, bool)) ([]T
 		}
 		v = make([]T, n)
 		for i := range v {
-			if v[i], ok = elem(p); !ok {
+			if v[i], p.i, ok = elem(p.b, p.i); !ok {
 				return nil, false
 			}
 		}
@@ -564,7 +577,7 @@ func relativeValue[T any](p *parser, ref []T, elem func(*parser) (T, bool)) ([]T
 			if done {
 				break
 			}
-			if v[i], ok = elem(p); !ok {
+			if v[i], p.i, ok = elem(p.b, p.i); !ok {
 				return nil, false
 			}
 			prev = i
@@ -579,7 +592,7 @@ func relativeValue[T any](p *parser, ref []T, elem func(*parser) (T, bool)) ([]T
 // form: base with the listed keys' values replaced or gone, base itself
 // when the list is empty — and nil, as the absolute form decodes a state
 // without any, when nothing is left.
-func relativeValues[K comparable, T any](p *parser, base map[K][]T, keys []K, elem func(*parser) (T, bool)) (map[K][]T, bool) {
+func relativeValues[K comparable, T any](p *parser, base map[K][]T, keys []K, elem elemReader[T]) (map[K][]T, bool) {
 	out := base
 	for prev := -1; ; {
 		i, done, ok := p.next(prev, len(keys))
@@ -606,7 +619,8 @@ func relativeValues[K comparable, T any](p *parser, base map[K][]T, keys []K, el
 }
 
 // parseRelative parses a stateVector BLOB in the relative form against
-// the reference it names, into s and the list of differing scan bits.
+// the reference it names, into s and the list of differing scan bits. The
+// bits are not applied: s.Scan is the reference's own scan.
 func parseRelative(b []byte, ref *Reference, s *StateVector) (scanDiff []int, ok bool) {
 	if len(b) < relativeHeader {
 		return nil, false
@@ -614,6 +628,11 @@ func parseRelative(b []byte, ref *Reference, s *StateVector) (scanDiff []int, ok
 	p := parser{b: b, i: relativeHeader}
 	base := &ref.State
 	s.Scan = base.Scan
+	// The list is sized at its first position. A position is a varint
+	// whose last byte is not zero (but in an overlong encoding), and the
+	// list ends at a zero byte: there are as many positions as bytes
+	// before the first zero, or fewer.
+	room := bytes.IndexByte(b[p.i:], 0)
 	for prev := -1; ; {
 		pos, done, ok := p.next(prev, 8*len(base.Scan))
 		if !ok {
@@ -622,17 +641,16 @@ func parseRelative(b []byte, ref *Reference, s *StateVector) (scanDiff []int, ok
 		if done {
 			break
 		}
-		if prev < 0 {
-			s.Scan = bytes.Clone(base.Scan)
+		if scanDiff == nil {
+			scanDiff = make([]int, 0, max(room, 1))
 		}
-		s.Scan[pos>>3] ^= 1 << (pos & 7)
 		scanDiff = append(scanDiff, pos)
 		prev = pos
 	}
-	if s.Memory, ok = relativeValues(&p, base.Memory, ref.symbols, (*parser).elemByte); !ok {
+	if s.Memory, ok = relativeValues(&p, base.Memory, ref.symbols, elemByte); !ok {
 		return nil, false
 	}
-	if s.Outputs, ok = relativeValues(&p, base.Outputs, ref.ports, (*parser).elemUint32); !ok {
+	if s.Outputs, ok = relativeValues(&p, base.Outputs, ref.ports, elemUint32); !ok {
 		return nil, false
 	}
 	return scanDiff, p.i == len(b)

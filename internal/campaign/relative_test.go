@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,10 +35,11 @@ func decodedReference(t testing.TB, sv *StateVector) *Reference {
 }
 
 // checkRelative parses b as a relative blob against ref and, when the
-// parser takes it, holds the result to the absolute form: the state
-// survives a trip through its absolute blob unchanged, the diff list is
-// exactly where its Scan departs from the reference's, and its own
-// relative blob decodes back to it. It reports whether b was taken.
+// parser takes it, holds the result to the absolute form: the parser
+// leaves the reference's own scan in place, the state with the diff list
+// applied survives a trip through its absolute blob unchanged, the diff
+// list is exactly where that Scan departs from the reference's, and its
+// own relative blob decodes back to it. It reports whether b was taken.
 func checkRelative(t *testing.T, b []byte, ref *Reference) bool {
 	t.Helper()
 	var s StateVector
@@ -44,6 +47,10 @@ func checkRelative(t *testing.T, b []byte, ref *Reference) bool {
 	if !ok {
 		return false
 	}
+	if !Aliased(s.Scan, ref.State.Scan) {
+		t.Fatalf("relative blob's scan is not the reference's\n%x", b)
+	}
+	s.Scan = flipBits(s.Scan, diff)
 	var abs StateVector
 	if err := decodeStateVector(s.appendJSON(nil), &abs); err != nil {
 		t.Fatalf("absolute form of an accepted relative blob: %v\n%x", err, b)
@@ -67,7 +74,8 @@ func checkRelative(t *testing.T, b []byte, ref *Reference) bool {
 		t.Fatalf("a state decoded against the reference does not encode against it\n%x", b)
 	}
 	var s2 StateVector
-	if _, ok := parseRelative(again, ref, &s2); !ok || !reflect.DeepEqual(&s2, &s) {
+	diff2, ok := parseRelative(again, ref, &s2)
+	if s2.Scan = flipBits(s2.Scan, diff2); !ok || !reflect.DeepEqual(&s2, &s) {
 		t.Fatalf("re-encoded %x (from %x) decodes to\n%#v\nwant\n%#v", again, b, s2, s)
 	}
 	return true
@@ -534,5 +542,82 @@ func TestRelativeRowIntegrity(t *testing.T) {
 	st3, _ := relativeStore(t, 0)
 	if err := st3.DeleteExperiment(refName); err != nil {
 		t.Errorf("deleting a reference row nothing is relative to: %v", err)
+	}
+}
+
+// TestEachExperimentDecodesAhead: a pass decoded ahead by several workers
+// yields what one goroutine yields — the same records in the same order,
+// each relative row with the reference's own scan, ScanState and EncodeRow
+// applying its bits — and ends where the serial pass ends: at the first
+// row that does not decode, or at the callback's first error, having
+// called it with every record before and none after.
+func TestEachExperimentDecodesAhead(t *testing.T) {
+	const n = 20*decodeChunk + 7
+	st, _ := relativeStore(t, n)
+	type seen struct {
+		name        string
+		scan, state []byte
+	}
+	pass := func(procs int, stopAt int) (recs []seen, err error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		err = st.EachExperiment("camp-1", func(rec *ExperimentRecord) error {
+			if len(recs) == stopAt {
+				return os.ErrClosed
+			}
+			if rec.Ref != nil && !Aliased(rec.State.Scan, rec.Ref.State.Scan) {
+				t.Errorf("%s: scan is not the reference's", rec.Name)
+			}
+			row, err := EncodeRow(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, seen{rec.Name, rec.ScanState(), row.Cols[5].B})
+			return nil
+		})
+		return recs, err
+	}
+	names := func(recs []seen) (out []string) {
+		for _, r := range recs {
+			out = append(out, r.name)
+		}
+		return out
+	}
+	whole, err := st.Experiments("camp-1")
+	if err != nil || len(whole) != n+1 {
+		t.Fatalf("%d records, %v", len(whole), err)
+	}
+	for _, procs := range []int{1, 4} {
+		recs, err := pass(procs, -1)
+		if err != nil || len(recs) != len(whole) {
+			t.Fatalf("GOMAXPROCS %d: %d records, %v", procs, len(recs), err)
+		}
+		for i, rec := range whole {
+			row, err := EncodeRow(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := recs[i]; got.name != rec.Name || !bytes.Equal(got.scan, rec.State.Scan) || !bytes.Equal(got.state, row.Cols[5].B) {
+				t.Fatalf("GOMAXPROCS %d: record %d is %s scan %x state %x, Experiments has %s scan %x state %x",
+					procs, i, got.name, got.scan, got.state, rec.Name, rec.State.Scan, row.Cols[5].B)
+			}
+		}
+		if recs, err := pass(procs, 5*decodeChunk+3); err != os.ErrClosed || len(recs) != 5*decodeChunk+3 {
+			t.Errorf("GOMAXPROCS %d: callback error after %d records: %v", procs, len(recs), err)
+		}
+	}
+	// A damaged row stops every pass at it, with the serial pass's error.
+	bad := ExperimentName("camp-1", 13*decodeChunk+5)
+	st.DB().MustExec(`UPDATE LoggedSystemState SET stateVector = ? WHERE experimentName = ?`,
+		sqldb.Blob([]byte{tagRelative, 1}), sqldb.Text(bad))
+	serial, serialErr := pass(1, -1)
+	if serialErr == nil || !strings.Contains(serialErr.Error(), bad) || len(serial) != 13*decodeChunk+6 {
+		t.Fatalf("serial pass over a damaged row: %d records, %v", len(serial), serialErr)
+	}
+	for i := 0; i < 5; i++ {
+		recs, err := pass(4, -1)
+		if err == nil || err.Error() != serialErr.Error() || !slices.Equal(names(recs), names(serial)) {
+			t.Fatalf("parallel pass over a damaged row: %d records, %v; serial %d, %v",
+				len(recs), err, len(serial), serialErr)
+		}
 	}
 }

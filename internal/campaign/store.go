@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"goofi/internal/sqldb"
@@ -20,6 +22,15 @@ type Store struct {
 	// insertExp is the prepared single-row LoggedSystemState INSERT —
 	// the statement on the storage hot path.
 	insertExp *sqldb.Stmt
+	// results holds the campaigns whose results a LockResults caller is
+	// writing, each with how many callers hold or wait for its lock.
+	resultsMu sync.Mutex
+	results   map[string]*resultsLock
+}
+
+type resultsLock struct {
+	sync.Mutex
+	users int
 }
 
 // Schema is the DDL of the GOOFI database (Fig 4). Exposed so tools can
@@ -68,7 +79,33 @@ func NewStore(db *sqldb.DB) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: prepare insert: %w", err)
 	}
-	return &Store{db: db, insertExp: ins}, nil
+	return &Store{db: db, insertExp: ins, results: make(map[string]*resultsLock)}, nil
+}
+
+// LockResults waits until no other caller holds the campaign's results
+// lock, takes it and returns its release. The analysis phase holds it
+// while it replaces the campaign's AnalysisResults rows: a daemon may
+// analyze one campaign for two requests at once, and two writers
+// interleaving their DELETE and INSERTs, or one putting back rows the
+// other deleted, would leave rows of neither pass.
+func (s *Store) LockResults(campaignName string) (unlock func()) {
+	s.resultsMu.Lock()
+	l := s.results[campaignName]
+	if l == nil {
+		l = &resultsLock{}
+		s.results[campaignName] = l
+	}
+	l.users++
+	s.resultsMu.Unlock()
+	l.Lock()
+	return func() {
+		l.Unlock()
+		s.resultsMu.Lock()
+		if l.users--; l.users == 0 {
+			delete(s.results, campaignName)
+		}
+		s.resultsMu.Unlock()
+	}
 }
 
 // DB exposes the underlying database for the analysis phase, which runs
@@ -263,6 +300,13 @@ func EncodeRow(r *ExperimentRecord) (Row, error) {
 // cannot reach the bytes behind it. buf may have moved; on an error it is
 // as it came.
 func appendRow(buf []byte, r *ExperimentRecord) ([]byte, Row, error) {
+	if r.scanShared {
+		// A record as EachExperiment yields it: its scan is still the
+		// reference's, and what it logs is that with the bits applied.
+		whole := *r
+		whole.applyScanDiff()
+		r = &whole
+	}
 	if r.FromRef {
 		if err := r.checkFromRef(); err != nil {
 			return buf, Row{}, err
@@ -296,7 +340,7 @@ func appendRow(buf []byte, r *ExperimentRecord) ([]byte, Row, error) {
 // worker's kept reference row. ref is the reference a relative row was
 // encoded against; nil decodes absolute rows only.
 func DecodeRow(row *Row, ref *Reference) (*ExperimentRecord, error) {
-	return decodeRow(row.Cols[:], func(campaignName string) (*Reference, error) {
+	return decodeWhole(row.Cols[:], func(campaignName string) (*Reference, error) {
 		if ref == nil {
 			return nil, fmt.Errorf("campaign: no reference run of campaign %q at hand", campaignName)
 		}
@@ -386,17 +430,24 @@ func (s *Store) Flush() error { return nil }
 // readPass is one read of the store, whose rows decodeRow decodes. A row
 // stored relative needs its campaign's reference state: the pass resolves
 // it at the first such row — from the reference row, unless the pass has
-// already decoded that row itself — and keeps it for the rest.
+// already decoded that row itself — and keeps it, or the error resolving it
+// failed with, for the rest.
 type readPass struct {
 	s   *Store
 	ref *Reference
+	err error
 }
 
 func (p *readPass) reference(campaignName string) (*Reference, error) {
-	if p.ref != nil {
-		return p.ref, nil
+	if p.ref == nil && p.err == nil {
+		p.ref, p.err = p.s.reference(campaignName)
 	}
-	r, err := p.s.db.Query(`SELECT stateVector FROM LoggedSystemState WHERE experimentName = ?`,
+	return p.ref, p.err
+}
+
+// reference reads a campaign's reference state off its reference row.
+func (s *Store) reference(campaignName string) (*Reference, error) {
+	r, err := s.db.Query(`SELECT stateVector FROM LoggedSystemState WHERE experimentName = ?`,
 		sqldb.Text(ReferenceName(campaignName)))
 	if err != nil {
 		return nil, err
@@ -408,8 +459,7 @@ func (p *readPass) reference(campaignName string) (*Reference, error) {
 	if err := decodeStateVector(r.Rows[0][0].B, &sv); err != nil {
 		return nil, fmt.Errorf("campaign: reference row of campaign %q: %w", campaignName, err)
 	}
-	p.ref = NewReference(&sv)
-	return p.ref, nil
+	return NewReference(&sv), nil
 }
 
 // GetExperiment loads one LoggedSystemState row by experiment name.
@@ -422,8 +472,14 @@ func (s *Store) GetExperiment(name string) (*ExperimentRecord, error) {
 	if len(r.Rows) == 0 {
 		return nil, fmt.Errorf("campaign: no experiment %q", name)
 	}
-	return decodeRow(r.Rows[0], (&readPass{s: s}).reference)
+	return decodeWhole(r.Rows[0], (&readPass{s: s}).reference)
 }
+
+// decodeChunk is how many rows an EachExperiment worker decodes at a time:
+// a few hundred microseconds of work, so that handing a chunk over costs
+// next to nothing, and few enough that the records decoded ahead stay a
+// small window of the pass.
+const decodeChunk = 64
 
 // EachExperiment calls fn with the end-of-experiment records of a campaign
 // one at a time, excluding detail-mode trace steps, in sequence order: the
@@ -431,11 +487,17 @@ func (s *Store) GetExperiment(name string) (*ExperimentRecord, error) {
 // Data.Seq, the experiment name breaking ties (a re-run carries the
 // sequence number of the experiment it repeats). The order is by number,
 // not by name: names pad to five digits, so exp100000 sorts before
-// exp10001. Each record is decoded just before its call and not kept, so
-// a pass over a campaign holds one of them — and the reference run's,
-// which the records of rows stored relative to it share their unchanged
-// Memory and Outputs values with, so nothing may change a record. An
-// error from fn ends the pass and is returned.
+// exp10001. fn runs on the caller's goroutine, one record after the other;
+// the records are decoded ahead of it by one goroutine per GOMAXPROCS, a
+// chunk of decodeChunk rows at a time, each worker at most two chunks
+// ahead — so a pass holds a bounded window of records, not the campaign's,
+// besides the reference run's. Every record of a row stored relative
+// shares the reference's unchanged Memory and Outputs values, and its
+// scan: State.Scan is the reference's own, with the bits that differ in
+// ScanDiff (ScanState applies them). Nothing may change a record. The
+// first error in that order ends the pass and is returned: fn's, or the
+// one decoding the row it would have been called with next. With
+// GOMAXPROCS 1 nothing runs beside the caller.
 func (s *Store) EachExperiment(campaignName string, fn func(*ExperimentRecord) error) error {
 	r, err := s.db.Query(`SELECT experimentName, parentExperiment, campaignName, step, experimentData, stateVector
 		FROM LoggedSystemState WHERE campaignName = ? AND step = -1`,
@@ -458,27 +520,118 @@ func (s *Store) EachExperiment(campaignName string, fn func(*ExperimentRecord) e
 		}
 		return r.Rows[i][0].S < r.Rows[j][0].S
 	})
+	// The reference run's row and any numbered below it, which only a
+	// damaged store holds, are read here: the rows after it are decoded
+	// against its state.
 	pass := readPass{s: s}
 	refName := ReferenceName(campaignName)
-	for _, i := range order {
+	head := 0
+	for k, i := range order {
+		if r.Rows[i][0].S == refName {
+			head = k + 1
+			break
+		}
+	}
+	for _, i := range order[:head] {
 		rec, err := decodeRow(r.Rows[i], pass.reference)
 		if err != nil {
 			return err
 		}
 		if rec.Name == refName {
-			pass.ref = NewReference(&rec.State)
+			pass.ref, pass.err = NewReference(&rec.State), nil
 		}
 		if err := fn(rec); err != nil {
 			return err
 		}
 	}
+	return pass.each(campaignName, r.Rows, order[head:], fn)
+}
+
+// decoded is one chunk of a pass's rows, decoded in order up to the first
+// that failed, err.
+type decoded struct {
+	recs []*ExperimentRecord
+	err  error
+}
+
+// each decodes the rows order lists and calls fn with them in that order:
+// on the calling goroutine alone when there is one CPU or one chunk, else
+// with up to GOMAXPROCS workers decoding ahead, worker w taking chunks w,
+// w+workers, w+2*workers and so on, and handing each over on a channel of
+// its own, so that the caller reads the chunks back in order.
+func (p *readPass) each(campaignName string, rows [][]sqldb.Value, order []int, fn func(*ExperimentRecord) error) error {
+	chunks := (len(order) + decodeChunk - 1) / decodeChunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	if workers <= 1 {
+		for _, i := range order {
+			rec, err := decodeRow(rows[i], p.reference)
+			if err != nil {
+				return err
+			}
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// The workers share the reference and must not resolve it: a pass
+	// whose reference row is not among its rows resolves it now, and only
+	// the rows that need it see the error that may give.
+	_, _ = p.reference(campaignName)
+	outs := make([]chan decoded, workers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range outs {
+		outs[w] = make(chan decoded, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := w; c < chunks; c += workers {
+				d := decoded{recs: make([]*ExperimentRecord, 0, decodeChunk)}
+				for _, i := range order[c*decodeChunk : min((c+1)*decodeChunk, len(order))] {
+					rec, err := decodeRow(rows[i], p.reference)
+					if err != nil {
+						d.err = err
+						break
+					}
+					d.recs = append(d.recs, rec)
+				}
+				select {
+				case outs[w] <- d:
+				case <-stop:
+					return
+				}
+				if d.err != nil {
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for c := range chunks {
+		d := <-outs[c%workers]
+		for _, rec := range d.recs {
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
+		if d.err != nil {
+			return d.err
+		}
+	}
 	return nil
 }
 
-// Experiments collects what EachExperiment yields.
+// Experiments collects what EachExperiment yields, each record with a scan
+// of its own: a row stored relative comes back with its ScanDiff bits
+// applied to a copy of the reference's.
 func (s *Store) Experiments(campaignName string) ([]*ExperimentRecord, error) {
 	out := []*ExperimentRecord{}
 	err := s.EachExperiment(campaignName, func(rec *ExperimentRecord) error {
+		rec.applyScanDiff()
 		out = append(out, rec)
 		return nil
 	})
@@ -529,7 +682,7 @@ func (s *Store) Trace(experimentName string) ([]*ExperimentRecord, error) {
 	out := make([]*ExperimentRecord, 0, len(r.Rows))
 	pass := readPass{s: s}
 	for _, row := range r.Rows {
-		rec, err := decodeRow(row, pass.reference)
+		rec, err := decodeWhole(row, pass.reference)
 		if err != nil {
 			return nil, err
 		}
@@ -599,12 +752,25 @@ func (s *Store) DeleteExperiment(name string) error {
 	return err
 }
 
+// decodeWhole is decodeRow with the differing scan bits of a row stored
+// relative applied: the record every read but EachExperiment returns.
+func decodeWhole(row []sqldb.Value, reference func(campaignName string) (*Reference, error)) (*ExperimentRecord, error) {
+	rec, err := decodeRow(row, reference)
+	if err != nil {
+		return nil, err
+	}
+	rec.applyScanDiff()
+	return rec, nil
+}
+
 // decodeRow decodes one LoggedSystemState row. reference resolves the
 // reference state of the row's campaign and is asked only for a row stored
-// relative. This is where the integrity of the relative form is stated: a
-// relative row without a reference, or encoded against another reference
-// than the one found, is an error naming the experiment and the campaign —
-// never a state put together from the wrong base.
+// relative; such a row's record keeps the reference's scan, its differing
+// bits listed in ScanDiff but not applied. This is where the integrity of
+// the relative form is stated: a relative row without a reference, or
+// encoded against another reference than the one found, is an error
+// naming the experiment and the campaign — never a state put together
+// from the wrong base.
 func decodeRow(row []sqldb.Value, reference func(campaignName string) (*Reference, error)) (*ExperimentRecord, error) {
 	rec := &ExperimentRecord{
 		Name:     row[0].S,
@@ -640,7 +806,7 @@ func decodeRow(row []sqldb.Value, reference func(campaignName string) (*Referenc
 		return nil, fmt.Errorf("campaign: experiment %q of campaign %q: damaged relative state vector",
 			rec.Name, rec.Campaign)
 	}
-	rec.Ref = ref
+	rec.Ref, rec.scanShared = ref, len(rec.ScanDiff) > 0
 	return rec, nil
 }
 

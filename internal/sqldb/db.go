@@ -401,17 +401,19 @@ func (db *DB) fkCheck(t *Table, row []Value) error {
 			return fmt.Errorf("sqldb: foreign key references missing table %q", fk.RefTable)
 		}
 		// The FK values in fk.Cols order correspond positionally to
-		// fk.RefCols, so the same projection keys both sides.
-		key := rowKey(row, idx)
+		// fk.RefCols, so the same projection keys both sides. The maps
+		// are indexed with the bytes themselves: no key string is made.
+		var buf [keyBytes]byte
+		key := appendRowKey(buf[:0], row, idx)
 		if equalStrings(fk.RefCols, ref.PKCols) {
-			if _, ok := ref.pkIndex[key]; !ok {
+			if _, ok := ref.pkIndex[string(key)]; !ok {
 				return fmt.Errorf("sqldb: foreign key violation: %s%v not in %s(%v)",
 					t.Name, fk.Cols, fk.RefTable, fk.RefCols)
 			}
 			continue
 		}
 		if ix := ref.indexOn(fk.RefCols); ix != nil {
-			if len(ix.rows[key]) == 0 {
+			if len(ix.rows[string(key)]) == 0 {
 				return fmt.Errorf("sqldb: foreign key violation: %s%v not in %s(%v)",
 					t.Name, fk.Cols, fk.RefTable, fk.RefCols)
 			}
@@ -421,7 +423,7 @@ func (db *DB) fkCheck(t *Table, row []Value) error {
 		if err != nil {
 			return err
 		}
-		if !set[key] {
+		if !set[string(key)] {
 			return fmt.Errorf("sqldb: foreign key violation: %s%v not in %s(%v)",
 				t.Name, fk.Cols, fk.RefTable, fk.RefCols)
 		}
@@ -531,8 +533,11 @@ func (db *DB) insert(ins *Insert, args []Value) (int64, error) {
 	}
 	ctx := &evalCtx{args: args}
 	var inserted int64
-	for _, exprRow := range ins.Rows {
-		row := make([]Value, len(t.Cols))
+	// Every row of the statement is a window of one allocation.
+	width := len(t.Cols)
+	slab := make([]Value, len(ins.Rows)*width)
+	for r, exprRow := range ins.Rows {
+		row := slab[r*width : (r+1)*width : (r+1)*width]
 		if len(ins.Cols) == 0 {
 			if len(exprRow) != len(t.Cols) {
 				return inserted, fmt.Errorf("sqldb: table %s has %d columns, got %d values",
@@ -806,9 +811,12 @@ func (db *DB) selectPlain(sel *Select, t *Table, matched []int, args []Value) (r
 	}
 	hidden = len(hiddenIdx)
 	ctx := &evalCtx{table: t, args: args}
+	if len(matched) > 0 {
+		res.Rows = make([][]Value, 0, len(matched))
+	}
 	for _, ri := range matched {
 		ctx.row = t.Rows[ri]
-		var out []Value
+		out := make([]Value, 0, len(res.Cols))
 		for _, se := range sel.Exprs {
 			if se.Star {
 				out = append(out, t.Rows[ri]...)

@@ -275,12 +275,21 @@ func keyString(vals []Value) string {
 	return string(buf)
 }
 
+// keyBytes is room for the keys of the tables GOOFI keeps — a name or two
+// and an integer — on the stack of whoever builds one.
+const keyBytes = 128
+
 // rowKey encodes the projection of a row onto the given column positions,
 // without materialising the value tuple.
 func rowKey(row []Value, colIdx []int) string {
-	buf := make([]byte, 0, 48)
+	var buf [keyBytes]byte
+	return string(appendRowKey(buf[:0], row, colIdx))
+}
+
+// appendRowKey appends rowKey's encoding to buf.
+func appendRowKey(buf []byte, row []Value, colIdx []int) []byte {
 	for _, ci := range colIdx {
 		buf = appendValueKey(buf, row[ci])
 	}
-	return string(buf)
+	return buf
 }

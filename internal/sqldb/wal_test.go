@@ -302,7 +302,7 @@ func TestOpenAtTruncatesTornTail(t *testing.T) {
 	}
 
 	for _, tail := range [][]byte{
-		{0x99},                             // lone garbage byte
+		{0x99},                            // lone garbage byte
 		{0xAA, 0xBB, 0xCC, 0xDD, 0, 0, 0}, // partial header
 		append(bytes.Repeat([]byte{0x55}, walFrameHeader), 1, 2, 3), // bogus full header + partial payload
 	} {
