@@ -738,13 +738,14 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 		n := float64(ts.Experiments)
 		fmt.Printf("  trigger: %.2f breakpoint stops and %.2f single-steps per experiment, %d guides counted and %d by int3 hops, %d fallbacks to stepping; %d forks, %d execs over %d runs; %d spares unused\n",
 			float64(ts.Stops)/n, float64(ts.SingleSteps)/n, ts.Counted, ts.Int3, ts.Fallbacks, ts.Forks, ts.Execs, ts.Experiments, ts.SparesUnused)
-		// Where a run's time went: the mean from resume to reap, by class.
+		// Where a run's time went: the mean from resume to reap, by class;
+		// then how many crashes skipped the Go runtime's freeze sleep.
 		classes := make([]string, 0, len(ts.Run))
 		for class, d := range ts.Run {
 			classes = append(classes, fmt.Sprintf("%s %.2f ms", class, float64(d)/float64(time.Millisecond)))
 		}
 		sort.Strings(classes)
-		fmt.Printf("  run: %s (mean from resume to reap)\n", strings.Join(classes, ", "))
+		fmt.Printf("  run: %s (mean from resume to reap); %d freeze sleeps skipped\n", strings.Join(classes, ", "), ts.FreezeSkips)
 	}
 	if sum.Forwarded > 0 {
 		fmt.Printf("  fast-forwarded %d experiments: %d cycles emulated, %d saved by checkpoint restore\n",

@@ -10,8 +10,8 @@ import (
 // Telemetry for live-process campaigns: experiment volume, how the
 // victims were started, the outcome class histogram (the ZOFI taxonomy is
 // the headline result of a proc campaign), where a run's time goes by
-// class, and what reaching the injection points cost in ptrace stops, by
-// kind.
+// class, what reaching the injection points cost in ptrace stops, by
+// kind, and how many crashes skipped the Go runtime's freeze sleep.
 var (
 	mExperiments = telemetry.NewCounter("goofi_proc_experiments_total",
 		"Live-process experiments started (victims run under ptrace).")
@@ -53,6 +53,8 @@ var (
 	// fallbacks exports two zeros, not two absent series.
 	mFallbackNondeterministic = mFallbacks.With("nondeterministic-prefix")
 	mFallbackMismatch         = mFallbacks.With("arrival-mismatch")
+	mFreezeSkips              = telemetry.NewCounter("goofi_proc_freeze_sleeps_skipped_total",
+		"Crashes of single-threaded forked children that returned from the Go runtime's freezetheworld without its 1 ms sleep.")
 )
 
 // TriggerStats is what reaching the injection points has cost this
@@ -69,6 +71,7 @@ type TriggerStats struct {
 	// SparesUnused counts spares dropped without serving an experiment:
 	// at most one per board, unless zygotes were dropped mid-campaign.
 	SparesUnused uint64
+	FreezeSkips  uint64 // crashes that skipped the runtime's freeze sleep
 	// Run is the mean time from resume to reap, by the outcome classes
 	// that occurred.
 	Run map[campaign.OutcomeStatus]time.Duration
@@ -86,6 +89,7 @@ func ReadTriggerStats() TriggerStats {
 		Forks:        mForks.Value(),
 		Execs:        mExecs.Value(),
 		SparesUnused: mSparesUnused.Value(),
+		FreezeSkips:  mFreezeSkips.Value(),
 		Run:          make(map[campaign.OutcomeStatus]time.Duration),
 	}
 	for class, ns := range mRunNS {

@@ -105,14 +105,16 @@ func regSlotOf(off int) (slot int, valueBit int) {
 
 // victimInfo is the parsed ELF metadata of one victim binary — the
 // breakpoint address, the extent of the workload function, a syscall
-// instruction to fork a zygote with and the writable main.* object
-// symbols forming the memory chain — plus what is memoised per binary
-// from fault-free runs: the reference stdout and the prefix trace.
+// instruction to fork a zygote with, the runtime's freeze sleep and the
+// writable main.* object symbols forming the memory chain — plus what is
+// memoised per binary from fault-free runs: the reference stdout and the
+// prefix trace.
 type victimInfo struct {
 	path        string
 	workload    uint64
 	workloadEnd uint64 // workload + symbol size: [workload, workloadEnd) is plantable
 	syscallInsn uint64 // address of the bytes 0f 05 (syscall) in the text
+	freeze      freezeSyms
 	memMap      scanchain.Map
 	symAddrs    map[string]uint64 // location name -> virtual address
 	refStdout   []byte            // fault-free stdout, filled lazily
@@ -126,6 +128,17 @@ type victimInfo struct {
 	// failed where an exec'd run exited 0 (Target.forkFailed). Every
 	// child of it is exec'd from then on.
 	noFork atomic.Bool
+}
+
+// freezeSyms locate the sleep a fatal panic or throw starts with:
+// runtime.freezetheworld calls runtime.usleep(1000) to let the process's
+// other threads settle, and a forked child has none (tracer.Resume skips
+// the call). Zero when the victim lacks either symbol: its crashes sleep.
+type freezeSyms struct {
+	usleep uint64 // entry of runtime.usleep (runtime.usleep.abi0 in register-ABI builds)
+	// [from, to) is runtime.freezetheworld: a return address in it marks
+	// the freeze sleep's call.
+	from, to uint64
 }
 
 var victimCache = struct {
@@ -168,9 +181,21 @@ func loadVictim(path string) (*victimInfo, error) {
 		size uint64
 	}
 	var mems []memSym
+	var usleepWrapper uint64
 	for _, s := range syms {
-		if s.Name == WorkloadSymbol && elf.ST_TYPE(s.Info) == elf.STT_FUNC {
-			vi.workload, vi.workloadEnd = s.Value, s.Value+s.Size
+		if elf.ST_TYPE(s.Info) == elf.STT_FUNC {
+			switch s.Name {
+			case WorkloadSymbol:
+				vi.workload, vi.workloadEnd = s.Value, s.Value+s.Size
+			case "runtime.freezetheworld":
+				vi.freeze.from, vi.freeze.to = s.Value, s.Value+s.Size
+			case "runtime.usleep.abi0":
+				// The assembly body, which the runtime's Go code calls
+				// directly; runtime.usleep, if present, is a wrapper.
+				vi.freeze.usleep = s.Value
+			case "runtime.usleep":
+				usleepWrapper = s.Value
+			}
 			continue
 		}
 		if elf.ST_TYPE(s.Info) != elf.STT_OBJECT || !strings.HasPrefix(s.Name, "main.") {
@@ -186,6 +211,12 @@ func loadVictim(path string) (*victimInfo, error) {
 			continue
 		}
 		mems = append(mems, memSym{name: s.Name, addr: s.Value, size: s.Size})
+	}
+	if vi.freeze.usleep == 0 {
+		vi.freeze.usleep = usleepWrapper
+	}
+	if vi.freeze.usleep == 0 || vi.freeze.to == 0 {
+		vi.freeze = freezeSyms{}
 	}
 	if vi.workload == 0 {
 		return nil, &procError{class: core.Persistent,
@@ -238,7 +269,8 @@ func loadVictim(path string) (*victimInfo, error) {
 // recordings, the reference-output capture and Probe. One P and no
 // asynchronous preemption keep the main goroutine on the traced thread;
 // dontfreezetheworld spares a fatal panic the runtime's ≥2 ms of sleeps
-// while it preempts goroutines (one 1 ms sleep remains); GOTRACEBACK=single
+// while it preempts goroutines, leaving one 1 ms sleep, which a
+// single-threaded forked child skips too (tracer.Resume); GOTRACEBACK=single
 // keeps a crash's output the default traceback. These replace whatever
 // the operator has set: exec.Cmd keeps the last of duplicate variables.
 func victimEnv() []string {
@@ -354,6 +386,9 @@ type Target struct {
 	// counted there (prefix.go's guide): the kernel refused this Target a
 	// counting breakpoint, or a test asked for the hops.
 	int3 bool
+	// freezeSleep: a forked child's crash sleeps in freezetheworld, as an
+	// exec'd child's does (the other half of the freeze-sleep bytes test).
+	freezeSleep bool
 
 	mu sync.Mutex
 	th *thread // nil until InitTestCard, and after Close
@@ -626,6 +661,9 @@ func (t *Target) spawn() error {
 	// Emptied here, not at the fork: a spare is forked while the previous
 	// child may still be writing.
 	tr.out.reset()
+	if !t.freezeSleep {
+		tr.freeze = t.vi.freeze
+	}
 	t.tr, t.lastPID, t.forked, t.start = tr, tr.PID(), true, t.z.start
 	t.watchdog.watch(tr.PID())
 	return nil

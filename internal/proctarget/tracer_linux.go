@@ -47,7 +47,10 @@ import (
 // preemption off, so its main goroutine stays on the traced thread and
 // SIGURG noise does not perturb the step budget, and dontfreezetheworld,
 // so a fatal panic does not sleep ≥2 ms preempting goroutines a forked
-// child has no thread for. A victim that blocks in a system call before
+// child has no thread for. The one 1 ms sleep that setting leaves, a
+// single-threaded forked child skips: Resume plants an int3 at
+// runtime.usleep when a fatal signal arrives and returns the child from
+// the call freezetheworld makes. A victim that blocks in a system call before
 // or in its workload must also lock the goroutine to that thread in an
 // init. A forked child has that thread alone: a locked goroutine that
 // parks there (a sleep, a channel, a collection) hands its P to a thread
@@ -115,6 +118,9 @@ type tracer struct {
 	bpAddr   uint64
 	origWord []byte // byte under the planted 0xCC
 	bpSet    bool
+	// freeze, if set, is where this forked child's runtime sleeps on its
+	// way to a crash's traceback: Resume skips that sleep.
+	freeze freezeSyms
 
 	out       *output // closed at Shutdown
 	reaped    bool
@@ -630,15 +636,90 @@ func (t *tracer) Resume(meanwhile func()) (*exitInfo, error) {
 		if ei != nil {
 			return ei, nil
 		}
-		if ws.StopSignal() == syscall.SIGTRAP {
+		switch s := ws.StopSignal(); s {
+		case syscall.SIGTRAP:
 			sig = 0
-		} else {
-			// Deliver the signal. A fatal one (SIGSEGV from a flipped
-			// pointer) either kills the child outright or is converted
-			// by the Go runtime into a panic exit — crash either way.
-			sig = int(ws.StopSignal())
+			if err := t.skipFreezeSleep(); err != nil {
+				return nil, err
+			}
+		case syscall.SIGSEGV, syscall.SIGBUS, syscall.SIGILL, syscall.SIGFPE:
+			// Deliver the signal. It either kills the child outright or
+			// is converted by the Go runtime into a panic: recovered, or
+			// a crash whose fatal path begins with the freeze sleep.
+			t.armFreezeSkip()
+			sig = int(s)
+		default:
+			sig = int(s)
 		}
 	}
+}
+
+// The crash's freeze sleep. The Go runtime's fatal path (a panic nobody
+// recovers, a throw) begins with freezetheworld, which under
+// dontfreezetheworld sleeps 1 ms so that the process's other threads can
+// settle before the traceback. A forked child runs on one thread, so it
+// has nothing to wait for. At a fatal signal's delivery stop, such a child
+// gets a one-shot int3 at runtime.usleep. If the call it catches comes
+// from freezetheworld, the child returns from usleep without running it;
+// any other caller sleeps as before. A child with a second thread is left
+// alone: an int3 that an untraced thread executes kills the process.
+
+// armFreezeSkip plants the int3 at usleep in a single-threaded forked
+// child, once.
+func (t *tracer) armFreezeSkip() {
+	if t.freeze.usleep == 0 || t.bpSet || !singleThreaded(t.pid) {
+		return
+	}
+	// A failed plant leaves no int3 behind (bpSet stays false), and the
+	// child keeps its sleep.
+	_ = t.SetBreakpoint(t.freeze.usleep)
+}
+
+// skipFreezeSleep handles a SIGTRAP stop on the int3 armFreezeSkip
+// planted: the byte goes back, and the child either returns to
+// freezetheworld as if usleep had run — rip taken from [rsp], rsp
+// popped, which is all usleep's ret does — or, called from anywhere
+// else, is rewound onto usleep. Any other trap is left alone.
+func (t *tracer) skipFreezeSleep() error {
+	if t.freeze.usleep == 0 || !t.bpSet {
+		return nil
+	}
+	var regs syscall.PtraceRegs
+	if err := syscall.PtraceGetRegs(t.pid, &regs); err != nil {
+		return fmt.Errorf("proctarget: getregs at usleep: %w", err)
+	}
+	if regs.Rip != t.bpAddr+1 {
+		return nil
+	}
+	if _, err := syscall.PtracePokeData(t.pid, uintptr(t.bpAddr), t.origWord); err != nil {
+		return fmt.Errorf("proctarget: restore the byte at usleep: %w", err)
+	}
+	t.bpSet = false
+	var ret [8]byte
+	if _, err := syscall.PtracePeekData(t.pid, uintptr(regs.Rsp), ret[:]); err != nil {
+		return fmt.Errorf("proctarget: usleep's return address: %w", err)
+	}
+	if r := binary.LittleEndian.Uint64(ret[:]); t.freeze.from <= r && r < t.freeze.to {
+		regs.Rip, regs.Rsp = r, regs.Rsp+8
+		mFreezeSkips.Inc()
+	} else {
+		regs.Rip = t.bpAddr
+	}
+	if err := syscall.PtraceSetRegs(t.pid, &regs); err != nil {
+		return fmt.Errorf("proctarget: leave usleep: %w", err)
+	}
+	return nil
+}
+
+// singleThreaded reports whether process pid runs one thread.
+func singleThreaded(pid int) bool {
+	d, err := os.Open(fmt.Sprintf("/proc/%d/task", pid))
+	if err != nil {
+		return false
+	}
+	defer d.Close()
+	names, _ := d.Readdirnames(2)
+	return len(names) == 1
 }
 
 // Stdout returns what the child wrote (capped at maxStdout) and empties

@@ -23,6 +23,7 @@ type tracer struct {
 	pid       int
 	out       *output
 	lastState *exitInfo
+	freeze    freezeSyms
 }
 
 type output struct{}
