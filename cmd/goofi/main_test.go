@@ -619,6 +619,77 @@ func TestResumeParentBuildStore(t *testing.T) {
 	}
 }
 
+// TestResumeParentBuildWAL: a store the parent build left with its rows in
+// the write-ahead log alone — the quickstart campaign stopped after 50
+// experiments and closed with no checkpoint, so the snapshot holds the
+// schema, the target and the campaign, and the log the 51 end rows and
+// their cursor saves — replays record for record and resumes to the report
+// of an uninterrupted run. Every logged statement must still parse: replay
+// refuses the store otherwise. Made by the parent commit's own packages
+// from parent-quickstart-half.db's target and campaign.
+func TestResumeParentBuildWAL(t *testing.T) {
+	dir := filepath.Join("..", "..", "internal", "campaign", "testdata")
+	db := dbPath(t)
+	for _, f := range [][2]string{{"parent-quickstart-wal.db", db}, {"parent-quickstart-wal.db.wal", sqldb.WALPath(db)}} {
+		b, err := os.ReadFile(filepath.Join(dir, f[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f[1], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := sqldb.Open()
+	if err := snapshot.LoadFile(db); err != nil {
+		t.Fatal(err)
+	}
+	count := func(sdb *sqldb.DB) int64 {
+		t.Helper()
+		r, err := sdb.Query(`SELECT COUNT(*) FROM LoggedSystemState`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Rows[0][0].I
+	}
+	if n := count(snapshot); n != 0 {
+		t.Fatalf("the snapshot holds %d rows; the fixture's rows must live in its log", n)
+	}
+	sdb, err := sqldb.OpenAt(db, sqldb.SyncBarrier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := count(sdb)
+	if err := sdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 51 {
+		t.Fatalf("the replayed log holds %d rows, want the reference and 50 experiments", n)
+	}
+	if err := runCmd(t, "resume", "-db", db, "-campaign", "quickstart", "-quiet"); err != nil {
+		t.Fatal(err)
+	}
+	sdb, err = sqldb.OpenAt(db, sqldb.SyncBarrier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+	st, err := campaign.NewStore(sdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := analysis.AnalyzeAndStore(st, "quickstart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "quickstart_report.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Render(); got != string(want) {
+		t.Errorf("resumed report\n%s\nwant the golden\n%s", got, want)
+	}
+}
+
 // TestRunBoardCountWritesSameFiles: a campaign run on one board or on three
 // leaves the same database and log, byte for byte — rows, cursor saves and
 // their order — for sort16 and for the PID loop against its plant. The

@@ -9,14 +9,6 @@ type ColumnDef struct {
 	Type    Kind
 	NotNull bool
 	PK      bool
-	Unique  bool
-}
-
-// ForeignKeyDef is a FOREIGN KEY ... REFERENCES clause.
-type ForeignKeyDef struct {
-	Cols     []string
-	RefTable string
-	RefCols  []string
 }
 
 // CreateTable is CREATE TABLE.
@@ -24,8 +16,7 @@ type CreateTable struct {
 	Name        string
 	IfNotExists bool
 	Cols        []ColumnDef
-	PrimaryKey  []string
-	Foreign     []ForeignKeyDef
+	Foreign     []ForeignKey
 }
 
 // CreateIndex is CREATE INDEX ... ON table (cols).
@@ -36,16 +27,9 @@ type CreateIndex struct {
 	Cols        []string
 }
 
-// DropTable is DROP TABLE.
-type DropTable struct {
-	Name     string
-	IfExists bool
-}
-
-// Insert is INSERT INTO ... VALUES.
+// Insert is INSERT INTO ... VALUES, one value per column in table order.
 type Insert struct {
 	Table string
-	Cols  []string
 	Rows  [][]Expr
 }
 
@@ -71,7 +55,6 @@ type Select struct {
 	GroupBy  []string
 	OrderBy  []OrderKey
 	Limit    Expr // nil when absent
-	Offset   Expr // nil when absent
 }
 
 // Assign is one SET column = expr.
@@ -95,7 +78,6 @@ type Delete struct {
 
 func (*CreateTable) stmt() {}
 func (*CreateIndex) stmt() {}
-func (*DropTable) stmt()   {}
 func (*Insert) stmt()      {}
 func (*Select) stmt()      {}
 func (*Update) stmt()      {}
@@ -114,45 +96,26 @@ type Param struct{ Idx int }
 // ColRef references a column by name.
 type ColRef struct{ Name string }
 
-// Unary is NOT x or -x.
-type Unary struct {
-	Op string
-	X  Expr
-}
+// Neg is -x.
+type Neg struct{ X Expr }
 
-// Binary is a binary operation (AND, OR, comparisons, arithmetic, LIKE).
+// Binary is AND or a comparison.
 type Binary struct {
 	Op   string
 	L, R Expr
 }
 
-// IsNull is x IS [NOT] NULL.
-type IsNull struct {
-	X   Expr
-	Neg bool
-}
-
-// InList is x [NOT] IN (e1, e2, ...).
-type InList struct {
-	X    Expr
-	List []Expr
-	Neg  bool
-}
-
 // Call is an aggregate function call: COUNT(*), COUNT(x), SUM, AVG, MIN,
-// MAX, optionally DISTINCT.
+// MAX. It is a whole SELECT list item, never part of an expression.
 type Call struct {
-	Fn       string
-	Arg      Expr
-	Star     bool
-	Distinct bool
+	Fn   string
+	Arg  Expr
+	Star bool
 }
 
 func (*Lit) expr()    {}
 func (*Param) expr()  {}
 func (*ColRef) expr() {}
-func (*Unary) expr()  {}
+func (*Neg) expr()    {}
 func (*Binary) expr() {}
-func (*IsNull) expr() {}
-func (*InList) expr() {}
 func (*Call) expr()   {}

@@ -92,20 +92,6 @@ func (db *DB) TableNames() []string {
 	return out
 }
 
-// Schema returns a copy of a table's schema.
-func (db *DB) Schema(name string) (cols []Column, pk []string, fks []ForeignKey, err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("sqldb: no table %q", name)
-	}
-	cols = append(cols, t.Cols...)
-	pk = append(pk, t.PKCols...)
-	fks = append(fks, t.FKs...)
-	return cols, pk, fks, nil
-}
-
 // Exec runs a statement that does not return rows. It returns the number
 // of rows affected (0 for DDL).
 func (db *DB) Exec(sql string, args ...Value) (int64, error) {
@@ -126,8 +112,6 @@ func (db *DB) execStmt(sql string, st Statement, args []Value) (int64, error) {
 		err = db.createTable(st)
 	case *CreateIndex:
 		err = db.createIndex(st)
-	case *DropTable:
-		err = db.dropTable(st)
 	case *Insert:
 		n, err = db.insert(st, args)
 	case *Update:
@@ -164,11 +148,11 @@ type Stmt struct {
 }
 
 // fastInsertParams reports whether st is `INSERT INTO t VALUES (?0, ...,
-// ?n-1)` — one row, no column list, every value the positional parameter
-// matching its slot. Returns ("", 0) otherwise.
+// ?n-1)` — one row, every value the positional parameter matching its
+// slot. Returns ("", 0) otherwise.
 func fastInsertParams(st Statement) (string, int) {
 	ins, ok := st.(*Insert)
-	if !ok || len(ins.Cols) != 0 || len(ins.Rows) != 1 {
+	if !ok || len(ins.Rows) != 1 {
 		return "", 0
 	}
 	for i, e := range ins.Rows[0] {
@@ -219,17 +203,6 @@ func (s *Stmt) Exec(args ...Value) (int64, error) {
 	return s.db.execStmt(s.sql, s.st, args)
 }
 
-// Query runs a prepared SELECT.
-func (s *Stmt) Query(args ...Value) (*Result, error) {
-	sel, ok := s.st.(*Select)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
-	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	return s.db.selectRows(sel, args)
-}
-
 // Query runs a SELECT and returns its result rows.
 func (db *DB) Query(sql string, args ...Value) (*Result, error) {
 	st, err := db.parseCached(sql)
@@ -265,47 +238,21 @@ func (db *DB) createTable(ct *CreateTable) error {
 	}
 	t := &Table{Name: ct.Name}
 	seen := make(map[string]bool)
-	var pk []string
 	for _, cd := range ct.Cols {
 		if seen[cd.Name] {
 			return fmt.Errorf("sqldb: duplicate column %q in table %q", cd.Name, ct.Name)
 		}
 		seen[cd.Name] = true
-		t.Cols = append(t.Cols, Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull, Unique: cd.Unique})
+		t.Cols = append(t.Cols, Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull})
 		if cd.PK {
-			pk = append(pk, cd.Name)
+			t.PKCols = append(t.PKCols, cd.Name)
 		}
-	}
-	if len(ct.PrimaryKey) > 0 {
-		if len(pk) > 0 {
-			return fmt.Errorf("sqldb: table %q has both column-level and table-level PRIMARY KEY", ct.Name)
-		}
-		pk = ct.PrimaryKey
-	}
-	t.PKCols = pk
-	if _, err := t.colIndexes(pk); err != nil {
-		return err
-	}
-	// PK columns are implicitly NOT NULL.
-	for _, pc := range pk {
-		ci, _ := t.colIndex(pc)
-		t.Cols[ci].NotNull = true
 	}
 	for _, fk := range ct.Foreign {
-		if len(fk.Cols) != len(fk.RefCols) {
-			return fmt.Errorf("sqldb: foreign key arity mismatch in table %q", ct.Name)
-		}
-		if _, err := t.colIndexes(fk.Cols); err != nil {
+		if err := t.checkFK(fk, db.tables[fk.RefTable]); err != nil {
 			return err
 		}
-		ref, ok := db.tables[fk.RefTable]
-		if !ok {
-			return fmt.Errorf("sqldb: foreign key references unknown table %q", fk.RefTable)
-		}
-		if _, err := ref.colIndexes(fk.RefCols); err != nil {
-			return err
-		}
-		t.FKs = append(t.FKs, ForeignKey{Cols: fk.Cols, RefTable: fk.RefTable, RefCols: fk.RefCols})
+		t.FKs = append(t.FKs, fk)
 	}
 	if err := t.rebuildIndex(); err != nil {
 		return err
@@ -323,7 +270,7 @@ func (db *DB) createTable(ct *CreateTable) error {
 // already covered by the primary key or an existing index are skipped.
 func (t *Table) ensureFKIndexes() error {
 	for i, fk := range t.FKs {
-		if equalStrings(fk.Cols, t.PKCols) || t.hasIndexOn(fk.Cols) {
+		if equalStrings(fk.Cols, t.PKCols) || t.indexOn(fk.Cols) != nil {
 			continue
 		}
 		name := fmt.Sprintf("%s_fk%d_auto", t.Name, i)
@@ -350,31 +297,21 @@ func (db *DB) createIndex(ci *CreateIndex) error {
 	return t.addIndex(ci.Name, ci.Cols)
 }
 
-func (db *DB) dropTable(dt *DropTable) error {
-	if _, ok := db.tables[dt.Name]; !ok {
-		if dt.IfExists {
-			return nil
-		}
-		return fmt.Errorf("sqldb: no table %q", dt.Name)
+// checkFK validates a foreign key of t against ref, the table it
+// references: its columns exist, and it names ref's primary key, in order.
+// That is what lets fkCheck and referencers resolve it by one key lookup.
+func (t *Table) checkFK(fk ForeignKey, ref *Table) error {
+	if ref == nil {
+		return fmt.Errorf("sqldb: foreign key references unknown table %q", fk.RefTable)
 	}
-	for name, other := range db.tables {
-		if name == dt.Name {
-			continue
-		}
-		for _, fk := range other.FKs {
-			if fk.RefTable == dt.Name {
-				return fmt.Errorf("sqldb: cannot drop %q: referenced by %q", dt.Name, name)
-			}
-		}
+	if len(fk.Cols) != len(fk.RefCols) {
+		return fmt.Errorf("sqldb: foreign key arity mismatch in table %q", t.Name)
 	}
-	delete(db.tables, dt.Name)
-	for i, n := range db.order {
-		if n == dt.Name {
-			db.order = append(db.order[:i], db.order[i+1:]...)
-			break
-		}
+	if !equalStrings(fk.RefCols, ref.PKCols) {
+		return fmt.Errorf("sqldb: foreign key of table %q must reference the primary key of %q", t.Name, ref.Name)
 	}
-	return nil
+	_, err := t.colIndexes(fk.Cols)
+	return err
 }
 
 // fkCheck verifies that a row's foreign key tuples exist in the referenced
@@ -400,30 +337,11 @@ func (db *DB) fkCheck(t *Table, row []Value) error {
 		if ref == nil {
 			return fmt.Errorf("sqldb: foreign key references missing table %q", fk.RefTable)
 		}
-		// The FK values in fk.Cols order correspond positionally to
-		// fk.RefCols, so the same projection keys both sides. The maps
-		// are indexed with the bytes themselves: no key string is made.
+		// The FK values in fk.Cols order are the referenced primary key's
+		// in its order, so the same projection keys both sides. The map
+		// is indexed with the bytes themselves: no key string is made.
 		var buf [keyBytes]byte
-		key := appendRowKey(buf[:0], row, idx)
-		if equalStrings(fk.RefCols, ref.PKCols) {
-			if _, ok := ref.pkIndex[string(key)]; !ok {
-				return fmt.Errorf("sqldb: foreign key violation: %s%v not in %s(%v)",
-					t.Name, fk.Cols, fk.RefTable, fk.RefCols)
-			}
-			continue
-		}
-		if ix := ref.indexOn(fk.RefCols); ix != nil {
-			if len(ix.rows[string(key)]) == 0 {
-				return fmt.Errorf("sqldb: foreign key violation: %s%v not in %s(%v)",
-					t.Name, fk.Cols, fk.RefTable, fk.RefCols)
-			}
-			continue
-		}
-		set, err := ref.tupleSet(fk.RefCols)
-		if err != nil {
-			return err
-		}
-		if !set[string(key)] {
+		if !ref.hasKey(fk.RefCols, appendRowKey(buf[:0], row, idx)) {
 			return fmt.Errorf("sqldb: foreign key violation: %s%v not in %s(%v)",
 				t.Name, fk.Cols, fk.RefTable, fk.RefCols)
 		}
@@ -431,88 +349,39 @@ func (db *DB) fkCheck(t *Table, row []Value) error {
 	return nil
 }
 
-// referencers returns an error if any row in another table references the
-// given tuple of t's columns.
+// referencers returns an error if any row in another table references
+// row, a row of t. A foreign key names t's primary key, and the
+// referencing columns are their table's primary key or carry the index
+// ensureFKIndexes built, so each is one lookup, whatever the tables hold.
 func (db *DB) referencers(t *Table, row []Value) error {
-	for _, other := range db.tables {
+	var buf [keyBytes]byte
+	key := appendRowKey(buf[:0], row, t.pkColIdx())
+	for _, name := range db.order { // in creation order: the error names the first referencer
+		other := db.tables[name]
 		for _, fk := range other.FKs {
-			if fk.RefTable != t.Name {
-				continue
-			}
-			refIdx, err := t.colIndexes(fk.RefCols)
-			if err != nil {
-				return err
-			}
-			refVals := make([]Value, len(refIdx))
-			refNull := false
-			for i, ci := range refIdx {
-				refVals[i] = row[ci]
-				if refVals[i].IsNull() {
-					refNull = true
-				}
-			}
-			if refNull {
-				// A NULL component never matches a referencing tuple
-				// (MATCH SIMPLE), so nothing can reference this row.
-				continue
-			}
-			key := keyString(refVals)
-			if ix := other.indexOn(fk.Cols); ix != nil {
-				if len(ix.rows[key]) > 0 {
-					return fmt.Errorf("sqldb: row in %s is referenced by %s", t.Name, other.Name)
-				}
-				continue
-			}
-			colIdx, err := other.colIndexes(fk.Cols)
-			if err != nil {
-				return err
-			}
-			for _, orow := range other.Rows {
-				vals := make([]Value, len(colIdx))
-				skip := false
-				for i, ci := range colIdx {
-					vals[i] = orow[ci]
-					if vals[i].IsNull() {
-						skip = true
-					}
-				}
-				if !skip && keyString(vals) == key {
-					return fmt.Errorf("sqldb: row in %s is referenced by %s", t.Name, other.Name)
-				}
+			if fk.RefTable == t.Name && other.hasKey(fk.Cols, key) {
+				return fmt.Errorf("sqldb: row in %s is referenced by %s", t.Name, other.Name)
 			}
 		}
 	}
 	return nil
 }
 
-// uniqueCheck verifies UNIQUE columns and PK uniqueness for a candidate
-// row, ignoring the row at skipIdx (for updates). pkKey is the row's
-// precomputed primary key tuple ("" when the table has no PK); passing it
-// in lets insert/update reuse the key for the index maintenance that
-// follows.
-func (db *DB) uniqueCheck(t *Table, row []Value, pkKey string, skipIdx int) error {
-	if len(t.PKCols) > 0 {
-		if i, dup := t.pkIndex[pkKey]; dup && i != skipIdx {
-			return fmt.Errorf("sqldb: duplicate primary key in table %s", t.Name)
-		}
-		// PK components must not be NULL.
-		for _, ci := range t.pkColIdx() {
-			if row[ci].IsNull() {
-				return fmt.Errorf("sqldb: NULL in primary key of table %s", t.Name)
-			}
-		}
+// pkCheck verifies primary-key uniqueness for a candidate row, ignoring
+// the row at skipIdx (for updates). pkKey is the row's precomputed primary
+// key tuple ("" when the table has no PK); passing it in lets insert and
+// update reuse the key for the index maintenance that follows.
+func (db *DB) pkCheck(t *Table, row []Value, pkKey string, skipIdx int) error {
+	if len(t.PKCols) == 0 {
+		return nil
 	}
-	for ci, col := range t.Cols {
-		if !col.Unique || row[ci].IsNull() {
-			continue
-		}
-		for ri, other := range t.Rows {
-			if ri == skipIdx {
-				continue
-			}
-			if Equal(other[ci], row[ci]) {
-				return fmt.Errorf("sqldb: duplicate value in unique column %s.%s", t.Name, col.Name)
-			}
+	if i, dup := t.pkIndex[pkKey]; dup && i != skipIdx {
+		return fmt.Errorf("sqldb: duplicate primary key in table %s", t.Name)
+	}
+	// PK components must not be NULL.
+	for _, ci := range t.pkColIdx() {
+		if row[ci].IsNull() {
+			return fmt.Errorf("sqldb: NULL in primary key of table %s", t.Name)
 		}
 	}
 	return nil
@@ -523,14 +392,6 @@ func (db *DB) insert(ins *Insert, args []Value) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sqldb: no table %q", ins.Table)
 	}
-	colIdx := make([]int, 0, len(ins.Cols))
-	if len(ins.Cols) > 0 {
-		var err error
-		colIdx, err = t.colIndexes(ins.Cols)
-		if err != nil {
-			return 0, err
-		}
-	}
 	ctx := &evalCtx{args: args}
 	var inserted int64
 	// Every row of the statement is a window of one allocation.
@@ -538,30 +399,16 @@ func (db *DB) insert(ins *Insert, args []Value) (int64, error) {
 	slab := make([]Value, len(ins.Rows)*width)
 	for r, exprRow := range ins.Rows {
 		row := slab[r*width : (r+1)*width : (r+1)*width]
-		if len(ins.Cols) == 0 {
-			if len(exprRow) != len(t.Cols) {
-				return inserted, fmt.Errorf("sqldb: table %s has %d columns, got %d values",
-					t.Name, len(t.Cols), len(exprRow))
+		if len(exprRow) != width {
+			return inserted, fmt.Errorf("sqldb: table %s has %d columns, got %d values",
+				t.Name, width, len(exprRow))
+		}
+		for i, e := range exprRow {
+			v, err := eval(e, ctx)
+			if err != nil {
+				return inserted, err
 			}
-			for i, e := range exprRow {
-				v, err := eval(e, ctx)
-				if err != nil {
-					return inserted, err
-				}
-				row[i] = v
-			}
-		} else {
-			if len(exprRow) != len(ins.Cols) {
-				return inserted, fmt.Errorf("sqldb: %d columns named, %d values given",
-					len(ins.Cols), len(exprRow))
-			}
-			for i, e := range exprRow {
-				v, err := eval(e, ctx)
-				if err != nil {
-					return inserted, err
-				}
-				row[colIdx[i]] = v
-			}
+			row[i] = v
 		}
 		if err := db.insertRow(t, row); err != nil {
 			return inserted, err
@@ -575,12 +422,11 @@ func (db *DB) insert(ins *Insert, args []Value) (int64, error) {
 // maintenance. Shared by the general INSERT path and the prepared-
 // statement fast path.
 func (db *DB) insertRow(t *Table, row []Value) error {
-	row, err := t.checkRow(row)
-	if err != nil {
+	if err := t.checkRow(row); err != nil {
 		return err
 	}
 	key := t.pkKey(row)
-	if err := db.uniqueCheck(t, row, key, -1); err != nil {
+	if err := db.pkCheck(t, row, key, -1); err != nil {
 		return err
 	}
 	if err := db.fkCheck(t, row); err != nil {
@@ -665,12 +511,11 @@ func (db *DB) update(up *Update, args []Value) (int64, error) {
 			}
 			next[setIdx[i]] = v
 		}
-		next, err := t.checkRow(next)
-		if err != nil {
+		if err := t.checkRow(next); err != nil {
 			return updated, err
 		}
 		newKey := t.pkKey(next)
-		if err := db.uniqueCheck(t, next, newKey, ri); err != nil {
+		if err := db.pkCheck(t, next, newKey, ri); err != nil {
 			return updated, err
 		}
 		if err := db.fkCheck(t, next); err != nil {
@@ -741,7 +586,7 @@ func (db *DB) selectRows(sel *Select, args []Value) (*Result, error) {
 
 	aggregate := len(sel.GroupBy) > 0
 	for _, se := range sel.Exprs {
-		if !se.Star && hasAggregate(se.E) {
+		if _, ok := se.E.(*Call); ok {
 			aggregate = true
 		}
 	}
@@ -771,7 +616,7 @@ func (db *DB) selectRows(sel *Select, args []Value) (*Result, error) {
 	if sel.Distinct {
 		res.Rows = distinctRows(res.Rows)
 	}
-	if err := applyLimit(res, sel, args); err != nil {
+	if err := applyLimit(res, sel.Limit, args); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -903,7 +748,7 @@ func (db *DB) selectAggregate(sel *Select, t *Table, matched []int, args []Value
 // row (valid for GROUP BY columns, which are constant within a group).
 func evalAggExpr(e Expr, t *Table, rows []int, ctx *evalCtx) (Value, error) {
 	if call, ok := e.(*Call); ok {
-		st := newAggState(call.Fn, call.Distinct)
+		st := &aggState{fn: call.Fn}
 		for _, ri := range rows {
 			if call.Star {
 				st.addStar()
@@ -919,22 +764,6 @@ func evalAggExpr(e Expr, t *Table, rows []int, ctx *evalCtx) (Value, error) {
 			}
 		}
 		return st.result(), nil
-	}
-	if b, ok := e.(*Binary); ok && hasAggregate(e) {
-		l, err := evalAggExpr(b.L, t, rows, ctx)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := evalAggExpr(b.R, t, rows, ctx)
-		if err != nil {
-			return Value{}, err
-		}
-		switch b.Op {
-		case "+", "-", "*", "/", "%":
-			return arith(b.Op, l, r)
-		default:
-			return Value{}, fmt.Errorf("sqldb: operator %q over aggregates is not supported", b.Op)
-		}
 	}
 	if len(rows) == 0 {
 		return Null(), nil
@@ -997,37 +826,21 @@ func distinctRows(rows [][]Value) [][]Value {
 	return out
 }
 
-func applyLimit(res *Result, sel *Select, args []Value) error {
-	evalInt := func(e Expr) (int64, error) {
-		v, err := eval(e, &evalCtx{args: args})
-		if err != nil {
-			return 0, err
-		}
-		return v.AsInt()
+// applyLimit keeps the first LIMIT rows; a negative limit keeps them all.
+func applyLimit(res *Result, limit Expr, args []Value) error {
+	if limit == nil {
+		return nil
 	}
-	offset := int64(0)
-	if sel.Offset != nil {
-		var err error
-		offset, err = evalInt(sel.Offset)
-		if err != nil {
-			return err
-		}
-		if offset < 0 {
-			offset = 0
-		}
+	v, err := eval(limit, &evalCtx{args: args})
+	if err != nil {
+		return err
 	}
-	if offset > int64(len(res.Rows)) {
-		offset = int64(len(res.Rows))
+	n, err := v.AsInt()
+	if err != nil {
+		return err
 	}
-	res.Rows = res.Rows[offset:]
-	if sel.Limit != nil {
-		limit, err := evalInt(sel.Limit)
-		if err != nil {
-			return err
-		}
-		if limit >= 0 && limit < int64(len(res.Rows)) {
-			res.Rows = res.Rows[:limit]
-		}
+	if n >= 0 && n < int64(len(res.Rows)) {
+		res.Rows = res.Rows[:n]
 	}
 	return nil
 }

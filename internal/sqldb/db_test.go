@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +20,6 @@ func testDB(t *testing.T) *DB {
 		name TEXT NOT NULL,
 		target TEXT,
 		faults INTEGER,
-		rate REAL,
 		FOREIGN KEY (target) REFERENCES targets (name)
 	)`)
 	return db
@@ -47,9 +48,9 @@ func seed(t *testing.T, db *DB) {
 	mustExec(t, db, `INSERT INTO targets VALUES ('thor-rd', 'THOR-S', 5412)`)
 	mustExec(t, db, `INSERT INTO targets VALUES ('board2', 'THOR-S', 5412)`)
 	mustExec(t, db, `INSERT INTO campaigns VALUES
-		(1, 'pid-scifi', 'thor-rd', 1000, 0.42),
-		(2, 'sort-swifi', 'thor-rd', 500, 0.35),
-		(3, 'idle', 'board2', 0, 0.0)`)
+		(1, 'pid-scifi', 'thor-rd', 1000),
+		(2, 'sort-swifi', 'thor-rd', 500),
+		(3, 'idle', 'board2', 0)`)
 }
 
 func TestCreateInsertSelect(t *testing.T) {
@@ -98,14 +99,14 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	if _, err := db.Exec(`INSERT INTO targets VALUES ('thor-rd', 'dup', 1)`); err == nil {
 		t.Error("duplicate PK accepted")
 	}
-	if _, err := db.Exec(`INSERT INTO campaigns VALUES (1, 'dup', NULL, 0, 0.0)`); err == nil {
+	if _, err := db.Exec(`INSERT INTO campaigns VALUES (1, 'dup', ?, 0)`, Null()); err == nil {
 		t.Error("duplicate integer PK accepted")
 	}
 }
 
 func TestNotNull(t *testing.T) {
 	db := testDB(t)
-	if _, err := db.Exec(`INSERT INTO targets VALUES ('x', NULL, 1)`); err == nil {
+	if _, err := db.Exec(`INSERT INTO targets VALUES ('x', ?, 1)`, Null()); err == nil {
 		t.Error("NULL in NOT NULL column accepted")
 	}
 }
@@ -114,11 +115,11 @@ func TestForeignKeyEnforcement(t *testing.T) {
 	db := testDB(t)
 	seed(t, db)
 	// Insert referencing a missing target.
-	if _, err := db.Exec(`INSERT INTO campaigns VALUES (9, 'bad', 'ghost', 1, 0.1)`); err == nil {
+	if _, err := db.Exec(`INSERT INTO campaigns VALUES (9, 'bad', 'ghost', 1)`); err == nil {
 		t.Error("FK violation on insert accepted")
 	}
 	// NULL FK is allowed (MATCH SIMPLE).
-	mustExec(t, db, `INSERT INTO campaigns VALUES (10, 'detached', NULL, 1, 0.1)`)
+	mustExec(t, db, `INSERT INTO campaigns VALUES (10, 'detached', ?, 1)`, Null())
 	// Deleting a referenced parent is rejected.
 	if _, err := db.Exec(`DELETE FROM targets WHERE name = 'thor-rd'`); err == nil {
 		t.Error("delete of referenced row accepted")
@@ -138,19 +139,23 @@ func TestForeignKeyEnforcement(t *testing.T) {
 	}
 }
 
-func TestDropTable(t *testing.T) {
+// TestForeignKeyMustNamePrimaryKey: a foreign key references its table's
+// primary key, whole and in order, or CREATE TABLE refuses it — the one
+// shape fkCheck and referencers resolve by key lookup.
+func TestForeignKeyMustNamePrimaryKey(t *testing.T) {
 	db := testDB(t)
-	if _, err := db.Exec(`DROP TABLE targets`); err == nil {
-		t.Error("drop of FK-referenced table accepted")
+	for _, sql := range []string{
+		`CREATE TABLE bad (c TEXT, FOREIGN KEY (c) REFERENCES targets (chip))`,
+		`CREATE TABLE bad (c TEXT, FOREIGN KEY (c) REFERENCES ghost (name))`,
+		`CREATE TABLE bad (c TEXT, d TEXT, FOREIGN KEY (c, d) REFERENCES targets (name))`,
+		`CREATE TABLE bad (c TEXT, FOREIGN KEY (nope) REFERENCES targets (name))`,
+	} {
+		if _, err := db.Exec(sql); err == nil {
+			t.Errorf("accepted %s", sql)
+		}
 	}
-	mustExec(t, db, `DROP TABLE campaigns`)
-	mustExec(t, db, `DROP TABLE targets`)
-	if _, err := db.Exec(`DROP TABLE targets`); err == nil {
-		t.Error("double drop accepted")
-	}
-	mustExec(t, db, `DROP TABLE IF EXISTS targets`)
-	if got := db.TableNames(); len(got) != 0 {
-		t.Errorf("tables = %v, want none", got)
+	if got := db.TableNames(); len(got) != 2 {
+		t.Errorf("tables = %v, want the two of the fixture", got)
 	}
 }
 
@@ -165,7 +170,7 @@ func TestCreateIfNotExists(t *testing.T) {
 func TestUpdate(t *testing.T) {
 	db := testDB(t)
 	seed(t, db)
-	n := mustExec(t, db, `UPDATE campaigns SET faults = faults + 10, rate = 0.5 WHERE target = 'thor-rd'`)
+	n := mustExec(t, db, `UPDATE campaigns SET faults = ?, name = 'renamed' WHERE target = 'thor-rd'`, Int(1010))
 	if n != 2 {
 		t.Fatalf("updated %d rows, want 2", n)
 	}
@@ -217,14 +222,13 @@ func TestDeleteWithWhere(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	db := testDB(t)
 	seed(t, db)
-	r := mustQuery(t, db, `SELECT COUNT(*), SUM(faults), MIN(faults), MAX(faults), AVG(rate) FROM campaigns`)
+	r := mustQuery(t, db, `SELECT COUNT(*), SUM(faults), MIN(faults), MAX(faults), AVG(faults) FROM campaigns`)
 	row := r.Rows[0]
 	if row[0].I != 3 || row[1].I != 1500 || row[2].I != 0 || row[3].I != 1000 {
 		t.Errorf("aggregates = %v", row)
 	}
-	avg := row[4].R
-	if avg < 0.25 || avg > 0.26 {
-		t.Errorf("avg rate = %g, want ~0.2567", avg)
+	if row[4].K != KReal || row[4].R != 500 {
+		t.Errorf("avg faults = %v, want the REAL 500", row[4])
 	}
 }
 
@@ -256,52 +260,12 @@ func TestGroupBy(t *testing.T) {
 	}
 }
 
-func TestCountDistinct(t *testing.T) {
-	db := testDB(t)
-	seed(t, db)
-	r := mustQuery(t, db, `SELECT COUNT(DISTINCT target) FROM campaigns`)
-	if r.Rows[0][0].I != 2 {
-		t.Errorf("distinct targets = %d, want 2", r.Rows[0][0].I)
-	}
-}
-
 func TestDistinctRows(t *testing.T) {
 	db := testDB(t)
 	seed(t, db)
 	r := mustQuery(t, db, `SELECT DISTINCT target FROM campaigns`)
 	if len(r.Rows) != 2 {
 		t.Errorf("distinct rows = %d, want 2", len(r.Rows))
-	}
-}
-
-func TestLikeOperator(t *testing.T) {
-	db := testDB(t)
-	seed(t, db)
-	r := mustQuery(t, db, `SELECT name FROM campaigns WHERE name LIKE '%-scifi'`)
-	if len(r.Rows) != 1 || r.Rows[0][0].S != "pid-scifi" {
-		t.Errorf("LIKE result = %v", r.Rows)
-	}
-	r = mustQuery(t, db, `SELECT name FROM campaigns WHERE name LIKE '____'`)
-	if len(r.Rows) != 1 || r.Rows[0][0].S != "idle" {
-		t.Errorf("underscore LIKE = %v", r.Rows)
-	}
-}
-
-func TestIsNullAndIn(t *testing.T) {
-	db := testDB(t)
-	seed(t, db)
-	mustExec(t, db, `INSERT INTO campaigns VALUES (4, 'orphan', NULL, 7, 0.1)`)
-	r := mustQuery(t, db, `SELECT id FROM campaigns WHERE target IS NULL`)
-	if len(r.Rows) != 1 || r.Rows[0][0].I != 4 {
-		t.Errorf("IS NULL = %v", r.Rows)
-	}
-	r = mustQuery(t, db, `SELECT id FROM campaigns WHERE target IS NOT NULL AND id IN (1, 3, 4)`)
-	if len(r.Rows) != 2 {
-		t.Errorf("IN = %v", r.Rows)
-	}
-	r = mustQuery(t, db, `SELECT id FROM campaigns WHERE id NOT IN (1, 2, 3)`)
-	if len(r.Rows) != 1 || r.Rows[0][0].I != 4 {
-		t.Errorf("NOT IN = %v", r.Rows)
 	}
 }
 
@@ -312,21 +276,20 @@ func TestLimitOffset(t *testing.T) {
 	if len(r.Rows) != 2 || r.Rows[0][0].I != 1 {
 		t.Errorf("LIMIT = %v", r.Rows)
 	}
-	r = mustQuery(t, db, `SELECT id FROM campaigns ORDER BY id LIMIT 2 OFFSET 2`)
+	r = mustQuery(t, db, `SELECT id FROM campaigns ORDER BY id DESC LIMIT ?`, Int(1))
 	if len(r.Rows) != 1 || r.Rows[0][0].I != 3 {
-		t.Errorf("OFFSET = %v", r.Rows)
-	}
-	r = mustQuery(t, db, `SELECT id FROM campaigns ORDER BY id LIMIT ? OFFSET ?`, Int(1), Int(1))
-	if len(r.Rows) != 1 || r.Rows[0][0].I != 2 {
 		t.Errorf("parameterised LIMIT = %v", r.Rows)
+	}
+	if _, err := db.Query(`SELECT id FROM campaigns ORDER BY id LIMIT 2 OFFSET 2`); err == nil {
+		t.Error("OFFSET accepted")
 	}
 }
 
 func TestOrderByMultipleKeys(t *testing.T) {
 	db := testDB(t)
 	seed(t, db)
-	mustExec(t, db, `INSERT INTO campaigns VALUES (5, 'extra', 'board2', 0, 0.9)`)
-	r := mustQuery(t, db, `SELECT target, faults FROM campaigns WHERE target IS NOT NULL ORDER BY target ASC, faults DESC`)
+	mustExec(t, db, `INSERT INTO campaigns VALUES (5, 'extra', 'board2', 0)`)
+	r := mustQuery(t, db, `SELECT target, faults FROM campaigns ORDER BY target ASC, faults DESC`)
 	if r.Rows[0][0].S != "board2" {
 		t.Errorf("first row = %v", r.Rows[0])
 	}
@@ -342,39 +305,20 @@ func TestOrderByMultipleKeys(t *testing.T) {
 	}
 }
 
-func TestArithmeticInSelect(t *testing.T) {
-	db := testDB(t)
-	seed(t, db)
-	r := mustQuery(t, db, `SELECT faults * 2 + 1 AS f2 FROM campaigns WHERE id = 1`)
-	if r.Cols[0] != "f2" || r.Rows[0][0].I != 2001 {
-		t.Errorf("computed column = %v %v", r.Cols, r.Rows)
-	}
-	r = mustQuery(t, db, `SELECT 100.0 * faults / 1000 FROM campaigns WHERE id = 2`)
-	if r.Rows[0][0].R != 50.0 {
-		t.Errorf("percent = %v", r.Rows[0][0])
-	}
-}
-
 func TestBlobRoundTrip(t *testing.T) {
 	db := Open()
 	mustExec(t, db, `CREATE TABLE states (id INTEGER PRIMARY KEY, vec BLOB)`)
-	mustExec(t, db, `INSERT INTO states VALUES (1, x'deadbeef')`)
-	mustExec(t, db, `INSERT INTO states VALUES (2, ?)`, Blob([]byte{1, 2, 3}))
+	mustExec(t, db, `INSERT INTO states VALUES (1, ?), (2, ?)`, Blob([]byte{0xde, 0xad, 0xbe, 0xef}), Blob(nil))
+	mustExec(t, db, `INSERT INTO states VALUES (3, ?)`, Blob([]byte{1, 2, 3}))
 	r := mustQuery(t, db, `SELECT vec FROM states ORDER BY id`)
-	if !bytes.Equal(r.Rows[0][0].B, []byte{0xde, 0xad, 0xbe, 0xef}) {
-		t.Errorf("blob literal = %x", r.Rows[0][0].B)
+	for i, want := range [][]byte{{0xde, 0xad, 0xbe, 0xef}, nil, {1, 2, 3}} {
+		if v := r.Rows[i][0]; v.K != KBlob || !bytes.Equal(v.B, want) {
+			t.Errorf("blob %d = %v, want x'%x'", i+1, v, want)
+		}
 	}
-	if !bytes.Equal(r.Rows[1][0].B, []byte{1, 2, 3}) {
-		t.Errorf("blob param = %x", r.Rows[1][0].B)
-	}
-}
-
-func TestInsertWithColumnList(t *testing.T) {
-	db := testDB(t)
-	mustExec(t, db, `INSERT INTO targets (name, chip) VALUES ('minimal', 'THOR-S')`)
-	r := mustQuery(t, db, `SELECT bits FROM targets WHERE name = 'minimal'`)
-	if !r.Rows[0][0].IsNull() {
-		t.Errorf("unlisted column = %v, want NULL", r.Rows[0][0])
+	r = mustQuery(t, db, `SELECT id FROM states WHERE vec = ?`, Blob([]byte{1, 2, 3}))
+	if len(r.Rows) != 1 || r.Rows[0][0].I != 3 {
+		t.Errorf("blob equality = %v", r.Rows)
 	}
 }
 
@@ -386,27 +330,33 @@ func TestMultiRowInsert(t *testing.T) {
 	}
 }
 
+// TestTypeCoercion: a value is stored as the kind its column declares or
+// not at all — no kind is converted into another, and the row stays as it
+// was.
 func TestTypeCoercion(t *testing.T) {
 	db := testDB(t)
 	seed(t, db)
-	// Integer into REAL column widens.
-	mustExec(t, db, `UPDATE campaigns SET rate = 1 WHERE id = 1`)
-	r := mustQuery(t, db, `SELECT rate FROM campaigns WHERE id = 1`)
-	if r.Rows[0][0].K != KReal || r.Rows[0][0].R != 1.0 {
-		t.Errorf("coerced rate = %v", r.Rows[0][0])
+	for _, c := range []struct {
+		sql  string
+		args []Value
+	}{
+		{`UPDATE campaigns SET faults = 'many' WHERE id = 1`, nil},
+		{`UPDATE campaigns SET faults = ? WHERE id = 1`, []Value{Real(1)}},
+		{`UPDATE campaigns SET name = ? WHERE id = 1`, []Value{Blob([]byte("pid-scifi"))}},
+		{`INSERT INTO targets VALUES ('x', 'chip', ?)`, []Value{Text("5412")}},
+		{`INSERT INTO targets VALUES ('x', 'chip', ?)`, []Value{Real(5412)}},
+	} {
+		_, err := db.Exec(c.sql, c.args...)
+		if err == nil || !strings.Contains(err.Error(), "cannot store") {
+			t.Errorf("%s %v: err = %v, want a wrong-kind error", c.sql, c.args, err)
+		}
 	}
-	// Text into INTEGER is rejected.
-	if _, err := db.Exec(`UPDATE campaigns SET faults = 'many' WHERE id = 1`); err == nil {
-		t.Error("text stored in integer column")
+	r := mustQuery(t, db, `SELECT name, faults FROM campaigns WHERE id = 1`)
+	if r.Rows[0][0].S != "pid-scifi" || r.Rows[0][1].K != KInt || r.Rows[0][1].I != 1000 {
+		t.Errorf("row after refused writes = %v", r.Rows[0])
 	}
-}
-
-func TestUniqueColumn(t *testing.T) {
-	db := Open()
-	mustExec(t, db, `CREATE TABLE u (id INTEGER PRIMARY KEY, tag TEXT UNIQUE)`)
-	mustExec(t, db, `INSERT INTO u VALUES (1, 'x'), (2, NULL), (3, NULL)`) // NULLs don't collide
-	if _, err := db.Exec(`INSERT INTO u VALUES (4, 'x')`); err == nil {
-		t.Error("duplicate unique value accepted")
+	if r := mustQuery(t, db, `SELECT COUNT(*) FROM targets`); r.Rows[0][0].I != 2 {
+		t.Errorf("targets = %d after refused inserts, want 2", r.Rows[0][0].I)
 	}
 }
 
@@ -485,26 +435,6 @@ func TestErrorsSurfaceCleanly(t *testing.T) {
 	}
 }
 
-func TestSchemaIntrospection(t *testing.T) {
-	db := testDB(t)
-	cols, pk, fks, err := db.Schema("campaigns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 5 || cols[0].Name != "id" {
-		t.Errorf("cols = %v", cols)
-	}
-	if len(pk) != 1 || pk[0] != "id" {
-		t.Errorf("pk = %v", pk)
-	}
-	if len(fks) != 1 || fks[0].RefTable != "targets" {
-		t.Errorf("fks = %v", fks)
-	}
-	if _, _, _, err := db.Schema("ghost"); err == nil {
-		t.Error("Schema(ghost) did not error")
-	}
-}
-
 func TestValueStrings(t *testing.T) {
 	for v, want := range map[string]string{
 		Null().String():             "NULL",
@@ -529,34 +459,11 @@ func TestCompareCrossKind(t *testing.T) {
 	if _, err := Compare(Null(), Int(1)); err == nil {
 		t.Error("NULL compare accepted")
 	}
-	if Equal(Null(), Null()) {
-		t.Error("NULL = NULL must be false")
-	}
-}
-
-func TestLikeMatcher(t *testing.T) {
-	tests := []struct {
-		s, p string
-		want bool
-	}{
-		{"hello", "hello", true},
-		{"hello", "h%", true},
-		{"hello", "%lo", true},
-		{"hello", "%ell%", true},
-		{"hello", "h_llo", true},
-		{"hello", "h__lo", true}, // two single-char wildcards cover "el"
-		{"hello", "h_lo", false}, // too short to cover "ell"
-		{"hello", "%", true},
-		{"", "%", true},
-		{"", "_", false},
-		{"abc", "a%b%c", true},
-		{"axbyc", "a%b%c", true},
-		{"ac", "a%b%c", false},
-	}
-	for _, tt := range tests {
-		if got := likeMatch(tt.s, tt.p); got != tt.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tt.s, tt.p, got, tt.want)
-		}
+	db := testDB(t)
+	seed(t, db)
+	mustExec(t, db, `INSERT INTO campaigns VALUES (4, 'orphan', ?, 7)`, Null())
+	if r := mustQuery(t, db, `SELECT id FROM campaigns WHERE target = ?`, Null()); len(r.Rows) != 0 {
+		t.Errorf("NULL = NULL matched %v, must be false", r.Rows)
 	}
 }
 
@@ -579,5 +486,88 @@ func TestConcurrentReads(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRemovedGrammarFailsToParse: the grammar is the SQL GOOFI sends, and
+// every production cut from it is a parse error, not a statement that runs
+// with some other meaning.
+func TestRemovedGrammarFailsToParse(t *testing.T) {
+	for _, c := range []struct{ name, sql string }{
+		{"DropTable", `DROP TABLE targets`},
+		{"TablePrimaryKey", `CREATE TABLE t (a INTEGER, PRIMARY KEY (a))`},
+		{"Unique", `CREATE TABLE t (a TEXT UNIQUE)`},
+		{"RealColumn", `CREATE TABLE t (a REAL)`},
+		{"InsertColumnList", `INSERT INTO targets (name, chip) VALUES ('a', 'b')`},
+		{"Offset", `SELECT name FROM targets LIMIT 1 OFFSET 1`},
+		{"ImplicitAlias", `SELECT name n FROM targets`},
+		{"CountDistinct", `SELECT COUNT(DISTINCT chip) FROM targets`},
+		{"AggregateInExpression", `SELECT -COUNT(*) FROM targets`},
+		{"AggregateInWhere", `SELECT name FROM targets WHERE bits = MAX(bits)`},
+		{"Or", `SELECT name FROM targets WHERE bits = 1 OR bits = 2`},
+		{"Not", `SELECT name FROM targets WHERE NOT bits = 1`},
+		{"IsNull", `SELECT name FROM targets WHERE bits IS NULL`},
+		{"IsNotNull", `SELECT name FROM targets WHERE bits IS NOT NULL`},
+		{"In", `SELECT name FROM targets WHERE bits IN (1, 2)`},
+		{"NotIn", `SELECT name FROM targets WHERE bits NOT IN (1, 2)`},
+		{"Like", `SELECT name FROM targets WHERE name LIKE 'thor%'`},
+		{"Add", `SELECT bits + 1 FROM targets`},
+		{"Subtract", `SELECT bits - 1 FROM targets`},
+		{"Multiply", `SELECT bits * 2 FROM targets`},
+		{"Divide", `SELECT bits / 2 FROM targets`},
+		{"Modulo", `SELECT bits % 2 FROM targets`},
+		{"Parentheses", `SELECT name FROM targets WHERE (bits = 1)`},
+		{"BlobLiteral", `SELECT name FROM targets WHERE chip = x'00'`},
+		{"RealLiteral", `SELECT name FROM targets WHERE bits = 1.5`},
+		{"NullLiteral", `SELECT name FROM targets WHERE bits = NULL`},
+		{"Comment", `SELECT name FROM targets -- all of them`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if st, err := Parse(c.sql); err == nil {
+				t.Errorf("%s parsed as %#v", c.sql, st)
+			}
+		})
+	}
+}
+
+// TestDeleteCostIgnoresReferencingRows: whether a row is referenced is one
+// key lookup per foreign key, so refusing to delete a referenced row
+// allocates as much beside 10 referencing rows as beside 10,000 — through a
+// foreign key that is its own table's primary key (AnalysisResults' shape)
+// and through one that is not (LoggedSystemState's).
+func TestDeleteCostIgnoresReferencingRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	allocs := func(n int64) float64 {
+		db := Open()
+		db.MustExec(`CREATE TABLE parent (id INTEGER PRIMARY KEY)`)
+		db.MustExec(`CREATE TABLE result (id INTEGER PRIMARY KEY, FOREIGN KEY (id) REFERENCES parent (id))`)
+		db.MustExec(`CREATE TABLE child (id INTEGER PRIMARY KEY, pid INTEGER,
+			FOREIGN KEY (pid) REFERENCES parent (id))`)
+		for i := int64(0); i < n; i++ {
+			db.MustExec(`INSERT INTO parent VALUES (?)`, Int(i))
+			db.MustExec(`INSERT INTO result VALUES (?)`, Int(i))
+		}
+		// Parent n-1 is referenced by the last result row only, parent n
+		// by a child row only.
+		db.MustExec(`INSERT INTO parent VALUES (?)`, Int(n))
+		db.MustExec(`INSERT INTO child VALUES (0, ?)`, Int(n))
+		// The fewest of a few counts: a collection that empties fmt's
+		// printer pool meanwhile only adds to one.
+		fewest := math.Inf(1)
+		for range 5 {
+			fewest = min(fewest, testing.AllocsPerRun(10, func() {
+				for _, victim := range []int64{n - 1, n} {
+					if _, err := db.Exec(`DELETE FROM parent WHERE id = ?`, Int(victim)); err == nil {
+						t.Fatalf("deleted parent %d, which a row references", victim)
+					}
+				}
+			}))
+		}
+		return fewest
+	}
+	if few, many := allocs(10), allocs(10_000); few != many {
+		t.Errorf("refused deletes: %.0f allocations beside 10 referencing rows, %.0f beside 10,000", few, many)
 	}
 }

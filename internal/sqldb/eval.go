@@ -32,8 +32,8 @@ func (c *evalCtx) param(idx int) (Value, error) {
 	return c.args[idx], nil
 }
 
-// eval evaluates an expression in the given context. Aggregate calls are
-// rejected here; they are handled by the aggregate executor.
+// eval evaluates an expression in the given context. Aggregate calls
+// never reach it: the aggregate executor accumulates them.
 func eval(e Expr, c *evalCtx) (Value, error) {
 	switch e := e.(type) {
 	case *Lit:
@@ -42,37 +42,11 @@ func eval(e Expr, c *evalCtx) (Value, error) {
 		return c.param(e.Idx)
 	case *ColRef:
 		return c.colValue(e.Name)
-	case *Unary:
-		return evalUnary(e, c)
-	case *Binary:
-		return evalBinary(e, c)
-	case *IsNull:
+	case *Neg:
 		v, err := eval(e.X, c)
 		if err != nil {
 			return Value{}, err
 		}
-		return Bool(v.IsNull() != e.Neg), nil
-	case *InList:
-		return evalIn(e, c)
-	case *Call:
-		return Value{}, fmt.Errorf("sqldb: aggregate %s used outside SELECT list", e.Fn)
-	default:
-		return Value{}, fmt.Errorf("sqldb: unknown expression node %T", e)
-	}
-}
-
-func evalUnary(e *Unary, c *evalCtx) (Value, error) {
-	v, err := eval(e.X, c)
-	if err != nil {
-		return Value{}, err
-	}
-	switch e.Op {
-	case "NOT":
-		if v.IsNull() {
-			return Null(), nil
-		}
-		return Bool(!v.Truth()), nil
-	case "-":
 		switch v.K {
 		case KNull:
 			return Null(), nil
@@ -83,252 +57,66 @@ func evalUnary(e *Unary, c *evalCtx) (Value, error) {
 		default:
 			return Value{}, fmt.Errorf("sqldb: cannot negate %s", v.K)
 		}
+	case *Binary:
+		return evalBinary(e, c)
 	default:
-		return Value{}, fmt.Errorf("sqldb: unknown unary operator %q", e.Op)
+		return Value{}, fmt.Errorf("sqldb: unknown expression node %T", e)
 	}
 }
 
 func evalBinary(e *Binary, c *evalCtx) (Value, error) {
-	switch e.Op {
-	case "AND", "OR":
-		l, err := eval(e.L, c)
-		if err != nil {
-			return Value{}, err
-		}
-		// Short-circuit with SQL three-valued logic approximated as:
-		// NULL behaves as false.
-		if e.Op == "AND" {
-			if !l.Truth() {
-				return Bool(false), nil
-			}
-			r, err := eval(e.R, c)
-			if err != nil {
-				return Value{}, err
-			}
-			return Bool(r.Truth()), nil
-		}
-		if l.Truth() {
-			return Bool(true), nil
-		}
-		r, err := eval(e.R, c)
-		if err != nil {
-			return Value{}, err
-		}
-		return Bool(r.Truth()), nil
-	}
-
 	l, err := eval(e.L, c)
 	if err != nil {
 		return Value{}, err
+	}
+	// AND short-circuits; NULL behaves as false.
+	if e.Op == "AND" && !l.Truth() {
+		return Bool(false), nil
 	}
 	r, err := eval(e.R, c)
 	if err != nil {
 		return Value{}, err
 	}
-
-	switch e.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Bool(false), nil
-		}
-		cmp, err := Compare(l, r)
-		if err != nil {
-			return Value{}, err
-		}
-		var res bool
-		switch e.Op {
-		case "=":
-			res = cmp == 0
-		case "!=":
-			res = cmp != 0
-		case "<":
-			res = cmp < 0
-		case "<=":
-			res = cmp <= 0
-		case ">":
-			res = cmp > 0
-		case ">=":
-			res = cmp >= 0
-		}
-		return Bool(res), nil
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return Bool(false), nil
-		}
-		ls, err := l.AsText()
-		if err != nil {
-			return Value{}, fmt.Errorf("sqldb: LIKE operand: %w", err)
-		}
-		rs, err := r.AsText()
-		if err != nil {
-			return Value{}, fmt.Errorf("sqldb: LIKE pattern: %w", err)
-		}
-		return Bool(likeMatch(ls, rs)), nil
-	case "+", "-", "*", "/", "%":
-		return arith(e.Op, l, r)
-	default:
-		return Value{}, fmt.Errorf("sqldb: unknown operator %q", e.Op)
+	if e.Op == "AND" {
+		return Bool(r.Truth()), nil
 	}
-}
-
-func arith(op string, l, r Value) (Value, error) {
 	if l.IsNull() || r.IsNull() {
-		return Null(), nil
-	}
-	if op == "+" && l.K == KText && r.K == KText {
-		return Text(l.S + r.S), nil
-	}
-	if l.K == KInt && r.K == KInt {
-		switch op {
-		case "+":
-			return Int(l.I + r.I), nil
-		case "-":
-			return Int(l.I - r.I), nil
-		case "*":
-			return Int(l.I * r.I), nil
-		case "/":
-			if r.I == 0 {
-				return Value{}, fmt.Errorf("sqldb: division by zero")
-			}
-			return Int(l.I / r.I), nil
-		case "%":
-			if r.I == 0 {
-				return Value{}, fmt.Errorf("sqldb: modulo by zero")
-			}
-			return Int(l.I % r.I), nil
-		}
-	}
-	lf, err := l.AsReal()
-	if err != nil {
-		return Value{}, err
-	}
-	rf, err := r.AsReal()
-	if err != nil {
-		return Value{}, err
-	}
-	switch op {
-	case "+":
-		return Real(lf + rf), nil
-	case "-":
-		return Real(lf - rf), nil
-	case "*":
-		return Real(lf * rf), nil
-	case "/":
-		if rf == 0 {
-			return Value{}, fmt.Errorf("sqldb: division by zero")
-		}
-		return Real(lf / rf), nil
-	case "%":
-		return Value{}, fmt.Errorf("sqldb: %% requires integer operands")
-	}
-	return Value{}, fmt.Errorf("sqldb: unknown arithmetic operator %q", op)
-}
-
-func evalIn(e *InList, c *evalCtx) (Value, error) {
-	x, err := eval(e.X, c)
-	if err != nil {
-		return Value{}, err
-	}
-	if x.IsNull() {
 		return Bool(false), nil
 	}
-	found := false
-	for _, le := range e.List {
-		v, err := eval(le, c)
-		if err != nil {
-			return Value{}, err
-		}
-		if Equal(x, v) {
-			found = true
-			break
-		}
+	cmp, err := Compare(l, r)
+	if err != nil {
+		return Value{}, err
 	}
-	return Bool(found != e.Neg), nil
-}
-
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char),
-// case-sensitive, via iterative backtracking.
-func likeMatch(s, pattern string) bool {
-	var si, pi int
-	star, sStar := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi
-			sStar = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			sStar++
-			si = sStar
-		default:
-			return false
-		}
+	switch e.Op {
+	case "=":
+		return Bool(cmp == 0), nil
+	case "!=":
+		return Bool(cmp != 0), nil
+	case "<":
+		return Bool(cmp < 0), nil
+	case "<=":
+		return Bool(cmp <= 0), nil
+	case ">":
+		return Bool(cmp > 0), nil
+	case ">=":
+		return Bool(cmp >= 0), nil
 	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
-}
-
-// hasAggregate reports whether the expression tree contains an aggregate
-// call.
-func hasAggregate(e Expr) bool {
-	switch e := e.(type) {
-	case *Call:
-		return true
-	case *Unary:
-		return hasAggregate(e.X)
-	case *Binary:
-		return hasAggregate(e.L) || hasAggregate(e.R)
-	case *IsNull:
-		return hasAggregate(e.X)
-	case *InList:
-		if hasAggregate(e.X) {
-			return true
-		}
-		for _, le := range e.List {
-			if hasAggregate(le) {
-				return true
-			}
-		}
-	}
-	return false
+	return Value{}, fmt.Errorf("sqldb: unknown operator %q", e.Op)
 }
 
 // aggState accumulates one aggregate over a row group.
 type aggState struct {
 	fn       string
-	distinct bool
 	count    int64
 	sumI     int64
 	sumR     float64
 	isReal   bool
 	min, max Value
-	seen     map[string]bool
-}
-
-func newAggState(fn string, distinct bool) *aggState {
-	s := &aggState{fn: fn, distinct: distinct}
-	if distinct {
-		s.seen = make(map[string]bool)
-	}
-	return s
 }
 
 func (s *aggState) add(v Value) error {
 	if v.IsNull() {
 		return nil // SQL aggregates skip NULLs
-	}
-	if s.distinct {
-		k := keyString([]Value{v})
-		if s.seen[k] {
-			return nil
-		}
-		s.seen[k] = true
 	}
 	s.count++
 	switch s.fn {

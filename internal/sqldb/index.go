@@ -120,18 +120,8 @@ func (t *Table) addIndex(name string, cols []string) error {
 	return nil
 }
 
-// hasIndexOn reports whether some index covers exactly the given column
-// list (order-sensitive: indexes key on tuple order).
-func (t *Table) hasIndexOn(cols []string) bool {
-	for _, ix := range t.Indexes {
-		if equalStrings(ix.Cols, cols) {
-			return true
-		}
-	}
-	return false
-}
-
-// indexOn returns the index whose columns are exactly cols, or nil.
+// indexOn returns the index whose columns are exactly cols, in order, or
+// nil.
 func (t *Table) indexOn(cols []string) *Index {
 	for _, ix := range t.Indexes {
 		if equalStrings(ix.Cols, cols) {
@@ -139,6 +129,18 @@ func (t *Table) indexOn(cols []string) *Index {
 		}
 	}
 	return nil
+}
+
+// hasKey reports whether some row projects onto cols as key (appendRowKey's
+// encoding). cols is the table's primary key or an index's columns, as
+// every foreign key's two sides are.
+func (t *Table) hasKey(cols []string, key []byte) bool {
+	if equalStrings(cols, t.PKCols) {
+		_, ok := t.pkIndex[string(key)]
+		return ok
+	}
+	ix := t.indexOn(cols)
+	return ix != nil && len(ix.rows[string(key)]) > 0
 }
 
 // eqBindings walks the top-level AND conjunction of a WHERE clause and

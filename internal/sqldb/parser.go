@@ -1,10 +1,8 @@
 package sqldb
 
 import (
-	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // parser is a recursive-descent parser over the token stream.
@@ -12,7 +10,6 @@ type parser struct {
 	toks   []token
 	pos    int
 	params int // number of ? placeholders seen
-	sql    string
 }
 
 // Parse parses a single SQL statement.
@@ -21,7 +18,7 @@ func Parse(sql string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, sql: sql}
+	p := &parser{toks: toks}
 	st, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -88,8 +85,6 @@ func (p *parser) statement() (Statement, error) {
 	switch t.text {
 	case "CREATE":
 		return p.createTable()
-	case "DROP":
-		return p.dropTable()
 	case "INSERT":
 		return p.insert()
 	case "SELECT":
@@ -107,14 +102,43 @@ func parseType(kw string) (Kind, bool) {
 	switch kw {
 	case "INTEGER", "INT":
 		return KInt, true
-	case "REAL":
-		return KReal, true
 	case "TEXT":
 		return KText, true
 	case "BLOB":
 		return KBlob, true
 	}
 	return 0, false
+}
+
+// list parses one item, then one more after each comma.
+func (p *parser) list(item func() error) error {
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.acceptSym(",") {
+			return nil
+		}
+	}
+}
+
+// ifNotExists parses an optional IF NOT EXISTS.
+func (p *parser) ifNotExists() (bool, error) {
+	if !p.acceptKw("IF") {
+		return false, nil
+	}
+	if err := p.expectKw("NOT"); err != nil {
+		return false, err
+	}
+	return true, p.expectKw("EXISTS")
+}
+
+// where parses an optional WHERE clause.
+func (p *parser) where() (Expr, error) {
+	if !p.acceptKw("WHERE") {
+		return nil, nil
+	}
+	return p.expr()
 }
 
 func (p *parser) createTable() (Statement, error) {
@@ -126,73 +150,48 @@ func (p *parser) createTable() (Statement, error) {
 		return nil, err
 	}
 	ct := &CreateTable{}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		ct.IfNotExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
+	var err error
+	if ct.IfNotExists, err = p.ifNotExists(); err != nil {
 		return nil, err
 	}
-	ct.Name = name
+	if ct.Name, err = p.ident(); err != nil {
+		return nil, err
+	}
 	if err := p.expectSym("("); err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.acceptKw("PRIMARY"):
-			if err := p.expectKw("KEY"); err != nil {
-				return nil, err
-			}
-			cols, err := p.parenIdentList()
-			if err != nil {
-				return nil, err
-			}
-			if ct.PrimaryKey != nil {
-				return nil, p.errf("multiple PRIMARY KEY clauses")
-			}
-			ct.PrimaryKey = cols
-		case p.acceptKw("FOREIGN"):
-			if err := p.expectKw("KEY"); err != nil {
-				return nil, err
-			}
-			cols, err := p.parenIdentList()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("REFERENCES"); err != nil {
-				return nil, err
-			}
-			ref, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			refCols, err := p.parenIdentList()
-			if err != nil {
-				return nil, err
-			}
-			ct.Foreign = append(ct.Foreign, ForeignKeyDef{Cols: cols, RefTable: ref, RefCols: refCols})
-		default:
+	err = p.list(func() error {
+		if !p.acceptKw("FOREIGN") {
 			col, err := p.columnDef()
-			if err != nil {
-				return nil, err
+			if err == nil {
+				ct.Cols = append(ct.Cols, *col)
 			}
-			ct.Cols = append(ct.Cols, *col)
+			return err
 		}
-		if p.acceptSym(",") {
-			continue
+		var fk ForeignKey
+		var err error
+		if err = p.expectKw("KEY"); err != nil {
+			return err
 		}
-		break
-	}
-	if err := p.expectSym(")"); err != nil {
+		if fk.Cols, err = p.parenIdentList(); err != nil {
+			return err
+		}
+		if err = p.expectKw("REFERENCES"); err != nil {
+			return err
+		}
+		if fk.RefTable, err = p.ident(); err != nil {
+			return err
+		}
+		if fk.RefCols, err = p.parenIdentList(); err != nil {
+			return err
+		}
+		ct.Foreign = append(ct.Foreign, fk)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return ct, nil
+	return ct, p.expectSym(")")
 }
 
 func (p *parser) columnDef() (*ColumnDef, error) {
@@ -223,8 +222,6 @@ func (p *parser) columnDef() (*ColumnDef, error) {
 				return nil, err
 			}
 			col.NotNull = true
-		case p.acceptKw("UNIQUE"):
-			col.Unique = true
 		default:
 			return col, nil
 		}
@@ -236,75 +233,38 @@ func (p *parser) parenIdentList() ([]string, error) {
 		return nil, err
 	}
 	var cols []string
-	for {
+	err := p.list(func() error {
 		c, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
 		cols = append(cols, c)
-		if p.acceptSym(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectSym(")"); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return cols, nil
+	return cols, p.expectSym(")")
 }
 
 // createIndex parses the tail of CREATE INDEX [IF NOT EXISTS] name ON
 // table (col, ...); the CREATE INDEX keywords are already consumed.
 func (p *parser) createIndex() (Statement, error) {
 	ci := &CreateIndex{}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		ci.IfNotExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
+	var err error
+	if ci.IfNotExists, err = p.ifNotExists(); err != nil {
 		return nil, err
 	}
-	ci.Name = name
+	if ci.Name, err = p.ident(); err != nil {
+		return nil, err
+	}
 	if err := p.expectKw("ON"); err != nil {
 		return nil, err
 	}
-	table, err := p.ident()
-	if err != nil {
+	if ci.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	ci.Table = table
-	cols, err := p.parenIdentList()
-	if err != nil {
+	if ci.Cols, err = p.parenIdentList(); err != nil {
 		return nil, err
 	}
-	ci.Cols = cols
 	return ci, nil
-}
-
-func (p *parser) dropTable() (Statement, error) {
-	p.next() // DROP
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	dt := &DropTable{}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		dt.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	dt.Name = name
-	return dt, nil
 }
 
 func (p *parser) insert() (Statement, error) {
@@ -312,145 +272,105 @@ func (p *parser) insert() (Statement, error) {
 	if err := p.expectKw("INTO"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
-	if err != nil {
+	ins := &Insert{}
+	var err error
+	if ins.Table, err = p.ident(); err != nil {
 		return nil, err
-	}
-	ins := &Insert{Table: name}
-	if p.cur().kind == tSymbol && p.cur().text == "(" {
-		cols, err := p.parenIdentList()
-		if err != nil {
-			return nil, err
-		}
-		ins.Cols = cols
 	}
 	if err := p.expectKw("VALUES"); err != nil {
 		return nil, err
 	}
-	for {
+	err = p.list(func() error {
 		if err := p.expectSym("("); err != nil {
-			return nil, err
+			return err
 		}
 		var row []Expr
-		for {
+		err := p.list(func() error {
 			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
 			row = append(row, e)
-			if p.acceptSym(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectSym(")"); err != nil {
-			return nil, err
+			return err
+		})
+		if err != nil {
+			return err
 		}
 		ins.Rows = append(ins.Rows, row)
-		if p.acceptSym(",") {
-			continue
-		}
-		break
+		return p.expectSym(")")
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ins, nil
 }
 
 func (p *parser) selectStmt() (Statement, error) {
 	p.next() // SELECT
-	sel := &Select{}
-	if p.acceptKw("DISTINCT") {
-		sel.Distinct = true
-	}
-	for {
+	sel := &Select{Distinct: p.acceptKw("DISTINCT")}
+	err := p.list(func() error {
 		if p.acceptSym("*") {
 			sel.Exprs = append(sel.Exprs, SelectExpr{Star: true})
+			return nil
+		}
+		var se SelectExpr
+		var err error
+		if t := p.cur(); t.kind == tKeyword && aggregates[t.text] {
+			se.E, err = p.call()
 		} else {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			se := SelectExpr{E: e}
-			if p.acceptKw("AS") {
-				alias, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				se.Alias = alias
-			} else if p.cur().kind == tIdent {
-				se.Alias = p.next().text
-			}
-			sel.Exprs = append(sel.Exprs, se)
+			se.E, err = p.expr()
 		}
-		if p.acceptSym(",") {
-			continue
+		if err == nil && p.acceptKw("AS") {
+			se.Alias, err = p.ident()
 		}
-		break
+		sel.Exprs = append(sel.Exprs, se)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := p.expectKw("FROM"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
-	if err != nil {
+	if sel.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	sel.Table = name
-	if p.acceptKw("WHERE") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Where = w
+	if sel.Where, err = p.where(); err != nil {
+		return nil, err
 	}
 	if p.acceptKw("GROUP") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
+		err := p.list(func() error {
 			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
 			sel.GroupBy = append(sel.GroupBy, c)
-			if p.acceptSym(",") {
-				continue
-			}
-			break
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if p.acceptKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
+		err := p.list(func() error {
 			c, err := p.ident()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			key := OrderKey{Col: c}
-			if p.acceptKw("DESC") {
-				key.Desc = true
-			} else {
+			key := OrderKey{Col: c, Desc: p.acceptKw("DESC")}
+			if !key.Desc {
 				p.acceptKw("ASC")
 			}
 			sel.OrderBy = append(sel.OrderBy, key)
-			if p.acceptSym(",") {
-				continue
-			}
-			break
-		}
-	}
-	if p.acceptKw("LIMIT") {
-		e, err := p.expr()
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		sel.Limit = e
-		if p.acceptKw("OFFSET") {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			sel.Offset = e
+	}
+	if p.acceptKw("LIMIT") {
+		if sel.Limit, err = p.expr(); err != nil {
+			return nil, err
 		}
 	}
 	return sel, nil
@@ -458,38 +378,31 @@ func (p *parser) selectStmt() (Statement, error) {
 
 func (p *parser) update() (Statement, error) {
 	p.next() // UPDATE
-	name, err := p.ident()
-	if err != nil {
+	up := &Update{}
+	var err error
+	if up.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	up := &Update{Table: name}
 	if err := p.expectKw("SET"); err != nil {
 		return nil, err
 	}
-	for {
+	err = p.list(func() error {
 		col, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectSym("="); err != nil {
-			return nil, err
+			return err
 		}
 		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
 		up.Set = append(up.Set, Assign{Col: col, E: e})
-		if p.acceptSym(",") {
-			continue
-		}
-		break
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if p.acceptKw("WHERE") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		up.Where = w
+	if up.Where, err = p.where(); err != nil {
+		return nil, err
 	}
 	return up, nil
 }
@@ -499,58 +412,32 @@ func (p *parser) delete() (Statement, error) {
 	if err := p.expectKw("FROM"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
-	if err != nil {
+	del := &Delete{}
+	var err error
+	if del.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	del := &Delete{Table: name}
-	if p.acceptKw("WHERE") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		del.Where = w
+	if del.Where, err = p.where(); err != nil {
+		return nil, err
 	}
 	return del, nil
 }
 
 // Expression grammar, lowest to highest precedence:
 //
-//	expr    := and (OR and)*
-//	and     := not (AND not)*
-//	not     := NOT not | cmp
-//	cmp     := add ((= | != | <> | < | <= | > | >=| LIKE) add
-//	          | IS [NOT] NULL | [NOT] IN (list))?
-//	add     := mul ((+ | -) mul)*
-//	mul     := unary ((* | / | %) unary)*
+//	expr    := cmp (AND cmp)*
+//	cmp     := unary ((= | != | <> | < | <= | > | >=) unary)?
 //	unary   := - unary | primary
-//	primary := literal | ? | ident | agg(...) | ( expr )
+//	primary := integer | 'text' | ? | ident
+//
+// An aggregate call is a SELECT list item of its own (selectStmt, call).
 func (p *parser) expr() (Expr, error) {
-	return p.orExpr()
-}
-
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("OR") {
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
+	l, err := p.cmpExpr()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKw("AND") {
-		r, err := p.notExpr()
+		r, err := p.cmpExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -559,66 +446,14 @@ func (p *parser) andExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) notExpr() (Expr, error) {
-	if p.acceptKw("NOT") {
-		x, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "NOT", X: x}, nil
-	}
-	return p.cmpExpr()
-}
-
 func (p *parser) cmpExpr() (Expr, error) {
-	l, err := p.addExpr()
+	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
-	if p.acceptKw("IS") {
-		neg := p.acceptKw("NOT")
-		if err := p.expectKw("NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNull{X: l, Neg: neg}, nil
-	}
-	negIn := false
-	if p.cur().kind == tKeyword && p.cur().text == "NOT" &&
-		p.toks[p.pos+1].kind == tKeyword && p.toks[p.pos+1].text == "IN" {
-		p.pos++ // NOT
-		negIn = true
-	}
-	if p.acceptKw("IN") {
-		if err := p.expectSym("("); err != nil {
-			return nil, err
-		}
-		var list []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if p.acceptSym(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectSym(")"); err != nil {
-			return nil, err
-		}
-		return &InList{X: l, List: list, Neg: negIn}, nil
-	}
-	if p.acceptKw("LIKE") {
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: "LIKE", L: l, R: r}, nil
-	}
 	for _, op := range []string{"<=", ">=", "<>", "!=", "=", "<", ">"} {
 		if p.acceptSym(op) {
-			r, err := p.addExpr()
+			r, err := p.unaryExpr()
 			if err != nil {
 				return nil, err
 			}
@@ -631,65 +466,13 @@ func (p *parser) cmpExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptSym("+"):
-			op = "+"
-		case p.acceptSym("-"):
-			op = "-"
-		default:
-			return l, nil
-		}
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptSym("*"):
-			op = "*"
-		case p.acceptSym("/"):
-			op = "/"
-		case p.acceptSym("%"):
-			op = "%"
-		default:
-			return l, nil
-		}
-		r, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-}
-
-var aggregates = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
 func (p *parser) unaryExpr() (Expr, error) {
 	if p.acceptSym("-") {
 		x, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: "-", X: x}, nil
+		return &Neg{X: x}, nil
 	}
 	return p.primary()
 }
@@ -699,13 +482,6 @@ func (p *parser) primary() (Expr, error) {
 	switch t.kind {
 	case tNumber:
 		p.pos++
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Lit{V: Real(f)}, nil
-		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errf("bad integer %q", t.text)
@@ -714,65 +490,42 @@ func (p *parser) primary() (Expr, error) {
 	case tString:
 		p.pos++
 		return &Lit{V: Text(t.text)}, nil
-	case tBlob:
-		p.pos++
-		b, err := hex.DecodeString(t.text)
-		if err != nil {
-			return nil, p.errf("bad blob literal %q", t.text)
-		}
-		return &Lit{V: Blob(b)}, nil
 	case tParam:
 		p.pos++
 		e := &Param{Idx: p.params}
 		p.params++
 		return e, nil
-	case tKeyword:
-		if t.text == "NULL" {
-			p.pos++
-			return &Lit{V: Null()}, nil
-		}
-		if aggregates[t.text] {
-			p.pos++
-			if err := p.expectSym("("); err != nil {
-				return nil, err
-			}
-			call := &Call{Fn: t.text}
-			if p.acceptSym("*") {
-				if t.text != "COUNT" {
-					return nil, p.errf("%s(*) is not valid", t.text)
-				}
-				call.Star = true
-			} else {
-				if p.acceptKw("DISTINCT") {
-					call.Distinct = true
-				}
-				arg, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				call.Arg = arg
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return call, nil
-		}
-		return nil, p.errf("unexpected keyword %s in expression", t.text)
 	case tIdent:
 		p.pos++
 		return &ColRef{Name: t.text}, nil
-	case tSymbol:
-		if t.text == "(" {
-			p.pos++
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
 	}
 	return nil, p.errf("unexpected %q in expression", t.text)
+}
+
+var aggregates = map[string]bool{
+	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+}
+
+// call parses an aggregate call: COUNT(*) or fn(expr).
+func (p *parser) call() (Expr, error) {
+	call := &Call{Fn: p.next().text}
+	if err := p.expectSym("("); err != nil {
+		return nil, err
+	}
+	if p.acceptSym("*") {
+		if call.Fn != "COUNT" {
+			return nil, p.errf("%s(*) is not valid", call.Fn)
+		}
+		call.Star = true
+	} else {
+		arg, err := p.expr()
+		if err != nil {
+			return nil, err
+		}
+		call.Arg = arg
+	}
+	if err := p.expectSym(")"); err != nil {
+		return nil, err
+	}
+	return call, nil
 }

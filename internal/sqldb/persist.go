@@ -107,12 +107,9 @@ func appendSchema(b []byte, t *Table) []byte {
 	b = binary.AppendUvarint(b, uint64(len(t.Cols)))
 	for _, c := range t.Cols {
 		b = appendString(b, c.Name)
-		var flags byte
+		var flags byte // bit 0: NOT NULL
 		if c.NotNull {
-			flags |= 1
-		}
-		if c.Unique {
-			flags |= 2
+			flags = 1
 		}
 		b = append(b, byte(c.Type), flags)
 	}
@@ -176,13 +173,23 @@ func (db *DB) Load(r io.Reader) error {
 			return fmt.Errorf("sqldb: load: table %s appears twice", td.Name)
 		}
 		t := &Table{Name: td.Name, Cols: td.Cols, PKCols: td.PKCols, FKs: td.FKs}
+		// Keys CREATE TABLE would refuse do not load either: fkCheck and
+		// referencers look every foreign key up by key.
+		if _, err := t.colIndexes(t.PKCols); err != nil {
+			return fmt.Errorf("sqldb: load table %s: %w", td.Name, err)
+		}
+		for _, fk := range t.FKs {
+			if err := t.checkFK(fk, byName[fk.RefTable]); err != nil {
+				return fmt.Errorf("sqldb: load table %s: %w", td.Name, err)
+			}
+		}
 		for _, ixd := range td.Indexes {
 			if err := t.addIndex(ixd.Name, ixd.Cols); err != nil {
 				return fmt.Errorf("sqldb: load table %s: %w", td.Name, err)
 			}
 		}
-		// Images from before secondary indexes existed carry no index
-		// definitions; recreate the automatic FK indexes.
+		// The automatic FK indexes referencers looks rows up in: images
+		// from before secondary indexes existed carry no definitions.
 		if err := t.ensureFKIndexes(); err != nil {
 			return fmt.Errorf("sqldb: load table %s: %w", td.Name, err)
 		}
@@ -318,10 +325,11 @@ func readSchema(p []byte) (td tableDTO, rest []byte, err error) {
 		if c.Name, p, err = readString(p); err != nil {
 			return td, nil, err
 		}
-		if len(p) < 2 || Kind(p[0]) > KBlob || p[1] > 3 {
+		// A column is INTEGER, TEXT or BLOB, and NOT NULL is its one flag.
+		if k := Kind(p[0]); len(p) < 2 || k != KInt && k != KText && k != KBlob || p[1] > 1 {
 			return td, nil, errBadRecord("column")
 		}
-		c.Type, c.NotNull, c.Unique = Kind(p[0]), p[1]&1 != 0, p[1]&2 != 0
+		c.Type, c.NotNull = Kind(p[0]), p[1] == 1
 		p = p[2:]
 	}
 	if td.PKCols, p, err = readStrings(p); err != nil {
@@ -411,7 +419,8 @@ func (db *DB) LoadFile(path string) error {
 // interrupted write truncated away. Every later write statement is
 // appended to the log, so the database loses at most the records since
 // the last durability barrier on a crash, instead of everything since
-// the last full save.
+// the last full save. A log record that does not parse fails the open with
+// ErrUnparsableRecord.
 func OpenAt(path string, policy SyncPolicy) (*DB, error) {
 	db := Open()
 	if _, err := os.Stat(path); err == nil {

@@ -9,10 +9,10 @@ type Column struct {
 	Name    string
 	Type    Kind
 	NotNull bool
-	Unique  bool
 }
 
-// ForeignKey is a resolved foreign key constraint.
+// ForeignKey is a FOREIGN KEY (Cols) REFERENCES RefTable (RefCols)
+// constraint.
 type ForeignKey struct {
 	Cols     []string
 	RefTable string
@@ -127,48 +127,26 @@ func (t *Table) indexUpdate(ri int, old, next []Value) {
 	}
 }
 
-// checkRow validates a row against column constraints (type, NOT NULL)
-// and coerces values to the column types in place (callers pass freshly
-// built rows). It does not check uniqueness or foreign keys; those need
-// DB context.
-func (t *Table) checkRow(row []Value) ([]Value, error) {
+// checkRow validates a row against column constraints (type, NOT NULL).
+// It does not check the primary key or foreign keys; those need DB
+// context.
+func (t *Table) checkRow(row []Value) error {
 	if len(row) != len(t.Cols) {
-		return nil, fmt.Errorf("sqldb: table %s has %d columns, got %d values",
+		return fmt.Errorf("sqldb: table %s has %d columns, got %d values",
 			t.Name, len(t.Cols), len(row))
 	}
 	for i, v := range row {
 		c := t.Cols[i]
 		if v.IsNull() {
 			if c.NotNull {
-				return nil, fmt.Errorf("sqldb: column %s.%s is NOT NULL", t.Name, c.Name)
+				return fmt.Errorf("sqldb: column %s.%s is NOT NULL", t.Name, c.Name)
 			}
 			continue
 		}
 		if v.K != c.Type {
-			cv, err := coerce(v, c.Type)
-			if err != nil {
-				return nil, fmt.Errorf("sqldb: column %s.%s: %w", t.Name, c.Name, err)
-			}
-			row[i] = cv
+			return fmt.Errorf("sqldb: column %s.%s: cannot store %s value in %s column",
+				t.Name, c.Name, v.K, c.Type)
 		}
 	}
-	return row, nil
-}
-
-// findRows returns the values of the named columns for every row; used by
-// foreign key checks against non-PK column sets.
-func (t *Table) tupleSet(cols []string) (map[string]bool, error) {
-	idx, err := t.colIndexes(cols)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[string]bool, len(t.Rows))
-	for _, row := range t.Rows {
-		vals := make([]Value, len(idx))
-		for i, ci := range idx {
-			vals[i] = row[ci]
-		}
-		set[keyString(vals)] = true
-	}
-	return set, nil
+	return nil
 }

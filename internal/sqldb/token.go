@@ -12,9 +12,8 @@ const (
 	tEOF tokKind = iota
 	tIdent
 	tKeyword
-	tNumber
+	tNumber // decimal integer
 	tString // 'text'
-	tBlob   // x'hex'
 	tParam  // ?
 	tSymbol // punctuation and operators
 )
@@ -26,17 +25,16 @@ type token struct {
 }
 
 var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "DROP": true, "IF": true, "EXISTS": true,
+	"CREATE": true, "TABLE": true, "IF": true, "NOT": true, "EXISTS": true,
 	"INSERT": true, "INTO": true, "VALUES": true,
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true,
+	"ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
 	"UPDATE": true, "SET": true, "DELETE": true,
 	"PRIMARY": true, "KEY": true, "FOREIGN": true, "REFERENCES": true,
-	"NOT": true, "NULL": true, "AND": true, "OR": true, "LIKE": true,
-	"IS": true, "IN": true, "AS": true, "DISTINCT": true,
-	"INTEGER": true, "INT": true, "REAL": true, "TEXT": true, "BLOB": true,
+	"NULL": true, "AND": true, "AS": true, "DISTINCT": true,
+	"INTEGER": true, "INT": true, "TEXT": true, "BLOB": true,
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"UNIQUE": true, "INDEX": true, "ON": true,
+	"INDEX": true, "ON": true,
 }
 
 // lex tokenizes a SQL statement.
@@ -49,10 +47,6 @@ func lex(sql string) ([]token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
-		case c == '-' && i+1 < n && sql[i+1] == '-':
-			for i < n && sql[i] != '\n' {
-				i++
-			}
 		case c == '\'':
 			start := i
 			i++
@@ -76,23 +70,9 @@ func lex(sql string) ([]token, error) {
 				return nil, fmt.Errorf("sqldb: unterminated string at offset %d", start)
 			}
 			toks = append(toks, token{tString, sb.String(), start})
-		case (c == 'x' || c == 'X') && i+1 < n && sql[i+1] == '\'':
+		case c >= '0' && c <= '9':
 			start := i
-			i += 2
-			j := i
-			for j < n && sql[j] != '\'' {
-				j++
-			}
-			if j >= n {
-				return nil, fmt.Errorf("sqldb: unterminated blob literal at offset %d", start)
-			}
-			toks = append(toks, token{tBlob, sql[i:j], start})
-			i = j + 1
-		case c >= '0' && c <= '9' || c == '.' && i+1 < n && sql[i+1] >= '0' && sql[i+1] <= '9':
-			start := i
-			for i < n && (sql[i] >= '0' && sql[i] <= '9' || sql[i] == '.' ||
-				sql[i] == 'e' || sql[i] == 'E' ||
-				((sql[i] == '+' || sql[i] == '-') && (sql[i-1] == 'e' || sql[i-1] == 'E'))) {
+			for i < n && sql[i] >= '0' && sql[i] <= '9' {
 				i++
 			}
 			toks = append(toks, token{tNumber, sql[start:i], start})
@@ -120,7 +100,7 @@ func lex(sql string) ([]token, error) {
 		case c == '!' && i+1 < n && sql[i+1] == '=':
 			toks = append(toks, token{tSymbol, "!=", i})
 			i += 2
-		case strings.IndexByte("(),*=<>+-/%;", c) >= 0:
+		case strings.IndexByte("(),*=<>-;", c) >= 0:
 			toks = append(toks, token{tSymbol, string(c), i})
 			i++
 		default:

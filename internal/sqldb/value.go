@@ -1,10 +1,23 @@
-// Package sqldb is an embedded relational database engine with a SQL
-// subset, used as GOOFI's campaign and results store. The paper stores all
-// tool data in "a SQL compatible database" (three tables linked by foreign
-// keys, Fig 4); this package provides that substrate with CREATE TABLE
-// (PRIMARY KEY, FOREIGN KEY ... REFERENCES), INSERT, SELECT (WHERE,
-// ORDER BY, LIMIT, aggregates, GROUP BY), UPDATE, DELETE, `?` parameters,
-// referential-integrity enforcement, and file persistence.
+// Package sqldb is an embedded relational database engine, GOOFI's
+// campaign and results store. The paper stores all tool data in "a SQL
+// compatible database" (three tables linked by foreign keys, Fig 4); this
+// package provides that substrate with exactly the SQL GOOFI's own code
+// sends — no command takes SQL from a user:
+//
+//   - CREATE TABLE [IF NOT EXISTS] with INTEGER, TEXT and BLOB columns,
+//     column-level PRIMARY KEY and NOT NULL, and FOREIGN KEY ... REFERENCES
+//     the referenced table's primary key; CREATE INDEX [IF NOT EXISTS];
+//   - INSERT INTO t VALUES (...), one or more rows, a value for every column;
+//   - SELECT [DISTINCT] from one table with WHERE, GROUP BY, ORDER BY and
+//     LIMIT, each item `*`, an expression or a COUNT/SUM/AVG/MIN/MAX call,
+//     optionally AS an alias;
+//   - UPDATE ... SET ... WHERE and DELETE FROM ... WHERE;
+//   - expressions of integer and 'text' literals, `?` parameters, columns,
+//     unary minus, the six comparisons and AND.
+//
+// Every statement is checked against the schema's NOT NULL, column kinds,
+// primary keys and foreign keys, and the database persists as a snapshot
+// image plus a write-ahead log of statements.
 package sqldb
 
 import (
@@ -103,26 +116,6 @@ func (v Value) AsInt() (int64, error) {
 	}
 }
 
-// AsReal converts numeric values to float64.
-func (v Value) AsReal() (float64, error) {
-	switch v.K {
-	case KInt:
-		return float64(v.I), nil
-	case KReal:
-		return v.R, nil
-	default:
-		return 0, fmt.Errorf("sqldb: %s is not numeric", v.K)
-	}
-}
-
-// AsText returns the value as a string (TEXT only).
-func (v Value) AsText() (string, error) {
-	if v.K != KText {
-		return "", fmt.Errorf("sqldb: %s is not text", v.K)
-	}
-	return v.S, nil
-}
-
 // String renders the value as a SQL literal.
 func (v Value) String() string {
 	switch v.K {
@@ -153,9 +146,7 @@ func Compare(a, b Value) (int, error) {
 		if a.K == KInt && b.K == KInt {
 			return cmpInt(a.I, b.I), nil
 		}
-		af, _ := a.AsReal()
-		bf, _ := b.AsReal()
-		return cmpFloat(af, bf), nil
+		return cmpFloat(asFloat(a), asFloat(b)), nil
 	}
 	if a.K != b.K {
 		return 0, fmt.Errorf("sqldb: cannot compare %s with %s", a.K, b.K)
@@ -170,14 +161,12 @@ func Compare(a, b Value) (int, error) {
 	}
 }
 
-// Equal reports value equality (NULL equals nothing, not even NULL,
-// following SQL semantics; use IsNull for NULL checks).
-func Equal(a, b Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return false
+// asFloat widens a numeric value to float64.
+func asFloat(v Value) float64 {
+	if v.K == KInt {
+		return float64(v.I)
 	}
-	c, err := Compare(a, b)
-	return err == nil && c == 0
+	return v.R
 }
 
 func cmpInt(a, b int64) int {
@@ -218,26 +207,11 @@ func cmpBytes(a, b []byte) int {
 	return cmpInt(int64(len(a)), int64(len(b)))
 }
 
-// coerce adapts a value to a column type where lossless: integers widen to
-// REAL, and NULL passes through. Everything else must match exactly.
-func coerce(v Value, want Kind) (Value, error) {
-	if v.IsNull() || v.K == want {
-		return v, nil
-	}
-	if want == KReal && v.K == KInt {
-		return Real(float64(v.I)), nil
-	}
-	if want == KInt && v.K == KReal && v.R == float64(int64(v.R)) {
-		return Int(int64(v.R)), nil
-	}
-	return Value{}, fmt.Errorf("sqldb: cannot store %s value in %s column", v.K, want)
-}
-
 // appendValueKey appends a value's unique key encoding. Text and blob
 // values are length-prefixed so raw bytes need no quoting.
 func appendValueKey(buf []byte, v Value) []byte {
-	// Normalise ints and reals so 1 and 1.0 collide, as SQL
-	// uniqueness requires.
+	// Normalise ints and reals so 1 and 1.0 collide, as Compare finds
+	// them equal: an index lookup must match what a full scan does.
 	switch v.K {
 	case KReal:
 		if v.R == float64(int64(v.R)) {

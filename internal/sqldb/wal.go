@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -139,13 +140,6 @@ func (w *WAL) Close() error {
 		}
 		w.f = nil
 	}
-	return w.err
-}
-
-// Err returns the poisoning error, if any.
-func (w *WAL) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.err
 }
 
@@ -365,6 +359,12 @@ func readFrame(r *bufio.Reader) (payload []byte, frameLen int64, err error) {
 
 var errTornFrame = fmt.Errorf("sqldb: wal: torn or corrupt frame")
 
+// ErrUnparsableRecord is replay's error for a logged statement that does
+// not parse. The log holds only statements that parsed when they ran, so
+// such a record was written by a build whose SQL this one does not speak:
+// the log is refused rather than cut short at that record.
+var ErrUnparsableRecord = errors.New("sqldb: wal: logged statement does not parse")
+
 // replayWAL re-executes the statement records in r onto the database.
 // It returns how many statements were applied and the byte offset of the
 // last intact frame — the caller truncates the file there to drop a torn
@@ -372,11 +372,12 @@ var errTornFrame = fmt.Errorf("sqldb: wal: torn or corrupt frame")
 // stale (it predates the loaded snapshot, which already contains its
 // effects) and is discarded wholesale (good == 0).
 //
-// Statement errors are ignored: records are appended after execution, so
-// a logged statement that failed (or partially applied) at runtime fails
-// (or partially applies) identically on replay — execution is
-// deterministic, and replay must reproduce the original state, including
-// the effects of statements that errored midway.
+// A record that does not parse is ErrUnparsableRecord. Execution errors
+// are ignored: records are appended after execution, so a logged statement
+// that failed (or partially applied) at runtime fails (or partially
+// applies) identically on replay — execution is deterministic, and replay
+// must reproduce the original state, including the effects of statements
+// that errored midway.
 func (db *DB) replayWAL(r io.Reader) (applied int, good int64, err error) {
 	br := bufio.NewReader(r)
 	payload, frameLen, ferr := readFrame(br)
@@ -400,7 +401,11 @@ func (db *DB) replayWAL(r io.Reader) (applied int, good int64, err error) {
 		if derr != nil {
 			return applied, good, nil // undecodable despite CRC: treat as tail
 		}
-		_, _ = db.Exec(sql, args...)
+		st, perr := db.parseCached(sql)
+		if perr != nil {
+			return applied, good, fmt.Errorf("%w: record %d at byte %d: %v", ErrUnparsableRecord, applied+1, good, perr)
+		}
+		_, _ = db.execStmt(sql, st, args)
 		applied++
 		good += frameLen
 	}
@@ -408,8 +413,9 @@ func (db *DB) replayWAL(r io.Reader) (applied int, good int64, err error) {
 
 // ReplayWAL applies a WAL stream onto the database, for tests and
 // recovery tooling; OpenAt performs replay automatically. It returns the
-// number of statements applied. The stream's epoch record must match the
-// database's current epoch or the stream is discarded (returns 0).
+// number of statements applied, and ErrUnparsableRecord for a record this
+// build cannot parse. The stream's epoch record must match the database's
+// current epoch or the stream is discarded (returns 0).
 func (db *DB) ReplayWAL(r io.Reader) (int, error) {
 	applied, _, err := db.replayWAL(r)
 	return applied, err

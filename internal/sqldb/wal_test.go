@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -46,7 +47,7 @@ func walScript() []walOp {
 	ops := []walOp{
 		{sql: `CREATE TABLE parent (id INTEGER PRIMARY KEY, label TEXT NOT NULL)`},
 		{sql: `CREATE TABLE child (
-			name TEXT PRIMARY KEY, pid INTEGER NOT NULL, score REAL, payload BLOB,
+			name TEXT PRIMARY KEY, pid INTEGER NOT NULL, score INTEGER, payload BLOB,
 			FOREIGN KEY (pid) REFERENCES parent (id))`},
 		{sql: `CREATE INDEX childByPid ON child (pid)`},
 	}
@@ -57,10 +58,11 @@ func walScript() []walOp {
 		})
 	}
 	ops = append(ops,
-		walOp{sql: `INSERT INTO child VALUES ('a', 0, 1.5, x'00ff'), ('b', 1, NULL, NULL), ('c', 1, -2.25, x'')`},
+		walOp{sql: `INSERT INTO child VALUES ('a', 0, 15, ?), ('b', 1, ?, ?), ('c', 1, -225, ?)`,
+			args: []Value{Blob([]byte{0, 0xff}), Null(), Null(), Blob([]byte{})}},
 		walOp{sql: `INSERT INTO child VALUES (?, ?, ?, ?)`,
-			args: []Value{Text("d"), Int(3), Real(0.125), Blob([]byte{1, 2, 3})}},
-		walOp{sql: `UPDATE child SET score = score * 2 WHERE pid = 1`},
+			args: []Value{Text("d"), Int(3), Int(125), Blob([]byte{1, 2, 3})}},
+		walOp{sql: `UPDATE child SET score = ? WHERE pid = 1`, args: []Value{Int(-450)}},
 		walOp{sql: `UPDATE parent SET label = ? WHERE id = ?`, args: []Value{Text("renamed"), Int(4)}},
 		walOp{sql: `DELETE FROM child WHERE name = 'c'`},
 		walOp{sql: `DELETE FROM parent WHERE id = 2`},
@@ -149,7 +151,8 @@ func TestCheckpointCompactsWAL(t *testing.T) {
 // TestStaleWALDiscardedByEpoch covers the crash window between writing
 // the snapshot and resetting the log: a WAL whose epoch predates the
 // snapshot must not be replayed on top of it (its records are already in
-// the snapshot, and UPDATEs are not idempotent).
+// the snapshot, and replaying them again is not idempotent: the INSERT
+// of a key an UPDATE has since moved succeeds a second time).
 func TestStaleWALDiscardedByEpoch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "goofi.db")
 	db, err := OpenAt(path, SyncBarrier)
@@ -158,7 +161,7 @@ func TestStaleWALDiscardedByEpoch(t *testing.T) {
 	}
 	db.MustExec(`CREATE TABLE acc (id INTEGER PRIMARY KEY, bal INTEGER NOT NULL)`)
 	db.MustExec(`INSERT INTO acc VALUES (1, 100)`)
-	db.MustExec(`UPDATE acc SET bal = bal + 10 WHERE id = 1`)
+	db.MustExec(`UPDATE acc SET id = 2 WHERE id = 1`)
 
 	// Preserve the pre-checkpoint (epoch 0) log, then checkpoint.
 	stale, err := os.ReadFile(WALPath(path))
@@ -185,12 +188,12 @@ func TestStaleWALDiscardedByEpoch(t *testing.T) {
 	if got := dumpDB(t, db2); got != want {
 		t.Errorf("stale WAL replayed onto newer snapshot:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
-	r, err := db2.Query(`SELECT bal FROM acc WHERE id = 1`)
+	r, err := db2.Query(`SELECT COUNT(*) FROM acc`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rows[0][0].I != 110 {
-		t.Errorf("balance = %d, want 110 (non-idempotent UPDATE must not re-apply)", r.Rows[0][0].I)
+	if r.Rows[0][0].I != 1 {
+		t.Errorf("%d accounts, want 1 (the log's INSERT must not re-apply)", r.Rows[0][0].I)
 	}
 }
 
@@ -421,5 +424,46 @@ func TestWALValueEncodingRoundTrip(t *testing.T) {
 		if a.K != b.K || a.I != b.I || a.R != b.R || a.S != b.S || !bytes.Equal(a.B, b.B) {
 			t.Errorf("arg %d: got %#v, want %#v", i, b, a)
 		}
+	}
+}
+
+// TestReplayRefusesUnparsableRecord: the log holds only statements that
+// parsed when they ran, so one that does not parse now was written by a
+// build whose SQL this one does not speak. Replay stops there with
+// ErrUnparsableRecord — having applied what came before it — and OpenAt
+// refuses the store, leaving its log as it found it.
+func TestReplayRefusesUnparsableRecord(t *testing.T) {
+	var log bytes.Buffer
+	w := NewWAL(&log, SyncAlways)
+	for _, sql := range []string{
+		`CREATE TABLE t (id INTEGER PRIMARY KEY)`,
+		`DROP TABLE t`,
+		`INSERT INTO t VALUES (1)`,
+	} {
+		if err := w.Append(sql, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := Open()
+	applied, err := db.ReplayWAL(bytes.NewReader(log.Bytes()))
+	if !errors.Is(err, ErrUnparsableRecord) || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("replay error = %v, want ErrUnparsableRecord naming record 2", err)
+	}
+	if applied != 1 || len(db.TableNames()) != 1 {
+		t.Errorf("applied %d statements, tables %v; want the CREATE TABLE before the record", applied, db.TableNames())
+	}
+
+	path := filepath.Join(t.TempDir(), "goofi.db")
+	if err := os.WriteFile(WALPath(path), log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenAt(path, SyncNever); !errors.Is(err, ErrUnparsableRecord) {
+		if err == nil {
+			db.Close()
+		}
+		t.Errorf("OpenAt = %v, want ErrUnparsableRecord", err)
+	}
+	if got, err := os.ReadFile(WALPath(path)); err != nil || !bytes.Equal(got, log.Bytes()) {
+		t.Errorf("the refused log was changed (%d bytes, want %d; %v)", len(got), log.Len(), err)
 	}
 }
