@@ -18,7 +18,8 @@ FUZZTIME ?= 15s
 # GOMAXPROCS goroutines, and only at one is it the plain serial path. Any
 # file gofmt would change fails the gate. The race detector's sync.Pool
 # drops items at random, so sqldb's allocation-count test skips itself
-# under it and runs once more without. It ends with the two numbers a
+# under it and runs once more without. The chaos harness is test support:
+# the gate fails if any command links it. It ends with the two numbers a
 # simplicity PR quotes.
 tier1:
 	@unformatted=$$(gofmt -l *.go cmd internal examples bench); \
@@ -26,6 +27,7 @@ tier1:
 	$(GO) build ./...
 	$(GO) build -C bench -o /dev/null ./... && $(GO) vet -C bench ./...
 	$(GO) vet ./...
+	@if $(GO) list -deps ./cmd/... | grep -qx goofi/internal/chaos; then echo "a command links goofi/internal/chaos"; exit 1; fi
 	$(GO) test -race -count 1 ./...
 	$(GO) test -race -count 5 ./internal/core/ -run 'HandOver|PrunedStreakYieldsBoard|PrunedDispatch|Quarantine|PauseResumeStop|ResumeFromEveryLogCut'
 	$(GO) test -race -count 1 -cpu 1,4 ./internal/analysis/ ./internal/campaign/ -run 'TestAnalysisDifferential|TestRelative|TestAnalysisFailureLeavesResults|TestAnalysisConcurrentPasses|TestEachExperiment'

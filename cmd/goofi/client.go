@@ -19,7 +19,6 @@ import (
 	"syscall"
 	"time"
 
-	"goofi/internal/chaos"
 	"goofi/internal/core"
 	"goofi/internal/server"
 	"goofi/internal/shard"
@@ -221,16 +220,6 @@ func cmdShardWorker(args []string) error {
 	boards := fs.Int("boards", 1, "boards in this worker's private pool")
 	poll := fs.Duration("poll", 100*time.Millisecond, "first wait before retrying a call the daemon failed to answer, doubling to 2s (a worker with nothing to run waits in the daemon's lease call, never here)")
 	token := fs.String("token", "", "bearer token for a goofid running with -shard-token")
-	callTimeout := fs.Duration("call-timeout", 0, "per-call deadline for lease/heartbeat/hello (0 = built-in default)")
-	reportTimeout := fs.Duration("report-timeout", 0, "per-call deadline for record reports (0 = built-in default)")
-	retries := fs.Int("retries", 0, "retryable-failure re-attempts per transport call (0 = built-in default, negative disables)")
-	chaosSeed := fs.Int64("chaos-net-seed", 0, "network-chaos RNG seed (with any -chaos-net-* probability)")
-	chaosDrop := fs.Float64("chaos-net-drop", 0, "probability a request is dropped before reaching the daemon")
-	chaosDropResp := fs.Float64("chaos-net-drop-response", 0, "probability the daemon's response is lost after processing")
-	chaosDelay := fs.Float64("chaos-net-delay", 0, "probability a call is delayed")
-	chaosDelayMS := fs.Int("chaos-net-delay-ms", 20, "added latency when the delay fault fires")
-	chaosDup := fs.Float64("chaos-net-dup", 0, "probability a report/heartbeat is delivered twice")
-	chaosMax := fs.Int("chaos-net-max-faults", 0, "cap on injected network faults (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -247,28 +236,10 @@ func cmdShardWorker(args []string) error {
 		*workerName = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	transport := &shard.HTTPTransport{
-		Base:          apiBase(*srvAddr),
-		Tenant:        *tenant,
-		Campaign:      *name,
-		Token:         *token,
-		CallTimeout:   *callTimeout,
-		ReportTimeout: *reportTimeout,
-		Retry:         shard.RetryPolicy{MaxRetries: *retries, Seed: *chaosSeed},
-	}
-	if *chaosDrop > 0 || *chaosDropResp > 0 || *chaosDelay > 0 || *chaosDup > 0 {
-		// Self-test mode: the worker crosses a deterministically hostile
-		// network, and the merged campaign must still be byte-identical
-		// (the CI shard-smoke job runs this against a solo baseline).
-		net := chaos.NewNet(chaos.NetConfig{
-			Seed:             *chaosSeed,
-			DropRequestProb:  *chaosDrop,
-			DropResponseProb: *chaosDropResp,
-			DelayProb:        *chaosDelay,
-			Delay:            time.Duration(*chaosDelayMS) * time.Millisecond,
-			DuplicateProb:    *chaosDup,
-			MaxFaults:        *chaosMax,
-		})
-		transport.Client = &http.Client{Transport: net.RoundTripper(nil)}
+		Base:     apiBase(*srvAddr),
+		Tenant:   *tenant,
+		Campaign: *name,
+		Token:    *token,
 	}
 	w, err := shard.NewWorker(shard.WorkerConfig{
 		Name:      *workerName,

@@ -29,12 +29,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"goofi/internal/analysis"
 	"goofi/internal/campaign"
-	"goofi/internal/chaos"
 	"goofi/internal/core"
 	"goofi/internal/faultmodel"
 	"goofi/internal/preinject"
@@ -392,21 +390,12 @@ func cmdTargets(args []string) error {
 	return nil
 }
 
-// robustFlags is the fault-tolerance and chaos flag group shared by run
-// and resume. Retry flags configure the scheduler's recovery layer;
-// chaos flags wrap every board in a seeded flaky-harness fault model,
-// the self-test for that layer.
+// robustFlags is the fault-tolerance flag group shared by run and
+// resume: the knobs of the scheduler's recovery layer.
 type robustFlags struct {
 	maxRetries     *int
 	boardThreshold *int
 	watchdog       *time.Duration
-	chaosSeed      *int64
-	chaosScanRead  *float64
-	chaosScanWrite *float64
-	chaosHang      *float64
-	chaosPersist   *float64
-	chaosMaxFaults *int
-	chaosSilent    *bool
 }
 
 func addRobustFlags(fs *flag.FlagSet) *robustFlags {
@@ -417,13 +406,6 @@ func addRobustFlags(fs *flag.FlagSet) *robustFlags {
 			"consecutive failures before a board is quarantined (0 = never)"),
 		watchdog: fs.Duration("watchdog", 0,
 			"per-experiment wall-clock deadline; a board past it is wedged and power-cycled (0 = none)"),
-		chaosSeed:      fs.Int64("chaos-seed", 1, "seed for the chaos fault model"),
-		chaosScanRead:  fs.Float64("chaos-scan-read", 0, "chaos: scan-read corruption probability"),
-		chaosScanWrite: fs.Float64("chaos-scan-write", 0, "chaos: scan-write failure probability"),
-		chaosHang:      fs.Float64("chaos-hang", 0, "chaos: board hang probability (pair with -watchdog)"),
-		chaosPersist:   fs.Float64("chaos-persistent", 0, "chaos: probability a fault presents as persistent"),
-		chaosMaxFaults: fs.Int("chaos-max-faults", 0, "chaos: total injected-fault budget (0 = unlimited)"),
-		chaosSilent:    fs.Bool("chaos-silent", false, "chaos: corrupt scan reads without reporting an error"),
 	}
 }
 
@@ -433,27 +415,6 @@ func (rf *robustFlags) policy() core.RetryPolicy {
 		MaxRetries:            *rf.maxRetries,
 		BoardFailureThreshold: *rf.boardThreshold,
 		WatchdogTimeout:       *rf.watchdog,
-	}
-}
-
-// wrapFactory layers the chaos fault model over a target factory when
-// any chaos probability is set. Each board draws from its own stream,
-// derived from -chaos-seed by creation order.
-func (rf *robustFlags) wrapFactory(factory func() core.TargetSystem) func() core.TargetSystem {
-	if *rf.chaosScanRead == 0 && *rf.chaosScanWrite == 0 && *rf.chaosHang == 0 {
-		return factory
-	}
-	var n int64
-	return func() core.TargetSystem {
-		return chaos.Wrap(factory(), chaos.Config{
-			Seed:               *rf.chaosSeed + atomic.AddInt64(&n, 1),
-			ScanReadCorruption: *rf.chaosScanRead,
-			ScanWriteError:     *rf.chaosScanWrite,
-			HangProb:           *rf.chaosHang,
-			PersistentProb:     *rf.chaosPersist,
-			MaxFaults:          *rf.chaosMaxFaults,
-			Silent:             *rf.chaosSilent,
-		})
 	}
 }
 
@@ -604,14 +565,13 @@ func cmdCampaign(args []string, resume bool) error {
 	spec := core.RunSpec{
 		Store: st, Campaign: camp, Target: tsd,
 		TargetKind: *targetKind, Technique: *technique, TargetParams: params,
-		WrapFactory: rf.wrapFactory,
-		Boards:      *boards,
-		Checkpoint:  *ckpt,
-		NoForward:   *noFwd,
-		Retry:       rf.policy(),
-		Resume:      resume,
-		Tracer:      tr,
-		Progress:    prog,
+		Boards:     *boards,
+		Checkpoint: *ckpt,
+		NoForward:  *noFwd,
+		Retry:      rf.policy(),
+		Resume:     resume,
+		Tracer:     tr,
+		Progress:   prog,
 	}
 	if !*quiet {
 		spec.OnProgress = progressLine

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -449,24 +450,43 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-// TestRunWithChaosAndRetries: the chaos flags make the harness flaky and
-// the retry flags absorb it — the campaign must complete and analyze
-// with no invalid runs.
+// TestRunWithChaosAndRetries: the chaos target makes the harness flaky
+// and the retry flags absorb it — the campaign must complete and analyze
+// with no invalid runs, after at least one retry.
 func TestRunWithChaosAndRetries(t *testing.T) {
 	db := dbPath(t)
-	steps := [][]string{
+	for _, step := range [][]string{
 		{"configure", "-db", db},
 		{"setup", "-db", db, "-campaign", "flaky", "-workload", "sort16",
 			"-window", "10:1600", "-experiments", "6", "-timeout", "100000"},
-		{"run", "-db", db, "-campaign", "flaky", "-quiet",
-			"-chaos-scan-read", "0.4", "-chaos-max-faults", "4", "-chaos-seed", "11",
-			"-max-retries", "6"},
-		{"analyze", "-db", db, "-campaign", "flaky"},
-	}
-	for _, step := range steps {
+	} {
 		if err := runCmd(t, step...); err != nil {
 			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
 		}
+	}
+	var err error
+	out := captureStdout(t, func() {
+		err = runChaos(t, "run", "-db", db, "-campaign", "flaky", "-quiet",
+			"-target", chaosKind, "-target-param", "scan-read=0.4",
+			"-target-param", "max-faults=4", "-target-param", "seed=11",
+			"-max-retries", "6")
+	})
+	if err != nil {
+		t.Fatalf("goofi run: %v", err)
+	}
+	var retried, invalid, quarantined int
+	if i := strings.Index(out, "harness recovery: "); i < 0 {
+		t.Fatalf("the run retried nothing — the fault model never fired:\n%s", out)
+	} else if _, err := fmt.Sscanf(out[i:], "harness recovery: %d retries, %d invalid runs, %d boards quarantined",
+		&retried, &invalid, &quarantined); err != nil {
+		t.Fatalf("harness recovery line: %v\n%s", err, out)
+	}
+	if retried < 1 || invalid != 0 {
+		t.Errorf("%d retries, %d invalid runs; want at least 1 and 0", retried, invalid)
+	}
+	t.Logf("%d retries absorbed", retried)
+	if err := runCmd(t, "analyze", "-db", db, "-campaign", "flaky"); err != nil {
+		t.Fatalf("goofi analyze: %v", err)
 	}
 	st, sdb, err := openStore(db)
 	if err != nil {
@@ -494,22 +514,23 @@ func TestRunWithChaosAndRetries(t *testing.T) {
 func TestResumeRetryInvalid(t *testing.T) {
 	const planned, wantInvalid = 16, 5
 	db := dbPath(t)
-	steps := [][]string{
+	for _, step := range [][]string{
 		{"configure", "-db", db},
 		{"setup", "-db", db, "-campaign", "sick", "-workload", "sort16",
 			"-window", "10:1600", "-experiments", strconv.Itoa(planned), "-timeout", "100000"},
-		// Every DR write exchange fails. The reference run never writes
-		// the scan chain, so it completes; the provable no-ops are logged
-		// from it without touching the harness (11 of this plan's 16), and
-		// every experiment that does need a board burns its one retry and
-		// is recorded invalid.
-		{"run", "-db", db, "-campaign", "sick", "-quiet",
-			"-chaos-scan-write", "1", "-max-retries", "1"},
-	}
-	for _, step := range steps {
+	} {
 		if err := runCmd(t, step...); err != nil {
 			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
 		}
+	}
+	// Every DR write exchange fails. The reference run never writes the
+	// scan chain, so it completes; the provable no-ops are logged from it
+	// without touching the harness (11 of this plan's 16), and every
+	// experiment that does need a board burns its one retry and is
+	// recorded invalid.
+	if err := runChaos(t, "run", "-db", db, "-campaign", "sick", "-quiet",
+		"-target", chaosKind, "-target-param", "scan-write=1", "-max-retries", "1"); err != nil {
+		t.Fatalf("goofi run: %v", err)
 	}
 	// countInvalid returns the stored records and how many are invalid.
 	countInvalid := func() (total, invalid int) {

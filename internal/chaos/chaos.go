@@ -12,6 +12,10 @@
 // experiment's, so a chaos-wrapped campaign draws the exact same
 // injection plan as a healthy one — after retries, the logged records
 // must be byte-identical (the chaos differential test enforces this).
+//
+// The package is test support: tests import it, no command does. The
+// CLI's tests reach it through a target kind their test binary registers
+// (cmd/goofi's scifi-chaos), the seam any new target system uses.
 package chaos
 
 import (

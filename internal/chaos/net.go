@@ -9,9 +9,9 @@ package chaos
 //     so the partition-tolerance conformance suite can run coordinator
 //     and workers in one process while every call crosses a hostile
 //     "network".
-//   - Net.RoundTripper wraps an http.RoundTripper, so real external
-//     `goofi shard-worker` processes (and the CI shard-smoke job) cross
-//     a hostile network too.
+//   - Net.RoundTripper wraps an http.RoundTripper, so workers on the
+//     real HTTP transport against the daemon's handler cross a hostile
+//     network too.
 //
 // Faults are drawn from the engine's own seeded RNG, never from the
 // experiment RNG, so a chaos-wrapped sharded campaign draws the exact
@@ -309,8 +309,8 @@ func (t *NetTransport) Report(ctx context.Context, req shard.ReportRequest) (*sh
 var _ shard.Transport = (*NetTransport)(nil)
 
 // RoundTripper wraps an http.RoundTripper with this engine's fault
-// model, for external workers and the CI shard-smoke job. Use it as the
-// transport of the http.Client handed to shard.HTTPTransport.
+// model, for workers on the HTTP transport. Use it as the transport of
+// the http.Client handed to shard.HTTPTransport.
 func (n *Net) RoundTripper(inner http.RoundTripper) http.RoundTripper {
 	if inner == nil {
 		inner = http.DefaultTransport

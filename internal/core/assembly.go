@@ -37,9 +37,6 @@ type RunSpec struct {
 	TargetKind   string
 	Technique    string
 	TargetParams map[string]string
-	// WrapFactory, when set, decorates the board factory (the CLI's chaos
-	// harness).
-	WrapFactory func(func() TargetSystem) func() TargetSystem
 
 	// Boards is the campaign's board budget; Fleet, when set, is the
 	// shared pool the boards are leased from.
@@ -139,9 +136,6 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
 		}
 		return ts
-	}
-	if spec.WrapFactory != nil {
-		factory = spec.WrapFactory(factory)
 	}
 
 	cr := &CampaignRun{spec: spec}

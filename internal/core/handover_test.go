@@ -219,14 +219,16 @@ func TestHandOverPauseFromBoard(t *testing.T) {
 			var err error
 			r, err = NewRunner(factory(), SCIFI, camp, fakeTSD(), WithSink(st), WithBoards(boards, factory),
 				WithCheckpoints(1000), WithProgress(func(ev ProgressEvent) {
+					// The test resumes once it has the pause in hand: resumed
+					// here, the run could end before the test looks.
 					if ev.Phase == "paused" {
 						cp, err := st.GetCheckpoint(camp.Name)
 						if err != nil || cp == nil {
 							t.Errorf("no cursor while paused: %v", err)
+							paused <- -1
 						} else {
 							paused <- len(cp.Completed)
 						}
-						r.Resume()
 					}
 				}))
 			if err != nil {
@@ -241,9 +243,10 @@ func TestHandOverPauseFromBoard(t *testing.T) {
 			case err = <-done:
 				t.Fatalf("the campaign ended (%v) without reporting the pause", err)
 			case stored := <-paused:
-				if stored < at-campaign.QueueRows {
+				if stored >= 0 && stored < at-campaign.QueueRows {
 					t.Errorf("the paused cursor names %d experiments, the pause came at %d", stored, at)
 				}
+				r.Resume()
 			case <-time.After(10 * time.Second):
 				t.Fatal("a pause from a board was never reported")
 			}

@@ -217,23 +217,3 @@ func (s *Space) Sample(spec *Spec, rng *rand.Rand) (Fault, error) {
 	}
 	return Fault{Kind: spec.Kind, Bits: bits, ActiveProb: spec.ActiveProb}, nil
 }
-
-// SamplePlan draws n faults deterministically from a seed: the campaign's
-// injection plan. Replaying the same seed yields the same plan, which is
-// what makes experiments repeatable (paper §2.3: re-running an experiment
-// with the same campaign data).
-func (s *Space) SamplePlan(spec *Spec, n int, seed int64) ([]Fault, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("faultmodel: plan needs a positive experiment count, got %d", n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Fault, 0, n)
-	for i := 0; i < n; i++ {
-		f, err := s.Sample(spec, rng)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}

@@ -215,47 +215,6 @@ func TestSampleMultiplicityTooLarge(t *testing.T) {
 	}
 }
 
-func TestSamplePlanDeterminism(t *testing.T) {
-	s := space(t)
-	spec := &Spec{Kind: Transient, Multiplicity: 2}
-	p1, err := s.SamplePlan(spec, 50, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := s.SamplePlan(spec, 50, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p1 {
-		if len(p1[i].Bits) != len(p2[i].Bits) {
-			t.Fatalf("plan %d lengths differ", i)
-		}
-		for j := range p1[i].Bits {
-			if p1[i].Bits[j] != p2[i].Bits[j] {
-				t.Fatalf("plans diverge at %d.%d", i, j)
-			}
-		}
-	}
-	p3, err := s.SamplePlan(spec, 50, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range p1 {
-		for j := range p1[i].Bits {
-			if p1[i].Bits[j] != p3[i].Bits[j] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical plans")
-	}
-	if _, err := s.SamplePlan(spec, 0, 1); err == nil {
-		t.Error("zero-experiment plan accepted")
-	}
-}
-
 // Property: sampled faults always validate against the chain length.
 func TestPropertySampledFaultsValid(t *testing.T) {
 	s := space(t)

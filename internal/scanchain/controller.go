@@ -240,9 +240,3 @@ func (c *Controller) SampleBoundary() (*bitvec.Vector, error) {
 	}
 	return v, nil
 }
-
-// Extest drives the given vector onto the pins via EXTEST.
-func (c *Controller) Extest(v *bitvec.Vector) error {
-	c.LoadInstruction(InstrExtest)
-	return c.WriteDR(v)
-}

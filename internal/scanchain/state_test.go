@@ -16,11 +16,10 @@ func newFakeDev() *fakeDev {
 	return &fakeDev{internal: bitvec.FromUint64(0xDEAD_BEEF_0BAD_F00D, 64)}
 }
 
-func (d *fakeDev) BoundaryLen() int                    { return 8 }
-func (d *fakeDev) CaptureBoundary() *bitvec.Vector     { return bitvec.New(8) }
-func (d *fakeDev) UpdateBoundary(*bitvec.Vector) error { return nil }
-func (d *fakeDev) InternalLen() int                    { return 64 }
-func (d *fakeDev) IDCode() uint32                      { return 0x1234_5678 }
+func (d *fakeDev) BoundaryLen() int                { return 8 }
+func (d *fakeDev) CaptureBoundary() *bitvec.Vector { return bitvec.New(8) }
+func (d *fakeDev) InternalLen() int                { return 64 }
+func (d *fakeDev) IDCode() uint32                  { return 0x1234_5678 }
 
 func (d *fakeDev) CaptureInternal() *bitvec.Vector {
 	d.captures++

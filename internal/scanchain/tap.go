@@ -102,8 +102,9 @@ type Instruction uint8
 
 // TAP instructions. The instruction register is irWidth bits wide.
 const (
-	// InstrExtest selects the boundary register and drives its update
-	// latches onto the pins (pin-level fault injection).
+	// InstrExtest selects the boundary register, like SAMPLE. Its update
+	// drives no pin here: pin-level faults are forced through the CPU
+	// model's boundary write (thor.CPU.BoundaryWrite), not the TAP.
 	InstrExtest Instruction = 0x0
 	// InstrSample selects the boundary register for capture without
 	// driving pins (observation).
@@ -145,9 +146,6 @@ type Device interface {
 	BoundaryLen() int
 	// CaptureBoundary samples the pins into a bit vector.
 	CaptureBoundary() *bitvec.Vector
-	// UpdateBoundary drives boundary register contents onto the pins
-	// (EXTEST). Implementations decide which cells are drivable.
-	UpdateBoundary(v *bitvec.Vector) error
 	// InternalLen returns the internal scan chain length in bits.
 	InternalLen() int
 	// CaptureInternal captures the internal state elements.
@@ -330,14 +328,7 @@ func (t *TAP) updateDR() {
 	if t.dr == nil {
 		return
 	}
-	switch t.ir {
-	case InstrExtest:
-		// Errors surface through Controller, which validates lengths
-		// before driving; a failed update here means a device bug.
-		if err := t.dev.UpdateBoundary(t.dr); err != nil {
-			panic(fmt.Sprintf("scanchain: EXTEST update failed: %v", err))
-		}
-	case InstrScanReg:
+	if t.ir == InstrScanReg {
 		if err := t.dev.UpdateInternal(t.dr); err != nil {
 			panic(fmt.Sprintf("scanchain: SCANREG update failed: %v", err))
 		}

@@ -13,7 +13,6 @@ type fakeDevice struct {
 	boundary  *bitvec.Vector
 	internal  *bitvec.Vector
 	idcode    uint32
-	extests   int
 	intUpdate int
 }
 
@@ -30,11 +29,6 @@ func (d *fakeDevice) CaptureBoundary() *bitvec.Vector { return d.boundary.Clone(
 func (d *fakeDevice) InternalLen() int                { return 12 }
 func (d *fakeDevice) CaptureInternal() *bitvec.Vector { return d.internal.Clone() }
 func (d *fakeDevice) IDCode() uint32                  { return d.idcode }
-
-func (d *fakeDevice) UpdateBoundary(v *bitvec.Vector) error {
-	d.extests++
-	return d.boundary.CopyFrom(v)
-}
 
 func (d *fakeDevice) UpdateInternal(v *bitvec.Vector) error {
 	d.intUpdate++
@@ -205,23 +199,8 @@ func TestSampleBoundary(t *testing.T) {
 	if got := v.Uint64(0, 8); got != 0xA5 {
 		t.Errorf("sampled boundary = %#x, want 0xa5", got)
 	}
-	if dev.extests != 0 {
-		t.Error("SAMPLE must not drive pins")
-	}
-}
-
-func TestExtestDrivesPins(t *testing.T) {
-	dev := newFakeDevice()
-	c := NewController(dev)
-	v := bitvec.FromUint64(0x5A, 8)
-	if err := c.Extest(v); err != nil {
-		t.Fatal(err)
-	}
-	if got := dev.boundary.Uint64(0, 8); got != 0x5A {
-		t.Errorf("boundary after EXTEST = %#x, want 0x5a", got)
-	}
-	if dev.extests != 1 {
-		t.Errorf("UpdateBoundary called %d times, want 1", dev.extests)
+	if got := dev.boundary.Uint64(0, 8); got != 0xA5 {
+		t.Errorf("boundary after SAMPLE = %#x: SAMPLE must not drive pins", got)
 	}
 }
 

@@ -32,10 +32,6 @@ func (d *device) IDCode() uint32                  { return IDCode }
 // internal scans (scanchain.InternalCapturerInto).
 func (d *device) CaptureInternalInto(v *bitvec.Vector) error { return d.cpu.ScanReadInto(v) }
 
-// UpdateBoundary is an EXTEST update that drives no pin: the pin-level
-// technique forces pins with the masks of its fault (CPU.BoundaryWrite).
-func (d *device) UpdateBoundary(v *bitvec.Vector) error { return d.cpu.BoundaryWrite(v, 0, 0) }
-
 func (d *device) UpdateInternal(v *bitvec.Vector) error { return d.cpu.ScanWrite(v) }
 
 // Technique is what an injection technique hands the board it drives, on

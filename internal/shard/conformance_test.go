@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -601,103 +602,137 @@ func TestShardConformanceWorkerKilled(t *testing.T) {
 // data directory: recovery must resume the merge from the durable rows
 // (not redo it) and the final result must still match the solo run.
 func TestShardConformanceCoordinatorRestart(t *testing.T) {
-	// Large enough that the workers are still executing when the first
-	// merged progress becomes visible — the kill below must land while
-	// work remains, or recovery has nothing to prove.
-	const n = 2400
+	// A report carries at most 4*64 rows, so the reports that get through
+	// with an experiment's row before the kill — one per worker at most —
+	// leave work to recover.
+	const n = 1200
 	camp := conformanceCampaign("confboot", n)
 	solo := soloRun(t, camp)
 	wantRecs := recordBytes(t, solo, "confboot")
 	wantReport := reportText(t, solo, "confboot")
 
-	// Killing mid-merge is a race the test can lose: with the thor fast
-	// path the whole campaign can execute and merge between two status
-	// polls, leaving the restarted coordinator nothing to recover. Each
-	// attempt uses a fresh data directory; an attempt only counts when
-	// the kill landed while work remained, and the first such attempt
-	// carries all the assertions.
-	const attempts = 5
-	for attempt := 0; attempt < attempts; attempt++ {
-		dir := t.TempDir()
-		cfg := server.Config{DataDir: dir, Boards: 4, MaxConcurrent: 1}
-		s1, err := server.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts1 := httptest.NewServer(s1.Handler())
-		resp, body := postJSON(t, ts1.URL+"/api/v1/campaigns", server.SubmitRequest{
-			Tenant: "alice", Campaign: camp, Shards: 2,
-		})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-		}
-		// Pull the plug at the first sign of merged progress.
-		url := ts1.URL + "/api/v1/campaigns/alice/confboot"
-		deadline := time.Now().Add(60 * time.Second)
-		finished := false
-		for {
-			hr, err := http.Get(url)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st server.JobStatus
-			err = json.NewDecoder(hr.Body).Decode(&st)
-			hr.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Progress != nil && st.Progress.Done >= 1 {
-				break
-			}
-			if st.State == server.StateDone {
-				finished = true
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("campaign made no visible progress (state %s)", st.State)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		s1.Kill()
-		ts1.Close()
-		if finished {
-			continue // done before we could kill: recovery not exercised
-		}
-
-		s2, err := server.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts2 := httptest.NewServer(s2.Handler())
-		if st := waitState(t, ts2.URL, "alice", "confboot"); st.State != server.StateDone {
-			t.Fatalf("recovered state = %s (err %q)", st.State, st.Error)
-		}
-		var st server.JobStatus
-		hr, err := http.Get(ts2.URL + "/api/v1/campaigns/alice/confboot")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(hr.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		hr.Body.Close()
-		if st.Summary == nil || st.Summary.Experiments >= n {
-			// The merge outran the kill after all (everything was durable
-			// before the plug was pulled, so recovery had nothing to do);
-			// this attempt proves nothing.
-			shutdownServer(t, s2)
-			ts2.Close()
-			continue
-		}
-		// Reaching here means the restarted coordinator resumed rather
-		// than restarted: its summary counts only the post-boot merge,
-		// strictly below the campaign total.
-		shutdownServer(t, s2)
-		ts2.Close()
-		assertIdentical(t, tenantStore(t, dir, "alice"), "confboot", wantRecs, wantReport)
-		return
+	dir := t.TempDir()
+	cfg := server.Config{DataDir: dir, Boards: 4, MaxConcurrent: 1}
+	s1, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no attempt out of %d exercised recovery: the campaign fully merged before every kill", attempts)
+	ts1 := httptest.NewServer(s1.Handler())
+	resp, body := postJSON(t, ts1.URL+"/api/v1/campaigns", server.SubmitRequest{
+		Tenant: "alice", Campaign: camp, Shards: 2, ExternalWorkers: true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+	// The kill lands on a state the test holds open: once a report has
+	// merged, every later one waits at the worker until the daemon is dead.
+	gate := &heldReports{merged: make(chan struct{}), killed: make(chan struct{})}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		w, err := shard.NewWorker(shard.WorkerConfig{
+			Name: fmt.Sprintf("w%d", i), Boards: 1, Poll: 10 * time.Millisecond,
+			Transport: &heldTransport{
+				Transport: &shard.HTTPTransport{Base: ts1.URL, Tenant: "alice", Campaign: "confboot"},
+				gate:      gate,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx) // dies with the daemon by design
+		}()
+	}
+	select {
+	case <-gate.merged:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no report merged")
+	}
+	s1.Kill()
+	close(gate.killed)
+	cancel()
+	wg.Wait()
+	ts1.Close()
+
+	s2, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	ctx, cancel = context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	werrs := make([]error, 2)
+	for i := range werrs {
+		w, err := shard.NewWorker(shard.WorkerConfig{
+			Name: fmt.Sprintf("r%d", i), Boards: 1, Poll: 10 * time.Millisecond,
+			Transport: &shard.HTTPTransport{Base: ts2.URL, Tenant: "alice", Campaign: "confboot"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			werrs[i] = w.Run(ctx)
+		}()
+	}
+	st := waitState(t, ts2.URL, "alice", "confboot")
+	if st.State != server.StateDone {
+		t.Fatalf("recovered state = %s (err %q)", st.State, st.Error)
+	}
+	wg.Wait()
+	if err := errors.Join(werrs...); err != nil {
+		t.Fatalf("worker after the restart: %v", err)
+	}
+	// The restarted coordinator resumed rather than restarted: its summary
+	// counts only the post-boot merge, strictly below the campaign total.
+	if st.Summary == nil || st.Summary.Experiments <= 0 || st.Summary.Experiments >= n {
+		t.Fatalf("recovered summary %+v, want between 0 and %d experiments", st.Summary, n)
+	}
+	t.Logf("the restarted coordinator merged %d of %d experiments", st.Summary.Experiments, n)
+	shutdownServer(t, s2)
+	assertIdentical(t, tenantStore(t, dir, "alice"), "confboot", wantRecs, wantReport)
+}
+
+// heldReports is the gate of a fleet's reports: they pass until one has
+// merged an experiment's row, and merged is closed; every report after
+// that waits until killed is closed, and fails.
+type heldReports struct {
+	once           sync.Once
+	merged, killed chan struct{}
+}
+
+// heldTransport is a worker transport whose reports pass gate.
+type heldTransport struct {
+	shard.Transport
+	gate *heldReports
+}
+
+func (h *heldTransport) Report(ctx context.Context, req shard.ReportRequest) (*shard.ReportResponse, error) {
+	select {
+	case <-h.gate.merged:
+		select {
+		case <-h.gate.killed:
+		case <-ctx.Done():
+		}
+		return nil, errors.New("the coordinator was killed")
+	default:
+	}
+	resp, err := h.Transport.Report(ctx, req)
+	if err == nil && resp.Accepted > 0 {
+		for i := range req.Rows {
+			if row := &req.Rows[i]; row.Step() < 0 && row.Name() != campaign.ReferenceName(row.Campaign()) {
+				h.gate.once.Do(func() { close(h.gate.merged) })
+				break
+			}
+		}
+	}
+	return resp, err
 }
 
 // shutdownServer drains a server with a bounded grace period.

@@ -12,6 +12,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -290,6 +291,126 @@ func TestNetChaosConformanceAsymmetricPartition(t *testing.T) {
 		t.Fatal("partition never engaged; the schedule is vacuous")
 	}
 	assertIdentical(t, st, "chaosasym", wantRecs, wantReport)
+}
+
+// firsts is a worker transport that calls leased once, when the
+// coordinator first grants it a range, and merged once, when the
+// coordinator first acknowledges a report it merged rows from.
+type firsts struct {
+	shard.Transport
+	leased, merged        func()
+	leaseOnce, reportOnce sync.Once
+}
+
+func (f *firsts) Lease(ctx context.Context, req shard.LeaseRequest) (*shard.LeaseResponse, error) {
+	resp, err := f.Transport.Lease(ctx, req)
+	if err == nil && resp.Status == shard.LeaseRange {
+		f.leaseOnce.Do(f.leased)
+	}
+	return resp, err
+}
+
+func (f *firsts) Report(ctx context.Context, req shard.ReportRequest) (*shard.ReportResponse, error) {
+	resp, err := f.Transport.Report(ctx, req)
+	if err == nil && resp.Accepted > 0 {
+		f.reportOnce.Do(f.merged)
+	}
+	return resp, err
+}
+
+// TestNetChaosHTTPWorkerKilled is the hostile network on the real wire:
+// the daemon's handler behind httptest, two workers on the HTTP transport
+// whose clients cross their own seeded chaos network — dropped requests,
+// lost responses, added latency — and one of them cut off after its first
+// merged report. Retries, idempotent deliveries and the killed worker's
+// requeued lease must absorb all of it, to the solo run's rows and report.
+func TestNetChaosHTTPWorkerKilled(t *testing.T) {
+	// Worker zero merges one report of at most 4*64 rows, so the survivor
+	// makes at least n/256 - 1 report calls, over 13 here: seed 22's
+	// network drops its 13th call whatever the timing, so a fault fires.
+	const n = 4000
+	camp := conformanceCampaign("chaoshttp", n)
+	solo := soloRun(t, camp)
+	wantRecs := recordBytes(t, solo, "chaoshttp")
+	wantReport := reportText(t, solo, "chaoshttp")
+
+	dir := t.TempDir()
+	s, err := server.New(server.Config{
+		DataDir: dir, Boards: 4, MaxConcurrent: 1,
+		ShardHeartbeat: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/api/v1/campaigns", server.SubmitRequest{
+		Tenant: "alice", Campaign: camp, Shards: 2, ExternalWorkers: true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+
+	var nets []*chaos.Net
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	leased, killed := make(chan struct{}), make(chan struct{})
+	for i, seed := range []int64{11, 22} {
+		net := chaos.NewNet(chaos.NetConfig{Seed: seed, DropRequestProb: 0.05,
+			DropResponseProb: 0.05, DelayProb: 0.1, Delay: 5 * time.Millisecond})
+		nets = append(nets, net)
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		var tr shard.Transport = &shard.HTTPTransport{
+			Base: ts.URL, Tenant: "alice", Campaign: "chaoshttp",
+			Client: &http.Client{Transport: net.RoundTripper(nil)},
+		}
+		if i == 0 {
+			// Worker zero holds a range before the survivor starts, and dies
+			// without a word once a report of it has merged.
+			tr = &firsts{Transport: tr,
+				leased: func() { close(leased) },
+				merged: func() { cancel(); close(killed) }}
+		} else {
+			select {
+			case <-leased:
+			case <-time.After(60 * time.Second):
+				t.Fatal("worker zero was never granted a range")
+			}
+		}
+		w, err := shard.NewWorker(shard.WorkerConfig{
+			Name: fmt.Sprintf("h%d", i), Boards: 1,
+			Transport: tr, Poll: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil && ctx.Err() == nil {
+				errs[i] = err
+			}
+		}()
+	}
+	if st := waitState(t, ts.URL, "alice", "chaoshttp"); st.State != server.StateDone {
+		t.Fatalf("state = %s (err %q)", st.State, st.Error)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("worker error: %v", err)
+	}
+	select {
+	case <-killed:
+	default:
+		t.Fatal("worker zero merged nothing before the campaign ended; the kill is vacuous")
+	}
+	shutdownServer(t, s)
+	assertIdentical(t, tenantStore(t, dir, "alice"), "chaoshttp", wantRecs, wantReport)
+	if nets[1].Faults() == 0 {
+		t.Fatal("no network fault fired on the survivor's network; the schedule is vacuous")
+	}
+	t.Logf("%d + %d network faults absorbed", nets[0].Faults(), nets[1].Faults())
 }
 
 // TestShardWorkerUnauthorized locks the daemon's shard surface behind a

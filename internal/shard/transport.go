@@ -154,11 +154,11 @@ type HTTPTransport struct {
 	// Client defaults to http.DefaultClient. Chaos tests install a
 	// client whose RoundTripper injects network faults.
 	Client *http.Client
-	// CallTimeout and ReportTimeout are the per-call deadlines
-	// (defaults above). They layer under any caller deadline: the
+	// CallTimeout is the deadline of a lease, heartbeat or hello call
+	// (DefaultCallTimeout when zero); a report call gets
+	// DefaultReportTimeout. Both layer under any caller deadline: the
 	// effective deadline is whichever expires first.
-	CallTimeout   time.Duration
-	ReportTimeout time.Duration
+	CallTimeout time.Duration
 	// Retry bounds the retryable-failure loop.
 	Retry RetryPolicy
 
@@ -187,9 +187,6 @@ func (t *HTTPTransport) sleepRetry(ctx context.Context, n int) bool {
 
 func (t *HTTPTransport) timeout(action string) time.Duration {
 	if action == "report" {
-		if t.ReportTimeout > 0 {
-			return t.ReportTimeout
-		}
 		return DefaultReportTimeout
 	}
 	if t.CallTimeout > 0 {
