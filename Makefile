@@ -104,7 +104,8 @@ bench:
 # stream, FuzzFastPathVsStep the thor decoder against the fast path's
 # predecode mirror: any image through Run, RunFast and StepBurst.
 # FuzzRejoinVsFull is the convergence cut-off against full emulation: any
-# transient flip in the PID loop logs the same row either way.
+# transient flip in the PID loop logs the same row either way;
+# FuzzSteadyVsFull the same for the steady-state skip over 1,000 iterations.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzPortSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzFastPathVsStep -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scifi/ -run '^$$' -fuzz FuzzRejoinVsFull -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scifi/ -run '^$$' -fuzz FuzzSteadyVsFull -fuzztime $(FUZZTIME)
 
 # experiments rewrites experiments_output.txt, the raw E1–E10 tables that
 # EXPERIMENTS.md quotes, from cmd/goofi-experiments (about a second). Every

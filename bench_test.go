@@ -84,6 +84,16 @@ func runCampaign(b testing.TB, st *campaign.Store, tsd *campaign.TargetSystemDat
 	tgt core.TargetSystem, alg core.Algorithm, camp *campaign.Campaign,
 	opts ...core.RunnerOption) (*core.Summary, *analysis.Report) {
 	b.Helper()
+	sum, rep, _ := runCampaignSet(b, st, tsd, tgt, alg, camp, opts...)
+	return sum, rep
+}
+
+// runCampaignSet is runCampaign that also returns the forward set the run
+// used (core.Runner.ForwardSet).
+func runCampaignSet(b testing.TB, st *campaign.Store, tsd *campaign.TargetSystemData,
+	tgt core.TargetSystem, alg core.Algorithm, camp *campaign.Campaign,
+	opts ...core.RunnerOption) (*core.Summary, *analysis.Report, *core.ForwardSet) {
+	b.Helper()
 	if err := st.PutCampaign(camp); err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +117,7 @@ func runCampaign(b testing.TB, st *campaign.Store, tsd *campaign.TargetSystemDat
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sum, rep
+	return sum, rep, r.ForwardSet()
 }
 
 // BenchmarkSCIFIExperiment measures one complete SCIFI fault injection

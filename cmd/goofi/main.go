@@ -715,6 +715,10 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 		fmt.Printf("  converged: %d experiments re-joined the reference run, %d cycles not emulated\n",
 			sum.Converged, sum.CyclesConverged)
 	}
+	if sum.Steady > 0 {
+		fmt.Printf("  steady: %d runs skipped a steady state to their last iteration, %d cycles not emulated\n",
+			sum.Steady, sum.CyclesSteady)
+	}
 	if n := sum.Pruned.Total(); n > 0 {
 		fmt.Printf("  pruned: %d experiments not emulated (%d latent, %d overwritten), rows synthesized from the reference run's def-use table\n",
 			n, sum.Pruned.Latent, sum.Pruned.Overwritten)

@@ -22,9 +22,10 @@ import (
 
 // runDifferential executes camp on a fresh store with the given board
 // count and forwarding setting, returning the summary, the analysis
-// report, and the JSON-marshalled experiment records in sequence order.
+// report, the JSON-marshalled experiment records in sequence order, and
+// the forward set the run used.
 func runDifferential(t *testing.T, camp *campaign.Campaign, boards int,
-	forwarding bool) (*core.Summary, *analysis.Report, []string) {
+	forwarding bool) (*core.Summary, *analysis.Report, []string, *core.ForwardSet) {
 	t.Helper()
 	st, tsd := benchStore(t)
 	var opts []core.RunnerOption
@@ -36,7 +37,7 @@ func runDifferential(t *testing.T, camp *campaign.Campaign, boards int,
 	if !forwarding {
 		opts = append(opts, core.WithForwarding(core.ForwardConfig{Disabled: true}))
 	}
-	sum, rep := runCampaign(t, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI, camp, opts...)
+	sum, rep, set := runCampaignSet(t, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI, camp, opts...)
 	recs, err := st.Experiments(camp.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,7 @@ func runDifferential(t *testing.T, camp *campaign.Campaign, boards int,
 		}
 		rows = append(rows, string(b))
 	}
-	return sum, rep, rows
+	return sum, rep, rows, set
 }
 
 // TestForwardingDifferential is the acceptance gate for checkpoint
@@ -101,8 +102,8 @@ func TestForwardingDifferential(t *testing.T) {
 		for _, boards := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/boards=%d", tc.name, boards), func(t *testing.T) {
 				name := fmt.Sprintf("diff-%s-b%d", tc.name, boards)
-				coldSum, coldRep, coldRecs := runDifferential(t, tc.camp(name), boards, false)
-				warmSum, warmRep, warmRecs := runDifferential(t, tc.camp(name), boards, true)
+				coldSum, coldRep, coldRecs, _ := runDifferential(t, tc.camp(name), boards, false)
+				warmSum, warmRep, warmRecs, _ := runDifferential(t, tc.camp(name), boards, true)
 
 				if coldSum.Forwarded != 0 || coldSum.CyclesSaved != 0 {
 					t.Errorf("cold run reports forwarding: %d forwarded, %d saved",

@@ -53,6 +53,13 @@ type Experiment struct {
 	// statistics too: the record is the fully emulated run's.
 	Converged   bool
 	ConvergedAt uint64
+	// SteadyAt is the cycle of the iteration boundary where the run's
+	// board state repeated its state one iteration earlier, up to a shift
+	// of its counters, and the target moved it straight to its last
+	// iteration; SteadyCycles is how many cycles that skipped (0: no
+	// skip). Runtime statistics as well: the record is the fully emulated
+	// run's.
+	SteadyAt, SteadyCycles uint64
 
 	// Result accumulates the experiment's observations.
 	Result Result

@@ -55,6 +55,14 @@ type ForwardPlan struct {
 	// MaxBytes caps the set's fresh-byte footprint; recording stops at
 	// the budget.
 	MaxBytes int
+	// Horizon is the campaign's last injection point: a cycle count, or a
+	// retired-instruction count when HorizonByInstret. The def-use table
+	// and the join points have to describe the reference run up to it;
+	// past it, and past the last planned cycle, the reference may stop
+	// recording them and skip a steady state to its end (scifi's
+	// steady.go).
+	Horizon          uint64
+	HorizonByInstret bool
 }
 
 // ForwardCheckpoint is one recorded restore point. State is the
@@ -170,7 +178,12 @@ func (r *Runner) forwardPlan() *ForwardPlan {
 		for c := start; c < hi && len(plan.Cycles) < DefaultMaxForwardCheckpoints; c += interval {
 			plan.Cycles = append(plan.Cycles, c)
 		}
-	} else if at, _, _ := r.camp.Trigger.ForwardPoint(); at > forwardMargin {
+		plan.Horizon = hi
+		return plan
+	}
+	at, byInstret, _ := r.camp.Trigger.ForwardPoint()
+	plan.Horizon, plan.HorizonByInstret = at, byInstret
+	if at > forwardMargin {
 		// Fixed trigger point: one checkpoint just before it. For instret
 		// triggers the margin still guarantees usability, since instret
 		// never exceeds the cycle count.

@@ -43,14 +43,20 @@ type Summary struct {
 	// CyclesEmulated is the total cycles actually emulated across the
 	// reference run and all experiments; CyclesSaved is the total cycles
 	// skipped by checkpoint restores, CyclesConverged the total skipped by
-	// ending converged runs early. Cold execution of the same plan emulates
-	// CyclesEmulated + CyclesSaved + CyclesConverged.
+	// ending converged runs early, CyclesSteady the total skipped by
+	// moving runs in a steady state to their last iteration. Cold
+	// execution of the same plan emulates CyclesEmulated + CyclesSaved +
+	// CyclesConverged + CyclesSteady.
 	CyclesEmulated  uint64
 	CyclesSaved     uint64
 	CyclesConverged uint64
+	CyclesSteady    uint64
 	// Converged counts experiments that re-joined the reference run and
 	// were ended there (Experiment.Converged).
 	Converged int
+	// Steady counts the runs, the reference run among them, that skipped
+	// a steady state to their last iteration (Experiment.SteadyCycles).
+	Steady int
 	// Pruned counts the experiments — included in Experiments, Injected
 	// and ByStatus like any other — whose rows were synthesized from the
 	// reference run's def-use table instead of being emulated (prune.go).

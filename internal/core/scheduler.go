@@ -480,7 +480,11 @@ func (rs *run) referenceRun() (*ForwardSet, error) {
 	if err := rs.logEmulated(&d); err != nil {
 		return nil, rs.expErr(ref.Name, err)
 	}
-	rs.sum.CyclesEmulated += ref.Result.Outcome.Cycles
+	rs.sum.CyclesEmulated += ref.Result.Outcome.Cycles - ref.SteadyCycles
+	if ref.SteadyCycles > 0 {
+		rs.sum.Steady++
+		rs.sum.CyclesSteady += ref.SteadyCycles
+	}
 	if r.sink != nil && rs.sum.Deterministic {
 		sv, err := ref.Result.StateVector()
 		if err != nil {
@@ -862,6 +866,7 @@ func (rs *run) resolve(s *slot) {
 		injected                   bool
 		forwarded, converged       bool
 		emulated, saved, convSaved uint64
+		steady                     uint64
 	)
 	switch {
 	case !valid:
@@ -878,7 +883,8 @@ func (rs *run) resolve(s *slot) {
 			span.EndCycle = ex.ConvergedAt
 			convSaved = out.Cycles - ex.ConvergedAt
 		}
-		emulated = span.EndCycle
+		steady = ex.SteadyCycles
+		emulated = span.EndCycle - steady
 		if forwarded = ex.Forwarded; forwarded {
 			saved = ex.ForwardedFrom
 			emulated -= saved
@@ -908,6 +914,10 @@ func (rs *run) resolve(s *slot) {
 		if converged {
 			sum.Converged++
 			sum.CyclesConverged += convSaved
+		}
+		if steady > 0 {
+			sum.Steady++
+			sum.CyclesSteady += steady
 		}
 		sum.CyclesEmulated += emulated
 	}

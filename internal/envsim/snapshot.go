@@ -1,6 +1,9 @@
 package envsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Snapshotter is an optional Simulator extension for campaign
 // checkpoint-forwarding: a simulator that can capture and restore its
@@ -19,6 +22,13 @@ type Snapshotter interface {
 	// by SnapshotState on an instance of the same type. The same state
 	// value may be restored onto many instances.
 	RestoreState(state any) error
+	// EqualState reports whether the simulator's state equals state, a
+	// value SnapshotState returned on an instance of the same type:
+	// what reflect.DeepEqual(SnapshotState(), state) says, without
+	// copying or allocating. Checkpoint forwarding asks at iteration
+	// boundaries whether a run's simulator is where another run's, or
+	// its own an iteration earlier, was.
+	EqualState(state any) bool
 }
 
 // SnapshotState implements Snapshotter.
@@ -42,6 +52,13 @@ func (s *Scripted) RestoreState(state any) error {
 	return nil
 }
 
+// EqualState implements Snapshotter. A snapshot's buf is zero: the one
+// Exchange returns is no part of the state.
+func (s *Scripted) EqualState(state any) bool {
+	o, ok := state.(*Scripted)
+	return ok && s.pos == o.pos && slices.Equal(s.inputs, o.inputs) && slices.Equal(s.Outputs, o.Outputs)
+}
+
 // SnapshotState implements Snapshotter.
 func (p *FirstOrderPlant) SnapshotState() any {
 	c := *p
@@ -58,6 +75,12 @@ func (p *FirstOrderPlant) RestoreState(state any) error {
 	return nil
 }
 
+// EqualState implements Snapshotter.
+func (p *FirstOrderPlant) EqualState(state any) bool {
+	o, ok := state.(*FirstOrderPlant)
+	return ok && *p == *o
+}
+
 // SnapshotState implements Snapshotter.
 func (e *Engine) SnapshotState() any {
 	c := *e
@@ -72,4 +95,10 @@ func (e *Engine) RestoreState(state any) error {
 	}
 	*e = *o
 	return nil
+}
+
+// EqualState implements Snapshotter.
+func (e *Engine) EqualState(state any) bool {
+	o, ok := state.(*Engine)
+	return ok && *e == *o
 }

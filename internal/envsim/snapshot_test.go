@@ -112,3 +112,60 @@ func TestReplayFallbackEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestEqualStateIsDeepEqual: EqualState says what reflect.DeepEqual of a
+// fresh snapshot with the stored one says — equal to the state it was
+// taken in, to a restored instance, and after a step that leaves the state
+// where it was; unequal after a step that moves it, and to another
+// simulator's state — and it allocates nothing.
+func TestEqualStateIsDeepEqual(t *testing.T) {
+	reg := NewRegistry()
+	for _, name := range reg.Names() {
+		t.Run(name, func(t *testing.T) {
+			sim, _ := reg.New(name, nil)
+			ss := sim.(Snapshotter)
+			drive(sim, 0, 4)
+			state := ss.SnapshotState()
+			check := func(what string, s Snapshotter, state any) {
+				t.Helper()
+				if got, want := s.EqualState(state), reflect.DeepEqual(s.SnapshotState(), state); got != want {
+					t.Errorf("%s: EqualState %v, DeepEqual of the snapshots %v", what, got, want)
+				}
+			}
+			check("as taken", ss, state)
+			if !ss.EqualState(state) {
+				t.Error("a simulator is not in the state it was just snapshotted in")
+			}
+			fresh, _ := reg.New(name, nil)
+			check("fresh", fresh.(Snapshotter), state)
+			if err := fresh.(Snapshotter).RestoreState(state); err != nil {
+				t.Fatal(err)
+			}
+			check("restored", fresh.(Snapshotter), state)
+			drive(sim, 4, 1)
+			check("a step on", ss, state)
+			for _, other := range reg.Names() {
+				if other != name {
+					o, _ := reg.New(other, nil)
+					check("against "+other, ss, o.(Snapshotter).SnapshotState())
+				}
+			}
+			if n := testing.AllocsPerRun(10, func() { ss.EqualState(state) }); n != 0 {
+				t.Errorf("EqualState allocates %v times", n)
+			}
+		})
+	}
+	// A plant with a constant command settles, in a few hundred steps, in
+	// a state that a further step leaves exactly as it was.
+	p := &FirstOrderPlant{}
+	p.Reset(nil)
+	cmd := []uint32{100 << 8}
+	for i := 0; i < 2000; i++ {
+		p.Exchange(cmd)
+	}
+	state := p.SnapshotState()
+	p.Exchange(cmd)
+	if !p.EqualState(state) {
+		t.Errorf("the plant still moves after 2,000 equal commands: x %v", p.State())
+	}
+}

@@ -80,6 +80,10 @@ type Board struct {
 	// to a slice held in a map each time cost more than the iteration.
 	outputs []uint32
 
+	// steady watches the run in its termination loop for a steady state
+	// to skip (steady.go).
+	steady steadyWatch
+
 	// campaign-scoped checkpoint-forwarding state; preserved across
 	// InitTestCard, managed through the core.Forwarder methods.
 	fwRec *fwRecorder
@@ -305,7 +309,7 @@ func (t *Board) WaitForBreakpoint(ex *core.Experiment) error {
 		}
 		switch st {
 		case thor.StatusIterationEnd:
-			if err := t.exchange(ex); err != nil {
+			if _, err := t.exchange(ex); err != nil {
 				return err
 			}
 		case thor.StatusRunning:
@@ -346,14 +350,16 @@ func (t *Board) endIteration(ex *core.Experiment) []uint32 {
 
 // exchange performs one environment-simulator data exchange at an
 // iteration boundary and resumes the CPU. The inputs go from the
-// simulator's buffer into the port queue at once (envsim.Simulator).
-func (t *Board) exchange(ex *core.Experiment) error {
+// simulator's buffer into the port queue at once (envsim.Simulator); the
+// buffer is returned, good until the next exchange.
+func (t *Board) exchange(ex *core.Experiment) (ins []uint32, err error) {
 	outs := t.endIteration(ex)
 	if t.sim != nil {
 		t.fwLogExchange(ex, outs)
-		t.cpu.Ports().PushInput(ex.Campaign.Workload.InputPort, t.sim.Exchange(outs)...)
+		ins = t.sim.Exchange(outs)
+		t.cpu.Ports().PushInput(ex.Campaign.Workload.InputPort, ins...)
 	}
-	return t.cpu.ResumeIteration()
+	return ins, t.cpu.ResumeIteration()
 }
 
 // WaitForTermination resumes execution until a termination condition
@@ -364,6 +370,7 @@ func (t *Board) WaitForTermination(ex *core.Experiment) error {
 	term := ex.Campaign.Termination
 	persistent := t.tech.Reassert != nil && ex.Fault != nil && ex.Fault.Kind.Persistent() && ex.Injected
 	join := t.rejoinFor(ex, persistent)
+	t.steadyArm(ex, persistent)
 	for {
 		if t.cpu.Cycle() >= term.TimeoutCycles {
 			t.finishOutcome(ex, campaign.OutcomeTimeout, nil)
@@ -389,7 +396,8 @@ func (t *Board) WaitForTermination(ex *core.Experiment) error {
 				t.finishOutcome(ex, campaign.OutcomeCompleted, nil)
 				return nil
 			}
-			if err := t.exchange(ex); err != nil {
+			ins, err := t.exchange(ex)
+			if err != nil {
 				return err
 			}
 			if persistent {
@@ -398,12 +406,16 @@ func (t *Board) WaitForTermination(ex *core.Experiment) error {
 				}
 			}
 			// The reference records a join point here; a faulty run back
-			// in the reference's state ends here (rejoin.go).
+			// in the reference's state ends here (rejoin.go); a run whose
+			// state repeats skips to its last iteration (steady.go).
 			t.fwRecordJoin(ex)
 			if join != nil {
 				if done, err := t.fwRejoin(ex, join); done || err != nil {
 					return err
 				}
+			}
+			if t.steady.on {
+				t.steadyCheck(ex, ins)
 			}
 		case thor.StatusOutOfBudget:
 			if err := t.cpu.ClearOutOfBudget(); err != nil {

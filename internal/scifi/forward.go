@@ -64,6 +64,9 @@ type fwRecorder struct {
 	tail *core.ForwardCheckpoint
 	// join is the rejoin record the run is building (rejoin.go).
 	join *rejoin
+	// du is the def-use table, taken off the CPU where the run skipped
+	// its steady state (steady.go); nil while the CPU records.
+	du *thor.DefUse
 }
 
 // ArmForwardRecording implements core.Forwarder.
@@ -101,6 +104,9 @@ func (t *Board) TakeForwardSet() *core.ForwardSet {
 	du := t.cpu.TakeDefUse()
 	if rec == nil {
 		return nil
+	}
+	if rec.du != nil {
+		du = rec.du
 	}
 	if du != nil {
 		rec.set.DefUse = defUse{du}

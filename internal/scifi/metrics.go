@@ -12,4 +12,6 @@ var (
 		"Experiments that restored a forward checkpoint instead of cold-starting.")
 	mFwConverged = telemetry.NewCounter("goofi_scifi_forward_converged_total",
 		"Experiments ended on the reference run's end state after re-joining it at an iteration boundary.")
+	mSteady = telemetry.NewCounter("goofi_scifi_steady_skips_total",
+		"Runs, reference runs included, moved to their last iteration once their board state repeated its state one iteration earlier.")
 )

@@ -1,8 +1,6 @@
 package scifi
 
 import (
-	"reflect"
-
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/envsim"
@@ -178,7 +176,7 @@ func (t *Board) fwRejoin(ex *core.Experiment, j *rejoin) (bool, error) {
 		if t.sim != nil {
 			return false, nil
 		}
-	} else if ss, ok := t.sim.(envsim.Snapshotter); !ok || !reflect.DeepEqual(ss.SnapshotState(), jp.simState) {
+	} else if ss, ok := t.sim.(envsim.Snapshotter); !ok || !ss.EqualState(jp.simState) {
 		return false, nil
 	}
 	// d is the board's offset from the shared snapshot; from the

@@ -26,6 +26,16 @@ func (d Shift) Sub(e Shift) Shift {
 	}
 }
 
+// Times returns d repeated m times: the shift m iterations of a state that
+// repeats up to d add up to.
+func (d Shift) Times(m uint64) Shift {
+	return Shift{
+		Cycle: d.Cycle * m, Instret: d.Instret * m,
+		IHits: d.IHits * m, IMisses: d.IMisses * m,
+		DHits: d.DHits * m, DMisses: d.DMisses * m,
+	}
+}
+
 // Rejoins reports whether the CPU's state equals snapshot s's up to a Shift
 // of its counters, and returns the shift. The compares are ordered so a
 // diverged machine is rejected in a few: PC, registers, flags and cycle −
@@ -86,6 +96,16 @@ func (c *CPU) Skip(to *Snapshot, d Shift, since int) error {
 		ev.Cycle += d.Cycle
 		c.events = append(c.events, ev)
 	}
+	c.Advance(d)
+	return nil
+}
+
+// Advance moves every free-running counter by d — and lastKick and the
+// pending detection's cycle by d's cycles — leaving the rest of the state
+// as it is: where running on takes a CPU whose state repeats up to d
+// (scifi's steady-state skip), or one that re-joined another run (Skip).
+// The event log is not touched.
+func (c *CPU) Advance(d Shift) {
 	c.cycle += d.Cycle
 	c.lastKick += d.Cycle
 	c.instret += d.Instret
@@ -96,7 +116,6 @@ func (c *CPU) Skip(to *Snapshot, d Shift, since int) error {
 	if c.detection != nil {
 		c.detection.Cycle += d.Cycle
 	}
-	return nil
 }
 
 // NumEvents returns how many detection events the CPU has logged since

@@ -253,3 +253,38 @@ func TestSkipEqualsRunningOn(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvanceEqualsRunningOn: once the loop's input stops changing, its
+// state at an iteration boundary is the one a boundary earlier but for
+// the counters; Advance by m times that shift leaves the machine that
+// running m more iterations does — scan chain (the counters in it)
+// included. One more iteration from either agrees too.
+func TestAdvanceEqualsRunningOn(t *testing.T) {
+	const m = 40
+	c := rejoinCPU(t, 1)
+	feed(t, c, []uint32{2, 7, 3, 5, 5})
+	prev := c.Snapshot()
+	feed(t, c, []uint32{5})
+	d, ok := c.Rejoins(prev)
+	if !ok || d.Cycle == 0 || d.Instret == 0 {
+		t.Fatalf("a steady iteration: rejoins %v with shift %+v", ok, d)
+	}
+	ranOn := thor.New(thor.DefaultConfig())
+	if err := ranOn.Restore(c.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m; i++ {
+		feed(t, ranOn, []uint32{5})
+	}
+	c.Advance(d.Times(m))
+	for _, step := range []string{"advanced", "one more iteration"} {
+		if got, ok := ranOn.Rejoins(c.Snapshot()); !ok || got != (thor.Shift{}) {
+			t.Errorf("%s: ran on to a machine that rejoins %v with shift %+v", step, ok, got)
+		}
+		if !c.ScanRead().Equal(ranOn.ScanRead()) || c.NumEvents() != ranOn.NumEvents() {
+			t.Errorf("%s: scan chains or event counts differ", step)
+		}
+		feed(t, c, []uint32{5})
+		feed(t, ranOn, []uint32{5})
+	}
+}
