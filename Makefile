@@ -17,8 +17,9 @@ FUZZTIME ?= 15s
 # again at one and at four CPUs: the analysis pass decodes rows on
 # GOMAXPROCS goroutines, and only at one is it the plain serial path. Any
 # file gofmt would change fails the gate. The race detector's sync.Pool
-# drops items at random, so sqldb's allocation-count test skips itself
-# under it and runs once more without. The chaos harness is test support:
+# drops items at random, so the allocation-count tests — sqldb's refused
+# delete and the store's write path — skip themselves under it and run
+# once more without. The chaos harness is test support:
 # the gate fails if any command links it. It ends with the two numbers a
 # simplicity PR quotes.
 tier1:
@@ -31,7 +32,7 @@ tier1:
 	$(GO) test -race -count 1 ./...
 	$(GO) test -race -count 5 ./internal/core/ -run 'HandOver|PrunedStreakYieldsBoard|PrunedDispatch|Quarantine|PauseResumeStop|ResumeFromEveryLogCut'
 	$(GO) test -race -count 1 -cpu 1,4 ./internal/analysis/ ./internal/campaign/ -run 'TestAnalysisDifferential|TestRelative|TestAnalysisFailureLeavesResults|TestAnalysisConcurrentPasses|TestEachExperiment'
-	$(GO) test -count 1 ./internal/sqldb/ -run 'TestDeleteCostIgnoresReferencingRows'
+	$(GO) test -count 1 ./internal/sqldb/ ./internal/campaign/ -run 'TestDeleteCostIgnoresReferencingRows|TestWritePathAllocs'
 	@$(MAKE) --no-print-directory count
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume

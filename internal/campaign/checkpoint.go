@@ -85,15 +85,56 @@ type checkpointJSON struct {
 // MarshalJSON writes the completed set — Ranges, or else Completed — as
 // ranges.
 func (cp Checkpoint) MarshalJSON() ([]byte, error) {
+	return cp.appendJSON(nil), nil
+}
+
+// appendJSON appends the cursor's stored form, checkpointJSON, to buf as
+// json.Marshal writes it: Completed omitted, and the ranges never null.
+func (cp *Checkpoint) appendJSON(buf []byte) []byte {
 	ranges := cp.Ranges
 	if ranges == nil {
-		ranges = SeqRanges{}
 		for _, seq := range cp.Completed {
 			ranges = ranges.Add(seq)
 		}
 	}
-	return json.Marshal(checkpointJSON{Campaign: cp.Campaign, PlanHash: cp.PlanHash, Seed: cp.Seed,
-		Experiments: cp.Experiments, Reference: cp.Reference, Ranges: ranges})
+	buf = append(buf, `{"campaign":`...)
+	buf = appendMarshaledString(buf, cp.Campaign)
+	buf = append(buf, `,"planHash":`...)
+	buf = appendMarshaledString(buf, cp.PlanHash)
+	buf = append(buf, `,"seed":`...)
+	buf = strconv.AppendInt(buf, cp.Seed, 10)
+	buf = append(buf, `,"experiments":`...)
+	buf = strconv.AppendInt(buf, int64(cp.Experiments), 10)
+	buf = append(buf, `,"reference":`...)
+	buf = strconv.AppendBool(buf, cp.Reference)
+	buf = append(buf, `,"completedRanges":[`...)
+	for i, r := range ranges {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '[')
+		buf = strconv.AppendInt(buf, int64(r[0]), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(r[1]), 10)
+		buf = append(buf, ']')
+	}
+	return append(buf, "]}"...)
+}
+
+// appendMarshaledString appends s as json.Marshal writes a string. Printable
+// ASCII that it does not escape is copied as it stands; anything else — a
+// quote, a backslash, a character it escapes for HTML, a control character
+// or a byte beyond ASCII — is left to json.Marshal.
+func appendMarshaledString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // UnmarshalJSON reads either form back into the sorted flat list. The
@@ -137,26 +178,32 @@ const checkpointDDL = `CREATE TABLE IF NOT EXISTS CampaignCheckpoint (
 		FOREIGN KEY (campaignName) REFERENCES CampaignData (campaignName)
 	)`
 
+// updateCursorSQL is the UPDATE of a campaign's cursor row, which the
+// store prepares.
+const updateCursorSQL = `UPDATE CampaignCheckpoint SET planHash = ?, cursor = ? WHERE campaignName = ?`
+
 // SaveCheckpoint stores the campaign cursor and raises a durability
 // barrier before it returns, so a checkpoint on disk always implies its
 // experiments are on disk too: Store writes synchronously, and the rows
 // the cursor names were written before it. (BatchingSink keeps the same
 // order in its queue, and shares one barrier among the cursors queued.)
 func (s *Store) SaveCheckpoint(cp *Checkpoint) error {
-	if err := s.putCheckpoint(cp); err != nil {
+	e := encoders.Get().(*rowEncoder)
+	err := s.putCheckpoint(e, cp)
+	encoders.Put(e)
+	if err != nil {
 		return err
 	}
 	return s.db.Barrier()
 }
 
-// putCheckpoint writes the cursor row, without the barrier.
-func (s *Store) putCheckpoint(cp *Checkpoint) error {
-	blob, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("campaign: marshal checkpoint %q: %w", cp.Campaign, err)
-	}
-	n, err := s.db.Exec(`UPDATE CampaignCheckpoint SET planHash = ?, cursor = ? WHERE campaignName = ?`,
-		sqldb.Text(cp.PlanHash), sqldb.Blob(blob), sqldb.Text(cp.Campaign))
+// putCheckpoint writes the cursor row, without the barrier: its JSON is
+// appended to e's scratch and copied once into the blob the row keeps.
+func (s *Store) putCheckpoint(e *rowEncoder, cp *Checkpoint) error {
+	e.scratch = cp.appendJSON(e.scratch[:0])
+	blob := make([]byte, len(e.scratch))
+	copy(blob, e.scratch)
+	n, err := s.putCursor.Exec(sqldb.Text(cp.PlanHash), sqldb.Blob(blob), sqldb.Text(cp.Campaign))
 	if err != nil {
 		return err
 	}

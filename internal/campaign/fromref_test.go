@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"goofi/internal/bitvec"
+	"goofi/internal/sqldb"
 )
 
 // A record that says its state as a difference from the reference (FromRef,
@@ -115,8 +116,8 @@ func TestPrunedRecordHostileScanDiff(t *testing.T) {
 		} else if rec.Ref != nil && !strings.Contains(err.Error(), rec.Name) {
 			t.Errorf("%s: the error does not name the experiment: %v", name, err)
 		}
-		if rows, err := encodeRows([]*ExperimentRecord{sinkRecord(0), rec}); err == nil {
-			t.Errorf("%s: encoded in a batch as %x", name, rows[1].Cols[5].B)
+		if vals, err := new(rowEncoder).encode([]*ExperimentRecord{sinkRecord(0), rec}); err == nil {
+			t.Errorf("%s: encoded in a batch as %x", name, vals[rowWidth+5].B)
 		}
 		st := sinkFixture(t)
 		if err := st.LogExperiment(rec); err == nil {
@@ -140,14 +141,22 @@ func TestPrunedRecordHostileScanDiff(t *testing.T) {
 	}
 }
 
-// TestEncodeRowsMatchesEncodeRow: a batch encoded into shared buffers is,
-// row for row, what EncodeRow makes of each record, and no row's blob can
-// be appended to into its neighbour's.
+// TestEncodeRowsMatchesEncodeRow: a batch encoded through a writer's
+// encoder is, row for row, what EncodeRow makes of each record; no row's
+// blob can be appended to into its neighbour's; and the encoder's next
+// batch, which reuses its scratch, leaves the rows it returned before as
+// they were.
 func TestEncodeRowsMatchesEncodeRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	base := randStateVector(rng)
 	base.Scan = fromRefReference(t).State.Scan
 	ref := NewReference(base)
+	var enc rowEncoder
+	type batch struct {
+		vals []sqldb.Value
+		want [][]sqldb.Value
+	}
+	var before []batch
 	for trial := 0; trial < 20; trial++ {
 		recs := make([]*ExperimentRecord, 1+rng.Intn(2*DefaultBatchSize))
 		for i := range recs {
@@ -162,28 +171,43 @@ func TestEncodeRowsMatchesEncodeRow(t *testing.T) {
 			case 1, 2:
 				rec.State, rec.FromRef = StateVector{}, true
 				rec.ScanDiff = []int{bitvec.MarshaledHeaderBits + rng.Intn(100)}
+			case 3:
+				rec.Parent = ExperimentName("c", i+1000)
 			}
 			recs[i] = rec
 		}
-		rows, err := encodeRows(recs)
+		vals, err := enc.encode(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, rec := range recs {
-			if want := mustRow(rec); !reflect.DeepEqual(rows[i], want) {
-				t.Fatalf("row %d of %d in a batch\n%s\n%x\nalone\n%s\n%x", i, len(recs),
-					rows[i].Cols[4].B, rows[i].Cols[5].B, want.Cols[4].B, want.Cols[5].B)
-			}
+		if len(vals) != len(recs)*rowWidth {
+			t.Fatalf("%d values for %d records", len(vals), len(recs))
 		}
-		for i := range rows {
+		b := batch{vals: vals}
+		for i, rec := range recs {
+			row := mustRow(rec)
+			got, want := vals[i*rowWidth:(i+1)*rowWidth], row.Cols[:]
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("row %d of %d in a batch\n%s\n%x\nalone\n%s\n%x", i, len(recs),
+					got[4].B, got[5].B, want[4].B, want[5].B)
+			}
 			for _, col := range []int{4, 5} {
-				if b := rows[i].Cols[col].B; cap(b) != len(b) {
+				if b := got[col].B; cap(b) != len(b) {
 					t.Fatalf("row %d column %d: %d bytes in a window of %d", i, col, len(b), cap(b))
 				}
 			}
+			b.want = append(b.want, want)
+		}
+		before = append(before, b)
+	}
+	for k, b := range before {
+		for i, want := range b.want {
+			if got := b.vals[i*rowWidth : (i+1)*rowWidth]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d row %d changed when the encoder went on to the next batches", k, i)
+			}
 		}
 	}
-	if rows, err := encodeRows(nil); err != nil || len(rows) != 0 {
-		t.Errorf("an empty batch: %v, %v", rows, err)
+	if vals, err := enc.encode(nil); err != nil || len(vals) != 0 {
+		t.Errorf("an empty batch: %v, %v", vals, err)
 	}
 }

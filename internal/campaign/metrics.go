@@ -3,11 +3,11 @@ package campaign
 import "goofi/internal/telemetry"
 
 // Storage-pipeline metrics: what the batching sink queued and grouped,
-// what EncodeRow made of the rows — in the sink's writer, or on a shard
+// what appendBlobs made of the rows — in the sink's writer, or on a shard
 // worker — and how long the underlying INSERT statements took. The histogram is
-// observed around Store.LogExperiment/LogExperimentBatch, so it measures
-// the sqldb engine (parse cache, constraint pass, WAL append) rather
-// than the sink's queueing.
+// observed around each prepared INSERT (Store.insertValues), so it
+// measures the sqldb engine (constraint pass, index upkeep, WAL append)
+// rather than the encoding or the sink's queueing.
 var (
 	mSinkRecords = telemetry.NewCounter("goofi_campaign_sink_records_total",
 		"Experiment records accepted by the batching sink.")

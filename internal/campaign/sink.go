@@ -38,6 +38,15 @@ import (
 // What a crash can lose is what waits, as much again in the writer's hands
 // and the batch being filled — whatever the cadence.
 //
+// The writer encodes each batch with an encoder of its own (rowEncoder):
+// the blobs of a batch go through a scratch buffer the sink keeps, then one
+// copy into one allocation the stored rows share, and the batch's values
+// are one slice the store's prepared INSERT keeps as the table's rows. Per
+// row that is one encode and one copy; the allocations are per batch, but
+// for the row's primary-key string in the table's index. The scratch is
+// the sink's, not the store's: goofid runs several campaigns' sinks over
+// one store.
+//
 // A failed write poisons the sink: the first error is retained, nothing
 // queued behind it is written (a cursor must not outlive rows that failed),
 // and every later LogExperiment/SaveCheckpoint/CommitRows/Flush/Close
@@ -46,6 +55,7 @@ import (
 type BatchingSink struct {
 	store     *Store
 	batchSize int
+	enc       rowEncoder // the writer's
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -117,13 +127,13 @@ func (s *BatchingSink) writer() {
 		barrier := false
 		for _, c := range group {
 			if err == nil && len(c.records) > 0 {
-				err = s.store.LogExperimentBatch(c.records)
+				err = s.store.logBatch(&s.enc, c.records)
 			}
 			if err == nil && len(c.rows) > 0 {
 				err = s.store.InsertRows(c.rows)
 			}
 			if err == nil && c.cursor != nil {
-				err = s.store.putCheckpoint(c.cursor)
+				err = s.store.putCheckpoint(&s.enc, c.cursor)
 			}
 			barrier = barrier || c.cursor != nil || c.durable
 		}
@@ -197,6 +207,11 @@ func (s *BatchingSink) LogExperiment(r *ExperimentRecord) error {
 	defer s.mu.Unlock()
 	if err := s.usable(); err != nil {
 		return err
+	}
+	if s.buf == nil {
+		// The commit takes the batch's slice with it: one for each batch,
+		// not one for each doubling of it.
+		s.buf = make([]*ExperimentRecord, 0, s.batchSize)
 	}
 	s.buf = append(s.buf, r)
 	mSinkRecords.Inc()

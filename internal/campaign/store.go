@@ -19,9 +19,14 @@ import (
 // LoggedSystemState references CampaignData.
 type Store struct {
 	db *sqldb.DB
-	// insertExp is the prepared single-row LoggedSystemState INSERT —
-	// the statement on the storage hot path.
-	insertExp *sqldb.Stmt
+	// inserts holds the prepared LoggedSystemState INSERT of n rows at
+	// n-1, for n up to QueueRows, each made when first used: the statement
+	// on the storage hot path, one per batch size, so that no batch's SQL
+	// is formatted, parsed or looked up again.
+	insertMu sync.Mutex
+	inserts  [QueueRows]*sqldb.Stmt
+	// putCursor is the prepared UPDATE of a campaign's cursor row.
+	putCursor *sqldb.Stmt
 	// results holds the campaigns whose results a LockResults caller is
 	// writing, each with how many callers hold or wait for its lock.
 	resultsMu sync.Mutex
@@ -75,11 +80,11 @@ func NewStore(db *sqldb.DB) (*Store, error) {
 			return nil, fmt.Errorf("campaign: init schema: %w", err)
 		}
 	}
-	ins, err := db.Prepare(`INSERT INTO LoggedSystemState VALUES (?, ?, ?, ?, ?, ?)`)
+	put, err := db.Prepare(updateCursorSQL)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: prepare insert: %w", err)
+		return nil, fmt.Errorf("campaign: prepare cursor update: %w", err)
 	}
-	return &Store{db: db, insertExp: ins, results: make(map[string]*resultsLock)}, nil
+	return &Store{db: db, putCursor: put, results: make(map[string]*resultsLock)}, nil
 }
 
 // LockResults waits until no other caller holds the campaign's results
@@ -258,12 +263,13 @@ func (s *Store) MergeCampaigns(newName string, sources ...string) (*Campaign, er
 // Row is one LoggedSystemState row in stored form: the six column values
 // in schema order (experimentName, parentExperiment, campaignName, step,
 // experimentData, stateVector), the two BLOBs already encoded. A row is
-// encoded once, by EncodeRow — in the sink's writer, or on a shard worker,
-// which ships it in a report — and the store it reaches inserts these same
-// bytes. Seq is the sequence number of an end-of-experiment row
-// (negative for the reference run), which the merge filters on without
-// opening experimentData; on a detail-mode step row it means nothing, the
-// row travels with its parent.
+// encoded once — by EncodeRow on a shard worker, which ships it in a
+// report — and the store it reaches inserts these same bytes. (A sink's
+// writer encodes its records straight into the values the store keeps,
+// rowEncoder, the same bytes again.) Seq is the sequence number of an
+// end-of-experiment row (negative for the reference run), which the merge
+// filters on without opening experimentData; on a detail-mode step row it
+// means nothing, the row travels with its parent.
 type Row struct {
 	Seq  int
 	Cols [6]sqldb.Value
@@ -291,15 +297,19 @@ func (r *Row) Step() int { return int(r.Cols[3].I) }
 // record has no whole state to store: one that cannot go relative, or
 // whose difference the relative form cannot hold, is the one error.
 func EncodeRow(r *ExperimentRecord) (Row, error) {
-	_, row, err := appendRow(make([]byte, 0, 512), r)
-	return row, err
+	buf, n, err := appendBlobs(make([]byte, 0, 512), r)
+	if err != nil {
+		return Row{}, err
+	}
+	row := Row{Seq: r.Data.Seq}
+	setCols(row.Cols[:], r, buf[:n:n], buf[n:len(buf):len(buf)])
+	return row, nil
 }
 
-// appendRow appends r's two blobs to buf and returns the row that holds
-// them: windows of buf clipped to their length, so that an append to one
-// cannot reach the bytes behind it. buf may have moved; on an error it is
-// as it came.
-func appendRow(buf []byte, r *ExperimentRecord) ([]byte, Row, error) {
+// appendBlobs appends r's two blobs, experimentData and then stateVector,
+// to buf and returns it with the offset at which the stateVector starts.
+// On an error buf is as it came.
+func appendBlobs(buf []byte, r *ExperimentRecord) ([]byte, int, error) {
 	if r.scanShared {
 		// A record as EachExperiment yields it: its scan is still the
 		// reference's, and what it logs is that with the bits applied.
@@ -309,10 +319,9 @@ func appendRow(buf []byte, r *ExperimentRecord) ([]byte, Row, error) {
 	}
 	if r.FromRef {
 		if err := r.checkFromRef(); err != nil {
-			return buf, Row{}, err
+			return buf, 0, err
 		}
 	}
-	start := len(buf)
 	buf = r.Data.appendJSON(buf)
 	n := len(buf)
 	relative := false
@@ -325,15 +334,19 @@ func appendRow(buf []byte, r *ExperimentRecord) ([]byte, Row, error) {
 		buf = r.State.appendJSON(buf)
 		mRowsAbsolute.Inc()
 	}
-	data, state := buf[start:n:n], buf[n:len(buf):len(buf)]
-	mStateBytes.Add(uint64(len(state)))
+	mStateBytes.Add(uint64(len(buf) - n))
+	return buf, n, nil
+}
+
+// setCols fills the six values of r's row, in schema order, with data and
+// state as its two blobs.
+func setCols(cols []sqldb.Value, r *ExperimentRecord, data, state []byte) {
 	parent := sqldb.Null()
 	if r.Parent != "" {
 		parent = sqldb.Text(r.Parent)
 	}
-	return buf, Row{Seq: r.Data.Seq, Cols: [6]sqldb.Value{
-		sqldb.Text(r.Name), parent, sqldb.Text(r.Campaign), sqldb.Int(int64(r.Step)),
-		sqldb.Blob(data), sqldb.Blob(state)}}, nil
+	cols[0], cols[1], cols[2] = sqldb.Text(r.Name), parent, sqldb.Text(r.Campaign)
+	cols[3], cols[4], cols[5] = sqldb.Int(int64(r.Step)), sqldb.Blob(data), sqldb.Blob(state)
 }
 
 // DecodeRow is EncodeRow's inverse for a row outside a store — a shard
@@ -348,79 +361,130 @@ func DecodeRow(row *Row, ref *Reference) (*ExperimentRecord, error) {
 	})
 }
 
-// rowBytes is what the two blobs of a thor experiment's row take and a
-// little over (283–350 B measured): what encodeRows sets aside per record
-// until it has seen a larger one.
-const rowBytes = 384
+// rowWidth is how many values a LoggedSystemState row has.
+const rowWidth = len(Row{}.Cols)
 
-// encodeRows flattens a batch of records, the blobs of many rows in one
-// allocation. A fresh buffer, sized for the records left, is opened when
-// the one at hand has less room than the last row took: rows of one
-// campaign are of a size — but for the reference run's, a kilobyte and
-// more, in front of the first batch — so append seldom has to move what
-// is already there.
-func encodeRows(recs []*ExperimentRecord) ([]Row, error) {
-	rows := make([]Row, len(recs))
-	var buf []byte
-	room := rowBytes
-	for i, r := range recs {
-		if cap(buf)-len(buf) < room {
-			buf = make([]byte, 0, room*(len(recs)-i))
-		}
-		var err error
-		if buf, rows[i], err = appendRow(buf, r); err != nil {
-			return nil, err
-		}
-		room = max(rowBytes, len(rows[i].Cols[4].B)+len(rows[i].Cols[5].B)+rowBytes/4)
-	}
-	return rows, nil
+// rowEncoder turns batches of records into rows as the store's prepared
+// INSERT takes them. It encodes a batch's blobs into scratch, which it
+// keeps from batch to batch, and copies them once into one allocation of
+// exactly their size, which the stored rows keep; a batch's values are one
+// slice, which the INSERT adopts as the table's rows. A cursor's JSON goes
+// through scratch the same way. An encoder is one writer's: each
+// BatchingSink has its own, and the Store lends one from encoders to a
+// caller that writes through it directly.
+type rowEncoder struct {
+	scratch []byte
+	ends    []int // per record, where its experimentData and its stateVector end in scratch
 }
 
-// InsertRows stores LoggedSystemState rows as they are, without encoding
-// anything: one row through the prepared INSERT, more with one multi-row
-// INSERT — one parse, one lock acquisition, one constraint pass per batch.
-// This is the storage hot path for high-throughput campaigns.
-func (s *Store) InsertRows(rows []Row) error {
-	if len(rows) == 0 {
+var encoders = sync.Pool{New: func() any { return new(rowEncoder) }}
+
+// encode returns the values of recs' rows, rowWidth a record.
+func (e *rowEncoder) encode(recs []*ExperimentRecord) ([]sqldb.Value, error) {
+	buf, ends := e.scratch[:0], e.ends[:0]
+	for _, r := range recs {
+		var n int
+		var err error
+		if buf, n, err = appendBlobs(buf, r); err != nil {
+			return nil, err
+		}
+		ends = append(ends, n, len(buf))
+	}
+	e.scratch, e.ends = buf, ends
+	blobs := make([]byte, len(buf))
+	copy(blobs, buf)
+	vals := make([]sqldb.Value, len(recs)*rowWidth)
+	start := 0
+	for i, r := range recs {
+		n, end := ends[2*i], ends[2*i+1]
+		setCols(vals[i*rowWidth:(i+1)*rowWidth], r, blobs[start:n:n], blobs[n:end:end])
+		start = end
+	}
+	return vals, nil
+}
+
+// insertSQL is the INSERT of n LoggedSystemState rows, all values
+// parameters — the text every write of rows has logged.
+func insertSQL(n int) string {
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO LoggedSystemState VALUES `)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(`(?, ?, ?, ?, ?, ?)`)
+	}
+	return sb.String()
+}
+
+// insertStmt returns the prepared INSERT of n rows: the one kept for n, or
+// for more rows than Store.inserts has room for, one prepared now.
+func (s *Store) insertStmt(n int) (*sqldb.Stmt, error) {
+	if n > len(s.inserts) {
+		return s.db.Prepare(insertSQL(n))
+	}
+	s.insertMu.Lock()
+	defer s.insertMu.Unlock()
+	if s.inserts[n-1] == nil {
+		st, err := s.db.Prepare(insertSQL(n))
+		if err != nil {
+			return nil, err
+		}
+		s.inserts[n-1] = st
+	}
+	return s.inserts[n-1], nil
+}
+
+// insertValues stores rows given as their values, rowWidth a row in schema
+// order, with one multi-row INSERT: one lock acquisition, one constraint
+// pass and one log record a batch. The table keeps vals as its rows.
+func (s *Store) insertValues(vals []sqldb.Value) error {
+	n := len(vals) / rowWidth
+	if n == 0 {
 		return nil
 	}
-	var err error
 	start := time.Now()
-	if len(rows) == 1 {
-		_, err = s.insertExp.Exec(rows[0].Cols[:]...)
-	} else {
-		var sb strings.Builder
-		sb.WriteString(`INSERT INTO LoggedSystemState VALUES `)
-		args := make([]sqldb.Value, 0, len(rows)*6)
-		for i := range rows {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(`(?, ?, ?, ?, ?, ?)`)
-			args = append(args, rows[i].Cols[:]...)
-		}
-		_, err = s.db.Exec(sb.String(), args...)
+	st, err := s.insertStmt(n)
+	if err == nil {
+		_, err = st.Exec(vals...)
 	}
 	mInsertSeconds.Observe(time.Since(start).Seconds())
 	return err
 }
 
-// LogExperiment stores one LoggedSystemState row.
-func (s *Store) LogExperiment(r *ExperimentRecord) error {
-	row, err := EncodeRow(r)
-	if err != nil {
-		return err
+// InsertRows stores LoggedSystemState rows as they are, without encoding
+// anything — a shard worker's report — through the prepared INSERT of
+// their number, each row's values copied once into the slice it adopts.
+func (s *Store) InsertRows(rows []Row) error {
+	vals := make([]sqldb.Value, 0, len(rows)*rowWidth)
+	for i := range rows {
+		vals = append(vals, rows[i].Cols[:]...)
 	}
-	return s.InsertRows([]Row{row})
+	return s.insertValues(vals)
 }
 
-// LogExperimentBatch encodes and stores many LoggedSystemState rows.
-func (s *Store) LogExperimentBatch(recs []*ExperimentRecord) error {
-	rows, err := encodeRows(recs)
+// logBatch encodes recs with e and stores their rows. This is the storage
+// hot path: per row one encode and one copy of its blobs, and no copy of
+// its values.
+func (s *Store) logBatch(e *rowEncoder, recs []*ExperimentRecord) error {
+	vals, err := e.encode(recs)
 	if err != nil {
 		return err
 	}
-	return s.InsertRows(rows)
+	return s.insertValues(vals)
+}
+
+// LogExperiment stores one LoggedSystemState row.
+func (s *Store) LogExperiment(r *ExperimentRecord) error {
+	return s.LogExperimentBatch([]*ExperimentRecord{r})
+}
+
+// LogExperimentBatch encodes and stores many LoggedSystemState rows, with
+// an encoder borrowed from the pool.
+func (s *Store) LogExperimentBatch(recs []*ExperimentRecord) error {
+	e := encoders.Get().(*rowEncoder)
+	defer encoders.Put(e)
+	return s.logBatch(e, recs)
 }
 
 // Flush makes Store satisfy core.ResultSink. Writes are synchronous, so

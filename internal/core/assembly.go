@@ -122,12 +122,13 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Build one board eagerly so a bad target configuration fails here
-	// with a real error. Later constructions reuse the same config, so a
-	// failure there is a programming error, which the runner's recovery
-	// layer converts to a wedge.
+	// Build the runner's board eagerly so a bad target configuration
+	// fails here with a real error. Later constructions reuse the same
+	// config, so a failure there is a programming error, which the
+	// runner's recovery layer converts to a wedge.
 	cfg := TargetConfig{Params: spec.TargetParams}
-	if _, err := info.New(cfg); err != nil {
+	target, err := info.New(cfg)
+	if err != nil {
 		return nil, fmt.Errorf("target %q: %w", info.Kind, err)
 	}
 	factory := func() TargetSystem {
@@ -177,7 +178,7 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 	if cr.sink != nil && spec.Checkpoint > 0 {
 		opts = append(opts, WithCheckpoints(spec.Checkpoint))
 	}
-	cr.Runner, err = NewRunner(factory(), alg, spec.Campaign, spec.Target, opts...)
+	cr.Runner, err = NewRunner(target, alg, spec.Campaign, spec.Target, opts...)
 	if err != nil {
 		cr.Close()
 		return nil, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
 	"goofi/internal/campaign"
@@ -146,5 +148,37 @@ func TestTargetRegistryResolve(t *testing.T) {
 		if info.Kind != tc.wantKind || alg.Name != tc.wantAlg {
 			t.Errorf("%s: resolved to %q/%q, want %q/%q", tc.name, info.Kind, alg.Name, tc.wantKind, tc.wantAlg)
 		}
+	}
+}
+
+// TestAssembleBuildsNoSpareBoard: Assemble builds one target to check the
+// configuration and hands that one to the runner, instead of building the
+// runner a second; a run on one board then takes two more from the factory,
+// the reference run's and the board's.
+func TestAssembleBuildsNoSpareBoard(t *testing.T) {
+	var built atomic.Int32
+	registerForTest(t, TargetInfo{
+		Kind:      "assemble-count",
+		Algorithm: SCIFI.Name,
+		New: func(TargetConfig) (TargetSystem, error) {
+			built.Add(1)
+			return newFakeTarget(), nil
+		},
+	})
+	camp := fakeCampaign(4)
+	cr, err := Assemble(RunSpec{Sink: plainSink{}, Campaign: camp, Target: fakeTSD(),
+		TargetKind: "assemble-count", Boards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cr.Close()
+	if n := built.Load(); n != 1 {
+		t.Fatalf("Assemble built %d targets, want 1", n)
+	}
+	if _, err := cr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Load(); n != 3 {
+		t.Errorf("a run on one board built %d targets in all, want 3", n)
 	}
 }

@@ -140,63 +140,78 @@ type Stmt struct {
 	db  *DB
 	sql string
 	st  Statement
-	// fastTable/fastN describe a single-row INSERT whose values are
-	// exactly the parameters ?0..?n-1 in order: the row can be built by
-	// copying args, skipping expression evaluation entirely.
+	// fastTable, fastWidth and fastRows describe an INSERT of fastRows
+	// rows of fastWidth values each, every value the positional parameter
+	// of its slot: its rows are windows of the arguments, and no
+	// expression is evaluated.
 	fastTable string
-	fastN     int
+	fastWidth int
+	fastRows  int
 }
 
-// fastInsertParams reports whether st is `INSERT INTO t VALUES (?0, ...,
-// ?n-1)` — one row, every value the positional parameter matching its
-// slot. Returns ("", 0) otherwise.
-func fastInsertParams(st Statement) (string, int) {
+// fastInsertParams reports whether st is `INSERT INTO t VALUES (?, ...,
+// ?), ...` — one or more rows of one width, row r's value c the positional
+// parameter r*width+c — and returns its table, width and row count;
+// ("", 0, 0) otherwise.
+func fastInsertParams(st Statement) (table string, width, rows int) {
 	ins, ok := st.(*Insert)
-	if !ok || len(ins.Rows) != 1 {
-		return "", 0
+	if !ok || len(ins.Rows) == 0 || len(ins.Rows[0]) == 0 {
+		return "", 0, 0
 	}
-	for i, e := range ins.Rows[0] {
-		p, ok := e.(*Param)
-		if !ok || p.Idx != i {
-			return "", 0
+	width = len(ins.Rows[0])
+	for r, exprRow := range ins.Rows {
+		if len(exprRow) != width {
+			return "", 0, 0
+		}
+		for c, e := range exprRow {
+			if p, ok := e.(*Param); !ok || p.Idx != r*width+c {
+				return "", 0, 0
+			}
 		}
 	}
-	return ins.Table, len(ins.Rows[0])
+	return ins.Table, width, len(ins.Rows)
 }
 
 // Prepare parses a statement for repeated execution. This is the write
 // half of the storage hot path: the campaign store prepares its
-// LoggedSystemState INSERT once and replays it per experiment.
+// LoggedSystemState INSERT once per batch size and replays it per batch.
 func (db *DB) Prepare(sql string) (*Stmt, error) {
 	st, err := db.parseCached(sql)
 	if err != nil {
 		return nil, err
 	}
 	s := &Stmt{db: db, sql: sql, st: st}
-	s.fastTable, s.fastN = fastInsertParams(st)
+	s.fastTable, s.fastWidth, s.fastRows = fastInsertParams(st)
 	return s, nil
 }
 
-// Exec runs the prepared statement with the given parameters.
+// Exec runs the prepared statement with the given parameters. A
+// pure-parameter INSERT (fastInsertParams) stores its rows as windows of
+// args, which the table keeps: whoever calls it hands args over and must
+// not change them afterwards. It does what the general path does — the
+// rows inserted in order up to the first that fails, whose error comes
+// back with the count of those before it, and the statement logged either
+// way — without a copy of a value or an evaluation. Any other shape of
+// statement or arguments takes the general path, so error messages stay
+// identical.
 func (s *Stmt) Exec(args ...Value) (int64, error) {
-	// Fast path: a pure-parameter single-row INSERT copies args straight
-	// into the row. Any shape mismatch falls back to the general path so
-	// error messages stay identical.
-	if s.fastN > 0 && len(args) == s.fastN {
+	if s.fastRows > 0 && len(args) == s.fastRows*s.fastWidth {
 		s.db.mu.Lock()
 		t, ok := s.db.tables[s.fastTable]
-		if ok && len(t.Cols) == s.fastN {
-			row := make([]Value, s.fastN)
-			copy(row, args)
-			err := s.db.insertRow(t, row)
+		if ok && len(t.Cols) == s.fastWidth {
+			var inserted int64
+			var err error
+			for lo := 0; lo < len(args); lo += s.fastWidth {
+				if err = s.db.insertRow(t, args[lo:lo+s.fastWidth:lo+s.fastWidth]); err != nil {
+					break
+				}
+				inserted++
+			}
 			if werr := s.db.logStmt(s.sql, args); werr != nil && err == nil {
 				err = werr
 			}
 			s.db.mu.Unlock()
-			if err != nil {
-				return 0, err
-			}
-			return 1, nil
+			return inserted, err
 		}
 		s.db.mu.Unlock()
 	}

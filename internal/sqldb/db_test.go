@@ -2,9 +2,11 @@ package sqldb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func testDB(t *testing.T) *DB {
@@ -227,7 +229,7 @@ func TestAggregates(t *testing.T) {
 	if row[0].I != 3 || row[1].I != 1500 || row[2].I != 0 || row[3].I != 1000 {
 		t.Errorf("aggregates = %v", row)
 	}
-	if row[4].K != KReal || row[4].R != 500 {
+	if row[4].K != KReal || row[4].Float() != 500 {
 		t.Errorf("avg faults = %v, want the REAL 500", row[4])
 	}
 }
@@ -445,6 +447,29 @@ func TestValueStrings(t *testing.T) {
 	} {
 		if v != want {
 			t.Errorf("String() = %q, want %q", v, want)
+		}
+	}
+}
+
+// TestValueSize: a REAL keeps its bits in I, so a Value is a kind, an
+// integer, a string and a slice — 56 bytes on a 64-bit host, where a field
+// of its own for the REAL made it 64 — and a REAL still goes to the log and
+// the snapshot as its eight little-endian bytes.
+func TestValueSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(Value{}), 8+8+unsafe.Sizeof("")+unsafe.Sizeof([]byte(nil)); got != want {
+		t.Errorf("a Value takes %d bytes, want %d", got, want)
+	}
+	for _, r := range []float64{0, -0.5, 2.5, math.MaxFloat64, math.Inf(-1), math.SmallestNonzeroFloat64} {
+		v := Real(r)
+		if v.K != KReal || v.Float() != r || v.I != int64(math.Float64bits(r)) {
+			t.Errorf("Real(%g) = %+v", r, v)
+		}
+		want := binary.LittleEndian.AppendUint64([]byte{byte(KReal)}, math.Float64bits(r))
+		if got := AppendValue(nil, v); !bytes.Equal(got, want) {
+			t.Errorf("Real(%g) encodes as %x, want %x", r, got, want)
+		}
+		if back, _, err := ReadValue(want); err != nil || back.K != v.K || back.I != v.I {
+			t.Errorf("%x reads back as %+v (%v), want %+v", want, back, err, v)
 		}
 	}
 }

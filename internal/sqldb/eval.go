@@ -53,7 +53,7 @@ func eval(e Expr, c *evalCtx) (Value, error) {
 		case KInt:
 			return Int(-v.I), nil
 		case KReal:
-			return Real(-v.R), nil
+			return Real(-v.Float()), nil
 		default:
 			return Value{}, fmt.Errorf("sqldb: cannot negate %s", v.K)
 		}
@@ -128,7 +128,7 @@ func (s *aggState) add(v Value) error {
 			s.sumR += float64(v.I)
 		case KReal:
 			s.isReal = true
-			s.sumR += v.R
+			s.sumR += v.Float()
 		default:
 			return fmt.Errorf("sqldb: %s over non-numeric %s", s.fn, v.K)
 		}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -220,7 +221,11 @@ func FuzzWALReplay(f *testing.F) {
 func TestHostileSizesAllocateNothing(t *testing.T) {
 	frame := func(payload []byte) []byte {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
+		bw := bufio.NewWriter(&buf)
+		if err := writeFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

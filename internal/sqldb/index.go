@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -14,7 +15,12 @@ type Index struct {
 	Name   string
 	Cols   []string
 	colIdx []int
-	rows   map[string][]int
+	// rows maps a key tuple to its bucket, the positions of the rows that
+	// project onto it. A bucket is held by pointer, so a row whose key has
+	// one joins it in place: the map is indexed with the key's bytes, and
+	// no key string is made. Every LoggedSystemState row of a campaign
+	// joins the one bucket of the campaignName index.
+	rows map[string]*[]int
 }
 
 // buildIndex resolves an index definition against a table and populates it
@@ -30,49 +36,58 @@ func (t *Table) buildIndex(name string, cols []string) (*Index, error) {
 }
 
 func (ix *Index) populate(rows [][]Value) {
-	ix.rows = make(map[string][]int, len(rows))
+	ix.rows = make(map[string]*[]int, len(rows))
 	for ri, row := range rows {
-		if k, ok := ix.key(row); ok {
-			ix.rows[k] = append(ix.rows[k], ri)
-		}
+		ix.insert(ri, row)
 	}
 }
 
-// key extracts the index key tuple of a row. Rows with a NULL component
-// are not indexed (reported as !ok): SQL equality never matches NULL, so
-// no equality lookup — WHERE selection, FK check or referencer scan — can
-// ever need them, and skipping them keeps a mostly-NULL column (such as
-// LoggedSystemState.parentExperiment) from piling every row into one
-// bucket.
-func (ix *Index) key(row []Value) (string, bool) {
+// appendKey appends the index key tuple of a row to buf. Rows with a NULL
+// component are not indexed (reported as !ok): SQL equality never matches
+// NULL, so no equality lookup — WHERE selection, FK check or referencer
+// scan — can ever need them, and skipping them keeps a mostly-NULL column
+// (such as LoggedSystemState.parentExperiment) from piling every row into
+// one bucket.
+func (ix *Index) appendKey(buf []byte, row []Value) ([]byte, bool) {
 	for _, ci := range ix.colIdx {
 		if row[ci].IsNull() {
-			return "", false
+			return buf, false
 		}
 	}
-	return rowKey(row, ix.colIdx), true
+	return appendRowKey(buf, row, ix.colIdx), true
+}
+
+// add puts row ri into the bucket of key, which it opens if there is none.
+func (ix *Index) add(key []byte, ri int) {
+	if b := ix.rows[string(key)]; b != nil {
+		*b = append(*b, ri)
+		return
+	}
+	ix.rows[string(key)] = &[]int{ri}
 }
 
 func (ix *Index) insert(ri int, row []Value) {
-	if k, ok := ix.key(row); ok {
-		ix.rows[k] = append(ix.rows[k], ri)
+	var buf [keyBytes]byte
+	if k, ok := ix.appendKey(buf[:0], row); ok {
+		ix.add(k, ri)
 	}
 }
 
 func (ix *Index) update(ri int, old, next []Value) {
-	ok, okIn := ix.key(old)
-	nk, nkIn := ix.key(next)
-	if okIn == nkIn && ok == nk {
+	var oldBuf, nextBuf [keyBytes]byte
+	ok, okIn := ix.appendKey(oldBuf[:0], old)
+	nk, nkIn := ix.appendKey(nextBuf[:0], next)
+	if okIn == nkIn && bytes.Equal(ok, nk) {
 		return
 	}
 	if okIn {
-		ix.rows[ok] = removeInt(ix.rows[ok], ri)
-		if len(ix.rows[ok]) == 0 {
-			delete(ix.rows, ok)
+		b := ix.rows[string(ok)]
+		if *b = removeInt(*b, ri); len(*b) == 0 {
+			delete(ix.rows, string(ok))
 		}
 	}
 	if nkIn {
-		ix.rows[nk] = append(ix.rows[nk], ri)
+		ix.add(nk, ri)
 	}
 }
 
@@ -101,7 +116,10 @@ func (ix *Index) lookup(eq map[string]Value) []int {
 	for i, c := range ix.Cols {
 		vals[i] = eq[c]
 	}
-	return ix.rows[keyString(vals)]
+	if b := ix.rows[keyString(vals)]; b != nil {
+		return *b
+	}
+	return nil
 }
 
 // addIndex attaches a populated index to the table. Index names are unique
@@ -140,7 +158,11 @@ func (t *Table) hasKey(cols []string, key []byte) bool {
 		return ok
 	}
 	ix := t.indexOn(cols)
-	return ix != nil && len(ix.rows[string(key)]) > 0
+	if ix == nil {
+		return false
+	}
+	b := ix.rows[string(key)]
+	return b != nil && len(*b) > 0
 }
 
 // eqBindings walks the top-level AND conjunction of a WHERE clause and

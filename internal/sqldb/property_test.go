@@ -144,7 +144,7 @@ func TestPropertyAggregatesAgree(t *testing.T) {
 		row := res.Rows[0]
 		wantAvg := float64(sum) / float64(n)
 		return row[0].I == sum && row[1].I == minV && row[2].I == maxV &&
-			abs(row[3].R-wantAvg) < 1e-9 && row[4].I == int64(n)
+			abs(row[3].Float()-wantAvg) < 1e-9 && row[4].I == int64(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -279,7 +279,7 @@ func valueKey(v Value) string {
 	case KInt:
 		return fmt.Sprintf("i%d", v.I)
 	case KReal:
-		return fmt.Sprintf("r%v", v.R)
+		return fmt.Sprintf("r%v", v.Float())
 	case KText:
 		return "t" + v.S
 	default:

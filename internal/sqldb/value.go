@@ -22,6 +22,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -56,11 +57,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is one SQL value. The zero value is NULL.
+// Value is one SQL value. The zero value is NULL. A REAL keeps its
+// math.Float64bits in I: only AVG and SUM, or a caller passing one in,
+// make one, and a field of its own would cost every stored value 8 bytes.
 type Value struct {
 	K Kind
 	I int64
-	R float64
 	S string
 	B []byte
 }
@@ -72,7 +74,10 @@ func Null() Value { return Value{} }
 func Int(i int64) Value { return Value{K: KInt, I: i} }
 
 // Real returns a REAL value.
-func Real(r float64) Value { return Value{K: KReal, R: r} }
+func Real(r float64) Value { return Value{K: KReal, I: int64(math.Float64bits(r))} }
+
+// Float returns a REAL value's number; it means nothing for another kind.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // Text returns a TEXT value.
 func Text(s string) Value { return Value{K: KText, S: s} }
@@ -98,7 +103,7 @@ func (v Value) Truth() bool {
 	case KInt:
 		return v.I != 0
 	case KReal:
-		return v.R != 0
+		return v.Float() != 0
 	default:
 		return false
 	}
@@ -110,7 +115,7 @@ func (v Value) AsInt() (int64, error) {
 	case KInt:
 		return v.I, nil
 	case KReal:
-		return int64(v.R), nil
+		return int64(v.Float()), nil
 	default:
 		return 0, fmt.Errorf("sqldb: %s is not numeric", v.K)
 	}
@@ -124,7 +129,7 @@ func (v Value) String() string {
 	case KInt:
 		return fmt.Sprintf("%d", v.I)
 	case KReal:
-		return fmt.Sprintf("%g", v.R)
+		return fmt.Sprintf("%g", v.Float())
 	case KText:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case KBlob:
@@ -166,7 +171,7 @@ func asFloat(v Value) float64 {
 	if v.K == KInt {
 		return float64(v.I)
 	}
-	return v.R
+	return v.Float()
 }
 
 func cmpInt(a, b int64) int {
@@ -214,12 +219,12 @@ func appendValueKey(buf []byte, v Value) []byte {
 	// them equal: an index lookup must match what a full scan does.
 	switch v.K {
 	case KReal:
-		if v.R == float64(int64(v.R)) {
+		if r := v.Float(); r == float64(int64(r)) {
 			buf = append(buf, 'i', ':')
-			buf = strconv.AppendInt(buf, int64(v.R), 10)
+			buf = strconv.AppendInt(buf, int64(r), 10)
 		} else {
 			buf = append(buf, 'r', ':')
-			buf = strconv.AppendFloat(buf, v.R, 'g', -1, 64)
+			buf = strconv.AppendFloat(buf, r, 'g', -1, 64)
 		}
 	case KInt:
 		buf = append(buf, 'i', ':')

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 )
@@ -156,15 +155,15 @@ func (w *WAL) writeFrame(payload []byte) {
 }
 
 // writeFrame writes one frame. A payload readFrame would refuse is an
-// error here, not an unreadable record later.
-func writeFrame(w io.Writer, payload []byte) error {
+// error here, not an unreadable record later. The header is put together
+// in w's own free space, so that writing it allocates nothing.
+func writeFrame(w *bufio.Writer, payload []byte) error {
 	if len(payload) > maxWALRecord {
 		return fmt.Errorf("record of %d bytes exceeds the %d-byte frame limit", len(payload), maxWALRecord)
 	}
-	var hdr [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -240,7 +239,7 @@ func AppendValue(b []byte, v Value) []byte {
 	case KInt:
 		b = binary.AppendVarint(b, v.I)
 	case KReal:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.R))
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
 	case KText:
 		b = appendString(b, v.S)
 	case KBlob:
@@ -272,7 +271,7 @@ func ReadValue(p []byte) (Value, []byte, error) {
 		if len(p) < 8 {
 			return Value{}, nil, errBadRecord("real")
 		}
-		return Real(math.Float64frombits(binary.LittleEndian.Uint64(p))), p[8:], nil
+		return Value{K: KReal, I: int64(binary.LittleEndian.Uint64(p))}, p[8:], nil
 	case KText, KBlob:
 		data, rest, err := readBytes(p)
 		if err != nil {

@@ -421,7 +421,7 @@ func TestWALValueEncodingRoundTrip(t *testing.T) {
 	}
 	for i := range args {
 		a, b := args[i], got[i]
-		if a.K != b.K || a.I != b.I || a.R != b.R || a.S != b.S || !bytes.Equal(a.B, b.B) {
+		if a.K != b.K || a.I != b.I || a.S != b.S || !bytes.Equal(a.B, b.B) {
 			t.Errorf("arg %d: got %#v, want %#v", i, b, a)
 		}
 	}
