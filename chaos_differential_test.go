@@ -126,6 +126,9 @@ type gatedTarget struct {
 }
 
 func (g *gatedTarget) InitTestCard(ex *core.Experiment) error {
+	if ex.Seq < 0 {
+		return g.TargetSystem.InitTestCard(ex) // the reference runs before the workers exist
+	}
 	g.once.Do(func() {
 		if atomic.AddInt32(g.started, 1) == g.n {
 			close(g.gate)
@@ -170,11 +173,9 @@ func TestChaosQuarantine(t *testing.T) {
 	var calls, started int32
 	gate := make(chan struct{})
 	factory := func() core.TargetSystem {
+		// Call 1 is the reference board, which the first worker then takes.
 		n := atomic.AddInt32(&calls, 1)
 		inner := healthyFactory()
-		if n == 1 { // reference board, runs before the worker pool exists
-			return inner
-		}
 		var tgt core.TargetSystem = inner
 		if n == 3 {
 			tgt = chaos.Wrap(inner, chaos.Config{Seed: 5, ScanReadCorruption: 1})

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -192,8 +193,11 @@ func TestResumeCommand(t *testing.T) {
 		name      string
 		locations string
 		filtered  bool
+		// prunes: the plan has experiments the def-use table proves dead.
+		// The pre-injection filter redraws exactly those.
+		prunes bool
 	}{
-		{name: "plain", locations: "cpu"},
+		{name: "plain", locations: "cpu", prunes: true},
 		{name: "pre-injection", locations: "cpu.r1,cpu.r2,cpu.r8", filtered: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,8 +288,19 @@ func TestResumeCommand(t *testing.T) {
 			}
 
 			resume := append([]string{"resume", "-db", db, "-campaign", "res", "-quiet"}, flags...)
-			if err := runCmd(t, resume...); err != nil {
-				t.Fatalf("goofi %s: %v", strings.Join(resume, " "), err)
+			var resumeErr error
+			out := captureStdout(t, func() { resumeErr = runCmd(t, resume...) })
+			if resumeErr != nil {
+				t.Fatalf("goofi %s: %v", strings.Join(resume, " "), resumeErr)
+			}
+			// The resumed run re-runs the reference, which records the
+			// checkpoints its experiments forward from and the def-use table
+			// they are pruned from.
+			if !regexp.MustCompile(`(?m)^  fast-forwarded [1-9]`).MatchString(out) {
+				t.Errorf("goofi resume forwarded nothing:\n%s", out)
+			}
+			if tc.prunes && !regexp.MustCompile(`(?m)^  pruned: [1-9]`).MatchString(out) {
+				t.Errorf("goofi resume pruned nothing:\n%s", out)
 			}
 
 			rows := func(db string) []string {

@@ -51,14 +51,14 @@ type RunSpec struct {
 	// first harness error.
 	Retry RetryPolicy
 	// Resume continues from whatever an interrupted run left durable in
-	// the store (CampaignRun.Cursor) instead of deleting it first. With a
-	// caller's Sink there is no store to ask: Resume then says the
-	// reference run is already logged, and the run skips it.
+	// the store (CampaignRun.Cursor) instead of deleting it first. The
+	// reference run runs again and logs nothing when the cursor has it
+	// (WithResume). With a caller's Sink there is no store to ask, and
+	// Resume changes nothing.
 	Resume bool
 	// ShardLo/ShardHi restrict the run to a range of the plan (hi 0 = all
-	// of it); ForwardSet carries an earlier range's recorded set.
+	// of it).
 	ShardLo, ShardHi int
-	ForwardSet       *ForwardSet
 
 	Tracer     *telemetry.Tracer
 	Progress   *telemetry.Progress
@@ -140,14 +140,10 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 	}
 
 	cr := &CampaignRun{spec: spec}
+	// A caller's sink: nothing here outlives the run, so there is no cursor
+	// to recover or to save.
 	sink := spec.Sink
-	if sink != nil {
-		// The caller's sink: nothing here outlives the run, so there is no
-		// cursor to recover or to save, and Resume vouches for the reference.
-		if spec.Resume {
-			cr.Cursor = &campaign.Checkpoint{Reference: true}
-		}
-	} else {
+	if sink == nil {
 		if spec.Resume {
 			cp, err := spec.Store.RecoverCursor(spec.Campaign.Name)
 			if err != nil {
@@ -170,7 +166,6 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 		WithRetryPolicy(spec.Retry),
 		WithResume(cr.Cursor),
 		WithShardRange(spec.ShardLo, spec.ShardHi),
-		WithForwardSet(spec.ForwardSet),
 		WithTelemetry(spec.Tracer, spec.Progress),
 		WithProgress(spec.OnProgress),
 		WithInjectionFilter(spec.Filter),

@@ -6,6 +6,12 @@ import (
 	"fmt"
 )
 
+// ErrReferenceChanged is a resumed run's reference run failing to
+// reproduce, on a deterministic target, the reference row an earlier run of
+// the campaign logged. The stored rows are relative to that row, so the
+// run stops before it adds one.
+var ErrReferenceChanged = errors.New("the reference run differs from the logged one: the target or the build changed under this campaign")
+
 // Harness failures — faults of the test environment itself rather than
 // the target under test — are first-class events for a campaign driver:
 // TAP shifts get corrupted, boards wedge past waitForBreakpoint, host

@@ -81,8 +81,8 @@ type ForwardCheckpoint struct {
 // experiments that follow: the checkpoint set and, for fault-space
 // pruning (prune.go), the run's def-use table and result. All of it is
 // immutable after recording — checkpoints ascend by cycle — so one set
-// may be shared read-only by every board worker, and carried by a shard
-// worker from one lease to the next. A set may hold no checkpoints.
+// may be shared read-only by every board worker of the run. A set may
+// hold no checkpoints.
 type ForwardSet struct {
 	Campaign    string
 	Checkpoints []*ForwardCheckpoint

@@ -34,7 +34,7 @@ const (
 
 // DefUseTable is a reference run's access trace over the bits of one
 // scan chain, recorded by the target next to the forwarding checkpoints
-// and carried in the ForwardSet.
+// and held in the ForwardSet.
 type DefUseTable interface {
 	// Chain names the scan chain whose bit offsets the table indexes.
 	Chain() string
@@ -97,8 +97,8 @@ type pruner struct {
 }
 
 // newPruner returns the campaign's pruner, or nil when nothing may be
-// pruned: no recorded set (forwarding off, a resumed run, a target that
-// records nothing), detail-mode logging (the per-instruction trace has
+// pruned: no recorded set (forwarding off, a target that records
+// nothing), detail-mode logging (the per-instruction trace has
 // to be produced), an algorithm other than SCIFI (the synthesized row is
 // SCIFI's: run to termination, read memory, read the scan chain), a
 // table over a different chain than the one the campaign injects into, or

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -305,6 +307,107 @@ func TestResumeRejectsChangedPlan(t *testing.T) {
 	_, err = r2.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "plan hash mismatch") {
 		t.Errorf("changed plan resumed: err = %v", err)
+	}
+}
+
+// rebuiltTarget is fakeTarget as a changed target or build would leave it,
+// changed: every run, the reference's included, reads other bytes back from
+// memory. nondet makes it declare itself nondeterministic, as the proc
+// target does.
+type rebuiltTarget struct {
+	*fakeTarget
+	changed, nondet bool
+}
+
+func (t *rebuiltTarget) ReadMemory(ex *Experiment) error {
+	if err := t.fakeTarget.ReadMemory(ex); err != nil || !t.changed {
+		return err
+	}
+	ex.Result.Memory = map[string][]byte{"out": {0xAB}}
+	return nil
+}
+
+func (t *rebuiltTarget) Deterministic() bool { return !t.nondet }
+
+// storedCursor is a campaign's cursor as the store holds it.
+func storedCursor(t *testing.T, st *campaign.Store, name string) string {
+	t.Helper()
+	r, err := st.DB().Query(`SELECT cursor FROM CampaignCheckpoint WHERE campaignName = ?`, sqldb.Text(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 1 {
+		t.Fatalf("%d cursors stored for %s", len(r.Rows), name)
+	}
+	return r.Rows[0][0].String()
+}
+
+// TestResumeRefusesChangedReference: a resumed run re-runs the reference,
+// and the rows already stored are relative to the logged one. On a
+// deterministic target that no longer reproduces it, the run fails with
+// ErrReferenceChanged before it hands the sink a row, and the store's rows
+// and cursor stay as they were. A nondeterministic target's reference is
+// not compared: its rows are stored whole, and the run resumes.
+func TestResumeRefusesChangedReference(t *testing.T) {
+	const n, k = 12, 5
+	for _, nondet := range []bool{false, true} {
+		t.Run(fmt.Sprintf("nondeterministic=%v", nondet), func(t *testing.T) {
+			camp := fakeCampaign(n)
+			st := storeWithCampaign(t, camp)
+			var r1 *Runner
+			r1, err := NewRunner(&rebuiltTarget{fakeTarget: newFakeTarget(), nondet: nondet}, SCIFI, camp, fakeTSD(),
+				WithSink(st), WithCheckpoints(2),
+				WithProgress(func(ev ProgressEvent) {
+					if ev.Phase == "experiment" && ev.Done == k {
+						r1.Stop()
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r1.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := st.RecoverCursor("fc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, cursor := dumpLoggedState(t, st, "fc"), storedCursor(t, st, "fc")
+			refName := campaign.ReferenceName("fc")
+			ref, err := st.GetExperiment(refName)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			sink := &countingSink{CheckpointSink: st}
+			r2, err := NewRunner(&rebuiltTarget{fakeTarget: newFakeTarget(), changed: true, nondet: nondet},
+				SCIFI, camp, fakeTSD(), WithSink(sink), WithCheckpoints(2), WithResume(cp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := r2.Run(context.Background())
+			if nondet {
+				if err != nil || len(cp.Completed)+sum.Experiments != n {
+					t.Fatalf("nondeterministic resume: %v, %d + %d experiments", err, len(cp.Completed), sum.Experiments)
+				}
+				if again, err := st.GetExperiment(refName); err != nil || !reflect.DeepEqual(again, ref) {
+					t.Errorf("the logged reference changed under the resumed run: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrReferenceChanged) {
+				t.Fatalf("resume onto a changed reference: err = %v, want ErrReferenceChanged", err)
+			}
+			if got := sink.handed.Load(); got != 0 {
+				t.Errorf("the refused run handed the sink %d rows", got)
+			}
+			if dumpLoggedState(t, st, "fc") != rows {
+				t.Error("the refused run changed the stored rows")
+			}
+			if got := storedCursor(t, st, "fc"); got != cursor {
+				t.Errorf("the refused run changed the cursor\n got: %s\nwant: %s", got, cursor)
+			}
+		})
 	}
 }
 

@@ -20,13 +20,13 @@ import (
 // on a fresh target after a power cycle).
 type flakyTarget struct {
 	*fakeTarget
-	failSeq   int    // experiment sequence to sabotage (-2 = every one)
+	failSeq   int    // experiment sequence to sabotage (-2 = every one but the reference)
 	mode      string // "error", "persistent", "panic", "hang"
 	remaining *int32 // shared failure budget; <0 disables
 }
 
 func (f *flakyTarget) ReadScanChain(ex *Experiment) error {
-	if (f.failSeq == -2 || ex.Seq == f.failSeq) && atomic.AddInt32(f.remaining, -1) >= 0 {
+	if (f.failSeq == -2 && ex.Seq >= 0 || ex.Seq == f.failSeq) && atomic.AddInt32(f.remaining, -1) >= 0 {
 		switch f.mode {
 		case "panic":
 			panic("flaky harness panic")
@@ -266,6 +266,9 @@ type barrierTarget struct {
 }
 
 func (b *barrierTarget) InitTestCard(ex *Experiment) error {
+	if ex.Seq < 0 {
+		return b.TargetSystem.InitTestCard(ex) // the reference runs before the workers exist
+	}
 	b.once.Do(func() {
 		if atomic.AddInt32(b.started, 1) == b.n {
 			close(b.gate)
@@ -281,18 +284,15 @@ func (b *barrierTarget) InitTestCard(ex *Experiment) error {
 func TestQuarantineReassignsWork(t *testing.T) {
 	camp := fakeCampaign(20)
 	st := storeWithCampaign(t, camp)
-	// Factory call 1 is the reference board; one of the three worker
-	// boards is broken for every experiment it touches. The start
-	// barrier guarantees each worker board pops an experiment before the
-	// healthy ones race through the rest of the queue.
+	// Factory call 1 is the reference board, which the first worker then
+	// takes; one of the three worker boards is broken for every experiment
+	// it touches. The start barrier guarantees each worker board pops an
+	// experiment before the healthy ones race through the rest of the queue.
 	var calls, started int32
 	gate := make(chan struct{})
 	factory := func() TargetSystem {
 		n := atomic.AddInt32(&calls, 1)
 		var inner TargetSystem = newFakeTarget()
-		if n == 1 { // reference board: runs before the workers exist
-			return inner
-		}
 		if n == 3 {
 			bad := int32(1 << 20)
 			inner = &flakyTarget{fakeTarget: newFakeTarget(), failSeq: -2,
@@ -344,14 +344,10 @@ func TestQuarantineReassignsWork(t *testing.T) {
 func TestAllBoardsQuarantined(t *testing.T) {
 	camp := fakeCampaign(10)
 	st := storeWithCampaign(t, camp)
-	var calls int32
 	factory := func() TargetSystem {
-		// The reference board (first call) is healthy; every later
-		// target — the single worker board and any power-cycle
-		// replacement — is broken.
-		if atomic.AddInt32(&calls, 1) == 1 {
-			return newFakeTarget()
-		}
+		// Every target — the reference's, which the single worker takes
+		// over, and any power-cycle replacement — is broken for every
+		// experiment but the reference.
 		bad := int32(1 << 20)
 		return &flakyTarget{fakeTarget: newFakeTarget(), failSeq: -2,
 			mode: "error", remaining: &bad}

@@ -111,12 +111,9 @@ type Runner struct {
 	// (WithShardRange); shardHi == 0 means the full plan.
 	shardLo, shardHi int
 
-	// presetFw is a forward set recorded by an earlier run of the same
-	// campaign (WithForwardSet); capturedFw is whatever set this run
-	// ended up using, exposed through ForwardSet() so shard workers can
-	// carry it across ranges.
-	presetFw   *ForwardSet
-	capturedFw *ForwardSet
+	// recordedFw is the set the last Run's reference run recorded,
+	// exposed through ForwardSet().
+	recordedFw *ForwardSet
 
 	// retry is the fault-tolerance policy (WithRetryPolicy); the zero
 	// value keeps the legacy abort-on-first-error behaviour.
@@ -194,10 +191,13 @@ func WithCheckpoints(every int) RunnerOption {
 }
 
 // WithResume continues a campaign from a recovered cursor (typically
-// campaign.Store.RecoverCursor): completed experiments are skipped, the
-// reference run is skipped when already logged, and the plan hash is
-// validated so a changed campaign definition cannot silently resume onto
-// stale results.
+// campaign.Store.RecoverCursor): completed experiments are skipped and the
+// plan hash is validated, so a changed campaign definition cannot silently
+// resume onto stale results. The reference run runs as in any run, and
+// records the forward set the experiments use; when the cursor says it is
+// already logged it logs nothing, and on a deterministic target it must
+// reproduce the logged row (ErrReferenceChanged), which the stored rows
+// are relative to.
 func WithResume(cp *campaign.Checkpoint) RunnerOption {
 	return func(r *Runner) { r.resume = cp }
 }
@@ -235,17 +235,6 @@ func WithShardRange(lo, hi int) RunnerOption {
 		r.shardLo = lo
 		r.shardHi = hi
 	}
-}
-
-// WithForwardSet installs a checkpoint forward set recorded by an
-// earlier reference run of the same campaign, for runs that skip the
-// reference (a resumed shard range): board workers forward from the
-// given set instead of running everything cold. The caller is
-// responsible for the set matching the campaign; a mismatched set would
-// restore foreign state. Harmless when the reference runs anyway — the
-// freshly recorded set wins.
-func WithForwardSet(set *ForwardSet) RunnerOption {
-	return func(r *Runner) { r.presetFw = set }
 }
 
 // WithInjectionFilter installs a pre-injection filter (paper §4): drawn
@@ -305,12 +294,10 @@ func (r *Runner) Stop() {
 	r.cond.Broadcast()
 }
 
-// ForwardSet returns the checkpoint forward set the last Run used —
-// recorded by its reference run, or the preset handed in through
-// WithForwardSet. Valid after Run returns; nil when the target does not
-// forward. Shard workers read it so later ranges of the same campaign
-// can forward without re-running the reference.
-func (r *Runner) ForwardSet() *ForwardSet { return r.capturedFw }
+// ForwardSet returns the checkpoint forward set the last Run's reference
+// run recorded — checkpoints, def-use table, join points. Valid after Run
+// returns; nil when the target does not forward or recording was off.
+func (r *Runner) ForwardSet() *ForwardSet { return r.recordedFw }
 
 // checkpoint blocks while paused; it reports false when the campaign
 // should stop (Stop called or context cancelled). On pause the cursor is

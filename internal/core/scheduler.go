@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -174,16 +175,22 @@ type run struct {
 	// plan. Read-only after resumeFilter.
 	doneSet map[int]bool
 	resumed int
+	// haveRef reports that the reference stage succeeded: only then does a
+	// termination cursor go to the sink.
 	haveRef bool
-	// ref is the reference run's logged state, which the experiments'
-	// rows are stored relative to; nil — a nondeterministic target, whose
-	// reference another process need not reproduce byte for byte, or no
-	// sink — stores them whole. Read-only once dispatch starts.
+	// ref is the reference run's state, which the experiments' rows are
+	// stored relative to; nil — a nondeterministic target, whose reference
+	// another process need not reproduce byte for byte, or no sink — stores
+	// them whole. Read-only once dispatch starts.
 	ref *campaign.Reference
-	// fwSet is what the reference run recorded (or the preset); prune
-	// answers from its def-use table.
+	// fwSet is what the reference run recorded; prune answers from its
+	// def-use table.
 	fwSet *ForwardSet
 	prune *pruner
+	// spare is the reference run's board, which the first worker to lease
+	// a board takes instead of building one; Run retires it if none did.
+	// Guarded by mu during dispatch.
+	spare TargetSystem
 	// items is what this run executes: the plan minus what is durable and
 	// what belongs to other shards, in plan order. The hand-over stage owns
 	// window, a ring of slots items[h : h+len(window)] map into, and
@@ -309,18 +316,13 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 	if err := rs.resumeFilter(); err != nil {
 		return nil, err
 	}
-	if !rs.haveRef {
-		rs.reference()
-	} else if err := rs.loggedReference(); err != nil {
-		rs.fail(err)
-	}
-	// Whatever set this run ended up with is observable after Run, so a
-	// shard worker can reuse it for later ranges of the same campaign.
-	r.capturedFw = rs.fwSet
+	rs.reference()
+	r.recordedFw = rs.fwSet
 	if !rs.failed() {
 		rs.enqueue()
 		rs.dispatch()
 	}
+	retire(rs.takeSpare())
 	return rs.finalize()
 }
 
@@ -363,7 +365,6 @@ func (rs *run) resumeFilter() error {
 		rs.ckpt = cs
 	}
 	rs.completed = campaign.SeqRanges{}
-	rs.fwSet = r.presetFw
 	if r.resume == nil {
 		return nil
 	}
@@ -382,22 +383,22 @@ func (rs *run) resumeFilter() error {
 			rs.resumed++
 		}
 	}
-	rs.haveRef = r.resume.Reference
 	r.progress.AddDone(rs.resumed)
 	return nil
 }
 
 // reference is stage three, makeReferenceRun of paper Fig 2: the
 // fault-free execution whose logged state anchors the analysis phase. It
-// runs on one board before the pool fans out — unless an earlier run
-// already logged it (a resumed campaign skips it and runs everything
-// cold, or from a preset forward set). When the target supports
-// checkpoint forwarding the reference run doubles as the recording pass:
-// the resulting ForwardSet, def-use table included, is handed to every
-// board worker so faulty experiments can skip the fault-free prefix or
-// the board altogether.
+// runs on one board before the pool fans out, in every run: where an
+// earlier run of the campaign logged it (the resume cursor says so), it
+// logs nothing and has to reproduce the logged row. When the target
+// supports checkpoint forwarding the reference run doubles as the
+// recording pass: the resulting ForwardSet, def-use table included, is
+// handed to every board worker so faulty experiments can skip the
+// fault-free prefix or the board altogether.
 func (rs *run) reference() {
 	r := rs.r
+	logged := r.resume != nil && r.resume.Reference
 	r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "reference", Total: r.camp.NumExperiments})
 	r.progress.SetPhase("reference")
 	start := time.Now()
@@ -407,11 +408,7 @@ func (rs *run) reference() {
 	if lease, lerr := rs.handle.Acquire(rs.ctx); lerr != nil {
 		err = fmt.Errorf("core: campaign %q reference: %w", r.camp.Name, lerr)
 	} else {
-		var recorded *ForwardSet
-		if recorded, err = rs.referenceRun(); recorded != nil {
-			// A freshly recorded set supersedes any preset one.
-			rs.fwSet = recorded
-		}
+		rs.fwSet, err = rs.referenceRun(logged)
 		lease.Release()
 	}
 	r.tracer.Record(telemetry.SpanRecord{Phase: "reference", Board: -1, Seq: -1,
@@ -421,7 +418,7 @@ func (rs *run) reference() {
 		return
 	}
 	rs.haveRef = true
-	if rs.ckpt != nil {
+	if rs.ckpt != nil && !logged {
 		// First durable cursor: the reference is in, nothing else.
 		if err := rs.saveCursor(rs.snapshotCompleted()); err != nil {
 			rs.fail(err)
@@ -429,32 +426,25 @@ func (rs *run) reference() {
 	}
 }
 
-// loggedReference takes the place of the reference run where an earlier
-// run logged it — a resumed campaign, a shard worker's later range: the
-// rows of this run go relative to that one, read back through the sink.
-func (rs *run) loggedReference() error {
-	r := rs.r
-	if r.sink == nil || !rs.sum.Deterministic {
-		return nil
-	}
-	rec, err := r.sink.GetExperiment(campaign.ReferenceName(r.camp.Name))
-	if err != nil {
-		return fmt.Errorf("core: campaign %q: the logged reference run: %w", r.camp.Name, err)
-	}
-	rs.ref = campaign.NewReference(&rec.State)
-	return nil
-}
-
 // referenceRun climbs the attempt ladder with the reference experiment,
 // with the same watchdog/retry protection as the experiments when the
 // policy is on, and returns the recorded forward set (nil when the target
-// does not forward or recording was off).
-func (rs *run) referenceRun() (*ForwardSet, error) {
+// does not forward or recording was off). It logs the reference unless
+// logged says an earlier run did; then it checks the reference against
+// that row.
+func (rs *run) referenceRun(logged bool) (set *ForwardSet, err error) {
 	r := rs.r
 	b := &board{id: -1, target: r.boardTarget(),
 		jitter: rand.New(rand.NewSource(expSeed(r.camp.Seed, -2)))}
-	// The reference's board retires with the reference.
-	defer func() { retire(b.target) }()
+	// The reference's board goes on to the first worker that leases one; a
+	// failed reference retires it.
+	defer func() {
+		if err != nil {
+			retire(b.target)
+		} else {
+			rs.spare = b.target
+		}
+	}()
 	// The checkpoint plan is computed once, before the ladder: a retried
 	// reference must record at the same cycles the first attempt would
 	// have, so a retry stays observationally equivalent. Re-arming on
@@ -477,8 +467,10 @@ func (rs *run) referenceRun() (*ForwardSet, error) {
 		return nil, rs.expErr(ref.Name, d.err)
 	}
 	// The reference run logs itself: nothing is handed over before it.
-	if err := rs.logEmulated(&d); err != nil {
-		return nil, rs.expErr(ref.Name, err)
+	if !logged {
+		if err := rs.logEmulated(&d); err != nil {
+			return nil, rs.expErr(ref.Name, err)
+		}
 	}
 	rs.sum.CyclesEmulated += ref.Result.Outcome.Cycles - ref.SteadyCycles
 	if ref.SteadyCycles > 0 {
@@ -490,17 +482,54 @@ func (rs *run) referenceRun() (*ForwardSet, error) {
 		if err != nil {
 			return nil, rs.expErr(ref.Name, err)
 		}
+		if logged {
+			if err := rs.sameAsLogged(sv); err != nil {
+				return nil, err
+			}
+		}
 		rs.ref = campaign.NewReference(sv)
 	}
 	fwTarget, ok := b.target.(Forwarder)
 	if !ok {
 		return nil, nil
 	}
-	set := fwTarget.TakeForwardSet()
+	set = fwTarget.TakeForwardSet()
 	if set != nil {
 		set.Reference = &ref.Result
 	}
 	return set, nil
+}
+
+// sameAsLogged checks a resumed run's reference state against the row an
+// earlier run logged, which the stored rows are relative to: the two must
+// encode to the same bytes.
+func (rs *run) sameAsLogged(sv *campaign.StateVector) error {
+	name := rs.r.camp.Name
+	rec, err := rs.r.sink.GetExperiment(campaign.ReferenceName(name))
+	if err != nil {
+		return fmt.Errorf("core: campaign %q: the logged reference run: %w", name, err)
+	}
+	mine, err := sv.Encode()
+	if err != nil {
+		return err
+	}
+	stored, err := rec.State.Encode()
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(mine, stored) {
+		return fmt.Errorf("core: campaign %q: %w", name, ErrReferenceChanged)
+	}
+	return nil
+}
+
+// takeSpare hands out the reference run's board, once; nil after.
+func (rs *run) takeSpare() TargetSystem {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	t := rs.spare
+	rs.spare = nil
+	return t
 }
 
 // enqueue is stage four: the plan minus what is already durable and what
@@ -993,9 +1022,10 @@ func (rs *run) quarantine(b *board) {
 // acquire leases a board for the worker and derives the per-board retry
 // state (jitter stream, busy counter) from the lease, so outcomes stay
 // keyed to the plan, never to scheduling. The worker keeps its target
-// across a release — every experiment re-initialises it — and takes a
-// fresh one from the factory only at first and after a quarantine. False
-// means the fleet is exhausted, the campaign stopped, or the context ended.
+// across a release — every experiment re-initialises it — and takes one
+// only at first and after a quarantine: the reference run's, the first
+// time a worker asks, else a fresh one from the factory. False means the
+// fleet is exhausted, the campaign stopped, or the context ended.
 func (rs *run) acquire(b *board) bool {
 	r := rs.r
 	lease, err := rs.handle.Acquire(rs.runCtx)
@@ -1004,7 +1034,9 @@ func (rs *run) acquire(b *board) bool {
 	}
 	target := b.target
 	if target == nil {
-		target = r.boardTarget()
+		if target = rs.takeSpare(); target == nil {
+			target = r.boardTarget()
+		}
 		installForwardSet(target, rs.fwSet)
 	}
 	*b = board{lease: lease, id: lease.Board(), target: target, fw: rs.fwSet,
@@ -1091,7 +1123,7 @@ func (rs *run) runOnBoard(b *board, qe queuedExperiment, start time.Time) {
 }
 
 // queuedExperiment is one item of the run: a plan entry, its index among
-// the run's items, and its attempt count, carried across requeues.
+// the run's items, and its attempt count, which survives a requeue.
 type queuedExperiment struct {
 	plannedExperiment
 	idx      int

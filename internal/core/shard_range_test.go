@@ -93,10 +93,11 @@ func TestShardRangeUnionMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestShardRangeResumeSkipsCompleted pins the worker-side idiom: a second
-// range run with WithResume over the shard's own durable records skips
-// the reference and everything already logged, and executes only the new
-// range.
+// TestShardRangeResumeSkipsCompleted pins the path every run takes: a
+// second range run with WithResume over the shard's own durable records
+// skips everything already logged and executes only the new range, after
+// running the reference again — which, the cursor saying it is logged,
+// adds no row and leaves the logged one as it was.
 func TestShardRangeResumeSkipsCompleted(t *testing.T) {
 	const n = 12
 	camp := fakeCampaign(n)
@@ -109,6 +110,8 @@ func TestShardRangeResumeSkipsCompleted(t *testing.T) {
 	if _, err := r1.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	refName := campaign.ReferenceName(camp.Name)
+	refBefore := recordJSON(t, st, camp.Name)[refName]
 	cp, err := st.RecoverCursor(camp.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +119,9 @@ func TestShardRangeResumeSkipsCompleted(t *testing.T) {
 	if !cp.Reference || len(cp.Completed) != 4 {
 		t.Fatalf("cursor after first range = %+v", cp)
 	}
-	r2, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
-		WithSink(st), WithShardRange(8, 12), WithCheckpoints(2),
-		WithResume(cp), WithForwardSet(r1.ForwardSet()))
+	tgt := newFakeTarget()
+	r2, err := NewRunner(tgt, SCIFI, camp, fakeTSD(),
+		WithSink(st), WithShardRange(8, 12), WithCheckpoints(2), WithResume(cp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +132,25 @@ func TestShardRangeResumeSkipsCompleted(t *testing.T) {
 	if sum.Experiments != 4 {
 		t.Fatalf("second range ran %d experiments, want 4", sum.Experiments)
 	}
+	inits := 0
+	for _, c := range tgt.calls {
+		if c == "init" {
+			inits++
+		}
+	}
+	if inits != 5 {
+		t.Errorf("second range initialised its board %d times, want 5: the reference and 4 experiments", inits)
+	}
+	stored, err := st.Experiments(camp.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	recs := recordJSON(t, st, camp.Name)
-	if len(recs) != 9 { // reference + seqs 0..3 + seqs 8..11
-		t.Fatalf("shard store has %d records, want 9", len(recs))
+	if len(stored) != 9 || len(recs) != 9 { // reference + seqs 0..3 + seqs 8..11, each once
+		t.Fatalf("shard store has %d records under %d names, want 9 under 9", len(stored), len(recs))
+	}
+	if recs[refName] != refBefore {
+		t.Errorf("the reference record changed under the second range\n got: %s\nwant: %s", recs[refName], refBefore)
 	}
 	for _, seq := range []int{4, 5, 6, 7} {
 		if _, ok := recs[campaign.ExperimentName(camp.Name, seq)]; ok {

@@ -299,12 +299,13 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 		f1, e1 := spawns()
 		// One fork per run, and the spare the worker forked for an
 		// experiment that never came; the execs are per board and per
-		// victim (two zygotes, at most two recordings and a reference
-		// capture), however many experiments there are. An arrival
-		// mismatch adds a fork for its redo and an exec for the zygote that
-		// replaces the one it came from.
+		// victim (one zygote — the reference board's, which the worker
+		// takes over — at most two recordings and a reference capture),
+		// however many experiments there are. An arrival mismatch adds a
+		// fork for its redo and an exec for the zygote that replaces the
+		// one it came from.
 		m, u := readCounters().since(c0).mismatch, mSparesUnused.Value()-u0
-		if runs := mExperiments.Value() - r0; u != 1 || f1-f0 != runs+m+u || e1-e0 > 5+m {
+		if runs := mExperiments.Value() - r0; u != 1 || f1-f0 != runs+m+u || e1-e0 > 4+m {
 			t.Fatalf("%d runs, %d mismatches, %d spares unused: %d forks, %d execs", runs, m, u, f1-f0, e1-e0)
 		}
 		noLeaks(t, before)
@@ -372,15 +373,15 @@ func TestProcHangWatchdogNoLeaks(t *testing.T) {
 		_, e1 := spawns()
 		// The spare forked before the kill serves the next experiment, and
 		// the spare fork after it finds the zygote dead and drops it: the
-		// experiment after that execs a new one. Two boards' zygotes and
-		// the rebuilt one, without a retry (and one more zygote per arrival
-		// mismatch).
+		// experiment after that execs a new one. The board's zygote — the
+		// reference's, which the worker takes over — and the rebuilt one,
+		// without a retry (and one more zygote per arrival mismatch).
 		m := readCounters().since(c0).mismatch
 		if !kill.served || m == 0 && !kill.dropped {
 			t.Fatalf("the spare served the next experiment: %v; the zygote was dropped after it: %v", kill.served, kill.dropped)
 		}
-		if sum.Retried != 0 || sum.InvalidRuns != 0 || e1-e0 != 3+m {
-			t.Fatalf("%d retries, %d invalid runs, %d execs; want 0, 0, %d", sum.Retried, sum.InvalidRuns, e1-e0, 3+m)
+		if sum.Retried != 0 || sum.InvalidRuns != 0 || e1-e0 != 2+m {
+			t.Fatalf("%d retries, %d invalid runs, %d execs; want 0, 0, %d", sum.Retried, sum.InvalidRuns, e1-e0, 2+m)
 		}
 		for name, o := range undisturbed {
 			if outcomes[name] != o {

@@ -55,14 +55,15 @@ func TestProcForkExecConformance(t *testing.T) {
 	f1, e1 := spawns()
 	forks, execs, runs := f1-f0, e1-e0, mExperiments.Value()-r0
 	// Three seeds, each run once a side. A run is one spawn: an exec on
-	// the exec'd side, a fork on the forked side, whose boards (reference
-	// and worker) exec one zygote each; each worker also forks a spare for
-	// an experiment that never comes. An arrival mismatch adds its redo:
-	// an exec, or a fork from a newly exec'd zygote.
+	// the exec'd side, a fork on the forked side, whose one board — the
+	// reference's, which the worker takes over — execs one zygote; each
+	// worker also forks a spare for an experiment that never comes. An
+	// arrival mismatch adds its redo: an exec, or a fork from a newly
+	// exec'd zygote.
 	half, m, u := runs/2, readCounters().since(before).mismatch, mSparesUnused.Value()-u0
-	if u != 3 || forks < half+u || forks > half+u+m || execs != half+3*2+m {
+	if u != 3 || forks < half+u || forks > half+u+m || execs != half+3+m {
 		t.Fatalf("%d runs, %d mismatches, %d spares unused: %d forks, %d execs; want %d forks (+ up to %d) and %d execs",
-			runs, m, u, forks, execs, half+u, m, half+3*2+m)
+			runs, m, u, forks, execs, half+u, m, half+3+m)
 	}
 }
 

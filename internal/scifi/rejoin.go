@@ -46,7 +46,7 @@ type joinPoint struct {
 	simState any
 }
 
-// rejoin is the reference run's record for the cut-off, carried in the
+// rejoin is the reference run's record for the cut-off, held in the
 // forward set (core.ForwardSet.Rejoin).
 type rejoin struct {
 	first  int // the iteration of points[0]

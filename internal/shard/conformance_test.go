@@ -295,11 +295,11 @@ func prunedTotal() float64 {
 // TestShardConformancePruning is the execution-mode half of the pruning
 // differential. The oracle is a solo run with forwarding off — nothing
 // recorded, nothing pruned, every experiment emulated. Against it: the
-// pruning solo run; a run stopped mid-campaign and resumed (the resumed
-// half has no recorded set and emulates everything, the first half
-// pruned); and two shards leased one after the other by a single worker,
-// whose second lease skips the reference run and must prune from the set
-// it carried over.
+// pruning solo run; a run stopped mid-campaign and resumed, whose resumed
+// half re-runs the reference and prunes exactly what a fresh run of the
+// same range does; and two shards leased one after the other by a single
+// worker, whose second lease runs the reference again, prunes from the set
+// it records, and sends a reference row the coordinator drops.
 func TestShardConformancePruning(t *testing.T) {
 	const n = 120
 	camp := conformanceCampaign("confprune", n)
@@ -346,9 +346,10 @@ func TestShardConformancePruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		rest := soloRunInto(t, st, camp, core.WithResume(cp))
-		if rest.Experiments != n-n/2 || rest.Pruned.Total() != 0 {
-			t.Fatalf("resumed half: %d experiments, pruned %+v (no set was recorded: want 0)",
-				rest.Experiments, rest.Pruned)
+		fresh := soloRunInto(t, soloStore(t, camp), camp, core.WithShardRange(n/2, n))
+		if rest.Experiments != n-n/2 || rest.Pruned.Total() == 0 || rest.Pruned != fresh.Pruned {
+			t.Fatalf("resumed half: %d experiments, pruned %+v; a fresh run of the range pruned %+v",
+				rest.Experiments, rest.Pruned, fresh.Pruned)
 		}
 		assertIdentical(t, st, "confprune", wantRecs, wantReport)
 	})
@@ -406,11 +407,13 @@ func TestShardConformancePruning(t *testing.T) {
 		shutdownServer(t, s)
 		mu.Lock()
 		defer mu.Unlock()
-		if leases != 2 || references != 1 {
-			t.Fatalf("worker logged rows of %d leases and %d reference runs, want 2 and 1", leases, references)
+		// Each lease runs the reference and reports its row; the
+		// coordinator keeps the first and drops the second.
+		if leases != 2 || references != 2 {
+			t.Fatalf("worker logged rows of %d leases and %d reference runs, want 2 and 2", leases, references)
 		}
 		if got := prunedTotal() - atSecondLease; got <= 0 {
-			t.Errorf("the second lease pruned %v experiments: the carried set lost its def-use table", got)
+			t.Errorf("the second lease pruned %v experiments: its reference run recorded no def-use table", got)
 		}
 		assertIdentical(t, tenantStore(t, dir, "alice"), "confprune", wantRecs, wantReport)
 	})

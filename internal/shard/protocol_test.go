@@ -7,7 +7,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -75,27 +74,23 @@ func TestWorkerRefusesOtherProtocolVersion(t *testing.T) {
 	}
 }
 
-// TestRowSinkReadsOnlyTheReference: a worker keeps no records, with one
-// exception — the reference run of its first range, which the runner of a
-// later range reads back to encode that range's rows relative to it.
-func TestRowSinkReadsOnlyTheReference(t *testing.T) {
+// TestRowSinkReadsNothing: a worker keeps no records — not even the
+// reference run it logged, which every range runs again — so its sink has
+// nothing to read back.
+func TestRowSinkReadsNothing(t *testing.T) {
 	state := campaign.StateVector{Scan: []byte{1, 2, 3}, Memory: map[string][]byte{"m": {4}}}
 	refName := campaign.ReferenceName("c")
-	step := mustRow(&campaign.ExperimentRecord{Name: refName + "/step000000", Parent: refName,
-		Campaign: "c", Step: 0, State: state})
-	end := mustRow(&campaign.ExperimentRecord{Name: refName, Campaign: "c", Step: -1,
-		Data: campaign.ExperimentData{Seq: -1}, State: state})
-	sink := rowSink{rep: newReporter(), reference: []campaign.Row{step, end}}
-	rec, err := sink.GetExperiment(refName)
-	if err != nil || !rec.IsReference() || !reflect.DeepEqual(rec.State, state) {
-		t.Fatalf("the kept reference run read back as %+v, %v", rec, err)
+	sink := rowSink{rep: newReporter()}
+	if err := sink.LogExperiment(&campaign.ExperimentRecord{Name: refName, Campaign: "c", Step: -1,
+		Data: campaign.ExperimentData{Seq: -1}, State: state}); err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{campaign.ExperimentName("c", 0), step.Name(), campaign.ReferenceName("d")} {
+	for _, name := range []string{refName, campaign.ExperimentName("c", 0), campaign.ReferenceName("d")} {
 		if _, err := sink.GetExperiment(name); err == nil {
 			t.Errorf("the sink of a worker that keeps no records read %s", name)
 		}
 	}
-	if _, err := (rowSink{rep: newReporter()}).GetExperiment(refName); err == nil {
-		t.Error("a first range's sink, with no reference kept yet, read one")
+	if rows, _ := sink.rep.take(reportBatch); len(rows) != 1 || rows[0].Name() != refName {
+		t.Errorf("the logged reference run queued %d rows for the coordinator, want it alone", len(rows))
 	}
 }

@@ -306,9 +306,9 @@ func (c *cutAfterLease) Lease(ctx context.Context, req shard.LeaseRequest) (*sha
 // TestShardReferenceSurvivesAbandonedLease cuts one worker off from its
 // coordinator — reports and heartbeats alike — from the grant of its first
 // lease until that lease has expired. Nothing of it was merged, so the
-// worker runs the requeued range again; it must not run the reference
-// again, and the coordinator, which never saw the reference row, must get
-// it from the worker's memory.
+// worker runs the requeued range again, reference run included — a worker
+// keeps nothing from one lease to the next — and the coordinator, which
+// never saw the reference row, must get it from that second run.
 func TestShardReferenceSurvivesAbandonedLease(t *testing.T) {
 	const n = 40
 	camp := conformanceCampaign("refkept", n)
@@ -348,13 +348,13 @@ func TestShardReferenceSurvivesAbandonedLease(t *testing.T) {
 	}
 	net.Heal()
 	if err := <-exit; err != nil {
-		t.Fatalf("worker: %v (a worker that forgot the reference row waits for a campaign that cannot complete)", err)
+		t.Fatalf("worker: %v (a worker that lost the reference row waits for a campaign that cannot complete)", err)
 	}
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := references.Load(); got != 1 {
-		t.Fatalf("the reference run was logged %d times, want once", got)
+	if got := references.Load(); got != 2 {
+		t.Fatalf("the reference run was logged %d times, want twice: once a lease", got)
 	}
 	if _, err := st.GetExperiment(refName); err != nil {
 		t.Fatalf("the coordinator's store has no reference row: %v", err)

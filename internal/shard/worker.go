@@ -7,11 +7,10 @@ package shard
 // dies mid-range loses the rows it had not been acknowledged — at most a
 // heartbeat's worth of streamed work — and the coordinator's lease expiry
 // hands them to whoever leases the requeued range, byte-identical because
-// seeds derive from (campaignSeed, seq) alone. What a worker keeps, in
-// memory and for the life of the process, is what its later ranges need of
-// its first: the reference run's rows, so the reference is neither re-run
-// nor lost, and the carried forward set, which keeps checkpoint
-// fast-forwarding and pruning effective where the reference run is skipped.
+// seeds derive from (campaignSeed, seq) alone. Nothing is kept from one
+// lease to the next either: every range runs the campaign's reference run,
+// which records the forward set its experiments forward and prune from, and
+// reports the reference row, which the coordinator drops once it has one.
 
 import (
 	"context"
@@ -67,14 +66,7 @@ type WorkerConfig struct {
 
 // Worker executes leased ranges until its coordinator says done.
 type Worker struct {
-	cfg     WorkerConfig
-	carried *core.ForwardSet
-	// reference is the reference run as this worker logged it: its
-	// detail-mode step rows, then its end row. Every later range queues it
-	// again — the coordinator drops it when it has one, and gets it back
-	// when the first lease was abandoned before its report was
-	// acknowledged, or it restarted before its copy was durable.
-	reference []campaign.Row
+	cfg WorkerConfig
 	// delivSeq numbers report deliveries so every batch gets a unique
 	// idempotency key; retries of the same batch reuse the same key.
 	delivSeq atomic.Int64
@@ -101,12 +93,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 
 // rowSink is the sink of one leased range: it encodes each record once and
 // hands the row to the reporter. Nothing is stored here, so there is
-// nothing to flush, and nothing to read back but the reference run the
-// worker keeps, which a later range's rows are encoded relative to.
+// nothing to flush and nothing to read back.
 type rowSink struct {
 	rep *reporter
-	// reference is Worker.reference when the range began.
-	reference []campaign.Row
 	// hook is WorkerConfig.OnRecord.
 	hook func(*campaign.ExperimentRecord)
 }
@@ -124,10 +113,6 @@ func (s rowSink) LogExperiment(rec *campaign.ExperimentRecord) error {
 }
 
 func (s rowSink) GetExperiment(name string) (*campaign.ExperimentRecord, error) {
-	// The kept reference ends in the reference run's end row.
-	if n := len(s.reference); n > 0 && s.reference[n-1].Name() == name {
-		return campaign.DecodeRow(&s.reference[n-1], nil)
-	}
 	return nil, fmt.Errorf("shard: a worker keeps no records to read %s from", name)
 }
 
@@ -147,8 +132,6 @@ type reporter struct {
 	// ready holds complete groups in arrival order, each ending in its
 	// end row; take cuts only behind one.
 	ready []campaign.Row
-	// reference is the reference run's group, once its end row has landed.
-	reference []campaign.Row
 	// kick wakes the pump early once a full batch is ready.
 	kick chan struct{}
 
@@ -178,9 +161,6 @@ func (p *reporter) add(row campaign.Row) {
 	steps := p.trace[row.Name()]
 	delete(p.trace, row.Name())
 	p.ready = append(append(p.ready, steps...), row)
-	if row.Seq < 0 {
-		p.reference = append(steps, row)
-	}
 	full := len(p.ready) >= reportBatch
 	p.mu.Unlock()
 	if full {
@@ -379,28 +359,17 @@ func (w *Worker) runRange(ctx context.Context, lease *LeaseResponse) error {
 		}
 	}()
 
-	// A later range of the campaign: the reference run is not repeated, its
-	// rows go out again from memory.
-	for _, row := range w.reference {
-		rep.add(row)
-	}
 	spec := lease.RunOptions.RunSpec()
-	spec.Sink = rowSink{rep: rep, reference: w.reference, hook: w.cfg.OnRecord}
+	spec.Sink = rowSink{rep: rep, hook: w.cfg.OnRecord}
 	spec.Campaign, spec.Target = camp, lease.Target
 	spec.Boards = w.cfg.Boards
-	spec.Resume = w.reference != nil
 	spec.ShardLo, spec.ShardHi = lease.Range.Lo, lease.Range.Hi
-	spec.ForwardSet = w.carried
 	cr, err := core.Assemble(spec)
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
 	_, runErr := cr.Run(rctx)
 	stopPumps()
-	w.carried = cr.Runner.ForwardSet()
-	if rep.reference != nil {
-		w.reference = rep.reference
-	}
 	if verdict != nil {
 		return verdict
 	}
