@@ -104,9 +104,11 @@ bench:
 # FuzzPortSet the port set against its map-based oracle over any op
 # stream, FuzzFastPathVsStep the thor decoder against the fast path's
 # predecode mirror: any image through Run, RunFast and StepBurst.
-# FuzzRejoinVsFull is the convergence cut-off against full emulation: any
-# transient flip in the PID loop logs the same row either way;
-# FuzzSteadyVsFull the same for the steady-state skip over 1,000 iterations.
+# FuzzRejoinVsFull and FuzzSteadyVsFull are the boundary oracle
+# (scifi/boundary.go) against full emulation: any transient flip in the PID
+# loop logs the same row with a forward set installed as without, over 300
+# iterations (the convergence cut-off) and 1,000 (the steady-state skip,
+# and the cut-off into the reference's skipped stretch).
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)

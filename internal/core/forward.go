@@ -59,8 +59,8 @@ type ForwardPlan struct {
 	// retired-instruction count when HorizonByInstret. The def-use table
 	// and the join points have to describe the reference run up to it;
 	// past it, and past the last planned cycle, the reference may stop
-	// recording them and skip a steady state to its end (scifi's
-	// steady.go).
+	// recording the table and skip a steady state to its end (scifi's
+	// boundary.go).
 	Horizon          uint64
 	HorizonByInstret bool
 }

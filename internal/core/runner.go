@@ -89,6 +89,9 @@ type Runner struct {
 	alg    Algorithm
 	camp   *campaign.Campaign
 	tsd    *campaign.TargetSystemData
+	// targetTaken: a Run's reference has taken target. Later Runs build
+	// theirs from the factory, as the boards do.
+	targetTaken bool
 
 	sink       ResultSink
 	onProgress func(ProgressEvent)

@@ -434,10 +434,16 @@ func (rs *run) reference() {
 // that row.
 func (rs *run) referenceRun(logged bool) (set *ForwardSet, err error) {
 	r := rs.r
-	b := &board{id: -1, target: r.boardTarget(),
+	// The first Run's reference runs on the runner's own target, which
+	// Assemble built to check the configuration. Its board goes on to the
+	// first worker that leases one; a failed reference retires it.
+	target := r.target
+	if r.targetTaken || target == nil {
+		target = r.boardTarget()
+	}
+	r.targetTaken = true
+	b := &board{id: -1, target: target,
 		jitter: rand.New(rand.NewSource(expSeed(r.camp.Seed, -2)))}
-	// The reference's board goes on to the first worker that leases one; a
-	// failed reference retires it.
 	defer func() {
 		if err != nil {
 			retire(b.target)
@@ -987,7 +993,7 @@ func (rs *run) resolve(s *slot) {
 	case PrunedOverwritten:
 		mPrunedOverwritten.Inc()
 	}
-	r.progress.Done()
+	r.progress.Done(1)
 	r.tracer.Record(span)
 	r.emit(ev)
 	if snap != nil {

@@ -80,9 +80,9 @@ type Board struct {
 	// to a slice held in a map each time cost more than the iteration.
 	outputs []uint32
 
-	// steady watches the run in its termination loop for a steady state
-	// to skip (steady.go).
-	steady steadyWatch
+	// watch is the boundary oracle's state for the run in its
+	// termination loop (boundary.go).
+	watch boundaryWatch
 
 	// campaign-scoped checkpoint-forwarding state; preserved across
 	// InitTestCard, managed through the core.Forwarder methods.
@@ -369,8 +369,7 @@ func (t *Board) exchange(ex *core.Experiment) (ins []uint32, err error) {
 func (t *Board) WaitForTermination(ex *core.Experiment) error {
 	term := ex.Campaign.Termination
 	persistent := t.tech.Reassert != nil && ex.Fault != nil && ex.Fault.Kind.Persistent() && ex.Injected
-	join := t.rejoinFor(ex, persistent)
-	t.steadyArm(ex, persistent)
+	t.armBoundary(ex, persistent)
 	for {
 		if t.cpu.Cycle() >= term.TimeoutCycles {
 			t.finishOutcome(ex, campaign.OutcomeTimeout, nil)
@@ -405,17 +404,12 @@ func (t *Board) WaitForTermination(ex *core.Experiment) error {
 					return err
 				}
 			}
-			// The reference records a join point here; a faulty run back
-			// in the reference's state ends here (rejoin.go); a run whose
-			// state repeats skips to its last iteration (steady.go).
-			t.fwRecordJoin(ex)
-			if join != nil {
-				if done, err := t.fwRejoin(ex, join); done || err != nil {
+			// The boundary oracle (boundary.go) may end the run on the
+			// reference's end state, or skip its steady state.
+			if t.watch.on {
+				if done, err := t.boundary(ex, ins); done || err != nil {
 					return err
 				}
-			}
-			if t.steady.on {
-				t.steadyCheck(ex, ins)
 			}
 		case thor.StatusOutOfBudget:
 			if err := t.cpu.ClearOutOfBudget(); err != nil {

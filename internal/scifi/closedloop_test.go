@@ -97,7 +97,7 @@ func (s *plainPlant) Exchange(outputs []uint32) []uint32 { return s.p.Exchange(o
 
 // countingPlant is the first-order plant counting its snapshots — one per
 // capture the recorder makes, planned point or horizon guard, and one per
-// join point (rejoin.go).
+// join point (boundary.go).
 type countingPlant struct {
 	envsim.FirstOrderPlant
 	snapshots *int

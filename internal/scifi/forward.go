@@ -62,11 +62,10 @@ type fwRecorder struct {
 	// horizon restore from just before it instead of from the last
 	// planned point that happened to fit.
 	tail *core.ForwardCheckpoint
-	// join is the rejoin record the run is building (rejoin.go).
+	// join is the join record the run is building, du the def-use table
+	// once a steady-state skip took it off the CPU (boundary.go).
 	join *rejoin
-	// du is the def-use table, taken off the CPU where the run skipped
-	// its steady state (steady.go); nil while the CPU records.
-	du *thor.DefUse
+	du   *thor.DefUse
 }
 
 // ArmForwardRecording implements core.Forwarder.
@@ -277,16 +276,14 @@ func (t *Board) fwSliceBudget(ex *core.Experiment, slice uint64) uint64 {
 // force, a simulator that can be neither snapshotted nor replayed — makes
 // it a silent no-op and the experiment cold-starts.
 func (t *Board) fwRestore(ex *core.Experiment) {
-	set := t.fwSet
-	if set == nil || ex.IsReference() || ex.DetailSink != nil ||
-		set.Campaign != ex.Campaign.Name || t.cpu.PinForceActive() {
+	if ex.IsReference() || !t.forwards(ex) || t.cpu.PinForceActive() {
 		return
 	}
 	at, byInstret, ok := ex.Trigger.ForwardPoint()
 	if !ok {
 		return
 	}
-	cp := set.Nearest(at, byInstret)
+	cp := t.fwSet.Nearest(at, byInstret)
 	if cp == nil {
 		return
 	}

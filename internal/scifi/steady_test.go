@@ -2,6 +2,7 @@ package scifi
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"goofi/internal/campaign"
@@ -63,8 +64,9 @@ func FuzzSteadyVsFull(f *testing.F) {
 }
 
 // TestSteadySeeds runs the fuzz property over 80 seeds and requires a fifth
-// of the runs to have skipped (34 do): most of the others are flushed out
-// and end re-joining the reference.
+// of the runs to have skipped (33 do): most of the others are flushed out
+// and end re-joining the reference — two of them only past the reference's
+// own skip.
 func TestSteadySeeds(t *testing.T) {
 	skipped := 0
 	for seed := int64(0); seed < 80; seed++ {
@@ -76,19 +78,35 @@ func TestSteadySeeds(t *testing.T) {
 	if skipped < 16 {
 		t.Errorf("only %d of 80 runs skipped a steady state", skipped)
 	}
+	// Runs back in the reference's state only at an iteration past the
+	// reference's own skip: they find their join point in its skipped
+	// stretch, and end there with the fully emulated row.
+	camp := closedLoopCampaign("steady", 1000)
+	tgt, set, ref := steadyFixture(t, camp, 8000)
+	for _, seed := range []int64{127, 317} {
+		fault, trig := randomFault(seed)
+		cold, warm := runWithAndWithoutCut(t, tgt, camp, set, int(seed), fault, trig)
+		if !warm.Converged || warm.ConvergedAt <= ref.SteadyAt {
+			t.Errorf("seed %d: converged %v at cycle %d; want a re-join past the reference's skip at %d",
+				seed, warm.Converged, warm.ConvergedAt, ref.SteadyAt)
+		}
+		if c, w := recordJSON(t, cold), recordJSON(t, warm); !bytes.Equal(c, w) {
+			t.Errorf("seed %d: rows differ\nfull %s\ncut  %s", seed, c, w)
+		}
+	}
 }
 
 // TestSteadyReferenceKeepsItsTables: a reference run skips its steady state
 // only past the campaign's last injection point, and what it records
-// answers as the full run's record does up to there — the def-use table
-// at every boundary for every bit of the chain, and the end the join
-// points lead to. Its row is the full run's.
+// answers as the full run's record does — the def-use table up to there at
+// every boundary for every bit of the chain, the join point of every
+// iteration, and the end they lead to. Its row is the full run's.
 func TestSteadyReferenceKeepsItsTables(t *testing.T) {
 	for _, tc := range []struct{ horizon, timeout uint64 }{
 		{8000, 4_000_000}, {30_000, 4_000_000},
 		// A time-out just past the run's end stops the skip a few
 		// iterations short of it: the boundaries after the skip record
-		// no join point.
+		// their join points after the skipped stretch.
 		{8000, 55_100},
 	} {
 		camp := closedLoopCampaign("steady-ref", 1000)
@@ -131,25 +149,47 @@ func TestSteadyReferenceKeepsItsTables(t *testing.T) {
 		if _, _, ok := set.DefUse.InjectionPoint(ref.SteadyAt+1, false); ok {
 			t.Errorf("horizon %d: the table has boundaries past the skip at %d", horizon, ref.SteadyAt)
 		}
+		// Every iteration the full run has a join point for, the skipping
+		// run has one too, recorded or synthesized in its skipped stretch:
+		// the same state, counters included.
 		fj, sj := full.Rejoin.(*rejoin), set.Rejoin.(*rejoin)
-		for k := 0; k < len(sj.points) && k < len(fj.points); k++ {
-			if s, f := sj.points[k], fj.points[k]; s.outputs != f.outputs || s.events != f.events ||
-				s.cpu.Cycle+s.shift.Cycle != f.cpu.Cycle+f.shift.Cycle {
-				t.Fatalf("horizon %d: join point %d is not the full run's", horizon, k)
-			}
-		}
-		if sj.first != fj.first || len(sj.points) >= len(fj.points) ||
+		if sj.first != fj.first || len(sj.points)+sj.steady.m != len(fj.points) ||
 			sj.iteration != fj.iteration || sj.status != fj.status ||
 			!bytes.Equal(u32Bytes(sj.outputs), u32Bytes(fj.outputs)) {
 			t.Errorf("horizon %d: rejoin record from %d, %d points, end at iteration %d (%v); full run's from %d, %d points, %d (%v)",
-				horizon, sj.first, len(sj.points), sj.iteration, sj.status, fj.first, len(fj.points), fj.iteration, fj.status)
+				horizon, sj.first, len(sj.points)+sj.steady.m, sj.iteration, sj.status, fj.first, len(fj.points), fj.iteration, fj.status)
+		}
+		c := thor.New(thorCfg())
+		for k := range fj.points {
+			f, _ := fj.point(k)
+			s, ok := sj.point(k)
+			if !ok || !sameJoinPoint(c, f, s) {
+				t.Fatalf("horizon %d: join point %d (iteration %d, stretch %+v) is not the full run's",
+					horizon, k, fj.first+k, sj.steady)
+			}
+		}
+		if sj.steady.m == 0 {
+			t.Errorf("horizon %d: the reference's skip left no stretch in its join record", horizon)
 		}
 		if d, ok := fullRefEnd(fj).Rejoins(sj.end); !ok || d != (thor.Shift{}) {
 			t.Errorf("horizon %d: the recorded end state is not the full run's", horizon)
 		}
-		t.Logf("%+v: reference skipped %d cycles at %d; %d boundaries compared bit by bit, %d join points (full %d)",
-			tc, ref.SteadyCycles, ref.SteadyAt, n, len(sj.points), len(fj.points))
+		t.Logf("%+v: reference skipped %d cycles at %d; %d boundaries compared bit by bit, %d join points recorded and %d synthesized (full %d)",
+			tc, ref.SteadyCycles, ref.SteadyAt, n, len(sj.points), sj.steady.m, len(fj.points))
 	}
+}
+
+// sameJoinPoint reports whether two join points hold the same board
+// state, counters included, the same output and event counts and the same
+// simulator state. It restores a onto c.
+func sameJoinPoint(c *thor.CPU, a, b joinPoint) bool {
+	if err := c.Restore(a.cpu); err != nil {
+		panic(err)
+	}
+	c.Advance(a.shift)
+	d, ok := c.Rejoins(b.cpu)
+	return ok && d == b.shift && a.outputs == b.outputs && a.events == b.events &&
+		reflect.DeepEqual(a.simState, b.simState)
 }
 
 // fullRefEnd is a CPU in the full run's recorded end state.

@@ -99,7 +99,7 @@ func (s *Server) startSharded(ctx context.Context, j *job, st *campaign.Store, c
 		last := merged
 		mirror := func() {
 			now, _ := coord.Progress()
-			prog.AddDone(now - last)
+			prog.Done(now - last)
 			last = now
 		}
 		t := time.NewTicker(mirrorEvery)

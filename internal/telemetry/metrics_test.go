@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -156,7 +157,7 @@ func TestNilSafety(t *testing.T) {
 	var p *Progress
 	p.Start("c", 10)
 	p.SetPhase("experiment")
-	p.Done()
+	p.Done(1)
 	p.AddDone(3)
 	p.Retried()
 	p.Invalid()
@@ -190,7 +191,7 @@ func TestProgressSnapshot(t *testing.T) {
 	p.Start("demo", 100)
 	p.SetPhase("experiment")
 	p.AddDone(9)
-	p.Done()
+	p.Done(1)
 	p.Retried()
 	p.Invalid()
 	p.Forwarded()
@@ -221,6 +222,31 @@ func TestProgressSnapshot(t *testing.T) {
 	}
 }
 
+// TestProgressRateCountsThisRun: a resumed campaign's restored records
+// count in Done, not in the rate or the ETA: the rate times the elapsed
+// time is the records this run made.
+func TestProgressRateCountsThisRun(t *testing.T) {
+	p := NewProgress(1)
+	p.Start("demo", 2000)
+	p.AddDone(1000)
+	if s := p.Snapshot(); s.Done != 1000 || s.RecordsPerSecond != 0 || s.ETASeconds != 0 {
+		t.Errorf("restored records only: done %d, %v records/s, ETA %v; want 1000, 0, 0",
+			s.Done, s.RecordsPerSecond, s.ETASeconds)
+	}
+	p.Done(10)
+	p.SetPhase(PhaseDone)
+	s := p.Snapshot()
+	if s.Done != 1010 {
+		t.Errorf("done %d, want 1010", s.Done)
+	}
+	if ran := s.RecordsPerSecond * s.ElapsedSeconds; math.Abs(ran-10) > 1e-6 {
+		t.Errorf("records/s × elapsed = %v, want 10", ran)
+	}
+	if left := s.ETASeconds * s.RecordsPerSecond; math.Abs(left-990) > 1e-6 {
+		t.Errorf("ETA × records/s = %v, want the 990 left", left)
+	}
+}
+
 // TestProgressClockStopsAtTerminalPhase: a finished campaign's elapsed time
 // and throughput are what they were when it ended, however much later the
 // snapshot is taken; a phase that is not terminal starts the clock again.
@@ -228,7 +254,7 @@ func TestProgressClockStopsAtTerminalPhase(t *testing.T) {
 	for _, phase := range []string{PhaseDone, PhaseStopped, PhaseFailed} {
 		p := NewProgress(1)
 		p.Start("demo", 10)
-		p.AddDone(10)
+		p.Done(10)
 		p.SetPhase(phase)
 		first := p.Snapshot()
 		time.Sleep(2 * time.Millisecond)

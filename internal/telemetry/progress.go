@@ -40,8 +40,10 @@ type Progress struct {
 	start    time.Time
 	end      time.Time // zero while the clock runs
 
-	total     atomic.Int64
-	done      atomic.Int64
+	total atomic.Int64
+	done  atomic.Int64
+	// resumed is the share of done an earlier run made (AddDone).
+	resumed   atomic.Int64
 	retried   atomic.Int64
 	invalid   atomic.Int64
 	forwarded atomic.Int64
@@ -91,17 +93,19 @@ func (p *Progress) SetPhase(phase string) {
 	p.mu.Unlock()
 }
 
-// Done bumps the completed-experiment count. Safe on nil.
-func (p *Progress) Done() {
+// Done bumps the completed-experiment count by n this run made (a shard
+// coordinator's mirror adds its workers' records). Safe on nil.
+func (p *Progress) Done(n int) {
 	if p != nil {
-		p.done.Add(1)
+		p.done.Add(int64(n))
 	}
 }
 
 // AddDone credits n already-completed experiments (a resumed campaign's
-// durable prefix). Safe on nil.
+// durable prefix): done, not in this run's rate. Safe on nil.
 func (p *Progress) AddDone(n int) {
 	if p != nil {
+		p.resumed.Add(int64(n)) // before done: Snapshot reads done first
 		p.done.Add(int64(n))
 	}
 }
@@ -191,8 +195,9 @@ type ProgressSnapshot struct {
 	Workers []WorkerStatus `json:"workers,omitempty"`
 }
 
-// Snapshot materializes the current state. ETA extrapolates linearly
-// from throughput so far; it is 0 until at least one experiment is done.
+// Snapshot materializes the current state. The rate is this run's records
+// (not AddDone's) over its elapsed time, and the ETA extrapolates it
+// linearly; both are 0 until this run has done an experiment.
 // Safe on a nil receiver (returns the zero snapshot).
 func (p *Progress) Snapshot() ProgressSnapshot {
 	if p == nil {
@@ -216,8 +221,8 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	if !start.IsZero() {
 		s.ElapsedSeconds = end.Sub(start).Seconds()
 	}
-	if s.ElapsedSeconds > 0 && s.Done > 0 {
-		s.RecordsPerSecond = float64(s.Done) / s.ElapsedSeconds
+	if ran := s.Done - p.resumed.Load(); s.ElapsedSeconds > 0 && ran > 0 {
+		s.RecordsPerSecond = float64(ran) / s.ElapsedSeconds
 		if left := s.Total - s.Done; left > 0 {
 			s.ETASeconds = float64(left) / s.RecordsPerSecond
 		}

@@ -17,6 +17,15 @@ type Shift struct {
 	IHits, IMisses, DHits, DMisses uint64
 }
 
+// Add returns d + e, counter by counter.
+func (d Shift) Add(e Shift) Shift {
+	return Shift{
+		Cycle: d.Cycle + e.Cycle, Instret: d.Instret + e.Instret,
+		IHits: d.IHits + e.IHits, IMisses: d.IMisses + e.IMisses,
+		DHits: d.DHits + e.DHits, DMisses: d.DMisses + e.DMisses,
+	}
+}
+
 // Sub returns d − e, counter by counter.
 func (d Shift) Sub(e Shift) Shift {
 	return Shift{

@@ -258,11 +258,12 @@ func TestPruneNeverOnPinForce(t *testing.T) {
 }
 
 // TestPruneE1ExactCounters pins what the E1 PID campaign (the definition
-// BenchmarkCampaignPID runs; seed 1, one board, defaults) prunes and
-// emulates. All three are counts the program makes of its own
-// deterministic execution, so a change in any of them is a change in
-// what gets emulated — in the planner's checkpoint cycles, the def-use
-// table or the pruner — and has to be meant. Meant once since: E1's window
+// BenchmarkCampaignPID runs; seed 1, one board, defaults) and pid-long's
+// (n 2,400, seed 1001) prune, emulate, cut where they re-join the
+// reference and skip at their steady state. All are counts the program
+// makes of its own deterministic execution, so a change in any of them is
+// a change in what gets emulated — in the planner's checkpoint cycles, the
+// def-use table, the pruner or the boundary oracle — and has to be meant. Meant once since: E1's window
 // (to cycle 8,000) reaches past its 80 iterations, so its experiments
 // beyond the horizon restore the promoted horizon guard, and when the
 // guard went from refreshed at every loop top to once per plan interval
@@ -271,27 +272,44 @@ func TestPruneNeverOnPinForce(t *testing.T) {
 // when a run that re-joins the reference came to end there (scifi's
 // rejoin): one experiment of both plans does, 605 cycles before its end,
 // so 191,143 → 190,538 and 40,961 → 40,356 emulated, the 605 counted as
-// converged instead.
+// converged instead. pid-long's row was added when the reference's skipped
+// steady stretch came to keep its join points (scifi's boundary oracle):
+// 63 → 64 converged, 40 → 39 steady, 828,975 → 828,700 emulated.
 func TestPruneE1ExactCounters(t *testing.T) {
+	// pid-long is the benchmark's emulation-bound workload (CI's
+	// converge-smoke runs the same definition through the CLI): all four
+	// mechanisms — restore, prune, re-join and steady-state skip — at once.
+	pidLong := pidCampaign("bench-pid-long", 2400, 1001)
+	pidLong.Termination = campaign.Termination{TimeoutCycles: 4_000_000, MaxIterations: 1000}
 	for _, tc := range []struct {
-		n                   int
+		name                string
+		camp                *campaign.Campaign
 		latent, overwritten int
 		cyclesEmulated      uint64
 		converged           int
 		cyclesConverged     uint64
+		steady              int
+		cyclesSteady        uint64
 	}{
-		{n: 200, latent: 83, overwritten: 1, cyclesEmulated: 190_538, converged: 1, cyclesConverged: 605},
-		{n: 40, latent: 14, overwritten: 0, cyclesEmulated: 40_356, converged: 1, cyclesConverged: 605},
+		{name: "e1-200", camp: pidCampaign("bench-e1", 200, 1), latent: 83, overwritten: 1,
+			cyclesEmulated: 190_538, converged: 1, cyclesConverged: 605},
+		{name: "e1-40", camp: pidCampaign("bench-e1", 40, 1), latent: 14, overwritten: 0,
+			cyclesEmulated: 40_356, converged: 1, cyclesConverged: 605},
+		{name: "pid-long", camp: pidLong, latent: 1793, overwritten: 73, cyclesEmulated: 828_700,
+			converged: 64, cyclesConverged: 3_197_040, steady: 39, cyclesSteady: 1_401_620},
 	} {
-		st, tsd := benchStore(t)
-		sum, _ := runCampaign(t, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI,
-			pidCampaign("bench-e1", tc.n, 1))
-		if sum.Pruned.Latent != tc.latent || sum.Pruned.Overwritten != tc.overwritten ||
-			sum.CyclesEmulated != tc.cyclesEmulated ||
-			sum.Converged != tc.converged || sum.CyclesConverged != tc.cyclesConverged {
-			t.Errorf("E1 n=%d: pruned %d latent / %d overwritten, %d cycles emulated, %d converged (%d cycles); want %d / %d / %d, %d (%d)",
-				tc.n, sum.Pruned.Latent, sum.Pruned.Overwritten, sum.CyclesEmulated, sum.Converged, sum.CyclesConverged,
-				tc.latent, tc.overwritten, tc.cyclesEmulated, tc.converged, tc.cyclesConverged)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			st, tsd := benchStore(t)
+			sum, _ := runCampaign(t, st, tsd, scifi.New(thor.DefaultConfig()), core.SCIFI, tc.camp)
+			if sum.Pruned.Latent != tc.latent || sum.Pruned.Overwritten != tc.overwritten ||
+				sum.CyclesEmulated != tc.cyclesEmulated ||
+				sum.Converged != tc.converged || sum.CyclesConverged != tc.cyclesConverged ||
+				sum.Steady != tc.steady || sum.CyclesSteady != tc.cyclesSteady {
+				t.Errorf("pruned %d latent / %d overwritten, %d cycles emulated, %d converged (%d cycles), %d steady (%d cycles); want %d / %d / %d, %d (%d), %d (%d)",
+					sum.Pruned.Latent, sum.Pruned.Overwritten, sum.CyclesEmulated, sum.Converged, sum.CyclesConverged,
+					sum.Steady, sum.CyclesSteady,
+					tc.latent, tc.overwritten, tc.cyclesEmulated, tc.converged, tc.cyclesConverged, tc.steady, tc.cyclesSteady)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestSteadyStateDifferential is the acceptance gate for the steady-state
-// skip (scifi's steady.go): a run whose board state repeats one iteration
+// skip (scifi's boundary.go): a run whose board state repeats one iteration
 // later is moved to its last iteration, and the campaign logs exactly the
 // records and the analysis report of a run with forwarding off, which
 // skips nothing. Every case that expects skips requires some, so none
