@@ -216,7 +216,7 @@ func cmdShardWorker(args []string) error {
 	tenant := fs.String("tenant", "default", "tenant namespace")
 	name := fs.String("campaign", "", "campaign name (required)")
 	workerName := fs.String("name", "", "worker name reported to the coordinator (default host-scoped)")
-	dir := fs.String("dir", "", "ignored: a worker keeps nothing on disk; the directory is created when given and nothing is ever written there (the flag goes with ROADMAP item 5)")
+	dir := fs.String("dir", "", "ignored: a worker keeps nothing on disk; the directory is created when given and nothing is ever written there (kept for its one user, the benchmark's shard-worker launch in bench/untraced.go)")
 	boards := fs.Int("boards", 1, "boards in this worker's private pool")
 	poll := fs.Duration("poll", 100*time.Millisecond, "first wait before retrying a call the daemon failed to answer, doubling to 2s (a worker with nothing to run waits in the daemon's lease call, never here)")
 	token := fs.String("token", "", "bearer token for a goofid running with -shard-token")

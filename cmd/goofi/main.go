@@ -418,43 +418,24 @@ func (rf *robustFlags) policy() core.RetryPolicy {
 	}
 }
 
-// telemetryFlags is the observability flag group shared by run and
-// resume: a live HTTP introspection endpoint and a throttled stderr
-// progress line. The atomic metric counters are always on; these flags
-// only control where (and whether) they are exposed.
-type telemetryFlags struct {
-	addr     *string
-	progress *bool
-}
+// progressEvery is how often the progress line is redrawn.
+const progressEvery = 250 * time.Millisecond
 
-func addTelemetryFlags(fs *flag.FlagSet) *telemetryFlags {
-	return &telemetryFlags{
-		addr: fs.String("telemetry-addr", "",
-			"serve /metrics, /healthz, /progress and pprof on this address (e.g. :9090; empty = off)"),
-		progress: fs.Bool("progress", false,
-			"print a throttled one-line progress report to stderr"),
-	}
-}
-
-// enabled reports whether any telemetry output is requested; the span
-// tracer records (and the CampaignTelemetry table fills) only then.
-func (tf *telemetryFlags) enabled() bool { return *tf.addr != "" || *tf.progress }
-
-// start builds the runner's telemetry attachments and brings up the
-// requested outputs: the Progress tracker (always — the final summary's
-// throughput numbers come from it), the span tracer when telemetry is
-// on, the HTTP server when -telemetry-addr is set, and the stderr
-// reporter when -progress is set. stop shuts the outputs down and is
-// idempotent, so callers stop before printing the summary and also
+// startTelemetry builds the runner's telemetry attachments and brings up
+// the outputs: the Progress tracker (always — the final summary's
+// throughput numbers come from it), and with an address (-telemetry-addr)
+// the span tracer (the CampaignTelemetry table fills only then) and the
+// HTTP server. Unless quiet, a reporter renders the tracker as the paper's
+// Fig 7 progress line on stdout, redrawn in place every progressEvery.
+// stop shuts the outputs down, ending the line with a final render, and
+// is idempotent, so callers stop before printing the summary and also
 // defer it for early error returns.
-func (tf *telemetryFlags) start(boards int) (tr *telemetry.Tracer, prog *telemetry.Progress, stop func(), err error) {
+func startTelemetry(addr string, boards int, quiet bool) (tr *telemetry.Tracer, prog *telemetry.Progress, stop func(), err error) {
 	prog = telemetry.NewProgress(boards)
-	if tf.enabled() {
-		tr = telemetry.NewTracer()
-	}
 	var srv *telemetry.Server
-	if *tf.addr != "" {
-		srv, err = telemetry.NewServer(*tf.addr, telemetry.Default, prog)
+	if addr != "" {
+		tr = telemetry.NewTracer()
+		srv, err = telemetry.NewServer(addr, telemetry.Default, prog)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("telemetry: %w", err)
 		}
@@ -462,22 +443,19 @@ func (tf *telemetryFlags) start(boards int) (tr *telemetry.Tracer, prog *telemet
 	}
 	done := make(chan struct{})
 	var reporter sync.WaitGroup
-	if *tf.progress {
+	line := fig7Line{prog: prog}
+	if !quiet {
 		reporter.Add(1)
 		go func() {
 			defer reporter.Done()
-			tick := time.NewTicker(time.Second)
+			tick := time.NewTicker(progressEvery)
 			defer tick.Stop()
 			for {
 				select {
 				case <-done:
 					return
 				case <-tick.C:
-					s := prog.Snapshot()
-					fmt.Fprintf(os.Stderr, "[%s] %s %d/%d (%.1f rec/s, eta %s, %d retried, %d invalid)\n",
-						s.Campaign, s.Phase, s.Done, s.Total, s.RecordsPerSecond,
-						time.Duration(s.ETASeconds*float64(time.Second)).Round(time.Second),
-						s.Retried, s.InvalidRuns)
+					line.render("")
 				}
 			}
 		}()
@@ -487,6 +465,9 @@ func (tf *telemetryFlags) start(boards int) (tr *telemetry.Tracer, prog *telemet
 		once.Do(func() {
 			close(done)
 			reporter.Wait()
+			if !quiet {
+				line.render("\n")
+			}
 			if srv != nil {
 				// Graceful: let an in-flight /metrics scrape finish
 				// instead of cutting its connection mid-response.
@@ -497,6 +478,29 @@ func (tf *telemetryFlags) start(boards int) (tr *telemetry.Tracer, prog *telemet
 		})
 	}
 	return tr, prog, stop, nil
+}
+
+// fig7Line is the Fig 7 progress window on one terminal line:
+// campaign, phase, done/total, rate, ETA, retries and invalid runs, read
+// off the Progress snapshot that /progress and goofi status serve.
+type fig7Line struct {
+	prog  *telemetry.Progress
+	width int // of the longest render, which a shorter one blanks out
+}
+
+// render redraws the line in place, followed by end. Nothing is drawn
+// before the run has a phase (a detail-mode rerun never has one).
+func (l *fig7Line) render(end string) {
+	s := l.prog.Snapshot()
+	if s.Phase == "" {
+		return
+	}
+	text := fmt.Sprintf("[%s] %s %d/%d (%.1f rec/s, eta %s, %d retried, %d invalid)",
+		s.Campaign, s.Phase, s.Done, s.Total, s.RecordsPerSecond,
+		time.Duration(s.ETASeconds*float64(time.Second)).Round(time.Second),
+		s.Retried, s.InvalidRuns)
+	l.width = max(l.width, len(text))
+	fmt.Printf("\r%-*s%s", l.width, text, end)
 }
 
 // cmdCampaign is `goofi run` and, with resume set, `goofi resume`: one
@@ -534,7 +538,8 @@ func cmdCampaign(args []string, resume bool) error {
 		fs.StringVar(rerun, "rerun", "", "re-run one experiment by name (detail mode), recording parentExperiment")
 	}
 	rf := addRobustFlags(fs)
-	tf := addTelemetryFlags(fs)
+	telemetryAddr := fs.String("telemetry-addr", "",
+		"serve /metrics, /healthz, /progress and pprof on this address and record phase spans (e.g. :9090, or 127.0.0.1:0 for any free port; empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -557,7 +562,7 @@ func cmdCampaign(args []string, resume bool) error {
 	if err != nil {
 		return err
 	}
-	tr, prog, stopTelemetry, err := tf.start(*boards)
+	tr, prog, stopTelemetry, err := startTelemetry(*telemetryAddr, *boards, *quiet)
 	if err != nil {
 		return err
 	}
@@ -572,9 +577,6 @@ func cmdCampaign(args []string, resume bool) error {
 		Resume:     resume,
 		Tracer:     tr,
 		Progress:   prog,
-	}
-	if !*quiet {
-		spec.OnProgress = progressLine
 	}
 	if *preFilter {
 		a, err := preinject.AnalyzeWorkload(thor.DefaultConfig(), camp)
@@ -726,22 +728,6 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 	if sum.Retried > 0 || sum.InvalidRuns > 0 || sum.QuarantinedBoards > 0 {
 		fmt.Printf("  harness recovery: %d retries, %d invalid runs, %d boards quarantined\n",
 			sum.Retried, sum.InvalidRuns, sum.QuarantinedBoards)
-	}
-}
-
-// progressLine renders the Fig 7 progress window on one terminal line.
-func progressLine(ev core.ProgressEvent) {
-	switch ev.Phase {
-	case "reference":
-		fmt.Printf("\r[%s] reference run...                    ", ev.Campaign)
-	case "experiment":
-		fmt.Printf("\r[%s] experiment %d/%d (%s: %s)      ",
-			ev.Campaign, ev.Done, ev.Total, ev.Experiment, ev.Outcome)
-	case "paused":
-		fmt.Printf("\r[%s] paused                              ", ev.Campaign)
-	case "done", "stopped":
-		fmt.Printf("\r[%s] %s: %d/%d experiments            ",
-			ev.Campaign, ev.Phase, ev.Done, ev.Total)
 	}
 }
 

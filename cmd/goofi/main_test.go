@@ -12,8 +12,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"goofi/internal/analysis"
 	"goofi/internal/campaign"
@@ -145,6 +145,64 @@ func captureStdout(t *testing.T, fn func()) string {
 	return <-done
 }
 
+// TestProgressLineThrottled: without -quiet, goofi run draws the Fig 7
+// progress line from the Progress snapshot on a clock, not once per
+// experiment: however many experiments, at most one render per
+// progressEvery of wall clock plus the final one, which ends the line
+// with the campaign done and every experiment counted.
+func TestProgressLineThrottled(t *testing.T) {
+	const n = 2000
+	db := dbPath(t)
+	for _, step := range [][]string{
+		{"configure", "-db", db},
+		{"setup", "-db", db, "-campaign", "tick", "-workload", "sort16",
+			"-window", "10:1600", "-experiments", strconv.Itoa(n), "-timeout", "100000"},
+	} {
+		if err := runCmd(t, step...); err != nil {
+			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
+		}
+	}
+	var runErr error
+	start := time.Now()
+	out := captureStdout(t, func() { runErr = runCmd(t, "run", "-db", db, "-campaign", "tick") })
+	elapsed := time.Since(start)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	renders := strings.Count(out, "\r")
+	if limit := int(elapsed/progressEvery) + 2; renders < 1 || renders > limit {
+		t.Errorf("%d renders of the progress line in %v, want 1..%d", renders, elapsed, limit)
+	}
+	last, _, _ := strings.Cut(out[strings.LastIndex(out, "\r")+1:], "\n")
+	if want := fmt.Sprintf("[tick] done %d/%d ", n, n); !strings.HasPrefix(last, want) {
+		t.Errorf("last render %q, want it to start %q", last, want)
+	}
+	if !strings.Contains(out, "\ncampaign tick finished: 2000 experiments") {
+		t.Errorf("no summary after the progress line:\n%s", out)
+	}
+}
+
+// rowHook calls at after every experiment end row the sink behind it has
+// taken (the reference's not counted) with how many it has taken: the
+// hand-over stage logs each row in plan order just before it resolves it,
+// so a Stop from at(k) ends the run with rows 0..k-1.
+type rowHook struct {
+	core.CheckpointSink
+	rows int
+	at   func(k int)
+}
+
+func (h *rowHook) LogExperiment(rec *campaign.ExperimentRecord) error {
+	if err := h.CheckpointSink.LogExperiment(rec); err != nil {
+		return err
+	}
+	if rec.Step < 0 && !rec.IsReference() {
+		h.rows++
+		h.at(h.rows)
+	}
+	return nil
+}
+
 // TestListOutput pins `goofi list`: the logged column counts a campaign's
 // end-of-experiment rows — reference run and re-runs included, detail-mode
 // step rows not — without decoding them, and the bytes are those rows'
@@ -239,24 +297,12 @@ func TestResumeCommand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var (
-				r    *core.Runner
-				mu   sync.Mutex
-				seen int
-			)
-			opts := []core.RunnerOption{core.WithSink(st), core.WithCheckpoints(2),
-				core.WithProgress(func(ev core.ProgressEvent) {
-					if ev.Phase != "experiment" {
-						return
-					}
-					mu.Lock()
-					seen++
-					stop := seen == 3
-					mu.Unlock()
-					if stop {
-						r.Stop()
-					}
-				})}
+			var r *core.Runner
+			opts := []core.RunnerOption{core.WithSink(&rowHook{CheckpointSink: st, at: func(k int) {
+				if k == 3 {
+					r.Stop()
+				}
+			}}), core.WithCheckpoints(2)}
 			if tc.filtered {
 				a, err := preinject.AnalyzeWorkload(thor.DefaultConfig(), camp)
 				if err != nil {

@@ -2,8 +2,8 @@
 //
 // It configures the built-in THOR-S SCIFI target, defines a campaign of
 // 100 transient bit-flips into the CPU registers while the sort workload
-// runs, executes it with a live progress line, and prints the analysis
-// report (paper §3.4 taxonomy).
+// runs, executes it, reads the run's progress view (paper Fig 7) and prints
+// the analysis report (paper §3.4 taxonomy).
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"goofi/internal/faultmodel"
 	"goofi/internal/scifi"
 	"goofi/internal/sqldb"
+	"goofi/internal/telemetry"
 	"goofi/internal/thor"
 	"goofi/internal/trigger"
 	"goofi/internal/workload"
@@ -59,24 +60,22 @@ func run() error {
 		return err
 	}
 
-	// Fault injection phase (Fig 2 algorithm, Fig 7 progress).
+	// Fault injection phase (Fig 2 algorithm). The Fig 7 progress window
+	// is a Progress view: any goroutine may take a snapshot at any time.
+	prog := telemetry.NewProgress(1)
 	runner, err := core.NewRunner(
 		scifi.New(thor.DefaultConfig()), core.SCIFI, camp, tsd,
 		core.WithSink(store),
-		core.WithProgress(func(ev core.ProgressEvent) {
-			if ev.Phase == "experiment" && ev.Done%20 == 0 {
-				fmt.Printf("  %d/%d experiments done\n", ev.Done, ev.Total)
-			}
-		}),
+		core.WithTelemetry(nil, prog),
 	)
 	if err != nil {
 		return err
 	}
-	sum, err := runner.Run(context.Background())
-	if err != nil {
+	if _, err := runner.Run(context.Background()); err != nil {
 		return err
 	}
-	fmt.Printf("campaign finished: %d experiments\n\n", sum.Experiments)
+	s := prog.Snapshot()
+	fmt.Printf("campaign %s: %d/%d experiments (%.0f records/s)\n\n", s.Phase, s.Done, s.Total, s.RecordsPerSecond)
 
 	// Analysis phase (§3.4): classify against the reference run.
 	rep, err := analysis.AnalyzeAndStore(store, camp.Name)

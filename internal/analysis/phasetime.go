@@ -13,7 +13,8 @@ import (
 // campaign's wall-clock time went, per phase and per board. This is
 // separate from the outcome Report — it describes the harness, not the
 // target — and is only available when the campaign ran with telemetry
-// enabled (goofi run -telemetry-addr or -progress records spans).
+// enabled (goofi run -telemetry-addr records spans; 127.0.0.1:0 takes any
+// free port).
 
 // PhaseTime aggregates one phase's spans.
 type PhaseTime struct {

@@ -53,18 +53,31 @@ func relativeCampaigns() []*campaign.Campaign {
 	}
 }
 
-// teeSink keeps every record the runner hands to the sink behind it.
+// teeSink keeps every record the runner hands to the sink behind it. When
+// atRow is set, it is called after every experiment end row the sink
+// behind has taken (the reference's not counted) with how many it has
+// taken: the hand-over stage logs each row in plan order just before it
+// resolves it.
 type teeSink struct {
 	core.CheckpointSink
 	mu     sync.Mutex
 	logged map[string]*campaign.ExperimentRecord
+	rows   int
+	atRow  func(k int)
 }
 
 func (s *teeSink) LogExperiment(rec *campaign.ExperimentRecord) error {
 	s.mu.Lock()
 	s.logged[rec.Name] = rec
 	s.mu.Unlock()
-	return s.CheckpointSink.LogExperiment(rec)
+	if err := s.CheckpointSink.LogExperiment(rec); err != nil {
+		return err
+	}
+	if s.atRow != nil && rec.Step < 0 && !rec.IsReference() {
+		s.rows++
+		s.atRow(s.rows)
+	}
+	return nil
 }
 
 // nondeterministic is a scifi target that declares what a live process is:
@@ -231,20 +244,15 @@ func TestRelativeRowsDifferential(t *testing.T) {
 			// Resumed mid-way: the second half goes relative to the
 			// reference row the first half left, read back through the sink.
 			resumed := relativeStore(t, camp)
-			var stopAt sync.Once
 			var first *core.Runner
-			seen := 0
 			sinkA := campaign.NewBatchingSink(resumed, 0)
+			stopped := &teeSink{CheckpointSink: sinkA, logged: map[string]*campaign.ExperimentRecord{}, atRow: func(k int) {
+				if k == camp.NumExperiments/2 {
+					first.Stop()
+				}
+			}}
 			first, err = core.NewRunner(thorTarget(), core.SCIFI, camp, scifi.TargetSystemData(camp.TargetName),
-				core.WithSink(sinkA), core.WithCheckpoints(core.DefaultCheckpointInterval),
-				core.WithProgress(func(ev core.ProgressEvent) {
-					if ev.Phase != "experiment" {
-						return
-					}
-					if seen++; seen >= camp.NumExperiments/2 {
-						stopAt.Do(first.Stop)
-					}
-				}))
+				core.WithSink(stopped), core.WithCheckpoints(core.DefaultCheckpointInterval))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,9 +60,8 @@ type RunSpec struct {
 	// of it).
 	ShardLo, ShardHi int
 
-	Tracer     *telemetry.Tracer
-	Progress   *telemetry.Progress
-	OnProgress func(ProgressEvent)
+	Tracer   *telemetry.Tracer
+	Progress *telemetry.Progress
 	// Filter is the pre-injection filter. It shapes the plan, so a resumed
 	// run must pass the one the interrupted run had.
 	Filter func(faultmodel.Fault, trigger.Spec) bool
@@ -167,7 +166,6 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 		WithResume(cr.Cursor),
 		WithShardRange(spec.ShardLo, spec.ShardHi),
 		WithTelemetry(spec.Tracer, spec.Progress),
-		WithProgress(spec.OnProgress),
 		WithInjectionFilter(spec.Filter),
 	}
 	if cr.sink != nil && spec.Checkpoint > 0 {

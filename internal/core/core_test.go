@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"goofi/internal/bitvec"
@@ -12,6 +11,7 @@ import (
 	"goofi/internal/faultmodel"
 	"goofi/internal/scanchain"
 	"goofi/internal/sqldb"
+	"goofi/internal/telemetry"
 	"goofi/internal/trigger"
 )
 
@@ -275,9 +275,8 @@ func TestRunnerCampaignEndToEnd(t *testing.T) {
 	camp := fakeCampaign(20)
 	st := storeWithCampaign(t, camp)
 	ts := newFakeTarget()
-	var events []ProgressEvent
-	r, err := NewRunner(ts, SCIFI, camp, fakeTSD(),
-		WithSink(st), WithProgress(func(ev ProgressEvent) { events = append(events, ev) }))
+	prog := telemetry.NewProgress(1)
+	r, err := NewRunner(ts, SCIFI, camp, fakeTSD(), WithSink(st), WithTelemetry(nil, prog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +311,9 @@ func TestRunnerCampaignEndToEnd(t *testing.T) {
 	if len(recs) != 21 { // 20 experiments + reference
 		t.Errorf("logged records = %d, want 21", len(recs))
 	}
-	// Progress events: reference, 20 experiments, done.
-	if len(events) < 22 {
-		t.Errorf("progress events = %d", len(events))
-	}
-	last := events[len(events)-1]
-	if last.Phase != "done" || last.Done != 20 {
-		t.Errorf("last event = %+v", last)
+	// The progress view ends done, every experiment counted.
+	if s := prog.Snapshot(); s.Campaign != "fc" || s.Phase != telemetry.PhaseDone || s.Done != 20 || s.Total != 20 {
+		t.Errorf("final progress = %+v", s)
 	}
 }
 
@@ -384,16 +379,12 @@ func TestRunnerStop(t *testing.T) {
 	camp := fakeCampaign(1000)
 	ts := newFakeTarget()
 	var r *Runner
-	count := 0
 	var err error
-	r, err = NewRunner(ts, SCIFI, camp, fakeTSD(), WithProgress(func(ev ProgressEvent) {
-		if ev.Phase == "experiment" {
-			count++
-			if count == 5 {
-				r.Stop()
-			}
+	r, err = NewRunner(ts, SCIFI, camp, fakeTSD(), WithSink(rowHook(t, camp, nil, func(k int) {
+		if k == 5 {
+			r.Stop()
 		}
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,37 +400,25 @@ func TestRunnerStop(t *testing.T) {
 func TestRunnerPauseResume(t *testing.T) {
 	camp := fakeCampaign(10)
 	ts := newFakeTarget()
+	prog := telemetry.NewProgress(1)
 	var r *Runner
-	// Progress events arrive from the board worker and the dispatcher;
-	// guard the test's own state.
-	var mu sync.Mutex
-	paused := false
-	sawPause := false
 	var err error
-	r, err = NewRunner(ts, SCIFI, camp, fakeTSD(), WithProgress(func(ev ProgressEvent) {
-		switch ev.Phase {
-		case "experiment":
-			mu.Lock()
-			trigger := ev.Done == 3 && !paused
-			if trigger {
-				paused = true
-			}
-			mu.Unlock()
-			if trigger {
+	r, err = NewRunner(ts, SCIFI, camp, fakeTSD(), WithTelemetry(nil, prog),
+		WithSink(rowHook(t, camp, nil, func(k int) {
+			if k == 3 {
 				r.Pause()
 			}
-		case "paused":
-			// Resume from the paused event, as the GUI restart button
-			// would once the pause is visible.
-			mu.Lock()
-			sawPause = true
-			mu.Unlock()
-			r.Resume()
-		}
-	}))
+		})))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sawPause := make(chan bool, 1)
+	go func() {
+		// Resume once the pause is visible, as the GUI restart button
+		// would.
+		sawPause <- waitPhase(prog, "paused")
+		r.Resume()
+	}()
 	sum, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +426,7 @@ func TestRunnerPauseResume(t *testing.T) {
 	if sum.Experiments != 10 {
 		t.Errorf("experiments = %d, want 10", sum.Experiments)
 	}
-	if !sawPause {
+	if !<-sawPause {
 		t.Error("pause phase never reported")
 	}
 }
@@ -455,13 +434,11 @@ func TestRunnerPauseResume(t *testing.T) {
 func TestRunnerContextCancel(t *testing.T) {
 	camp := fakeCampaign(100000)
 	ctx, cancel := context.WithCancel(context.Background())
-	var r *Runner
-	var err error
-	r, err = NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithProgress(func(ev ProgressEvent) {
-		if ev.Done == 3 {
+	r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(rowHook(t, camp, nil, func(k int) {
+		if k == 3 {
 			cancel()
 		}
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ type Forwarder interface {
 // (bench/trace.go's calibratingTarget), which this module may not edit,
 // still declares a decorator over it. Nothing in the tree implements or
 // calls it since optimal checkpoint placement was removed; it goes when
-// the benchmark-only PR drops that decorator (ROADMAP item 5).
+// a change to the benchmark drops that decorator.
 type ForwardCalibrator interface {
 	ForwardCostCycles() uint64
 }

@@ -14,6 +14,7 @@ import (
 	"goofi/internal/campaign"
 	"goofi/internal/faultmodel"
 	"goofi/internal/sqldb"
+	"goofi/internal/telemetry"
 	"goofi/internal/trigger"
 )
 
@@ -135,7 +136,7 @@ func TestHandOverWindowBound(t *testing.T) {
 	}
 }
 
-// TestHandOverStopAfterRows: a Stop from the progress event of row k ends
+// TestHandOverStopAfterRows: a Stop as the sink takes row k ends
 // the run with exactly rows 0..k-1 stored, and the cursor naming them, on
 // any board count.
 func TestHandOverStopAfterRows(t *testing.T) {
@@ -147,12 +148,13 @@ func TestHandOverStopAfterRows(t *testing.T) {
 			factory := func() TargetSystem { return &forwardingFake{fakeTarget: newFakeTarget(), table: fakeTargetUses()} }
 			var r *Runner
 			var err error
-			r, err = NewRunner(factory(), SCIFI, camp, fakeTSD(), WithSink(st), WithBoards(boards, factory),
-				WithCheckpoints(8), WithProgress(func(ev ProgressEvent) {
-					if ev.Phase == "experiment" && ev.Done == k {
-						r.Stop()
-					}
-				}))
+			sink := rowHook(t, camp, st, func(seen int) {
+				if seen == k {
+					r.Stop()
+				}
+			})
+			r, err = NewRunner(factory(), SCIFI, camp, fakeTSD(), WithSink(sink), WithBoards(boards, factory),
+				WithCheckpoints(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,8 +191,8 @@ func TestHandOverStopAfterRows(t *testing.T) {
 }
 
 // pausingTarget pauses its runner from the board, in the middle of
-// experiment at: a pause that does not come from a progress event, so the
-// stage may be waiting for a board's delivery when it arrives.
+// experiment at: a pause that does not come from the hand-over stage, so
+// the stage may be waiting for a board's delivery when it arrives.
 type pausingTarget struct {
 	*fakeTarget
 	r  **Runner
@@ -215,22 +217,9 @@ func TestHandOverPauseFromBoard(t *testing.T) {
 			st := storeWithCampaign(t, camp)
 			var r *Runner
 			factory := func() TargetSystem { return &pausingTarget{fakeTarget: newFakeTarget(), r: &r, at: at} }
-			paused := make(chan int, 1)
-			var err error
-			r, err = NewRunner(factory(), SCIFI, camp, fakeTSD(), WithSink(st), WithBoards(boards, factory),
-				WithCheckpoints(1000), WithProgress(func(ev ProgressEvent) {
-					// The test resumes once it has the pause in hand: resumed
-					// here, the run could end before the test looks.
-					if ev.Phase == "paused" {
-						cp, err := st.GetCheckpoint(camp.Name)
-						if err != nil || cp == nil {
-							t.Errorf("no cursor while paused: %v", err)
-							paused <- -1
-						} else {
-							paused <- len(cp.Completed)
-						}
-					}
-				}))
+			prog := telemetry.NewProgress(boards)
+			r, err := NewRunner(factory(), SCIFI, camp, fakeTSD(), WithSink(st), WithBoards(boards, factory),
+				WithCheckpoints(1000), WithTelemetry(nil, prog))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,17 +228,20 @@ func TestHandOverPauseFromBoard(t *testing.T) {
 				_, err := r.Run(context.Background())
 				done <- err
 			}()
-			select {
-			case err = <-done:
-				t.Fatalf("the campaign ended (%v) without reporting the pause", err)
-			case stored := <-paused:
-				if stored >= 0 && stored < at-campaign.QueueRows {
-					t.Errorf("the paused cursor names %d experiments, the pause came at %d", stored, at)
-				}
-				r.Resume()
-			case <-time.After(10 * time.Second):
-				t.Fatal("a pause from a board was never reported")
+			// The test resumes once it has the pause in hand: the paused
+			// phase holds until then, so the run cannot end before the
+			// test looks.
+			if !waitPhase(prog, "paused") {
+				r.Stop()
+				t.Fatalf("a pause from a board was never reported (phase %q, run ended: %v)",
+					prog.Snapshot().Phase, len(done) > 0)
 			}
+			if cp, err := st.GetCheckpoint(camp.Name); err != nil || cp == nil {
+				t.Errorf("no cursor while paused: %v", err)
+			} else if stored := len(cp.Completed); stored < at-campaign.QueueRows {
+				t.Errorf("the paused cursor names %d experiments, the pause came at %d", stored, at)
+			}
+			r.Resume()
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}

@@ -67,9 +67,10 @@ func retryCounter(c ErrorClass) *telemetry.Counter {
 
 // WithTelemetry attaches the allocating half of the observability layer
 // to a runner: the span tracer (phase intervals destined for the
-// CampaignTelemetry table) and the live progress tracker served at
-// /progress. Both may be nil; the always-on atomic counters above need
-// no option. Telemetry observes the campaign strictly from the outside —
+// CampaignTelemetry table) and the live progress tracker — the run's one
+// progress view (paper Fig 7), served at /progress and rendered by goofi
+// run's progress line. Both may be nil; the always-on atomic counters
+// above need no option. Telemetry observes the campaign strictly from the outside —
 // it never feeds back into experiment construction, RNG draws, or record
 // bytes, so a telemetered run is byte-identical to a bare one.
 func WithTelemetry(tr *telemetry.Tracer, prog *telemetry.Progress) RunnerOption {

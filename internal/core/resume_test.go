@@ -18,6 +18,7 @@ import (
 	"goofi/internal/analysis"
 	"goofi/internal/campaign"
 	"goofi/internal/sqldb"
+	"goofi/internal/telemetry"
 )
 
 // openCampaignStore opens (or reopens) a file-backed store with the
@@ -108,26 +109,14 @@ func TestResumeReproducesFullRun(t *testing.T) {
 				// the checkpoint interval of 2 means the stored cursor may
 				// lag the durable rows, exactly like a crash between a
 				// flush and a cursor write.
-				var (
-					mu   sync.Mutex
-					seen int
-				)
 				var r1 *Runner
+				sink := rowHook(t, camp, batchingSink(t, st), func(seen int) {
+					if seen == k {
+						r1.Stop()
+					}
+				})
 				r1, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
-					append(boardOpts(boards),
-						WithSink(batchingSink(t, st)), WithCheckpoints(2),
-						WithProgress(func(ev ProgressEvent) {
-							if ev.Phase != "experiment" {
-								return
-							}
-							mu.Lock()
-							seen++
-							stop := seen == k
-							mu.Unlock()
-							if stop {
-								r1.Stop()
-							}
-						}))...)
+					append(boardOpts(boards), WithSink(sink), WithCheckpoints(2))...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,12 +203,12 @@ func TestResumeFromFlatListCursor(t *testing.T) {
 	camp := fakeCampaign(n)
 	st := storeWithCampaign(t, camp)
 	var r1 *Runner
-	r1, err = NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(st), WithCheckpoints(1),
-		WithProgress(func(ev ProgressEvent) {
-			if ev.Phase == "experiment" && ev.Done == 4 {
-				r1.Stop()
-			}
-		}))
+	sink := rowHook(t, camp, st, func(k int) {
+		if k == 4 {
+			r1.Stop()
+		}
+	})
+	r1, err = NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(sink), WithCheckpoints(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +262,12 @@ func TestResumeRejectsChangedPlan(t *testing.T) {
 	camp := fakeCampaign(6)
 	st := storeWithCampaign(t, camp)
 	var r1 *Runner
-	var once sync.Once
-	r1, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
-		WithSink(st), WithCheckpoints(1),
-		WithProgress(func(ev ProgressEvent) {
-			if ev.Phase == "experiment" {
-				once.Do(func() { r1.Stop() })
-			}
-		}))
+	sink := rowHook(t, camp, st, func(k int) {
+		if k == 1 {
+			r1.Stop()
+		}
+	})
+	r1, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(sink), WithCheckpoints(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,13 +342,13 @@ func TestResumeRefusesChangedReference(t *testing.T) {
 			camp := fakeCampaign(n)
 			st := storeWithCampaign(t, camp)
 			var r1 *Runner
+			hook := rowHook(t, camp, st, func(seen int) {
+				if seen == k {
+					r1.Stop()
+				}
+			})
 			r1, err := NewRunner(&rebuiltTarget{fakeTarget: newFakeTarget(), nondet: nondet}, SCIFI, camp, fakeTSD(),
-				WithSink(st), WithCheckpoints(2),
-				WithProgress(func(ev ProgressEvent) {
-					if ev.Phase == "experiment" && ev.Done == k {
-						r1.Stop()
-					}
-				}))
+				WithSink(hook), WithCheckpoints(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -440,40 +427,96 @@ func (plainSink) Flush() error { return nil }
 func TestPauseWritesCursor(t *testing.T) {
 	camp := fakeCampaign(8)
 	st := storeWithCampaign(t, camp)
+	prog := telemetry.NewProgress(1)
 	var r *Runner
-	var mu sync.Mutex
-	paused := false
-	sawCursor := false
+	sink := rowHook(t, camp, st, func(k int) {
+		if k == 3 {
+			r.Pause()
+		}
+	})
 	r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
-		WithSink(st), WithCheckpoints(100), // periodic checkpoints never fire
-		WithProgress(func(ev ProgressEvent) {
-			switch ev.Phase {
-			case "experiment":
-				mu.Lock()
-				trigger := ev.Done == 3 && !paused
-				if trigger {
-					paused = true
-				}
-				mu.Unlock()
-				if trigger {
-					r.Pause()
-				}
-			case "paused":
-				cp, err := st.GetCheckpoint("fc")
-				mu.Lock()
-				sawCursor = err == nil && cp != nil && len(cp.Completed) >= 3
-				mu.Unlock()
-				r.Resume()
-			}
-		}))
+		WithSink(sink), WithCheckpoints(100), // periodic checkpoints never fire
+		WithTelemetry(nil, prog))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sawCursor := make(chan bool, 1)
+	go func() {
+		// Resume once the pause is visible, as the Fig 7 restart button
+		// would.
+		paused := waitPhase(prog, "paused")
+		cp, err := st.GetCheckpoint("fc")
+		sawCursor <- paused && err == nil && cp != nil && len(cp.Completed) >= 3
+		r.Resume()
+	}()
 	if _, err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !sawCursor {
+	if !<-sawCursor {
 		t.Error("paused campaign had no durable cursor covering completed experiments")
+	}
+}
+
+// TestPausedPhase: a pause at row k reads "paused" in the progress view
+// only once the cursor naming rows 0..k-1 and those rows are durable — the
+// store under a batching sink holds them — and holds until Resume; the
+// next row is handed over in phase "experiment", and the run finishes
+// "done".
+func TestPausedPhase(t *testing.T) {
+	const n, k = 40, 7
+	for _, boards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("boards=%d", boards), func(t *testing.T) {
+			camp := fakeCampaign(n)
+			st := storeWithCampaign(t, camp)
+			prog := telemetry.NewProgress(boards)
+			batches := campaign.NewBatchingSink(st, 0)
+			defer batches.Close()
+			var r *Runner
+			var resumedPhase string
+			sink := rowHook(t, camp, batches, func(seen int) {
+				switch seen {
+				case k:
+					r.Pause()
+				case k + 1:
+					resumedPhase = prog.Snapshot().Phase
+				}
+			})
+			r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
+				append(boardOpts(boards), WithSink(sink), WithCheckpoints(100), WithTelemetry(nil, prog))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := r.Run(context.Background())
+				done <- err
+			}()
+			if !waitPhase(prog, "paused") {
+				r.Stop()
+				t.Fatalf("a pause at row %d never read paused (phase %q)", k, prog.Snapshot().Phase)
+			}
+			cp, err := st.GetCheckpoint(camp.Name)
+			if err != nil || cp == nil || len(cp.Completed) != k || cp.Completed[len(cp.Completed)-1] != k-1 {
+				t.Errorf("paused with cursor %+v (%v), want rows 0..%d", cp, err, k-1)
+			}
+			if got, err := st.CountExperiments(camp.Name); err != nil || got != k+1 {
+				t.Errorf("paused with %d rows stored (%v), want %d and the reference", got, err, k)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if s := prog.Snapshot(); s.Phase != "paused" || s.Done != k {
+				t.Errorf("a paused run moved on: phase %q, %d done", s.Phase, s.Done)
+			}
+			r.Resume()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if resumedPhase != "experiment" {
+				t.Errorf("the row after the resume was handed over in phase %q", resumedPhase)
+			}
+			if s := prog.Snapshot(); s.Phase != telemetry.PhaseDone || s.Done != n {
+				t.Errorf("after the resume: phase %q, %d/%d done", s.Phase, s.Done, n)
+			}
+		})
 	}
 }
 
@@ -629,15 +672,51 @@ func (l *stallLog) image() []byte {
 	return bytes.Clone(l.img)
 }
 
-// countingSink counts the records handed to the sink behind it.
+// countingSink counts the records handed to the sink behind it. When atRow
+// is set, it is called after every experiment end row the sink behind has
+// taken (the reference's not counted) with how many it has taken: the
+// hand-over stage logs each row in plan order just before it resolves it,
+// so a Stop, cancel or Pause from atRow(k) lands where one from the k-th
+// row's resolve would.
 type countingSink struct {
 	CheckpointSink
 	handed atomic.Int64
+	rows   int
+	atRow  func(k int)
 }
 
 func (s *countingSink) LogExperiment(rec *campaign.ExperimentRecord) error {
 	s.handed.Add(1)
-	return s.CheckpointSink.LogExperiment(rec)
+	if err := s.CheckpointSink.LogExperiment(rec); err != nil {
+		return err
+	}
+	if s.atRow != nil && rec.Step < 0 && !rec.IsReference() {
+		s.rows++
+		s.atRow(s.rows)
+	}
+	return nil
+}
+
+// rowHook wraps sink (a store for the row counts alone when nil) in a
+// countingSink that calls fn after each experiment end row.
+func rowHook(t *testing.T, camp *campaign.Campaign, sink CheckpointSink, fn func(k int)) *countingSink {
+	t.Helper()
+	if sink == nil {
+		sink = storeWithCampaign(t, camp)
+	}
+	return &countingSink{CheckpointSink: sink, atRow: fn}
+}
+
+// waitPhase polls prog until its phase reads want and reports whether it
+// did within ten seconds. A paused phase holds until Resume, so the poll
+// cannot miss it.
+func waitPhase(prog *telemetry.Progress, want string) bool {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if prog.Snapshot().Phase == want {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSinkKillAtBoundResumes kills a campaign — pruned and emulated rows
@@ -669,19 +748,17 @@ func TestSinkKillAtBoundResumes(t *testing.T) {
 	db.AttachWAL(sqldb.NewWAL(log, sqldb.SyncAlways))
 	st := storeOn(t, db, fakeCampaign(n))
 	sink := &countingSink{CheckpointSink: campaign.NewBatchingSink(st, 0)}
-	// The board waits in its progress callback, two cursor saves into the
+	// The hand-over stage waits in the sink, two cursor saves into the
 	// campaign, until the device is shut.
 	underWay, shut := make(chan struct{}), make(chan struct{})
-	var once sync.Once
+	sink.atRow = func(k int) {
+		if k == 2*DefaultCheckpointInterval {
+			close(underWay)
+			<-shut
+		}
+	}
 	r, err = NewRunner(factory(), SCIFI, fakeCampaign(n), fakeTSD(), WithSink(sink), WithBoards(1, factory),
-		WithCheckpoints(DefaultCheckpointInterval), WithProgress(func(ev ProgressEvent) {
-			if ev.Phase == "experiment" && ev.Done >= 2*DefaultCheckpointInterval {
-				once.Do(func() {
-					close(underWay)
-					<-shut
-				})
-			}
-		}))
+		WithCheckpoints(DefaultCheckpointInterval))
 	if err != nil {
 		t.Fatal(err)
 	}

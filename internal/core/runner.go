@@ -13,18 +13,6 @@ import (
 	"goofi/internal/trigger"
 )
 
-// ProgressEvent is one update shown in the progress window (paper Fig 7):
-// how many experiments have run, what phase the tool is in, and which
-// experiment is active.
-type ProgressEvent struct {
-	Campaign   string
-	Phase      string // "reference", "experiment", "paused", "done", "stopped"
-	Done       int
-	Total      int
-	Experiment string
-	Outcome    campaign.OutcomeStatus
-}
-
 // Summary aggregates a campaign's raw outcomes. (Dependability measures —
 // effective/latent/overwritten classification — come from the analysis
 // phase, which compares logged states against the reference run.)
@@ -93,11 +81,10 @@ type Runner struct {
 	// theirs from the factory, as the boards do.
 	targetTaken bool
 
-	sink       ResultSink
-	onProgress func(ProgressEvent)
-	filter     func(f faultmodel.Fault, trig trigger.Spec) bool
-	boards     int
-	factory    func() TargetSystem
+	sink    ResultSink
+	filter  func(f faultmodel.Fault, trig trigger.Spec) bool
+	boards  int
+	factory func() TargetSystem
 
 	// Durable checkpointing (WithCheckpoints/WithResume). onPause is set
 	// by Run for the duration of the dispatch loop so the pause
@@ -162,14 +149,6 @@ func WithBoards(boards int, factory func() TargetSystem) RunnerOption {
 		r.boards = boards
 		r.factory = factory
 	}
-}
-
-// WithProgress installs a progress callback. It is invoked synchronously
-// from one goroutine — Run's, whose hand-over stage emits the experiment
-// events in plan order — for any board count; keep it fast: the next row
-// waits for it.
-func WithProgress(fn func(ProgressEvent)) RunnerOption {
-	return func(r *Runner) { r.onProgress = fn }
 }
 
 // DefaultCheckpointInterval is how many completed experiments pass
@@ -305,14 +284,16 @@ func (r *Runner) ForwardSet() *ForwardSet { return r.recordedFw }
 // checkpoint blocks while paused; it reports false when the campaign
 // should stop (Stop called or context cancelled). On pause the cursor is
 // saved and the sink flushed behind it — a checkpointed campaign is
-// durable — and the paused progress event is emitted outside the lock so
-// a callback may call Resume or Stop synchronously. The pause is read and
+// durable — before the progress phase reads "paused", outside the lock so
+// a Resume or Stop need not wait for the flush. The phase holds until the
+// run goes on, which sets "experiment" again. The pause is read and
 // waited out under one hold of the lock: a Pause from another goroutine
 // that lands in between is announced, never waited out unannounced.
 func (r *Runner) checkpoint(ctx context.Context) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for announced := false; r.paused && !r.stopped && ctx.Err() == nil; {
+	announced := false
+	for r.paused && !r.stopped && ctx.Err() == nil {
 		if announced {
 			r.cond.Wait()
 			continue
@@ -325,16 +306,14 @@ func (r *Runner) checkpoint(ctx context.Context) bool {
 		// A flush error will poison an asynchronous sink and resurface
 		// from the termination flush; pausing itself need not fail.
 		_ = r.flushSink()
-		r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "paused"})
+		r.progress.SetPhase("paused")
 		r.mu.Lock()
 	}
-	return !r.stopped && ctx.Err() == nil
-}
-
-func (r *Runner) emit(ev ProgressEvent) {
-	if r.onProgress != nil {
-		r.onProgress(ev)
+	goOn := !r.stopped && ctx.Err() == nil
+	if announced && goOn {
+		r.progress.SetPhase("experiment")
 	}
+	return goOn
 }
 
 // flushSink drains the sink when one is configured.

@@ -256,14 +256,14 @@ func (rs *run) snapshotCompleted() campaign.SeqRanges {
 // Run executes the campaign: one planning pass, the reference run, then
 // the experiment loop of paper Fig 2, dispatched over a pool of board
 // workers by one hand-over stage that walks the plan in sequence order.
-// Rows, cursor saves and progress events leave in plan order, so what a
+// Rows, cursor saves and progress counts leave in plan order, so what a
 // campaign stores is the same bytes for every board count (each experiment
 // is fully re-initialised on whichever board runs it); only wall-clock time
 // changes.
 //
-// The progress callback runs on one goroutine, the hand-over stage's, for
-// any board count. Pause/Resume/Stop act at the checkpoint before each row
-// is handed over; the sink is flushed on pause and on termination.
+// Pause/Resume/Stop act at the checkpoint before each row is handed over;
+// the sink is flushed on pause and on termination. The run's phase and
+// counts are the telemetry Progress (WithTelemetry), the one live view.
 func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 	if r.boards < 1 {
 		return nil, fmt.Errorf("core: board count %d < 1", r.boards)
@@ -399,7 +399,6 @@ func (rs *run) resumeFilter() error {
 func (rs *run) reference() {
 	r := rs.r
 	logged := r.resume != nil && r.resume.Reference
-	r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: "reference", Total: r.camp.NumExperiments})
 	r.progress.SetPhase("reference")
 	start := time.Now()
 	// The reference occupies a board like any experiment, so on a shared
@@ -640,7 +639,7 @@ type delivery struct {
 // classifier runs at most a window ahead: it synthesizes the rows the
 // pruner can prove and pushes every other item to the boards. Behind it,
 // each slot is handed over once it and every slot before it are settled:
-// its rows to the sink, then resolve with its progress event and cursor
+// its rows to the sink, then resolve with its progress count and cursor
 // save. So rows, cursors and spans leave in plan order for any board
 // count, and the boards only emulate.
 func (rs *run) handOver(idle <-chan struct{}) {
@@ -735,7 +734,7 @@ func (rs *run) logEmulated(d *delivery) error {
 }
 
 // finalize is the last stage: termination cursor, termination flush,
-// final phase and progress event.
+// final phase.
 func (rs *run) finalize() (*Summary, error) {
 	r := rs.r
 	// Termination cursor: a stop (or error) leaves a resumable checkpoint
@@ -765,8 +764,6 @@ func (rs *run) finalize() (*Summary, error) {
 		phase = telemetry.PhaseStopped
 	}
 	r.progress.SetPhase(phase)
-	r.emit(ProgressEvent{Campaign: r.camp.Name, Phase: phase,
-		Done: total, Total: r.camp.NumExperiments})
 	return rs.sum, rs.ctx.Err()
 }
 
@@ -886,17 +883,16 @@ func (rs *run) climb(b *board, qe *queuedExperiment) delivery {
 }
 
 // resolve folds one handed-over slot into the run: summary, always-on
-// counters, progress, span, progress event and — when one is due — the
-// durable cursor. A slot resolves in one of three ways: its row was
-// emulated on a board, synthesized by the classifier (board -1, the
-// reference's outcome), or recorded as an invalid run after the ladder was
-// spent. The last two read all they need off the row.
+// counters, progress, span and — when one is due — the durable cursor. A
+// slot resolves in one of three ways: its row was emulated on a board,
+// synthesized by the classifier (board -1, the reference's outcome), or
+// recorded as an invalid run after the ladder was spent. The last two read
+// all they need off the row.
 func (rs *run) resolve(s *slot) {
 	r, sum := rs.r, rs.sum
 	valid := s.verdict == ladderDone
 	span := telemetry.SpanRecord{Phase: "invalid", Board: s.board, WallNS: s.wallNS}
 	var (
-		name                       string
 		out                        *campaign.Outcome
 		injected                   bool
 		forwarded, converged       bool
@@ -905,13 +901,13 @@ func (rs *run) resolve(s *slot) {
 	)
 	switch {
 	case !valid:
-		span.Seq, name = s.rec.Data.Seq, s.rec.Name
+		span.Seq = s.rec.Data.Seq
 	case s.class != NotPruned:
-		span.Seq, name, out, injected = s.rec.Data.Seq, s.rec.Name, &s.rec.Data.Outcome, true
+		span.Seq, out, injected = s.rec.Data.Seq, &s.rec.Data.Outcome, true
 		span.Phase = "pruned"
 	default:
 		ex := s.ex
-		span.Seq, name, out, injected = ex.Seq, ex.Name, &ex.Result.Outcome, ex.Injected
+		span.Seq, out, injected = ex.Seq, &ex.Result.Outcome, ex.Injected
 		span.Phase = "experiment"
 		span.StartCycle, span.EndCycle = ex.ForwardedFrom, out.Cycles
 		if converged = ex.Converged; converged {
@@ -971,8 +967,6 @@ func (rs *run) resolve(s *slot) {
 			snap = slices.Clone(rs.completed)
 		}
 	}
-	ev := ProgressEvent{Campaign: r.camp.Name, Phase: "experiment", Done: rs.resumed + rs.done,
-		Total: r.camp.NumExperiments, Experiment: name, Outcome: st}
 	rs.mu.Unlock()
 
 	if valid {
@@ -995,7 +989,6 @@ func (rs *run) resolve(s *slot) {
 	}
 	r.progress.Done(1)
 	r.tracer.Record(span)
-	r.emit(ev)
 	if snap != nil {
 		if err := rs.saveCursor(snap); err != nil {
 			rs.fail(err)

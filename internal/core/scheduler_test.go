@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 
 	"goofi/internal/campaign"
+	"goofi/internal/telemetry"
 )
 
 // runCampaignOnBoards executes a fresh campaign on the given board count
@@ -76,30 +76,38 @@ func TestSchedulerOutcomesIdenticalAcrossBoardCounts(t *testing.T) {
 	}
 }
 
+// TestSchedulerProgressThreadSafe: eight boards update the progress view
+// while another goroutine reads it (the race detector's case), and it ends
+// counting every experiment.
 func TestSchedulerProgressThreadSafe(t *testing.T) {
 	camp := fakeCampaign(40)
-	var mu sync.Mutex
-	count := 0
+	prog := telemetry.NewProgress(8)
 	r, err := NewRunner(nil, SCIFI, camp, fakeTSD(),
 		WithBoards(8, func() TargetSystem { return newFakeTarget() }),
-		WithProgress(func(ev ProgressEvent) {
-			mu.Lock()
-			if ev.Phase == "experiment" {
-				count++
+		WithTelemetry(nil, prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				prog.Snapshot()
 			}
-			mu.Unlock()
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
+		}
+	}()
 	sum, err := r.Run(context.Background())
+	close(stop)
+	<-read
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 40 || sum.Experiments != 40 {
-		t.Errorf("progress events %d, experiments %d", count, sum.Experiments)
+	if s := prog.Snapshot(); s.Done != 40 || s.Phase != telemetry.PhaseDone || sum.Experiments != 40 {
+		t.Errorf("progress %d done, phase %q; experiments %d", s.Done, s.Phase, sum.Experiments)
 	}
 }
 
@@ -111,32 +119,14 @@ func TestSchedulerPauseResumeStopAcrossBoards(t *testing.T) {
 	for _, boards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("boards=%d", boards), func(t *testing.T) {
 			camp := fakeCampaign(10)
+			prog := telemetry.NewProgress(boards)
 			var r *Runner
-			var mu sync.Mutex
-			pausedOnce := false
-			sawPause := false
 			var err error
-			opts := []RunnerOption{WithProgress(func(ev ProgressEvent) {
-				switch ev.Phase {
-				case "experiment":
-					mu.Lock()
-					trigger := ev.Done == 3 && !pausedOnce
-					if trigger {
-						pausedOnce = true
-					}
-					mu.Unlock()
-					if trigger {
-						r.Pause()
-					}
-				case "paused":
-					// Resume synchronously from the paused event, as the
-					// Fig 7 GUI restart button would.
-					mu.Lock()
-					sawPause = true
-					mu.Unlock()
-					r.Resume()
+			opts := []RunnerOption{WithTelemetry(nil, prog), WithSink(rowHook(t, camp, nil, func(k int) {
+				if k == 3 {
+					r.Pause()
 				}
-			})}
+			}))}
 			if boards != 1 {
 				opts = append(opts, WithBoards(boards, func() TargetSystem { return newFakeTarget() }))
 			}
@@ -144,6 +134,13 @@ func TestSchedulerPauseResumeStopAcrossBoards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sawPause := make(chan bool, 1)
+			go func() {
+				// Resume once the pause is visible, as the Fig 7 GUI
+				// restart button would.
+				sawPause <- waitPhase(prog, "paused")
+				r.Resume()
+			}()
 			sum, err := r.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -151,7 +148,7 @@ func TestSchedulerPauseResumeStopAcrossBoards(t *testing.T) {
 			if sum.Experiments != 10 {
 				t.Errorf("experiments = %d, want 10", sum.Experiments)
 			}
-			if !sawPause {
+			if !<-sawPause {
 				t.Error("pause phase never reported")
 			}
 
@@ -159,12 +156,11 @@ func TestSchedulerPauseResumeStopAcrossBoards(t *testing.T) {
 			// with a nil error and a partial summary.
 			camp2 := fakeCampaign(10000)
 			var r2 *Runner
-			var once sync.Once
-			opts2 := []RunnerOption{WithProgress(func(ev ProgressEvent) {
-				if ev.Phase == "experiment" && ev.Done >= 10 {
-					once.Do(func() { r2.Stop() })
+			opts2 := []RunnerOption{WithSink(rowHook(t, camp2, nil, func(k int) {
+				if k == 10 {
+					r2.Stop()
 				}
-			})}
+			}))}
 			if boards != 1 {
 				opts2 = append(opts2, WithBoards(boards, func() TargetSystem { return newFakeTarget() }))
 			}
@@ -221,11 +217,11 @@ func TestSchedulerContextCancelParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r, err := NewRunner(nil, SCIFI, camp, fakeTSD(),
 		WithBoards(4, func() TargetSystem { return newFakeTarget() }),
-		WithProgress(func(ev ProgressEvent) {
-			if ev.Phase == "experiment" && ev.Done == 5 {
+		WithSink(rowHook(t, camp, nil, func(k int) {
+			if k == 5 {
 				cancel()
 			}
-		}))
+		})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -379,23 +379,43 @@ func procRun(t *testing.T, bin string, seed int64, n, stopAt int, mk func() core
 		Workload:       campaign.WorkloadSpec{Name: "victim:" + filepath.Base(bin), Source: bin},
 		LogMode:        campaign.LogNormal,
 	}
-	outcomes := make(map[string]campaign.OutcomeStatus)
 	var r *core.Runner
-	opts = append([]core.RunnerOption{core.WithBoards(1, mk), core.WithProgress(func(ev core.ProgressEvent) {
-		if ev.Phase == "experiment" {
-			outcomes[ev.Experiment] = ev.Outcome
-			if len(outcomes) == stopAt {
-				r.Stop()
-			}
+	sink := &outcomeSink{outcomes: make(map[string]campaign.OutcomeStatus), stop: func(k int) {
+		if k == stopAt {
+			r.Stop()
 		}
-	})}, opts...)
+	}}
+	opts = append([]core.RunnerOption{core.WithBoards(1, mk), core.WithSink(sink)}, opts...)
 	r, err = core.NewRunner(mk(), core.Algorithms()[info.Algorithm], camp, tsd, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum, err := r.Run(context.Background())
-	return outcomes, sum, err
+	return sink.outcomes, sum, err
 }
+
+// outcomeSink keeps the outcome class of every experiment end row handed
+// to it (the reference's not counted) and calls stop with how many it has
+// after each: the hand-over stage logs each row in plan order just before
+// it resolves it.
+type outcomeSink struct {
+	outcomes map[string]campaign.OutcomeStatus
+	stop     func(k int)
+}
+
+func (s *outcomeSink) LogExperiment(rec *campaign.ExperimentRecord) error {
+	if rec.Step < 0 && !rec.IsReference() {
+		s.outcomes[rec.Name] = rec.Data.Outcome.Status
+		s.stop(len(s.outcomes))
+	}
+	return nil
+}
+
+func (s *outcomeSink) GetExperiment(name string) (*campaign.ExperimentRecord, error) {
+	return nil, fmt.Errorf("outcomeSink keeps no rows (%s)", name)
+}
+
+func (s *outcomeSink) Flush() error { return nil }
 
 // procBoard makes plain proc boards.
 func procBoard() core.TargetSystem {

@@ -110,6 +110,19 @@ func pollState(t testing.TB, base, tenant, name, want string) JobStatus {
 	return JobStatus{}
 }
 
+// pollPhase waits until the campaign's progress phase satisfies ok.
+func pollPhase(t testing.TB, url string, ok func(phase string) bool, want string) {
+	t.Helper()
+	var st JobStatus
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		st = JobStatus{}
+		if getJSON(t, url, &st) == http.StatusOK && st.Progress != nil && ok(st.Progress.Phase) {
+			return
+		}
+	}
+	t.Fatalf("progress never read %s: %+v", want, st.Progress)
+}
+
 func shutdownServer(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -264,6 +277,9 @@ func TestPauseResume(t *testing.T) {
 	if st.State != StatePaused {
 		t.Fatalf("state after pause = %s", st.State)
 	}
+	// The run's progress says so once its cursor is durable, at the next
+	// row, and until the resume.
+	pollPhase(t, url, func(phase string) bool { return phase == "paused" }, "paused")
 	// Pausing twice is a state error.
 	if resp, _ := postJSON(t, url+"/pause", nil); resp.StatusCode != http.StatusConflict {
 		t.Errorf("double pause = %d, want 409", resp.StatusCode)
@@ -271,6 +287,7 @@ func TestPauseResume(t *testing.T) {
 	if resp, body := postJSON(t, url+"/resume", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("resume = %d: %s", resp.StatusCode, body)
 	}
+	pollPhase(t, url, func(phase string) bool { return phase != "paused" }, "anything but paused")
 	postJSON(t, url+"/cancel", nil)
 	pollState(t, ts.URL, "alice", "pr", StateCancelled)
 }

@@ -35,6 +35,27 @@ import (
 	"goofi/internal/workload"
 )
 
+// rowHook calls at after every experiment end row the sink behind it has
+// taken (the reference's not counted) with how many it has taken: the
+// hand-over stage logs each row in plan order just before it resolves it,
+// so a Stop from at(k) ends the run with rows 0..k-1.
+type rowHook struct {
+	core.CheckpointSink
+	rows int
+	at   func(k int)
+}
+
+func (h *rowHook) LogExperiment(rec *campaign.ExperimentRecord) error {
+	if err := h.CheckpointSink.LogExperiment(rec); err != nil {
+		return err
+	}
+	if rec.Step < 0 && !rec.IsReference() {
+		h.rows++
+		h.at(h.rows)
+	}
+	return nil
+}
+
 // conformanceCampaign is the quickstart campaign scaled to n
 // experiments — the same definition the server differential tests use.
 func conformanceCampaign(name string, n int) *campaign.Campaign {
@@ -321,13 +342,13 @@ func TestShardConformancePruning(t *testing.T) {
 		factory := func() core.TargetSystem { return scifi.New(thor.DefaultConfig()) }
 		sink := campaign.NewBatchingSink(st, 0)
 		var r *core.Runner
+		half := &rowHook{CheckpointSink: sink, at: func(k int) {
+			if k == n/2 {
+				r.Stop()
+			}
+		}}
 		r, err := core.NewRunner(factory(), core.SCIFI, camp, scifi.TargetSystemData(camp.TargetName),
-			core.WithSink(sink), core.WithBoards(1, factory), core.WithCheckpoints(4),
-			core.WithProgress(func(ev core.ProgressEvent) {
-				if ev.Phase == "experiment" && ev.Done == n/2 {
-					r.Stop()
-				}
-			}))
+			core.WithSink(half), core.WithBoards(1, factory), core.WithCheckpoints(4))
 		if err != nil {
 			t.Fatal(err)
 		}

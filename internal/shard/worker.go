@@ -47,8 +47,8 @@ type WorkerConfig struct {
 	// Name identifies the worker in the lease protocol.
 	Name string
 	// Dir is ignored: a worker keeps nothing on disk and never writes
-	// there. The field stays only because bench/inproc.go sets it; it goes
-	// with the benchmark-only PR of ROADMAP item 5.
+	// there. The field stays only for its one user, bench/inproc.go's
+	// in-process shard workers.
 	Dir string
 	// Boards sizes the worker's own board pool (default 1).
 	Boards int

@@ -176,8 +176,8 @@ type BoardStatus struct {
 	Seq   int    `json:"seq"`
 }
 
-// ProgressSnapshot is the JSON shape served at /progress and rendered by
-// the -progress stderr line.
+// ProgressSnapshot is the JSON shape served at /progress and goofi status,
+// and rendered by goofi run's progress line.
 type ProgressSnapshot struct {
 	Campaign         string        `json:"campaign"`
 	Phase            string        `json:"phase"`

@@ -30,14 +30,13 @@ func runStopped(t *testing.T, st *campaign.Store, camp *campaign.Campaign, board
 	sink := campaign.NewBatchingSink(st, 0)
 	var r *core.Runner
 	opts = append([]core.RunnerOption{
-		core.WithSink(sink),
-		core.WithBoards(boards, factory),
-		core.WithCheckpoints(core.DefaultCheckpointInterval),
-		core.WithProgress(func(ev core.ProgressEvent) {
-			if ev.Phase == "experiment" && ev.Done == stopAt {
+		core.WithSink(&rowHook{CheckpointSink: sink, at: func(k int) {
+			if k == stopAt {
 				r.Stop()
 			}
-		}),
+		}}),
+		core.WithBoards(boards, factory),
+		core.WithCheckpoints(core.DefaultCheckpointInterval),
 	}, opts...)
 	r, err := core.NewRunner(factory(), core.SCIFI, camp, scifi.TargetSystemData(camp.TargetName), opts...)
 	if err != nil {
@@ -51,6 +50,27 @@ func runStopped(t *testing.T, st *campaign.Store, camp *campaign.Campaign, board
 		t.Fatal(err)
 	}
 	return sum
+}
+
+// rowHook calls at after every experiment end row the sink behind it has
+// taken (the reference's not counted) with how many it has taken: the
+// hand-over stage logs each row in plan order just before it resolves it,
+// so a Stop from at(k) ends the run with rows 0..k-1.
+type rowHook struct {
+	core.CheckpointSink
+	rows int
+	at   func(k int)
+}
+
+func (h *rowHook) LogExperiment(rec *campaign.ExperimentRecord) error {
+	if err := h.CheckpointSink.LogExperiment(rec); err != nil {
+		return err
+	}
+	if rec.Step < 0 && !rec.IsReference() {
+		h.rows++
+		h.at(h.rows)
+	}
+	return nil
 }
 
 // storedRows renders every LoggedSystemState row of a campaign, its
