@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzCursorBlob -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzShardJSONBodies -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzScanPack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/thor/ -run '^$$' -fuzz FuzzPortSet -fuzztime $(FUZZTIME)

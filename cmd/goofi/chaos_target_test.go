@@ -40,10 +40,9 @@ func init() {
 		panic("scifi target not registered")
 	}
 	core.RegisterTarget(core.TargetInfo{
-		Kind:          chaosKind,
-		Description:   "scifi behind the chaos harness (test binary only)",
-		Algorithm:     base.Algorithm,
-		Deterministic: base.Deterministic,
+		Kind:        chaosKind,
+		Description: "scifi behind the chaos harness (test binary only)",
+		Algorithm:   base.Algorithm,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
 			inner, err := base.New(cfg)
 			if err != nil {

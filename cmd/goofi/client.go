@@ -95,7 +95,7 @@ func cmdSubmit(args []string) error {
 	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable)")
 	technique := fs.String("technique", "", "injection algorithm: scifi, swifi-preruntime, swifi-runtime, pin-level (default: the target's own)")
 	boards := fs.Int("boards", 1, "boards this campaign may lease from the shared fleet")
-	ckpt := fs.Int("checkpoint", 0, "durable-cursor interval in experiments (0 = daemon default, -1 disables)")
+	ckpt := fs.Int("checkpoint", 0, "experiments between cursor saves, each a durability barrier (0 = daemon default, -1 saves none: no periodic barrier and no plan-hash guard on resume)")
 	noFwd := fs.Bool("no-forward", false, "disable checkpoint fast-forwarding")
 	maxRetries := fs.Int("max-retries", 0, "re-attempts per failed experiment")
 	failThreshold := fs.Int("board-failure-threshold", 0, "consecutive harness failures before a board is quarantined")

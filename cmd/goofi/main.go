@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -378,9 +379,18 @@ func cmdTargets(args []string) error {
 	}
 	for _, ti := range core.Targets() {
 		fmt.Printf("%s\n    %s\n", ti.Kind, ti.Description)
+		// The target declares its determinism itself; building one
+		// starts nothing (a proc target forks only when it runs).
+		ts, err := ti.New(core.TargetConfig{})
+		if err != nil {
+			return fmt.Errorf("target %q: %w", ti.Kind, err)
+		}
 		det := "deterministic (byte-identical reruns)"
-		if !ti.Deterministic {
+		if !core.TargetDeterministic(ts) {
 			det = "plan-deterministic (statistical outcomes)"
+		}
+		if c, ok := ts.(io.Closer); ok {
+			c.Close()
 		}
 		fmt.Printf("    algorithm: %s, %s\n", ti.Algorithm, det)
 		if len(ti.Aliases) > 0 {
@@ -525,7 +535,7 @@ func cmdCampaign(args []string, resume bool) error {
 	preFilter := fs.Bool("pre-injection", false, "enable pre-injection liveness filtering (a resumed campaign needs it as the interrupted run had it)")
 	boards := fs.Int("boards", 1, "number of simulated boards to run in parallel")
 	ckpt := fs.Int("checkpoint", core.DefaultCheckpointInterval,
-		"experiments between durable checkpoints (0 disables crash recovery)")
+		"experiments between cursor saves, each a durability barrier (0 saves none: no periodic barrier and no plan-hash guard on resume; a crash still resumes from the durable rows)")
 	noFwd := fs.Bool("no-checkpoints", false,
 		"disable checkpoint fast-forwarding (every experiment replays the full fault-free prefix)")
 	quiet := fs.Bool("quiet", false, "suppress the progress line")
@@ -585,6 +595,11 @@ func cmdCampaign(args []string, resume bool) error {
 		}
 		spec.Filter = a.Filter()
 	}
+	if *retryInvalid {
+		if err := dropInvalidRuns(st, camp.Name); err != nil {
+			return err
+		}
+	}
 	cr, err := core.Assemble(spec)
 	if err != nil {
 		return fmt.Errorf("%s: %w", verb, err)
@@ -606,10 +621,6 @@ func cmdCampaign(args []string, resume bool) error {
 		return nil
 	case resume && cr.Cursor == nil:
 		return fmt.Errorf("resume: campaign %q has no checkpoint or logged experiments ('goofi run' starts it)", camp.Name)
-	case *retryInvalid:
-		if err := dropInvalidRuns(st, cr.Cursor); err != nil {
-			return err
-		}
 	}
 	if resume {
 		fmt.Printf("resuming %s: %d/%d experiments already durable\n",
@@ -632,27 +643,26 @@ func cmdCampaign(args []string, resume bool) error {
 
 // dropInvalidRuns is `goofi resume -retry-invalid`. Invalid runs are
 // final by default — a resumed campaign skips them like any completed
-// slot. Opting in deletes their records and drops them from the cursor so
-// the scheduler re-attempts them under this run's retry policy.
-func dropInvalidRuns(st *campaign.Store, cp *campaign.Checkpoint) error {
-	kept := cp.Completed[:0]
-	dropped := 0
-	for _, seq := range cp.Completed {
-		rec, err := st.GetExperiment(campaign.ExperimentName(cp.Campaign, seq))
-		if err != nil {
+// slot. Opting in deletes their rows before the run is assembled: the rows
+// are the record of what is complete, so recovery then misses them and the
+// scheduler re-attempts them under this run's retry policy.
+func dropInvalidRuns(st *campaign.Store, campaignName string) error {
+	var invalid []string
+	if err := st.EachExperiment(campaignName, func(rec *campaign.ExperimentRecord) error {
+		if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun &&
+			rec.Name == campaign.ExperimentName(campaignName, rec.Data.Seq) {
+			invalid = append(invalid, rec.Name)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, name := range invalid {
+		if err := st.DeleteExperiment(name); err != nil {
 			return err
 		}
-		if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun {
-			if err := st.DeleteExperiment(rec.Name); err != nil {
-				return err
-			}
-			dropped++
-			continue
-		}
-		kept = append(kept, seq)
 	}
-	cp.Completed = kept
-	fmt.Printf("re-attempting %d invalid run(s)\n", dropped)
+	fmt.Printf("re-attempting %d invalid run(s)\n", len(invalid))
 	return nil
 }
 

@@ -203,6 +203,28 @@ func (h *rowHook) LogExperiment(rec *campaign.ExperimentRecord) error {
 	return nil
 }
 
+// TestTargetsOutput pins `goofi targets`: each kind's determinism is what
+// a target it builds declares (core.TargetDeterministic), so the
+// simulated board reads deterministic and a live process
+// plan-deterministic.
+func TestTargetsOutput(t *testing.T) {
+	var err error
+	out := captureStdout(t, func() { err = runCmd(t, "targets") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"scifi\n    THOR-S simulated board via scan-chain implemented fault injection\n" +
+			"    algorithm: scifi, deterministic (byte-identical reruns)\n",
+		"proc\n    live OS process via ptrace: fork, stop, flip, resume, classify (masked/sdc/crash/hang)\n" +
+			"    algorithm: swifi-runtime, plan-deterministic (statistical outcomes)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("goofi targets lacks\n%s\nin\n%s", want, out)
+		}
+	}
+}
+
 // TestListOutput pins `goofi list`: the logged column counts a campaign's
 // end-of-experiment rows — reference run and re-runs included, detail-mode
 // step rows not — without decoding them, and the bytes are those rows'
@@ -633,6 +655,113 @@ func TestResumeRetryInvalid(t *testing.T) {
 	}
 	if total, invalid := countInvalid(); total != planned+1 || invalid != 0 {
 		t.Fatalf("%d records, %d invalid after -retry-invalid; want %d and 0", total, invalid, planned+1)
+	}
+}
+
+// TestRetryInvalidLeavesNoHoles: `resume -retry-invalid` deletes the
+// invalid runs' rows, and a run that ends before it saves a cursor — here
+// its reference fails — must not leave those experiments skipped for good
+// behind the cursor an earlier run saved while they were stored: the next
+// healthy resume runs them, and the campaign ends whole.
+func TestRetryInvalidLeavesNoHoles(t *testing.T) {
+	const planned, stopAt = 16, 12
+	db := dbPath(t)
+	for _, step := range [][]string{
+		{"configure", "-db", db},
+		{"setup", "-db", db, "-campaign", "sick", "-workload", "sort16",
+			"-window", "10:1600", "-experiments", strconv.Itoa(planned), "-timeout", "100000"},
+	} {
+		if err := runCmd(t, step...); err != nil {
+			t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
+		}
+	}
+	// countInvalid returns the stored records and how many are invalid.
+	countInvalid := func() (total, invalid int) {
+		st, sdb, err := openStore(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sdb.Close()
+		recs, err := st.Experiments("sick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.Data.Outcome.Status == campaign.OutcomeInvalidRun {
+				invalid++
+			}
+		}
+		return len(recs), invalid
+	}
+
+	// The first run, on a harness whose every scan write fails, stops
+	// part-way with invalid runs durable and a cursor saved behind them.
+	sdb, err := sqldb.OpenAt(db, sqldb.SyncBarrier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := campaign.NewStore(sdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := st.GetCampaign("sick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsd, err := st.GetTargetSystem(camp.TargetName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, ok := core.LookupTarget(chaosKind)
+	if !ok {
+		t.Fatal("no chaos target")
+	}
+	chaosBoards.Store(0)
+	target, err := info.New(core.TargetConfig{Params: map[string]string{"scan-write": "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r *core.Runner
+	r, err = core.NewRunner(target, core.SCIFI, camp, tsd,
+		core.WithSink(&rowHook{CheckpointSink: st, at: func(k int) {
+			if k == stopAt {
+				r.Stop()
+			}
+		}}),
+		core.WithCheckpoints(2), core.WithRetryPolicy(core.RetryPolicy{MaxRetries: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := st.GetCheckpoint("sick"); err != nil || cp == nil {
+		t.Fatalf("the stopped run saved no cursor (%v)", err)
+	}
+	if err := sdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	total, invalid := countInvalid()
+	if total != stopAt+1 || invalid == 0 {
+		t.Fatalf("stopped with %d records, %d invalid; want %d and some invalid", total, invalid, stopAt+1)
+	}
+
+	// -retry-invalid deletes them; every scan capture is corrupted, so the
+	// reference run fails and the run saves no cursor.
+	if err := runChaos(t, "resume", "-db", db, "-campaign", "sick", "-quiet", "-retry-invalid",
+		"-target", chaosKind, "-target-param", "scan-read=1"); err == nil {
+		t.Fatal("resume on a harness that corrupts every capture succeeded")
+	}
+	if left, stillInvalid := countInvalid(); left != total-invalid || stillInvalid != 0 {
+		t.Fatalf("after -retry-invalid: %d records, %d invalid; want %d and 0", left, stillInvalid, total-invalid)
+	}
+
+	// A healthy resume re-attempts them with the rest of the plan.
+	if err := runCmd(t, "resume", "-db", db, "-campaign", "sick", "-quiet"); err != nil {
+		t.Fatalf("healthy resume: %v", err)
+	}
+	if total, invalid := countInvalid(); total != planned+1 || invalid != 0 {
+		t.Fatalf("%d records, %d invalid after the healthy resume; want %d and 0", total, invalid, planned+1)
 	}
 }
 

@@ -11,13 +11,14 @@ import (
 	"goofi/internal/sqldb"
 )
 
-// Checkpoint is the durable cursor of a running campaign: which
-// experiments of the plan are already logged, plus enough identity
-// (plan hash, seed, experiment count) to refuse resuming a campaign
-// whose definition changed underneath the checkpoint. The campaign's
-// RNG state needs no separate field — planning is plan-first, so the
-// seed alone reproduces the full injection plan and every
-// per-experiment RNG.
+// Checkpoint is a campaign's resume point. The stored cursor is its
+// identity only — plan hash, seed, experiment count and whether the
+// reference is logged — enough to refuse resuming a campaign whose
+// definition changed underneath it. Which experiments are complete is
+// never stored twice: the durable end rows are the record, and
+// RecoverCursor reads Ranges from them. The campaign's RNG state needs no
+// field either — planning is plan-first, so the seed alone reproduces the
+// full injection plan and every per-experiment RNG.
 type Checkpoint struct {
 	Campaign    string `json:"campaign"`
 	PlanHash    string `json:"planHash"`
@@ -25,28 +26,67 @@ type Checkpoint struct {
 	Experiments int    `json:"experiments"`
 	// Reference reports that the fault-free reference run is logged.
 	Reference bool `json:"reference"`
-	// Completed holds the sequence numbers of experiments whose end
-	// records are durable, sorted ascending.
-	Completed []int `json:"completed"`
-	// Ranges, when non-nil, is the completed set as runs and is stored in
-	// Completed's place: a writer that keeps runs (the scheduler, at every
-	// cursor save) hands them over instead of one entry per experiment.
-	// A cursor read back always has Completed filled and Ranges nil.
+	// Ranges is the completed set RecoverCursor read from the durable end
+	// rows, within [0, the campaign's experiment count). It is not stored.
 	Ranges SeqRanges `json:"-"`
+	// Completed is ignored, neither stored nor read. It remains only for
+	// the benchmark's cursor-size probe, which still sets it.
+	Completed []int `json:"-"`
 }
 
 // SeqRanges is a set of sequence numbers kept as ascending inclusive
-// [lo, hi] runs that neither overlap nor touch — the stored form of a
-// cursor's completed set.
+// [lo, hi] runs that neither overlap nor touch: a campaign completes its
+// plan mostly in order, so the set is a few runs however many experiments
+// it holds.
 type SeqRanges [][2]int
 
-// Add returns the set with seq in it. A campaign completes its plan mostly
-// in order, so the common case extends the last run in place.
+// search returns the first run that ends at or after seq.
+func (r SeqRanges) search(seq int) int {
+	return sort.Search(len(r), func(i int) bool { return r[i][1] >= seq })
+}
+
+// Has reports whether seq is in the set.
+func (r SeqRanges) Has(seq int) bool {
+	i := r.search(seq)
+	return i < len(r) && r[i][0] <= seq
+}
+
+// Len returns the number of sequence numbers in the set.
+func (r SeqRanges) Len() int {
+	n := 0
+	for _, run := range r {
+		n += run[1] - run[0] + 1
+	}
+	return n
+}
+
+// Holes returns the sequence numbers of [lo, hi) that are not in the set,
+// as runs of the same form.
+func (r SeqRanges) Holes(lo, hi int) SeqRanges {
+	var out SeqRanges
+	for i := r.search(lo); lo < hi; i++ {
+		end := hi
+		if i < len(r) && r[i][0] < hi {
+			end = r[i][0]
+		}
+		if lo < end {
+			out = append(out, [2]int{lo, end - 1})
+		}
+		if i >= len(r) {
+			break
+		}
+		lo = r[i][1] + 1
+	}
+	return out
+}
+
+// Add returns the set with seq in it. The common case, the next sequence
+// number in order, extends the last run in place.
 func (r SeqRanges) Add(seq int) SeqRanges {
 	// i is the first run that ends at or after seq-1. seq lies in it,
 	// extends it at either end (upwards perhaps into the run after it), or
 	// stands alone before it; every earlier run ends too far below.
-	i := sort.Search(len(r), func(i int) bool { return r[i][1] >= seq-1 })
+	i := r.search(seq - 1)
 	switch {
 	case i == len(r):
 		return append(r, [2]int{seq, seq})
@@ -66,37 +106,9 @@ func (r SeqRanges) Add(seq int) SeqRanges {
 	return slices.Insert(r, i, [2]int{seq, seq})
 }
 
-// checkpointJSON is the stored form of a Checkpoint. A campaign
-// completes its plan mostly in order, so the completed set is written as
-// ascending inclusive [lo, hi] runs — a few numbers where the flat list
-// grew by one per experiment and was rewritten at every cursor save.
-// Completed is the flat list of cursors stored before that; it is read,
-// never written.
-type checkpointJSON struct {
-	Campaign    string   `json:"campaign"`
-	PlanHash    string   `json:"planHash"`
-	Seed        int64    `json:"seed"`
-	Experiments int      `json:"experiments"`
-	Reference   bool     `json:"reference"`
-	Completed   []int    `json:"completed,omitempty"`
-	Ranges      [][2]int `json:"completedRanges"`
-}
-
-// MarshalJSON writes the completed set — Ranges, or else Completed — as
-// ranges.
-func (cp Checkpoint) MarshalJSON() ([]byte, error) {
-	return cp.appendJSON(nil), nil
-}
-
-// appendJSON appends the cursor's stored form, checkpointJSON, to buf as
-// json.Marshal writes it: Completed omitted, and the ranges never null.
+// appendJSON appends the stored cursor to buf as json.Marshal writes a
+// Checkpoint.
 func (cp *Checkpoint) appendJSON(buf []byte) []byte {
-	ranges := cp.Ranges
-	if ranges == nil {
-		for _, seq := range cp.Completed {
-			ranges = ranges.Add(seq)
-		}
-	}
 	buf = append(buf, `{"campaign":`...)
 	buf = appendMarshaledString(buf, cp.Campaign)
 	buf = append(buf, `,"planHash":`...)
@@ -107,18 +119,7 @@ func (cp *Checkpoint) appendJSON(buf []byte) []byte {
 	buf = strconv.AppendInt(buf, int64(cp.Experiments), 10)
 	buf = append(buf, `,"reference":`...)
 	buf = strconv.AppendBool(buf, cp.Reference)
-	buf = append(buf, `,"completedRanges":[`...)
-	for i, r := range ranges {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '[')
-		buf = strconv.AppendInt(buf, int64(r[0]), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r[1]), 10)
-		buf = append(buf, ']')
-	}
-	return append(buf, "]}"...)
+	return append(buf, '}')
 }
 
 // appendMarshaledString appends s as json.Marshal writes a string. Printable
@@ -137,39 +138,6 @@ func appendMarshaledString(buf []byte, s string) []byte {
 	return append(buf, '"')
 }
 
-// UnmarshalJSON reads either form back into the sorted flat list. The
-// ranges must lie inside the plan and together name no more entries than
-// it has: the blob comes from the database, and a range is expanded one
-// entry per sequence number, so its bounds — unlike a flat list's length
-// — are all that limits the allocation.
-func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
-	var w checkpointJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	seqs := w.Completed
-	for _, r := range w.Ranges {
-		if r[0] < 0 || r[1] < r[0] || r[1] >= w.Experiments ||
-			len(seqs)-len(w.Completed)+(r[1]-r[0]+1) > w.Experiments {
-			return fmt.Errorf("campaign: checkpoint %q: bad completed range [%d, %d] in a plan of %d",
-				w.Campaign, r[0], r[1], w.Experiments)
-		}
-		for seq := r[0]; seq <= r[1]; seq++ {
-			seqs = append(seqs, seq)
-		}
-	}
-	slices.Sort(seqs)
-	*cp = Checkpoint{Campaign: w.Campaign, PlanHash: w.PlanHash, Seed: w.Seed,
-		Experiments: w.Experiments, Reference: w.Reference, Completed: slices.Compact(seqs)}
-	return nil
-}
-
-// Done reports whether sequence number seq is already completed.
-func (cp *Checkpoint) Done(seq int) bool {
-	i := sort.SearchInts(cp.Completed, seq)
-	return i < len(cp.Completed) && cp.Completed[i] == seq
-}
-
 // checkpointDDL is appended to Schema in store.go.
 const checkpointDDL = `CREATE TABLE IF NOT EXISTS CampaignCheckpoint (
 		campaignName TEXT PRIMARY KEY,
@@ -183,10 +151,9 @@ const checkpointDDL = `CREATE TABLE IF NOT EXISTS CampaignCheckpoint (
 const updateCursorSQL = `UPDATE CampaignCheckpoint SET planHash = ?, cursor = ? WHERE campaignName = ?`
 
 // SaveCheckpoint stores the campaign cursor and raises a durability
-// barrier before it returns, so a checkpoint on disk always implies its
-// experiments are on disk too: Store writes synchronously, and the rows
-// the cursor names were written before it. (BatchingSink keeps the same
-// order in its queue, and shares one barrier among the cursors queued.)
+// barrier before it returns, so everything written before it is on disk.
+// (BatchingSink keeps the same order in its queue, and shares one barrier
+// among the cursors queued.)
 func (s *Store) SaveCheckpoint(cp *Checkpoint) error {
 	e := encoders.Get().(*rowEncoder)
 	err := s.putCheckpoint(e, cp)
@@ -243,14 +210,23 @@ func (s *Store) DeleteCheckpoint(campaignName string) error {
 }
 
 // RecoverCursor reconstructs the resume point of an interrupted
-// campaign. The stored checkpoint can lag reality — records flush before
-// the cursor row is written, and a crash can land between the two — so
-// the durable end-of-experiment rows are unioned in. Detail-trace rows
-// whose experiment has no end row (the experiment died mid-run) are
-// pruned, so re-running that experiment cannot collide with leftover
-// step rows.
+// campaign: the stored cursor's identity, and the completed set read from
+// the durable end-of-experiment rows alone — the only record of
+// completion, so a row deleted after a cursor save is not complete. The
+// set is bounded by the campaign's definition, never by the stored blob.
+// Detail-trace rows whose experiment has no end row (the experiment died
+// mid-run) are pruned, so re-running that experiment cannot collide with
+// leftover step rows.
 func (s *Store) RecoverCursor(campaignName string) (*Checkpoint, error) {
 	cp, err := s.GetCheckpoint(campaignName)
+	if err != nil {
+		return nil, err
+	}
+	out := &Checkpoint{Campaign: campaignName}
+	if cp != nil {
+		out.PlanHash, out.Seed, out.Experiments, out.Reference = cp.PlanHash, cp.Seed, cp.Experiments, cp.Reference
+	}
+	camp, err := s.GetCampaign(campaignName)
 	if err != nil {
 		return nil, err
 	}
@@ -261,33 +237,20 @@ func (s *Store) RecoverCursor(campaignName string) (*Checkpoint, error) {
 	}
 	ref := ReferenceName(campaignName)
 	have := make(map[string]bool, len(r.Rows))
-	completed := make(map[int]bool, len(r.Rows))
-	hasRef := false
+	seqs := make([]int, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		name := row[0].S
 		have[name] = true
 		if name == ref {
-			hasRef = true
-			continue
-		}
-		if seq, ok := parseExperimentSeq(campaignName, name); ok {
-			completed[seq] = true
+			out.Reference = true
+		} else if seq, ok := parseExperimentSeq(campaignName, name); ok && seq < camp.NumExperiments {
+			seqs = append(seqs, seq)
 		}
 	}
-	out := &Checkpoint{Campaign: campaignName, Reference: hasRef}
-	if cp != nil {
-		out.PlanHash = cp.PlanHash
-		out.Seed = cp.Seed
-		out.Experiments = cp.Experiments
-		out.Reference = out.Reference || cp.Reference
-		for _, seq := range cp.Completed {
-			completed[seq] = true
-		}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		out.Ranges = out.Ranges.Add(seq)
 	}
-	for seq := range completed {
-		out.Completed = append(out.Completed, seq)
-	}
-	sort.Ints(out.Completed)
 	if err := s.pruneOrphanTraces(campaignName, have); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,21 +19,29 @@ func testCheckpoint() *Checkpoint {
 		Seed:        42,
 		Experiments: 10,
 		Reference:   true,
-		Completed:   []int{0, 2, 5},
 	}
 }
 
+// TestCheckpointDone: a recovered cursor's completed set answers which
+// experiments are done and how many.
 func TestCheckpointDone(t *testing.T) {
 	cp := testCheckpoint()
-	for _, seq := range []int{0, 2, 5} {
-		if !cp.Done(seq) {
-			t.Errorf("Done(%d) = false, want true", seq)
+	cp.Ranges = SeqRanges{{0, 0}, {2, 2}, {5, 7}}
+	for _, seq := range []int{0, 2, 5, 6, 7} {
+		if !cp.Ranges.Has(seq) {
+			t.Errorf("Has(%d) = false, want true", seq)
 		}
 	}
-	for _, seq := range []int{-1, 1, 3, 4, 6, 100} {
-		if cp.Done(seq) {
-			t.Errorf("Done(%d) = true, want false", seq)
+	for _, seq := range []int{-1, 1, 3, 4, 8, 100} {
+		if cp.Ranges.Has(seq) {
+			t.Errorf("Has(%d) = true, want false", seq)
 		}
+	}
+	if n := cp.Ranges.Len(); n != 5 {
+		t.Errorf("Len = %d, want 5", n)
+	}
+	if n := SeqRanges(nil).Len(); n != 0 || SeqRanges(nil).Has(0) {
+		t.Errorf("empty set: Len %d, Has(0) %v", n, SeqRanges(nil).Has(0))
 	}
 }
 
@@ -49,13 +58,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.PlanHash != cp.PlanHash || got.Seed != cp.Seed ||
-		got.Experiments != cp.Experiments || !got.Reference ||
-		fmt.Sprint(got.Completed) != fmt.Sprint(cp.Completed) {
+	if got == nil || fmt.Sprint(*got) != fmt.Sprint(*cp) {
 		t.Errorf("round trip: got %+v, want %+v", got, cp)
 	}
 	// A second save is an update, not a duplicate-key failure.
-	cp.Completed = append(cp.Completed, 7)
 	cp.PlanHash = "def456"
 	if err := st.SaveCheckpoint(cp); err != nil {
 		t.Fatal(err)
@@ -64,7 +70,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PlanHash != "def456" || !got.Done(7) {
+	if got.PlanHash != "def456" {
 		t.Errorf("after update: got %+v", got)
 	}
 	if err := st.DeleteCheckpoint("camp-1"); err != nil {
@@ -88,20 +94,17 @@ func TestSaveCheckpointRequiresCampaign(t *testing.T) {
 	}
 }
 
-// TestRecoverCursorUnionsDurableRows is the crash-window case: records
-// flush before the cursor row is written, so end-of-experiment rows can
-// be durable while the stored checkpoint still lags. RecoverCursor must
-// report the union.
+// TestRecoverCursorUnionsDurableRows: the completed set is the durable
+// end rows and nothing else. Rows 0..2 and the reference are stored; the
+// cursor a build that still stored the set left behind names 0 and 5, but
+// no row 5 exists, so 5 is not complete (the union with that stored set
+// made it [0 1 2 5]). The cursor's identity is kept.
 func TestRecoverCursorUnionsDurableRows(t *testing.T) {
 	st := sinkFixture(t)
-	// Stored cursor knows about 0 and 5 only.
-	if err := st.SaveCheckpoint(&Checkpoint{
-		Campaign: "camp-1", PlanHash: "h1", Seed: 42, Experiments: 10,
-		Completed: []int{0, 5},
-	}); err != nil {
+	if err := st.SaveCheckpoint(&Checkpoint{Campaign: "camp-1", PlanHash: "h1", Seed: 42, Experiments: 10}); err != nil {
 		t.Fatal(err)
 	}
-	// But rows 0..2 plus the reference made it to the store.
+	setCursorBlob(t, st, `{"campaign":"camp-1","planHash":"h1","seed":42,"experiments":10,"reference":false,"completedRanges":[[0,0],[5,5]]}`)
 	if err := st.LogExperiment(&ExperimentRecord{
 		Name: ReferenceName("camp-1"), Campaign: "camp-1", Step: -1,
 	}); err != nil {
@@ -122,8 +125,63 @@ func TestRecoverCursorUnionsDurableRows(t *testing.T) {
 	if cp.PlanHash != "h1" || cp.Seed != 42 || cp.Experiments != 10 {
 		t.Errorf("identity fields lost: %+v", cp)
 	}
-	if want := "[0 1 2 5]"; fmt.Sprint(cp.Completed) != want {
-		t.Errorf("Completed = %v, want %v", cp.Completed, want)
+	if want := "[[0 2]]"; fmt.Sprint(cp.Ranges) != want {
+		t.Errorf("Ranges = %v, want %v", cp.Ranges, want)
+	}
+}
+
+// TestRecoverCursorForgetsDeletedRow: a row deleted after a cursor save
+// named it — `goofi resume -retry-invalid` deletes invalid runs — is not
+// complete, whatever that cursor says, so the next run re-attempts it
+// even when it ends before saving a cursor of its own.
+func TestRecoverCursorForgetsDeletedRow(t *testing.T) {
+	st := sinkFixture(t)
+	for i := 0; i < 6; i++ {
+		if err := st.LogExperiment(sinkRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.SaveCheckpoint(testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	setCursorBlob(t, st, `{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true,"completedRanges":[[0,5]]}`)
+	if err := st.DeleteExperiment(ExperimentName("camp-1", 3)); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := st.RecoverCursor("camp-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[[0 2] [4 5]]"; fmt.Sprint(cp.Ranges) != want {
+		t.Errorf("Ranges = %v, want %v (row 3 was deleted)", cp.Ranges, want)
+	}
+}
+
+// TestRecoverCursorBoundedByPlan: end rows numbered past the campaign's
+// experiment count are not part of its plan, and not complete.
+func TestRecoverCursorBoundedByPlan(t *testing.T) {
+	st := sinkFixture(t) // a campaign of 10 experiments
+	for _, seq := range []int{8, 9, 10, 42} {
+		if err := st.LogExperiment(sinkRecord(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := st.RecoverCursor("camp-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[[8 9]]"; fmt.Sprint(cp.Ranges) != want {
+		t.Errorf("Ranges = %v, want %v", cp.Ranges, want)
+	}
+}
+
+// setCursorBlob overwrites camp-1's stored cursor with blob, as an older
+// build or a damaged store could have left it.
+func setCursorBlob(t *testing.T, st *Store, blob string) {
+	t.Helper()
+	if _, err := st.DB().Exec(`UPDATE CampaignCheckpoint SET cursor = ? WHERE campaignName = ?`,
+		sqldb.Blob([]byte(blob)), sqldb.Text("camp-1")); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -141,8 +199,8 @@ func TestRecoverCursorWithoutCheckpointRow(t *testing.T) {
 	if cp.Reference {
 		t.Error("no reference row but Reference = true")
 	}
-	if want := "[3]"; fmt.Sprint(cp.Completed) != want {
-		t.Errorf("Completed = %v, want %v", cp.Completed, want)
+	if want := "[[3 3]]"; fmt.Sprint(cp.Ranges) != want {
+		t.Errorf("Ranges = %v, want %v", cp.Ranges, want)
 	}
 	if cp.PlanHash != "" {
 		t.Errorf("PlanHash = %q, want empty (no stored checkpoint)", cp.PlanHash)
@@ -182,8 +240,8 @@ func TestRecoverCursorPrunesOrphanTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "[0]"; fmt.Sprint(cp.Completed) != want {
-		t.Errorf("Completed = %v, want %v (orphan must not count)", cp.Completed, want)
+	if want := "[[0 0]]"; fmt.Sprint(cp.Ranges) != want {
+		t.Errorf("Ranges = %v, want %v (orphan must not count)", cp.Ranges, want)
 	}
 	count := func(parent string) int {
 		r, err := st.db.Query(`SELECT COUNT(*) FROM LoggedSystemState
@@ -217,7 +275,6 @@ func TestBatchingSinkSaveCheckpointFlushesFirst(t *testing.T) {
 		}
 	}
 	cp := testCheckpoint()
-	cp.Completed = []int{0, 1, 2, 3, 4}
 	if err := s.SaveCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -324,26 +381,29 @@ func TestSinkKeepsQueuedCheckpointError(t *testing.T) {
 }
 
 // TestSeqRangesAdd: whatever order sequence numbers arrive in, the runs are
-// the ones the sorted list collapses to, and a cursor holding them is
-// stored as the same bytes as one holding the list.
+// the ones the sorted list collapses to, and Has and Len answer for the
+// numbers added.
 func TestSeqRangesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		var r SeqRanges
-		in := make(map[int]bool)
+		var in [50]bool
 		for i := 0; i < n; i++ {
 			seq := rng.Intn(50)
 			r = r.Add(seq)
 			in[seq] = true
 		}
 		var want SeqRanges
-		var sorted []int
+		count := 0
 		for seq := 0; seq < 50; seq++ {
+			if r.Has(seq) != in[seq] {
+				t.Fatalf("trial %d: %v Has(%d) = %v", trial, r, seq, !in[seq])
+			}
 			if !in[seq] {
 				continue
 			}
-			sorted = append(sorted, seq)
+			count++
 			if k := len(want); k > 0 && want[k-1][1] == seq-1 {
 				want[k-1][1] = seq
 			} else {
@@ -353,99 +413,159 @@ func TestSeqRangesAdd(t *testing.T) {
 		if fmt.Sprint(r) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: got %v, want %v", trial, r, want)
 		}
-		asList, err1 := json.Marshal(Checkpoint{Campaign: "c", Experiments: 50, Completed: sorted})
-		asRuns, err2 := json.Marshal(Checkpoint{Campaign: "c", Experiments: 50, Ranges: r})
-		if err1 != nil || err2 != nil || !bytes.Equal(asList, asRuns) {
-			t.Fatalf("trial %d: stored as %s from the list, %s from the runs", trial, asList, asRuns)
+		if r.Len() != count {
+			t.Fatalf("trial %d: %v Len = %d, want %d", trial, r, r.Len(), count)
 		}
 	}
 }
 
-// TestCheckpointStoredAsRanges: the cursor blob holds one [lo, hi] pair
-// per run of completed sequence numbers and reads back as the sorted
-// flat list — even from a list that was handed over unsorted.
-func TestCheckpointStoredAsRanges(t *testing.T) {
+// TestSeqRangesHoles: the holes of a set within [lo, hi) are ascending,
+// maximal, disjoint runs inside [lo, hi) that together with the set cover
+// it exactly — the runs a shard coordinator requeues.
+func TestSeqRangesHoles(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		var r SeqRanges
+		for range rng.Intn(60) {
+			r = r.Add(rng.Intn(50))
+		}
+		lo := rng.Intn(55) - 3
+		hi := lo + rng.Intn(60) - 5
+		holes := r.Holes(lo, hi)
+		prev := lo - 2
+		var covered []int
+		for _, h := range holes {
+			if h[0] > h[1] || h[0] < lo || h[1] >= hi {
+				t.Fatalf("%v.Holes(%d, %d) = %v: run %v empty or outside", r, lo, hi, holes, h)
+			}
+			if h[0] <= prev+1 {
+				t.Fatalf("%v.Holes(%d, %d) = %v: runs not maximal or not sorted", r, lo, hi, holes)
+			}
+			prev = h[1]
+			for seq := h[0]; seq <= h[1]; seq++ {
+				covered = append(covered, seq)
+			}
+		}
+		k := 0
+		for seq := lo; seq < hi; seq++ {
+			inHole := k < len(covered) && covered[k] == seq
+			if inHole {
+				k++
+			}
+			if inHole == r.Has(seq) {
+				t.Fatalf("%v.Holes(%d, %d) = %v: %d in the set %v, in a hole %v", r, lo, hi, holes, seq, r.Has(seq), inHole)
+			}
+		}
+	}
+	if got := (SeqRanges{{0, 9}}).Holes(0, 10); got != nil {
+		t.Errorf("a full set has holes %v", got)
+	}
+	if got := fmt.Sprint(SeqRanges(nil).Holes(3, 7)); got != "[[3 6]]" {
+		t.Errorf("the empty set's holes are %s", got)
+	}
+}
+
+// TestCheckpointStoresIdentityOnly: the cursor blob is the campaign's
+// identity and nothing of its completed set — the same few bytes at any
+// campaign size — and reads back as that identity.
+func TestCheckpointStoresIdentityOnly(t *testing.T) {
 	cp := testCheckpoint()
-	cp.Completed = []int{0, 1, 2, 2, 4, 7, 8, 9}
 	blob, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `"completedRanges":[[0,2],[4,4],[7,9]]`; !strings.Contains(string(blob), want) {
-		t.Fatalf("blob %s lacks %s", blob, want)
+	const want = `{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true}`
+	if string(blob) != want {
+		t.Fatalf("blob %s, want %s", blob, want)
+	}
+	big := *cp
+	big.Ranges = SeqRanges{{0, 59_999}}
+	big.Completed = make([]int, 60_000)
+	if blob, err := json.Marshal(&big); err != nil || string(blob) != want {
+		t.Errorf("a cursor handed a completed set stored %s (err %v)", blob, err)
 	}
 	var back Checkpoint
-	for _, completed := range [][]int{cp.Completed, {7, 0, 1, 2, 9, 8, 2, 4}} {
-		cp.Completed = completed
-		if blob, err = json.Marshal(cp); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprint(back.Completed), "[0 1 2 4 7 8 9]"; got != want {
-			t.Errorf("%v read back as %s, want %s", completed, got, want)
-		}
-	}
-	back.Completed = nil
-	cp.Completed = nil
-	if fmt.Sprint(back) != fmt.Sprint(*cp) {
-		t.Errorf("identity fields: read back %+v, want %+v", back, *cp)
-	}
-
-	// A finished 60,000-experiment campaign is one run, not 60,000 numbers.
-	cp.Experiments = 60_000
-	cp.Completed = make([]int, 60_000)
-	for i := range cp.Completed {
-		cp.Completed[i] = i
-	}
-	if blob, err = json.Marshal(cp); err != nil || len(blob) > 200 {
-		t.Errorf("cursor of a contiguous plan is %d bytes (err %v)", len(blob), err)
-	}
-	if err := json.Unmarshal(blob, &back); err != nil || len(back.Completed) != 60_000 || !back.Done(59_999) {
-		t.Errorf("contiguous cursor read back %d entries (err %v)", len(back.Completed), err)
-	}
-
-	for _, bad := range []string{
-		`{"campaign":"c","experiments":10,"completedRanges":[[3,2]]}`,
-		`{"campaign":"c","experiments":10,"completedRanges":[[-1,2]]}`,
-		// Past the end of the plan: expanding it would allocate whatever
-		// the blob says.
-		`{"campaign":"c","experiments":10,"completedRanges":[[0,10]]}`,
-		`{"campaign":"c","experiments":10,"completedRanges":[[0,1099511627776]]}`,
-		`{"campaign":"c","completedRanges":[[0,0]]}`,
-		`{"campaign":"c","experiments":10,"completedRanges":[[0,9],[0,9]]}`,
-	} {
-		if err := json.Unmarshal([]byte(bad), &back); err == nil {
-			t.Errorf("%s was accepted", bad)
-		}
+	if err := json.Unmarshal(blob, &back); err != nil || fmt.Sprint(back) != fmt.Sprint(*cp) {
+		t.Errorf("read back %+v (err %v), want %+v", back, err, *cp)
 	}
 }
 
-// TestCheckpointReadsFlatListCursor: a cursor row stored before ranges —
-// the flat "completed" list — still loads, alone or next to ranges.
+// TestCheckpointReadsFlatListCursor: a cursor row stored while the cursor
+// still held the completed set — the flat "completed" list, the
+// "completedRanges" runs, or both — loads as its identity; the set in it,
+// however large it claims to be, is skipped.
 func TestCheckpointReadsFlatListCursor(t *testing.T) {
 	st := sinkFixture(t)
 	if err := st.SaveCheckpoint(testCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
-	const old = `{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true,"completed":[0,2,5]}`
-	if _, err := st.DB().Exec(`UPDATE CampaignCheckpoint SET cursor = ? WHERE campaignName = ?`,
-		sqldb.Blob([]byte(old)), sqldb.Text("camp-1")); err != nil {
-		t.Fatal(err)
+	const id = `{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true,`
+	for _, old := range []string{
+		id + `"completed":[0,2,5]}`,
+		id + `"completedRanges":[[0,2],[4,4],[7,9]]}`,
+		id + `"completed":[5,1],"completedRanges":[[1,3]]}`,
+		id + `"completedRanges":[[0,1099511627776]]}`,
+		id + `"completedRanges":[[3,2],[-1,2]]}`,
+	} {
+		setCursorBlob(t, st, old)
+		got, err := st.GetCheckpoint("camp-1")
+		if err != nil {
+			t.Fatalf("%s: %v", old, err)
+		}
+		if want := testCheckpoint(); fmt.Sprint(*got) != fmt.Sprint(*want) {
+			t.Errorf("%s read as %+v, want %+v", old, *got, *want)
+		}
 	}
-	got, err := st.GetCheckpoint("camp-1")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// FuzzCursorBlob: whatever bytes are stored as a campaign's cursor — an
+// older build's, a damaged store's, a hostile one's — reading them through
+// GetCheckpoint and RecoverCursor never panics and allocates in proportion
+// to the blob, never to a size the blob claims: the completed set comes
+// from the rows, and the campaign's definition bounds it.
+func FuzzCursorBlob(f *testing.F) {
+	for _, seed := range []string{
+		`{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true}`,
+		// Stored while the cursor held the set: runs, the flat list, both.
+		`{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true,"completedRanges":[[0,2],[4,4]]}`,
+		`{"campaign":"camp-1","planHash":"abc123","seed":42,"experiments":10,"reference":true,"completed":[0,2,5]}`,
+		`{"experiments":6,"completed":[5,1],"completedRanges":[[1,3]]}`,
+		// 111 bytes that claim ten million experiments, all complete.
+		`{"campaign":"camp-1","planHash":"abc1","experiments":10000000,"reference":true,"completedRanges":[[0,9999999]]}`,
+		`{"completedRanges":[[0,1099511627776]]}`,
+		`{"completedRanges":[[-5,-1],[3,2]]}`,
+		`{"experiments":-1}`,
+		`null`,
+		``,
+		`{`,
+	} {
+		f.Add([]byte(seed))
 	}
-	if want := testCheckpoint(); fmt.Sprint(*got) != fmt.Sprint(*want) {
-		t.Errorf("flat-list cursor read as %+v, want %+v", *got, *want)
-	}
-	var mixed Checkpoint
-	if err := json.Unmarshal([]byte(`{"experiments":6,"completed":[5,1],"completedRanges":[[1,3]]}`), &mixed); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(mixed.Completed); got != "[1 2 3 5]" {
-		t.Errorf("mixed cursor read as %s", got)
-	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		st := sinkFixture(t)
+		for seq := 0; seq < 3; seq++ {
+			if err := st.LogExperiment(sinkRecord(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.SaveCheckpoint(testCheckpoint()); err != nil {
+			t.Fatal(err)
+		}
+		setCursorBlob(t, st, string(blob))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, gerr := st.GetCheckpoint("camp-1")
+		cp, rerr := st.RecoverCursor("camp-1")
+		runtime.ReadMemStats(&after)
+		if limit := 256<<10 + 64*uint64(len(blob)); after.TotalAlloc-before.TotalAlloc > limit {
+			t.Fatalf("reading a %d-byte cursor allocated %d bytes, more than %d", len(blob),
+				after.TotalAlloc-before.TotalAlloc, limit)
+		}
+		if (gerr == nil) != (rerr == nil) {
+			t.Fatalf("GetCheckpoint: %v, RecoverCursor: %v", gerr, rerr)
+		}
+		if rerr == nil && fmt.Sprint(cp.Ranges) != "[[0 2]]" {
+			t.Fatalf("recovered %v from rows 0..2", cp.Ranges)
+		}
+	})
 }

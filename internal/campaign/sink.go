@@ -15,8 +15,10 @@ import (
 // of a campaign's store, however the campaign is driven.
 //
 // The durability contract: rows and cursors reach the store in the order
-// they were handed to the sink, a cursor behind the rows it names in one
-// commit, so a stored cursor always implies its experiments' rows. Flush
+// they were handed to the sink, a cursor behind the rows handed over
+// before it in one commit, and a failed write stops everything behind it.
+// (The cursor names no rows: recovery reads what is complete from the
+// rows themselves.) Flush
 // and Close return once everything handed over before them is stored and,
 // where a cursor was among it, past a barrier; the scheduler saves the
 // cursor and then flushes on pause and on termination. A crash in between
@@ -72,7 +74,7 @@ type BatchingSink struct {
 
 // commit is one unit of work for the writer: a batch of records, which it
 // encodes, then rows that came in stored form, inserted as they came, and,
-// when a cursor save closed the batch, the cursor that names them. durable
+// when a cursor save closed the batch, that cursor. durable
 // asks for a barrier behind the commit where no cursor does.
 type commit struct {
 	records []*ExperimentRecord

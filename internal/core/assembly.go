@@ -42,8 +42,10 @@ type RunSpec struct {
 	// shared pool the boards are leased from.
 	Boards int
 	Fleet  *Fleet
-	// Checkpoint is the number of experiments between durable cursors;
-	// <= 0, or a caller's Sink, turns durable checkpointing off.
+	// Checkpoint is the number of experiments between cursor saves, each a
+	// durability barrier; <= 0, or a caller's Sink, saves none. A resume
+	// still recovers from the durable rows, but without the plan-hash
+	// guard the stored cursor carries.
 	Checkpoint int
 	// NoForward runs every experiment cold (and so prunes nothing).
 	NoForward bool
@@ -105,8 +107,7 @@ type CampaignRun struct {
 	Runner *Runner
 	// Cursor is what a resumed run continues from: the recovered durable
 	// cursor, or nil when there is none (Resume unset, or nothing durable
-	// yet). The runner reads it when Run starts, so a caller may still
-	// drop entries from Completed to have them re-attempted.
+	// yet).
 	Cursor *campaign.Checkpoint
 
 	spec RunSpec
@@ -148,7 +149,7 @@ func Assemble(spec RunSpec) (*CampaignRun, error) {
 			if err != nil {
 				return nil, err
 			}
-			if cp.Reference || len(cp.Completed) > 0 {
+			if cp.Reference || len(cp.Ranges) > 0 {
 				cr.Cursor = cp
 			}
 		}
@@ -185,7 +186,7 @@ func (cr *CampaignRun) Resumed() int {
 	if cr.Cursor == nil {
 		return 0
 	}
-	return len(cr.Cursor.Completed)
+	return cr.Cursor.Ranges.Len()
 }
 
 // Run executes the campaign. A run into the store that does not resume

@@ -137,8 +137,8 @@ func TestHandOverWindowBound(t *testing.T) {
 }
 
 // TestHandOverStopAfterRows: a Stop as the sink takes row k ends
-// the run with exactly rows 0..k-1 stored, and the cursor naming them, on
-// any board count.
+// the run with exactly rows 0..k-1 stored, a cursor, and rows 0..k-1 what
+// recovery finds complete, on any board count.
 func TestHandOverStopAfterRows(t *testing.T) {
 	const k = 37
 	for _, boards := range []int{1, 3} {
@@ -182,9 +182,11 @@ func TestHandOverStopAfterRows(t *testing.T) {
 			if !slices.Equal(seqs, want) {
 				t.Errorf("stored experiments %v, want 0..%d", seqs, k-1)
 			}
-			cp, err := st.GetCheckpoint(camp.Name)
-			if err != nil || cp == nil || !slices.Equal(cp.Completed, want) {
-				t.Errorf("cursor %+v (%v), want 0..%d", cp, err, k-1)
+			if cp, err := st.GetCheckpoint(camp.Name); err != nil || cp == nil {
+				t.Errorf("no cursor (%v)", err)
+			}
+			if got := recovered(t, st, camp.Name); fmt.Sprint(got) != fmt.Sprint(prefix(k)) {
+				t.Errorf("recovered %v complete, want 0..%d", got, k-1)
 			}
 		})
 	}
@@ -238,8 +240,8 @@ func TestHandOverPauseFromBoard(t *testing.T) {
 			}
 			if cp, err := st.GetCheckpoint(camp.Name); err != nil || cp == nil {
 				t.Errorf("no cursor while paused: %v", err)
-			} else if stored := len(cp.Completed); stored < at-campaign.QueueRows {
-				t.Errorf("the paused cursor names %d experiments, the pause came at %d", stored, at)
+			} else if stored := recovered(t, st, camp.Name).Len(); stored < at-campaign.QueueRows {
+				t.Errorf("%d experiments durable while paused, the pause came at %d", stored, at)
 			}
 			r.Resume()
 			if err := <-done; err != nil {
@@ -297,8 +299,8 @@ func (s *acceptCounter) LogExperiment(rec *campaign.ExperimentRecord) error {
 // TestHandOverPoisonedSink: a batching sink whose store fails in mid-run,
 // with the window full of emulated and pruned items. Run returns the
 // error, counts no experiment whose row the sink refused, leaves no
-// goroutine it started behind, and what reached the disk holds no cursor
-// ahead of its rows.
+// goroutine it started behind, and what reached the disk is a prefix of
+// the plan.
 func TestHandOverPoisonedSink(t *testing.T) {
 	const n = 3 * campaign.QueueRows
 	for _, boards := range []int{1, 3} {
@@ -362,20 +364,18 @@ func TestHandOverPoisonedSink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cp == nil || len(cp.Completed) == 0 {
-				t.Fatalf("no cursor naming an experiment reached the disk (%+v): the failure came too early to test", cp)
-			}
 			rows, err := kst.CountExperiments(camp.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if cp == nil || rows < 2 {
+				t.Fatalf("no cursor (%+v) or no experiment's row (%d rows) reached the disk: the failure came too early to test", cp, rows)
+			}
 			if rows-1 >= n {
 				t.Fatalf("%d rows on disk: the failure came too late to test", rows)
 			}
-			for _, seq := range cp.Completed {
-				if _, err := kst.GetExperiment(campaign.ExperimentName(camp.Name, seq)); err != nil {
-					t.Errorf("the cursor names experiment %d: %v", seq, err)
-				}
+			if got := recovered(t, kst, camp.Name); fmt.Sprint(got) != fmt.Sprint(prefix(rows-1)) {
+				t.Errorf("the rows on disk complete %v, want the prefix 0..%d", got, rows-2)
 			}
 		})
 	}
@@ -392,7 +392,7 @@ func TestHandOverPrunedSlotAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := &run{r: r, sum: &Summary{ByStatus: map[campaign.OutcomeStatus]int{}, ByMechanism: map[string]int{}},
-		completed: campaign.SeqRanges{}, q: newExpQueue(), window: make([]slot, 1)}
+		q: newExpQueue(), window: make([]slot, 1)}
 	rs.prune = r.newPruner(&ForwardSet{Campaign: "fc", DefUse: fakeTargetUses(), Reference: ref}, loggedState(t, ref))
 	qe := queuedExperiment{plannedExperiment: plannedExperiment{seq: 3,
 		fault: faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{20}},

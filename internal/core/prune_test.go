@@ -278,9 +278,11 @@ func TestPrunedDispatch(t *testing.T) {
 		for i, rec := range recs {
 			rows[i] = string(recordBytes(t, rec))
 		}
-		cp, err := st.GetCheckpoint("fc")
-		if err != nil || cp == nil || len(cp.Completed) != n {
+		if cp, err := st.GetCheckpoint("fc"); err != nil || cp == nil {
 			t.Fatalf("final cursor %+v, %v", cp, err)
+		}
+		if got := recovered(t, st, "fc"); fmt.Sprint(got) != fmt.Sprint(prefix(n)) {
+			t.Fatalf("recovered %v complete, want all %d", got, n)
 		}
 		return sum, rows
 	}

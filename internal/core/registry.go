@@ -47,9 +47,6 @@ type TargetInfo struct {
 	// Algorithm names the fault injection algorithm the target runs by
 	// default when the user selects the target without a technique.
 	Algorithm string
-	// Deterministic declares whether repeated runs of the same plan
-	// produce byte-identical records (see TargetDeterministic).
-	Deterministic bool
 	// New builds a fresh target system (one per board).
 	New func(cfg TargetConfig) (TargetSystem, error)
 	// SystemData builds the configuration-phase TargetSystemData row

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -31,6 +30,25 @@ func openCampaignStore(t *testing.T, path string, camp *campaign.Campaign) (*sql
 	}
 	t.Cleanup(func() { db.Close() })
 	return db, storeOn(t, db, camp)
+}
+
+// recovered is the completed set RecoverCursor reads from a campaign's
+// durable rows.
+func recovered(t *testing.T, st *campaign.Store, name string) campaign.SeqRanges {
+	t.Helper()
+	cp, err := st.RecoverCursor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp.Ranges
+}
+
+// prefix is the completed set of experiments 0..k-1.
+func prefix(k int) campaign.SeqRanges {
+	if k == 0 {
+		return nil
+	}
+	return campaign.SeqRanges{{0, k - 1}}
 }
 
 // dumpLoggedState renders every LoggedSystemState row of a campaign in a
@@ -147,9 +165,9 @@ func TestResumeReproducesFullRun(t *testing.T) {
 				if !cp.Reference {
 					t.Fatal("recovered cursor lost the reference run")
 				}
-				if len(cp.Completed) < sum1.Experiments {
+				if cp.Ranges.Len() < sum1.Experiments {
 					t.Fatalf("recovered %d completed experiments, first run logged %d",
-						len(cp.Completed), sum1.Experiments)
+						cp.Ranges.Len(), sum1.Experiments)
 				}
 				sink2 := batchingSink(t, st2)
 				r2, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(),
@@ -165,7 +183,7 @@ func TestResumeReproducesFullRun(t *testing.T) {
 				if err := sink2.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if got := len(cp.Completed) + sum2.Experiments; got != n {
+				if got := cp.Ranges.Len() + sum2.Experiments; got != n {
 					t.Fatalf("resumed run completed %d total experiments, want %d", got, n)
 				}
 
@@ -187,8 +205,9 @@ func TestResumeReproducesFullRun(t *testing.T) {
 }
 
 // TestResumeFromFlatListCursor: a campaign interrupted by a build that
-// stored its cursor as the flat "completed" list resumes under this one,
-// which stores ranges, to the same database as an uninterrupted run.
+// stored the completed set in its cursor, as the flat "completed" list,
+// resumes under this one, which reads the set from the rows and stores
+// only the identity, to the same database as an uninterrupted run.
 func TestResumeFromFlatListCursor(t *testing.T) {
 	const n = 10
 	full := storeWithCampaign(t, fakeCampaign(n))
@@ -216,15 +235,11 @@ func TestResumeFromFlatListCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored, err := st.GetCheckpoint("fc")
-	if err != nil || stored == nil || len(stored.Completed) != 4 {
+	if err != nil || stored == nil {
 		t.Fatalf("stored cursor %+v, %v", stored, err)
 	}
-	flat, err := json.Marshal(stored.Completed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := fmt.Sprintf(`{"campaign":"fc","planHash":%q,"seed":%d,"experiments":%d,"reference":true,"completed":%s}`,
-		stored.PlanHash, stored.Seed, stored.Experiments, flat)
+	old := fmt.Sprintf(`{"campaign":"fc","planHash":%q,"seed":%d,"experiments":%d,"reference":true,"completed":[0,1,2,3]}`,
+		stored.PlanHash, stored.Seed, stored.Experiments)
 	if _, err := st.DB().Exec(`UPDATE CampaignCheckpoint SET cursor = ? WHERE campaignName = ?`,
 		sqldb.Blob([]byte(old)), sqldb.Text("fc")); err != nil {
 		t.Fatal(err)
@@ -233,7 +248,7 @@ func TestResumeFromFlatListCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(cp.Completed) != fmt.Sprint(stored.Completed) || cp.PlanHash != stored.PlanHash {
+	if fmt.Sprint(cp.Ranges) != fmt.Sprint(prefix(4)) || cp.PlanHash != stored.PlanHash {
 		t.Fatalf("recovered %+v from the flat-list cursor, stored was %+v", cp, stored)
 	}
 	r2, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(st), WithCheckpoints(1), WithResume(cp))
@@ -246,13 +261,15 @@ func TestResumeFromFlatListCursor(t *testing.T) {
 	if got, want := dumpLoggedState(t, st, "fc"), dumpLoggedState(t, full, "fc"); got != want {
 		t.Error("database after resuming from a flat-list cursor differs from a full run")
 	}
-	// The cursor the resumed run left behind is in the range form.
+	// The cursor the resumed run left behind is the identity alone.
 	r3, err := st.DB().Query(`SELECT cursor FROM CampaignCheckpoint WHERE campaignName = ?`, sqldb.Text("fc"))
 	if err != nil || len(r3.Rows) != 1 {
 		t.Fatalf("cursor row: %v, %v", r3, err)
 	}
-	if blob := string(r3.Rows[0][0].B); !strings.Contains(blob, `"completedRanges":[[0,9]]`) {
-		t.Errorf("final cursor %s", blob)
+	want := fmt.Sprintf(`{"campaign":"fc","planHash":%q,"seed":%d,"experiments":%d,"reference":true}`,
+		stored.PlanHash, stored.Seed, stored.Experiments)
+	if blob := string(r3.Rows[0][0].B); blob != want {
+		t.Errorf("final cursor %s, want %s", blob, want)
 	}
 }
 
@@ -374,8 +391,8 @@ func TestResumeRefusesChangedReference(t *testing.T) {
 			}
 			sum, err := r2.Run(context.Background())
 			if nondet {
-				if err != nil || len(cp.Completed)+sum.Experiments != n {
-					t.Fatalf("nondeterministic resume: %v, %d + %d experiments", err, len(cp.Completed), sum.Experiments)
+				if err != nil || cp.Ranges.Len()+sum.Experiments != n {
+					t.Fatalf("nondeterministic resume: %v, %d + %d experiments", err, cp.Ranges.Len(), sum.Experiments)
 				}
 				if again, err := st.GetExperiment(refName); err != nil || !reflect.DeepEqual(again, ref) {
 					t.Errorf("the logged reference changed under the resumed run: %v", err)
@@ -423,7 +440,8 @@ func (plainSink) GetExperiment(string) (*campaign.ExperimentRecord, error) {
 func (plainSink) Flush() error { return nil }
 
 // TestPauseWritesCursor: pausing is a durable checkpoint — the cursor
-// row exists while the campaign is paused.
+// row exists while the campaign is paused, and the rows of the experiments
+// completed before the pause are durable.
 func TestPauseWritesCursor(t *testing.T) {
 	camp := fakeCampaign(8)
 	st := storeWithCampaign(t, camp)
@@ -446,7 +464,8 @@ func TestPauseWritesCursor(t *testing.T) {
 		// would.
 		paused := waitPhase(prog, "paused")
 		cp, err := st.GetCheckpoint("fc")
-		sawCursor <- paused && err == nil && cp != nil && len(cp.Completed) >= 3
+		rec, rerr := st.RecoverCursor("fc")
+		sawCursor <- paused && err == nil && cp != nil && rerr == nil && rec.Ranges.Len() >= 3
 		r.Resume()
 	}()
 	if _, err := r.Run(context.Background()); err != nil {
@@ -458,7 +477,7 @@ func TestPauseWritesCursor(t *testing.T) {
 }
 
 // TestPausedPhase: a pause at row k reads "paused" in the progress view
-// only once the cursor naming rows 0..k-1 and those rows are durable — the
+// only once the cursor and rows 0..k-1 are durable — the
 // store under a batching sink holds them — and holds until Resume; the
 // next row is handed over in phase "experiment", and the run finishes
 // "done".
@@ -495,9 +514,11 @@ func TestPausedPhase(t *testing.T) {
 				r.Stop()
 				t.Fatalf("a pause at row %d never read paused (phase %q)", k, prog.Snapshot().Phase)
 			}
-			cp, err := st.GetCheckpoint(camp.Name)
-			if err != nil || cp == nil || len(cp.Completed) != k || cp.Completed[len(cp.Completed)-1] != k-1 {
-				t.Errorf("paused with cursor %+v (%v), want rows 0..%d", cp, err, k-1)
+			if cp, err := st.GetCheckpoint(camp.Name); err != nil || cp == nil {
+				t.Errorf("paused with no cursor (%v)", err)
+			}
+			if got := recovered(t, st, camp.Name); fmt.Sprint(got) != fmt.Sprint(prefix(k)) {
+				t.Errorf("paused with %v complete, want rows 0..%d", got, k-1)
 			}
 			if got, err := st.CountExperiments(camp.Name); err != nil || got != k+1 {
 				t.Errorf("paused with %d rows stored (%v), want %d and the reference", got, err, k)
@@ -593,15 +614,15 @@ func TestResumeFromEveryLogCut(t *testing.T) {
 			if _, err := st.GetExperiment(campaign.ReferenceName("fc")); stored.Reference && err != nil {
 				t.Errorf("cut %d: cursor names the reference run: %v", cut, err)
 			}
-			for _, seq := range stored.Completed {
-				if _, err := st.GetExperiment(campaign.ExperimentName("fc", seq)); err != nil {
-					t.Errorf("cut %d: cursor names experiment %d: %v", cut, seq, err)
-				}
-			}
 		}
 		cp, err := st.RecoverCursor("fc")
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
+		}
+		// Rows are handed over in plan order, so what any cut holds is a
+		// prefix of the plan.
+		if got := cp.Ranges; fmt.Sprint(got) != fmt.Sprint(prefix(got.Len())) {
+			t.Errorf("cut %d: the durable rows %v are not a prefix of the plan", cut, got)
 		}
 		sink := campaign.NewBatchingSink(st, 3)
 		r, err := NewRunner(newFakeTarget(), SCIFI, fakeCampaign(n), fakeTSD(),
@@ -815,11 +836,6 @@ func TestSinkKillAtBoundResumes(t *testing.T) {
 	if err != nil || stored == nil {
 		t.Fatalf("no cursor in the killed store: %v", err)
 	}
-	for _, seq := range stored.Completed {
-		if _, err := kst.GetExperiment(campaign.ExperimentName("fc", seq)); err != nil {
-			t.Errorf("the cursor names experiment %d: %v", seq, err)
-		}
-	}
 	durable, err := kst.CountExperiments("fc")
 	if err != nil {
 		t.Fatal(err)
@@ -833,6 +849,9 @@ func TestSinkKillAtBoundResumes(t *testing.T) {
 	cp, err := kst.RecoverCursor("fc")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := prefix(durable - 1); fmt.Sprint(cp.Ranges) != fmt.Sprint(want) {
+		t.Errorf("the killed store's rows complete %v, want the prefix %v and the reference", cp.Ranges, want)
 	}
 	resumed := campaign.NewBatchingSink(kst, 0)
 	rr, err := NewRunner(factory(), SCIFI, fakeCampaign(n), fakeTSD(), WithSink(resumed), WithBoards(1, factory),

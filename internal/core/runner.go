@@ -158,13 +158,14 @@ const DefaultCheckpointInterval = 16
 // WithCheckpoints enables durable campaign checkpoints: after the
 // reference run, every `every` completed experiments (<= 0 selects
 // DefaultCheckpointInterval), on pause, and at termination, the runner
-// hands the campaign cursor to the sink's SaveCheckpoint; on pause and at
-// termination it then flushes the sink, which is when that cursor is
-// certainly durable. Run fails if the configured sink is not a
-// CheckpointSink. A process killed in between loses at most the
-// experiments since the last durable cursor — for a batching sink, the
-// cursor saves still in its queue — and not even those when their records
-// reached the store's write-ahead log.
+// hands the campaign cursor — its identity: plan hash, seed, experiment
+// count — to the sink's SaveCheckpoint, whose durability barrier it
+// raises; on pause and at termination it then flushes the sink, which is
+// when that cursor is certainly durable. Run fails if the configured sink
+// is not a CheckpointSink. Which experiments are complete is never in the
+// cursor: a resume reads it from the durable rows, so a process killed in
+// between loses only the rows that had not reached the store's
+// write-ahead log.
 func WithCheckpoints(every int) RunnerOption {
 	if every <= 0 {
 		every = DefaultCheckpointInterval
@@ -173,8 +174,8 @@ func WithCheckpoints(every int) RunnerOption {
 }
 
 // WithResume continues a campaign from a recovered cursor (typically
-// campaign.Store.RecoverCursor): completed experiments are skipped and the
-// plan hash is validated, so a changed campaign definition cannot silently
+// campaign.Store.RecoverCursor): the experiments in its Ranges are skipped
+// and the plan hash is validated, so a changed campaign definition cannot silently
 // resume onto stale results. The reference run runs as in any run, and
 // records the forward set the experiments use; when the cursor says it is
 // already logged it logs nothing, and on a deterministic target it must

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -169,11 +168,11 @@ type run struct {
 	// ckpt is the sink's cursor side, nil when checkpointing is off.
 	ckpt CheckpointSink
 	sum  *Summary
-	// doneSet marks experiments whose results are already stored from an
-	// earlier (interrupted) run; they are skipped at dispatch, so a
-	// resumed campaign replays exactly the missing remainder of the same
+	// durable is the resume cursor's completed set: experiments whose rows
+	// an earlier (interrupted) run stored. They are skipped at dispatch, so
+	// a resumed campaign replays exactly the missing remainder of the same
 	// plan. Read-only after resumeFilter.
-	doneSet map[int]bool
+	durable campaign.SeqRanges
 	resumed int
 	// haveRef reports that the reference stage succeeded: only then does a
 	// termination cursor go to the sink.
@@ -207,9 +206,6 @@ type run struct {
 	firstErr  error
 	done      int
 	sinceCkpt int
-	// completed is the cursor's set, kept as runs so that a snapshot of it
-	// costs a few numbers however long the campaign has run.
-	completed campaign.SeqRanges
 }
 
 func (rs *run) fail(err error) {
@@ -231,26 +227,18 @@ func (rs *run) expErr(name string, err error) error {
 	return fmt.Errorf("core: campaign %q %s: %w", rs.r.camp.Name, name, err)
 }
 
-// saveCursor persists the campaign cursor through the checkpoint sink;
-// cursors are only saved once the reference run is logged. done is the
-// caller's own copy of the completed set, which the sink may keep. The
+// saveCursor persists the campaign cursor — its identity; the rows are the
+// record of what is complete — through the checkpoint sink, whose barrier
+// it raises. Cursors are only saved once the reference run is logged. The
 // save can wait for room in the sink's queue, so callers hold no lock.
-func (rs *run) saveCursor(done campaign.SeqRanges) error {
+func (rs *run) saveCursor() error {
 	return rs.ckpt.SaveCheckpoint(&campaign.Checkpoint{
 		Campaign:    rs.r.camp.Name,
 		PlanHash:    rs.hash,
 		Seed:        rs.r.camp.Seed,
 		Experiments: rs.r.camp.NumExperiments,
 		Reference:   true,
-		Ranges:      done,
 	})
-}
-
-// snapshotCompleted copies the completed set for a cursor save.
-func (rs *run) snapshotCompleted() campaign.SeqRanges {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return slices.Clone(rs.completed)
 }
 
 // Run executes the campaign: one planning pass, the reference run, then
@@ -283,7 +271,7 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 	})
 	defer cancelWatch()
 
-	rs := &run{r: r, ctx: ctx, stopCh: make(chan struct{}), doneSet: make(map[int]bool)}
+	rs := &run{r: r, ctx: ctx, stopCh: make(chan struct{})}
 	r.mu.Lock()
 	if r.stopped {
 		close(rs.stopCh)
@@ -352,9 +340,9 @@ func (rs *run) plan() error {
 	return nil
 }
 
-// resumeFilter is stage two: bind the checkpoint sink and fold a resume
-// cursor (WithResume) into the done set, refusing a cursor that belongs
-// to a different plan.
+// resumeFilter is stage two: bind the checkpoint sink and take a resume
+// cursor's (WithResume) completed set, refusing a cursor that belongs to
+// a different plan.
 func (rs *run) resumeFilter() error {
 	r := rs.r
 	if r.ckptEvery > 0 {
@@ -364,7 +352,6 @@ func (rs *run) resumeFilter() error {
 		}
 		rs.ckpt = cs
 	}
-	rs.completed = campaign.SeqRanges{}
 	if r.resume == nil {
 		return nil
 	}
@@ -376,13 +363,8 @@ func (rs *run) resumeFilter() error {
 		return fmt.Errorf("core: campaign %q: plan hash mismatch (checkpoint %.12s…, current %.12s…): campaign definition changed since the checkpoint%s",
 			r.camp.Name, r.resume.PlanHash, rs.hash, hint)
 	}
-	for _, seq := range r.resume.Completed {
-		if seq >= 0 && seq < r.camp.NumExperiments && !rs.doneSet[seq] {
-			rs.doneSet[seq] = true
-			rs.completed = rs.completed.Add(seq)
-			rs.resumed++
-		}
-	}
+	rs.durable = r.resume.Ranges
+	rs.resumed = rs.durable.Len()
 	r.progress.AddDone(rs.resumed)
 	return nil
 }
@@ -419,7 +401,7 @@ func (rs *run) reference() {
 	rs.haveRef = true
 	if rs.ckpt != nil && !logged {
 		// First durable cursor: the reference is in, nothing else.
-		if err := rs.saveCursor(rs.snapshotCompleted()); err != nil {
+		if err := rs.saveCursor(); err != nil {
 			rs.fail(err)
 		}
 	}
@@ -544,7 +526,7 @@ func (rs *run) enqueue() {
 	r := rs.r
 	rs.items = make([]queuedExperiment, 0, len(rs.planned))
 	for _, pe := range rs.planned {
-		if rs.doneSet[pe.seq] {
+		if rs.durable.Has(pe.seq) {
 			continue // already durable from the interrupted run
 		}
 		if r.shardHi != 0 && (pe.seq < r.shardLo || pe.seq >= r.shardHi) {
@@ -565,7 +547,7 @@ func (rs *run) dispatch() {
 	// Runner.checkpoint flushes the sink, so killing a paused campaign is
 	// always recoverable.
 	if rs.ckpt != nil {
-		r.onPause = func() { _ = rs.saveCursor(rs.snapshotCompleted()) }
+		r.onPause = func() { _ = rs.saveCursor() }
 		defer func() { r.onPause = nil }()
 	}
 	rs.q = newExpQueue()
@@ -741,7 +723,7 @@ func (rs *run) finalize() (*Summary, error) {
 	// behind; on full completion it records the finished state until the
 	// caller clears it.
 	if rs.ckpt != nil && rs.haveRef {
-		if err := rs.saveCursor(rs.snapshotCompleted()); err != nil {
+		if err := rs.saveCursor(); err != nil {
 			rs.fail(err)
 		}
 	}
@@ -959,12 +941,11 @@ func (rs *run) resolve(s *slot) {
 		sum.Pruned.Overwritten++
 	}
 	rs.done++
-	rs.completed = rs.completed.Add(span.Seq)
-	var snap campaign.SeqRanges
+	save := false
 	if rs.ckpt != nil {
 		if rs.sinceCkpt++; rs.sinceCkpt >= r.ckptEvery {
 			rs.sinceCkpt = 0
-			snap = slices.Clone(rs.completed)
+			save = true
 		}
 	}
 	rs.mu.Unlock()
@@ -989,8 +970,8 @@ func (rs *run) resolve(s *slot) {
 	}
 	r.progress.Done(1)
 	r.tracer.Record(span)
-	if snap != nil {
-		if err := rs.saveCursor(snap); err != nil {
+	if save {
+		if err := rs.saveCursor(); err != nil {
 			rs.fail(err)
 		}
 	}

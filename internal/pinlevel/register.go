@@ -9,11 +9,10 @@ import (
 
 func init() {
 	core.RegisterTarget(core.TargetInfo{
-		Kind:          "pin-level",
-		Aliases:       []string{"pinlevel"},
-		Description:   "THOR-S simulated board with faults forced onto circuit pins via boundary scan",
-		Algorithm:     core.PinLevel.Name,
-		Deterministic: true,
+		Kind:        "pin-level",
+		Aliases:     []string{"pinlevel"},
+		Description: "THOR-S simulated board with faults forced onto circuit pins via boundary scan",
+		Algorithm:   core.PinLevel.Name,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
 			return New(thor.DefaultConfig(), scifi.TargetOptions(cfg)...), nil
 		},

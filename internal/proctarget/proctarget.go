@@ -1072,10 +1072,9 @@ func Probe(victim string) error {
 
 func init() {
 	core.RegisterTarget(core.TargetInfo{
-		Kind:          Kind,
-		Description:   "live OS process via ptrace: fork, stop, flip, resume, classify (masked/sdc/crash/hang)",
-		Algorithm:     core.RuntimeSWIFI.Name,
-		Deterministic: false,
+		Kind:        Kind,
+		Description: "live OS process via ptrace: fork, stop, flip, resume, classify (masked/sdc/crash/hang)",
+		Algorithm:   core.RuntimeSWIFI.Name,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
 			return New(cfg)
 		},

@@ -8,10 +8,9 @@ import (
 
 func init() {
 	core.RegisterTarget(core.TargetInfo{
-		Kind:          "scifi",
-		Description:   "THOR-S simulated board via scan-chain implemented fault injection",
-		Algorithm:     core.SCIFI.Name,
-		Deterministic: true,
+		Kind:        "scifi",
+		Description: "THOR-S simulated board via scan-chain implemented fault injection",
+		Algorithm:   core.SCIFI.Name,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
 			return New(thor.DefaultConfig(), TargetOptions(cfg)...), nil
 		},

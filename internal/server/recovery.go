@@ -6,8 +6,9 @@ import "fmt"
 // and re-enqueues each job row still marked pending — campaigns that
 // were queued, running, or mid-flight when the previous daemon died.
 // Opening the databases replays their WALs, so the recovered jobs
-// resume from the last durable cursor (execute unions the stored
-// checkpoint with the durable end records, exactly like `goofi resume`).
+// resume from what is durable (execute reads the completed set from the
+// durable end records and the plan-hash guard from the stored cursor,
+// exactly like `goofi resume`).
 func (s *Server) recoverJobs() error {
 	tenants, err := s.tenants.Tenants()
 	if err != nil {

@@ -104,7 +104,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	pending  []Range
 	leases   map[string]*lease
-	accepted map[int]bool // sequences merged (or queued for merge)
+	accepted campaign.SeqRanges // sequences merged (or queued for merge)
 	haveRef  bool
 	failures map[string]int
 	quarant  map[string]bool
@@ -165,7 +165,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:        cfg,
 		sink:       campaign.NewBatchingSink(cfg.Store, 0),
 		leases:     make(map[string]*lease),
-		accepted:   make(map[int]bool),
+		accepted:   cp.Ranges,
 		failures:   make(map[string]int),
 		quarant:    make(map[string]bool),
 		workers:    make(map[string]*workerInfo),
@@ -174,27 +174,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		stopCh:     make(chan struct{}),
 		wake:       make(chan struct{}),
 	}
-	for _, seq := range cp.Completed {
-		c.accepted[seq] = true
-	}
 	c.haveRef = cp.Reference
-	// Queue the holes: the full plan on a fresh campaign, the coalesced
-	// remainder after a restart. Runs are re-split to the partition
-	// granularity so a restart still spreads across the fleet.
+	// Queue the holes: the full plan on a fresh campaign, the remainder
+	// after a restart. Runs are re-split to the partition granularity so a
+	// restart still spreads across the fleet.
 	per := (cfg.Campaign.NumExperiments + cfg.Shards - 1) / cfg.Shards
-	var missing []int
-	for seq := 0; seq < cfg.Campaign.NumExperiments; seq++ {
-		if !c.accepted[seq] {
-			missing = append(missing, seq)
-		}
-	}
-	for _, run := range coalesce(missing) {
-		for lo := run.Lo; lo < run.Hi; lo += per {
-			hi := lo + per
-			if hi > run.Hi {
-				hi = run.Hi
-			}
-			c.pending = append(c.pending, Range{Lo: lo, Hi: hi})
+	for _, hole := range c.accepted.Holes(0, cfg.Campaign.NumExperiments) {
+		for lo := hole[0]; lo <= hole[1]; lo += per {
+			c.pending = append(c.pending, Range{Lo: lo, Hi: min(lo+per, hole[1]+1)})
 		}
 	}
 	if c.complete() {
@@ -222,7 +209,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // complete reports whether every sequence and the reference are merged.
 // Callers hold c.mu.
 func (c *Coordinator) complete() bool {
-	return c.haveRef && len(c.accepted) >= c.cfg.Campaign.NumExperiments &&
+	return c.haveRef && c.accepted.Len() >= c.cfg.Campaign.NumExperiments &&
 		len(c.pending) == 0 && len(c.leases) == 0
 }
 
@@ -453,10 +440,10 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 			}
 			continue
 		}
-		if row.Seq < l.rng.Lo || row.Seq >= l.rng.Hi || c.accepted[row.Seq] {
+		if row.Seq < l.rng.Lo || row.Seq >= l.rng.Hi || c.accepted.Has(row.Seq) {
 			continue
 		}
-		c.accepted[row.Seq] = true
+		c.accepted = c.accepted.Add(row.Seq)
 		taken[row.Name()] = true
 		ingest = append(ingest, *row)
 	}
@@ -516,15 +503,11 @@ func (c *Coordinator) cacheDeliveryLocked(key string, resp ReportResponse) {
 }
 
 // requeueLocked returns a lease's unmerged sequences to the pending
-// queue as coalesced runs. Callers hold c.mu.
+// queue as maximal runs. Callers hold c.mu.
 func (c *Coordinator) requeueLocked(l *lease) {
-	var left []int
-	for seq := l.rng.Lo; seq < l.rng.Hi; seq++ {
-		if !c.accepted[seq] {
-			left = append(left, seq)
-		}
+	for _, hole := range c.accepted.Holes(l.rng.Lo, l.rng.Hi) {
+		c.pending = append(c.pending, Range{Lo: hole[0], Hi: hole[1] + 1})
 	}
-	c.pending = append(c.pending, coalesce(left)...)
 }
 
 // Sweep expires every lease whose heartbeat lapsed, requeues its
@@ -592,14 +575,14 @@ func (c *Coordinator) Err() error { return c.sink.Err() }
 func (c *Coordinator) Progress() (done, total int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.accepted), c.cfg.Campaign.NumExperiments
+	return c.accepted.Len(), c.cfg.Campaign.NumExperiments
 }
 
 // Complete reports whether the campaign fully merged.
 func (c *Coordinator) Complete() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.haveRef && len(c.accepted) >= c.cfg.Campaign.NumExperiments
+	return c.haveRef && c.accepted.Len() >= c.cfg.Campaign.NumExperiments
 }
 
 // Close stops the sweeper and drains the sink behind a last barrier, so

@@ -24,91 +24,6 @@ import (
 	"goofi/internal/workload"
 )
 
-func TestPartitionCoversPlanExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	check := func(n, shards int) {
-		t.Helper()
-		ranges := Partition(n, shards)
-		if n == 0 {
-			if len(ranges) != 0 {
-				t.Fatalf("Partition(0, %d) = %v, want empty", shards, ranges)
-			}
-			return
-		}
-		if len(ranges) > shards {
-			t.Fatalf("Partition(%d, %d) has %d ranges", n, shards, len(ranges))
-		}
-		next, min, max := 0, n, 0
-		for _, r := range ranges {
-			if r.Lo != next || r.Hi <= r.Lo {
-				t.Fatalf("Partition(%d, %d) = %v: bad range %v", n, shards, ranges, r)
-			}
-			next = r.Hi
-			if r.Len() < min {
-				min = r.Len()
-			}
-			if r.Len() > max {
-				max = r.Len()
-			}
-		}
-		if next != n {
-			t.Fatalf("Partition(%d, %d) = %v covers [0,%d), want [0,%d)", n, shards, ranges, next, n)
-		}
-		if max-min > 1 {
-			t.Fatalf("Partition(%d, %d) = %v: range sizes spread %d..%d", n, shards, ranges, min, max)
-		}
-	}
-	for _, c := range []struct{ n, shards int }{
-		{0, 1}, {1, 1}, {1, 8}, {7, 3}, {8, 3}, {9, 3}, {100, 7},
-	} {
-		check(c.n, c.shards)
-	}
-	for i := 0; i < 500; i++ {
-		check(rng.Intn(400), 1+rng.Intn(16))
-	}
-}
-
-func TestCoalesceMaximalRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 300; i++ {
-		want := map[int]bool{}
-		var seqs []int
-		for j := 0; j < rng.Intn(60); j++ {
-			s := rng.Intn(50)
-			want[s] = true
-			seqs = append(seqs, s)
-			if rng.Intn(3) == 0 {
-				seqs = append(seqs, s) // duplicates must not split runs
-			}
-		}
-		rng.Shuffle(len(seqs), func(a, b int) { seqs[a], seqs[b] = seqs[b], seqs[a] })
-		runs := coalesce(seqs)
-		got := map[int]bool{}
-		prev := -1 << 30
-		for _, r := range runs {
-			if r.Lo >= r.Hi {
-				t.Fatalf("coalesce(%v) = %v: empty run", seqs, runs)
-			}
-			if r.Lo <= prev+1 {
-				// Touching or out-of-order runs should have been merged.
-				t.Fatalf("coalesce(%v) = %v: runs not maximal or not sorted", seqs, runs)
-			}
-			prev = r.Hi - 1
-			for s := r.Lo; s < r.Hi; s++ {
-				got[s] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("coalesce(%v) covers %d seqs, want %d", seqs, len(got), len(want))
-		}
-		for s := range want {
-			if !got[s] {
-				t.Fatalf("coalesce(%v) = %v misses %d", seqs, runs, s)
-			}
-		}
-	}
-}
-
 // simClock is a manually advanced coordinator clock, safe against the
 // background sweeper reading it concurrently.
 type simClock struct {

@@ -25,20 +25,18 @@ func init() {
 		Kind: "swifi-preruntime",
 		// "swifi" is the legacy configure/submit kind; it keeps meaning
 		// the pre-runtime variant.
-		Aliases:       []string{"swifi"},
-		Description:   "THOR-S simulated board, faults written into the image before execution",
-		Algorithm:     core.PreRuntimeSWIFI.Name,
-		Deterministic: true,
+		Aliases:     []string{"swifi"},
+		Description: "THOR-S simulated board, faults written into the image before execution",
+		Algorithm:   core.PreRuntimeSWIFI.Name,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
 			return New(thor.DefaultConfig(), PreRuntime, scifi.TargetOptions(cfg)...), nil
 		},
 		SystemData: systemData,
 	})
 	core.RegisterTarget(core.TargetInfo{
-		Kind:          "swifi-runtime",
-		Description:   "THOR-S simulated board, memory mutated in place at the trigger point",
-		Algorithm:     core.RuntimeSWIFI.Name,
-		Deterministic: true,
+		Kind:        "swifi-runtime",
+		Description: "THOR-S simulated board, memory mutated in place at the trigger point",
+		Algorithm:   core.RuntimeSWIFI.Name,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
 			return New(thor.DefaultConfig(), Runtime, scifi.TargetOptions(cfg)...), nil
 		},

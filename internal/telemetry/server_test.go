@@ -163,6 +163,14 @@ func TestServerShutdownTimeout(t *testing.T) {
 	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: x\r\n")); err != nil {
 		t.Fatal(err)
 	}
+	// The server accepts connections in the order they were made, so once
+	// a later one is answered it holds the stuck one too: without this a
+	// Shutdown that closes the listener first finds nothing to drain.
+	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -142,9 +142,9 @@ func TestResumedPruningMatchesFreshRange(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !cp.Reference || len(cp.Completed) != k || cp.Completed[k-1] != k-1 {
-					t.Fatalf("cursor after the stop: reference %v, %d completed, want seqs 0..%d",
-						cp.Reference, len(cp.Completed), k-1)
+				if !cp.Reference || fmt.Sprint(cp.Ranges) != fmt.Sprint(campaign.SeqRanges{{0, k - 1}}) {
+					t.Fatalf("cursor after the stop: reference %v, completed %v, want seqs 0..%d",
+						cp.Reference, cp.Ranges, k-1)
 				}
 				rest := runStopped(t, st, camp, boards, 0, core.WithResume(cp))
 				fresh := runStopped(t, store(), camp, boards, 0, core.WithShardRange(k, n))
