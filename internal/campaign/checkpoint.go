@@ -152,14 +152,17 @@ const updateCursorSQL = `UPDATE CampaignCheckpoint SET planHash = ?, cursor = ? 
 
 // SaveCheckpoint stores the campaign cursor and raises a durability
 // barrier before it returns, so everything written before it is on disk.
-// (BatchingSink keeps the same order in its queue, and shares one barrier
-// among the cursors queued.)
+// A nil cursor raises the barrier alone: a run whose cursor row is stored
+// has nothing new to write into it. (BatchingSink keeps the same order in
+// its queue, and shares one barrier among the saves queued.)
 func (s *Store) SaveCheckpoint(cp *Checkpoint) error {
-	e := encoders.Get().(*rowEncoder)
-	err := s.putCheckpoint(e, cp)
-	encoders.Put(e)
-	if err != nil {
-		return err
+	if cp != nil {
+		e := encoders.Get().(*rowEncoder)
+		err := s.putCheckpoint(e, cp)
+		encoders.Put(e)
+		if err != nil {
+			return err
+		}
 	}
 	return s.db.Barrier()
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"goofi/internal/sqldb"
+	"goofi/internal/telemetry"
 )
 
 func testCheckpoint() *Checkpoint {
@@ -568,4 +569,57 @@ func FuzzCursorBlob(f *testing.F) {
 			t.Fatalf("recovered %v from rows 0..2", cp.Ranges)
 		}
 	})
+}
+
+// TestSaveCheckpointNilIsBarrierAlone: a nil cursor, handed to the store or
+// queued in a batching sink behind rows, writes no cursor statement to the
+// log and leaves the stored cursor as it was, but raises the barrier a
+// cursor save raises.
+func TestSaveCheckpointNilIsBarrierAlone(t *testing.T) {
+	barriers := func() float64 { return telemetry.Default.Snapshot()["goofi_sqldb_wal_barriers_total"] }
+	for _, batched := range []bool{false, true} {
+		st := sinkFixture(t)
+		var log bytes.Buffer
+		st.db.AttachWAL(sqldb.NewWAL(&log, sqldb.SyncBarrier))
+		var sink interface {
+			LogExperiment(*ExperimentRecord) error
+			SaveCheckpoint(*Checkpoint) error
+			Flush() error
+		} = st
+		if batched {
+			bs := NewBatchingSink(st, 1000)
+			defer bs.Close()
+			sink = bs
+		}
+		if err := sink.SaveCheckpoint(testCheckpoint()); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		written, before := log.Len(), barriers()
+		for i := 0; i < 3; i++ {
+			if err := sink.LogExperiment(sinkRecord(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.SaveCheckpoint(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := barriers() - before; got != 1 {
+			t.Errorf("batched %v: %v barriers behind the rows, want 1", batched, got)
+		}
+		if bytes.Contains(log.Bytes()[written:], []byte("CampaignCheckpoint")) {
+			t.Errorf("batched %v: a nil cursor wrote a cursor statement", batched)
+		}
+		if n, err := st.CountExperiments("camp-1"); err != nil || n != 3 {
+			t.Errorf("batched %v: %d rows (%v), want 3", batched, n, err)
+		}
+		if cp, err := st.GetCheckpoint("camp-1"); err != nil || cp == nil || cp.PlanHash != testCheckpoint().PlanHash {
+			t.Errorf("batched %v: stored cursor %+v (%v), want the one saved first", batched, cp, err)
+		}
+	}
 }

@@ -75,7 +75,8 @@ type BatchingSink struct {
 // commit is one unit of work for the writer: a batch of records, which it
 // encodes, then rows that came in stored form, inserted as they came, and,
 // when a cursor save closed the batch, that cursor. durable
-// asks for a barrier behind the commit where no cursor does.
+// asks for a barrier behind the commit: every cursor save does, nil cursor
+// or not.
 type commit struct {
 	records []*ExperimentRecord
 	rows    []Row
@@ -137,7 +138,7 @@ func (s *BatchingSink) writer() {
 			if err == nil && c.cursor != nil {
 				err = s.store.putCheckpoint(&s.enc, c.cursor)
 			}
-			barrier = barrier || c.cursor != nil || c.durable
+			barrier = barrier || c.durable
 		}
 		if err == nil && barrier {
 			err = s.store.db.Barrier()
@@ -171,7 +172,7 @@ func (s *BatchingSink) submit(c commit) {
 		mSinkWaitNS.Add(uint64(time.Since(start)))
 	}
 	c.records, s.buf = s.buf, nil
-	if len(c.records) == 0 && len(c.rows) == 0 && c.cursor == nil && !c.durable {
+	if len(c.records) == 0 && len(c.rows) == 0 && !c.durable {
 		return
 	}
 	if len(c.records) > 0 {
@@ -230,14 +231,15 @@ func (s *BatchingSink) LogExperiment(r *ExperimentRecord) error {
 // are durable, so resume never skips an experiment that was lost in
 // flight. An error reported here is a prior write's failure; this save's
 // own comes back from a later call, Flush and Close at the latest. The
-// sink keeps cp: the caller must not change it afterwards.
+// sink keeps cp: the caller must not change it afterwards. A nil cp queues
+// the barrier alone, at the same place.
 func (s *BatchingSink) SaveCheckpoint(cp *Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usable(); err != nil {
 		return err
 	}
-	s.submit(commit{cursor: cp})
+	s.submit(commit{cursor: cp, durable: true})
 	return nil
 }
 

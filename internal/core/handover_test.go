@@ -394,11 +394,12 @@ func TestHandOverPrunedSlotAllocs(t *testing.T) {
 	rs := &run{r: r, sum: &Summary{ByStatus: map[campaign.OutcomeStatus]int{}, ByMechanism: map[string]int{}},
 		q: newExpQueue(), window: make([]slot, 1)}
 	rs.prune = r.newPruner(&ForwardSet{Campaign: "fc", DefUse: fakeTargetUses(), Reference: ref}, loggedState(t, ref))
-	qe := queuedExperiment{plannedExperiment: plannedExperiment{seq: 3,
-		fault: faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{20}},
-		trig:  trigger.Spec{Kind: "cycle", Cycle: 50}}}
+	// One item, seq 3, whose fault flips bit 20 at cycle 50.
+	rs.planned = &planTable{n: 4, m: 1, kind: faultmodel.Transient,
+		trig: trigger.Spec{Kind: "cycle", Cycle: 50}, bits: []int{0, 0, 0, 20}}
+	rs.items = []int32{3}
 	allocs := testing.AllocsPerRun(1000, func() {
-		rs.classify(&qe)
+		rs.classify(0)
 		if s := &rs.window[0]; s.class != PrunedLatent || !rs.settle(s) {
 			t.Fatal("the slot was not pruned and handed over")
 		}

@@ -14,19 +14,25 @@ import (
 
 // fmtPlanHash is the plan hash as it was first written, with fmt: the
 // form every cursor on disk was stored under.
-func fmtPlanHash(r *Runner, planned []plannedExperiment) string {
+func fmtPlanHash(r *Runner, table *planTable) string {
 	h := sha256.New()
 	cfg, _ := json.Marshal(r.camp)
 	h.Write(cfg)
-	for _, pe := range planned {
+	for _, pe := range entries(table) {
 		fmt.Fprintf(h, "%d|%+v|%+v\n", pe.seq, pe.fault, pe.trig)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// oddFirstBit is a pre-injection filter that rejects every draw whose
+// first bit is odd: about half the draws, so a plan is mostly redraws.
+func oddFirstBit(f faultmodel.Fault, _ trigger.Spec) bool { return f.Bits[0]%2 == 0 }
+
 // TestPlanHashMatchesFmtForm draws a plan for every fault model crossed
-// with every trigger kind and checks that the hand-formatted hash input
-// is byte for byte the fmt form, entry by entry and as a whole.
+// with every trigger kind — with and without a pre-injection filter that
+// forces redraws, and by a runner that executes only a shard range — and
+// checks that the hand-formatted hash input is byte for byte the fmt form,
+// entry by entry and as a whole.
 func TestPlanHashMatchesFmtForm(t *testing.T) {
 	models := []faultmodel.Spec{
 		{Kind: faultmodel.Transient, Multiplicity: 1},
@@ -47,38 +53,41 @@ func TestPlanHashMatchesFmtForm(t *testing.T) {
 		{Kind: "task-switch", Addr: 0x200, Occurrence: 4},
 		{Kind: "rtc", Period: 1 << 40, Occurrence: 5},
 	}
-	entries := 0
+	compared := 0
 	for _, fm := range models {
 		for _, trig := range triggers {
 			for _, window := range [][2]uint64{{}, {10, math.MaxUint32}} {
 				if window[1] > 0 && trig.Kind != "cycle" {
 					continue
 				}
-				camp := fakeCampaign(40)
-				camp.FaultModel, camp.Trigger, camp.RandomWindow = fm, trig, window
-				r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD())
-				if err != nil {
-					t.Fatalf("%v/%v: %v", fm, trig, err)
-				}
-				planned, _, err := r.plan()
-				if err != nil {
-					t.Fatalf("%v/%v: %v", fm, trig, err)
-				}
-				for i := range planned {
-					want := fmt.Sprintf("%d|%+v|%+v\n", planned[i].seq, planned[i].fault, planned[i].trig)
-					if got := string(appendPlanLine(nil, &planned[i])); got != want {
-						t.Fatalf("plan entry formats as %q, the fmt form is %q", got, want)
+				for _, opts := range [][]RunnerOption{nil, {WithInjectionFilter(oddFirstBit)}, {WithShardRange(10, 25)}} {
+					camp := fakeCampaign(40)
+					camp.FaultModel, camp.Trigger, camp.RandomWindow = fm, trig, window
+					r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), opts...)
+					if err != nil {
+						t.Fatalf("%v/%v: %v", fm, trig, err)
 					}
-					entries++
-				}
-				if got, want := r.planHashOf(planned), fmtPlanHash(r, planned); got != want {
-					t.Fatalf("%v/%v: plan hash %s, the fmt form hashes to %s", fm, trig, got, want)
+					table, _, err := r.plan()
+					if err != nil {
+						t.Fatalf("%v/%v: %v", fm, trig, err)
+					}
+					planned := entries(table)
+					for i := range planned {
+						want := fmt.Sprintf("%d|%+v|%+v\n", planned[i].seq, planned[i].fault, planned[i].trig)
+						if got := string(appendPlanLine(nil, &planned[i])); got != want {
+							t.Fatalf("plan entry formats as %q, the fmt form is %q", got, want)
+						}
+						compared++
+					}
+					if got, want := r.planHashOf(table), fmtPlanHash(r, table); got != want {
+						t.Fatalf("%v/%v: plan hash %s, the fmt form hashes to %s", fm, trig, got, want)
+					}
 				}
 			}
 		}
 	}
-	if entries < 40*len(models)*len(triggers) {
-		t.Fatalf("only %d plan entries compared", entries)
+	if compared < 40*len(models)*len(triggers) {
+		t.Fatalf("only %d plan entries compared", compared)
 	}
 	// What a drawn plan never holds: no bits at all, and floats on both
 	// sides of where %v switches to exponent notation.

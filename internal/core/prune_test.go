@@ -80,18 +80,27 @@ func refResult() *Result {
 	}
 }
 
-// planOf draws camp's injection plan.
+// planOf draws camp's injection plan, entry by entry.
 func planOf(t *testing.T, camp *campaign.Campaign) []plannedExperiment {
 	t.Helper()
 	r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD())
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, _, err := r.plan()
+	table, _, err := r.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return planned
+	return entries(table)
+}
+
+// entries is every entry of a plan table, in sequence order.
+func entries(table *planTable) []plannedExperiment {
+	out := make([]plannedExperiment, table.n)
+	for seq := range out {
+		out[seq] = table.at(seq)
+	}
+	return out
 }
 
 // prunerFor is the pruner of a run without a sink, which needs no

@@ -882,3 +882,53 @@ func TestSinkKillAtBoundResumes(t *testing.T) {
 		t.Error("logged state after the stall differs from the full run")
 	}
 }
+
+// cursorCounter counts the cursor saves that hand the sink a cursor and
+// those that ask for the barrier alone.
+type cursorCounter struct {
+	CheckpointSink
+	written, barriers int
+}
+
+func (c *cursorCounter) SaveCheckpoint(cp *campaign.Checkpoint) error {
+	if cp == nil {
+		c.barriers++
+	} else {
+		c.written++
+	}
+	return c.CheckpointSink.SaveCheckpoint(cp)
+}
+
+// TestCursorWrittenOncePerRun: a run writes its cursor row once, at its
+// first save — after the reference run — and every later save, periodic or
+// at termination, raises the barrier alone, at the same cadence. The
+// written state is the run's: a second run of the campaign, after the
+// slate is cleared as `goofi run` clears it, writes the cursor again.
+func TestCursorWrittenOncePerRun(t *testing.T) {
+	const n, every = 20, 4
+	camp := fakeCampaign(n)
+	st := storeWithCampaign(t, camp)
+	sink := &cursorCounter{CheckpointSink: st}
+	r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD(), WithSink(sink), WithCheckpoints(every))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		if err := st.DeleteRun(camp.Name); err != nil {
+			t.Fatal(err)
+		}
+		sink.written, sink.barriers = 0, 0
+		sum, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sink.written != 1 || sink.barriers != n/every+1 {
+			t.Errorf("run %d: %d cursors written and %d barriers alone, want 1 and %d",
+				run, sink.written, sink.barriers, n/every+1)
+		}
+		cp, err := st.GetCheckpoint(camp.Name)
+		if err != nil || cp == nil || cp.PlanHash != sum.PlanHash || !cp.Reference {
+			t.Fatalf("run %d: stored cursor %+v (%v)", run, cp, err)
+		}
+	}
+}

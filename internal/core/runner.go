@@ -223,7 +223,8 @@ func WithShardRange(lo, hi int) RunnerOption {
 // WithInjectionFilter installs a pre-injection filter (paper §4): drawn
 // injections the filter rejects are skipped and redrawn, so every spent
 // experiment targets live state. The number of skips is reported in
-// Summary.Skipped.
+// Summary.Skipped. The fault's Bits are the plan's own, redrawn in place
+// after a rejection: the filter reads them and keeps nothing.
 func WithInjectionFilter(fn func(f faultmodel.Fault, trig trigger.Spec) bool) RunnerOption {
 	return func(r *Runner) { r.filter = fn }
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,107 +13,7 @@ import (
 	"goofi/internal/campaign"
 	"goofi/internal/faultmodel"
 	"goofi/internal/telemetry"
-	"goofi/internal/trigger"
 )
-
-// plannedExperiment is one pre-drawn injection.
-type plannedExperiment struct {
-	seq   int
-	fault faultmodel.Fault
-	trig  trigger.Spec
-}
-
-// plan draws the campaign's complete injection plan up front from a single
-// RNG seeded with the campaign seed. Because the plan stream is fixed
-// before any experiment runs, per-experiment outcomes are bit-identical
-// regardless of how many boards later execute the plan.
-func (r *Runner) plan() ([]plannedExperiment, int, error) {
-	sp, _, err := r.space()
-	if err != nil {
-		return nil, 0, err
-	}
-	planRNG := rand.New(rand.NewSource(r.camp.Seed))
-	out := make([]plannedExperiment, 0, r.camp.NumExperiments)
-	skipped := 0
-	// A bounded redraw budget keeps a pathological filter (rejecting
-	// everything) from spinning forever.
-	maxRedraws := 1000 * r.camp.NumExperiments
-	for i := 0; i < r.camp.NumExperiments; i++ {
-		for {
-			fault, err := sp.Sample(&r.camp.FaultModel, planRNG)
-			if err != nil {
-				return nil, 0, err
-			}
-			trig := r.camp.Trigger
-			if r.camp.RandomWindow[1] > 0 {
-				span := r.camp.RandomWindow[1] - r.camp.RandomWindow[0]
-				trig.Cycle = r.camp.RandomWindow[0] + uint64(planRNG.Int63n(int64(span)))
-			}
-			if r.filter == nil || r.filter(fault, trig) {
-				out = append(out, plannedExperiment{seq: i, fault: fault, trig: trig})
-				break
-			}
-			skipped++
-			if skipped > maxRedraws {
-				return nil, 0, fmt.Errorf("core: campaign %q: pre-injection filter rejected %d draws",
-					r.camp.Name, skipped)
-			}
-		}
-	}
-	return out, skipped, nil
-}
-
-// planHashOf fingerprints the campaign definition together with the full
-// injection plan drawn from it. A checkpoint stores this hash; resuming
-// validates it, so a campaign whose configuration (and therefore plan)
-// changed since the checkpoint is rejected instead of silently mixing
-// two different plans' results.
-func (r *Runner) planHashOf(planned []plannedExperiment) string {
-	h := sha256.New()
-	cfg, _ := json.Marshal(r.camp)
-	h.Write(cfg)
-	line := make([]byte, 0, 256)
-	for i := range planned {
-		line = appendPlanLine(line[:0], &planned[i])
-		h.Write(line)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// appendPlanLine appends one plan entry as the hash has always read it:
-// the bytes of fmt.Sprintf("%d|%+v|%+v\n", pe.seq, pe.fault, pe.trig).
-// Durable cursors hold hashes of these bytes, so the format is frozen;
-// only the formatting is by hand, because every process that plans —
-// each shard worker included — hashes the whole plan.
-func appendPlanLine(b []byte, pe *plannedExperiment) []byte {
-	b = strconv.AppendInt(b, int64(pe.seq), 10)
-	b = append(b, "|{Kind:"...)
-	b = append(b, pe.fault.Kind...)
-	b = append(b, " Bits:["...)
-	for i, bit := range pe.fault.Bits {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(bit), 10)
-	}
-	b = append(b, "] ActiveProb:"...)
-	b = strconv.AppendFloat(b, pe.fault.ActiveProb, 'g', -1, 64)
-	b = append(b, "}|{Kind:"...)
-	b = append(b, pe.trig.Kind...)
-	b = append(b, " Cycle:"...)
-	b = strconv.AppendUint(b, pe.trig.Cycle, 10)
-	b = append(b, " Count:"...)
-	b = strconv.AppendUint(b, pe.trig.Count, 10)
-	b = append(b, " Addr:"...)
-	b = strconv.AppendUint(b, uint64(pe.trig.Addr), 10)
-	b = append(b, " Occurrence:"...)
-	b = strconv.AppendInt(b, int64(pe.trig.Occurrence), 10)
-	b = append(b, " Write:"...)
-	b = strconv.AppendBool(b, pe.trig.Write)
-	b = append(b, " Period:"...)
-	b = strconv.AppendUint(b, pe.trig.Period, 10)
-	return append(b, "}\n"...)
-}
 
 // boardTarget returns the target system a board should drive: a fresh one
 // from the factory when configured (required above one board), otherwise
@@ -163,7 +60,7 @@ type run struct {
 	// the hand-over stage waiting for a board's delivery is woken by Stop.
 	stopCh chan struct{}
 
-	planned []plannedExperiment
+	planned *planTable
 	hash    string
 	// ckpt is the sink's cursor side, nil when checkpointing is off.
 	ckpt CheckpointSink
@@ -177,6 +74,12 @@ type run struct {
 	// haveRef reports that the reference stage succeeded: only then does a
 	// termination cursor go to the sink.
 	haveRef bool
+	// cursorWritten reports that this run has handed its cursor to the
+	// sink: every later save is the barrier alone. It is the run's, not
+	// the sink's, so the next run of the campaign writes the cursor a
+	// finished run's teardown deleted. Only the goroutine running Run
+	// saves.
+	cursorWritten bool
 	// ref is the reference run's state, which the experiments' rows are
 	// stored relative to; nil — a nondeterministic target, whose reference
 	// another process need not reproduce byte for byte, or no sink — stores
@@ -190,11 +93,13 @@ type run struct {
 	// a board takes instead of building one; Run retires it if none did.
 	// Guarded by mu during dispatch.
 	spare TargetSystem
-	// items is what this run executes: the plan minus what is durable and
-	// what belongs to other shards, in plan order. The hand-over stage owns
-	// window, a ring of slots items[h : h+len(window)] map into, and
-	// receives what the boards deliver on delivered.
-	items     []queuedExperiment
+	// items is what this run executes: the sequence numbers of the plan
+	// minus what is durable and what belongs to other shards, in plan order
+	// (int32, so that a planned experiment costs 20 bytes, not 24; plan
+	// caps n). The hand-over stage owns window, a ring of slots
+	// items[h : h+len(window)] map into, and receives what the boards
+	// deliver on delivered.
+	items     []int32
 	window    []slot
 	delivered chan delivery
 	q         *expQueue
@@ -229,9 +134,16 @@ func (rs *run) expErr(name string, err error) error {
 
 // saveCursor persists the campaign cursor — its identity; the rows are the
 // record of what is complete — through the checkpoint sink, whose barrier
-// it raises. Cursors are only saved once the reference run is logged. The
-// save can wait for room in the sink's queue, so callers hold no lock.
+// it raises. The identity does not change during a run, so only the run's
+// first save writes the cursor row; every later one raises the barrier
+// alone, at the same place among the rows. Cursors are only saved once the
+// reference run is logged. The save can wait for room in the sink's queue,
+// so callers hold no lock.
 func (rs *run) saveCursor() error {
+	if rs.cursorWritten {
+		return rs.ckpt.SaveCheckpoint(nil)
+	}
+	rs.cursorWritten = true
 	return rs.ckpt.SaveCheckpoint(&campaign.Checkpoint{
 		Campaign:    rs.r.camp.Name,
 		PlanHash:    rs.hash,
@@ -445,8 +357,8 @@ func (rs *run) referenceRun(logged bool) (set *ForwardSet, err error) {
 			}
 		}
 	}
-	qe := queuedExperiment{plannedExperiment: plannedExperiment{seq: -1}}
-	d := rs.climb(b, &qe)
+	attempts := 0
+	d := rs.climb(b, -1, &attempts)
 	ref := d.ex
 	if d.verdict != ladderDone {
 		// Spent, or a wedged board with no factory to power-cycle a
@@ -524,15 +436,17 @@ func (rs *run) takeSpare() TargetSystem {
 // from the reference run's def-use table.
 func (rs *run) enqueue() {
 	r := rs.r
-	rs.items = make([]queuedExperiment, 0, len(rs.planned))
-	for _, pe := range rs.planned {
-		if rs.durable.Has(pe.seq) {
-			continue // already durable from the interrupted run
+	lo, hi := 0, rs.planned.n
+	if r.shardHi != 0 {
+		// Another shard's slice of the plan is not this run's.
+		lo, hi = max(r.shardLo, 0), min(r.shardHi, hi)
+	}
+	todo := rs.durable.Holes(lo, hi)
+	rs.items = make([]int32, 0, todo.Len())
+	for _, gap := range todo {
+		for seq := gap[0]; seq <= gap[1]; seq++ {
+			rs.items = append(rs.items, int32(seq))
 		}
-		if r.shardHi != 0 && (pe.seq < r.shardLo || pe.seq >= r.shardHi) {
-			continue // another shard's slice of the plan
-		}
-		rs.items = append(rs.items, queuedExperiment{plannedExperiment: pe, idx: len(rs.items)})
 	}
 	rs.prune = r.newPruner(rs.fwSet, rs.ref)
 }
@@ -631,7 +545,7 @@ func (rs *run) handOver(idle <-chan struct{}) {
 			return
 		}
 		for ; next < len(rs.items) && next < h+len(rs.window); next++ {
-			rs.classify(&rs.items[next])
+			rs.classify(next)
 		}
 		s := &rs.window[h%len(rs.window)]
 		if !rs.await(s, idle) || !rs.settle(s) {
@@ -640,17 +554,18 @@ func (rs *run) handOver(idle <-chan struct{}) {
 	}
 }
 
-// classify fills the item's slot with its synthesized row when the pruner
+// classify fills item idx's slot with its synthesized row when the pruner
 // proves it a no-op, and otherwise clears the slot for a board's delivery
 // and queues the item.
-func (rs *run) classify(qe *queuedExperiment) {
-	s := &rs.window[qe.idx%len(rs.window)]
-	if rec, class := rs.prune.try(&qe.plannedExperiment); class != NotPruned {
+func (rs *run) classify(idx int) {
+	s := &rs.window[idx%len(rs.window)]
+	pe := rs.planned.at(int(rs.items[idx]))
+	if rec, class := rs.prune.try(&pe); class != NotPruned {
 		*s = slot{delivery: delivery{rec: rec, board: -1}, class: class, ready: true}
 		return
 	}
 	*s = slot{}
-	rs.q.push(*qe)
+	rs.q.push(queuedExperiment{idx: idx})
 }
 
 // await receives deliveries until s is ready. False when it will not be:
@@ -800,21 +715,26 @@ const (
 // failed attempt's partial trace is dropped with it. It returns the last
 // attempt's experiment, the flush of its trace and the verdict — unless
 // done, with the attempt's unwrapped error. Nothing reaches the sink here.
-func (rs *run) climb(b *board, qe *queuedExperiment) delivery {
+// seq is the experiment's sequence number, -1 for the reference run;
+// *attempts counts the attempts, across a requeue too.
+func (rs *run) climb(b *board, seq int, attempts *int) delivery {
 	r := rs.r
 	policyOn := r.retry.enabled()
+	// The reference injects nothing, at no trigger.
+	var pe plannedExperiment
+	var fault *faultmodel.Fault
+	if seq >= 0 {
+		pe = rs.planned.at(seq)
+		fault = &pe.fault
+	}
 	for {
-		qe.attempts++
-		var fault *faultmodel.Fault
-		if qe.seq >= 0 {
-			fault = &qe.fault
-		}
-		ex := r.newExperiment(qe.seq, fault, qe.trig)
+		*attempts++
+		ex := r.newExperiment(seq, fault, pe.trig)
 		flush := r.bufferDetail(ex)
 		if b.arm != nil {
 			b.arm(b.target)
 		}
-		err := r.execAttempt(rs.ctx, b.target, ex, qe.attempts)
+		err := r.execAttempt(rs.ctx, b.target, ex, *attempts)
 		if err == nil {
 			b.fails = 0
 			return delivery{ex: ex, flush: flush}
@@ -826,7 +746,7 @@ func (rs *run) climb(b *board, qe *queuedExperiment) delivery {
 			return delivery{ex: ex, verdict: ladderFatal, err: err}
 		}
 		b.fails++
-		if qe.attempts >= r.retry.maxAttempts() {
+		if *attempts >= r.retry.maxAttempts() {
 			return delivery{ex: ex, verdict: ladderSpent, err: err}
 		}
 		class := ClassifyError(err)
@@ -838,7 +758,7 @@ func (rs *run) climb(b *board, qe *queuedExperiment) delivery {
 		if b.breaker > 0 && b.fails >= b.breaker {
 			// Circuit breaker: the failures are attributed to the board,
 			// so the experiment gets its retry budget back.
-			qe.attempts = 0
+			*attempts = 0
 			return delivery{ex: ex, verdict: ladderSuspect, err: err}
 		}
 		if class == Wedged && r.factory == nil {
@@ -847,7 +767,7 @@ func (rs *run) climb(b *board, qe *queuedExperiment) delivery {
 			return delivery{ex: ex, verdict: ladderSuspect, err: err}
 		}
 		if class != Persistent {
-			d := r.retry.backoff(qe.attempts+1, b.jitter)
+			d := r.retry.backoff(*attempts+1, b.jitter)
 			mBackoffNS.Add(uint64(d))
 			if !sleepCtx(rs.ctx, d) {
 				return delivery{ex: ex, verdict: ladderFatal, err: err}
@@ -1070,7 +990,7 @@ func (rs *run) worker() {
 			return
 		}
 		mDispatched.Inc()
-		r.progress.BoardRunning(b.id, qe.seq)
+		r.progress.BoardRunning(b.id, int(rs.items[qe.idx]))
 		rs.runOnBoard(b, qe, start)
 	}
 }
@@ -1079,7 +999,7 @@ func (rs *run) worker() {
 // and delivers how it ended to the hand-over stage — or, the board being
 // suspect, gives the experiment back and quarantines the board.
 func (rs *run) runOnBoard(b *board, qe queuedExperiment, start time.Time) {
-	d := rs.climb(b, &qe)
+	d := rs.climb(b, int(rs.items[qe.idx]), &qe.attempts)
 	if d.verdict == ladderSuspect {
 		// Hand the experiment back for the surviving boards and
 		// quarantine this one fleet-wide (the campaign fails cleanly if
@@ -1102,10 +1022,9 @@ func (rs *run) runOnBoard(b *board, qe queuedExperiment, start time.Time) {
 	}
 }
 
-// queuedExperiment is one item of the run: a plan entry, its index among
-// the run's items, and its attempt count, which survives a requeue.
+// queuedExperiment is one item of the run on its way to a board: its index
+// among the run's items and its attempt count, which survives a requeue.
 type queuedExperiment struct {
-	plannedExperiment
 	idx      int
 	attempts int
 }

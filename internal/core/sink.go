@@ -26,7 +26,10 @@ type ResultSink interface {
 // survived too; it need not be durable when SaveCheckpoint returns, only
 // once a later Flush has (*campaign.Store raises the barrier at once,
 // *campaign.BatchingSink queues the cursor behind the records and lets its
-// writer raise one barrier for all it finds queued).
+// writer raise one barrier for all it finds queued). A nil cursor asks for
+// the barrier alone: a run writes its cursor, which only names the
+// campaign, on its first save, and later saves only mark how far the rows
+// before them are durable.
 type CheckpointSink interface {
 	ResultSink
 	SaveCheckpoint(*campaign.Checkpoint) error

@@ -10,6 +10,7 @@ package faultmodel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"goofi/internal/bitvec"
 	"goofi/internal/scanchain"
@@ -131,7 +132,9 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-func (s *Spec) multiplicity() int {
+// Width is how many bits a fault of the spec flips: its Multiplicity, and
+// one where that is unset.
+func (s *Spec) Width() int {
 	if s.Multiplicity <= 0 {
 		return 1
 	}
@@ -197,23 +200,36 @@ func (s *Space) LocationOf(offset int) (scanchain.Location, bool) {
 // without replacement within the fault (multi-bit faults hit distinct
 // bits).
 func (s *Space) Sample(spec *Spec, rng *rand.Rand) (Fault, error) {
-	if err := spec.Validate(); err != nil {
+	bits, err := s.AppendSample(nil, spec, rng)
+	if err != nil {
 		return Fault{}, err
 	}
-	m := spec.multiplicity()
-	if m > s.total {
-		return Fault{}, fmt.Errorf("faultmodel: multiplicity %d exceeds space of %d bits", m, s.total)
-	}
-	chosen := make(map[int]bool, m)
-	bits := make([]int, 0, m)
-	for len(bits) < m {
-		idx := rng.Intn(s.total)
-		if chosen[idx] {
-			continue
-		}
-		chosen[idx] = true
-		off, _ := s.bitAt(idx)
-		bits = append(bits, off)
-	}
 	return Fault{Kind: spec.Kind, Bits: bits, ActiveProb: spec.ActiveProb}, nil
+}
+
+// AppendSample draws the bits of one fault of the spec and appends their
+// chain offsets to dst: spec.Width() distinct bits of the space, each a
+// uniform rng.Intn over the space, a repeat drawn again. It allocates
+// nothing when dst has room, so a campaign's whole plan can be drawn into
+// one array. The draws stay in dst while they are checked for repeats — m
+// of them, compared pairwise, which is cheaper than a set at the few bits
+// a fault flips — and become offsets once all m are in.
+func (s *Space) AppendSample(dst []int, spec *Spec, rng *rand.Rand) ([]int, error) {
+	if err := spec.Validate(); err != nil {
+		return dst, err
+	}
+	m := spec.Width()
+	if m > s.total {
+		return dst, fmt.Errorf("faultmodel: multiplicity %d exceeds space of %d bits", m, s.total)
+	}
+	start := len(dst)
+	for len(dst)-start < m {
+		if idx := rng.Intn(s.total); !slices.Contains(dst[start:], idx) {
+			dst = append(dst, idx)
+		}
+	}
+	for i := start; i < len(dst); i++ {
+		dst[i], _ = s.bitAt(dst[i])
+	}
+	return dst, nil
 }

@@ -1,6 +1,7 @@
 package faultmodel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -255,5 +256,71 @@ func TestPropertyTransientChangesExactlySelectedBits(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapSample is Sample as it was first written, one map and one slice a
+// draw: the oracle AppendSample's draws are checked against.
+func mapSample(s *Space, spec *Spec, rng *rand.Rand) []int {
+	m := spec.Width()
+	chosen := make(map[int]bool, m)
+	bits := make([]int, 0, m)
+	for len(bits) < m {
+		idx := rng.Intn(s.total)
+		if chosen[idx] {
+			continue
+		}
+		chosen[idx] = true
+		off, _ := s.bitAt(idx)
+		bits = append(bits, off)
+	}
+	return bits
+}
+
+// TestAppendSampleMatchesMapDraws: appending one fault after another into
+// one array consumes the generator as the map-based draw does and yields
+// the same offsets in the same order — over multiplicities up to the whole
+// space (where repeats are most of the draws), spaces whose locations are
+// out of chain order or overlap, and a dst that already holds bits.
+func TestAppendSampleMatchesMapDraws(t *testing.T) {
+	overlapping, err := NewSpace([]scanchain.Location{
+		{Name: "hi", Offset: 40, Width: 8},
+		{Name: "lo", Offset: 0, Width: 6},
+		{Name: "wide", Offset: 2, Width: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []*Space{space(t), overlapping} {
+		for _, mult := range []int{0, 1, 2, 3, 7, sp.Bits()} {
+			spec := &Spec{Kind: Transient, Multiplicity: mult}
+			for seed := int64(1); seed <= 20; seed++ {
+				oracle, mine := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				flat := []int{-1}
+				for draw := 0; draw < 50; draw++ {
+					want := mapSample(sp, spec, oracle)
+					start := len(flat)
+					if flat, err = sp.AppendSample(flat, spec, mine); err != nil {
+						t.Fatal(err)
+					}
+					if got := flat[start:]; fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("multiplicity %d, seed %d, draw %d: appended %v, the map draws %v", mult, seed, draw, got, want)
+					}
+				}
+				if flat[0] != -1 {
+					t.Fatal("AppendSample wrote over what dst held")
+				}
+				if oracle.Int63() != mine.Int63() {
+					t.Fatalf("multiplicity %d, seed %d: the generators part after the draws", mult, seed)
+				}
+			}
+		}
+	}
+	sp, spec, rng := space(t), &Spec{Kind: Transient, Multiplicity: 4}, rand.New(rand.NewSource(1))
+	room := make([]int, 0, 4)
+	if allocs := testing.AllocsPerRun(100, func() {
+		room, _ = sp.AppendSample(room[:0], spec, rng)
+	}); allocs != 0 {
+		t.Errorf("AppendSample into room allocates %v times, want 0", allocs)
 	}
 }
