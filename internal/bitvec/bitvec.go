@@ -223,6 +223,30 @@ func (v *Vector) MaskedDiff(o, mask *Vector) (int, error) {
 	return c, nil
 }
 
+// DiffCount returns the number of positions at which v and o differ. The
+// lengths must match.
+func (v *Vector) DiffCount(o *Vector) int {
+	c := 0
+	for i, w := range v.words[:min(len(v.words), len(o.words))] {
+		c += bits.OnesCount64(w ^ o.words[i])
+	}
+	return c
+}
+
+// AppendDiff appends to dst, ascending, offset plus each position at which
+// v and o differ — with offset MarshaledHeaderBits, the positions of the
+// bits in which their byte forms differ — and returns it. The lengths must
+// match. A run's end state is stored as this list against the reference
+// run's.
+func (v *Vector) AppendDiff(dst []int, o *Vector, offset int) []int {
+	for wi, w := range v.words[:min(len(v.words), len(o.words))] {
+		for x := w ^ o.words[wi]; x != 0; x &= x - 1 {
+			dst = append(dst, offset+wi*64+bits.TrailingZeros64(x))
+		}
+	}
+	return dst
+}
+
 // PopCount returns the number of set bits.
 func (v *Vector) PopCount() int {
 	c := 0
@@ -311,12 +335,19 @@ const MarshaledHeaderBits = 64
 // MarshalBinary encodes the vector as an 8-byte little-endian length followed
 // by the packed words, little-endian, one store per word.
 func (v *Vector) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 8+8*len(v.words))
-	binary.LittleEndian.PutUint64(buf, uint64(v.n))
-	for i, w := range v.words {
-		binary.LittleEndian.PutUint64(buf[8+8*i:], w)
+	return v.AppendBinary(make([]byte, 0, v.MarshaledLen())), nil
+}
+
+// MarshaledLen is the length of the vector's byte form.
+func (v *Vector) MarshaledLen() int { return 8 + 8*len(v.words) }
+
+// AppendBinary appends the vector's byte form (MarshalBinary) to b.
+func (v *Vector) AppendBinary(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(v.n))
+	for _, w := range v.words {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	return buf, nil
+	return b
 }
 
 // ErrTruncated is returned (wrapped) by UnmarshalBinary when data is

@@ -353,22 +353,55 @@ type ExperimentRecord struct {
 	// state is Ref.State with the ScanDiff bits of Scan flipped, and
 	// EncodeRow stores that list as it stands. WholeState spells it out.
 	FromRef bool `json:"-"`
+	// diffScan marks a record handed to a sink that says its scan state
+	// alone that way (ScanFromRef).
+	diffScan bool
+	// owned marks a record a BatchingSink took with LogOwned: once stored,
+	// NewRecord hands it out again.
+	owned bool
 }
 
 // WholeState returns the state the record logs: State, or, for a record
 // that says its state as a difference from the reference (FromRef), that
 // difference applied — Memory and Outputs shared with the reference's, as
-// on a relative row read back.
+// on a relative row read back — and for one that says its scan state alone
+// that way, State with that scan state.
 func (r *ExperimentRecord) WholeState() (*StateVector, error) {
-	if !r.FromRef {
+	if !r.scanFromRef() {
 		return &r.State, nil
 	}
 	if err := r.checkFromRef(); err != nil {
 		return nil, err
 	}
-	sv := r.Ref.State
-	sv.Scan = flipBits(sv.Scan, r.ScanDiff)
-	return &sv, nil
+	return r.fromRefState(), nil
+}
+
+// ScanFromRef makes a record to be handed to a sink say its scan state the
+// way a FromRef record does, and its memory and outputs in State: the scan
+// state is Ref.State.Scan with the bits at the positions diff lists
+// (ascending, in its byte form) flipped, and EncodeRow stores the list as it
+// stands. An emulated experiment's end row whose scan state differs from
+// the reference's in a few bits is said that way (core's endRecord). A
+// State.Scan set afterwards says the scan state again.
+func (r *ExperimentRecord) ScanFromRef(diff []int) {
+	r.State.Scan, r.ScanDiff, r.diffScan = nil, diff, true
+}
+
+// scanFromRef reports whether a record handed to a sink says its scan
+// state as the ScanDiff bits of the reference's (FromRef, ScanFromRef).
+func (r *ExperimentRecord) scanFromRef() bool {
+	return r.FromRef || r.diffScan && r.State.Scan == nil
+}
+
+// fromRefState is the state a record that says its scan state as a
+// difference logs.
+func (r *ExperimentRecord) fromRefState() *StateVector {
+	sv := r.State
+	if r.FromRef {
+		sv = r.Ref.State
+	}
+	sv.Scan = flipBits(r.Ref.State.Scan, r.ScanDiff)
+	return &sv
 }
 
 // ScanState returns the scan state the record logs: State.Scan, or, on a
@@ -408,9 +441,10 @@ func (r *ExperimentRecord) endOfExperiment() bool {
 	return r.Step == -1 && r.Data.Seq >= 0 && r.Data.Outcome.Status != OutcomeInvalidRun
 }
 
-// checkFromRef refuses a FromRef record that cannot be stored relative to
-// its reference, the only way it can be stored: no reference, not an
-// experiment's end row, or a ScanDiff the relative form cannot hold.
+// checkFromRef refuses a record that says its scan state as a difference
+// (scanFromRef) and cannot be stored relative to its reference, the only
+// way it can say it: no reference, not an experiment's end row, or a
+// ScanDiff the relative form cannot hold.
 func (r *ExperimentRecord) checkFromRef() error {
 	if r.Ref == nil || !r.endOfExperiment() {
 		return fmt.Errorf("campaign: experiment %q: only an experiment's end row can give its state as a difference, and only from a reference", r.Name)
@@ -430,16 +464,21 @@ func (r *ExperimentRecord) IsReference() bool { return r.Data.Seq < 0 }
 func ReferenceName(campaignName string) string { return campaignName + "/reference" }
 
 // ExperimentName returns the canonical name of the i-th experiment: what
-// fmt.Sprintf("%s/exp%05d", campaignName, i) reads, by hand for the
-// numbers experiments have — it is called once per experiment.
+// fmt.Sprintf("%s/exp%05d", campaignName, i) reads.
 func ExperimentName(campaignName string, i int) string {
 	if i < 0 {
 		return fmt.Sprintf("%s/exp%05d", campaignName, i)
 	}
 	var arr [64]byte
-	b := append(append(arr[:0], campaignName...), "/exp"...)
+	return string(AppendExperimentName(arr[:0], campaignName, i))
+}
+
+// AppendExperimentName appends ExperimentName(campaignName, i), i >= 0, to
+// b, by hand: a run names every experiment, many into one buffer.
+func AppendExperimentName(b []byte, campaignName string, i int) []byte {
+	b = append(append(b, campaignName...), "/exp"...)
 	for lim := 10000; lim > i && lim > 1; lim /= 10 {
 		b = append(b, '0')
 	}
-	return string(strconv.AppendInt(b, int64(i), 10))
+	return strconv.AppendInt(b, int64(i), 10)
 }

@@ -379,22 +379,24 @@ func (ref *Reference) checkDiff(diff []int) error {
 // appendRelative encodes r's state as its difference from r.Ref (the
 // grammar is at the top of this file). A record that says its state as a
 // difference (FromRef) has the scan list in hand and nothing else to list;
+// one that says its scan state alone that way has the scan list in hand;
 // any other has its State walked against the reference's. It reports false,
-// with buf as it came, when State does not fit the reference's shape — a
-// Scan of another length, a symbol or port the reference lacks — and so
+// with buf as it came, when the state does not fit the reference's shape —
+// a Scan of another length, a symbol or port the reference lacks — and so
 // must be stored whole.
 func (r *ExperimentRecord) appendRelative(buf []byte) ([]byte, bool) {
 	ref, s := r.Ref, &r.State
 	base := &ref.State
+	diff := r.scanFromRef()
 	if r.FromRef {
 		s = base
-	} else if len(s.Scan) != len(base.Scan) {
+	} else if !diff && len(s.Scan) != len(base.Scan) {
 		return buf, false
 	}
 	start := len(buf)
 	buf = binary.LittleEndian.AppendUint32(append(buf, tagRelative), ref.sum)
 	prev := -1
-	if r.FromRef {
+	if diff {
 		for _, pos := range r.ScanDiff {
 			buf, prev = appendGap(buf, pos, prev)
 		}

@@ -49,6 +49,11 @@ import (
 // the sink's, not the store's: goofid runs several campaigns' sinks over
 // one store.
 //
+// A producer that logs a row per experiment can take its records from the
+// sink (NewRecord) and hand them back with LogOwned: the writer keeps what
+// it has stored of them, up to QueueRows, for NewRecord to hand out again,
+// so the rows' records are not garbage once stored.
+//
 // A failed write poisons the sink: the first error is retained, nothing
 // queued behind it is written (a cursor must not outlive rows that failed),
 // and every later LogExperiment/SaveCheckpoint/CommitRows/Flush/Close
@@ -59,9 +64,14 @@ type BatchingSink struct {
 	batchSize int
 	enc       rowEncoder // the writer's
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	buf     []*ExperimentRecord
+	mu    sync.Mutex
+	cond  *sync.Cond
+	buf   []*ExperimentRecord
+	spare []*ExperimentRecord // stored records of LogOwned's, for NewRecord
+	// bufs are emptied batches for buf, and last the writer's last group,
+	// for work: the writer hands back what it is through with.
+	bufs    [][]*ExperimentRecord
+	last    []commit
 	work    []commit // queued for the writer, in hand-over order
 	waiting int      // rows in work
 	queued  int      // commits ever queued
@@ -124,7 +134,7 @@ func (s *BatchingSink) writer() {
 			return
 		}
 		group, err := s.work, s.err
-		s.work, s.waiting = nil, 0
+		s.work, s.last, s.waiting = s.last, nil, 0
 		s.cond.Broadcast() // room for the boards
 		s.mu.Unlock()
 		barrier := false
@@ -148,6 +158,19 @@ func (s *BatchingSink) writer() {
 		s.mu.Lock()
 		s.err = err
 		s.written += len(group)
+		for i, c := range group {
+			for _, r := range c.records {
+				if r.owned && len(s.spare) < QueueRows {
+					s.spare = append(s.spare, r)
+				}
+			}
+			if cap(c.records) == s.batchSize && len(s.bufs) < QueueRows/s.batchSize {
+				clear(c.records)
+				s.bufs = append(s.bufs, c.records[:0])
+			}
+			group[i] = commit{}
+		}
+		s.last = group[:0]
 		s.cond.Broadcast()
 	}
 }
@@ -213,8 +236,12 @@ func (s *BatchingSink) LogExperiment(r *ExperimentRecord) error {
 	}
 	if s.buf == nil {
 		// The commit takes the batch's slice with it: one for each batch,
-		// not one for each doubling of it.
-		s.buf = make([]*ExperimentRecord, 0, s.batchSize)
+		// not one for each doubling of it, and the writer hands it back.
+		if n := len(s.bufs); n > 0 {
+			s.buf, s.bufs = s.bufs[n-1], s.bufs[:n-1]
+		} else {
+			s.buf = make([]*ExperimentRecord, 0, s.batchSize)
+		}
 	}
 	s.buf = append(s.buf, r)
 	mSinkRecords.Inc()
@@ -222,6 +249,30 @@ func (s *BatchingSink) LogExperiment(r *ExperimentRecord) error {
 		s.submit(commit{})
 	}
 	return nil
+}
+
+// NewRecord returns a zero record to fill and hand to LogOwned: one the
+// writer has stored, when there is one, and a new one otherwise.
+func (s *BatchingSink) NewRecord() *ExperimentRecord {
+	s.mu.Lock()
+	var r *ExperimentRecord
+	if n := len(s.spare); n > 0 {
+		r, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
+	s.mu.Unlock()
+	if r == nil {
+		return new(ExperimentRecord)
+	}
+	*r = ExperimentRecord{}
+	return r
+}
+
+// LogOwned is LogExperiment for a record the caller gives up: the sink
+// owns r from the call on, and NewRecord hands it out again once it is
+// stored.
+func (s *BatchingSink) LogOwned(r *ExperimentRecord) error {
+	r.owned = true
+	return s.LogExperiment(r)
 }
 
 // SaveCheckpoint queues the campaign cursor behind every record logged

@@ -293,9 +293,11 @@ func (r *Row) Step() int { return int(r.Cols[3].I) }
 // shape or is given as a difference from it (FromRef). The reference row
 // itself, a detail-mode step row, an invalid run (it has no state) and any
 // record without a Ref — every row of a nondeterministic target, whose
-// shard workers' references need not agree — are stored whole. A FromRef
-// record has no whole state to store: one that cannot go relative, or
-// whose difference the relative form cannot hold, is the one error.
+// shard workers' references need not agree — are stored whole. A record
+// that says its scan state as a difference and cannot go relative, or whose
+// difference the relative form cannot hold, is the one error; one whose
+// memory or outputs do not fit the reference's shape is stored whole, its
+// scan state spelled out.
 func EncodeRow(r *ExperimentRecord) (Row, error) {
 	buf, n, err := appendBlobs(make([]byte, 0, 512), r)
 	if err != nil {
@@ -317,7 +319,7 @@ func appendBlobs(buf []byte, r *ExperimentRecord) ([]byte, int, error) {
 		whole.applyScanDiff()
 		r = &whole
 	}
-	if r.FromRef {
+	if r.scanFromRef() {
 		if err := r.checkFromRef(); err != nil {
 			return buf, 0, err
 		}
@@ -331,7 +333,11 @@ func appendBlobs(buf []byte, r *ExperimentRecord) ([]byte, int, error) {
 	if relative {
 		mRowsRelative.Inc()
 	} else {
-		buf = r.State.appendJSON(buf)
+		st := &r.State
+		if r.scanFromRef() {
+			st = r.fromRefState()
+		}
+		buf = st.appendJSON(buf)
 		mRowsAbsolute.Inc()
 	}
 	mStateBytes.Add(uint64(len(buf) - n))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -35,7 +36,7 @@ func (f *fakeTarget) record(s string) { f.calls = append(f.calls, s) }
 
 func (f *fakeTarget) InitTestCard(ex *Experiment) error {
 	f.record("init")
-	f.chain = bitvec.New(64)
+	f.chain.Clear()
 	return nil
 }
 func (f *fakeTarget) LoadWorkload(ex *Experiment) error { f.record("load"); return nil }
@@ -47,10 +48,15 @@ func (f *fakeTarget) WaitForBreakpoint(ex *Experiment) error {
 	return nil
 }
 
+// ReadScanChain reads the chain into the experiment's vector, as the thor
+// board does, and into a new one when it has none of the chain's length.
 func (f *fakeTarget) ReadScanChain(ex *Experiment) error {
 	f.record("readChain")
-	ex.ScanVector = f.chain.Clone()
-	return nil
+	if ex.ScanVector == nil || ex.ScanVector.Len() != f.chain.Len() {
+		ex.ScanVector = f.chain.Clone()
+		return nil
+	}
+	return ex.ScanVector.CopyFrom(f.chain)
 }
 
 func (f *fakeTarget) WriteScanChain(ex *Experiment) error {
@@ -68,9 +74,18 @@ func (f *fakeTarget) WaitForTermination(ex *Experiment) error {
 	return nil
 }
 
+// fakeOut is what the fake's memory holds after every run.
+var fakeOut = []byte{0xAA}
+
+// ReadMemory reads the fake's memory back — as the reference run's, when
+// it is the same, as the thor board does.
 func (f *fakeTarget) ReadMemory(ex *Experiment) error {
 	f.record("readMem")
-	ex.Result.Memory = map[string][]byte{"out": {0xAA}}
+	if ref := ex.Reference; ref != nil && len(ref.Memory) == 1 && bytes.Equal(ref.Memory["out"], fakeOut) {
+		ex.Result.Memory = ref.Memory
+		return nil
+	}
+	ex.Result.Memory = map[string][]byte{"out": bytes.Clone(fakeOut)}
 	return nil
 }
 

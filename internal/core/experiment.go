@@ -31,6 +31,14 @@ type Experiment struct {
 	// models must draw randomness only from it, keeping runs replayable.
 	RNG *rand.Rand
 
+	// Reference is the campaign's reference run's result; nil in the
+	// reference run itself and in a rerun. Where an experiment observes
+	// what the reference did, a target may put the reference's slices and
+	// maps in Result instead of copies of its own: a row that shares them
+	// is the row a copy makes (campaign.Aliased). Nothing may write
+	// through them.
+	Reference *Result
+
 	// ScanVector is the scan chain contents between ReadScanChain and
 	// WriteScanChain.
 	ScanVector *bitvec.Vector
@@ -77,6 +85,11 @@ type Experiment struct {
 	// (e.g. the assembled workload image between LoadWorkload and
 	// WriteMemory).
 	scratch map[string]interface{}
+
+	// fault is what Fault points to: the experiment's own copy of its
+	// plan entry's fault. src is RNG's source.
+	fault faultmodel.Fault
+	src   lazySource
 }
 
 // IsReference reports whether this is the campaign's fault-free
@@ -141,21 +154,27 @@ func (ex *Experiment) Record() (*campaign.ExperimentRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := campaign.ExperimentData{
-		Seq:            ex.Seq,
-		Trigger:        ex.Trigger,
-		InjectionCycle: ex.InjectionCycle,
-		Injected:       ex.Injected,
-		Outcome:        ex.Result.Outcome,
-	}
-	if ex.Fault != nil {
-		data.Fault = *ex.Fault
-	}
-	return &campaign.ExperimentRecord{
+	rec := &campaign.ExperimentRecord{}
+	ex.fillRecord(rec)
+	rec.State = *sv
+	return rec, nil
+}
+
+// fillRecord sets everything of the experiment's row but its state.
+func (ex *Experiment) fillRecord(rec *campaign.ExperimentRecord) {
+	*rec = campaign.ExperimentRecord{
 		Name:     ex.Name,
 		Campaign: ex.Campaign.Name,
-		Data:     data,
-		State:    *sv,
-		Step:     -1,
-	}, nil
+		Data: campaign.ExperimentData{
+			Seq:            ex.Seq,
+			Trigger:        ex.Trigger,
+			InjectionCycle: ex.InjectionCycle,
+			Injected:       ex.Injected,
+			Outcome:        ex.Result.Outcome,
+		},
+		Step: -1,
+	}
+	if ex.Fault != nil {
+		rec.Data.Fault = *ex.Fault
+	}
 }

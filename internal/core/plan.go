@@ -36,11 +36,13 @@ type planTable struct {
 }
 
 // plannedExperiment is one entry of the plan, built where it is read: a
-// value, not something the plan holds.
+// value, not something the plan holds. name is the experiment's name where
+// the hand-over stage has made it, "" elsewhere.
 type plannedExperiment struct {
 	seq   int
 	fault faultmodel.Fault
 	trig  trigger.Spec
+	name  string
 }
 
 // at builds experiment seq's entry. Its fault's Bits is the experiment's

@@ -97,34 +97,34 @@ func WithRetryPolicy(p RetryPolicy) RunnerOption {
 // wedged physical board, which only a power cycle (a fresh target from
 // the factory) recovers.
 func (r *Runner) execAttempt(ctx context.Context, target TargetSystem, ex *Experiment, attempt int) error {
-	run := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = &ExperimentError{Class: Wedged, Experiment: ex.Name, Attempt: attempt,
-					Err: fmt.Errorf("panic in experiment: %v", p)}
-			}
-		}()
-		return r.alg.Run(target, ex)
-	}
-	var err error
 	if r.retry.WatchdogTimeout <= 0 {
-		err = run()
-	} else {
-		done := make(chan error, 1)
-		go func() { done <- run() }()
-		timer := time.NewTimer(r.retry.WatchdogTimeout)
-		defer timer.Stop()
-		select {
-		case err = <-done:
-		case <-timer.C:
-			mWatchdogFires.Inc()
-			return &ExperimentError{Class: Wedged, Experiment: ex.Name, Attempt: attempt,
-				Err: fmt.Errorf("watchdog: no response within %v", r.retry.WatchdogTimeout)}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		return r.attempt(target, ex, attempt)
 	}
-	return err
+	done := make(chan error, 1)
+	go func() { done <- r.attempt(target, ex, attempt) }()
+	timer := time.NewTimer(r.retry.WatchdogTimeout)
+	defer timer.Stop()
+	select {
+	case err := <-done:
+		return err
+	case <-timer.C:
+		mWatchdogFires.Inc()
+		return &ExperimentError{Class: Wedged, Experiment: ex.Name, Attempt: attempt,
+			Err: fmt.Errorf("watchdog: no response within %v", r.retry.WatchdogTimeout)}
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// attempt runs the algorithm once, converting a panic to a Wedged error.
+func (r *Runner) attempt(target TargetSystem, ex *Experiment, attempt int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &ExperimentError{Class: Wedged, Experiment: ex.Name, Attempt: attempt,
+				Err: fmt.Errorf("panic in experiment: %v", p)}
+		}
+	}()
+	return r.alg.Run(target, ex)
 }
 
 // sleepCtx sleeps for d, returning false when ctx is cancelled first.

@@ -370,22 +370,27 @@ func expSeed(campaignSeed int64, seq int) int64 {
 
 // lazySource is the math/rand source of seed, seeded at the first draw: only
 // intermittent faults draw from an experiment's RNG, and seeding (607 words)
-// costs more than a pruned experiment's whole row.
+// costs more than a pruned experiment's whole row. A reused experiment
+// context reseeds the source it has.
 type lazySource struct {
-	seed int64
-	src  rand.Source64
+	seed   int64
+	src    rand.Source64
+	seeded bool // src holds seed's stream
 }
 
-func (s *lazySource) seeded() rand.Source64 {
+func (s *lazySource) stream() rand.Source64 {
 	if s.src == nil {
 		s.src = rand.NewSource(s.seed).(rand.Source64)
+	} else if !s.seeded {
+		s.src.Seed(s.seed)
 	}
+	s.seeded = true
 	return s.src
 }
 
-func (s *lazySource) Int63() int64    { return s.seeded().Int63() }
-func (s *lazySource) Uint64() uint64  { return s.seeded().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+func (s *lazySource) Int63() int64    { return s.stream().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.stream().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
 
 // newExperiment builds the experiment context for sequence number seq.
 func (r *Runner) newExperiment(seq int, fault *faultmodel.Fault, trig trigger.Spec) *Experiment {
@@ -393,21 +398,36 @@ func (r *Runner) newExperiment(seq int, fault *faultmodel.Fault, trig trigger.Sp
 	if seq < 0 {
 		name = campaign.ReferenceName(r.camp.Name)
 	}
-	ex := &Experiment{
-		Campaign: r.camp,
-		Seq:      seq,
-		Name:     name,
-		Fault:    fault,
-		Trigger:  trig,
-		RNG:      rand.New(&lazySource{seed: expSeed(r.camp.Seed, seq)}),
+	ex := &Experiment{}
+	r.initExperiment(ex, seq, name, fault, trig)
+	return ex
+}
+
+// initExperiment readies ex, a fresh context or a finished experiment's, for
+// experiment seq: a fault is copied in, and of what ex held before it
+// keeps storage alone — its scan vector, its step trace's array, its
+// scratch map emptied and its random source, reseeded — so a board that is
+// handed its finished contexts back allocates none.
+func (r *Runner) initExperiment(ex *Experiment, seq int, name string, fault *faultmodel.Fault, trig trigger.Spec) {
+	old := *ex
+	*ex = Experiment{Campaign: r.camp, Seq: seq, Name: name, Trigger: trig,
+		ScanVector: old.ScanVector, StepTrace: old.StepTrace[:0], scratch: old.scratch,
+		RNG: old.RNG, src: old.src}
+	clear(ex.scratch)
+	if fault != nil {
+		ex.fault = *fault
+		ex.Fault = &ex.fault
 	}
+	if ex.RNG == nil {
+		ex.RNG = rand.New(&ex.src)
+	}
+	ex.RNG.Seed(expSeed(r.camp.Seed, seq))
 	if r.camp.LogMode == campaign.LogDetail && r.sink != nil {
 		parent := name
 		ex.DetailSink = func(step int, sv *campaign.StateVector) error {
 			return r.sink.LogExperiment(detailRecord(r.camp.Name, parent, step, sv))
 		}
 	}
-	return ex
 }
 
 // detailRecord builds one detail-mode trace row.

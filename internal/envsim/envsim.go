@@ -25,7 +25,9 @@ import (
 // them copies them too.
 type Simulator interface {
 	Name() string
-	// Reset prepares the simulator with campaign parameters.
+	// Reset prepares the simulator with campaign parameters, leaving it
+	// as a fresh instance from its factory after Reset would be: a board
+	// makes one simulator and resets it for every experiment it runs.
 	Reset(params map[string]float64)
 	// Exchange advances the environment by one step.
 	Exchange(outputs []uint32) (inputs []uint32)

@@ -291,11 +291,11 @@ func (t *Board) fwRestore(ex *core.Experiment) {
 	if !ok {
 		return
 	}
-	// Reconstruct the simulator first: if that fails the board state is
-	// untouched and the experiment proceeds cold.
+	// Reconstruct the simulator first, in the board's second one: if that
+	// fails the board state is untouched and the experiment proceeds cold.
 	var sim envsim.Simulator
 	if ex.Campaign.EnvSim != nil {
-		fresh, err := t.envs.New(ex.Campaign.EnvSim.Name, ex.Campaign.EnvSim.Params)
+		fresh, err := t.simulator(ex, 1)
 		if err != nil {
 			return
 		}
@@ -322,6 +322,9 @@ func (t *Board) fwRestore(ex *core.Experiment) {
 	}
 	t.ctrl.RestoreState(bs.ctrl)
 	t.iteration = bs.iteration
+	if sim != nil {
+		t.sims[0], t.sims[1] = sim, t.sims[0]
+	}
 	t.sim = sim
 	t.outputs = append(t.outputs[:0], bs.outputs...)
 	ex.Forwarded = true

@@ -353,10 +353,8 @@ func (db *DB) fkCheck(t *Table, row []Value) error {
 			return fmt.Errorf("sqldb: foreign key references missing table %q", fk.RefTable)
 		}
 		// The FK values in fk.Cols order are the referenced primary key's
-		// in its order, so the same projection keys both sides. The map
-		// is indexed with the bytes themselves: no key string is made.
-		var buf [keyBytes]byte
-		if !ref.hasKey(fk.RefCols, appendRowKey(buf[:0], row, idx)) {
+		// in its order, so the same projection keys both sides.
+		if !ref.hasKey(fk.RefCols, row, idx) {
 			return fmt.Errorf("sqldb: foreign key violation: %s%v not in %s(%v)",
 				t.Name, fk.Cols, fk.RefTable, fk.RefCols)
 		}
@@ -369,12 +367,11 @@ func (db *DB) fkCheck(t *Table, row []Value) error {
 // referencing columns are their table's primary key or carry the index
 // ensureFKIndexes built, so each is one lookup, whatever the tables hold.
 func (db *DB) referencers(t *Table, row []Value) error {
-	var buf [keyBytes]byte
-	key := appendRowKey(buf[:0], row, t.pkColIdx())
+	idx := t.pkColIdx()
 	for _, name := range db.order { // in creation order: the error names the first referencer
 		other := db.tables[name]
 		for _, fk := range other.FKs {
-			if fk.RefTable == t.Name && other.hasKey(fk.Cols, key) {
+			if fk.RefTable == t.Name && other.hasKey(fk.Cols, row, idx) {
 				return fmt.Errorf("sqldb: row in %s is referenced by %s", t.Name, other.Name)
 			}
 		}
@@ -390,14 +387,15 @@ func (db *DB) pkCheck(t *Table, row []Value, pkKey string, skipIdx int) error {
 	if len(t.PKCols) == 0 {
 		return nil
 	}
-	if i, dup := t.pkIndex[pkKey]; dup && i != skipIdx {
-		return fmt.Errorf("sqldb: duplicate primary key in table %s", t.Name)
-	}
-	// PK components must not be NULL.
+	// PK components must not be NULL. Checked first: a NULL text key is
+	// the empty string as an index key.
 	for _, ci := range t.pkColIdx() {
 		if row[ci].IsNull() {
 			return fmt.Errorf("sqldb: NULL in primary key of table %s", t.Name)
 		}
+	}
+	if i, dup := t.pkIndex[pkKey]; dup && i != skipIdx {
+		return fmt.Errorf("sqldb: duplicate primary key in table %s", t.Name)
 	}
 	return nil
 }

@@ -149,19 +149,25 @@ func (t *Table) indexOn(cols []string) *Index {
 	return nil
 }
 
-// hasKey reports whether some row projects onto cols as key (appendRowKey's
-// encoding). cols is the table's primary key or an index's columns, as
-// every foreign key's two sides are.
-func (t *Table) hasKey(cols []string, key []byte) bool {
+// hasKey reports whether some row projects onto cols as row does onto
+// idx. cols is the table's primary key or an index's columns, as every
+// foreign key's two sides are; the lookup makes no key string.
+func (t *Table) hasKey(cols []string, row []Value, idx []int) bool {
+	var buf [keyBytes]byte
 	if equalStrings(cols, t.PKCols) {
-		_, ok := t.pkIndex[string(key)]
+		if t.textPK() {
+			v := row[idx[0]]
+			_, ok := t.pkIndex[v.S]
+			return ok && v.K == KText
+		}
+		_, ok := t.pkIndex[string(appendRowKey(buf[:0], row, idx))]
 		return ok
 	}
 	ix := t.indexOn(cols)
 	if ix == nil {
 		return false
 	}
-	b := ix.rows[string(key)]
+	b := ix.rows[string(appendRowKey(buf[:0], row, idx))]
 	return b != nil && len(*b) > 0
 }
 
@@ -260,8 +266,10 @@ func (t *Table) indexCandidates(where Expr, args []Value) ([]int, bool) {
 			for i, c := range t.PKCols {
 				vals[i] = eq[c]
 			}
-			if ri, ok := t.pkIndex[keyString(vals)]; ok {
-				return []int{ri}, true
+			if key, ok := t.pkKeyOf(vals); ok {
+				if ri, ok := t.pkIndex[key]; ok {
+					return []int{ri}, true
+				}
 			}
 			return nil, true
 		}

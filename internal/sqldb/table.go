@@ -27,9 +27,13 @@ type Table struct {
 	FKs     []ForeignKey
 	Indexes []*Index
 	Rows    [][]Value
-	pkIndex map[string]int // primary key tuple -> row index
-	pkCols  []int          // cached PKCols positions
-	fkCols  [][]int        // cached FK column positions, parallel to FKs
+	// pkIndex maps a row's primary key to its position. The key is the
+	// row's own string when the key is one TEXT column (textPK) — a row
+	// costs the index no key of its own — and its tuple's appendRowKey
+	// encoding otherwise.
+	pkIndex map[string]int
+	pkCols  []int   // cached PKCols positions
+	fkCols  [][]int // cached FK column positions, parallel to FKs
 }
 
 // colIndex returns the index of a column by name.
@@ -82,13 +86,33 @@ func (t *Table) fkColIdx(i int) ([]int, error) {
 	return t.fkCols[i], nil
 }
 
+// textPK reports whether the primary key is one TEXT column, whose values
+// are their own index keys: every value of the column is text (checkRow),
+// none is NULL (pkCheck), so the string alone tells them apart.
+func (t *Table) textPK() bool {
+	idx := t.pkColIdx()
+	return len(idx) == 1 && t.Cols[idx[0]].Type == KText
+}
+
 // pkKey extracts the primary key tuple of a row as an index key. Returns
 // "" when the table has no primary key.
 func (t *Table) pkKey(row []Value) string {
 	if len(t.PKCols) == 0 {
 		return ""
 	}
+	if t.textPK() {
+		return row[t.pkCols[0]].S
+	}
 	return rowKey(row, t.pkColIdx())
+}
+
+// pkKeyOf is pkKey for a tuple of values in PKCols order; ok is false when
+// no row can have that key.
+func (t *Table) pkKeyOf(vals []Value) (key string, ok bool) {
+	if t.textPK() {
+		return vals[0].S, vals[0].K == KText
+	}
+	return keyString(vals), true
 }
 
 // rebuildIndex reconstructs the primary key index and every secondary

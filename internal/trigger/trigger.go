@@ -79,36 +79,54 @@ type Trigger interface {
 }
 
 // Build constructs the trigger described by the spec.
-func (s Spec) Build() (Trigger, error) {
+func (s Spec) Build() (Trigger, error) { return s.Rebuild(nil) }
+
+// Rebuild constructs the trigger described by the spec in old's place when
+// old is a trigger Build or Rebuild made of the same type, and anew
+// otherwise: a board re-arms one trigger for every experiment it runs.
+func (s Spec) Rebuild(old Trigger) (Trigger, error) {
 	occ := s.Occurrence
 	if occ <= 0 {
 		occ = 1
 	}
 	switch s.Kind {
 	case "cycle":
-		return &cycleTrigger{at: s.Cycle}, nil
+		return into(old, cycleTrigger{at: s.Cycle}), nil
 	case "instret":
-		return &instretTrigger{at: s.Count}, nil
+		return into(old, instretTrigger{at: s.Count}), nil
 	case "breakpoint":
-		return &breakpointTrigger{addr: s.Addr, occ: occ}, nil
+		return into(old, breakpointTrigger{addr: s.Addr, occ: occ}), nil
 	case "data-access":
-		return &dataAccessTrigger{addr: s.Addr, writeOnly: s.Write, occ: occ}, nil
+		return into(old, dataAccessTrigger{addr: s.Addr, writeOnly: s.Write, occ: occ}), nil
 	case "task-switch":
 		// A task switch is observable as a write to the scheduler's
 		// current-task variable.
-		return &dataAccessTrigger{addr: s.Addr, writeOnly: true, occ: occ, name: "task-switch"}, nil
+		return into(old, dataAccessTrigger{addr: s.Addr, writeOnly: true, occ: occ, name: "task-switch"}), nil
 	case "branch":
-		return &opClassTrigger{class: "branch", match: thor.Opcode.IsBranch, occ: occ}, nil
+		return into(old, opClassTrigger{class: "branch", match: thor.Opcode.IsBranch, occ: occ}), nil
 	case "call":
-		return &opClassTrigger{class: "call", match: thor.Opcode.IsCall, occ: occ}, nil
+		return into(old, opClassTrigger{class: "call", match: thor.Opcode.IsCall, occ: occ}), nil
 	case "rtc":
 		if s.Period == 0 {
 			return nil, fmt.Errorf("trigger: rtc trigger needs a period")
 		}
-		return &cycleTrigger{at: s.Period * uint64(occ), name: "rtc"}, nil
+		return into(old, cycleTrigger{at: s.Period * uint64(occ), name: "rtc"}), nil
 	default:
 		return nil, fmt.Errorf("trigger: unknown kind %q", s.Kind)
 	}
+}
+
+// into stores v in old when old is a *T, and in a new T otherwise.
+func into[T any, P interface {
+	*T
+	Trigger
+}](old Trigger, v T) Trigger {
+	p, ok := old.(P)
+	if !ok {
+		p = new(T)
+	}
+	*p = v
+	return p
 }
 
 // RunUntil executes the CPU until the trigger fires (returning true with
