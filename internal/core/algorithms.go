@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Algorithm is one fault injection algorithm: a fixed sequence of the
 // abstract target-system methods. The paper defines one per technique in
@@ -13,8 +16,13 @@ type Algorithm struct {
 	// Run executes one experiment against the target.
 	Run func(ts TargetSystem, ex *Experiment) error
 	// steps is the listing Run walks; what else depends on a technique's
-	// shape (forwardPlan) asks it instead of the technique's name.
+	// shape (forwardPlan, newPruner) asks it instead of the technique's
+	// name.
 	steps []step
+	// prunable: the listing injects through the scan chain it reads last,
+	// so an experiment's row is one the pruner can synthesize from the
+	// reference run's (prune.go) — SCIFI's shape.
+	prunable bool
 }
 
 // step is one line of a listing: an abstract method under the name the
@@ -50,10 +58,13 @@ func faulty(s step) step {
 // listing builds the algorithm that runs steps in order, recording each in
 // the step trace and wrapping its error in its name. A listing that ends by
 // reading the scan chain logs that vector as the experiment's final scan
-// state.
+// state, and one that also injects by writing the chain is prunable.
 func listing(name string, steps ...step) Algorithm {
 	finalScan := steps[len(steps)-1].name == readScanChain.name
-	return Algorithm{Name: name, steps: steps, Run: func(ts TargetSystem, ex *Experiment) error {
+	prunable := finalScan && slices.ContainsFunc(steps, func(s step) bool {
+		return s.faulty && s.name == writeScanChain.name
+	})
+	return Algorithm{Name: name, steps: steps, prunable: prunable, Run: func(ts TargetSystem, ex *Experiment) error {
 		for _, s := range steps {
 			if s.faulty && ex.IsReference() {
 				continue

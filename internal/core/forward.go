@@ -63,6 +63,10 @@ type ForwardPlan struct {
 	// boundary.go).
 	Horizon          uint64
 	HorizonByInstret bool
+	// NoDefUse says the reference run's def-use table is not wanted: the
+	// campaign's algorithm is not prunable (its listing's shape), so the
+	// pruner never asks it.
+	NoDefUse bool
 }
 
 // ForwardCheckpoint is one recorded restore point. State is the
@@ -165,7 +169,7 @@ func (r *Runner) forwardPlan() *ForwardPlan {
 		!r.alg.hasStep(waitForBreakpoint.name) {
 		return nil
 	}
-	plan := &ForwardPlan{Campaign: r.camp.Name, MaxBytes: DefaultMaxForwardBytes}
+	plan := &ForwardPlan{Campaign: r.camp.Name, MaxBytes: DefaultMaxForwardBytes, NoDefUse: !r.alg.prunable}
 	if r.camp.RandomWindow[1] > 0 && r.camp.Trigger.Kind == "cycle" {
 		// Windowed injection times: spread checkpoints across the window
 		// so every drawn injection cycle has a nearby restore point.

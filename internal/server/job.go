@@ -138,7 +138,7 @@ type job struct {
 	state     string
 	errMsg    string
 	summary   *core.Summary
-	work      *work              // set once started
+	work      *work              // set once started, dropped once terminal
 	coord     *shard.Coordinator // sharded path: what the shard handlers serve
 	prog      *telemetry.Progress
 	cancelled bool // user cancel (vs. daemon shutdown stop)
@@ -163,10 +163,18 @@ func (j *job) key() string { return jobKey(j.spec.Tenant, j.spec.Campaign.Name) 
 
 func jobKey(tenant, name string) string { return tenant + "/" + name }
 
+// setState moves the job to state. A terminal state lets go of the work in
+// the same critical section, so no handler finds it half gone: a finished
+// job keeps its summary and, sharded, the coordinator late workers ask,
+// but not the runner, its plan and its forward set for the daemon's life.
 func (j *job) setState(state, errMsg string) {
 	j.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
+	switch state {
+	case StateDone, StateFailed, StateCancelled:
+		j.work = nil
+	}
 	j.mu.Unlock()
 }
 

@@ -19,6 +19,7 @@ import (
 	"goofi/internal/core"
 	"goofi/internal/pinlevel"
 	"goofi/internal/scifi"
+	"goofi/internal/sqldb"
 	"goofi/internal/swifi"
 	"goofi/internal/telemetry"
 	"goofi/internal/thor"
@@ -147,6 +148,57 @@ func TestTechniqueRowPins(t *testing.T) {
 			}
 			t.Logf("forwarded %d, converged %d, cycles emulated %d (cold %d)",
 				warm.Forwarded, warm.Converged, warm.CyclesEmulated, cold.CyclesEmulated)
+		})
+	}
+}
+
+// TestDefUseOnlyWherePruned: a reference run records its def-use table
+// only for an algorithm whose listing is prunable (SCIFI's shape). Pin-level
+// and runtime SWIFI campaigns forward, and their sets hold checkpoints but
+// no table; their rows are the ones TestTechniqueRowPins pins.
+func TestDefUseOnlyWherePruned(t *testing.T) {
+	pinTSD := pinlevel.TargetSystemData("thor-pins")
+	pins := sortCampaign("du-pins", 60, 3, nil)
+	pins.TargetName, pins.ChainName, pins.Locations = "thor-pins", "boundary", []string{"pin.data_in"}
+	n, err := asm.ImageSize(workload.Sort().Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swTSD := swifi.TargetSystemData("thor-swifi", n)
+	sw := sortCampaign("du-swifi", 60, 17, nil)
+	sw.TargetName, sw.ChainName, sw.Locations = "thor-swifi", swifi.MemoryChainName, []string{"mem"}
+	cases := []struct {
+		name   string
+		alg    core.Algorithm
+		tsd    *campaign.TargetSystemData
+		camp   *campaign.Campaign
+		target core.TargetSystem
+		defUse bool
+	}{
+		{"scifi", core.SCIFI, scifi.TargetSystemData("thor-board"), sortCampaign("du-scifi", 60, 3, []string{"cpu"}),
+			scifi.New(thor.DefaultConfig()), true},
+		{"pin-level", core.PinLevel, pinTSD, pins, pinlevel.New(thor.DefaultConfig()), false},
+		{"swifi-runtime", core.RuntimeSWIFI, swTSD, sw, swifi.New(thor.DefaultConfig(), swifi.Runtime), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := campaign.NewStore(sqldb.Open())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutTargetSystem(tc.tsd); err != nil {
+				t.Fatal(err)
+			}
+			sum, _, set := runCampaignSet(t, st, tc.tsd, tc.target, tc.alg, tc.camp)
+			if set == nil || len(set.Checkpoints) == 0 {
+				t.Fatalf("the reference run recorded no checkpoints (%+v)", set)
+			}
+			if (set.DefUse != nil) != tc.defUse {
+				t.Errorf("def-use table recorded: %v, want %v", set.DefUse != nil, tc.defUse)
+			}
+			if pruned := sum.Pruned.Total() > 0; pruned != tc.defUse {
+				t.Errorf("%d experiments pruned", sum.Pruned.Total())
+			}
 		})
 	}
 }
