@@ -183,7 +183,14 @@ func (c *CPU) Restore(s *Snapshot) error {
 		d := *s.Detection
 		c.detection = &d
 	}
-	c.events = append(c.events[:0:0], s.Events...)
+	// A copy of the snapshot's events in an array of the CPU's own — a new
+	// one, for Skip keeps the old one's — or, with none, the old array,
+	// which nothing is written to here.
+	if len(s.Events) == 0 {
+		c.events = c.events[:0]
+	} else {
+		c.events = append(c.events[:0:0], s.Events...)
+	}
 	// Cleared and refilled, not remade: a campaign restores once per
 	// forwarded experiment, and the maps are the CPU's own either way.
 	clear(c.trapHandlers)
