@@ -382,9 +382,10 @@ func TestHandOverPoisonedSink(t *testing.T) {
 }
 
 // TestHandOverPrunedSlotAllocs: classifying an item the pruner proves a
-// no-op and handing its row over allocates the row, its list of flipped
-// bits and its name — and no Experiment (four allocations before the
-// stage resolved a pruned slot from its row).
+// no-op and handing its row over allocates at most the row, its list of
+// flipped bits and its name — and no Experiment (four allocations before the
+// stage resolved a pruned slot from its row). Since the three are carved
+// from slabs, a slot makes under one.
 func TestHandOverPrunedSlotAllocs(t *testing.T) {
 	ref := refResult()
 	r, err := NewRunner(newFakeTarget(), SCIFI, fakeCampaign(1), fakeTSD(), WithSink(plainSink{}))
