@@ -19,7 +19,8 @@ FUZZTIME ?= 15s
 # file gofmt would change fails the gate. The race detector's sync.Pool
 # drops items at random, so the allocation-count tests — sqldb's refused
 # delete, the store's write path, a run's allocations per experiment over
-# the fake target and over thor, and the plan's live bytes per experiment —
+# the fake target and over thor, a whole thor run's, and the plan's live
+# bytes per experiment —
 # skip themselves under it and run once more without. The chaos harness is test support:
 # the gate fails if any command links it. It ends with the two numbers a
 # simplicity PR quotes.
@@ -33,7 +34,7 @@ tier1:
 	$(GO) test -race -count 1 ./...
 	$(GO) test -race -count 5 ./internal/core/ -run 'HandOver|PrunedStreakYieldsBoard|PrunedDispatch|Quarantine|PauseResumeStop|ResumeFromEveryLogCut'
 	$(GO) test -race -count 1 -cpu 1,4 ./internal/analysis/ ./internal/campaign/ -run 'TestAnalysisDifferential|TestRelative|TestAnalysisFailureLeavesResults|TestAnalysisConcurrentPasses|TestEachExperiment'
-	$(GO) test -count 1 ./internal/sqldb/ ./internal/campaign/ ./internal/core/ ./cmd/goofi/ -run 'TestDeleteCostIgnoresReferencingRows|TestWritePathAllocs|TestRunAllocsPerExperiment|TestPlannedExperimentBytes|TestThorAllocsPerExperiment'
+	$(GO) test -count 1 ./internal/sqldb/ ./internal/campaign/ ./internal/core/ ./cmd/goofi/ -run 'TestDeleteCostIgnoresReferencingRows|TestWritePathAllocs|TestRunAllocsPerExperiment|TestPlannedExperimentBytes|TestThorAllocsPerExperiment|TestThorRunAllocs'
 	@$(MAKE) --no-print-directory count
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume

@@ -175,6 +175,45 @@ func TestThorAllocsPerExperiment(t *testing.T) {
 	}
 }
 
+// TestThorRunAllocs pins what one whole `goofi run` of runDefinitions'
+// pid-long definition allocates, the least of three runs. The slope
+// TestThorAllocsPerExperiment gates cannot see a run's fixed cost — the
+// reference run's checkpoints, join points and def-use table, and the
+// boundary oracle's steady-state snapshots — which a 2,400-experiment
+// campaign pays whole. Before those captures shared what did not change
+// since the previous one and the tables grew by doubling, a run read
+// ≈8,400 allocations and ≈6.4 MB. Under the race detector the pools drop
+// items at random, so the test skips; make tier1 runs it without.
+func TestThorRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const maxAllocs, maxBytes = 6900, 6_250_000
+	def := runDefinitions[1]
+	if def.name != "pid-long" {
+		t.Fatalf("runDefinitions[1] is %s", def.name)
+	}
+	dir := t.TempDir()
+	restore := quietStdout(t, filepath.Join(dir, "summary.txt"))
+	files := setUpRun(t, dir, def.define, def.n)
+	var mallocs, bytes uint64
+	for i := 0; i < 3; i++ {
+		m, b := runMem(t, copyRun(t, dir, files, i))
+		if i == 0 || m < mallocs {
+			mallocs = m
+		}
+		if i == 0 || b < bytes {
+			bytes = b
+		}
+	}
+	restore()
+	t.Logf("a run of %d experiments: %d allocations, %d bytes", def.n, mallocs, bytes)
+	if mallocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("a run of %d experiments made %d allocations of %d bytes, want at most %d and %d",
+			def.n, mallocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
 // splitOf reads the pruned/emulated split of an n-experiment run off the
 // summary a run printed to out.
 func splitOf(t *testing.T, out string, n int) string {

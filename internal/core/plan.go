@@ -116,14 +116,24 @@ func (r *Runner) planHashOf(t *planTable) string {
 	h := sha256.New()
 	cfg, _ := json.Marshal(r.camp)
 	h.Write(cfg)
-	line := make([]byte, 0, 256)
+	f := newPlanLine(t.kind, t.prob, t.trig)
+	buf := make([]byte, 0, planHashChunk+256)
 	for seq := range t.n {
 		pe := t.at(seq)
-		line = appendPlanLine(line[:0], &pe)
-		h.Write(line)
+		buf = f.append(buf, seq, pe.fault.Bits, pe.trig.Cycle)
+		if len(buf) >= planHashChunk {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// planHashChunk is how many bytes of plan lines planHashOf gathers per
+// Write: a line is about a hundred, and the hash takes whole blocks
+// straight from a long input.
+const planHashChunk = 16 << 10
 
 // appendPlanLine appends one plan entry as the hash has always read it:
 // the bytes of fmt.Sprintf("%d|%+v|%+v\n", pe.seq, pe.fault, pe.trig).
@@ -131,31 +141,48 @@ func (r *Runner) planHashOf(t *planTable) string {
 // only the formatting is by hand, because every process that plans —
 // each shard worker included — hashes the whole plan.
 func appendPlanLine(b []byte, pe *plannedExperiment) []byte {
-	b = strconv.AppendInt(b, int64(pe.seq), 10)
-	b = append(b, "|{Kind:"...)
-	b = append(b, pe.fault.Kind...)
-	b = append(b, " Bits:["...)
-	for i, bit := range pe.fault.Bits {
+	f := newPlanLine(pe.fault.Kind, pe.fault.ActiveProb, pe.trig)
+	return f.append(b, pe.seq, pe.fault.Bits, pe.trig.Cycle)
+}
+
+// planLine is appendPlanLine's format with what a campaign's entries share
+// formatted once: everything but the sequence number, the bits and the
+// trigger's cycle.
+type planLine struct{ head, mid, tail []byte }
+
+func newPlanLine(kind faultmodel.Kind, prob float64, trig trigger.Spec) planLine {
+	var f planLine
+	f.head = append([]byte("|{Kind:"), kind...)
+	f.head = append(f.head, " Bits:["...)
+	f.mid = append([]byte("] ActiveProb:"), strconv.FormatFloat(prob, 'g', -1, 64)...)
+	f.mid = append(f.mid, "}|{Kind:"...)
+	f.mid = append(f.mid, trig.Kind...)
+	f.mid = append(f.mid, " Cycle:"...)
+	f.tail = append([]byte(" Count:"), strconv.FormatUint(trig.Count, 10)...)
+	f.tail = append(f.tail, " Addr:"...)
+	f.tail = strconv.AppendUint(f.tail, uint64(trig.Addr), 10)
+	f.tail = append(f.tail, " Occurrence:"...)
+	f.tail = strconv.AppendInt(f.tail, int64(trig.Occurrence), 10)
+	f.tail = append(f.tail, " Write:"...)
+	f.tail = strconv.AppendBool(f.tail, trig.Write)
+	f.tail = append(f.tail, " Period:"...)
+	f.tail = strconv.AppendUint(f.tail, trig.Period, 10)
+	f.tail = append(f.tail, "}\n"...)
+	return f
+}
+
+// append appends the line of entry seq with the given bits and trigger
+// cycle.
+func (f *planLine) append(b []byte, seq int, bits []int, cycle uint64) []byte {
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, f.head...)
+	for i, bit := range bits {
 		if i > 0 {
 			b = append(b, ' ')
 		}
 		b = strconv.AppendInt(b, int64(bit), 10)
 	}
-	b = append(b, "] ActiveProb:"...)
-	b = strconv.AppendFloat(b, pe.fault.ActiveProb, 'g', -1, 64)
-	b = append(b, "}|{Kind:"...)
-	b = append(b, pe.trig.Kind...)
-	b = append(b, " Cycle:"...)
-	b = strconv.AppendUint(b, pe.trig.Cycle, 10)
-	b = append(b, " Count:"...)
-	b = strconv.AppendUint(b, pe.trig.Count, 10)
-	b = append(b, " Addr:"...)
-	b = strconv.AppendUint(b, uint64(pe.trig.Addr), 10)
-	b = append(b, " Occurrence:"...)
-	b = strconv.AppendInt(b, int64(pe.trig.Occurrence), 10)
-	b = append(b, " Write:"...)
-	b = strconv.AppendBool(b, pe.trig.Write)
-	b = append(b, " Period:"...)
-	b = strconv.AppendUint(b, pe.trig.Period, 10)
-	return append(b, "}\n"...)
+	b = append(b, f.mid...)
+	b = strconv.AppendUint(b, cycle, 10)
+	return append(b, f.tail...)
 }

@@ -31,8 +31,9 @@ func oddFirstBit(f faultmodel.Fault, _ trigger.Spec) bool { return f.Bits[0]%2 =
 // TestPlanHashMatchesFmtForm draws a plan for every fault model crossed
 // with every trigger kind — with and without a pre-injection filter that
 // forces redraws, and by a runner that executes only a shard range — and
-// checks that the hand-formatted hash input is byte for byte the fmt form,
-// entry by entry and as a whole.
+// one larger multi-bit, random-window campaign, and checks that the
+// hand-formatted hash input is byte for byte the fmt form, entry by entry
+// and as a whole.
 func TestPlanHashMatchesFmtForm(t *testing.T) {
 	models := []faultmodel.Spec{
 		{Kind: faultmodel.Transient, Multiplicity: 1},
@@ -88,6 +89,29 @@ func TestPlanHashMatchesFmtForm(t *testing.T) {
 	}
 	if compared < 40*len(models)*len(triggers) {
 		t.Fatalf("only %d plan entries compared", compared)
+	}
+	// A campaign whose hash input spans many of planHashOf's chunks: three
+	// bits an experiment, a drawn cycle and an activation probability
+	// that formats with all its digits.
+	camp := fakeCampaign(4000)
+	camp.FaultModel = faultmodel.Spec{Kind: faultmodel.Intermittent, Multiplicity: 3, ActiveProb: 0.37}
+	camp.RandomWindow = [2]uint64{200, 8000}
+	r, err := NewRunner(newFakeTarget(), SCIFI, camp, fakeTSD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, _, err := r.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range entries(table) {
+		want := fmt.Sprintf("%d|%+v|%+v\n", pe.seq, pe.fault, pe.trig)
+		if got := string(appendPlanLine(nil, &pe)); got != want {
+			t.Fatalf("plan entry formats as %q, the fmt form is %q", got, want)
+		}
+	}
+	if got, want := r.planHashOf(table), fmtPlanHash(r, table); got != want {
+		t.Fatalf("4,000-entry plan hash %s, the fmt form hashes to %s", got, want)
 	}
 	// What a drawn plan never holds: no bits at all, and floats on both
 	// sides of where %v switches to exponent notation.

@@ -117,7 +117,7 @@ func (r *Runner) newPruner(set *ForwardSet, ref *campaign.Reference) *pruner {
 		set.Campaign != r.camp.Name || r.camp.LogMode == campaign.LogDetail || !r.alg.prunable {
 		return nil
 	}
-	if _, m, err := r.space(); err != nil || m.Chain != set.DefUse.Chain() {
+	if m, err := r.chainMap(); err != nil || m.Chain != set.DefUse.Chain() {
 		return nil
 	}
 	if r.sink != nil {

@@ -326,19 +326,23 @@ func (r *Runner) flushSink() error {
 	return r.sink.Flush()
 }
 
+// chainMap returns the target's scan chain map the campaign injects into.
+func (r *Runner) chainMap() (*scanchain.Map, error) {
+	if r.camp.ChainName == "" {
+		if len(r.tsd.Chains) != 1 {
+			return nil, fmt.Errorf("core: campaign %q does not name a chain and target has %d",
+				r.camp.Name, len(r.tsd.Chains))
+		}
+		return &r.tsd.Chains[0], nil
+	}
+	return r.tsd.Chain(r.camp.ChainName)
+}
+
 // space resolves the campaign's selected locations against the target's
 // scan chain map.
 func (r *Runner) space() (*faultmodel.Space, *scanchain.Map, error) {
-	chainName := r.camp.ChainName
-	var m *scanchain.Map
-	var err error
-	if chainName == "" {
-		if len(r.tsd.Chains) != 1 {
-			return nil, nil, fmt.Errorf("core: campaign %q does not name a chain and target has %d",
-				r.camp.Name, len(r.tsd.Chains))
-		}
-		m = &r.tsd.Chains[0]
-	} else if m, err = r.tsd.Chain(chainName); err != nil {
+	m, err := r.chainMap()
+	if err != nil {
 		return nil, nil, err
 	}
 	locs := m.Select(r.camp.Locations...)
@@ -348,7 +352,7 @@ func (r *Runner) space() (*faultmodel.Space, *scanchain.Map, error) {
 	}
 	// Injection never targets read-only cells; drop them from the space
 	// (they remain observable).
-	var writable []scanchain.Location
+	writable := make([]scanchain.Location, 0, len(locs))
 	for _, l := range locs {
 		if !l.ReadOnly {
 			writable = append(writable, l)

@@ -31,6 +31,18 @@ type Snapshotter interface {
 	EqualState(state any) bool
 }
 
+// StateReuser is an optional Snapshotter extension for a caller that
+// snapshots a simulator often but holds only its newest state: the
+// checkpoint-forwarding steady-state test, which snapshots at every
+// attempt and drops the state when the attempt fails. SnapshotStateInto
+// writes the simulator's state into state, a value SnapshotState returned
+// on an instance of the same type that nothing else holds, and reports
+// true; it returns false, leaving state untouched, when state is not of
+// its type. The built-in simulators implement it.
+type StateReuser interface {
+	SnapshotStateInto(state any) bool
+}
+
 // SnapshotState implements Snapshotter.
 func (s *Scripted) SnapshotState() any {
 	return &Scripted{
@@ -50,6 +62,15 @@ func (s *Scripted) RestoreState(state any) error {
 	s.pos = o.pos
 	s.Outputs = append([]uint32(nil), o.Outputs...)
 	return nil
+}
+
+// SnapshotStateInto implements StateReuser.
+func (s *Scripted) SnapshotStateInto(state any) bool {
+	o, ok := state.(*Scripted)
+	if ok {
+		o.inputs, o.pos, o.Outputs = s.inputs, s.pos, append(o.Outputs[:0], s.Outputs...)
+	}
+	return ok
 }
 
 // EqualState implements Snapshotter. A snapshot's buf is zero: the one
@@ -75,6 +96,15 @@ func (p *FirstOrderPlant) RestoreState(state any) error {
 	return nil
 }
 
+// SnapshotStateInto implements StateReuser.
+func (p *FirstOrderPlant) SnapshotStateInto(state any) bool {
+	o, ok := state.(*FirstOrderPlant)
+	if ok {
+		*o = *p
+	}
+	return ok
+}
+
 // EqualState implements Snapshotter.
 func (p *FirstOrderPlant) EqualState(state any) bool {
 	o, ok := state.(*FirstOrderPlant)
@@ -95,6 +125,15 @@ func (e *Engine) RestoreState(state any) error {
 	}
 	*e = *o
 	return nil
+}
+
+// SnapshotStateInto implements StateReuser.
+func (e *Engine) SnapshotStateInto(state any) bool {
+	o, ok := state.(*Engine)
+	if ok {
+		*o = *e
+	}
+	return ok
 }
 
 // EqualState implements Snapshotter.

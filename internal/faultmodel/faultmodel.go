@@ -145,7 +145,10 @@ func (s *Spec) Width() int {
 // locations the user selected in the set-up phase.
 type Space struct {
 	locations []scanchain.Location
-	total     int
+	// ends[k] is the flat index one past location k's bits: the running
+	// sum of the widths, which bitAt searches.
+	ends  []int
+	total int
 }
 
 // NewSpace builds a sampling space from writable locations. Read-only
@@ -155,8 +158,8 @@ func NewSpace(locs []scanchain.Location) (*Space, error) {
 	if len(locs) == 0 {
 		return nil, fmt.Errorf("faultmodel: empty location set")
 	}
-	total := 0
-	for _, l := range locs {
+	total, ends := 0, make([]int, len(locs))
+	for k, l := range locs {
 		if l.ReadOnly {
 			return nil, fmt.Errorf("faultmodel: location %q is read-only and cannot be injected", l.Name)
 		}
@@ -164,8 +167,9 @@ func NewSpace(locs []scanchain.Location) (*Space, error) {
 			return nil, fmt.Errorf("faultmodel: location %q has non-positive width", l.Name)
 		}
 		total += l.Width
+		ends[k] = total
 	}
-	return &Space{locations: locs, total: total}, nil
+	return &Space{locations: locs, ends: ends, total: total}, nil
 }
 
 // Bits returns the total number of injectable bits.
@@ -174,15 +178,15 @@ func (s *Space) Bits() int { return s.total }
 // Locations returns the locations of the space.
 func (s *Space) Locations() []scanchain.Location { return s.locations }
 
-// bitAt maps a flat index in [0, Bits()) to an absolute chain offset.
+// bitAt maps a flat index in [0, Bits()) to an absolute chain offset: the
+// location is the first whose end lies past i.
 func (s *Space) bitAt(i int) (offset int, loc scanchain.Location) {
-	for _, l := range s.locations {
-		if i < l.Width {
-			return l.Offset + i, l
-		}
-		i -= l.Width
+	k, _ := slices.BinarySearch(s.ends, i+1)
+	if i < 0 || k == len(s.ends) {
+		panic(fmt.Sprintf("faultmodel: bit index %d outside space of %d bits", i, s.total))
 	}
-	panic(fmt.Sprintf("faultmodel: bit index %d outside space of %d bits", i, s.total))
+	loc = s.locations[k]
+	return loc.Offset + i - (s.ends[k] - loc.Width), loc
 }
 
 // LocationOf returns the location containing an absolute chain offset, if

@@ -8,6 +8,7 @@ import (
 
 	"goofi/internal/bitvec"
 	"goofi/internal/scanchain"
+	"goofi/internal/thor"
 )
 
 func space(t *testing.T) *Space {
@@ -322,5 +323,74 @@ func TestAppendSampleMatchesMapDraws(t *testing.T) {
 		room, _ = sp.AppendSample(room[:0], spec, rng)
 	}); allocs != 0 {
 		t.Errorf("AppendSample into room allocates %v times, want 0", allocs)
+	}
+}
+
+// linearBitAt is bitAt as it was first written, a walk of the location
+// list: the oracle of the binary search.
+func linearBitAt(s *Space, i int) (int, scanchain.Location) {
+	for _, l := range s.locations {
+		if i < l.Width {
+			return l.Offset + i, l
+		}
+		i -= l.Width
+	}
+	panic(fmt.Sprintf("bit index %d outside the space", i))
+}
+
+// TestBitAtMatchesLinearWalk: the binary search over the cumulative widths
+// maps every index of THOR-S's internal chain as a closed-loop campaign
+// selects it (cpu,icache,dcache: every writable cell of the 5,412-bit
+// chain), and of a small and a gapped, out-of-order space, to the offset
+// and location the walk of the list does, and panics outside the space as
+// the walk did.
+func TestBitAtMatchesLinearWalk(t *testing.T) {
+	chain := scanchain.Map{Chain: "internal", Length: thor.ScanLen()}
+	for _, f := range thor.ScanLayout() {
+		chain.Locations = append(chain.Locations, scanchain.Location{
+			Name: f.Name, Offset: f.Offset, Width: f.Width, ReadOnly: f.ReadOnly,
+		})
+	}
+	writable := func(locs []scanchain.Location) []scanchain.Location {
+		var w []scanchain.Location
+		for _, l := range locs {
+			if !l.ReadOnly {
+				w = append(w, l)
+			}
+		}
+		return w
+	}
+	gapped, err := NewSpace([]scanchain.Location{
+		{Name: "a", Offset: 100, Width: 4},
+		{Name: "b", Offset: 300, Width: 1},
+		{Name: "c", Offset: 7, Width: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thorSpace, err := NewSpace(writable(chain.Select("cpu", "icache", "dcache")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces := []*Space{space(t), gapped, thorSpace}
+	for _, sp := range spaces {
+		for i := 0; i < sp.Bits(); i++ {
+			off, loc := sp.bitAt(i)
+			wantOff, wantLoc := linearBitAt(sp, i)
+			if off != wantOff || loc != wantLoc {
+				t.Fatalf("%d-bit space: bitAt(%d) = %d %s, the walk %d %s", sp.Bits(), i, off, loc.Name, wantOff, wantLoc.Name)
+			}
+		}
+		for _, i := range []int{-1, sp.Bits()} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d-bit space: bitAt(%d) did not panic", sp.Bits(), i)
+					}
+				}()
+				sp.bitAt(i)
+			}()
+		}
+		t.Logf("%d locations, %d bits", len(sp.Locations()), sp.Bits())
 	}
 }

@@ -45,13 +45,16 @@ import (
 // iteration's accesses are the last emulated one's), and the skipped
 // stretch stays in the join record in closed form.
 //
-// What it costs: a diverged run's compare with its join point fails on PC
-// and registers. The steady test compares PC, registers, flags, events and
-// the iteration's outputs and inputs with the previous boundary's; only
-// where that passes is the simulator snapshotted, the board at the next
-// boundary the simulator repeats (a plant's state creeps on long after the
-// registers settle), and that compared at the one after. A failed attempt
-// backs off 1, 2, 4 … steadyMaxGap boundaries, bounding the snapshots.
+// What it costs: a diverged run's compare with its join point fails on its
+// simulator, its registers or its data cache, reading the join point where
+// it lies. The steady test compares PC, registers, flags, events and the
+// iteration's outputs and inputs with the previous boundary's; only where
+// that passes is the simulator snapshotted (into the board's one reused
+// state, where the simulator can), the board at the next boundary the
+// simulator repeats (a plant's state creeps on long after the registers
+// settle; the snapshot shares with the board's previous one what did not
+// change), and that compared at the one after. A failed attempt backs off
+// 1, 2, 4 … steadyMaxGap boundaries, bounding the snapshots.
 
 // steadyMaxGap is the longest back-off between two steady attempts, in
 // boundaries: a run of n iterations takes a few plus n/steadyMaxGap
@@ -96,26 +99,25 @@ type rejoin struct {
 // captures: the struct and a simulator state.
 const joinPointBytes = 160
 
-// point returns the join point of iteration first+k, recorded or, inside
-// the steady stretch, synthesized.
-func (j *rejoin) point(k int) (joinPoint, bool) {
+// at returns the recorded join point iteration first+k has, and n, how
+// many iterations of the steady stretch lie between the two: inside the
+// stretch the join point is the stretch's first repeated n times, its
+// shift n·d and its outputs n·k further on. nil: the record has none.
+func (j *rejoin) at(k int) (p *joinPoint, n int) {
 	s := j.steady
 	switch {
 	case k < 0 || k >= len(j.points)+s.m:
-		return joinPoint{}, false
+		return nil, 0
 	case k <= s.at:
-		return j.points[k], true
+		return &j.points[k], 0
 	case k > s.at+s.m:
-		return j.points[k-s.m], true
+		return &j.points[k-s.m], 0
 	}
-	jp, n := j.points[s.at], k-s.at
-	jp.shift = jp.shift.Add(s.d.Times(uint64(n)))
-	jp.outputs += n * s.k
-	return jp, true
+	return &j.points[s.at], k - s.at
 }
 
 // boundaryWatch is one run's oracle state between its boundaries. The ins
-// buffer outlives the run.
+// buffer, last and lastSim outlive the run.
 type boundaryWatch struct {
 	on   bool    // armed for this run
 	join *rejoin // the record a faulty run compares itself to; nil: none
@@ -138,6 +140,12 @@ type boundaryWatch struct {
 	sim       any
 	snap      *thor.Snapshot
 	wait, gap int
+	// last and lastSim are the newest snap and sim, which outlive the
+	// run: the next snap shares with last what did not change, and a
+	// simulator that can (envsim.StateReuser) writes the next sim into
+	// lastSim.
+	last    *thor.Snapshot
+	lastSim any
 }
 
 // forwards reports whether this board forwards for the experiment's
@@ -156,7 +164,8 @@ func (t *Board) forwards(ex *core.Experiment) bool {
 func (t *Board) armBoundary(ex *core.Experiment, persistent bool) {
 	_, snaps := t.sim.(envsim.Snapshotter)
 	on := !persistent && t.forwards(ex) && (t.sim == nil || snaps)
-	t.watch = boundaryWatch{on: on, steady: on, ins: t.watch.ins[:0], gap: 1, outEnd: len(t.outputs)}
+	t.watch = boundaryWatch{on: on, steady: on, ins: t.watch.ins[:0], gap: 1, outEnd: len(t.outputs),
+		last: t.watch.last, lastSim: t.watch.lastSim}
 	if on && !ex.IsReference() {
 		t.watch.join, _ = t.fwSet.Rejoin.(*rejoin)
 	}
@@ -182,14 +191,20 @@ func (t *Board) boundary(ex *core.Experiment, ins []uint32) (bool, error) {
 
 // matches reports whether the board is in snapshot s's state up to a
 // shift of its counters, with outputs drained and its simulator in state
-// sim (nil: no simulator), and returns the shift. A pin force refuses.
+// sim (nil: no simulator), and returns the shift. A pin force refuses. PC
+// and registers are compared first, and the simulator before the rest of
+// the board: a faulty run whose registers are back in the reference's
+// state often still has a plant that is not.
 func (t *Board) matches(s *thor.Snapshot, outputs int, sim any) (thor.Shift, bool) {
-	if t.cpu.PinForceActive() || len(t.outputs) != outputs {
+	c := t.cpu
+	if c.PinForceActive() || len(t.outputs) != outputs || c.PC != s.PC || c.Regs != s.Regs {
 		return thor.Shift{}, false
 	}
-	d, ok := t.cpu.Rejoins(s)
 	ss, snaps := t.sim.(envsim.Snapshotter)
-	return d, ok && (sim == nil && t.sim == nil || sim != nil && snaps && ss.EqualState(sim))
+	if !(sim == nil && t.sim == nil || sim != nil && snaps && ss.EqualState(sim)) {
+		return thor.Shift{}, false
+	}
+	return c.Rejoins(s)
 }
 
 // recordJoin records the reference run's join point for the iteration
@@ -265,26 +280,28 @@ func (t *Board) fwRecordEnd(ex *core.Experiment, status campaign.OutcomeStatus) 
 // its counters; false when it is not (or the shifted end would reach the
 // time-out) and the run goes on.
 func (t *Board) tryRejoin(ex *core.Experiment, j *rejoin) (bool, error) {
-	jp, ok := j.point(t.iteration - j.first)
-	if !ok {
+	jp, n := j.at(t.iteration - j.first)
+	if jp == nil {
 		return false, nil
 	}
-	d, ok := t.matches(jp.cpu, jp.outputs, jp.simState)
+	outputs := jp.outputs + n*j.steady.k
+	d, ok := t.matches(jp.cpu, outputs, jp.simState)
 	if !ok {
 		return false, nil
 	}
 	// d is the board's offset from the shared snapshot; from the
 	// reference at this iteration it is d less the reference's own.
-	d = d.Sub(jp.shift)
+	shift := jp.shift.Add(j.steady.d.Times(uint64(n)))
+	d = d.Sub(shift)
 	at := t.cpu.Cycle()
-	if at+(j.end.Cycle-(jp.cpu.Cycle+jp.shift.Cycle)) >= ex.Campaign.Termination.TimeoutCycles {
+	if at+(j.end.Cycle-(jp.cpu.Cycle+shift.Cycle)) >= ex.Campaign.Termination.TimeoutCycles {
 		return false, nil
 	}
 	if err := t.cpu.Skip(j.end, d, jp.events); err != nil {
 		return false, err
 	}
 	t.iteration = j.iteration
-	t.outputs = append(t.outputs, j.outputs[jp.outputs:]...)
+	t.outputs = append(t.outputs, j.outputs[outputs:]...)
 	ex.Converged, ex.ConvergedAt = true, at
 	mFwConverged.Inc()
 	var det *thor.Detection
@@ -313,7 +330,10 @@ func (t *Board) steadyCheck(ex *core.Experiment, ins []uint32) {
 		if same && w.wait == 0 && !c.PinForceActive() && t.steadyPastHorizon(ex) {
 			w.trying = true
 			if ss, ok := t.sim.(envsim.Snapshotter); ok {
-				w.sim = ss.SnapshotState()
+				if r, ok := ss.(envsim.StateReuser); !ok || w.lastSim == nil || !r.SnapshotStateInto(w.lastSim) {
+					w.lastSim = ss.SnapshotState()
+				}
+				w.sim = w.lastSim
 			}
 		}
 		return
@@ -323,7 +343,8 @@ func (t *Board) steadyCheck(ex *core.Experiment, ins []uint32) {
 		if w.snap == nil {
 			ss, _ := t.sim.(envsim.Snapshotter)
 			if !c.PinForceActive() && (ss == nil || ss.EqualState(w.sim)) {
-				w.snap = c.Snapshot()
+				w.snap, _ = c.SnapshotSharing(w.last)
+				w.last = w.snap
 				return
 			}
 		} else if d, ok := t.matches(w.snap, len(t.outputs), w.sim); ok {
@@ -372,9 +393,12 @@ func (t *Board) steadySkip(ex *core.Experiment, d thor.Shift, k int) {
 	}
 	skip := d.Times(m)
 	t.cpu.Advance(skip)
-	period := t.outputs[len(t.outputs)-k:]
-	for i := uint64(0); i < m; i++ {
-		t.outputs = append(t.outputs, period...)
+	// The skipped iterations' outputs: the last iteration's k, m times
+	// over, copied in doubling runs.
+	n := len(t.outputs)
+	t.outputs = slices.Grow(t.outputs, int(m)*k)[:n+int(m)*k]
+	for from := n - k; n < len(t.outputs); {
+		n += copy(t.outputs[n:], t.outputs[from:n])
 	}
 	t.iteration += int(m)
 	ex.SteadyAt, ex.SteadyCycles = at, skip.Cycle

@@ -66,6 +66,17 @@ type fwRecorder struct {
 	// once a steady-state skip took it off the CPU (boundary.go).
 	join *rejoin
 	du   *thor.DefUse
+	// outputs is the run's outputs as of the newest capture. A recording
+	// run only appends to its outputs, so every capture's are a prefix of
+	// this one array, which the recorder only appends to.
+	outputs []uint32
+}
+
+// checkpoint is a capture's ForwardCheckpoint and board state, allocated
+// together.
+type checkpoint struct {
+	core.ForwardCheckpoint
+	bs boardState
 }
 
 // ArmForwardRecording implements core.Forwarder.
@@ -77,7 +88,7 @@ func (t *Board) ArmForwardRecording(plan *core.ForwardPlan) {
 // like the campaign's faults, as the core.DefUseTable the pruner asks.
 type defUse struct{ d *thor.DefUse }
 
-func (u defUse) Chain() string { return ChainMap().Chain }
+func (u defUse) Chain() string { return internalChain }
 
 func (u defUse) InjectionPoint(at uint64, byInstret bool) (idx int, cycle uint64, ok bool) {
 	if idx, ok = u.d.Boundary(at, byInstret); ok {
@@ -236,24 +247,25 @@ func (rec *fwRecorder) guardDue(cy uint64) bool {
 func (t *Board) fwCapture(ex *core.Experiment) *core.ForwardCheckpoint {
 	rec := t.fwRec
 	snap, fresh := t.cpu.SnapshotSharing(rec.prev)
-	bs := &boardState{
-		cpu:         snap,
-		ctrl:        t.ctrl.StateSnapshot(),
-		iteration:   t.iteration,
-		outputs:     append([]uint32(nil), t.outputs...),
-		exchangeLog: rec.exchangeLog[:len(rec.exchangeLog):len(rec.exchangeLog)],
+	rec.outputs = append(rec.outputs, t.outputs[len(rec.outputs):]...)
+	n := len(rec.outputs)
+	cp := &checkpoint{
+		ForwardCheckpoint: core.ForwardCheckpoint{Cycle: snap.Cycle, Instret: snap.Instret, Bytes: fresh},
+		bs: boardState{
+			cpu:         snap,
+			ctrl:        t.ctrl.StateSnapshot(),
+			iteration:   t.iteration,
+			outputs:     rec.outputs[:n:n],
+			exchangeLog: rec.exchangeLog[:len(rec.exchangeLog):len(rec.exchangeLog)],
+		},
 	}
 	if t.sim != nil {
 		if ss, ok := t.sim.(envsim.Snapshotter); ok {
-			bs.simState = ss.SnapshotState()
+			cp.bs.simState = ss.SnapshotState()
 		}
 	}
-	return &core.ForwardCheckpoint{
-		Cycle:   snap.Cycle,
-		Instret: snap.Instret,
-		Bytes:   fresh,
-		State:   bs,
-	}
+	cp.State = &cp.bs
+	return &cp.ForwardCheckpoint
 }
 
 // fwSliceBudget shrinks a run-slice budget so the reference run stops at

@@ -26,6 +26,20 @@ func rejoinFixture(t *testing.T) (*Target, *campaign.Campaign, *core.ForwardSet)
 	return tgt, camp, set
 }
 
+// point returns the join point of iteration first+k as a faulty run there
+// is compared with it: recorded or, inside the steady stretch, the
+// stretch's first with the stretch's shift and outputs added.
+func (j *rejoin) point(k int) (joinPoint, bool) {
+	p, n := j.at(k)
+	if p == nil {
+		return joinPoint{}, false
+	}
+	jp := *p
+	jp.shift = jp.shift.Add(j.steady.d.Times(uint64(n)))
+	jp.outputs += n * j.steady.k
+	return jp, true
+}
+
 // randomFault draws a transient flip of one or two bits of the writable
 // internal chain at a cycle of the window 200:8000: three times in four in
 // r1–r7, the registers the controller rewrites (most of what converges),

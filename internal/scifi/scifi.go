@@ -36,11 +36,14 @@ func New(cfg thor.Config, opts ...Option) *Target {
 	return t
 }
 
+// internalChain is the name of the THOR-S internal chain.
+const internalChain = "internal"
+
 // ChainMap returns the scan-chain map of the THOR-S internal chain, as
 // entered in the configuration phase (paper Fig 5).
 func ChainMap() scanchain.Map {
 	layout := thor.ScanLayout()
-	m := scanchain.Map{Chain: "internal", Length: thor.ScanLen()}
+	m := scanchain.Map{Chain: internalChain, Length: thor.ScanLen()}
 	for _, f := range layout {
 		m.Locations = append(m.Locations, scanchain.Location{
 			Name: f.Name, Offset: f.Offset, Width: f.Width, ReadOnly: f.ReadOnly,

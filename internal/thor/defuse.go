@@ -1,6 +1,9 @@
 package thor
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Def-use recording.
 //
@@ -241,8 +244,18 @@ func (d *DefUse) boundary(cycle uint64) {
 		d.truncated = true
 		return
 	}
+	if len(d.Boundaries) == cap(d.Boundaries) {
+		d.grow()
+	}
 	d.Boundaries = append(d.Boundaries, cycle)
 	d.bytes += 8
+}
+
+// grow doubles the boundaries' array: a reference's table grows to
+// thousands of them, and append's quarter steps past 256 allocated the
+// array several times over.
+func (d *DefUse) grow() {
+	d.Boundaries = slices.Grow(d.Boundaries, max(len(d.Boundaries), 256))
 }
 
 func (d *DefUse) add(field int, write bool) {

@@ -109,11 +109,38 @@ func (p *PortSet) Reset() {
 	p.out.reset()
 }
 
-// Clone returns a deep copy of the port set, for snapshots.
+// Clone returns a deep copy of the port set, for snapshots. The copy, its
+// queues and what they hold are one allocation when they fit in a
+// portClone, as a control loop's two ports do.
 func (p *PortSet) Clone() *PortSet {
-	c := NewPortSet()
-	c.CopyFrom(p)
-	return c
+	c := new(portClone)
+	qs, vals := c.qs[:0], c.vals[:0]
+	clone := func(l portList) portList {
+		from := len(qs)
+		for i := range l {
+			if v := l[i].values(); len(v) > 0 {
+				at := len(vals)
+				vals = append(vals, v...)
+				qs = append(qs, portQueue{port: l[i].port, q: vals[at:len(vals):len(vals)]})
+			}
+		}
+		if len(qs) == from {
+			return nil
+		}
+		return qs[from:len(qs):len(qs)]
+	}
+	c.set.in = clone(p.in)
+	c.set.out = clone(p.out)
+	return &c.set
+}
+
+// portClone is a cloned set with room for its queues and their values.
+// Every queue is capped at its length, so a set cloned from another and
+// then written to moves out of the room rather than over a neighbour.
+type portClone struct {
+	set  PortSet
+	qs   [2]portQueue
+	vals [6]uint32
 }
 
 // CopyFrom replaces the port set's contents with a deep copy of src; src

@@ -48,21 +48,23 @@ func (d Shift) Times(m uint64) Shift {
 // Rejoins reports whether the CPU's state equals snapshot s's up to a Shift
 // of its counters, and returns the shift. The compares are ordered so a
 // diverged machine is rejected in a few: PC, registers, flags and cycle −
-// lastKick; then status, caches, ports, pins, forces, trap handlers and
-// breakpoints; last, memory, of which only the pages the CPU has marked
-// are read (an unmarked page is zero, and must be in s too). The event log
-// is history, not state, and is not compared; a pending detection is
-// refused on either side. The pins' halt and error lines are not compared
-// either: Pins recomputes them from the status at every read.
+// lastKick; then the data cache, where a run whose registers have settled
+// back most often still differs, and the instruction cache; then status,
+// ports, pins, forces, trap handlers and breakpoints; last, memory, of
+// which only the pages the CPU has marked are read (an unmarked page is
+// zero, and must be in s too). The event log is history, not state, and is
+// not compared; a pending detection is refused on either side. The pins'
+// halt and error lines are not compared either: Pins recomputes them from
+// the status at every read.
 func (c *CPU) Rejoins(s *Snapshot) (Shift, bool) {
 	if c.PC != s.PC || c.Regs != s.Regs || c.Flags != s.Flags ||
-		c.cycle-c.lastKick != s.Cycle-s.LastKick {
+		c.cycle-c.lastKick != s.Cycle-s.LastKick ||
+		c.dcache.lines != s.DCache || c.icache.lines != s.ICache {
 		return Shift{}, false
 	}
 	pins, spins := c.pins, s.Pins
 	pins.Halt, pins.Error, spins.Halt, spins.Error = false, false, false, false
 	if c.status != s.Status || c.detection != nil || s.Detection != nil ||
-		c.icache.lines != s.ICache || c.dcache.lines != s.DCache ||
 		!c.ports.equal(s.Ports) || pins != spins || c.force != s.Force ||
 		c.skipBPOnce != s.SkipBPOnce ||
 		!maps.Equal(c.trapHandlers, s.TrapHandlers) || !maps.Equal(c.breakpoints, s.Breakpoints) ||

@@ -3,6 +3,7 @@ package thor
 import (
 	"bytes"
 	"fmt"
+	"maps"
 )
 
 // SnapshotPageBytes is the page granularity at which snapshot memory is
@@ -79,69 +80,126 @@ func (c *CPU) Snapshot() *Snapshot {
 	return s
 }
 
-// SnapshotSharing captures the current state like Snapshot, but memory
-// pages whose contents equal the corresponding page of prev are shared
-// with prev instead of copied. It returns the snapshot and the number of
-// bytes that had to be freshly allocated (page data plus bookkeeping) —
-// the marginal cost of keeping this snapshot alongside prev. prev may be
-// nil, in which case every non-zero page is fresh. An all-zero page is the
-// shared zero page, fresh in no snapshot.
+// SnapshotSharing captures the current state like Snapshot, but shares
+// with prev what did not change since it: memory pages whose contents
+// equal prev's (and prev's page table, when every page does), and the trap
+// handler and breakpoint maps and the port set when they equal prev's. It
+// returns the snapshot and the number of bytes a deep copy would have to
+// allocate beyond prev's pages (page data plus bookkeeping) — the marginal
+// cost of keeping this snapshot alongside prev. prev may be nil, in which
+// case every non-zero page is fresh and nothing else is shared. An
+// all-zero page is the shared zero page, fresh in no snapshot.
 func (c *CPU) SnapshotSharing(prev *Snapshot) (*Snapshot, int) {
+	s, pages, fresh := c.snapshotPages(prev)
 	iH, iM := c.icache.stats()
 	dH, dM := c.dcache.stats()
-	s := &Snapshot{
-		Regs:         c.Regs,
-		PC:           c.PC,
-		Flags:        c.Flags,
-		MemLen:       len(c.mem),
-		ICache:       c.icache.lines,
-		DCache:       c.dcache.lines,
-		IHits:        iH,
-		IMisses:      iM,
-		DHits:        dH,
-		DMisses:      dM,
-		Cycle:        c.cycle,
-		Instret:      c.instret,
-		LastKick:     c.lastKick,
-		Status:       c.status,
-		Events:       append([]Detection(nil), c.events...),
-		TrapHandlers: make(map[uint16]uint32, len(c.trapHandlers)),
-		Breakpoints:  make(map[uint32]bool, len(c.breakpoints)),
-		SkipBPOnce:   c.skipBPOnce,
-		Pins:         c.pins,
-		Force:        c.force,
-		Ports:        c.ports.Clone(),
+	*s = Snapshot{
+		Regs:       c.Regs,
+		PC:         c.PC,
+		Flags:      c.Flags,
+		MemPages:   pages,
+		MemLen:     len(c.mem),
+		ICache:     c.icache.lines,
+		DCache:     c.dcache.lines,
+		IHits:      iH,
+		IMisses:    iM,
+		DHits:      dH,
+		DMisses:    dM,
+		Cycle:      c.cycle,
+		Instret:    c.instret,
+		LastKick:   c.lastKick,
+		Status:     c.status,
+		Events:     append([]Detection(nil), c.events...),
+		SkipBPOnce: c.skipBPOnce,
+		Pins:       c.pins,
+		Force:      c.force,
 	}
 	if c.detection != nil {
 		d := *c.detection
 		s.Detection = &d
 	}
-	for k, v := range c.trapHandlers {
-		s.TrapHandlers[k] = v
+	if prev != nil && maps.Equal(c.trapHandlers, prev.TrapHandlers) {
+		s.TrapHandlers = prev.TrapHandlers
+	} else {
+		s.TrapHandlers = maps.Clone(c.trapHandlers)
 	}
-	for k, v := range c.breakpoints {
-		s.Breakpoints[k] = v
+	if prev != nil && maps.Equal(c.breakpoints, prev.Breakpoints) {
+		s.Breakpoints = prev.Breakpoints
+	} else {
+		s.Breakpoints = maps.Clone(c.breakpoints)
 	}
+	if prev != nil && c.ports.equal(prev.Ports) {
+		s.Ports = prev.Ports
+	} else {
+		s.Ports = c.ports.Clone()
+	}
+	return s, fresh + snapshotFixedBytes(s)
+}
+
+// snapshotPages allocates a snapshot and returns it with its page table
+// and the bytes of the pages it had to copy: a marked page whose contents
+// equal prev's is prev's, an all-zero page the zero page, any other a
+// copy. A table whose every page is prev's is prev's table; a new one is
+// made at the first page that is not, with the snapshot where it fits a
+// snapshotBlock.
+func (c *CPU) snapshotPages(prev *Snapshot) (*Snapshot, [][]byte, int) {
 	nPages := (len(c.mem) + SnapshotPageBytes - 1) / SnapshotPageBytes
-	s.MemPages = make([][]byte, nPages)
+	var old [][]byte
+	if prev != nil && len(prev.MemPages) == nPages {
+		old = prev.MemPages
+	}
+	var s *Snapshot
+	var pages [][]byte
 	fresh := 0
 	for i := 0; i < nPages; i++ {
 		cur := c.page(i)
 		zero := zeroPage[:len(cur)]
+		var p []byte
 		switch {
 		case !c.isDirty(i):
-			s.MemPages[i] = zero
-		case prev != nil && i < len(prev.MemPages) && bytes.Equal(prev.MemPages[i], cur):
-			s.MemPages[i] = prev.MemPages[i]
+			p = zero
+		case old != nil && bytes.Equal(old[i], cur):
+			p = old[i]
 		case bytes.Equal(cur, zero):
-			s.MemPages[i] = zero
+			p = zero
 		default:
-			s.MemPages[i] = bytes.Clone(cur)
+			p = bytes.Clone(cur)
 			fresh += len(cur)
 		}
+		if pages == nil {
+			if old != nil && samePage(p, old[i]) {
+				continue
+			}
+			if nPages <= snapshotBlockPages {
+				b := new(snapshotBlock)
+				s, pages = &b.s, b.pages[:nPages]
+			} else {
+				pages = make([][]byte, nPages)
+			}
+			copy(pages, old[:min(i, len(old))])
+		}
+		pages[i] = p
 	}
-	return s, fresh + snapshotFixedBytes(s)
+	if pages == nil {
+		pages = old
+	}
+	if s == nil {
+		s = new(Snapshot)
+	}
+	return s, pages, fresh
 }
+
+// snapshotBlockPages is the page count of the default memory.
+const snapshotBlockPages = 64
+
+// snapshotBlock is a snapshot and its page table, allocated together.
+type snapshotBlock struct {
+	s     Snapshot
+	pages [snapshotBlockPages][]byte
+}
+
+// samePage reports whether two snapshot pages are one.
+func samePage(p, q []byte) bool { return len(p) == len(q) && (len(p) == 0 || &p[0] == &q[0]) }
 
 // Restore overwrites the CPU state with a snapshot taken from a CPU of
 // the same configuration. The snapshot itself is not aliased: maps, port
