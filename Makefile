@@ -145,7 +145,7 @@ count:
 # package, from goofi-experiments (E1–E10), from the four examples and from
 # the CLI workflow (configure, setup, run, analyze, analyze -sql, list), the
 # programs built as -cover binaries, everything merged with go tool covdata.
-# What it does not reach is what sqldb can still lose (ROADMAP item 7).
+# What it does not reach is what sqldb can still lose (ROADMAP item 8(c)).
 reach:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	mkdir -p "$$dir/unit" "$$dir/run" "$$dir/bin" "$$dir/work"; \

@@ -242,7 +242,7 @@ func BenchmarkSCIFIvsSWIFI(b *testing.B) {
 		camp.Trigger = trigger.Spec{Kind: "cycle", Cycle: 0}
 		var rep *analysis.Report
 		for i := 0; i < b.N; i++ {
-			_, rep = runCampaign(b, st, tsd, swifi.New(thor.DefaultConfig(), swifi.PreRuntime),
+			_, rep = runCampaign(b, st, tsd, swifi.New(thor.DefaultConfig()),
 				core.PreRuntimeSWIFI, camp)
 		}
 		b.ReportMetric(rep.Coverage.P, "coverage")

@@ -231,7 +231,7 @@ func e3(n int, seed int64) error {
 	swifiCamp.ChainName = swifi.MemoryChainName
 	swifiCamp.RandomWindow = [2]uint64{} // pre-runtime: no injection time
 	swifiCamp.Trigger = trigger.Spec{Kind: "cycle", Cycle: 0}
-	swifiRep, _, err := execute(stW, tsdW, swifi.New(thor.DefaultConfig(), swifi.PreRuntime),
+	swifiRep, _, err := execute(stW, tsdW, swifi.New(thor.DefaultConfig()),
 		core.PreRuntimeSWIFI, swifiCamp)
 	if err != nil {
 		return err

@@ -1,26 +1,21 @@
 // Golden end-to-end test: the quickstart campaign (README and
-// examples/quickstart) run from scratch must render the exact analysis
-// report stored in testdata/. Any change to planning, injection,
-// simulation, logging or analysis that shifts a single outcome shows up
-// as a diff here. Regenerate with
+// examples/quickstart) run from scratch, as `goofi run` runs it, must render
+// the exact analysis report stored in testdata/ — the report
+// TestConformance's quickstart oracle and every cell of its row render too.
+// Any change to planning, injection, simulation, logging or analysis that
+// shifts a single outcome shows up as a diff here. Regenerate with
 //
 //	go test . -run TestQuickstartReportGolden -update
 package goofi_test
 
 import (
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"goofi/internal/analysis"
 	"goofi/internal/campaign"
-	"goofi/internal/core"
 	"goofi/internal/faultmodel"
-	"goofi/internal/scifi"
-	"goofi/internal/sqldb"
-	"goofi/internal/thor"
 	"goofi/internal/trigger"
 	"goofi/internal/workload"
 )
@@ -46,41 +41,10 @@ func quickstartCampaign() *campaign.Campaign {
 }
 
 func TestQuickstartReportGolden(t *testing.T) {
-	store, err := campaign.NewStore(sqldb.Open())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsd := scifi.TargetSystemData("thor-board")
-	if err := store.PutTargetSystem(tsd); err != nil {
-		t.Fatal(err)
-	}
-	camp := quickstartCampaign()
-	if err := store.PutCampaign(camp); err != nil {
-		t.Fatal(err)
-	}
-	runner, err := core.NewRunner(scifi.New(thor.DefaultConfig()), core.SCIFI, camp, tsd,
-		core.WithSink(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := runner.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Experiments != camp.NumExperiments {
-		t.Fatalf("ran %d experiments, want %d", sum.Experiments, camp.NumExperiments)
-	}
-	rep, err := analysis.AnalyzeAndStore(store, camp.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rep.Render()
-
+	sp := &spec{camp: quickstartCampaign()}
+	got := sp.run(t, sp.runSpec(1)).report
 	golden := filepath.Join("testdata", "quickstart_report.golden")
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

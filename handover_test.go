@@ -16,9 +16,6 @@ import (
 	"goofi/internal/bitvec"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
-	"goofi/internal/scifi"
-	"goofi/internal/sqldb"
-	"goofi/internal/thor"
 )
 
 // recordTee keeps every record the runner hands to the sink behind it.
@@ -39,20 +36,9 @@ func (s *recordTee) LogExperiment(rec *campaign.ExperimentRecord) error {
 // runner logged, by experiment name.
 func loggedRecords(t *testing.T, camp *campaign.Campaign, opts ...core.RunnerOption) map[string]*campaign.ExperimentRecord {
 	t.Helper()
-	st, err := campaign.NewStore(sqldb.Open())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsd := scifi.TargetSystemData("thor-board")
-	if err := st.PutTargetSystem(tsd); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutCampaign(camp); err != nil {
-		t.Fatal(err)
-	}
-	tee := &recordTee{ResultSink: st, logged: map[string]*campaign.ExperimentRecord{}}
-	r, err := core.NewRunner(scifi.New(thor.DefaultConfig()), core.SCIFI, camp, tsd,
-		append(opts, core.WithSink(tee))...)
+	sp := &spec{camp: camp}
+	tee := &recordTee{ResultSink: sp.store(t, camp), logged: map[string]*campaign.ExperimentRecord{}}
+	r, err := core.NewRunner(healthyFactory(), core.SCIFI, camp, sp.tsd(camp), append(opts, core.WithSink(tee))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +72,7 @@ func materialised(t *testing.T, rec *campaign.ExperimentRecord) *campaign.Experi
 }
 
 func TestPrunedRecordEncodesAsMaterialised(t *testing.T) {
-	pidLong := pidCampaign("pid-long", 60, 1001) // the benchmark workload's definition: cache chains, 1,000 iterations
-	pidLong.Termination = campaign.Termination{TimeoutCycles: 4_000_000, MaxIterations: 1000}
+	pidLong := pidLongCampaign("pid-long", 60) // the benchmark workload's definition
 	multi := pidCampaign("multi", 150, 5)
 	multi.FaultModel.Multiplicity = 3
 	// By the number of bits that stay flipped: none is an overwritten fault.

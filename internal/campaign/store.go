@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"sort"
 	"strings"
@@ -286,6 +288,46 @@ func (r *Row) Campaign() string { return r.Cols[2].S }
 
 // Step returns the step column: -1 for an end-of-experiment row.
 func (r *Row) Step() int { return int(r.Cols[3].I) }
+
+// RefSum returns the reference checksum a row stored relative carries, read
+// without decoding the row; ok is false for a row stored whole.
+func (r *Row) RefSum() (sum uint32, ok bool) {
+	state := r.Cols[5].B
+	if !isRelative(state) || len(state) < relativeHeader {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(state[1:]), true
+}
+
+// StateSum is the checksum the rows stored relative to r carry, r being a
+// reference row (which is stored whole): the CRC-32 of its stateVector.
+func (r *Row) StateSum() uint32 { return crc32.ChecksumIEEE(r.Cols[5].B) }
+
+// Equal reports whether two rows hold the same column bytes.
+func (r *Row) Equal(o *Row) bool {
+	for i := range r.Cols {
+		a, b := &r.Cols[i], &o.Cols[i]
+		if a.K != b.K || a.I != b.I || a.S != b.S || !bytes.Equal(a.B, b.B) {
+			return false
+		}
+	}
+	return true
+}
+
+// ReferenceRow reads a campaign's reference row in stored form.
+func (s *Store) ReferenceRow(campaignName string) (Row, error) {
+	r, err := s.db.Query(`SELECT experimentName, parentExperiment, campaignName, step, experimentData, stateVector
+		FROM LoggedSystemState WHERE experimentName = ?`, sqldb.Text(ReferenceName(campaignName)))
+	if err == nil && len(r.Rows) == 0 {
+		err = fmt.Errorf("campaign: campaign %q has no reference row", campaignName)
+	}
+	if err != nil {
+		return Row{}, err
+	}
+	row := Row{Seq: -1}
+	copy(row.Cols[:], r.Rows[0])
+	return row, nil
+}
 
 // EncodeRow flattens a record into its stored form. The state goes in
 // relative to r.Ref when there is one to go against: the end row of an

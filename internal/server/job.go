@@ -268,13 +268,14 @@ func pendingJobRows(db *sqldb.DB) ([]*SubmitRequest, error) {
 func (s *Server) execute(ctx context.Context, j *job) {
 	spec := &j.spec
 	name := spec.Campaign.Name
+	// The durable row first: the API never shows a state the job row lacks.
 	settle := func(state string, err error) {
 		msg := ""
 		if err != nil {
 			msg = err.Error()
 		}
-		j.setState(state, msg)
 		s.markDurable(name, spec.Tenant, state)
+		j.setState(state, msg)
 	}
 	// A queued job can be cancelled before it ever starts.
 	j.mu.Lock()

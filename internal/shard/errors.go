@@ -34,6 +34,13 @@ import (
 // hammering the coordinator.
 var ErrUnauthorized = errors.New("shard: worker not authorized (bad or missing token)")
 
+// ErrReferenceMismatch refuses a report whose rows were run against another
+// reference than the campaign's merged one: a worker of another build, or a
+// target that does not reproduce the reference. The coordinator quarantines
+// the worker and re-queues its range; the refusal wraps ErrBadLease, so the
+// worker abandons the range like any lease it lost.
+var ErrReferenceMismatch = fmt.Errorf("shard: rows against another reference (%w)", ErrBadLease)
+
 // Error classes reported in the transport retry metrics.
 const (
 	ClassTimeout = "timeout"

@@ -29,7 +29,7 @@ func init() {
 		Description: "THOR-S simulated board, faults written into the image before execution",
 		Algorithm:   core.PreRuntimeSWIFI.Name,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
-			return New(thor.DefaultConfig(), PreRuntime, scifi.TargetOptions(cfg)...), nil
+			return New(thor.DefaultConfig(), scifi.TargetOptions(cfg)...), nil
 		},
 		SystemData: systemData,
 	})
@@ -38,7 +38,7 @@ func init() {
 		Description: "THOR-S simulated board, memory mutated in place at the trigger point",
 		Algorithm:   core.RuntimeSWIFI.Name,
 		New: func(cfg core.TargetConfig) (core.TargetSystem, error) {
-			return New(thor.DefaultConfig(), Runtime, scifi.TargetOptions(cfg)...), nil
+			return New(thor.DefaultConfig(), scifi.TargetOptions(cfg)...), nil
 		},
 		SystemData: systemData,
 	})

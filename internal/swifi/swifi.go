@@ -29,40 +29,28 @@ import (
 // a fault location space for SWIFI campaigns.
 const MemoryChainName = "memory"
 
-// Mode selects pre-runtime or runtime injection.
-type Mode int
-
-// SWIFI modes.
-const (
-	// PreRuntime mutates the workload image before download.
-	PreRuntime Mode = iota
-	// Runtime stops the workload at the trigger point and mutates
-	// memory in place.
-	Runtime
-)
-
 // Target is the THOR-S SWIFI target system interface. The fault space is
 // the workload image: fault bit offsets index into memory starting at
 // address 0, bit 0 being the MSB of the word at address 0 (matching the
-// big-endian memory layout exposed in MemoryMap).
+// big-endian memory layout exposed in MemoryMap). One target serves both
+// techniques: the algorithm's listing says when InjectFault runs, before
+// the image is downloaded (pre-runtime) or at the trigger point (runtime).
 type Target struct {
 	*scifi.Board
 
-	mode Mode
 	// image is this experiment's host-side copy of the workload image: what
 	// pre-runtime injection mutates and what the board downloads.
 	image []byte
+	// downloaded: WriteMemory has run since LoadWorkload, so a fault now
+	// goes into target memory, not into the image.
+	downloaded bool
 }
 
-// New returns a SWIFI target in the given mode.
-func New(cfg thor.Config, mode Mode, opts ...scifi.Option) *Target {
-	name := "thor-s-swifi-preruntime"
-	if mode == Runtime {
-		name = "thor-s-swifi-runtime"
-	}
-	t := &Target{mode: mode}
+// New returns a SWIFI target.
+func New(cfg thor.Config, opts ...scifi.Option) *Target {
+	t := &Target{}
 	t.Board = scifi.NewBoard(cfg, scifi.Technique{
-		Name:  name,
+		Name:  "thor-s-swifi",
 		Image: func() []byte { return t.image },
 	}, opts...)
 	return t
@@ -102,18 +90,26 @@ func (t *Target) LoadWorkload(ex *core.Experiment) error {
 		return err
 	}
 	t.image = append(t.image[:0], t.Program().Image...)
+	t.downloaded = false
 	return nil
 }
 
-// InjectFault applies the fault. In pre-runtime mode it mutates the
-// host-side image (called before WriteMemory); in runtime mode it mutates
-// target memory in place (called after WaitForBreakpoint).
+// WriteMemory downloads the image; a fault injected after it is a runtime
+// one.
+func (t *Target) WriteMemory(ex *core.Experiment) error {
+	t.downloaded = true
+	return t.Board.WriteMemory(ex)
+}
+
+// InjectFault applies the fault. Before WriteMemory (pre-runtime SWIFI) it
+// mutates the host-side image; after it (runtime SWIFI, called after
+// WaitForBreakpoint) it mutates target memory in place.
 func (t *Target) InjectFault(ex *core.Experiment) error {
 	if ex.Fault == nil {
 		return nil
 	}
-	switch t.mode {
-	case PreRuntime:
+	switch {
+	case !t.downloaded:
 		if t.image == nil {
 			return fmt.Errorf("swifi: InjectFault before LoadWorkload")
 		}
@@ -124,7 +120,7 @@ func (t *Target) InjectFault(ex *core.Experiment) error {
 		if err := applyToBytes(ex, t.image); err != nil {
 			return err
 		}
-	case Runtime:
+	default:
 		if !t.AtInjectionPoint() {
 			// The workload terminated before the trigger fired; the
 			// fault's time point never occurred.

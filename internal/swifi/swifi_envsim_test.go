@@ -57,7 +57,7 @@ func runPIDSwifi(t *testing.T, camp *campaign.Campaign) (*core.Summary, *campaig
 	if err := st.PutCampaign(camp); err != nil {
 		t.Fatal(err)
 	}
-	tgt := New(thor.DefaultConfig(), Runtime)
+	tgt := New(thor.DefaultConfig())
 	r, err := core.NewRunner(tgt, core.RuntimeSWIFI, camp, tsd, core.WithSink(st))
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestImageSizeAndCPUAccessors(t *testing.T) {
 	if err != nil || n != sortImageSize(t) {
 		t.Errorf("ImageSize = %d, %v", n, err)
 	}
-	tgt := New(thor.DefaultConfig(), PreRuntime)
+	tgt := New(thor.DefaultConfig())
 	if tgt.CPU() == nil {
 		t.Error("CPU accessor returned nil")
 	}

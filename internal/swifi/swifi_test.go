@@ -45,7 +45,7 @@ func swifiCampaign(t *testing.T, name string, n int, seed int64, runtime bool) *
 	return c
 }
 
-func runCampaign(t *testing.T, mode Mode, camp *campaign.Campaign) (*core.Summary, *campaign.Store) {
+func runCampaign(t *testing.T, alg core.Algorithm, camp *campaign.Campaign) (*core.Summary, *campaign.Store) {
 	t.Helper()
 	st, err := campaign.NewStore(sqldb.Open())
 	if err != nil {
@@ -58,12 +58,7 @@ func runCampaign(t *testing.T, mode Mode, camp *campaign.Campaign) (*core.Summar
 	if err := st.PutCampaign(camp); err != nil {
 		t.Fatal(err)
 	}
-	tgt := New(thor.DefaultConfig(), mode)
-	alg := core.PreRuntimeSWIFI
-	if mode == Runtime {
-		alg = core.RuntimeSWIFI
-	}
-	r, err := core.NewRunner(tgt, alg, camp, tsd, core.WithSink(st))
+	r, err := core.NewRunner(New(thor.DefaultConfig()), alg, camp, tsd, core.WithSink(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +98,7 @@ func TestReverseByte(t *testing.T) {
 
 func TestPreRuntimeImageMutation(t *testing.T) {
 	// Bit 0 of the fault space is the MSB of the word at address 0.
-	tgt := New(thor.DefaultConfig(), PreRuntime)
+	tgt := New(thor.DefaultConfig())
 	camp := swifiCampaign(t, "img", 1, 1, false)
 	ex := &core.Experiment{
 		Campaign: camp, Seq: 0, Name: "img/exp00000",
@@ -125,7 +120,7 @@ func TestPreRuntimeImageMutation(t *testing.T) {
 }
 
 func TestPreRuntimeCampaign(t *testing.T) {
-	sum, st := runCampaign(t, PreRuntime, swifiCampaign(t, "pre", 40, 9, false))
+	sum, st := runCampaign(t, core.PreRuntimeSWIFI, swifiCampaign(t, "pre", 40, 9, false))
 	if sum.Experiments != 40 || sum.Injected != 40 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -144,7 +139,7 @@ func TestPreRuntimeCampaign(t *testing.T) {
 }
 
 func TestRuntimeCampaign(t *testing.T) {
-	sum, _ := runCampaign(t, Runtime, swifiCampaign(t, "rt", 30, 17, true))
+	sum, _ := runCampaign(t, core.RuntimeSWIFI, swifiCampaign(t, "rt", 30, 17, true))
 	if sum.Experiments != 30 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -159,7 +154,7 @@ func TestRuntimeCampaign(t *testing.T) {
 
 func TestRuntimeInjectionTimingRecorded(t *testing.T) {
 	camp := swifiCampaign(t, "timing", 10, 23, true)
-	_, st := runCampaign(t, Runtime, camp)
+	_, st := runCampaign(t, core.RuntimeSWIFI, camp)
 	recs, err := st.Experiments("timing")
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +175,7 @@ func TestRuntimeInjectionTimingRecorded(t *testing.T) {
 
 func TestSWIFIDeterminism(t *testing.T) {
 	outcomes := func() map[campaign.OutcomeStatus]int {
-		sum, _ := runCampaign(t, PreRuntime, swifiCampaign(t, "d", 20, 5, false))
+		sum, _ := runCampaign(t, core.PreRuntimeSWIFI, swifiCampaign(t, "d", 20, 5, false))
 		return sum.ByStatus
 	}
 	a, b := outcomes(), outcomes()
@@ -192,7 +187,7 @@ func TestSWIFIDeterminism(t *testing.T) {
 }
 
 func TestPreRuntimeDoesNotWaitForBreakpoint(t *testing.T) {
-	tgt := New(thor.DefaultConfig(), PreRuntime)
+	tgt := New(thor.DefaultConfig())
 	if err := tgt.WaitForBreakpoint(&core.Experiment{}); err == nil {
 		t.Error("pre-runtime WaitForBreakpoint did not error")
 	}
@@ -213,21 +208,21 @@ func TestDetailModeLogsTrace(t *testing.T) {
 			t.Fatalf("%s: %d trace steps, expected hundreds with scan state", name, len(trace))
 		}
 	}
-	for _, mode := range []Mode{PreRuntime, Runtime} {
-		camp := swifiCampaign(t, "detail", 3, 5, mode == Runtime)
+	for _, alg := range []core.Algorithm{core.PreRuntimeSWIFI, core.RuntimeSWIFI} {
+		camp := swifiCampaign(t, "detail", 3, 5, alg.Name == core.RuntimeSWIFI.Name)
 		camp.LogMode = campaign.LogDetail
 		camp.Termination.TimeoutCycles = 30_000
-		_, st := runCampaign(t, mode, camp)
+		_, st := runCampaign(t, alg, camp)
 		name := campaign.ExperimentName("detail", 0)
 		steps(st, name)
 		if p, err := analysis.PropagationCurve(st, name); err != nil || p.Steps == 0 {
-			t.Errorf("mode %d: propagation curve %+v, %v", mode, p, err)
+			t.Errorf("%s: propagation curve %+v, %v", alg.Name, p, err)
 		}
 	}
 
 	camp := swifiCampaign(t, "rerun", 6, 13, true)
-	_, st := runCampaign(t, Runtime, camp)
-	r, err := core.NewRunner(New(thor.DefaultConfig(), Runtime), core.RuntimeSWIFI, camp,
+	_, st := runCampaign(t, core.RuntimeSWIFI, camp)
+	r, err := core.NewRunner(New(thor.DefaultConfig()), core.RuntimeSWIFI, camp,
 		TargetSystemData("thor-swifi", sortImageSize(t)), core.WithSink(st))
 	if err != nil {
 		t.Fatal(err)

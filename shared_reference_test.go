@@ -7,16 +7,12 @@
 package goofi_test
 
 import (
-	"context"
-	"encoding/json"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"goofi/internal/campaign"
 	"goofi/internal/core"
-	"goofi/internal/scifi"
-	"goofi/internal/sqldb"
-	"goofi/internal/thor"
 )
 
 // sharingWatch counts the runs whose result shares a slice with the
@@ -53,20 +49,24 @@ func (w *sharingWatch) ReadMemory(ex *core.Experiment) error {
 }
 
 func TestSharedReferenceSlices(t *testing.T) {
-	tsd := scifi.TargetSystemData("thor-board")
 	camp := func() *campaign.Campaign { return pidCampaign("shared", 200, 1) }
-	oracle := runPruneCase(t, camp(), tsd, core.SCIFI,
-		func() core.TargetSystem { return scifi.New(thor.DefaultConfig()) }, noForwarding)
 	// Forwarding off: every experiment runs on the board, and the watch
 	// needs no Forwarder.
-	watch := func(shared *atomic.Int64, write bool) func() core.TargetSystem {
-		return func() core.TargetSystem {
-			return &sharingWatch{TargetSystem: scifi.New(thor.DefaultConfig()), shared: shared, write: write}
-		}
+	run := func(shared *atomic.Int64, write bool) (outcome, error) {
+		return runBoards(t, camp(), 1, func() core.TargetSystem {
+			return &sharingWatch{TargetSystem: healthyFactory(), shared: shared, write: write}
+		}, noForwarding)
 	}
-
+	oracle, err := runBoards(t, camp(), 1, healthyFactory, noForwarding)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var shared atomic.Int64
-	assertSameCampaign(t, oracle, runPruneCase(t, camp(), tsd, core.SCIFI, watch(&shared, false), noForwarding))
+	got, err := run(&shared, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutcome(t, oracle, got)
 	if shared.Load() == 0 {
 		t.Fatal("no run shared a slice with the reference's result: the case proves nothing")
 	}
@@ -76,46 +76,14 @@ func TestSharedReferenceSlices(t *testing.T) {
 	// stored relative to, and the reference row, still queued: either the
 	// store refuses to read the rows back or they are not the oracle's.
 	var written atomic.Int64
-	st, err := campaign.NewStore(sqldb.Open())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutTargetSystem(tsd); err != nil {
-		t.Fatal(err)
-	}
-	c := camp()
-	if err := st.PutCampaign(c); err != nil {
-		t.Fatal(err)
-	}
-	sink := campaign.NewBatchingSink(st, 0)
-	r, err := core.NewRunner(watch(&written, true)(), core.SCIFI, c, tsd, core.WithSink(sink), noForwarding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.Run(context.Background())
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
+	got, err = run(&written, true)
 	if written.Load() == 0 {
 		t.Fatal("the writing board found no shared slice to write through")
 	}
-	var recs []*campaign.ExperimentRecord
-	if err == nil {
-		recs, err = st.Experiments(c.Name)
-	}
-	if err != nil {
+	switch {
+	case err != nil:
 		t.Logf("a board that wrote through the reference's slices: %v", err)
-		return
+	case slices.Equal(got.rows, oracle.rows):
+		t.Error("a board that wrote through the reference's slices stored the oracle's rows: the differential would not see it")
 	}
-	for i, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i >= len(oracle.rows) || string(b) != oracle.rows[i] {
-			t.Logf("a board that wrote through the reference's slices stored another row %d", i)
-			return
-		}
-	}
-	t.Error("a board that wrote through the reference's slices stored the oracle's rows: the differential would not see it")
 }
