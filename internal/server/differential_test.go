@@ -172,8 +172,9 @@ func TestDifferentialKillRestart(t *testing.T) {
 	// Large enough that the campaign cannot finish in the gap between
 	// the progress poll observing Done >= 10 and Kill() landing — if it
 	// did, the durable row would read "done" and there would be nothing
-	// for the restarted daemon to resume.
-	const numExp = 600
+	// for the restarted daemon to resume. A fixed 600 experiments were
+	// about 25 ms of work, which a loaded host can spend between the two.
+	numExp := restartSize(t)
 	camp := testCampaign("diff", numExp)
 	solo := soloRun(t, camp, 2)
 	wantRecs := recordBytes(t, solo, "diff")
