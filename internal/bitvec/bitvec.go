@@ -42,17 +42,6 @@ func New(n int) *Vector {
 	return &Vector{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// FromBits builds a vector from a slice of booleans, bit 0 first.
-func FromBits(bits []bool) *Vector {
-	v := New(len(bits))
-	for i, b := range bits {
-		if b {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
 // FromUint64 returns an n-bit vector holding the low n bits of x, bit 0
 // first. n must be in [0, 64].
 func FromUint64(x uint64, n int) *Vector {

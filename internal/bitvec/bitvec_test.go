@@ -97,13 +97,6 @@ func TestFromUint64(t *testing.T) {
 	}
 }
 
-func TestFromBits(t *testing.T) {
-	v := FromBits([]bool{true, false, true, true})
-	if got := v.Uint64(0, 4); got != 0b1101 {
-		t.Errorf("FromBits = %#b, want 1101", got)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	v := New(70)
 	v.Set(69, true)

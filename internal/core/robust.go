@@ -63,12 +63,20 @@ func (p *RetryPolicy) maxAttempts() int { return p.MaxRetries + 1 }
 // backoff returns the sleep before retry attempt n (n >= 2), with
 // seeded jitter drawn from rng so tests are deterministic.
 func (p *RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
-	base, max := p.BackoffBase, p.BackoffMax
+	return Backoff(n, p.BackoffBase, p.BackoffMax, DefaultBackoffBase, DefaultBackoffMax, rng)
+}
+
+// Backoff is the exponential backoff of both retry loops, the campaign's
+// and the shard transport's, each with defaults of its own: the sleep
+// before retry attempt n (n >= 2) is base<<(n-2), capped at max, plus up
+// to 50% jitter drawn from rng, which spreads simultaneous retries. A base
+// or max of zero or less selects defBase or defMax.
+func Backoff(n int, base, max, defBase, defMax time.Duration, rng *rand.Rand) time.Duration {
 	if base <= 0 {
-		base = DefaultBackoffBase
+		base = defBase
 	}
 	if max <= 0 {
-		max = DefaultBackoffMax
+		max = defMax
 	}
 	d := base
 	for i := 2; i < n && d < max; i++ {
@@ -77,7 +85,6 @@ func (p *RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
 	if d > max {
 		d = max
 	}
-	// Up to 50% jitter spreads simultaneous retries across boards.
 	return d + time.Duration(rng.Int63n(int64(d)/2+1))
 }
 

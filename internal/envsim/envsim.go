@@ -23,6 +23,11 @@ import (
 // them at once — queueing them on an input port (thor.PortSet.PushInput)
 // is such a copy. outputs belongs to the caller; a simulator that keeps
 // them copies them too.
+//
+// The state methods serve campaign checkpoint-forwarding, which resumes
+// a checkpointed run mid-stream and asks at iteration boundaries whether
+// a run's simulator is where another run's, or its own an iteration
+// earlier, was.
 type Simulator interface {
 	Name() string
 	// Reset prepares the simulator with campaign parameters, leaving it
@@ -31,6 +36,27 @@ type Simulator interface {
 	Reset(params map[string]float64)
 	// Exchange advances the environment by one step.
 	Exchange(outputs []uint32) (inputs []uint32)
+	// SnapshotState returns an opaque deep copy of the simulator state.
+	// The returned value must stay valid (immutable) even as the
+	// simulator advances.
+	SnapshotState() any
+	// RestoreState overwrites the simulator state with a value returned
+	// by SnapshotState on an instance of the same type. The same state
+	// value may be restored onto many instances.
+	RestoreState(state any) error
+	// EqualState reports whether the simulator's state equals state, a
+	// value SnapshotState returned on an instance of the same type:
+	// what reflect.DeepEqual(SnapshotState(), state) says, without
+	// copying or allocating.
+	EqualState(state any) bool
+	// SnapshotStateInto writes the simulator's state into state, a value
+	// SnapshotState returned on an instance of the same type that nothing
+	// else holds, and reports true; it returns false, leaving state
+	// untouched, when state is not of its type. It serves a caller that
+	// snapshots often but holds only the newest state: the steady-state
+	// test, which snapshots at every attempt and drops the state when the
+	// attempt fails.
+	SnapshotStateInto(state any) bool
 }
 
 // Factory creates a fresh simulator instance.

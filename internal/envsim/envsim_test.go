@@ -178,7 +178,7 @@ func TestExchangeReturnsInstanceBuffer(t *testing.T) {
 			kept := append([]uint32(nil), first...)
 			other := b.Exchange(nil)
 			restored, _ := reg.New(name, nil)
-			if err := restored.(Snapshotter).RestoreState(a.(Snapshotter).SnapshotState()); err != nil {
+			if err := restored.RestoreState(a.SnapshotState()); err != nil {
 				t.Fatal(err)
 			}
 			second := a.Exchange([]uint32{90 << 8})

@@ -28,12 +28,8 @@ func TestSnapshotRestoreAllSimulators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, ok := sim.(Snapshotter)
-			if !ok {
-				t.Fatalf("built-in simulator %q does not implement Snapshotter", name)
-			}
 			drive(sim, 0, 5)
-			state := ss.SnapshotState()
+			state := sim.SnapshotState()
 			want := drive(sim, 5, 10)
 
 			// Restoring onto a fresh instance replays the same future.
@@ -41,7 +37,7 @@ func TestSnapshotRestoreAllSimulators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.(Snapshotter).RestoreState(state); err != nil {
+			if err := fresh.RestoreState(state); err != nil {
 				t.Fatal(err)
 			}
 			if got := drive(fresh, 5, 10); !reflect.DeepEqual(want, got) {
@@ -56,7 +52,7 @@ func TestSnapshotStateImmutable(t *testing.T) {
 	for _, name := range reg.Names() {
 		t.Run(name, func(t *testing.T) {
 			sim, _ := reg.New(name, nil)
-			ss := sim.(Snapshotter)
+			ss := sim
 			drive(sim, 0, 3)
 			state := ss.SnapshotState()
 			want := drive(sim, 3, 4) // advances the live simulator
@@ -65,10 +61,10 @@ func TestSnapshotStateImmutable(t *testing.T) {
 			// instances restored from it behave identically.
 			a, _ := reg.New(name, nil)
 			b, _ := reg.New(name, nil)
-			if err := a.(Snapshotter).RestoreState(state); err != nil {
+			if err := a.RestoreState(state); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.(Snapshotter).RestoreState(state); err != nil {
+			if err := b.RestoreState(state); err != nil {
 				t.Fatal(err)
 			}
 			ga, gb := drive(a, 3, 4), drive(b, 3, 4)
@@ -123,10 +119,10 @@ func TestEqualStateIsDeepEqual(t *testing.T) {
 	for _, name := range reg.Names() {
 		t.Run(name, func(t *testing.T) {
 			sim, _ := reg.New(name, nil)
-			ss := sim.(Snapshotter)
+			ss := sim
 			drive(sim, 0, 4)
 			state := ss.SnapshotState()
-			check := func(what string, s Snapshotter, state any) {
+			check := func(what string, s Simulator, state any) {
 				t.Helper()
 				if got, want := s.EqualState(state), reflect.DeepEqual(s.SnapshotState(), state); got != want {
 					t.Errorf("%s: EqualState %v, DeepEqual of the snapshots %v", what, got, want)
@@ -137,17 +133,17 @@ func TestEqualStateIsDeepEqual(t *testing.T) {
 				t.Error("a simulator is not in the state it was just snapshotted in")
 			}
 			fresh, _ := reg.New(name, nil)
-			check("fresh", fresh.(Snapshotter), state)
-			if err := fresh.(Snapshotter).RestoreState(state); err != nil {
+			check("fresh", fresh, state)
+			if err := fresh.RestoreState(state); err != nil {
 				t.Fatal(err)
 			}
-			check("restored", fresh.(Snapshotter), state)
+			check("restored", fresh, state)
 			drive(sim, 4, 1)
 			check("a step on", ss, state)
 			for _, other := range reg.Names() {
 				if other != name {
 					o, _ := reg.New(other, nil)
-					check("against "+other, ss, o.(Snapshotter).SnapshotState())
+					check("against "+other, ss, o.SnapshotState())
 				}
 			}
 			if n := testing.AllocsPerRun(10, func() { ss.EqualState(state) }); n != 0 {

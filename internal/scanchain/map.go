@@ -96,15 +96,6 @@ func (m *Map) Writable() []Location {
 	return out
 }
 
-// WritableBits returns the total number of injectable bits.
-func (m *Map) WritableBits() int {
-	n := 0
-	for _, l := range m.Writable() {
-		n += l.Width
-	}
-	return n
-}
-
 // Select returns the locations whose dotted names match any of the given
 // prefixes (e.g. "cpu" selects cpu.r0 … cpu.ccr; "icache.line3" selects
 // that line's fields). An exact name is its own prefix. This implements the

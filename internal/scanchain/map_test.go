@@ -91,9 +91,6 @@ func TestMapWritable(t *testing.T) {
 			t.Errorf("writable list contains read-only %q", l.Name)
 		}
 	}
-	if m.WritableBits() != 96 {
-		t.Errorf("WritableBits = %d, want 96", m.WritableBits())
-	}
 }
 
 func TestMapSelect(t *testing.T) {

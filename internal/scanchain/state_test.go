@@ -6,10 +6,11 @@ import (
 	"goofi/internal/bitvec"
 )
 
-// fakeDev is a minimal device with a mutable 64-bit internal chain.
+// fakeDev is a minimal device with a mutable 64-bit internal chain. It
+// captures and updates in place, so a scan through it allocates only what
+// the controller and its TAP do.
 type fakeDev struct {
 	internal *bitvec.Vector
-	captures int
 }
 
 func newFakeDev() *fakeDev {
@@ -21,34 +22,8 @@ func (d *fakeDev) CaptureBoundary() *bitvec.Vector { return bitvec.New(8) }
 func (d *fakeDev) InternalLen() int                { return 64 }
 func (d *fakeDev) IDCode() uint32                  { return 0x1234_5678 }
 
-func (d *fakeDev) CaptureInternal() *bitvec.Vector {
-	d.captures++
-	return d.internal.Clone()
-}
-
-func (d *fakeDev) UpdateInternal(v *bitvec.Vector) error {
-	d.internal = v.Clone()
-	return nil
-}
-
-// fakeDevInto additionally implements InternalCapturerInto.
-type fakeDevInto struct{ fakeDev }
-
-func newFakeDevInto() *fakeDevInto {
-	return &fakeDevInto{fakeDev: *newFakeDev()}
-}
-
-func (d *fakeDevInto) CaptureInternalInto(v *bitvec.Vector) error {
-	d.captures++
-	v.CopyFrom(d.internal)
-	return nil
-}
-
-// UpdateInternal copies in place, so a scan through fakeDevInto allocates
-// only what the controller and its TAP do.
-func (d *fakeDevInto) UpdateInternal(v *bitvec.Vector) error {
-	return d.internal.CopyFrom(v)
-}
+func (d *fakeDev) CaptureInternalInto(v *bitvec.Vector) error { return v.CopyFrom(d.internal) }
+func (d *fakeDev) UpdateInternal(v *bitvec.Vector) error      { return d.internal.CopyFrom(v) }
 
 // TestResetAndRestoreKeepScanRegister: Reset and RestoreState drop the
 // data register's contents but keep its storage, and WriteDR's capture
@@ -61,7 +36,7 @@ func TestResetAndRestoreKeepScanRegister(t *testing.T) {
 	const start, pattern = 0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210
 	for _, how := range []string{"reset", "restore"} {
 		t.Run(how, func(t *testing.T) {
-			dev := newFakeDevInto()
+			dev := newFakeDev()
 			c := NewController(dev)
 			parked := c.StateSnapshot()
 			// Dirty everything a campaign touches: the SCANREG register,
@@ -93,7 +68,7 @@ func TestResetAndRestoreKeepScanRegister(t *testing.T) {
 				t.Fatalf("%s left shift data in the data register", how)
 			}
 
-			freshDev := newFakeDevInto()
+			freshDev := newFakeDev()
 			freshDev.internal = bitvec.FromUint64(start, 64)
 			fresh := NewController(freshDev)
 			for i, drive := range []func(*Controller) error{
@@ -172,40 +147,30 @@ func TestControllerStateSnapshotRestore(t *testing.T) {
 }
 
 func TestReadDRIntoMatchesReadDR(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		dev  Device
-	}{
-		{"allocating-capture", newFakeDev()},
-		{"capture-into", newFakeDevInto()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewController(tc.dev)
-			c.LoadInstruction(InstrScanReg)
-			want, err := c.ReadDR()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := bitvec.New(64)
-			for i := 0; i < 3; i++ {
-				if err := c.ReadDRInto(out); err != nil {
-					t.Fatal(err)
-				}
-				if !out.Equal(want) {
-					t.Fatalf("pass %d: ReadDRInto = %v, ReadDR = %v", i, out, want)
-				}
-			}
-			// The read is non-destructive: the device still holds the
-			// original value.
-			if got, err := c.ReadInternal(); err != nil || !got.Equal(want) {
-				t.Errorf("device state perturbed by ReadDRInto: %v (%v)", got, err)
-			}
-		})
+	c := NewController(newFakeDev())
+	c.LoadInstruction(InstrScanReg)
+	want, err := c.ReadDR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := bitvec.New(64)
+	for i := 0; i < 3; i++ {
+		if err := c.ReadDRInto(out); err != nil {
+			t.Fatal(err)
+		}
+		if !out.Equal(want) {
+			t.Fatalf("pass %d: ReadDRInto = %v, ReadDR = %v", i, out, want)
+		}
+	}
+	// The read is non-destructive: the device still holds the original
+	// value.
+	if got, err := c.ReadInternal(); err != nil || !got.Equal(want) {
+		t.Errorf("device state perturbed by ReadDRInto: %v (%v)", got, err)
 	}
 }
 
 func TestReadInternalIntoRoundTrip(t *testing.T) {
-	c := NewController(newFakeDevInto())
+	c := NewController(newFakeDev())
 	out := bitvec.New(64)
 	if err := c.ReadInternalInto(out); err != nil {
 		t.Fatal(err)

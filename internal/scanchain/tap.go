@@ -148,23 +148,15 @@ type Device interface {
 	CaptureBoundary() *bitvec.Vector
 	// InternalLen returns the internal scan chain length in bits.
 	InternalLen() int
-	// CaptureInternal captures the internal state elements.
-	CaptureInternal() *bitvec.Vector
+	// CaptureInternalInto fills v (length InternalLen) with the internal
+	// state elements. The TAP captures into its SCANREG register, whose
+	// storage it keeps across scans: a campaign scans the internal chain
+	// every slice, and no scan allocates a vector.
+	CaptureInternalInto(v *bitvec.Vector) error
 	// UpdateInternal applies a vector back to the state elements.
 	UpdateInternal(v *bitvec.Vector) error
 	// IDCode returns the 32-bit JTAG identification code.
 	IDCode() uint32
-}
-
-// InternalCapturerInto is an optional Device extension: a device that can
-// capture its internal chain into a caller-provided vector lets the TAP
-// reuse its DR shift register across scans instead of allocating a fresh
-// vector per Capture-DR. Hot campaign loops scan the internal chain every
-// slice, so this removes the dominant per-scan allocation.
-type InternalCapturerInto interface {
-	// CaptureInternalInto fills v (length InternalLen) with the internal
-	// state elements.
-	CaptureInternalInto(v *bitvec.Vector) error
 }
 
 // TAP is an IEEE 1149.1 TAP controller bound to a device. Clock advances
@@ -306,16 +298,12 @@ func (t *TAP) captureDR() {
 	case InstrExtest, InstrSample:
 		t.dr = t.dev.CaptureBoundary()
 	case InstrScanReg:
-		if ci, ok := t.dev.(InternalCapturerInto); ok {
-			if t.scanReg == nil || t.scanReg.Len() != t.dev.InternalLen() {
-				t.scanReg = bitvec.New(t.dev.InternalLen())
-			}
-			t.dr = t.scanReg
-			if err := ci.CaptureInternalInto(t.dr); err != nil {
-				panic(fmt.Sprintf("scanchain: SCANREG capture failed: %v", err))
-			}
-		} else {
-			t.dr = t.dev.CaptureInternal()
+		if t.scanReg == nil || t.scanReg.Len() != t.dev.InternalLen() {
+			t.scanReg = bitvec.New(t.dev.InternalLen())
+		}
+		t.dr = t.scanReg
+		if err := t.dev.CaptureInternalInto(t.dr); err != nil {
+			panic(fmt.Sprintf("scanchain: SCANREG capture failed: %v", err))
 		}
 	case InstrIDCode:
 		t.dr = bitvec.FromUint64(uint64(t.dev.IDCode()), 32)

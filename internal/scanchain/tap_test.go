@@ -24,11 +24,11 @@ func newFakeDevice() *fakeDevice {
 	}
 }
 
-func (d *fakeDevice) BoundaryLen() int                { return 8 }
-func (d *fakeDevice) CaptureBoundary() *bitvec.Vector { return d.boundary.Clone() }
-func (d *fakeDevice) InternalLen() int                { return 12 }
-func (d *fakeDevice) CaptureInternal() *bitvec.Vector { return d.internal.Clone() }
-func (d *fakeDevice) IDCode() uint32                  { return d.idcode }
+func (d *fakeDevice) BoundaryLen() int                           { return 8 }
+func (d *fakeDevice) CaptureBoundary() *bitvec.Vector            { return d.boundary.Clone() }
+func (d *fakeDevice) InternalLen() int                           { return 12 }
+func (d *fakeDevice) CaptureInternalInto(v *bitvec.Vector) error { return v.CopyFrom(d.internal) }
+func (d *fakeDevice) IDCode() uint32                             { return d.idcode }
 
 func (d *fakeDevice) UpdateInternal(v *bitvec.Vector) error {
 	d.intUpdate++

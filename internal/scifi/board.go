@@ -24,17 +24,12 @@ type device struct {
 	cpu *thor.CPU
 }
 
-func (d *device) BoundaryLen() int                { return thor.BoundaryLen() }
-func (d *device) CaptureBoundary() *bitvec.Vector { return d.cpu.BoundaryRead() }
-func (d *device) InternalLen() int                { return thor.ScanLen() }
-func (d *device) CaptureInternal() *bitvec.Vector { return d.cpu.ScanRead() }
-func (d *device) IDCode() uint32                  { return IDCode }
-
-// CaptureInternalInto lets the TAP reuse its DR shift register across
-// internal scans (scanchain.InternalCapturerInto).
+func (d *device) BoundaryLen() int                           { return thor.BoundaryLen() }
+func (d *device) CaptureBoundary() *bitvec.Vector            { return d.cpu.BoundaryRead() }
+func (d *device) InternalLen() int                           { return thor.ScanLen() }
 func (d *device) CaptureInternalInto(v *bitvec.Vector) error { return d.cpu.ScanReadInto(v) }
-
-func (d *device) UpdateInternal(v *bitvec.Vector) error { return d.cpu.ScanWrite(v) }
+func (d *device) UpdateInternal(v *bitvec.Vector) error      { return d.cpu.ScanWrite(v) }
+func (d *device) IDCode() uint32                             { return IDCode }
 
 // Technique is what an injection technique hands the board it drives, on
 // top of the abstract methods it defines itself: the two places where the
@@ -189,15 +184,14 @@ func (t *Board) AtInjectionPoint() bool { return t.atInjectionPoint }
 // pinned by TestControllerResetMatchesFresh, but without reallocating
 // its multi-kilobit scratch vector on the per-experiment hot path)
 // before the CPU is reconfigured so no stale scan traffic can touch the
-// fresh CPU state, and trap handlers and breakpoints — which survive a
-// bare CPU reset — are cleared explicitly: a reused board must behave
-// identically to a fresh one.
+// fresh CPU state, and trap handlers — which survive a bare CPU reset —
+// are cleared explicitly: a reused board must behave identically to a
+// fresh one.
 func (t *Board) InitTestCard(ex *core.Experiment) error {
 	t.ctrl.Reset()
 	t.cpu.Reset()
 	t.cpu.ClearMemory()
 	t.cpu.ClearTrapHandlers()
-	t.cpu.ClearBreakpoints()
 	t.cpu.TraceHook = nil
 	t.prog = nil
 	t.trig = nil
@@ -256,7 +250,6 @@ func (t *Board) WriteMemory(ex *core.Experiment) error {
 		// Initial input data (paper §3.3: "the workload and initial
 		// input data is downloaded"). PushInput copies what Exchange
 		// returns, which is only good until the next Exchange.
-		t.fwLogExchange(ex, nil)
 		t.cpu.Ports().PushInput(wl.InputPort, sim.Exchange(nil)...)
 	}
 	return nil
@@ -392,7 +385,6 @@ func (t *Board) endIteration(ex *core.Experiment) []uint32 {
 func (t *Board) exchange(ex *core.Experiment) (ins []uint32, err error) {
 	outs := t.endIteration(ex)
 	if t.sim != nil {
-		t.fwLogExchange(ex, outs)
 		ins = t.sim.Exchange(outs)
 		t.cpu.Ports().PushInput(ex.Campaign.Workload.InputPort, ins...)
 	}
@@ -457,8 +449,6 @@ func (t *Board) WaitForTermination(ex *core.Experiment) error {
 					return err
 				}
 			}
-		case thor.StatusBreakpoint:
-			// No breakpoints are armed during termination; continue.
 		default:
 			return fmt.Errorf("scifi: unexpected status %v during termination", st)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"goofi/internal/campaign"
 	"goofi/internal/core"
-	"goofi/internal/envsim"
 	"goofi/internal/thor"
 )
 
@@ -36,8 +35,7 @@ import (
 // It is armed where the board forwards for the campaign (a recording
 // reference, or a faulty run holding the campaign's set: with forwarding
 // off a run is the cold oracle), for a run whose fault is not reasserted,
-// not in detail mode, whose simulator is nil or a Snapshotter; a pin force
-// refuses both checks. The reference records a join point at every
+// not in detail mode; a pin force refuses both checks. The reference records a join point at every
 // boundary from the plan's first point on (no faulty run is injected
 // earlier), sharing one snapshot while its state repeats, and its end. It
 // skips only past the campaign's last injection point (ForwardPlan.Horizon)
@@ -50,7 +48,7 @@ import (
 // it lies. The steady test compares PC, registers, flags, events and the
 // iteration's outputs and inputs with the previous boundary's; only where
 // that passes is the simulator snapshotted (into the board's one reused
-// state, where the simulator can), the board at the next boundary the
+// state), the board at the next boundary the
 // simulator repeats (a plant's state creeps on long after the registers
 // settle; the snapshot shares with the board's previous one what did not
 // change), and that compared at the one after. A failed attempt backs off
@@ -141,9 +139,8 @@ type boundaryWatch struct {
 	snap      *thor.Snapshot
 	wait, gap int
 	// last and lastSim are the newest snap and sim, which outlive the
-	// run: the next snap shares with last what did not change, and a
-	// simulator that can (envsim.StateReuser) writes the next sim into
-	// lastSim.
+	// run: the next snap shares with last what did not change, and the
+	// simulator writes the next sim into lastSim.
 	last    *thor.Snapshot
 	lastSim any
 }
@@ -162,8 +159,7 @@ func (t *Board) forwards(ex *core.Experiment) bool {
 // armBoundary arms the oracle for a run about to enter its termination
 // loop.
 func (t *Board) armBoundary(ex *core.Experiment, persistent bool) {
-	_, snaps := t.sim.(envsim.Snapshotter)
-	on := !persistent && t.forwards(ex) && (t.sim == nil || snaps)
+	on := !persistent && t.forwards(ex)
 	t.watch = boundaryWatch{on: on, steady: on, ins: t.watch.ins[:0], gap: 1, outEnd: len(t.outputs),
 		last: t.watch.last, lastSim: t.watch.lastSim}
 	if on && !ex.IsReference() {
@@ -200,8 +196,7 @@ func (t *Board) matches(s *thor.Snapshot, outputs int, sim any) (thor.Shift, boo
 	if c.PinForceActive() || len(t.outputs) != outputs || c.PC != s.PC || c.Regs != s.Regs {
 		return thor.Shift{}, false
 	}
-	ss, snaps := t.sim.(envsim.Snapshotter)
-	if !(sim == nil && t.sim == nil || sim != nil && snaps && ss.EqualState(sim)) {
+	if !(sim == nil && t.sim == nil || sim != nil && t.sim != nil && t.sim.EqualState(sim)) {
 		return thor.Shift{}, false
 	}
 	return c.Rejoins(s)
@@ -215,8 +210,8 @@ func (t *Board) recordJoin() {
 		return
 	}
 	jp := joinPoint{events: t.cpu.NumEvents(), outputs: len(t.outputs)}
-	if ss, ok := t.sim.(envsim.Snapshotter); ok {
-		jp.simState = ss.SnapshotState()
+	if t.sim != nil {
+		jp.simState = t.sim.SnapshotState()
 	}
 	cost := joinPointBytes
 	var prev *thor.Snapshot
@@ -329,9 +324,9 @@ func (t *Board) steadyCheck(ex *core.Experiment, ins []uint32) {
 	if !w.trying {
 		if same && w.wait == 0 && !c.PinForceActive() && t.steadyPastHorizon(ex) {
 			w.trying = true
-			if ss, ok := t.sim.(envsim.Snapshotter); ok {
-				if r, ok := ss.(envsim.StateReuser); !ok || w.lastSim == nil || !r.SnapshotStateInto(w.lastSim) {
-					w.lastSim = ss.SnapshotState()
+			if t.sim != nil {
+				if w.lastSim == nil || !t.sim.SnapshotStateInto(w.lastSim) {
+					w.lastSim = t.sim.SnapshotState()
 				}
 				w.sim = w.lastSim
 			}
@@ -341,8 +336,7 @@ func (t *Board) steadyCheck(ex *core.Experiment, ins []uint32) {
 	// An attempt is on: the simulator has to repeat first, then the board.
 	if same {
 		if w.snap == nil {
-			ss, _ := t.sim.(envsim.Snapshotter)
-			if !c.PinForceActive() && (ss == nil || ss.EqualState(w.sim)) {
+			if !c.PinForceActive() && (t.sim == nil || t.sim.EqualState(w.sim)) {
 				w.snap, _ = c.SnapshotSharing(w.last)
 				w.last = w.snap
 				return

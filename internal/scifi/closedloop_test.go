@@ -87,14 +87,6 @@ func TestExchangeBufferIsCopied(t *testing.T) {
 	}
 }
 
-// plainPlant is the first-order plant without its Snapshotter methods: a
-// simulator forwarding can only restore by replaying the exchange log.
-type plainPlant struct{ p envsim.FirstOrderPlant }
-
-func (s *plainPlant) Name() string                       { return "plain-plant" }
-func (s *plainPlant) Reset(params map[string]float64)    { s.p.Reset(params) }
-func (s *plainPlant) Exchange(outputs []uint32) []uint32 { return s.p.Exchange(outputs) }
-
 // countingPlant is the first-order plant counting its snapshots — one per
 // capture the recorder makes, planned point or horizon guard, and one per
 // join point (boundary.go).
@@ -147,70 +139,6 @@ func assertForwardedMatchesCold(t *testing.T, tgt *Target, camp *campaign.Campai
 	}
 	if c, w := recordJSON(t, cold), recordJSON(t, warm); !reflect.DeepEqual(c, w) {
 		t.Errorf("checkpoint at %d, injection at %d: records differ\ncold %s\nwarm %s", cp.Cycle, at, c, w)
-	}
-}
-
-// TestExchangeLogReplaysPlainSimulator: a simulator registered through
-// WithEnvRegistry that cannot snapshot is restored by replaying the
-// reference run's exchanges up to the checkpoint, and every forwarded row
-// is the cold row.
-func TestExchangeLogReplaysPlainSimulator(t *testing.T) {
-	reg := envsim.NewRegistry()
-	reg.Register("plain-plant", func() envsim.Simulator { return &plainPlant{} })
-	camp := closedLoopCampaign("exchange-replay", 60)
-	camp.EnvSim = &campaign.EnvSimSpec{Name: "plain-plant"}
-	tgt := New(thorCfg(), WithEnvRegistry(reg))
-	set := recordReference(t, tgt, camp, 300, 3000)
-	if len(set.Checkpoints) < 8 {
-		t.Fatalf("recorded %d checkpoints, want a spread", len(set.Checkpoints))
-	}
-	for i, cp := range set.Checkpoints {
-		bs := cp.State.(*boardState)
-		// One entry for the download's exchange, one per iteration since.
-		if bs.simState != nil || len(bs.exchangeLog) != bs.iteration+1 {
-			t.Fatalf("checkpoint %d (cycle %d, iteration %d): simState %v and %d logged exchanges, want a replay log alone",
-				i, cp.Cycle, bs.iteration, bs.simState, len(bs.exchangeLog))
-		}
-		assertForwardedMatchesCold(t, tgt, camp, i, cp, cp.Cycle+17)
-	}
-}
-
-// TestExchangeLogAbsentForSnapshotter: the built-in simulators snapshot,
-// so nothing replays a log for them and none is kept — a checkpoint
-// carries the simulator's state and no exchange, and the recorder holds
-// none either, during the run or after recording has stopped.
-func TestExchangeLogAbsentForSnapshotter(t *testing.T) {
-	camp := closedLoopCampaign("exchange-nolog", 60)
-	tgt := New(thorCfg())
-	plan := &core.ForwardPlan{Campaign: camp.Name, MaxBytes: core.DefaultMaxForwardBytes,
-		Cycles: []uint64{300, 600, 900}}
-	tgt.ArmForwardRecording(plan)
-	runDirect(t, tgt, camp, -1, nil, trigger.Spec{})
-	if n := len(tgt.fwRec.exchangeLog); n != 0 {
-		t.Errorf("the recorder logged %d exchanges of a simulator that snapshots", n)
-	}
-	set := tgt.TakeForwardSet()
-	if set == nil || len(set.Checkpoints) != 3 {
-		t.Fatalf("recorded %+v, want 3 checkpoints", set)
-	}
-	for i, cp := range set.Checkpoints {
-		if bs := cp.State.(*boardState); bs.simState == nil || len(bs.exchangeLog) != 0 {
-			t.Errorf("checkpoint %d: simState %v, %d logged exchanges; want the state and no log",
-				i, bs.simState, len(bs.exchangeLog))
-		}
-	}
-
-	// A simulator that cannot snapshot is logged only while captures can
-	// still happen: the plan's last point is reached in iteration 16 of 60.
-	reg := envsim.NewRegistry()
-	reg.Register("plain-plant", func() envsim.Simulator { return &plainPlant{} })
-	camp.EnvSim = &campaign.EnvSimSpec{Name: "plain-plant"}
-	tgt = New(thorCfg(), WithEnvRegistry(reg))
-	tgt.ArmForwardRecording(plan)
-	runDirect(t, tgt, camp, -1, nil, trigger.Spec{})
-	last := tgt.fwRec.set.Checkpoints[2].State.(*boardState)
-	if n := len(tgt.fwRec.exchangeLog); n != len(last.exchangeLog) || n >= 30 {
-		t.Errorf("%d exchanges logged by the end of the run, %d when the last checkpoint was taken", n, len(last.exchangeLog))
 	}
 }
 

@@ -33,11 +33,8 @@ type boardState struct {
 	iteration int
 	// outputs is the target's accumulated outputs at capture.
 	outputs []uint32
-	// simState restores a Snapshotter simulator directly; for simulators
-	// without snapshot support it is nil and exchangeLog replays the
-	// prefix's Exchange calls against a fresh instance instead.
-	simState    any
-	exchangeLog [][]uint32
+	// simState is the environment simulator's state, nil without one.
+	simState any
 }
 
 // fwRecorder tracks checkpoint recording during one reference run.
@@ -46,13 +43,7 @@ type fwRecorder struct {
 	idx  int // next plan point to capture
 	set  *core.ForwardSet
 	prev *thor.Snapshot // previous snapshot, for page sharing
-	// exchangeLog accumulates the outputs passed to every sim.Exchange
-	// call of the reference run, in order, for the replay fallback — kept
-	// only for a simulator that cannot snapshot, and only while captures
-	// can still happen. Each checkpoint keeps the prefix recorded up to
-	// its capture.
-	exchangeLog [][]uint32
-	full        bool // byte budget exhausted; recording stopped
+	full bool           // byte budget exhausted; recording stopped
 	// tail is the provisional horizon-guard checkpoint: the newest
 	// boundary snapshot taken while later plan points were still
 	// pending. The planner cannot know where the reference run ends
@@ -157,25 +148,6 @@ func (t *Board) fwRecording(ex *core.Experiment) bool {
 		ex.IsReference()
 }
 
-// fwLogExchange appends one sim.Exchange call's outputs to the replay
-// log. outs is deep-copied; log entries are immutable once appended.
-// Nothing is logged once recording has stopped (no capture will pin the
-// log again, and recording never restarts), nor for a simulator that
-// snapshots: fwRestore replays the log only when there is no simState.
-func (t *Board) fwLogExchange(ex *core.Experiment, outs []uint32) {
-	if !t.fwRecording(ex) {
-		return
-	}
-	if _, ok := t.sim.(envsim.Snapshotter); ok {
-		return
-	}
-	var cp []uint32
-	if outs != nil {
-		cp = append([]uint32(nil), outs...)
-	}
-	t.fwRec.exchangeLog = append(t.fwRec.exchangeLog, cp)
-}
-
 // fwMaybeRecord captures a checkpoint when the reference run has reached
 // the next planned cycle. It is called from the top of the termination
 // loop, where the CPU is always at an instruction boundary in the Running
@@ -252,17 +224,14 @@ func (t *Board) fwCapture(ex *core.Experiment) *core.ForwardCheckpoint {
 	cp := &checkpoint{
 		ForwardCheckpoint: core.ForwardCheckpoint{Cycle: snap.Cycle, Instret: snap.Instret, Bytes: fresh},
 		bs: boardState{
-			cpu:         snap,
-			ctrl:        t.ctrl.StateSnapshot(),
-			iteration:   t.iteration,
-			outputs:     rec.outputs[:n:n],
-			exchangeLog: rec.exchangeLog[:len(rec.exchangeLog):len(rec.exchangeLog)],
+			cpu:       snap,
+			ctrl:      t.ctrl.StateSnapshot(),
+			iteration: t.iteration,
+			outputs:   rec.outputs[:n:n],
 		},
 	}
 	if t.sim != nil {
-		if ss, ok := t.sim.(envsim.Snapshotter); ok {
-			cp.bs.simState = ss.SnapshotState()
-		}
+		cp.bs.simState = t.sim.SnapshotState()
 	}
 	cp.State = &cp.bs
 	return &cp.ForwardCheckpoint
@@ -285,8 +254,8 @@ func (t *Board) fwSliceBudget(ex *core.Experiment, slice uint64) uint64 {
 // recorded checkpoint at or before the injection point, so the trigger
 // wait emulates only the delta. Any disqualifying condition — no set, a
 // non-cycle-monotonic trigger, detail-mode logging, an active pin-level
-// force, a simulator that can be neither snapshotted nor replayed — makes
-// it a silent no-op and the experiment cold-starts.
+// force, a simulator state that does not restore — makes it a silent
+// no-op and the experiment cold-starts.
 func (t *Board) fwRestore(ex *core.Experiment) {
 	if ex.IsReference() || !t.forwards(ex) || t.cpu.PinForceActive() {
 		return
@@ -311,21 +280,8 @@ func (t *Board) fwRestore(ex *core.Experiment) {
 		if err != nil {
 			return
 		}
-		if bs.simState != nil {
-			ss, ok := fresh.(envsim.Snapshotter)
-			if !ok {
-				return
-			}
-			if err := ss.RestoreState(bs.simState); err != nil {
-				return
-			}
-		} else {
-			// Replay fallback: re-issue the prefix's Exchange calls. The
-			// produced inputs are discarded — the CPU snapshot already
-			// holds the port queues as they stood at the checkpoint.
-			for _, outs := range bs.exchangeLog {
-				fresh.Exchange(outs)
-			}
+		if err := fresh.RestoreState(bs.simState); err != nil {
+			return
 		}
 		sim = fresh
 	}

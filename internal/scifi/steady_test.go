@@ -299,13 +299,7 @@ func (p *creepingPlant) EqualState(state any) bool {
 	s, ok := state.(uint64)
 	return ok && s == p.steps
 }
-
-// plainCreeping is creepingPlant without its Snapshotter methods.
-type plainCreeping struct{ p *creepingPlant }
-
-func (s plainCreeping) Name() string                       { return "plain-creeping" }
-func (s plainCreeping) Reset(params map[string]float64)    { s.p.Reset(params) }
-func (s plainCreeping) Exchange(outputs []uint32) []uint32 { return s.p.Exchange(outputs) }
+func (p *creepingPlant) SnapshotStateInto(any) bool { return false } // every snapshot counts
 
 // rampPlant is the first-order plant whose set point climbs every
 // iteration: no two iterations are alike, and the test at every boundary
@@ -367,18 +361,6 @@ func TestSteadyAttemptsBounded(t *testing.T) {
 		t.Errorf("creeping plant: rows differ\ncold %s\nwarm %s", a, b)
 	}
 	t.Logf("creeping plant: %d snapshots over %d iterations", snapshots, iterations)
-
-	// The same plant without its Snapshotter methods: nothing to compare
-	// its state with, so nothing is skipped.
-	reg.Register("plain-creeping", func() envsim.Simulator { return plainCreeping{&creepingPlant{snapshots: &snapshots}} })
-	camp.EnvSim = &campaign.EnvSimSpec{Name: "plain-creeping"}
-	cold, warm = runWithAndWithoutCut(t, tgt, camp, set, 1, fault, trig)
-	if warm.SteadyCycles != 0 {
-		t.Errorf("a run whose simulator cannot snapshot skipped %d cycles", warm.SteadyCycles)
-	}
-	if a, b := recordJSON(t, cold), recordJSON(t, warm); !bytes.Equal(a, b) {
-		t.Errorf("plain creeping plant: rows differ\ncold %s\nwarm %s", a, b)
-	}
 
 	allocs := func(iterations int) float64 {
 		camp := closedLoopCampaign("steady-ramp", iterations)

@@ -9,7 +9,7 @@ package shard
 // call gets its own deadline, failures are classified (errors.go) into
 // retryable transport faults vs terminal protocol rejections, retryable
 // faults are retried with capped exponential backoff and seeded jitter
-// (the internal/core/robust.go policy shape lifted to the network
+// (core.Backoff, the campaign retry policy's, lifted to the network
 // layer), and response bodies are capped, drained and closed so retried
 // requests reuse connections. Report retries reuse the request's
 // idempotency key, so a delivery whose acknowledgement was lost is
@@ -26,6 +26,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"goofi/internal/core"
 )
 
 // Transport is how a worker reaches its coordinator.
@@ -84,10 +86,9 @@ const (
 	errSnippetBytes = 256
 )
 
-// RetryPolicy bounds the transport's retry loop — the same shape as
-// core.RetryPolicy's backoff (attempt n sleeps base<<(n-2), capped,
-// plus up to 50% seeded jitter), applied to network calls instead of
-// experiments. The zero value selects the defaults.
+// RetryPolicy bounds the transport's retry loop — core.Backoff, as
+// core.RetryPolicy's, applied to network calls instead of experiments.
+// The zero value selects the defaults.
 type RetryPolicy struct {
 	// MaxRetries is how many times a retryable call is re-attempted
 	// beyond its first execution (negative disables retries entirely).
@@ -121,27 +122,6 @@ func (p *RetryPolicy) maxAttempts() int {
 	return p.MaxRetries + 1
 }
 
-// backoff returns the sleep before retry attempt n (n >= 2), with
-// seeded jitter drawn from rng so tests are deterministic.
-func (p *RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
-	base, max := p.BackoffBase, p.BackoffMax
-	if base <= 0 {
-		base = DefaultTransportBackoff
-	}
-	if max <= 0 {
-		max = DefaultTransportBackoffMax
-	}
-	d := base
-	for i := 2; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	// Up to 50% jitter spreads simultaneous retries across workers.
-	return d + time.Duration(rng.Int63n(int64(d)/2+1))
-}
-
 // HTTPTransport speaks the daemon's shard endpoints.
 type HTTPTransport struct {
 	// Base is the daemon address, e.g. "http://127.0.0.1:7070".
@@ -173,7 +153,7 @@ func (t *HTTPTransport) sleepRetry(ctx context.Context, n int) bool {
 	if t.rng == nil {
 		t.rng = rand.New(rand.NewSource(t.Retry.Seed))
 	}
-	d := t.Retry.backoff(n, t.rng)
+	d := core.Backoff(n, t.Retry.BackoffBase, t.Retry.BackoffMax, DefaultTransportBackoff, DefaultTransportBackoffMax, t.rng)
 	t.mu.Unlock()
 	timer := time.NewTimer(d)
 	defer timer.Stop()

@@ -52,8 +52,6 @@ func eval(e Expr, c *evalCtx) (Value, error) {
 			return Null(), nil
 		case KInt:
 			return Int(-v.I), nil
-		case KReal:
-			return Real(-v.Float()), nil
 		default:
 			return Value{}, fmt.Errorf("sqldb: cannot negate %s", v.K)
 		}
@@ -110,7 +108,6 @@ type aggState struct {
 	count    int64
 	sumI     int64
 	sumR     float64
-	isReal   bool
 	min, max Value
 }
 
@@ -122,16 +119,11 @@ func (s *aggState) add(v Value) error {
 	switch s.fn {
 	case "COUNT":
 	case "SUM", "AVG":
-		switch v.K {
-		case KInt:
-			s.sumI += v.I
-			s.sumR += float64(v.I)
-		case KReal:
-			s.isReal = true
-			s.sumR += v.Float()
-		default:
-			return fmt.Errorf("sqldb: %s over non-numeric %s", s.fn, v.K)
+		if v.K != KInt {
+			return fmt.Errorf("sqldb: %s over non-integer %s", s.fn, v.K)
 		}
+		s.sumI += v.I
+		s.sumR += float64(v.I)
 	case "MIN", "MAX":
 		if s.count == 1 {
 			s.min, s.max = v, v
@@ -162,9 +154,6 @@ func (s *aggState) result() Value {
 	case "SUM":
 		if s.count == 0 {
 			return Null()
-		}
-		if s.isReal {
-			return Real(s.sumR)
 		}
 		return Int(s.sumI)
 	case "AVG":

@@ -191,7 +191,7 @@ func eqBindings(t *Table, e Expr, args []Value, out map[string]Value) {
 			return
 		}
 		ci, err := t.colIndex(col)
-		if err != nil || val.IsNull() || !kindsComparable(t.Cols[ci].Type, val.K) {
+		if err != nil || val.IsNull() || t.Cols[ci].Type != val.K {
 			return
 		}
 		if _, dup := out[col]; !dup {
@@ -226,16 +226,6 @@ func constVal(e Expr, args []Value) (Value, bool) {
 		}
 	}
 	return Value{}, false
-}
-
-// kindsComparable reports whether Compare can ever find values of the two
-// kinds equal (numbers cross-compare; text and blob only with themselves).
-func kindsComparable(a, b Kind) bool {
-	num := func(k Kind) bool { return k == KInt || k == KReal }
-	if num(a) && num(b) {
-		return true
-	}
-	return a == b
 }
 
 // indexCandidates plans an equality-indexed scan for a WHERE clause. It

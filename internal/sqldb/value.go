@@ -58,8 +58,8 @@ func (k Kind) String() string {
 }
 
 // Value is one SQL value. The zero value is NULL. A REAL keeps its
-// math.Float64bits in I: only AVG and SUM, or a caller passing one in,
-// make one, and a field of its own would cost every stored value 8 bytes.
+// math.Float64bits in I: only AVG makes one, and only to be rendered, and
+// a field of its own would cost every stored value 8 bytes.
 type Value struct {
 	K Kind
 	I int64
@@ -96,29 +96,16 @@ func Bool(b bool) Value {
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.K == KNull }
 
-// Truth reports the SQL truthiness of a value: non-zero numbers are true;
-// NULL and everything else is false.
-func (v Value) Truth() bool {
-	switch v.K {
-	case KInt:
-		return v.I != 0
-	case KReal:
-		return v.Float() != 0
-	default:
-		return false
-	}
-}
+// Truth reports the SQL truthiness of a value: a non-zero integer is
+// true; NULL and everything else is false.
+func (v Value) Truth() bool { return v.K == KInt && v.I != 0 }
 
-// AsInt converts numeric values to int64.
+// AsInt returns an integer's value.
 func (v Value) AsInt() (int64, error) {
-	switch v.K {
-	case KInt:
-		return v.I, nil
-	case KReal:
-		return int64(v.Float()), nil
-	default:
-		return 0, fmt.Errorf("sqldb: %s is not numeric", v.K)
+	if v.K != KInt {
+		return 0, fmt.Errorf("sqldb: %s is not an integer", v.K)
 	}
+	return v.I, nil
 }
 
 // String renders the value as a SQL literal.
@@ -139,24 +126,20 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders two non-NULL values: -1, 0 or +1. Integers and reals
-// compare numerically across kinds; other cross-kind comparisons are
-// errors. NULL never compares equal to anything (callers handle NULL
+// Compare orders two non-NULL values of one kind: -1, 0 or +1.
+// Cross-kind comparisons are errors, and so is one of REALs, which no
+// input holds. NULL never compares equal to anything (callers handle NULL
 // three-valued logic before calling Compare).
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		return 0, fmt.Errorf("sqldb: cannot compare NULL")
 	}
-	if (a.K == KInt || a.K == KReal) && (b.K == KInt || b.K == KReal) {
-		if a.K == KInt && b.K == KInt {
-			return cmpInt(a.I, b.I), nil
-		}
-		return cmpFloat(asFloat(a), asFloat(b)), nil
-	}
 	if a.K != b.K {
 		return 0, fmt.Errorf("sqldb: cannot compare %s with %s", a.K, b.K)
 	}
 	switch a.K {
+	case KInt:
+		return cmpInt(a.I, b.I), nil
 	case KText:
 		return strings.Compare(a.S, b.S), nil
 	case KBlob:
@@ -166,26 +149,7 @@ func Compare(a, b Value) (int, error) {
 	}
 }
 
-// asFloat widens a numeric value to float64.
-func asFloat(v Value) float64 {
-	if v.K == KInt {
-		return float64(v.I)
-	}
-	return v.Float()
-}
-
 func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
@@ -215,17 +179,7 @@ func cmpBytes(a, b []byte) int {
 // appendValueKey appends a value's unique key encoding. Text and blob
 // values are length-prefixed so raw bytes need no quoting.
 func appendValueKey(buf []byte, v Value) []byte {
-	// Normalise ints and reals so 1 and 1.0 collide, as Compare finds
-	// them equal: an index lookup must match what a full scan does.
 	switch v.K {
-	case KReal:
-		if r := v.Float(); r == float64(int64(r)) {
-			buf = append(buf, 'i', ':')
-			buf = strconv.AppendInt(buf, int64(r), 10)
-		} else {
-			buf = append(buf, 'r', ':')
-			buf = strconv.AppendFloat(buf, r, 'g', -1, 64)
-		}
 	case KInt:
 		buf = append(buf, 'i', ':')
 		buf = strconv.AppendInt(buf, v.I, 10)

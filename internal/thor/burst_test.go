@@ -11,9 +11,8 @@ import (
 	"goofi/internal/thor"
 )
 
-// RunFast runs as one burst — no breakpoint lookup, no call per
-// instruction — when no breakpoint is armed and no TraceHook is installed
-// once the RunHook has returned. These tests pin that precondition from
+// RunFast runs as one burst — no call per instruction — when no
+// TraceHook is installed once the RunHook has returned. These tests pin that precondition from
 // both sides, and the two compares the burst may not hoist: the budget
 // and the watchdog.
 
@@ -39,112 +38,47 @@ func burstLoopPair(t *testing.T) (slow, fast *thor.CPU, loop uint32) {
 	return slow, fast, prog.MustSymbol("loop")
 }
 
-// TestBurstRunHookArmsBreakpoint: a RunHook runs before the precondition
-// is read, so the breakpoint it arms at Run entry stops RunFast exactly
-// where it stops Run — including the resume over it.
-func TestBurstRunHookArmsBreakpoint(t *testing.T) {
-	slow, fast, loop := burstLoopPair(t)
+// TestBurstRunHookInstallsTraceHook: a RunHook runs before the
+// precondition is read, so a TraceHook it installs at Run entry sees every
+// instruction of RunFast, as it does of Run, and the two end alike.
+func TestBurstRunHookInstallsTraceHook(t *testing.T) {
+	slow, fast, _ := burstLoopPair(t)
+	seen := map[*thor.CPU]uint64{}
 	for _, c := range []*thor.CPU{slow, fast} {
 		c.RunHook = func(cc *thor.CPU) {
 			cc.RunHook = nil
-			cc.AddBreakpoint(loop)
+			cc.TraceHook = func(cc *thor.CPU) { seen[cc]++ }
 		}
 	}
-	for stop := 0; stop < 5; stop++ {
-		a, b := slow.Run(100_000), fast.RunFast(100_000)
-		if a != thor.StatusBreakpoint || b != thor.StatusBreakpoint {
-			t.Fatalf("stop %d: status %v / %v, want breakpoint", stop, a, b)
-		}
-		if fast.PC != loop {
-			t.Fatalf("stop %d: RunFast stopped at %#x, breakpoint at %#x", stop, fast.PC, loop)
+	if a, b := slow.Run(100_000), fast.RunFast(100_000); a != b || a != thor.StatusHalted {
+		t.Fatalf("status %v / %v, want halted", a, b)
+	}
+	if seen[slow] == 0 || seen[fast] != seen[slow] {
+		t.Fatalf("TraceHook saw %d instructions of RunFast, %d of Run", seen[fast], seen[slow])
+	}
+	diffCPUs(t, slow, fast, "halted")
+}
+
+// TestBurstStopsMidRunOnBudget: a budget that runs out in the middle of
+// the loop stops RunFast on the cycle it stops Run, and a run resumed from
+// there, with a budget again or to the end, goes on alike.
+func TestBurstStopsMidRunOnBudget(t *testing.T) {
+	slow, fast, _ := burstLoopPair(t)
+	for stop, budget := range []uint64{1, 5, 7, 23, 2, 40} {
+		if a, b := slow.Run(budget), fast.RunFast(budget); a != b || a != thor.StatusOutOfBudget {
+			t.Fatalf("stop %d: status %v / %v, want out of budget", stop, a, b)
 		}
 		diffCPUs(t, slow, fast, fmt.Sprintf("stop %d", stop))
-	}
-}
-
-// TestBurstResumesOverClearedBreakpoint: a run resumed from a breakpoint
-// stop whose breakpoints were cleared meanwhile is a burst, and it still
-// uses up the one-shot "do not stop at this PC again" the resume set — a
-// breakpoint armed afterwards at the PC the burst ended on stops the next
-// run before it executes anything, as it does after Run.
-func TestBurstResumesOverClearedBreakpoint(t *testing.T) {
-	slow, fast, loop := burstLoopPair(t)
-	for _, c := range []*thor.CPU{slow, fast} {
-		c.AddBreakpoint(loop)
-		if st := c.Run(100_000); st != thor.StatusBreakpoint {
-			t.Fatalf("status %v, want breakpoint", st)
+		for _, c := range []*thor.CPU{slow, fast} {
+			if err := c.ClearOutOfBudget(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		c.ClearBreakpoints()
 	}
-	// Five instructions on: one trip round the loop, back at its top.
-	if a, b := slow.Run(5), fast.RunFast(5); a != b || a != thor.StatusOutOfBudget {
-		t.Fatalf("status %v / %v, want out of budget", a, b)
+	if a, b := slow.Run(100_000), fast.RunFast(100_000); a != b || a != thor.StatusHalted {
+		t.Fatalf("final: status %v / %v, want halted", a, b)
 	}
-	diffCPUs(t, slow, fast, "resumed")
-	if a, b := slow.Snapshot().SkipBPOnce, fast.Snapshot().SkipBPOnce; a || b {
-		t.Fatalf("resume flag still set after the run: Run %v, RunFast %v", a, b)
-	}
-	for _, c := range []*thor.CPU{slow, fast} {
-		c.ClearOutOfBudget()
-		c.AddBreakpoint(c.PC)
-	}
-	at := fast.Instret()
-	if a, b := slow.Run(100), fast.RunFast(100); a != b || a != thor.StatusBreakpoint {
-		t.Fatalf("status %v / %v, want breakpoint", a, b)
-	}
-	if fast.Instret() != at {
-		t.Fatalf("RunFast retired %d instructions past a breakpoint at its PC", fast.Instret()-at)
-	}
-	diffCPUs(t, slow, fast, "stopped again")
-}
-
-// TestBurstTraceHookArmsBreakpoint: with a TraceHook installed RunFast
-// keeps the per-instruction breakpoint lookup, so a breakpoint the hook
-// arms in the middle of the run — at the instruction about to execute, or
-// further on — still stops it where it stops Run. An installed hook that
-// arms nothing changes nothing either.
-func TestBurstTraceHookArmsBreakpoint(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		after uint64 // the hook arms once this many instructions retired
-		next  bool   // at the PC it sees then, instead of at loop
-	}{
-		{"at-loop-top", 23, false},
-		{"at-next-instruction", 31, true},
-		{"never", 1 << 62, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			slow, fast, loop := burstLoopPair(t)
-			for _, c := range []*thor.CPU{slow, fast} {
-				c.TraceHook = func(cc *thor.CPU) {
-					if cc.Instret() == tc.after {
-						if tc.next {
-							cc.AddBreakpoint(cc.PC)
-						} else {
-							cc.AddBreakpoint(loop)
-						}
-					}
-				}
-			}
-			a, b := slow.Run(100_000), fast.RunFast(100_000)
-			want := thor.StatusBreakpoint
-			if tc.after > 1<<32 {
-				want = thor.StatusHalted
-			}
-			if a != want || b != want {
-				t.Fatalf("status %v / %v, want %v", a, b, want)
-			}
-			if tc.next && fast.Instret() != tc.after {
-				t.Fatalf("RunFast retired %d instructions, armed after %d at the next one", fast.Instret(), tc.after)
-			}
-			diffCPUs(t, slow, fast, "first stop")
-			a, b = slow.Run(100_000), fast.RunFast(100_000)
-			if a != b {
-				t.Fatalf("resumed: status %v != %v", a, b)
-			}
-			diffCPUs(t, slow, fast, "resumed")
-		})
-	}
+	diffCPUs(t, slow, fast, "final")
 }
 
 // TestBurstWatchdogExpiresMidBurst: the watchdog compare stays per

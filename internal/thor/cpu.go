@@ -16,9 +16,6 @@ const (
 	StatusRunning Status = iota
 	// StatusHalted means the workload executed HALT (normal termination).
 	StatusHalted
-	// StatusBreakpoint means Run stopped at a breakpoint before executing
-	// the instruction at PC.
-	StatusBreakpoint
 	// StatusIterationEnd means the workload executed TRAP TrapEndIteration,
 	// pausing for environment-simulator data exchange.
 	StatusIterationEnd
@@ -36,8 +33,6 @@ func (s Status) String() string {
 		return "running"
 	case StatusHalted:
 		return "halted"
-	case StatusBreakpoint:
-		return "breakpoint"
 	case StatusIterationEnd:
 		return "iteration-end"
 	case StatusDetected:
@@ -103,14 +98,6 @@ func (m EDM) String() string {
 		return "assertion"
 	default:
 		return fmt.Sprintf("EDM(%d)", int(m))
-	}
-}
-
-// AllEDMs lists every mechanism, for per-mechanism reporting.
-func AllEDMs() []EDM {
-	return []EDM{
-		EDMParityI, EDMParityD, EDMIllegalOp, EDMMisaligned,
-		EDMMemRange, EDMOverflow, EDMDivZero, EDMWatchdog, EDMAssertion,
 	}
 }
 
@@ -210,8 +197,6 @@ type CPU struct {
 	detected Detection
 
 	trapHandlers map[uint16]uint32
-	breakpoints  map[uint32]bool
-	skipBPOnce   bool
 
 	// Predecoded-instruction cache mirroring the icache: idec[li] holds
 	// the decoded forms of the words in icache line li. A line is live
@@ -254,7 +239,6 @@ func New(cfg Config) *CPU {
 		mem:          make([]byte, cfg.MemSize),
 		dirty:        make([]uint64, (pages+63)/64),
 		trapHandlers: make(map[uint16]uint32),
-		breakpoints:  make(map[uint32]bool),
 		ports:        NewPortSet(),
 	}
 	c.Reset()
@@ -280,7 +264,6 @@ func (c *CPU) Reset() {
 	c.status = StatusRunning
 	c.detection = nil
 	c.events = c.events[:0] // the CPU's own array: nothing else holds it
-	c.skipBPOnce = false
 	c.pins = Pins{}
 	c.force = PinForce{}
 	c.ports.Reset()
@@ -357,17 +340,6 @@ func (c *CPU) ForcePins(f PinForce) { c.force = f }
 func (c *CPU) SetTrapHandler(code uint16, addr uint32) {
 	c.trapHandlers[code] = addr
 }
-
-// AddBreakpoint arms a breakpoint at the given address.
-func (c *CPU) AddBreakpoint(addr uint32) { c.breakpoints[addr] = true }
-
-// RemoveBreakpoint disarms a breakpoint.
-func (c *CPU) RemoveBreakpoint(addr uint32) { delete(c.breakpoints, addr) }
-
-// ClearBreakpoints removes every breakpoint. The map is cleared in
-// place rather than reallocated: campaigns clear it once per experiment,
-// and reusing the buckets keeps the per-experiment reset allocation-free.
-func (c *CPU) ClearBreakpoints() { clear(c.breakpoints) }
 
 // errOutOfRange is a sentinel for memory range violations inside access
 // helpers; it is converted to an EDM by the caller.
@@ -612,7 +584,7 @@ func (c *CPU) subWithFlags(a, b uint32) (uint32, bool) {
 // Step executes one instruction. It returns the resulting status; when the
 // status is not StatusRunning the CPU has stopped (or paused, for
 // StatusIterationEnd) and Step becomes a no-op until the condition is
-// cleared (ResumeIteration, Reset, or breakpoint resume via Run).
+// cleared (ResumeIteration, ClearOutOfBudget or Reset).
 func (c *CPU) Step() Status {
 	if c.status != StatusRunning {
 		return c.status
@@ -842,10 +814,8 @@ func (c *CPU) ResumeIteration() error {
 	return nil
 }
 
-// Run executes until a breakpoint, halt, iteration end, error detection, or
-// the cycle budget is exhausted. A breakpoint at the current PC does not
-// re-trigger immediately after a breakpoint stop, so Run can be called
-// again to continue.
+// Run executes until halt, iteration end, error detection, or the cycle
+// budget is exhausted.
 func (c *CPU) Run(cycleBudget uint64) Status {
 	if c.RunHook != nil {
 		c.RunHook(c)
@@ -856,23 +826,8 @@ func (c *CPU) Run(cycleBudget uint64) Status {
 // run is Run past its hook; RunFast, which has called the hook itself,
 // hands over here.
 func (c *CPU) run(cycleBudget uint64) Status {
-	if c.status == StatusBreakpoint {
-		c.status = StatusRunning
-		c.skipBPOnce = true
-	}
 	start := c.cycle
 	for c.status == StatusRunning {
-		// Hoist the map lookup when no breakpoints are armed (the common
-		// campaign case): len() is re-read every iteration because a
-		// TraceHook may install breakpoints mid-run. When the set is
-		// empty the lookup is trivially false, so skipping it (and
-		// unconditionally clearing skipBPOnce, which only matters when a
-		// breakpoint is armed at PC) is behaviour-preserving.
-		if len(c.breakpoints) != 0 && c.breakpoints[c.PC] && !c.skipBPOnce {
-			c.status = StatusBreakpoint
-			return c.status
-		}
-		c.skipBPOnce = false
 		if c.cycle-start >= cycleBudget {
 			c.status = StatusOutOfBudget
 			return c.status
@@ -903,6 +858,7 @@ func (c *CPU) CacheStats() (iHits, iMisses, dHits, dMisses uint64) {
 // onto the buses.
 func (c *CPU) PinForceActive() bool { return c.force.Active }
 
-// ClearTrapHandlers removes every installed trap handler, reusing the
-// map's buckets (see ClearBreakpoints).
+// ClearTrapHandlers removes every installed trap handler. The map is
+// cleared in place rather than reallocated: campaigns clear it once per
+// experiment, and reusing the buckets keeps the reset allocation-free.
 func (c *CPU) ClearTrapHandlers() { clear(c.trapHandlers) }

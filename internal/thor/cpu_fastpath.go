@@ -8,18 +8,10 @@ package thor
 // Step/Run pair. The equivalence argument, per hoisted piece of
 // bookkeeping:
 //
-//   - Breakpoint map lookup: RunFast reads len(c.breakpoints) and
-//     c.TraceHook once, after the RunHook has returned — the last
-//     caller-supplied code that runs before the loop. With a breakpoint
-//     armed or a hook installed it hands over to Run's own loop, as it
-//     does for the def-use recorder. Otherwise nothing can arm a
-//     breakpoint while the loop runs: AddBreakpoint is host-side, the
-//     loop calls no host code but a TraceHook (from execDecoded), and
-//     there is none; so the set is empty at every iteration Run would
-//     have tested it, the lookup is trivially false, and skipBPOnce
-//     (which only matters when a breakpoint is armed at PC) is cleared
-//     once before the loop instead of once per iteration — and only if
-//     the CPU is running, i.e. only if Run would have reached its clear.
+//   - Hooks: RunFast reads c.TraceHook and the def-use recorder once,
+//     after the RunHook has returned — the last caller-supplied code
+//     that runs before the loop. With either installed it hands over to
+//     Run's own loop.
 //   - Fetch, parity check, and decode: burst consults a predecoded
 //     mirror of the icache (idec). The mirror invariant is: a LIVE line
 //     (gen == decGen, ok, tag matches) was built from an icache line
@@ -153,8 +145,7 @@ func (c *CPU) fetchPredecoded() (Instr, bool) {
 // burst is the one run loop of the fast path: instructions until the CPU
 // stops or cycleBudget cycles have gone by, a live mirror line executed
 // right here, all-zero lines crossed by crossZeroLines and anything else
-// through stepRefill. It checks no
-// breakpoint and makes no out-of-budget transition: both are the
+// through stepRefill. It makes no out-of-budget transition: that is the
 // caller's. Architecturally indistinguishable from a loop of Step.
 func (c *CPU) burst(cycleBudget uint64) {
 	start := c.cycle
@@ -221,24 +212,17 @@ func (c *CPU) crossZeroLines(start, cycleBudget uint64) bool {
 	}
 }
 
-// RunFast is Run with batched execution: the same RunHook, breakpoint
-// resume and per-instruction budget compare around one burst. A run that
-// a breakpoint could stop, that a TraceHook watches or that the def-use
-// recorder logs is Run's: only the cycle-accurate loop looks breakpoints
-// up and records. Byte-identical outcomes are pinned by
+// RunFast is Run with batched execution: the same RunHook and
+// per-instruction budget compare around one burst. A run that a
+// TraceHook watches or that the def-use recorder logs is Run's: only the
+// cycle-accurate loop records. Byte-identical outcomes are pinned by
 // TestFastPathDifferential*.
 func (c *CPU) RunFast(cycleBudget uint64) Status {
 	if c.RunHook != nil {
 		c.RunHook(c)
 	}
-	if c.du != nil || len(c.breakpoints) != 0 || c.TraceHook != nil {
+	if c.du != nil || c.TraceHook != nil {
 		return c.run(cycleBudget)
-	}
-	if c.status == StatusBreakpoint {
-		c.status = StatusRunning // resumed, and no breakpoint left to skip
-	}
-	if c.status == StatusRunning {
-		c.skipBPOnce = false
 	}
 	c.burst(cycleBudget)
 	if c.status == StatusRunning {
@@ -248,7 +232,7 @@ func (c *CPU) RunFast(cycleBudget uint64) Status {
 }
 
 // StepBurst executes up to cycleBudget cycles with the fast path and
-// WITHOUT breakpoint checks or an out-of-budget transition — exactly
+// WITHOUT an out-of-budget transition — exactly
 // the semantics of trigger.RunUntil's inner loop (status check, then
 // Step) so trigger waits can burst between firing checks. The caller
 // owns the budget/trigger policy.

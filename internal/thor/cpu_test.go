@@ -311,32 +311,6 @@ func TestIterationEndAndResume(t *testing.T) {
 	}
 }
 
-func TestBreakpoints(t *testing.T) {
-	c, prog := load(t, thor.DefaultConfig(), `
-		ldi r1, 1
-	bp:
-		ldi r2, 2
-		halt
-	`)
-	c.AddBreakpoint(prog.MustSymbol("bp"))
-	if st := run(t, c); st != thor.StatusBreakpoint {
-		t.Fatalf("status = %v, want breakpoint", st)
-	}
-	if c.PC != prog.MustSymbol("bp") {
-		t.Errorf("PC = %#x, want %#x", c.PC, prog.MustSymbol("bp"))
-	}
-	if c.Regs[2] != 0 {
-		t.Error("instruction at breakpoint already executed")
-	}
-	// Resume runs through the breakpoint without re-triggering.
-	if st := run(t, c); st != thor.StatusHalted {
-		t.Fatalf("resume status = %v, want halted", st)
-	}
-	if c.Regs[2] != 2 {
-		t.Errorf("r2 = %d after resume", c.Regs[2])
-	}
-}
-
 func TestOutOfBudget(t *testing.T) {
 	c, _ := load(t, thor.Config{WatchdogLimit: 0}, `
 	loop:
@@ -499,7 +473,6 @@ func TestStatusStrings(t *testing.T) {
 	for st, want := range map[thor.Status]string{
 		thor.StatusRunning:      "running",
 		thor.StatusHalted:       "halted",
-		thor.StatusBreakpoint:   "breakpoint",
 		thor.StatusIterationEnd: "iteration-end",
 		thor.StatusDetected:     "detected",
 		thor.StatusOutOfBudget:  "out-of-budget",
@@ -508,7 +481,7 @@ func TestStatusStrings(t *testing.T) {
 			t.Errorf("Status(%d).String() = %q, want %q", int(st), st, want)
 		}
 	}
-	for _, m := range thor.AllEDMs() {
+	for m := thor.EDMParityI; m <= thor.EDMAssertion; m++ {
 		if m.String() == "" || m.String() == "none" {
 			t.Errorf("EDM %d has bad name %q", int(m), m)
 		}

@@ -253,7 +253,7 @@ func driveLockstep(t *testing.T, slow, fast *thor.CPU, chunk, maxCycles uint64) 
 				t.Fatal(err)
 			}
 		default:
-			return // halted, detected, breakpoint — terminal for this drive
+			return // halted or detected — terminal for this drive
 		}
 	}
 }
@@ -283,43 +283,6 @@ func TestFastPathDifferentialDisabledCaches(t *testing.T) {
 	slow, fast := newPair(t, cfg, img)
 	pushRandomInputs(rng, slow, fast)
 	driveLockstep(t, slow, fast, 211, 40_000)
-}
-
-func TestFastPathDifferentialBreakpoints(t *testing.T) {
-	src := `
-		ldi r1, 0
-		ldi r2, 1
-	loop:
-		add r1, r1, r2
-		addi r2, r2, 1
-		kick
-		cmpi r2, 200
-		ble loop
-		halt
-	`
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, fast := newPair(t, thor.DefaultConfig(), prog.Image)
-	bp := prog.MustSymbol("loop")
-	slow.AddBreakpoint(bp)
-	fast.AddBreakpoint(bp)
-	// Ride through a number of breakpoint stops, then clear and finish.
-	for i := 0; i < 10; i++ {
-		a, b := slow.Run(100_000), fast.RunFast(100_000)
-		if a != b || a != thor.StatusBreakpoint {
-			t.Fatalf("stop %d: status %v / %v, want breakpoint", i, a, b)
-		}
-		diffCPUs(t, slow, fast, fmt.Sprintf("bp stop %d", i))
-	}
-	slow.ClearBreakpoints()
-	fast.ClearBreakpoints()
-	a, b := slow.Run(100_000), fast.RunFast(100_000)
-	if a != b || a != thor.StatusHalted {
-		t.Fatalf("final: status %v / %v, want halted", a, b)
-	}
-	diffCPUs(t, slow, fast, "final")
 }
 
 func TestFastPathDifferentialWatchdog(t *testing.T) {
@@ -473,8 +436,8 @@ func TestStepBurstMatchesStepLoop(t *testing.T) {
 	}
 }
 
-// Benchmarks: the satellite-1 hoist (empty breakpoint set) and the
-// fast path against cycle-accurate execution on a busy loop.
+// Benchmarks: the fast path against cycle-accurate execution on a busy
+// loop.
 
 func benchImage(b *testing.B) []byte {
 	b.Helper()
@@ -496,14 +459,11 @@ func benchImage(b *testing.B) []byte {
 	return prog.Image
 }
 
-func benchRun(b *testing.B, armed bool, fast bool) {
+func benchRun(b *testing.B, fast bool) {
 	img := benchImage(b)
 	c := thor.New(thor.DefaultConfig())
 	if err := c.LoadMemory(0, img); err != nil {
 		b.Fatal(err)
-	}
-	if armed {
-		c.AddBreakpoint(0xFFFC) // never hit, but forces the map lookup
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -525,6 +485,5 @@ func benchRun(b *testing.B, armed bool, fast bool) {
 	}
 }
 
-func BenchmarkRunEmptyBreakpointSet(b *testing.B) { benchRun(b, false, false) }
-func BenchmarkRunArmedBreakpoint(b *testing.B)    { benchRun(b, true, false) }
-func BenchmarkRunFast(b *testing.B)               { benchRun(b, false, true) }
+func BenchmarkRun(b *testing.B)     { benchRun(b, false) }
+func BenchmarkRunFast(b *testing.B) { benchRun(b, true) }

@@ -244,16 +244,6 @@ func (op Opcode) IsBranch() bool {
 // subprogram-call fault trigger.
 func (op Opcode) IsCall() bool { return op == OpCALL }
 
-// IsMemAccess reports whether op reads or writes data memory. Used by the
-// data-access fault trigger.
-func (op Opcode) IsMemAccess() bool {
-	switch op {
-	case OpLD, OpST, OpPUSH, OpPOP:
-		return true
-	}
-	return false
-}
-
 // String renders the instruction in assembler-like form.
 func (in Instr) String() string {
 	switch in.Op {

@@ -76,14 +76,6 @@ func TestOpcodeClassification(t *testing.T) {
 	if !OpCALL.IsCall() || OpJR.IsCall() {
 		t.Error("call classification wrong")
 	}
-	for _, op := range []Opcode{OpLD, OpST, OpPUSH, OpPOP} {
-		if !op.IsMemAccess() {
-			t.Errorf("%v not classified as memory access", op)
-		}
-	}
-	if OpADD.IsMemAccess() {
-		t.Error("ADD classified as memory access")
-	}
 }
 
 func TestOpcodeValidity(t *testing.T) {

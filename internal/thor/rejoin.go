@@ -50,7 +50,7 @@ func (d Shift) Times(m uint64) Shift {
 // diverged machine is rejected in a few: PC, registers, flags and cycle −
 // lastKick; then the data cache, where a run whose registers have settled
 // back most often still differs, and the instruction cache; then status,
-// ports, pins, forces, trap handlers and breakpoints; last, memory, of
+// ports, pins, forces and trap handlers; last, memory, of
 // which only the pages the CPU has marked are read (an unmarked page is
 // zero, and must be in s too). The event log is history, not state, and is
 // not compared; a pending detection is refused on either side. The pins'
@@ -66,8 +66,7 @@ func (c *CPU) Rejoins(s *Snapshot) (Shift, bool) {
 	pins.Halt, pins.Error, spins.Halt, spins.Error = false, false, false, false
 	if c.status != s.Status || c.detection != nil || s.Detection != nil ||
 		!c.ports.equal(s.Ports) || pins != spins || c.force != s.Force ||
-		c.skipBPOnce != s.SkipBPOnce ||
-		!maps.Equal(c.trapHandlers, s.TrapHandlers) || !maps.Equal(c.breakpoints, s.Breakpoints) ||
+		!maps.Equal(c.trapHandlers, s.TrapHandlers) ||
 		s.MemLen != len(c.mem) {
 		return Shift{}, false
 	}

@@ -170,8 +170,6 @@ func TestRejoinsRejectsEveryField(t *testing.T) {
 		{field: "Events", mutate: func(s *thor.Snapshot) { s.Events = append(s.Events, thor.Detection{Cycle: 1}) }, ok: true},
 		{field: "TrapHandlers", mutate: func(s *thor.Snapshot) { s.TrapHandlers[4] = 8 }},
 		{field: "TrapHandlers", mutate: func(s *thor.Snapshot) { s.TrapHandlers[1] += 4 }},
-		{field: "Breakpoints", mutate: func(s *thor.Snapshot) { s.Breakpoints[8] = true }},
-		{field: "SkipBPOnce", mutate: func(s *thor.Snapshot) { s.SkipBPOnce = !s.SkipBPOnce }},
 		{field: "Pins", mutate: func(s *thor.Snapshot) { s.Pins.Address ^= 4 }},
 		{field: "Pins", mutate: func(s *thor.Snapshot) { s.Pins.Write = !s.Pins.Write }},
 		{field: "Pins", mutate: func(s *thor.Snapshot) { s.Pins.Halt, s.Pins.Error = true, true }, ok: true},

@@ -9,7 +9,7 @@ import (
 
 // TestSharedSnapshotsStayPut: SnapshotSharing shares with the previous
 // snapshot what did not change since it — memory pages, the page table,
-// the trap handler and breakpoint maps, the port set. A board that runs on
+// the trap handler map, the port set. A board that runs on
 // after every capture, and has each of those changed now and then (and is
 // once restored to an earlier sharing snapshot and run on from there),
 // must leave every earlier snapshot as the deep copy taken beside it; and
@@ -31,7 +31,6 @@ func TestSharedSnapshotsStayPut(t *testing.T) {
 				"page table":    same(s.MemPages, prev.MemPages),
 				"page":          same(s.MemPages[0], prev.MemPages[0]),
 				"trap handlers": same(s.TrapHandlers, prev.TrapHandlers),
-				"breakpoints":   same(s.Breakpoints, prev.Breakpoints),
 				"port set":      s.Ports == prev.Ports,
 			} {
 				if shared {
@@ -41,22 +40,18 @@ func TestSharedSnapshotsStayPut(t *testing.T) {
 		}
 		prev = s
 		// Change the board: an iteration always, and now and then a
-		// trap handler, a breakpoint, a queue the loop never reads, a
+		// trap handler, a queue the loop never reads, a
 		// word of a page it never writes — or a restore of an earlier
 		// capture.
 		switch i % 6 {
 		case 1:
 			c.SetTrapHandler(4, uint32(0x100+4*i))
-		case 2:
-			c.AddBreakpoint(uint32(0x8000 + 4*i))
 		case 3:
 			c.Ports().PushInput(3, uint32(i))
 		case 4:
 			if err := c.WriteWord32(uint32(20*thor.SnapshotPageBytes+4*(i%8)), uint32(i)); err != nil {
 				t.Fatal(err)
 			}
-		case 5:
-			c.ClearBreakpoints()
 		}
 		if i == 30 {
 			if err := c.Restore(caps[12].shared); err != nil {
@@ -72,7 +67,7 @@ func TestSharedSnapshotsStayPut(t *testing.T) {
 			}
 		}
 	}
-	for _, what := range []string{"page table", "page", "trap handlers", "breakpoints", "port set"} {
+	for _, what := range []string{"page table", "page", "trap handlers", "port set"} {
 		if sharedWhat[what] == 0 {
 			t.Errorf("no capture shared its %s with the one before", what)
 		}

@@ -22,8 +22,8 @@ func isZeroPage(p []byte) bool { return len(p) > 0 && &p[0] == &zeroPage[0] }
 
 // Snapshot captures the complete system state for exact restoration:
 // architectural state, memory, caches (including hit/miss statistics),
-// cycle/instret/watchdog counters, I/O port queues, trap handlers,
-// breakpoints, pin state and pending detections. Reference runs, the
+// cycle/instret/watchdog counters, I/O port queues, trap handlers, pin
+// state and pending detections. Reference runs, the
 // pre-injection analysis and campaign checkpoint-forwarding rely on a
 // restore being indistinguishable from having executed to the snapshot
 // point. Pages in MemPages may be shared between snapshots and must be
@@ -52,8 +52,6 @@ type Snapshot struct {
 	Events    []Detection
 
 	TrapHandlers map[uint16]uint32
-	Breakpoints  map[uint32]bool
-	SkipBPOnce   bool
 
 	Pins  Pins
 	Force PinForce
@@ -65,7 +63,6 @@ type Snapshot struct {
 func snapshotFixedBytes(s *Snapshot) int {
 	n := len(s.Events) * 32
 	n += len(s.TrapHandlers) * 8
-	n += len(s.Breakpoints) * 8
 	if s.Ports != nil {
 		n += s.Ports.queuedValues() * 4
 	}
@@ -83,7 +80,7 @@ func (c *CPU) Snapshot() *Snapshot {
 // SnapshotSharing captures the current state like Snapshot, but shares
 // with prev what did not change since it: memory pages whose contents
 // equal prev's (and prev's page table, when every page does), and the trap
-// handler and breakpoint maps and the port set when they equal prev's. It
+// handler map and the port set when they equal prev's. It
 // returns the snapshot and the number of bytes a deep copy would have to
 // allocate beyond prev's pages (page data plus bookkeeping) — the marginal
 // cost of keeping this snapshot alongside prev. prev may be nil, in which
@@ -94,25 +91,24 @@ func (c *CPU) SnapshotSharing(prev *Snapshot) (*Snapshot, int) {
 	iH, iM := c.icache.stats()
 	dH, dM := c.dcache.stats()
 	*s = Snapshot{
-		Regs:       c.Regs,
-		PC:         c.PC,
-		Flags:      c.Flags,
-		MemPages:   pages,
-		MemLen:     len(c.mem),
-		ICache:     c.icache.lines,
-		DCache:     c.dcache.lines,
-		IHits:      iH,
-		IMisses:    iM,
-		DHits:      dH,
-		DMisses:    dM,
-		Cycle:      c.cycle,
-		Instret:    c.instret,
-		LastKick:   c.lastKick,
-		Status:     c.status,
-		Events:     append([]Detection(nil), c.events...),
-		SkipBPOnce: c.skipBPOnce,
-		Pins:       c.pins,
-		Force:      c.force,
+		Regs:     c.Regs,
+		PC:       c.PC,
+		Flags:    c.Flags,
+		MemPages: pages,
+		MemLen:   len(c.mem),
+		ICache:   c.icache.lines,
+		DCache:   c.dcache.lines,
+		IHits:    iH,
+		IMisses:  iM,
+		DHits:    dH,
+		DMisses:  dM,
+		Cycle:    c.cycle,
+		Instret:  c.instret,
+		LastKick: c.lastKick,
+		Status:   c.status,
+		Events:   append([]Detection(nil), c.events...),
+		Pins:     c.pins,
+		Force:    c.force,
 	}
 	if c.detection != nil {
 		d := *c.detection
@@ -122,11 +118,6 @@ func (c *CPU) SnapshotSharing(prev *Snapshot) (*Snapshot, int) {
 		s.TrapHandlers = prev.TrapHandlers
 	} else {
 		s.TrapHandlers = maps.Clone(c.trapHandlers)
-	}
-	if prev != nil && maps.Equal(c.breakpoints, prev.Breakpoints) {
-		s.Breakpoints = prev.Breakpoints
-	} else {
-		s.Breakpoints = maps.Clone(c.breakpoints)
 	}
 	if prev != nil && c.ports.equal(prev.Ports) {
 		s.Ports = prev.Ports
@@ -250,16 +241,11 @@ func (c *CPU) Restore(s *Snapshot) error {
 		c.events = append(c.events[:0:0], s.Events...)
 	}
 	// Cleared and refilled, not remade: a campaign restores once per
-	// forwarded experiment, and the maps are the CPU's own either way.
+	// forwarded experiment, and the map is the CPU's own either way.
 	clear(c.trapHandlers)
 	for k, v := range s.TrapHandlers {
 		c.trapHandlers[k] = v
 	}
-	clear(c.breakpoints)
-	for k, v := range s.Breakpoints {
-		c.breakpoints[k] = v
-	}
-	c.skipBPOnce = s.SkipBPOnce
 	c.pins = s.Pins
 	c.force = s.Force
 	if s.Ports != nil {
